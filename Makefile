@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint lint-cold test bench bench-all
+.PHONY: verify build vet lint lint-cold test bench bench-all bench-e2e
 
 # The experiments package trains real models and takes well over the
 # default 10m per-package limit under race instrumentation; the longer
@@ -24,8 +24,12 @@ GO ?= go
 # delta codec round-trip, the delta_encode stage (client assembly
 # bit-identical, gate fallback), and the wire contract: backbone +
 # delta playback pixel-identical to origin, old↔new interop via the
-# full-model OpModel path, corruption falling back gracefully.
+# full-model OpModel path, corruption falling back gracefully. The
+# bench/ module is nested (its own go.mod), so root ./... never sees it:
+# vet and its -tiny test run (~4 s) are invoked with -C, which is what
+# catches an API break in bench/adapter.go before the pipeline does.
 verify: build vet lint
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) test -run 'TestFixtures/(lockorder|lostcancel|atomicfield|errcmp|timerleak)' -v ./internal/lint/
 	$(GO) test -race -run 'TestRunnerDeterministic|TestRunnerCache' -v ./internal/lint/
 	$(GO) test -run 'TestPrepareGoldenEquivalence' -v ./internal/core/
@@ -83,6 +87,14 @@ bench:
 	$(GO) run ./cmd/dcsr-bench -fast -only swarm -json BENCH_swarm.json
 	$(GO) run ./cmd/dcsr-bench -fast -only quant -json BENCH_quant.json
 	$(GO) run ./cmd/dcsr-bench -fast -only modelstream -json BENCH_modelstream.json
+
+# The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): all
+# four workloads over seeds 1..10, run outputs appended to BENCH_OUT (the
+# file `go run -C bench . -compare a b` reads; bench/out/ is gitignored).
+BENCH_OUT ?= bench/out/all.txt
+bench-e2e:
+	mkdir -p $(dir $(BENCH_OUT))
+	bash bench/all.sh $(BENCH_OUT)
 
 # Full evaluation-scale benchmark suite (minutes), including the 1080p
 # Enhance benchmark.

@@ -248,16 +248,17 @@ func playFromNetwork(opt netOptions) {
 		o = obs.New()
 		client.Obs = o
 	}
+	ctx := context.Background()
 	if opt.listVideos || opt.video != "" {
 		// The first manifest negotiates mux framing, which digest
 		// routing at non-default videos requires.
-		if _, err := client.Manifest(); err != nil {
+		if _, err := client.ManifestCtx(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
 			os.Exit(1)
 		}
 	}
 	if opt.listVideos {
-		dir, err := client.Videos()
+		dir, err := client.VideosCtx(ctx)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
 			os.Exit(1)
@@ -274,13 +275,13 @@ func playFromNetwork(opt netOptions) {
 		return
 	}
 	if opt.video != "" {
-		if err := client.SelectVideoCtx(context.Background(), opt.video); err != nil {
+		if err := client.SelectVideoCtx(ctx, opt.video); err != nil {
 			fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("selected video %s\n", opt.video)
 	}
-	frames, stats, err := client.Play(true)
+	frames, stats, err := client.PlayCtx(ctx, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
 		os.Exit(1)

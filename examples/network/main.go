@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -74,7 +75,7 @@ func main() {
 		}
 		client := transport.NewClient(transport.NewThrottledConn(conn, link.bps))
 		start := time.Now()
-		out, stats, err := client.Play(true)
+		out, stats, err := client.PlayCtx(context.Background(), true)
 		if err != nil {
 			log.Fatal(err)
 		}

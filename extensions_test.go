@@ -1,6 +1,7 @@
 package dcsr_test
 
 import (
+	"context"
 	"net"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestPublicTransportAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	out, stats, err := client.Play(true)
+	out, stats, err := client.PlayCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

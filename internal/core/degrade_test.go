@@ -1,11 +1,29 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"dcsr/internal/obs"
+	"dcsr/internal/stream"
 )
+
+// outage decorates the prepared stream's Fetcher: fail decides, per model
+// artifact requested, whether the download errors out.
+type outage struct {
+	stream.Fetcher
+	fail func(label int) error
+}
+
+func (o outage) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, error) {
+	if kind != stream.KindSegment {
+		if err := o.fail(arg); err != nil {
+			return nil, err
+		}
+	}
+	return o.Fetcher.Fetch(ctx, kind, arg)
+}
 
 // TestPlayerDegradesOnModelFetchFailure drives the in-process player
 // through a transient model-fetch outage: the first fetch of every label
@@ -23,13 +41,13 @@ func TestPlayerDegradesOnModelFetchFailure(t *testing.T) {
 	pl := NewPlayer(p)
 	pl.Obs = o
 	failed := map[int]bool{}
-	pl.FetchModel = func(label int) error {
+	pl.Fetcher = outage{p, func(label int) error {
 		if !failed[label] {
 			failed[label] = true
 			return fmt.Errorf("injected outage for label %d", label)
 		}
 		return nil
-	}
+	}}
 	res, err := pl.Play()
 	if err != nil {
 		t.Fatalf("Play aborted despite degradation: %v", err)
@@ -80,9 +98,7 @@ func TestPlayerTotalOutageMatchesUnenhanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	degradedPl := NewPlayer(p)
-	degradedPl.FetchModel = func(label int) error {
-		return fmt.Errorf("total outage")
-	}
+	degradedPl.Fetcher = outage{p, func(int) error { return fmt.Errorf("total outage") }}
 	degraded, err := degradedPl.Play()
 	if err != nil {
 		t.Fatal(err)

@@ -3,8 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 
@@ -69,13 +67,6 @@ type DeltaResult struct {
 	// size gate compared.
 	FullBytes  int
 	DeltaBytes int
-}
-
-// payloadDigest is the hex SHA-256 manifests use to identify model
-// payloads end-to-end (stream.BackboneInfo.Digest, ModelInfo.Digest).
-func payloadDigest(data []byte) string {
-	d := sha256.Sum256(data)
-	return hex.EncodeToString(d[:])
 }
 
 // pickBackboneLabel chooses the shared backbone: the model of the

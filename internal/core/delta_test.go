@@ -7,6 +7,7 @@ import (
 	"dcsr/internal/edsr"
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
+	"dcsr/internal/stream"
 	"dcsr/internal/video"
 )
 
@@ -54,7 +55,7 @@ func TestDeltaStageModelStream(t *testing.T) {
 	if bsm == nil {
 		t.Fatalf("backbone label %d has no model", man.Backbone.Label)
 	}
-	if man.Backbone.Digest != payloadDigest(bsm.Bytes) || man.Backbone.Bytes != len(bsm.Bytes) {
+	if man.Backbone.Digest != stream.PayloadDigest(bsm.Bytes) || man.Backbone.Bytes != len(bsm.Bytes) {
 		t.Fatal("backbone digest/size does not describe the backbone payload")
 	}
 	deltas := 0
@@ -89,7 +90,7 @@ func TestDeltaStageModelStream(t *testing.T) {
 		if !bytes.Equal(assembled, sm.Bytes) {
 			t.Fatalf("assembled model %d is not bit-identical to the origin's", label)
 		}
-		if payloadDigest(assembled) != mi.Digest {
+		if stream.PayloadDigest(assembled) != mi.Digest {
 			t.Fatalf("assembled model %d does not match its manifest digest", label)
 		}
 	}

@@ -96,8 +96,8 @@ func legacyPrepare(frames []*video.YUV, fps int, cfg ServerConfig) (*Prepared, e
 		}
 	}
 	p.MicroConfig = micro
-	bigBytes := modelBytes(cfg.BigModel)
-	minBytes := modelBytes(micro)
+	bigBytes := int(cfg.BigModel.SizeBytes())
+	minBytes := int(micro.SizeBytes())
 
 	sp = root.Child("kmeans_silhouette")
 	if len(segs) < 3 {

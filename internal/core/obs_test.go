@@ -87,11 +87,14 @@ func TestPrepareAndPlayObservability(t *testing.T) {
 		t.Errorf("train span has %d cluster children, want %d", clusters, len(p.Models))
 	}
 	play := traces[1]
-	if play.Name != "play" || len(play.Children) != 2 {
-		t.Fatalf("play trace = %+v", play)
+	if play.Name != "play" || len(play.Children) != len(p.Manifest.Segments) {
+		t.Fatalf("play trace has %d children, want one segment_fetch per segment (%d): %+v",
+			len(play.Children), len(p.Manifest.Segments), play)
 	}
-	if n := len(play.Children[0].Children); n != len(p.Manifest.Segments) {
-		t.Errorf("session span has %d segment_fetch children, want %d", n, len(p.Manifest.Segments))
+	for _, c := range play.Children {
+		if c.Name != "segment_fetch" {
+			t.Errorf("play child %q, want segment_fetch", c.Name)
+		}
 	}
 }
 

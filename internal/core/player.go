@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sort"
 
 	"dcsr/internal/codec"
 	"dcsr/internal/obs"
@@ -14,44 +14,25 @@ import (
 type PlayResult struct {
 	// Frames are the displayed (enhanced) frames in display order.
 	Frames []*video.YUV
-	// Session holds the download/caching accounting (Algorithm 1).
-	Session *stream.Session
+	// Session is the finished session — the download/caching accounting
+	// record (Algorithm 1). Its fields read through: CacheHits and
+	// CacheMisses (which cover exactly the segments that reference a
+	// model), ModelBytes with its BackboneBytes/DeltaModelBytes/
+	// FullModelBytes breakdown, DegradedSegments (only non-zero when
+	// Player.Fetcher is set and returned errors; see the fault model in
+	// package stream), Evictions and CacheBytes (≤ Player.CacheBudget
+	// when one is set), TotalBytes.
+	*stream.Session
 	// Decode holds decoder statistics including enhancement count.
 	Decode codec.DecodeStats
-
-	// CacheHits and CacheMisses summarize micro-model cache behaviour
-	// (Algorithm 1): hits reused a cached model, misses downloaded one.
-	// They cover exactly the segments that reference a model.
-	CacheHits   int
-	CacheMisses int
-	// ModelBytes is the total micro-model download volume.
-	ModelBytes int
-	// BackboneBytes, DeltaModelBytes and FullModelBytes break ModelBytes
-	// down for model-stream manifests: the shared backbone (paid once),
-	// the per-cluster dcW5 deltas, and models shipped complete. For
-	// manifests without a backbone everything lands in FullModelBytes.
-	BackboneBytes   int
-	DeltaModelBytes int
-	FullModelBytes  int
-	// Evictions counts models evicted from the byte-budgeted cache; each
-	// evicted label is re-downloaded on its next reference.
-	Evictions int
-	// CacheBytes is the serialized model bytes resident in the cache at
-	// end of session (≤ Player.CacheBudget when one is set).
-	CacheBytes int64
-	// DegradedSegments counts segments that played without SR because
-	// their model fetch failed (only non-zero when Player.FetchModel is
-	// set and returned errors; see the fault model in package stream).
-	DegradedSegments int
 }
 
-// TotalBytes returns the bytes a real client would have downloaded.
-func (r *PlayResult) TotalBytes() int { return r.Session.TotalBytes() }
-
-// Player is the client-side dcSR: it walks the manifest downloading
-// segments and (on cache miss) micro models, and decodes the stream with
-// the per-segment micro model patched into the decoder's I-frame
-// enhancement hook (paper Fig 6).
+// Player is the client-side dcSR played in process: the playback engine
+// (stream.Session) over the prepared stream as its download backend. It
+// walks the manifest downloading segments and (on cache miss) micro
+// models, and decodes each segment with its micro model patched into the
+// decoder's I-frame enhancement hook (paper Fig 6) — the same code, and
+// the same pixels, as a client streaming over the wire.
 type Player struct {
 	prepared *Prepared
 	// UseCache toggles micro-model caching (paper §3.2.2); default true.
@@ -79,34 +60,46 @@ type Player struct {
 	// decoder's enhance-latency histogram) and a play span tree with one
 	// segment_fetch child per segment; nil disables instrumentation.
 	Obs *obs.Obs
-	// FetchModel, when set, stands in for the model download of each
-	// cache miss (stream.Session.Fetcher). An error degrades the
-	// affected segments — they decode without SR enhancement and are
-	// counted in PlayResult.DegradedSegments — instead of aborting
-	// playback. nil keeps the seed behaviour: every fetch succeeds.
-	FetchModel func(label int) error
+	// Fetcher is the download backend: the prepared stream itself unless
+	// replaced — typically by a decorator around the *Prepared that
+	// injects faults or times fetches. A model artifact it fails to
+	// deliver degrades the affected segments — they decode without SR
+	// enhancement and are counted in PlayResult.DegradedSegments —
+	// instead of aborting playback.
+	Fetcher stream.Fetcher
 }
 
 // NewPlayer builds a player over a prepared stream.
 func NewPlayer(p *Prepared) *Player {
-	return &Player{prepared: p, UseCache: true, Enhance: true, Int8: true, Propagation: codec.PropagateDelta}
+	return &Player{prepared: p, UseCache: true, Enhance: true, Int8: true, Propagation: codec.PropagateDelta, Fetcher: p}
 }
 
-// segmentOf returns the segment index containing display frame i.
-func (pl *Player) segmentOf(display int) int {
-	segs := pl.prepared.Segments
-	idx := sort.Search(len(segs), func(j int) bool { return segs[j].End > display })
-	if idx >= len(segs) {
-		idx = len(segs) - 1
+// Fetch implements stream.Fetcher from memory: the prepared stream is its
+// own origin. Segments are served as independently decodable sub-streams
+// (SegmentStream), models as the same payloads the wire ops serve.
+func (p *Prepared) Fetch(_ context.Context, kind stream.Kind, arg int) ([]byte, error) {
+	sm := p.Models[arg]
+	switch {
+	case kind == stream.KindSegment:
+		sub, err := p.SegmentStream(arg)
+		if err != nil {
+			return nil, err
+		}
+		return sub.Marshal(), nil
+	case kind == stream.KindBackbone && p.Manifest.Backbone != nil:
+		return p.Models[p.Manifest.Backbone.Label].Bytes, nil
+	case kind == stream.KindModel && sm != nil:
+		return sm.Bytes, nil
+	case kind == stream.KindModelDelta && sm != nil && sm.Delta != nil && sm.Delta.DeltaOK:
+		return sm.Delta.Bytes, nil
 	}
-	return idx
+	return nil, fmt.Errorf("core: prepared stream has no artifact %d/%d", kind, arg)
 }
 
-// Play simulates the full streaming session: per-segment downloads with
-// model caching, then decoding with in-loop I-frame enhancement.
+// Play runs the full streaming session: per-segment downloads with model
+// caching, each segment decoded with in-loop I-frame enhancement.
 func (pl *Player) Play() (*PlayResult, error) {
-	p := pl.prepared
-	o := pl.Obs
+	p, o := pl.prepared, pl.Obs
 	root := o.Start("play")
 	defer root.End()
 	budget := int64(-1)
@@ -116,83 +109,25 @@ func (pl *Player) Play() (*PlayResult, error) {
 	case pl.CacheBudget > 0:
 		budget = pl.CacheBudget
 	}
-	sess, err := stream.NewSessionWithBudget(p.Manifest, budget)
+	sess, err := stream.Open(p.Manifest, p.MicroConfig, pl.Fetcher, stream.Options{
+		Enhance: pl.Enhance, Int8: pl.Int8, CacheBudget: budget,
+		Propagation: pl.Propagation, Obs: o, Log: o.Logger(),
+	})
 	if err != nil {
 		return nil, err
 	}
-	sessSpan := root.Child("session")
-	sess.Obs = o
-	sess.Trace = sessSpan
-	// The cache holds the real serialized weights, so a byte budget
-	// evicts exactly what a device with that much model memory would.
-	sess.FetchData = func(label int) ([]byte, error) {
-		if pl.FetchModel != nil {
-			if err := pl.FetchModel(label); err != nil {
-				return nil, err
-			}
-		}
-		if sm, ok := p.Models[label]; ok {
-			// The download unit: the dcW5 delta for delta-shipped models,
-			// the full weights otherwise — so the byte-budgeted cache holds
-			// exactly what a real client would keep.
-			return sm.WireBytes(), nil
-		}
-		return nil, nil
-	}
-	sess.Run()
-	sessSpan.Set("video_bytes", sess.VideoBytes)
-	sessSpan.Set("model_bytes", sess.ModelBytes)
-	sessSpan.End()
-
-	// Degradation is per segment, not per label: a label that failed on
-	// its first reference may have been fetched successfully on a later
-	// one, and only the segments walked while it was missing lose SR.
-	degraded := make(map[int]bool)
-	for _, ev := range sess.Events {
-		if ev.Degraded {
-			degraded[ev.Segment] = true
-		}
-	}
-
-	decSpan := root.Child("decode")
-	dec := codec.Decoder{Mode: pl.Propagation, Obs: o}
-	if pl.Enhance {
-		dec.Enhancer = codec.PrecisionEnhancerFunc(func(display int, f *video.YUV) (*video.YUV, codec.Precision) {
-			seg := pl.segmentOf(display)
-			if degraded[seg] {
-				return f, codec.PrecisionFloat32
-			}
-			label := p.Manifest.Segments[seg].ModelLabel
-			sm, ok := p.Models[label]
-			if !ok {
-				return f, codec.PrecisionFloat32
-			}
-			// The manifest flag is the server's quality-gate decision;
-			// Int8Ready guards against a model whose activation scales
-			// were not re-armed after deserialization.
-			if pl.Int8 && p.Manifest.Models[label].Int8 && sm.Model.Int8Ready() {
-				return sm.Model.EnhanceYUVInt8(f), codec.PrecisionInt8
-			}
-			return sm.Model.EnhanceYUV(f), codec.PrecisionFloat32
-		})
-	}
-	frames, err := dec.Decode(p.Stream)
-	decSpan.Set("frames", dec.Stats.Frames())
-	decSpan.Set("enhanced", dec.Stats.Enhanced)
-	decSpan.End()
+	sess.Trace = root
+	frames, dec, err := sess.Play(context.Background())
 	if err != nil {
-		return nil, fmt.Errorf("core: playback decode: %w", err)
+		return nil, fmt.Errorf("core: playback: %w", err)
 	}
+	root.Set("video_bytes", sess.VideoBytes)
+	root.Set("model_bytes", sess.ModelBytes)
+	root.Set("frames", dec.Frames())
+	root.Set("enhanced", dec.Enhanced)
 	o.Logger().Info("play: session complete",
 		"segments", len(p.Manifest.Segments), "cache_hits", sess.CacheHits,
 		"cache_misses", sess.CacheMisses, "degraded", sess.DegradedSegments,
 		"bytes", sess.TotalBytes())
-	return &PlayResult{
-		Frames: frames, Session: sess, Decode: dec.Stats,
-		CacheHits: sess.CacheHits, CacheMisses: sess.CacheMisses,
-		ModelBytes: sess.ModelBytes, DegradedSegments: sess.DegradedSegments,
-		Evictions: sess.Evictions(), CacheBytes: sess.CacheBytes(),
-		BackboneBytes: sess.BackboneBytes, DeltaModelBytes: sess.DeltaModelBytes,
-		FullModelBytes: sess.FullModelBytes,
-	}, nil
+	return &PlayResult{Frames: frames, Session: sess, Decode: dec}, nil
 }

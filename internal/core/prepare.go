@@ -201,8 +201,8 @@ func stageCluster(_ context.Context, sp *obs.Span, s *prepState) error {
 		sp.Set("k", p.K)
 		return nil
 	}
-	bigBytes := modelBytes(s.cfg.BigModel)
-	minBytes := modelBytes(p.MicroConfig)
+	bigBytes := int(s.cfg.BigModel.SizeBytes())
+	minBytes := int(p.MicroConfig.SizeBytes())
 	if len(p.Segments) < 3 {
 		// Too few segments to cluster meaningfully: single cluster.
 		p.K = 1

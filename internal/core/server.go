@@ -172,16 +172,6 @@ func (p *Prepared) SegmentStream(i int) (*codec.Stream, error) {
 	return sub, nil
 }
 
-// modelBytes returns the download size of a freshly initialized model of
-// the given configuration.
-func modelBytes(cfg edsr.Config) int {
-	m, err := edsr.New(cfg, 0)
-	if err != nil {
-		panic(err)
-	}
-	return m.SizeBytes()
-}
-
 // buildManifest splits the coded stream's bytes across segments by display
 // index and attaches model labels.
 func buildManifest(p *Prepared) *stream.Manifest {
@@ -221,7 +211,7 @@ func buildManifest(p *Prepared) *stream.Manifest {
 	if bb := p.backboneLabel(); bb >= 0 {
 		bsm := p.Models[bb]
 		man.Backbone = &stream.BackboneInfo{
-			Label: bb, Digest: payloadDigest(bsm.Bytes), Bytes: len(bsm.Bytes),
+			Label: bb, Digest: stream.PayloadDigest(bsm.Bytes), Bytes: len(bsm.Bytes),
 		}
 	}
 	for label, sm := range p.Models {
@@ -236,7 +226,7 @@ func buildManifest(p *Prepared) *stream.Manifest {
 			// weights the client verifies before arming.
 			mi.Delta = true
 			mi.BackboneDigest = man.Backbone.Digest
-			mi.Digest = payloadDigest(sm.Bytes)
+			mi.Digest = stream.PayloadDigest(sm.Bytes)
 			mi.FullBytes = len(sm.Bytes)
 			mi.Bytes = len(sm.Delta.Bytes)
 		} else if man.Backbone != nil && label == man.Backbone.Label {

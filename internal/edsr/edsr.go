@@ -13,6 +13,7 @@ package edsr
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"dcsr/internal/nn"
@@ -51,6 +52,26 @@ func (c Config) Validate() error {
 		return fmt.Errorf("edsr: Scale must be 1, 2 or 4, got %d", c.Scale)
 	}
 	return nil
+}
+
+// SizeBytes is what Model.SizeBytes reports for a model of this
+// configuration, computed without building one — so a configuration that
+// arrived over the network can be bounded before it allocates anything.
+// Out-of-range dimensions report math.MaxInt64.
+func (c Config) SizeBytes() int64 {
+	c = c.withDefaults()
+	nf, rb := int64(c.Filters), int64(c.ResBlocks)
+	if c.Validate() != nil || nf > 1<<15 || rb > 1<<15 {
+		return math.MaxInt64
+	}
+	// One 3×3 convolution serializes as two length-prefixed float32
+	// tensors: weights (out·in·9) and bias (out).
+	conv := func(in, out int64) int64 { return 8 + 4*(out*in*9+out) }
+	n := 8 + conv(3, nf) + (2*rb+1)*conv(nf, nf) + conv(nf, 3)
+	for s := c.Scale; s > 1; s /= 2 {
+		n += conv(nf, 4*nf)
+	}
+	return n
 }
 
 // String formats the configuration compactly, e.g. "EDSR(16f×4RB,x1)".

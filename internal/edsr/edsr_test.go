@@ -63,6 +63,9 @@ func TestSizeMonotonicity(t *testing.T) {
 				if m.SizeBytes() <= prev {
 					t.Fatalf("size not monotone in ResBlocks at nf=%d scale=%d", nf, scale)
 				}
+				if got := m.Cfg.SizeBytes(); got != int64(m.SizeBytes()) {
+					t.Fatalf("%v: Config.SizeBytes = %d, built model serializes to %d", m.Cfg, got, m.SizeBytes())
+				}
 				prev = m.SizeBytes()
 			}
 			if prev <= prevRowMax {

@@ -278,7 +278,10 @@ func AblationQuantization(cfg EvalConfig) (Table, map[string]float64, map[string
 			if err := nn.LoadWeightsAny(bytes.NewReader(data), m.Params()); err != nil {
 				panic(err)
 			}
-			quantized[label] = &core.SegmentModel{Label: label, Config: sm.Config, Model: m, Bytes: data}
+			// The player downloads canonical float32 payloads, so it is
+			// handed the dequantized weights: what a client holds after
+			// decoding the reduced-precision download.
+			quantized[label] = &core.SegmentModel{Label: label, Config: sm.Config, Model: m, Bytes: nn.EncodeWeights(m.Params())}
 		}
 		qPrep := *prep
 		qPrep.Models = quantized

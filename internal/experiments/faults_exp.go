@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -115,7 +116,7 @@ func ExperimentFaults(cfg EvalConfig) (Table, *FaultsResult, error) {
 			MaxDelay:  2 * time.Millisecond,
 			Seed:      cfg.Seed,
 		}
-		out, stats, err := client.Play(true)
+		out, stats, err := client.PlayCtx(context.Background(), true)
 		cell := FaultCell{Scope: scope, DropRate: drop, Retries: budget,
 			RetryCount: client.Retries, Reconnects: client.Reconnects,
 			Stall: client.StallTime, Faults: inj.Counts()["drop"]}

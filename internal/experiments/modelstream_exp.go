@@ -70,12 +70,7 @@ func sessionModelBytes(p *core.Prepared, k int) (*stream.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess.FetchData = func(label int) ([]byte, error) {
-		if sm, ok := p.Models[label]; ok {
-			return sm.WireBytes(), nil
-		}
-		return nil, nil
-	}
+	sess.Fetcher = p // real payloads, so the accounting is of what a client downloads
 	sess.Run()
 	return sess, nil
 }

@@ -12,6 +12,7 @@ import (
 	"dcsr/internal/core"
 	"dcsr/internal/faultnet"
 	"dcsr/internal/obs"
+	"dcsr/internal/stream"
 	"dcsr/internal/transport"
 	"dcsr/internal/video"
 )
@@ -108,9 +109,9 @@ type SwarmOpStats struct {
 // HardErrors == 0 while Sheds > 0 — overload is shed as typed,
 // retryable rejections that clients absorb, never as client failures.
 type SwarmResult struct {
-	Sessions    int   `json:"sessions"`
-	Videos      int   `json:"videos"`
-	MaxInflight int   `json:"max_inflight"`
+	Sessions    int `json:"sessions"`
+	Videos      int `json:"videos"`
+	MaxInflight int `json:"max_inflight"`
 	// Requests counts every request frame the server read — shed ones
 	// included; Sheds counts the typed rejections among them, so
 	// ShedRate = Sheds/Requests is the fraction of offered load shed.
@@ -161,6 +162,25 @@ type swarmSession struct {
 	err        error
 }
 
+// timedFetcher times every download of the session's wire backend into
+// the segment or model latency bucket.
+type timedFetcher struct {
+	f     stream.Fetcher
+	timed func(op int, f func() error) error
+}
+
+func (t timedFetcher) Fetch(ctx context.Context, kind stream.Kind, arg int) (data []byte, err error) {
+	op := swarmOpModel
+	if kind == stream.KindSegment {
+		op = swarmOpSegment
+	}
+	err = t.timed(op, func() error {
+		data, err = t.f.Fetch(ctx, kind, arg)
+		return err
+	})
+	return data, err
+}
+
 func pctl(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
@@ -196,10 +216,11 @@ func jain(xs []float64) float64 {
 // distinct videos, routed by digest, through lossy faultnet links, while
 // admission control sheds everything past sc.MaxInflight with typed
 // retry-after hints. Each session lists the directory, selects its video
-// by digest, then loops a walk over every segment (fetching micro-models
-// on first reference) until the shared measurement window closes — the
-// real playback access pattern, minus decode (the server under test is
-// the transport layer, not the codec).
+// by digest, then loops the playback engine's fetch step over every
+// segment (stream.Session.Fetch: micro-models on first reference) until
+// the shared measurement window closes — the real playback access
+// pattern, minus decode (the server under test is the transport layer,
+// not the codec).
 //
 // The experiment measures what docs/SERVING.md needs for capacity
 // planning: per-op p50/p99 latency under contention, the shed rate at
@@ -313,57 +334,52 @@ func ExperimentSwarm(cfg EvalConfig, sc SwarmConfig) (Table, *SwarmResult, error
 		// The first manifest negotiates mux framing (required to route
 		// at a non-default video); then half the swarm selects each
 		// hosted video by digest and refetches that video's manifest.
+		ctx := context.Background()
 		var wm *transport.WireManifest
-		if err := timed(swarmOpManifest, func() error {
+		manifest := func() error {
 			var err error
-			wm, err = client.Manifest()
+			wm, err = client.ManifestCtx(ctx)
 			return err
-		}); err != nil {
+		}
+		if err := timed(swarmOpManifest, manifest); err != nil {
 			return finish(fmt.Errorf("session %d manifest: %w", i, err))
 		}
 		want := digests[i%2]
 		if err := timed(swarmOpDirectory, func() error {
-			return client.SelectVideoCtx(context.Background(), want)
+			return client.SelectVideoCtx(ctx, want)
 		}); err != nil {
 			return finish(fmt.Errorf("session %d select %s: %w", i, want[:8], err))
 		}
 		if want != digests[0] {
-			if err := timed(swarmOpManifest, func() error {
-				var err error
-				wm, err = client.Manifest()
-				return err
-			}); err != nil {
+			if err := timed(swarmOpManifest, manifest); err != nil {
 				return finish(fmt.Errorf("session %d manifest after select: %w", i, err))
 			}
+		}
+		sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, timedFetcher{client, timed},
+			stream.Options{Enhance: true, CacheBudget: -1})
+		if err != nil {
+			return finish(fmt.Errorf("session %d: %w", i, err))
 		}
 		// Loop the playlist walk until the window closes, so every
 		// session is active for the same wall time and per-session op
 		// counts are directly comparable (models are fetched on first
-		// reference only; later walks replay them from the client cache,
+		// reference only; later walks replay them from the session cache,
 		// like a viewer scrubbing back through the video).
 		deadline := start.Add(sc.Duration)
-		fetched := make(map[int]bool)
 		for clock().Before(deadline) {
-			for j := range wm.Segments {
+			for _, seg := range wm.Segments {
 				if !clock().Before(deadline) {
 					break
 				}
-				if err := timed(swarmOpSegment, func() error {
-					_, err := client.Segment(j)
-					return err
-				}); err != nil {
-					return finish(fmt.Errorf("session %d segment %d: %w", i, j, err))
-				}
-				if lbl := wm.Segments[j].ModelLabel; lbl >= 0 && !fetched[lbl] {
-					fetched[lbl] = true
-					if err := timed(swarmOpModel, func() error {
-						_, _, err := client.Model(lbl, wm.MicroConfig)
-						return err
-					}); err != nil {
-						return finish(fmt.Errorf("session %d model %d: %w", i, lbl, err))
-					}
+				if _, _, err := sess.Fetch(ctx, seg); err != nil {
+					return finish(fmt.Errorf("session %d: %w", i, err))
 				}
 			}
+		}
+		// The engine degrades a failed model fetch instead of failing the
+		// walk; under this retry budget that is a hard error all the same.
+		if sess.DegradedSegments > 0 {
+			return finish(fmt.Errorf("session %d: %d segments degraded", i, sess.DegradedSegments))
 		}
 		return finish(nil)
 	}

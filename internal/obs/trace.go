@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -133,6 +134,24 @@ func (s *Span) End() {
 		s.end = time.Now()
 	}
 	s.mu.Unlock()
+}
+
+type spanKey struct{}
+
+// WithSpan returns ctx carrying s as the active span: requests issued
+// under the returned context hang their own spans (the transport's
+// per-attempt children) off s. A nil span returns ctx unchanged.
+func WithSpan(ctx context.Context, s *Span) context.Context {
+	if s == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, spanKey{}, s)
+}
+
+// SpanFrom returns the active span WithSpan stored in ctx, or nil.
+func SpanFrom(ctx context.Context) *Span {
+	s, _ := ctx.Value(spanKey{}).(*Span)
+	return s
 }
 
 // Duration returns the span's wall time (time-to-now if still open).

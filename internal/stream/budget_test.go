@@ -36,11 +36,11 @@ func TestSessionBudgetEvictsAndRefetches(t *testing.T) {
 		t.Errorf("downloads/hits/misses = %d/%d/%d, want 4/0/4",
 			s.Downloads, s.CacheHits, s.CacheMisses)
 	}
-	if s.Evictions() != 3 {
-		t.Errorf("evictions = %d, want 3", s.Evictions())
+	if s.Evictions != 3 {
+		t.Errorf("evictions = %d, want 3", s.Evictions)
 	}
-	if s.CacheBytes() != 100 {
-		t.Errorf("cache bytes = %d, want 100", s.CacheBytes())
+	if s.CacheBytes != 100 {
+		t.Errorf("cache bytes = %d, want 100", s.CacheBytes)
 	}
 	if got := o.Metrics.Snapshot().Counters["modelstore_evictions_total"]; got != 3 {
 		t.Errorf("modelstore_evictions_total = %d, want 3", got)
@@ -65,28 +65,28 @@ func TestSessionAmpleBudgetMatchesUnbounded(t *testing.T) {
 		t.Errorf("ample budget hits/downloads = %d/%d, unbounded = %d/%d",
 			ample.CacheHits, ample.Downloads, unbounded.CacheHits, unbounded.Downloads)
 	}
-	if ample.Evictions() != 0 {
-		t.Errorf("ample budget evicted %d models", ample.Evictions())
+	if ample.Evictions != 0 {
+		t.Errorf("ample budget evicted %d models", ample.Evictions)
 	}
 	if unbounded.CacheHits != 2 {
 		t.Errorf("unbounded cache hits = %d, want 2", unbounded.CacheHits)
 	}
 }
 
-func TestSessionFetchDataPayloadAndFailure(t *testing.T) {
+func TestSessionFetcherPayloadAndFailure(t *testing.T) {
 	m := pingPongManifest()
 	s, err := NewSessionWithBudget(m, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fail := true
-	s.FetchData = func(label int) ([]byte, error) {
+	s.Fetcher = faultyFetcher{s.Fetcher, func(label int) error {
 		if label == 1 && fail {
 			fail = false
-			return nil, errors.New("transient")
+			return errors.New("transient")
 		}
-		return make([]byte, m.Models[label].Bytes), nil
-	}
+		return nil
+	}}
 	s.Run()
 	// Label 1's first fetch failed: segment 1 degraded, label 1 retried
 	// (and cached) at segment 3.
@@ -102,7 +102,7 @@ func TestSessionFetchDataPayloadAndFailure(t *testing.T) {
 	if s.CacheHits != 1 {
 		t.Errorf("cache hits = %d, want 1 (segment 2)", s.CacheHits)
 	}
-	if s.CacheBytes() != 200 {
-		t.Errorf("cache bytes = %d, want 200 (both real payloads resident)", s.CacheBytes())
+	if s.CacheBytes != 200 {
+		t.Errorf("cache bytes = %d, want 200 (both real payloads resident)", s.CacheBytes)
 	}
 }

@@ -1,8 +1,12 @@
 package stream
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"dcsr/internal/edsr"
+	"dcsr/internal/nn"
 )
 
 // modelStreamManifest builds a Fig-7-style manifest whose models ship as
@@ -125,5 +129,83 @@ func TestSessionModelStreamBackboneFirstDelta(t *testing.T) {
 	}
 	if s.BackboneBytes != 100 {
 		t.Fatalf("BackboneBytes grew to %d on reuse", s.BackboneBytes)
+	}
+}
+
+// mapFetcher serves artifacts from memory and counts backbone fetches.
+type mapFetcher struct {
+	full, delta map[int][]byte
+	backbone    []byte
+	bbFetches   int
+}
+
+func (f *mapFetcher) Fetch(_ context.Context, kind Kind, arg int) ([]byte, error) {
+	switch kind {
+	case KindBackbone:
+		f.bbFetches++
+		return f.backbone, nil
+	case KindModel:
+		return f.full[arg], nil
+	case KindModelDelta:
+		return f.delta[arg], nil
+	}
+	return nil, nil
+}
+
+// TestAssemblerSharesBackbone pins the Backbone holder on real weights:
+// two delta labels assembled through one holder cost one backbone fetch
+// and one backbone deserialization (the same base model serves both), and
+// each assembled model is the canonical reconstruction.
+func TestAssemblerSharesBackbone(t *testing.T) {
+	cfg := edsr.Config{Filters: 2, ResBlocks: 1}
+	base, err := edsr.New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bbBytes := nn.EncodeWeights(base.Params())
+	f := &mapFetcher{backbone: bbBytes, full: map[int][]byte{0: bbBytes}, delta: map[int][]byte{}}
+	m := &Manifest{
+		Backbone: &BackboneInfo{Label: 0, Digest: PayloadDigest(bbBytes), Bytes: len(bbBytes)},
+		Models:   map[int]ModelInfo{0: {Label: 0, Bytes: len(bbBytes), Digest: PayloadDigest(bbBytes)}},
+	}
+	for label := 1; label <= 2; label++ {
+		target, _ := edsr.New(cfg, int64(label+1))
+		delta, err := nn.EncodeWeightsDelta(base.Params(), target.Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		recon, _ := edsr.New(cfg, 0)
+		if err := nn.ApplyWeightsDelta(base.Params(), delta, recon.Params()); err != nil {
+			t.Fatal(err)
+		}
+		f.delta[label], f.full[label] = delta, nn.EncodeWeights(recon.Params())
+		m.Models[label] = ModelInfo{Label: label, Bytes: len(delta), Delta: true,
+			BackboneDigest: m.Backbone.Digest, Digest: PayloadDigest(f.full[label]), FullBytes: len(f.full[label])}
+	}
+	if err := m.ValidateFor(cfg); err != nil {
+		t.Fatal(err)
+	}
+	a := Assembler{Fetcher: f, Manifest: m, Config: cfg, Backbone: new(Backbone)}
+	var bases []*edsr.Model
+	for label := 1; label <= 2; label++ {
+		model, payload, cost, err := a.Model(context.Background(), label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := nn.EncodeWeights(model.Params()); PayloadDigest(got) != m.Models[label].Digest {
+			t.Errorf("model %d is not the canonical reconstruction", label)
+		}
+		wantBackbone := 0
+		if label == 1 {
+			wantBackbone = len(bbBytes)
+		}
+		if cost != (Cost{Backbone: wantBackbone, Delta: len(f.delta[label])}) || len(payload) != cost.Delta {
+			t.Errorf("model %d cost %+v, cached %d bytes", label, cost, len(payload))
+		}
+		bases = append(bases, a.Backbone.base)
+	}
+	if f.bbFetches != 1 || bases[0] == nil || bases[0] != bases[1] {
+		t.Errorf("backbone fetched %d times, base models %p / %p; want one fetch, one deserialization",
+			f.bbFetches, bases[0], bases[1])
 	}
 }

@@ -1,21 +1,34 @@
-// Package stream implements the streaming-session bookkeeping of dcSR's
-// client: the manifest mapping video segments to micro-model labels, the
-// model cache with the fetch-on-miss policy of paper Algorithm 1, and
-// byte-accurate download accounting used by the bandwidth experiments
-// (paper Fig 10).
+// Package stream is dcSR's client: the manifest mapping video segments to
+// micro-model labels, and the one playback engine every client runs —
+// paper Algorithm 1 (walk the segments, fetch a micro model only on cache
+// miss, patch it into the decoder's I-frame hook) with byte-accurate
+// download accounting (paper Fig 10).
+//
+//	backend ──▶ Fetcher ──▶ Assembler ──▶ Session ──▶ codec.Decoder
+//	(core.Prepared,        (backbone once,  (cache, int8 arming,
+//	 transport.Client,      delta, verify,   degrade, accounting)
+//	 MuxClient.Video;       full fallback)
+//	 retries live inside)
+//
+// A Fetcher downloads one artifact; the three backends differ only there.
+// Assembler owns the model-stream order, Session owns the session policy
+// and is the single accounting record, and Session.Play drives the
+// decoder. NewSession opens a manifest-only session over the manifest's
+// declared sizes — the bandwidth experiments' simulation — through the
+// same code.
 //
 // # Fault model
 //
 // Algorithm 1 assumes every model fetch succeeds; Session extends it
-// with graceful degradation. A Session with a Fetcher hook performs a
-// real download per cache miss, and a failed fetch degrades the segment
+// with graceful degradation. A failed model fetch degrades the segment
 // (Event.Degraded, Session.DegradedSegments) instead of aborting the
 // walk: playback continues without SR for that segment, and because the
 // cache only ever records successful downloads, the label is retried
 // lazily the next time a segment references it. The degraded counters
 // surface as the obs metrics degraded_segments_total and
-// model_fetch_failures_total. See docs/OPERATIONS.md for the full
-// failure-mode catalogue and DESIGN.md for the retry/degrade state
+// model_fetch_failures_total. A failed segment fetch aborts — there is
+// nothing to show without video bytes. See docs/OPERATIONS.md for the
+// full failure-mode catalogue and DESIGN.md for the retry/degrade state
 // machine.
 //
 // A Session is single-goroutine, like the transport.Client that usually
@@ -24,11 +37,15 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"dcsr/internal/codec"
+	"dcsr/internal/edsr"
 	"dcsr/internal/modelstore"
 	"dcsr/internal/obs"
+	"dcsr/internal/video"
 )
 
 // SegmentInfo describes one video segment in a manifest.
@@ -151,6 +168,35 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
+// MaxArtifactBytes bounds any one downloadable artifact (64 MiB); the
+// transport enforces the same number on every response.
+const MaxArtifactBytes = 64 << 20
+
+// ValidateFor is Validate plus the bound on the model configuration that
+// arrived with the manifest, checked arithmetically before anything is
+// built from it: the configuration must serialize to at most
+// MaxArtifactBytes and to exactly the size every model entry declares, so
+// a hostile configuration is an error here rather than an allocation.
+func (m *Manifest) ValidateFor(cfg edsr.Config) error {
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	size := cfg.SizeBytes()
+	if size > MaxArtifactBytes {
+		return fmt.Errorf("stream: model configuration %+v is invalid or serializes past the %d-byte artifact bound", cfg, MaxArtifactBytes)
+	}
+	for label, mi := range m.Models {
+		full := mi.Bytes
+		if mi.Delta {
+			full = mi.FullBytes
+		}
+		if int64(full) != size {
+			return fmt.Errorf("stream: model %d declares %d bytes but configuration %v serializes to %d", label, full, cfg, size)
+		}
+	}
+	return nil
+}
+
 // TotalVideoBytes sums all segment payloads.
 func (m *Manifest) TotalVideoBytes() int {
 	n := 0
@@ -192,75 +238,116 @@ type Event struct {
 	Degraded bool
 }
 
-// Session simulates a client streaming session: segments are downloaded in
-// order and each segment's micro model is fetched only on cache miss
-// (Algorithm 1). The cache holds real model bytes under a byte budget
-// (modelstore.BoundedCache): when the budget is exceeded the
-// least-recently-used model is evicted, and an evicted label's next
-// reference re-fetches it lazily — same retry path as a degraded fetch,
-// driven by capacity instead of failure. The zero value is not usable;
-// call NewSession or NewSessionWithBudget.
-type Session struct {
-	manifest *Manifest
-	cache    *modelstore.BoundedCache
-
-	// Obs receives cache hit/miss and byte counters
-	// (segments_fetched_total and its rolling-window twin
-	// segments_fetched_window_total, cache_hits_total,
-	// cache_misses_total, video_bytes_total, model_bytes_total); nil
-	// disables them.
-	Obs *obs.Obs
-	// Trace, when set, receives one "segment_fetch" child span per Step
-	// (the rows of paper Fig 7 as a trace).
-	Trace *obs.Span
-
-	Events     []Event
+// Accounting is a session's download and cache totals — what local, wire
+// and multiplexed playback of one stream must agree on.
+type Accounting struct {
 	VideoBytes int
 	ModelBytes int
 	// BackboneBytes, DeltaModelBytes and FullModelBytes break ModelBytes
-	// down for manifests carrying a model stream: the shared backbone is
-	// downloaded once per session (BackboneBytes), delta entries cost
-	// their delta payloads (DeltaModelBytes), and everything else —
-	// including every model of a backbone-less manifest — is a complete
-	// download (FullModelBytes). The three always sum to ModelBytes.
+	// down by what was actually downloaded and verified: the shared
+	// backbone (once per session), per-cluster dcW5 deltas, and complete
+	// models (non-delta entries, backbone-less manifests, and assembly
+	// fallbacks). The three always sum to ModelBytes.
 	BackboneBytes   int
 	DeltaModelBytes int
 	FullModelBytes  int
 	CacheHits       int
-	// CacheMisses counts segments whose model had to be downloaded
-	// (kept separate from Downloads so hit+miss covers exactly the
-	// segments that needed a model; with a Fetcher the two differ by the
-	// failed attempts, which are misses but not downloads).
+	// CacheMisses counts segments whose model had to be downloaded; it
+	// exceeds Downloads by the failed attempts, so hit+miss covers exactly
+	// the segments that needed a model.
 	CacheMisses int
 	// Downloads counts successful model downloads.
 	Downloads int
-
-	// Fetcher, when set, performs the actual model download on each cache
-	// miss (e.g. a transport round-trip). A nil Fetcher (the default)
-	// treats every download as instantaneous success — the seed
-	// simulation behaviour. When Fetcher returns an error the segment is
-	// marked degraded (it plays without SR), the failure is recorded in
-	// DegradedSegments and the obs counters model_fetch_failures_total /
-	// degraded_segments_total, and the label stays uncached so its next
-	// reference retries the fetch lazily.
-	Fetcher func(label int) error
-	// FetchData, when set, performs the model download and returns the
-	// serialized weights, which are what the byte-budgeted cache holds.
-	// It takes precedence over Fetcher; error semantics are identical.
-	// When neither hook is set (or Fetcher alone succeeded) the cache
-	// stores a placeholder of the manifest-declared size, so byte
-	// accounting and eviction behave identically in simulation.
-	FetchData func(label int) ([]byte, error)
 	// DegradedSegments counts segments whose model fetch failed.
 	DegradedSegments int
-
-	// backboneFetched records that this session already paid for the
-	// shared backbone; every later model assembled from it is free of
-	// that cost (the model-stream accounting).
-	backboneFetched bool
+	// Evictions counts cached models evicted to stay within the byte
+	// budget; CacheBytes is the payload bytes resident in the cache now.
+	Evictions  int
+	CacheBytes int64
 }
 
-// NewSession starts a session over manifest. When useCache is false every
+// Options configures a Session: the union of what core.Player and
+// transport.Client expose.
+type Options struct {
+	// Enhance toggles SR entirely: false fetches no models and plays the
+	// raw low-quality video (the "LOW" series of paper Fig 9).
+	Enhance bool
+	// Int8 arms models the manifest advertises as int8-gated with the
+	// origin's activation scales (ModelInfo.ActScales), so they run on the
+	// quantized kernels bit-identically to the origin; false keeps every
+	// model on float32 (the precision ablation).
+	Int8 bool
+	// CacheBudget bounds the model cache in bytes of downloaded payload:
+	// < 0 unbounded (Algorithm 1), 0 caching disabled (the §3.2.2
+	// ablation), > 0 least-recently-used eviction past the budget.
+	CacheBudget int64
+	// Propagation selects how enhancement reaches P/B frames.
+	Propagation codec.Propagation
+	// Obs receives segments_fetched_total and its rolling-window twin
+	// segments_fetched_window_total, cache_hits_total, cache_misses_total,
+	// video_bytes_total, model_bytes_total, the degrade and model-stream
+	// counters and the decoder's metrics; nil disables them.
+	Obs *obs.Obs
+	// Log receives degrade, fallback and per-segment debug lines.
+	Log *obs.Logger
+}
+
+// Session is one client streaming session and its accounting record:
+// segments are downloaded in order and each segment's micro model is
+// fetched only on cache miss (Algorithm 1). The cache holds the
+// downloaded payloads under a byte budget (modelstore.BoundedCache): when
+// the budget is exceeded the least-recently-used model is evicted, and an
+// evicted label's next reference re-fetches it lazily — same retry path
+// as a degraded fetch, driven by capacity instead of failure. The zero
+// value is not usable; call Open, NewSession or NewSessionWithBudget.
+type Session struct {
+	Options
+	// Fetcher performs every download. Wrap it (before the first step) to
+	// inject faults or time fetches. A Fetcher error on a model artifact
+	// degrades the segment; on a segment it aborts the step.
+	Fetcher Fetcher
+	// Trace, when set, receives one "segment_fetch" child span per step
+	// (the rows of paper Fig 7 as a trace); requests issued during the
+	// step hang their attempt spans off it.
+	Trace *obs.Span
+
+	Events []Event
+	Accounting
+
+	manifest *Manifest
+	config   edsr.Config
+	cache    *modelstore.BoundedCache
+	models   map[int]*edsr.Model // deserialized twins of the cached payloads
+	backbone Backbone
+}
+
+// Open starts a session over manifest m whose models are built as cfg and
+// downloaded through f. The manifest and configuration are validated
+// here, once, before anything is fetched or built. The zero cfg opens an
+// accounting-only session: payloads are fetched, costed and cached but
+// never deserialized.
+func Open(m *Manifest, cfg edsr.Config, f Fetcher, o Options) (*Session, error) {
+	builds := cfg != (edsr.Config{})
+	err := m.Validate()
+	if builds {
+		err = m.ValidateFor(cfg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{Options: o, Fetcher: f, manifest: m, config: cfg,
+		cache: modelstore.NewBoundedCache(o.CacheBudget), models: make(map[int]*edsr.Model)}
+	s.cache.OnEvict = func(label int) { delete(s.models, label) }
+	if builds && m.Backbone != nil {
+		// Real model-stream payloads share runs of bytes; account them
+		// chunk-wise so the backbone is held once.
+		s.cache.EnableChunked()
+	}
+	return s, nil
+}
+
+// NewSession starts a manifest-only session: every download succeeds
+// instantly at its manifest-declared size. When useCache is false every
 // segment re-downloads its model (the ablation of paper §3.2.2). Caching
 // is unbounded, the paper's Algorithm 1 behaviour; use
 // NewSessionWithBudget to bound it.
@@ -272,19 +359,13 @@ func NewSession(m *Manifest, useCache bool) (*Session, error) {
 	return NewSessionWithBudget(m, budget)
 }
 
-// NewSessionWithBudget starts a session whose model cache holds at most
-// budget bytes of serialized weights (budget < 0 → unbounded, the
-// Algorithm 1 default; 0 → caching disabled, the §3.2.2 ablation; > 0 →
-// LRU eviction past the budget).
+// NewSessionWithBudget is NewSession with Options.CacheBudget semantics.
 func NewSessionWithBudget(m *Manifest, budget int64) (*Session, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &Session{manifest: m, cache: modelstore.NewBoundedCache(budget)}, nil
+	return Open(m, edsr.Config{}, declared{m}, Options{Enhance: true, CacheBudget: budget})
 }
 
-// Run walks every segment in order, applying Algorithm 1, and returns the
-// total bytes transferred.
+// Run steps every segment in order and returns the total bytes
+// transferred.
 func (s *Session) Run() int {
 	for _, seg := range s.manifest.Segments {
 		s.Step(seg)
@@ -292,97 +373,132 @@ func (s *Session) Run() int {
 	return s.TotalBytes()
 }
 
-// Step processes one segment: download the segment, then fetch its model
-// if it is not cached (Algorithm 1 lines 3–6).
+// Step is Fetch for manifest-only sessions: it returns the step's Event
+// (an empty one when the step failed and downloaded nothing).
 func (s *Session) Step(seg SegmentInfo) Event {
+	if _, _, err := s.Fetch(context.Background(), seg); err != nil {
+		return Event{Segment: seg.Index, ModelLabel: seg.ModelLabel}
+	}
+	return s.Events[len(s.Events)-1]
+}
+
+// Fetch is the download half of one segment step (Algorithm 1 lines 3–6):
+// the segment payload, then — on cache miss — its micro model, armed for
+// int8 when the manifest says so. A failed model fetch degrades the step
+// (nil model) unless ctx is done; a failed segment fetch is the error.
+func (s *Session) Fetch(ctx context.Context, seg SegmentInfo) ([]byte, *edsr.Model, error) {
 	sp := s.Trace.Child("segment_fetch")
+	defer sp.End()
 	sp.Set("segment", seg.Index)
+	ctx = obs.WithSpan(ctx, sp)
 	s.cache.Obs = s.Obs // single-goroutine session; keep the cache's registry in sync
+	data, err := s.Fetcher.Fetch(ctx, KindSegment, seg.Index)
+	if err != nil {
+		return nil, nil, fmt.Errorf("stream: segment %d: %w", seg.Index, err)
+	}
 	ev := Event{Segment: seg.Index, ModelLabel: seg.ModelLabel, SegmentBytes: seg.Bytes}
 	s.VideoBytes += seg.Bytes
 	s.Obs.Counter("segments_fetched_total").Inc()
 	s.Obs.WindowedCounter("segments_fetched_window_total").Inc()
 	s.Obs.Counter("video_bytes_total").Add(int64(seg.Bytes))
-	if seg.ModelLabel >= 0 {
-		if _, hit := s.cache.Get(seg.ModelLabel); hit {
-			s.CacheHits++
-			s.Obs.Counter("cache_hits_total").Inc()
-			sp.Set("cache", "hit")
-		} else {
-			s.CacheMisses++
-			s.Obs.Counter("cache_misses_total").Inc()
-			var data []byte
-			var err error
-			if s.FetchData != nil {
-				data, err = s.FetchData(seg.ModelLabel)
-			} else if s.Fetcher != nil {
-				err = s.Fetcher(seg.ModelLabel)
-			}
-			if err != nil {
-				// Degrade instead of aborting: the segment plays
-				// without SR and the label stays uncached so its next
-				// reference retries the fetch (Algorithm 1's cache
-				// only ever holds successful downloads).
-				ev.Degraded = true
-				s.DegradedSegments++
-				s.Obs.Counter("model_fetch_failures_total").Inc()
-				s.Obs.Counter("degraded_segments_total").Inc()
-				sp.Set("cache", "degraded")
-				s.Events = append(s.Events, ev)
-				sp.End()
-				return ev
-			}
-			mi := s.manifest.Models[seg.ModelLabel]
-			ev.ModelDownloaded = true
-			s.Downloads++
-			cost := mi.Bytes
-			bb := s.manifest.Backbone
-			switch {
-			case mi.Delta:
-				// Delta entry: the first one in the session also pulls the
-				// shared backbone; after that each new cluster costs only
-				// its delta payload.
-				if !s.backboneFetched {
-					s.backboneFetched = true
-					cost += bb.Bytes
-					s.BackboneBytes += bb.Bytes
-					s.Obs.Counter("modelstream_backbone_fetch_total").Inc()
-				}
-				s.DeltaModelBytes += mi.Bytes
-				s.Obs.Counter("modelstream_delta_bytes_total").Add(int64(mi.Bytes))
-			case bb != nil && seg.ModelLabel == bb.Label:
-				// The backbone's own label: its full payload is the backbone
-				// itself, so a session that already fetched the backbone
-				// reuses it for free, and fetching it here covers every
-				// later delta.
-				if s.backboneFetched {
-					cost = 0
-				} else {
-					s.backboneFetched = true
-					s.Obs.Counter("modelstream_backbone_fetch_total").Inc()
-				}
-				s.BackboneBytes += cost
-			default:
-				s.FullModelBytes += mi.Bytes
-			}
-			ev.ModelBytes = cost
-			s.ModelBytes += cost
-			s.Obs.Counter("model_bytes_total").Add(int64(cost))
-			sp.Set("cache", "miss")
-			sp.Set("model_bytes", cost)
-			if data == nil {
-				// Simulation mode: no real payload, so budget accounting
-				// uses the manifest-declared size.
-				data = make([]byte, mi.Bytes)
-			}
-			if evicted := s.cache.Put(seg.ModelLabel, data); len(evicted) > 0 {
-				sp.Set("evicted", len(evicted))
-			}
-		}
+	var model *edsr.Model
+	if s.Enhance && seg.ModelLabel >= 0 {
+		model, err = s.model(ctx, sp, &ev)
 	}
 	s.Events = append(s.Events, ev)
-	sp.End()
-	return ev
+	s.Log.Debug("stream: segment fetched", "segment", seg.Index, "bytes", seg.Bytes, "model", seg.ModelLabel)
+	return data, model, err
+}
+
+// model serves ev's label from the cache or downloads it.
+func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Model, error) {
+	label := ev.ModelLabel
+	if _, hit := s.cache.Get(label); hit {
+		s.CacheHits++
+		s.Obs.Counter("cache_hits_total").Inc()
+		sp.Set("cache", "hit")
+		return s.models[label], nil
+	}
+	s.CacheMisses++
+	s.Obs.Counter("cache_misses_total").Inc()
+	a := Assembler{Fetcher: s.Fetcher, Manifest: s.manifest, Config: s.config,
+		Backbone: &s.backbone, Obs: s.Obs, Log: s.Log}
+	m, payload, cost, err := a.Model(ctx, label)
+	// Whatever was downloaded and verified is accounted, even when the
+	// model as a whole then failed (a backbone whose delta did not arrive
+	// still serves the labels after it).
+	ev.ModelBytes = cost.Total()
+	s.BackboneBytes += cost.Backbone
+	s.DeltaModelBytes += cost.Delta
+	s.FullModelBytes += cost.Full
+	s.ModelBytes += ev.ModelBytes
+	s.Obs.Counter("model_bytes_total").Add(int64(ev.ModelBytes))
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		// Degrade instead of aborting: the segment plays without SR and
+		// the label stays uncached so its next reference retries the
+		// fetch (the cache only ever holds successful downloads).
+		ev.Degraded = true
+		s.DegradedSegments++
+		s.Obs.Counter("model_fetch_failures_total").Inc()
+		s.Obs.Counter("degraded_segments_total").Inc()
+		sp.Set("cache", "degraded")
+		s.Log.Warn("stream: model fetch failed; playing segment without SR",
+			"segment", ev.Segment, "model", label, "err", err)
+		return nil, nil
+	}
+	if mi := s.manifest.Models[label]; m != nil && s.Int8 && mi.Int8 && len(mi.ActScales) > 0 {
+		// A bad scale vector (origin/config mismatch) is not worth
+		// degrading over: the float32 path is always available.
+		if cerr := m.CalibrateFromScales(mi.ActScales); cerr != nil {
+			s.Log.Warn("stream: int8 calibration rejected; model stays float32", "model", label, "err", cerr)
+		}
+	}
+	ev.ModelDownloaded = true
+	s.Downloads++
+	sp.Set("cache", "miss")
+	sp.Set("model_bytes", ev.ModelBytes)
+	s.models[label] = m
+	if evicted := s.cache.Put(label, payload); len(evicted) > 0 {
+		sp.Set("evicted", len(evicted))
+	}
+	s.Evictions, s.CacheBytes = s.cache.Evictions, s.cache.Bytes()
+	return m, nil
+}
+
+// Play runs the whole session: per segment, Fetch, then decode with the
+// segment's model patched into the decoder's I-frame hook. It returns the
+// frames in display order and the decoder's statistics.
+func (s *Session) Play(ctx context.Context) ([]*video.YUV, codec.DecodeStats, error) {
+	dec := codec.Decoder{Mode: s.Propagation, Obs: s.Obs}
+	var out []*video.YUV
+	for _, seg := range s.manifest.Segments {
+		data, model, err := s.Fetch(ctx, seg)
+		if err != nil {
+			return nil, dec.Stats, err
+		}
+		sub, err := codec.Unmarshal(data)
+		if err != nil {
+			return nil, dec.Stats, fmt.Errorf("stream: segment %d: %w", seg.Index, err)
+		}
+		dec.Enhancer = nil
+		if model != nil {
+			dec.Enhancer = codec.PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, codec.Precision) {
+				if model.Int8Ready() {
+					return model.EnhanceYUVInt8(f), codec.PrecisionInt8
+				}
+				return model.EnhanceYUV(f), codec.PrecisionFloat32
+			})
+		}
+		frames, err := dec.Decode(sub)
+		if err != nil {
+			return nil, dec.Stats, fmt.Errorf("stream: decoding segment %d: %w", seg.Index, err)
+		}
+		out = append(out, frames...)
+	}
+	return out, dec.Stats, nil
 }
 
 // TotalBytes returns video + model bytes transferred so far.
@@ -396,11 +512,3 @@ func (s *Session) CacheContents() []int {
 	}
 	return labels
 }
-
-// CacheBytes returns the serialized model bytes currently resident in
-// the cache.
-func (s *Session) CacheBytes() int64 { return s.cache.Bytes() }
-
-// Evictions returns how many cached models were evicted to stay within
-// the byte budget.
-func (s *Session) Evictions() int { return s.cache.Evictions }

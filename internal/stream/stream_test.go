@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -173,6 +174,22 @@ func failTwiceFetcher(failed map[int]int) func(int) error {
 
 var errInjected = fmt.Errorf("stream_test: injected fetch failure")
 
+// faultyFetcher wraps a session's backend: fail decides, per model
+// artifact requested, whether the download errors out.
+type faultyFetcher struct {
+	Fetcher
+	fail func(label int) error
+}
+
+func (f faultyFetcher) Fetch(ctx context.Context, kind Kind, arg int) ([]byte, error) {
+	if kind != KindSegment {
+		if err := f.fail(arg); err != nil {
+			return nil, err
+		}
+	}
+	return f.Fetcher.Fetch(ctx, kind, arg)
+}
+
 func TestSessionDegradesOnFetchFailure(t *testing.T) {
 	m := paperFig7Manifest()
 	s, err := NewSession(m, true)
@@ -180,7 +197,7 @@ func TestSessionDegradesOnFetchFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := map[int]int{}
-	s.Fetcher = failTwiceFetcher(failed)
+	s.Fetcher = faultyFetcher{s.Fetcher, failTwiceFetcher(failed)}
 	s.Run()
 	// Label 2 covers segments 3,4,5: fetches at 3 and 4 fail, 5 succeeds.
 	// Labels 0,1,3 cover too few segments to recover.
@@ -222,7 +239,7 @@ func TestSessionFetcherAllSucceedMatchesSeed(t *testing.T) {
 	plain, _ := NewSession(m, true)
 	plain.Run()
 	hooked, _ := NewSession(m, true)
-	hooked.Fetcher = func(int) error { return nil }
+	hooked.Fetcher = faultyFetcher{hooked.Fetcher, func(int) error { return nil }}
 	hooked.Run()
 	if !reflect.DeepEqual(plain.Events, hooked.Events) {
 		t.Error("always-succeeding Fetcher changed the event log")

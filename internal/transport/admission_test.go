@@ -290,10 +290,10 @@ func TestRetryPolicyHonorsShedHint(t *testing.T) {
 	client.Retry = RetryPolicy{ShedRetries: 1, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 1}
 	var slept []time.Duration
 	client.sleep = func(d time.Duration) { slept = append(slept, d) }
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, err = client.Segment(0)
+	_, err = client.SegmentCtx(context.Background(), 0)
 	hint, ok := IsRetryAfter(err)
 	if !ok {
 		t.Fatalf("want retry-after after shed budget exhausted, got %v", err)
@@ -338,7 +338,7 @@ func TestMaxConnsRejectsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn1.Close()
-	if _, err := first.Manifest(); err != nil {
+	if _, err := first.ManifestCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	second, conn2, err := Dial(ln.Addr().String())
@@ -346,7 +346,7 @@ func TestMaxConnsRejectsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	_, err = second.Manifest()
+	_, err = second.ManifestCtx(context.Background())
 	hint, ok := IsRetryAfter(err)
 	if !ok {
 		t.Fatalf("over-capacity conn: want typed retry-after, got %v", err)
@@ -355,11 +355,11 @@ func TestMaxConnsRejectsTyped(t *testing.T) {
 		t.Errorf("over-capacity hint = %v, want the configured 25ms", hint)
 	}
 	// The capped connection was closed after its one rejection…
-	if _, err := second.Manifest(); err == nil {
+	if _, err := second.ManifestCtx(context.Background()); err == nil {
 		t.Error("second request on a rejected conn succeeded")
 	}
 	// …while the admitted connection keeps working.
-	if _, err := first.Segment(0); err != nil {
+	if _, err := first.SegmentCtx(context.Background(), 0); err != nil {
 		t.Errorf("admitted conn broken by the rejection: %v", err)
 	}
 }

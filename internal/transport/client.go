@@ -1,21 +1,15 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"time"
 
 	"dcsr/internal/codec"
 	"dcsr/internal/edsr"
-	"dcsr/internal/modelstore"
-	"dcsr/internal/nn"
 	"dcsr/internal/obs"
 	"dcsr/internal/stream"
 	"dcsr/internal/video"
@@ -33,7 +27,16 @@ import (
 // dialed connection, per-request deadlines bound slow responses, and
 // Play degrades gracefully when a micro-model fetch ultimately fails
 // (the affected segments play unenhanced instead of aborting playback).
+//
+// Every method that touches the network takes a context. A Client is a
+// stream.Fetcher — the sequential wire backend of the playback engine —
+// and PlayCtx is that engine over it.
 type Client struct {
+	// retrier carries the recovery counters (Retries, Timeouts,
+	// Reconnects, Sheds, StallTime — see RecoveryStats) and drives every
+	// request through Retry.
+	retrier
+
 	conn io.ReadWriter
 	// broken marks the connection desynchronized after an I/O failure:
 	// a response may still be in flight, so the next exchange must
@@ -44,21 +47,6 @@ type Client struct {
 	BytesDown int
 	// BytesUp counts request bytes sent.
 	BytesUp int
-
-	// Retries, Timeouts and Reconnects mirror the obs counters
-	// transport_client_{retries,timeouts,reconnects}_total for callers
-	// without a metrics registry.
-	Retries    int
-	Timeouts   int
-	Reconnects int
-	// Sheds counts StatusRetryAfter rejections received from the
-	// server's admission layer, mirroring transport_client_shed_total.
-	// Each one backed off by at least the server's hint before retrying
-	// (see RetryPolicy.ShedRetries).
-	Sheds int
-	// StallTime accumulates backoff sleeps — delivery time lost to
-	// faults, the "stall" axis of the fault-injection experiment.
-	StallTime time.Duration
 
 	// Retry configures per-request deadlines and retry/backoff; the
 	// zero value reproduces the original fail-fast behaviour.
@@ -120,19 +108,9 @@ type Client struct {
 	// SelectVideoCtx, or directly from a WireDirectory entry's ID.
 	// Nonzero Video requires MuxWire — classic frames carry no routing.
 	Video uint32
-	// Trace, when non-nil, is the client-side span wire traces hang
-	// off: every roundTrip opens an attempt-numbered child span under
-	// it and — when TraceWire is set — stamps that child's identity
-	// into the request frame, so the server span parents to the exact
-	// attempt that reached it. Play manages Trace itself (the root for
-	// the manifest, the per-segment span for segment/model fetches);
-	// callers driving raw requests may set it around any exchange.
-	Trace *obs.Span
 
-	sleep  func(time.Duration) // test hook; time.Sleep when nil
-	rng    *rand.Rand          // jitter PRNG, lazily seeded from Retry.Seed
-	nextID uint32              // mux request ID counter
-	muxOK  bool                // server advertised Mux (learned at manifest)
+	nextID uint32 // mux request ID counter
+	muxOK  bool   // server advertised Mux (learned at manifest)
 }
 
 // NewClient wraps an established connection (TCP, net.Pipe, throttled,
@@ -148,28 +126,13 @@ func Dial(addr string) (*Client, net.Conn, error) {
 	return NewClient(conn), conn, nil
 }
 
-// sleepFor blocks for the backoff duration or until ctx is cancelled,
-// whichever comes first.
-func (c *Client) sleepFor(ctx context.Context, d time.Duration) error {
-	if c.sleep != nil {
-		c.sleep(d) // test hook: instantaneous
-		return ctx.Err()
+// closeConn closes rw when it can be closed (connections handed to the
+// clients are plain io.ReadWriters).
+func closeConn(rw io.ReadWriter) error {
+	if cl, ok := rw.(io.Closer); ok {
+		return cl.Close()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (c *Client) jitterRNG() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.Retry.Seed))
-	}
-	return c.rng
+	return nil
 }
 
 // reconnect replaces a broken connection through Redial, closing the old
@@ -178,10 +141,8 @@ func (c *Client) reconnect() error {
 	if c.Redial == nil {
 		return errors.New("transport: connection broken and no Redial configured")
 	}
-	if cl, ok := c.conn.(io.Closer); ok {
-		//lint:allow errcheck the conn is already known broken; closing is best-effort unwinding and the caller is about to redial
-		cl.Close()
-	}
+	//lint:allow errcheck the conn is already known broken; closing is best-effort unwinding and the caller is about to redial
+	closeConn(c.conn)
 	conn, err := c.Redial()
 	if err != nil {
 		c.Log.Error("transport: redial failed", "err", err)
@@ -195,17 +156,28 @@ func (c *Client) reconnect() error {
 	return nil
 }
 
-// attempt performs one request/response exchange on the current
-// connection, framing it traced when tc carries a trace ID.
+// exchange is the sequential client's exchanger: one request/response on
+// the current connection (redialed first if the last exchange broke it),
+// framed traced when the wire supports it and asp carries a trace.
 // Transport-level failures mark the connection broken; protocol
 // rejections come back as *statusError with the connection still usable.
-func (c *Client) attempt(op byte, arg uint32, timeout time.Duration, tc TraceContext) ([]byte, error) {
-	if timeout > 0 {
-		if d, ok := c.conn.(readDeadliner); ok {
-			if err := d.SetReadDeadline(time.Now().Add(timeout)); err == nil {
-				//lint:allow errcheck clearing a deadline can only fail on a conn that is already broken, which the exchange itself reports
-				defer d.SetReadDeadline(time.Time{})
-			}
+func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs.Span) ([]byte, error) {
+	if c.broken {
+		if err := c.reconnect(); err != nil {
+			return nil, err
+		}
+	}
+	op, arg := rq.op, rq.arg
+	// When the wire supports it the attempt span's identity rides the
+	// request frame and becomes the server span's parent.
+	var tc TraceContext
+	if c.TraceWire && asp != nil {
+		tc = TraceContext{TraceID: asp.TraceID(), SpanID: asp.SpanID(), Attempt: uint8(attempt)}
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		if d, ok := c.conn.(readDeadliner); ok && d.SetReadDeadline(dl) == nil {
+			//lint:allow errcheck clearing a deadline can only fail on a conn that is already broken, which the exchange itself reports
+			defer d.SetReadDeadline(time.Time{})
 		}
 	}
 	var t0 time.Time
@@ -219,7 +191,7 @@ func (c *Client) attempt(op byte, arg uint32, timeout time.Duration, tc TraceCon
 		c.nextID++
 		reqID = c.nextID
 		reqBytes = muxReqFrameBytes
-		err = writeRequestMux(c.conn, op, arg, c.Video, reqID, tc)
+		err = writeRequestMux(c.conn, op, arg, rq.video, reqID, tc)
 	} else if tc.TraceID != 0 {
 		reqBytes = tracedReqFrameBytes
 		err = writeRequestTraced(c.conn, op, arg, tc)
@@ -257,134 +229,50 @@ func (c *Client) attempt(op byte, arg uint32, timeout time.Duration, tc TraceCon
 		return nil, err
 	}
 	c.BytesDown += respBytes
-	c.Obs.Counter("transport_client_bytes_down_total").Add(int64(respBytes))
-	if c.Obs != nil {
+	return settle(c.Obs, c.Log, rq, t0, respBytes, status, payload)
+}
+
+// settle is the tail both exchangers share once a response has arrived
+// intact: record its size and round-trip time, then turn its status into
+// the payload or the *statusError the retry loop classifies.
+func settle(o *obs.Obs, log *obs.Logger, rq request, t0 time.Time, respBytes int, status byte, payload []byte) ([]byte, error) {
+	o.Counter("transport_client_bytes_down_total").Add(int64(respBytes))
+	if o != nil {
 		rtt := time.Since(t0).Seconds()
-		c.Obs.Histogram("transport_client_rtt_seconds").Observe(rtt)
-		c.Obs.WindowedHistogram("transport_client_rtt_window_seconds").Observe(rtt)
+		o.Histogram("transport_client_rtt_seconds").Observe(rtt)
+		o.WindowedHistogram("transport_client_rtt_window_seconds").Observe(rtt)
 	}
 	if status == StatusOK {
 		return payload, nil
 	}
-	se := &statusError{op: op, arg: arg, status: status}
+	se := &statusError{op: rq.op, arg: rq.arg, status: status}
 	if status == StatusRetryAfter {
 		se.hint = parseRetryAfter(payload)
 	}
-	c.Log.Warn("transport: request failed", "op", opName(op), "arg", arg, "status", status)
+	log.Warn("transport: request failed", "op", opName(rq.op), "arg", rq.arg, "status", status)
 	return nil, se
 }
 
-// roundTrip drives one request through the retry state machine: attempt,
-// classify the failure, back off, reconnect, try again — up to
-// Retry.MaxRetries extra attempts for transport failures and
-// Retry.ShedRetries for admission sheds (which keep the connection and
-// back off by at least the server's hint). Cancellation is
-// attempt-granular: ctx is checked before each attempt and interrupts
-// backoff sleeps immediately; a ctx deadline additionally tightens the
-// per-request read deadline, so an expiring context cuts short even an
-// in-flight read.
+// roundTrip drives one request through the shared retry state machine
+// (retrier.do).
 func (c *Client) roundTrip(ctx context.Context, op byte, arg uint32) ([]byte, error) {
-	pol := c.Retry.withDefaults()
-	var lastErr error
-	fails, sheds := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if c.broken {
-			if err := c.reconnect(); err != nil {
-				lastErr = err
-			}
-		}
-		if !c.broken {
-			attempt := fails + sheds
-			timeout := pol.Timeout
-			if dl, ok := ctx.Deadline(); ok {
-				if rem := time.Until(dl); timeout == 0 || rem < timeout {
-					timeout = rem
-				}
-			}
-			// Each attempt gets its own child span under the active
-			// trace, numbered so retries are distinguishable; when the
-			// wire supports it, the span's identity rides the request
-			// frame and becomes the server span's parent.
-			asp := c.Trace.Child("attempt")
-			asp.Set("op", opName(op))
-			asp.Set("attempt", attempt)
-			var tc TraceContext
-			if c.TraceWire && asp != nil {
-				tc = TraceContext{TraceID: asp.TraceID(), SpanID: asp.SpanID(), Attempt: uint8(attempt)}
-			}
-			payload, err := c.attempt(op, arg, timeout, tc)
-			if err == nil {
-				asp.Set("outcome", "ok")
-				asp.End()
-				return payload, nil
-			}
-			var se *statusError
-			if errors.As(err, &se) {
-				if se.status == StatusRetryAfter {
-					// Admission shed: the connection is still
-					// synchronized, so no redial — back off by at least
-					// the server's hint and try again under the shed
-					// budget.
-					c.Sheds++
-					c.Obs.Counter("transport_client_shed_total").Inc()
-					asp.Set("outcome", "shed")
-					asp.Set("hint", se.hint.String())
-					asp.End()
-					if sheds >= pol.shedBudget() {
-						return nil, err
-					}
-					d := pol.backoff(sheds, c.jitterRNG())
-					if d < se.hint {
-						d = se.hint
-					}
-					sheds++
-					c.StallTime += d
-					c.Log.Warn("transport: request shed by server", "op", opName(op), "arg", arg,
-						"hint", se.hint, "backoff", d)
-					if err := c.sleepFor(ctx, d); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				asp.Set("outcome", "rejected")
-				asp.Set("status", int(se.status))
-				asp.End()
-				return nil, err // deterministic rejection; never retried
-			}
-			if isTimeoutErr(err) {
-				c.Timeouts++
-				c.Obs.Counter("transport_client_timeouts_total").Inc()
-			}
-			asp.Set("outcome", "error")
-			asp.Set("error", err.Error())
-			asp.End()
-			lastErr = err
-		}
-		if fails >= pol.MaxRetries {
-			return nil, lastErr
-		}
-		c.Retries++
-		c.Obs.Counter("transport_client_retries_total").Inc()
-		d := pol.backoff(fails, c.jitterRNG())
-		fails++
-		c.StallTime += d
-		c.Log.Warn("transport: retrying request", "op", opName(op), "arg", arg,
-			"attempt", fails, "backoff", d, "err", lastErr)
-		if err := c.sleepFor(ctx, d); err != nil {
-			return nil, err
-		}
-	}
+	return c.retrier.do(ctx, c, request{op, arg, c.Video}, c.Retry, c.Obs, c.Log)
 }
 
-// Manifest fetches and parses the stream manifest.
-func (c *Client) Manifest() (*WireManifest, error) {
-	return c.ManifestCtx(context.Background())
+// kindOp maps the engine's artifact kinds onto wire opcodes.
+var kindOp = [...]byte{
+	stream.KindSegment:    OpSegment,
+	stream.KindModel:      OpModel,
+	stream.KindBackbone:   OpBackbone,
+	stream.KindModelDelta: OpModelDelta,
 }
 
-// ManifestCtx is Manifest with per-request cancellation. It doubles as
+// Fetch implements stream.Fetcher over the connection.
+func (c *Client) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, error) {
+	return c.roundTrip(ctx, kindOp[kind], uint32(arg))
+}
+
+// ManifestCtx fetches and parses the stream manifest. It doubles as
 // capability negotiation: when the server's manifest advertises trace
 // support, TraceWire is switched on for every subsequent request (the
 // first manifest request itself always goes out in the oldest framing
@@ -410,12 +298,7 @@ func (c *Client) ManifestCtx(ctx context.Context) (*WireManifest, error) {
 	return wm, nil
 }
 
-// Videos fetches the server's directory of hosted videos.
-func (c *Client) Videos() (*WireDirectory, error) {
-	return c.VideosCtx(context.Background())
-}
-
-// VideosCtx is Videos with per-request cancellation. OpVideos is served
+// VideosCtx fetches the server's directory of hosted videos. OpVideos is served
 // in any framing, but only a multi-video (Mux-advertising) server
 // understands it — an older server answers StatusBadReq.
 func (c *Client) VideosCtx(ctx context.Context) (*WireDirectory, error) {
@@ -456,12 +339,7 @@ func (c *Client) SelectVideoCtx(ctx context.Context, digest string) error {
 	return fmt.Errorf("transport: video %s not hosted", digest)
 }
 
-// Segment fetches segment i as a decodable sub-stream.
-func (c *Client) Segment(i int) (*codec.Stream, error) {
-	return c.SegmentCtx(context.Background(), i)
-}
-
-// SegmentCtx is Segment with per-request cancellation.
+// SegmentCtx fetches segment i as a decodable sub-stream.
 func (c *Client) SegmentCtx(ctx context.Context, i int) (*codec.Stream, error) {
 	data, err := c.roundTrip(ctx, OpSegment, uint32(i))
 	if err != nil {
@@ -470,387 +348,78 @@ func (c *Client) SegmentCtx(ctx context.Context, i int) (*codec.Stream, error) {
 	return codec.Unmarshal(data)
 }
 
-// Model fetches and deserializes micro model label into a ready model of
-// the given configuration.
-func (c *Client) Model(label int, cfg edsr.Config) (*edsr.Model, int, error) {
-	m, data, err := c.modelData(context.Background(), label, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, len(data), nil
-}
-
-// ModelCtx is Model with per-request cancellation.
+// ModelCtx fetches micro model label complete (OpModel) and deserializes
+// it into a ready model of the given configuration, returning the model
+// and the bytes downloaded.
 func (c *Client) ModelCtx(ctx context.Context, label int, cfg edsr.Config) (*edsr.Model, int, error) {
-	m, data, err := c.modelData(ctx, label, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m, len(data), nil
-}
-
-// modelData fetches micro model label, returning both the deserialized
-// model and the raw weights (what the byte-budgeted cache holds).
-func (c *Client) modelData(ctx context.Context, label int, cfg edsr.Config) (*edsr.Model, []byte, error) {
 	data, err := c.roundTrip(ctx, OpModel, uint32(label))
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	m, err := edsr.New(cfg, 0)
+	m, err := stream.LoadModel(cfg, data)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, fmt.Errorf("transport: model %d: %w", label, err)
 	}
-	if err := nn.LoadWeights(bytes.NewReader(data), m.Params()); err != nil {
-		return nil, nil, fmt.Errorf("transport: model %d: %w", label, err)
-	}
-	return m, data, nil
+	return m, len(data), nil
 }
 
-// payloadDigest is the hex SHA-256 manifests use to identify model
-// payloads end-to-end (stream.BackboneInfo.Digest, ModelInfo.Digest).
-func payloadDigest(data []byte) string {
-	d := sha256.Sum256(data)
-	return hex.EncodeToString(d[:])
-}
-
-// modelStream assembles micro models client-side when the manifest
-// advertises a model stream (WireManifest.Backbone): the shared backbone
-// is fetched once per session via OpBackbone and verified against the
-// manifest's digest, and each delta-shipped model is fetched as a dcW5
-// delta via OpModelDelta, applied to the backbone, and verified against
-// the manifest's full-payload digest before it is armed. Any assembly
-// failure falls back to the complete OpModel fetch
-// (modelstream_fallback_total) — the same path every model takes against
-// a manifest without a backbone or a server predating the ops. It also
-// owns the session's model-byte accounting, so ModelBytes always equals
-// BackboneBytes + DeltaModelBytes + FullModelBytes.
-type modelStream struct {
-	c     *Client
-	wm    *WireManifest
-	stats *PlayStats
-	infos map[int]stream.ModelInfo
-
-	backbone []byte      // verified backbone payload; nil until fetched
-	bbModel  *edsr.Model // deserialized backbone, the delta base
-
-	bbFetch  *obs.Counter
-	deltaCtr *obs.Counter
-	fallback *obs.Counter
-}
-
-func newModelStream(c *Client, wm *WireManifest, stats *PlayStats) *modelStream {
-	ms := &modelStream{c: c, wm: wm, stats: stats, infos: make(map[int]stream.ModelInfo)}
-	if wm.Backbone == nil {
-		return ms
-	}
-	for _, mi := range wm.Models {
-		ms.infos[mi.Label] = mi
-	}
-	ms.bbFetch = c.Obs.Counter("modelstream_backbone_fetch_total")
-	ms.deltaCtr = c.Obs.Counter("modelstream_delta_bytes_total")
-	ms.fallback = c.Obs.Counter("modelstream_fallback_total")
-	return ms
-}
-
-// fetch downloads (or assembles) one micro model, returning the model and
-// the payload the byte-budgeted cache should hold — the wire download
-// unit: the delta for delta-shipped labels, the backbone payload for the
-// backbone's own label, the complete weights otherwise.
-func (ms *modelStream) fetch(ctx context.Context, label int, cfg edsr.Config) (*edsr.Model, []byte, error) {
-	mi, ok := ms.infos[label]
-	if ms.wm.Backbone == nil || !ok || (!mi.Delta && label != ms.wm.Backbone.Label) {
-		return ms.fullFetch(ctx, label, cfg)
-	}
-	m, data, err := ms.assemble(ctx, label, cfg, mi)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, nil, err
-		}
-		ms.fallback.Inc()
-		ms.c.Log.Warn("transport: model assembly failed; falling back to full fetch",
-			"model", label, "err", err)
-		return ms.fullFetch(ctx, label, cfg)
-	}
-	return m, data, nil
-}
-
-// fullFetch is the pre-model-stream path: the complete weights via
-// OpModel, which every server serves for every label.
-func (ms *modelStream) fullFetch(ctx context.Context, label int, cfg edsr.Config) (*edsr.Model, []byte, error) {
-	m, data, err := ms.c.modelData(ctx, label, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms.stats.FullModelBytes += len(data)
-	ms.stats.ModelBytes += len(data)
-	ms.c.Obs.Counter("model_bytes_total").Add(int64(len(data)))
-	return m, data, nil
-}
-
-// getBackbone fetches and verifies the shared backbone, at most once per
-// session. A digest mismatch rejects the payload (the next delta label
-// retries the fetch, and the caller falls back to a full fetch meanwhile).
-func (ms *modelStream) getBackbone(ctx context.Context, cfg edsr.Config) error {
-	if ms.backbone != nil {
-		return nil
-	}
-	data, err := ms.c.roundTrip(ctx, OpBackbone, 0)
-	if err != nil {
-		return err
-	}
-	if got := payloadDigest(data); got != ms.wm.Backbone.Digest {
-		return fmt.Errorf("transport: backbone digest %s, manifest says %s", got, ms.wm.Backbone.Digest)
-	}
-	bb, err := edsr.New(cfg, 0)
-	if err != nil {
-		return err
-	}
-	if err := nn.LoadWeights(bytes.NewReader(data), bb.Params()); err != nil {
-		return fmt.Errorf("transport: backbone weights: %w", err)
-	}
-	ms.backbone = data
-	ms.bbModel = bb
-	ms.bbFetch.Inc()
-	ms.stats.BackboneBytes += len(data)
-	ms.stats.ModelBytes += len(data)
-	ms.c.Obs.Counter("model_bytes_total").Add(int64(len(data)))
-	ms.c.Log.Debug("transport: backbone fetched", "bytes", len(data))
-	return nil
-}
-
-// assemble serves a model-stream label: the backbone's own label costs no
-// wire bytes beyond the (session-wide, once) backbone fetch; a delta
-// label downloads its dcW5 payload and reconstructs. The assembled
-// weights must hash to the manifest's full-payload digest — the same
-// canonical bytes the origin serves whole via OpModel — before arming.
-func (ms *modelStream) assemble(ctx context.Context, label int, cfg edsr.Config, mi stream.ModelInfo) (*edsr.Model, []byte, error) {
-	if err := ms.getBackbone(ctx, cfg); err != nil {
-		return nil, nil, err
-	}
-	if label == ms.wm.Backbone.Label {
-		m, err := edsr.New(cfg, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := nn.LoadWeights(bytes.NewReader(ms.backbone), m.Params()); err != nil {
-			return nil, nil, fmt.Errorf("transport: backbone weights: %w", err)
-		}
-		return m, ms.backbone, nil
-	}
-	delta, err := ms.c.roundTrip(ctx, OpModelDelta, uint32(label))
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := edsr.New(cfg, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := nn.ApplyWeightsDelta(ms.bbModel.Params(), delta, m.Params()); err != nil {
-		return nil, nil, fmt.Errorf("transport: model %d delta: %w", label, err)
-	}
-	if got := payloadDigest(nn.EncodeWeights(m.Params())); got != mi.Digest {
-		return nil, nil, fmt.Errorf("transport: model %d assembled digest %s, manifest says %s", label, got, mi.Digest)
-	}
-	ms.stats.DeltaModelBytes += len(delta)
-	ms.stats.ModelBytes += len(delta)
-	ms.deltaCtr.Add(int64(len(delta)))
-	ms.c.Obs.Counter("model_bytes_total").Add(int64(len(delta)))
-	return m, delta, nil
-}
-
-// PlayStats summarizes a streamed playback session.
+// PlayStats summarizes a streamed playback session: the finished
+// stream.Session's accounting (VideoBytes, ModelBytes and its
+// BackboneBytes/DeltaModelBytes/FullModelBytes breakdown, CacheHits,
+// CacheMisses, DegradedSegments, Evictions, CacheBytes — see
+// stream.Accounting) and the decoder's statistics (Enhanced, and
+// EnhancedInt8 for the subset served on the int8 kernels).
 type PlayStats struct {
+	stream.Accounting
+	codec.DecodeStats
 	Segments       int
 	ModelDownloads int
-	CacheHits      int
-	VideoBytes     int
-	ModelBytes     int
-	// BackboneBytes, DeltaModelBytes and FullModelBytes break ModelBytes
-	// down for model-stream sessions: the shared backbone (paid once per
-	// session), the per-cluster dcW5 deltas, and models downloaded
-	// complete (non-delta entries, pre-model-stream manifests, and
-	// assembly fallbacks). They always sum to ModelBytes.
-	BackboneBytes   int
-	DeltaModelBytes int
-	FullModelBytes  int
-	Enhanced        int
-	// EnhancedInt8 counts the subset of Enhanced frames served on the
-	// int8 kernel path (models the manifest advertised as int8-gated,
-	// calibrated client-side from the manifest's activation scales).
-	EnhancedInt8 int
-	// DegradedSegments counts segments played without SR because their
-	// micro-model fetch ultimately failed (after the retry budget).
-	// Degraded labels are retried lazily on their next reference, so a
-	// transient outage degrades a bounded stretch of playback rather
-	// than the rest of the session.
-	DegradedSegments int
-	// Evictions counts models dropped from the cache to stay within
-	// Client.CacheBudget; each evicted label's next reference
-	// re-downloads it.
-	Evictions int
-	// CacheBytes is the serialized model bytes resident when playback
-	// finished (≤ CacheBudget when bounded).
-	CacheBytes int64
 }
 
-// Play streams the whole video segment by segment: fetch the sub-stream,
-// fetch its micro model on cache miss (paper Algorithm 1), decode with the
-// model patched into the decoder's I-frame hook, and append the frames.
-// With enhance=false it plays the raw low-quality stream.
+// PlayCtx streams the whole video through the playback engine
+// (stream.Session) with this client as its Fetcher: per segment, fetch
+// the sub-stream, fetch its micro model on cache miss (paper Algorithm
+// 1), decode with the model patched into the decoder's I-frame hook.
+// With enhance=false it plays the raw low-quality stream. ctx aborts
+// between requests and interrupts retry backoff immediately.
 //
 // Failure semantics: a segment (or manifest) fetch that fails after the
 // retry budget aborts the session — there is nothing to show without
 // video bytes. A micro-model fetch that fails after the retry budget
 // degrades instead of aborting: the segment plays unenhanced, the label
 // is marked degraded (stats.DegradedSegments, degraded_segments_total),
-// and the next segment referencing the label retries the download.
-func (c *Client) Play(enhance bool) ([]*video.YUV, *PlayStats, error) {
-	return c.PlayCtx(context.Background(), enhance)
-}
-
-// PlayCtx is Play with cancellation: ctx aborts between requests and
-// interrupts retry backoff immediately (see roundTrip for granularity).
+// and the next segment referencing the label retries the download. A
+// manifest that fails validation — including a model configuration that
+// does not match the declared model sizes — is an error before anything
+// is fetched or built.
+//
+// The session runs under a client_play root span: the manifest's attempt
+// spans hang off the root, segment and model fetches off one
+// segment_fetch child per segment.
 func (c *Client) PlayCtx(ctx context.Context, enhance bool) ([]*video.YUV, *PlayStats, error) {
 	root := c.Obs.Start("client_play")
 	defer root.End()
-	// Requests issued inside this session stamp their trace identity
-	// from the span driving them: the root for the manifest, the
-	// per-segment span for segment and model fetches.
-	c.Trace = root
-	defer func() { c.Trace = nil }()
+	ctx = obs.WithSpan(ctx, root)
 	wm, err := c.ManifestCtx(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats := &PlayStats{}
-	// Activation scales of the models the origin's quality gate admitted
-	// to int8, keyed by label; a downloaded model with an entry here is
-	// calibrated before use so it runs on the quantized kernels.
-	int8Scales := map[int][]float32{}
-	if !c.NoInt8 {
-		for _, mi := range wm.Models {
-			if mi.Int8 && len(mi.ActScales) > 0 {
-				int8Scales[mi.Label] = mi.ActScales
-			}
-		}
+	budget := c.CacheBudget
+	if budget <= 0 {
+		budget = -1 // the zero value is unbounded here; 0 disables caching in the engine
 	}
-	// The byte-budgeted cache tracks serialized weights (the unit the
-	// budget is denominated in); models holds the deserialized twins and
-	// is pruned in lockstep via OnEvict.
-	models := make(map[int]*edsr.Model)
-	mcache := modelstore.NewBoundedCache(clientBudget(c.CacheBudget))
-	mcache.Obs = c.Obs
-	mcache.OnEvict = func(label int) { delete(models, label) }
-	// Model-stream sessions cache wire-download units (deltas, the
-	// backbone payload) and account them chunk-wise, deduping the runs of
-	// bytes deltas share; ms degrades to the plain full-fetch path for
-	// manifests without a backbone.
-	ms := newModelStream(c, wm, stats)
-	if wm.Backbone != nil {
-		mcache.EnableChunked()
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, c, stream.Options{
+		Enhance: enhance, Int8: !c.NoInt8, CacheBudget: budget,
+		Propagation: codec.PropagateDelta, Obs: c.Obs, Log: c.Log,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	degraded := make(map[int]bool)
-	var out []*video.YUV
-	for _, seg := range wm.Segments {
-		sp := root.Child("segment_fetch")
-		sp.Set("segment", seg.Index)
-		c.Trace = sp
-		sub, err := c.SegmentCtx(ctx, seg.Index)
-		if err != nil {
-			sp.End()
-			return nil, nil, fmt.Errorf("transport: segment %d: %w", seg.Index, err)
-		}
-		stats.Segments++
-		stats.VideoBytes += seg.Bytes
-		c.Obs.Counter("segments_fetched_total").Inc()
-		c.Obs.WindowedCounter("segments_fetched_window_total").Inc()
-		c.Obs.Counter("video_bytes_total").Add(int64(seg.Bytes))
-		var model *edsr.Model
-		if enhance && seg.ModelLabel >= 0 {
-			if _, ok := mcache.Get(seg.ModelLabel); ok {
-				model = models[seg.ModelLabel]
-				stats.CacheHits++
-				c.Obs.Counter("cache_hits_total").Inc()
-				sp.Set("cache", "hit")
-			} else {
-				c.Obs.Counter("cache_misses_total").Inc()
-				m, data, err := ms.fetch(ctx, seg.ModelLabel, wm.MicroConfig)
-				if err != nil {
-					if ctx.Err() != nil {
-						sp.End()
-						return nil, nil, ctx.Err()
-					}
-					// Graceful degradation: play this segment without SR
-					// rather than aborting the session; the label stays
-					// uncached so its next reference retries the fetch.
-					stats.DegradedSegments++
-					degraded[seg.ModelLabel] = true
-					c.Obs.Counter("model_fetch_failures_total").Inc()
-					c.Obs.Counter("degraded_segments_total").Inc()
-					sp.Set("cache", "degraded")
-					c.Log.Warn("transport: model fetch failed; playing segment without SR",
-						"segment", seg.Index, "model", seg.ModelLabel, "err", err)
-				} else {
-					if sc, ok := int8Scales[seg.ModelLabel]; ok {
-						// A bad scale vector (origin/config mismatch) is not
-						// worth degrading over: the float32 path is always
-						// available.
-						if cerr := m.CalibrateFromScales(sc); cerr != nil {
-							c.Log.Warn("transport: int8 calibration rejected; model stays float32",
-								"model", seg.ModelLabel, "err", cerr)
-						}
-					}
-					models[seg.ModelLabel] = m
-					if evicted := mcache.Put(seg.ModelLabel, data); len(evicted) > 0 {
-						sp.Set("evicted", len(evicted))
-					}
-					model = m
-					stats.ModelDownloads++
-					// Byte accounting (ModelBytes and its backbone/delta/full
-					// breakdown, model_bytes_total) happens inside ms.fetch —
-					// a delta label's first miss also pays the backbone.
-					sp.Set("cache", "miss")
-					sp.Set("model_bytes", len(data))
-					if degraded[seg.ModelLabel] {
-						delete(degraded, seg.ModelLabel)
-						c.Log.Info("transport: degraded model recovered",
-							"segment", seg.Index, "model", seg.ModelLabel)
-					}
-				}
-			}
-		}
-		sp.End()
-		c.Trace = root
-		c.Log.Debug("transport: segment fetched", "segment", seg.Index,
-			"bytes", seg.Bytes, "model", seg.ModelLabel)
-		dec := codec.Decoder{Mode: codec.PropagateDelta, Obs: c.Obs}
-		if model != nil {
-			m := model
-			dec.Enhancer = codec.PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, codec.Precision) {
-				if m.Int8Ready() {
-					return m.EnhanceYUVInt8(f), codec.PrecisionInt8
-				}
-				return m.EnhanceYUV(f), codec.PrecisionFloat32
-			})
-		}
-		frames, err := dec.Decode(sub)
-		if err != nil {
-			return nil, nil, fmt.Errorf("transport: decoding segment %d: %w", seg.Index, err)
-		}
-		stats.Enhanced += dec.Stats.Enhanced
-		stats.EnhancedInt8 += dec.Stats.EnhancedInt8
-		out = append(out, frames...)
+	sess.Trace = root
+	frames, dec, err := sess.Play(ctx)
+	if err != nil {
+		return nil, nil, err
 	}
-	stats.Evictions = mcache.Evictions
-	stats.CacheBytes = mcache.Bytes()
-	return out, stats, nil
-}
-
-// clientBudget maps Client.CacheBudget's zero-value-is-unbounded
-// convention onto BoundedCache's (where 0 disables caching entirely).
-func clientBudget(b int64) int64 {
-	if b <= 0 {
-		return -1
-	}
-	return b
+	return frames, &PlayStats{Accounting: sess.Accounting, DecodeStats: dec,
+		Segments: len(sess.Events), ModelDownloads: sess.Downloads}, nil
 }

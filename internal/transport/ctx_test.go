@@ -127,7 +127,7 @@ func TestServerShutdownGraceful(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatalf("Manifest: %v", err)
 	}
 	conn.Close() // handler sees EOF and exits on its own
@@ -158,7 +158,7 @@ func TestServerShutdownForceClosesStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatalf("Manifest: %v", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -167,7 +167,7 @@ func TestServerShutdownForceClosesStragglers(t *testing.T) {
 		t.Fatalf("Shutdown with straggler = %v, want context.DeadlineExceeded", err)
 	}
 	// The forced close is visible client-side: the next request fails.
-	if _, err := client.Manifest(); err == nil {
+	if _, err := client.ManifestCtx(context.Background()); err == nil {
 		t.Error("request succeeded over a force-closed connection")
 	}
 }
@@ -224,7 +224,7 @@ func TestPlayCacheBudgetEvictsAndRefetches(t *testing.T) {
 		client := NewClient(conn)
 		client.CacheBudget = budget
 		client.Obs = o
-		_, stats, err := client.Play(true)
+		_, stats, err := client.PlayCtx(context.Background(), true)
 		if err != nil {
 			t.Fatalf("Play(budget=%d): %v", budget, err)
 		}

@@ -74,7 +74,7 @@ func Example_faultTolerantSession() {
 		Seed:       1,
 	}
 
-	out, stats, err := client.Play(true)
+	out, stats, err := client.PlayCtx(context.Background(), true)
 	for _, c := range conns {
 		c.Close()
 	}
@@ -135,10 +135,10 @@ func Example_multiVideoServer() {
 	client := transport.NewClient(cconn)
 
 	// The first manifest negotiates capabilities (trace + mux framing).
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		panic(err)
 	}
-	dir, err := client.Videos()
+	dir, err := client.VideosCtx(context.Background())
 	if err != nil {
 		panic(err)
 	}
@@ -149,7 +149,7 @@ func Example_multiVideoServer() {
 	if err := client.SelectVideoCtx(context.Background(), digestB); err != nil {
 		panic(err)
 	}
-	out, stats, err := client.Play(true)
+	out, stats, err := client.PlayCtx(context.Background(), true)
 	if err != nil {
 		panic(err)
 	}

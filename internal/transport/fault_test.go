@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"reflect"
 	"strings"
@@ -102,7 +104,7 @@ func TestPlaySurvivesDroppedModelFetch(t *testing.T) {
 		Seed:       1,
 	}
 
-	out, stats, err := client.Play(true)
+	out, stats, err := client.PlayCtx(context.Background(), true)
 	if err != nil {
 		t.Fatalf("Play aborted despite degradation: %v", err)
 	}
@@ -178,7 +180,7 @@ func TestPlayWithTimeout(t *testing.T) {
 		Jitter:     -1,
 		Timeout:    30 * time.Millisecond,
 	}
-	wm, err := client.Manifest()
+	wm, err := client.ManifestCtx(context.Background())
 	if err != nil {
 		t.Fatalf("manifest after timeout+retry: %v", err)
 	}
@@ -212,7 +214,7 @@ func TestFaultsDisabledByteIdentical(t *testing.T) {
 		client := NewClient(conn)
 		client.Retry = pol
 		client.Redial = d.dial
-		out, stats, err := client.Play(true)
+		out, stats, err := client.PlayCtx(context.Background(), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +267,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	}
 	var sleeps []time.Duration
 	client.sleep = func(d time.Duration) { sleeps = append(sleeps, d) }
-	_, err := client.Manifest()
+	_, err := client.ManifestCtx(context.Background())
 	if !errors.Is(err, faultnet.ErrInjected) {
 		t.Fatalf("exhausted retries returned %v, want wrapped ErrInjected", err)
 	}
@@ -290,10 +292,10 @@ func TestRetryBackoffSchedule(t *testing.T) {
 func TestBackoffJitterBounds(t *testing.T) {
 	pol := RetryPolicy{MaxRetries: 3, BaseDelay: 100 * time.Millisecond, Jitter: 0.5}.withDefaults()
 	schedule := func(seed int64) []time.Duration {
-		c := &Client{Retry: RetryPolicy{Seed: seed}}
+		rng := rand.New(rand.NewSource(seed))
 		var out []time.Duration
 		for a := 0; a < 6; a++ {
-			d := pol.backoff(a, c.jitterRNG())
+			d := pol.backoff(a, rng)
 			out = append(out, d)
 			base := pol.BaseDelay << a
 			if base > pol.MaxDelay {
@@ -327,7 +329,7 @@ func TestNotFoundNeverRetried(t *testing.T) {
 	client := NewClient(conn)
 	client.Redial = d.dial
 	client.Retry = RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond}
-	_, err = client.Segment(9999)
+	_, err = client.SegmentCtx(context.Background(), 9999)
 	if err == nil {
 		t.Fatal("out-of-range segment accepted")
 	}
@@ -338,7 +340,7 @@ func TestNotFoundNeverRetried(t *testing.T) {
 		t.Errorf("NotFound consumed retries (%d) / reconnects (%d)", client.Retries, client.Reconnects)
 	}
 	// The connection stays synchronized after the rejection.
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatalf("connection dead after NotFound: %v", err)
 	}
 }
@@ -351,7 +353,7 @@ func TestBrokenConnWithoutRedialFails(t *testing.T) {
 	})
 	client := NewClient(inj.Wrap(readWriter{strings.NewReader("")}))
 	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond}
-	_, err := client.Manifest()
+	_, err := client.ManifestCtx(context.Background())
 	if err == nil {
 		t.Fatal("broken connection without Redial succeeded")
 	}

@@ -2,12 +2,15 @@ package transport
 
 import (
 	"bytes"
-	"net"
+	"context"
+	"reflect"
 	"testing"
 
+	"dcsr/internal/codec"
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
@@ -41,24 +44,57 @@ func getInt8Fixture(t testing.TB) *core.Prepared {
 	return int8Fixture
 }
 
-func playOverPipe(t *testing.T, prep *core.Prepared, noInt8 bool) ([]*video.YUV, *PlayStats) {
+// playMux plays srv's default video through the playback engine over the
+// multiplexed backend (MuxClient.Video) and summarizes the session the
+// way PlayCtx does.
+func playMux(t *testing.T, srv *Server, noInt8 bool) ([]*video.YUV, *PlayStats) {
 	t.Helper()
-	srv, err := NewServer(prep)
+	dial, conns := muxDialer(srv)
+	mc, err := DialMux(dial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cconn, sconn := net.Pipe()
-	go func() { _ = srv.ServeConn(sconn) }()
-	defer cconn.Close()
-	defer sconn.Close()
-	client := NewClient(cconn)
-	client.NoInt8 = noInt8
-	out, stats, err := client.Play(true)
+	defer func() {
+		mc.Close()
+		for _, c := range *conns {
+			c.Close()
+		}
+	}()
+	wm := mc.Manifest()
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, mc.Video(0), stream.Options{
+		Enhance: true, Int8: !noInt8, CacheBudget: -1, Propagation: codec.PropagateDelta,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, stats
+	out, dec, err := sess.Play(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, &PlayStats{Accounting: sess.Accounting, DecodeStats: dec,
+		Segments: len(sess.Events), ModelDownloads: sess.Downloads}
 }
+
+// playLocal plays prep in process (core.Player), summarized as PlayStats
+// so the three backends compare field for field.
+func playLocal(t *testing.T, prep *core.Prepared, noInt8 bool) ([]*video.YUV, *PlayStats) {
+	t.Helper()
+	pl := core.NewPlayer(prep)
+	pl.Int8 = !noInt8
+	res, err := pl.Play()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Frames, &PlayStats{Accounting: res.Accounting, DecodeStats: res.Decode,
+		Segments: len(res.Events), ModelDownloads: res.Downloads}
+}
+
+// wireBackends are the two wire playback backends; with playLocal they
+// are the rows of the backend-equivalence tests.
+var wireBackends = []struct {
+	name string
+	play func(*testing.T, *Server, bool) ([]*video.YUV, *PlayStats)
+}{{"classic", playServer}, {"mux", playMux}}
 
 func framesEqual(a, b []*video.YUV) bool {
 	if len(a) != len(b) {
@@ -75,8 +111,10 @@ func framesEqual(a, b []*video.YUV) bool {
 // TestPlayInt8OverWire pins the end-to-end quantized serving path: the
 // manifest carries the gate verdict and activation scales over the wire,
 // the client calibrates each downloaded model from them, and the decoded
-// pixels are bit-identical to a local int8 playback at the origin. The
-// NoInt8 ablation must reproduce the float32 pixels instead.
+// pixels — and the whole session summary: bytes by class, hits, misses,
+// downloads, degraded — are identical across the three backends (local,
+// classic, mux). The NoInt8 ablation must reproduce the float32 pixels
+// instead, again on every backend.
 func TestPlayInt8OverWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the pipeline; skipped in short mode")
@@ -87,41 +125,40 @@ func TestPlayInt8OverWire(t *testing.T) {
 			t.Fatalf("model %d: manifest entry not int8-armed: %+v", label, mi)
 		}
 	}
-
-	out, stats := playOverPipe(t, prep, false)
-	if stats.Enhanced == 0 || stats.EnhancedInt8 != stats.Enhanced {
-		t.Fatalf("int8 playback enhanced %d frames, %d on int8; want all on int8",
-			stats.Enhanced, stats.EnhancedInt8)
-	}
-	local := core.NewPlayer(prep)
-	ref, err := local.Play()
+	srv, err := NewServer(prep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Decode.EnhancedInt8 != stats.EnhancedInt8 {
-		t.Fatalf("origin played %d int8 frames, wire client %d", ref.Decode.EnhancedInt8, stats.EnhancedInt8)
-	}
-	if !framesEqual(out, ref.Frames) {
-		t.Fatal("wire int8 playback differs from origin-local int8 playback")
-	}
+	ref, refStats := playLocal(t, prep, false)
+	refF, refStatsF := playLocal(t, prep, true)
+	for _, b := range wireBackends {
+		out, stats := b.play(t, srv, false)
+		if stats.Enhanced == 0 || stats.EnhancedInt8 != stats.Enhanced {
+			t.Fatalf("%s: int8 playback enhanced %d frames, %d on int8; want all on int8",
+				b.name, stats.Enhanced, stats.EnhancedInt8)
+		}
+		if !framesEqual(out, ref) {
+			t.Fatalf("%s: wire int8 playback differs from origin-local int8 playback", b.name)
+		}
+		if !reflect.DeepEqual(stats, refStats) {
+			t.Fatalf("%s: session summary %+v, origin-local %+v", b.name, stats, refStats)
+		}
 
-	outF, statsF := playOverPipe(t, prep, true)
-	if statsF.EnhancedInt8 != 0 {
-		t.Fatalf("NoInt8 client served %d frames on int8", statsF.EnhancedInt8)
-	}
-	if statsF.Enhanced != stats.Enhanced {
-		t.Fatalf("NoInt8 enhanced %d frames, int8 run %d", statsF.Enhanced, stats.Enhanced)
-	}
-	localF := core.NewPlayer(prep)
-	localF.Int8 = false
-	refF, err := localF.Play()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !framesEqual(outF, refF.Frames) {
-		t.Fatal("wire float32 playback differs from origin-local float32 playback")
-	}
-	if framesEqual(out, outF) {
-		t.Fatal("int8 and float32 playbacks produced identical pixels; quantization had no effect, test is vacuous")
+		outF, statsF := b.play(t, srv, true)
+		if statsF.EnhancedInt8 != 0 {
+			t.Fatalf("%s: NoInt8 client served %d frames on int8", b.name, statsF.EnhancedInt8)
+		}
+		if statsF.Enhanced != stats.Enhanced {
+			t.Fatalf("%s: NoInt8 enhanced %d frames, int8 run %d", b.name, statsF.Enhanced, stats.Enhanced)
+		}
+		if !framesEqual(outF, refF) {
+			t.Fatalf("%s: wire float32 playback differs from origin-local float32 playback", b.name)
+		}
+		if !reflect.DeepEqual(statsF, refStatsF) {
+			t.Fatalf("%s: float32 session summary %+v, origin-local %+v", b.name, statsF, refStatsF)
+		}
+		if framesEqual(out, outF) {
+			t.Fatalf("%s: int8 and float32 playbacks produced identical pixels; quantization had no effect, test is vacuous", b.name)
+		}
 	}
 }

@@ -81,7 +81,7 @@ func TestMultiVideoRegisterAndRoute(t *testing.T) {
 	client := NewClient(cconn)
 
 	// Before selection the client plays the default video.
-	wm, err := client.Manifest()
+	wm, err := client.ManifestCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMultiVideoRegisterAndRoute(t *testing.T) {
 		t.Fatalf("default manifest has %d segments, want video 0's %d",
 			len(wm.Segments), len(prep1.Manifest.Segments))
 	}
-	out, _, err := client.Play(true)
+	out, _, err := client.PlayCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestMultiVideoRegisterAndRoute(t *testing.T) {
 	if err := client.SelectVideoCtx(context.Background(), d2); err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := client.Play(true)
+	out, stats, err := client.PlayCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMultiVideoRegisterAndRoute(t *testing.T) {
 	if err := client.SelectVideoCtx(context.Background(), d1); err != nil {
 		t.Fatal(err)
 	}
-	if wm, err = client.Manifest(); err != nil {
+	if wm, err = client.ManifestCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(wm.Segments) != len(prep1.Manifest.Segments) {
@@ -137,7 +137,7 @@ func TestSelectVideoErrors(t *testing.T) {
 	defer cconn.Close()
 	defer sconn.Close()
 	client := NewClient(cconn)
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.SelectVideoCtx(context.Background(), "no-such-digest"); err == nil {
@@ -213,10 +213,10 @@ func TestFleetServerEmpty(t *testing.T) {
 	defer cconn.Close()
 	defer sconn.Close()
 	client := NewClient(cconn)
-	if _, err := client.Manifest(); !IsNotFound(err) {
+	if _, err := client.ManifestCtx(context.Background()); !IsNotFound(err) {
 		t.Fatalf("manifest on an empty server: want NotFound, got %v", err)
 	}
-	dir, err := client.Videos()
+	dir, err := client.VideosCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,15 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcsr/internal/edsr"
-	"dcsr/internal/nn"
 	"dcsr/internal/obs"
 	"dcsr/internal/stream"
 )
@@ -55,24 +53,17 @@ type MuxClient struct {
 	mu     sync.Mutex
 	cur    *muxConn
 	wm     *WireManifest
-	nextID uint32
 	closed bool
+	nextID atomic.Uint32
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rt                 retrier
+	bytesUp, bytesDown atomic.Int64
 
-	// bbMu guards backbones, the per-video cache of verified backbone
-	// payloads ModelData assembles delta-shipped models from. Holding it
-	// across the fetch means N concurrent sessions of one video pay for
-	// exactly one OpBackbone download.
-	bbMu      sync.Mutex
-	backbones map[uint32][]byte
-
-	stats struct {
-		sync.Mutex
-		retries, timeouts, reconnects, sheds int
-		bytesUp, bytesDown                   int64
-	}
+	// backbones holds each video's shared *stream.Backbone for ModelData,
+	// keyed by video ID: N concurrent sessions of one video pay for one
+	// OpBackbone download and one deserialization, and videos never wait
+	// on each other.
+	backbones sync.Map
 }
 
 // ErrNoMux reports a server that answered the negotiation probe without
@@ -149,7 +140,7 @@ func (mc *muxConn) fail(err error) {
 // is available via Manifest.
 func DialMux(dial func() (io.ReadWriter, error)) (*MuxClient, error) {
 	m := &MuxClient{dial: dial}
-	if _, err := m.connect(); err != nil {
+	if _, err := m.connect(context.Background()); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -174,17 +165,13 @@ func (m *MuxClient) Close() error {
 	if mc == nil {
 		return nil
 	}
-	var err error
-	if cl, ok := mc.rw.(io.Closer); ok {
-		err = cl.Close()
-	}
-	return err
+	return closeConn(mc.rw)
 }
 
 // connect dials a fresh connection, runs the classic-framing negotiation
 // probe, and on success installs the connection with its reader
 // goroutine. Callers must NOT hold m.mu.
-func (m *MuxClient) connect() (*muxConn, error) {
+func (m *MuxClient) connect(ctx context.Context) (*muxConn, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -195,37 +182,20 @@ func (m *MuxClient) connect() (*muxConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: mux dial: %w", err)
 	}
-	closeIt := func() {
-		if cl, ok := rw.(io.Closer); ok {
-			//lint:allow errcheck the probe already failed; closing the unusable conn is best-effort cleanup
-			cl.Close()
-		}
+	// The probe is one classic sequential exchange — a throwaway Client's
+	// manifest fetch — legal because nothing else can be outstanding on a
+	// brand-new connection. It both checks liveness and fetches the
+	// capability bits.
+	probe := NewClient(rw)
+	wm, err := probe.ManifestCtx(ctx)
+	m.addBytes(int64(probe.BytesUp), int64(probe.BytesDown))
+	if err == nil && !wm.Mux {
+		err = ErrNoMux
 	}
-	// The probe is one classic sequential exchange, legal because nothing
-	// else can be outstanding on a brand-new connection. It both checks
-	// liveness and fetches the capability bits.
-	if err := writeRequest(rw, OpManifest, 0); err != nil {
-		closeIt()
-		return nil, fmt.Errorf("transport: mux probe: %w", err)
-	}
-	status, payload, err := readResponse(rw)
 	if err != nil {
-		closeIt()
+		//lint:allow errcheck the probe already failed; closing the unusable conn is best-effort cleanup
+		closeConn(rw)
 		return nil, fmt.Errorf("transport: mux probe: %w", err)
-	}
-	m.addBytes(reqFrameBytes, int64(respFrameBytes+len(payload)))
-	if status != StatusOK {
-		closeIt()
-		return nil, fmt.Errorf("transport: mux probe: manifest status %d", status)
-	}
-	wm, err := DecodeWireManifest(payload)
-	if err != nil {
-		closeIt()
-		return nil, err
-	}
-	if !wm.Mux {
-		closeIt()
-		return nil, ErrNoMux
 	}
 	mc := &muxConn{rw: rw, pending: make(map[uint32]chan muxResult), done: make(chan struct{})}
 	go func() {
@@ -242,7 +212,8 @@ func (m *MuxClient) connect() (*muxConn, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		closeIt()
+		//lint:allow errcheck Close won the race with this dial; the fresh conn was never used
+		closeConn(rw)
 		<-mc.done
 		return nil, errors.New("transport: mux client is closed")
 	}
@@ -252,91 +223,83 @@ func (m *MuxClient) connect() (*muxConn, error) {
 	return mc, nil
 }
 
-// conn returns the live connection, dialing one if the current one is
-// gone. stale names the connection the caller just watched die, so
-// concurrent failures retire it once and then pile onto the single
-// reconnect behind dialMu.
-func (m *MuxClient) conn(stale *muxConn) (*muxConn, error) {
+// conn returns the live connection, dialing one if the last one was
+// retired. Concurrent callers pile onto the single reconnect behind
+// dialMu.
+func (m *MuxClient) conn(ctx context.Context) (*muxConn, error) {
 	m.mu.Lock()
 	mc := m.cur
-	if mc != nil && mc != stale {
-		m.mu.Unlock()
+	m.mu.Unlock()
+	if mc != nil {
 		return mc, nil
 	}
-	if mc == stale && mc != nil {
-		m.cur = nil
-		if cl, ok := mc.rw.(io.Closer); ok {
-			//lint:allow errcheck the conn is already known broken; closing is best-effort unwinding before redial
-			cl.Close()
-		}
-	}
-	m.mu.Unlock()
 	m.dialMu.Lock()
 	defer m.dialMu.Unlock()
 	// Another waiter may have finished the reconnect while this one
 	// queued on dialMu.
 	m.mu.Lock()
-	if m.cur != nil {
-		mc := m.cur
-		m.mu.Unlock()
+	mc = m.cur
+	m.mu.Unlock()
+	if mc != nil {
 		return mc, nil
 	}
-	m.mu.Unlock()
-	fresh, err := m.connect()
+	fresh, err := m.connect(ctx)
 	if err != nil {
 		return nil, err
 	}
-	m.stats.Lock()
-	m.stats.reconnects++
-	m.stats.Unlock()
+	m.rt.mu.Lock()
+	m.rt.Reconnects++
+	m.rt.mu.Unlock()
 	m.Obs.Counter("transport_client_reconnects_total").Inc()
 	m.Log.Info("transport: mux reconnected")
 	return fresh, nil
 }
 
+// retire abandons mc after a transport error so the next request
+// redials; of the concurrent requests that watched it die, the first
+// closes it.
+func (m *MuxClient) retire(mc *muxConn) {
+	m.mu.Lock()
+	first := m.cur == mc
+	if first {
+		m.cur = nil
+	}
+	m.mu.Unlock()
+	if first {
+		//lint:allow errcheck the conn is already known broken; closing is best-effort unwinding before redial
+		closeConn(mc.rw)
+	}
+}
+
 func (m *MuxClient) addBytes(up, down int64) {
-	m.stats.Lock()
-	m.stats.bytesUp += up
-	m.stats.bytesDown += down
-	m.stats.Unlock()
+	m.bytesUp.Add(up)
+	m.bytesDown.Add(down)
 	m.Obs.Counter("transport_client_bytes_up_total").Add(up)
 	m.Obs.Counter("transport_client_bytes_down_total").Add(down)
 }
 
-// backoff draws one jittered backoff under the rng lock (the shared PRNG
-// is the only retry state concurrent requests contend on).
-func (m *MuxClient) backoff(pol RetryPolicy, attempt int) time.Duration {
-	m.rngMu.Lock()
-	defer m.rngMu.Unlock()
-	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(m.Retry.Seed))
-	}
-	return pol.backoff(attempt, m.rng)
-}
-
-// exchange performs one pipelined request/response on the current
-// connection. Timeouts abandon the pending entry without killing the
-// connection; transport errors return the dead muxConn so the retry
-// layer can route its reconnect.
-func (m *MuxClient) exchange(ctx context.Context, op byte, arg, video uint32, timeout time.Duration, stale *muxConn) ([]byte, *muxConn, error) {
-	mc, err := m.conn(stale)
+// exchange is the multiplexed client's exchanger: one pipelined
+// request/response on the current connection. A timeout (ctx's deadline)
+// abandons the pending entry without killing the connection; a transport
+// error retires the connection, so the retry redials.
+func (m *MuxClient) exchange(ctx context.Context, rq request, _ int, _ *obs.Span) ([]byte, error) {
+	mc, err := m.conn(ctx)
 	if err != nil {
-		return nil, stale, err
+		return nil, err
 	}
-	m.mu.Lock()
-	m.nextID++
-	id := m.nextID
-	m.mu.Unlock()
+	id := m.nextID.Add(1)
 	ch := make(chan muxResult, 1)
 	if err := mc.register(id, ch); err != nil {
-		return nil, mc, err
+		m.retire(mc)
+		return nil, err
 	}
 	mc.wmu.Lock()
-	err = writeRequestMux(mc.rw, op, arg, video, id, TraceContext{})
+	err = writeRequestMux(mc.rw, rq.op, rq.arg, rq.video, id, TraceContext{})
 	mc.wmu.Unlock()
 	if err != nil {
 		mc.unregister(id)
-		return nil, mc, err
+		m.retire(mc)
+		return nil, err
 	}
 	m.addBytes(muxReqFrameBytes, 0)
 	m.Obs.Counter("transport_client_requests_total").Inc()
@@ -344,270 +307,78 @@ func (m *MuxClient) exchange(ctx context.Context, op byte, arg, video uint32, ti
 	if m.Obs != nil {
 		t0 = time.Now()
 	}
-	var timer *time.Timer
-	var expire <-chan time.Time
-	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
-		expire = timer.C
-	}
 	select {
 	case res := <-ch:
 		if res.err != nil {
-			return nil, mc, res.err
+			m.retire(mc)
+			return nil, res.err
 		}
-		m.addBytes(0, muxRespFrameBytes+int64(len(res.payload)))
-		if m.Obs != nil {
-			rtt := time.Since(t0).Seconds()
-			m.Obs.Histogram("transport_client_rtt_seconds").Observe(rtt)
-			m.Obs.WindowedHistogram("transport_client_rtt_window_seconds").Observe(rtt)
-		}
-		if res.status == StatusOK {
-			return res.payload, mc, nil
-		}
-		se := &statusError{op: op, arg: arg, status: res.status}
-		if res.status == StatusRetryAfter {
-			se.hint = parseRetryAfter(res.payload)
-		}
-		return nil, mc, se
+		n := muxRespFrameBytes + len(res.payload)
+		m.bytesDown.Add(int64(n)) // settle counts the obs side
+		return settle(m.Obs, m.Log, rq, t0, n, res.status, res.payload)
 	case <-ctx.Done():
+		// Cancelled or timed out. The connection itself is fine — the
+		// late response will be discarded by ID — so it is not retired.
 		mc.unregister(id)
-		return nil, mc, ctx.Err()
-	case <-expire:
-		mc.unregister(id)
-		m.stats.Lock()
-		m.stats.timeouts++
-		m.stats.Unlock()
-		m.Obs.Counter("transport_client_timeouts_total").Inc()
-		// The connection itself is fine — the response will be discarded
-		// by ID — so this is NOT routed through reconnect.
-		return nil, mc, errTimeout
+		return nil, ctx.Err()
 	}
 }
 
-// errTimeout is the mux client's per-request deadline expiry. It
-// satisfies the retryable-transport-failure classification without
-// poisoning the connection.
-var errTimeout = errors.New("transport: request timed out")
-
-// Do performs one request against the given video through the full retry
-// state machine — the MuxClient counterpart of the sequential client's
-// roundTrip. It is safe to call from any number of goroutines.
+// Do performs one request against the given video through the shared
+// retry state machine (retrier.do). It is safe to call from any number of
+// goroutines.
 func (m *MuxClient) Do(ctx context.Context, op byte, arg, video uint32) ([]byte, error) {
-	pol := m.Retry.withDefaults()
-	var lastErr error
-	var stale *muxConn
-	fails, sheds := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		timeout := pol.Timeout
-		if dl, ok := ctx.Deadline(); ok {
-			if rem := time.Until(dl); timeout == 0 || rem < timeout {
-				timeout = rem
-			}
-		}
-		payload, mc, err := m.exchange(ctx, op, arg, video, timeout, stale)
-		if err == nil {
-			return payload, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		var se *statusError
-		if errors.As(err, &se) {
-			if se.status != StatusRetryAfter {
-				return nil, err // deterministic rejection; never retried
-			}
-			m.stats.Lock()
-			m.stats.sheds++
-			m.stats.Unlock()
-			m.Obs.Counter("transport_client_shed_total").Inc()
-			if sheds >= pol.shedBudget() {
-				return nil, err
-			}
-			d := m.backoff(pol, sheds)
-			if d < se.hint {
-				d = se.hint
-			}
-			sheds++
-			m.Log.Warn("transport: mux request shed by server", "op", opName(op),
-				"hint", se.hint, "backoff", d)
-			if err := sleepCtx(ctx, d); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		lastErr = err
-		if !errors.Is(err, errTimeout) {
-			// Transport failure: this conn is done; route the retry
-			// through a reconnect.
-			stale = mc
-		}
-		if fails >= pol.MaxRetries {
-			return nil, lastErr
-		}
-		m.stats.Lock()
-		m.stats.retries++
-		m.stats.Unlock()
-		m.Obs.Counter("transport_client_retries_total").Inc()
-		d := m.backoff(pol, fails)
-		fails++
-		m.Log.Warn("transport: retrying mux request", "op", opName(op), "arg", arg,
-			"attempt", fails, "backoff", d, "err", lastErr)
-		if err := sleepCtx(ctx, d); err != nil {
-			return nil, err
-		}
-	}
+	return m.rt.do(ctx, m, request{op, arg, video}, m.Retry, m.Obs, m.Log)
 }
 
-// ModelData fetches micro model label of the given video through the
-// model stream when wm (that video's manifest) advertises a backbone:
-// delta-shipped labels download their dcW5 delta (the video's backbone is
-// fetched and verified at most once per client, shared by every
-// concurrent session), assemble against the backbone, and verify the
-// result against the manifest's full-payload digest before arming it.
-// Everything else — non-delta labels, manifests without a backbone, and
-// any assembly failure (modelstream_fallback_total) — takes the complete
-// OpModel fetch every server answers. The returned int is the wire bytes
-// this call downloaded (a delta label's first fetch also pays the
-// backbone).
+// muxVideo is a MuxClient bound to one hosted video.
+type muxVideo struct {
+	m  *MuxClient
+	id uint32
+}
+
+func (v muxVideo) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, error) {
+	return v.m.Do(ctx, kindOp[kind], uint32(arg), v.id)
+}
+
+// Video binds the client to hosted video id as a playback backend: any
+// number of stream.Sessions may play through it concurrently, pipelined
+// on the one connection.
+func (m *MuxClient) Video(id uint32) stream.Fetcher { return muxVideo{m, id} }
+
+// ModelData fetches micro model label of the given video through
+// stream.Assembler — the one model assembler, in the model-stream order
+// when wm (that video's manifest) advertises a backbone, complete via
+// OpModel otherwise or on any assembly failure. The video's backbone is
+// fetched, verified and deserialized at most once per client, shared by
+// every concurrent session. wm and cfg are validated before anything is
+// fetched or built. The returned int is the wire bytes this call
+// downloaded (a delta label's first fetch also pays the backbone).
 func (m *MuxClient) ModelData(ctx context.Context, video uint32, wm *WireManifest, label int, cfg edsr.Config) (*edsr.Model, int, error) {
-	var mi stream.ModelInfo
-	found := false
-	if wm != nil && wm.Backbone != nil {
-		for _, e := range wm.Models {
-			if e.Label == label {
-				mi, found = e, true
-				break
-			}
-		}
+	if wm == nil {
+		return nil, 0, errors.New("transport: ModelData needs the video's manifest")
 	}
-	if !found || (!mi.Delta && label != wm.Backbone.Label) {
-		return m.fullModel(ctx, video, label, cfg)
+	man := wm.Manifest()
+	if err := man.ValidateFor(cfg); err != nil {
+		return nil, 0, err
 	}
-	model, wire, err := m.assembleModel(ctx, video, wm, label, cfg, mi)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, 0, err
-		}
-		m.Obs.Counter("modelstream_fallback_total").Inc()
-		m.Log.Warn("transport: mux model assembly failed; falling back to full fetch",
-			"model", label, "video", video, "err", err)
-		return m.fullModel(ctx, video, label, cfg)
-	}
-	return model, wire, nil
+	bb, _ := m.backbones.LoadOrStore(video, new(stream.Backbone))
+	a := stream.Assembler{Fetcher: m.Video(video), Manifest: man, Config: cfg, Backbone: bb.(*stream.Backbone), Obs: m.Obs, Log: m.Log}
+	model, _, cost, err := a.Model(ctx, label)
+	return model, cost.Total(), err
 }
 
-// fullModel is the pre-model-stream path: complete weights via OpModel.
-func (m *MuxClient) fullModel(ctx context.Context, video uint32, label int, cfg edsr.Config) (*edsr.Model, int, error) {
-	data, err := m.Do(ctx, OpModel, uint32(label), video)
-	if err != nil {
-		return nil, 0, err
-	}
-	model, err := edsr.New(cfg, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := nn.LoadWeights(bytes.NewReader(data), model.Params()); err != nil {
-		return nil, 0, fmt.Errorf("transport: model %d: %w", label, err)
-	}
-	return model, len(data), nil
-}
-
-// videoBackbone returns video's verified backbone payload and the wire
-// bytes this call spent fetching it (zero on a cache hit).
-func (m *MuxClient) videoBackbone(ctx context.Context, video uint32, wm *WireManifest) ([]byte, int, error) {
-	m.bbMu.Lock()
-	defer m.bbMu.Unlock()
-	if bb, ok := m.backbones[video]; ok {
-		return bb, 0, nil
-	}
-	data, err := m.Do(ctx, OpBackbone, 0, video)
-	if err != nil {
-		return nil, 0, err
-	}
-	if got := payloadDigest(data); got != wm.Backbone.Digest {
-		return nil, 0, fmt.Errorf("transport: backbone digest %s, manifest says %s", got, wm.Backbone.Digest)
-	}
-	if m.backbones == nil {
-		m.backbones = make(map[uint32][]byte)
-	}
-	m.backbones[video] = data
-	m.Obs.Counter("modelstream_backbone_fetch_total").Inc()
-	return data, len(data), nil
-}
-
-// assembleModel serves one model-stream label: the backbone's own label
-// is the backbone payload itself; a delta label downloads its dcW5
-// payload and reconstructs, verified end-to-end by digest.
-func (m *MuxClient) assembleModel(ctx context.Context, video uint32, wm *WireManifest, label int, cfg edsr.Config, mi stream.ModelInfo) (*edsr.Model, int, error) {
-	bb, bbWire, err := m.videoBackbone(ctx, video, wm)
-	if err != nil {
-		return nil, 0, err
-	}
-	base, err := edsr.New(cfg, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := nn.LoadWeights(bytes.NewReader(bb), base.Params()); err != nil {
-		return nil, 0, fmt.Errorf("transport: backbone weights: %w", err)
-	}
-	if label == wm.Backbone.Label {
-		return base, bbWire, nil
-	}
-	delta, err := m.Do(ctx, OpModelDelta, uint32(label), video)
-	if err != nil {
-		return nil, 0, err
-	}
-	model, err := edsr.New(cfg, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := nn.ApplyWeightsDelta(base.Params(), delta, model.Params()); err != nil {
-		return nil, 0, fmt.Errorf("transport: model %d delta: %w", label, err)
-	}
-	if got := payloadDigest(nn.EncodeWeights(model.Params())); got != mi.Digest {
-		return nil, 0, fmt.Errorf("transport: model %d assembled digest %s, manifest says %s", label, got, mi.Digest)
-	}
-	m.Obs.Counter("modelstream_delta_bytes_total").Add(int64(len(delta)))
-	return model, bbWire + len(delta), nil
-}
-
-// MuxStats is a point-in-time snapshot of a MuxClient's accounting,
-// mirroring the sequential Client's exported counter fields.
+// MuxStats is a point-in-time snapshot of a MuxClient's accounting: the
+// same recovery counters the sequential Client exposes, plus bytes.
 type MuxStats struct {
-	Retries    int
-	Timeouts   int
-	Reconnects int
-	Sheds      int
-	BytesUp    int64
-	BytesDown  int64
+	RecoveryStats
+	BytesUp   int64
+	BytesDown int64
 }
 
 // Stats snapshots the client's counters.
 func (m *MuxClient) Stats() MuxStats {
-	m.stats.Lock()
-	defer m.stats.Unlock()
-	return MuxStats{
-		Retries:    m.stats.retries,
-		Timeouts:   m.stats.timeouts,
-		Reconnects: m.stats.reconnects,
-		Sheds:      m.stats.sheds,
-		BytesUp:    m.stats.bytesUp,
-		BytesDown:  m.stats.bytesDown,
-	}
-}
-
-// sleepCtx blocks for d or until ctx is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	m.rt.mu.Lock()
+	defer m.rt.mu.Unlock()
+	return MuxStats{RecoveryStats: m.rt.RecoveryStats, BytesUp: m.bytesUp.Load(), BytesDown: m.bytesDown.Load()}
 }

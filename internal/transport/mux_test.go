@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dcsr/internal/core"
+	"dcsr/internal/obs"
 )
 
 // muxDialer returns a dial function that opens a fresh net.Pipe served
@@ -131,6 +135,110 @@ func TestMuxConcurrentRequests(t *testing.T) {
 	}
 	if st.Reconnects != 0 || st.Timeouts != 0 {
 		t.Errorf("clean run recorded failures: %+v", st)
+	}
+}
+
+// TestMuxSharedBackbonePerVideo pins ModelData's backbone sharing on a
+// two-video server: however many sessions of a video assemble models
+// concurrently, its backbone is downloaded once per client — and a
+// backbone download in flight for one video does not stall model fetches
+// for another.
+func TestMuxSharedBackbonePerVideo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the pipeline; skipped in short mode")
+	}
+	preps := []*core.Prepared{getDeltaFixture(t), prepareDelta(t, 37, 2)}
+	srv := NewFleetServer()
+	for _, p := range preps {
+		if _, err := srv.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Hold the first OpBackbone the server admits — video 0's — until
+	// released, and count them all.
+	var backbones atomic.Int32
+	held, release := make(chan struct{}), make(chan struct{})
+	srv.admitHold = func(op byte) {
+		if op == OpBackbone && backbones.Add(1) == 1 {
+			close(held)
+			<-release
+		}
+	}
+	dial, conns := muxDialer(srv)
+	mux, err := DialMux(dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		mux.Close()
+		for _, c := range *conns {
+			c.Close()
+		}
+	}()
+	co := obs.New()
+	mux.Obs = co
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// Each video's manifest and one of its delta-shipped labels.
+	var wms [2]*WireManifest
+	var deltaLabel [2]int
+	for v := range wms {
+		payload, err := mux.Do(ctx, OpManifest, 0, uint32(v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wms[v], err = DecodeWireManifest(payload); err != nil {
+			t.Fatal(err)
+		}
+		deltaLabel[v] = -1
+		for _, mi := range wms[v].Models {
+			if mi.Delta {
+				deltaLabel[v] = mi.Label
+			}
+		}
+		if deltaLabel[v] < 0 {
+			t.Fatalf("video %d ships no delta model", v)
+		}
+	}
+	fetch := func(v int) error {
+		m, n, err := mux.ModelData(ctx, uint32(v), wms[v], deltaLabel[v], wms[v].MicroConfig)
+		if err == nil && m == nil {
+			err = errors.New("no model")
+		}
+		// Only the session that paid for the backbone reports its bytes;
+		// video 1 has a single session, which must.
+		if err == nil && v == 1 && n <= wms[v].Backbone.Bytes {
+			err = fmt.Errorf("downloaded %d bytes, want backbone (%d) plus a delta", n, wms[v].Backbone.Bytes)
+		}
+		return err
+	}
+	const sessions = 6
+	errs := make(chan error, sessions)
+	for i := 0; i < sessions; i++ {
+		go func() { errs <- fetch(0) }()
+	}
+	<-held
+	// Video 0's backbone download is parked inside the server with every
+	// video-0 session waiting on it; video 1 must get through regardless.
+	if err := fetch(1); err != nil {
+		t.Fatalf("video 1 model fetch while video 0's backbone is in flight: %v", err)
+	}
+	close(release)
+	for i := 0; i < sessions; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("video 0 session: %v", err)
+		}
+	}
+	if got := backbones.Load(); got != 2 {
+		t.Errorf("server answered %d OpBackbone requests, want 2 (one per video)", got)
+	}
+	snap := co.Metrics.Snapshot()
+	if got := snap.Counters["modelstream_backbone_fetch_total"]; got != 2 {
+		t.Errorf("modelstream_backbone_fetch_total = %d, want 2", got)
+	}
+	if got := snap.Counters["modelstream_fallback_total"]; got != 0 {
+		t.Errorf("modelstream_fallback_total = %d, want 0", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"net"
 	"strings"
 	"sync"
@@ -47,7 +48,7 @@ func TestServerClientObservability(t *testing.T) {
 	co := obs.New()
 	client := NewClient(cconn)
 	client.Obs = co
-	_, stats, err := client.Play(true)
+	_, stats, err := client.PlayCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestClientLogsErrors(t *testing.T) {
 	var buf lockedBuf
 	client := NewClient(cconn)
 	client.Log = obs.NewLogger(&buf, obs.LevelDebug)
-	if _, _, err := client.Model(9999, prep.MicroConfig); err == nil {
+	if _, _, err := client.ModelCtx(context.Background(), 9999, prep.MicroConfig); err == nil {
 		t.Fatal("fetching a missing model succeeded")
 	}
 	if out := buf.String(); !strings.Contains(out, "WARN") || !strings.Contains(out, "op=model") {
@@ -181,7 +182,7 @@ func TestServerLogsRejections(t *testing.T) {
 	defer sconn.Close()
 
 	client := NewClient(cconn)
-	if _, err := client.Segment(4242); err == nil {
+	if _, err := client.SegmentCtx(context.Background(), 4242); err == nil {
 		t.Fatal("fetching a missing segment succeeded")
 	}
 	if out := buf.String(); !strings.Contains(out, "request rejected") {

@@ -1,18 +1,32 @@
 // Package transport serves and fetches dcSR artifacts over real network
 // connections: a length-prefixed binary request/response protocol, a
-// concurrent multi-video origin server with admission control, sequential
-// and multiplexed clients with micro-model caching, and a token-bucket
-// bandwidth throttler for emulating constrained links.
+// concurrent multi-video origin server with admission control, a
+// sequential and a multiplexed client, and a token-bucket bandwidth
+// throttler for emulating constrained links.
 //
 // The paper's prototype pairs a streaming platform with SR-FFMPEG; this
-// package is the equivalent delivery path: the client downloads the
-// manifest, then per segment the coded sub-stream plus (on cache miss) the
-// segment's micro model, decoding and enhancing as it goes. The paper's
-// deployment sketch (§5) is a CDN-side service handing per-cluster micro
-// models to many concurrent clients; Server hosts any number of prepared
-// videos behind one endpoint, routed by content digest, and sheds load
-// with typed retry-after rejections when over budget (see
-// docs/SERVING.md for the operator view).
+// package is the equivalent delivery path. The paper's deployment sketch
+// (§5) is a CDN-side service handing per-cluster micro models to many
+// concurrent clients; Server hosts any number of prepared videos behind
+// one endpoint, routed by content digest, and sheds load with typed
+// retry-after rejections when over budget (see docs/SERVING.md for the
+// operator view).
+//
+// # Clients
+//
+// Playback itself is not here: stream.Session is the one playback engine
+// (manifest walk, model cache and assembly, int8 arming, degradation,
+// byte accounting, decode), and the clients are its wire backends —
+//
+//	*Client / MuxClient.Video(id)  ──▶ stream.Fetcher ──▶ stream.Session
+//	   exchange once (exchanger)   ◀── retrier.do: retry, backoff, reconnect
+//
+// Both implement stream.Fetcher by driving each request through the one
+// retry loop (retrier.do); all they implement themselves is a single
+// wire exchange. Client.PlayCtx is the engine over the sequential client;
+// stream.Open(…, mux.Video(id), …) is the same over a shared multiplexed
+// connection. Every client method that touches the network takes a
+// context.
 //
 // # Wire protocol
 //
@@ -80,10 +94,11 @@
 //
 // # Fault tolerance and admission control
 //
-// Client.Retry configures retries with exponential backoff and jitter plus
-// a per-request deadline; see RetryPolicy. Application-level failures
-// (StatusNotFound, StatusBadReq) are never retried — only transport-level
-// errors and timeouts are, after reconnecting through Client.Redial.
+// Client.Retry (and MuxClient.Retry) configures retries with exponential
+// backoff and jitter plus a per-request deadline; see RetryPolicy.
+// Application-level failures (StatusNotFound, StatusBadReq) are never
+// retried — only transport-level errors and timeouts are, after
+// reconnecting through Client.Redial.
 // StatusRetryAfter sits in between: it is a deterministic rejection (the
 // connection stays synchronized) but a retryable one — clients honor the
 // carried hint as a backoff floor and try again under a separate shed
@@ -137,7 +152,7 @@ const (
 
 // maxPayload bounds a single response (64 MiB) so a corrupt or malicious
 // length prefix cannot make the client allocate unbounded memory.
-const maxPayload = 64 << 20
+const maxPayload = stream.MaxArtifactBytes
 
 // Framing sizes, used by both sides for byte accounting.
 const (

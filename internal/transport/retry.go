@@ -1,13 +1,17 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
 	"os"
+	"sync"
 	"time"
+
+	"dcsr/internal/obs"
 )
 
 // RetryPolicy configures how a Client survives delivery failures: how
@@ -156,7 +160,7 @@ func IsRetryAfter(err error) (time.Duration, bool) {
 
 // isTimeoutErr classifies deadline expiries for the timeout metric.
 func isTimeoutErr(err error) bool {
-	if errors.Is(err, os.ErrDeadlineExceeded) {
+	if errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {
 		return true
 	}
 	var ne net.Error
@@ -167,3 +171,151 @@ func isTimeoutErr(err error) bool {
 // timeouts need; net.Conn, net.Pipe ends, faultnet.Conn and
 // ThrottledConn all provide it.
 type readDeadliner interface{ SetReadDeadline(time.Time) error }
+
+// RecoveryStats counts a client's recovery work, mirroring the obs
+// counters transport_client_{retries,timeouts,reconnects,shed}_total for
+// callers without a metrics registry.
+type RecoveryStats struct {
+	Retries    int
+	Timeouts   int
+	Reconnects int
+	// Sheds counts StatusRetryAfter rejections received from the server's
+	// admission layer. Each one backed off by at least the server's hint
+	// before retrying (see RetryPolicy.ShedRetries).
+	Sheds int
+	// StallTime accumulates backoff sleeps — delivery time lost to
+	// faults, the "stall" axis of the fault-injection experiment.
+	StallTime time.Duration
+}
+
+// request is one wire request: the opcode, its argument, and the hosted
+// video it is routed at.
+type request struct {
+	op         byte
+	arg, video uint32
+}
+
+// exchanger performs exactly one wire exchange — the only part of a
+// request the sequential and the multiplexed client do differently. It
+// returns the payload, a *statusError for an intact non-OK response (the
+// connection stays usable), or a transport error, after which the
+// implementation must be ready to reconnect on the next call. ctx carries
+// the exchange's deadline, if it has one; attempt and asp identify the
+// exchange for wire tracing (asp may be nil).
+type exchanger interface {
+	exchange(ctx context.Context, rq request, attempt int, asp *obs.Span) ([]byte, error)
+}
+
+// retrier is the retry engine both clients hold: the recovery counters,
+// the jitter PRNG, and the one state machine that drives a request to
+// completion. Its mutex guards the PRNG and the counters and is taken on
+// failure paths only.
+type retrier struct {
+	RecoveryStats
+	mu    sync.Mutex
+	rng   *rand.Rand
+	sleep func(time.Duration) // test hook; a real interruptible sleep when nil
+}
+
+// do drives one request through the retry state machine: exchange,
+// classify the failure, back off, try again — up to pol.MaxRetries extra
+// attempts for transport failures (the exchanger reconnects) and
+// pol.ShedRetries for admission sheds (which keep the connection and back
+// off by at least the server's hint); any other rejection is
+// deterministic and returned at once. Cancellation is attempt-granular:
+// ctx is checked before each attempt and interrupts backoff sleeps
+// immediately; each exchange runs under ctx narrowed by pol.Timeout, so
+// an expiring context or timeout cuts short even an in-flight read.
+// Each attempt gets its own numbered child span under the span ctx
+// carries (obs.WithSpan), so retries are distinguishable in a trace.
+func (r *retrier) do(ctx context.Context, x exchanger, rq request, pol RetryPolicy, o *obs.Obs, log *obs.Logger) ([]byte, error) {
+	pol = pol.withDefaults()
+	parent := obs.SpanFrom(ctx)
+	fails, sheds := 0, 0
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		xctx, cancel := ctx, context.CancelFunc(func() {})
+		if pol.Timeout > 0 {
+			xctx, cancel = context.WithTimeout(ctx, pol.Timeout)
+		}
+		var asp *obs.Span
+		if parent != nil {
+			asp = parent.Child("attempt")
+			asp.Set("op", opName(rq.op))
+			asp.Set("attempt", fails+sheds)
+		}
+		payload, err := x.exchange(xctx, rq, fails+sheds, asp)
+		cancel()
+		if err == nil {
+			asp.Set("outcome", "ok")
+			asp.End()
+			return payload, nil
+		}
+		// Transport failures draw on MaxRetries (the exchanger reconnects);
+		// sheds keep the connection, draw on their own budget and back off
+		// by at least the server's hint; any other status is final.
+		outcome, n, budget, floor := "error", &fails, pol.MaxRetries, time.Duration(0)
+		var se *statusError
+		shed := errors.As(err, &se) && se.status == StatusRetryAfter
+		if shed {
+			outcome, n, budget, floor = "shed", &sheds, pol.shedBudget(), se.hint
+		} else if se != nil {
+			outcome, budget = "rejected", 0 // deterministic; never retried
+		}
+		asp.Set("outcome", outcome)
+		asp.Set("error", err.Error())
+		asp.End()
+		var d time.Duration
+		r.mu.Lock()
+		if shed {
+			r.Sheds++
+			o.Counter("transport_client_shed_total").Inc()
+		} else if isTimeoutErr(err) {
+			r.Timeouts++
+			o.Counter("transport_client_timeouts_total").Inc()
+		}
+		retry := ctx.Err() == nil && *n < budget
+		if retry {
+			if r.rng == nil {
+				r.rng = rand.New(rand.NewSource(pol.Seed))
+			}
+			if d = pol.backoff(*n, r.rng); d < floor {
+				d = floor
+			}
+			if !shed {
+				r.Retries++
+				o.Counter("transport_client_retries_total").Inc()
+			}
+			r.StallTime += d
+		}
+		r.mu.Unlock()
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if !retry {
+			return nil, err
+		}
+		*n++
+		log.Warn("transport: retrying request", "op", opName(rq.op), "arg", rq.arg,
+			"attempt", fails+sheds, "backoff", d, "err", err)
+		if r.sleep != nil {
+			r.sleep(d) // test hook: instantaneous
+		} else if err := sleepCtx(ctx, d); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// sleepCtx blocks for d or until ctx is cancelled.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}

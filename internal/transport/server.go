@@ -464,7 +464,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			m.shedCtr.Inc()
 			m.wShedCtr.Inc()
 			s.Log.Warn("transport: request shed", "op", opName(req.Op), "hint", hint)
-			if err := s.respond(cw, m, req, StatusRetryAfter, retryAfterPayload(hint)); err != nil {
+			if _, err := s.respond(cw, m, req, StatusRetryAfter, retryAfterPayload(hint)); err != nil {
 				return err
 			}
 			continue
@@ -523,9 +523,12 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		}
 	}
 	videos, directory, _ := s.serveState()
+	// Every servable payload is non-empty, so a nil payload after the
+	// lookup — unknown video, index or label, or an artifact this video
+	// does not ship — is exactly StatusNotFound.
 	var payload []byte
 	status := byte(StatusOK)
-	var v *hostedVideo
+	v := new(hostedVideo)
 	if int(req.Video) < len(videos) {
 		v = videos[req.Video]
 	}
@@ -533,64 +536,41 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 	case OpVideos:
 		payload = directory
 	case OpManifest:
-		if v == nil {
-			status = StatusNotFound
-		} else {
-			payload = v.manifest
-		}
+		payload = v.manifest
 	case OpSegment:
-		if v == nil || int(req.Arg) >= len(v.segments) {
-			status = StatusNotFound
-		} else {
+		if int(req.Arg) < len(v.segments) {
 			payload = v.segments[req.Arg]
 		}
 	case OpModel:
-		if v == nil {
-			status = StatusNotFound
-		} else if data, ok := v.models[req.Arg]; ok {
-			payload = data
-		} else {
-			status = StatusNotFound
-		}
+		payload = v.models[req.Arg]
 	case OpBackbone:
-		if v == nil || v.backbone == nil {
-			status = StatusNotFound
-		} else {
-			payload = v.backbone
-		}
+		payload = v.backbone
 	case OpModelDelta:
-		if v == nil {
-			status = StatusNotFound
-		} else if data, ok := v.deltas[req.Arg]; ok {
-			payload = data
-		} else {
-			status = StatusNotFound
-		}
+		payload = v.deltas[req.Arg]
 	default:
 		status = StatusBadReq
 	}
+	if payload == nil && status == StatusOK {
+		status = StatusNotFound
+		m.nfCtr.Inc()
+	}
 	if status != StatusOK {
-		payload = nil
-		if status == StatusNotFound {
-			m.nfCtr.Inc()
-		}
 		s.Log.Warn("transport: request rejected", "op", opName(req.Op), "arg", req.Arg,
 			"video", req.Video, "status", status)
 	}
-	err := s.respond(cw, m, req, status, payload)
-	if err != nil {
-		if span != nil {
-			span.Set("status", "write_failed")
-			span.End()
-			s.Obs.RecordTrace(span)
-		}
-		return err
-	}
+	n, err := s.respond(cw, m, req, status, payload)
 	if span != nil {
-		span.Set("status", int(status))
-		span.Set("bytes_out", respFrameBytes+len(payload))
+		if err != nil {
+			span.Set("status", "write_failed")
+		} else {
+			span.Set("status", int(status))
+			span.Set("bytes_out", n)
+		}
 		span.End()
 		s.Obs.RecordTrace(span)
+	}
+	if err != nil {
+		return err
 	}
 	if s.Obs != nil {
 		elapsed := time.Since(t0).Seconds()
@@ -605,25 +585,22 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 	return nil
 }
 
-// respond writes one response in the framing the request arrived in.
-func (s *Server) respond(cw *connWriter, m *connMetrics, req wireRequest, status byte, payload []byte) error {
+// respond writes one response in the framing the request arrived in and
+// returns the bytes it put on the wire (header plus payload).
+func (s *Server) respond(cw *connWriter, m *connMetrics, req wireRequest, status byte, payload []byte) (int, error) {
+	var n int
 	var err error
 	if req.Mux {
-		err = cw.write(func(w io.Writer) error {
-			return writeResponseMux(w, req.ID, status, payload)
-		})
-		if err == nil {
-			m.outCtr.Add(muxRespFrameBytes + int64(len(payload)))
-		}
+		n = muxRespFrameBytes + len(payload)
+		err = cw.write(func(w io.Writer) error { return writeResponseMux(w, req.ID, status, payload) })
 	} else {
-		err = cw.write(func(w io.Writer) error {
-			return writeResponse(w, status, payload)
-		})
-		if err == nil {
-			m.outCtr.Add(respFrameBytes + int64(len(payload)))
-		}
+		n = respFrameBytes + len(payload)
+		err = cw.write(func(w io.Writer) error { return writeResponse(w, status, payload) })
 	}
-	return err
+	if err == nil {
+		m.outCtr.Add(int64(n))
+	}
+	return n, err
 }
 
 // opName maps a protocol opcode to its stable metric-name component.

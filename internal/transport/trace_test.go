@@ -6,8 +6,10 @@
 package transport
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -165,15 +167,15 @@ func TestWireTraceCompatNewClientOldServer(t *testing.T) {
 	co := obs.New()
 	client := NewClient(cconn)
 	client.Obs = co
-	client.Trace = co.Start("session") // active trace, but no wire capability
-	got, err := client.Manifest()
+	ctx := obs.WithSpan(context.Background(), co.Start("session")) // active trace, but no wire capability
+	got, err := client.ManifestCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Trace || client.TraceWire {
 		t.Fatal("client negotiated tracing against an old server")
 	}
-	if _, err := client.Segment(0); err != nil {
+	if _, err := client.SegmentCtx(ctx, 0); err != nil {
 		t.Fatalf("segment fetch over plain frames: %v", err)
 	}
 	if client.BytesUp != 2*reqFrameBytes {
@@ -232,14 +234,13 @@ func TestTruncatedTraceHeaderIsBrokenConn(t *testing.T) {
 	client.Obs = co
 	client.Redial = dial
 	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !client.TraceWire {
 		t.Fatal("capability not negotiated")
 	}
-	client.Trace = co.Start("fetch")
-	if _, err := client.Segment(0); err != nil {
+	if _, err := client.SegmentCtx(obs.WithSpan(context.Background(), co.Start("fetch")), 0); err != nil {
 		t.Fatalf("segment fetch did not survive the truncated frame: %v", err)
 	}
 	if client.Reconnects != 1 {
@@ -299,8 +300,7 @@ func TestRetryAttribution(t *testing.T) {
 	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
 	client.TraceWire = true // capability pinned out of band; the manifest path has its own test
 	root := co.Start("fetch_segment")
-	client.Trace = root
-	if _, err := client.Segment(0); err != nil {
+	if _, err := client.SegmentCtx(obs.WithSpan(context.Background(), root), 0); err != nil {
 		t.Fatal(err)
 	}
 	root.End()
@@ -334,6 +334,40 @@ func TestRetryAttribution(t *testing.T) {
 	}
 	if sp.Attrs["attempt"] != float64(1) && sp.Attrs["attempt"] != 1 {
 		t.Errorf("server span attempt attr = %v, want 1", sp.Attrs["attempt"])
+	}
+}
+
+// TestServerSpanBytesOut pins the server span's bytes_out attribute to
+// the framing actually written: for a traced classic request and for a
+// mux-framed one alike, it equals what the client counted coming down.
+func TestServerSpanBytesOut(t *testing.T) {
+	prep, _ := getFixture(t)
+	for _, muxWire := range []bool{false, true} {
+		srv, err := NewServer(prep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		so := obs.New()
+		srv.Obs = so
+		cconn, sconn := net.Pipe()
+		go func() { _ = srv.ServeConn(sconn) }()
+		co := obs.New()
+		client := NewClient(cconn)
+		client.TraceWire, client.MuxWire = true, muxWire
+		root := co.Start("fetch")
+		if _, err := client.SegmentCtx(obs.WithSpan(context.Background(), root), 0); err != nil {
+			t.Fatal(err)
+		}
+		waitTraceLen(t, so.TraceBuf, 1)
+		spans := so.TraceBuf.Trace(root.TraceID())
+		if len(spans) != 1 {
+			t.Fatalf("mux=%v: server recorded %d spans, want 1", muxWire, len(spans))
+		}
+		if got, want := fmt.Sprint(spans[0].Attrs["bytes_out"]), fmt.Sprint(client.BytesDown); got != want {
+			t.Errorf("mux=%v: server span bytes_out = %s, client received %s bytes", muxWire, got, want)
+		}
+		cconn.Close()
+		sconn.Close()
 	}
 }
 
@@ -372,7 +406,7 @@ func TestEndToEndTraceRetrievable(t *testing.T) {
 	client.Obs = co
 	client.Redial = d.dial
 	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
-	if _, _, err := client.Play(true); err != nil {
+	if _, _, err := client.PlayCtx(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
 

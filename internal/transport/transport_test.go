@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"io"
 	"net"
 	"strings"
@@ -95,7 +96,7 @@ func TestServeOverPipe(t *testing.T) {
 	defer sconn.Close()
 
 	client := NewClient(cconn)
-	wm, err := client.Manifest()
+	wm, err := client.ManifestCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestServeOverPipe(t *testing.T) {
 	if wm.MicroConfig != prep.MicroConfig {
 		t.Fatalf("manifest micro config %v, want %v", wm.MicroConfig, prep.MicroConfig)
 	}
-	out, stats, err := client.Play(true)
+	out, stats, err := client.PlayCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestServeOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	out, _, err := client.Play(false)
+	out, _, err := client.PlayCtx(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestConcurrentClients(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			out, _, err := client.Play(true)
+			out, _, err := client.PlayCtx(context.Background(), true)
 			if err == nil && len(out) != len(frames) {
 				err = io.ErrUnexpectedEOF
 			}
@@ -225,14 +226,14 @@ func TestNotFoundResponses(t *testing.T) {
 	defer cconn.Close()
 	defer sconn.Close()
 	client := NewClient(cconn)
-	if _, err := client.Segment(9999); err == nil {
+	if _, err := client.SegmentCtx(context.Background(), 9999); err == nil {
 		t.Error("out-of-range segment accepted")
 	}
-	if _, _, err := client.Model(9999, prep.MicroConfig); err == nil {
+	if _, _, err := client.ModelCtx(context.Background(), 9999, prep.MicroConfig); err == nil {
 		t.Error("unknown model accepted")
 	}
 	// The connection must remain usable after NotFound responses.
-	if _, err := client.Manifest(); err != nil {
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatalf("connection dead after NotFound: %v", err)
 	}
 }

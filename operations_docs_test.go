@@ -1,6 +1,7 @@
 package dcsr_test
 
 import (
+	"context"
 	"encoding/binary"
 	"io"
 	"net"
@@ -176,7 +177,7 @@ func TestOperationsDocMetrics(t *testing.T) {
 		Timeout:    50 * time.Millisecond,
 		Seed:       1,
 	}
-	if _, stats, err := client.Play(true); err != nil {
+	if _, stats, err := client.PlayCtx(context.Background(), true); err != nil {
 		t.Fatal(err)
 	} else if stats.DegradedSegments == 0 {
 		t.Fatal("fault schedule produced no degraded segments; doc-coverage run is incomplete")
@@ -185,7 +186,7 @@ func TestOperationsDocMetrics(t *testing.T) {
 		t.Error("fault schedule produced no timeout")
 	}
 	// Not-found path (never retried).
-	if _, err := client.Segment(9999); err == nil {
+	if _, err := client.SegmentCtx(context.Background(), 9999); err == nil {
 		t.Fatal("fetching segment 9999 succeeded")
 	}
 	// Unknown opcode → transport_unknown_seconds on the server.
@@ -217,10 +218,10 @@ func TestOperationsDocMetrics(t *testing.T) {
 	go func() { defer close(shedDone); _ = shedSrv.ServeConn(scs) }()
 	shedClient := transport.NewClient(scc)
 	shedClient.Obs = o
-	if _, err := shedClient.Manifest(); err != nil {
+	if _, err := shedClient.ManifestCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shedClient.Segment(0); err == nil {
+	if _, err := shedClient.SegmentCtx(context.Background(), 0); err == nil {
 		t.Fatal("second request on a drained bucket succeeded")
 	} else if _, ok := transport.IsRetryAfter(err); !ok {
 		t.Fatalf("second request on a drained bucket: want retry-after, got %v", err)
