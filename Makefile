@@ -4,31 +4,32 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint lint-cold test bench bench-all bench-e2e
+.PHONY: verify build vet lint lint-cold test fuzz-smoke bench bench-all bench-e2e
 
 # The experiments package trains real models and takes well over the
 # default 10m per-package limit under race instrumentation; the longer
 # -timeout covers it without masking hangs elsewhere. The golden test
 # runs first and by name: staged Prepare must stay bit-identical to the
 # single-pass pipeline before anything else is worth checking. The wire
-# interop and window-rotation tests run next, also by name: they pin the
-# trace-frame compatibility contract (old↔new peers in both directions)
-# and the fake-clock determinism of the rolling-window metrics before
-# the full race sweep repeats them among everything else. The mux
-# interop pair and the admission-under-load test then pin the fleet
-# serving contract (old↔new framing both ways, typed shedding under
+# format and window-rotation tests run next, also by name: they pin the
+# one request frame and response header byte for byte (golden fixtures,
+# a cut at every offset, retired magics rejected; fuzz-smoke then runs
+# both parsers' fuzz targets for a few seconds each) and the fake-clock
+# determinism of the rolling-window metrics before the full race sweep
+# repeats them among everything else. The admission-under-load test
+# then pins the fleet serving contract (typed shedding under
 # concurrency) by name before the sweep. The int8 block pins the
 # quantized path: kernel↔reference parity, cross-worker bit
 # determinism under race, and the calibration quality gate actually
 # forcing a float32 fallback. The model-stream block pins the dcW5
 # delta codec round-trip, the delta_encode stage (client assembly
 # bit-identical, gate fallback), and the wire contract: backbone +
-# delta playback pixel-identical to origin, old↔new interop via the
-# full-model OpModel path, corruption falling back gracefully. The
+# delta playback pixel-identical to origin, the full-model OpModel path
+# for videos without a backbone, corruption falling back gracefully. The
 # bench/ module is nested (its own go.mod), so root ./... never sees it:
 # vet and its -tiny test run (~4 s) are invoked with -C, which is what
 # catches an API break in bench/adapter.go before the pipeline does.
-verify: build vet lint
+verify: build vet lint fuzz-smoke
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) test -run 'TestFixtures/(lockorder|lostcancel|atomicfield|errcmp|timerleak)' -v ./internal/lint/
 	$(GO) test -race -run 'TestRunnerDeterministic|TestRunnerCache' -v ./internal/lint/
@@ -36,8 +37,7 @@ verify: build vet lint
 	$(GO) test -run 'TestGemmInt8MatchesRef|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8Deterministic' -v ./internal/tensor/
 	$(GO) test -race -run 'TestEnhanceInt8DeterministicAcrossWorkers' -v ./internal/edsr/
 	$(GO) test -run 'TestQuantQualityGateForcesFallback|TestQuantPersistRoundTrip' -v ./internal/core/
-	$(GO) test -run 'TestWireTraceCompat' -v ./internal/transport/
-	$(GO) test -run 'TestMuxInteropNewClientOldServer|TestMuxInteropOldClientNewServer' -v ./internal/transport/
+	$(GO) test -run 'TestWireGolden|TestRequestCutAtEveryOffset|TestOldGenerationsRejected|TestResponsePayloadBound' -v ./internal/transport/
 	$(GO) test -race -run 'TestAdmissionConcurrentLoad|TestRetryPolicyHonorsShedHint' -v ./internal/transport/
 	$(GO) test -run 'TestWindowedCounterRotationDeterminism' -v ./internal/obs/
 	$(GO) test -run 'TestDeltaRoundTripProperty|TestDeltaInt8Composition|TestDeltaWrongBackbone' -v ./internal/nn/
@@ -64,6 +64,13 @@ lint-cold:
 
 test:
 	$(GO) test ./...
+
+# A few seconds of native fuzzing per wire parser (go test accepts one
+# -fuzz target per run). A crasher is written under
+# internal/transport/testdata/fuzz/ — commit it as a seed with the fix.
+fuzz-smoke:
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 5s
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime 5s
 
 # Perf-trajectory benchmarks: the tensor kernels, the alloc-free
 # Enhance path, and the paper's Fig 8 FPS sweep, all with allocation

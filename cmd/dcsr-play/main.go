@@ -249,14 +249,6 @@ func playFromNetwork(opt netOptions) {
 		client.Obs = o
 	}
 	ctx := context.Background()
-	if opt.listVideos || opt.video != "" {
-		// The first manifest negotiates mux framing, which digest
-		// routing at non-default videos requires.
-		if _, err := client.ManifestCtx(ctx); err != nil {
-			fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if opt.listVideos {
 		dir, err := client.VideosCtx(ctx)
 		if err != nil {

@@ -427,6 +427,12 @@ func TestExperimentFaultsShape(t *testing.T) {
 		if c.Scope == "model" && !c.Completed {
 			t.Errorf("model-scope cell drop=%.2f retries=%d aborted; model faults must degrade, not kill", c.DropRate, c.Retries)
 		}
+		// The scope's hook has to recognise model requests on the wire: at
+		// drop = 1 every one of them is dropped, whatever the budget.
+		if c.Scope == "model" && c.DropRate == 1 && (c.Faults == 0 || c.Degraded == 0) {
+			t.Errorf("model-scope cell drop=1 retries=%d dropped %d responses, degraded %d segments; want both > 0",
+				c.Retries, c.Faults, c.Degraded)
+		}
 	}
 	if c := res.Cell("model", 1, 0); c == nil || !c.Completed || c.Degraded == 0 {
 		t.Errorf("total model outage should complete degraded, got %+v", c)

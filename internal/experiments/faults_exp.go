@@ -167,7 +167,7 @@ func ExperimentFaults(cfg EvalConfig) (Table, *FaultsResult, error) {
 			mdrop := drop
 			runCell("model", drop, budget, faultnet.Config{
 				Decide: func(_ int, frame []byte) faultnet.Kind {
-					if len(frame) == 9 && frame[4] == transport.OpModel && rng.Float64() < mdrop {
+					if op, _, ok := transport.PeekRequest(frame); ok && op == transport.OpModel && rng.Float64() < mdrop {
 						return faultnet.KindDrop
 					}
 					return faultnet.KindNone

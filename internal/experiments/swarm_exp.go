@@ -331,9 +331,9 @@ func ExperimentSwarm(cfg EvalConfig, sc SwarmConfig) (Table, *SwarmResult, error
 			return s
 		}
 
-		// The first manifest negotiates mux framing (required to route
-		// at a non-default video); then half the swarm selects each
-		// hosted video by digest and refetches that video's manifest.
+		// Every session opens on the default video's manifest; then half
+		// the swarm selects each hosted video by digest and refetches that
+		// video's manifest.
 		ctx := context.Background()
 		var wm *transport.WireManifest
 		manifest := func() error {

@@ -7,7 +7,7 @@ import (
 )
 
 // ErrCmp enforces the error-matching discipline the fault-tolerance
-// stack depends on: sentinel errors (ErrStopped, ErrNoMux, io.EOF, the
+// stack depends on: sentinel errors (ErrStopped, io.EOF, the
 // modelstore not-found) are matched with errors.Is, and typed errors
 // (the transport status error carrying the shed retry-after hint) with
 // errors.As — never with == / != or a direct type assertion. The

@@ -13,9 +13,9 @@ import (
 //
 // Two goroutine shapes are understood. A func-literal body is scanned
 // directly. A method or function of the same package launched by name —
-// `go s.serveMux(…)`, the mux server's per-request dispatch idiom — is
-// resolved through the package dataflow summaries (summary.go): the
-// callee's own body must carry the completion signal. Anything the
+// `go s.serveRequest(…)`, the transport server's per-request dispatch
+// idiom — is resolved through the package dataflow summaries
+// (summary.go): the callee's own body must carry the completion signal. Anything the
 // engine cannot see into (another package's function, a func value) is
 // still reported, because an invisible body is an unauditable one.
 type GoLeak struct{}
@@ -45,7 +45,7 @@ func (a *GoLeak) Run(p *Pass) {
 				}
 				return true
 			}
-			// A method-value goroutine (`go s.serveMux(…)`) resolves
+			// A method-value goroutine (`go s.serveRequest(…)`) resolves
 			// through the package summaries: the named callee's body is
 			// the goroutine body.
 			if fs := goCalleeSummary(p, g.Call); fs != nil {

@@ -25,9 +25,10 @@ import (
 //	                1 sparse (uint32 nonzero count, then uint32 index +
 //	                int8 code per nonzero; chosen when strictly smaller)
 //
-// Residuals are quantized per channel like dcW4 (scale = maxabs/127), so a
-// delta is ~4× smaller than the dcW1 full encoding even when every weight
-// moved, and collapses to a few bytes per parameter when the models agree.
+// Residuals are quantized per channel (scale = maxabs/127 per dim-0
+// slice), so a delta is ~4× smaller than the dcW1 full encoding even when
+// every weight moved, and collapses to a few bytes per parameter when the
+// models agree.
 // The encoding is lossy with respect to the residual, deterministic with
 // respect to the payload: ApplyWeightsDelta reconstructs
 // backbone + scale×code in float32 (codes of 0 copy the backbone value
@@ -66,6 +67,16 @@ func reconstructDelta(out, backbone []float32, codes []int8, scale float32) {
 		}
 		out[i] = backbone[i] + scale*float32(codes[i])
 	}
+}
+
+// scaleCount returns how many per-channel scales a parameter's residual
+// gets: one per dim-0 slice for ≥2-dimensional parameters (conv and dense
+// weight rows), one for everything else (biases).
+func scaleCount(p *Param) int {
+	if len(p.W.Shape) >= 2 && p.W.Shape[0] > 0 {
+		return p.W.Shape[0]
+	}
+	return 1
 }
 
 // EncodeWeightsDelta encodes target as a dcW5 delta against backbone. The

@@ -165,16 +165,15 @@ func TestDeltaNearDuplicate(t *testing.T) {
 	}
 }
 
-// TestDeltaInt8Composition: dcW5 composes with the dcW3/dcW4 stack —
-// weights that already went through per-channel int8 serialization
-// (the int8-gated pipeline path) delta-encode and reconstruct
-// deterministically, and the reconstruction re-serializes to dcW4
+// TestDeltaInt8Composition: dcW5 composes with dcW3 — weights that
+// already went through int8 serialization delta-encode and reconstruct
+// deterministically, and the reconstruction re-serializes to dcW3
 // identically on both sides of the wire.
 func TestDeltaInt8Composition(t *testing.T) {
 	backbone := quantModel(t, 30)
 	target := quantModel(t, 31)
 	for _, m := range []*Sequential{backbone, target} {
-		data := EncodeWeightsQuantized(m.Params(), QuantInt8PC)
+		data := EncodeWeightsQuantized(m.Params(), QuantInt8)
 		if err := LoadWeightsAny(bytes.NewReader(data), m.Params()); err != nil {
 			t.Fatal(err)
 		}
@@ -193,10 +192,10 @@ func TestDeltaInt8Composition(t *testing.T) {
 	if !bitsEqual(origin.Params(), client.Params()) {
 		t.Fatal("int8-processed weights reconstruct differently across decodes")
 	}
-	ow := EncodeWeightsQuantized(origin.Params(), QuantInt8PC)
-	cw := EncodeWeightsQuantized(client.Params(), QuantInt8PC)
+	ow := EncodeWeightsQuantized(origin.Params(), QuantInt8)
+	cw := EncodeWeightsQuantized(client.Params(), QuantInt8)
 	if !bytes.Equal(ow, cw) {
-		t.Fatal("dcW4 re-serialization of assembled weights differs between origin and client")
+		t.Fatal("dcW3 re-serialization of assembled weights differs between origin and client")
 	}
 }
 

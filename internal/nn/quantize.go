@@ -16,17 +16,9 @@ import (
 //     for SR weights.
 //   - Int8: symmetric per-tensor linear quantization (scale = maxabs/127),
 //     1 byte/weight plus one float32 scale per tensor.
-//   - Int8PC: symmetric per-channel quantization — one scale per dim-0
-//     slice (output channel) for multi-dimensional parameters, one for
-//     the whole tensor otherwise. This is the same scheme the int8
-//     inference path uses (see nn_int8.go), so a model shipped as dcW4
-//     decodes to exactly the weights the client would have quantized
-//     itself.
 //
 // Quantization is applied at serialization time only; decoded weights
-// are float32 — the int8 inference path re-quantizes from them, and
-// because both sides share quantizeRowInt8 the round trip is lossless
-// with respect to the quantized values.
+// are float32.
 
 // Quantization selects a weight serialization precision.
 type Quantization int
@@ -36,7 +28,6 @@ const (
 	QuantNone Quantization = iota // float32 (SaveWeights format)
 	QuantF16
 	QuantInt8
-	QuantInt8PC
 )
 
 // String names the quantization mode.
@@ -48,28 +39,15 @@ func (q Quantization) String() string {
 		return "fp16"
 	case QuantInt8:
 		return "int8"
-	case QuantInt8PC:
-		return "int8pc"
 	default:
 		return fmt.Sprintf("Quantization(%d)", int(q))
 	}
 }
 
 var (
-	magicF16    = [4]byte{'d', 'c', 'W', '2'}
-	magicInt8   = [4]byte{'d', 'c', 'W', '3'}
-	magicInt8PC = [4]byte{'d', 'c', 'W', '4'}
+	magicF16  = [4]byte{'d', 'c', 'W', '2'}
+	magicInt8 = [4]byte{'d', 'c', 'W', '3'}
 )
-
-// scaleCount returns how many per-channel scales a parameter gets in
-// the dcW4 format: one per dim-0 slice for ≥2-dimensional parameters
-// (conv and dense weight rows), one for everything else (biases).
-func scaleCount(p *Param) int {
-	if len(p.W.Shape) >= 2 && p.W.Shape[0] > 0 {
-		return p.W.Shape[0]
-	}
-	return 1
-}
 
 // Float32To16 converts a float32 to IEEE 754 half precision bits with
 // round-to-nearest; overflow saturates to ±Inf, subnormals flush through
@@ -190,40 +168,6 @@ func SaveWeightsQuantized(w io.Writer, ps []*Param, q Quantization) error {
 			}
 		}
 		return nil
-	case QuantInt8PC:
-		if _, err := w.Write(magicInt8PC[:]); err != nil {
-			return err
-		}
-		if err := binary.Write(w, binary.LittleEndian, uint32(len(ps))); err != nil {
-			return err
-		}
-		for _, p := range ps {
-			if err := binary.Write(w, binary.LittleEndian, uint32(p.W.Len())); err != nil {
-				return err
-			}
-			sc := scaleCount(p)
-			if err := binary.Write(w, binary.LittleEndian, uint32(sc)); err != nil {
-				return err
-			}
-			rowLen := p.W.Len() / sc
-			scales := make([]float32, sc)
-			buf := make([]byte, p.W.Len())
-			qrow := make([]int8, rowLen)
-			for ch := 0; ch < sc; ch++ {
-				row := p.W.Data[ch*rowLen : (ch+1)*rowLen]
-				scales[ch] = quantizeRowInt8(row, qrow)
-				for i, v := range qrow {
-					buf[ch*rowLen+i] = byte(v)
-				}
-			}
-			if err := binary.Write(w, binary.LittleEndian, scales); err != nil {
-				return err
-			}
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
 	default:
 		return fmt.Errorf("nn: unknown quantization %d", q)
 	}
@@ -241,7 +185,7 @@ func LoadWeightsAny(r io.Reader, ps []*Param) error {
 		return LoadWeights(io.MultiReader(bytes.NewReader(magic[:]), r), ps)
 	case magicDelta:
 		return fmt.Errorf("nn: dcW5 delta payload needs a backbone; use ApplyWeightsDelta")
-	case magicF16, magicInt8, magicInt8PC:
+	case magicF16, magicInt8:
 		var count uint32
 		if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 			return err
@@ -266,7 +210,7 @@ func LoadWeightsAny(r io.Reader, ps []*Param) error {
 				for i := range p.W.Data {
 					p.W.Data[i] = Float16To32(binary.LittleEndian.Uint16(buf[2*i:]))
 				}
-			case magicInt8:
+			default: // magicInt8
 				var scale float32
 				if err := binary.Read(r, binary.LittleEndian, &scale); err != nil {
 					return err
@@ -277,26 +221,6 @@ func LoadWeightsAny(r io.Reader, ps []*Param) error {
 				}
 				for i := range p.W.Data {
 					p.W.Data[i] = float32(int8(buf[i])) * scale
-				}
-			default: // magicInt8PC
-				var sc uint32
-				if err := binary.Read(r, binary.LittleEndian, &sc); err != nil {
-					return err
-				}
-				if sc == 0 || n%sc != 0 {
-					return fmt.Errorf("nn: param %q has %d scales for %d values", p.Name, sc, n)
-				}
-				scales := make([]float32, sc)
-				if err := binary.Read(r, binary.LittleEndian, scales); err != nil {
-					return err
-				}
-				buf := make([]byte, n)
-				if _, err := io.ReadFull(r, buf); err != nil {
-					return err
-				}
-				rowLen := int(n) / int(sc)
-				for i := range p.W.Data {
-					p.W.Data[i] = float32(int8(buf[i])) * scales[i/rowLen]
 				}
 			}
 		}
@@ -321,12 +245,6 @@ func QuantizedSize(ps []*Param, q Quantization) int {
 		n := 8
 		for _, p := range ps {
 			n += 4 + 4 + p.W.Len()
-		}
-		return n
-	case QuantInt8PC:
-		n := 8
-		for _, p := range ps {
-			n += 4 + 4 + 4*scaleCount(p) + p.W.Len()
 		}
 		return n
 	default:

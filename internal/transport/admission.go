@@ -16,7 +16,7 @@ type AdmissionConfig struct {
 	// concurrency budget — the knob behind dcsr-serve -max-inflight.
 	MaxInflight int
 	// MaxPerConn caps requests in flight on one connection (only a
-	// pipelining 'dcT3' client can exceed 1); 0 means unlimited. This is
+	// pipelining client can exceed 1); 0 means unlimited. This is
 	// the fairness knob: a greedy client that pipelines hundreds of
 	// requests is clipped to MaxPerConn slots while modest clients keep
 	// being admitted.

@@ -15,11 +15,11 @@ import (
 	"dcsr/internal/video"
 )
 
-// Client fetches a dcSR stream over a connection. It is not safe for
-// concurrent use: the protocol is strictly request/response per
-// connection, so exactly one goroutine may drive a Client at a time —
-// open one client per goroutine. (The Server side is concurrent; the
-// single-goroutine contract is per client connection.)
+// Client fetches a dcSR stream over a connection with one request
+// outstanding at a time. It is not safe for concurrent use: exactly one
+// goroutine may drive a Client — open one client per goroutine, or share
+// a MuxClient. (The Server side is concurrent; the single-goroutine
+// contract is per client connection.)
 //
 // The zero-configured client fails on the first I/O error, like the
 // original implementation. Set Retry and Redial to survive flaky links:
@@ -86,31 +86,12 @@ type Client struct {
 	// twin transport_client_rtt_window_seconds; nil disables metrics.
 	Obs *obs.Obs
 
-	// TraceWire enables traced ('dcT2') request frames. ManifestCtx
-	// sets it automatically when the server's manifest advertises
-	// WireManifest.Trace; it stays false against an older server, so
-	// every frame remains backward compatible. Tests (or callers that
-	// negotiated capability out of band) may set it directly.
-	TraceWire bool
-	// MuxWire enables multiplexed ('dcT3') request frames — the framing
-	// that carries Video routing. Unlike TraceWire it is NOT switched on
-	// merely because the server advertises WireManifest.Mux: a client
-	// streaming the default video keeps the classic framing it always
-	// spoke (so frame-level tooling and wire-sniffing fault hooks see no
-	// change), and SelectVideoCtx upgrades lazily the moment a
-	// non-default video actually needs routing. The sequential Client
-	// still issues one request at a time; MuxWire here buys video
-	// routing and the mux response framing, not pipelining (see
-	// MuxClient for that).
-	MuxWire bool
 	// Video routes requests at one of a multi-video server's hosted
 	// streams (0, the default, is the first video registered). Set it via
 	// SelectVideoCtx, or directly from a WireDirectory entry's ID.
-	// Nonzero Video requires MuxWire — classic frames carry no routing.
 	Video uint32
 
-	nextID uint32 // mux request ID counter
-	muxOK  bool   // server advertised Mux (learned at manifest)
+	nextID uint32 // request ID counter
 }
 
 // NewClient wraps an established connection (TCP, net.Pipe, throttled,
@@ -157,8 +138,7 @@ func (c *Client) reconnect() error {
 }
 
 // exchange is the sequential client's exchanger: one request/response on
-// the current connection (redialed first if the last exchange broke it),
-// framed traced when the wire supports it and asp carries a trace.
+// the current connection (redialed first if the last exchange broke it).
 // Transport-level failures mark the connection broken; protocol
 // rejections come back as *statusError with the connection still usable.
 func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs.Span) ([]byte, error) {
@@ -166,13 +146,6 @@ func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs
 		if err := c.reconnect(); err != nil {
 			return nil, err
 		}
-	}
-	op, arg := rq.op, rq.arg
-	// When the wire supports it the attempt span's identity rides the
-	// request frame and becomes the server span's parent.
-	var tc TraceContext
-	if c.TraceWire && asp != nil {
-		tc = TraceContext{TraceID: asp.TraceID(), SpanID: asp.SpanID(), Attempt: uint8(attempt)}
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		if d, ok := c.conn.(readDeadliner); ok && d.SetReadDeadline(dl) == nil {
@@ -184,50 +157,28 @@ func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs
 	if c.Obs != nil {
 		t0 = time.Now()
 	}
-	var err error
-	var reqBytes int64
-	var reqID uint32
-	if c.MuxWire {
-		c.nextID++
-		reqID = c.nextID
-		reqBytes = muxReqFrameBytes
-		err = writeRequestMux(c.conn, op, arg, rq.video, reqID, tc)
-	} else if tc.TraceID != 0 {
-		reqBytes = tracedReqFrameBytes
-		err = writeRequestTraced(c.conn, op, arg, tc)
-	} else {
-		reqBytes = reqFrameBytes
-		err = writeRequest(c.conn, op, arg)
-	}
-	if err != nil {
+	c.nextID++
+	req := rq.frame(c.nextID, attempt, asp)
+	if err := writeRequest(c.conn, req); err != nil {
 		c.broken = true
-		c.Log.Error("transport: client write failed", "op", opName(op), "arg", arg, "err", err)
+		c.Log.Error("transport: client write failed", "op", opName(rq.op), "arg", rq.arg, "err", err)
 		return nil, err
 	}
-	c.BytesUp += int(reqBytes)
+	c.BytesUp += reqFrameBytes
 	c.Obs.Counter("transport_client_requests_total").Inc()
-	c.Obs.Counter("transport_client_bytes_up_total").Add(reqBytes)
-	var status byte
-	var payload []byte
-	var respBytes int
-	if c.MuxWire {
-		var gotID uint32
-		gotID, status, payload, err = readResponseMux(c.conn)
-		if err == nil && gotID != reqID {
-			// A sequential client has exactly one request outstanding, so
-			// a mismatched ID means the stream is desynchronized.
-			err = fmt.Errorf("transport: response for request %d, expected %d", gotID, reqID)
-		}
-		respBytes = muxRespFrameBytes + len(payload)
-	} else {
-		status, payload, err = readResponse(c.conn)
-		respBytes = respFrameBytes + len(payload)
+	c.Obs.Counter("transport_client_bytes_up_total").Add(reqFrameBytes)
+	gotID, status, payload, err := readResponse(c.conn)
+	if err == nil && gotID != req.ID {
+		// Exactly one request is outstanding, so a mismatched ID means the
+		// stream is desynchronized.
+		err = fmt.Errorf("transport: response for request %d, expected %d", gotID, req.ID)
 	}
 	if err != nil {
 		c.broken = true
-		c.Log.Error("transport: client read failed", "op", opName(op), "arg", arg, "err", err)
+		c.Log.Error("transport: client read failed", "op", opName(rq.op), "arg", rq.arg, "err", err)
 		return nil, err
 	}
+	respBytes := respFrameBytes + len(payload)
 	c.BytesDown += respBytes
 	return settle(c.Obs, c.Log, rq, t0, respBytes, status, payload)
 }
@@ -272,35 +223,16 @@ func (c *Client) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, 
 	return c.roundTrip(ctx, kindOp[kind], uint32(arg))
 }
 
-// ManifestCtx fetches and parses the stream manifest. It doubles as
-// capability negotiation: when the server's manifest advertises trace
-// support, TraceWire is switched on for every subsequent request (the
-// first manifest request itself always goes out in the oldest framing
-// the client currently speaks — capability is unknown until the reply
-// arrives). Mux capability is only remembered here; the framing itself
-// stays classic until SelectVideoCtx actually needs routing, so a
-// default-video session is byte-for-byte the wire an old client speaks.
+// ManifestCtx fetches and parses the manifest of the selected video.
 func (c *Client) ManifestCtx(ctx context.Context) (*WireManifest, error) {
 	data, err := c.roundTrip(ctx, OpManifest, 0)
 	if err != nil {
 		return nil, err
 	}
-	wm, err := DecodeWireManifest(data)
-	if err != nil {
-		return nil, err
-	}
-	if wm.Trace {
-		c.TraceWire = true
-	}
-	if wm.Mux {
-		c.muxOK = true
-	}
-	return wm, nil
+	return DecodeWireManifest(data)
 }
 
-// VideosCtx fetches the server's directory of hosted videos. OpVideos is served
-// in any framing, but only a multi-video (Mux-advertising) server
-// understands it — an older server answers StatusBadReq.
+// VideosCtx fetches the server's directory of hosted videos.
 func (c *Client) VideosCtx(ctx context.Context) (*WireDirectory, error) {
 	data, err := c.roundTrip(ctx, OpVideos, 0)
 	if err != nil {
@@ -312,29 +244,17 @@ func (c *Client) VideosCtx(ctx context.Context) (*WireDirectory, error) {
 // SelectVideoCtx routes all subsequent requests at the hosted video with
 // the given hex content digest, as listed in the OpVideos directory. The
 // next ManifestCtx (and therefore PlayCtx) then fetches that video.
-// Selecting a non-default video requires the server to speak mux framing
-// — classic frames carry no routing — so call ManifestCtx first, or
-// accept that only digest-of-video-0 can match before negotiation.
 func (c *Client) SelectVideoCtx(ctx context.Context, digest string) error {
 	dir, err := c.VideosCtx(ctx)
 	if err != nil {
 		return err
 	}
 	for _, v := range dir.Videos {
-		if v.Digest != digest {
-			continue
+		if v.Digest == digest {
+			c.Video = v.ID
+			c.Log.Debug("transport: video selected", "id", v.ID, "digest", digest)
+			return nil
 		}
-		if v.ID != 0 && !c.MuxWire {
-			if !c.muxOK {
-				return fmt.Errorf("transport: video %s needs mux framing the server did not advertise", digest)
-			}
-			// Lazy upgrade: routing is the first thing that actually
-			// needs mux frames, so this is where the framing switches.
-			c.MuxWire = true
-		}
-		c.Video = v.ID
-		c.Log.Debug("transport: video selected", "id", v.ID, "digest", digest)
-		return nil
 	}
 	return fmt.Errorf("transport: video %s not hosted", digest)
 }

@@ -48,9 +48,7 @@ func Example_faultTolerantSession() {
 	// Drop every micro-model response; manifest and segments stay healthy.
 	inj := faultnet.New(faultnet.Config{
 		Decide: func(_ int, frame []byte) faultnet.Kind {
-			// Both plain (9-byte) and traced (26-byte) frames carry
-			// the opcode at byte 4.
-			if len(frame) >= 9 && frame[4] == transport.OpModel {
+			if op, _, ok := transport.PeekRequest(frame); ok && op == transport.OpModel {
 				return faultnet.KindDrop
 			}
 			return faultnet.KindNone
@@ -134,10 +132,6 @@ func Example_multiVideoServer() {
 	defer sconn.Close()
 	client := transport.NewClient(cconn)
 
-	// The first manifest negotiates capabilities (trace + mux framing).
-	if _, err := client.ManifestCtx(context.Background()); err != nil {
-		panic(err)
-	}
 	dir, err := client.VideosCtx(context.Background())
 	if err != nil {
 		panic(err)

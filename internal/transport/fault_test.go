@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -77,9 +76,7 @@ func TestPlaySurvivesDroppedModelFetch(t *testing.T) {
 	failuresLeft := maxRetries + 1 // exactly the first reference's attempts
 	inj := faultnet.New(faultnet.Config{
 		Decide: func(_ int, frame []byte) faultnet.Kind {
-			// Plain and traced frames alike carry op at [4], arg at [5:9].
-			if len(frame) >= reqFrameBytes && frame[4] == OpModel &&
-				binary.BigEndian.Uint32(frame[5:]) == uint32(label) && failuresLeft > 0 {
+			if op, arg, ok := PeekRequest(frame); ok && op == OpModel && arg == uint32(label) && failuresLeft > 0 {
 				failuresLeft--
 				return faultnet.KindDrop
 			}

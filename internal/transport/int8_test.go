@@ -94,7 +94,7 @@ func playLocal(t *testing.T, prep *core.Prepared, noInt8 bool) ([]*video.YUV, *P
 var wireBackends = []struct {
 	name string
 	play func(*testing.T, *Server, bool) ([]*video.YUV, *PlayStats)
-}{{"classic", playServer}, {"mux", playMux}}
+}{{"sequential", playServer}, {"mux", playMux}}
 
 func framesEqual(a, b []*video.YUV) bool {
 	if len(a) != len(b) {
@@ -113,7 +113,7 @@ func framesEqual(a, b []*video.YUV) bool {
 // the client calibrates each downloaded model from them, and the decoded
 // pixels — and the whole session summary: bytes by class, hits, misses,
 // downloads, degraded — are identical across the three backends (local,
-// classic, mux). The NoInt8 ablation must reproduce the float32 pixels
+// sequential, mux). The NoInt8 ablation must reproduce the float32 pixels
 // instead, again on every backend.
 func TestPlayInt8OverWire(t *testing.T) {
 	if testing.Short() {

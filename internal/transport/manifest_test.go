@@ -101,7 +101,6 @@ func TestHostileManifestRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wm.Trace, wm.Mux = false, false // serveOldWire speaks plain frames only
 			tc.mutate(wm)
 			hostile, err := json.Marshal(wm)
 			if err != nil {
@@ -110,7 +109,15 @@ func TestHostileManifestRejected(t *testing.T) {
 			cconn, sconn := net.Pipe()
 			defer cconn.Close()
 			defer sconn.Close()
-			go serveOldWire(t, sconn, hostile, srv.videos[0].segments[0])
+			// A server that answers every request with the hostile manifest.
+			go func() {
+				for {
+					req, err := readRequest(sconn)
+					if err != nil || writeResponse(sconn, req.ID, StatusOK, hostile) != nil {
+						return
+					}
+				}
+			}()
 
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

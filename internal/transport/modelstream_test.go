@@ -75,7 +75,7 @@ func playServer(t *testing.T, srv *Server, noInt8 bool) ([]*video.YUV, *PlayStat
 // manifest advertises backbone + deltas, the client fetches the backbone
 // once and assembles every delta-shipped model locally, playback is
 // pixel-identical to origin playback in both precisions — with the same
-// session summary on every backend (local, classic, mux) — and the
+// session summary on every backend (local, sequential, mux) — and the
 // session downloads fewer model bytes than the same video served
 // full-model.
 func TestPlayModelStreamOverWire(t *testing.T) {
@@ -167,26 +167,26 @@ func TestPlayModelStreamOverWire(t *testing.T) {
 	}
 }
 
-// opSniffer records the opcode byte of every request frame a sequential
-// client writes (classic and traced frames both carry it at offset 4).
+// opSniffer records the opcode of every request frame a sequential
+// client writes.
 type opSniffer struct {
 	io.ReadWriter
 	ops []byte
 }
 
 func (s *opSniffer) Write(p []byte) (int, error) {
-	if len(p) >= 5 {
-		s.ops = append(s.ops, p[4])
+	if op, _, ok := PeekRequest(p); ok {
+		s.ops = append(s.ops, op)
 	}
 	return s.ReadWriter.Write(p)
 }
 
-// TestModelStreamInterop pins both directions of the compatibility
-// matrix. New client against a server whose video has no backbone (what
-// an old server's manifest decodes to): every model is fetched complete
-// and the new ops never appear on the wire. Old client against a new
-// server: OpModel still serves the complete canonical weights for every
-// label, including delta-shipped ones.
+// TestModelStreamInterop pins the full-fetch path from both ends. A
+// client against a server whose video has no backbone (prepared without
+// delta encoding): every model is fetched complete and the model-stream
+// ops never appear on the wire. A client that asks for complete models
+// from a model-stream server: OpModel still serves the complete canonical
+// weights for every label, including delta-shipped ones.
 func TestModelStreamInterop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the pipeline; skipped in short mode")

@@ -112,6 +112,24 @@ func TestMultiVideoRegisterAndRoute(t *testing.T) {
 	if stats.ModelDownloads == 0 {
 		t.Error("selected video fetched no models")
 	}
+	// A fresh connection can select a non-default video as its very first
+	// request: no manifest fetch has to come before it.
+	cconn2, sconn2 := net.Pipe()
+	go func() { _ = srv.ServeConn(sconn2) }()
+	defer cconn2.Close()
+	defer sconn2.Close()
+	fresh := NewClient(cconn2)
+	if err := fresh.SelectVideoCtx(context.Background(), d2); err != nil {
+		t.Fatalf("selecting a non-default video first: %v", err)
+	}
+	if wm, err = fresh.ManifestCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Video != 1 || len(wm.Segments) != len(prep2.Manifest.Segments) {
+		t.Errorf("fresh client routed at video %d with %d segments, want video 1 with %d",
+			fresh.Video, len(wm.Segments), len(prep2.Manifest.Segments))
+	}
+
 	// Selecting back to the default works too.
 	if err := client.SelectVideoCtx(context.Background(), d1); err != nil {
 		t.Fatal(err)
@@ -137,9 +155,6 @@ func TestSelectVideoErrors(t *testing.T) {
 	defer cconn.Close()
 	defer sconn.Close()
 	client := NewClient(cconn)
-	if _, err := client.ManifestCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	if err := client.SelectVideoCtx(context.Background(), "no-such-digest"); err == nil {
 		t.Fatal("selecting an unhosted digest succeeded")
 	}
@@ -149,7 +164,7 @@ func TestSelectVideoErrors(t *testing.T) {
 }
 
 // TestMuxRoutesNonDefaultVideo drives the second video through the
-// pipelined client: the 34-byte frame's video field routes each request.
+// pipelined client: the frame's video field routes each request.
 func TestMuxRoutesNonDefaultVideo(t *testing.T) {
 	prep1, _ := getFixture(t)
 	prep2, _ := getFixture2(t)

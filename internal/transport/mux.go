@@ -14,17 +14,11 @@ import (
 	"dcsr/internal/stream"
 )
 
-// MuxClient multiplexes many concurrent requests over one connection
-// using 'dcT3' framing: requests are pipelined (written as they arrive,
-// tagged with unique IDs) and responses are matched back by ID, so N
-// goroutines share one TCP connection instead of opening N. It is safe
-// for concurrent use — the concurrency contract is the whole point.
-//
-// Construction dials through the given dial function and performs a
-// classic-framing manifest probe to negotiate capability; a server that
-// does not advertise WireManifest.Mux is rejected with ErrNoMux (use the
-// sequential Client against old servers). The same probe runs again on
-// every reconnect.
+// MuxClient multiplexes many concurrent requests over one connection:
+// requests are pipelined (written as they arrive, tagged with unique IDs)
+// and responses are matched back by ID, so N goroutines share one TCP
+// connection instead of opening N. It is safe for concurrent use — the
+// concurrency contract is the whole point.
 //
 // Failure semantics follow the sequential Client: transport errors mark
 // the connection broken, and the next request redials; StatusRetryAfter
@@ -50,9 +44,10 @@ type MuxClient struct {
 	// produces one fresh connection, not one per waiter.
 	dialMu sync.Mutex
 
+	wm *WireManifest // set once by DialMux, then read-only
+
 	mu     sync.Mutex
 	cur    *muxConn
-	wm     *WireManifest
 	closed bool
 	nextID atomic.Uint32
 
@@ -65,10 +60,6 @@ type MuxClient struct {
 	// on each other.
 	backbones sync.Map
 }
-
-// ErrNoMux reports a server that answered the negotiation probe without
-// advertising mux support.
-var ErrNoMux = errors.New("transport: server does not support multiplexing")
 
 // muxConn is one live multiplexed connection: the wire, a write lock
 // serializing frames, and the pending table the reader goroutine resolves
@@ -136,23 +127,28 @@ func (mc *muxConn) fail(err error) {
 // DialMux establishes a multiplexed client through dial, which is kept
 // for reconnects (like Client.Redial, but mandatory — a mux client that
 // cannot redial would strand every pipelined request on the first
-// fault). The returned client has already negotiated: its WireManifest
-// is available via Manifest.
+// fault), and fetches the default video's manifest, available via
+// Manifest.
 func DialMux(dial func() (io.ReadWriter, error)) (*MuxClient, error) {
 	m := &MuxClient{dial: dial}
-	if _, err := m.connect(context.Background()); err != nil {
+	if _, err := m.connect(); err != nil {
 		return nil, err
+	}
+	data, err := m.Do(context.Background(), OpManifest, 0, 0)
+	if err == nil {
+		m.wm, err = DecodeWireManifest(data)
+	}
+	if err != nil {
+		//lint:allow errcheck the manifest fetch already failed; closing the unusable client is best-effort cleanup
+		m.Close()
+		return nil, fmt.Errorf("transport: mux manifest: %w", err)
 	}
 	return m, nil
 }
 
-// Manifest returns the default video's manifest captured by the most
-// recent negotiation probe.
-func (m *MuxClient) Manifest() *WireManifest {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wm
-}
+// Manifest returns the default video's manifest, fetched when the client
+// was dialed.
+func (m *MuxClient) Manifest() *WireManifest { return m.wm }
 
 // Close tears down the current connection; in-flight requests fail and
 // later requests return net.ErrClosed-style errors rather than redialing.
@@ -168,10 +164,9 @@ func (m *MuxClient) Close() error {
 	return closeConn(mc.rw)
 }
 
-// connect dials a fresh connection, runs the classic-framing negotiation
-// probe, and on success installs the connection with its reader
+// connect dials a fresh connection and installs it with its reader
 // goroutine. Callers must NOT hold m.mu.
-func (m *MuxClient) connect(ctx context.Context) (*muxConn, error) {
+func (m *MuxClient) connect() (*muxConn, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -182,26 +177,11 @@ func (m *MuxClient) connect(ctx context.Context) (*muxConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: mux dial: %w", err)
 	}
-	// The probe is one classic sequential exchange — a throwaway Client's
-	// manifest fetch — legal because nothing else can be outstanding on a
-	// brand-new connection. It both checks liveness and fetches the
-	// capability bits.
-	probe := NewClient(rw)
-	wm, err := probe.ManifestCtx(ctx)
-	m.addBytes(int64(probe.BytesUp), int64(probe.BytesDown))
-	if err == nil && !wm.Mux {
-		err = ErrNoMux
-	}
-	if err != nil {
-		//lint:allow errcheck the probe already failed; closing the unusable conn is best-effort cleanup
-		closeConn(rw)
-		return nil, fmt.Errorf("transport: mux probe: %w", err)
-	}
 	mc := &muxConn{rw: rw, pending: make(map[uint32]chan muxResult), done: make(chan struct{})}
 	go func() {
 		defer close(mc.done)
 		for {
-			id, status, payload, err := readResponseMux(rw)
+			id, status, payload, err := readResponse(rw)
 			if err != nil {
 				mc.fail(err)
 				return
@@ -218,7 +198,6 @@ func (m *MuxClient) connect(ctx context.Context) (*muxConn, error) {
 		return nil, errors.New("transport: mux client is closed")
 	}
 	m.cur = mc
-	m.wm = wm
 	m.mu.Unlock()
 	return mc, nil
 }
@@ -226,7 +205,7 @@ func (m *MuxClient) connect(ctx context.Context) (*muxConn, error) {
 // conn returns the live connection, dialing one if the last one was
 // retired. Concurrent callers pile onto the single reconnect behind
 // dialMu.
-func (m *MuxClient) conn(ctx context.Context) (*muxConn, error) {
+func (m *MuxClient) conn() (*muxConn, error) {
 	m.mu.Lock()
 	mc := m.cur
 	m.mu.Unlock()
@@ -243,7 +222,7 @@ func (m *MuxClient) conn(ctx context.Context) (*muxConn, error) {
 	if mc != nil {
 		return mc, nil
 	}
-	fresh, err := m.connect(ctx)
+	fresh, err := m.connect()
 	if err != nil {
 		return nil, err
 	}
@@ -271,19 +250,12 @@ func (m *MuxClient) retire(mc *muxConn) {
 	}
 }
 
-func (m *MuxClient) addBytes(up, down int64) {
-	m.bytesUp.Add(up)
-	m.bytesDown.Add(down)
-	m.Obs.Counter("transport_client_bytes_up_total").Add(up)
-	m.Obs.Counter("transport_client_bytes_down_total").Add(down)
-}
-
 // exchange is the multiplexed client's exchanger: one pipelined
 // request/response on the current connection. A timeout (ctx's deadline)
 // abandons the pending entry without killing the connection; a transport
 // error retires the connection, so the retry redials.
-func (m *MuxClient) exchange(ctx context.Context, rq request, _ int, _ *obs.Span) ([]byte, error) {
-	mc, err := m.conn(ctx)
+func (m *MuxClient) exchange(ctx context.Context, rq request, attempt int, asp *obs.Span) ([]byte, error) {
+	mc, err := m.conn()
 	if err != nil {
 		return nil, err
 	}
@@ -294,14 +266,15 @@ func (m *MuxClient) exchange(ctx context.Context, rq request, _ int, _ *obs.Span
 		return nil, err
 	}
 	mc.wmu.Lock()
-	err = writeRequestMux(mc.rw, rq.op, rq.arg, rq.video, id, TraceContext{})
+	err = writeRequest(mc.rw, rq.frame(id, attempt, asp))
 	mc.wmu.Unlock()
 	if err != nil {
 		mc.unregister(id)
 		m.retire(mc)
 		return nil, err
 	}
-	m.addBytes(muxReqFrameBytes, 0)
+	m.bytesUp.Add(reqFrameBytes)
+	m.Obs.Counter("transport_client_bytes_up_total").Add(reqFrameBytes)
 	m.Obs.Counter("transport_client_requests_total").Inc()
 	var t0 time.Time
 	if m.Obs != nil {
@@ -313,7 +286,7 @@ func (m *MuxClient) exchange(ctx context.Context, rq request, _ int, _ *obs.Span
 			m.retire(mc)
 			return nil, res.err
 		}
-		n := muxRespFrameBytes + len(res.payload)
+		n := respFrameBytes + len(res.payload)
 		m.bytesDown.Add(int64(n)) // settle counts the obs side
 		return settle(m.Obs, m.Log, rq, t0, n, res.status, res.payload)
 	case <-ctx.Done():

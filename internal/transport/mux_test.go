@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,7 @@ func muxDialer(srv *Server) (dial func() (io.ReadWriter, error), conns *[]net.Co
 	return dial, conns
 }
 
-// TestMuxPipeliningOutOfOrder pins the point of 'dcT3' framing: a slow
+// TestMuxPipeliningOutOfOrder pins the point of request IDs: a slow
 // request does not block a later one on the same connection, and each
 // response is matched back to its own request by ID.
 func TestMuxPipeliningOutOfOrder(t *testing.T) {
@@ -239,88 +238,6 @@ func TestMuxSharedBackbonePerVideo(t *testing.T) {
 	}
 	if got := snap.Counters["modelstream_fallback_total"]; got != 0 {
 		t.Errorf("modelstream_fallback_total = %d, want 0", got)
-	}
-}
-
-// TestMuxInteropNewClientOldServer pins the downgrade path: DialMux
-// against a server whose manifest does not advertise mux must fail with
-// ErrNoMux (callers fall back to the sequential Client), after speaking
-// only 9-byte 'dcT1' frames on the wire.
-func TestMuxInteropNewClientOldServer(t *testing.T) {
-	prep, _ := getFixture(t)
-	srv, err := NewServer(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, err := DecodeWireManifest(srv.videos[0].manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm.Trace = false // what an old server serves
-	wm.Mux = false
-	oldManifest, err := json.Marshal(wm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cconn, sconn := net.Pipe()
-	defer cconn.Close()
-	defer sconn.Close()
-	go serveOldWire(t, sconn, oldManifest, srv.videos[0].segments[0])
-
-	if _, err := DialMux(func() (io.ReadWriter, error) { return cconn, nil }); !errors.Is(err, ErrNoMux) {
-		t.Fatalf("DialMux against an old server: want ErrNoMux, got %v", err)
-	}
-}
-
-// TestMuxInteropOldClientNewServer drives raw pre-mux frames at a
-// current multi-video server: 'dcT1' requests get classic 5-byte-header
-// responses for every op, including the directory, and the default video
-// answers data ops — the drop-in-replacement guarantee.
-func TestMuxInteropOldClientNewServer(t *testing.T) {
-	prep, _ := getFixture(t)
-	srv, err := NewServer(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cconn, sconn := net.Pipe()
-	go func() { _ = srv.ServeConn(sconn) }()
-	defer cconn.Close()
-	defer sconn.Close()
-
-	// Oldest wire dialect: plain 9-byte request, classic response.
-	if err := writeRequest(cconn, OpManifest, 0); err != nil {
-		t.Fatal(err)
-	}
-	status, payload, err := readResponse(cconn)
-	if err != nil || status != StatusOK {
-		t.Fatalf("manifest over dcT1: status=%d err=%v", status, err)
-	}
-	if _, err := DecodeWireManifest(payload); err != nil {
-		t.Fatalf("manifest payload undecodable by an old client: %v", err)
-	}
-	if err := writeRequest(cconn, OpSegment, 0); err != nil {
-		t.Fatal(err)
-	}
-	if status, payload, err = readResponse(cconn); err != nil || status != StatusOK {
-		t.Fatalf("segment over dcT1: status=%d err=%v", status, err)
-	}
-	if !bytes.Equal(payload, srv.videos[0].segments[0]) {
-		t.Error("dcT1 segment response is not the default video's payload")
-	}
-	// The directory op is served in classic framing too, so even a
-	// non-mux client can list what the fleet hosts.
-	if err := writeRequest(cconn, OpVideos, 0); err != nil {
-		t.Fatal(err)
-	}
-	if status, payload, err = readResponse(cconn); err != nil || status != StatusOK {
-		t.Fatalf("videos over dcT1: status=%d err=%v", status, err)
-	}
-	dir, err := DecodeWireDirectory(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dir.Videos) != 1 || dir.Videos[0].ID != 0 {
-		t.Fatalf("directory over dcT1 = %+v, want the single default video", dir)
 	}
 }
 

@@ -62,11 +62,7 @@ func TestServerClientObservability(t *testing.T) {
 	if got := ss.Counters["transport_requests_total"]; got != wantReqs {
 		t.Errorf("transport_requests_total = %d, want %d", got, wantReqs)
 	}
-	// The manifest request goes out as a plain 9-byte frame (capability
-	// not yet known); every later request rides the traced 26-byte frame
-	// the server advertised. Mux framing is NOT in play: the client
-	// never selects a non-default video, so it keeps classic framing.
-	wantBytesIn := int64(reqFrameBytes) + (wantReqs-1)*tracedReqFrameBytes
+	wantBytesIn := wantReqs * reqFrameBytes
 	if got := ss.Counters["transport_bytes_in_total"]; got != wantBytesIn {
 		t.Errorf("transport_bytes_in_total = %d, want %d", got, wantBytesIn)
 	}

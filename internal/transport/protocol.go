@@ -30,67 +30,47 @@
 //
 // # Wire protocol
 //
-// Every exchange is one fixed-size request frame followed by one
-// length-prefixed response. A plain request is exactly 9 bytes:
-//
-//	magic 'dcT1' (4) | opcode (1) | big-endian uint32 arg (4)
-//
-// where opcode is OpManifest, OpSegment, OpModel or OpVideos and arg is
-// the segment index or model label (ignored for OpManifest/OpVideos). A
-// traced request is the same frame under magic 'dcT2' followed by a
-// 17-byte trace context —
-//
-//	magic 'dcT2' (4) | opcode (1) | arg (4) | trace ID (8) | parent span ID (8) | attempt (1)
-//
-// — which lets the server join the client's trace (see TraceContext).
-// A multiplexed request is the third generation, magic 'dcT3', and is
-// always exactly 34 bytes:
+// There is one wire generation: every exchange is one fixed-size request
+// frame followed by one length-prefixed response. A request is exactly 34
+// bytes, big-endian:
 //
 //	magic 'dcT3' (4) | opcode (1) | arg (4) | video ID (4) | request ID (4) |
 //	trace ID (8) | parent span ID (8) | attempt (1)
 //
-// The video ID routes the request to one of the hosted videos (0 is the
-// default video, so a mux frame with video 0 behaves exactly like a
-// plain frame); the request ID is an opaque client token echoed in the
-// response header, which is what makes pipelining possible: many mux
-// requests may be in flight on one connection and the server may answer
-// them out of order. A 'dcT3' request is answered with a 9-byte mux
-// response header — request ID (4) | status (1) | length (4) — while
-// 'dcT1'/'dcT2' requests keep the classic 5-byte header — status (1) |
-// length (4) — so every protocol generation interoperates on one port. A
-// connection must not mix classic and mux framing with responses
-// outstanding: classic responses carry no ID, so interleaving them with
-// out-of-order mux responses would be ambiguous. Clients here switch to
-// mux framing for a connection at negotiation time and stay on it.
+// where opcode is one of the Op* constants and arg is the segment index or
+// model label (ignored by ops that take none). The video ID routes the
+// request to one of the hosted videos (0 is the default, the first one
+// registered). The request ID is an opaque client token echoed in the
+// response header, which is what makes pipelining possible: many requests
+// may be in flight on one connection and the server may answer them out
+// of order. The last three fields let the server join the client's trace
+// (see TraceContext); trace ID 0 means the request is untraced. A response
+// is a 9-byte header followed by the payload:
 //
-// Each magic doubles as a capability switch: a server that understands
-// 'dcT2' advertises WireManifest.Trace, one that understands 'dcT3'
-// advertises WireManifest.Mux (and serves OpVideos), and a client only
-// emits the newer frames after seeing the flag, so old-client↔new-server
-// and new-client↔old-server pairs interoperate on plain 'dcT1' frames.
+//	request ID (4) | status (1) | payload length (4) | payload
+//
+// Any other magic is a protocol error and the server closes the
+// connection; there is no version negotiation and no capability flag.
 //
 // Payloads are capped at maxPayload. A non-OK status usually carries no
 // payload; the one exception is StatusRetryAfter, whose 4-byte payload is
 // the server's backoff hint in milliseconds (see AdmissionConfig and
-// IsRetryAfter). Because classic frames carry no sequence numbers, a
-// short read or dropped response desynchronizes the stream irrecoverably:
-// the Client therefore marks its connection broken on any
-// transport-level error and redials (Client.Redial) rather than
-// attempting to resynchronize. A frame cut inside the trace-context
-// bytes is the same failure mode: the server sees io.ErrUnexpectedEOF
-// from the frame read and drops the connection, exactly as for a short
-// 'dcT1' frame.
+// IsRetryAfter). A connection cut mid-frame surfaces on the server as
+// io.ErrUnexpectedEOF from the frame read and the connection is dropped.
+// The sequential Client does not resynchronize after a short read or a
+// dropped response either: it marks its connection broken on any
+// transport-level error and redials (Client.Redial).
 //
 // # Client concurrency contract
 //
 // A Client owns exactly one connection and issues requests strictly
 // sequentially; it is not safe for concurrent use. This mirrors a player's
-// fetch loop (the paper's Algorithm 1 walks segments in order) and keeps
-// the framing trivially correct — at most one request is ever in flight.
-// Open multiple Clients for parallel sessions, or share one MuxClient —
-// which is safe for concurrent use and pipelines requests on a single
-// connection — among many sessions; the Server handles each connection
-// in its own goroutine and each pipelined request in a bounded worker.
+// fetch loop (the paper's Algorithm 1 walks segments in order): it is the
+// one frame with at most one request outstanding. Open multiple Clients
+// for parallel sessions, or share one MuxClient — the same frame
+// pipelined, safe for concurrent use — among many sessions; the Server
+// handles each connection in its own goroutine and each admitted request
+// in a worker bounded by admission.
 //
 // # Fault tolerance and admission control
 //
@@ -130,8 +110,8 @@ const (
 	// stream's base payload, downloaded once per session); OpModelDelta
 	// fetches model label's dcW5 delta against that backbone. Both answer
 	// StatusNotFound when the video was prepared without delta encoding;
-	// OpModel keeps serving every model complete, which is how pre-
-	// model-stream clients (and assembly fallback) interoperate.
+	// OpModel serves every model complete, which is what the assembly
+	// fallback fetches.
 	OpBackbone   = 5 // payload: none        → backbone serialized weights
 	OpModelDelta = 6 // payload: model label → dcW5 delta payload
 )
@@ -156,37 +136,20 @@ const maxPayload = stream.MaxArtifactBytes
 
 // Framing sizes, used by both sides for byte accounting.
 const (
-	reqFrameBytes       = 9  // magic(4) + opcode(1) + arg(4)
-	tracedReqFrameBytes = 26 // reqFrameBytes + traceID(8) + spanID(8) + attempt(1)
-	muxReqFrameBytes    = 34 // magic(4) + opcode(1) + arg(4) + video(4) + reqID(4) + traceID(8) + spanID(8) + attempt(1)
-	respFrameBytes      = 5  // status(1) + length(4)
-	muxRespFrameBytes   = 9  // reqID(4) + status(1) + length(4)
+	reqFrameBytes  = 34 // magic(4) + opcode(1) + arg(4) + video(4) + reqID(4) + traceID(8) + spanID(8) + attempt(1)
+	respFrameBytes = 9  // reqID(4) + status(1) + length(4)
 )
 
-var (
-	protoMagic  = [4]byte{'d', 'c', 'T', '1'}
-	tracedMagic = [4]byte{'d', 'c', 'T', '2'}
-	muxMagic    = [4]byte{'d', 'c', 'T', '3'}
-)
+var reqMagic = [4]byte{'d', 'c', 'T', '3'}
 
-// TraceContext is the trace identity a traced ('dcT2') request carries:
-// which distributed trace the request belongs to, the client-side span
-// that issued this attempt (the server span's parent), and the 0-based
-// retry attempt number. The zero value — in particular TraceID == 0 —
-// means "no trace", which is also how a plain 'dcT1' frame parses.
+// TraceContext is the trace identity a request carries: which distributed
+// trace the request belongs to, the client-side span that issued this
+// attempt (the server span's parent), and the 0-based retry attempt
+// number. TraceID == 0 means "no trace".
 type TraceContext struct {
 	TraceID uint64
 	SpanID  uint64
 	Attempt uint8
-}
-
-// frameBytes is the on-the-wire size of a request carrying (or not
-// carrying) this trace context.
-func (tc TraceContext) frameBytes() int64 {
-	if tc.TraceID != 0 {
-		return tracedReqFrameBytes
-	}
-	return reqFrameBytes
 }
 
 // WireManifest is the JSON document served for OpManifest: the byte-level
@@ -196,23 +159,11 @@ type WireManifest struct {
 	MicroConfig edsr.Config          `json:"micro_config"`
 	Segments    []stream.SegmentInfo `json:"segments"`
 	Models      []stream.ModelInfo   `json:"models"`
-	// Trace advertises that the server understands traced ('dcT2')
-	// request frames. A manifest from an older server decodes with
-	// Trace == false, keeping a newer client on plain frames.
-	Trace bool `json:"trace,omitempty"`
-	// Mux advertises that the server understands multiplexed ('dcT3')
-	// request frames, serves OpVideos, and may answer any request with
-	// StatusRetryAfter. A manifest from an older server decodes with
-	// Mux == false, keeping a newer client on classic framing and
-	// treating every rejection as terminal.
-	Mux bool `json:"mux,omitempty"`
 	// Backbone advertises the model stream: the video's models ship as
 	// one shared backbone (served by OpBackbone) plus per-cluster deltas
-	// (OpModelDelta) for every model entry flagged Delta. It doubles as
-	// the capability switch — a manifest from an older server (or a video
-	// prepared without delta encoding) decodes with Backbone == nil and
-	// the client fetches every model complete via OpModel, exactly as
-	// before.
+	// (OpModelDelta) for every model entry flagged Delta. A video prepared
+	// without delta encoding has Backbone == nil and the client fetches
+	// every model complete via OpModel.
 	Backbone *stream.BackboneInfo `json:"backbone,omitempty"`
 }
 
@@ -228,7 +179,7 @@ func (wm *WireManifest) Manifest() *stream.Manifest {
 
 // EncodeWireManifest serializes a manifest for OpManifest responses.
 func EncodeWireManifest(fps int, micro edsr.Config, m *stream.Manifest) ([]byte, error) {
-	wm := WireManifest{FPS: fps, MicroConfig: micro, Segments: m.Segments, Trace: true, Mux: true, Backbone: m.Backbone}
+	wm := WireManifest{FPS: fps, MicroConfig: micro, Segments: m.Segments, Backbone: m.Backbone}
 	for _, l := range m.ModelLabels() {
 		wm.Models = append(wm.Models, m.Models[l])
 	}
@@ -266,8 +217,8 @@ func DecodeWireManifest(data []byte) (*WireManifest, error) {
 // enough for a client to pick a video (by digest or position) and to
 // budget the session before fetching the full manifest.
 type WireVideo struct {
-	// ID is the video's routing handle for mux frames; ID 0 is the
-	// server's default video, the one classic clients get.
+	// ID is the video's routing handle in request frames; ID 0 is the
+	// server's default video.
 	ID uint32 `json:"id"`
 	// Digest is the hex SHA-256 content digest of the prepared video
 	// (segment payloads plus model payloads), the stable name a client
@@ -326,154 +277,87 @@ func parseRetryAfter(payload []byte) time.Duration {
 	return time.Duration(binary.BigEndian.Uint32(payload)) * time.Millisecond
 }
 
-// writeRequest frames a plain 'dcT1' request: magic, opcode byte, uint32
-// argument.
-func writeRequest(w io.Writer, op byte, arg uint32) error {
-	var buf [reqFrameBytes]byte
-	copy(buf[:4], protoMagic[:])
-	buf[4] = op
-	binary.BigEndian.PutUint32(buf[5:], arg)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// writeRequestTraced frames a traced 'dcT2' request carrying tc. The
-// whole frame goes out in one Write so the fault layer treats it as one
-// request.
-func writeRequestTraced(w io.Writer, op byte, arg uint32, tc TraceContext) error {
-	var buf [tracedReqFrameBytes]byte
-	copy(buf[:4], tracedMagic[:])
-	buf[4] = op
-	binary.BigEndian.PutUint32(buf[5:], arg)
-	binary.BigEndian.PutUint64(buf[9:], tc.TraceID)
-	binary.BigEndian.PutUint64(buf[17:], tc.SpanID)
-	buf[25] = tc.Attempt
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// writeRequestMux frames a multiplexed 'dcT3' request routed to video,
-// tagged with the client-chosen request ID that the server echoes back.
-// The whole frame goes out in one Write so the fault layer treats it as
-// one request.
-func writeRequestMux(w io.Writer, op byte, arg, video, id uint32, tc TraceContext) error {
-	var buf [muxReqFrameBytes]byte
-	copy(buf[:4], muxMagic[:])
-	buf[4] = op
-	binary.BigEndian.PutUint32(buf[5:], arg)
-	binary.BigEndian.PutUint32(buf[9:], video)
-	binary.BigEndian.PutUint32(buf[13:], id)
-	binary.BigEndian.PutUint64(buf[17:], tc.TraceID)
-	binary.BigEndian.PutUint64(buf[25:], tc.SpanID)
-	buf[33] = tc.Attempt
-	_, err := w.Write(buf[:])
-	return err
-}
-
-// wireRequest is one parsed request frame of any protocol generation.
-// Video, ID and Mux are meaningful only for 'dcT3' frames; a classic
-// frame parses with Mux false and video/ID zero, which routes it to the
-// default video.
+// wireRequest is one request frame.
 type wireRequest struct {
 	Op    byte
 	Arg   uint32
 	Video uint32
 	ID    uint32
-	Mux   bool
 	TC    TraceContext
 }
 
-// readRequest parses a plain, traced or multiplexed request frame; a
-// plain frame (and a traced frame with trace ID zero) yields the zero
-// TraceContext. io.EOF is returned as-is so servers can treat a clean
-// close between requests as normal termination; a connection cut
-// mid-frame — including inside the trace-context or mux bytes —
-// surfaces as a wrapped io.ErrUnexpectedEOF, the ordinary
-// broken-connection path.
+// writeRequest frames req. The whole frame goes out in one Write so the
+// fault layer treats it as one request.
+func writeRequest(w io.Writer, req wireRequest) error {
+	var buf [reqFrameBytes]byte
+	copy(buf[:4], reqMagic[:])
+	buf[4] = req.Op
+	binary.BigEndian.PutUint32(buf[5:], req.Arg)
+	binary.BigEndian.PutUint32(buf[9:], req.Video)
+	binary.BigEndian.PutUint32(buf[13:], req.ID)
+	binary.BigEndian.PutUint64(buf[17:], req.TC.TraceID)
+	binary.BigEndian.PutUint64(buf[25:], req.TC.SpanID)
+	buf[33] = req.TC.Attempt
+	_, err := w.Write(buf[:])
+	return err
+}
+
+// parseRequest decodes one complete request frame; ok is false when frame
+// is not exactly one frame under the request magic.
+func parseRequest(frame []byte) (req wireRequest, ok bool) {
+	if len(frame) != reqFrameBytes || [4]byte(frame[:4]) != reqMagic {
+		return req, false
+	}
+	req.Op = frame[4]
+	req.Arg = binary.BigEndian.Uint32(frame[5:])
+	req.Video = binary.BigEndian.Uint32(frame[9:])
+	req.ID = binary.BigEndian.Uint32(frame[13:])
+	req.TC.TraceID = binary.BigEndian.Uint64(frame[17:])
+	req.TC.SpanID = binary.BigEndian.Uint64(frame[25:])
+	req.TC.Attempt = frame[33]
+	return req, true
+}
+
+// PeekRequest reports the opcode and argument of a request frame as a
+// client writes it — what a fault-injection hook or wire sniffer sitting
+// under a client needs to pick its targets. ok is false for anything that
+// is not exactly one request frame.
+func PeekRequest(frame []byte) (op byte, arg uint32, ok bool) {
+	req, ok := parseRequest(frame)
+	return req.Op, req.Arg, ok
+}
+
+// readRequest reads one request frame. io.EOF is returned as-is so servers
+// can treat a clean close between requests as normal termination; a
+// connection cut mid-frame surfaces as a wrapped io.ErrUnexpectedEOF, the
+// ordinary broken-connection path. The magic is checked as soon as it has
+// arrived, so a peer speaking anything else is rejected without waiting
+// for it to send a full frame's worth of bytes.
 func readRequest(r io.Reader) (wireRequest, error) {
-	var req wireRequest
-	var buf [muxReqFrameBytes]byte
-	if _, err := io.ReadFull(r, buf[:reqFrameBytes]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return req, io.EOF
-		}
-		return req, fmt.Errorf("transport: reading request: %w", err)
+	var buf [reqFrameBytes]byte
+	n, err := io.ReadAtLeast(r, buf[:], len(reqMagic))
+	if errors.Is(err, io.EOF) {
+		return wireRequest{}, io.EOF
 	}
-	switch [4]byte(buf[:4]) {
-	case protoMagic:
-		req.Op = buf[4]
-		req.Arg = binary.BigEndian.Uint32(buf[5:])
-	case tracedMagic:
-		if _, err := io.ReadFull(r, buf[reqFrameBytes:tracedReqFrameBytes]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return req, fmt.Errorf("transport: reading trace context: %w", err)
+	if err == nil {
+		if [4]byte(buf[:4]) != reqMagic {
+			return wireRequest{}, fmt.Errorf("transport: bad request magic %x", buf[:4])
 		}
-		req.Op = buf[4]
-		req.Arg = binary.BigEndian.Uint32(buf[5:])
-		req.TC.TraceID = binary.BigEndian.Uint64(buf[9:])
-		req.TC.SpanID = binary.BigEndian.Uint64(buf[17:])
-		req.TC.Attempt = buf[25]
-	case muxMagic:
-		if _, err := io.ReadFull(r, buf[reqFrameBytes:muxReqFrameBytes]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return req, fmt.Errorf("transport: reading mux frame: %w", err)
+		if _, err = io.ReadFull(r, buf[n:]); errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
 		}
-		req.Mux = true
-		req.Op = buf[4]
-		req.Arg = binary.BigEndian.Uint32(buf[5:])
-		req.Video = binary.BigEndian.Uint32(buf[9:])
-		req.ID = binary.BigEndian.Uint32(buf[13:])
-		req.TC.TraceID = binary.BigEndian.Uint64(buf[17:])
-		req.TC.SpanID = binary.BigEndian.Uint64(buf[25:])
-		req.TC.Attempt = buf[33]
-	default:
-		return req, fmt.Errorf("transport: bad request magic %x", buf[:4])
 	}
+	if err != nil {
+		return wireRequest{}, fmt.Errorf("transport: reading request: %w", err)
+	}
+	req, _ := parseRequest(buf[:])
 	return req, nil
 }
 
-// writeResponse frames a response: status byte + uint32 length + payload.
-func writeResponse(w io.Writer, status byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = status
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readResponse parses a response frame, enforcing the payload bound.
-func readResponse(r io.Reader) (status byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("transport: reading response header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("transport: response of %d bytes exceeds limit", n)
-	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("transport: reading response payload: %w", err)
-	}
-	return hdr[0], payload, nil
-}
-
-// writeResponseMux frames a multiplexed response: the echoed request ID,
-// status byte, uint32 length, then the payload. The 9-byte header goes
-// out in one Write.
-func writeResponseMux(w io.Writer, id uint32, status byte, payload []byte) error {
-	var hdr [muxRespFrameBytes]byte
+// writeResponse frames a response: the echoed request ID, status byte,
+// uint32 length, then the payload. The header goes out in one Write.
+func writeResponse(w io.Writer, id uint32, status byte, payload []byte) error {
+	var hdr [respFrameBytes]byte
 	binary.BigEndian.PutUint32(hdr[:4], id)
 	hdr[4] = status
 	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
@@ -488,12 +372,11 @@ func writeResponseMux(w io.Writer, id uint32, status byte, payload []byte) error
 	return nil
 }
 
-// readResponseMux parses a multiplexed response frame, enforcing the
-// payload bound.
-func readResponseMux(r io.Reader) (id uint32, status byte, payload []byte, err error) {
-	var hdr [muxRespFrameBytes]byte
+// readResponse parses a response frame, enforcing the payload bound.
+func readResponse(r io.Reader) (id uint32, status byte, payload []byte, err error) {
+	var hdr [respFrameBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, nil, fmt.Errorf("transport: reading mux response header: %w", err)
+		return 0, 0, nil, fmt.Errorf("transport: reading response header: %w", err)
 	}
 	id = binary.BigEndian.Uint32(hdr[:4])
 	n := binary.BigEndian.Uint32(hdr[5:])
@@ -502,7 +385,7 @@ func readResponseMux(r io.Reader) (id uint32, status byte, payload []byte, err e
 	}
 	payload = make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, fmt.Errorf("transport: reading mux response payload: %w", err)
+		return 0, 0, nil, fmt.Errorf("transport: reading response payload: %w", err)
 	}
 	return id, hdr[4], payload, nil
 }

@@ -195,6 +195,14 @@ type request struct {
 	arg, video uint32
 }
 
+// frame is rq as it goes on the wire: tagged with the client's request ID
+// and carrying the attempt span's identity (asp may be nil: untraced), so
+// the server span becomes that attempt's child.
+func (rq request) frame(id uint32, attempt int, asp *obs.Span) wireRequest {
+	return wireRequest{Op: rq.op, Arg: rq.arg, Video: rq.video, ID: id,
+		TC: TraceContext{TraceID: asp.TraceID(), SpanID: asp.SpanID(), Attempt: uint8(attempt)}}
+}
+
 // exchanger performs exactly one wire exchange — the only part of a
 // request the sequential and the multiplexed client do differently. It
 // returns the payload, a *statusError for an intact non-OK response (the

@@ -39,11 +39,9 @@ type hostedVideo struct {
 // concurrent use: registration may interleave with serving, and each
 // registered video's state is immutable.
 //
-// Classic ('dcT1'/'dcT2') clients are answered from the default video —
-// the first one registered — so a multi-video server is a drop-in
-// replacement for the old single-video one. Multiplexed ('dcT3') clients
-// address videos by ID from the OpVideos directory and may pipeline
-// requests; see the package documentation for the wire contract.
+// Requests address videos by ID from the OpVideos directory — 0, what a
+// client that never selects gets, is the first one registered — and may
+// be pipelined; see the package documentation for the wire contract.
 type Server struct {
 	// Log receives per-connection errors and debug lines; nil discards
 	// them (the no-op default).
@@ -57,10 +55,10 @@ type Server struct {
 	// transport_shed_window_total and
 	// transport_{manifest,segment,model}_window_seconds, and the
 	// transport_open_conns, transport_videos, transport_inflight and
-	// transport_inflight_peak gauges. Traced ('dcT2'/'dcT3') requests
-	// additionally record one server span each into Obs.TraceBuf,
-	// retrievable by trace ID via the debug sidecar's /debug/trace?id=
-	// endpoint. nil disables all of it.
+	// transport_inflight_peak gauges. Traced requests additionally record
+	// one server span each into Obs.TraceBuf, retrievable by trace ID via
+	// the debug sidecar's /debug/trace?id= endpoint. nil disables all of
+	// it.
 	Obs *obs.Obs
 	// Admission bounds concurrent work before the server sheds load with
 	// StatusRetryAfter; the zero value admits everything. It is read when
@@ -351,11 +349,7 @@ func (s *Server) rejectConn(conn io.ReadWriter) error {
 	s.Obs.Counter("transport_shed_total").Inc()
 	s.Obs.WindowedCounter("transport_shed_window_total").Inc()
 	s.Log.Warn("transport: conn over capacity, shedding", "op", opName(req.Op))
-	hint := retryAfterPayload(adm.cfg.RetryAfter)
-	if req.Mux {
-		return writeResponseMux(conn, req.ID, StatusRetryAfter, hint)
-	}
-	return writeResponse(conn, StatusRetryAfter, hint)
+	return writeResponse(conn, req.ID, StatusRetryAfter, retryAfterPayload(adm.cfg.RetryAfter))
 }
 
 // connMetrics is the per-connection bundle of metric handles, resolved
@@ -405,12 +399,11 @@ func (s *Server) connMetrics() *connMetrics {
 	}
 }
 
-// connWriter serializes response writes on one connection: classic
-// responses from the read loop and pipelined mux responses from handler
-// goroutines interleave on the same conn, so every write goes through
-// one mutex. The first write error is kept and poisons the connection —
-// later writes are dropped so handlers drain quickly once the conn is
-// gone.
+// connWriter serializes response writes on one connection: sheds from
+// the read loop and responses from the request workers interleave on the
+// same conn, so every write goes through one mutex. The first write
+// error is kept and poisons the connection — later writes are dropped so
+// handlers drain quickly once the conn is gone.
 type connWriter struct {
 	mu   sync.Mutex
 	conn io.ReadWriter
@@ -433,10 +426,10 @@ func (w *connWriter) write(fn func(io.Writer) error) error {
 // ServeConn answers requests on a single connection until it closes. It
 // is exported so tests and in-process clients can use net.Pipe.
 //
-// Classic requests are answered in order, one at a time. Multiplexed
-// ('dcT3') requests are dispatched to per-request goroutines and may be
-// answered out of order; ServeConn does not return until every dispatched
-// request has finished.
+// Every admitted request is served by its own worker, so pipelined
+// requests may be answered out of order; the workers are bounded by
+// admission (AdmissionConfig.MaxInflight), and ServeConn does not return
+// until every one of them has finished.
 func (s *Server) ServeConn(conn io.ReadWriter) error {
 	m := s.connMetrics()
 	videos, _, adm := s.serveState()
@@ -454,11 +447,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		}
 		m.reqCtr.Inc()
 		m.wReqCtr.Inc()
-		if req.Mux {
-			m.inCtr.Add(muxReqFrameBytes)
-		} else {
-			m.inCtr.Add(req.TC.frameBytes())
-		}
+		m.inCtr.Add(reqFrameBytes)
 		release, hint, ok := gate.admit(req.Op)
 		if !ok {
 			m.shedCtr.Inc()
@@ -469,35 +458,27 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			}
 			continue
 		}
-		if req.Mux {
-			wg.Add(1)
-			go s.serveMux(cw, m, adm, req, &wg, release)
-			continue
-		}
-		err = s.handle(cw, m, adm, req)
-		release()
-		if err != nil {
-			return err
-		}
+		wg.Add(1)
+		go s.serveRequest(cw, m, adm, req, &wg, release)
 	}
 }
 
-// serveMux is the per-request goroutine body for multiplexed dispatch:
-// it serves one admitted request, then releases its admission slot and
-// joins the connection's WaitGroup. The goleak analyzer resolves this
-// named method through the package dataflow summaries and verifies the
-// completion signal lives here, in the body, not at the launch site.
-func (s *Server) serveMux(cw *connWriter, m *connMetrics, adm *admission, req wireRequest, wg *sync.WaitGroup, release func()) {
+// serveRequest is the per-request worker: it serves one admitted request,
+// then releases its admission slot and joins the connection's WaitGroup.
+// The goleak analyzer resolves this named method through the package
+// dataflow summaries and verifies the completion signal lives here, in
+// the body, not at the launch site.
+func (s *Server) serveRequest(cw *connWriter, m *connMetrics, adm *admission, req wireRequest, wg *sync.WaitGroup, release func()) {
 	defer wg.Done()
 	defer release()
-	//lint:allow errcheck the write error is retained in connWriter and surfaces when the read loop fails; a per-request goroutine has nowhere better to report it
 	s.handle(cw, m, adm, req)
 }
 
 // handle serves one admitted request end to end: resolve the video,
 // look up the payload, stamp the trace span, and write the response
-// through the connection's serialized writer.
-func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wireRequest) error {
+// through the connection's serialized writer. A failed write is kept by
+// the connWriter, which drops every later response on the connection.
+func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wireRequest) {
 	if s.admitHold != nil {
 		s.admitHold(req.Op)
 	}
@@ -518,9 +499,7 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		span.Set("op", opName(req.Op))
 		span.Set("arg", req.Arg)
 		span.Set("attempt", int(req.TC.Attempt))
-		if req.Mux {
-			span.Set("video", req.Video)
-		}
+		span.Set("video", req.Video)
 	}
 	videos, directory, _ := s.serveState()
 	// Every servable payload is non-empty, so a nil payload after the
@@ -569,10 +548,7 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		span.End()
 		s.Obs.RecordTrace(span)
 	}
-	if err != nil {
-		return err
-	}
-	if s.Obs != nil {
+	if err == nil && s.Obs != nil {
 		elapsed := time.Since(t0).Seconds()
 		h, ok := m.opHists[req.Op]
 		if !ok {
@@ -582,21 +558,13 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		// Missing map entry (unknown op) yields a nil no-op handle.
 		m.opWHists[req.Op].Observe(elapsed)
 	}
-	return nil
 }
 
-// respond writes one response in the framing the request arrived in and
-// returns the bytes it put on the wire (header plus payload).
+// respond writes one response and returns the bytes it put on the wire
+// (header plus payload).
 func (s *Server) respond(cw *connWriter, m *connMetrics, req wireRequest, status byte, payload []byte) (int, error) {
-	var n int
-	var err error
-	if req.Mux {
-		n = muxRespFrameBytes + len(payload)
-		err = cw.write(func(w io.Writer) error { return writeResponseMux(w, req.ID, status, payload) })
-	} else {
-		n = respFrameBytes + len(payload)
-		err = cw.write(func(w io.Writer) error { return writeResponse(w, status, payload) })
-	}
+	n := respFrameBytes + len(payload)
+	err := cw.write(func(w io.Writer) error { return writeResponse(w, req.ID, status, payload) })
 	if err == nil {
 		m.outCtr.Add(int64(n))
 	}

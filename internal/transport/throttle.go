@@ -8,7 +8,7 @@ import (
 
 // ThrottledConn wraps a connection (or any ReadWriter) with a token-bucket
 // rate limit on reads, emulating a constrained downlink. Writes (requests)
-// pass through unthrottled — request frames are 9 bytes and real uplinks
+// pass through unthrottled — request frames are 34 bytes and real uplinks
 // are not the bottleneck dcSR addresses.
 type ThrottledConn struct {
 	inner io.ReadWriter

@@ -1,8 +1,7 @@
-// Tests for wire-level trace propagation: frame compatibility across
-// protocol generations, fault behaviour of the traced frame, retry
-// attribution, and the end-to-end client → server → /debug/trace?id=
-// path. Everything here is meaningful under -race (the documented
-// invocation for the interop suite is `go test -race`).
+// Tests for wire-level trace propagation: fault behaviour of a request
+// cut inside the trace fields, retry attribution, and the end-to-end
+// client → server → /debug/trace?id= path over both wire backends.
+// Everything here is meaningful under -race.
 package transport
 
 import (
@@ -13,12 +12,13 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
+	"dcsr/internal/codec"
 	"dcsr/internal/faultnet"
 	"dcsr/internal/obs"
+	"dcsr/internal/stream"
 )
 
 // waitTraceLen waits for the server's trace buffer to hold at least
@@ -37,158 +37,24 @@ func waitTraceLen(t *testing.T, b *obs.TraceBuffer, want int) {
 	t.Fatalf("trace buffer has %d spans, want at least %d", b.Len(), want)
 }
 
-// TestWireTraceFraming round-trips a traced frame and pins the
-// compatibility contract at the byte level: a plain 'dcT1' frame parses
-// as "no trace" and a traced 'dcT2' frame yields its context back.
-func TestWireTraceFraming(t *testing.T) {
-	var buf lockedBuf
-	want := TraceContext{TraceID: 0xdeadbeef, SpanID: 0x1234, Attempt: 3}
-	if err := writeRequestTraced(&buf, OpModel, 7, want); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(buf.String()); n != tracedReqFrameBytes {
-		t.Fatalf("traced frame is %d bytes, want %d", n, tracedReqFrameBytes)
-	}
-	req, err := readRequest(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != OpModel || req.Arg != 7 || req.TC != want {
-		t.Fatalf("round trip gave op=%d arg=%d tc=%+v", req.Op, req.Arg, req.TC)
-	}
-	if req.TC.frameBytes() != tracedReqFrameBytes {
-		t.Errorf("frameBytes = %d", req.TC.frameBytes())
-	}
-	if (TraceContext{}).frameBytes() != reqFrameBytes {
-		t.Errorf("zero frameBytes = %d", TraceContext{}.frameBytes())
-	}
-
-	// A traced frame cut inside the trace context is a broken
-	// connection (io.ErrUnexpectedEOF), not a parse of garbage.
-	cut := buf.String()[:reqFrameBytes+4]
-	if _, err := readRequest(strings.NewReader(cut)); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("cut trace context gave %v, want io.ErrUnexpectedEOF", err)
+// firstSegmentRequest returns a faultnet Decide hook that applies kind to the
+// first OpSegment request it sees and lets everything else through.
+func firstSegmentRequest(kind faultnet.Kind) func(int, []byte) faultnet.Kind {
+	done := false
+	return func(_ int, frame []byte) faultnet.Kind {
+		if op, _, ok := PeekRequest(frame); ok && op == OpSegment && !done {
+			done = true
+			return kind
+		}
+		return faultnet.KindNone
 	}
 }
 
-// TestWireTraceCompatOldClientNewServer drives a current server with
-// hand-written 'dcT1' frames — what an old client emits — and asserts
-// the requests are served normally with no trace recorded.
-func TestWireTraceCompatOldClientNewServer(t *testing.T) {
-	prep, _ := getFixture(t)
-	srv, err := NewServer(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := obs.New()
-	srv.Obs = so
-	cconn, sconn := net.Pipe()
-	defer cconn.Close()
-	go func() { _ = srv.ServeConn(sconn) }()
-
-	for _, req := range []struct {
-		op  byte
-		arg uint32
-	}{{OpManifest, 0}, {OpSegment, 0}} {
-		if err := writeRequest(cconn, req.op, req.arg); err != nil {
-			t.Fatal(err)
-		}
-		status, payload, err := readResponse(cconn)
-		if err != nil || status != StatusOK || len(payload) == 0 {
-			t.Fatalf("op %d: status=%d err=%v", req.op, status, err)
-		}
-	}
-	if n := so.TraceBuf.Len(); n != 0 {
-		t.Errorf("untraced requests recorded %d server spans, want 0", n)
-	}
-	// The new server's manifest advertises the capability old clients
-	// simply ignore.
-	wm, err := DecodeWireManifest(srv.videos[0].manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !wm.Trace {
-		t.Error("server manifest does not advertise trace support")
-	}
-}
-
-// serveOldWire is a server from before the traced frame existed: it
-// understands exactly 9-byte 'dcT1' frames and fails the test if
-// anything else arrives.
-func serveOldWire(t *testing.T, conn net.Conn, manifest, segment []byte) {
-	for {
-		var buf [reqFrameBytes]byte
-		if _, err := io.ReadFull(conn, buf[:]); err != nil {
-			return
-		}
-		if [4]byte(buf[:4]) != protoMagic {
-			t.Errorf("old server received frame with magic %x — a new client must stay on dcT1", buf[:4])
-			return
-		}
-		var payload []byte
-		switch buf[4] {
-		case OpManifest:
-			payload = manifest
-		case OpSegment:
-			payload = segment
-		}
-		if err := writeResponse(conn, StatusOK, payload); err != nil {
-			return
-		}
-	}
-}
-
-// TestWireTraceCompatNewClientOldServer runs a current client — with an
-// active trace span — against a pre-trace server and asserts the client
-// never emits a traced frame, because the old manifest carries no
-// capability flag.
-func TestWireTraceCompatNewClientOldServer(t *testing.T) {
-	prep, _ := getFixture(t)
-	srv, err := NewServer(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm, err := DecodeWireManifest(srv.videos[0].manifest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wm.Trace = false // what an old server serves
-	wm.Mux = false
-	oldManifest, err := json.Marshal(wm)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cconn, sconn := net.Pipe()
-	defer cconn.Close()
-	defer sconn.Close()
-	go serveOldWire(t, sconn, oldManifest, srv.videos[0].segments[0])
-
-	co := obs.New()
-	client := NewClient(cconn)
-	client.Obs = co
-	ctx := obs.WithSpan(context.Background(), co.Start("session")) // active trace, but no wire capability
-	got, err := client.ManifestCtx(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace || client.TraceWire {
-		t.Fatal("client negotiated tracing against an old server")
-	}
-	if _, err := client.SegmentCtx(ctx, 0); err != nil {
-		t.Fatalf("segment fetch over plain frames: %v", err)
-	}
-	if client.BytesUp != 2*reqFrameBytes {
-		t.Errorf("BytesUp = %d, want %d (two plain frames)", client.BytesUp, 2*reqFrameBytes)
-	}
-}
-
-// TestTruncatedTraceHeaderIsBrokenConn injects a request-side truncation
-// that cuts the frame inside the new trace-context bytes and asserts
-// both sides take the pre-existing broken-connection path — the client
-// reconnects and retries, the server sees io.ErrUnexpectedEOF — with no
-// new failure mode.
-func TestTruncatedTraceHeaderIsBrokenConn(t *testing.T) {
+// TestTruncatedRequestIsBrokenConn injects a request-side truncation that
+// cuts the frame inside the trace-context bytes and asserts both sides
+// take the ordinary broken-connection path: the client reconnects and
+// retries, the server sees io.ErrUnexpectedEOF.
+func TestTruncatedRequestIsBrokenConn(t *testing.T) {
 	prep, _ := getFixture(t)
 	srv, err := NewServer(prep)
 	if err != nil {
@@ -197,18 +63,10 @@ func TestTruncatedTraceHeaderIsBrokenConn(t *testing.T) {
 	so := obs.New()
 	srv.Obs = so
 
-	cut := true
 	inj := faultnet.New(faultnet.Config{
-		// 21 bytes: the full legacy header, the trace ID, plus 4 bytes
-		// of span ID — the cut lands inside the trace-context fields.
-		TruncateAfter: reqFrameBytes + 12,
-		Decide: func(_ int, frame []byte) faultnet.Kind {
-			if len(frame) == tracedReqFrameBytes && frame[4] == OpSegment && cut {
-				cut = false
-				return faultnet.KindTruncateRequest
-			}
-			return faultnet.KindNone
-		},
+		// 21 bytes: everything up to the trace ID plus 4 of its 8 bytes.
+		TruncateAfter: 21,
+		Decide:        firstSegmentRequest(faultnet.KindTruncateRequest),
 	})
 
 	srvErrs := make(chan error, 8)
@@ -234,12 +92,6 @@ func TestTruncatedTraceHeaderIsBrokenConn(t *testing.T) {
 	client.Obs = co
 	client.Redial = dial
 	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
-	if _, err := client.ManifestCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !client.TraceWire {
-		t.Fatal("capability not negotiated")
-	}
 	if _, err := client.SegmentCtx(obs.WithSpan(context.Background(), co.Start("fetch")), 0); err != nil {
 		t.Fatalf("segment fetch did not survive the truncated frame: %v", err)
 	}
@@ -277,16 +129,7 @@ func TestRetryAttribution(t *testing.T) {
 	so := obs.New()
 	srv.Obs = so
 
-	drop := true
-	inj := faultnet.New(faultnet.Config{
-		Decide: func(_ int, frame []byte) faultnet.Kind {
-			if len(frame) == tracedReqFrameBytes && frame[4] == OpSegment && drop {
-				drop = false
-				return faultnet.KindDropRequest
-			}
-			return faultnet.KindNone
-		},
-	})
+	inj := faultnet.New(faultnet.Config{Decide: firstSegmentRequest(faultnet.KindDropRequest)})
 	d := &pipeDialer{t: t, srv: srv, inj: inj}
 	defer d.cleanup()
 	conn, err := d.dial()
@@ -298,7 +141,6 @@ func TestRetryAttribution(t *testing.T) {
 	client.Obs = co
 	client.Redial = d.dial
 	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
-	client.TraceWire = true // capability pinned out of band; the manifest path has its own test
 	root := co.Start("fetch_segment")
 	if _, err := client.SegmentCtx(obs.WithSpan(context.Background(), root), 0); err != nil {
 		t.Fatal(err)
@@ -338,11 +180,35 @@ func TestRetryAttribution(t *testing.T) {
 }
 
 // TestServerSpanBytesOut pins the server span's bytes_out attribute to
-// the framing actually written: for a traced classic request and for a
-// mux-framed one alike, it equals what the client counted coming down.
+// the framing actually written: on either client it equals what the
+// client counted coming down for that request.
 func TestServerSpanBytesOut(t *testing.T) {
 	prep, _ := getFixture(t)
-	for _, muxWire := range []bool{false, true} {
+	for _, row := range []struct {
+		name string
+		// fetch requests segment 0 under ctx and returns the bytes the
+		// client counted down for that one exchange.
+		fetch func(t *testing.T, ctx context.Context, conn io.ReadWriter) int64
+	}{
+		{"sequential", func(t *testing.T, ctx context.Context, conn io.ReadWriter) int64 {
+			client := NewClient(conn)
+			if _, err := client.SegmentCtx(ctx, 0); err != nil {
+				t.Fatal(err)
+			}
+			return int64(client.BytesDown)
+		}},
+		{"mux", func(t *testing.T, ctx context.Context, conn io.ReadWriter) int64 {
+			mux, err := DialMux(func() (io.ReadWriter, error) { return conn, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := mux.Stats().BytesDown
+			if _, err := mux.Video(0).Fetch(ctx, stream.KindSegment, 0); err != nil {
+				t.Fatal(err)
+			}
+			return mux.Stats().BytesDown - before
+		}},
+	} {
 		srv, err := NewServer(prep)
 		if err != nil {
 			t.Fatal(err)
@@ -351,121 +217,151 @@ func TestServerSpanBytesOut(t *testing.T) {
 		srv.Obs = so
 		cconn, sconn := net.Pipe()
 		go func() { _ = srv.ServeConn(sconn) }()
-		co := obs.New()
-		client := NewClient(cconn)
-		client.TraceWire, client.MuxWire = true, muxWire
-		root := co.Start("fetch")
-		if _, err := client.SegmentCtx(obs.WithSpan(context.Background(), root), 0); err != nil {
-			t.Fatal(err)
-		}
+		root := obs.New().Start("fetch")
+		down := row.fetch(t, obs.WithSpan(context.Background(), root), cconn)
 		waitTraceLen(t, so.TraceBuf, 1)
 		spans := so.TraceBuf.Trace(root.TraceID())
 		if len(spans) != 1 {
-			t.Fatalf("mux=%v: server recorded %d spans, want 1", muxWire, len(spans))
+			t.Fatalf("%s: server recorded %d spans, want 1", row.name, len(spans))
 		}
-		if got, want := fmt.Sprint(spans[0].Attrs["bytes_out"]), fmt.Sprint(client.BytesDown); got != want {
-			t.Errorf("mux=%v: server span bytes_out = %s, client received %s bytes", muxWire, got, want)
+		if got, want := fmt.Sprint(spans[0].Attrs["bytes_out"]), fmt.Sprint(down); got != want {
+			t.Errorf("%s: server span bytes_out = %s, client received %s bytes", row.name, got, want)
 		}
 		cconn.Close()
 		sconn.Close()
 	}
 }
 
-// TestEndToEndTraceRetrievable is the acceptance-criteria test: a full
-// playback through faultnet (one dropped response forcing retry +
-// redial), after which the trace ID recorded on the client side is
-// retrievable from the server's /debug/trace?id= endpoint with every
-// server span correctly parented to a client attempt span.
+// TestEndToEndTraceRetrievable is the acceptance-criteria test, over both
+// wire backends: a full playback through faultnet (one dropped response
+// forcing retry + redial), after which the trace ID recorded on the
+// client side is retrievable from the server's /debug/trace?id= endpoint
+// with every server span — the manifest's included — correctly parented
+// to a client attempt span.
 func TestEndToEndTraceRetrievable(t *testing.T) {
 	prep, _ := getFixture(t)
-	srv, err := NewServer(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := obs.New()
-	srv.Obs = so
-
-	dropped := false
-	inj := faultnet.New(faultnet.Config{
-		Decide: func(_ int, frame []byte) faultnet.Kind {
-			if len(frame) == tracedReqFrameBytes && frame[4] == OpSegment && !dropped {
-				dropped = true
-				return faultnet.KindDrop // response lost after the server served it
+	retry := RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
+	for _, row := range []struct {
+		name string
+		play func(t *testing.T, d *pipeDialer, co *obs.Obs)
+	}{
+		{"sequential", func(t *testing.T, d *pipeDialer, co *obs.Obs) {
+			conn, err := d.dial()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return faultnet.KindNone
-		},
-	})
-	d := &pipeDialer{t: t, srv: srv, inj: inj}
-	defer d.cleanup()
-	conn, err := d.dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := obs.New()
-	client := NewClient(conn)
-	client.Obs = co
-	client.Redial = d.dial
-	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
-	if _, _, err := client.PlayCtx(context.Background(), true); err != nil {
-		t.Fatal(err)
-	}
+			client := NewClient(conn)
+			client.Obs, client.Redial, client.Retry = co, d.dial, retry
+			if _, _, err := client.PlayCtx(context.Background(), true); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"mux", func(t *testing.T, d *pipeDialer, co *obs.Obs) {
+			mux, err := DialMux(d.dial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mux.Close()
+			mux.Obs, mux.Retry = co, retry
+			root := co.Start("client_play")
+			defer root.End()
+			ctx := obs.WithSpan(context.Background(), root)
+			data, err := mux.Do(ctx, OpManifest, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wm, err := DecodeWireManifest(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, mux.Video(0), stream.Options{
+				Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta, Obs: co,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Trace = root
+			if _, _, err := sess.Play(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv, err := NewServer(prep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			so := obs.New()
+			srv.Obs = so
+			// The response is lost after the server served it.
+			inj := faultnet.New(faultnet.Config{Decide: firstSegmentRequest(faultnet.KindDrop)})
+			d := &pipeDialer{t: t, srv: srv, inj: inj}
+			defer d.cleanup()
+			co := obs.New()
+			row.play(t, d, co)
 
-	traces := co.Trace.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("client recorded %d traces, want 1", len(traces))
-	}
-	session := traces[0]
-	if session.TraceID == "" {
-		t.Fatal("client session trace has no ID")
-	}
-	clientSpanIDs := map[string]bool{}
-	var collect func(obs.SpanJSON)
-	collect = func(s obs.SpanJSON) {
-		clientSpanIDs[s.SpanID] = true
-		for _, c := range s.Children {
-			collect(c)
-		}
-	}
-	collect(session)
+			traces := co.Trace.Traces()
+			if len(traces) != 1 {
+				t.Fatalf("client recorded %d traces, want 1", len(traces))
+			}
+			session := traces[0]
+			if session.TraceID == "" {
+				t.Fatal("client session trace has no ID")
+			}
+			clientSpanIDs := map[string]bool{}
+			var collect func(obs.SpanJSON)
+			collect = func(s obs.SpanJSON) {
+				clientSpanIDs[s.SpanID] = true
+				for _, c := range s.Children {
+					collect(c)
+				}
+			}
+			collect(session)
 
-	// The client-recorded trace ID, queried against the *server's*
-	// debug endpoint over HTTP — the cross-process lookup an operator
-	// performs.
-	waitTraceLen(t, so.TraceBuf, len(prep.Segments))
-	rec := httptest.NewRecorder()
-	so.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?id="+session.TraceID, nil))
-	if rec.Code != 200 {
-		t.Fatalf("/debug/trace?id= returned %d: %s", rec.Code, rec.Body.String())
-	}
-	var serverSpans []obs.SpanJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &serverSpans); err != nil {
-		t.Fatal(err)
-	}
-	// Every traced request lands one server span: each segment, each
-	// model download, plus the extra serve of the dropped response.
-	if len(serverSpans) < len(prep.Segments) {
-		t.Fatalf("server retained %d spans, want at least %d", len(serverSpans), len(prep.Segments))
-	}
-	for _, sp := range serverSpans {
-		if sp.TraceID != session.TraceID {
-			t.Errorf("server span %q in trace %q, want %q", sp.Name, sp.TraceID, session.TraceID)
-		}
-		if !clientSpanIDs[sp.ParentID] {
-			t.Errorf("server span %q parent %q is not a client span", sp.Name, sp.ParentID)
-		}
-		if sp.InFlight {
-			t.Errorf("server span %q still in flight", sp.Name)
-		}
-	}
-	// The retried exchange is attributable: some server span carries a
-	// non-zero attempt number.
-	var retried bool
-	for _, sp := range serverSpans {
-		if a, ok := sp.Attrs["attempt"].(float64); ok && a > 0 {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Error("no server span carries a retry attempt number")
+			// The client-recorded trace ID, queried against the *server's*
+			// debug endpoint over HTTP — the cross-process lookup an operator
+			// performs. Every request of the session lands one server span:
+			// the manifest, each segment, each model download, plus the extra
+			// serve of the dropped response.
+			waitTraceLen(t, so.TraceBuf, 1+len(prep.Segments))
+			rec := httptest.NewRecorder()
+			so.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?id="+session.TraceID, nil))
+			if rec.Code != 200 {
+				t.Fatalf("/debug/trace?id= returned %d: %s", rec.Code, rec.Body.String())
+			}
+			var serverSpans []obs.SpanJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &serverSpans); err != nil {
+				t.Fatal(err)
+			}
+			if len(serverSpans) < 1+len(prep.Segments) {
+				t.Fatalf("server retained %d spans, want at least %d", len(serverSpans), 1+len(prep.Segments))
+			}
+			// The retried exchange is attributable: some server span carries
+			// a non-zero attempt number.
+			var retried, manifest bool
+			for _, sp := range serverSpans {
+				if sp.TraceID != session.TraceID {
+					t.Errorf("server span %q in trace %q, want %q", sp.Name, sp.TraceID, session.TraceID)
+				}
+				if !clientSpanIDs[sp.ParentID] {
+					t.Errorf("server span %q parent %q is not a client span", sp.Name, sp.ParentID)
+				}
+				if sp.InFlight {
+					t.Errorf("server span %q still in flight", sp.Name)
+				}
+				if a, ok := sp.Attrs["attempt"].(float64); ok && a > 0 {
+					retried = true
+				}
+				if sp.Name == "server.manifest" {
+					manifest = true
+				}
+			}
+			if !retried {
+				t.Error("no server span carries a retry attempt number")
+			}
+			if !manifest {
+				t.Error("the session's manifest request left no server span")
+			}
+		})
 	}
 }

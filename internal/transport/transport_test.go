@@ -47,43 +47,6 @@ func getFixture(t testing.TB) (*core.Prepared, []*video.YUV) {
 	return fixture.prep, fixture.frames
 }
 
-func TestRequestResponseFraming(t *testing.T) {
-	var buf strings.Builder
-	if err := writeRequest(&buf, OpSegment, 42); err != nil {
-		t.Fatal(err)
-	}
-	req, err := readRequest(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != OpSegment || req.Arg != 42 {
-		t.Fatalf("round trip gave op=%d arg=%d", req.Op, req.Arg)
-	}
-	if req.TC != (TraceContext{}) {
-		t.Fatalf("plain frame parsed with trace context %+v", req.TC)
-	}
-	if req.Mux || req.Video != 0 || req.ID != 0 {
-		t.Fatalf("plain frame parsed with mux fields %+v", req)
-	}
-	if _, err := readRequest(strings.NewReader("XXXXYYYYY")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := readRequest(strings.NewReader("")); err != io.EOF {
-		t.Fatalf("empty stream: want io.EOF, got %v", err)
-	}
-}
-
-func TestResponsePayloadBound(t *testing.T) {
-	// A response header claiming a gigantic payload must be rejected
-	// before allocation.
-	var b strings.Builder
-	b.WriteByte(StatusOK)
-	b.WriteString("\xff\xff\xff\xff")
-	if _, _, err := readResponse(strings.NewReader(b.String())); err == nil {
-		t.Fatal("oversized response accepted")
-	}
-}
-
 func TestServeOverPipe(t *testing.T) {
 	prep, frames := getFixture(t)
 	srv, err := NewServer(prep)

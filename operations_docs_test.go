@@ -2,7 +2,6 @@ package dcsr_test
 
 import (
 	"context"
-	"encoding/binary"
 	"io"
 	"net"
 	"sort"
@@ -140,14 +139,12 @@ func TestOperationsDocMetrics(t *testing.T) {
 	inj := faultnet.New(faultnet.Config{
 		Delay: 300 * time.Millisecond,
 		Decide: func(i int, frame []byte) faultnet.Kind {
-			if len(frame) >= 9 {
-				switch frame[4] {
-				case transport.OpModel:
+			switch op, arg, _ := transport.PeekRequest(frame); op {
+			case transport.OpModel:
+				return faultnet.KindDrop
+			case transport.OpModelDelta:
+				if arg == uint32(dropLabel) {
 					return faultnet.KindDrop
-				case transport.OpModelDelta:
-					if binary.BigEndian.Uint32(frame[5:9]) == uint32(dropLabel) {
-						return faultnet.KindDrop
-					}
 				}
 			}
 			if i == 1 {
@@ -190,18 +187,14 @@ func TestOperationsDocMetrics(t *testing.T) {
 		t.Fatal("fetching segment 9999 succeeded")
 	}
 	// Unknown opcode → transport_unknown_seconds on the server.
-	rawConn, err := net.Dial("tcp", l.Addr().String())
+	mux, err := transport.DialMux(func() (io.ReadWriter, error) { return net.Dial("tcp", l.Addr().String()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rawConn.Write([]byte{'d', 'c', 'T', '1', 9, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
+	if _, err := mux.Do(context.Background(), 9, 0, 0); err == nil {
+		t.Fatal("opcode 9 was served")
 	}
-	var resp [5]byte
-	if _, err := rawConn.Read(resp[:]); err != nil {
-		t.Fatal(err)
-	}
-	rawConn.Close()
+	mux.Close()
 
 	// Admission shed: a server whose per-connection token bucket holds a
 	// single token sheds the second request with a typed retry-after,
