@@ -28,9 +28,16 @@ GO ?= go
 # for videos without a backbone, corruption falling back gracefully. The
 # bench/ module is nested (its own go.mod), so root ./... never sees it:
 # vet and its -tiny test run (~4 s) are invoked with -C, which is what
-# catches an API break in bench/adapter.go before the pipeline does.
+# catches an API break in bench/adapter.go before the pipeline does. The
+# purego block keeps the kernel fallback from rotting: on an AVX2 host
+# the portable Go kernels otherwise run only where a test switches the
+# assembly off, so vet and the three kernel-bearing packages run once
+# with the assembly compiled out, and the arm64 cross-build (offline —
+# pure Go) proves the tree builds where the .s files do not apply.
 verify: build vet lint fuzz-smoke
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr
+	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -run 'TestFixtures/(lockorder|lostcancel|atomicfield|errcmp|timerleak)' -v ./internal/lint/
 	$(GO) test -race -run 'TestRunnerDeterministic|TestRunnerCache' -v ./internal/lint/
 	$(GO) test -run 'TestPrepareGoldenEquivalence' -v ./internal/core/
@@ -65,12 +72,15 @@ lint-cold:
 test:
 	$(GO) test ./...
 
-# A few seconds of native fuzzing per wire parser (go test accepts one
-# -fuzz target per run). A crasher is written under
-# internal/transport/testdata/fuzz/ — commit it as a seed with the fix.
+# A few seconds of native fuzzing per wire parser and per kernel
+# differential (assembly vs portable vs reference, bit for bit; go test
+# accepts one -fuzz target per run). A crasher is written under the
+# package's testdata/fuzz/ — commit it as a seed with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 5s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime 5s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 5s
+	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernels$$' -fuzztime 5s
 
 # Perf-trajectory benchmarks: the tensor kernels, the alloc-free
 # Enhance path, and the paper's Fig 8 FPS sweep, all with allocation

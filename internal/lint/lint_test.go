@@ -294,3 +294,18 @@ func TestDocMetricNames(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadHonorsBuildConstraints pins the loader against the tensor
+// package, whose kernel dispatch is declared twice under complementary
+// build constraints: loading both twins would type-check as a pile of
+// redeclarations and silently weaken every analyzer there.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	m := newTestModule(t)
+	pkg, err := m.PackageByDir(filepath.Join(m.Root, "internal", "tensor"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range pkg.TypeErrors {
+		t.Errorf("type error: %v", e)
+	}
+}

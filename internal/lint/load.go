@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -220,6 +221,12 @@ func (m *Module) load(path string) (*Package, error) {
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Files excluded by a build constraint (a _GOARCH suffix or a
+		// //go:build line, e.g. the tensor package's per-architecture
+		// kernel dispatch) would redeclare what their twins declare.
+		if match, err := build.Default.MatchFile(dir, name); err == nil && !match {
 			continue
 		}
 		full := filepath.Join(dir, name)

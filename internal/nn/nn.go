@@ -214,10 +214,18 @@ func (b *ResBlock) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	h := b.Conv1.ForwardInferenceReLU(x)
 	h = b.Conv2.ForwardInference(h)
 	b.out = tensor.Ensure(b.out, x.Shape...)
-	for i, v := range h.Data {
-		b.out.Data[i] = x.Data[i] + b.ResScale*v
-	}
+	addScaled(b.out.Data, x.Data, h.Data, b.ResScale)
 	return b.out
+}
+
+// addScaled writes out[i] = x[i] + scale*h[i]. The operands are locals
+// resliced to one length so the loop reloads nothing and checks no
+// bounds: after the SIMD kernels it is a visible share of a frame.
+func addScaled(out, x, h []float32, scale float32) {
+	out, x = out[:len(h)], x[:len(h)]
+	for i, v := range h {
+		out[i] = x[i] + scale*v
+	}
 }
 
 // Backward splits the gradient across the residual and identity paths.

@@ -145,9 +145,7 @@ func (b *ResBlock) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
 	h := b.Conv1.ForwardInferenceInt8ReLU(x)
 	h = b.Conv2.ForwardInferenceInt8(h)
 	b.out = tensor.Ensure(b.out, x.Shape...)
-	for i, v := range h.Data {
-		b.out.Data[i] = x.Data[i] + b.ResScale*v
-	}
+	addScaled(b.out.Data, x.Data, h.Data, b.ResScale)
 	return b.out
 }
 

@@ -78,3 +78,16 @@ func BenchmarkPackSectionsInt8270p(b *testing.B) {
 		packSectionsInt8(xq, 16, 270, 480, spec, 0, 16, dst, sums)
 	}
 }
+
+// BenchmarkPackRowsInt8HWC270p measures the AVX2 path's band expansion:
+// 16 input rows at the dcSR-1 body shape, pixel-major.
+func BenchmarkPackRowsInt8HWC270p(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	xq := randInt8Slice(rng, 16*270*480)
+	dst := make([]int8, 16*(480+2)*16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packRowsInt8HWC(xq, 16, 270, 480, 1, 0, 16, dst)
+	}
+}

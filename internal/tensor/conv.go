@@ -40,9 +40,24 @@ func im2colRange(x []float32, c, h, w int, spec ConvSpec, oy0, oy1 int, col []fl
 		plane := x[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
+				// At stride 1 a column row is an input row shifted by
+				// kx−p: output columns [x0, x1) copy straight across
+				// and the rest is padding.
+				x0, x1 := max(0, p-kx), min(ow, w+p-kx)
 				for oy := oy0; oy < oy1; oy++ {
 					iy := oy*s + ky - p
 					rowBase := idx + (oy-oy0)*ow
+					if s == 1 && iy >= 0 && iy < h && x0 < x1 {
+						dst := col[rowBase : rowBase+ow]
+						for j := 0; j < x0; j++ {
+							dst[j] = 0
+						}
+						copy(dst[x0:x1], plane[iy*w+x0+kx-p:])
+						for j := x1; j < ow; j++ {
+							dst[j] = 0
+						}
+						continue
+					}
 					if iy < 0 || iy >= h {
 						for ox := 0; ox < ow; ox++ {
 							col[rowBase+ox] = 0
@@ -75,12 +90,24 @@ func col2im(col []float32, c, h, w int, spec ConvSpec, x []float32) {
 		plane := x[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
+				// The stride-1 shortcut of im2colRange, transposed: the
+				// same elements in the same order, without per-element
+				// index arithmetic.
+				x0, x1 := max(0, p-kx), min(ow, w+p-kx)
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*s + ky - p
 					if iy < 0 || iy >= h {
 						continue
 					}
 					rowBase := idx + oy*ow
+					if s == 1 && x0 < x1 {
+						src := col[rowBase+x0 : rowBase+x1]
+						dst := plane[iy*w+x0+kx-p:][:len(src)]
+						for j, v := range src {
+							dst[j] += v
+						}
+						continue
+					}
 					dst := plane[iy*w : (iy+1)*w]
 					for ox := 0; ox < ow; ox++ {
 						ix := ox*s + kx - p
@@ -269,7 +296,7 @@ func Conv2DBackward(gy *Tensor, cols [][]float32, xShape []int, w, gw, gb *Tenso
 	for i := 0; i < n; i++ {
 		gyi := gy.Data[i*spec.OutC*colCols : (i+1)*spec.OutC*colCols]
 		// gw[oc][r] += Σ_j gy[oc][j] * col[r][j]
-		convGradWeights(gyi, cols[i], gwTmp, spec.OutC, colRows, colCols)
+		matmulBT(gyi, cols[i], gwTmp, spec.OutC, colCols, colRows)
 		for j, v := range gwTmp {
 			gw.Data[j] += v
 		}
@@ -292,10 +319,49 @@ func Conv2DBackward(gy *Tensor, cols [][]float32, xShape []int, w, gw, gb *Tenso
 	return gx
 }
 
-// convGradWeights computes gw[oc][r] = Σ_j gy[oc][j] * col[r][j],
-// i.e. gw = gy(OutC×colCols) * colᵀ, parallelized over output channels.
-func convGradWeights(gy, col, gw []float32, outC, colRows, colCols int) {
-	parallelFor(outC, func(lo, hi int) {
-		gemmBTRows(gy, col, gw, lo, hi, colCols, colRows)
+// matmulBT computes out(m×k) = a(m×n) * bᵀ where b is (k×n):
+// out[i][r] = Σ_j a[i][j] * b[r][j], parallelized over rows of out.
+func matmulBT(a, b, out []float32, m, n, k int) {
+	if useAVX2 && m >= btMinRows && n > 0 && k > 0 {
+		matmulBTTiles(a, b, out, m, n, k)
+		return
+	}
+	parallelFor(m, func(lo, hi int) {
+		gemmBTRows(a, b, out, lo, hi, n, k)
 	})
+}
+
+// btMinRows is the fewest rows of a for which matmulBT takes the tile:
+// its lanes run across those rows, and below half a vector the portable
+// dot-product loop is as fast.
+const btMinRows = 8
+
+// matmulBTTiles is matmulBT on the AVX2 tile. Both operands are
+// contiguous along the reduction axis, and lanes placed along it would
+// need a horizontal sum that reorders each element's additions. So the
+// smaller operand is transposed instead: outᵀ(k×m) = b(k×n) * aᵀ(n×m)
+// is gemmRows' shape, with lanes across the m rows of a and every
+// element still summed over ascending j from zero. For the conv weight
+// gradient (m = OutC) the two transposes are under 1 % of the product.
+func matmulBTTiles(a, b, out []float32, m, n, k int) {
+	atBuf, otBuf := getScratch(n*m), getScratch(k*m)
+	at, ot := *atBuf, *otBuf
+	transpose(a, at, m, n)
+	parallelFor(k, func(lo, hi int) {
+		gemmRows(b, at, ot, lo, hi, n, m, m, nil, false)
+	})
+	transpose(ot, out, k, m)
+	putScratch(otBuf)
+	putScratch(atBuf)
+}
+
+// transpose writes the (rows×cols) matrix src into dst as (cols×rows).
+func transpose(src, dst []float32, rows, cols int) {
+	for r := 0; r < rows; r++ {
+		di := r
+		for _, v := range src[r*cols : (r+1)*cols] {
+			dst[di] = v
+			di += rows
+		}
+	}
 }

@@ -188,7 +188,8 @@ func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float
 	gs := packedGroups(secLen)
 	g := spec.K * gs
 	// A band of `band` output rows needs (band−1)·stride + K input rows
-	// of sections, each ow·(gs+1) words including the sums.
+	// of sections, each ow·(gs+1) words including the sums. (The AVX2
+	// path's pixel-major rows are smaller; it keeps the same bands.)
 	band := 1
 	if rmax := bandInt8Budget / (ow * (gs + 1)); rmax > spec.K {
 		band = (rmax-spec.K)/spec.Stride + 1
@@ -197,6 +198,26 @@ func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float
 		band = oh
 	}
 	numBands := (oh + band - 1) / band
+	a := convInt8Args{
+		xq: xq, scales: scales, bias: bias, out: out.Data,
+		c: c, h: h, wd: wd, spec: spec, relu: relu,
+		oh: oh, ow: ow, band: band, g: g, gs: gs, numBands: numBands,
+	}
+	if swarGroup*g > swarMaxK {
+		panic("tensor: int8 GEMM reduction too large")
+	}
+	if useAVX2 {
+		a.chunks = (secLen + int8Chunk - 1) / int8Chunk
+		nb4 := (spec.OutC + 3) / 4
+		wBuf := getScratchInt8(nb4 * spec.K * a.chunks * 4 * int8Chunk * 2)
+		sbBuf := getScratch(nb4 * 8)
+		a.w16, a.sb = *wBuf, *sbBuf
+		packWeightsInt8AVX2(wq, scales, bias, c, spec, a.chunks, a.w16, a.sb)
+		runConvInt8(a, n)
+		putScratch(sbBuf)
+		putScratchInt8(wBuf)
+		return out
+	}
 	// Permute each weight row from the storage order ch → ky → kx to the
 	// section order ky → ch → kx, then pack once per call into the
 	// blocked-interleaved layout shared by every band and batch element:
@@ -219,38 +240,37 @@ func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float
 		}
 	}
 	wBuf := getScratchUint64(spec.OutC*g + spec.OutC)
-	wp := (*wBuf)[:spec.OutC*g]
-	wsum := (*wBuf)[spec.OutC*g:]
-	packInt8RowsBlocked(perm, spec.OutC, secLen, spec.K, wp, wsum)
+	a.wp = (*wBuf)[:spec.OutC*g]
+	a.wsum = (*wBuf)[spec.OutC*g:]
+	packInt8RowsBlocked(perm, spec.OutC, secLen, spec.K, a.wp, a.wsum)
 	putScratchInt8(permBuf)
-	a := convInt8Args{
-		xq: xq, wp: wp, wsum: wsum, scales: scales, bias: bias, out: out.Data,
-		c: c, h: h, wd: wd, spec: spec, relu: relu,
-		oh: oh, ow: ow, band: band, g: g, gs: gs, numBands: numBands,
-	}
+	runConvInt8(a, n)
+	putScratchUint64(wBuf)
+	return out
+}
+
+// runConvInt8 executes every band of every batch element: closure-free
+// and serial at GOMAXPROCS 1 (zero heap allocations, the steady-state
+// inference contract), over the shared worker pool otherwise.
+func runConvInt8(a convInt8Args, n int) {
 	if runtime.GOMAXPROCS(0) <= 1 {
-		// Closure-free serial path: with one worker the call performs
-		// zero heap allocations (the steady-state inference contract).
 		for i := 0; i < n; i++ {
-			convInt8Bands(a, i, 0, numBands)
+			convInt8Bands(a, i, 0, a.numBands)
 		}
-		putScratchUint64(wBuf)
-		return out
+		return
 	}
 	// The closures capture a branch-local copy so `a` itself never
 	// escapes and the serial path above stays allocation-free.
 	ap := a
 	if n == 1 {
-		parallelFor(numBands, func(lo, hi int) { convInt8Bands(ap, 0, lo, hi) })
-	} else {
-		parallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				convInt8Bands(ap, i, 0, ap.numBands)
-			}
-		})
+		parallelFor(ap.numBands, func(lo, hi int) { convInt8Bands(ap, 0, lo, hi) })
+		return
 	}
-	putScratchUint64(wBuf)
-	return out
+	parallelFor(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			convInt8Bands(ap, i, 0, ap.numBands)
+		}
+	})
 }
 
 // convInt8Args carries the precomputed geometry of one Conv2DInferInt8
@@ -258,7 +278,10 @@ func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float
 // serial path allocation-free).
 type convInt8Args struct {
 	xq           []int8
-	wp, wsum     []uint64
+	wp, wsum     []uint64  // portable path: SWAR-packed weights
+	w16          []int8    // AVX2 path: widened weights (packWeightsInt8AVX2)
+	sb           []float32 // AVX2 path: per-block scales and biases
+	chunks       int       // AVX2 path: 16-byte chunks per kernel row
 	scales, bias []float32
 	out          []float32
 	c, h, wd     int
@@ -278,6 +301,10 @@ type convInt8Args struct {
 // their shared boundary sections — duplicated work, identical values,
 // so the split stays bit-deterministic.
 func convInt8Bands(a convInt8Args, i, lo, hi int) {
+	if a.w16 != nil {
+		convInt8BandsAVX2(a, i, lo, hi)
+		return
+	}
 	planeIn := a.c * a.h * a.wd
 	planeOut := a.spec.OutC * a.oh * a.ow
 	xi := a.xq[i*planeIn : (i+1)*planeIn]
@@ -338,4 +365,120 @@ func convInt8Bands(a convInt8Args, i, lo, hi int) {
 		}
 	}
 	putScratchUint64(secBuf)
+}
+
+// The AVX2 int8 path keeps the band structure but not the packing: a
+// band's input rows are laid out pixel-major (row, x, channel) with the
+// zero padding materialized, so the K·c elements kernel row ky
+// contributes to an output pixel are one contiguous run starting at
+// that pixel — adjacent pixels' runs overlap instead of being copied
+// out K times. Weights take the matching ky → kx → ch order, each
+// kernel row zero-padded to whole 16-element chunks; a chunk that
+// overhangs its run multiplies whatever bytes follow by zero, which is
+// exact in integers.
+
+// int8Chunk is how many int8 elements one VPMOVSXBW/VPMADDWD step of
+// convRowInt8AVX2 consumes.
+const int8Chunk = 16
+
+// packWeightsInt8AVX2 lays the quantized weights (OutC, InC·K·K) out
+// for convRowInt8AVX2: output channels in blocks of four (the last
+// padded with zero rows), and per block and chunk four rows of sixteen
+// little-endian int16 — stored as byte pairs in the int8 arena, which
+// only the assembly reads back. sb receives each block's four scales
+// followed by its four biases.
+func packWeightsInt8AVX2(wq []int8, scales, bias []float32, c int, spec ConvSpec, chunks int, w16 []int8, sb []float32) {
+	k := spec.K
+	clear(w16)
+	clear(sb)
+	for oc := 0; oc < spec.OutC; oc++ {
+		src := wq[oc*c*k*k : (oc+1)*c*k*k]
+		b, j := oc/4, oc%4
+		sb[b*8+j] = scales[oc]
+		if bias != nil {
+			sb[b*8+4+j] = bias[oc]
+		}
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for ch := 0; ch < c; ch++ {
+					e := kx*c + ch
+					t, l := e/int8Chunk, e%int8Chunk
+					o := ((((b*k+ky)*chunks+t)*4+j)*int8Chunk + l) * 2
+					v := src[(ch*k+ky)*k+kx]
+					w16[o], w16[o+1] = v, v>>7
+				}
+			}
+		}
+	}
+}
+
+// packRowsInt8HWC writes input rows [iy0, iy1) of the planar quantized
+// input xq (C,H,W) pixel-major into dst, each row (w+2·pad)·c bytes
+// with pad zero pixels either side; rows outside [0, h) are all zero.
+func packRowsInt8HWC(xq []int8, c, h, w, pad, iy0, iy1 int, dst []int8) {
+	rowBytes := (w + 2*pad) * c
+	for iy := iy0; iy < iy1; iy++ {
+		row := dst[(iy-iy0)*rowBytes : (iy-iy0+1)*rowBytes]
+		if iy < 0 || iy >= h {
+			clear(row)
+			continue
+		}
+		clear(row[:pad*c])
+		clear(row[(pad+w)*c:])
+		// Four channels per pass: the four bytes of a pixel land in one
+		// store-buffer line, and the loop overhead is shared.
+		ch := 0
+		for ; ch+4 <= c; ch += 4 {
+			s0 := xq[(ch*h+iy)*w : (ch*h+iy+1)*w]
+			s1 := xq[((ch+1)*h+iy)*w : ((ch+1)*h+iy+1)*w][:len(s0)]
+			s2 := xq[((ch+2)*h+iy)*w : ((ch+2)*h+iy+1)*w][:len(s0)]
+			s3 := xq[((ch+3)*h+iy)*w : ((ch+3)*h+iy+1)*w][:len(s0)]
+			d := row[pad*c+ch:]
+			for ix, v := range s0 {
+				q := (*[4]int8)(d[ix*c:])
+				q[0], q[1], q[2], q[3] = v, s1[ix], s2[ix], s3[ix]
+			}
+		}
+		for ; ch < c; ch++ {
+			src := xq[(ch*h+iy)*w : (ch*h+iy+1)*w]
+			di := pad*c + ch
+			for _, v := range src {
+				row[di] = v
+				di += c
+			}
+		}
+	}
+}
+
+// convInt8BandsAVX2 is convInt8Bands on the AVX2 path: lay the band's
+// input rows out pixel-major, then one convRowInt8AVX2 call per output
+// row computes every output channel with the requantize epilogue fused.
+func convInt8BandsAVX2(a convInt8Args, i, lo, hi int) {
+	planeIn := a.c * a.h * a.wd
+	planeOut := a.spec.OutC * a.oh * a.ow
+	xi := a.xq[i*planeIn : (i+1)*planeIn]
+	oi := a.out[i*planeOut : (i+1)*planeOut]
+	k, s, p := a.spec.K, a.spec.Stride, a.spec.Pad
+	rowBytes := (a.wd + 2*p) * a.c
+	nb4 := (a.spec.OutC + 3) / 4
+	relu := 0
+	if a.relu {
+		relu = 1
+	}
+	maxR := (a.band-1)*s + k
+	// One chunk of slack: the last pixel's last chunk may overhang.
+	rowsBuf := getScratchInt8(maxR*rowBytes + int8Chunk)
+	rows := *rowsBuf
+	for bi := lo; bi < hi; bi++ {
+		oy0 := bi * a.band
+		oy1 := min(oy0+a.band, a.oh)
+		iy0 := oy0*s - p
+		nr := (oy1-1-oy0)*s + k
+		packRowsInt8HWC(xi, a.c, a.h, a.wd, p, iy0, iy0+nr, rows[:nr*rowBytes])
+		for oy := oy0; oy < oy1; oy++ {
+			convRowInt8AVX2(&rows[(oy-oy0)*s*rowBytes], rowBytes, s*a.c, k, a.chunks,
+				&a.w16[0], &a.sb[0], nb4, &oi[oy*a.ow], a.oh*a.ow, a.ow, a.spec.OutC, relu)
+		}
+	}
+	putScratchInt8(rowsBuf)
 }

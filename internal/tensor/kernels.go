@@ -9,6 +9,12 @@ package tensor
 // run in the same order — parallel chunk boundaries and block grouping
 // change only which elements are computed together, never the order of
 // any single element's sum.
+//
+// On AVX2 hosts gemmRows and gemmTARows hand their rows to gemmTiles
+// (the assembly tile in simd_amd64.s) and matmulBT reaches it through a
+// transposed operand; the same ordering rule holds there, so both paths
+// produce the same bits and the *Go bodies below remain the portable
+// kernels and the assembly's oracle.
 
 // gemmRows computes out rows [lo, hi) of out(m×n) = a(m×k) * b(k×n),
 // where consecutive out rows are outStride apart (outStride >= n, which
@@ -18,6 +24,19 @@ package tensor
 // pass; both match a separate post-pass bitwise because they apply to
 // the completed sum.
 func gemmRows(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32, relu bool) {
+	if useAVX2 && lo < hi && k > 0 && n > 0 {
+		if bias != nil {
+			bias = bias[lo:hi]
+		}
+		gemmTiles(a[lo*k:], k, 1, b, out[lo*outStride:], hi-lo, k, n, outStride, bias, relu)
+		return
+	}
+	gemmRowsGo(a, b, out, lo, hi, k, n, outStride, bias, relu)
+}
+
+// gemmRowsGo is the portable gemmRows: the only kernel on hosts without
+// the assembly, and the oracle the assembly is tested against.
+func gemmRowsGo(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32, relu bool) {
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		o0 := out[i*outStride : i*outStride+n]
@@ -83,6 +102,17 @@ func gemmRows(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32, 
 // element reduces over i in ascending order. Blocking four out rows
 // reads each b row once per block instead of once per row.
 func gemmTARows(a, b, out []float32, lo, hi, m, k, n int) {
+	if useAVX2 && lo < hi && m > 0 && n > 0 {
+		// The same tile as gemmRows, walking a down a column: output row
+		// r reads a[i·k + r] at reduction step i.
+		gemmTiles(a[lo:], 1, k, b, out[lo*n:], hi-lo, m, n, n, nil, false)
+		return
+	}
+	gemmTARowsGo(a, b, out, lo, hi, m, k, n)
+}
+
+// gemmTARowsGo is the portable gemmTARows.
+func gemmTARowsGo(a, b, out []float32, lo, hi, m, k, n int) {
 	r := lo
 	for ; r+4 <= hi; r += 4 {
 		o0 := out[r*n : r*n+n]
@@ -161,53 +191,42 @@ func gemmBTRows(a, b, out []float32, lo, hi, n, k int) {
 	}
 }
 
-// matmulRef is the naive reference for gemmRows (no bias, no relu),
-// retained so parity tests can check the blocked kernel against an
-// implementation whose correctness is obvious by inspection.
-func matmulRef(a, b, out []float32, m, k, n int) {
-	for i := 0; i < m; i++ {
-		orow := out[i*n : (i+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for kk := 0; kk < k; kk++ {
-			av := a[i*k+kk]
-			brow := b[kk*n : (kk+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
+// gemmTiles runs the AVX2 register tile (gemmTileAVX2, four output rows
+// by sixteen columns) over rows output rows:
+//
+//	out[r·outStride + j] = Σ_kk a[r·aRow + kk·aK] · b[kk·n + j]
+//
+// for r < rows, j < n, with the optional bias (indexed by r) and ReLU
+// applied to each finished sum. gemmRows and gemmTARows are this one
+// routine with two ways of walking a.
+func gemmTiles(a []float32, aRow, aK int, b, out []float32, rows, k, n, outStride int, bias []float32, relu bool) {
+	// The assembly trusts these extents.
+	_ = a[(rows-1)*aRow+(k-1)*aK]
+	_ = b[k*n-1]
+	_ = out[(rows-1)*outStride+n-1]
+	epi := 0
+	if bias != nil || relu {
+		epi = 1 // the portable epilogue adds a zero bias under ReLU alone
+	}
+	if relu {
+		epi |= 2
+	}
+	// Column panels outermost: a panel of b (k rows of gemmPanel
+	// floats) stays in L1 while every row block sweeps it, so b streams
+	// from the next cache level once instead of once per row block.
+	var bv [4]float32
+	for j := 0; j < n; j += gemmPanel {
+		nc := min(gemmPanel, n-j)
+		for r := 0; r < rows; r += 4 {
+			nr := min(4, rows-r)
+			if bias != nil {
+				copy(bv[:], bias[r:r+nr])
 			}
+			gemmTileAVX2(&a[r*aRow], aRow, aK, &b[j], n, &out[r*outStride+j], outStride, nr, k, nc, &bv[0], epi)
 		}
 	}
 }
 
-// matmulTARef is the naive reference for gemmTARows.
-func matmulTARef(a, b, out []float32, m, k, n int) {
-	for r := 0; r < k; r++ {
-		orow := out[r*n : (r+1)*n]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for i := 0; i < m; i++ {
-			av := a[i*k+r]
-			brow := b[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// matmulBTRef is the naive reference for gemmBTRows.
-func matmulBTRef(a, b, out []float32, m, n, k int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*n : (i+1)*n]
-		for r := 0; r < k; r++ {
-			brow := b[r*n : (r+1)*n]
-			var s float32
-			for j, av := range arow {
-				s += av * brow[j]
-			}
-			out[i*k+r] = s
-		}
-	}
-}
+// gemmPanel is the column-panel width of gemmTiles, a multiple of the
+// tile's sixteen columns.
+const gemmPanel = 32

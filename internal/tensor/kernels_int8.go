@@ -269,29 +269,6 @@ func requantInt8(acc int32, scale, bias float32, relu bool) float32 {
 	return v
 }
 
-// matmulInt8Ref is the naive reference for gemmInt8Rows, operating on
-// the unpacked int8 operands with plain int32 accumulation, retained so
-// parity tests check the SWAR kernel against an implementation whose
-// correctness is obvious by inspection. It writes the full m×cols
-// output contiguously (outStride = cols, outOff = 0).
-func matmulInt8Ref(w, rec []int8, out []float32, m, k, cols int, scales, bias []float32, relu bool) {
-	for i := 0; i < m; i++ {
-		wrow := w[i*k : (i+1)*k]
-		var bi float32
-		if bias != nil {
-			bi = bias[i]
-		}
-		for j := 0; j < cols; j++ {
-			rrow := rec[j*k : (j+1)*k]
-			var acc int32
-			for kk := range rrow {
-				acc += int32(wrow[kk]) * int32(rrow[kk])
-			}
-			out[i*cols+j] = requantInt8(acc, scales[i], bi, relu)
-		}
-	}
-}
-
 // QuantizeInt8Into quantizes src into dst with the symmetric multiplier
 // inv (typically 127 / calibrated maxabs): each element is scaled,
 // rounded half-away-from-zero, and clamped to [-127, 127]. The rounding
@@ -300,6 +277,12 @@ func matmulInt8Ref(w, rec []int8, out []float32, m, k, cols int, scales, bias []
 func QuantizeInt8Into(dst []int8, src []float32, inv float32) {
 	if len(dst) != len(src) {
 		panic("tensor: QuantizeInt8Into length mismatch")
+	}
+	if n := len(src) &^ 31; useAVX2 && n > 0 {
+		// The same expression 32 lanes at a time; the loop below takes
+		// what is left.
+		quantizeInt8AVX2(&dst[0], &src[0], n, inv)
+		dst, src = dst[n:], src[n:]
 	}
 	for i, v := range src {
 		f := v * inv

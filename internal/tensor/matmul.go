@@ -10,11 +10,7 @@ func MatMulAT(a, b, out []float32, m, k, n int) { matmulTA(a, b, out, m, k, n) }
 
 // MatMulBT computes out(m×k) = a(m×n) * bᵀ where b is (k×n),
 // i.e. out[i][r] = Σ_j a[i][j] * b[r][j]. The out slice is overwritten.
-func MatMulBT(a, b, out []float32, m, n, k int) {
-	parallelFor(m, func(lo, hi int) {
-		gemmBTRows(a, b, out, lo, hi, n, k)
-	})
-}
+func MatMulBT(a, b, out []float32, m, n, k int) { matmulBT(a, b, out, m, n, k) }
 
 // ParallelFor runs fn over disjoint chunks of [0, n) on all available CPUs
 // and waits for completion. It is exported for use by other internal

@@ -84,64 +84,66 @@ func clamp8(v int32) uint8 {
 }
 
 // ToRGB converts a YUV 4:2:0 frame to RGB using BT.601 full-range
-// coefficients (the conversion the dcSR client performs before SR).
+// coefficients (the conversion the dcSR client performs before SR). It
+// walks row slices, one chroma sample per pair of pixels, with one
+// bounds check per pair and no per-pixel index arithmetic.
 func (f *YUV) ToRGB() *RGB {
 	out := NewRGB(f.W, f.H)
-	cw := f.ChromaW()
+	w, cw := f.W, f.ChromaW()
 	for y := 0; y < f.H; y++ {
-		cy := y / 2
-		for x := 0; x < f.W; x++ {
-			Y := int32(f.Y[y*f.W+x])
-			U := int32(f.U[cy*cw+x/2]) - 128
-			V := int32(f.V[cy*cw+x/2]) - 128
+		yrow := f.Y[y*w : (y+1)*w]
+		urow := f.U[(y/2)*cw : (y/2+1)*cw]
+		vrow := f.V[(y/2)*cw : (y/2+1)*cw][:len(urow)]
+		dst := out.Pix[y*w*3 : (y+1)*w*3]
+		for cx, u := range urow {
+			U := int32(u) - 128
+			V := int32(vrow[cx]) - 128
 			// Fixed-point BT.601: R = Y + 1.402 V; G = Y − 0.344 U − 0.714 V; B = Y + 1.772 U
-			r := Y + (1436*V)>>10
-			g := Y - (352*U)>>10 - (731*V)>>10
-			b := Y + (1815*U)>>10
-			i := (y*f.W + x) * 3
-			out.Pix[i] = clamp8(r)
-			out.Pix[i+1] = clamp8(g)
-			out.Pix[i+2] = clamp8(b)
+			rv := (1436 * V) >> 10
+			gu, gv := (352*U)>>10, (731*V)>>10
+			bu := (1815 * U) >> 10
+			yy, d := (*[2]uint8)(yrow[2*cx:]), (*[6]uint8)(dst[6*cx:])
+			Y0, Y1 := int32(yy[0]), int32(yy[1])
+			d[0], d[1], d[2] = clamp8(Y0+rv), clamp8(Y0-gu-gv), clamp8(Y0+bu)
+			d[3], d[4], d[5] = clamp8(Y1+rv), clamp8(Y1-gu-gv), clamp8(Y1+bu)
 		}
 	}
 	return out
 }
 
 // ToYUV converts an RGB frame to planar YUV 4:2:0 (BT.601 full range),
-// averaging each 2×2 block for the chroma planes.
+// averaging each 2×2 block for the chroma planes. One pass over pairs
+// of rows produces the block's four luma samples and its chroma sample.
 func (f *RGB) ToYUV() *YUV {
 	w, h := f.W, f.H
 	if w%2 != 0 || h%2 != 0 {
 		panic(fmt.Sprintf("video: ToYUV requires even dimensions, got %dx%d", w, h))
 	}
-	out := NewYUV(w, h)
+	// Every sample is written below, so skip NewYUV's neutral fill.
+	out := &YUV{W: w, H: h, Y: make([]uint8, w*h), U: make([]uint8, w*h/4), V: make([]uint8, w*h/4)}
 	cw := w / 2
-	// Luma.
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			i := (y*w + x) * 3
-			r, g, b := int32(f.Pix[i]), int32(f.Pix[i+1]), int32(f.Pix[i+2])
-			Y := (306*r + 601*g + 117*b) >> 10
-			out.Y[y*w+x] = clamp8(Y)
-		}
-	}
-	// Chroma, subsampled 2×2.
 	for cy := 0; cy < h/2; cy++ {
-		for cx := 0; cx < w/2; cx++ {
-			var ur, ug, ub int32
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					i := ((cy*2+dy)*w + cx*2 + dx) * 3
-					ur += int32(f.Pix[i])
-					ug += int32(f.Pix[i+1])
-					ub += int32(f.Pix[i+2])
-				}
-			}
-			ur, ug, ub = ur/4, ug/4, ub/4
-			U := ((-173*ur - 339*ug + 512*ub) >> 10) + 128
-			V := ((512*ur - 429*ug - 83*ub) >> 10) + 128
-			out.U[cy*cw+cx] = clamp8(U)
-			out.V[cy*cw+cx] = clamp8(V)
+		p0 := f.Pix[2*cy*w*3 : (2*cy+1)*w*3]
+		p1 := f.Pix[(2*cy+1)*w*3 : (2*cy+2)*w*3]
+		y0 := out.Y[2*cy*w : (2*cy+1)*w]
+		y1 := out.Y[(2*cy+1)*w : (2*cy+2)*w]
+		urow := out.U[cy*cw : (cy+1)*cw]
+		vrow := out.V[cy*cw : (cy+1)*cw][:len(urow)]
+		for cx := range urow {
+			a, b := (*[6]uint8)(p0[6*cx:]), (*[6]uint8)(p1[6*cx:])
+			r0, g0, b0 := int32(a[0]), int32(a[1]), int32(a[2])
+			r1, g1, b1 := int32(a[3]), int32(a[4]), int32(a[5])
+			r2, g2, b2 := int32(b[0]), int32(b[1]), int32(b[2])
+			r3, g3, b3 := int32(b[3]), int32(b[4]), int32(b[5])
+			// The luma weights sum to 1024, so Y needs no clamp.
+			ya, yb := (*[2]uint8)(y0[2*cx:]), (*[2]uint8)(y1[2*cx:])
+			ya[0] = uint8((306*r0 + 601*g0 + 117*b0) >> 10)
+			ya[1] = uint8((306*r1 + 601*g1 + 117*b1) >> 10)
+			yb[0] = uint8((306*r2 + 601*g2 + 117*b2) >> 10)
+			yb[1] = uint8((306*r3 + 601*g3 + 117*b3) >> 10)
+			ur, ug, ub := (r0+r1+r2+r3)/4, (g0+g1+g2+g3)/4, (b0+b1+b2+b3)/4
+			urow[cx] = clamp8(((-173*ur - 339*ug + 512*ub) >> 10) + 128)
+			vrow[cx] = clamp8(((512*ur - 429*ug - 83*ub) >> 10) + 128)
 		}
 	}
 	return out

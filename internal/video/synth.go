@@ -139,9 +139,14 @@ func (c *Clip) render(rng *rand.Rand) {
 		sprites[si] = ss
 	}
 	_ = rng
+	// A backdrop is a pure function of its scene: render it on the
+	// scene's first cue and clone it for every frame of every cue.
+	backdrops := make([]*RGB, len(c.Scenes))
 	for _, cue := range c.Sched {
-		sc := c.Scenes[cue.Scene]
-		bg := renderBackground(c.W, c.H, sc)
+		if backdrops[cue.Scene] == nil {
+			backdrops[cue.Scene] = renderBackground(c.W, c.H, c.Scenes[cue.Scene])
+		}
+		bg := backdrops[cue.Scene]
 		for f := 0; f < cue.Frames; f++ {
 			frame := bg.Clone()
 			ss := sprites[cue.Scene]

@@ -1,6 +1,8 @@
 package video
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -282,5 +284,192 @@ func TestClipAccessors(t *testing.T) {
 	yuv := clip.YUVFrames()
 	if len(yuv) != clip.Len() {
 		t.Fatalf("YUVFrames %d != %d", len(yuv), clip.Len())
+	}
+}
+
+// The bodies this package shipped before ToRGB/ToYUV were rewritten over
+// row slices and backdrops were cached per scene, kept as oracles: the
+// rewrites must reproduce them byte for byte.
+
+// toRGBRef is the per-pixel-indexed ToRGB this package shipped before
+// the row-slice rewrite, kept as its oracle.
+func toRGBRef(f *YUV) *RGB {
+	out := NewRGB(f.W, f.H)
+	cw := f.ChromaW()
+	for y := 0; y < f.H; y++ {
+		cy := y / 2
+		for x := 0; x < f.W; x++ {
+			Y := int32(f.Y[y*f.W+x])
+			U := int32(f.U[cy*cw+x/2]) - 128
+			V := int32(f.V[cy*cw+x/2]) - 128
+			// Fixed-point BT.601: R = Y + 1.402 V; G = Y − 0.344 U − 0.714 V; B = Y + 1.772 U
+			r := Y + (1436*V)>>10
+			g := Y - (352*U)>>10 - (731*V)>>10
+			b := Y + (1815*U)>>10
+			i := (y*f.W + x) * 3
+			out.Pix[i] = clamp8(r)
+			out.Pix[i+1] = clamp8(g)
+			out.Pix[i+2] = clamp8(b)
+		}
+	}
+	return out
+}
+
+// toYUVRef is the two-pass ToYUV kept as the oracle of the fused one.
+func toYUVRef(f *RGB) *YUV {
+	w, h := f.W, f.H
+	if w%2 != 0 || h%2 != 0 {
+		panic(fmt.Sprintf("video: ToYUV requires even dimensions, got %dx%d", w, h))
+	}
+	out := NewYUV(w, h)
+	cw := w / 2
+	// Luma.
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			i := (y*w + x) * 3
+			r, g, b := int32(f.Pix[i]), int32(f.Pix[i+1]), int32(f.Pix[i+2])
+			Y := (306*r + 601*g + 117*b) >> 10
+			out.Y[y*w+x] = clamp8(Y)
+		}
+	}
+	// Chroma, subsampled 2×2.
+	for cy := 0; cy < h/2; cy++ {
+		for cx := 0; cx < w/2; cx++ {
+			var ur, ug, ub int32
+			for dy := 0; dy < 2; dy++ {
+				for dx := 0; dx < 2; dx++ {
+					i := ((cy*2+dy)*w + cx*2 + dx) * 3
+					ur += int32(f.Pix[i])
+					ug += int32(f.Pix[i+1])
+					ub += int32(f.Pix[i+2])
+				}
+			}
+			ur, ug, ub = ur/4, ug/4, ub/4
+			U := ((-173*ur - 339*ug + 512*ub) >> 10) + 128
+			V := ((512*ur - 429*ug - 83*ub) >> 10) + 128
+			out.U[cy*cw+cx] = clamp8(U)
+			out.V[cy*cw+cx] = clamp8(V)
+		}
+	}
+	return out
+}
+
+// framesRef is Clip.render with one renderBackground per cue.
+func framesRef(c *Clip) []*RGB {
+	type sprite struct {
+		x, y, vx, vy, r float64
+		cr, cg, cb      uint8
+	}
+	sprites := make([][]sprite, len(c.Scenes))
+	for si, sc := range c.Scenes {
+		srng := rand.New(rand.NewSource(sc.Seed))
+		ss := make([]sprite, sc.Sprites)
+		for i := range ss {
+			ang := srng.Float64() * 2 * math.Pi
+			speed := sc.Motion * float64(c.W) / 1920.0 * (0.5 + srng.Float64())
+			ss[i] = sprite{
+				x: srng.Float64() * float64(c.W), y: srng.Float64() * float64(c.H),
+				vx: math.Cos(ang) * speed, vy: math.Sin(ang) * speed,
+				r:  float64(c.W) * (0.03 + 0.08*srng.Float64()),
+				cr: uint8(40 + srng.Intn(215)), cg: uint8(40 + srng.Intn(215)), cb: uint8(40 + srng.Intn(215)),
+			}
+		}
+		sprites[si] = ss
+	}
+	var frames []*RGB
+	for _, cue := range c.Sched {
+		bg := renderBackground(c.W, c.H, c.Scenes[cue.Scene])
+		for f := 0; f < cue.Frames; f++ {
+			frame := bg.Clone()
+			ss := sprites[cue.Scene]
+			for i := range ss {
+				sp := &ss[i]
+				drawDisc(frame, sp.x, sp.y, sp.r, sp.cr, sp.cg, sp.cb)
+				sp.x += sp.vx
+				sp.y += sp.vy
+				if sp.x < 0 || sp.x >= float64(c.W) {
+					sp.vx = -sp.vx
+					sp.x += 2 * sp.vx
+				}
+				if sp.y < 0 || sp.y >= float64(c.H) {
+					sp.vy = -sp.vy
+					sp.y += 2 * sp.vy
+				}
+			}
+			frames = append(frames, frame)
+		}
+	}
+	return frames
+}
+
+// TestRewritesMatchOracles compares clip rendering and both colour
+// conversions with the retained original bodies, over all six genres at
+// two sizes.
+func TestRewritesMatchOracles(t *testing.T) {
+	for _, g := range AllGenres() {
+		for _, size := range [][2]int{{96, 64}, {162, 90}} {
+			cfg := GenreConfig(g, size[0], size[1], 5)
+			cfg.TotalCues, cfg.MinFrames, cfg.MaxFrames = 6, 2, 3
+			clip := Generate(cfg)
+			want := framesRef(clip)
+			if len(want) != clip.Len() {
+				t.Fatalf("%v %v: %d frames, oracle renders %d", g, size, clip.Len(), len(want))
+			}
+			for i, f := range clip.Frames() {
+				if !bytes.Equal(f.Pix, want[i].Pix) {
+					t.Fatalf("%v %v frame %d: render differs from the per-cue backdrop oracle", g, size, i)
+				}
+				yuv, wantYUV := f.ToYUV(), toYUVRef(f)
+				if !bytes.Equal(yuv.Y, wantYUV.Y) || !bytes.Equal(yuv.U, wantYUV.U) || !bytes.Equal(yuv.V, wantYUV.V) {
+					t.Fatalf("%v %v frame %d: ToYUV differs from the oracle", g, size, i)
+				}
+				if rgb := yuv.ToRGB(); !bytes.Equal(rgb.Pix, toRGBRef(yuv).Pix) {
+					t.Fatalf("%v %v frame %d: ToRGB differs from the oracle", g, size, i)
+				}
+			}
+		}
+	}
+	// Random pixels reach the clamps the generated palettes do not.
+	rng := rand.New(rand.NewSource(9))
+	f := NewRGB(64, 48)
+	rng.Read(f.Pix)
+	yuv := NewYUV(64, 48)
+	rng.Read(yuv.Y)
+	rng.Read(yuv.U)
+	rng.Read(yuv.V)
+	if got, want := f.ToYUV(), toYUVRef(f); !bytes.Equal(got.Y, want.Y) || !bytes.Equal(got.U, want.U) || !bytes.Equal(got.V, want.V) {
+		t.Fatal("ToYUV differs from the oracle on random pixels")
+	}
+	if !bytes.Equal(yuv.ToRGB().Pix, toRGBRef(yuv).Pix) {
+		t.Fatal("ToRGB differs from the oracle on random samples")
+	}
+}
+
+// BenchmarkGenerate times the end-to-end benchmark's reference clip
+// (news, 480×272, six cues of 27 frames) through Generate and
+// YUVFrames — the `prepare` workload's whole set-up.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := GenreConfig(GenreNews, 480, 272, 1)
+	cfg.TotalCues, cfg.MinFrames, cfg.MaxFrames = 6, 27, 27
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if n := len(Generate(cfg).YUVFrames()); n != 6*27 {
+			b.Fatalf("%d frames", n)
+		}
+	}
+}
+
+// BenchmarkGenerateRef is BenchmarkGenerate over the oracles, the baseline
+// the rewrite is measured against.
+func BenchmarkGenerateRef(b *testing.B) {
+	cfg := GenreConfig(GenreNews, 480, 272, 1)
+	cfg.TotalCues, cfg.MinFrames, cfg.MaxFrames = 6, 27, 27
+	clip := Generate(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range framesRef(clip) {
+			toYUVRef(f)
+		}
 	}
 }
