@@ -1,6 +1,7 @@
 // Command dcsr-prepare runs the server-side dcSR pipeline over a synthetic
 // video and writes the resulting artifact (coded stream + micro models +
-// manifest) to a directory that dcsr-play can consume.
+// manifest) to a directory that dcsr-play and dcsr-serve -in consume. The
+// directory is the pipeline's checkpoint: ctrl-C and rerun resumes.
 //
 // Usage:
 //
@@ -8,19 +9,22 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
+	"dcsr/internal/obs"
 	"dcsr/internal/splitter"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
 
 func main() {
-	out := flag.String("out", "", "output artifact directory (required)")
+	out := flag.String("out", "", "output artifact directory (required); an interrupted run resumes from it")
 	genreName := flag.String("genre", "news", "content genre: sports|music|documentary|gaming|news|animation")
 	w := flag.Int("w", 80, "frame width (multiple of 16)")
 	h := flag.Int("h", 48, "frame height (multiple of 16)")
@@ -76,10 +80,18 @@ func main() {
 		cfg.Delta = core.DeltaConfig{Enabled: true, MaxPSNRDrop: *deltaBound}
 	}
 
-	prep, err := core.Prepare(clip.YUVFrames(), clip.FPS, cfg)
+	// -out is the checkpoint: an interrupted run leaves its completed stages
+	// there, a rerun resumes them, and a finished one is the artifact.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	cfg.CheckpointDir, cfg.Obs = *out, obs.New()
+	prep, err := core.PrepareCtx(ctx, clip.YUVFrames(), clip.FPS, cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcsr-prepare: %v\n", err)
+		fmt.Fprintf(os.Stderr, "dcsr-prepare: %v (completed stages are kept in %s; rerun to resume)\n", err, *out)
 		os.Exit(1)
+	}
+	if cfg.Obs.Metrics.Snapshot().Counters["train_steps_total"] == 0 {
+		fmt.Printf("resumed from %s: every model restored, no training run\n", *out)
 	}
 	fmt.Printf("segments: %d, clusters K=%d, micro config %s\n", len(prep.Segments), prep.K, prep.MicroConfig)
 	fmt.Printf("stream: %d bytes, models: %d bytes total\n",
@@ -107,10 +119,6 @@ func main() {
 	}
 	if bb := prep.Manifest.Backbone; bb != nil {
 		fmt.Printf("model stream: backbone is cluster %d (%d bytes)\n", bb.Label, bb.Bytes)
-	}
-	if err := prep.Save(*out); err != nil {
-		fmt.Fprintf(os.Stderr, "dcsr-prepare: saving: %v\n", err)
-		os.Exit(1)
 	}
 	fmt.Printf("artifact written to %s\n", *out)
 }

@@ -61,7 +61,7 @@ func main() {
 	int8Flag := flag.Bool("int8", false, "for -genre mode: run the quantize_int8 calibration stage so gated clusters serve on the int8 kernels (artifacts from dcsr-prepare -int8 carry this through -in already)")
 	deltaFlag := flag.Bool("delta", false, "for -genre mode: run the delta_encode stage so gated clusters ship as backbone + dcW5 deltas (artifacts from dcsr-prepare -delta carry this through -in already)")
 	obsAddr := flag.String("obs-addr", "", "debug HTTP sidecar address for /metrics, /debug/trace and pprof (off when empty)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint directory for -genre mode: an interrupted Prepare resumes from its last completed stage on restart")
+	checkpoint := flag.String("checkpoint", "", "checkpoint directory for -genre mode: an interrupted Prepare resumes from its last completed stage on restart, and a finished one is an artifact -in serves")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: concurrently served requests across all connections; excess load is shed with a typed retry-after (0 = unlimited)")
 	maxClients := flag.Int("max-clients", 0, "admission control: accepted connections; over-capacity dials get one typed retry-after and are closed (0 = unlimited)")
 	flag.Parse()

@@ -75,7 +75,8 @@ func Prepare(frames []*YUV, fps int, cfg ServerConfig) (*Prepared, error) {
 // honoured between pipeline stages, between per-cluster training jobs,
 // and inside each training loop (one step granularity), and a
 // ServerConfig.CheckpointDir lets an interrupted run resume from its
-// last completed work.
+// last completed work; once the run finishes, that directory is an
+// artifact LoadArtifact opens.
 func PrepareCtx(ctx context.Context, frames []*YUV, fps int, cfg ServerConfig) (*Prepared, error) {
 	return core.PrepareCtx(ctx, frames, fps, cfg)
 }

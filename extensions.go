@@ -132,12 +132,14 @@ const (
 )
 
 // Artifact persistence (what cmd/dcsr-prepare writes and cmd/dcsr-play
-// reads).
+// and cmd/dcsr-serve read): one root JSON over a content-addressed object
+// store, the same directory a ServerConfig.CheckpointDir run builds.
 
 // SaveArtifact writes a prepared stream, manifest and models to dir.
 func SaveArtifact(p *Prepared, dir string) error { return p.Save(dir) }
 
-// LoadArtifact reads an artifact previously written by SaveArtifact.
+// LoadArtifact opens a complete artifact: one SaveArtifact wrote, or the
+// CheckpointDir of a finished Prepare. Every payload is hash-checked.
 func LoadArtifact(dir string) (*Prepared, error) { return core.Load(dir) }
 
 // Static analysis (docs/LINTING.md). The same pass gates `go test`

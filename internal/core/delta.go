@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"dcsr/internal/edsr"
 	"dcsr/internal/nn"
@@ -52,21 +52,22 @@ func (d DeltaConfig) withDefaults() DeltaConfig {
 type DeltaResult struct {
 	// DeltaOK reports the gate decision: true means the model ships as a
 	// delta and the manifest advertises it against the backbone.
-	DeltaOK bool
+	DeltaOK bool `json:"delta_ok"`
 	// BackboneLabel is the cluster whose model the delta is encoded
 	// against (shared by every delta of the video).
-	BackboneLabel int
-	// Bytes is the dcW5 delta payload; nil when DeltaOK is false.
-	Bytes []byte
+	BackboneLabel int `json:"backbone_label"`
+	// Bytes is the dcW5 delta payload (on disk an object, not JSON); nil
+	// when DeltaOK is false.
+	Bytes []byte `json:"-"`
 	// PSNRFull and PSNRDelta are the gate measurements in dB: the
 	// trained weights versus the delta reconstruction on the cluster's
 	// frames.
-	PSNRFull  float64
-	PSNRDelta float64
+	PSNRFull  float64 `json:"psnr_full,omitempty"`
+	PSNRDelta float64 `json:"psnr_delta,omitempty"`
 	// FullBytes and DeltaBytes are the two candidate payload sizes the
 	// size gate compared.
-	FullBytes  int
-	DeltaBytes int
+	FullBytes  int `json:"full_bytes,omitempty"`
+	DeltaBytes int `json:"delta_bytes,omitempty"`
 }
 
 // pickBackboneLabel chooses the shared backbone: the model of the
@@ -108,77 +109,25 @@ func stageDeltaEncode(ctx context.Context, sp *obs.Span, s *prepState) error {
 		s.log.Info("prepare: delta encoding skipped", "models", len(p.Models))
 		return nil
 	}
-	if ok, err := restoreDeltaStage(s); err != nil {
-		return err
-	} else if ok {
-		sp.Set("checkpoint", true)
-		countDeltaVerdicts(p, sp, okCtr, fbCtr)
-		return nil
-	}
 	bb := pickBackboneLabel(p)
-	bsm := p.Models[bb]
+	computed := make([]bool, p.K) // per label, so workers never share a slot
 	err := forEach(ctx, p.K, runtime.GOMAXPROCS(0), func(label int) error {
 		sm := p.Models[label]
-		if sm == nil || label == bb {
-			return nil
+		if sm == nil || label == bb || sm.Delta != nil {
+			return nil // no model, the backbone, or a verdict the train stage restored
 		}
-		delta, err := nn.EncodeWeightsDelta(bsm.Model.Params(), sm.Model.Params())
-		if err != nil {
-			return fmt.Errorf("core: delta-encoding cluster %d: %w", label, err)
-		}
-		res := &DeltaResult{BackboneLabel: bb, FullBytes: len(sm.Bytes), DeltaBytes: len(delta)}
-		sm.Delta = res
-		if len(delta) >= len(sm.Bytes) {
-			return nil // size gate: the delta isn't smaller, ship complete
-		}
-		recon, err := edsr.New(sm.Config, 0)
-		if err != nil {
+		computed[label] = true
+		if err := deltaEncodeModel(p, dc, p.Models[bb], sm); err != nil {
 			return err
 		}
-		if err := nn.ApplyWeightsDelta(bsm.Model.Params(), delta, recon.Params()); err != nil {
-			return fmt.Errorf("core: reconstructing cluster %d: %w", label, err)
-		}
-		var low, orig []*video.RGB
-		for si, a := range p.Assign {
-			if a == label && len(low) < dc.MaxFrames {
-				low = append(low, p.LowIFrames[si])
-				orig = append(orig, p.OrigIFrames[si])
-			}
-		}
-		var mseFull, mseDelta float64
-		for i := range low {
-			mseFull += frameMSE(sm.Model.Enhance(low[i]), orig[i])
-			mseDelta += frameMSE(recon.Enhance(low[i]), orig[i])
-		}
-		if len(low) > 0 {
-			res.PSNRFull = mseToPSNR(mseFull / float64(len(low)))
-			res.PSNRDelta = mseToPSNR(mseDelta / float64(len(low)))
-			if res.PSNRFull-res.PSNRDelta > dc.MaxPSNRDrop {
-				return nil // quality gate: reconstruction lost too much
-			}
-		}
-		// Adopt: the reconstruction becomes the canonical model, so origin
-		// playback and client assembly are bit-identical by construction.
-		res.DeltaOK = true
-		res.Bytes = delta
-		sm.Model = recon
-		sm.Bytes = nn.EncodeWeights(recon.Params())
-		res.FullBytes = len(sm.Bytes)
-		return nil
+		return s.ck.update(func(r *rootFile) { r.Models[label].Delta = s.ck.putDelta(sm) })
 	})
 	if err != nil {
 		return err
 	}
-	if err := checkpointDeltaStage(s, bb); err != nil {
-		return err
+	if !slices.Contains(computed, true) {
+		sp.Set("checkpoint", true)
 	}
-	countDeltaVerdicts(p, sp, okCtr, fbCtr)
-	return nil
-}
-
-// countDeltaVerdicts tallies gate outcomes into counters, the stage span
-// and the log (shared by the compute and checkpoint-restore paths).
-func countDeltaVerdicts(p *Prepared, sp *obs.Span, okCtr, fbCtr *obs.Counter) {
 	var passed, fallbacks int
 	for _, sm := range p.Models {
 		switch {
@@ -193,82 +142,56 @@ func countDeltaVerdicts(p *Prepared, sp *obs.Span, okCtr, fbCtr *obs.Counter) {
 	fbCtr.Add(int64(fallbacks))
 	sp.Set("delta_models", passed)
 	sp.Set("fallbacks", fallbacks)
+	return nil
 }
 
-// checkpointDeltaStage persists the stage outcome: verdicts inline,
-// delta payloads and adopted reconstructions in the content-addressed
-// store.
-func checkpointDeltaStage(s *prepState, bb int) error {
-	if s.ck == nil {
-		return nil
+// deltaEncodeModel runs sm through the delta gates against the backbone
+// bsm, setting sm.Delta and, on adoption, sm's canonical weights.
+func deltaEncodeModel(p *Prepared, dc DeltaConfig, bsm, sm *SegmentModel) error {
+	label := sm.Label
+	delta, err := nn.EncodeWeightsDelta(bsm.Model.Params(), sm.Model.Params())
+	if err != nil {
+		return fmt.Errorf("core: delta-encoding cluster %d: %w", label, err)
 	}
-	st := &ckptDeltaStage{Backbone: bb, Entries: map[int]*ckptDelta{}}
-	for label, sm := range s.p.Models {
-		if sm.Delta == nil {
-			continue
-		}
-		rec := &ckptDelta{
-			OK: sm.Delta.DeltaOK, PSNRFull: sm.Delta.PSNRFull, PSNRDelta: sm.Delta.PSNRDelta,
-			FullBytes: sm.Delta.FullBytes, DeltaBytes: sm.Delta.DeltaBytes,
-		}
-		if sm.Delta.DeltaOK {
-			dd, err := s.ck.putObject(sm.Delta.Bytes)
-			if err != nil {
-				return err
-			}
-			md, err := s.ck.putObject(sm.Bytes)
-			if err != nil {
-				return err
-			}
-			rec.Delta, rec.Model = dd, md
-		}
-		st.Entries[label] = rec
+	res := &DeltaResult{BackboneLabel: bsm.Label, FullBytes: len(sm.Bytes), DeltaBytes: len(delta)}
+	sm.Delta = res
+	if len(delta) >= len(sm.Bytes) {
+		return nil // size gate: the delta isn't smaller, ship complete
 	}
-	return s.ck.putDelta(st)
-}
-
-// restoreDeltaStage rebuilds the stage outcome from a checkpoint:
-// verdicts, delta payloads, and — for adopted deltas — the reconstructed
-// canonical weights replacing the freshly trained ones.
-func restoreDeltaStage(s *prepState) (bool, error) {
-	st, ok := s.ck.delta()
-	if !ok {
-		return false, nil
+	recon, err := edsr.New(sm.Config, 0)
+	if err != nil {
+		return err
 	}
-	p := s.p
-	for label, rec := range st.Entries {
-		sm := p.Models[label]
-		if sm == nil {
-			return false, fmt.Errorf("core: checkpointed delta for unknown model %d", label)
-		}
-		sm.Delta = &DeltaResult{
-			DeltaOK: rec.OK, BackboneLabel: st.Backbone,
-			PSNRFull: rec.PSNRFull, PSNRDelta: rec.PSNRDelta,
-			FullBytes: rec.FullBytes, DeltaBytes: rec.DeltaBytes,
-		}
-		if !rec.OK {
-			continue
-		}
-		payload, err := s.ck.getObject(rec.Delta)
-		if err != nil {
-			return false, fmt.Errorf("core: checkpointed delta %d: %w", label, err)
-		}
-		weights, err := s.ck.getObject(rec.Model)
-		if err != nil {
-			return false, fmt.Errorf("core: checkpointed delta model %d: %w", label, err)
-		}
-		m, err := edsr.New(sm.Config, 0)
-		if err != nil {
-			return false, err
-		}
-		if err := nn.LoadWeights(bytes.NewReader(weights), m.Params()); err != nil {
-			return false, fmt.Errorf("core: checkpointed delta model %d: %w", label, err)
-		}
-		sm.Delta.Bytes = payload
-		sm.Model = m
-		sm.Bytes = weights
+	if err := nn.ApplyWeightsDelta(bsm.Model.Params(), delta, recon.Params()); err != nil {
+		return fmt.Errorf("core: reconstructing cluster %d: %w", label, err)
 	}
-	return true, nil
+	var low, orig []*video.RGB
+	for si, a := range p.Assign {
+		if a == label && len(low) < dc.MaxFrames {
+			low = append(low, p.LowIFrames[si])
+			orig = append(orig, p.OrigIFrames[si])
+		}
+	}
+	var mseFull, mseDelta float64
+	for i := range low {
+		mseFull += frameMSE(sm.Model.Enhance(low[i]), orig[i])
+		mseDelta += frameMSE(recon.Enhance(low[i]), orig[i])
+	}
+	if len(low) > 0 {
+		res.PSNRFull = mseToPSNR(mseFull / float64(len(low)))
+		res.PSNRDelta = mseToPSNR(mseDelta / float64(len(low)))
+		if res.PSNRFull-res.PSNRDelta > dc.MaxPSNRDrop {
+			return nil // quality gate: reconstruction lost too much
+		}
+	}
+	// Adopt: the reconstruction becomes the canonical model, so origin
+	// playback and client assembly are bit-identical by construction.
+	res.DeltaOK = true
+	res.Bytes = delta
+	sm.Model = recon
+	sm.Bytes = nn.EncodeWeights(recon.Params())
+	res.FullBytes = len(sm.Bytes)
+	return nil
 }
 
 // WireBytes returns the payload a client downloads for this model: the

@@ -192,8 +192,8 @@ func TestDeltaGateForcesFallback(t *testing.T) {
 }
 
 // TestDeltaPersistRoundTrip: Save/Load must carry the delta verdicts and
-// payloads (meta.json "delta" rows plus models/N.delta.bin), rebuild the
-// same model-stream manifest, compose with int8 re-arming, and play back
+// payloads (each model record's delta verdict plus its dcW5 object),
+// rebuild the same model-stream manifest, compose with int8 re-arming, and play back
 // pixel-identically.
 func TestDeltaPersistRoundTrip(t *testing.T) {
 	if testing.Short() {

@@ -27,18 +27,22 @@ func Prepare(frames []*video.YUV, fps int, cfg ServerConfig) (*Prepared, error) 
 // runs as a sequence of named stages (split → encode → decode_low →
 // vae_features → min_model_search → kmeans_silhouette →
 // train_micro_models → delta_encode → quantize_int8 → manifest); ctx is
-// checked at every stage boundary,
-// between per-cluster training jobs, and before every optimizer step
-// inside a job, so cancellation stops the pipeline within one training
-// step per worker and returns ctx.Err().
+// checked at every stage boundary, between per-cluster training jobs, and
+// before every optimizer step inside a job, so cancellation stops the
+// pipeline within one training step per worker and returns ctx.Err().
 //
 // When cfg.CheckpointDir is set, each completed stage persists its result
-// there (large artifacts in a content-addressed modelstore, trained
-// models individually as they finish); a later call with the same inputs
-// resumes from the last completed work instead of recomputing. The
-// staged pipeline's output is bit-identical to the historical monolithic
-// implementation.
+// there (artifact.go; trained models individually as they finish); a later
+// call with the same inputs resumes from the last completed work, a damaged
+// checkpoint costing only the work it held, and once the manifest stage
+// has run the directory is the published artifact Load opens. The staged
+// pipeline's output is bit-identical to the historical monolithic one.
 func PrepareCtx(ctx context.Context, frames []*video.YUV, fps int, cfg ServerConfig) (*Prepared, error) {
+	return prepareWith(ctx, frames, fps, cfg, prepareStages())
+}
+
+// prepareWith is PrepareCtx over an explicit stage list (tests cut it short).
+func prepareWith(ctx context.Context, frames []*video.YUV, fps int, cfg ServerConfig, stages []prepStage) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if len(frames) < 2 {
 		return nil, fmt.Errorf("core: need at least 2 frames, got %d", len(frames))
@@ -57,13 +61,14 @@ func PrepareCtx(ctx context.Context, frames []*video.YUV, fps int, cfg ServerCon
 		log:    o.Logger(),
 	}
 	if cfg.CheckpointDir != "" {
-		ck, err := openCheckpoint(cfg.CheckpointDir, prepareInputDigest(frames, fps, cfg))
+		fresh := rootFile{InputDigest: prepareInputDigest(frames, fps, cfg), FPS: fps, BigModel: cfg.BigModel}
+		ck, err := resumeArtifact(cfg.CheckpointDir, fresh, s.log)
 		if err != nil {
 			return nil, err
 		}
 		s.ck = ck
 	}
-	if err := runStages(ctx, root, s, prepareStages()); err != nil {
+	if err := runStages(ctx, root, s, stages); err != nil {
 		return nil, err
 	}
 	return s.p, nil
@@ -98,26 +103,28 @@ func prepareStages() []prepStage {
 }
 
 // stageSplit: variable-length shot-based split; every segment starts with
-// an I frame (paper §3.1.1). Deterministic and cheap, so never
-// checkpointed — resumes recompute it.
+// an I frame (paper §3.1.1). Deterministic and cheap, so resumes
+// recompute it; the root records the result for Load.
 func stageSplit(_ context.Context, sp *obs.Span, s *prepState) error {
 	segs := splitter.Split(s.frames, s.cfg.Split)
 	sp.Set("segments", len(segs))
 	s.cfg.Obs.Counter("prepare_segments_total").Add(int64(len(segs)))
 	s.log.Debug("prepare: split", "segments", len(segs))
 	s.p.Segments = segs
-	return nil
+	return s.ck.update(func(r *rootFile) { r.Segments = segs })
 }
 
 // stageEncode produces the low-quality stream the client downloads.
 func stageEncode(_ context.Context, sp *obs.Span, s *prepState) error {
-	if st, ok, err := s.ck.stream(); err != nil {
-		return err
-	} else if ok {
-		sp.Set("checkpoint", true)
-		sp.Set("stream_bytes", st.Bytes())
-		s.p.Stream = st
-		return nil
+	if digest := s.ck.state().Stream; digest != "" {
+		st, err := s.ck.stream(digest)
+		if err == nil {
+			sp.Set("checkpoint", true)
+			sp.Set("stream_bytes", st.Bytes())
+			s.p.Stream = st
+			return nil
+		}
+		s.log.Warn("prepare: checkpointed stream unusable, re-encoding", "err", err)
 	}
 	cfg := s.cfg
 	forceI := splitter.ForceIFlags(len(s.frames), s.p.Segments)
@@ -130,7 +137,7 @@ func stageEncode(_ context.Context, sp *obs.Span, s *prepState) error {
 	}
 	sp.Set("stream_bytes", st.Bytes())
 	s.p.Stream = st
-	return s.ck.putStream(st)
+	return s.ck.update(func(r *rootFile) { r.Stream = s.ck.put(st.Marshal()) })
 }
 
 // stageDecodeLow decodes our own stream to obtain the client-visible
@@ -152,7 +159,7 @@ func stageDecodeLow(_ context.Context, _ *obs.Span, s *prepState) error {
 // stageVAEFeatures extracts the per-segment VAE latents (paper §3.1.1,
 // Fig 3).
 func stageVAEFeatures(_ context.Context, sp *obs.Span, s *prepState) error {
-	if feats, ok := s.ck.features(); ok {
+	if feats := s.ck.state().Features; feats != nil {
 		sp.Set("checkpoint", true)
 		s.p.Features = feats
 		return nil
@@ -169,15 +176,15 @@ func stageVAEFeatures(_ context.Context, sp *obs.Span, s *prepState) error {
 		s.p.Features = append(s.p.Features, vm.Features(f))
 	}
 	s.log.Debug("prepare: VAE features extracted", "iframes", len(s.p.OrigIFrames))
-	return s.ck.putFeatures(s.p.Features)
+	return s.ck.update(func(r *rootFile) { r.Features = s.p.Features })
 }
 
 // stageMinModelSearch finds the minimum working micro configuration
 // (paper Appendix A.1); skipped when cfg.MicroConfig pins one explicitly.
 func stageMinModelSearch(ctx context.Context, sp *obs.Span, s *prepState) error {
-	if micro, ok := s.ck.micro(); ok {
+	if micro := s.ck.state().Micro; micro != nil {
 		sp.Set("checkpoint", true)
-		s.p.MicroConfig = micro
+		s.p.MicroConfig = *micro
 		return nil
 	}
 	micro, err := FindMinimumWorkingModelCtx(ctx, s.p.LowIFrames, s.p.OrigIFrames, s.cfg)
@@ -185,7 +192,7 @@ func stageMinModelSearch(ctx context.Context, sp *obs.Span, s *prepState) error 
 		return err
 	}
 	s.p.MicroConfig = micro
-	return s.ck.putMicro(micro)
+	return s.ck.update(func(r *rootFile) { r.Micro = &micro })
 }
 
 // stageCluster selects K under the |M_big| / |M_min| constraint (paper
@@ -195,7 +202,7 @@ func stageCluster(_ context.Context, sp *obs.Span, s *prepState) error {
 	if s.cfg.MicroConfig.Filters != 0 {
 		p.MicroConfig = s.cfg.MicroConfig
 	}
-	if res, ok := s.ck.clusterResult(); ok {
+	if res := s.ck.state().Cluster; res != nil {
 		sp.Set("checkpoint", true)
 		p.K, p.Assign, p.Sweeps = res.K, res.Assign, res.Sweeps
 		sp.Set("k", p.K)
@@ -219,13 +226,17 @@ func stageCluster(_ context.Context, sp *obs.Span, s *prepState) error {
 	sp.Set("k", p.K)
 	s.cfg.Obs.Counter("prepare_clusters_total").Add(int64(p.K))
 	s.log.Debug("prepare: clusters selected", "k", p.K)
-	return s.ck.putCluster(p.K, p.Assign, p.Sweeps)
+	return s.ck.update(func(r *rootFile) {
+		r.Micro, r.Cluster = &p.MicroConfig, &clusterRecord{K: p.K, Assign: p.Assign, Sweeps: p.Sweeps}
+	})
 }
 
 // stageTrain trains one micro model per cluster on its I-frame pairs
 // (paper §3.1.3). Models are independent, so they train concurrently via
 // forEach; per-label seeds keep the result identical to sequential
-// training, and each finished model checkpoints immediately.
+// training, and each finished model checkpoints immediately. A resume
+// restores each model as far as the later stages had taken it, delta and
+// int8 verdicts included: they then compute only what is missing.
 func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 	o := s.cfg.Obs
 	sampleCtr := o.Counter("train_samples_total")
@@ -233,6 +244,7 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 	flopCtr := o.Counter("train_flops_total")
 	p := s.p
 	micro := p.MicroConfig
+	prev := s.ck.state().Models
 	trained := make([]*SegmentModel, p.K)
 	err := forEach(ctx, p.K, runtime.GOMAXPROCS(0), func(label int) error {
 		var pairs []edsr.Pair
@@ -244,23 +256,24 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 		if len(pairs) == 0 {
 			return nil
 		}
-		if sm, ok, err := s.ck.model(label, micro); err != nil {
-			return err
-		} else if ok {
-			cs := trainSpan.Child("train_cluster")
-			cs.Set("label", label)
-			cs.Set("checkpoint", true)
-			cs.End()
-			trained[label] = sm
-			return nil
-		}
 		cs := trainSpan.Child("train_cluster")
+		defer cs.End()
 		cs.Set("label", label)
+		if rec := prev[label]; rec != nil && rec.Train != nil {
+			sm, err := s.ck.restoreModel(label, micro, rec)
+			if err != nil {
+				s.log.Warn("prepare: checkpointed model damaged, recomputing what was lost", "label", label, "err", err)
+			}
+			if sm != nil {
+				cs.Set("checkpoint", true)
+				trained[label] = sm
+				return nil
+			}
+		}
 		cs.Set("samples", len(pairs))
 		sampleCtr.Add(int64(len(pairs)))
 		m, err := edsr.New(micro, s.cfg.Seed+100+int64(label))
 		if err != nil {
-			cs.End()
 			return err
 		}
 		opts := s.cfg.Train
@@ -268,14 +281,12 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 		opts.Stop = func() bool { return ctx.Err() != nil }
 		tr, err := m.Train(pairs, opts)
 		if err != nil {
-			cs.End()
 			if errors.Is(err, edsr.ErrStopped) {
 				return ctx.Err()
 			}
 			return fmt.Errorf("core: training micro model %d: %w", label, err)
 		}
 		cs.Set("steps", tr.Steps)
-		cs.End()
 		stepCtr.Add(int64(tr.Steps))
 		flopCtr.Add(int64(tr.TrainFLOPs))
 		sm := &SegmentModel{
@@ -283,7 +294,11 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 			Bytes: nn.EncodeWeights(m.Params()), Train: tr,
 		}
 		trained[label] = sm
-		return s.ck.putModel(sm)
+		// Checkpointed at once, so a cancelled run never retrains it; the
+		// fresh record drops later stages' verdicts on what it replaces.
+		return s.ck.update(func(r *rootFile) {
+			r.Models[label] = &modelRecord{Weights: s.ck.put(sm.Bytes), Train: tr}
+		})
 	})
 	if err != nil {
 		return err
@@ -299,12 +314,12 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 }
 
 // stageManifest assembles the manifest with byte-accurate segment and
-// model sizes.
+// model sizes, and marks the checkpoint complete: a published artifact.
 func stageManifest(_ context.Context, _ *obs.Span, s *prepState) error {
 	p := s.p
 	p.Manifest = buildManifest(p)
 	s.log.Info("prepare: pipeline complete",
 		"segments", len(p.Segments), "k", p.K, "models", len(p.Models),
 		"stream_bytes", p.Stream.Bytes(), "train_flops", p.TrainFLOPs)
-	return nil
+	return s.ck.update(func(r *rootFile) { r.Complete = true })
 }

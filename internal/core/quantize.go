@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"dcsr/internal/obs"
 	"dcsr/internal/video"
@@ -46,15 +47,15 @@ func (q QuantConfig) withDefaults() QuantConfig {
 type QuantResult struct {
 	// Int8OK reports the gate decision: true means the manifest
 	// advertises the model for the int8 path.
-	Int8OK bool
+	Int8OK bool `json:"int8_ok"`
 	// PSNRFloat32 and PSNRInt8 are the mean-MSE PSNRs (dB) of the two
 	// paths against the pristine originals on the calibration frames.
-	PSNRFloat32 float64
-	PSNRInt8    float64
+	PSNRFloat32 float64 `json:"psnr_float32"`
+	PSNRInt8    float64 `json:"psnr_int8"`
 	// ActScales are the calibrated per-layer activation scales; they
 	// re-arm the model after deserialization (CalibrateFromScales)
 	// without redoing the calibration passes.
-	ActScales []float32
+	ActScales []float32 `json:"act_scales,omitempty"`
 }
 
 // stageQuantize calibrates every trained cluster model for int8
@@ -68,11 +69,13 @@ func stageQuantize(ctx context.Context, sp *obs.Span, s *prepState) error {
 	fbCtr := o.Counter("quant_fallback_total")
 	qc := s.cfg.Quant
 	p := s.p
+	computed := make([]bool, p.K) // per label, so workers never share a slot
 	err := forEach(ctx, p.K, runtime.GOMAXPROCS(0), func(label int) error {
 		sm := p.Models[label]
-		if sm == nil {
-			return nil
+		if sm == nil || sm.Quant != nil {
+			return nil // no model, or a verdict the train stage restored and re-armed
 		}
+		computed[label] = true
 		var low, orig []*video.RGB
 		for si, a := range p.Assign {
 			if a == label && len(low) < qc.MaxFrames {
@@ -104,10 +107,13 @@ func stageQuantize(ctx context.Context, sp *obs.Span, s *prepState) error {
 			PSNRInt8:    psnrI,
 			ActScales:   sm.Model.ActScales(),
 		}
-		return nil
+		return s.ck.update(func(r *rootFile) { r.Models[label].Quant = sm.Quant })
 	})
 	if err != nil {
 		return err
+	}
+	if !slices.Contains(computed, true) {
+		sp.Set("checkpoint", true)
 	}
 	var passed, fallbacks int
 	for _, sm := range p.Models {

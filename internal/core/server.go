@@ -2,9 +2,10 @@
 // on top of the substrate packages: the server-side pipeline (shot-based
 // video split → VAE feature extraction → global k-means segment clustering
 // with constrained K selection → per-cluster micro EDSR training →
-// manifest/model packaging, paper Fig 2) and the client-side player
-// (decoder-integrated I-frame enhancement with micro-model caching,
-// paper Figs 6–7).
+// manifest/model packaging, paper Fig 2), its one on-disk form — the
+// checkpoint that, finished, is the published artifact (artifact.go) — and
+// the client-side player (decoder-integrated I-frame enhancement with
+// micro-model caching, paper Figs 6–7).
 package core
 
 import (
@@ -74,12 +75,11 @@ type ServerConfig struct {
 	Seed int64
 
 	// CheckpointDir, when non-empty, persists each completed pipeline
-	// stage (stream, features, cluster result, every trained model as it
-	// finishes) to this directory, and a later Prepare/PrepareCtx call
-	// with identical inputs resumes from the last completed work instead
-	// of recomputing. Large artifacts live in a content-addressed
-	// modelstore under <dir>/objects. Empty (the default) disables
-	// checkpointing.
+	// stage (every trained model as it finishes) to this directory; a
+	// later Prepare/PrepareCtx call with identical inputs resumes from the
+	// last completed work, and the directory of a finished run is the
+	// published artifact Load opens (layout: artifact.go). Empty (the
+	// default) disables checkpointing.
 	CheckpointDir string
 
 	// Obs receives pipeline metrics, a per-stage span tree and stage

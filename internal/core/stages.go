@@ -17,7 +17,7 @@ type prepState struct {
 	fps    int
 	p      *Prepared
 	log    *obs.Logger
-	ck     *checkpoint
+	ck     *artifact // nil unless cfg.CheckpointDir is set
 }
 
 // prepStage is one named step of the server pipeline. The driver opens an

@@ -8,7 +8,7 @@
 //
 //   - Store, a content-addressed blob store keyed by the SHA-256 digest
 //     of the serialized weights, with an in-memory backend (Mem) and a
-//     directory backend (Disk, the layout core/persist publishes).
+//     directory backend (Disk, the object store of core's artifacts).
 //     Identical payloads dedupe automatically: two clusters that train
 //     to identical weights occupy one object.
 //   - BoundedCache, the client-side byte-budgeted LRU that replaces the
@@ -144,7 +144,7 @@ func (m *Mem) SizeBytes() int64 {
 }
 
 // Disk is the directory Store backend: one file per object named
-// <hex-digest>.bin, the weight encoding core/persist publishes. Writes
+// <hex-digest>.bin (the object store under a core artifact root). Writes
 // go through a temp file + rename so a crashed writer never leaves a
 // half object behind.
 type Disk struct {
