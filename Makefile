@@ -33,14 +33,20 @@ GO ?= go
 # the portable Go kernels otherwise run only where a test switches the
 # assembly off, so vet and the three kernel-bearing packages run once
 # with the assembly compiled out, and the arm64 cross-build (offline —
-# pure Go) proves the tree builds where the .s files do not apply.
+# pure Go) proves the tree builds where the .s files do not apply. The
+# codec rides in the same block (its PSADBW SAD kernel has the same
+# portable twin) and is pinned by name right after the Prepare golden:
+# TestCodecGolden holds every stream byte and decoded plane to digests
+# recorded before the codec fast paths existed, and the *MatchesRef
+# differentials hold each fast routine to the slow one it replaced.
 verify: build vet lint fuzz-smoke
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
-	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr
+	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...
 	$(GO) test -run 'TestFixtures/(lockorder|lostcancel|atomicfield|errcmp|timerleak)' -v ./internal/lint/
 	$(GO) test -race -run 'TestRunnerDeterministic|TestRunnerCache' -v ./internal/lint/
 	$(GO) test -run 'TestPrepareGoldenEquivalence' -v ./internal/core/
+	$(GO) test -run 'TestCodecGolden|MatchesRef$$' -v ./internal/codec/
 	$(GO) test -run 'TestGemmInt8MatchesRef|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8Deterministic' -v ./internal/tensor/
 	$(GO) test -race -run 'TestEnhanceInt8DeterministicAcrossWorkers' -v ./internal/edsr/
 	$(GO) test -run 'TestQuantQualityGateForcesFallback|TestQuantPersistRoundTrip' -v ./internal/core/
@@ -72,15 +78,19 @@ lint-cold:
 test:
 	$(GO) test ./...
 
-# A few seconds of native fuzzing per wire parser and per kernel
-# differential (assembly vs portable vs reference, bit for bit; go test
-# accepts one -fuzz target per run). A crasher is written under the
-# package's testdata/fuzz/ — commit it as a seed with the fix.
+# A few seconds of native fuzzing per wire parser, per kernel
+# differential (assembly vs portable vs reference, bit for bit) and for
+# the codec's stream decoder (error or frames, never a panic, bounded
+# allocation); go test accepts one -fuzz target per run. A crasher is
+# written under the package's testdata/fuzz/ — commit it as a seed with
+# the fix.
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 5s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernels$$' -fuzztime 5s
+	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
+	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzCodecKernels$$' -fuzztime 5s
 
 # Perf-trajectory benchmarks: the tensor kernels, the alloc-free
 # Enhance path, and the paper's Fig 8 FPS sweep, all with allocation

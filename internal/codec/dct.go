@@ -96,10 +96,29 @@ const (
 	roundInter = 1.0 / 3.0
 )
 
+// maxBasis2 bounds the magnitude of every 2-D basis product
+// dctBasis[k][n]·dctBasis[l][m]: the largest 1-D entry is √½·cos(π/8) ≈
+// 0.65328 and its square ≈ 0.426777.
+const maxBasis2 = 0.4268
+
 // quantizeBlock forward-transforms and quantizes a residual block into
 // integer levels using the given deadzone rounding offset. Returns the
 // number of nonzero levels.
+//
+// Each coefficient is Σ basis·res, so |coef| ≤ maxBasis2·Σ|res|. A level
+// is 0 exactly when |coef|/qstep + roundOff < 1; when the bound satisfies
+// that with 1e-6 to spare — the transform's own rounding error on 8-bit
+// residuals is below 1e-11 — every level is 0 and the transform is
+// skipped. Most inter residuals at streaming QPs end here.
 func quantizeBlock(res *[16]float64, qstep, roundOff float64, levels *[16]int32) int {
+	var sum float64
+	for _, v := range res {
+		sum += math.Abs(v)
+	}
+	if maxBasis2*sum/qstep+roundOff < 1-1e-6 {
+		*levels = [16]int32{}
+		return 0
+	}
 	var coef [16]float64
 	fdct4(res, &coef)
 	nz := 0
@@ -126,6 +145,41 @@ func dequantizeBlock(levels *[16]int32, qstep float64, res *[16]float64) {
 		coef[i] = float64(levels[i]) * qstep
 	}
 	idct4(&coef, res)
+}
+
+// isCoded reports whether a block has a nonzero level. (A hostile stream
+// may announce levels and then code each as 0; such a block is not coded.)
+func isCoded(levels *[16]int32) bool {
+	var any int32
+	for _, v := range levels {
+		any |= v
+	}
+	return any != 0
+}
+
+// reconBlock writes prediction + dequantized residual for one 4×4 block
+// into dst (rows stride apart); pred rows are predStride apart. A block
+// that is not coded passes the prediction straight through: its levels
+// dequantize and inverse-transform to exactly 0, and clampPix(p+0) == p
+// for the p ∈ [0, 255] every predictor produces.
+func reconBlock(dst []uint8, stride int, pred []int32, predStride int, levels *[16]int32, coded bool, qstep float64) {
+	if !coded {
+		for yy := 0; yy < blockSize; yy++ {
+			d := dst[yy*stride:][:blockSize]
+			for xx, p := range pred[yy*predStride:][:blockSize] {
+				d[xx] = uint8(p)
+			}
+		}
+		return
+	}
+	var res [16]float64
+	dequantizeBlock(levels, qstep, &res)
+	for yy := 0; yy < blockSize; yy++ {
+		d := dst[yy*stride:][:blockSize]
+		for xx, p := range pred[yy*predStride:][:blockSize] {
+			d[xx] = clampPix(float64(p) + res[yy*blockSize+xx])
+		}
+	}
 }
 
 // zigzag4 is the scan order for 4×4 coefficient blocks.

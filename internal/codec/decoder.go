@@ -94,24 +94,23 @@ type refPair struct {
 	enh   *video.YUV
 
 	// cached (enh − plain) planes for delta motion compensation
-	dy, du, dv []int16
-}
-
-func newRefPair(plain, enh *video.YUV) *refPair {
-	return &refPair{plain: plain, enh: enh}
+	delta [3][]int16
 }
 
 // hasDelta reports whether the enhanced version differs from the plain one.
 func (rp *refPair) hasDelta() bool { return rp.enh != rp.plain }
 
-// deltas lazily computes the enhancement difference planes.
-func (rp *refPair) deltas() (dy, du, dv []int16) {
-	if rp.dy == nil {
-		rp.dy = diffPlane(rp.enh.Y, rp.plain.Y)
-		rp.du = diffPlane(rp.enh.U, rp.plain.U)
-		rp.dv = diffPlane(rp.enh.V, rp.plain.V)
+// deltas lazily computes the enhancement difference planes (Y, U, V).
+// Only half-pel and bi-predicted frames need them; see applyMBDelta.
+func (rp *refPair) deltas() [3][]int16 {
+	if rp.delta[0] == nil {
+		rp.delta = [3][]int16{
+			diffPlane(rp.enh.Y, rp.plain.Y),
+			diffPlane(rp.enh.U, rp.plain.U),
+			diffPlane(rp.enh.V, rp.plain.V),
+		}
 	}
-	return rp.dy, rp.du, rp.dv
+	return rp.delta
 }
 
 func diffPlane(a, b []uint8) []int16 {
@@ -120,38 +119,6 @@ func diffPlane(a, b []uint8) []int16 {
 		d[i] = int16(a[i]) - int16(b[i])
 	}
 	return d
-}
-
-// fetchDelta motion-compensates a bw×bh block of an int16 delta plane.
-func fetchDelta(src []int16, pw, ph, x, y int, m mv, bw, bh int, dst []int32) {
-	for by := 0; by < bh; by++ {
-		sy := clampi(y+m.y+by, 0, ph-1)
-		row := src[sy*pw:]
-		for bx := 0; bx < bw; bx++ {
-			sx := clampi(x+m.x+bx, 0, pw-1)
-			dst[by*bw+bx] = int32(row[sx])
-		}
-	}
-}
-
-// fetchDeltaHP is fetchDelta with half-pel bilinear interpolation.
-func fetchDeltaHP(src []int16, pw, ph, x, y int, m mv, bw, bh int, dst []int32) {
-	ix, iy := floorDiv2(m.x), floorDiv2(m.y)
-	fx, fy := m.x&1, m.y&1
-	if fx == 0 && fy == 0 {
-		fetchDelta(src, pw, ph, x, y, mv{ix, iy}, bw, bh, dst)
-		return
-	}
-	at := func(px, py int) int32 {
-		return int32(src[clampi(py, 0, ph-1)*pw+clampi(px, 0, pw-1)])
-	}
-	for by := 0; by < bh; by++ {
-		sy := y + iy + by
-		for bx := 0; bx < bw; bx++ {
-			sx := x + ix + bx
-			dst[by*bw+bx] = (at(sx, sy) + at(sx+fx, sy) + at(sx, sy+fy) + at(sx+fx, sy+fy) + 2) / 4
-		}
-	}
 }
 
 // DecodeStats records what a decode pass did; the device model consumes
@@ -191,8 +158,21 @@ type Decoder struct {
 
 // Decode reconstructs all frames of s in display order.
 func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
-	if s.W%mbSize != 0 || s.H%mbSize != 0 {
+	if s.W <= 0 || s.H <= 0 || s.W%mbSize != 0 || s.H%mbSize != 0 {
 		return nil, fmt.Errorf("codec: stream dimensions %dx%d invalid", s.W, s.H)
+	}
+	// Validate before allocating: n frames fill at most n display slots,
+	// so an index beyond that can never yield a complete sequence, and a
+	// payload below the minimum for its frame type cannot decode. Without
+	// these a few hostile bytes cost a slot table or a frame of memory.
+	for i := range s.Frames {
+		ef := &s.Frames[i]
+		if ef.Display < 0 || ef.Display >= len(s.Frames) {
+			return nil, fmt.Errorf("%w: display index %d out of range for %d frames", ErrBitstream, ef.Display, len(s.Frames))
+		}
+		if need := minFrameBits(ef.Type, s.W, s.H); len(ef.Data)*8 < need {
+			return nil, fmt.Errorf("%w: %v frame %d: %d-byte payload, need at least %d bits", ErrBitstream, ef.Type, ef.Display, len(ef.Data), need)
+		}
 	}
 	// Resolve metric handles once per decode; all are nil (no-op) when
 	// Obs is unset, so the per-frame path stays branch-cheap.
@@ -259,11 +239,11 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 					}
 				}
 			}
-			pair := newRefPair(f, enh)
+			pair := &refPair{plain: f, enh: enh}
 			if d.Mode == PropagateReplace {
 				// Paper Fig 6: the enhanced frame replaces the decoded one
 				// in the DPB; dependent frames reference it directly.
-				pair = newRefPair(enh, enh)
+				pair.plain = enh
 			}
 			display = enh
 			prevAnchor, lastAnchor = lastAnchor, pair
@@ -292,9 +272,6 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 			return nil, fmt.Errorf("codec: unknown frame type %d", ef.Type)
 		}
 		d.Stats.Bits += len(ef.Data) * 8
-		if ef.Display < 0 || ef.Display >= len(out) {
-			return nil, fmt.Errorf("codec: display index %d out of range", ef.Display)
-		}
 		out[ef.Display] = display
 	}
 	for i, f := range out {
@@ -315,6 +292,18 @@ func frameSpan(s *Stream) int {
 		}
 	}
 	return maxDisplay + 1
+}
+
+// minFrameBits is the least a frame of the given type and size can
+// occupy: the 6 QP bits, then for an I frame the deblock flag and two
+// codes of at least one bit for each of the 24 4×4 blocks per macroblock,
+// for a P or B frame two flags and a mode code per macroblock.
+func minFrameBits(t FrameType, w, h int) int {
+	mbs := (w / mbSize) * (h / mbSize)
+	if t == FrameI {
+		return 7 + 48*mbs
+	}
+	return 8 + mbs
 }
 
 func decodeIFrame(r *BitReader, w, h int, qstep float64) (*video.YUV, error) {
@@ -339,9 +328,7 @@ func decodeIFrame(r *BitReader, w, h int, qstep float64) (*video.YUV, error) {
 }
 
 func decodePlaneIntra(r *BitReader, rec []uint8, pw, ph int, qstep float64) error {
-	var res [16]float64
-	var levels [16]int32
-	var pred [16]int32
+	var levels, pred [16]int32
 	for y := 0; y < ph; y += blockSize {
 		for x := 0; x < pw; x += blockSize {
 			mode, err := r.ReadUE()
@@ -355,12 +342,7 @@ func decodePlaneIntra(r *BitReader, rec []uint8, pw, ph int, qstep float64) erro
 				return err
 			}
 			intraPredict(rec, pw, x, y, int(mode), &pred)
-			dequantizeBlock(&levels, qstep, &res)
-			for by := 0; by < blockSize; by++ {
-				for bx := 0; bx < blockSize; bx++ {
-					rec[(y+by)*pw+x+bx] = clampPix(float64(pred[by*blockSize+bx]) + res[by*blockSize+bx])
-				}
-			}
+			reconBlock(rec[y*pw+x:], pw, pred[:], blockSize, &levels, isCoded(&levels), qstep)
 		}
 	}
 	return nil
@@ -368,22 +350,27 @@ func decodePlaneIntra(r *BitReader, rec []uint8, pw, ph int, qstep float64) erro
 
 // readMBLevels decodes all 24 coefficient blocks of a macroblock.
 func readMBLevels(r *BitReader, lv *mbLevels) error {
-	for i := range lv.luma {
-		if err := readLevels(r, &lv.luma[i]); err != nil {
+	for i := range lv.blocks {
+		if err := readLevels(r, &lv.blocks[i]); err != nil {
 			return err
 		}
-	}
-	for i := range lv.chromU {
-		if err := readLevels(r, &lv.chromU[i]); err != nil {
-			return err
-		}
-	}
-	for i := range lv.chromV {
-		if err := readLevels(r, &lv.chromV[i]); err != nil {
-			return err
-		}
+		lv.coded[i] = isCoded(&lv.blocks[i])
 	}
 	return nil
+}
+
+// copyMB copies macroblock (mx, my) of src into dst — all that zero
+// motion with no residual amounts to.
+func copyMB(dst, src planes, mx, my int) {
+	for y := my * mbSize; y < (my+1)*mbSize; y++ {
+		o := y*dst.lw + mx*mbSize
+		copy(dst.y[o:o+mbSize], src.y[o:])
+	}
+	for y := my * 8; y < (my+1)*8; y++ {
+		o := y*dst.cw + mx*8
+		copy(dst.u[o:o+8], src.u[o:])
+		copy(dst.v[o:o+8], src.v[o:])
+	}
 }
 
 // applyMBDelta adds the motion-compensated enhancement delta of ref to the
@@ -395,69 +382,65 @@ func readMBLevels(r *BitReader, lv *mbLevels) error {
 // with no coded residual (the vast majority at CRF-51-like rates) inherit
 // the reference enhancement through motion compensation. Pass a second
 // reference to average two deltas (bi-prediction for B frames).
-func applyMBDelta(plain, enh planes, mx, my int, lv *mbLevels, hp bool, ref *refPair, m mv, ref2 *refPair, m2 mv) {
-	buf := make([]int32, mbSize*mbSize)
-	buf2 := make([]int32, mbSize*mbSize)
-	addPlane := func(dst, src []uint8, pw, ph int, d1, d2 []int16, x0, y0, bw, bh int, mm, mm2 mv, bi, hpPlane bool, coded func(bx, by int) bool) {
-		if hpPlane {
-			fetchDeltaHP(d1, pw, ph, x0, y0, mm, bw, bh, buf[:bw*bh])
+//
+// With one reference and full-pel motion an uncoded block's plain
+// reconstruction is the fetched reference sample itself, so plain + delta
+// = plain_ref + (enh_ref − plain_ref) is the enhanced reference sample,
+// already in range: the block is a second motion-compensated copy, from
+// ref.enh, and no delta plane is built. Interpolated and averaged deltas
+// have no such identity and go through ref.deltas().
+func applyMBDelta(plain, enh planes, mx, my int, coded *[24]bool, hp bool, s *mbScratch, ref *refPair, m mv, ref2 *refPair, m2 mv) {
+	bi := ref2 != nil
+	direct := !hp && !bi
+	var d1, d2 [3][]int16
+	if !direct {
+		d1 = ref.deltas()
+	}
+	if bi {
+		d2 = ref2.deltas()
+	}
+	refEnh := [3][]uint8{ref.enh.Y, ref.enh.U, ref.enh.V}
+	dsts := [3][]uint8{enh.y, enh.u, enh.v}
+	for pi, p := range mbParts(plain, mx, my, s) {
+		if pi == 1 { // both chroma planes: the derived vectors, always full-pel
+			m, m2, hp = chromaMV(m, hp), chromaMV(m2, hp), false
+		}
+		t0, t1 := s.t0[:p.size*p.size], s.t1[:p.size*p.size]
+		if direct {
+			fetchBlock(refEnh[pi], p.pw, p.ph, p.x0, p.y0, m, p.size, p.size, t0)
 		} else {
-			fetchDelta(d1, pw, ph, x0, y0, mm, bw, bh, buf[:bw*bh])
+			fetchMC(d1[pi], p.pw, p.ph, p.x0, p.y0, m, hp, p.size, p.size, t0)
 		}
 		if bi {
-			if hpPlane {
-				fetchDeltaHP(d2, pw, ph, x0, y0, mm2, bw, bh, buf2[:bw*bh])
-			} else {
-				fetchDelta(d2, pw, ph, x0, y0, mm2, bw, bh, buf2[:bw*bh])
-			}
+			fetchMC(d2[pi], p.pw, p.ph, p.x0, p.y0, m2, hp, p.size, p.size, t1)
 		}
-		for by := 0; by < bh; by++ {
-			for bx := 0; bx < bw; bx++ {
-				pos := (y0+by)*pw + x0 + bx
-				if coded(bx, by) {
-					dst[pos] = src[pos]
-					continue
+		for by := 0; by < p.size; by += blockSize {
+			for bx := 0; bx < p.size; bx += blockSize {
+				c := coded[p.first+by/blockSize*(p.size/blockSize)+bx/blockSize]
+				for yy := by; yy < by+blockSize; yy++ {
+					o := (p.y0+yy)*p.pw + p.x0 + bx
+					src, dst := p.pix[o:o+blockSize], dsts[pi][o:o+blockSize]
+					a, b := t0[yy*p.size+bx:][:blockSize], t1[yy*p.size+bx:][:blockSize]
+					switch {
+					case c:
+						copy(dst, src)
+					case direct:
+						for i, v := range a {
+							dst[i] = uint8(v)
+						}
+					case bi:
+						for i, v := range src {
+							dst[i] = clamp8(int32(v) + (a[i]+b[i]+1)/2)
+						}
+					default:
+						for i, v := range src {
+							dst[i] = clamp8(int32(v) + a[i])
+						}
+					}
 				}
-				dv := buf[by*bw+bx]
-				if bi {
-					dv = (dv + buf2[by*bw+bx] + 1) / 2
-				}
-				dst[pos] = clamp8(int32(src[pos]) + dv)
 			}
 		}
 	}
-	bi := ref2 != nil
-	var d2y, d2u, d2v []int16
-	dy, du, dv := ref.deltas()
-	if bi {
-		d2y, d2u, d2v = ref2.deltas()
-	}
-	blockCoded := func(blocks *[16]int32) bool {
-		for _, v := range blocks {
-			if v != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	lumaCoded := func(bx, by int) bool {
-		return blockCoded(&lv.luma[(by/blockSize)*4+bx/blockSize])
-	}
-	uCoded := func(bx, by int) bool {
-		return blockCoded(&lv.chromU[(by/blockSize)*2+bx/blockSize])
-	}
-	vCoded := func(bx, by int) bool {
-		return blockCoded(&lv.chromV[(by/blockSize)*2+bx/blockSize])
-	}
-	cm := mv{m.x / 2, m.y / 2}
-	cm2 := mv{m2.x / 2, m2.y / 2}
-	if hp {
-		cm = mv{roundDiv(m.x, 4), roundDiv(m.y, 4)}
-		cm2 = mv{roundDiv(m2.x, 4), roundDiv(m2.y, 4)}
-	}
-	addPlane(enh.y, plain.y, plain.lw, plain.lh, dy, d2y, mx*mbSize, my*mbSize, mbSize, mbSize, m, m2, bi, hp, lumaCoded)
-	addPlane(enh.u, plain.u, plain.cw, plain.ch, du, d2u, mx*8, my*8, 8, 8, cm, cm2, bi, false, uCoded)
-	addPlane(enh.v, plain.v, plain.cw, plain.ch, dv, d2v, mx*8, my*8, 8, 8, cm, cm2, bi, false, vCoded)
 }
 
 func clamp8(v int32) uint8 {
@@ -470,31 +453,30 @@ func clamp8(v int32) uint8 {
 	return uint8(v)
 }
 
+// readInterFlags reads the half-pel and deblock flags that open a P or B
+// frame.
+func readInterFlags(r *BitReader) (hp, deblock bool, err error) {
+	v, err := r.ReadBits(2)
+	return v&2 != 0, v&1 != 0, err
+}
+
 func decodePFrame(r *BitReader, w, h int, ref *refPair, qstep float64) (*refPair, error) {
-	hpBit, err := r.ReadBit()
-	if err != nil {
-		return nil, err
-	}
-	hp := hpBit == 1
-	dbBit, err := r.ReadBit()
+	hp, deblock, err := readInterFlags(r)
 	if err != nil {
 		return nil, err
 	}
 	f := video.NewYUV(w, h)
+	pair := &refPair{plain: f, enh: f}
 	refp, recp := framePlanes(ref.plain), framePlanes(f)
 	carry := ref.hasDelta()
-	var enhFrame *video.YUV
-	var enhp planes
+	var refEnhp, enhp planes
 	if carry {
-		enhFrame = video.NewYUV(w, h)
-		enhp = framePlanes(enhFrame)
+		pair.enh = video.NewYUV(w, h)
+		refEnhp, enhp = framePlanes(ref.enh), framePlanes(pair.enh)
 	}
 	mbW, mbH := w/mbSize, h/mbSize
-	predY := make([]int32, mbSize*mbSize)
-	predU := make([]int32, 8*8)
-	predV := make([]int32, 8*8)
+	var s mbScratch
 	var lv mbLevels
-	var zero mbLevels
 	for my := 0; my < mbH; my++ {
 		predMV := mv{0, 0}
 		for mx := 0; mx < mbW; mx++ {
@@ -502,12 +484,14 @@ func decodePFrame(r *BitReader, w, h int, ref *refPair, qstep float64) (*refPair
 			if err != nil {
 				return nil, err
 			}
-			var m mv
-			cur := &zero
 			switch mode {
 			case mbSkip:
-				predictMB(refp, mx, my, mv{0, 0}, hp, predY, predU, predV)
-				reconMB(recp, mx, my, predY, predU, predV, &zero, qstep)
+				// Zero motion, no residual: both reconstructions are the
+				// co-located reference macroblock.
+				copyMB(recp, refp, mx, my)
+				if carry {
+					copyMB(enhp, refEnhp, mx, my)
+				}
 				predMV = mv{0, 0}
 			case mbCoded:
 				dx, err := r.ReadSE()
@@ -518,62 +502,47 @@ func decodePFrame(r *BitReader, w, h int, ref *refPair, qstep float64) (*refPair
 				if err != nil {
 					return nil, err
 				}
-				m = mv{predMV.x + int(dx), predMV.y + int(dy)}
+				m := mv{predMV.x + int(dx), predMV.y + int(dy)}
 				if err := readMBLevels(r, &lv); err != nil {
 					return nil, err
 				}
-				predictMB(refp, mx, my, m, hp, predY, predU, predV)
-				reconMB(recp, mx, my, predY, predU, predV, &lv, qstep)
+				predictMB(refp, mx, my, m, hp, &s)
+				reconMB(recp, mx, my, &s, &lv, qstep)
+				if carry {
+					applyMBDelta(recp, enhp, mx, my, &lv.coded, hp, &s, ref, m, nil, mv{})
+				}
 				predMV = m
-				cur = &lv
 			default:
 				return nil, fmt.Errorf("%w: bad P macroblock mode %d", ErrBitstream, mode)
 			}
-			if carry {
-				applyMBDelta(recp, enhp, mx, my, cur, hp, ref, m, nil, mv{})
-			}
 		}
 	}
-	if dbBit == 1 {
+	if deblock {
 		deblockFrame(f, qstep)
 		if carry {
-			deblockFrame(enhFrame, qstep)
+			deblockFrame(pair.enh, qstep)
 		}
 	}
-	if !carry {
-		return newRefPair(f, f), nil
-	}
-	return newRefPair(f, enhFrame), nil
+	return pair, nil
 }
 
 func decodeBFrame(r *BitReader, w, h int, fwd, bwd *refPair, qstep float64) (*video.YUV, error) {
-	hpBit, err := r.ReadBit()
-	if err != nil {
-		return nil, err
-	}
-	hp := hpBit == 1
-	dbBit, err := r.ReadBit()
+	hp, deblock, err := readInterFlags(r)
 	if err != nil {
 		return nil, err
 	}
 	f := video.NewYUV(w, h)
 	fp, bp, recp := framePlanes(fwd.plain), framePlanes(bwd.plain), framePlanes(f)
+	shown := f
 	carry := fwd.hasDelta() || bwd.hasDelta()
-	var enhFrame *video.YUV
 	var enhp planes
 	if carry {
-		enhFrame = video.NewYUV(w, h)
-		enhp = framePlanes(enhFrame)
-		// Ensure both refs expose deltas (zero deltas if plain == enh).
-		fwd.deltas()
-		bwd.deltas()
+		shown = video.NewYUV(w, h)
+		enhp = framePlanes(shown)
 	}
 	mbW, mbH := w/mbSize, h/mbSize
-	predY := make([]int32, mbSize*mbSize)
-	predU := make([]int32, 8*8)
-	predV := make([]int32, 8*8)
+	var s mbScratch
 	var lv mbLevels
-	var zero mbLevels
 	for my := 0; my < mbH; my++ {
 		predMV0, predMV1 := mv{0, 0}, mv{0, 0}
 		for mx := 0; mx < mbW; mx++ {
@@ -582,12 +551,9 @@ func decodeBFrame(r *BitReader, w, h int, fwd, bwd *refPair, qstep float64) (*vi
 				return nil, err
 			}
 			var m0, m1 mv
-			cur := &zero
 			switch mode {
 			case mbSkip:
-				predictMBBi(fp, bp, mx, my, mv{0, 0}, mv{0, 0}, hp, predY, predU, predV)
-				reconMB(recp, mx, my, predY, predU, predV, &zero, qstep)
-				predMV0, predMV1 = mv{0, 0}, mv{0, 0}
+				lv.coded = [24]bool{}
 			case mbCoded:
 				var d [4]int32
 				for i := range d {
@@ -602,26 +568,22 @@ func decodeBFrame(r *BitReader, w, h int, fwd, bwd *refPair, qstep float64) (*vi
 				if err := readMBLevels(r, &lv); err != nil {
 					return nil, err
 				}
-				predictMBBi(fp, bp, mx, my, m0, m1, hp, predY, predU, predV)
-				reconMB(recp, mx, my, predY, predU, predV, &lv, qstep)
-				predMV0, predMV1 = m0, m1
-				cur = &lv
 			default:
 				return nil, fmt.Errorf("%w: bad B macroblock mode %d", ErrBitstream, mode)
 			}
+			predictMBBi(fp, bp, mx, my, m0, m1, hp, &s)
+			reconMB(recp, mx, my, &s, &lv, qstep)
+			predMV0, predMV1 = m0, m1
 			if carry {
-				applyMBDelta(recp, enhp, mx, my, cur, hp, fwd, m0, bwd, m1)
+				applyMBDelta(recp, enhp, mx, my, &lv.coded, hp, &s, fwd, m0, bwd, m1)
 			}
 		}
 	}
-	if dbBit == 1 {
+	if deblock {
 		deblockFrame(f, qstep)
 		if carry {
-			deblockFrame(enhFrame, qstep)
+			deblockFrame(shown, qstep)
 		}
 	}
-	if carry {
-		return enhFrame, nil
-	}
-	return f, nil
+	return shown, nil
 }

@@ -239,11 +239,7 @@ func clampQP(qp int) int {
 func encodeIFrame(f *video.YUV, qp int, qstep float64, deblock bool) ([]byte, *video.YUV) {
 	w := NewBitWriter()
 	w.WriteBits(uint64(qp), 6)
-	if deblock {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
+	w.WriteBit(flagBit(deblock))
 	recon := video.NewYUV(f.W, f.H)
 	encodePlaneIntra(w, f.Y, recon.Y, f.W, f.H, qstep)
 	encodePlaneIntra(w, f.U, recon.U, f.ChromaW(), f.ChromaH(), qstep)
@@ -252,6 +248,13 @@ func encodeIFrame(f *video.YUV, qp int, qstep float64, deblock bool) ([]byte, *v
 		deblockFrame(recon, qstep)
 	}
 	return w.Bytes(), recon
+}
+
+func flagBit(on bool) uint {
+	if on {
+		return 1
+	}
+	return 0
 }
 
 // Intra 4×4 prediction modes (a subset of H.264's nine): DC from the
@@ -325,14 +328,9 @@ func encodePlaneIntra(w *BitWriter, src, rec []uint8, pw, ph int, qstep float64)
 					res[by*blockSize+bx] = float64(src[(y+by)*pw+x+bx]) - float64(bestPred[by*blockSize+bx])
 				}
 			}
-			quantizeBlock(&res, qstep, roundIntra, &levels)
+			nz := quantizeBlock(&res, qstep, roundIntra, &levels)
 			writeLevels(w, &levels)
-			dequantizeBlock(&levels, qstep, &res)
-			for by := 0; by < blockSize; by++ {
-				for bx := 0; bx < blockSize; bx++ {
-					rec[(y+by)*pw+x+bx] = clampPix(float64(bestPred[by*blockSize+bx]) + res[by*blockSize+bx])
-				}
-			}
+			reconBlock(rec[y*pw+x:], pw, bestPred[:], blockSize, &levels, nz != 0, qstep)
 		}
 	}
 }
@@ -372,55 +370,58 @@ func clampPix(v float64) uint8 {
 }
 
 // mbLevels holds the quantized levels of one macroblock: 16 luma blocks
-// followed by 4+4 chroma blocks.
+// followed by 4+4 chroma blocks, each group in raster order.
 type mbLevels struct {
-	luma   [16][16]int32
-	chromU [4][16]int32
-	chromV [4][16]int32
+	blocks [24][16]int32
+	coded  [24]bool // blocks[i] has a nonzero level
 	nz     int
 }
 
-// quantizeMB computes residual levels for the macroblock at luma position
-// (mx·16, my·16) given per-plane predictions (predY 16×16, predU/predV 8×8).
-func quantizeMB(cur planes, mx, my int, predY, predU, predV []int32, qstep float64, out *mbLevels) {
+// mbScratch holds one macroblock's prediction (16×16 luma, 8×8 per chroma
+// plane) and two fetch buffers, so the coding loops allocate per frame,
+// not per macroblock.
+type mbScratch struct {
+	predY        [mbSize * mbSize]int32
+	predU, predV [8 * 8]int32
+	t0, t1       [mbSize * mbSize]int32
+}
+
+// mbPart is one plane's share of a macroblock: the size×size square at
+// (x0, y0) of the pw×ph plane pix, predicted by pred, whose 4×4 blocks
+// start at index first of mbLevels.
+type mbPart struct {
+	pix            []uint8
+	pw, ph, x0, y0 int
+	size, first    int
+	pred           []int32
+}
+
+func mbParts(p planes, mx, my int, s *mbScratch) [3]mbPart {
+	return [3]mbPart{
+		{p.y, p.lw, p.lh, mx * mbSize, my * mbSize, mbSize, 0, s.predY[:]},
+		{p.u, p.cw, p.ch, mx * 8, my * 8, 8, 16, s.predU[:]},
+		{p.v, p.cw, p.ch, mx * 8, my * 8, 8, 20, s.predV[:]},
+	}
+}
+
+// quantizeMB computes residual levels for the macroblock (mx, my) of cur
+// against the prediction in s.
+func quantizeMB(cur planes, mx, my int, s *mbScratch, qstep float64, out *mbLevels) {
 	out.nz = 0
 	var res [16]float64
-	x0, y0 := mx*mbSize, my*mbSize
-	bi := 0
-	for by := 0; by < mbSize; by += blockSize {
-		for bx := 0; bx < mbSize; bx += blockSize {
-			for yy := 0; yy < blockSize; yy++ {
-				for xx := 0; xx < blockSize; xx++ {
-					sp := float64(cur.y[(y0+by+yy)*cur.lw+x0+bx+xx])
-					pp := float64(predY[(by+yy)*mbSize+bx+xx])
-					res[yy*blockSize+xx] = sp - pp
-				}
-			}
-			out.nz += quantizeBlock(&res, qstep, roundInter, &out.luma[bi])
-			bi++
-		}
-	}
-	cx0, cy0 := mx*8, my*8
-	for pi, plane := range [][]uint8{cur.u, cur.v} {
-		pred := predU
-		if pi == 1 {
-			pred = predV
-		}
-		bi = 0
-		for by := 0; by < 8; by += blockSize {
-			for bx := 0; bx < 8; bx += blockSize {
+	for _, p := range mbParts(cur, mx, my, s) {
+		bi := p.first
+		for by := 0; by < p.size; by += blockSize {
+			for bx := 0; bx < p.size; bx += blockSize {
 				for yy := 0; yy < blockSize; yy++ {
-					for xx := 0; xx < blockSize; xx++ {
-						sp := float64(plane[(cy0+by+yy)*cur.cw+cx0+bx+xx])
-						pp := float64(pred[(by+yy)*8+bx+xx])
-						res[yy*blockSize+xx] = sp - pp
+					pred := p.pred[(by+yy)*p.size+bx:][:blockSize]
+					for xx, v := range p.pix[(p.y0+by+yy)*p.pw+p.x0+bx:][:blockSize] {
+						res[yy*blockSize+xx] = float64(v) - float64(pred[xx])
 					}
 				}
-				if pi == 0 {
-					out.nz += quantizeBlock(&res, qstep, roundInter, &out.chromU[bi])
-				} else {
-					out.nz += quantizeBlock(&res, qstep, roundInter, &out.chromV[bi])
-				}
+				nz := quantizeBlock(&res, qstep, roundInter, &out.blocks[bi])
+				out.coded[bi] = nz != 0
+				out.nz += nz
 				bi++
 			}
 		}
@@ -429,74 +430,42 @@ func quantizeMB(cur planes, mx, my int, predY, predU, predV []int32, qstep float
 
 // writeMBLevels entropy-codes all 24 blocks of a macroblock.
 func writeMBLevels(w *BitWriter, lv *mbLevels) {
-	for i := range lv.luma {
-		writeLevels(w, &lv.luma[i])
-	}
-	for i := range lv.chromU {
-		writeLevels(w, &lv.chromU[i])
-	}
-	for i := range lv.chromV {
-		writeLevels(w, &lv.chromV[i])
+	for i := range lv.blocks {
+		writeLevels(w, &lv.blocks[i])
 	}
 }
 
-// reconMB reconstructs a macroblock into rec from predictions + levels.
-func reconMB(rec planes, mx, my int, predY, predU, predV []int32, lv *mbLevels, qstep float64) {
-	var res [16]float64
-	x0, y0 := mx*mbSize, my*mbSize
-	bi := 0
-	for by := 0; by < mbSize; by += blockSize {
-		for bx := 0; bx < mbSize; bx += blockSize {
-			dequantizeBlock(&lv.luma[bi], qstep, &res)
-			bi++
-			for yy := 0; yy < blockSize; yy++ {
-				for xx := 0; xx < blockSize; xx++ {
-					p := float64(predY[(by+yy)*mbSize+bx+xx])
-					rec.y[(y0+by+yy)*rec.lw+x0+bx+xx] = clampPix(p + res[yy*blockSize+xx])
-				}
-			}
-		}
-	}
-	cx0, cy0 := mx*8, my*8
-	for pi, plane := range [][]uint8{rec.u, rec.v} {
-		pred := predU
-		blocks := &lv.chromU
-		if pi == 1 {
-			pred = predV
-			blocks = &lv.chromV
-		}
-		bi = 0
-		for by := 0; by < 8; by += blockSize {
-			for bx := 0; bx < 8; bx += blockSize {
-				dequantizeBlock(&blocks[bi], qstep, &res)
+// reconMB reconstructs a macroblock into rec from the prediction in s and
+// the levels.
+func reconMB(rec planes, mx, my int, s *mbScratch, lv *mbLevels, qstep float64) {
+	for _, p := range mbParts(rec, mx, my, s) {
+		bi := p.first
+		for by := 0; by < p.size; by += blockSize {
+			for bx := 0; bx < p.size; bx += blockSize {
+				reconBlock(p.pix[(p.y0+by)*p.pw+p.x0+bx:], p.pw, p.pred[by*p.size+bx:], p.size, &lv.blocks[bi], lv.coded[bi], qstep)
 				bi++
-				for yy := 0; yy < blockSize; yy++ {
-					for xx := 0; xx < blockSize; xx++ {
-						p := float64(pred[(by+yy)*8+bx+xx])
-						plane[(cy0+by+yy)*rec.cw+cx0+bx+xx] = clampPix(p + res[yy*blockSize+xx])
-					}
-				}
 			}
 		}
 	}
 }
 
-// predictMB fills per-plane prediction buffers for a macroblock from a
-// reference frame displaced by m. In full-pel mode m is in luma samples
-// and chroma vectors are halved; in half-pel mode m is in half-samples,
-// luma is interpolated, and chroma rounds to the nearest full sample.
-func predictMB(ref planes, mx, my int, m mv, hp bool, predY, predU, predV []int32) {
+// chromaMV derives the chroma vector from a luma one: halved in full-pel
+// mode, rounded to the nearest full chroma sample in half-pel mode.
+func chromaMV(m mv, hp bool) mv {
 	if hp {
-		fetchBlockHP(ref.y, ref.lw, ref.lh, mx*mbSize, my*mbSize, m, mbSize, mbSize, predY)
-		cm := mv{roundDiv(m.x, 4), roundDiv(m.y, 4)}
-		fetchBlock(ref.u, ref.cw, ref.ch, mx*8, my*8, cm, 8, 8, predU)
-		fetchBlock(ref.v, ref.cw, ref.ch, mx*8, my*8, cm, 8, 8, predV)
-		return
+		return mv{roundDiv(m.x, 4), roundDiv(m.y, 4)}
 	}
-	fetchBlock(ref.y, ref.lw, ref.lh, mx*mbSize, my*mbSize, m, mbSize, mbSize, predY)
-	cm := mv{m.x / 2, m.y / 2}
-	fetchBlock(ref.u, ref.cw, ref.ch, mx*8, my*8, cm, 8, 8, predU)
-	fetchBlock(ref.v, ref.cw, ref.ch, mx*8, my*8, cm, 8, 8, predV)
+	return mv{m.x / 2, m.y / 2}
+}
+
+// predictMB fills the prediction in s for a macroblock from a reference
+// frame displaced by m. In full-pel mode m is in luma samples; in
+// half-pel mode m is in half-samples and luma is interpolated.
+func predictMB(ref planes, mx, my int, m mv, hp bool, s *mbScratch) {
+	fetchMC(ref.y, ref.lw, ref.lh, mx*mbSize, my*mbSize, m, hp, mbSize, mbSize, s.predY[:])
+	cm := chromaMV(m, hp)
+	fetchBlock(ref.u, ref.cw, ref.ch, mx*8, my*8, cm, 8, 8, s.predU[:])
+	fetchBlock(ref.v, ref.cw, ref.ch, mx*8, my*8, cm, 8, 8, s.predV[:])
 }
 
 // roundDiv divides rounding to nearest, away from zero on ties.
@@ -507,27 +476,13 @@ func roundDiv(v, d int) int {
 	return -((-v + d/2) / d)
 }
 
-// predictMBBi fills prediction buffers with the bi-directional average of
-// two references.
-func predictMBBi(fwd, bwd planes, mx, my int, m0, m1 mv, hp bool, predY, predU, predV []int32) {
-	if hp {
-		t0 := make([]int32, mbSize*mbSize)
-		t1 := make([]int32, mbSize*mbSize)
-		fetchBlockHP(fwd.y, fwd.lw, fwd.lh, mx*mbSize, my*mbSize, m0, mbSize, mbSize, t0)
-		fetchBlockHP(bwd.y, bwd.lw, bwd.lh, mx*mbSize, my*mbSize, m1, mbSize, mbSize, t1)
-		for i := range predY {
-			predY[i] = (t0[i] + t1[i] + 1) / 2
-		}
-		c0 := mv{roundDiv(m0.x, 4), roundDiv(m0.y, 4)}
-		c1 := mv{roundDiv(m1.x, 4), roundDiv(m1.y, 4)}
-		fetchBlockAvg(fwd.u, c0, bwd.u, c1, fwd.cw, fwd.ch, mx*8, my*8, 8, 8, predU)
-		fetchBlockAvg(fwd.v, c0, bwd.v, c1, fwd.cw, fwd.ch, mx*8, my*8, 8, 8, predV)
-		return
-	}
-	fetchBlockAvg(fwd.y, m0, bwd.y, m1, fwd.lw, fwd.lh, mx*mbSize, my*mbSize, mbSize, mbSize, predY)
-	c0, c1 := mv{m0.x / 2, m0.y / 2}, mv{m1.x / 2, m1.y / 2}
-	fetchBlockAvg(fwd.u, c0, bwd.u, c1, fwd.cw, fwd.ch, mx*8, my*8, 8, 8, predU)
-	fetchBlockAvg(fwd.v, c0, bwd.v, c1, fwd.cw, fwd.ch, mx*8, my*8, 8, 8, predV)
+// predictMBBi fills the prediction in s with the bi-directional average
+// of two references.
+func predictMBBi(fwd, bwd planes, mx, my int, m0, m1 mv, hp bool, s *mbScratch) {
+	c0, c1 := chromaMV(m0, hp), chromaMV(m1, hp)
+	fetchBlockAvg(fwd.y, m0, bwd.y, m1, fwd.lw, fwd.lh, mx*mbSize, my*mbSize, hp, mbSize, mbSize, s, s.predY[:])
+	fetchBlockAvg(fwd.u, c0, bwd.u, c1, fwd.cw, fwd.ch, mx*8, my*8, false, 8, 8, s, s.predU[:])
+	fetchBlockAvg(fwd.v, c0, bwd.v, c1, fwd.cw, fwd.ch, mx*8, my*8, false, 8, 8, s, s.predV[:])
 }
 
 // Macroblock modes.
@@ -540,23 +495,13 @@ const (
 func encodePFrame(f, ref *video.YUV, qp int, qstep float64, searchRange int, hp, deblock bool) ([]byte, *video.YUV) {
 	w := NewBitWriter()
 	w.WriteBits(uint64(qp), 6)
-	if hp {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-	if deblock {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
+	w.WriteBit(flagBit(hp))
+	w.WriteBit(flagBit(deblock))
 	cur, refp := framePlanes(f), framePlanes(ref)
 	recon := video.NewYUV(f.W, f.H)
 	recp := framePlanes(recon)
 	mbW, mbH := f.W/mbSize, f.H/mbSize
-	predY := make([]int32, mbSize*mbSize)
-	predU := make([]int32, 8*8)
-	predV := make([]int32, 8*8)
+	var s mbScratch
 	var lv mbLevels
 	for my := 0; my < mbH; my++ {
 		predMV := mv{0, 0}
@@ -565,15 +510,15 @@ func encodePFrame(f, ref *video.YUV, qp int, qstep float64, searchRange int, hp,
 			if hp {
 				fullPred = mv{roundDiv(predMV.x, 2), roundDiv(predMV.y, 2)}
 			}
-			best, _ := searchMV(cur.y, refp.y, f.W, f.H, mx*mbSize, my*mbSize, searchRange, fullPred)
+			best := searchMV(cur.y, refp.y, f.W, f.H, mx*mbSize, my*mbSize, searchRange, fullPred)
 			if hp {
 				best = refineHalfPel(cur.y, refp.y, f.W, f.H, mx*mbSize, my*mbSize, best)
 			}
-			predictMB(refp, mx, my, best, hp, predY, predU, predV)
-			quantizeMB(cur, mx, my, predY, predU, predV, qstep, &lv)
+			predictMB(refp, mx, my, best, hp, &s)
+			quantizeMB(cur, mx, my, &s, qstep, &lv)
+			reconMB(recp, mx, my, &s, &lv, qstep)
 			if best == (mv{0, 0}) && lv.nz == 0 {
 				w.WriteUE(mbSkip)
-				reconMB(recp, mx, my, predY, predU, predV, &lv, qstep)
 				predMV = mv{0, 0}
 				continue
 			}
@@ -581,7 +526,6 @@ func encodePFrame(f, ref *video.YUV, qp int, qstep float64, searchRange int, hp,
 			w.WriteSE(int32(best.x - predMV.x))
 			w.WriteSE(int32(best.y - predMV.y))
 			writeMBLevels(w, &lv)
-			reconMB(recp, mx, my, predY, predU, predV, &lv, qstep)
 			predMV = best
 		}
 	}
@@ -596,21 +540,11 @@ func encodePFrame(f, ref *video.YUV, qp int, qstep float64, searchRange int, hp,
 func encodeBFrame(f, fwd, bwd *video.YUV, qp int, qstep float64, searchRange int, hp, deblock bool) []byte {
 	w := NewBitWriter()
 	w.WriteBits(uint64(qp), 6)
-	if hp {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-	if deblock {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
+	w.WriteBit(flagBit(hp))
+	w.WriteBit(flagBit(deblock))
 	cur, fp, bp := framePlanes(f), framePlanes(fwd), framePlanes(bwd)
 	mbW, mbH := f.W/mbSize, f.H/mbSize
-	predY := make([]int32, mbSize*mbSize)
-	predU := make([]int32, 8*8)
-	predV := make([]int32, 8*8)
+	var s mbScratch
 	var lv mbLevels
 	for my := 0; my < mbH; my++ {
 		predMV0, predMV1 := mv{0, 0}, mv{0, 0}
@@ -620,14 +554,14 @@ func encodeBFrame(f, fwd, bwd *video.YUV, qp int, qstep float64, searchRange int
 				fp0 = mv{roundDiv(predMV0.x, 2), roundDiv(predMV0.y, 2)}
 				fp1 = mv{roundDiv(predMV1.x, 2), roundDiv(predMV1.y, 2)}
 			}
-			m0, _ := searchMV(cur.y, fp.y, f.W, f.H, mx*mbSize, my*mbSize, searchRange, fp0)
-			m1, _ := searchMV(cur.y, bp.y, f.W, f.H, mx*mbSize, my*mbSize, searchRange, fp1)
+			m0 := searchMV(cur.y, fp.y, f.W, f.H, mx*mbSize, my*mbSize, searchRange, fp0)
+			m1 := searchMV(cur.y, bp.y, f.W, f.H, mx*mbSize, my*mbSize, searchRange, fp1)
 			if hp {
 				m0 = refineHalfPel(cur.y, fp.y, f.W, f.H, mx*mbSize, my*mbSize, m0)
 				m1 = refineHalfPel(cur.y, bp.y, f.W, f.H, mx*mbSize, my*mbSize, m1)
 			}
-			predictMBBi(fp, bp, mx, my, m0, m1, hp, predY, predU, predV)
-			quantizeMB(cur, mx, my, predY, predU, predV, qstep, &lv)
+			predictMBBi(fp, bp, mx, my, m0, m1, hp, &s)
+			quantizeMB(cur, mx, my, &s, qstep, &lv)
 			if m0 == (mv{0, 0}) && m1 == (mv{0, 0}) && lv.nz == 0 {
 				w.WriteUE(mbSkip)
 				predMV0, predMV1 = mv{0, 0}, mv{0, 0}

@@ -1,12 +1,21 @@
 package codec
 
-import "dcsr/internal/video"
+import (
+	"math"
 
-// Motion-compensation helpers. All motion is full-pel; reference reads are
-// edge-clamped, which matches the unrestricted-motion-vector behaviour of
-// modern codecs without needing padded reference planes.
+	"dcsr/internal/video"
+)
 
-// mv is a full-pel motion vector in luma units.
+// Motion-compensation helpers. Vectors are full-pel, or half-pel when the
+// frame says so (below); reference reads are edge-clamped, which matches
+// the unrestricted-motion-vector behaviour of modern codecs without
+// needing padded reference planes. Every fetch has two paths that produce
+// the same samples: whole rows when the displaced block lies inside the
+// plane (the common case), per-sample clamping when it crosses an edge or
+// a hostile vector points far outside.
+
+// mv is a motion vector in luma units: full samples, or half samples in a
+// half-pel frame.
 type mv struct{ x, y int }
 
 // clampi clamps v into [lo, hi].
@@ -18,6 +27,30 @@ func clampi(v, lo, hi int) int {
 		return hi
 	}
 	return v
+}
+
+// sample is a plane element: 8-bit pictures, 16-bit enhancement deltas.
+type sample interface{ uint8 | int16 }
+
+// fetchBlock copies a bw×bh block at (x+m.x, y+m.y) from plane src
+// (dimensions pw×ph) into dst, clamping reads at the plane edges.
+func fetchBlock[T sample](src []T, pw, ph, x, y int, m mv, bw, bh int, dst []int32) {
+	x, y = x+m.x, y+m.y
+	if x >= 0 && x <= pw-bw && y >= 0 && y <= ph-bh {
+		for by := 0; by < bh; by++ {
+			d := dst[by*bw:][:bw]
+			for bx, v := range src[(y+by)*pw+x:][:bw] {
+				d[bx] = int32(v)
+			}
+		}
+		return
+	}
+	for by := 0; by < bh; by++ {
+		row := src[clampi(y+by, 0, ph-1)*pw:]
+		for bx := 0; bx < bw; bx++ {
+			dst[by*bw+bx] = int32(row[clampi(x+bx, 0, pw-1)])
+		}
+	}
 }
 
 // Half-pel support: when a frame is coded with half-pel motion, vectors
@@ -36,38 +69,95 @@ func floorDiv2(v int) int {
 
 // fetchBlockHP copies a bw×bh block displaced by the half-pel vector m
 // from src into dst, bilinearly interpolating fractional positions.
-func fetchBlockHP(src []uint8, pw, ph, x, y int, m mv, bw, bh int, dst []int32) {
-	ix, iy := floorDiv2(m.x), floorDiv2(m.y)
+func fetchBlockHP[T sample](src []T, pw, ph, x, y int, m mv, bw, bh int, dst []int32) {
 	fx, fy := m.x&1, m.y&1
 	if fx == 0 && fy == 0 {
-		fetchBlock(src, pw, ph, x, y, mv{ix, iy}, bw, bh, dst)
+		fetchBlock(src, pw, ph, x, y, mv{floorDiv2(m.x), floorDiv2(m.y)}, bw, bh, dst)
 		return
 	}
-	at := func(px, py int) int32 {
-		return int32(src[clampi(py, 0, ph-1)*pw+clampi(px, 0, pw-1)])
+	x, y = x+floorDiv2(m.x), y+floorDiv2(m.y)
+	if x >= 0 && x <= pw-bw-fx && y >= 0 && y <= ph-bh-fy {
+		for by := 0; by < bh; by++ {
+			r0 := src[(y+by)*pw+x:][:bw+fx]
+			r1 := src[(y+by+fy)*pw+x:][:bw+fx]
+			d := dst[by*bw:][:bw]
+			for bx := range d {
+				d[bx] = (int32(r0[bx]) + int32(r0[bx+fx]) + int32(r1[bx]) + int32(r1[bx+fx]) + 2) / 4
+			}
+		}
+		return
 	}
 	for by := 0; by < bh; by++ {
-		sy := y + iy + by
+		r0 := src[clampi(y+by, 0, ph-1)*pw:]
+		r1 := src[clampi(y+by+fy, 0, ph-1)*pw:]
 		for bx := 0; bx < bw; bx++ {
-			sx := x + ix + bx
-			a := at(sx, sy)
-			b := at(sx+fx, sy)
-			c := at(sx, sy+fy)
-			d := at(sx+fx, sy+fy)
-			dst[by*bw+bx] = (a + b + c + d + 2) / 4
+			x0, x1 := clampi(x+bx, 0, pw-1), clampi(x+bx+fx, 0, pw-1)
+			dst[by*bw+bx] = (int32(r0[x0]) + int32(r0[x1]) + int32(r1[x0]) + int32(r1[x1]) + 2) / 4
 		}
 	}
 }
 
-// sadBlockHP is sadBlock at half-pel precision.
-func sadBlockHP(cur, ref []uint8, pw, ph, x, y int, m mv, bw, bh int) int {
-	tmp := make([]int32, bw*bh)
-	fetchBlockHP(ref, pw, ph, x, y, m, bw, bh, tmp)
+// fetchMC is fetchBlockHP in a half-pel frame and fetchBlock otherwise.
+func fetchMC[T sample](src []T, pw, ph, x, y int, m mv, hp bool, bw, bh int, dst []int32) {
+	if hp {
+		fetchBlockHP(src, pw, ph, x, y, m, bw, bh, dst)
+	} else {
+		fetchBlock(src, pw, ph, x, y, m, bw, bh, dst)
+	}
+}
+
+// fetchBlockAvg fetches the rounded average of two motion-compensated
+// blocks (bi-prediction for B frames).
+func fetchBlockAvg(src0 []uint8, m0 mv, src1 []uint8, m1 mv, pw, ph, x, y int, hp bool, bw, bh int, s *mbScratch, dst []int32) {
+	t0, t1 := s.t0[:bw*bh], s.t1[:bw*bh]
+	fetchMC(src0, pw, ph, x, y, m0, hp, bw, bh, t0)
+	fetchMC(src1, pw, ph, x, y, m1, hp, bw, bh, t1)
+	for i := range t0 {
+		dst[i] = (t0[i] + t1[i] + 1) / 2
+	}
+}
+
+// Every SAD below takes the incumbent best as limit and gives up once its
+// partial sum reaches it: the result is exact when it is below limit and
+// some value ≥ limit otherwise. The searches only ever ask "sad < best",
+// so either answer decides the same way.
+
+// sad16Go is the portable 16×16 SAD over two blocks that start at cur[0]
+// and ref[0] in planes of the given stride; the assembly kernel's
+// fallback and oracle.
+func sad16Go(cur, ref []uint8, stride, limit int) int {
 	var sad int
-	for by := 0; by < bh; by++ {
-		row := cur[(y+by)*pw:]
-		for bx := 0; bx < bw; bx++ {
-			d := int(row[x+bx]) - int(tmp[by*bw+bx])
+	for by := 0; by < mbSize && sad < limit; by++ {
+		r := ref[by*stride:][:mbSize]
+		for bx, v := range cur[by*stride:][:mbSize] {
+			d := int(v) - int(r[bx])
+			if d < 0 {
+				d = -d
+			}
+			sad += d
+		}
+	}
+	return sad
+}
+
+// sadBlock computes the sum of absolute differences between the 16×16 cur
+// block at (x, y) and the reference block displaced by the full-pel m.
+func sadBlock(cur, ref []uint8, pw, ph, x, y int, m mv, limit int) int {
+	if sx, sy := x+m.x, y+m.y; sx >= 0 && sx <= pw-mbSize && sy >= 0 && sy <= ph-mbSize {
+		return sad16(cur[y*pw+x:], ref[sy*pw+sx:], pw, limit)
+	}
+	return sadMC(cur, ref, pw, ph, x, y, m, false, limit)
+}
+
+// sadMC is the 16×16 SAD against a motion-compensated fetch, one row at a
+// time: any vector, full- or half-pel.
+func sadMC(cur, ref []uint8, pw, ph, x, y int, m mv, hp bool, limit int) int {
+	var row [mbSize]int32
+	var sad int
+	for by := 0; by < mbSize && sad < limit; by++ {
+		fetchMC(ref, pw, ph, x, y+by, m, hp, mbSize, 1, row[:])
+		for bx, v := range cur[(y+by)*pw+x:][:mbSize] {
+			d := int(v) - int(row[bx])
 			if d < 0 {
 				d = -d
 			}
@@ -81,14 +171,14 @@ func sadBlockHP(cur, ref []uint8, pw, ph, x, y int, m mv, bw, bh int) int {
 // surrounding half-sample offsets; returns the vector in half-pel units.
 func refineHalfPel(cur, ref []uint8, pw, ph, x, y int, full mv) mv {
 	best := mv{full.x * 2, full.y * 2}
-	bestSAD := sadBlock(cur, ref, pw, ph, x, y, full, mbSize, mbSize)
+	bestSAD := sadBlock(cur, ref, pw, ph, x, y, full, math.MaxInt)
 	for dy := -1; dy <= 1; dy++ {
 		for dx := -1; dx <= 1; dx++ {
 			if dx == 0 && dy == 0 {
 				continue
 			}
 			cand := mv{full.x*2 + dx, full.y*2 + dy}
-			if sad := sadBlockHP(cur, ref, pw, ph, x, y, cand, mbSize, mbSize); sad < bestSAD {
+			if sad := sadMC(cur, ref, pw, ph, x, y, cand, true, bestSAD); sad < bestSAD {
 				best, bestSAD = cand, sad
 			}
 		}
@@ -96,72 +186,27 @@ func refineHalfPel(cur, ref []uint8, pw, ph, x, y int, full mv) mv {
 	return best
 }
 
-// fetchBlock copies a bw×bh block at (x+m.x, y+m.y) from plane src
-// (dimensions pw×ph) into dst, clamping reads at the plane edges.
-func fetchBlock(src []uint8, pw, ph, x, y int, m mv, bw, bh int, dst []int32) {
-	for by := 0; by < bh; by++ {
-		sy := clampi(y+m.y+by, 0, ph-1)
-		row := src[sy*pw:]
-		for bx := 0; bx < bw; bx++ {
-			sx := clampi(x+m.x+bx, 0, pw-1)
-			dst[by*bw+bx] = int32(row[sx])
-		}
-	}
-}
-
-// fetchBlockAvg fetches the rounded average of two motion-compensated
-// blocks (bi-prediction for B frames).
-func fetchBlockAvg(src0 []uint8, m0 mv, src1 []uint8, m1 mv, pw, ph, x, y, bw, bh int, dst []int32) {
-	tmp0 := make([]int32, bw*bh)
-	tmp1 := make([]int32, bw*bh)
-	fetchBlock(src0, pw, ph, x, y, m0, bw, bh, tmp0)
-	fetchBlock(src1, pw, ph, x, y, m1, bw, bh, tmp1)
-	for i := range dst {
-		dst[i] = (tmp0[i] + tmp1[i] + 1) / 2
-	}
-}
-
-// sadBlock computes the sum of absolute differences between the cur block
-// at (x, y) and the reference block displaced by m.
-func sadBlock(cur, ref []uint8, pw, ph, x, y int, m mv, bw, bh int) int {
-	var sad int
-	for by := 0; by < bh; by++ {
-		cy := y + by
-		curRow := cur[cy*pw:]
-		sy := clampi(cy+m.y, 0, ph-1)
-		refRow := ref[sy*pw:]
-		for bx := 0; bx < bw; bx++ {
-			cx := x + bx
-			sx := clampi(cx+m.x, 0, pw-1)
-			d := int(curRow[cx]) - int(refRow[sx])
-			if d < 0 {
-				d = -d
-			}
-			sad += d
-		}
-	}
-	return sad
-}
-
 // searchMV finds the motion vector minimizing SAD for the 16×16 luma block
 // at (x, y) using a two-stage search: a coarse step-4 scan over ±rng
 // followed by a local step-1 refinement. pred biases tie-breaking toward
 // the predicted vector so MV fields stay smooth (cheaper to entropy-code).
-func searchMV(cur, ref []uint8, pw, ph, x, y, rng int, pred mv) (best mv, bestSAD int) {
-	best = mv{0, 0}
-	bestSAD = sadBlock(cur, ref, pw, ph, x, y, best, mbSize, mbSize)
-	if psad := sadBlock(cur, ref, pw, ph, x, y, pred, mbSize, mbSize); psad < bestSAD {
-		best, bestSAD = pred, psad
+func searchMV(cur, ref []uint8, pw, ph, x, y, rng int, pred mv) mv {
+	best := mv{0, 0}
+	bestSAD := sadBlock(cur, ref, pw, ph, x, y, best, math.MaxInt)
+	try := func(cand mv) bool {
+		sad := sadBlock(cur, ref, pw, ph, x, y, cand, bestSAD)
+		if sad >= bestSAD {
+			return false
+		}
+		best, bestSAD = cand, sad
+		return true
 	}
+	try(pred)
 	// Coarse scan.
 	for dy := -rng; dy <= rng; dy += 4 {
 		for dx := -rng; dx <= rng; dx += 4 {
-			cand := mv{dx, dy}
-			if cand == best {
-				continue
-			}
-			if sad := sadBlock(cur, ref, pw, ph, x, y, cand, mbSize, mbSize); sad < bestSAD {
-				best, bestSAD = cand, sad
+			if cand := (mv{dx, dy}); cand != best {
+				try(cand)
 			}
 		}
 	}
@@ -173,13 +218,12 @@ func searchMV(cur, ref []uint8, pw, ph, x, y, rng int, pred mv) (best mv, bestSA
 			if cand.x < -rng || cand.x > rng || cand.y < -rng || cand.y > rng {
 				continue
 			}
-			if sad := sadBlock(cur, ref, pw, ph, x, y, cand, mbSize, mbSize); sad < bestSAD {
-				best, bestSAD = cand, sad
+			if try(cand) {
 				improved = true
 			}
 		}
 		if !improved {
-			return best, bestSAD
+			return best
 		}
 	}
 }
