@@ -38,7 +38,16 @@ GO ?= go
 # portable twin) and is pinned by name right after the Prepare golden:
 # TestCodecGolden holds every stream byte and decoded plane to digests
 # recorded before the codec fast paths existed, and the *MatchesRef
-# differentials hold each fast routine to the slow one it replaced.
+# differentials hold each fast routine to the slow one it replaced. The
+# working-set block pins that activations belong to the pass and not to
+# the layers: TestTrainGolden holds every trained weight to digests
+# recorded before the training step stopped allocating (both worker
+# counts; the purego line above repeats it on the portable kernels),
+# TestTrainStepAllocs and the TestWorkspace* set hold the allocation and
+# footprint contracts and shared-vs-private bit equality,
+# TestPreparedRetainsNoActivations that a Prepared pins no feature map —
+# and the concurrency half (gates fanned out over forEach workers three
+# times with equal results, two sessions at once) runs under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
@@ -46,6 +55,8 @@ verify: build vet lint fuzz-smoke
 	$(GO) test -run 'TestFixtures/(lockorder|lostcancel|atomicfield|errcmp|timerleak)' -v ./internal/lint/
 	$(GO) test -race -run 'TestRunnerDeterministic|TestRunnerCache' -v ./internal/lint/
 	$(GO) test -run 'TestPrepareGoldenEquivalence' -v ./internal/core/
+	$(GO) test -run 'TestTrainGolden|TestPreparedRetainsNoActivations|TestTrainStepAllocs|TestWorkspace' -v ./internal/edsr/ ./internal/core/
+	$(GO) test -race -run 'TestWorkspaceGatesRepeatable|TestWorkspaceConcurrentSessions|TestWorkspaceSharedMatchesPrivate' -v ./internal/edsr/ ./internal/core/
 	$(GO) test -run 'TestCodecGolden|MatchesRef$$' -v ./internal/codec/
 	$(GO) test -run 'TestGemmInt8MatchesRef|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8Deterministic' -v ./internal/tensor/
 	$(GO) test -race -run 'TestEnhanceInt8DeterministicAcrossWorkers' -v ./internal/edsr/

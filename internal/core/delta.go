@@ -117,7 +117,9 @@ func stageDeltaEncode(ctx context.Context, sp *obs.Span, s *prepState) error {
 			return nil // no model, the backbone, or a verdict the train stage restored
 		}
 		computed[label] = true
-		if err := deltaEncodeModel(p, dc, p.Models[bb], sm); err != nil {
+		ws := s.checkoutWorkspace()
+		defer s.returnWorkspace(ws)
+		if err := deltaEncodeModel(p, dc, ws, p.Models[bb], sm); err != nil {
 			return err
 		}
 		return s.ck.update(func(r *rootFile) { r.Models[label].Delta = s.ck.putDelta(sm) })
@@ -146,8 +148,10 @@ func stageDeltaEncode(ctx context.Context, sp *obs.Span, s *prepState) error {
 }
 
 // deltaEncodeModel runs sm through the delta gates against the backbone
-// bsm, setting sm.Delta and, on adoption, sm's canonical weights.
-func deltaEncodeModel(p *Prepared, dc DeltaConfig, bsm, sm *SegmentModel) error {
+// bsm, setting sm.Delta and, on adoption, sm's canonical weights. The
+// quality gate's inference passes run in ws, detached again before
+// returning.
+func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *SegmentModel) error {
 	label := sm.Label
 	delta, err := nn.EncodeWeightsDelta(bsm.Model.Params(), sm.Model.Params())
 	if err != nil {
@@ -172,9 +176,14 @@ func deltaEncodeModel(p *Prepared, dc DeltaConfig, bsm, sm *SegmentModel) error 
 			orig = append(orig, p.OrigIFrames[si])
 		}
 	}
+	trained := sm.Model
+	trained.SetWorkspace(ws)
+	recon.SetWorkspace(ws)
+	defer trained.SetWorkspace(nil)
+	defer recon.SetWorkspace(nil)
 	var mseFull, mseDelta float64
 	for i := range low {
-		mseFull += frameMSE(sm.Model.Enhance(low[i]), orig[i])
+		mseFull += frameMSE(trained.Enhance(low[i]), orig[i])
 		mseDelta += frameMSE(recon.Enhance(low[i]), orig[i])
 	}
 	if len(low) > 0 {

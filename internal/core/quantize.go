@@ -28,8 +28,8 @@ type QuantConfig struct {
 	// float32 PSNR stays float32-only. Default 0.5.
 	MaxPSNRDrop float64
 	// MaxFrames caps the calibration frames per cluster (the first N of
-	// the cluster's I-frame pairs); calibration and the gate cost one
-	// float32 plus one int8 forward pass per frame. Default 4.
+	// the cluster's I-frame pairs); calibration and the gate together
+	// cost one float32 plus one int8 forward pass per frame. Default 4.
 	MaxFrames int
 }
 
@@ -86,7 +86,13 @@ func stageQuantize(ctx context.Context, sp *obs.Span, s *prepState) error {
 		if len(low) == 0 {
 			return nil
 		}
-		if err := sm.Model.Calibrate(low); err != nil {
+		ws := s.checkoutWorkspace()
+		defer s.returnWorkspace(ws)
+		sm.Model.SetWorkspace(ws)
+		defer sm.Model.SetWorkspace(nil)
+		// The calibration passes are the float32 side of the gate.
+		f32, err := sm.Model.CalibrateEnhance(low)
+		if err != nil {
 			return fmt.Errorf("core: calibrating cluster %d: %w", label, err)
 		}
 		// Mean MSE over the calibration frames on each path, compared as
@@ -94,10 +100,8 @@ func stageQuantize(ctx context.Context, sp *obs.Span, s *prepState) error {
 		// results.
 		var mseF, mseI float64
 		for i := range low {
-			ef := sm.Model.Enhance(low[i])
-			ei := sm.Model.EnhanceInt8(low[i])
-			mseF += frameMSE(ef, orig[i])
-			mseI += frameMSE(ei, orig[i])
+			mseF += frameMSE(f32[i], orig[i])
+			mseI += frameMSE(sm.Model.EnhanceInt8(low[i]), orig[i])
 		}
 		psnrF := mseToPSNR(mseF / float64(len(low)))
 		psnrI := mseToPSNR(mseI / float64(len(low)))

@@ -268,7 +268,9 @@ func FindMinimumWorkingModelCtx(ctx context.Context, low, high []*video.RGB, cfg
 	for i := range low {
 		pairs[i] = edsr.Pair{Low: low[i], High: high[i]}
 	}
-	ref, err := trainedMSE(ctx, cfg.BigModel, pairs, opts, cfg.Seed+50)
+	// Every candidate is evaluated in one workspace and then dropped.
+	ws := new(edsr.Workspace)
+	ref, err := trainedMSE(ctx, ws, cfg.BigModel, pairs, opts, cfg.Seed+50)
 	if err != nil {
 		return edsr.Config{}, err
 	}
@@ -276,7 +278,7 @@ func FindMinimumWorkingModelCtx(ctx context.Context, low, high []*video.RGB, cfg
 	var last edsr.Config
 	for _, cand := range grid {
 		last = cand
-		mse, err := trainedMSE(ctx, cand, pairs, opts, cfg.Seed+60)
+		mse, err := trainedMSE(ctx, ws, cand, pairs, opts, cfg.Seed+60)
 		if err != nil {
 			return edsr.Config{}, err
 		}
@@ -289,7 +291,7 @@ func FindMinimumWorkingModelCtx(ctx context.Context, low, high []*video.RGB, cfg
 	return last, nil
 }
 
-func trainedMSE(ctx context.Context, cfg edsr.Config, pairs []edsr.Pair, opts edsr.TrainOptions, seed int64) (float64, error) {
+func trainedMSE(ctx context.Context, ws *edsr.Workspace, cfg edsr.Config, pairs []edsr.Pair, opts edsr.TrainOptions, seed int64) (float64, error) {
 	m, err := edsr.New(cfg, seed)
 	if err != nil {
 		return 0, err
@@ -302,6 +304,7 @@ func trainedMSE(ctx context.Context, cfg edsr.Config, pairs []edsr.Pair, opts ed
 		}
 		return 0, err
 	}
+	m.SetWorkspace(ws)
 	return m.EvalMSE(pairs), nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"dcsr/internal/edsr"
 	"dcsr/internal/obs"
 	"dcsr/internal/video"
 )
@@ -18,6 +19,33 @@ type prepState struct {
 	p      *Prepared
 	log    *obs.Logger
 	ck     *artifact // nil unless cfg.CheckpointDir is set
+
+	wsMu   sync.Mutex
+	wsFree []*edsr.Workspace // idle gate workspaces; see checkoutWorkspace
+}
+
+// checkoutWorkspace hands a quality-gate job an inference workspace no
+// other goroutine holds — forEach runs several jobs at once, and two
+// passes in one workspace would overwrite each other's activations — for
+// it to attach to the models it evaluates. The job detaches it from every
+// model and hands it back with returnWorkspace on every exit path, so the
+// next job (this stage's or the next's) reuses the grown buffers and no
+// model stored in Prepared keeps a reference to them.
+func (s *prepState) checkoutWorkspace() *edsr.Workspace {
+	s.wsMu.Lock()
+	defer s.wsMu.Unlock()
+	if n := len(s.wsFree); n > 0 {
+		ws := s.wsFree[n-1]
+		s.wsFree = s.wsFree[:n-1]
+		return ws
+	}
+	return new(edsr.Workspace)
+}
+
+func (s *prepState) returnWorkspace(ws *edsr.Workspace) {
+	s.wsMu.Lock()
+	s.wsFree = append(s.wsFree, ws)
+	s.wsMu.Unlock()
 }
 
 // prepStage is one named step of the server pipeline. The driver opens an

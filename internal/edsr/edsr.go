@@ -96,7 +96,8 @@ type upStage struct {
 	shuffle *nn.PixelShuffle
 }
 
-// Model is an EDSR network instance.
+// Model is an EDSR network instance: weights (and, once calibrated, int8
+// state) only. The activations of an inference pass live in a Workspace.
 type Model struct {
 	Cfg Config
 
@@ -106,10 +107,7 @@ type Model struct {
 	ups      []upStage
 	tail     *nn.Conv2D
 
-	// Reusable inference buffers (input conversion and nearest-neighbor
-	// baseline), so steady-state Enhance allocates nothing per frame.
-	in    *tensor.Tensor
-	upBuf *tensor.Tensor
+	ws *Workspace // where inference passes run; see SetWorkspace
 }
 
 // New builds an EDSR model with weights initialized from seed.
@@ -142,13 +140,8 @@ func New(cfg Config, seed int64) (*Model, error) {
 	return m, nil
 }
 
-// upsampleNearest repeats each input sample s× in both dimensions.
-func upsampleNearest(x *tensor.Tensor, s int) *tensor.Tensor {
-	return upsampleNearestInto(x, s, nil)
-}
-
-// upsampleNearestInto is upsampleNearest writing into a reusable buffer
-// (grown via Ensure; pass nil to allocate).
+// upsampleNearestInto repeats each input sample s× in both dimensions,
+// writing into out (shaped via Ensure).
 func upsampleNearestInto(x *tensor.Tensor, s int, out *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	out = tensor.Ensure(out, n, c, h*s, w*s)
@@ -166,12 +159,14 @@ func upsampleNearestInto(x *tensor.Tensor, s int, out *tensor.Tensor) *tensor.Te
 	return out
 }
 
-// downsumNearest is the adjoint of upsampleNearest: it sums each s×s
-// output window back onto its source sample.
-func downsumNearest(gy *tensor.Tensor, s int) *tensor.Tensor {
+// downsumNearestInto is the adjoint of upsampleNearestInto: it sums each
+// s×s window of gy back onto its source sample in out (shaped via Ensure,
+// and cleared first: the sums accumulate).
+func downsumNearestInto(gy *tensor.Tensor, s int, out *tensor.Tensor) *tensor.Tensor {
 	n, c, hs, ws := gy.Shape[0], gy.Shape[1], gy.Shape[2], gy.Shape[3]
 	h, w := hs/s, ws/s
-	out := tensor.New(n, c, h, w)
+	out = tensor.Ensure(out, n, c, h, w)
+	out.Zero()
 	for nc := 0; nc < n*c; nc++ {
 		src := gy.Data[nc*hs*ws : (nc+1)*hs*ws]
 		dst := out.Data[nc*h*w : (nc+1)*h*w]
@@ -214,73 +209,84 @@ func (m *Model) CheckpointBytes() int { return 3 * m.SizeBytes() }
 
 // Forward runs the network on x (N, 3, H, W) in [−0.5, 0.5] and returns
 // (N, 3, H·scale, W·scale). Activations are cached for Backward.
-func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
-	h := m.head.Forward(x)
+func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor { return m.forward(nil, x) }
+
+// forward is Forward with every activation taken from the arena a (nil
+// allocates), which is how Train runs it.
+func (m *Model) forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	h := m.head.Forward(a, x)
 	b := h
 	for _, blk := range m.body {
-		b = blk.Forward(b)
+		b = blk.Forward(a, b)
 	}
-	b = m.bodyConv.Forward(b)
-	b = tensor.Add(b, h) // global skip
+	b = m.bodyConv.Forward(a, b)
+	b.AddInPlace(h) // global skip; nothing reads bodyConv's bare output
 	for _, u := range m.ups {
-		b = u.conv.Forward(b)
-		b = u.shuffle.Forward(b)
+		b = u.conv.Forward(a, b)
+		b = u.shuffle.Forward(a, b)
 	}
-	out := m.tail.Forward(b)
+	out := m.tail.Forward(a, b)
 	if m.Cfg.Scale == 1 {
 		out.AddInPlace(x) // global image residual (identity at init)
 	} else {
-		out.AddInPlace(upsampleNearest(x, m.Cfg.Scale))
+		out.AddInPlace(upsampleNearestInto(x, m.Cfg.Scale, a.Next()))
 	}
 	return out
 }
 
 // ForwardInference runs the network on the no-grad fast path: fused
-// conv+bias+ReLU kernels, banded im2col through pooled scratch, and
-// layer-owned output buffers, so no activations or column matrices are
-// retained and steady-state calls allocate nothing. The output is
-// bitwise identical to Forward. The returned tensor is owned by the
-// model and valid until the next ForwardInference call.
+// conv+bias+ReLU kernels, banded im2col through pooled scratch, and every
+// activation written into the model's Workspace, so no activations or
+// column matrices are retained and steady-state calls allocate nothing.
+// The output is bitwise identical to Forward. The returned tensor belongs
+// to the workspace and is valid until the next inference pass of any
+// model sharing it.
 func (m *Model) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
-	h := m.head.ForwardInference(x)
-	b := h
+	ws := m.workspace()
+	h := m.head.ForwardInference(x, &ws.skip)
+	b, k := h, 0
 	for _, blk := range m.body {
-		b = blk.ForwardInference(b)
+		b = blk.ForwardInference(b, &ws.maps[(k+1)%3], &ws.maps[(k+2)%3])
+		k = (k + 2) % 3
 	}
-	b = m.bodyConv.ForwardInference(b)
-	b.AddInPlace(h) // global skip (h is head's buffer, untouched since)
+	b = m.bodyConv.ForwardInference(b, &ws.maps[(k+1)%3])
+	k = (k + 1) % 3
+	b.AddInPlace(h) // global skip (h is ws.skip, untouched since the head)
 	for _, u := range m.ups {
-		b = u.conv.ForwardInference(b)
-		b = u.shuffle.ForwardInference(b)
+		b = u.conv.ForwardInference(b, &ws.maps[(k+1)%3])
+		b = u.shuffle.ForwardInference(b, &ws.maps[(k+2)%3])
+		k = (k + 2) % 3
 	}
-	out := m.tail.ForwardInference(b)
+	out := m.tail.ForwardInference(b, &ws.out)
 	if m.Cfg.Scale == 1 {
 		out.AddInPlace(x) // global image residual (identity at init)
 	} else {
-		m.upBuf = upsampleNearestInto(x, m.Cfg.Scale, m.upBuf)
-		out.AddInPlace(m.upBuf)
+		out.AddInPlace(upsampleNearestInto(x, m.Cfg.Scale, &ws.near))
 	}
 	return out
 }
 
 // Backward propagates the loss gradient, accumulating parameter gradients.
-func (m *Model) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	g := m.tail.Backward(gy)
+func (m *Model) Backward(gy *tensor.Tensor) *tensor.Tensor { return m.backward(nil, gy) }
+
+// backward is Backward with every gradient taken from the arena a.
+func (m *Model) backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
+	g := m.tail.Backward(a, gy)
 	for i := len(m.ups) - 1; i >= 0; i-- {
-		g = m.ups[i].shuffle.Backward(g)
-		g = m.ups[i].conv.Backward(g)
+		g = m.ups[i].shuffle.Backward(a, g)
+		g = m.ups[i].conv.Backward(a, g)
 	}
-	gSkip := g.Clone()
-	g = m.bodyConv.Backward(g)
+	gSkip := g // layers never write into the gradient they are handed
+	g = m.bodyConv.Backward(a, g)
 	for i := len(m.body) - 1; i >= 0; i-- {
-		g = m.body[i].Backward(g)
+		g = m.body[i].Backward(a, g)
 	}
 	g.AddInPlace(gSkip) // global skip gradient
-	gx := m.head.Backward(g)
+	gx := m.head.Backward(a, g)
 	if m.Cfg.Scale == 1 {
 		gx.AddInPlace(gy) // global image-residual gradient
 	} else {
-		gx.AddInPlace(downsumNearest(gy, m.Cfg.Scale))
+		gx.AddInPlace(downsumNearestInto(gy, m.Cfg.Scale, a.Next()))
 	}
 	return gx
 }
@@ -325,12 +331,11 @@ func FromTensor(t *tensor.Tensor) *video.RGB {
 }
 
 // Enhance super-resolves one RGB frame. It runs on the inference fast
-// path: after the first call on a given frame size the model reuses its
-// internal buffers, so the per-frame steady-state cost is the kernels
-// plus one output RGB allocation.
+// path: once the model's workspace has seen a frame this size (from this
+// model or any other sharing it), the per-frame steady-state cost is the
+// kernels plus one output RGB allocation.
 func (m *Model) Enhance(low *video.RGB) *video.RGB {
-	m.in = toTensorInto(low, m.in)
-	return FromTensor(m.ForwardInference(m.in))
+	return FromTensor(m.ForwardInference(toTensorInto(low, &m.workspace().in)))
 }
 
 // EnhanceYUV performs the client-side dcSR conversion chain of paper Fig 6:
@@ -365,11 +370,21 @@ func ConfigFLOPs(cfg Config, lowW, lowH int) float64 {
 	return fl
 }
 
-// ActivationBytes estimates peak activation memory for one inference at
-// the given input size: the dominant term is two float32 feature maps of
-// n_f channels at input resolution (plus upsampled maps when Scale > 1).
-// The device model uses this for the OOM behaviour seen in paper Fig 8
-// (NAS/NEMO cannot run 4K on the Jetson).
+// ConfigActivationBytes estimates peak activation memory for one
+// inference at the given input size as the device model sees it: the
+// dominant term is two float32 feature maps of n_f channels at input
+// resolution (plus upsampled maps when Scale > 1) — what a runtime that
+// fuses each block's convolutions and add needs resident. The device
+// model uses this for the OOM behaviour seen in paper Fig 8 (NAS/NEMO
+// cannot run 4K on the Jetson), and EXPERIMENTS.md's verdicts hang on it.
+//
+// This package's own working set is a Workspace: four such maps (the
+// head's output kept for the global skip, and three the body rotates
+// through, since its convolutions are separate kernels that cannot write
+// over their input), plus the 3-channel in/out tensors and one int8 map —
+// 2.3× this figure for a 16-filter model at Scale 1, whatever ResBlocks
+// is (TestWorkspaceFootprint). Both scale the same way with n_f and
+// resolution, which is what the OOM comparison rests on.
 func ConfigActivationBytes(cfg Config, lowW, lowH int) int64 {
 	cfg = cfg.withDefaults()
 	px := int64(lowW) * int64(lowH)

@@ -107,8 +107,11 @@ func TestEnhanceConcurrent(t *testing.T) {
 
 // TestEnhanceSteadyStateAllocs pins the alloc-free inference path: after
 // warmup, ForwardInference performs zero heap allocations per frame and
-// Enhance only pays for the returned RGB frame. Measured at one worker —
-// with more, each parallel kernel launch adds a constant-size job header.
+// Enhance only pays for the returned RGB frame — and a second model
+// attached to the warmed workspace allocates nothing from its very first
+// pass, i.e. a new cluster model (or an evicted one rebuilt) costs no
+// activation memory. Measured at one worker — with more, each parallel
+// kernel launch adds a constant-size job header.
 func TestEnhanceSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		// The race detector deliberately drops sync.Pool items to widen
@@ -126,6 +129,10 @@ func TestEnhanceSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	next, err := New(ConfigDCSR1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := genFrame(t, 96, 54, 3)
 	x := ToTensor(f)
 	m.ForwardInference(x)
@@ -138,5 +145,9 @@ func TestEnhanceSteadyStateAllocs(t *testing.T) {
 	// of objects, independent of layer count and frame size).
 	if avg := testing.AllocsPerRun(10, func() { m.Enhance(f) }); avg > 4 {
 		t.Errorf("Enhance allocates %.1f objects per frame, want <= 4", avg)
+	}
+	next.SetWorkspace(m.workspace())
+	if n := mallocs(func() { next.ForwardInference(x) }); n != 0 {
+		t.Errorf("a second model's first ForwardInference in the warmed workspace allocated %d objects, want 0", n)
 	}
 }

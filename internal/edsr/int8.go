@@ -17,7 +17,7 @@ import (
 // quantized path swaps every convolution onto the int8 SWAR kernels and
 // keeps the structural glue — residual adds, pixel shuffle, the global
 // image residual — in float32, mirroring ForwardInference layer for
-// layer and buffer for buffer.
+// layer and map for map in the same Workspace.
 
 // convs enumerates the model's convolutions in forward order. This is
 // the calibration/quantization unit: every conv owns one activation
@@ -41,22 +41,36 @@ func (m *Model) convs() []*nn.Conv2D {
 // cluster's own training inputs), then builds every convolution's int8
 // state. Must be called after training; call again if weights change.
 func (m *Model) Calibrate(frames []*video.RGB) error {
+	_, err := m.CalibrateEnhance(frames)
+	return err
+}
+
+// CalibrateEnhance is Calibrate that also returns what the calibration
+// passes computed anyway: Enhance of every frame, bit for bit. A quality
+// gate that compares the two precisions on the calibration frames needs
+// no float32 pass of its own.
+func (m *Model) CalibrateEnhance(frames []*video.RGB) ([]*video.RGB, error) {
 	if len(frames) == 0 {
-		return fmt.Errorf("edsr: Calibrate needs at least one frame")
+		return nil, fmt.Errorf("edsr: Calibrate needs at least one frame")
 	}
 	cs := m.convs()
 	for _, c := range cs {
 		c.BeginCalibration()
 	}
-	for _, f := range frames {
-		m.in = toTensorInto(f, m.in)
-		m.ForwardInference(m.in)
+	// Deferred so a pass that panics leaves no convolution observing.
+	defer func() {
+		for _, c := range cs {
+			c.EndCalibration()
+		}
+	}()
+	out := make([]*video.RGB, len(frames))
+	for i, f := range frames {
+		out[i] = m.Enhance(f)
 	}
 	for _, c := range cs {
-		c.EndCalibration()
 		c.QuantizeInt8()
 	}
-	return nil
+	return out, nil
 }
 
 // ActScales returns the calibrated activation ranges in forward conv
@@ -97,27 +111,33 @@ func (m *Model) Int8Ready() bool {
 }
 
 // ForwardInferenceInt8 is ForwardInference with every convolution on the
-// int8 kernel path. It shares the float32 path's layer-owned buffers
-// (the two must not be interleaved mid-pass) and allocates nothing in
-// steady state. Output is bit-deterministic across worker counts.
+// int8 kernel path, in the same workspace maps plus its one int8 input
+// buffer (sized here for the widest convolution input of the pass). It
+// allocates nothing in steady state; output is bit-deterministic across
+// worker counts.
 func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
-	h := m.head.ForwardInferenceInt8(x)
-	b := h
+	ws := m.workspace()
+	s := m.Cfg.Scale
+	qin := ws.int8Input(x.Len() / 3 * max(3, m.Cfg.Filters) * s * s)
+	h := m.head.ForwardInferenceInt8(x, &ws.skip, qin)
+	b, k := h, 0
 	for _, blk := range m.body {
-		b = blk.ForwardInferenceInt8(b)
+		b = blk.ForwardInferenceInt8(b, &ws.maps[(k+1)%3], &ws.maps[(k+2)%3], qin)
+		k = (k + 2) % 3
 	}
-	b = m.bodyConv.ForwardInferenceInt8(b)
-	b.AddInPlace(h) // global skip (h is head's buffer, untouched since)
+	b = m.bodyConv.ForwardInferenceInt8(b, &ws.maps[(k+1)%3], qin)
+	k = (k + 1) % 3
+	b.AddInPlace(h) // global skip (h is ws.skip, untouched since the head)
 	for _, u := range m.ups {
-		b = u.conv.ForwardInferenceInt8(b)
-		b = u.shuffle.ForwardInference(b)
+		b = u.conv.ForwardInferenceInt8(b, &ws.maps[(k+1)%3], qin)
+		b = u.shuffle.ForwardInference(b, &ws.maps[(k+2)%3])
+		k = (k + 2) % 3
 	}
-	out := m.tail.ForwardInferenceInt8(b)
-	if m.Cfg.Scale == 1 {
+	out := m.tail.ForwardInferenceInt8(b, &ws.out, qin)
+	if s == 1 {
 		out.AddInPlace(x) // global image residual
 	} else {
-		m.upBuf = upsampleNearestInto(x, m.Cfg.Scale, m.upBuf)
-		out.AddInPlace(m.upBuf)
+		out.AddInPlace(upsampleNearestInto(x, s, &ws.near))
 	}
 	return out
 }
@@ -125,8 +145,7 @@ func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
 // EnhanceInt8 is Enhance on the quantized path. The model must be
 // calibrated (Calibrate or CalibrateFromScales) first.
 func (m *Model) EnhanceInt8(low *video.RGB) *video.RGB {
-	m.in = toTensorInto(low, m.in)
-	return FromTensor(m.ForwardInferenceInt8(m.in))
+	return FromTensor(m.ForwardInferenceInt8(toTensorInto(low, &m.workspace().in)))
 }
 
 // EnhanceYUVInt8 is EnhanceYUV on the quantized path.

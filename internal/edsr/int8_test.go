@@ -1,6 +1,7 @@
 package edsr
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -77,7 +78,8 @@ func TestEnhanceInt8DeterministicAcrossWorkers(t *testing.T) {
 
 // TestEnhanceInt8SteadyStateAllocs mirrors TestEnhanceSteadyStateAllocs
 // for the quantized path: zero allocations per ForwardInferenceInt8
-// after warmup, and EnhanceInt8 pays only for the returned frame.
+// after warmup, EnhanceInt8 pays only for the returned frame, and a
+// second model's first quantized pass in the warmed workspace is free.
 func TestEnhanceInt8SteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -89,8 +91,11 @@ func TestEnhanceInt8SteadyStateAllocs(t *testing.T) {
 		tensor.ShutdownPool()
 	}()
 	m, f := trainedModel(t, 13)
-	if err := m.Calibrate([]*video.RGB{f}); err != nil {
-		t.Fatal(err)
+	next, _ := trainedModel(t, 14) // before the warm-up: its garbage must not empty the scratch pools after it
+	for _, c := range []*Model{m, next} {
+		if err := c.Calibrate([]*video.RGB{f}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	x := ToTensor(f)
 	m.ForwardInferenceInt8(x)
@@ -101,6 +106,10 @@ func TestEnhanceInt8SteadyStateAllocs(t *testing.T) {
 	m.EnhanceInt8(f)
 	if avg := testing.AllocsPerRun(10, func() { m.EnhanceInt8(f) }); avg > 4 {
 		t.Errorf("EnhanceInt8 allocates %.1f objects per frame, want <= 4", avg)
+	}
+	next.SetWorkspace(m.workspace())
+	if n := mallocs(func() { next.ForwardInferenceInt8(x) }); n != 0 {
+		t.Errorf("a second model's first ForwardInferenceInt8 in the warmed workspace allocated %d objects, want 0", n)
 	}
 }
 
@@ -137,6 +146,42 @@ func TestCalibrateErrors(t *testing.T) {
 	}
 	if err := m.CalibrateFromScales([]float32{1, 2}); err == nil {
 		t.Fatal("CalibrateFromScales with wrong count did not error")
+	}
+}
+
+// TestCalibratePanicStopsObserving checks a calibration pass that panics
+// (here on a nil frame) leaves no convolution in calibration mode: later
+// inference must not keep widening activation ranges behind the caller's
+// back. It also checks CalibrateEnhance's frames are Enhance's.
+func TestCalibratePanicStopsObserving(t *testing.T) {
+	m, f := trainedModel(t, 15)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("calibrating on a nil frame did not panic")
+			}
+		}()
+		m.Calibrate([]*video.RGB{f, nil})
+	}()
+	before := m.ActScales()
+	loud := video.NewRGB(f.W, f.H)
+	for i := range loud.Pix {
+		loud.Pix[i] = uint8(255 * (i % 2))
+	}
+	m.Enhance(loud)
+	for i, s := range m.ActScales() {
+		if s != before[i] {
+			t.Fatalf("conv %d still observing after a panicked calibration: range %v -> %v", i, before[i], s)
+		}
+	}
+	got, err := m.CalibrateEnhance([]*video.RGB{f, loud})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, in := range []*video.RGB{f, loud} {
+		if want := m.Enhance(in); !bytes.Equal(got[i].Pix, want.Pix) {
+			t.Fatalf("CalibrateEnhance frame %d is not Enhance's", i)
+		}
 	}
 }
 

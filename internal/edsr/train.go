@@ -87,12 +87,19 @@ func (m *Model) Train(pairs []Pair, opts TrainOptions) (*TrainResult, error) {
 	ps := opts.PatchSize
 	var tailSum float64
 	var tailN int
+	// The step's working set, reused by every step after the first: the
+	// two patch batches (copyPatch overwrites every sample), the loss
+	// gradient, and — through the arena — every activation, column matrix
+	// and gradient of the forward and backward passes. It dies with this
+	// call; the trained model keeps none of it.
+	x := tensor.New(opts.BatchSize, 3, ps, ps)
+	y := tensor.New(opts.BatchSize, 3, ps*s, ps*s)
+	var grad tensor.Tensor
+	var arena tensor.Arena
 	for step := 0; step < opts.Steps; step++ {
 		if opts.Stop != nil && opts.Stop() {
 			return nil, ErrStopped
 		}
-		x := tensor.New(opts.BatchSize, 3, ps, ps)
-		y := tensor.New(opts.BatchSize, 3, ps*s, ps*s)
 		for b := 0; b < opts.BatchSize; b++ {
 			p := pairs[rng.Intn(len(pairs))]
 			px := rng.Intn(p.Low.W - ps + 1)
@@ -101,9 +108,10 @@ func (m *Model) Train(pairs []Pair, opts TrainOptions) (*TrainResult, error) {
 			copyPatch(y, b, p.High, px*s, py*s, ps*s)
 		}
 		nn.ZeroGrads(params)
-		pred := m.Forward(x)
-		loss, grad := nn.MSELoss(pred, y)
-		m.Backward(grad)
+		arena.Reset()
+		pred := m.forward(&arena, x)
+		loss := nn.MSELoss(pred, y, &grad)
+		m.backward(&arena, &grad)
 		opt.Step(params)
 		// Report loss on the 0–255 pixel scale like the paper's Fig 11.
 		pixLoss := loss * 255 * 255
@@ -137,13 +145,15 @@ func copyPatch(t *tensor.Tensor, b int, f *video.RGB, px, py, ps int) {
 }
 
 // EvalMSE returns the mean per-pixel MSE (0–255² scale) of the model's
-// output against ground truth over the given pairs, without training.
+// output against ground truth over the given pairs, without training. It
+// runs in the model's workspace and converts every target into one
+// tensor.
 func (m *Model) EvalMSE(pairs []Pair) float64 {
 	var sum float64
+	var target tensor.Tensor
 	for _, p := range pairs {
-		pred := m.ForwardInference(ToTensor(p.Low))
-		loss, _ := nn.MSELoss(pred, ToTensor(p.High))
-		sum += loss * 255 * 255
+		pred := m.ForwardInference(toTensorInto(p.Low, &m.workspace().in))
+		sum += nn.MSELoss(pred, toTensorInto(p.High, &target), nil) * 255 * 255
 	}
 	return sum / float64(len(pairs))
 }

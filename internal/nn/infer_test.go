@@ -21,7 +21,7 @@ func TestSequentialForwardInferenceMatchesForward(t *testing.T) {
 	}}
 	x := tensor.New(2, 2, 6, 5)
 	x.Randn(rng, 1)
-	want := seq.Forward(x.Clone())
+	want := seq.Forward(nil, x.Clone())
 	for pass := 0; pass < 2; pass++ {
 		got := seq.ForwardInference(x.Clone())
 		if len(got.Data) != len(want.Data) {
@@ -42,9 +42,9 @@ func TestDenseForwardInferenceMatchesForward(t *testing.T) {
 	d := NewDense(rng, 12, 7)
 	x := tensor.New(3, 12)
 	x.Randn(rng, 1)
-	want := d.Forward(x)
+	want := d.Forward(nil, x)
 	for pass := 0; pass < 2; pass++ {
-		got := d.ForwardInference(x)
+		got := d.ForwardInference(x, nil)
 		for i := range got.Data {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("pass %d: element %d differs: %v vs %v", pass, i, got.Data[i], want.Data[i])

@@ -1,17 +1,23 @@
 // Package nn implements the small neural-network toolkit that dcSR's models
 // are built from: 2-D convolution, ReLU, residual blocks, pixel-shuffle
-// upsampling, fully connected layers, a Sequential container, MSE loss, and
-// SGD/Adam optimizers — all in pure Go on float32 tensors with exact
-// backpropagation.
+// upsampling, fully connected layers, MSE loss, and SGD/Adam optimizers —
+// all in pure Go on float32 tensors with exact backpropagation.
 //
 // The design mirrors the classic define-by-stack style: a Layer owns its
 // parameters and caches whatever it needs during Forward to compute
 // Backward. Networks here are small (dcSR micro models are 4–16 residual
 // blocks of ≤16 filters); the heavy lifting (im2col convolutions, blocked
 // GEMM kernels) lives in internal/tensor. Alongside the training pair
-// every Layer exposes ForwardInference, a no-grad path that fuses
-// conv+bias+ReLU, reuses layer-owned output buffers, and retains no
-// column buffers — the decoder hot loop runs entirely on it.
+// the layers expose ForwardInference, a no-grad path that fuses
+// conv+bias+ReLU, writes into destinations its caller supplies, and
+// retains no column buffers — the decoder hot loop runs entirely on it.
+//
+// Layers own parameters, not activations. A training pass takes its
+// tensors from the tensor.Arena handed to Forward and Backward (whoever
+// runs the step owns it and resets it between steps); an inference pass
+// writes where it is told (edsr.Workspace is the set of destinations one
+// EDSR pass needs). So a layer costs its weights and nothing else, and
+// models that take turns share one working set.
 package nn
 
 import (
@@ -39,20 +45,23 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // returns the next one; Backward consumes the gradient of the loss with
 // respect to the output and returns the gradient with respect to the input,
 // accumulating parameter gradients along the way. A Layer is stateful
-// between a Forward and the matching Backward (it caches activations), so a
-// single Layer instance must not be used concurrently.
+// between a Forward and the matching Backward (it remembers its input), so
+// a single Layer instance must not be used concurrently.
 //
-// ForwardInference is the no-grad fast path: it produces the same bits
-// as Forward but caches nothing for Backward, reuses a layer-owned
-// output buffer across calls (so steady-state inference allocates
-// nothing), and may modify x in place. The returned tensor is owned by
-// the layer and valid until its next ForwardInference call; callers
-// needing to retain it must Clone. Do not interleave ForwardInference
-// between a Forward and its matching Backward.
+// Every tensor a pass produces — outputs, column matrices, gradients —
+// comes from the arena a, so a training loop that resets one arena per
+// step stops allocating after the first; the tensors are valid until that
+// Reset. A nil arena allocates each one fresh. Backward may add into the
+// gradient a layer below it returned, never into gy.
+//
+// The concrete layers also have ForwardInference methods, the no-grad
+// fast path: the same bits as Forward, nothing kept for Backward, output
+// written into tensors the caller supplies (shaped via tensor.Ensure), so
+// steady-state inference allocates nothing and the caller decides how
+// many maps a pass keeps alive.
 type Layer interface {
-	Forward(x *tensor.Tensor) *tensor.Tensor
-	ForwardInference(x *tensor.Tensor) *tensor.Tensor
-	Backward(gy *tensor.Tensor) *tensor.Tensor
+	Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
+	Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor
 	Params() []*Param
 }
 
@@ -62,9 +71,8 @@ type Conv2D struct {
 	Wt   *Param
 	Bias *Param
 
-	x    *tensor.Tensor
-	cols [][]float32
-	out  *tensor.Tensor // reusable inference output (both precisions)
+	x    *tensor.Tensor // Forward's input, until Backward
+	cols [][]float32    // its column matrices' views; the header is reused
 
 	calibrating bool        // observing activation ranges (see nn_int8.go)
 	actMax      float32     // calibrated input max-abs
@@ -85,19 +93,18 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
 }
 
 // Forward applies the convolution to x (N, InC, H, W).
-func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	c.x = x
-	out, cols := tensor.Conv2DForward(x, c.Wt.W, c.Bias.W, c.Spec)
-	c.cols = cols
+	out := a.Next()
+	c.cols = tensor.Conv2DForwardInto(out, a.Next(), c.cols, x, c.Wt.W, c.Bias.W, c.Spec)
 	return out
 }
 
 // ForwardInference applies the convolution without retaining column
-// buffers, writing into the layer's reusable output tensor.
-func (c *Conv2D) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
+// buffers, writing into out.
+func (c *Conv2D) ForwardInference(x, out *tensor.Tensor) *tensor.Tensor {
 	c.observe(x)
-	c.out = tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, false, c.out)
-	return c.out
+	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, false, out)
 }
 
 // observe widens the calibrated activation range while the layer is in
@@ -113,16 +120,18 @@ func (c *Conv2D) observe(x *tensor.Tensor) {
 // ForwardInferenceReLU is ForwardInference with the ReLU activation
 // fused into the convolution epilogue, bitwise identical to a separate
 // ReLU pass over the same output.
-func (c *Conv2D) ForwardInferenceReLU(x *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2D) ForwardInferenceReLU(x, out *tensor.Tensor) *tensor.Tensor {
 	c.observe(x)
-	c.out = tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, true, c.out)
-	return c.out
+	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, true, out)
 }
 
-// Backward propagates gy through the convolution.
-func (c *Conv2D) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	gx := tensor.Conv2DBackward(gy, c.cols, c.x.Shape, c.Wt.W, c.Wt.Grad, c.Bias.Grad, c.Spec)
-	c.cols = nil
+// Backward propagates gy through the convolution and lets go of what
+// Forward remembered, so a trained layer pins none of its last step.
+func (c *Conv2D) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
+	gx := a.Next()
+	tensor.Conv2DBackwardInto(gx, gy, c.cols, c.x.Shape, c.Wt.W, c.Wt.Grad, c.Bias.Grad, c.Spec)
+	clear(c.cols)
+	c.x, c.cols = nil, c.cols[:0]
 	return gx
 }
 
@@ -135,40 +144,30 @@ type ReLU struct {
 }
 
 // Forward clamps negatives to zero.
-func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := x.Clone()
+func (r *ReLU) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	out := tensor.Ensure(a.Next(), x.Shape...)
 	if cap(r.mask) < len(out.Data) {
 		r.mask = make([]bool, len(out.Data))
 	}
 	r.mask = r.mask[:len(out.Data)]
-	for i, v := range out.Data {
+	for i, v := range x.Data {
+		r.mask[i] = !(v < 0)
 		if v < 0 {
-			out.Data[i] = 0
-			r.mask[i] = false
-		} else {
-			r.mask[i] = true
+			v = 0
 		}
+		out.Data[i] = v
 	}
 	return out
 }
 
-// ForwardInference clamps negatives to zero in place (no mask is kept).
-func (r *ReLU) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
-	for i, v := range x.Data {
-		if v < 0 {
-			x.Data[i] = 0
-		}
-	}
-	return x
-}
-
 // Backward zeroes gradients where the input was negative.
-func (r *ReLU) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	gx := gy.Clone()
-	for i := range gx.Data {
+func (r *ReLU) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
+	gx := tensor.Ensure(a.Next(), gy.Shape...)
+	for i, g := range gy.Data {
 		if !r.mask[i] {
-			gx.Data[i] = 0
+			g = 0
 		}
+		gx.Data[i] = g
 	}
 	return gx
 }
@@ -182,8 +181,6 @@ type ResBlock struct {
 	Conv1, Conv2 *Conv2D
 	Act          *ReLU
 	ResScale     float32
-
-	out *tensor.Tensor // reusable inference output
 }
 
 // NewResBlock builds a residual block over nf feature maps with 3×3 convs.
@@ -197,30 +194,31 @@ func NewResBlock(rng *rand.Rand, nf int, resScale float32) *ResBlock {
 }
 
 // Forward computes x + ResScale · conv2(relu(conv1(x))).
-func (b *ResBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
-	h := b.Conv1.Forward(x)
-	h = b.Act.Forward(h)
-	h = b.Conv2.Forward(h)
-	out := x.Clone()
-	for i, v := range h.Data {
-		out.Data[i] += b.ResScale * v
-	}
+func (b *ResBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	h := b.Conv1.Forward(a, x)
+	h = b.Act.Forward(a, h)
+	h = b.Conv2.Forward(a, h)
+	out := tensor.Ensure(a.Next(), x.Shape...)
+	addScaled(out.Data, x.Data, h.Data, b.ResScale)
 	return out
 }
 
 // ForwardInference runs the block with the first conv's ReLU fused into
-// its epilogue and the residual add written into a reusable buffer.
-func (b *ResBlock) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
-	h := b.Conv1.ForwardInferenceReLU(x)
-	h = b.Conv2.ForwardInference(h)
-	b.out = tensor.Ensure(b.out, x.Shape...)
-	addScaled(b.out.Data, x.Data, h.Data, b.ResScale)
-	return b.out
+// its epilogue: conv1 writes mid, conv2 writes out, and the residual is
+// added into out in place — the add is elementwise, so reading h[i] and
+// writing out[i] at the same address changes no bit. x, mid and out
+// must be three different tensors; the result is out.
+func (b *ResBlock) ForwardInference(x, mid, out *tensor.Tensor) *tensor.Tensor {
+	h := b.Conv1.ForwardInferenceReLU(x, mid)
+	h = b.Conv2.ForwardInference(h, out)
+	addScaled(h.Data, x.Data, h.Data, b.ResScale)
+	return h
 }
 
-// addScaled writes out[i] = x[i] + scale*h[i]. The operands are locals
-// resliced to one length so the loop reloads nothing and checks no
-// bounds: after the SIMD kernels it is a visible share of a frame.
+// addScaled writes out[i] = x[i] + scale*h[i]; out may be h. The
+// operands are locals resliced to one length so the loop reloads nothing
+// and checks no bounds: after the SIMD kernels it is a visible share of
+// a frame.
 func addScaled(out, x, h []float32, scale float32) {
 	out, x = out[:len(h)], x[:len(h)]
 	for i, v := range h {
@@ -229,12 +227,14 @@ func addScaled(out, x, h []float32, scale float32) {
 }
 
 // Backward splits the gradient across the residual and identity paths.
-func (b *ResBlock) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	gBranch := gy.Clone()
-	gBranch.ScaleInPlace(b.ResScale)
-	g := b.Conv2.Backward(gBranch)
-	g = b.Act.Backward(g)
-	g = b.Conv1.Backward(g)
+func (b *ResBlock) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
+	gBranch := tensor.Ensure(a.Next(), gy.Shape...)
+	for i, g := range gy.Data {
+		gBranch.Data[i] = g * b.ResScale
+	}
+	g := b.Conv2.Backward(a, gBranch)
+	g = b.Act.Backward(a, g)
+	g = b.Conv1.Backward(a, g)
 	g.AddInPlace(gy) // identity path
 	return g
 }
@@ -249,34 +249,31 @@ func (b *ResBlock) Params() []*Param {
 type PixelShuffle struct {
 	R     int
 	shape []int
-	out   *tensor.Tensor // reusable inference output
 }
 
 // Forward performs the depth-to-space rearrangement.
-func (p *PixelShuffle) Forward(x *tensor.Tensor) *tensor.Tensor {
-	p.shape = x.Shape
-	out := tensor.New(p.outShape(x)...)
+func (p *PixelShuffle) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
+	p.shape = append(p.shape[:0], x.Shape...)
+	return p.ForwardInference(x, a.Next())
+}
+
+// ForwardInference performs the same rearrangement into out and keeps
+// no state for Backward.
+func (p *PixelShuffle) ForwardInference(x, out *tensor.Tensor) *tensor.Tensor {
+	n, c, h, w := p.outShape(x)
+	out = tensor.Ensure(out, n, c, h, w)
 	p.shuffleInto(x, out)
 	return out
 }
 
-// ForwardInference performs the same rearrangement into a reusable
-// buffer and keeps no state for Backward.
-func (p *PixelShuffle) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
-	p.out = tensor.Ensure(p.out, p.outShape(x)...)
-	p.shuffleInto(x, p.out)
-	return p.out
-}
-
 // outShape validates the channel count and returns the (N, C/r², H·r,
 // W·r) output shape.
-func (p *PixelShuffle) outShape(x *tensor.Tensor) []int {
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+func (p *PixelShuffle) outShape(x *tensor.Tensor) (n, c, h, w int) {
 	r := p.R
-	if c%(r*r) != 0 {
+	if x.Shape[1]%(r*r) != 0 {
 		panic("nn: PixelShuffle channel count not divisible by r²")
 	}
-	return []int{n, c / (r * r), h * r, w * r}
+	return x.Shape[0], x.Shape[1] / (r * r), x.Shape[2] * r, x.Shape[3] * r
 }
 
 // shuffleInto writes the depth-to-space rearrangement of x into out.
@@ -304,12 +301,13 @@ func (p *PixelShuffle) shuffleInto(x, out *tensor.Tensor) {
 	}
 }
 
-// Backward performs the inverse space-to-depth rearrangement on gy.
-func (p *PixelShuffle) Backward(gy *tensor.Tensor) *tensor.Tensor {
+// Backward performs the inverse space-to-depth rearrangement on gy: a
+// permutation, so every element of gx is written.
+func (p *PixelShuffle) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := p.shape[0], p.shape[1], p.shape[2], p.shape[3]
 	r := p.R
 	oc := c / (r * r)
-	gx := tensor.New(n, c, h, w)
+	gx := tensor.Ensure(a.Next(), n, c, h, w)
 	for ni := 0; ni < n; ni++ {
 		for co := 0; co < oc; co++ {
 			for dy := 0; dy < r; dy++ {
@@ -340,8 +338,7 @@ type Dense struct {
 	Wt      *Param // (Out, In)
 	Bias    *Param // (Out)
 	x       *tensor.Tensor
-	gw      []float32      // reusable weight-gradient staging buffer
-	out     *tensor.Tensor // reusable inference output
+	gw      []float32 // reusable weight-gradient staging buffer
 }
 
 // NewDense creates a fully connected layer, Xavier-initialized from rng.
@@ -352,10 +349,16 @@ func NewDense(rng *rand.Rand, in, out int) *Dense {
 }
 
 // Forward computes x·Wᵀ + b for a batch of row vectors.
-func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Shape[0]
+func (d *Dense) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	d.x = x
-	out := tensor.New(n, d.Out)
+	return d.ForwardInference(x, a.Next())
+}
+
+// ForwardInference computes x·Wᵀ + b into out, keeping no state for
+// Backward.
+func (d *Dense) ForwardInference(x, out *tensor.Tensor) *tensor.Tensor {
+	n := x.Shape[0]
+	out = tensor.Ensure(out, n, d.Out)
 	tensor.MatMulBT(x.Data, d.Wt.W.Data, out.Data, n, d.In, d.Out)
 	for i := 0; i < n; i++ {
 		row := out.Data[i*d.Out : (i+1)*d.Out]
@@ -366,23 +369,8 @@ func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ForwardInference computes x·Wᵀ + b into a reusable output buffer,
-// keeping no state for Backward.
-func (d *Dense) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Shape[0]
-	d.out = tensor.Ensure(d.out, n, d.Out)
-	tensor.MatMulBT(x.Data, d.Wt.W.Data, d.out.Data, n, d.In, d.Out)
-	for i := 0; i < n; i++ {
-		row := d.out.Data[i*d.Out : (i+1)*d.Out]
-		for j := range row {
-			row[j] += d.Bias.W.Data[j]
-		}
-	}
-	return d.out
-}
-
 // Backward computes input gradients and accumulates weight/bias gradients.
-func (d *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
+func (d *Dense) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
 	n := gy.Shape[0]
 	// gW(Out×In) += gyᵀ(N×Out)ᵀ · x(N×In), staged through a scratch
 	// buffer reused across steps rather than allocated per call.
@@ -400,52 +388,13 @@ func (d *Dense) Backward(gy *tensor.Tensor) *tensor.Tensor {
 			d.Bias.Grad.Data[j] += v
 		}
 	}
-	gx := tensor.New(n, d.In)
+	gx := tensor.Ensure(a.Next(), n, d.In)
 	tensor.MatMul(gy.Data, d.Wt.W.Data, gx.Data, n, d.Out, d.In)
 	return gx
 }
 
 // Params returns the weight and bias parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.Wt, d.Bias} }
-
-// Sequential chains layers; Forward runs them left to right and Backward in
-// reverse.
-type Sequential struct {
-	Layers []Layer
-}
-
-// Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// ForwardInference runs all layers in order on the no-grad fast path.
-func (s *Sequential) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.ForwardInference(x)
-	}
-	return x
-}
-
-// Backward runs all layers in reverse order.
-func (s *Sequential) Backward(gy *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		gy = s.Layers[i].Backward(gy)
-	}
-	return gy
-}
-
-// Params collects parameters from every layer.
-func (s *Sequential) Params() []*Param {
-	var ps []*Param
-	for _, l := range s.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
 
 // NumParams returns the total number of scalar parameters across ps.
 func NumParams(ps []*Param) int {
@@ -463,19 +412,25 @@ func ZeroGrads(ps []*Param) {
 	}
 }
 
-// MSELoss returns ½·mean((pred−target)²)… precisely mean squared error and
-// the gradient of that loss with respect to pred.
-func MSELoss(pred, target *tensor.Tensor) (loss float64, grad *tensor.Tensor) {
+// MSELoss returns the mean squared error of pred against target and,
+// when grad is non-nil, writes the gradient of that loss with respect to
+// pred into it (shaped via tensor.Ensure). An evaluation passes nil and
+// pays for no gradient.
+func MSELoss(pred, target, grad *tensor.Tensor) float64 {
 	if pred.Len() != target.Len() {
 		panic("nn: MSELoss size mismatch")
 	}
-	grad = tensor.New(pred.Shape...)
+	if grad != nil {
+		tensor.Ensure(grad, pred.Shape...)
+	}
 	n := float64(pred.Len())
 	var sum float64
 	for i, v := range pred.Data {
 		d := float64(v) - float64(target.Data[i])
 		sum += d * d
-		grad.Data[i] = float32(2 * d / n)
+		if grad != nil {
+			grad.Data[i] = float32(2 * d / n)
+		}
 	}
-	return sum / n, grad
+	return sum / n
 }

@@ -7,11 +7,13 @@ import (
 )
 
 // Int8 inference path. Quantized inference mirrors the float32
-// ForwardInference contract layer for layer: no grad state, layer-owned
-// output buffers (shared with the float32 path — the two paths must not
-// be interleaved mid-pass), zero steady-state allocations. The scheme is
-// symmetric linear quantization with per-output-channel weight scales
-// and one calibrated per-layer activation scale:
+// ForwardInference contract layer for layer: no grad state, output into
+// caller-supplied tensors, zero steady-state allocations. Every
+// convolution quantizes its input into one caller-supplied int8 buffer
+// (qin, at least as long as the input): the buffer is dead as soon as
+// the convolution returns, so one per pass serves every layer. The
+// scheme is symmetric linear quantization with per-output-channel weight
+// scales and one calibrated per-layer activation scale:
 //
 //	x_q = round(x · 127/actMax)          (per layer, calibrated)
 //	w_q[oc] = round(w / wScale[oc])      (per output channel)
@@ -25,23 +27,12 @@ import (
 // code on the requantized activations, so the int8 graph is the float32
 // graph with only the convolutions swapped.
 
-// Int8Layer is implemented by layers that can run on the quantized
-// inference path. ForwardInferenceInt8 follows the ForwardInference
-// contract (layer-owned output, no grad state, input may be modified);
-// Int8Ready reports whether the layer has been calibrated and quantized.
-type Int8Layer interface {
-	Layer
-	ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor
-	Int8Ready() bool
-}
-
 // conv2DInt8 is the quantized execution state of a Conv2D, built by
 // QuantizeInt8 and owned by the layer.
 type conv2DInt8 struct {
 	w      []int8    // (OutC, InC·K·K) per-channel quantized weights
 	scales []float32 // per-output-channel requantization multiplier
 	inInv  float32   // input quantization multiplier 127/actMax
-	qin    []int8    // reusable quantized-input buffer
 }
 
 // BeginCalibration puts the convolution into calibration mode: until
@@ -96,86 +87,35 @@ func (c *Conv2D) QuantizeInt8() {
 // ForwardInferenceInt8 runs the convolution on the int8 kernel path:
 // quantize the input with the calibrated scale, int8×int8 → int32
 // accumulate, requantize + bias in the epilogue.
-func (c *Conv2D) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
-	return c.forwardInt8(x, false)
+func (c *Conv2D) ForwardInferenceInt8(x, out *tensor.Tensor, qin []int8) *tensor.Tensor {
+	return c.forwardInt8(x, out, qin, false)
 }
 
 // ForwardInferenceInt8ReLU is ForwardInferenceInt8 with ReLU fused into
 // the kernel epilogue.
-func (c *Conv2D) ForwardInferenceInt8ReLU(x *tensor.Tensor) *tensor.Tensor {
-	return c.forwardInt8(x, true)
+func (c *Conv2D) ForwardInferenceInt8ReLU(x, out *tensor.Tensor, qin []int8) *tensor.Tensor {
+	return c.forwardInt8(x, out, qin, true)
 }
 
-func (c *Conv2D) forwardInt8(x *tensor.Tensor, relu bool) *tensor.Tensor {
+func (c *Conv2D) forwardInt8(x, out *tensor.Tensor, qin []int8, relu bool) *tensor.Tensor {
 	q := c.int8
 	if q == nil {
 		panic("nn: Conv2D int8 inference before QuantizeInt8")
 	}
-	if cap(q.qin) < x.Len() {
-		q.qin = make([]int8, x.Len())
-	}
-	qin := q.qin[:x.Len()]
+	qin = qin[:x.Len()]
 	tensor.QuantizeInt8Into(qin, x.Data, q.inInv)
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	c.out = tensor.Conv2DInferInt8(qin, n, c.Spec.InC, h, w, q.w, q.scales, c.Bias.W.Data, c.Spec, relu, c.out)
-	return c.out
+	return tensor.Conv2DInferInt8(qin, n, c.Spec.InC, h, w, q.w, q.scales, c.Bias.W.Data, c.Spec, relu, out)
 }
-
-// ForwardInferenceInt8 for ReLU is the float32 code: activations on the
-// int8 path are already requantized to float32 between layers.
-func (r *ReLU) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
-	return r.ForwardInference(x)
-}
-
-// Int8Ready reports true; ReLU has no quantized state.
-func (r *ReLU) Int8Ready() bool { return true }
-
-// ForwardInferenceInt8 for PixelShuffle is the float32 rearrangement.
-func (p *PixelShuffle) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
-	return p.ForwardInference(x)
-}
-
-// Int8Ready reports true; PixelShuffle has no quantized state.
-func (p *PixelShuffle) Int8Ready() bool { return true }
 
 // ForwardInferenceInt8 runs the residual block with both convolutions on
 // the int8 path (the first with fused ReLU) and the residual add in
 // float32, mirroring ForwardInference exactly.
-func (b *ResBlock) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
-	h := b.Conv1.ForwardInferenceInt8ReLU(x)
-	h = b.Conv2.ForwardInferenceInt8(h)
-	b.out = tensor.Ensure(b.out, x.Shape...)
-	addScaled(b.out.Data, x.Data, h.Data, b.ResScale)
-	return b.out
-}
-
-// Int8Ready reports whether both convolutions are quantized.
-func (b *ResBlock) Int8Ready() bool {
-	return b.Conv1.Int8Ready() && b.Conv2.Int8Ready()
-}
-
-// ForwardInferenceInt8 runs each layer on its int8 path when available
-// and quantized, falling back to float32 per layer otherwise.
-func (s *Sequential) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		if il, ok := l.(Int8Layer); ok && il.Int8Ready() {
-			x = il.ForwardInferenceInt8(x)
-		} else {
-			x = l.ForwardInference(x)
-		}
-	}
-	return x
-}
-
-// Int8Ready reports whether every layer that has a quantized form is
-// ready (layers without one fall back to float32 and don't block).
-func (s *Sequential) Int8Ready() bool {
-	for _, l := range s.Layers {
-		if c, ok := l.(*Conv2D); ok && !c.Int8Ready() {
-			return false
-		}
-	}
-	return true
+func (b *ResBlock) ForwardInferenceInt8(x, mid, out *tensor.Tensor, qin []int8) *tensor.Tensor {
+	h := b.Conv1.ForwardInferenceInt8ReLU(x, mid, qin)
+	h = b.Conv2.ForwardInferenceInt8(h, out, qin)
+	addScaled(h.Data, x.Data, h.Data, b.ResScale)
+	return h
 }
 
 // quantizeRowInt8 symmetrically quantizes row into dst and returns the

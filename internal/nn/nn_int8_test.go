@@ -12,7 +12,7 @@ import (
 // conv records its activation range, then quantizes.
 func calibrateOn(c *Conv2D, x *tensor.Tensor) {
 	c.BeginCalibration()
-	c.ForwardInference(x.Clone())
+	c.ForwardInference(x.Clone(), nil)
 	c.EndCalibration()
 	c.QuantizeInt8()
 }
@@ -25,8 +25,8 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	x2 := tensor.New(1, 2, 4, 4)
 	x2.Randn(rng, 3)
 	c.BeginCalibration()
-	c.ForwardInference(x1)
-	c.ForwardInferenceReLU(x2)
+	c.ForwardInference(x1, nil)
+	c.ForwardInferenceReLU(x2, nil)
 	c.EndCalibration()
 	want := x1.MaxAbs()
 	if m := x2.MaxAbs(); m > want {
@@ -38,7 +38,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	// Out of calibration mode the range must not move.
 	x3 := tensor.New(1, 2, 4, 4)
 	x3.Fill(1e6)
-	c.ForwardInference(x3)
+	c.ForwardInference(x3, nil)
 	if got := c.ActMax(); got != want {
 		t.Fatalf("ActMax moved outside calibration: %v, want %v", got, want)
 	}
@@ -55,7 +55,7 @@ func TestConv2DInt8TracksFloat32(t *testing.T) {
 		x := tensor.New(2, 3, 8, 7)
 		x.Randn(rng, 1)
 		calibrateOn(c, x)
-		want := c.ForwardInference(x.Clone()).Clone()
+		want := c.ForwardInference(x.Clone(), nil)
 		var got *tensor.Tensor
 		if relu {
 			// Compare against a separate ReLU pass over the float32 out.
@@ -64,9 +64,9 @@ func TestConv2DInt8TracksFloat32(t *testing.T) {
 					want.Data[i] = 0
 				}
 			}
-			got = c.ForwardInferenceInt8ReLU(x.Clone())
+			got = c.ForwardInferenceInt8ReLU(x.Clone(), nil, make([]int8, x.Len()))
 		} else {
-			got = c.ForwardInferenceInt8(x.Clone())
+			got = c.ForwardInferenceInt8(x.Clone(), nil, make([]int8, x.Len()))
 		}
 		colRows := c.Spec.InC * c.Spec.K * c.Spec.K
 		tol := float64(colRows) * float64(c.Wt.W.MaxAbs()) * float64(c.ActMax()) / 100
@@ -85,9 +85,10 @@ func TestConv2DInt8Deterministic(t *testing.T) {
 	x := tensor.New(1, 4, 9, 11)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
-	first := c.ForwardInferenceInt8(x.Clone()).Clone()
+	qin := make([]int8, x.Len())
+	first := c.ForwardInferenceInt8(x.Clone(), nil, qin)
 	for pass := 0; pass < 2; pass++ {
-		got := c.ForwardInferenceInt8(x.Clone())
+		got := c.ForwardInferenceInt8(x.Clone(), nil, qin)
 		for i := range got.Data {
 			if got.Data[i] != first.Data[i] {
 				t.Fatalf("pass %d: element %d not bit-identical", pass, i)
@@ -105,7 +106,7 @@ func TestConv2DInt8PanicsBeforeQuantize(t *testing.T) {
 		}
 	}()
 	x := tensor.New(1, 1, 3, 3)
-	c.ForwardInferenceInt8(x)
+	c.ForwardInferenceInt8(x, nil, make([]int8, x.Len()))
 }
 
 // TestSequentialInt8FallsBackPerLayer checks that a stack with one

@@ -14,7 +14,7 @@ import (
 func numericalGradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64) {
 	t.Helper()
 	loss := func() float64 {
-		out := layer.Forward(x.Clone())
+		out := layer.Forward(nil, x.Clone())
 		var s float64
 		for _, v := range out.Data {
 			s += float64(v) * float64(v)
@@ -22,7 +22,7 @@ func numericalGradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64
 		return s
 	}
 	// Analytic pass.
-	out := layer.Forward(x.Clone())
+	out := layer.Forward(nil, x.Clone())
 	gy := tensor.New(out.Shape...)
 	for i, v := range out.Data {
 		gy.Data[i] = 2 * v
@@ -30,7 +30,7 @@ func numericalGradCheck(t *testing.T, layer Layer, x *tensor.Tensor, tol float64
 	for _, p := range layer.Params() {
 		p.ZeroGrad()
 	}
-	gx := layer.Backward(gy)
+	gx := layer.Backward(nil, gy)
 
 	const eps = 1e-3
 	checkOne := func(name string, data []float32, grad []float32, idx int) {
@@ -97,13 +97,13 @@ func TestPixelShuffleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ps := &PixelShuffle{R: 2}
 	x := randTensor(rng, 1, 8, 3, 3)
-	out := ps.Forward(x)
+	out := ps.Forward(nil, x)
 	if out.Shape[1] != 2 || out.Shape[2] != 6 || out.Shape[3] != 6 {
 		t.Fatalf("PixelShuffle output shape %v", out.Shape)
 	}
 	// Backward of forward output must reproduce the input exactly
 	// (pixel shuffle is a permutation).
-	back := ps.Backward(out)
+	back := ps.Backward(nil, out)
 	for i := range x.Data {
 		if x.Data[i] != back.Data[i] {
 			t.Fatalf("PixelShuffle backward not the exact inverse at %d", i)
@@ -125,7 +125,7 @@ func TestPixelShufflePlacement(t *testing.T) {
 		}
 	}
 	ps := &PixelShuffle{R: 2}
-	out := ps.Forward(x)
+	out := ps.Forward(nil, x)
 	want := [][]float32{
 		{1, 2, 1, 2},
 		{3, 4, 3, 4},
@@ -144,7 +144,8 @@ func TestPixelShufflePlacement(t *testing.T) {
 func TestMSELoss(t *testing.T) {
 	pred := tensor.FromSlice([]float32{1, 2, 3, 4}, 4)
 	target := tensor.FromSlice([]float32{1, 2, 3, 6}, 4)
-	loss, grad := MSELoss(pred, target)
+	grad := new(tensor.Tensor)
+	loss := MSELoss(pred, target, grad)
 	if math.Abs(loss-1.0) > 1e-9 {
 		t.Fatalf("loss = %g, want 1", loss)
 	}
@@ -168,9 +169,10 @@ func TestSGDConvergesOnLinearFit(t *testing.T) {
 			y.Data[i] = 3*x.Data[i*2] - 2*x.Data[i*2+1] + 0.5
 		}
 		ZeroGrads(d.Params())
-		pred := d.Forward(x)
-		_, grad := MSELoss(pred, y)
-		d.Backward(grad)
+		pred := d.Forward(nil, x)
+		grad := new(tensor.Tensor)
+		MSELoss(pred, y, grad)
+		d.Backward(nil, grad)
 		opt.Step(d.Params())
 	}
 	if math.Abs(float64(d.Wt.W.Data[0])-3) > 0.05 ||
@@ -195,9 +197,10 @@ func TestAdamConvergesFasterThanSGDOnIllConditioned(t *testing.T) {
 				y.Data[i] = x.Data[i*2] + 100*x.Data[i*2+1]
 			}
 			ZeroGrads(d.Params())
-			pred := d.Forward(x)
-			loss, grad := MSELoss(pred, y)
-			d.Backward(grad)
+			pred := d.Forward(nil, x)
+			grad := new(tensor.Tensor)
+			loss := MSELoss(pred, y, grad)
+			d.Backward(nil, grad)
 			opt.Step(d.Params())
 			last = loss
 		}
@@ -236,8 +239,8 @@ func TestWeightsSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := randTensor(rng, 1, 3, 5, 5)
-	a := src.Forward(x.Clone())
-	b := dst.Forward(x.Clone())
+	a := src.Forward(nil, x.Clone())
+	b := dst.Forward(nil, x.Clone())
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("loaded model disagrees with source model")

@@ -279,7 +279,10 @@ type Options struct {
 	Int8 bool
 	// CacheBudget bounds the model cache in bytes of downloaded payload:
 	// < 0 unbounded (Algorithm 1), 0 caching disabled (the §3.2.2
-	// ablation), > 0 least-recently-used eviction past the budget.
+	// ablation), > 0 least-recently-used eviction past the budget. The
+	// payloads (and their deserialized weights, about as large) are all
+	// a cached model costs: activations live in the session's one
+	// workspace, a constant whatever the budget or the number of models.
 	CacheBudget int64
 	// Propagation selects how enhancement reaches P/B frames.
 	Propagation codec.Propagation
@@ -319,6 +322,10 @@ type Session struct {
 	cache    *modelstore.BoundedCache
 	models   map[int]*edsr.Model // deserialized twins of the cached payloads
 	backbone Backbone
+	// ws is where every model of the session runs: they enhance one at a
+	// time on the session's goroutine, so they share one working set and
+	// an evicted label's rebuilt model costs no activation memory.
+	ws edsr.Workspace
 }
 
 // Open starts a session over manifest m whose models are built as cfg and
@@ -448,6 +455,9 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 		s.Log.Warn("stream: model fetch failed; playing segment without SR",
 			"segment", ev.Segment, "model", label, "err", err)
 		return nil, nil
+	}
+	if m != nil {
+		m.SetWorkspace(&s.ws)
 	}
 	if mi := s.manifest.Models[label]; m != nil && s.Int8 && mi.Int8 && len(mi.ActScales) > 0 {
 		// A bad scale vector (origin/config mismatch) is not worth

@@ -27,3 +27,35 @@ func getScratch(n int) *[]float32 {
 // putScratch returns a buffer obtained from getScratch to the arena.
 // The caller must not retain any slice of it afterwards.
 func putScratch(p *[]float32) { scratchPool.Put(p) }
+
+// Arena recycles the tensors of a pass that repeats — a training step's
+// activations, column matrices and gradients. The k-th Next after a
+// Reset returns the tensor the k-th Next returned after the previous
+// Reset, so a step that asks for the same tensors in the same order as
+// the step before allocates nothing (a shape that changes, such as a
+// short last batch, regrows only that tensor). The zero value is ready
+// to use; an Arena must not be shared between goroutines. A nil *Arena
+// is valid and recycles nothing: every Next is a fresh tensor.
+type Arena struct {
+	ts   []*Tensor
+	next int
+}
+
+// Reset takes back every tensor handed out since the last Reset; the
+// caller must hold none of them across it.
+func (a *Arena) Reset() { a.next = 0 }
+
+// Next returns the pass's next tensor, for the caller to shape with
+// Ensure. Like any Ensure'd tensor its contents are unspecified — it
+// holds whatever the previous pass left there — so a caller that
+// accumulates into it must clear it first.
+func (a *Arena) Next() *Tensor {
+	if a == nil {
+		return new(Tensor)
+	}
+	if a.next == len(a.ts) {
+		a.ts = append(a.ts, new(Tensor))
+	}
+	a.next++
+	return a.ts[a.next-1]
+}

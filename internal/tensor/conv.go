@@ -245,37 +245,48 @@ func convInferBands(a convInferArgs, i, lo, hi int) {
 // instead). Use Conv2DInfer on the inference path — it skips the column
 // buffers entirely.
 func Conv2DForward(x, w, b *Tensor, spec ConvSpec) (out *Tensor, cols [][]float32) {
+	out = new(Tensor)
+	return out, Conv2DForwardInto(out, new(Tensor), nil, x, w, b, spec)
+}
+
+// Conv2DForwardInto is Conv2DForward into caller-owned storage, so a
+// training loop that hands back the same tensors every step allocates
+// nothing here: out receives the output and col the column matrices of
+// the whole batch (both shaped via Ensure and fully overwritten); cols
+// is a reusable header slice (nil allocates) returned holding col's
+// per-batch-element views, valid while col is.
+func Conv2DForwardInto(out, col *Tensor, cols [][]float32, x, w, b *Tensor, spec ConvSpec) [][]float32 {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if c != spec.InC {
 		panic("tensor: Conv2DForward channel mismatch")
 	}
 	oh, ow := spec.OutSize(h, wd)
-	out = New(n, spec.OutC, oh, ow)
+	Ensure(out, n, spec.OutC, oh, ow)
 	colRows := spec.InC * spec.K * spec.K
 	colCols := oh * ow
-	cols = make([][]float32, n)
+	Ensure(col, n, colRows, colCols)
+	cols = cols[:0]
+	for i := 0; i < n; i++ {
+		cols = append(cols, col.Data[i*colRows*colCols:(i+1)*colRows*colCols])
+	}
 	var bias []float32
 	if b != nil {
 		bias = b.Data
 	}
 	if n == 1 {
-		col := make([]float32, colRows*colCols)
-		im2col(x.Data, c, h, wd, spec, col)
-		cols[0] = col
+		im2col(x.Data, c, h, wd, spec, cols[0])
 		parallelFor(spec.OutC, func(lo, hi int) {
-			gemmRows(w.Data, col, out.Data, lo, hi, colRows, colCols, colCols, bias, false)
+			gemmRows(w.Data, cols[0], out.Data, lo, hi, colRows, colCols, colCols, bias, false)
 		})
-		return out, cols
+		return cols
 	}
 	parallelFor(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			col := make([]float32, colRows*colCols)
-			im2col(x.Data[i*c*h*wd:(i+1)*c*h*wd], c, h, wd, spec, col)
-			cols[i] = col
-			gemmRows(w.Data, col, out.Data[i*spec.OutC*colCols:], 0, spec.OutC, colRows, colCols, colCols, bias, false)
+			im2col(x.Data[i*c*h*wd:(i+1)*c*h*wd], c, h, wd, spec, cols[i])
+			gemmRows(w.Data, cols[i], out.Data[i*spec.OutC*colCols:], 0, spec.OutC, colRows, colCols, colCols, bias, false)
 		}
 	})
-	return out, cols
+	return cols
 }
 
 // Conv2DBackward computes gradients for a convolution given the upstream
@@ -285,11 +296,22 @@ func Conv2DForward(x, w, b *Tensor, spec ConvSpec) (out *Tensor, cols [][]float3
 // gradient and weight-gradient staging buffers come from the scratch
 // arena, so repeated training steps do not re-allocate them.
 func Conv2DBackward(gy *Tensor, cols [][]float32, xShape []int, w, gw, gb *Tensor, spec ConvSpec) (gx *Tensor) {
+	gx = new(Tensor)
+	Conv2DBackwardInto(gx, gy, cols, xShape, w, gw, gb, spec)
+	return gx
+}
+
+// Conv2DBackwardInto is Conv2DBackward writing gradX into the
+// caller-owned gx (shaped via Ensure). col2im accumulates into it, so
+// it is cleared here first: a recycled gx carries the previous step's
+// gradient.
+func Conv2DBackwardInto(gx, gy *Tensor, cols [][]float32, xShape []int, w, gw, gb *Tensor, spec ConvSpec) {
 	n, c, h, wd := xShape[0], xShape[1], xShape[2], xShape[3]
 	oh, ow := spec.OutSize(h, wd)
 	colRows := spec.InC * spec.K * spec.K
 	colCols := oh * ow
-	gx = New(n, c, h, wd)
+	Ensure(gx, xShape...)
+	gx.Zero()
 	gcolBuf := getScratch(colRows * colCols)
 	gwBuf := getScratch(len(gw.Data))
 	gcol, gwTmp := *gcolBuf, *gwBuf
@@ -316,7 +338,6 @@ func Conv2DBackward(gy *Tensor, cols [][]float32, xShape []int, w, gw, gb *Tenso
 	}
 	putScratch(gwBuf)
 	putScratch(gcolBuf)
-	return gx
 }
 
 // matmulBT computes out(m×k) = a(m×n) * bᵀ where b is (k×n):

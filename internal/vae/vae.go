@@ -65,6 +65,8 @@ type Model struct {
 	encFlat *tensor.Tensor
 	eps     *tensor.Tensor
 	mu, lv  *tensor.Tensor
+
+	feat [3]tensor.Tensor // Features' activations (tiny: ImgSize² inputs)
 }
 
 // New constructs a VAE with weights initialized from seed.
@@ -103,84 +105,85 @@ func (m *Model) Params() []*nn.Param {
 	return ps
 }
 
-// encode runs the encoder, returning μ and log σ² for a batch.
-func (m *Model) encode(x *tensor.Tensor) (mu, lv *tensor.Tensor) {
-	h := m.enc1.Forward(x)
-	h = m.act1.Forward(h)
-	h = m.enc2.Forward(h)
-	h = m.act2.Forward(h)
+// encode runs the encoder, returning μ and log σ² for a batch. Like
+// every training pass here it takes its tensors from the arena a (nil
+// allocates).
+func (m *Model) encode(a *tensor.Arena, x *tensor.Tensor) (mu, lv *tensor.Tensor) {
+	h := m.enc1.Forward(a, x)
+	h = m.act1.Forward(a, h)
+	h = m.enc2.Forward(a, h)
+	h = m.act2.Forward(a, h)
 	n := h.Shape[0]
 	flat := h.Len() / n
 	m.encFlat = h.Reshape(n, flat)
-	return m.muHead.Forward(m.encFlat), m.lvHead.Forward(m.encFlat)
+	return m.muHead.Forward(a, m.encFlat), m.lvHead.Forward(a, m.encFlat)
 }
 
 // decode reconstructs images from latent z.
-func (m *Model) decode(z *tensor.Tensor) *tensor.Tensor {
+func (m *Model) decode(a *tensor.Arena, z *tensor.Tensor) *tensor.Tensor {
 	cfg := m.Cfg
 	n := z.Shape[0]
 	s4 := cfg.ImgSize / 4
-	h := m.dec.Forward(z)
-	h = m.dact.Forward(h)
+	h := m.dec.Forward(a, z)
+	h = m.dact.Forward(a, h)
 	h = h.Reshape(n, 2*cfg.BaseCh, s4, s4)
-	h = m.dconv1.Forward(h)
-	h = m.dps1.Forward(h)
-	h = m.dact1.Forward(h)
-	h = m.dconv2.Forward(h)
-	return m.dps2.Forward(h)
+	h = m.dconv1.Forward(a, h)
+	h = m.dps1.Forward(a, h)
+	h = m.dact1.Forward(a, h)
+	h = m.dconv2.Forward(a, h)
+	return m.dps2.Forward(a, h)
 }
 
 // forward runs the full reparameterized pass. Sampling noise comes from
 // the model's seeded PRNG so training is deterministic.
-func (m *Model) forward(x *tensor.Tensor, sample bool) *tensor.Tensor {
-	mu, lv := m.encode(x)
+func (m *Model) forward(a *tensor.Arena, x *tensor.Tensor, sample bool) *tensor.Tensor {
+	mu, lv := m.encode(a, x)
 	m.mu, m.lv = mu, lv
-	z := mu.Clone()
-	m.eps = tensor.New(mu.Shape...)
-	if sample {
-		for i := range z.Data {
-			e := float32(m.rng.NormFloat64())
-			m.eps.Data[i] = e
-			z.Data[i] += e * float32(math.Exp(0.5*float64(lv.Data[i])))
+	z := tensor.Ensure(a.Next(), mu.Shape...)
+	m.eps = tensor.Ensure(a.Next(), mu.Shape...)
+	for i, v := range mu.Data {
+		var e float32 // ε = 0 without sampling: z = μ
+		if sample {
+			e = float32(m.rng.NormFloat64())
+			v += e * float32(math.Exp(0.5*float64(lv.Data[i])))
 		}
+		m.eps.Data[i], z.Data[i] = e, v
 	}
-	return m.decode(z)
+	return m.decode(a, z)
 }
 
 // backward propagates reconstruction gradient gx̂ plus the KL term with
 // weight klW (per batch element).
-func (m *Model) backward(gRecon *tensor.Tensor, klW float64) {
+func (m *Model) backward(a *tensor.Arena, gRecon *tensor.Tensor, klW float64) {
 	// Through the decoder.
-	g := m.dps2.Backward(gRecon)
-	g = m.dconv2.Backward(g)
-	g = m.dact1.Backward(g)
-	g = m.dps1.Backward(g)
-	g = m.dconv1.Backward(g)
+	g := m.dps2.Backward(a, gRecon)
+	g = m.dconv2.Backward(a, g)
+	g = m.dact1.Backward(a, g)
+	g = m.dps1.Backward(a, g)
+	g = m.dconv1.Backward(a, g)
 	n := m.mu.Shape[0]
 	g = g.Reshape(n, g.Len()/n)
-	g = m.dact.Backward(g)
-	gz := m.dec.Backward(g)
+	g = m.dact.Backward(a, g)
+	gz := m.dec.Backward(a, g)
 
-	// Reparameterization: z = μ + ε·exp(lv/2).
-	gMu := gz.Clone()
-	gLv := tensor.New(m.lv.Shape...)
-	for i := range gLv.Data {
-		gLv.Data[i] = gz.Data[i] * m.eps.Data[i] * 0.5 * float32(math.Exp(0.5*float64(m.lv.Data[i])))
-	}
-	// KL gradient: d/dμ = μ·w, d/dlv = −0.5·(1 − exp(lv))·w.
+	// Reparameterization: z = μ + ε·exp(lv/2); KL gradient: d/dμ = μ·w,
+	// d/dlv = −0.5·(1 − exp(lv))·w. gz itself becomes d/dμ.
+	gMu := gz
+	gLv := tensor.Ensure(a.Next(), m.lv.Shape...)
 	w := float32(klW)
-	for i := range gMu.Data {
+	for i, g := range gz.Data {
+		gLv.Data[i] = g * m.eps.Data[i] * 0.5 * float32(math.Exp(0.5*float64(m.lv.Data[i])))
 		gMu.Data[i] += m.mu.Data[i] * w
 		gLv.Data[i] += -0.5 * (1 - float32(math.Exp(float64(m.lv.Data[i])))) * w
 	}
-	gm := m.muHead.Backward(gMu)
-	gl := m.lvHead.Backward(gLv)
+	gm := m.muHead.Backward(a, gMu)
+	gl := m.lvHead.Backward(a, gLv)
 	gm.AddInPlace(gl)
 	gEnc := gm.Reshape(n, 2*m.Cfg.BaseCh, m.Cfg.ImgSize/4, m.Cfg.ImgSize/4)
-	g = m.act2.Backward(gEnc)
-	g = m.enc2.Backward(g)
-	g = m.act1.Backward(g)
-	m.enc1.Backward(g)
+	g = m.act2.Backward(a, gEnc)
+	g = m.enc2.Backward(a, g)
+	g = m.act1.Backward(a, g)
+	m.enc1.Backward(a, g)
 }
 
 // klLoss returns the mean KL divergence to N(0,1) per batch element.
@@ -240,6 +243,11 @@ func (m *Model) Train(frames []*video.RGB, opts TrainOptions) (*TrainResult, err
 	opt.GradClip = 1
 	params := m.Params()
 	res := &TrainResult{}
+	// One arena for every step's batch, activations and gradients (see
+	// edsr.Model.Train); a short last batch regrows nothing, Ensure
+	// reslices.
+	var arena tensor.Arena
+	var grad tensor.Tensor
 	for ep := 0; ep < opts.Epochs; ep++ {
 		perm := rng.Perm(len(xs))
 		var reconSum, klSum float64
@@ -249,14 +257,15 @@ func (m *Model) Train(frames []*video.RGB, opts TrainOptions) (*TrainResult, err
 			if hi > len(perm) {
 				hi = len(perm)
 			}
-			batch := m.stack(xs, perm[b:hi])
+			arena.Reset()
+			batch := m.stack(arena.Next(), xs, perm[b:hi])
 			nn.ZeroGrads(params)
-			xh := m.forward(batch, true)
-			recon, grad := nn.MSELoss(xh, batch)
+			xh := m.forward(&arena, batch, true)
+			recon := nn.MSELoss(xh, batch, &grad)
 			// Total loss = c·recon + KL; scale recon gradient by c.
 			grad.ScaleInPlace(float32(opts.ReconWeight))
 			kl := klLoss(m.mu, m.lv)
-			m.backward(grad, 1.0/float64(batch.Shape[0]))
+			m.backward(&arena, &grad, 1.0/float64(batch.Shape[0]))
 			opt.Step(params)
 			reconSum += recon
 			klSum += kl
@@ -268,10 +277,10 @@ func (m *Model) Train(frames []*video.RGB, opts TrainOptions) (*TrainResult, err
 	return res, nil
 }
 
-// stack gathers dataset items into one batch tensor.
-func (m *Model) stack(xs []*tensor.Tensor, idx []int) *tensor.Tensor {
+// stack gathers dataset items into the batch tensor out.
+func (m *Model) stack(out *tensor.Tensor, xs []*tensor.Tensor, idx []int) *tensor.Tensor {
 	s := m.Cfg.ImgSize
-	out := tensor.New(len(idx), 3, s, s)
+	out = tensor.Ensure(out, len(idx), 3, s, s)
 	per := 3 * s * s
 	for i, j := range idx {
 		copy(out.Data[i*per:(i+1)*per], xs[j].Data)
@@ -298,10 +307,10 @@ func (m *Model) toInput(f *video.RGB) *tensor.Tensor {
 // inference path (fused conv+ReLU, reused buffers) and skips the log σ²
 // head entirely, so feature extraction over a whole corpus stays cheap.
 func (m *Model) Features(f *video.RGB) []float64 {
-	h := m.enc1.ForwardInferenceReLU(m.toInput(f))
-	h = m.enc2.ForwardInferenceReLU(h)
+	h := m.enc1.ForwardInferenceReLU(m.toInput(f), &m.feat[0])
+	h = m.enc2.ForwardInferenceReLU(h, &m.feat[1])
 	n := h.Shape[0]
-	mu := m.muHead.ForwardInference(h.Reshape(n, h.Len()/n))
+	mu := m.muHead.ForwardInference(h.Reshape(n, h.Len()/n), &m.feat[2])
 	out := make([]float64, mu.Len())
 	for i, v := range mu.Data {
 		out[i] = float64(v)
@@ -313,7 +322,7 @@ func (m *Model) Features(f *video.RGB) []float64 {
 // returning the reconstruction as an RGB image. Used by tests to verify
 // the autoencoding objective.
 func (m *Model) Reconstruct(f *video.RGB) *video.RGB {
-	xh := m.forward(m.toInput(f), false)
+	xh := m.forward(nil, m.toInput(f), false)
 	s := m.Cfg.ImgSize
 	out := video.NewRGB(s, s)
 	for c := 0; c < 3; c++ {
