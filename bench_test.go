@@ -253,9 +253,9 @@ func BenchmarkAblationQuantization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t, _, sizes := experiments.AblationQuantization(experiments.DefaultEvalConfig())
 		printTable(b, "ablation-quant", t)
-		saving = 1 - float64(sizes["fp16"])/float64(sizes["fp32"])
+		saving = 1 - float64(sizes["int8"])/float64(sizes["fp32"])
 	}
-	b.ReportMetric(saving*100, "fp16-saving-%")
+	b.ReportMetric(saving*100, "int8-saving-%")
 }
 
 func BenchmarkUpscalingMode(b *testing.B) {

@@ -42,10 +42,9 @@ type jsonReport struct {
 	Fast        bool                           `json:"fast"`
 	Only        string                         `json:"only,omitempty"`
 	Experiments []jsonExperiment               `json:"experiments"`
-	Kernels     []kernelResult                 `json:"kernels,omitempty"`
 	CacheBudget *experiments.CacheBudgetResult `json:"cachebudget,omitempty"`
 	Swarm       *experiments.SwarmResult       `json:"swarm,omitempty"`
-	Quant       *quantResult                   `json:"quant,omitempty"`
+	Quant       *experiments.QuantGateResult   `json:"quant,omitempty"`
 	Modelstream *experiments.ModelstreamResult `json:"modelstream,omitempty"`
 	Metrics     obs.Snapshot                   `json:"metrics"`
 }
@@ -77,10 +76,9 @@ func main() {
 		cfg.Genres = []video.Genre{video.GenreNews, video.GenreSports}
 	}
 
-	var kernelRows []kernelResult
 	var cacheBudgetRes *experiments.CacheBudgetResult
 	var swarmRes *experiments.SwarmResult
-	var quantRes *quantResult
+	var quantRes *experiments.QuantGateResult
 	var modelstreamRes *experiments.ModelstreamResult
 
 	var fig9 *experiments.Fig9Result
@@ -171,15 +169,6 @@ func main() {
 			}
 			fmt.Println(t)
 		}},
-		{"kernels", "tensor kernel + Enhance microbenchmarks (ns/op, allocs, FPS)", func(experiments.EvalConfig) {
-			rows, err := runKernelBenches()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcsr-bench: %v\n", err)
-				os.Exit(1)
-			}
-			kernelRows = rows
-			printKernelTable(rows)
-		}},
 		{"cachebudget", "model-cache hit/eviction/bandwidth rates vs byte budget", func(c experiments.EvalConfig) {
 			t, r, err := experiments.ExperimentCacheBudget(c)
 			if err != nil {
@@ -200,20 +189,13 @@ func main() {
 			fmt.Printf("served %d requests in %.2fs (shed %d, %d client retries, %d reconnects, peak inflight %d)\n\n",
 				r.Requests, r.ElapsedSec, r.Sheds, r.Retries, r.Reconnects, r.InflightPeak)
 		}},
-		{"quant", "int8 vs float32 Enhance speed + calibration quality gate", func(c experiments.EvalConfig) {
-			r, err := runQuantBench()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcsr-bench: %v\n", err)
-				os.Exit(1)
-			}
+		{"quant", "int8 calibration quality gate: per-cluster verdicts + playback", func(c experiments.EvalConfig) {
 			t, gate, err := experiments.ExperimentQuantGate(c)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dcsr-bench: %v\n", err)
 				os.Exit(1)
 			}
-			r.Gate = gate
-			quantRes = r
-			printQuantTable(r)
+			quantRes = gate
 			fmt.Println(t)
 			fmt.Printf("gate: %d/%d clusters on int8 (%.0f%% fallback), mean delta %.2f dB; playback served %d/%d I frames on int8\n\n",
 				gate.Models-gate.Fallbacks, gate.Models, gate.FallbackRate*100,
@@ -279,7 +261,6 @@ func main() {
 		})
 	}
 	if *jsonOut != "" {
-		report.Kernels = kernelRows
 		report.CacheBudget = cacheBudgetRes
 		report.Swarm = swarmRes
 		report.Quant = quantRes

@@ -12,12 +12,12 @@
 //
 //	dcsr-lint ./...
 //	dcsr-lint -json ./internal/transport
-//	dcsr-lint -no-cache -parallel 4 -v ./...
+//	dcsr-lint -v ./...
 //
-// Packages are analyzed in parallel (bounded by -parallel, default
-// GOMAXPROCS) against a content-hash diagnostic cache persisted under
-// <module root>/.lintcache; -no-cache forces a full re-analysis. Output
-// order is byte-identical regardless of either flag.
+// Every run parses, type-checks and analyzes the matched packages one
+// after another: type-checking is the run and analysis about 2 % of it,
+// so there is nothing to cache or fan out. -v adds degraded-analysis
+// warnings and the total wall time on stderr.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load error.
 // The same pass gates `go test` through TestLintRepo, so CI needs no
@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"dcsr/internal/lint"
@@ -37,11 +36,9 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	verbose := flag.Bool("v", false, "report per-analyzer timings, cache stats, and degraded-analysis warnings")
-	parallel := flag.Int("parallel", 0, "max packages analyzed concurrently (0 = GOMAXPROCS)")
-	noCache := flag.Bool("no-cache", false, "ignore and do not update the diagnostic cache")
+	verbose := flag.Bool("v", false, "report degraded-analysis warnings and total wall time")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcsr-lint [-json] [-v] [-parallel N] [-no-cache] [packages]\n\npackages default to ./...; patterns support dir and dir/... forms\n")
+		fmt.Fprintf(os.Stderr, "usage: dcsr-lint [-json] [-v] [packages]\n\npackages default to ./...; patterns support dir and dir/... forms\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -54,10 +51,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	runner.Parallel = *parallel
-	if !*noCache {
-		runner.Cache = lint.OpenCache(runner.Module.Root)
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -67,18 +60,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// A failed cache write never fails the lint: the next run just goes
-	// cold again.
-	if runner.Cache != nil {
-		if err := runner.Cache.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "dcsr-lint: warning: %v\n", err)
-		}
-	}
 	if *verbose {
 		for _, soft := range runner.Module.SoftErrors() {
 			fmt.Fprintf(os.Stderr, "dcsr-lint: warning: %v\n", soft)
 		}
-		printTimings(runner, time.Since(start))
+		fmt.Fprintf(os.Stderr, "dcsr-lint: total %s\n", time.Since(start).Round(time.Millisecond))
 	}
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -100,30 +86,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// printTimings reports where the run's analysis time went, slowest
-// analyzer first, plus the cache's contribution.
-func printTimings(r *lint.Runner, total time.Duration) {
-	timings := r.Timings()
-	names := make([]string, 0, len(timings))
-	for name := range timings {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if timings[names[i]] != timings[names[j]] {
-			return timings[names[i]] > timings[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "dcsr-lint: %-12s %10s\n", name, timings[name].Round(10*time.Microsecond))
-	}
-	if r.Cache != nil {
-		hits, misses := r.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "dcsr-lint: cache        %d hit(s), %d miss(es)\n", hits, misses)
-	}
-	fmt.Fprintf(os.Stderr, "dcsr-lint: total        %10s\n", total.Round(time.Millisecond))
 }
 
 func fatal(err error) {

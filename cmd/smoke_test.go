@@ -10,6 +10,22 @@ import (
 	"testing"
 )
 
+// buildCmds builds the named commands into a fresh directory and returns it.
+func buildCmds(t *testing.T, names ...string) string {
+	t.Helper()
+	bin := t.TempDir()
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, n := range names {
+		args = append(args, "./cmd/"+n)
+	}
+	build := exec.Command("go", args...)
+	build.Dir = ".."
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestPrepareResumePlaySmoke builds the binaries and drives the publisher
 // round trip through the one artifact directory: dcsr-prepare writes it,
 // a second dcsr-prepare on the same -out resumes it without training, and
@@ -18,12 +34,7 @@ func TestPrepareResumePlaySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binaries; skipped in short mode")
 	}
-	bin := t.TempDir()
-	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/dcsr-prepare", "./cmd/dcsr-play")
-	build.Dir = ".."
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCmds(t, "dcsr-prepare", "dcsr-play")
 	run := func(name string, args ...string) string {
 		t.Helper()
 		out, err := exec.Command(filepath.Join(bin, name), args...).CombinedOutput()
@@ -67,5 +78,34 @@ func TestPrepareResumePlaySmoke(t *testing.T) {
 	}
 	if strings.Contains(play, "(0 on the int8 path)") || strings.Contains(play, "models 0 B") {
 		t.Errorf("dcsr-play served no int8 frames or no model bytes:\n%s", play)
+	}
+}
+
+// TestLintBenchSmoke runs the two developer binaries once each: dcsr-lint
+// over one clean package from inside the module (exit 0, nothing
+// printed), and dcsr-bench -list, which names the experiments -only
+// accepts — the int8 gate sweep among them, the retired kernel timers not.
+func TestLintBenchSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries; skipped in short mode")
+	}
+	bin := buildCmds(t, "dcsr-lint", "dcsr-bench")
+	lint := exec.Command(filepath.Join(bin, "dcsr-lint"), "./internal/modelstore")
+	lint.Dir = ".."
+	if out, err := lint.CombinedOutput(); err != nil || len(out) != 0 {
+		t.Errorf("dcsr-lint ./internal/modelstore: %v\n%s", err, out)
+	}
+	out, err := exec.Command(filepath.Join(bin, "dcsr-bench"), "-list").CombinedOutput()
+	if err != nil {
+		t.Fatalf("dcsr-bench -list: %v\n%s", err, out)
+	}
+	var names []string
+	for _, l := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			names = append(names, f[0])
+		}
+	}
+	if !slices.Contains(names, "quant") || slices.Contains(names, "kernels") {
+		t.Errorf("dcsr-bench -list names %v; want quant listed and kernels gone", names)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"dcsr/internal/core"
 	"dcsr/internal/faultnet"
 	"dcsr/internal/lint"
-	"dcsr/internal/nn"
 	"dcsr/internal/transport"
 )
 
@@ -121,16 +120,6 @@ func SimulateABR(l *Ladder, tr *BandwidthTrace, p ABRPolicy, opts SimOptions) (*
 	return abr.Simulate(l, tr, p, opts)
 }
 
-// Model download precision.
-type Quantization = nn.Quantization
-
-// Supported model download precisions.
-const (
-	QuantFP32 = nn.QuantNone
-	QuantFP16 = nn.QuantF16
-	QuantInt8 = nn.QuantInt8
-)
-
 // Artifact persistence (what cmd/dcsr-prepare writes and cmd/dcsr-play
 // and cmd/dcsr-serve read): one root JSON over a content-addressed object
 // store, the same directory a ServerConfig.CheckpointDir run builds.
@@ -149,9 +138,11 @@ func LoadArtifact(dir string) (*Prepared, error) { return core.Load(dir) }
 // the reporting check's name, and the message.
 type Diagnostic = lint.Diagnostic
 
-// Lint runs the repository's static-analysis pass — the metricnames,
-// nodeterm, errcheck, nilsafe, goleak and ctxcheck analyzers with //lint:allow
-// suppression applied — over the Go module containing dir and returns
-// the surviving diagnostics sorted by position. An empty result means
-// the tree upholds every machine-checked invariant.
+// Lint runs the repository's static-analysis pass — the eleven analyzers
+// docs/LINTING.md catalogues (metricnames, nodeterm, errcheck, nilsafe,
+// goleak, ctxcheck, lockorder, lostcancel, atomicfield, errcmp,
+// timerleak) with //lint:allow suppression applied — over the Go module
+// containing dir and returns the surviving diagnostics sorted by
+// position. An empty result means the tree upholds every machine-checked
+// invariant.
 func Lint(dir string) ([]Diagnostic, error) { return lint.Lint(dir) }

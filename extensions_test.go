@@ -87,16 +87,3 @@ func TestPublicArtifactAPI(t *testing.T) {
 		t.Fatalf("loaded K=%d, want %d", loaded.K, prep.K)
 	}
 }
-
-func TestQuantizationConstants(t *testing.T) {
-	names := map[dcsr.Quantization]string{
-		dcsr.QuantFP32: "fp32",
-		dcsr.QuantFP16: "fp16",
-		dcsr.QuantInt8: "int8",
-	}
-	for q, want := range names {
-		if q.String() != want {
-			t.Errorf("quantization %d named %q, want %q", int(q), q.String(), want)
-		}
-	}
-}

@@ -30,11 +30,12 @@ import (
 //	<dir>/stages.json — the root: small results inline, payloads by digest
 //	<dir>/objects/    — modelstore.Disk: coded stream, weights, dcW5 deltas
 //
-// One write protocol: objects first (Disk.Put), then the root (temp →
-// fsync → rename). A kill at any instant leaves the previous root, which
-// names only objects put before it; an object no root names is harmless
-// garbage. Disk.Get re-hashes every payload, so a torn or flipped object
-// is a miss (recomputed on resume, an error on Load), never served.
+// One write protocol: objects first (Disk.Put), then the root, each
+// through modelstore.WriteFileAtomic (temp → fsync → rename). A kill at
+// any instant leaves the previous root, which names only objects put —
+// and synced — before it; an object no root names is harmless garbage.
+// Disk.Get re-hashes every payload, so a torn or flipped object is a miss
+// (recomputed on resume, an error on Load), never served.
 
 const (
 	rootName    = "stages.json"
@@ -133,7 +134,20 @@ func resumeArtifact(dir string, fresh rootFile, log *obs.Logger) (*artifact, err
 	case err != nil && !errors.Is(err, os.ErrNotExist):
 		log.Warn("prepare: checkpoint root unusable, starting fresh", "dir", dir, "err", err)
 	}
-	return openArtifact(dir, fresh)
+	a, err := openArtifact(dir, fresh)
+	if err != nil {
+		return nil, err
+	}
+	// A Prepare is its directory's one writer, so temp files a killed run
+	// left (WriteFileAtomic's *.tmp-*) are its to delete. Load never
+	// does: the temp file it met could be a live Prepare's.
+	for _, d := range []string{dir, a.store.Dir()} {
+		stale, _ := filepath.Glob(filepath.Join(d, "*.tmp-*")) // the pattern is well-formed
+		for _, p := range stale {
+			os.Remove(p) // best effort: one that stays is harmless garbage
+		}
+	}
+	return a, nil
 }
 
 // state snapshots the root for a stage to restore from (Models is copied:
@@ -164,32 +178,7 @@ func (a *artifact) update(fn func(r *rootFile)) error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(a.dir, rootName), raw)
-}
-
-// writeFileAtomic replaces path with data via temp file → fsync → rename:
-// a reader sees the old bytes or the new ones, never a prefix.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	_, err = tmp.Write(data)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		//lint:allow errcheck best-effort cleanup of the doomed temp file; the write error is what gets reported
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: writing %s: %w", path, err)
-	}
-	return nil
+	return modelstore.WriteFileAtomic(filepath.Join(a.dir, rootName), raw)
 }
 
 // put stores one payload and returns the digest the root names it by.

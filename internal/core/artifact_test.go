@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -534,9 +535,10 @@ func TestCrashConsistencyAtEveryStage(t *testing.T) {
 }
 
 // TestArtifactGarbageAndOverwrite: an object put but never named by a root
-// (a kill between Put and the root flush) is harmless, and Save over a
-// complete artifact of a different video leaves a loadable artifact of
-// the new one.
+// (a kill between Put and the root flush) and the temp files of a write
+// cut short are harmless — Load leaves them alone, the next Prepare over
+// the directory deletes the temp files — and Save over a complete
+// artifact of a different video leaves a loadable artifact of the new one.
 func TestArtifactGarbageAndOverwrite(t *testing.T) {
 	cfg := tinyServerConfig()
 	clipA, clipB := testClip(t, 61, 2, 5), testClip(t, 9, 2, 4)
@@ -560,9 +562,33 @@ func TestArtifactGarbageAndOverwrite(t *testing.T) {
 	if _, err := art.store.Put([]byte("an object no root names")); err != nil {
 		t.Fatal(err)
 	}
+	// Writes killed between temp file and rename, of the root and of an object.
+	temps := []string{filepath.Join(dir, rootName+".tmp-1"), objectPath(dir, "0a") + ".tmp-2"}
+	for _, p := range temps {
+		if err := os.WriteFile(p, []byte("half a wri"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	loaded, err := Load(dir)
 	if err != nil {
-		t.Fatalf("unnamed object broke Load: %v", err)
+		t.Fatalf("unnamed object and temp files broke Load: %v", err)
+	}
+	comparePrepared(t, loaded, a)
+	for _, p := range temps {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("Load, a reader, removed %s: %v", p, err)
+		}
+	}
+	if _, err := resumeArtifact(dir, rootFile{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range temps {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("opening %s for writing left %s behind (stat: %v)", dir, p, err)
+		}
+	}
+	if loaded, err = Load(dir); err != nil {
+		t.Fatalf("sweeping temp files broke Load: %v", err)
 	}
 	comparePrepared(t, loaded, a)
 	if err := b.Save(dir); err != nil {

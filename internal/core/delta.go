@@ -203,15 +203,6 @@ func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *
 	return nil
 }
 
-// WireBytes returns the payload a client downloads for this model: the
-// dcW5 delta when the model ships as one, the full weights otherwise.
-func (sm *SegmentModel) WireBytes() []byte {
-	if sm.Delta != nil && sm.Delta.DeltaOK {
-		return sm.Delta.Bytes
-	}
-	return sm.Bytes
-}
-
 // WithoutDelta returns a copy of p whose models all ship complete — the
 // same canonical weights with the delta verdicts stripped and the
 // manifest rebuilt. The modelstream bench uses it as the "today" control

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 
 	"dcsr/internal/cluster"
@@ -247,9 +246,10 @@ func AblationHalfPel(cfg EvalConfig) (Table, map[string]int, map[string]float64)
 	return t, bytesBy, psnrBy
 }
 
-// AblationQuantization measures the extension of shipping micro models at
-// reduced precision (NEMO ships fp16 for the same reason): model download
-// bytes versus playback quality for fp32, fp16 and int8 weights.
+// AblationQuantization measures what shipping micro models at reduced
+// precision costs: model download bytes versus playback quality for
+// float32 weights and for the int8 form the model stream carries
+// (dcW5's per-channel int8 residuals, nn.EncodeWeightsDelta).
 func AblationQuantization(cfg EvalConfig) (Table, map[string]float64, map[string]int) {
 	clip := cfg.clip(video.GenreNews)
 	frames := clip.YUVFrames()
@@ -263,29 +263,8 @@ func AblationQuantization(cfg EvalConfig) (Table, map[string]float64, map[string
 	}
 	psnrs := map[string]float64{}
 	sizes := map[string]int{}
-	for _, q := range []nn.Quantization{nn.QuantNone, nn.QuantF16, nn.QuantInt8} {
-		// Re-encode every micro model at the target precision and reload
-		// it the way a client would.
-		quantized := make(map[int]*core.SegmentModel, len(prep.Models))
-		total := 0
-		for label, sm := range prep.Models {
-			data := nn.EncodeWeightsQuantized(sm.Model.Params(), q)
-			total += len(data)
-			m, err := edsr.New(sm.Config, 0)
-			if err != nil {
-				panic(err)
-			}
-			if err := nn.LoadWeightsAny(bytes.NewReader(data), m.Params()); err != nil {
-				panic(err)
-			}
-			// The player downloads canonical float32 payloads, so it is
-			// handed the dequantized weights: what a client holds after
-			// decoding the reduced-precision download.
-			quantized[label] = &core.SegmentModel{Label: label, Config: sm.Config, Model: m, Bytes: nn.EncodeWeights(m.Params())}
-		}
-		qPrep := *prep
-		qPrep.Models = quantized
-		res, err := core.NewPlayer(&qPrep).Play()
+	play := func(name string, p *core.Prepared, total int) {
+		res, err := core.NewPlayer(p).Play()
 		if err != nil {
 			panic(err)
 		}
@@ -294,10 +273,50 @@ func AblationQuantization(cfg EvalConfig) (Table, map[string]float64, map[string
 			psnr += quality.PSNRYUV(frames[i], res.Frames[i])
 		}
 		psnr /= float64(len(frames))
-		psnrs[q.String()] = psnr
-		sizes[q.String()] = total
-		t.Add(q.String(), fmt.Sprintf("%d", total), f2(psnr))
+		psnrs[name] = psnr
+		sizes[name] = total
+		t.Add(name, fmt.Sprintf("%d", total), f2(psnr))
 	}
+
+	total := 0
+	for _, sm := range prep.Models {
+		total += nn.WeightsSize(sm.Model.Params())
+	}
+	play("fp32", prep, total)
+
+	// Encode every micro model against an all-zero backbone, so the
+	// residual the codec quantizes is the weights themselves, and
+	// reassemble it the way a client would.
+	quantized := make(map[int]*core.SegmentModel, len(prep.Models))
+	total = 0
+	for label, sm := range prep.Models {
+		zero, err := edsr.New(sm.Config, 0)
+		if err != nil {
+			panic(err)
+		}
+		for _, p := range zero.Params() {
+			p.W.Fill(0)
+		}
+		delta, err := nn.EncodeWeightsDelta(zero.Params(), sm.Model.Params())
+		if err != nil {
+			panic(err)
+		}
+		total += len(delta)
+		m, err := edsr.New(sm.Config, 0)
+		if err != nil {
+			panic(err)
+		}
+		if err := nn.ApplyWeightsDelta(zero.Params(), delta, m.Params()); err != nil {
+			panic(err)
+		}
+		// The player downloads canonical float32 payloads, so it is
+		// handed the dequantized weights: what a client holds after
+		// assembling the int8 download.
+		quantized[label] = &core.SegmentModel{Label: label, Config: sm.Config, Model: m, Bytes: nn.EncodeWeights(m.Params())}
+	}
+	qPrep := *prep
+	qPrep.Models = quantized
+	play("int8", &qPrep, total)
 	return t, psnrs, sizes
 }
 

@@ -37,13 +37,11 @@
 // graph, giving every analyzer one level of interprocedural
 // propagation without repeated AST walks.
 //
-// The Runner analyzes packages in parallel (bounded by Parallel /
-// GOMAXPROCS; package loads stay serialized inside Module) and, when
-// given a Cache, skips packages whose content hash — own files,
-// module-local transitive imports, analyzer set — matches a previous
-// run, replaying the recorded diagnostics. Output is byte-identical
-// regardless of worker count or cache state: diagnostics are sorted by
-// file, line, column, check, message.
+// The Runner analyzes packages one after another: parsing and
+// type-checking are all but the whole run (the eleven analyzers plus
+// the summary are about 2 % of a cold ./...), so there is no worker
+// pool and no diagnostic cache. Output is sorted by file, line, column,
+// check, message.
 //
 // A diagnostic is suppressed — never silenced — with a reasoned
 // directive on or directly above the offending line:
@@ -61,10 +59,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 )
 
 // Diagnostic is one analyzer finding at a source position.
@@ -129,16 +124,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 type Runner struct {
 	Module    *Module
 	Analyzers []Analyzer
-	// Parallel bounds the number of packages analyzed concurrently;
-	// 0 means GOMAXPROCS. Output ordering does not depend on it.
-	Parallel int
-	// Cache, when non-nil, replays diagnostics for packages whose
-	// content hash matches a previous run and records fresh results.
-	// Callers own Save.
-	Cache *Cache
-
-	mu      sync.Mutex
-	timings map[string]time.Duration
 }
 
 // NewRunner loads the module rooted at (or above) dir and configures the
@@ -159,35 +144,10 @@ func NewRunner(dir string) (*Runner, error) {
 	return &Runner{Module: m, Analyzers: as}, nil
 }
 
-// Timings returns the cumulative wall time spent inside each analyzer
-// across the packages analyzed so far (cache hits contribute nothing).
-func (r *Runner) Timings() map[string]time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]time.Duration, len(r.timings))
-	for k, v := range r.timings {
-		out[k] = v
-	}
-	return out
-}
-
-func (r *Runner) addTiming(name string, d time.Duration) {
-	r.mu.Lock()
-	if r.timings == nil {
-		r.timings = map[string]time.Duration{}
-	}
-	r.timings[name] += d
-	r.mu.Unlock()
-}
-
 // Lint runs every analyzer over the packages matched by patterns
 // (default "./...") and returns the unsuppressed diagnostics sorted by
 // position. Directive problems are reported under the pseudo-check
 // "directive" and cannot be suppressed.
-//
-// Packages are analyzed concurrently; the result is deterministic — the
-// final sort orders by file, line, column, check, message, and no
-// diagnostic depends on cross-package analysis order.
 func (r *Runner) Lint(patterns ...string) ([]Diagnostic, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -200,79 +160,16 @@ func (r *Runner) Lint(patterns ...string) ([]Diagnostic, error) {
 	for _, a := range r.Analyzers {
 		known[a.Name()] = true
 	}
-
-	var keys *keyer
-	if r.Cache != nil {
-		keys = newKeyer(r.Module, r.Analyzers)
-	}
-
-	workers := r.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(dirs) {
-		workers = len(dirs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Each package writes into its own slot, so assembly order is the
-	// deterministic dir order no matter how workers interleave.
-	results := make([][]Diagnostic, len(dirs))
-	errs := make([]error, len(dirs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = r.lintDir(dirs[i], known, keys)
-			}
-		}()
-	}
-	for i := range dirs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
 	var out []Diagnostic
-	for i := range dirs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, dir := range dirs {
+		pkg, err := r.Module.PackageByDir(dir)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, results[i]...)
+		out = append(out, r.lintPackage(pkg, known)...)
 	}
 	sortDiagnostics(out)
 	return out, nil
-}
-
-// lintDir analyzes one package directory, consulting the cache first
-// when one is configured.
-func (r *Runner) lintDir(dir string, known map[string]bool, keys *keyer) ([]Diagnostic, error) {
-	var key string
-	if keys != nil {
-		k, kerr := keys.key(dir)
-		importPath, perr := r.Module.ImportPathForDir(dir)
-		if kerr == nil && perr == nil {
-			key = k
-			if diags, ok := r.Cache.Get(importPath, key); ok {
-				return diags, nil
-			}
-		}
-		// A key error degrades to an uncached analysis.
-	}
-	pkg, err := r.Module.PackageByDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	diags := r.lintPackage(pkg, known)
-	if key != "" {
-		r.Cache.Put(pkg.ImportPath, key, diags)
-	}
-	return diags, nil
 }
 
 func (r *Runner) lintPackage(pkg *Package, known map[string]bool) []Diagnostic {
@@ -286,9 +183,7 @@ func (r *Runner) lintPackage(pkg *Package, known map[string]bool) []Diagnostic {
 		Pkg:   pkg.Types,
 		Info:  pkg.Info,
 	}
-	start := time.Now()
 	sum := summarize(base)
-	r.addTiming("summary", time.Since(start))
 	for _, a := range r.Analyzers {
 		p := &Pass{
 			Fset:  r.Module.Fset,
@@ -300,9 +195,7 @@ func (r *Runner) lintPackage(pkg *Package, known map[string]bool) []Diagnostic {
 			diags: &raw,
 			sum:   sum,
 		}
-		t := time.Now()
 		a.Run(p)
-		r.addTiming(a.Name(), time.Since(t))
 	}
 	dirs, dirDiags := collectDirectives(r.Module.Fset, pkg, known)
 	var out []Diagnostic
@@ -316,7 +209,7 @@ func (r *Runner) lintPackage(pkg *Package, known map[string]bool) []Diagnostic {
 
 // sortDiagnostics establishes the engine's canonical output order:
 // file, line, column, check, message. The message tiebreak makes the
-// order total, so parallel runs are byte-identical.
+// order total, so repeated runs are byte-identical.
 func sortDiagnostics(ds []Diagnostic) {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]

@@ -40,168 +40,38 @@ func render(diags []Diagnostic) string {
 	return b.String()
 }
 
-// TestRunnerDeterministic pins the runner's output contract: the full
-// default analyzer set over the whole fixture corpus produces
-// byte-identical output across repeated runs and across worker counts.
-// `make verify` runs this under -race, which also makes it the data-race
-// gate for the parallel runner and the shared summary layer.
+// TestRunnerDeterministic pins the runner's output contract: two runs
+// of the full default analyzer set over the whole fixture corpus, each
+// on a freshly loaded module, produce byte-identical output.
 func TestRunnerDeterministic(t *testing.T) {
-	m := newTestModule(t)
-	patterns := fixtureDirs(t, m)
-	as, err := DefaultAnalyzers(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want string
-	for run := 0; run < 3; run++ {
-		for _, workers := range []int{1, 4, 8} {
-			r := &Runner{Module: m, Analyzers: as, Parallel: workers}
-			diags, err := r.Lint(patterns...)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			got := render(diags)
-			if got == "" {
-				t.Fatalf("workers=%d: fixture corpus produced no diagnostics; the determinism test needs a non-trivial output", workers)
-			}
-			if want == "" {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("run %d workers=%d: output differs from first run:\n--- first\n%s--- got\n%s", run, workers, want, got)
-			}
+	for run := 0; run < 2; run++ {
+		r, err := NewRunner(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		diags, err := r.Lint(fixtureDirs(t, r.Module)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := render(diags)
+		if got == "" {
+			t.Fatal("fixture corpus produced no diagnostics; the determinism test needs a non-trivial output")
+		}
+		if run == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("second run differs from the first:\n--- first\n%s--- second\n%s", want, got)
 		}
 	}
 }
 
-// TestRunnerCache proves the cache round-trip: a cold run misses every
-// package and a warm run with the persisted cache hits every package
-// and returns byte-identical diagnostics — then an analyzer-set change
-// invalidates it.
-func TestRunnerCache(t *testing.T) {
-	m := newTestModule(t)
-	patterns := fixtureDirs(t, m)
-	as, err := DefaultAnalyzers(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cache keys off the real module root's file hashes, but persists
-	// wherever we point it; use a scratch root so the test never touches
-	// a developer's .lintcache.
-	scratch := t.TempDir()
-
-	cold := OpenCache(scratch)
-	r := &Runner{Module: m, Analyzers: as, Cache: cold}
-	coldDiags, err := r.Lint(patterns...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := cold.Stats(); hits != 0 || misses != len(patterns) {
-		t.Errorf("cold run: hits=%d misses=%d, want 0/%d", hits, misses, len(patterns))
-	}
-	if err := cold.Save(); err != nil {
-		t.Fatal(err)
-	}
-
-	warm := OpenCache(scratch)
-	r2 := &Runner{Module: m, Analyzers: as, Cache: warm}
-	warmDiags, err := r2.Lint(patterns...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := warm.Stats(); hits != len(patterns) || misses != 0 {
-		t.Errorf("warm run: hits=%d misses=%d, want %d/0", hits, misses, len(patterns))
-	}
-	if render(coldDiags) != render(warmDiags) {
-		t.Errorf("cache replay differs:\n--- cold\n%s--- warm\n%s", render(coldDiags), render(warmDiags))
-	}
-
-	// Shrinking the analyzer set changes the fingerprint: every package
-	// must miss again.
-	stale := OpenCache(scratch)
-	r3 := &Runner{Module: m, Analyzers: as[:len(as)-1], Cache: stale}
-	if _, err := r3.Lint(patterns...); err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := stale.Stats(); hits != 0 {
-		t.Errorf("analyzer-set change still hit the cache %d times; the fingerprint is not part of the key", hits)
-	}
-}
-
-// TestRunnerTimings checks the per-analyzer accounting the -v flag
-// prints: after a run, every analyzer (and the shared summary pre-pass)
-// has a recorded duration.
-func TestRunnerTimings(t *testing.T) {
-	m := newTestModule(t)
-	as, err := DefaultAnalyzers(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Module: m, Analyzers: as}
-	if _, err := r.Lint(fixtureBase + "/lockorder"); err != nil {
-		t.Fatal(err)
-	}
-	timings := r.Timings()
-	if _, ok := timings["summary"]; !ok {
-		t.Errorf("no timing recorded for the summary pre-pass: %v", timings)
-	}
-	for _, a := range as {
-		if _, ok := timings[a.Name()]; !ok {
-			t.Errorf("no timing recorded for analyzer %s", a.Name())
-		}
-	}
-}
-
-// BenchmarkLintRepo measures the full-module lint cold (no cache, fresh
-// module load each iteration) and warm (persisted cache, fresh module
-// load each iteration — the `make lint` steady state).
+// BenchmarkLintRepo measures the full-module lint: fresh module load,
+// every package parsed, type-checked and analyzed, each iteration.
 func BenchmarkLintRepo(b *testing.B) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		b.Fatal(err)
+	for i := 0; i < b.N; i++ {
+		if _, err := Lint("."); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := LoadModule(root)
-			if err != nil {
-				b.Fatal(err)
-			}
-			as, err := DefaultAnalyzers(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := &Runner{Module: m, Analyzers: as}
-			if _, err := r.Lint("./..."); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		scratch := b.TempDir()
-		prime := func() *Cache {
-			c := OpenCache(scratch)
-			m, err := LoadModule(root)
-			if err != nil {
-				b.Fatal(err)
-			}
-			as, err := DefaultAnalyzers(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := &Runner{Module: m, Analyzers: as, Cache: c}
-			if _, err := r.Lint("./..."); err != nil {
-				b.Fatal(err)
-			}
-			if err := c.Save(); err != nil {
-				b.Fatal(err)
-			}
-			return c
-		}
-		prime()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			prime()
-		}
-	})
 }

@@ -145,8 +145,8 @@ func (m *Mem) SizeBytes() int64 {
 
 // Disk is the directory Store backend: one file per object named
 // <hex-digest>.bin (the object store under a core artifact root). Writes
-// go through a temp file + rename so a crashed writer never leaves a
-// half object behind.
+// go through WriteFileAtomic, so a crashed writer never leaves a half
+// object behind and a finished Put is durable before anything names it.
 type Disk struct {
 	dir string
 	mu  sync.Mutex
@@ -179,26 +179,41 @@ func (s *Disk) Put(data []byte) (Digest, error) {
 		s.Obs.Counter("modelstore_hits_total").Inc()
 		return d, nil // dedupe: the object is already on disk
 	}
-	tmp, err := os.CreateTemp(s.dir, "put-*")
-	if err != nil {
-		return d, fmt.Errorf("modelstore: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		//lint:allow errcheck the write already failed; closing the doomed temp file is best-effort cleanup before reporting that error
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return d, fmt.Errorf("modelstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return d, fmt.Errorf("modelstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(d)); err != nil {
-		return d, fmt.Errorf("modelstore: %w", err)
+	if err := WriteFileAtomic(s.path(d), data); err != nil {
+		return d, err
 	}
 	s.Obs.Counter("modelstore_puts_total").Inc()
 	s.Obs.Gauge("modelstore_bytes").Add(int64(len(data)))
 	return d, nil
+}
+
+// WriteFileAtomic replaces path with data via temp file → fsync → close →
+// rename: a reader sees the old bytes or the new ones, never a prefix,
+// and the new ones are on stable storage before the name points at them.
+// The temp file is path's sibling <base>.tmp-<random>; it is removed on
+// every failure, so only a kill can leave one behind — for whoever next
+// opens the directory for writing to delete, never a reader.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("modelstore: writing %s: %w", path, err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		//lint:allow errcheck best-effort cleanup of the doomed temp file; the write error is what gets reported
+		os.Remove(tmp.Name())
+		return fmt.Errorf("modelstore: writing %s: %w", path, err)
+	}
+	return nil
 }
 
 // Get implements Store. The payload is re-hashed on the way out: a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"dcsr/internal/obs"
@@ -150,5 +151,62 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	if got := snap.Gauges["modelstore_bytes"]; got != int64(len(payload)) {
 		t.Errorf("modelstore_bytes = %d, want %d", got, len(payload))
+	}
+}
+
+// TestDiskIgnoresTempFiles: what a killed WriteFileAtomic leaves in a
+// store directory is not an object.
+func TestDiskIgnoresTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Put([]byte("weights"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, d.String()+".bin.tmp-123"), []byte("half an obj"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ds := s.Digests(); len(ds) != 1 || ds[0] != d {
+		t.Fatalf("Digests = %v, want only %s", ds, d)
+	}
+	if n := s.SizeBytes(); n != int64(len("weights")) {
+		t.Fatalf("SizeBytes = %d, want %d", n, len("weights"))
+	}
+}
+
+// TestWriteFileAtomicFailuresLeaveNoTemp drives the helper's two failure
+// points — the temp file cannot be created, the destination cannot be
+// replaced — and checks each reports an error and leaves the directory
+// as it found it.
+func TestWriteFileAtomicFailuresLeaveNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(filepath.Join(notDir, "obj.bin"), []byte("data")); err == nil {
+		t.Error("write under a path that is not a directory succeeded")
+	}
+
+	// A non-empty directory cannot be renamed over.
+	dest := filepath.Join(dir, "dest")
+	if err := os.MkdirAll(filepath.Join(dest, "child"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(dest, []byte("data")); err == nil {
+		t.Error("write over a non-empty directory succeeded")
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "file" && e.Name() != "dest" {
+			t.Errorf("failed write left %q behind", e.Name())
+		}
 	}
 }

@@ -8,11 +8,18 @@ import (
 )
 
 // Property-style coverage for the dcW5 delta codec: random models,
-// zero-delta and adversarial near-duplicate weights, float32 and
-// int8-processed weights, wrong-backbone rejection, and payload
-// corruption. The central invariant is determinism: whatever weights the
+// zero-delta and adversarial near-duplicate weights, wrong-backbone
+// rejection, and payload corruption. The central invariant is determinism: whatever weights the
 // encoder's reconstruction implies, ApplyWeightsDelta reproduces them
 // bit-identically on every decode.
+
+func quantModel(t *testing.T, seed int64) *Sequential {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	return &Sequential{Layers: []Layer{
+		NewConv2D(rng, 3, 4, 3, 1, 1), &ReLU{}, NewConv2D(rng, 4, 3, 3, 1, 1),
+	}}
+}
 
 func bitsEqual(a, b []*Param) bool {
 	for i := range a {
@@ -165,40 +172,6 @@ func TestDeltaNearDuplicate(t *testing.T) {
 	}
 }
 
-// TestDeltaInt8Composition: dcW5 composes with dcW3 — weights that
-// already went through int8 serialization delta-encode and reconstruct
-// deterministically, and the reconstruction re-serializes to dcW3
-// identically on both sides of the wire.
-func TestDeltaInt8Composition(t *testing.T) {
-	backbone := quantModel(t, 30)
-	target := quantModel(t, 31)
-	for _, m := range []*Sequential{backbone, target} {
-		data := EncodeWeightsQuantized(m.Params(), QuantInt8)
-		if err := LoadWeightsAny(bytes.NewReader(data), m.Params()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	delta, err := EncodeWeightsDelta(backbone.Params(), target.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	origin, client := quantModel(t, 32), quantModel(t, 33)
-	if err := ApplyWeightsDelta(backbone.Params(), delta, origin.Params()); err != nil {
-		t.Fatal(err)
-	}
-	if err := ApplyWeightsDelta(backbone.Params(), delta, client.Params()); err != nil {
-		t.Fatal(err)
-	}
-	if !bitsEqual(origin.Params(), client.Params()) {
-		t.Fatal("int8-processed weights reconstruct differently across decodes")
-	}
-	ow := EncodeWeightsQuantized(origin.Params(), QuantInt8)
-	cw := EncodeWeightsQuantized(client.Params(), QuantInt8)
-	if !bytes.Equal(ow, cw) {
-		t.Fatal("dcW3 re-serialization of assembled weights differs between origin and client")
-	}
-}
-
 // TestDeltaWrongBackbone: applying a delta against any backbone other
 // than the one it was encoded for must fail the digest check up front.
 func TestDeltaWrongBackbone(t *testing.T) {
@@ -242,7 +215,7 @@ func TestDeltaCorruptPayload(t *testing.T) {
 	if err := ApplyWeightsDelta(backbone.Params(), long, dst.Params()); err == nil {
 		t.Fatal("trailing garbage applied cleanly")
 	}
-	if err := LoadWeightsAny(bytes.NewReader(delta), dst.Params()); err == nil {
-		t.Fatal("LoadWeightsAny accepted a dcW5 payload without a backbone")
+	if err := LoadWeights(bytes.NewReader(delta), dst.Params()); err == nil {
+		t.Fatal("LoadWeights accepted a dcW5 payload without a backbone")
 	}
 }

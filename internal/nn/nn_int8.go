@@ -119,9 +119,7 @@ func (b *ResBlock) ForwardInferenceInt8(x, mid, out *tensor.Tensor, qin []int8) 
 }
 
 // quantizeRowInt8 symmetrically quantizes row into dst and returns the
-// scale: maxabs/127, or 1 for an all-zero row — the same convention as
-// the dcW3 wire format, so wire and inference quantization agree
-// bit-for-bit on identical inputs.
+// scale: maxabs/127, or 1 for an all-zero row.
 func quantizeRowInt8(row []float32, dst []int8) float32 {
 	var maxAbs float32
 	for _, v := range row {

@@ -171,7 +171,7 @@ func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 }
 
 func TestQuantizeRowInt8(t *testing.T) {
-	// Zero rows get scale 1 (the dcW3 convention) and all-zero codes.
+	// Zero rows get scale 1 and all-zero codes.
 	dst := make([]int8, 4)
 	if s := quantizeRowInt8(make([]float32, 4), dst); s != 1 {
 		t.Fatalf("zero-row scale = %v, want 1", s)

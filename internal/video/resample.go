@@ -120,12 +120,3 @@ func BicubicResizeRGB(src *RGB, w, h int) *RGB {
 	}
 	return dst
 }
-
-// ResizeYUV scales a YUV frame via RGB round-trip bilinear resampling.
-// Target dimensions must be even.
-func ResizeYUV(src *YUV, w, h int) *YUV {
-	if src.W == w && src.H == h {
-		return src.Clone()
-	}
-	return ResizeRGB(src.ToRGB(), w, h).ToYUV()
-}
