@@ -43,7 +43,6 @@ import (
 	"dcsr/internal/core"
 	"dcsr/internal/device"
 	"dcsr/internal/edsr"
-	"dcsr/internal/modelstore"
 	"dcsr/internal/obs"
 	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
@@ -256,39 +255,6 @@ func NewSession(m *Manifest, useCache bool) (*Session, error) { return stream.Ne
 // 0 → caching disabled, > 0 → LRU eviction past the budget).
 func NewSessionWithBudget(m *Manifest, budget int64) (*Session, error) {
 	return stream.NewSessionWithBudget(m, budget)
-}
-
-// Model storage (internal/modelstore): content-addressed stores for
-// trained weights — identical models dedupe by digest — and the
-// byte-budgeted LRU cache behind Session, Player.CacheBudget and
-// StreamClient.CacheBudget.
-type (
-	// ModelDigest is the SHA-256 content address of serialized weights.
-	ModelDigest = modelstore.Digest
-	// ModelStore is the content-addressed storage interface.
-	ModelStore = modelstore.Store
-	// MemModelStore keeps objects in memory.
-	MemModelStore = modelstore.Mem
-	// DiskModelStore keeps one file per object under a directory.
-	DiskModelStore = modelstore.Disk
-	// BoundedModelCache is a byte-budgeted LRU over model payloads.
-	BoundedModelCache = modelstore.BoundedCache
-)
-
-// DigestModel computes the content address of serialized model weights.
-func DigestModel(payload []byte) ModelDigest { return modelstore.DigestOf(payload) }
-
-// NewMemModelStore returns an empty in-memory model store.
-func NewMemModelStore() *MemModelStore { return modelstore.NewMem() }
-
-// NewDiskModelStore opens (creating if needed) a disk-backed model store
-// rooted at dir.
-func NewDiskModelStore(dir string) (*DiskModelStore, error) { return modelstore.NewDisk(dir) }
-
-// NewBoundedModelCache returns an empty cache holding at most budget
-// bytes (budget < 0 → unbounded, 0 → disabled).
-func NewBoundedModelCache(budget int64) *BoundedModelCache {
-	return modelstore.NewBoundedCache(budget)
 }
 
 // Observability. An Obs bundle threads metrics, stage tracing and

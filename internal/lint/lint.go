@@ -21,8 +21,6 @@
 //   - lockorder — mutexes are acquired in one consistent order
 //     module-wide per package (a cycle in the acquisition graph is a
 //     latent deadlock) and every Lock is released on every return path
-//   - lostcancel — every context.WithCancel/WithTimeout/WithDeadline
-//     cancel func is called or handed to the context's owner
 //   - atomicfield — a struct field accessed via sync/atomic is never
 //     read or written plainly in the same package
 //   - errcmp — sentinel and typed errors are matched with
@@ -32,13 +30,12 @@
 //
 // The concurrency analyzers share a per-package dataflow layer
 // (summary.go): one pre-pass computes per-function summaries — locks
-// acquired/released, func-typed parameters invoked, timers stopped,
-// atomic field touches, completion signals — plus a package-local call
-// graph, giving every analyzer one level of interprocedural
-// propagation without repeated AST walks.
+// acquired/released, timers stopped, atomic field touches, completion
+// signals — plus a package-local call graph, giving every analyzer one
+// level of interprocedural propagation without repeated AST walks.
 //
 // The Runner analyzes packages one after another: parsing and
-// type-checking are all but the whole run (the eleven analyzers plus
+// type-checking are all but the whole run (the ten analyzers plus
 // the summary are about 2 % of a cold ./...), so there is no worker
 // pool and no diagnostic cache. Output is sorted by file, line, column,
 // check, message.
@@ -245,7 +242,6 @@ func DefaultAnalyzers(m *Module) ([]Analyzer, error) {
 		&GoLeak{},
 		&CtxCheck{},
 		&LockOrder{},
-		&LostCancel{},
 		&AtomicField{},
 		&ErrCmp{},
 		&TimerLeak{},

@@ -47,8 +47,6 @@ func TestFixtures(t *testing.T) {
 				"modelstream_fallback_total":        true,
 				"delta_models_total":                true,
 				"delta_fallback_total":              true,
-				"modelstore_chunk_puts_total":       true,
-				"modelstore_chunk_hits_total":       true,
 			}}}
 		}},
 		{"nodeterm", func(path string) []Analyzer {
@@ -74,9 +72,6 @@ func TestFixtures(t *testing.T) {
 		}},
 		{"lockorder", func(path string) []Analyzer {
 			return []Analyzer{&LockOrder{}}
-		}},
-		{"lostcancel", func(path string) []Analyzer {
-			return []Analyzer{&LostCancel{}}
 		}},
 		{"atomicfield", func(path string) []Analyzer {
 			return []Analyzer{&AtomicField{}}

@@ -11,15 +11,14 @@ import (
 // This file is the lint engine's lightweight intraprocedural dataflow
 // layer. For every function in a package it computes a funcSummary —
 // which locks it acquires and releases (by a package-wide lock class),
-// whether its func-typed parameters are invoked / stopped / escape,
-// which struct fields it touches through the function-form sync/atomic
-// API, and whether its body carries a goroutine completion signal —
-// plus a package-local call graph. Summaries are built once per package
-// in lintPackage and shared by every analyzer through Pass.sum, giving
-// the concurrency analyzers (lockorder, lostcancel, atomicfield,
-// timerleak, goleak) one level of summary propagation: a caller can ask
-// what a same-package callee does with a lock, a cancel func, or a
-// timer without re-walking its body.
+// whether its parameters are stopped / escape, which struct fields it
+// touches through the function-form sync/atomic API, and whether its
+// body carries a goroutine completion signal — plus a package-local
+// call graph. Summaries are built once per package in lintPackage and
+// shared by every analyzer through Pass.sum, giving the concurrency
+// analyzers (lockorder, atomicfield, timerleak, goleak) one level of
+// summary propagation: a caller can ask what a same-package callee does
+// with a lock or a timer without re-walking its body.
 //
 // The layer is deliberately conservative in the same direction as the
 // rest of the engine: missing type information means "unknown", and
@@ -44,7 +43,6 @@ type lockOp struct {
 
 // paramUse records what a function does with one of its parameters.
 type paramUse struct {
-	called  bool // the parameter is invoked (func-typed params)
 	stopped bool // .Stop() is called on it (timers/tickers)
 	escapes bool // returned, stored, or passed somewhere unanalyzed
 }
@@ -167,18 +165,11 @@ func summarizeFunc(p *Pass, sum *pkgSummary, fd *ast.FuncDecl) *funcSummary {
 }
 
 // summarizeCall classifies one call expression for the summary: lock
-// ops, parameter invocations/stops, atomic field touches, and
-// same-package call-graph edges.
+// ops, parameter stops, atomic field touches, and same-package
+// call-graph edges.
 func summarizeCall(p *Pass, sum *pkgSummary, fs *funcSummary, paramObjs map[types.Object]int, held map[string]bool, call *ast.CallExpr) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		// Parameter invocation: cancel().
-		if i, ok := paramObjs[p.Info.Uses[fun]]; ok {
-			u := fs.params[i]
-			u.called = true
-			fs.params[i] = u
-			return
-		}
 		// Same-package call-graph edge.
 		if fn, ok := p.Info.Uses[fun].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == p.Path {
 			fs.calls = append(fs.calls, callSite{fn: fn, pos: call.Pos()})
@@ -243,9 +234,9 @@ func summarizeAtomicCall(p *Pass, sum *pkgSummary, fs *funcSummary, call *ast.Ca
 }
 
 // summarizeEscapes marks parameters that are referenced anywhere other
-// than as a direct invocation or .Stop() receiver: returned, assigned,
-// passed as arguments, captured in composite literals. Escaped
-// parameters are treated as "used, fate unknown" by the analyzers.
+// than as a .Stop() receiver: invoked, returned, assigned, passed as
+// arguments, captured in composite literals. Escaped parameters are
+// treated as "used, fate unknown" by the analyzers.
 func summarizeEscapes(p *Pass, fs *funcSummary, paramObjs map[types.Object]int, body *ast.BlockStmt) {
 	skip := map[*ast.Ident]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -253,14 +244,9 @@ func summarizeEscapes(p *Pass, fs *funcSummary, paramObjs map[types.Object]int, 
 		if !ok {
 			return true
 		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			skip[fun] = true
-		case *ast.SelectorExpr:
-			if fun.Sel.Name == "Stop" {
-				if id, ok := fun.X.(*ast.Ident); ok {
-					skip[id] = true
-				}
+		if fun, ok := call.Fun.(*ast.SelectorExpr); ok && fun.Sel.Name == "Stop" {
+			if id, ok := fun.X.(*ast.Ident); ok {
+				skip[id] = true
 			}
 		}
 		return true

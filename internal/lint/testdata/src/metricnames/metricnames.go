@@ -22,15 +22,13 @@ func Good(o *obs.Obs, reg *obs.Registry) {
 	o.Counter("quant_int8_models_total").Inc()
 	o.Counter("quant_fallback_total").Inc()
 	o.WindowedHistogram("codec_enhance_int8_window_seconds").Observe(0.002)
-	// The model-stream surface: backbone/delta session counters, the
-	// delta_encode gate verdicts and the chunk-dedupe pair.
+	// The model-stream surface: backbone/delta session counters and the
+	// delta_encode gate verdicts.
 	o.Counter("modelstream_backbone_fetch_total").Inc()
 	o.Counter("modelstream_delta_bytes_total").Add(512)
 	o.Counter("modelstream_fallback_total").Inc()
 	o.Counter("delta_models_total").Inc()
 	o.Counter("delta_fallback_total").Inc()
-	o.Counter("modelstore_chunk_puts_total").Inc()
-	o.Counter("modelstore_chunk_hits_total").Inc()
 }
 
 // Bad covers one violation per rule.

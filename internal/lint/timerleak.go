@@ -149,7 +149,7 @@ func timerHandled(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
 			// Passed to a callee: unknown callees are conservative
 			// owners; same-package callees answer from their summary.
 			for i, arg := range n.Args {
-				if identIs(p, arg, obj) && passConsumesFunc(p, n, i) {
+				if identIs(p, arg, obj) && passConsumes(p, n, i) {
 					handled = true
 					return false
 				}
@@ -194,6 +194,50 @@ func timerHandled(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
 		return true
 	})
 	return handled
+}
+
+// passConsumes decides whether passing a value as argument i of call
+// counts as handing it on. Unknown callees are conservative "yes"; a
+// same-package callee answers from its summary (one propagation level):
+// the parameter must be stopped or escape.
+func passConsumes(p *Pass, call *ast.CallExpr, i int) bool {
+	var callee *funcSummary
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		callee = p.sum.lookup(p.Info.Uses[fun])
+	case *ast.SelectorExpr:
+		callee = p.sum.lookup(p.Info.Uses[fun.Sel])
+	}
+	if callee == nil {
+		return true // cannot see the callee: assume it uses the value
+	}
+	// Map argument index to parameter index; methods called as m.f(a)
+	// line up directly, variadic tails collapse onto the last parameter.
+	pi := i
+	if n := paramCount(callee.decl.Type); n > 0 && pi >= n {
+		pi = n - 1
+	}
+	u := callee.params[pi]
+	return u.stopped || u.escapes
+}
+
+func paramCount(ft *ast.FuncType) int {
+	n := 0
+	if ft.Params != nil {
+		for _, f := range ft.Params.List {
+			if len(f.Names) == 0 {
+				n++
+			} else {
+				n += len(f.Names)
+			}
+		}
+	}
+	return n
+}
+
+func identIs(p *Pass, e ast.Expr, obj types.Object) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && p.Info.Uses[id] == obj
 }
 
 // isTimeFunc reports whether call is time.<name>, resolved through type

@@ -42,15 +42,9 @@ type BoundedCache struct {
 	OnEvict func(label int)
 
 	// Obs receives modelstore_puts_total / modelstore_hits_total /
-	// modelstore_evictions_total and the modelstore_bytes gauge (plus
-	// modelstore_chunk_puts_total / modelstore_chunk_hits_total in
-	// chunked mode); nil disables instrumentation.
+	// modelstore_evictions_total and the modelstore_bytes gauge; nil
+	// disables instrumentation.
 	Obs *obs.Obs
-
-	// Chunked-accounting state (see EnableChunked).
-	chunked   bool
-	chunkRefs map[Digest]int
-	chunkLen  map[Digest]int64
 }
 
 // NewBoundedCache returns a cache with the given byte budget (see the
@@ -64,29 +58,9 @@ func NewBoundedCache(budget int64) *BoundedCache {
 }
 
 type cacheEntry struct {
-	label  int
-	data   []byte
-	chunks []Digest // content-defined chunk digests; nil unless chunked
+	label int
+	data  []byte
 }
-
-// EnableChunked switches the cache from whole-payload to chunk-level
-// accounting: payloads are split with SplitChunks, shared chunks are
-// counted once however many labels reference them, and evicting a label
-// frees only the chunks whose reference count drops to zero. This is the
-// accounting the model stream wants — a session caching one backbone
-// plus k deltas pays for the backbone's bytes once, not k times. Must be
-// called before the first Put.
-func (c *BoundedCache) EnableChunked() {
-	if c.ll.Len() != 0 {
-		panic("modelstore: EnableChunked on a non-empty cache")
-	}
-	c.chunked = true
-	c.chunkRefs = make(map[Digest]int)
-	c.chunkLen = make(map[Digest]int64)
-}
-
-// Budget returns the configured byte budget.
-func (c *BoundedCache) Budget() int64 { return c.budget }
 
 // Bytes returns the resident payload bytes.
 func (c *BoundedCache) Bytes() int64 { return c.bytes }
@@ -117,9 +91,6 @@ func (c *BoundedCache) Get(label int) ([]byte, bool) {
 // than the whole budget (or any payload under a zero budget) is refused:
 // nothing is stored and nothing is evicted.
 func (c *BoundedCache) Put(label int, data []byte) []int {
-	if c.chunked {
-		return c.putChunked(label, data)
-	}
 	size := int64(len(data))
 	if c.budget == 0 || (c.budget > 0 && size > c.budget) {
 		return nil
@@ -148,76 +119,6 @@ func (c *BoundedCache) Put(label int, data []byte) []int {
 	return evicted
 }
 
-// putChunked is Put under chunk accounting: the payload's footprint is
-// the total size of its distinct chunks not already held for another
-// label, so a delta sharing most of its runs with a cached sibling is
-// nearly free and the budget meters real resident bytes.
-func (c *BoundedCache) putChunked(label int, data []byte) []int {
-	chunks := SplitChunks(data)
-	digests := make([]Digest, len(chunks))
-	var uniq int64
-	seen := make(map[Digest]bool, len(chunks))
-	for i, ch := range chunks {
-		d := DigestOf(ch)
-		digests[i] = d
-		if !seen[d] {
-			seen[d] = true
-			uniq += int64(len(ch))
-		}
-	}
-	if c.budget == 0 || (c.budget > 0 && uniq > c.budget) {
-		return nil
-	}
-	if el, ok := c.byKey[label]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.releaseChunks(ent.chunks)
-		ent.data, ent.chunks = data, digests
-		c.retainChunks(digests, chunks)
-		c.ll.MoveToFront(el)
-	} else {
-		c.byKey[label] = c.ll.PushFront(&cacheEntry{label: label, data: data, chunks: digests})
-		c.retainChunks(digests, chunks)
-		c.Obs.Counter("modelstore_puts_total").Inc()
-	}
-	var evicted []int
-	for c.budget > 0 && c.bytes > c.budget {
-		el := c.ll.Back()
-		if el == nil || el.Value.(*cacheEntry).label == label {
-			break // never evict the entry just inserted
-		}
-		evicted = append(evicted, c.evict(el))
-	}
-	return evicted
-}
-
-// retainChunks bumps reference counts, charging only first references.
-func (c *BoundedCache) retainChunks(digests []Digest, chunks [][]byte) {
-	for i, d := range digests {
-		if c.chunkRefs[d] == 0 {
-			c.chunkLen[d] = int64(len(chunks[i]))
-			c.bytes += int64(len(chunks[i]))
-			c.Obs.Counter("modelstore_chunk_puts_total").Inc()
-			c.Obs.Gauge("modelstore_bytes").Add(int64(len(chunks[i])))
-		} else {
-			c.Obs.Counter("modelstore_chunk_hits_total").Inc()
-		}
-		c.chunkRefs[d]++
-	}
-}
-
-// releaseChunks drops reference counts, refunding chunks nobody holds.
-func (c *BoundedCache) releaseChunks(digests []Digest) {
-	for _, d := range digests {
-		c.chunkRefs[d]--
-		if c.chunkRefs[d] == 0 {
-			c.bytes -= c.chunkLen[d]
-			c.Obs.Gauge("modelstore_bytes").Add(-c.chunkLen[d])
-			delete(c.chunkRefs, d)
-			delete(c.chunkLen, d)
-		}
-	}
-}
-
 // Remove drops label from the cache (not counted as an eviction).
 func (c *BoundedCache) Remove(label int) {
 	el, ok := c.byKey[label]
@@ -227,31 +128,20 @@ func (c *BoundedCache) Remove(label int) {
 	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.byKey, ent.label)
-	if c.chunked {
-		c.releaseChunks(ent.chunks)
-	} else {
-		c.bytes -= int64(len(ent.data))
-		c.Obs.Gauge("modelstore_bytes").Add(-int64(len(ent.data)))
-	}
+	c.bytes -= int64(len(ent.data))
+	c.Obs.Gauge("modelstore_bytes").Add(-int64(len(ent.data)))
 }
 
 // evict removes the given element, fires OnEvict, and returns its label.
 func (c *BoundedCache) evict(el *list.Element) int {
-	ent := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.byKey, ent.label)
-	if c.chunked {
-		c.releaseChunks(ent.chunks)
-	} else {
-		c.bytes -= int64(len(ent.data))
-		c.Obs.Gauge("modelstore_bytes").Add(-int64(len(ent.data)))
-	}
+	label := el.Value.(*cacheEntry).label
+	c.Remove(label)
 	c.Evictions++
 	c.Obs.Counter("modelstore_evictions_total").Inc()
 	if c.OnEvict != nil {
-		c.OnEvict(ent.label)
+		c.OnEvict(label)
 	}
-	return ent.label
+	return label
 }
 
 // Labels returns the cached labels in ascending order.

@@ -4,11 +4,11 @@
 // first-class artifacts with a lifecycle — produced by core.Prepare,
 // published by an origin, downloaded and evicted by clients.
 //
-// The package provides two cooperating pieces:
+// A payload is the unit throughout: one address, one cache entry. The
+// package provides two pieces:
 //
-//   - Store, a content-addressed blob store keyed by the SHA-256 digest
-//     of the serialized weights, with an in-memory backend (Mem) and a
-//     directory backend (Disk, the object store of core's artifacts).
+//   - Disk, a content-addressed directory of payloads keyed by their
+//     SHA-256 digest (the object store under core's artifact root).
 //     Identical payloads dedupe automatically: two clusters that train
 //     to identical weights occupy one object.
 //   - BoundedCache, the client-side byte-budgeted LRU that replaces the
@@ -16,7 +16,7 @@
 //     bytes under a budget; evictions force the label's next reference
 //     to re-fetch lazily.
 //
-// All backends carry the stable obs metric surface (modelstore_puts_total,
+// Both carry the stable obs metric surface (modelstore_puts_total,
 // modelstore_hits_total, modelstore_evictions_total and the
 // modelstore_bytes gauge — see docs/OPERATIONS.md); a nil Obs disables
 // instrumentation at no cost.
@@ -54,104 +54,17 @@ func ParseDigest(s string) (Digest, error) {
 	return d, nil
 }
 
-// Store is a content-addressed blob store for serialized model weights.
-// Implementations are safe for concurrent use.
-type Store interface {
-	// Put stores data and returns its digest. Storing a payload that is
-	// already present is a cheap no-op (dedupe) returning the same digest.
-	Put(data []byte) (Digest, error)
-	// Get returns the payload for d, or an error satisfying
-	// errors.Is(err, os.ErrNotExist) when absent.
-	Get(d Digest) ([]byte, error)
-	// Has reports whether d is present without reading the payload.
-	Has(d Digest) bool
-	// Digests returns every stored digest in sorted (hex) order.
-	Digests() []Digest
-	// SizeBytes returns the total payload bytes currently stored.
-	SizeBytes() int64
-}
-
-// Mem is the in-memory Store backend.
-type Mem struct {
-	mu      sync.RWMutex
-	objects map[Digest][]byte
-	bytes   int64
-
-	// Obs receives modelstore_puts_total / modelstore_hits_total and the
-	// modelstore_bytes gauge; nil disables instrumentation.
-	Obs *obs.Obs
-}
-
-// NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{objects: make(map[Digest][]byte)} }
-
-// Put implements Store. The payload is copied, so the caller may reuse
-// its buffer.
-func (m *Mem) Put(data []byte) (Digest, error) {
-	d := DigestOf(data)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.objects[d]; ok {
-		m.Obs.Counter("modelstore_hits_total").Inc()
-		return d, nil // dedupe: identical weights stored once
-	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.objects[d] = cp
-	m.bytes += int64(len(cp))
-	m.Obs.Counter("modelstore_puts_total").Inc()
-	m.Obs.Gauge("modelstore_bytes").Add(int64(len(cp)))
-	return d, nil
-}
-
-// Get implements Store.
-func (m *Mem) Get(d Digest) ([]byte, error) {
-	m.mu.RLock()
-	data, ok := m.objects[d]
-	m.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("modelstore: object %s: %w", d, os.ErrNotExist)
-	}
-	m.Obs.Counter("modelstore_hits_total").Inc()
-	return data, nil
-}
-
-// Has implements Store.
-func (m *Mem) Has(d Digest) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	_, ok := m.objects[d]
-	return ok
-}
-
-// Digests implements Store.
-func (m *Mem) Digests() []Digest {
-	m.mu.RLock()
-	out := make([]Digest, 0, len(m.objects))
-	for d := range m.objects {
-		out = append(out, d)
-	}
-	m.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// SizeBytes implements Store.
-func (m *Mem) SizeBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.bytes
-}
-
-// Disk is the directory Store backend: one file per object named
-// <hex-digest>.bin (the object store under a core artifact root). Writes
-// go through WriteFileAtomic, so a crashed writer never leaves a half
-// object behind and a finished Put is durable before anything names it.
+// Disk is a content-addressed directory of serialized model weights: one
+// file per object named <hex-digest>.bin (the object store under a core
+// artifact root). Writes go through WriteFileAtomic, so a crashed writer
+// never leaves a half object behind and a finished Put is durable before
+// anything names it. A Disk is safe for concurrent use.
 type Disk struct {
 	dir string
 	mu  sync.Mutex
 
-	// Obs receives the same metric surface as Mem; nil disables it.
+	// Obs receives modelstore_puts_total / modelstore_hits_total and the
+	// modelstore_bytes gauge; nil disables instrumentation.
 	Obs *obs.Obs
 }
 
@@ -170,7 +83,8 @@ func (s *Disk) path(d Digest) string {
 	return filepath.Join(s.dir, d.String()+".bin")
 }
 
-// Put implements Store.
+// Put stores data and returns its digest. Storing a payload that is
+// already present is a cheap no-op (dedupe) returning the same digest.
 func (s *Disk) Put(data []byte) (Digest, error) {
 	d := DigestOf(data)
 	s.mu.Lock()
@@ -216,10 +130,12 @@ func WriteFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// Get implements Store. The payload is re-hashed on the way out: a
-// truncated or corrupted object file (digest mismatch) is treated as a
-// miss — the broken file is deleted so the next Put can repopulate it —
-// rather than handed to a caller that would arm garbage weights.
+// Get returns the payload for d, or an error satisfying
+// errors.Is(err, os.ErrNotExist) when absent. The payload is re-hashed on
+// the way out: a truncated or corrupted object file (digest mismatch) is
+// treated as a miss — the broken file is deleted so the next Put can
+// repopulate it — rather than handed to a caller that would arm garbage
+// weights.
 func (s *Disk) Get(d Digest) ([]byte, error) {
 	data, err := os.ReadFile(s.path(d))
 	if err != nil {
@@ -235,13 +151,13 @@ func (s *Disk) Get(d Digest) ([]byte, error) {
 	return data, nil
 }
 
-// Has implements Store.
+// Has reports whether d is present without reading the payload.
 func (s *Disk) Has(d Digest) bool {
 	_, err := os.Stat(s.path(d))
 	return err == nil
 }
 
-// Digests implements Store.
+// Digests returns every stored digest in sorted (hex) order.
 func (s *Disk) Digests() []Digest {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -263,7 +179,7 @@ func (s *Disk) Digests() []Digest {
 	return out
 }
 
-// SizeBytes implements Store.
+// SizeBytes returns the total payload bytes currently stored.
 func (s *Disk) SizeBytes() int64 {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

@@ -3,6 +3,7 @@ package modelstore
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,15 +11,14 @@ import (
 	"dcsr/internal/obs"
 )
 
-// storeBackends builds one of each Store implementation for shared
-// contract tests.
-func storeBackends(t *testing.T) map[string]Store {
+// storeBackends builds the store the shared contract tests run over.
+func storeBackends(t *testing.T) map[string]*Disk {
 	t.Helper()
 	disk, err := NewDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]Store{"mem": NewMem(), "disk": disk}
+	return map[string]*Disk{"disk": disk}
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -129,7 +129,10 @@ func TestParseDigest(t *testing.T) {
 
 func TestStoreMetrics(t *testing.T) {
 	o := obs.New()
-	m := NewMem()
+	m, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Obs = o
 	payload := []byte("weights")
 	if _, err := m.Put(payload); err != nil {
@@ -151,6 +154,53 @@ func TestStoreMetrics(t *testing.T) {
 	}
 	if got := snap.Gauges["modelstore_bytes"]; got != int64(len(payload)) {
 		t.Errorf("modelstore_bytes = %d, want %d", got, len(payload))
+	}
+}
+
+func randPayload(seed int64, n int) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, n)
+	for i := range out {
+		out[i] = byte(rng.Intn(256))
+	}
+	return out
+}
+
+// TestDiskCorruptObjectRecovered: a truncated or overwritten object file
+// must read as a miss (os.ErrNotExist), be deleted so the store heals,
+// and accept a clean re-Put.
+func TestDiskCorruptObjectRecovered(t *testing.T) {
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := randPayload(5, 4096)
+	d, err := disk.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(disk.Dir(), d.String()+".bin")
+	if err := os.WriteFile(path, payload[:1000], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := disk.Get(d); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt object Get error = %v, want os.ErrNotExist", err)
+	}
+	if _, statErr := os.Stat(path); !errors.Is(statErr, os.ErrNotExist) {
+		t.Fatal("corrupt object file was not deleted")
+	}
+	if disk.Has(d) {
+		t.Fatal("Has still true after corrupt object dropped")
+	}
+	if _, err := disk.Put(payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := disk.Get(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("re-put payload does not round-trip")
 	}
 }
 

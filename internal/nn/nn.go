@@ -1,6 +1,6 @@
 // Package nn implements the small neural-network toolkit that dcSR's models
 // are built from: 2-D convolution, ReLU, residual blocks, pixel-shuffle
-// upsampling, fully connected layers, MSE loss, and SGD/Adam optimizers —
+// upsampling, fully connected layers, MSE loss, and the Adam optimizer —
 // all in pure Go on float32 tensors with exact backpropagation.
 //
 // The design mirrors the classic define-by-stack style: a Layer owns its

@@ -157,59 +157,35 @@ func TestMSELoss(t *testing.T) {
 	}
 }
 
-func TestSGDConvergesOnLinearFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestAdamConvergesOnIllConditioned: the only optimizer in the tree must
+// recover known coefficients through Dense's exact backward pass, on the
+// problem per-coordinate step sizes exist for — the second feature is a
+// hundredth the scale of the first and carries a weight of 100, so its
+// gradient is four orders of magnitude smaller.
+func TestAdamConvergesOnIllConditioned(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
 	d := NewDense(rng, 2, 1)
-	opt := NewSGD(0.05, 0.9)
-	// Target function y = 3x0 − 2x1 + 0.5.
-	for step := 0; step < 500; step++ {
-		x := randTensor(rng, 8, 2)
+	opt := NewAdam(0.05)
+	var loss float64
+	for step := 0; step < 4000; step++ {
+		x := tensor.New(8, 2)
 		y := tensor.New(8, 1)
 		for i := 0; i < 8; i++ {
-			y.Data[i] = 3*x.Data[i*2] - 2*x.Data[i*2+1] + 0.5
+			x.Data[i*2] = float32(rng.NormFloat64())
+			x.Data[i*2+1] = float32(rng.NormFloat64() * 0.01)
+			y.Data[i] = x.Data[i*2] + 100*x.Data[i*2+1]
 		}
 		ZeroGrads(d.Params())
 		pred := d.Forward(nil, x)
 		grad := new(tensor.Tensor)
-		MSELoss(pred, y, grad)
+		loss = MSELoss(pred, y, grad)
 		d.Backward(nil, grad)
 		opt.Step(d.Params())
 	}
-	if math.Abs(float64(d.Wt.W.Data[0])-3) > 0.05 ||
-		math.Abs(float64(d.Wt.W.Data[1])+2) > 0.05 ||
-		math.Abs(float64(d.Bias.W.Data[0])-0.5) > 0.05 {
-		t.Fatalf("SGD did not converge: w=%v b=%v", d.Wt.W.Data, d.Bias.W.Data)
-	}
-}
-
-func TestAdamConvergesFasterThanSGDOnIllConditioned(t *testing.T) {
-	run := func(opt Optimizer) float64 {
-		rng := rand.New(rand.NewSource(8))
-		d := NewDense(rng, 2, 1)
-		var last float64
-		for step := 0; step < 100; step++ {
-			x := tensor.New(8, 2)
-			y := tensor.New(8, 1)
-			for i := 0; i < 8; i++ {
-				// Ill-conditioned inputs: second feature is tiny.
-				x.Data[i*2] = float32(rng.NormFloat64())
-				x.Data[i*2+1] = float32(rng.NormFloat64() * 0.01)
-				y.Data[i] = x.Data[i*2] + 100*x.Data[i*2+1]
-			}
-			ZeroGrads(d.Params())
-			pred := d.Forward(nil, x)
-			grad := new(tensor.Tensor)
-			loss := MSELoss(pred, y, grad)
-			d.Backward(nil, grad)
-			opt.Step(d.Params())
-			last = loss
-		}
-		return last
-	}
-	sgd := run(NewSGD(0.05, 0))
-	adam := run(NewAdam(0.05))
-	if adam >= sgd {
-		t.Fatalf("Adam final loss %g not better than SGD %g on ill-conditioned problem", adam, sgd)
+	if math.Abs(float64(d.Wt.W.Data[0])-1) > 0.05 ||
+		math.Abs(float64(d.Wt.W.Data[1])-100) > 5 ||
+		math.Abs(float64(d.Bias.W.Data[0])) > 0.05 || loss > 0.01 {
+		t.Fatalf("Adam did not converge: w=%v b=%v loss=%g", d.Wt.W.Data, d.Bias.W.Data, loss)
 	}
 }
 

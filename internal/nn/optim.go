@@ -2,46 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param][]float32
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param][]float32)}
-}
-
-// Step applies one SGD update to every parameter.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i, g := range p.Grad.Data {
-				p.W.Data[i] -= float32(o.LR) * g
-			}
-			continue
-		}
-		v, ok := o.vel[p]
-		if !ok {
-			v = make([]float32, p.W.Len())
-			o.vel[p] = v
-		}
-		m := float32(o.Momentum)
-		lr := float32(o.LR)
-		for i, g := range p.Grad.Data {
-			v[i] = m*v[i] - lr*g
-			p.W.Data[i] += v[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba). EDSR and the VAE are
 // both trained with Adam in the paper's reference implementation.
 type Adam struct {

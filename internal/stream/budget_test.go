@@ -1,9 +1,12 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"dcsr/internal/edsr"
+	"dcsr/internal/nn"
 	"dcsr/internal/obs"
 )
 
@@ -104,5 +107,42 @@ func TestSessionFetcherPayloadAndFailure(t *testing.T) {
 	}
 	if s.CacheBytes != 200 {
 		t.Errorf("cache bytes = %d, want 200 (both real payloads resident)", s.CacheBytes)
+	}
+}
+
+// TestSessionRefusedPayloadRetainsNoModel: a payload the cache refuses —
+// any payload under a zero budget, or one larger than the whole budget —
+// still enhances its own segment, but the session must not keep its
+// deserialized model: what the session holds is what the cache holds.
+func TestSessionRefusedPayloadRetainsNoModel(t *testing.T) {
+	cfg := edsr.Config{Filters: 4, ResBlocks: 1}
+	m := pingPongManifest()
+	f := &mapFetcher{full: map[int][]byte{}}
+	for label := range m.Models {
+		model, err := edsr.New(cfg, int64(label+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.full[label] = nn.EncodeWeights(model.Params())
+		m.Models[label] = ModelInfo{Label: label, Bytes: len(f.full[label])}
+	}
+	size := int64(len(f.full[0]))
+	for _, tc := range []struct {
+		budget   int64
+		resident int
+	}{{0, 0}, {size - 1, 0}, {size, 1}, {-1, 2}} {
+		s, err := Open(m, cfg, f, Options{Enhance: true, CacheBudget: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range m.Segments {
+			if _, model, err := s.Fetch(context.Background(), seg); err != nil || model == nil {
+				t.Fatalf("budget %d: segment %d got model %v, err %v", tc.budget, seg.Index, model, err)
+			}
+		}
+		if len(s.models) != tc.resident || len(s.CacheContents()) != tc.resident || s.CacheBytes != int64(tc.resident)*size {
+			t.Errorf("budget %d: session retains %d models over %d cached labels (%d bytes), want %d of each",
+				tc.budget, len(s.models), len(s.CacheContents()), s.CacheBytes, tc.resident)
+		}
 	}
 }

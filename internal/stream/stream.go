@@ -277,12 +277,15 @@ type Options struct {
 	// quantized kernels bit-identically to the origin; false keeps every
 	// model on float32 (the precision ablation).
 	Int8 bool
-	// CacheBudget bounds the model cache in bytes of downloaded payload:
+	// CacheBudget bounds the model cache in bytes of downloaded payload,
+	// one whole payload per label (Assembler.Model names which):
 	// < 0 unbounded (Algorithm 1), 0 caching disabled (the §3.2.2
-	// ablation), > 0 least-recently-used eviction past the budget. The
-	// payloads (and their deserialized weights, about as large) are all
-	// a cached model costs: activations live in the session's one
-	// workspace, a constant whatever the budget or the number of models.
+	// ablation), > 0 least-recently-used eviction past the budget. A
+	// payload the budget cannot hold enhances its own segment and is
+	// dropped with its model. The payloads (and their deserialized
+	// weights, about as large) are all a cached model costs: activations
+	// live in the session's one workspace, a constant whatever the budget
+	// or the number of models.
 	CacheBudget int64
 	// Propagation selects how enhancement reaches P/B frames.
 	Propagation codec.Propagation
@@ -345,11 +348,6 @@ func Open(m *Manifest, cfg edsr.Config, f Fetcher, o Options) (*Session, error) 
 	s := &Session{Options: o, Fetcher: f, manifest: m, config: cfg,
 		cache: modelstore.NewBoundedCache(o.CacheBudget), models: make(map[int]*edsr.Model)}
 	s.cache.OnEvict = func(label int) { delete(s.models, label) }
-	if builds && m.Backbone != nil {
-		// Real model-stream payloads share runs of bytes; account them
-		// chunk-wise so the backbone is held once.
-		s.cache.EnableChunked()
-	}
 	return s, nil
 }
 
@@ -470,9 +468,14 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 	s.Downloads++
 	sp.Set("cache", "miss")
 	sp.Set("model_bytes", ev.ModelBytes)
-	s.models[label] = m
 	if evicted := s.cache.Put(label, payload); len(evicted) > 0 {
 		sp.Set("evicted", len(evicted))
+	}
+	if s.cache.Contains(label) {
+		// A refused payload (zero budget, or larger than the whole
+		// budget) serves this segment only: what the session retains is
+		// what the cache accounts for.
+		s.models[label] = m
 	}
 	s.Evictions, s.CacheBytes = s.cache.Evictions, s.cache.Bytes()
 	return m, nil

@@ -50,8 +50,7 @@ type Server struct {
 	// transport_shed_total, transport_bytes_in/out_total, the
 	// per-message-type latency histograms
 	// transport_{manifest,segment,model,directory,backbone,modeldelta}_seconds,
-	// the chunk-dedupe counters modelstore_chunk_puts/hits_total, their
-	// rolling-window twins transport_requests_window_total,
+	// their rolling-window twins transport_requests_window_total,
 	// transport_shed_window_total and
 	// transport_{manifest,segment,model}_window_seconds, and the
 	// transport_open_conns, transport_videos, transport_inflight and
@@ -70,11 +69,9 @@ type Server struct {
 	videos    []*hostedVideo
 	byDigest  map[string]uint32
 	directory []byte
-	store     *modelstore.Mem
 	// assembled dedupes serving buffers across videos by payload digest —
 	// the k-th video re-using a model (or delta, or backbone) serves the
-	// same canonical copy. The chunk store underneath accounts sub-payload
-	// sharing; see internPayload.
+	// same canonical copy; see internPayload.
 	assembled map[modelstore.Digest][]byte
 	adm       *admission
 	ln        net.Listener
@@ -96,7 +93,6 @@ type Server struct {
 func NewFleetServer() *Server {
 	s := &Server{
 		byDigest:  make(map[string]uint32),
-		store:     modelstore.NewMem(),
 		assembled: make(map[modelstore.Digest][]byte),
 		conns:     make(map[net.Conn]struct{}),
 	}
@@ -173,20 +169,13 @@ func (s *Server) Register(p *core.Prepared) (string, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// The chunk store only counts dedupe when it can see the registry;
-	// pick up whatever Obs the owner has attached by now (registrations
-	// through the NewServer sugar happen before any Obs is assigned and
-	// stay uninstrumented, same as every other server metric).
-	s.store.Obs = s.Obs
 	if _, dup := s.byDigest[digest]; dup {
 		return "", fmt.Errorf("transport: video %s already registered", digest)
 	}
 	// Model payloads are content-addressed so the k-th video re-using a
 	// model costs no extra memory, and a digest collision (same digest,
 	// different bytes) is caught instead of silently serving the wrong
-	// weights. Delta payloads go through the same path, and the chunk
-	// store underneath additionally dedupes shared runs of bytes across
-	// distinct payloads (modelstore_chunk_puts/hits_total).
+	// weights. Delta payloads go through the same path.
 	for _, label := range p.Manifest.ModelLabels() {
 		if label < 0 {
 			continue
@@ -238,12 +227,9 @@ func (s *Server) Register(p *core.Prepared) (string, error) {
 	return digest, nil
 }
 
-// internPayload dedupes one serving buffer by payload digest — callers
-// holding s.mu get back the canonical copy of byte-identical payloads —
-// and chunk-stores fresh payloads so sub-payload sharing (the backbone a
-// second video re-uses, residual runs two deltas have in common) is
-// accounted by the modelstore_chunk_puts/hits_total counters. A digest
-// collision (same digest, different bytes) is refused.
+// internPayload dedupes one serving buffer by payload digest: callers
+// holding s.mu get back the canonical copy of byte-identical payloads. A
+// digest collision (same digest, different bytes) is refused.
 func (s *Server) internPayload(what string, data []byte) ([]byte, error) {
 	d := modelstore.DigestOf(data)
 	if existing, ok := s.assembled[d]; ok {
@@ -251,9 +237,6 @@ func (s *Server) internPayload(what string, data []byte) ([]byte, error) {
 			return nil, fmt.Errorf("transport: %s digest %s collides with a different hosted payload", what, d)
 		}
 		return existing, nil
-	}
-	if _, err := modelstore.PutChunked(s.store, data); err != nil {
-		return nil, fmt.Errorf("transport: model store: %w", err)
 	}
 	s.assembled[d] = data
 	return data, nil

@@ -12,7 +12,6 @@ import (
 	"dcsr/internal/edsr"
 	"dcsr/internal/faultnet"
 	"dcsr/internal/lint"
-	"dcsr/internal/modelstore"
 	"dcsr/internal/obs"
 	"dcsr/internal/splitter"
 	"dcsr/internal/transport"
@@ -68,19 +67,6 @@ func TestOperationsDocMetrics(t *testing.T) {
 	}
 	if prep.Manifest.Backbone == nil {
 		t.Fatal("delta stage produced no backbone; doc-coverage run is incomplete")
-	}
-
-	// Chunk-level dedupe: a fleet store holding one video's backbone sees
-	// the same chunks again when a later registration references them —
-	// the second PutChunked dedupes every chunk
-	// (modelstore_chunk_puts_total, then modelstore_chunk_hits_total).
-	chunkStore := modelstore.NewMem()
-	chunkStore.Obs = o
-	bbPayload := prep.Models[prep.Manifest.Backbone.Label].Bytes
-	for i := 0; i < 2; i++ {
-		if _, err := modelstore.PutChunked(chunkStore, bbPayload); err != nil {
-			t.Fatal(err)
-		}
 	}
 
 	// Local playback: session accounting plus codec decode/enhance. The
