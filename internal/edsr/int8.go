@@ -2,6 +2,7 @@ package edsr
 
 import (
 	"fmt"
+	"math"
 
 	"dcsr/internal/nn"
 	"dcsr/internal/tensor"
@@ -87,11 +88,20 @@ func (m *Model) ActScales() []float32 {
 
 // CalibrateFromScales rebuilds the int8 state from previously recorded
 // ActScales output, bit-identical to the calibration run that produced
-// them (given identical weights).
+// them (given identical weights). The scales arrive from a manifest or
+// an artifact, so they are checked first: a NaN, infinite or negative
+// one — or one so small that its quantization multiplier 127/scale
+// overflows — is an error and leaves the model as it was. Zero is legal:
+// a convolution behind a dead ReLU calibrates to it.
 func (m *Model) CalibrateFromScales(scales []float32) error {
 	cs := m.convs()
 	if len(scales) != len(cs) {
 		return fmt.Errorf("edsr: got %d activation scales, model has %d convs", len(scales), len(cs))
+	}
+	for i, s := range scales {
+		if !(s >= 0) || s > math.MaxFloat32 || (s > 0 && 127/s > math.MaxFloat32) {
+			return fmt.Errorf("edsr: activation scale %d is %v, want 0 or a finite positive range", i, s)
+		}
 	}
 	for i, c := range cs {
 		c.SetActMax(scales[i])
@@ -111,33 +121,31 @@ func (m *Model) Int8Ready() bool {
 }
 
 // ForwardInferenceInt8 is ForwardInference with every convolution on the
-// int8 kernel path, in the same workspace maps plus its one int8 input
-// buffer (sized here for the widest convolution input of the pass). It
+// int8 kernel path, in the same workspace plus its int8 activation map.
+// A residual block's first convolution leaves its output in the map, so
+// the body alternates between two float32 maps instead of three. It
 // allocates nothing in steady state; output is bit-deterministic across
-// worker counts.
+// worker counts and kernel lanes.
 func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
 	ws := m.workspace()
-	s := m.Cfg.Scale
-	qin := ws.int8Input(x.Len() / 3 * max(3, m.Cfg.Filters) * s * s)
-	h := m.head.ForwardInferenceInt8(x, &ws.skip, qin)
+	am := &ws.am
+	h := m.head.ForwardInferenceInt8(x, &ws.skip, am)
 	b, k := h, 0
 	for _, blk := range m.body {
-		b = blk.ForwardInferenceInt8(b, &ws.maps[(k+1)%3], &ws.maps[(k+2)%3], qin)
-		k = (k + 2) % 3
+		b = blk.ForwardInferenceInt8(b, &ws.maps[k], am)
+		k ^= 1
 	}
-	b = m.bodyConv.ForwardInferenceInt8(b, &ws.maps[(k+1)%3], qin)
-	k = (k + 1) % 3
+	b = m.bodyConv.ForwardInferenceInt8(b, &ws.maps[k], am)
 	b.AddInPlace(h) // global skip (h is ws.skip, untouched since the head)
 	for _, u := range m.ups {
-		b = u.conv.ForwardInferenceInt8(b, &ws.maps[(k+1)%3], qin)
-		b = u.shuffle.ForwardInference(b, &ws.maps[(k+2)%3])
-		k = (k + 2) % 3
+		b = u.conv.ForwardInferenceInt8(b, &ws.maps[k^1], am)
+		b = u.shuffle.ForwardInference(b, &ws.maps[k])
 	}
-	out := m.tail.ForwardInferenceInt8(b, &ws.out, qin)
-	if s == 1 {
+	out := m.tail.ForwardInferenceInt8(b, &ws.out, am)
+	if m.Cfg.Scale == 1 {
 		out.AddInPlace(x) // global image residual
 	} else {
-		out.AddInPlace(upsampleNearestInto(x, s, &ws.near))
+		out.AddInPlace(upsampleNearestInto(x, m.Cfg.Scale, &ws.near))
 	}
 	return out
 }

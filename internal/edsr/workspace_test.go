@@ -16,7 +16,7 @@ func (ws *Workspace) bytes() int64 {
 	for i := range ws.maps {
 		n += cap(ws.maps[i].Data)
 	}
-	return 4*int64(n) + int64(cap(ws.qin))
+	return 4*int64(n) + int64(ws.am.Bytes())
 }
 
 // calibratedModel returns a briefly trained model of cfg with its int8
@@ -108,9 +108,13 @@ func TestWorkspaceSharedMatchesPrivate(t *testing.T) {
 // a float32 and an int8 pass of the paper's micro model over a 480×272
 // frame the workspace holds exactly four n_f-channel feature maps (the
 // head's, kept for the global skip, and the three the body rotates
-// through), the 3-channel input and output, and one int8 copy of a
-// feature map. ConfigActivationBytes' device-model figure is two of those
-// maps; see its comment.
+// through), the 3-channel input and output, and the int8 activation map
+// — one byte per channel and pixel plus its one-pixel ring, the spare row
+// an in-place convolution shifts into and 8·n_f bytes of slack (1.5 %
+// over a bare int8 copy of a feature map). An int8-only session holds one
+// feature map less: its residual blocks keep their inner activation in
+// the int8 map. ConfigActivationBytes' device-model figure is two of
+// those maps; see its comment.
 func TestWorkspaceFootprint(t *testing.T) {
 	const w, h = 480, 272
 	m, err := New(ConfigDCSR1, 1)
@@ -124,18 +128,28 @@ func TestWorkspaceFootprint(t *testing.T) {
 	if err := m.CalibrateFromScales(scales); err != nil {
 		t.Fatal(err)
 	}
-	var ws Workspace
-	m.SetWorkspace(&ws)
 	f := genFrame(t, w, h, 3)
-	m.Enhance(f)
-	m.EnhanceInt8(f)
 	featureMap := int64(4 * ConfigDCSR1.Filters * w * h)
 	if featureMap != ConfigActivationBytes(ConfigDCSR1, w, h)/2 {
 		t.Fatalf("feature map %d B is not half of ConfigActivationBytes %d B", featureMap, ConfigActivationBytes(ConfigDCSR1, w, h))
 	}
-	want := 4*featureMap + 2*int64(4*3*w*h) + featureMap/4
-	if got := ws.bytes(); got != want {
-		t.Errorf("workspace holds %d B after Enhance + EnhanceInt8 at %dx%d, want %d (4 feature maps + in/out + int8 input)", got, w, h, want)
+	nf := int64(ConfigDCSR1.Filters)
+	int8Map := nf*(w+2)*(h+3) + 8*nf
+	inOut := 2 * int64(4*3*w*h)
+
+	var int8Only Workspace
+	m.SetWorkspace(&int8Only)
+	m.EnhanceInt8(f)
+	if got, want := int8Only.bytes(), 3*featureMap+inOut+int8Map; got != want {
+		t.Errorf("workspace holds %d B after EnhanceInt8 at %dx%d, want %d (3 feature maps + in/out + int8 map)", got, w, h, want)
+	}
+
+	var ws Workspace
+	m.SetWorkspace(&ws)
+	m.Enhance(f)
+	m.EnhanceInt8(f)
+	if got, want := ws.bytes(), 4*featureMap+inOut+int8Map; got != want {
+		t.Errorf("workspace holds %d B after Enhance + EnhanceInt8 at %dx%d, want %d (4 feature maps + in/out + int8 map)", got, w, h, want)
 	}
 	if cap(ws.near.Data) != 0 {
 		t.Errorf("scale-1 pass grew the nearest-neighbour buffer to %d floats", cap(ws.near.Data))

@@ -9,11 +9,13 @@ import (
 // Int8 inference path. Quantized inference mirrors the float32
 // ForwardInference contract layer for layer: no grad state, output into
 // caller-supplied tensors, zero steady-state allocations. Every
-// convolution quantizes its input into one caller-supplied int8 buffer
-// (qin, at least as long as the input): the buffer is dead as soon as
-// the convolution returns, so one per pass serves every layer. The
-// scheme is symmetric linear quantization with per-output-channel weight
-// scales and one calibrated per-layer activation scale:
+// convolution reads its input from one caller-supplied activation map
+// (tensor.Int8Map): a convolution quantizes its float32 input into it,
+// and a residual block's first convolution leaves its output there,
+// quantized for the second — the map is dead once a layer returns, so
+// one per pass serves every layer. The scheme is symmetric linear
+// quantization with per-output-channel weight scales and one calibrated
+// per-layer activation scale:
 //
 //	x_q = round(x · 127/actMax)          (per layer, calibrated)
 //	w_q[oc] = round(w / wScale[oc])      (per output channel)
@@ -85,37 +87,44 @@ func (c *Conv2D) QuantizeInt8() {
 }
 
 // ForwardInferenceInt8 runs the convolution on the int8 kernel path:
-// quantize the input with the calibrated scale, int8×int8 → int32
-// accumulate, requantize + bias in the epilogue.
-func (c *Conv2D) ForwardInferenceInt8(x, out *tensor.Tensor, qin []int8) *tensor.Tensor {
-	return c.forwardInt8(x, out, qin, false)
-}
-
-// ForwardInferenceInt8ReLU is ForwardInferenceInt8 with ReLU fused into
-// the kernel epilogue.
-func (c *Conv2D) ForwardInferenceInt8ReLU(x, out *tensor.Tensor, qin []int8) *tensor.Tensor {
-	return c.forwardInt8(x, out, qin, true)
-}
-
-func (c *Conv2D) forwardInt8(x, out *tensor.Tensor, qin []int8, relu bool) *tensor.Tensor {
+// quantize the input into am with the calibrated scale, int8×int8 →
+// int32 accumulate, requantize + bias in the epilogue.
+func (c *Conv2D) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
 	q := c.int8
 	if q == nil {
 		panic("nn: Conv2D int8 inference before QuantizeInt8")
 	}
-	qin = qin[:x.Len()]
-	tensor.QuantizeInt8Into(qin, x.Data, q.inInv)
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	return tensor.Conv2DInferInt8(qin, n, c.Spec.InC, h, w, q.w, q.scales, c.Bias.W.Data, c.Spec, relu, out)
+	oh, ow := c.Spec.OutSize(h, w)
+	out = tensor.Ensure(out, n, c.Spec.OutC, oh, ow)
+	in, plane := c.Spec.InC*h*w, c.Spec.OutC*oh*ow
+	for i := 0; i < n; i++ {
+		am.Quantize(x.Data[i*in:(i+1)*in], c.Spec.InC, h, w, c.Spec.Pad, q.inInv)
+		tensor.Conv2DInt8Map(am, q.w, q.scales, c.Bias.W.Data, c.Spec, false, out.Data[i*plane:(i+1)*plane])
+	}
+	return out
 }
 
-// ForwardInferenceInt8 runs the residual block with both convolutions on
-// the int8 path (the first with fused ReLU) and the residual add in
-// float32, mirroring ForwardInference exactly.
-func (b *ResBlock) ForwardInferenceInt8(x, mid, out *tensor.Tensor, qin []int8) *tensor.Tensor {
-	h := b.Conv1.ForwardInferenceInt8ReLU(x, mid, qin)
-	h = b.Conv2.ForwardInferenceInt8(h, out, qin)
-	addScaled(h.Data, x.Data, h.Data, b.ResScale)
-	return h
+// ForwardInferenceInt8 runs the residual block on the int8 path,
+// mirroring ForwardInference: the first convolution (with ReLU) runs in
+// place in am and leaves there the second's quantized input — the
+// float32 value it requantizes, quantized in register, so no float32
+// map is written between the two — and the residual add is float32.
+func (b *ResBlock) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+	q1, q2 := b.Conv1.int8, b.Conv2.int8
+	if q1 == nil || q2 == nil {
+		panic("nn: ResBlock int8 inference before QuantizeInt8")
+	}
+	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	out = tensor.Ensure(out, x.Shape...)
+	size := c * h * w
+	for i := 0; i < n; i++ {
+		am.Quantize(x.Data[i*size:(i+1)*size], c, h, w, b.Conv1.Spec.Pad, q1.inInv)
+		tensor.Conv2DInt8MapReLU(am, q1.w, q1.scales, b.Conv1.Bias.W.Data, b.Conv1.Spec, q2.inInv)
+		tensor.Conv2DInt8Map(am, q2.w, q2.scales, b.Conv2.Bias.W.Data, b.Conv2.Spec, false, out.Data[i*size:(i+1)*size])
+	}
+	addScaled(out.Data, x.Data, out.Data, b.ResScale)
+	return out
 }
 
 // quantizeRowInt8 symmetrically quantizes row into dst and returns the

@@ -50,31 +50,17 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 // accumulated terms errs by at most half a step on each operand.
 func TestConv2DInt8TracksFloat32(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, relu := range []bool{false, true} {
-		c := NewConv2D(rng, 3, 5, 3, 1, 1)
-		x := tensor.New(2, 3, 8, 7)
-		x.Randn(rng, 1)
-		calibrateOn(c, x)
-		want := c.ForwardInference(x.Clone(), nil)
-		var got *tensor.Tensor
-		if relu {
-			// Compare against a separate ReLU pass over the float32 out.
-			for i, v := range want.Data {
-				if v < 0 {
-					want.Data[i] = 0
-				}
-			}
-			got = c.ForwardInferenceInt8ReLU(x.Clone(), nil, make([]int8, x.Len()))
-		} else {
-			got = c.ForwardInferenceInt8(x.Clone(), nil, make([]int8, x.Len()))
-		}
-		colRows := c.Spec.InC * c.Spec.K * c.Spec.K
-		tol := float64(colRows) * float64(c.Wt.W.MaxAbs()) * float64(c.ActMax()) / 100
-		for i := range got.Data {
-			if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > tol {
-				t.Fatalf("relu=%v: element %d off by %v (tol %v): int8 %v, f32 %v",
-					relu, i, d, tol, got.Data[i], want.Data[i])
-			}
+	c := NewConv2D(rng, 3, 5, 3, 1, 1)
+	x := tensor.New(2, 3, 8, 7)
+	x.Randn(rng, 1)
+	calibrateOn(c, x)
+	want := c.ForwardInference(x.Clone(), nil)
+	got := c.ForwardInferenceInt8(x.Clone(), nil, new(tensor.Int8Map))
+	colRows := c.Spec.InC * c.Spec.K * c.Spec.K
+	tol := float64(colRows) * float64(c.Wt.W.MaxAbs()) * float64(c.ActMax()) / 100
+	for i := range got.Data {
+		if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > tol {
+			t.Fatalf("element %d off by %v (tol %v): int8 %v, f32 %v", i, d, tol, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -85,10 +71,10 @@ func TestConv2DInt8Deterministic(t *testing.T) {
 	x := tensor.New(1, 4, 9, 11)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
-	qin := make([]int8, x.Len())
-	first := c.ForwardInferenceInt8(x.Clone(), nil, qin)
+	var am tensor.Int8Map
+	first := c.ForwardInferenceInt8(x.Clone(), nil, &am)
 	for pass := 0; pass < 2; pass++ {
-		got := c.ForwardInferenceInt8(x.Clone(), nil, qin)
+		got := c.ForwardInferenceInt8(x.Clone(), nil, &am)
 		for i := range got.Data {
 			if got.Data[i] != first.Data[i] {
 				t.Fatalf("pass %d: element %d not bit-identical", pass, i)
@@ -106,7 +92,7 @@ func TestConv2DInt8PanicsBeforeQuantize(t *testing.T) {
 		}
 	}()
 	x := tensor.New(1, 1, 3, 3)
-	c.ForwardInferenceInt8(x, nil, make([]int8, x.Len()))
+	c.ForwardInferenceInt8(x, nil, new(tensor.Int8Map))
 }
 
 // TestSequentialInt8FallsBackPerLayer checks that a stack with one

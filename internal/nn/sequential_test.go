@@ -7,12 +7,12 @@ import "dcsr/internal/tensor"
 // layers generically: edsr and vae wire theirs by hand and own the
 // tensors their inference passes write into, as this does (two
 // destinations per layer — a ResBlock needs mid and out — plus the one
-// int8 input buffer).
+// int8 activation map).
 type Sequential struct {
 	Layers []Layer
 
 	bufs []tensor.Tensor
-	qin  []int8
+	am   tensor.Int8Map
 }
 
 // Forward runs all layers in order.
@@ -53,19 +53,16 @@ func (s *Sequential) infer(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 	}
 	for i, l := range s.Layers {
 		mid, out := &s.bufs[2*i], &s.bufs[2*i+1]
-		if cap(s.qin) < x.Len() {
-			s.qin = make([]int8, x.Len())
-		}
 		switch l := l.(type) {
 		case *Conv2D:
 			if int8Path && l.Int8Ready() {
-				x = l.ForwardInferenceInt8(x, out, s.qin[:cap(s.qin)])
+				x = l.ForwardInferenceInt8(x, out, &s.am)
 			} else {
 				x = l.ForwardInference(x, out)
 			}
 		case *ResBlock:
 			if int8Path && l.Conv1.Int8Ready() && l.Conv2.Int8Ready() {
-				x = l.ForwardInferenceInt8(x, mid, out, s.qin[:cap(s.qin)])
+				x = l.ForwardInferenceInt8(x, out, &s.am)
 			} else {
 				x = l.ForwardInference(x, mid, out)
 			}

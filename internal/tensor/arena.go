@@ -10,23 +10,36 @@ import "sync"
 // that takes one either fully overwrites it or zero-initializes its own
 // output rows, so stale contents can never leak into results.
 
-var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
+// scratch is the arena for one element type: one pool per type, so a
+// buffer is never reallocated because a caller of another type used it
+// last.
+type scratch[T any] struct{ pool sync.Pool }
 
-// getScratch returns a float32 scratch buffer of length n from the
-// arena. The contents are unspecified; callers must fully write the
-// buffer before reading it. Return it with putScratch when done.
-func getScratch(n int) *[]float32 {
-	p := scratchPool.Get().(*[]float32)
+var (
+	scratchF32 scratch[float32]
+	scratchI8  scratch[int8]
+	scratchU8  scratch[byte]
+	scratchU64 scratch[uint64]
+)
+
+// get returns a scratch buffer of length n from the arena. The contents
+// are unspecified; callers must fully write the buffer before reading
+// it. Return it with put when done.
+func (s *scratch[T]) get(n int) *[]T {
+	p, _ := s.pool.Get().(*[]T)
+	if p == nil {
+		p = new([]T)
+	}
 	if cap(*p) < n {
-		*p = make([]float32, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return p
 }
 
-// putScratch returns a buffer obtained from getScratch to the arena.
-// The caller must not retain any slice of it afterwards.
-func putScratch(p *[]float32) { scratchPool.Put(p) }
+// put returns a buffer obtained from get to the arena. The caller must
+// not retain any slice of it afterwards.
+func (s *scratch[T]) put(p *[]T) { s.pool.Put(p) }
 
 // Arena recycles the tensors of a pass that repeats — a training step's
 // activations, column matrices and gradients. The k-th Next after a

@@ -50,44 +50,27 @@ func BenchmarkGEMMInt8Ref(b *testing.B) {
 	}
 }
 
-func BenchmarkConv2DInferInt8270p(b *testing.B) {
+// BenchmarkConv2DInferInt8 runs the dcSR-1 body convolution (16→16 3×3,
+// ReLU) at the e2e bench's 480×272 on each int8 lane this host has, so
+// the lane ratios are one command away; like tensor.conv_int8_body_ms it
+// includes laying the planar input out as an activation map.
+func BenchmarkConv2DInferInt8(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	spec := ConvSpec{InC: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
-	cc := makeInt8ConvCase(rng, 1, 270, 480, spec)
-	out := Conv2DInferInt8(cc.xq, 1, spec.InC, cc.h, cc.w, cc.wq, cc.scales, cc.bias, spec, true, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = Conv2DInferInt8(cc.xq, 1, spec.InC, cc.h, cc.w, cc.wq, cc.scales, cc.bias, spec, true, out)
-	}
-}
-
-// BenchmarkPackSectionsInt8270p measures the band-expansion cost the
-// conv pays instead of im2row: packed sections for 16 input rows at the
-// dcSR-1 body shape.
-func BenchmarkPackSectionsInt8270p(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	spec := ConvSpec{InC: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
-	xq := randInt8Slice(rng, 16*270*480)
-	gs := packedGroups(16 * 3)
-	dst := make([]uint64, 16*480*gs)
-	sums := make([]uint64, 16*480)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		packSectionsInt8(xq, 16, 270, 480, spec, 0, 16, dst, sums)
-	}
-}
-
-// BenchmarkPackRowsInt8HWC270p measures the AVX2 path's band expansion:
-// 16 input rows at the dcSR-1 body shape, pixel-major.
-func BenchmarkPackRowsInt8HWC270p(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	xq := randInt8Slice(rng, 16*270*480)
-	dst := make([]int8, 16*(480+2)*16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		packRowsInt8HWC(xq, 16, 270, 480, 1, 0, 16, dst)
+	cc := makeInt8ConvCase(rng, 1, 272, 480, spec)
+	for _, l := range kernelLanes {
+		b.Run(l.name, func(b *testing.B) {
+			if !l.available() {
+				b.Skipf("%s lane: not supported by this host or build", l.name)
+			}
+			withLane(l, func() {
+				out := Conv2DInferInt8(cc.xq, 1, spec.InC, cc.h, cc.w, cc.wq, cc.scales, cc.bias, spec, true, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out = Conv2DInferInt8(cc.xq, 1, spec.InC, cc.h, cc.w, cc.wq, cc.scales, cc.bias, spec, true, out)
+				}
+			})
+		})
 	}
 }

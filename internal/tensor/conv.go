@@ -219,7 +219,7 @@ func convInferBands(a convInferArgs, i, lo, hi int) {
 	planeOut := a.spec.OutC * a.oh * a.ow
 	xi := a.x[i*planeIn : (i+1)*planeIn]
 	oi := a.out[i*planeOut : (i+1)*planeOut]
-	colBuf := getScratch(a.colRows * a.band * a.ow)
+	colBuf := scratchF32.get(a.colRows * a.band * a.ow)
 	col := *colBuf
 	for bi := lo; bi < hi; bi++ {
 		oy0 := bi * a.band
@@ -231,7 +231,7 @@ func convInferBands(a convInferArgs, i, lo, hi int) {
 		im2colRange(xi, a.c, a.h, a.wd, a.spec, oy0, oy1, col[:a.colRows*bandCols])
 		gemmRows(a.w, col, oi[oy0*a.ow:], 0, a.spec.OutC, a.colRows, bandCols, a.oh*a.ow, a.bias, a.relu)
 	}
-	putScratch(colBuf)
+	scratchF32.put(colBuf)
 }
 
 // Conv2DForward computes a batched 2-D convolution for training.
@@ -312,8 +312,8 @@ func Conv2DBackwardInto(gx, gy *Tensor, cols [][]float32, xShape []int, w, gw, g
 	colCols := oh * ow
 	Ensure(gx, xShape...)
 	gx.Zero()
-	gcolBuf := getScratch(colRows * colCols)
-	gwBuf := getScratch(len(gw.Data))
+	gcolBuf := scratchF32.get(colRows * colCols)
+	gwBuf := scratchF32.get(len(gw.Data))
 	gcol, gwTmp := *gcolBuf, *gwBuf
 	for i := 0; i < n; i++ {
 		gyi := gy.Data[i*spec.OutC*colCols : (i+1)*spec.OutC*colCols]
@@ -336,8 +336,8 @@ func Conv2DBackwardInto(gx, gy *Tensor, cols [][]float32, xShape []int, w, gw, g
 		matmulTA(w.Data, gyi, gcol, spec.OutC, colRows, colCols)
 		col2im(gcol, c, h, wd, spec, gx.Data[i*c*h*wd:(i+1)*c*h*wd])
 	}
-	putScratch(gwBuf)
-	putScratch(gcolBuf)
+	scratchF32.put(gwBuf)
+	scratchF32.put(gcolBuf)
 }
 
 // matmulBT computes out(m×k) = a(m×n) * bᵀ where b is (k×n):
@@ -365,15 +365,15 @@ const btMinRows = 8
 // element still summed over ascending j from zero. For the conv weight
 // gradient (m = OutC) the two transposes are under 1 % of the product.
 func matmulBTTiles(a, b, out []float32, m, n, k int) {
-	atBuf, otBuf := getScratch(n*m), getScratch(k*m)
+	atBuf, otBuf := scratchF32.get(n*m), scratchF32.get(k*m)
 	at, ot := *atBuf, *otBuf
 	transpose(a, at, m, n)
 	parallelFor(k, func(lo, hi int) {
 		gemmRows(b, at, ot, lo, hi, n, m, m, nil, false)
 	})
 	transpose(ot, out, k, m)
-	putScratch(otBuf)
-	putScratch(atBuf)
+	scratchF32.put(otBuf)
+	scratchF32.put(atBuf)
 }
 
 // transpose writes the (rows×cols) matrix src into dst as (cols×rows).

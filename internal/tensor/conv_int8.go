@@ -1,159 +1,595 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync"
 )
 
-// int8 and uint64 twins of the float32 scratch arena: the quantized
-// conv path needs transient packed-section bands and a permuted weight
-// staging buffer, and mixing element types in one pool would force a
-// reallocation on every crossover.
-var (
-	scratchPoolInt8   = sync.Pool{New: func() any { return new([]int8) }}
-	scratchPoolUint64 = sync.Pool{New: func() any { return new([]uint64) }}
-)
-
-// getScratchInt8 returns an int8 scratch buffer of length n from the
-// arena; contents are unspecified. Return it with putScratchInt8.
-func getScratchInt8(n int) *[]int8 {
-	p := scratchPoolInt8.Get().(*[]int8)
-	if cap(*p) < n {
-		*p = make([]int8, n)
-	}
-	*p = (*p)[:n]
-	return p
+// Int8Map is the int8 inference path's activation map: one image's
+// quantized activations, padded, pixel-major and offset to unsigned.
+// Channel ch of pixel (y, x) is the byte x_q+128 (x_q the int8 value) at
+// row top+pad+y, column pad+x; channels are padded to a multiple of four
+// (c4) and the image is ringed by pad pixels, every padding byte 128 —
+// int8 zero. A pixel's kernel-row window is then one contiguous run of
+// K·c4 bytes in every lane's layout, so no convolution packs, pads or
+// re-lays its input, and one buffer serves a whole pass: Quantize fills
+// it from a float32 map, Conv2DInt8Map reads it, and Conv2DInt8MapReLU
+// replaces it in place with its own output quantized for the next
+// convolution. The zero value is ready to use; the buffer grows to the
+// largest image seen and is reused.
+type Int8Map struct {
+	buf   []byte
+	c, c4 int // channels, and the channel stride (c rounded up to 4)
+	h, w  int
+	pad   int // ring width in pixels
+	top   int // buffer row of the first ring row: 1, or 0 once shifted
 }
 
-// putScratchInt8 returns a buffer obtained from getScratchInt8 to the
-// arena. The caller must not retain any slice of it afterwards.
-func putScratchInt8(p *[]int8) { scratchPoolInt8.Put(p) }
+// Bytes reports the memory the map holds.
+func (m *Int8Map) Bytes() int { return cap(m.buf) }
 
-// getScratchUint64 returns a uint64 scratch buffer of length n from the
-// arena; contents are unspecified. Return it with putScratchUint64.
-func getScratchUint64(n int) *[]uint64 {
-	p := scratchPoolUint64.Get().(*[]uint64)
-	if cap(*p) < n {
-		*p = make([]uint64, n)
-	}
-	*p = (*p)[:n]
-	return p
+func (m *Int8Map) rowBytes() int { return (m.w + 2*m.pad) * m.c4 }
+
+// pixels returns the w·c4 bytes of image row y.
+func (m *Int8Map) pixels(y int) []byte {
+	off := (m.top+m.pad+y)*m.rowBytes() + m.pad*m.c4
+	return m.buf[off : off+m.w*m.c4]
 }
 
-// putScratchUint64 returns a buffer obtained from getScratchUint64 to
-// the arena. The caller must not retain any slice of it afterwards.
-func putScratchUint64(p *[]uint64) { scratchPoolUint64.Put(p) }
+// reset shapes the map for a c×h×w image with a pad ring and writes
+// int8 zero to the ring. The buffer holds one spare row above the ring
+// (top = 1), for Conv2DInt8MapReLU to shift the image into, and slack
+// below it for the kernels' reads past the last pixel: a short last
+// tile of eight pixels, or the overhang of a 16-byte chunk.
+func (m *Int8Map) reset(c, h, w, pad int) {
+	m.c, m.c4, m.h, m.w, m.pad, m.top = c, (c+3)&^3, h, w, pad, 1
+	rb := m.rowBytes()
+	n := (h+2*pad+1)*rb + 8*m.c4
+	if cap(m.buf) < n {
+		m.buf = make([]byte, n)
+	}
+	m.buf = m.buf[:n]
+	fillInt8Zero(m.buf[:(1+pad)*rb])
+	fillInt8Zero(m.buf[(1+pad+h)*rb:])
+	for y := 0; y < h; y++ {
+		row := m.buf[(1+pad+y)*rb : (2+pad+y)*rb]
+		fillInt8Zero(row[:pad*m.c4])
+		fillInt8Zero(row[(pad+w)*m.c4:])
+	}
+}
 
-// The int8 conv does not materialize per-output-pixel im2row records.
-// With the record element order ky → ch → kx, a record splits into K
-// sections, and the section for kernel row ky depends only on (iy, ox)
-// where iy = oy·stride + ky − pad: it is the c·K input elements
-// plane[ch][iy][ix0 .. ix0+K), ch-major, already in packed SWAR form.
-// Sections are therefore shared by every output row whose kernel window
-// crosses input row iy — packSectionsInt8 packs each one exactly once
-// per band (K× less packing work than per-record expansion), and stores
-// them x-major so the K sections of any record sit consecutively: the
-// GEMM reads each record as a single contiguous packed slice. Integer
-// accumulation is associative, so the split changes nothing bit-wise.
+// fillInt8Zero sets every byte of b to 128, the map's int8 zero.
+func fillInt8Zero(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = 0x80
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
+}
 
-// packSectionsInt8 packs record sections for input rows [iy0, iy1) of
-// the quantized plane xq (C,H,W), x-major: section (iy, ox) occupies
-// gs = packedGroups(c·K) high-lane words at dst[(ox·R + iy−iy0)·gs]
-// with R = iy1−iy0, and sums[ox·R + iy−iy0] receives Σ(v+128) over its
-// padded elements. The transposed layout is the point: a record's K
-// sections are consecutive input rows at one ox, so each record is one
-// CONTIGUOUS K·gs-word slice — the GEMM hands it to swarDotRows4 whole,
-// with no per-section call or gather. Rows outside [0, h) and x
-// positions outside [0, w) contribute the zero-padding value (which
-// packs as the bias), exactly like the im2row expansion this replaces.
-func packSectionsInt8(xq []int8, c, h, w int, spec ConvSpec, iy0, iy1 int, dst, sums []uint64) {
-	k, s, p := spec.K, spec.Stride, spec.Pad
-	_, ow := spec.OutSize(h, w)
-	secLen := c * k
-	gs := packedGroups(secLen)
-	nr := iy1 - iy0
-	const biasWord uint64 = swarBias<<swarDiagShift |
-		swarBias<<(swarDiagShift-swarLane) |
-		swarBias<<(swarDiagShift-2*swarLane)
-	for iy := iy0; iy < iy1; iy++ {
-		row := iy - iy0
-		if iy < 0 || iy >= h {
-			for ox := 0; ox < ow; ox++ {
-				si := ox*nr + row
-				d := dst[si*gs : (si+1)*gs]
-				for t := range d {
-					d[t] = biasWord
-				}
-				sums[si] = uint64(swarGroup*gs) * swarBias
+// Quantize lays the planar float32 image src (c, h, w) out in the map,
+// ringed by pad pixels, each element quantized with multiplier inv by
+// QuantizeInt8Into's expression — one sweep, no planar int8 copy.
+func (m *Int8Map) Quantize(src []float32, c, h, w, pad int, inv float32) {
+	if len(src) != c*h*w {
+		panic("tensor: Int8Map.Quantize length mismatch")
+	}
+	m.reset(c, h, w, pad)
+	if w == 0 {
+		return
+	}
+	if useVNNI {
+		for y := 0; y < h; y++ {
+			quantizeMapRowAVX512(&m.pixels(y)[0], &src[y*w], h*w, c, m.c4, w, inv)
+		}
+		return
+	}
+	qBuf := scratchI8.get(c * w)
+	q := *qBuf
+	for y := 0; y < h; y++ {
+		for ch := 0; ch < c; ch++ {
+			QuantizeInt8Into(q[ch*w:(ch+1)*w], src[(ch*h+y)*w:(ch*h+y+1)*w], inv)
+		}
+		layRowInt8(m.pixels(y), q, w, c, m.c4, w)
+	}
+	scratchI8.put(qBuf)
+}
+
+// layInt8 lays the planar int8 image src (c, h, w) out in the map.
+func (m *Int8Map) layInt8(src []int8, c, h, w, pad int) {
+	m.reset(c, h, w, pad)
+	for y := 0; y < h; y++ {
+		layRowInt8(m.pixels(y), src[y*w:], h*w, c, m.c4, w)
+	}
+}
+
+// layRowInt8 writes one row of w pixels into dst pixel-major with
+// channel stride c4, offset by 128: channel ch of pixel x comes from
+// src[ch·chStride + x], and channels c..c4 are int8 zero.
+func layRowInt8(dst []byte, src []int8, chStride, c, c4, w int) {
+	for ch := 0; ch < c4; ch += 4 {
+		if ch+4 <= c {
+			s0 := src[ch*chStride : ch*chStride+w]
+			s1 := src[(ch+1)*chStride:][:len(s0)]
+			s2 := src[(ch+2)*chStride:][:len(s0)]
+			s3 := src[(ch+3)*chStride:][:len(s0)]
+			for x, v := range s0 {
+				u := uint32(uint8(v)) | uint32(uint8(s1[x]))<<8 | uint32(uint8(s2[x]))<<16 | uint32(uint8(s3[x]))<<24
+				binary.LittleEndian.PutUint32(dst[x*c4+ch:], u^0x80808080)
 			}
 			continue
 		}
-		rowBase := iy * w
-		for ox := 0; ox < ow; ox++ {
-			ix0 := ox*s - p
-			si := ox*nr + row
-			d := dst[si*gs : (si+1)*gs]
-			var sum uint64
-			if k == 3 && ix0 >= 0 && ix0+3 <= w {
-				// The dominant interior 3×3 case: one channel row slice is
-				// exactly one packed group (gs == c), no padding anywhere.
-				for ch := 0; ch < c; ch++ {
-					row := xq[ch*h*w+rowBase+ix0:]
-					v0 := uint64(int64(row[0]) + swarBias)
-					v1 := uint64(int64(row[1]) + swarBias)
-					v2 := uint64(int64(row[2]) + swarBias)
-					sum += v0 + v1 + v2
-					d[ch] = v0<<swarDiagShift | v1<<(swarDiagShift-swarLane) | v2<<(swarDiagShift-2*swarLane)
-				}
-			} else {
-				// General path: stream the section's c·K elements into
-				// high-lane groups, padding the x overhang and section tail.
-				var v [swarGroup]uint64
-				m3, di := 0, 0
-				for ch := 0; ch < c; ch++ {
-					row := xq[ch*h*w+rowBase : ch*h*w+rowBase+w]
-					for kx := 0; kx < k; kx++ {
-						e := uint64(swarBias)
-						if ix := ix0 + kx; ix >= 0 && ix < w {
-							e = uint64(int64(row[ix]) + swarBias)
-						}
-						sum += e
-						v[m3] = e
-						m3++
-						if m3 == swarGroup {
-							d[di] = v[0]<<swarDiagShift | v[1]<<(swarDiagShift-swarLane) | v[2]<<(swarDiagShift-2*swarLane)
-							di++
-							m3 = 0
-						}
-					}
-				}
-				if m3 != 0 {
-					for ; m3 < swarGroup; m3++ {
-						v[m3] = swarBias
-						sum += swarBias
-					}
-					d[di] = v[0]<<swarDiagShift | v[1]<<(swarDiagShift-swarLane) | v[2]<<(swarDiagShift-2*swarLane)
-				}
+		for x := 0; x < w; x++ {
+			var u uint32
+			for j := 0; j < 4 && ch+j < c; j++ {
+				u |= uint32(uint8(src[(ch+j)*chStride+x])) << (8 * j)
 			}
-			sums[si] = sum
+			binary.LittleEndian.PutUint32(dst[x*c4+ch:], u^0x80808080)
 		}
 	}
 }
 
-// bandInt8Budget caps the packed-section scratch for one quantized
-// inference band, in uint64 words (2^16 words = 512 KiB — L2-resident
-// on anything modern; the band's sections are re-read once per weight
-// block, so keeping them cache-hot is what the banding buys). Like
-// bandFloatBudget the resulting band height depends only on the
-// convolution geometry, never on GOMAXPROCS or the worker schedule, so
-// banded outputs are bit-identical across runs and core counts.
-const bandInt8Budget = 1 << 16
+// The int8 convolution runs on one of three lanes, chosen per call from
+// CPUID (useVNNI, useAVX2): the VNNI lane (convRowInt8VNNI, stride one
+// only), the AVX2 lane (convRowInt8AVX2) and the portable SWAR lane
+// (rowPortable). All three read the same map and compute the exact
+// int32 sum Σx·w before one shared requantize expression, so their
+// outputs are bit-identical; the slower two are the fallback and the
+// oracle of the faster.
+const (
+	lanePortable = iota
+	laneAVX2
+	laneVNNI
+)
 
-// Conv2DInferInt8 computes a batched 2-D convolution over a quantized
-// input with int8×int8 → int32 accumulation (via the packed SWAR GEMM)
-// and a fused requantize + bias + ReLU epilogue, writing float32
-// results into out (grown via Ensure; pass nil to allocate on first
-// use).
+// int8Lane is the lane a convolution of spec runs on. Only the stride
+// can send a VNNI host to the AVX2 lane: the VNNI tile holds any
+// reduction the int32 contract allows (swarMaxK), since its sums wrap in
+// int32 exactly as the offset correction does.
+func int8Lane(spec ConvSpec) int {
+	switch {
+	case useVNNI && spec.Stride == 1:
+		return laneVNNI
+	case useAVX2:
+		return laneAVX2
+	}
+	return lanePortable
+}
+
+// int8Chunk is how many bytes one VPMOVZXBW/VPMADDWD step of
+// convRowInt8AVX2 consumes.
+const int8Chunk = 16
+
+// mapConv is one convolution over an Int8Map with its weights packed for
+// the lane that runs it. It holds no closures, so the serial path
+// allocates nothing.
+type mapConv struct {
+	src          []byte // the map from its first ring row on
+	rowBytes, c4 int
+	spec         ConvSpec
+	oh, ow       int
+	relu         bool
+	lane         int
+	blocks       int       // VNNI, AVX2: output-channel blocks of 16, 4
+	pairs        int       // VNNI: pairs of 4-byte groups per kernel row
+	chunks       int       // AVX2: 16-byte chunks per kernel row
+	w            []int8    // VNNI, AVX2: packed weights and corrections
+	sb           []float32 // VNNI, AVX2: per-block scales, then biases
+	wp, wsum     []uint64  // portable: SWAR-packed weights, operand sums
+	g, gs        int       // portable: words per record, per section
+	scales, bias []float32
+
+	wBuf  *[]int8
+	sbBuf *[]float32
+	wpBuf *[]uint64
+}
+
+// newMapConv checks a convolution against its map and packs its weights
+// (OutC, InC·K·K) into pooled scratch; release returns it.
+func newMapConv(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, relu bool) mapConv {
+	if spec.InC != m.c || spec.Pad != m.pad {
+		panic("tensor: int8 convolution does not match its activation map")
+	}
+	k := spec.K
+	if len(wq) != spec.OutC*spec.InC*k*k {
+		panic("tensor: int8 convolution weight length mismatch")
+	}
+	if len(scales) != spec.OutC {
+		panic("tensor: int8 convolution scale length mismatch")
+	}
+	secLen := k * m.c4
+	if swarGroup*k*packedGroups(secLen) > swarMaxK {
+		panic("tensor: int8 GEMM reduction too large")
+	}
+	oh, ow := spec.OutSize(m.h, m.w)
+	a := mapConv{
+		src: m.buf[m.top*m.rowBytes():], rowBytes: m.rowBytes(), c4: m.c4,
+		spec: spec, oh: oh, ow: ow, relu: relu, lane: int8Lane(spec),
+		scales: scales, bias: bias,
+	}
+	switch a.lane {
+	case laneVNNI:
+		a.pairs = (secLen/4 + 1) / 2
+		a.blocks = (spec.OutC + 15) / 16
+		a.wBuf = scratchI8.get(a.blocks * (64 + k*a.pairs*128))
+		a.sbBuf = scratchF32.get(a.blocks * 32)
+		a.w, a.sb = *a.wBuf, *a.sbBuf
+		packWeightsInt8VNNI(wq, scales, bias, m.c, m.c4, spec, 2*a.pairs, a.w, a.sb)
+	case laneAVX2:
+		a.chunks = (secLen + int8Chunk - 1) / int8Chunk
+		a.blocks = (spec.OutC + 3) / 4
+		a.wBuf = scratchI8.get(a.blocks * (k*a.chunks*4*int8Chunk*2 + 16))
+		a.sbBuf = scratchF32.get(a.blocks * 8)
+		a.w, a.sb = *a.wBuf, *a.sbBuf
+		packWeightsInt8AVX2(wq, scales, bias, m.c, m.c4, spec, a.chunks, a.w, a.sb)
+	default:
+		// Rows in the window's order ky → kx → channel (zero for padding
+		// channels), one section per kernel row, packed once per call into
+		// the blocked-interleaved layout: [OutC×g words][OutC sums].
+		a.gs = packedGroups(secLen)
+		a.g = k * a.gs
+		permBuf := scratchI8.get(spec.OutC * k * secLen)
+		perm := *permBuf
+		clear(perm)
+		for oc := 0; oc < spec.OutC; oc++ {
+			for ch := 0; ch < m.c; ch++ {
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						perm[((oc*k+ky)*k+kx)*m.c4+ch] = wq[((oc*m.c+ch)*k+ky)*k+kx]
+					}
+				}
+			}
+		}
+		a.wpBuf = scratchU64.get(spec.OutC*a.g + spec.OutC)
+		a.wp, a.wsum = (*a.wpBuf)[:spec.OutC*a.g], (*a.wpBuf)[spec.OutC*a.g:]
+		packInt8RowsBlocked(perm, spec.OutC, secLen, k, a.wp, a.wsum)
+		scratchI8.put(permBuf)
+	}
+	return a
+}
+
+func (a *mapConv) release() {
+	if a.wBuf != nil {
+		scratchI8.put(a.wBuf)
+		scratchF32.put(a.sbBuf)
+	}
+	if a.wpBuf != nil {
+		scratchU64.put(a.wpBuf)
+	}
+}
+
+// packWeightsInt8VNNI lays the weights out for convRowInt8VNNI: output
+// channels in blocks of sixteen (the last padded with zero rows); per
+// block sixteen int32 128·Σw, then per kernel row and 4-byte group
+// sixteen lanes of four weights — group t of kernel row ky covers window
+// bytes [4t, 4t+4), i.e. kernel column 4t / c4 and channels 4t mod c4
+// on, zero for padding channels. groups, the groups per kernel row, is
+// even (the kernel takes them in pairs): a last group past the window
+// has zero weights. sb receives each block's sixteen scales and then
+// its sixteen biases.
+func packWeightsInt8VNNI(wq []int8, scales, bias []float32, c, c4 int, spec ConvSpec, groups int, w []int8, sb []float32) {
+	k := spec.K
+	blockBytes := 64 + k*groups*64
+	clear(w)
+	clear(sb)
+	for oc := 0; oc < spec.OutC; oc++ {
+		b, lane := oc/16, oc%16
+		blk := w[b*blockBytes : (b+1)*blockBytes]
+		var sum int32
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for ch := 0; ch < c; ch++ {
+					v := wq[((oc*c+ch)*k+ky)*k+kx]
+					e := kx*c4 + ch
+					blk[64+((ky*groups+e/4)*16+lane)*4+e%4] = v
+					sum += int32(v)
+				}
+			}
+		}
+		putInt32(blk[4*lane:], 128*sum)
+		sb[b*32+lane] = scales[oc]
+		if bias != nil {
+			sb[b*32+16+lane] = bias[oc]
+		}
+	}
+}
+
+// packWeightsInt8AVX2 lays the weights out for convRowInt8AVX2: output
+// channels in blocks of four (the last padded with zero rows); per block
+// and chunk four rows of sixteen little-endian int16 — stored as byte
+// pairs in the int8 arena, which only the assembly reads back — with
+// window element e = kx·c4 + ch of kernel row ky in chunk e/16, then the
+// block's four int32 128·Σw. sb receives each block's four scales
+// followed by its four biases.
+func packWeightsInt8AVX2(wq []int8, scales, bias []float32, c, c4 int, spec ConvSpec, chunks int, w []int8, sb []float32) {
+	k := spec.K
+	blockBytes := k*chunks*4*int8Chunk*2 + 16
+	clear(w)
+	clear(sb)
+	for oc := 0; oc < spec.OutC; oc++ {
+		b, j := oc/4, oc%4
+		blk := w[b*blockBytes : (b+1)*blockBytes]
+		sb[b*8+j] = scales[oc]
+		if bias != nil {
+			sb[b*8+4+j] = bias[oc]
+		}
+		var sum int32
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				for ch := 0; ch < c; ch++ {
+					e := kx*c4 + ch
+					o := (((ky*chunks+e/int8Chunk)*4+j)*int8Chunk + e%int8Chunk) * 2
+					v := wq[((oc*c+ch)*k+ky)*k+kx]
+					blk[o], blk[o+1] = v, v>>7
+					sum += int32(v)
+				}
+			}
+		}
+		putInt32(blk[blockBytes-16+4*j:], 128*sum)
+	}
+}
+
+// putInt32 stores v little-endian in the first four bytes of b.
+func putInt32(b []int8, v int32) {
+	b[0], b[1], b[2], b[3] = int8(v), int8(v>>8), int8(v>>16), int8(v>>24)
+}
+
+// row computes output row oy: channel oc's pixels at out[oc·planeStride:].
+// secs is the portable lane's scratch (secWords long), nil otherwise.
+func (a *mapConv) row(oy int, out []float32, planeStride int, secs []uint64) {
+	src := a.src[oy*a.spec.Stride*a.rowBytes:]
+	relu := 0
+	if a.relu {
+		relu = 1
+	}
+	switch a.lane {
+	case laneVNNI:
+		convRowInt8VNNI(&src[0], a.rowBytes, a.c4, a.spec.K, a.pairs, &a.w[0], &a.sb[0], a.blocks,
+			&out[0], planeStride, a.ow, a.spec.OutC, relu)
+	case laneAVX2:
+		convRowInt8AVX2(&src[0], a.rowBytes, a.spec.Stride*a.c4, a.spec.K, a.chunks, &a.w[0], &a.sb[0], a.blocks,
+			&out[0], planeStride, a.ow, a.spec.OutC, relu)
+	default:
+		a.rowPortable(src, out, planeStride, secs)
+	}
+}
+
+// secWords is the portable lane's per-row scratch: every output pixel's
+// record (K sections of gs words) and one operand sum per section.
+func (a *mapConv) secWords() int { return a.ow * (a.g + a.spec.K) }
+
+// rowPortable is row on the SWAR GEMM of kernels_int8.go. The map's
+// bytes already are the SWAR operands (value+128, padding 128), so each
+// pixel's record is its K window rows packed three bytes to a word, and
+// the bias identity unbiases the dot exactly.
+func (a *mapConv) rowPortable(src []byte, out []float32, planeStride int, secs []uint64) {
+	k, s, c4, g, gs, ow := a.spec.K, a.spec.Stride, a.c4, a.g, a.gs, a.ow
+	recs, sums := secs[:ow*g], secs[ow*g:ow*(g+k)]
+	for ky := 0; ky < k; ky++ {
+		row := src[ky*a.rowBytes:]
+		for ox := 0; ox < ow; ox++ {
+			si := ox*k + ky
+			sums[si] = packSectionInt8(row[ox*s*c4:ox*s*c4+k*c4], recs[si*gs:(si+1)*gs])
+		}
+	}
+	outC := a.spec.OutC
+	nb4 := outC / 4
+	corr := int32(swarBias * swarBias * g * swarGroup)
+	for ox := 0; ox < ow; ox++ {
+		rec := recs[ox*g : (ox+1)*g]
+		var rsum uint64
+		for _, v := range sums[ox*k : (ox+1)*k] {
+			rsum += v
+		}
+		rterm := swarBias * int32(rsum)
+		for b := 0; b < nb4; b++ {
+			d0, d1, d2, d3 := swarDotRows4(a.wp[b*4*g:(b+1)*4*g], rec)
+			i0 := b * 4
+			var b0, b1, b2, b3 float32
+			if a.bias != nil {
+				b0, b1, b2, b3 = a.bias[i0], a.bias[i0+1], a.bias[i0+2], a.bias[i0+3]
+			}
+			out[i0*planeStride+ox] = requantInt8(int32(d0)+corr-swarBias*int32(a.wsum[i0])-rterm, a.scales[i0], b0, a.relu)
+			out[(i0+1)*planeStride+ox] = requantInt8(int32(d1)+corr-swarBias*int32(a.wsum[i0+1])-rterm, a.scales[i0+1], b1, a.relu)
+			out[(i0+2)*planeStride+ox] = requantInt8(int32(d2)+corr-swarBias*int32(a.wsum[i0+2])-rterm, a.scales[i0+2], b2, a.relu)
+			out[(i0+3)*planeStride+ox] = requantInt8(int32(d3)+corr-swarBias*int32(a.wsum[i0+3])-rterm, a.scales[i0+3], b3, a.relu)
+		}
+		for oc := nb4 * 4; oc < outC; oc++ {
+			off := nb4*4*g + (oc-nb4*4)*g
+			d := swarDotRow1(a.wp[off:off+g], rec)
+			var bo float32
+			if a.bias != nil {
+				bo = a.bias[oc]
+			}
+			out[oc*planeStride+ox] = requantInt8(int32(d)+corr-swarBias*int32(a.wsum[oc])-rterm, a.scales[oc], bo, a.relu)
+		}
+	}
+}
+
+// packSectionInt8 packs one window row into high-lane words of three
+// bytes, the last padded with the bias (int8 zero), and returns the sum
+// of its padded operands.
+func packSectionInt8(sec []byte, d []uint64) uint64 {
+	var sum uint64
+	n := len(sec) / swarGroup
+	for t := 0; t < n; t++ {
+		v0, v1, v2 := uint64(sec[3*t]), uint64(sec[3*t+1]), uint64(sec[3*t+2])
+		sum += v0 + v1 + v2
+		d[t] = v0<<swarDiagShift | v1<<(swarDiagShift-swarLane) | v2<<(swarDiagShift-2*swarLane)
+	}
+	if n < len(d) {
+		v := [swarGroup]uint64{swarBias, swarBias, swarBias}
+		for q, e := range sec[swarGroup*n:] {
+			v[q] = uint64(e)
+		}
+		sum += v[0] + v[1] + v[2]
+		d[n] = v[0]<<swarDiagShift | v[1]<<(swarDiagShift-swarLane) | v[2]<<(swarDiagShift-2*swarLane)
+	}
+	return sum
+}
+
+// rows computes output rows [lo, hi) into the planar out.
+func (a *mapConv) rows(lo, hi int, out []float32) {
+	var secs []uint64
+	var secBuf *[]uint64
+	if a.lane == lanePortable {
+		secBuf = scratchU64.get(a.secWords())
+		secs = *secBuf
+	}
+	for oy := lo; oy < hi; oy++ {
+		a.row(oy, out[oy*a.ow:], a.oh*a.ow, secs)
+	}
+	if secBuf != nil {
+		scratchU64.put(secBuf)
+	}
+}
+
+// Conv2DInt8Map convolves the activation map m with quantized weights
+// wq (OutC, InC·K·K), int8×int8 → exact int32 accumulation, and writes
+// the planar float32 result (OutC, oh, ow) into out through the fused
+// epilogue requantInt8 — ·scales[oc] (weight scale × activation scale),
+// + bias[oc] (nil for none), optional ReLU. Output rows are split over
+// the shared worker pool (serially and allocation-free at GOMAXPROCS 1);
+// every output element is computed whole by one lane, so results are
+// bit-identical across worker counts, lanes and the naive reference.
+func Conv2DInt8Map(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, relu bool, out []float32) {
+	a := newMapConv(m, wq, scales, bias, spec, relu)
+	defer a.release()
+	if len(out) != spec.OutC*a.oh*a.ow {
+		panic("tensor: Conv2DInt8Map output length mismatch")
+	}
+	if len(out) == 0 {
+		return
+	}
+	if runtime.GOMAXPROCS(0) <= 1 {
+		a.rows(0, a.oh, out)
+	} else {
+		// The closure captures a branch-local copy so `a` never escapes
+		// and the serial path above stays allocation-free.
+		ap := a
+		parallelFor(a.oh, func(lo, hi int) { ap.rows(lo, hi, out) })
+	}
+}
+
+// Conv2DInt8MapReLU runs a ReLU convolution over m and leaves in m, in
+// place, its output as the next convolution's input: relu(conv(m))
+// quantized with multiplier inv by QuantizeInt8Into's expression, the
+// float32 value never stored. The convolution must keep the image's
+// geometry — InC == OutC, K 3, stride 1, pad 1 — and m must have been
+// filled since it was last shifted.
+//
+// In place works row by row: output row y reads input rows y−1..y+1 and
+// is written over the buffer row input row y−1 occupied — dead by then
+// for every later output row — so the image moves up one buffer row
+// (into the spare row reset reserved) and nothing else is needed. With
+// the rows split into bands on the worker pool, a band's first two
+// output rows would land on rows the band above still reads; they are
+// held back and copied in once every band is done.
+func Conv2DInt8MapReLU(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, inv float32) {
+	if spec.InC != spec.OutC || spec.K != 3 || spec.Stride != 1 || spec.Pad != 1 {
+		panic("tensor: Conv2DInt8MapReLU needs a geometry-preserving 3×3 convolution")
+	}
+	if m.top != 1 {
+		panic("tensor: Conv2DInt8MapReLU on a map it already shifted")
+	}
+	a := newMapConv(m, wq, scales, bias, spec, true)
+	defer a.release()
+	m.top = 0      // a.src still reads the unshifted rows
+	const held = 2 // output rows per band written last
+	rowLen := m.w * m.c4
+	bands := 1
+	if procs := runtime.GOMAXPROCS(0); procs > 1 && a.oh > 1 {
+		bands = min(procs, a.oh)
+	}
+	switch {
+	case rowLen == 0:
+	case bands == 1:
+		a.bandToMap(m, 0, a.oh, inv, nil)
+	default:
+		heldBuf := scratchU8.get((bands - 1) * held * rowLen)
+		hold := *heldBuf
+		fillInt8Zero(hold)
+		ap := a
+		parallelFor(bands, func(lo, hi int) {
+			for b := lo; b < hi; b++ {
+				var h []byte
+				if b > 0 {
+					h = hold[(b-1)*held*rowLen : b*held*rowLen]
+				}
+				ap.bandToMap(m, b*ap.oh/bands, (b+1)*ap.oh/bands, inv, h)
+			}
+		})
+		for b := 1; b < bands; b++ {
+			y0 := b * a.oh / bands
+			for j := 0; j < held && y0+j < (b+1)*a.oh/bands; j++ {
+				copy(m.pixels(y0+j), hold[((b-1)*held+j)*rowLen:])
+			}
+		}
+		scratchU8.put(heldBuf)
+	}
+	rb := m.rowBytes()
+	fillInt8Zero(m.buf[(m.pad+m.h)*rb : (m.pad+m.h+1)*rb]) // the new bottom ring
+}
+
+// bandToMap computes output rows [lo, hi) of an in-place convolution:
+// each into a row buffer (or, for the band's first rows, into hold),
+// then over its destination row. Padding-channel bytes of the buffers
+// start and stay int8 zero: no lane writes them.
+func (a *mapConv) bandToMap(m *Int8Map, lo, hi int, inv float32, hold []byte) {
+	rowLen := a.ow * a.c4
+	tmpBuf := scratchU8.get(rowLen)
+	tmp := *tmpBuf
+	fillInt8Zero(tmp)
+	var f []float32
+	var q []int8
+	var secs []uint64
+	var fBuf *[]float32
+	var qBuf *[]int8
+	var secBuf *[]uint64
+	if a.lane != laneVNNI {
+		fBuf, qBuf = scratchF32.get(a.spec.OutC*a.ow), scratchI8.get(a.spec.OutC*a.ow)
+		f, q = *fBuf, *qBuf
+		if a.lane == lanePortable {
+			secBuf = scratchU64.get(a.secWords())
+			secs = *secBuf
+		}
+	}
+	for y := lo; y < hi; y++ {
+		dst, direct := tmp, true
+		if j := y - lo; j*rowLen < len(hold) {
+			dst, direct = hold[j*rowLen:(j+1)*rowLen], false
+		}
+		if a.lane == laneVNNI {
+			convRowInt8VNNIMap(&a.src[y*a.rowBytes], a.rowBytes, a.c4, a.spec.K, a.pairs, &a.w[0], &a.sb[0], a.blocks,
+				&dst[0], a.ow, a.spec.OutC, inv)
+		} else {
+			a.row(y, f, a.ow, secs)
+			QuantizeInt8Into(q, f, inv)
+			layRowInt8(dst, q, a.ow, a.spec.OutC, a.c4, a.ow)
+		}
+		if direct {
+			copy(m.pixels(y), tmp)
+		}
+	}
+	scratchU8.put(tmpBuf)
+	if fBuf != nil {
+		scratchF32.put(fBuf)
+		scratchI8.put(qBuf)
+	}
+	if secBuf != nil {
+		scratchU64.put(secBuf)
+	}
+}
+
+var mapPool = sync.Pool{New: func() any { return new(Int8Map) }}
+
+// Conv2DInferInt8 computes a batched 2-D convolution over a planar
+// quantized input with int8×int8 → int32 accumulation and the fused
+// requantize + bias + ReLU epilogue, writing float32 results into out
+// (grown via Ensure; pass nil to allocate on first use).
 //
 //	xq:     (N, InC, H, W) quantized input, row-major like Tensor.Data
 //	wq:     (OutC, InC·K·K) quantized weights, flattened row-major
@@ -161,13 +597,10 @@ const bandInt8Budget = 1 << 16
 //	        activation scale), applied to each finished int32 sum
 //	bias:   per-output-channel float32 bias, or nil
 //
-// It mirrors Conv2DInfer's execution structure: banded expansion into
-// pooled scratch (packed sections rather than im2col columns), a
-// closure-free serial path at GOMAXPROCS 1 (zero steady-state
-// allocations), and the shared worker pool over bands or batch elements
-// otherwise. Integer accumulation is exactly associative, so outputs
-// are bit-identical across worker counts and to the naive reference
-// kernel.
+// Each batch element is laid out in a pooled Int8Map and convolved by
+// Conv2DInt8Map, so outputs are bit-identical across worker counts,
+// lanes and the naive reference, and the serial path allocates nothing
+// in steady state.
 func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float32, spec ConvSpec, relu bool, out *Tensor) *Tensor {
 	if c != spec.InC {
 		panic("tensor: Conv2DInferInt8 channel mismatch")
@@ -175,310 +608,14 @@ func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float
 	if len(xq) != n*c*h*wd {
 		panic("tensor: Conv2DInferInt8 input length mismatch")
 	}
-	colRows := spec.InC * spec.K * spec.K
-	if len(wq) != spec.OutC*colRows {
-		panic("tensor: Conv2DInferInt8 weight length mismatch")
-	}
-	if len(scales) != spec.OutC {
-		panic("tensor: Conv2DInferInt8 scale length mismatch")
-	}
 	oh, ow := spec.OutSize(h, wd)
 	out = Ensure(out, n, spec.OutC, oh, ow)
-	secLen := c * spec.K
-	gs := packedGroups(secLen)
-	g := spec.K * gs
-	// A band of `band` output rows needs (band−1)·stride + K input rows
-	// of sections, each ow·(gs+1) words including the sums. (The AVX2
-	// path's pixel-major rows are smaller; it keeps the same bands.)
-	band := 1
-	if rmax := bandInt8Budget / (ow * (gs + 1)); rmax > spec.K {
-		band = (rmax-spec.K)/spec.Stride + 1
+	m := mapPool.Get().(*Int8Map)
+	plane := spec.OutC * oh * ow
+	for i := 0; i < n; i++ {
+		m.layInt8(xq[i*c*h*wd:(i+1)*c*h*wd], c, h, wd, spec.Pad)
+		Conv2DInt8Map(m, wq, scales, bias, spec, relu, out.Data[i*plane:(i+1)*plane])
 	}
-	if band > oh {
-		band = oh
-	}
-	numBands := (oh + band - 1) / band
-	a := convInt8Args{
-		xq: xq, scales: scales, bias: bias, out: out.Data,
-		c: c, h: h, wd: wd, spec: spec, relu: relu,
-		oh: oh, ow: ow, band: band, g: g, gs: gs, numBands: numBands,
-	}
-	if swarGroup*g > swarMaxK {
-		panic("tensor: int8 GEMM reduction too large")
-	}
-	if useAVX2 {
-		a.chunks = (secLen + int8Chunk - 1) / int8Chunk
-		nb4 := (spec.OutC + 3) / 4
-		wBuf := getScratchInt8(nb4 * spec.K * a.chunks * 4 * int8Chunk * 2)
-		sbBuf := getScratch(nb4 * 8)
-		a.w16, a.sb = *wBuf, *sbBuf
-		packWeightsInt8AVX2(wq, scales, bias, c, spec, a.chunks, a.w16, a.sb)
-		runConvInt8(a, n)
-		putScratch(sbBuf)
-		putScratchInt8(wBuf)
-		return out
-	}
-	// Permute each weight row from the storage order ch → ky → kx to the
-	// section order ky → ch → kx, then pack once per call into the
-	// blocked-interleaved layout shared by every band and batch element:
-	// [OutC×g packed rows][OutC row sums]. Both passes are noise next to
-	// the GEMM.
-	permBuf := getScratchInt8(spec.OutC * colRows)
-	perm := *permBuf
-	for oc := 0; oc < spec.OutC; oc++ {
-		src := wq[oc*colRows : (oc+1)*colRows]
-		dst := perm[oc*colRows : (oc+1)*colRows]
-		di := 0
-		for ky := 0; ky < spec.K; ky++ {
-			for ch := 0; ch < c; ch++ {
-				base := ch*spec.K*spec.K + ky*spec.K
-				for kx := 0; kx < spec.K; kx++ {
-					dst[di] = src[base+kx]
-					di++
-				}
-			}
-		}
-	}
-	wBuf := getScratchUint64(spec.OutC*g + spec.OutC)
-	a.wp = (*wBuf)[:spec.OutC*g]
-	a.wsum = (*wBuf)[spec.OutC*g:]
-	packInt8RowsBlocked(perm, spec.OutC, secLen, spec.K, a.wp, a.wsum)
-	putScratchInt8(permBuf)
-	runConvInt8(a, n)
-	putScratchUint64(wBuf)
+	mapPool.Put(m)
 	return out
-}
-
-// runConvInt8 executes every band of every batch element: closure-free
-// and serial at GOMAXPROCS 1 (zero heap allocations, the steady-state
-// inference contract), over the shared worker pool otherwise.
-func runConvInt8(a convInt8Args, n int) {
-	if runtime.GOMAXPROCS(0) <= 1 {
-		for i := 0; i < n; i++ {
-			convInt8Bands(a, i, 0, a.numBands)
-		}
-		return
-	}
-	// The closures capture a branch-local copy so `a` itself never
-	// escapes and the serial path above stays allocation-free.
-	ap := a
-	if n == 1 {
-		parallelFor(ap.numBands, func(lo, hi int) { convInt8Bands(ap, 0, lo, hi) })
-		return
-	}
-	parallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			convInt8Bands(ap, i, 0, ap.numBands)
-		}
-	})
-}
-
-// convInt8Args carries the precomputed geometry of one Conv2DInferInt8
-// call so band execution needs no closures (a by-value struct keeps the
-// serial path allocation-free).
-type convInt8Args struct {
-	xq           []int8
-	wp, wsum     []uint64  // portable path: SWAR-packed weights
-	w16          []int8    // AVX2 path: widened weights (packWeightsInt8AVX2)
-	sb           []float32 // AVX2 path: per-block scales and biases
-	chunks       int       // AVX2 path: 16-byte chunks per kernel row
-	scales, bias []float32
-	out          []float32
-	c, h, wd     int
-	spec         ConvSpec
-	relu         bool
-	oh, ow       int
-	band         int
-	g, gs        int
-	numBands     int
-}
-
-// convInt8Bands runs output-row bands [lo, hi) of batch element i:
-// packSectionsInt8 over the band's input rows into pooled scratch (the
-// transposed layout makes each output pixel's record one contiguous
-// K·gs-word slice), then the interleaved weight blocks against each
-// record with the fused requantize epilogue. Adjacent bands recompute
-// their shared boundary sections — duplicated work, identical values,
-// so the split stays bit-deterministic.
-func convInt8Bands(a convInt8Args, i, lo, hi int) {
-	if a.w16 != nil {
-		convInt8BandsAVX2(a, i, lo, hi)
-		return
-	}
-	planeIn := a.c * a.h * a.wd
-	planeOut := a.spec.OutC * a.oh * a.ow
-	xi := a.xq[i*planeIn : (i+1)*planeIn]
-	oi := a.out[i*planeOut : (i+1)*planeOut]
-	k, s, p := a.spec.K, a.spec.Stride, a.spec.Pad
-	g, gs, ow := a.g, a.gs, a.ow
-	outC := a.spec.OutC
-	nb4 := outC / 4
-	ohow := a.oh * ow
-	corr := int32(swarBias * swarBias * g * swarGroup)
-	maxR := (a.band-1)*s + k
-	secBuf := getScratchUint64(maxR*ow*gs + maxR*ow)
-	for bi := lo; bi < hi; bi++ {
-		oy0 := bi * a.band
-		oy1 := oy0 + a.band
-		if oy1 > a.oh {
-			oy1 = a.oh
-		}
-		iy0 := oy0*s - p
-		nr := (oy1-1-oy0)*s + k
-		secs := (*secBuf)[:nr*ow*gs]
-		ssum := (*secBuf)[maxR*ow*gs : maxR*ow*gs+nr*ow]
-		packSectionsInt8(xi, a.c, a.h, a.wd, a.spec, iy0, iy0+nr, secs, ssum)
-		for oy := oy0; oy < oy1; oy++ {
-			row0 := oy*s - p - iy0
-			outRow := oy * ow
-			for ox := 0; ox < ow; ox++ {
-				base := ox*nr + row0
-				rec := secs[base*gs : (base+k)*gs]
-				var rsum uint64
-				for ky := 0; ky < k; ky++ {
-					rsum += ssum[base+ky]
-				}
-				rterm := swarBias * int32(rsum)
-				outIdx := outRow + ox
-				for b := 0; b < nb4; b++ {
-					d0, d1, d2, d3 := swarDotRows4(a.wp[b*4*g:(b+1)*4*g], rec)
-					i0 := b * 4
-					var b0, b1, b2, b3 float32
-					if a.bias != nil {
-						b0, b1, b2, b3 = a.bias[i0], a.bias[i0+1], a.bias[i0+2], a.bias[i0+3]
-					}
-					oi[i0*ohow+outIdx] = requantInt8(int32(d0)+corr-swarBias*int32(a.wsum[i0])-rterm, a.scales[i0], b0, a.relu)
-					oi[(i0+1)*ohow+outIdx] = requantInt8(int32(d1)+corr-swarBias*int32(a.wsum[i0+1])-rterm, a.scales[i0+1], b1, a.relu)
-					oi[(i0+2)*ohow+outIdx] = requantInt8(int32(d2)+corr-swarBias*int32(a.wsum[i0+2])-rterm, a.scales[i0+2], b2, a.relu)
-					oi[(i0+3)*ohow+outIdx] = requantInt8(int32(d3)+corr-swarBias*int32(a.wsum[i0+3])-rterm, a.scales[i0+3], b3, a.relu)
-				}
-				for oc := nb4 * 4; oc < outC; oc++ {
-					wrow := a.wp[nb4*4*g+(oc-nb4*4)*g : nb4*4*g+(oc-nb4*4+1)*g]
-					d := swarDotRow1(wrow, rec)
-					var bo float32
-					if a.bias != nil {
-						bo = a.bias[oc]
-					}
-					oi[oc*ohow+outIdx] = requantInt8(int32(d)+corr-swarBias*int32(a.wsum[oc])-rterm, a.scales[oc], bo, a.relu)
-				}
-			}
-		}
-	}
-	putScratchUint64(secBuf)
-}
-
-// The AVX2 int8 path keeps the band structure but not the packing: a
-// band's input rows are laid out pixel-major (row, x, channel) with the
-// zero padding materialized, so the K·c elements kernel row ky
-// contributes to an output pixel are one contiguous run starting at
-// that pixel — adjacent pixels' runs overlap instead of being copied
-// out K times. Weights take the matching ky → kx → ch order, each
-// kernel row zero-padded to whole 16-element chunks; a chunk that
-// overhangs its run multiplies whatever bytes follow by zero, which is
-// exact in integers.
-
-// int8Chunk is how many int8 elements one VPMOVSXBW/VPMADDWD step of
-// convRowInt8AVX2 consumes.
-const int8Chunk = 16
-
-// packWeightsInt8AVX2 lays the quantized weights (OutC, InC·K·K) out
-// for convRowInt8AVX2: output channels in blocks of four (the last
-// padded with zero rows), and per block and chunk four rows of sixteen
-// little-endian int16 — stored as byte pairs in the int8 arena, which
-// only the assembly reads back. sb receives each block's four scales
-// followed by its four biases.
-func packWeightsInt8AVX2(wq []int8, scales, bias []float32, c int, spec ConvSpec, chunks int, w16 []int8, sb []float32) {
-	k := spec.K
-	clear(w16)
-	clear(sb)
-	for oc := 0; oc < spec.OutC; oc++ {
-		src := wq[oc*c*k*k : (oc+1)*c*k*k]
-		b, j := oc/4, oc%4
-		sb[b*8+j] = scales[oc]
-		if bias != nil {
-			sb[b*8+4+j] = bias[oc]
-		}
-		for ky := 0; ky < k; ky++ {
-			for kx := 0; kx < k; kx++ {
-				for ch := 0; ch < c; ch++ {
-					e := kx*c + ch
-					t, l := e/int8Chunk, e%int8Chunk
-					o := ((((b*k+ky)*chunks+t)*4+j)*int8Chunk + l) * 2
-					v := src[(ch*k+ky)*k+kx]
-					w16[o], w16[o+1] = v, v>>7
-				}
-			}
-		}
-	}
-}
-
-// packRowsInt8HWC writes input rows [iy0, iy1) of the planar quantized
-// input xq (C,H,W) pixel-major into dst, each row (w+2·pad)·c bytes
-// with pad zero pixels either side; rows outside [0, h) are all zero.
-func packRowsInt8HWC(xq []int8, c, h, w, pad, iy0, iy1 int, dst []int8) {
-	rowBytes := (w + 2*pad) * c
-	for iy := iy0; iy < iy1; iy++ {
-		row := dst[(iy-iy0)*rowBytes : (iy-iy0+1)*rowBytes]
-		if iy < 0 || iy >= h {
-			clear(row)
-			continue
-		}
-		clear(row[:pad*c])
-		clear(row[(pad+w)*c:])
-		// Four channels per pass: the four bytes of a pixel land in one
-		// store-buffer line, and the loop overhead is shared.
-		ch := 0
-		for ; ch+4 <= c; ch += 4 {
-			s0 := xq[(ch*h+iy)*w : (ch*h+iy+1)*w]
-			s1 := xq[((ch+1)*h+iy)*w : ((ch+1)*h+iy+1)*w][:len(s0)]
-			s2 := xq[((ch+2)*h+iy)*w : ((ch+2)*h+iy+1)*w][:len(s0)]
-			s3 := xq[((ch+3)*h+iy)*w : ((ch+3)*h+iy+1)*w][:len(s0)]
-			d := row[pad*c+ch:]
-			for ix, v := range s0 {
-				q := (*[4]int8)(d[ix*c:])
-				q[0], q[1], q[2], q[3] = v, s1[ix], s2[ix], s3[ix]
-			}
-		}
-		for ; ch < c; ch++ {
-			src := xq[(ch*h+iy)*w : (ch*h+iy+1)*w]
-			di := pad*c + ch
-			for _, v := range src {
-				row[di] = v
-				di += c
-			}
-		}
-	}
-}
-
-// convInt8BandsAVX2 is convInt8Bands on the AVX2 path: lay the band's
-// input rows out pixel-major, then one convRowInt8AVX2 call per output
-// row computes every output channel with the requantize epilogue fused.
-func convInt8BandsAVX2(a convInt8Args, i, lo, hi int) {
-	planeIn := a.c * a.h * a.wd
-	planeOut := a.spec.OutC * a.oh * a.ow
-	xi := a.xq[i*planeIn : (i+1)*planeIn]
-	oi := a.out[i*planeOut : (i+1)*planeOut]
-	k, s, p := a.spec.K, a.spec.Stride, a.spec.Pad
-	rowBytes := (a.wd + 2*p) * a.c
-	nb4 := (a.spec.OutC + 3) / 4
-	relu := 0
-	if a.relu {
-		relu = 1
-	}
-	maxR := (a.band-1)*s + k
-	// One chunk of slack: the last pixel's last chunk may overhang.
-	rowsBuf := getScratchInt8(maxR*rowBytes + int8Chunk)
-	rows := *rowsBuf
-	for bi := lo; bi < hi; bi++ {
-		oy0 := bi * a.band
-		oy1 := min(oy0+a.band, a.oh)
-		iy0 := oy0*s - p
-		nr := (oy1-1-oy0)*s + k
-		packRowsInt8HWC(xi, a.c, a.h, a.wd, p, iy0, iy0+nr, rows[:nr*rowBytes])
-		for oy := oy0; oy < oy1; oy++ {
-			convRowInt8AVX2(&rows[(oy-oy0)*s*rowBytes], rowBytes, s*a.c, k, a.chunks,
-				&a.w16[0], &a.sb[0], nb4, &oi[oy*a.ow], a.oh*a.ow, a.ow, a.spec.OutC, relu)
-		}
-	}
-	putScratchInt8(rowsBuf)
 }

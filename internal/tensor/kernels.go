@@ -230,3 +230,28 @@ func gemmTiles(a []float32, aRow, aK int, b, out []float32, rows, k, n, outStrid
 // gemmPanel is the column-panel width of gemmTiles, a multiple of the
 // tile's sixteen columns.
 const gemmPanel = 32
+
+// cpuLanes decides, once, which assembly lanes the kernels may take,
+// from the raw CPUID and XGETBV words: maxLeaf is leaf 0's EAX, ecx1
+// leaf 1's ECX, ebx7 and ecx7 leaf 7's EBX and ECX, and xcr0 the OS's
+// enabled register state (0 when OSXSAVE is clear and it cannot be
+// read). A lane needs the instructions and the OS saving the registers
+// it uses: AVX2 needs the YMM state, VNNI the opmask and full ZMM state
+// as well, plus AVX-512 F, BW and VL for the masked byte and 256-bit
+// forms its tile uses. Executing either without them is SIGILL.
+func cpuLanes(maxLeaf, ecx1, ebx7, ecx7, xcr0 uint32) (avx2, vnni bool) {
+	const (
+		osxsave, avx = 1 << 27, 1 << 28 // leaf 1 ECX
+		avx2Bit      = 1 << 5           // leaf 7 EBX
+		avx512FBWVL  = 1<<16 | 1<<30 | 1<<31
+		avx512VNNI   = 1 << 11 // leaf 7 ECX
+		ymmState     = 0x06    // XCR0: SSE, AVX
+		zmmState     = 0xE6    // and opmask, ZMM_Hi256, Hi16_ZMM
+	)
+	if maxLeaf < 7 || ecx1&osxsave == 0 || ecx1&avx == 0 || xcr0&ymmState != ymmState {
+		return false, false
+	}
+	avx2 = ebx7&avx2Bit != 0
+	vnni = avx2 && xcr0&zmmState == zmmState && ebx7&avx512FBWVL == avx512FBWVL && ecx7&avx512VNNI != 0
+	return avx2, vnni
+}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -354,6 +355,28 @@ func TestConv2DInferInt8TracksFloat32(t *testing.T) {
 		if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > bound {
 			t.Fatalf("element %d: int8 %v vs float32 %v differs by %g (bound %g)",
 				i, got.Data[i], want.Data[i], d, bound)
+		}
+	}
+}
+
+// TestInt8MapInPlaceBands checks the in-place ReLU convolution's band
+// hand-off: on one to five workers — bands of one row and of many — the
+// map it leaves is the direct convolution, ReLU and QuantizeInt8Into.
+func TestInt8MapInPlaceBands(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	spec := ConvSpec{InC: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
+	const w, inv, inv2 = 37, 40, 2
+	for _, h := range []int{1, 2, 3, 5, 23} {
+		img := randSlice(rng, spec.InC*h*w)
+		cc := makeInt8ConvCase(rng, 1, h, w, spec)
+		QuantizeInt8Into(cc.xq, img, inv)
+		want := make([]int8, len(img))
+		QuantizeInt8Into(want, conv2DInt8Ref(cc, true), inv2)
+		for procs := 1; procs <= 5; procs++ {
+			var m Int8Map
+			m.Quantize(img, spec.InC, h, w, 1, inv)
+			withProcs(t, procs, func() { Conv2DInt8MapReLU(&m, cc.wq, cc.scales, cc.bias, spec, inv2) })
+			checkMap(t, fmt.Sprintf("%d rows on %d workers", h, procs), &m, want)
 		}
 	}
 }

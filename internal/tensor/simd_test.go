@@ -6,29 +6,62 @@ import (
 	"testing"
 )
 
-// Differential tests of the three implementations of every kernel: the
-// AVX2 assembly, the portable Go kernel it sits beside, and the naive
-// *Ref kernel. All three must agree bit for bit on every shape — in
-// particular the ones that are not multiples of the 4×16 tile — and on
-// every value, finite or not. On a host without AVX2 (or under -tags
-// purego) the assembly column is the portable kernel again and the
-// tests still check it against the references.
+// Differential tests of the kernel lanes: the assembly (AVX2, and for
+// int8 the AVX-512 VNNI lane ahead of it), the portable Go kernels they
+// sit beside, and the naive *Ref kernels. All must agree bit for bit on
+// every shape — in particular the ones that are not multiples of a tile
+// — and on every value, finite or not. A lane this host (or build)
+// lacks is skipped; the portable lane runs everywhere.
 
-// withPortableKernels runs fn with the assembly switched off, restoring
-// the CPUID decision afterwards.
+// kernelLane is one set of kernels the entry points can run on.
+type kernelLane struct {
+	name       string
+	avx2, vnni bool
+}
+
+// kernelLanes are the lanes, fastest first: CPUID selects the first one
+// the host has.
+var kernelLanes = []kernelLane{{"vnni", true, true}, {"avx2", true, false}, {"portable", false, false}}
+
+// hostAVX2 and hostVNNI are the CPUID decision, taken before any test
+// switches lanes.
+var hostAVX2, hostVNNI = useAVX2, useVNNI
+
+func (l kernelLane) available() bool { return (hostAVX2 || !l.avx2) && (hostVNNI || !l.vnni) }
+
+// withLane runs fn on lane l, restoring the CPUID decision afterwards.
+func withLane(l kernelLane, fn func()) {
+	prevAVX2, prevVNNI := useAVX2, useVNNI
+	useAVX2, useVNNI = l.avx2, l.vnni
+	defer func() { useAVX2, useVNNI = prevAVX2, prevVNNI }()
+	fn()
+}
+
+// withPortableKernels runs fn with the assembly switched off.
 func withPortableKernels(t testing.TB, fn func()) {
 	t.Helper()
-	prev := useAVX2
-	useAVX2 = false
-	defer func() { useAVX2 = prev }()
-	fn()
+	withLane(kernelLanes[2], fn)
+}
+
+// int8Tests are the int8 parity, determinism and allocation tests the
+// lane tests re-run.
+var int8Tests = []struct {
+	name string
+	fn   func(*testing.T)
+}{
+	{"QuantizeInt8Into", TestQuantizeInt8Into},
+	{"Conv2DInferInt8MatchesRef", TestConv2DInferInt8MatchesRef},
+	{"Conv2DInferInt8Deterministic", TestConv2DInferInt8Deterministic},
+	{"Conv2DInferInt8SerialAllocFree", TestConv2DInferInt8SerialAllocFree},
+	{"Conv2DInferInt8TracksFloat32", TestConv2DInferInt8TracksFloat32},
+	{"Int8MapInPlaceBands", TestInt8MapInPlaceBands},
 }
 
 // TestPortablePath re-runs the package's parity, determinism and
 // allocation tests with the assembly switched off, so the fallback an
 // AVX2 host never takes is tested on every host.
 func TestPortablePath(t *testing.T) {
-	if !useAVX2 {
+	if !hostAVX2 {
 		t.Skip("the portable kernels are already the only path here")
 	}
 	withPortableKernels(t, func() {
@@ -47,15 +80,62 @@ func TestPortablePath(t *testing.T) {
 			{"Im2colCol2imAdjoint", TestIm2colCol2imAdjoint},
 			{"Conv2DInferMatchesForward", TestConv2DInferMatchesForward},
 			{"Conv2DInferMultiBand", TestConv2DInferMultiBand},
-			{"QuantizeInt8Into", TestQuantizeInt8Into},
-			{"Conv2DInferInt8MatchesRef", TestConv2DInferInt8MatchesRef},
-			{"Conv2DInferInt8Deterministic", TestConv2DInferInt8Deterministic},
-			{"Conv2DInferInt8SerialAllocFree", TestConv2DInferInt8SerialAllocFree},
-			{"Conv2DInferInt8TracksFloat32", TestConv2DInferInt8TracksFloat32},
 		} {
 			t.Run(tc.name, tc.fn)
 		}
+		for _, tc := range int8Tests {
+			t.Run(tc.name, tc.fn)
+		}
 	})
+}
+
+// TestAVX2Path is TestPortablePath's twin for the AVX2 int8 lane, which
+// a VNNI host otherwise takes only for strided convolutions.
+func TestAVX2Path(t *testing.T) {
+	if !hostVNNI {
+		t.Skip("no VNNI lane here: the AVX2 lane, if any, is already the default")
+	}
+	withLane(kernelLanes[1], func() {
+		for _, tc := range int8Tests {
+			t.Run(tc.name, tc.fn)
+		}
+	})
+}
+
+// TestCPULanes pins the lane decision on CPUID words: a lane needs its
+// instructions and the OS saving the registers it touches — VNNI without
+// the opmask and ZMM state, or without AVX-512 BW or VL, must select no
+// VNNI lane, since running it would be SIGILL.
+func TestCPULanes(t *testing.T) {
+	const (
+		osxsaveAVX = 1<<27 | 1<<28
+		avx2       = 1 << 5
+		f, bw, vl  = 1 << 16, 1 << 30, 1 << 31
+		vnni       = 1 << 11
+		all        = avx2 | f | bw | vl
+	)
+	for _, tc := range []struct {
+		name                            string
+		maxLeaf, ecx1, ebx7, ecx7, xcr0 uint32
+		avx2, vnni                      bool
+	}{
+		{"avx512 vnni, full state", 7, osxsaveAVX, all, vnni, 0xE7, true, true},
+		{"vnni without opmask/ZMM state", 7, osxsaveAVX, all, vnni, 0x07, true, false},
+		{"vnni without Hi16_ZMM state", 7, osxsaveAVX, all, vnni, 0x67, true, false},
+		{"vnni without BW", 7, osxsaveAVX, avx2 | f | vl, vnni, 0xE7, true, false},
+		{"vnni without VL", 7, osxsaveAVX, avx2 | f | bw, vnni, 0xE7, true, false},
+		{"avx512 without vnni", 7, osxsaveAVX, all, 0, 0xE7, true, false},
+		{"avx2 only", 7, osxsaveAVX, avx2, 0, 0x07, true, false},
+		{"avx2 without YMM state", 7, osxsaveAVX, all, vnni, 0x03, false, false},
+		{"no OSXSAVE", 7, 1 << 28, all, vnni, 0, false, false},
+		{"no AVX", 7, 1 << 27, all, vnni, 0xE7, false, false},
+		{"no leaf 7", 6, osxsaveAVX, all, vnni, 0xE7, false, false},
+		{"no AVX2", 7, osxsaveAVX, f | bw | vl, vnni, 0xE7, false, false},
+	} {
+		if a, v := cpuLanes(tc.maxLeaf, tc.ecx1, tc.ebx7, tc.ecx7, tc.xcr0); a != tc.avx2 || v != tc.vnni {
+			t.Errorf("%s: cpuLanes = avx2 %v, vnni %v; want %v, %v", tc.name, a, v, tc.avx2, tc.vnni)
+		}
+	}
 }
 
 // sameBits reports bit equality, except that any NaN equals any NaN:
@@ -259,7 +339,7 @@ type convCase struct {
 
 func drawConvCase(seed int64, shape, chans, flags uint8) convCase {
 	inCs := []int{1, 2, 3, 5, 16, 17}
-	outCs := []int{1, 3, 4, 7, 16}
+	outCs := []int{1, 3, 4, 7, 16, 17, 64}
 	c := convCase{
 		batch: 1 + int(flags>>6)%2,
 		spec: ConvSpec{
@@ -352,20 +432,12 @@ func checkConvCase(t *testing.T, c convCase) {
 		}
 	}
 
-	// Int8: Conv2DInferInt8 on both paths against the direct int8
+	// Int8: Conv2DInferInt8 on every lane against the direct int8
 	// convolution. Rows of ±127 (and −128) make every int16 pair sum a
 	// bare VPMADDUBSW would saturate.
 	cc := makeInt8ConvCase(rng, c.batch, c.h, c.w, spec)
 	if c.special {
-		ext := []int8{127, -127, -128}
-		for i := range cc.xq {
-			cc.xq[i] = ext[rng.Intn(2+i%2)]
-		}
-		for i := range cc.wq {
-			cc.wq[i] = ext[rng.Intn(3)]
-		}
-		copy(cc.scales, operand(rng, len(cc.scales), true))
-		copy(cc.bias, operand(rng, len(cc.bias), true))
+		extremeInt8Case(rng, &cc)
 	}
 	kernelBias := cc.bias
 	if bias == nil {
@@ -373,24 +445,102 @@ func checkConvCase(t *testing.T, c convCase) {
 		clear(cc.bias) // what the reference adds for a nil bias
 	}
 	want8 := conv2DInt8Ref(cc, c.relu)
-	var got8, portable8 []float32
-	run8 := func() []float32 {
-		var out []float32
-		withProcs(t, c.procs, func() {
-			out = Conv2DInferInt8(cc.xq, c.batch, spec.InC, c.h, c.w, cc.wq, cc.scales, kernelBias, spec, c.relu, nil).Data
+	for _, l := range kernelLanes {
+		if !l.available() {
+			continue
+		}
+		var got []float32
+		withLane(l, func() {
+			withProcs(t, c.procs, func() {
+				got = Conv2DInferInt8(cc.xq, c.batch, spec.InC, c.h, c.w, cc.wq, cc.scales, kernelBias, spec, c.relu, nil).Data
+			})
 		})
-		return out
+		diffBits(t, "Conv2DInferInt8 "+l.name+" lane vs direct int8 convolution", got, want8)
 	}
-	got8 = run8()
-	withPortableKernels(t, func() { portable8 = run8() })
-	diffBits(t, "Conv2DInferInt8 portable vs direct int8 convolution", portable8, want8)
-	diffBits(t, "Conv2DInferInt8 asm vs direct int8 convolution", got8, want8)
+	checkMapCase(t, c, rng, x.Data[:spec.InC*c.h*c.w])
+}
+
+// extremeInt8Case drives a case's operands to the int8 rails and its
+// scales and biases to special values.
+func extremeInt8Case(rng *rand.Rand, cc *int8ConvCase) {
+	ext := []int8{127, -127, -128}
+	for i := range cc.xq {
+		cc.xq[i] = ext[rng.Intn(2+i%2)]
+	}
+	for i := range cc.wq {
+		cc.wq[i] = ext[rng.Intn(3)]
+	}
+	copy(cc.scales, operand(rng, len(cc.scales), true))
+	copy(cc.bias, operand(rng, len(cc.bias), true))
+}
+
+// checkMapCase pins the activation map's two producers on every lane:
+// Quantize against QuantizeInt8Into laid out by hand, and the in-place
+// ReLU convolution of a residual block (InC → InC, 3×3, pad 1) against
+// the direct convolution, ReLU and QuantizeInt8Into — and then reads the
+// shifted map back through one more convolution.
+func checkMapCase(t *testing.T, c convCase, rng *rand.Rand, img []float32) {
+	ch, h, w := c.spec.InC, c.h, c.w
+	invs := []float32{40, 1e-3, 1e30, 0}
+	inv, inv2 := invs[rng.Intn(len(invs))], invs[rng.Intn(len(invs))]
+	q := make([]int8, len(img))
+	QuantizeInt8Into(q, img, inv)
+	sq := ConvSpec{InC: ch, OutC: ch, K: 3, Stride: 1, Pad: 1}
+	cc := makeInt8ConvCase(rng, 1, h, w, sq)
+	if c.special {
+		extremeInt8Case(rng, &cc)
+	}
+	cc.xq = q
+	mid := make([]int8, len(img))
+	QuantizeInt8Into(mid, conv2DInt8Ref(cc, true), inv2)
+	next := cc
+	next.xq = mid
+	wantNext := conv2DInt8Ref(next, false)
+	for _, l := range kernelLanes {
+		if !l.available() {
+			continue
+		}
+		withLane(l, func() {
+			var m Int8Map
+			m.Quantize(img, ch, h, w, 1, inv)
+			checkMap(t, l.name+" lane Int8Map.Quantize", &m, q)
+			withProcs(t, c.procs, func() { Conv2DInt8MapReLU(&m, cc.wq, cc.scales, cc.bias, sq, inv2) })
+			checkMap(t, l.name+" lane Conv2DInt8MapReLU", &m, mid)
+			got := make([]float32, len(wantNext))
+			withProcs(t, c.procs, func() { Conv2DInt8Map(&m, cc.wq, cc.scales, cc.bias, sq, false, got) })
+			diffBits(t, l.name+" lane Conv2DInt8Map over a shifted map", got, wantNext)
+		})
+	}
+}
+
+// checkMap compares every byte of m a kernel may read — the ring, the
+// padding channels and the pixels — with the planar int8 image want.
+func checkMap(t *testing.T, what string, m *Int8Map, want []int8) {
+	t.Helper()
+	rb := m.rowBytes()
+	for r := 0; r < m.h+2*m.pad; r++ {
+		y := r - m.pad
+		for i, b := range m.buf[(m.top+r)*rb : (m.top+r+1)*rb] {
+			x, ch := i/m.c4-m.pad, i%m.c4
+			exp := byte(0x80)
+			if y >= 0 && y < m.h && x >= 0 && x < m.w && ch < m.c {
+				exp = byte(want[(ch*m.h+y)*m.w+x]) ^ 0x80
+			}
+			if b != exp {
+				t.Fatalf("%s: %dx%dx%d map byte (y %d, x %d, ch %d) = %#02x, want %#02x", what, m.c, m.h, m.w, y, x, ch, b, exp)
+			}
+		}
+	}
 }
 
 // TestKernelsDifferentialConv draws convolution geometries — pad 0/1,
-// stride 1/2, the 3-channel head and 3-row tail shapes, channel counts
-// off the 16-byte int8 chunk — on one to three workers.
+// stride 1/2, the 3-channel head and 3-row tail shapes, the 64-output
+// upsampling shape, channel counts off the 4-byte group and the 16-byte
+// chunk — on one to three workers.
 func TestKernelsDifferentialConv(t *testing.T) {
+	if !hostVNNI {
+		t.Log("vnni lane skipped: this host or build has no AVX-512 VNNI")
+	}
 	rng := rand.New(rand.NewSource(72))
 	for i := 0; i < 200; i++ {
 		checkConvCase(t, drawConvCase(rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))))
@@ -402,6 +552,9 @@ func FuzzConvKernels(f *testing.F) {
 	f.Add(int64(2), uint8(0x7a), uint8(0x14), uint8(0x0b)) // 16→3 tail, specials
 	f.Add(int64(3), uint8(0x11), uint8(0x32), uint8(0x1c)) // 3→7 head, stride 2
 	f.Add(int64(4), uint8(0x00), uint8(0x05), uint8(0x62)) // 17 channels, K=1
+	f.Add(int64(5), uint8(0x63), uint8(0x65), uint8(0x2b)) // 17→64, odd width, specials, 3 workers
+	f.Add(int64(6), uint8(0x26), uint8(0x52), uint8(0x0b)) // 3→17, specials
+	f.Add(int64(7), uint8(0x94), uint8(0x33), uint8(0x2d)) // 5→7, stride 2 (the VNNI lane's fallback), 3 workers
 	f.Fuzz(func(t *testing.T, seed int64, shape, chans, flags uint8) {
 		checkConvCase(t, drawConvCase(seed, shape, chans, flags))
 	})
