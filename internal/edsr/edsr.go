@@ -381,9 +381,11 @@ func ConfigFLOPs(cfg Config, lowW, lowH int) float64 {
 // This package's own working set is a Workspace: four such maps (the
 // head's output kept for the global skip, and three the body rotates
 // through, since its convolutions are separate kernels that cannot write
-// over their input), plus the 3-channel in/out tensors and one int8 map —
+// over their input), plus the 3-channel in/out tensors and the int8
+// activation map, one byte per channel and pixel plus its padding ring —
 // 2.3× this figure for a 16-filter model at Scale 1, whatever ResBlocks
-// is (TestWorkspaceFootprint). Both scale the same way with n_f and
+// is; a session that runs int8 only holds one map less, 1.8×
+// (TestWorkspaceFootprint). Both scale the same way with n_f and
 // resolution, which is what the OOM comparison rests on.
 func ConfigActivationBytes(cfg Config, lowW, lowH int) int64 {
 	cfg = cfg.withDefaults()

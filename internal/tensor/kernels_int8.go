@@ -81,8 +81,8 @@ func packedGroups(k int) int { return (k + swarGroup - 1) / swarGroup }
 // are grouped four at a time with their words interleaved — word t of
 // row 4b+j lands at dst[b·4g + t·4 + j] — and the ≤3 leftover rows
 // follow flat at dst[(rows/4)·4g + r·g + t]. sums[i] receives Σ(v+128)
-// over row i's padded elements. Sections matter to the banded conv,
-// which assembles records from per-(input-row, x) section slices; plain
+// over row i's padded elements. Sections matter to the conv, whose
+// records are one packed window row per kernel row (rowPortable); plain
 // GEMM callers pass numSec=1, secLen=k.
 func packInt8RowsBlocked(src []int8, rows, secLen, numSec int, dst, sums []uint64) {
 	gs := packedGroups(secLen)
