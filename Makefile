@@ -28,10 +28,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis (docs/LINTING.md): metric-name
-# discipline, determinism, error handling, nil-safety, goroutine joins,
-# lock ordering, cancel/timer hygiene, atomic-field and error-matching
-# discipline.
+# Repo-specific static analysis (docs/LINTING.md), nine analyzers:
+# metric-name discipline, determinism, error handling, goroutine joins,
+# context threading, lock ordering, typed atomics, error matching and
+# timer hygiene.
 lint:
 	$(GO) run ./cmd/dcsr-lint ./...
 
@@ -40,8 +40,9 @@ test:
 
 # A few seconds of native fuzzing per wire parser, per kernel
 # differential (every lane vs the reference, bit for bit), for the
-# weight decoders (dcW1, dcW5 delta) and for the codec's stream decoder
-# (error or a valid result, never a panic, bounded allocation); go test
+# weight decoders (dcW1, dcW5 delta), for the codec's stream decoder and
+# for an artifact's stages.json root under core.Load (error or a valid
+# result, never a panic, bounded allocation); go test
 # accepts one -fuzz target per run. A crasher is written under the
 # package's testdata/fuzz/ — commit it as a seed with the fix.
 fuzz-smoke:
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzApplyWeightsDelta$$' -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzCodecKernels$$' -fuzztime 5s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadRoot$$' -fuzztime 5s
 
 # Perf-trajectory benchmarks: the tensor kernels (the int8 body
 # convolution once per lane the host has, BenchmarkConv2DInferInt8/

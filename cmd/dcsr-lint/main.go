@@ -1,10 +1,10 @@
 // Command dcsr-lint runs the repository's static-analysis pass
 // (internal/lint) over module packages and reports every invariant
 // violation: undocumented or malformed metric names, nondeterminism in
-// the deterministic packages, silently discarded errors, missing
-// nil-receiver guards on obs handles, unjoined goroutines, lock-order
-// cycles and leaked locks, lost context cancels, mixed atomic/plain
-// field access, identity-compared sentinel errors, and leaked timers.
+// the deterministic packages, silently discarded errors, unjoined
+// goroutines, misplaced or stored contexts, lock-order cycles and leaked
+// locks, function-form atomics on struct fields, identity-compared
+// sentinel errors, and leaked timers.
 // The analyzers and the //lint:allow suppression policy are catalogued
 // in docs/LINTING.md.
 //

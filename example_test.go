@@ -78,8 +78,8 @@ func ExampleEncodeVideo() {
 
 // ExampleLint runs the repository's own static-analysis pass over the
 // module. A clean tree reports no diagnostics; any output lines would be
-// file:line:col findings from the metricnames, nodeterm, errcheck,
-// nilsafe and goleak checks (see docs/LINTING.md).
+// file:line:col findings from the nine checks docs/LINTING.md
+// catalogues, such as metricnames, nodeterm, errcheck or goleak.
 func ExampleLint() {
 	diags, err := dcsr.Lint(".")
 	if err != nil {

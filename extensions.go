@@ -138,9 +138,9 @@ func LoadArtifact(dir string) (*Prepared, error) { return core.Load(dir) }
 // the reporting check's name, and the message.
 type Diagnostic = lint.Diagnostic
 
-// Lint runs the repository's static-analysis pass — the ten analyzers
-// docs/LINTING.md catalogues (metricnames, nodeterm, errcheck, nilsafe,
-// goleak, ctxcheck, lockorder, atomicfield, errcmp, timerleak) with
+// Lint runs the repository's static-analysis pass — the nine analyzers
+// docs/LINTING.md catalogues (metricnames, nodeterm, errcheck, goleak,
+// ctxcheck, lockorder, atomicfield, errcmp, timerleak) with
 // //lint:allow suppression applied — over the Go module
 // containing dir and returns the surviving diagnostics sorted by
 // position. An empty result means the tree upholds every machine-checked

@@ -324,12 +324,23 @@ func Load(dir string) (*Prepared, error) {
 	if p.Stream, err = a.stream(root.Stream); err != nil {
 		return nil, err
 	}
+	// buildManifest and backboneLabel index by what follows, so a root that
+	// forges it is an error here, not a panic, a hang or an allocation.
+	if err := checkSegments(p.Segments, len(p.Stream.Frames)); err != nil {
+		return nil, fmt.Errorf("core: artifact %s: %w", dir, err)
+	}
+	if p.K < 1 || p.K > len(p.Segments) {
+		return nil, fmt.Errorf("core: artifact %s: %d clusters for %d segments", dir, p.K, len(p.Segments))
+	}
 	labels := make([]int, 0, len(root.Models))
 	for label := range root.Models {
 		labels = append(labels, label)
 	}
 	sort.Ints(labels) // TrainFLOPs sums in label order, as stageTrain does
 	for _, label := range labels {
+		if label < 0 || label >= p.K {
+			return nil, fmt.Errorf("core: artifact %s: model %d is not one of its %d clusters", dir, label, p.K)
+		}
 		sm, err := a.restoreModel(label, p.MicroConfig, root.Models[label])
 		if err != nil {
 			return nil, err
@@ -339,11 +350,34 @@ func Load(dir string) (*Prepared, error) {
 		}
 		p.Models[label] = sm
 	}
+	for _, label := range labels {
+		if d := p.Models[label].Delta; d != nil && d.DeltaOK && p.Models[d.BackboneLabel] == nil {
+			return nil, fmt.Errorf("core: artifact %s: model %d is a delta against backbone %d, which has no model", dir, label, d.BackboneLabel)
+		}
+	}
 	p.Manifest = buildManifest(p)
 	if err := p.Manifest.Validate(); err != nil {
 		return nil, fmt.Errorf("core: loaded artifact inconsistent: %w", err)
 	}
 	return p, nil
+}
+
+// checkSegments verifies that segs tile the coded stream's display range
+// [0, frames) in order, each segment non-empty — what buildManifest sizes
+// its display table from, so a hostile root is an error, not a panic or
+// an allocation it chose.
+func checkSegments(segs []splitter.Segment, frames int) error {
+	next := 0
+	for i, s := range segs {
+		if s.Start != next || s.End <= s.Start || s.End > frames {
+			return fmt.Errorf("segment %d is [%d, %d), want a non-empty range from frame %d within the stream's %d frames", i, s.Start, s.End, next, frames)
+		}
+		next = s.End
+	}
+	if next != frames {
+		return fmt.Errorf("segment %d ends at frame %d, short of the stream's %d frames", len(segs)-1, next, frames)
+	}
+	return nil
 }
 
 // prepareInputDigest fingerprints everything that determines the pipeline

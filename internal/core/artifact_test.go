@@ -2,17 +2,20 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"dcsr/internal/edsr"
 	"dcsr/internal/obs"
+	"dcsr/internal/splitter"
 )
 
 // gatedConfig is tinyServerConfig with both gates on and permissive, so a
@@ -70,7 +73,7 @@ func copyDir(t *testing.T, src string) string {
 }
 
 // mustReadRoot parses dir's root JSON.
-func mustReadRoot(t *testing.T, dir string) rootFile {
+func mustReadRoot(t testing.TB, dir string) rootFile {
 	t.Helper()
 	root, err := readRoot(dir)
 	if err != nil {
@@ -169,6 +172,80 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if sm.Train == nil || sm.Train.Steps == 0 {
 			t.Errorf("loaded model %d has no train record", label)
 		}
+	}
+}
+
+// savedArtifact saves a gated Prepare of a three-scene clip — a root with
+// a backbone, dcW5 deltas and int8 verdicts — and returns its directory.
+func savedArtifact(tb testing.TB) string {
+	tb.Helper()
+	clip := testClip(tb, 7, 3, 8)
+	prep, err := Prepare(clip.YUVFrames(), clip.FPS, gatedConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	dir := tb.TempDir()
+	if err := prep.Save(dir); err != nil {
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// rootJSON is root as Save writes it.
+func rootJSON(tb testing.TB, root rootFile) []byte {
+	tb.Helper()
+	raw, err := json.MarshalIndent(&root, "", "  ")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// segmentEdits are hostile edits of a saved root's segment list, each
+// with the segment (-1: the last) Load must name when it refuses it.
+var segmentEdits = []struct {
+	name string
+	seg  int
+	edit func(s []splitter.Segment)
+}{
+	{"negative End", -1, func(s []splitter.Segment) { s[len(s)-1].End = -1 }},
+	{"End past the stream", -1, func(s []splitter.Segment) { s[len(s)-1].End++ }},
+	{"gap", 1, func(s []splitter.Segment) { s[1].Start++ }},
+	{"overlap", 1, func(s []splitter.Segment) { s[1].Start-- }},
+	{"End 1<<40", -1, func(s []splitter.Segment) { s[len(s)-1].End = 1 << 40 }},
+}
+
+// editedRoot is orig with one segmentEdits edit applied to a copy of its
+// segments.
+func editedRoot(orig rootFile, edit func(s []splitter.Segment)) rootFile {
+	root := orig
+	root.Segments = slices.Clone(orig.Segments)
+	edit(root.Segments)
+	return root
+}
+
+// TestLoadRejectsBadSegments: a root whose segments do not tile the coded
+// stream's frames is refused, naming the segment, before anything is
+// sized from the segments.
+func TestLoadRejectsBadSegments(t *testing.T) {
+	dir := savedArtifact(t)
+	orig := mustReadRoot(t, dir)
+	if len(orig.Segments) < 2 {
+		t.Fatalf("%d segments; the gap and overlap cases need two", len(orig.Segments))
+	}
+	for _, tc := range segmentEdits {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(filepath.Join(dir, rootName), rootJSON(t, editedRoot(orig, tc.edit)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			seg := tc.seg
+			if seg < 0 {
+				seg = len(orig.Segments) - 1
+			}
+			if _, err := Load(dir); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("segment %d ", seg)) {
+				t.Errorf("got %v, want an error naming segment %d", err, seg)
+			}
+		})
 	}
 }
 

@@ -2,25 +2,20 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 )
 
-// AtomicField enforces the invariant the obs windowed rings and the
-// admission counters live on: once any code in a package touches a
-// struct field through the function-form sync/atomic API
-// (atomic.AddInt64(&x.f, …), atomic.LoadUint64(&x.f), …), every other
-// access to that field must be atomic too. A single plain read or
-// write against an atomically-updated field is a data race the race
-// detector only catches when a test happens to hit the interleaving —
-// and worse, on 32-bit targets a plain 64-bit read can tear.
-//
-// The atomic touch set comes from the package's dataflow summaries
-// (summary.go); this analyzer then sweeps the package for plain
-// selector accesses to those same fields (object identity, not name
-// matching) outside atomic call arguments. Struct-typed atomics
-// (atomic.Int64 and friends) need no analyzer — their method set is
-// the only access path — and are the preferred fix for any finding
-// here.
+// AtomicField enforces typed atomics for shared struct fields: a field
+// touched through the function-form sync/atomic API
+// (atomic.AddInt64(&x.f, …), atomic.LoadUint64(&x.f), …) is reported.
+// Declared as atomic.Int64 and friends instead, the field's method set
+// is the only access path, so the invariant the function form leaves to
+// discipline — every access atomic, no plain read that races or tears a
+// 64-bit word on 32-bit targets — is enforced by the compiler. The
+// function form on a local or a slice element is not a field and is
+// left alone.
 type AtomicField struct{}
 
 // Name implements Analyzer.
@@ -28,66 +23,48 @@ func (*AtomicField) Name() string { return "atomicfield" }
 
 // Doc implements Analyzer.
 func (*AtomicField) Doc() string {
-	return "a field accessed via sync/atomic is never read or written plainly"
+	return "struct fields shared through sync/atomic are typed atomics"
 }
 
 // Run implements Analyzer.
 func (a *AtomicField) Run(p *Pass) {
-	if p.sum == nil || len(p.sum.atomicFields) == 0 {
-		return
-	}
-	// Invert to object identity for matching.
-	watched := map[*types.Var]fieldKey{}
-	for key, v := range p.sum.fieldObjs {
-		watched[v] = key
-	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
+			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if p.sum.atomicNodes[sel] {
-				return true // this is one of the atomic call sites
-			}
-			s, ok := p.Info.Selections[sel]
-			if !ok || s.Kind() != types.FieldVal {
-				return true
-			}
-			v, ok := s.Obj().(*types.Var)
+			fun, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			key, isWatched := watched[v]
-			if !isWatched {
+			if path, ok := importedPackage(p, fun.X); !ok || path != "sync/atomic" {
 				return true
 			}
-			p.Reportf(sel.Pos(), "plain access to %s, which is accessed via sync/atomic elsewhere in this package; every access must go through sync/atomic (or migrate the field to atomic.%s)",
-				key, atomicTypeFor(v.Type()))
+			for _, arg := range call.Args {
+				addr, ok := arg.(*ast.UnaryExpr)
+				if !ok || addr.Op != token.AND {
+					continue
+				}
+				sel, ok := addr.X.(*ast.SelectorExpr)
+				if !ok {
+					continue
+				}
+				if s, ok := p.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+					p.Reportf(call.Pos(), "atomic.%s on field %s: make the field a typed atomic (atomic.%s) so no plain access can compile",
+						fun.Sel.Name, types.ExprString(sel), typedAtomic(s.Type()))
+				}
+			}
 			return true
 		})
 	}
 }
 
-// atomicTypeFor suggests the typed-atomic migration target for a field
-// type.
-func atomicTypeFor(t types.Type) string {
-	b, ok := t.Underlying().(*types.Basic)
-	if !ok {
-		return "Value"
+// typedAtomic names the sync/atomic type that replaces a field of type
+// t: int64 → Int64, uintptr → Uintptr, unsafe.Pointer → Pointer.
+func typedAtomic(t types.Type) string {
+	if b, ok := t.Underlying().(*types.Basic); ok && b.Kind() != types.UnsafePointer {
+		return strings.ToUpper(b.Name()[:1]) + b.Name()[1:]
 	}
-	switch b.Kind() {
-	case types.Int32:
-		return "Int32"
-	case types.Int64, types.Int:
-		return "Int64"
-	case types.Uint32:
-		return "Uint32"
-	case types.Uint64, types.Uint, types.Uintptr:
-		return "Uint64"
-	case types.Bool:
-		return "Bool"
-	default:
-		return "Value"
-	}
+	return "Pointer"
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // GoLeak requires every goroutine launched in a library package to carry
 // a visible completion signal — a WaitGroup/Context Done, a channel
@@ -14,10 +11,10 @@ import (
 // Two goroutine shapes are understood. A func-literal body is scanned
 // directly. A method or function of the same package launched by name —
 // `go s.serveRequest(…)`, the transport server's per-request dispatch
-// idiom — is resolved through the package dataflow summaries
-// (summary.go): the callee's own body must carry the completion signal. Anything the
-// engine cannot see into (another package's function, a func value) is
-// still reported, because an invisible body is an unauditable one.
+// idiom — is resolved to its declaration, whose body must carry the
+// completion signal. Anything the engine cannot see into (another
+// package's function, a func value) is still reported, because an
+// invisible body is an unauditable one.
 type GoLeak struct{}
 
 // Name implements Analyzer.
@@ -45,12 +42,11 @@ func (a *GoLeak) Run(p *Pass) {
 				}
 				return true
 			}
-			// A method-value goroutine (`go s.serveRequest(…)`) resolves
-			// through the package summaries: the named callee's body is
-			// the goroutine body.
-			if fs := goCalleeSummary(p, g.Call); fs != nil {
-				if !fs.hasCompletion {
-					p.Reportf(g.Pos(), "goroutine %s has no visible completion signal in its body (WaitGroup Done, channel send, or close); a leak here accumulates under load", calleeLabel(fs))
+			// A method-value goroutine (`go s.serveRequest(…)`): the named
+			// callee's body is the goroutine body.
+			if fd := p.callee(g.Call); fd != nil {
+				if !hasCompletionSignal(fd.Body) {
+					p.Reportf(g.Pos(), "goroutine %s has no visible completion signal in its body (WaitGroup Done, channel send, or close); a leak here accumulates under load", fd.Name.Name)
 				}
 				return true
 			}
@@ -58,24 +54,6 @@ func (a *GoLeak) Run(p *Pass) {
 			return true
 		})
 	}
-}
-
-// goCalleeSummary resolves a `go f(…)` / `go s.m(…)` callee to its
-// same-package dataflow summary, or nil when the body is out of sight.
-func goCalleeSummary(p *Pass, call *ast.CallExpr) *funcSummary {
-	if p.sum == nil {
-		return nil
-	}
-	var obj types.Object
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	default:
-		return nil
-	}
-	return p.sum.lookup(obj)
 }
 
 // hasCompletionSignal scans a goroutine body for evidence it is joined:

@@ -12,8 +12,6 @@
 //     output in the bit-deterministic packages
 //   - errcheck — no silently discarded errors from Close/Flush/Write or
 //     any internal/transport call
-//   - nilsafe — exported methods on obs handle types keep their
-//     nil-receiver guard as the first statement
 //   - goleak — goroutines in library packages carry a visible
 //     completion signal (WaitGroup, channel, close)
 //   - ctxcheck — context.Context is always the first parameter and is
@@ -21,24 +19,24 @@
 //   - lockorder — mutexes are acquired in one consistent order
 //     module-wide per package (a cycle in the acquisition graph is a
 //     latent deadlock) and every Lock is released on every return path
-//   - atomicfield — a struct field accessed via sync/atomic is never
-//     read or written plainly in the same package
+//   - atomicfield — a struct field shared through sync/atomic is a
+//     typed atomic, never handed to the function-form API
 //   - errcmp — sentinel and typed errors are matched with
 //     errors.Is/errors.As, never == / != or type assertions
 //   - timerleak — no time.After in loops; NewTimer/NewTicker results
 //     are stopped or handed off
 //
-// The concurrency analyzers share a per-package dataflow layer
-// (summary.go): one pre-pass computes per-function summaries — locks
-// acquired/released, timers stopped, atomic field touches, completion
-// signals — plus a package-local call graph, giving every analyzer one
-// level of interprocedural propagation without repeated AST walks.
+// The nil-receiver contract of the obs handles is not an analyzer: a
+// test in internal/obs calls every exported handle method on nil.
+//
+// Analyzers that look one call deep (goleak, lockorder, timerleak) read
+// the same-package callee's declaration where they need it, through
+// Pass.callee; there is no precomputed summary layer.
 //
 // The Runner analyzes packages one after another: parsing and
-// type-checking are all but the whole run (the ten analyzers plus
-// the summary are about 2 % of a cold ./...), so there is no worker
-// pool and no diagnostic cache. Output is sorted by file, line, column,
-// check, message.
+// type-checking are all but the whole run (the nine analyzers are about
+// 2 % of a cold ./...), so there is no worker pool and no diagnostic
+// cache. Output is sorted by file, line, column, check, message.
 //
 // A diagnostic is suppressed — never silenced — with a reasoned
 // directive on or directly above the offending line:
@@ -99,9 +97,26 @@ type Pass struct {
 
 	check string
 	diags *[]Diagnostic
-	// sum is the package's shared dataflow summary (summary.go), built
-	// once per package before any analyzer runs.
-	sum *pkgSummary
+	// decls indexes the package's function declarations by object,
+	// built once per package for callee.
+	decls map[*types.Func]*ast.FuncDecl
+}
+
+// callee returns the declaration of the same-package function or method
+// that call invokes by name, or nil when its body is out of sight
+// (another package, a func value, missing type information).
+func (p *Pass) callee(call *ast.CallExpr) *ast.FuncDecl {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return p.decls[fn]
 }
 
 // Reportf records a diagnostic for the running analyzer at pos.
@@ -171,16 +186,16 @@ func (r *Runner) Lint(patterns ...string) ([]Diagnostic, error) {
 
 func (r *Runner) lintPackage(pkg *Package, known map[string]bool) []Diagnostic {
 	var raw []Diagnostic
-	// Build the shared dataflow summary once; every analyzer sees the
-	// same pkgSummary through its Pass.
-	base := &Pass{
-		Fset:  r.Module.Fset,
-		Path:  pkg.ImportPath,
-		Files: pkg.Files,
-		Pkg:   pkg.Types,
-		Info:  pkg.Info,
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					decls[fn] = fd
+				}
+			}
+		}
 	}
-	sum := summarize(base)
 	for _, a := range r.Analyzers {
 		p := &Pass{
 			Fset:  r.Module.Fset,
@@ -190,7 +205,7 @@ func (r *Runner) lintPackage(pkg *Package, known map[string]bool) []Diagnostic {
 			Info:  pkg.Info,
 			check: a.Name(),
 			diags: &raw,
-			sum:   sum,
+			decls: decls,
 		}
 		a.Run(p)
 	}
@@ -238,7 +253,6 @@ func DefaultAnalyzers(m *Module) ([]Analyzer, error) {
 		&NoDeterm{Pkgs: deterministicPkgs(m.Path)},
 		&ErrCheck{Methods: map[string]bool{"Close": true, "Flush": true, "Write": true},
 			PkgPaths: map[string]bool{m.Path + "/internal/transport": true}},
-		&NilSafe{PkgPath: m.Path + "/internal/obs"},
 		&GoLeak{},
 		&CtxCheck{},
 		&LockOrder{},

@@ -61,9 +61,6 @@ func TestFixtures(t *testing.T) {
 				&GoLeak{}, // exercises the stacked two-check suppression
 			}
 		}},
-		{"nilsafe", func(path string) []Analyzer {
-			return []Analyzer{&NilSafe{PkgPath: path}}
-		}},
 		{"goleak", func(path string) []Analyzer {
 			return []Analyzer{&GoLeak{}}
 		}},
@@ -200,16 +197,21 @@ func TestParseDirective(t *testing.T) {
 	}
 }
 
-// TestDirectiveDiagnostics runs the directive fixture end to end: each
-// malformed //lint: comment becomes a "directive" diagnostic, the
-// underlying findings those comments failed to suppress survive, and the
-// one valid directive in the file still works — while an attempt to
-// allow the "directive" pseudo-check itself is rejected as unknown.
+// TestDirectiveDiagnostics runs the directive fixture end to end under
+// the default analyzer set: each malformed //lint: comment becomes a
+// "directive" diagnostic, the underlying findings those comments failed
+// to suppress survive, and the one valid directive in the file still
+// works — while an attempt to allow the "directive" pseudo-check itself,
+// or a retired analyzer, is rejected as unknown.
 func TestDirectiveDiagnostics(t *testing.T) {
 	m := newTestModule(t)
 	rel := fixtureBase + "/directive"
 	path := m.Path + "/" + rel
-	r := &Runner{Module: m, Analyzers: []Analyzer{&NoDeterm{Pkgs: map[string]bool{path: true}}}}
+	as, err := DefaultAnalyzers(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Module: m, Analyzers: append(as, &NoDeterm{Pkgs: map[string]bool{path: true}})}
 	diags, err := r.Lint(rel)
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +233,7 @@ func TestDirectiveDiagnostics(t *testing.T) {
 		`unknown check "bogus"`,
 		`//lint:allow nodeterm is missing the required reason`,
 		`unknown check "directive"`,
+		`unknown check "nilsafe" \(known checks: atomicfield, ctxcheck, errcheck, errcmp, goleak, lockorder, metricnames, nodeterm, timerleak\)`,
 	}
 	if len(directive) != len(wantDirective) {
 		t.Errorf("got %d directive diagnostics, want %d: %v", len(directive), len(wantDirective), directive)
@@ -247,11 +250,11 @@ func TestDirectiveDiagnostics(t *testing.T) {
 			t.Errorf("no directive diagnostic matches %q", re)
 		}
 	}
-	// The four malformed directives suppress nothing, so their functions'
-	// wall-clock reads must all survive; the valid directive inside
-	// Unsuppressable removes the fifth.
-	if len(nodeterm) != 4 {
-		t.Errorf("got %d surviving nodeterm diagnostics, want 4: %v", len(nodeterm), nodeterm)
+	// The four malformed directives and the retired check suppress
+	// nothing, so their functions' wall-clock reads must all survive; the
+	// valid directive inside Unsuppressable removes the sixth.
+	if len(nodeterm) != 5 {
+		t.Errorf("got %d surviving nodeterm diagnostics, want 5: %v", len(nodeterm), nodeterm)
 	}
 }
 

@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strings"
 )
 
-// LockOrder enforces two mutex invariants over a package's lock graph,
-// built from the dataflow summaries (summary.go):
+// LockOrder enforces two mutex invariants over a package's lock graph:
 //
 //  1. Consistent acquisition order. Every "acquire B while holding A"
 //     observed anywhere in the package — directly, or one call level
-//     deep through a same-package callee's summary — becomes an edge
+//     deep through a same-package callee's body — becomes an edge
 //     A→B in the package lock graph. A cycle in that graph means two
 //     code paths take the same pair of lock classes in opposite
 //     orders: the classic ABBA deadlock, which no test reliably
@@ -38,7 +38,10 @@ import (
 // if every surviving branch holds it), so a conditional unlock is
 // understood and a conditional acquire never false-positives. Function
 // literals (goroutine bodies, deferred closures) are walked as
-// separate functions with an empty held set.
+// separate functions with an empty held set. A same-package callee is
+// read flow-insensitively, in source order: the classes it acquires,
+// and the ones it releases without acquiring first (the unlock-helper
+// idiom, which releases the caller's lock).
 type LockOrder struct{}
 
 // Name implements Analyzer.
@@ -54,17 +57,14 @@ func (*LockOrder) Doc() string {
 type lockEdge struct {
 	from, to string
 	pos      token.Pos
-	// via names the same-package callee whose summary contributed the
-	// edge, "" for a direct acquisition.
+	// via names the same-package callee that contributed the edge, ""
+	// for a direct acquisition.
 	via string
 }
 
 // Run implements Analyzer.
 func (a *LockOrder) Run(p *Pass) {
-	if p.sum == nil {
-		return
-	}
-	w := &lockWalker{p: p, edges: map[string]lockEdge{}}
+	w := &lockWalker{p: p, edges: map[string]lockEdge{}, callees: map[*ast.FuncDecl]*calleeLocks{}}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -101,6 +101,54 @@ type lockWalker struct {
 	edges map[string]lockEdge // "from\x00to" → earliest witness
 	// reported dedupes leak findings by acquisition site.
 	reported map[token.Pos]bool
+	// callees memoises what each same-package callee does to its
+	// caller's locks.
+	callees map[*ast.FuncDecl]*calleeLocks
+}
+
+// calleeLocks is what a call to a same-package function does to the
+// caller's held set, read from the callee's body in source order.
+type calleeLocks struct {
+	name     string
+	acquires []string // lock classes it acquires
+	releases []string // classes it releases without acquiring them first
+}
+
+// calleeLocks reads call's same-package callee once per walk; nil when
+// the body is out of sight.
+func (w *lockWalker) calleeLocks(call *ast.CallExpr) *calleeLocks {
+	fd := w.p.callee(call)
+	if fd == nil {
+		return nil
+	}
+	if cl, ok := w.callees[fd]; ok {
+		return cl
+	}
+	cl := &calleeLocks{name: fd.Name.Name}
+	acquired := map[string]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := c.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if op, ok := mutexOp(w.p, sel); ok {
+			if key, ok := lockClass(w.p, sel.X); ok {
+				if op.acquire {
+					cl.acquires = append(cl.acquires, key)
+					acquired[key] = true
+				} else if !acquired[key] {
+					cl.releases = append(cl.releases, key)
+				}
+			}
+		}
+		return true
+	})
+	w.callees[fd] = cl
+	return cl
 }
 
 func (w *lockWalker) walkFunc(body *ast.BlockStmt) {
@@ -330,7 +378,7 @@ func (w *lockWalker) scanExpr(e ast.Expr, held heldSet) {
 }
 
 // applyCall updates held for one call: mutex operations directly, and
-// same-package callees through their summaries (one propagation level).
+// same-package callees through their bodies (one call level).
 func (w *lockWalker) applyCall(call *ast.CallExpr, held heldSet) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if op, ok := mutexOp(w.p, sel); ok {
@@ -349,24 +397,16 @@ func (w *lockWalker) applyCall(call *ast.CallExpr, held heldSet) {
 			return
 		}
 	}
-	// One level of summary propagation for same-package callees.
-	var callee *funcSummary
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		callee = w.p.sum.lookup(w.p.Info.Uses[fun])
-	case *ast.SelectorExpr:
-		callee = w.p.sum.lookup(w.p.Info.Uses[fun.Sel])
-	}
-	if callee == nil {
+	cl := w.calleeLocks(call)
+	if cl == nil {
 		return
 	}
-	name := calleeLabel(callee)
-	for _, acq := range callee.acquires {
-		w.recordEdges(held, acq.key, call.Pos(), name)
+	for _, key := range cl.acquires {
+		w.recordEdges(held, key, call.Pos(), cl.name)
 	}
 	// A helper that releases a lock it did not acquire is releasing
 	// ours (the unlock-helper idiom).
-	for _, key := range callee.releasesUnheld {
+	for _, key := range cl.releases {
 		delete(held, key)
 	}
 }
@@ -408,15 +448,8 @@ func (w *lockWalker) applyDefer(s *ast.DeferStmt, held heldSet) {
 		return
 	}
 	// Deferred same-package unlock helper.
-	var callee *funcSummary
-	switch fun := s.Call.Fun.(type) {
-	case *ast.Ident:
-		callee = w.p.sum.lookup(w.p.Info.Uses[fun])
-	case *ast.SelectorExpr:
-		callee = w.p.sum.lookup(w.p.Info.Uses[fun.Sel])
-	}
-	if callee != nil {
-		for _, key := range callee.releasesUnheld {
+	if cl := w.calleeLocks(s.Call); cl != nil {
+		for _, key := range cl.releases {
 			markDeferred(key)
 		}
 	}
@@ -466,9 +499,12 @@ func (w *lockWalker) reportCycles() {
 	for _, e := range w.edges {
 		adj[e.from] = append(adj[e.from], e)
 	}
+	nodes := make([]string, 0, len(adj))
 	for from := range adj {
+		nodes = append(nodes, from)
 		sort.Slice(adj[from], func(i, j int) bool { return adj[from][i].to < adj[from][j].to })
 	}
+	sort.Strings(nodes)
 	seen := map[string]bool{} // canonical cycle signature → reported
 	var stack []lockEdge
 	onPath := map[string]bool{}
@@ -495,7 +531,7 @@ func (w *lockWalker) reportCycles() {
 		}
 		onPath[node] = false
 	}
-	for _, node := range sortedKeys(adj) {
+	for _, node := range nodes {
 		dfs(node)
 	}
 }
@@ -539,12 +575,111 @@ func (w *lockWalker) reportCycle(cycle []lockEdge, seen map[string]bool) {
 		strings.Join(parts, ", "))
 }
 
-// calleeLabel renders a summary's function for diagnostics.
-func calleeLabel(fs *funcSummary) string {
-	if fs.obj == nil {
-		return "a callee"
+// lockOp classifies one sync mutex method.
+type lockOp struct {
+	acquire bool // Lock/RLock/TryLock vs Unlock/RUnlock
+	read    bool // RLock/RUnlock
+}
+
+var mutexOpNames = map[string]lockOp{
+	"Lock":     {acquire: true},
+	"RLock":    {acquire: true, read: true},
+	"TryLock":  {acquire: true},
+	"TryRLock": {acquire: true, read: true},
+	"Unlock":   {},
+	"RUnlock":  {read: true},
+}
+
+// mutexOp reports whether sel is a method call on a sync.Mutex,
+// sync.RWMutex, or sync.Locker, and which operation it is.
+func mutexOp(p *Pass, sel *ast.SelectorExpr) (lockOp, bool) {
+	op, named := mutexOpNames[sel.Sel.Name]
+	if !named {
+		return lockOp{}, false
 	}
-	return fs.obj.Name()
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return lockOp{}, false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return lockOp{}, false
+	}
+	recv := sig.Recv().Type().String()
+	if !strings.Contains(recv, "sync.Mutex") && !strings.Contains(recv, "sync.RWMutex") && !strings.Contains(recv, "sync.Locker") {
+		return lockOp{}, false
+	}
+	return op, true
+}
+
+// lockClass canonicalizes the receiver expression of a mutex operation
+// to a package-wide identity. Field chains rooted at a variable are
+// keyed by the variable's named type plus the field path ("MuxClient.mu",
+// "Server.stats"), so every instance of a type shares one lock class —
+// the standard coarsening for lock-order analysis. Package-level mutex
+// variables are keyed by name. Local mutex variables and anything
+// unresolvable return ok=false and stay out of the lock graph.
+func lockClass(p *Pass, expr ast.Expr) (string, bool) {
+	switch e := expr.(type) {
+	case *ast.Ident:
+		obj := p.Info.Uses[e]
+		if v, ok := obj.(*types.Var); ok {
+			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				return v.Name(), true // package-level mutex
+			}
+			// A receiver or parameter that IS the mutex: key by its type
+			// when named (e.g. a *sync.Mutex passed around), else skip.
+			if tn := namedTypeName(v.Type()); tn != "" && tn != "Mutex" && tn != "RWMutex" {
+				return tn, true
+			}
+		}
+		return "", false
+	case *ast.SelectorExpr:
+		// Walk to the root, collecting the field path.
+		var path []string
+		cur := expr
+		for {
+			sel, ok := cur.(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			path = append([]string{sel.Sel.Name}, path...)
+			cur = sel.X
+		}
+		root, ok := cur.(*ast.Ident)
+		if !ok {
+			return "", false
+		}
+		v, ok := p.Info.Uses[root].(*types.Var)
+		if !ok {
+			return "", false
+		}
+		if tn := namedTypeName(v.Type()); tn != "" {
+			return tn + "." + strings.Join(path, "."), true
+		}
+		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return v.Name() + "." + strings.Join(path, "."), true
+		}
+		return "", false
+	case *ast.ParenExpr:
+		return lockClass(p, e.X)
+	}
+	return "", false
+}
+
+// namedTypeName returns the name of the named type behind t (through
+// pointers), or "".
+func namedTypeName(t types.Type) string {
+	for {
+		switch tt := t.(type) {
+		case *types.Pointer:
+			t = tt.Elem()
+		case *types.Named:
+			return tt.Obj().Name()
+		default:
+			return ""
+		}
+	}
 }
 
 // shortPath trims the path to its last two elements for readable

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 )
 
@@ -36,10 +35,6 @@ var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 type MetricNames struct {
 	// Docs is the documented metric-name set (see DocMetricNames).
 	Docs map[string]bool
-	// Seen, when non-nil, receives every statically resolved metric
-	// name — the extraction half reused by ModuleMetricNames and the
-	// docs round-trip test.
-	Seen func(name string)
 }
 
 // Name implements Analyzer.
@@ -79,9 +74,6 @@ func (a *MetricNames) Run(p *Pass) {
 				return true
 			}
 			name := constant.StringVal(tv.Value)
-			if a.Seen != nil {
-				a.Seen(name)
-			}
 			if !snakeCase.MatchString(name) {
 				p.Reportf(arg.Pos(), "metric name %q is not snake_case", name)
 				return true
@@ -170,34 +162,5 @@ func DocMetricNames(root string) (map[string]bool, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lint: no metric rows parsed from %s", path)
 	}
-	return names, nil
-}
-
-// ModuleMetricNames statically extracts every metric name constructed
-// anywhere in the module's non-test code — the code half of the
-// docs ⇄ code metric contract. Names that reach constructors only
-// through non-constant expressions are reported by the metricnames
-// analyzer instead, so the returned set is exactly the statically
-// pinned surface.
-func ModuleMetricNames(dir string) ([]string, error) {
-	root, err := FindModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	m, err := LoadModule(root)
-	if err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	a := &MetricNames{Seen: func(name string) { seen[name] = true }}
-	r := &Runner{Module: m, Analyzers: []Analyzer{a}}
-	if _, err := r.Lint("./..."); err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	return names, nil
 }

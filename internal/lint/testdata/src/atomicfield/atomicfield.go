@@ -1,48 +1,48 @@
-// Package atomicfield is a lint fixture for the mixed-access analyzer:
-// a field touched via sync/atomic in one method and plainly in others,
-// an untouched sibling field that must stay silent, and a suppressed
-// pre-publication write.
+// Package atomicfield is a lint fixture for the typed-atomics analyzer:
+// function-form sync/atomic calls on struct fields are flagged, while a
+// typed atomic field, the function form on a local, and a suppressed
+// call stay silent.
 package atomicfield
 
 import "sync/atomic"
 
-// Counter mixes an atomically-maintained field (hits) with a plain one
-// (misses, guarded elsewhere, never touched atomically).
+// Counter keeps a plain integer shared through the function-form API
+// (hits) and a typed atomic (misses).
 type Counter struct {
 	hits   int64
-	misses int64
+	flags  uint32
+	misses atomic.Int64
 }
 
-// Inc establishes hits as an atomic field.
+// Inc updates the plain field atomically.
 func (c *Counter) Inc() {
-	atomic.AddInt64(&c.hits, 1)
+	atomic.AddInt64(&c.hits, 1) // want "atomic.AddInt64 on field c.hits: make the field a typed atomic \(atomic.Int64\)"
 }
 
-// Load is the correct read path.
+// Load reads it atomically.
 func (c *Counter) Load() int64 {
-	return atomic.LoadInt64(&c.hits)
+	return atomic.LoadInt64(&c.hits) // want "atomic.LoadInt64 on field c.hits"
 }
 
-// Racy reads the atomic field plainly.
-func (c *Counter) Racy() int64 {
-	return c.hits // want "plain access to Counter.hits"
+// SetFlag swaps a uint32 field.
+func (c *Counter) SetFlag() bool {
+	return atomic.CompareAndSwapUint32(&c.flags, 0, 1) // want "make the field a typed atomic \(atomic.Uint32\)"
 }
 
-// Reset writes the atomic field plainly.
-func (c *Counter) Reset() {
-	c.hits = 0 // want "plain access to Counter.hits"
+// Miss goes through the typed atomic's method set: nothing to report.
+func (c *Counter) Miss() int64 {
+	return c.misses.Add(1)
 }
 
-// Misses is fine: the misses field is never accessed atomically.
-func (c *Counter) Misses() int64 {
-	return c.misses
+// Local uses the function form on a local, which is not a shared field.
+func Local() int64 {
+	var n int64
+	atomic.AddInt64(&n, 1)
+	return atomic.LoadInt64(&n)
 }
 
-// New initializes before publication; no other goroutine can see the
-// write, and the suppression records that happens-before argument.
-func New() *Counter {
-	c := &Counter{}
-	//lint:allow atomicfield pre-publication write: the constructor result has not escaped yet
-	c.hits = 0
-	return c
+// Legacy keeps the function form with a recorded reason.
+func (c *Counter) Legacy() {
+	//lint:allow atomicfield fixture: the suppressed function-form call is the case under test
+	atomic.StoreInt64(&c.hits, 0)
 }

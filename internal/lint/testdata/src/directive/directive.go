@@ -35,3 +35,11 @@ func Unsuppressable() time.Time {
 	//lint:allow nodeterm fixture: this wall-clock read is the control case
 	return time.Now()
 }
+
+// RetiredCheck names an analyzer that no longer exists: the directive
+// is an unknown check and suppresses nothing.
+//
+//lint:allow nilsafe the nil-receiver contract of obs handles is a test now
+func RetiredCheck() time.Time {
+	return time.Now()
+}

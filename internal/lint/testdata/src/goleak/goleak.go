@@ -1,7 +1,7 @@
 // Package goleak is a lint fixture for the goroutine-join analyzer:
-// opaque and unjoined launches, method-value goroutines resolved
-// through the package summaries, each accepted completion signal, and a
-// suppressed case.
+// opaque and unjoined launches, method-value goroutines resolved to
+// their same-package declarations, each accepted completion signal, and
+// a suppressed case.
 package goleak
 
 import (
@@ -48,8 +48,8 @@ func (s *server) leakyRequest(req int) {
 	_ = req
 }
 
-// Dispatch launches method-value goroutines; the analyzer resolves the
-// named method bodies through the package summaries.
+// Dispatch launches method-value goroutines; the analyzer reads the
+// named methods' bodies.
 func (s *server) Dispatch() {
 	s.wg.Add(1)
 	go s.serveRequest(1)

@@ -1,7 +1,7 @@
 // Package lockorder is a lint fixture for the lock-order analyzer: an
-// ABBA cycle (one hop contributed through a callee summary), leaks on
-// return paths, the balanced/deferred/helper release idioms that must
-// stay silent, and a suppressed hand-off case.
+// ABBA cycle (one hop through a callee's body), leaks on return paths,
+// the balanced/deferred/helper release idioms that must stay silent (one
+// unlock helper on three paths), and a suppressed hand-off case.
 package lockorder
 
 import "sync"
@@ -23,14 +23,14 @@ func Reversed(a *A, b *B) {
 	b.mu.Unlock()
 }
 
-// poke acquires B.mu; its summary carries that fact to callers.
+// poke acquires B.mu; callers read that from its body.
 func (b *B) poke() {
 	b.mu.Lock()
 	b.mu.Unlock()
 }
 
 // Propagated contributes the A.mu→B.mu edge one call level deep: it
-// holds A.mu across b.poke(), whose summary says poke acquires B.mu.
+// holds A.mu across b.poke(), whose body acquires B.mu.
 func Propagated(a *A, b *B) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -78,14 +78,31 @@ func DeferRelease(a *A, n int) int {
 	return -n
 }
 
-// unlock releases a lock its caller holds — the unlock-helper idiom;
-// the summary records it as an unheld release.
+// unlock releases a lock its caller holds — the unlock-helper idiom: a
+// release of a class the body never acquired.
 func (g *G) unlock() { g.mu.Unlock() }
 
 // Helper releases through the deferred helper; no leak.
 func Helper(g *G) {
 	g.mu.Lock()
 	defer g.unlock()
+}
+
+// HelperDirect calls the same helper Helper defers; no leak.
+func HelperDirect(g *G) {
+	g.mu.Lock()
+	g.unlock()
+}
+
+// HelperOneArm releases through the helper on one path only: the
+// helper's body, read once, applies where it is called and nowhere else.
+func HelperOneArm(g *G, fail bool) bool {
+	g.mu.Lock() // want "Lock of G.mu is not released on every return path"
+	if fail {
+		g.unlock()
+		return false
+	}
+	return true
 }
 
 // ClosureRelease unlocks inside a deferred closure; no leak.

@@ -1,7 +1,7 @@
 // Package timerleak is a lint fixture for the timer-hygiene analyzer:
 // time.After in loops, time.Tick in a library, unstopped and discarded
-// NewTimer/NewTicker results (including the summary-propagation case of
-// a callee that ignores its ticker), the stop/hand-off shapes that must
+// NewTimer/NewTicker results (including the one-call-deep case of a
+// callee that ignores its ticker), the stop/hand-off shapes that must
 // stay silent, and a suppressed case.
 package timerleak
 
@@ -61,7 +61,7 @@ func TimerReturned() *time.Timer {
 	return t
 }
 
-// stopLater provably stops its parameter; its summary says so.
+// stopLater provably stops its parameter; its body says so.
 func stopLater(t *time.Ticker) {
 	t.Stop()
 }
@@ -78,7 +78,7 @@ func ignoreTicker(t *time.Ticker) {
 }
 
 // TickerIgnored hands the ticker to a callee that ignores it — still a
-// leak, caught through the callee summary.
+// leak, caught by reading the callee's body.
 func TickerIgnored() {
 	tk := time.NewTicker(time.Second) // want "time.NewTicker result tk is never stopped"
 	ignoreTicker(tk)

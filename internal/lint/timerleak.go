@@ -18,9 +18,9 @@ import (
 //   - a *time.Timer / *time.Ticker from time.NewTimer/NewTicker must
 //     be stopped in the function that created it (Stop call or defer),
 //     or escape to an owner: returned, stored, or passed on. Passing
-//     it to a same-package function resolves through that callee's
-//     summary (one propagation level): a callee that neither stops nor
-//     re-exports the value does not count as an owner.
+//     it to a same-package function reads that callee's body (one call
+//     level): a callee that never uses the parameter does not count as
+//     an owner.
 //
 // The Stop requirement is an existence check, not a path-sensitive
 // one: a timer stopped on one path and returned on another is the
@@ -147,7 +147,7 @@ func timerHandled(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
 				}
 			}
 			// Passed to a callee: unknown callees are conservative
-			// owners; same-package callees answer from their summary.
+			// owners; same-package callees answer from their body.
 			for i, arg := range n.Args {
 				if identIs(p, arg, obj) && passConsumes(p, n, i) {
 					handled = true
@@ -198,41 +198,37 @@ func timerHandled(p *Pass, body *ast.BlockStmt, obj types.Object) bool {
 
 // passConsumes decides whether passing a value as argument i of call
 // counts as handing it on. Unknown callees are conservative "yes"; a
-// same-package callee answers from its summary (one propagation level):
-// the parameter must be stopped or escape.
+// same-package callee must use the parameter somewhere in its body —
+// stop it, or pass, store or return it.
 func passConsumes(p *Pass, call *ast.CallExpr, i int) bool {
-	var callee *funcSummary
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		callee = p.sum.lookup(p.Info.Uses[fun])
-	case *ast.SelectorExpr:
-		callee = p.sum.lookup(p.Info.Uses[fun.Sel])
-	}
-	if callee == nil {
+	fd := p.callee(call)
+	if fd == nil {
 		return true // cannot see the callee: assume it uses the value
 	}
-	// Map argument index to parameter index; methods called as m.f(a)
-	// line up directly, variadic tails collapse onto the last parameter.
-	pi := i
-	if n := paramCount(callee.decl.Type); n > 0 && pi >= n {
-		pi = n - 1
-	}
-	u := callee.params[pi]
-	return u.stopped || u.escapes
-}
-
-func paramCount(ft *ast.FuncType) int {
-	n := 0
-	if ft.Params != nil {
-		for _, f := range ft.Params.List {
-			if len(f.Names) == 0 {
-				n++
-			} else {
-				n += len(f.Names)
-			}
+	// Map argument index to parameter; methods called as m.f(a) line up
+	// directly, variadic tails collapse onto the last parameter.
+	var params []*ast.Ident
+	for _, f := range fd.Type.Params.List {
+		if len(f.Names) == 0 {
+			params = append(params, nil)
 		}
+		params = append(params, f.Names...)
 	}
-	return n
+	if len(params) == 0 {
+		return false
+	}
+	param := p.Info.Defs[params[min(i, len(params)-1)]]
+	if param == nil {
+		return false // unnamed: the body cannot reach it
+	}
+	used := false
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && p.Info.Uses[id] == param {
+			used = true
+		}
+		return !used
+	})
+	return used
 }
 
 func identIs(p *Pass, e ast.Expr, obj types.Object) bool {

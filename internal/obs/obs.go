@@ -10,6 +10,8 @@
 // nothing when observability is disabled. Components therefore take a
 // plain `Obs *obs.Obs` field (or parameter) whose zero value means
 // "off"; the instrumentation call sites never branch on it.
+// TestNilHandlesAreNoOps holds every exported handle method to this by
+// calling it on nil.
 //
 // Stable metric surface (asserted by tests, tabulated with meanings in
 // docs/OPERATIONS.md):

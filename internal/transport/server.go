@@ -448,9 +448,9 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 
 // serveRequest is the per-request worker: it serves one admitted request,
 // then releases its admission slot and joins the connection's WaitGroup.
-// The goleak analyzer resolves this named method through the package
-// dataflow summaries and verifies the completion signal lives here, in
-// the body, not at the launch site.
+// The goleak analyzer resolves this named method to its declaration and
+// verifies the completion signal lives here, in the body, not at the
+// launch site.
 func (s *Server) serveRequest(cw *connWriter, m *connMetrics, adm *admission, req wireRequest, wg *sync.WaitGroup, release func()) {
 	defer wg.Done()
 	defer release()

@@ -26,8 +26,10 @@ import (
 // (drops, a timeout, degraded model fetches), a not-found request and an
 // unknown opcode, so every stable metric is registered. The documented
 // set comes from the same parser the lint pass uses (lint.DocMetricNames),
-// so this test, dcsr-lint, and TestMetricSurfaceStatic can never disagree
-// about what the table says.
+// so this test and dcsr-lint can never disagree about what the table
+// says. Between them they gate both directions: the metricnames analyzer
+// (TestLintRepo) fails on a name constructed in code but not documented,
+// and this test on a documented name nothing registers.
 func TestOperationsDocMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the pipeline; skipped in short mode")

@@ -15,10 +15,10 @@ var (
 	servingFlagTok   = regexp.MustCompile(`^-[a-z][a-z-]*$`)
 )
 
-// TestServingDocPins keeps docs/SERVING.md honest the same way
-// TestMetricSurfaceStatic keeps docs/OPERATIONS.md honest: every metric
+// TestServingDocPins keeps docs/SERVING.md honest the way
+// TestOperationsDocMetrics keeps docs/OPERATIONS.md honest: every metric
 // name the runbook cites must be a documented metric (a row in the
-// OPERATIONS.md table, which is itself diffed against the code), and
+// OPERATIONS.md table, which is itself checked against the code), and
 // every CLI flag it cites must actually be defined by dcsr-serve or
 // dcsr-play. A renamed metric or flag then fails here instead of
 // silently stranding the operator guide.
