@@ -38,16 +38,18 @@ lint:
 test:
 	$(GO) test ./...
 
-# A few seconds of native fuzzing per wire parser, per kernel
-# differential (every lane vs the reference, bit for bit), for the
-# weight decoders (dcW1, dcW5 delta), for the codec's stream decoder and
-# for an artifact's stages.json root under core.Load (error or a valid
-# result, never a panic, bounded allocation); go test
+# A few seconds of native fuzzing per wire parser (frames, manifest,
+# directory), per kernel differential (every lane vs the reference, bit
+# for bit), for the weight decoders (dcW1, dcW5 delta), for the codec's
+# stream decoder and for an artifact's stages.json root under core.Load
+# (error or a valid result, never a panic, bounded allocation); go test
 # accepts one -fuzz target per run. A crasher is written under the
 # package's testdata/fuzz/ — commit it as a seed with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadRequest$$' -fuzztime 5s
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime 5s
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeWireManifest$$' -fuzztime 5s
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeWireDirectory$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 5s
 	$(GO) test ./internal/tensor -run '^$$' -fuzz '^FuzzConvKernels$$' -fuzztime 5s
 	$(GO) test ./internal/nn -run '^$$' -fuzz '^FuzzLoadWeights$$' -fuzztime 5s

@@ -13,7 +13,9 @@
 // -fault-delay, -fault-seed) and the client's fault tolerance configured
 // (-retries, -timeout); see docs/OPERATIONS.md. Against a multi-video
 // origin, -list-videos prints the hosted directory and -video <digest>
-// routes the playback at one hosted video (docs/SERVING.md).
+// routes the playback at one hosted video (docs/SERVING.md). Either way
+// the same playback engine runs with the same options (-no-cache,
+// -cache-budget, -no-int8), over the loaded artifact or the wire.
 //
 // -trace prints the playback's span tree as JSON when it finishes. Over
 // -addr the client also propagates its trace context on the wire, so the
@@ -37,10 +39,13 @@ import (
 	"os"
 	"time"
 
+	"dcsr/internal/codec"
 	"dcsr/internal/core"
+	"dcsr/internal/edsr"
 	"dcsr/internal/faultnet"
 	"dcsr/internal/obs"
 	"dcsr/internal/quality"
+	"dcsr/internal/stream"
 	"dcsr/internal/transport"
 	"dcsr/internal/video"
 )
@@ -66,61 +71,65 @@ func main() {
 	listVideos := flag.Bool("list-videos", false, "with -addr: list the origin's hosted videos (digest, segments, models, bytes) and exit")
 	flag.Parse()
 
-	if *addr != "" {
-		playFromNetwork(netOptions{
-			addr: *addr, rate: *rate,
-			faultDrop: *faultDrop, faultDelay: *faultDelay, faultSeed: *faultSeed,
-			retries: *retries, timeout: *timeout, cacheBudget: *cacheBudget,
-			trace: *trace, video: *videoDigest, listVideos: *listVideos,
-			noInt8: *noInt8,
-		})
-		return
-	}
-	if *videoDigest != "" || *listVideos {
-		fmt.Fprintln(os.Stderr, "dcsr-play: -video and -list-videos need -addr (digest routing is a serving feature)")
-		os.Exit(2)
-	}
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "dcsr-play: one of -in or -addr is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	prep, err := core.Load(*in)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("loaded artifact: %d segments, %d micro models (%s), stream %d bytes\n",
-		len(prep.Segments), len(prep.Models), prep.MicroConfig, prep.Manifest.TotalVideoBytes())
-
-	player := core.NewPlayer(prep)
-	player.UseCache = !*noCache
-	player.Int8 = !*noInt8
-	player.CacheBudget = *cacheBudget
 	var o *obs.Obs
 	if *trace {
 		o = obs.New()
-		player.Obs = o
 	}
-	res, err := player.Play()
+	opts := stream.Options{Enhance: true, Int8: !*noInt8, CacheBudget: -1, Propagation: codec.PropagateDelta, Obs: o, Log: o.Logger()}
+	switch {
+	case *noCache:
+		opts.CacheBudget = 0
+	case *cacheBudget > 0:
+		opts.CacheBudget = *cacheBudget
+	}
+	ctx := context.Background()
+	var src source
+	switch {
+	case *addr != "":
+		src = dialOrigin(ctx, netOptions{
+			addr: *addr, rate: *rate,
+			faultDrop: *faultDrop, faultDelay: *faultDelay, faultSeed: *faultSeed,
+			retries: *retries, timeout: *timeout, video: *videoDigest, listVideos: *listVideos,
+		}, o)
+	case *videoDigest != "" || *listVideos:
+		fatalf(2, "-video and -list-videos need -addr (digest routing is a serving feature)")
+	case *in == "":
+		fmt.Fprintln(os.Stderr, "dcsr-play: one of -in or -addr is required")
+		flag.Usage()
+		os.Exit(2)
+	default:
+		prep, err := core.Load(*in)
+		if err != nil {
+			fatalf(1, "%v", err)
+		}
+		fmt.Printf("loaded artifact: %d segments, %d micro models (%s), stream %d bytes\n",
+			len(prep.Segments), len(prep.Models), prep.MicroConfig, prep.Manifest.TotalVideoBytes())
+		src = source{prep.Manifest, prep.MicroConfig, prep, nil}
+	}
+
+	root := o.Start("play")
+	frames, sess, dec, err := play(obs.WithSpan(ctx, root), src, opts, root)
+	root.End()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
 	printTraces(o)
-	fmt.Printf("decoded %d frames (%d I, %d P, %d B), %d I frames enhanced (%d on the int8 path)\n",
-		res.Decode.Frames(), res.Decode.IFrames, res.Decode.PFrames, res.Decode.BFrames,
-		res.Decode.Enhanced, res.Decode.EnhancedInt8)
+	fmt.Printf("played %d frames (%d I, %d P, %d B) over %d segments\n",
+		dec.Frames(), dec.IFrames, dec.PFrames, dec.BFrames, len(sess.Events))
+	fmt.Printf("%d I frames enhanced in-loop (%d on the int8 path)\n", dec.Enhanced, dec.EnhancedInt8)
 	fmt.Printf("downloaded: video %d B + models %d B = %d B (%d model downloads, %d cache hits)\n",
-		res.Session.VideoBytes, res.Session.ModelBytes, res.TotalBytes(),
-		res.Session.Downloads, res.Session.CacheHits)
-	if res.BackboneBytes > 0 || res.DeltaModelBytes > 0 {
+		sess.VideoBytes, sess.ModelBytes, sess.TotalBytes(), sess.Downloads, sess.CacheHits)
+	if sess.BackboneBytes > 0 || sess.DeltaModelBytes > 0 {
 		fmt.Printf("model stream: backbone %d B + deltas %d B + full %d B\n",
-			res.BackboneBytes, res.DeltaModelBytes, res.FullModelBytes)
+			sess.BackboneBytes, sess.DeltaModelBytes, sess.FullModelBytes)
 	}
-	if res.Evictions > 0 {
+	if sess.Evictions > 0 {
 		fmt.Printf("cache budget %d B: %d evictions, %d B resident at end\n",
-			*cacheBudget, res.Evictions, res.CacheBytes)
+			opts.CacheBudget, sess.Evictions, sess.CacheBytes)
+	}
+	if c := src.client; c != nil && (sess.DegradedSegments > 0 || c.Retries > 0 || c.Timeouts > 0 || c.Sheds > 0) {
+		fmt.Printf("fault recovery: %d segments degraded (no SR), %d retries, %d timeouts, %d reconnects, %d sheds absorbed, %v stalled\n",
+			sess.DegradedSegments, c.Retries, c.Timeouts, c.Reconnects, c.Sheds, c.StallTime)
 	}
 
 	if *genreName == "" {
@@ -134,52 +143,73 @@ func main() {
 		}
 	}
 	if !found {
-		fmt.Fprintf(os.Stderr, "dcsr-play: unknown genre %q\n", *genreName)
-		os.Exit(2)
+		fatalf(2, "unknown genre %q", *genreName)
 	}
 	gc := video.GenreConfig(genre, *w, *h, *seed)
 	gc.MinFrames, gc.MaxFrames = 5, 9
-	clip := video.Generate(gc)
-	orig := clip.YUVFrames()
-	if len(orig) != len(res.Frames) {
-		fmt.Fprintf(os.Stderr, "dcsr-play: regenerated clip has %d frames, artifact %d — parameters do not match prepare\n",
-			len(orig), len(res.Frames))
-		os.Exit(1)
+	orig := video.Generate(gc).YUVFrames()
+	if len(orig) != len(frames) {
+		fatalf(1, "regenerated clip has %d frames, the stream %d — parameters do not match prepare", len(orig), len(frames))
 	}
-	lowPlayer := core.NewPlayer(prep)
-	lowPlayer.Enhance = false
-	lowRes, err := lowPlayer.Play()
+	low := opts
+	low.Enhance, low.Obs, low.Log = false, nil, nil
+	lowFrames, _, _, err := play(ctx, src, low, nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
 	var ePSNR, eSSIM, lPSNR, lSSIM float64
 	for i := range orig {
-		ePSNR += quality.PSNRYUV(orig[i], res.Frames[i])
-		eSSIM += quality.SSIMYUV(orig[i], res.Frames[i])
-		lPSNR += quality.PSNRYUV(orig[i], lowRes.Frames[i])
-		lSSIM += quality.SSIMYUV(orig[i], lowRes.Frames[i])
+		ePSNR += quality.PSNRYUV(orig[i], frames[i])
+		eSSIM += quality.SSIMYUV(orig[i], frames[i])
+		lPSNR += quality.PSNRYUV(orig[i], lowFrames[i])
+		lSSIM += quality.SSIMYUV(orig[i], lowFrames[i])
 	}
 	n := float64(len(orig))
 	fmt.Printf("quality:  LOW  %.2f dB PSNR, %.4f SSIM\n", lPSNR/n, lSSIM/n)
 	fmt.Printf("          dcSR %.2f dB PSNR, %.4f SSIM  (%+.2f dB)\n", ePSNR/n, eSSIM/n, (ePSNR-lPSNR)/n)
 }
 
+// source is what a playback reads from: a manifest, the micro-model
+// configuration, and the stream.Fetcher that downloads the artifacts —
+// the loaded *core.Prepared for -in, a transport.Video for -addr (whose
+// client is kept for its recovery counters).
+type source struct {
+	manifest *stream.Manifest
+	config   edsr.Config
+	fetcher  stream.Fetcher
+	client   *transport.Client
+}
+
+// play runs one session over src with opts; trace, when set, receives the
+// session's per-segment spans.
+func play(ctx context.Context, src source, opts stream.Options, trace *obs.Span) ([]*video.YUV, *stream.Session, codec.DecodeStats, error) {
+	sess, err := stream.Open(src.manifest, src.config, src.fetcher, opts)
+	if err != nil {
+		return nil, nil, codec.DecodeStats{}, err
+	}
+	sess.Trace = trace
+	frames, dec, err := sess.Play(ctx)
+	return frames, sess, dec, err
+}
+
+// fatalf prints a dcsr-play error and exits with code.
+func fatalf(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dcsr-play: "+format+"\n", args...)
+	os.Exit(code)
+}
+
 // netOptions parameterizes a networked playback: link shaping, fault
-// injection, and the client's fault-tolerance knobs.
+// injection, the client's fault-tolerance knobs and the video to play.
 type netOptions struct {
-	addr        string
-	rate        float64
-	faultDrop   float64
-	faultDelay  time.Duration
-	faultSeed   int64
-	retries     int
-	timeout     time.Duration
-	cacheBudget int64
-	trace       bool
-	video       string
-	listVideos  bool
-	noInt8      bool
+	addr       string
+	rate       float64
+	faultDrop  float64
+	faultDelay time.Duration
+	faultSeed  int64
+	retries    int
+	timeout    time.Duration
+	video      string
+	listVideos bool
 }
 
 // printTraces renders every retained root span as indented JSON, with a
@@ -201,10 +231,11 @@ func printTraces(o *obs.Obs) {
 	fmt.Println()
 }
 
-// playFromNetwork streams from a dcsr-serve origin over TCP, optionally
-// through a throttled and fault-injected link (see docs/OPERATIONS.md for
-// how the knobs interact).
-func playFromNetwork(opt netOptions) {
+// dialOrigin connects to a dcsr-serve origin over TCP, optionally through
+// a throttled and fault-injected link (see docs/OPERATIONS.md for how the
+// knobs interact), and returns the video to play — or, with -list-videos,
+// prints the origin's directory and exits.
+func dialOrigin(ctx context.Context, opt netOptions, o *obs.Obs) source {
 	var inj *faultnet.Injector
 	if opt.faultDrop > 0 || opt.faultDelay > 0 {
 		fc := faultnet.Config{Seed: opt.faultSeed, DropRate: opt.faultDrop}
@@ -231,29 +262,20 @@ func playFromNetwork(opt netOptions) {
 	}
 	conn, err := dial()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
 	client := transport.NewClient(conn)
 	client.Redial = dial
-	client.CacheBudget = opt.cacheBudget
-	client.NoInt8 = opt.noInt8
 	client.Retry = transport.RetryPolicy{
 		MaxRetries: opt.retries,
 		Timeout:    opt.timeout,
 		Seed:       opt.faultSeed,
 	}
-	var o *obs.Obs
-	if opt.trace {
-		o = obs.New()
-		client.Obs = o
-	}
-	ctx := context.Background()
+	client.Obs, client.Log = o, o.Logger()
 	if opt.listVideos {
 		dir, err := client.VideosCtx(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-			os.Exit(1)
+			fatalf(1, "%v", err)
 		}
 		fmt.Printf("%d video(s) hosted on %s:\n", len(dir.Videos), opt.addr)
 		for _, v := range dir.Videos {
@@ -264,36 +286,20 @@ func playFromNetwork(opt netOptions) {
 			fmt.Printf("  %s  %d segments, %d models, %d B video + %d B models, %d fps%s\n",
 				v.Digest, v.Segments, v.Models, v.VideoBytes, v.ModelBytes, v.FPS, def)
 		}
-		return
+		os.Exit(0)
 	}
+	v := client.Video(0)
 	if opt.video != "" {
-		if err := client.SelectVideoCtx(ctx, opt.video); err != nil {
-			fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-			os.Exit(1)
+		if v, err = client.VideoByDigest(ctx, opt.video); err != nil {
+			fatalf(1, "%v", err)
 		}
 		fmt.Printf("selected video %s\n", opt.video)
 	}
-	frames, stats, err := client.PlayCtx(ctx, true)
+	wm, err := v.Manifest(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dcsr-play: %v\n", err)
-		os.Exit(1)
+		fatalf(1, "%v", err)
 	}
-	fmt.Printf("streamed %d frames over %d segments from %s\n", len(frames), stats.Segments, opt.addr)
-	fmt.Printf("downloaded: video %d B + models %d B (%d model downloads, %d cache hits)\n",
-		stats.VideoBytes, stats.ModelBytes, stats.ModelDownloads, stats.CacheHits)
-	if stats.BackboneBytes > 0 || stats.DeltaModelBytes > 0 {
-		fmt.Printf("model stream: backbone %d B + deltas %d B + full %d B\n",
-			stats.BackboneBytes, stats.DeltaModelBytes, stats.FullModelBytes)
-	}
-	fmt.Printf("%d I frames enhanced in-loop (%d on the int8 path)\n",
-		stats.Enhanced, stats.EnhancedInt8)
-	if stats.Evictions > 0 {
-		fmt.Printf("cache budget %d B: %d evictions, %d B resident at end\n",
-			opt.cacheBudget, stats.Evictions, stats.CacheBytes)
-	}
-	if stats.DegradedSegments > 0 || client.Retries > 0 || client.Timeouts > 0 || client.Sheds > 0 {
-		fmt.Printf("fault recovery: %d segments degraded (no SR), %d retries, %d timeouts, %d reconnects, %d sheds absorbed, %v stalled\n",
-			stats.DegradedSegments, client.Retries, client.Timeouts, client.Reconnects, client.Sheds, client.StallTime)
-	}
-	printTraces(o)
+	fmt.Printf("streaming from %s: %d segments, %d micro models (%s)\n",
+		opt.addr, len(wm.Segments), len(wm.Models), wm.MicroConfig)
+	return source{wm.Manifest(), wm.MicroConfig, v, client}
 }

@@ -124,9 +124,9 @@ func TestLintBenchSmoke(t *testing.T) {
 // TestServeFleetSmoke drives the origin binary over loopback: two
 // dcsr-prepare -delta artifacts behind one dcsr-serve (both listeners on
 // port 0, addresses read off its stdout), dcsr-play listing the two
-// digests and playing the second by digest with enhanced frames, the
-// sidecar's /metrics reporting both videos, and a SIGINT that drains to
-// exit 0.
+// digests and playing the second by digest with enhanced frames (and
+// again under -no-cache, with no cache hit), the sidecar's /metrics
+// reporting both videos, and a SIGINT that drains to exit 0.
 func TestServeFleetSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binaries; skipped in short mode")
@@ -202,6 +202,13 @@ func TestServeFleetSmoke(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(enhanced[1]); n == 0 || !strings.Contains(play, "model stream: backbone ") {
 		t.Errorf("dcsr-play -video enhanced no frame or fetched no backbone:\n%s", play)
+	}
+	// -no-cache reaches the wire session as it does the -in one.
+	hits := regexp.MustCompile(`\((\d+) model downloads, (\d+) cache hits\)`)
+	cached := hits.FindStringSubmatch(play)
+	uncached := hits.FindStringSubmatch(run("dcsr-play", "-addr", addr, "-video", second, "-no-cache"))
+	if cached == nil || cached[2] == "0" || uncached == nil || uncached[2] != "0" {
+		t.Errorf("dcsr-play -no-cache over -addr: cached run %q, uncached run %q; want hits, then 0 hits", cached, uncached)
 	}
 
 	resp, err := http.Get("http://" + obsAddr + "/metrics")

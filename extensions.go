@@ -2,7 +2,6 @@ package dcsr
 
 import (
 	"io"
-	"net"
 
 	"dcsr/internal/abr"
 	"dcsr/internal/core"
@@ -20,7 +19,8 @@ import (
 type (
 	// StreamServer serves a prepared stream to concurrent clients.
 	StreamServer = transport.Server
-	// StreamClient fetches manifest/segments/models and plays them back.
+	// StreamClient fetches manifest/segments/models over one pipelined
+	// connection and plays them back; it is safe for concurrent use.
 	StreamClient = transport.Client
 	// ThrottledConn rate-limits reads to emulate a constrained downlink.
 	ThrottledConn = transport.ThrottledConn
@@ -29,11 +29,8 @@ type (
 // NewStreamServer packages a prepared stream for network serving.
 func NewStreamServer(p *Prepared) (*StreamServer, error) { return transport.NewServer(p) }
 
-// NewStreamClient wraps an established connection.
+// NewStreamClient starts a client on an established connection.
 func NewStreamClient(conn io.ReadWriter) *StreamClient { return transport.NewClient(conn) }
-
-// DialStream connects to a StreamServer over TCP.
-func DialStream(addr string) (*StreamClient, net.Conn, error) { return transport.Dial(addr) }
 
 // NewThrottledConn limits reads on conn to bytesPerSecond.
 func NewThrottledConn(conn io.ReadWriter, bytesPerSecond float64) *ThrottledConn {

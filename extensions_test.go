@@ -39,12 +39,12 @@ func TestPublicTransportAPI(t *testing.T) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
-	client, conn, err := dcsr.DialStream(ln.Addr().String())
+	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	out, stats, err := client.PlayCtx(context.Background(), true)
+	out, stats, err := dcsr.NewStreamClient(conn).PlayCtx(context.Background(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -336,9 +336,10 @@ func ExperimentSwarm(cfg EvalConfig, sc SwarmConfig) (Table, *SwarmResult, error
 		// video's manifest.
 		ctx := context.Background()
 		var wm *transport.WireManifest
+		vid := client.Video(0)
 		manifest := func() error {
 			var err error
-			wm, err = client.ManifestCtx(ctx)
+			wm, err = vid.Manifest(ctx)
 			return err
 		}
 		if err := timed(swarmOpManifest, manifest); err != nil {
@@ -346,7 +347,9 @@ func ExperimentSwarm(cfg EvalConfig, sc SwarmConfig) (Table, *SwarmResult, error
 		}
 		want := digests[i%2]
 		if err := timed(swarmOpDirectory, func() error {
-			return client.SelectVideoCtx(ctx, want)
+			var err error
+			vid, err = client.VideoByDigest(ctx, want)
+			return err
 		}); err != nil {
 			return finish(fmt.Errorf("session %d select %s: %w", i, want[:8], err))
 		}
@@ -355,7 +358,7 @@ func ExperimentSwarm(cfg EvalConfig, sc SwarmConfig) (Table, *SwarmResult, error
 				return finish(fmt.Errorf("session %d manifest after select: %w", i, err))
 			}
 		}
-		sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, timedFetcher{client, timed},
+		sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, timedFetcher{vid, timed},
 			stream.Options{Enhance: true, CacheBudget: -1})
 		if err != nil {
 			return finish(fmt.Errorf("session %d: %w", i, err))

@@ -23,9 +23,14 @@
 //	inj := faultnet.New(faultnet.Config{Seed: 1, DropRate: 0.1})
 //	conn := inj.Wrap(transport.NewThrottledConn(tcpConn, 64<<10))
 //
-// Close and SetReadDeadline calls are forwarded to the wrapped connection
-// when it supports them, so per-request timeouts and reconnect cleanup
-// behave exactly as they would on the bare connection.
+// A request-side fault (KindDropRequest, KindTruncateRequest) closes the
+// wrapped connection once the frame is lost, so a pipelined client whose
+// reader is already parked in Read learns of it at once instead of
+// waiting for a response that is never coming. A response-side fault
+// applies from the next Read call on; a reader parked across the Write
+// has its pending read answered first (for a transport response, the
+// header), and the fault takes the rest. Close is forwarded to the
+// wrapped connection when it supports it.
 package faultnet
 
 import (
@@ -59,16 +64,17 @@ const (
 	KindError
 	// KindDropRequest loses the request before it reaches the server:
 	// the write is swallowed (reported as successful — the bytes left
-	// the client), the server never sees the frame, and every read
-	// until the next request fails wrapping ErrInjected. Unlike
-	// KindDrop, the server performs no work for the request.
+	// the client), the server never sees the frame, the wrapped
+	// connection is closed, and every read until the next request fails
+	// wrapping ErrInjected. Unlike KindDrop, the server performs no work
+	// for the request.
 	KindDropRequest
 	// KindTruncateRequest forwards only Config.TruncateAfter bytes of
-	// the request frame to the server, then reports the write as
-	// successful; reads fail wrapping ErrInjected. The server is left
-	// holding a partial frame — closing the connection on the client
-	// side is what surfaces it there (io.ErrUnexpectedEOF), exactly
-	// like a mid-frame network cut.
+	// the request frame to the server, then closes the wrapped
+	// connection and reports the write as successful; reads fail
+	// wrapping ErrInjected. The close is what surfaces the partial frame
+	// on the server (io.ErrUnexpectedEOF), exactly like a mid-frame
+	// network cut.
 	KindTruncateRequest
 	numKinds int = iota
 )
@@ -218,9 +224,9 @@ func (in *Injector) decide(frame []byte) (int, Kind) {
 }
 
 // Conn is a fault-injecting connection wrapper produced by Injector.Wrap.
-// Like the transport protocol it wraps, it assumes one goroutine drives
-// the request/response exchange; concurrent Reads against one in-flight
-// response are serialized but the fault state is per-response.
+// It is safe for one writer and one reader at a time, and its fault
+// state is that of the last request written: with several requests in
+// flight, a fault lands on whichever response is being read.
 type Conn struct {
 	in    *Injector
 	inner io.ReadWriter
@@ -246,18 +252,17 @@ func (c *Conn) Write(p []byte) (int, error) {
 	c.mu.Unlock()
 	switch kind {
 	case KindDropRequest:
-		return len(p), nil // swallowed: the bytes left the client, the server never sees them
+		// Swallowed: the bytes left the client, the server never sees them.
 	case KindTruncateRequest:
-		limit := c.in.cfg.TruncateAfter
-		if limit > len(p) {
-			limit = len(p)
-		}
-		if _, err := c.inner.Write(p[:limit]); err != nil {
+		if _, err := c.inner.Write(p[:min(c.in.cfg.TruncateAfter, len(p))]); err != nil {
 			return 0, err
 		}
-		return len(p), nil
+	default:
+		return c.inner.Write(p)
 	}
-	return c.inner.Write(p)
+	//lint:allow errcheck the connection is cut on purpose; reads report the injected fault, not the close
+	c.Close()
+	return len(p), nil
 }
 
 // Read applies the pending response fault, passing through when none.
@@ -265,48 +270,62 @@ func (c *Conn) Read(p []byte) (int, error) {
 	c.mu.Lock()
 	kind, idx := c.kind, c.reqIndex
 	switch kind {
-	case KindDrop:
+	case KindDrop, KindError, KindDropRequest, KindTruncateRequest:
 		c.mu.Unlock()
-		return 0, fmt.Errorf("faultnet: response to request %d dropped: %w", idx, ErrInjected)
-	case KindError:
-		c.mu.Unlock()
-		return 0, fmt.Errorf("faultnet: read error on request %d: %w", idx, ErrInjected)
-	case KindDropRequest:
-		c.mu.Unlock()
-		return 0, fmt.Errorf("faultnet: request %d dropped before the server: %w", idx, ErrInjected)
-	case KindTruncateRequest:
-		c.mu.Unlock()
-		return 0, fmt.Errorf("faultnet: request %d truncated after %d bytes: %w",
-			idx, c.in.cfg.TruncateAfter, ErrInjected)
+		return 0, c.fault(kind, idx)
 	case KindDelay:
-		if !c.delayed {
-			c.delayed = true
-			d := c.in.cfg.Delay
-			c.mu.Unlock()
-			c.in.sleep(d)
-			return c.inner.Read(p)
-		}
+		first := !c.delayed
+		c.delayed = true
 		c.mu.Unlock()
-		return c.inner.Read(p)
+		if first {
+			c.in.sleep(c.in.cfg.Delay)
+		}
+		return c.read(p)
 	case KindTruncate:
 		if c.remaining <= 0 {
 			c.mu.Unlock()
-			return 0, fmt.Errorf("faultnet: response to request %d truncated after %d bytes: %w",
-				idx, c.in.cfg.TruncateAfter, ErrInjected)
+			return 0, c.fault(kind, idx)
 		}
-		limit := len(p)
-		if limit > c.remaining {
-			limit = c.remaining
-		}
+		limit := min(len(p), c.remaining)
 		c.mu.Unlock()
-		n, err := c.inner.Read(p[:limit])
+		n, err := c.read(p[:limit])
 		c.mu.Lock()
 		c.remaining -= n
 		c.mu.Unlock()
 		return n, err
 	}
 	c.mu.Unlock()
-	return c.inner.Read(p)
+	return c.read(p)
+}
+
+// read reads the wrapped connection. A read parked there when a
+// request-side fault closed it reports that fault, not the bare close.
+func (c *Conn) read(p []byte) (int, error) {
+	n, err := c.inner.Read(p)
+	if err != nil {
+		c.mu.Lock()
+		kind, idx := c.kind, c.reqIndex
+		c.mu.Unlock()
+		if kind == KindDropRequest || kind == KindTruncateRequest {
+			err = c.fault(kind, idx)
+		}
+	}
+	return n, err
+}
+
+// fault is the error a faulted read of request idx returns.
+func (c *Conn) fault(kind Kind, idx int) error {
+	switch kind {
+	case KindDrop:
+		return fmt.Errorf("faultnet: response to request %d dropped: %w", idx, ErrInjected)
+	case KindError:
+		return fmt.Errorf("faultnet: read error on request %d: %w", idx, ErrInjected)
+	case KindDropRequest:
+		return fmt.Errorf("faultnet: request %d dropped before the server: %w", idx, ErrInjected)
+	case KindTruncateRequest:
+		return fmt.Errorf("faultnet: request %d truncated after %d bytes: %w", idx, c.in.cfg.TruncateAfter, ErrInjected)
+	}
+	return fmt.Errorf("faultnet: response to request %d truncated after %d bytes: %w", idx, c.in.cfg.TruncateAfter, ErrInjected)
 }
 
 // Close forwards to the wrapped connection when it is an io.Closer, so a
@@ -314,17 +333,6 @@ func (c *Conn) Read(p []byte) (int, error) {
 func (c *Conn) Close() error {
 	if cl, ok := c.inner.(io.Closer); ok {
 		return cl.Close()
-	}
-	return nil
-}
-
-// SetReadDeadline forwards to the wrapped connection when supported, so
-// per-request timeouts keep working through the fault layer. Note that
-// KindDelay sleeps before touching the connection: the deadline fires on
-// the first post-delay read, exactly like real queueing latency.
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	if d, ok := c.inner.(interface{ SetReadDeadline(time.Time) error }); ok {
-		return d.SetReadDeadline(t)
 	}
 	return nil
 }

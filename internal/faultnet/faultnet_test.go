@@ -186,23 +186,47 @@ func TestDecideOverridesEverything(t *testing.T) {
 	}
 }
 
-func TestDeadlineAndCloseForwarding(t *testing.T) {
+func TestCloseForwarding(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
 	conn := New(Config{}).Wrap(a)
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Millisecond)); err != nil {
-		t.Fatalf("SetReadDeadline: %v", err)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("read past deadline succeeded")
-	} else if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-		t.Fatalf("read past deadline returned %v, want a timeout", err)
-	}
 	if err := conn.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	if _, err := a.Write([]byte("x")); err == nil {
 		t.Fatal("inner conn still open after Close")
+	}
+}
+
+// TestRequestFaultWakesParkedRead pins what a pipelined reader needs: a
+// read already parked in the wrapped connection when a request-side
+// fault is decided returns at once with the injected fault, because the
+// fault closes the connection under it.
+func TestRequestFaultWakesParkedRead(t *testing.T) {
+	for _, kind := range []Kind{KindDropRequest, KindTruncateRequest} {
+		t.Run(kind.String(), func(t *testing.T) {
+			a, b := net.Pipe()
+			defer b.Close()
+			go io.Copy(io.Discard, b) // a server that reads and never answers
+			conn := New(Config{Script: map[int]Kind{0: kind}}).Wrap(a)
+			parked := make(chan error, 1)
+			go func() {
+				_, err := conn.Read(make([]byte, 8))
+				parked <- err
+			}()
+			time.Sleep(10 * time.Millisecond) // let the read park in the pipe
+			if _, err := conn.Write([]byte("request-frame")); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-parked:
+				if !errors.Is(err, ErrInjected) {
+					t.Fatalf("parked read returned %v, want ErrInjected", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("parked read never woke after a request-side fault")
+			}
+		})
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 //     leaves the lock class held forever on that path.
 //
 // Lock identity is coarsened to the lock *class* — the named type
-// owning the mutex field plus the field path ("MuxClient.mu",
+// owning the mutex field plus the field path ("Client.mu",
 // "Server.stats"), or the variable name for package-level mutexes — so
 // all instances of a type share one graph node. That is the standard
 // precision trade for lock-order analysis: it can conflate two
@@ -614,7 +614,7 @@ func mutexOp(p *Pass, sel *ast.SelectorExpr) (lockOp, bool) {
 
 // lockClass canonicalizes the receiver expression of a mutex operation
 // to a package-wide identity. Field chains rooted at a variable are
-// keyed by the variable's named type plus the field path ("MuxClient.mu",
+// keyed by the variable's named type plus the field path ("Client.mu",
 // "Server.stats"), so every instance of a type shares one lock class —
 // the standard coarsening for lock-order analysis. Package-level mutex
 // variables are keyed by name. Local mutex variables and anything

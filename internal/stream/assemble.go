@@ -25,9 +25,10 @@ const (
 )
 
 // Fetcher downloads one artifact. It is the only thing the playback
-// backends differ in: core.Prepared serves from memory, transport.Client
-// and MuxClient.Video over the wire (retrying inside). An error means the
-// artifact is unavailable after whatever recovery the backend does.
+// backends differ in: core.Prepared serves from memory,
+// transport.Client.Video(id) over the wire (retrying inside). An error
+// means the artifact is unavailable after whatever recovery the backend
+// does.
 type Fetcher interface {
 	Fetch(ctx context.Context, kind Kind, arg int) ([]byte, error)
 }

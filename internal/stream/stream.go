@@ -6,11 +6,11 @@
 //
 //	backend ──▶ Fetcher ──▶ Assembler ──▶ Session ──▶ codec.Decoder
 //	(core.Prepared,        (backbone once,  (cache, int8 arming,
-//	 transport.Client,      delta, verify,   degrade, accounting)
-//	 MuxClient.Video;       full fallback)
-//	 retries live inside)
+//	 transport.Client       delta, verify,   degrade, accounting)
+//	 .Video(id); retries    full fallback)
+//	 live inside)
 //
-// A Fetcher downloads one artifact; the three backends differ only there.
+// A Fetcher downloads one artifact; the two backends differ only there.
 // Assembler owns the model-stream order, Session owns the session policy
 // and is the single accounting record, and Session.Play drives the
 // decoder. NewSession opens a manifest-only session over the manifest's
@@ -31,9 +31,9 @@
 // full failure-mode catalogue and DESIGN.md for the retry/degrade state
 // machine.
 //
-// A Session is single-goroutine, like the transport.Client that usually
-// backs its Fetcher: segments are walked strictly in order, one at a
-// time.
+// A Session is single-goroutine: segments are walked strictly in order,
+// one at a time. Any number of Sessions may share one transport.Client,
+// which pipelines their requests on one connection.
 package stream
 
 import (
@@ -238,8 +238,8 @@ type Event struct {
 	Degraded bool
 }
 
-// Accounting is a session's download and cache totals — what local, wire
-// and multiplexed playback of one stream must agree on.
+// Accounting is a session's download and cache totals — what local and
+// wire playback of one stream must agree on.
 type Accounting struct {
 	VideoBytes int
 	ModelBytes int
@@ -266,8 +266,8 @@ type Accounting struct {
 	CacheBytes int64
 }
 
-// Options configures a Session: the union of what core.Player and
-// transport.Client expose.
+// Options configures a Session: the union of what core.Player exposes
+// and what a caller of stream.Open over transport.Client.Video chooses.
 type Options struct {
 	// Enhance toggles SR entirely: false fetches no models and plays the
 	// raw low-quality video (the "LOW" series of paper Fig 9).

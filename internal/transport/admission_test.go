@@ -333,19 +333,11 @@ func TestMaxConnsRejectsTyped(t *testing.T) {
 	go func() { _ = srv.Serve(ln) }()
 	defer srv.Close()
 
-	first, conn1, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn1.Close()
+	first := dialTCP(t, ln.Addr().String())
 	if _, err := first.ManifestCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	second, conn2, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
+	second := dialTCP(t, ln.Addr().String())
 	_, err = second.ManifestCtx(context.Background())
 	hint, ok := IsRetryAfter(err)
 	if !ok {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"dcsr/internal/codec"
@@ -15,100 +17,144 @@ import (
 	"dcsr/internal/video"
 )
 
-// Client fetches a dcSR stream over a connection with one request
-// outstanding at a time. It is not safe for concurrent use: exactly one
-// goroutine may drive a Client — open one client per goroutine, or share
-// a MuxClient. (The Server side is concurrent; the single-goroutine
-// contract is per client connection.)
+// Client fetches dcSR artifacts over one connection at a time, pipelined:
+// requests are written as they arrive, tagged with unique IDs, and a
+// reader goroutine matches each response back to its request by ID. It is
+// safe for concurrent use; N sessions share one connection instead of
+// opening N. Video(id) binds it to a hosted video as a stream.Fetcher.
 //
-// The zero-configured client fails on the first I/O error, like the
-// original implementation. Set Retry and Redial to survive flaky links:
-// failed exchanges are retried with exponential backoff on a freshly
-// dialed connection, per-request deadlines bound slow responses, and
-// Play degrades gracefully when a micro-model fetch ultimately fails
-// (the affected segments play unenhanced instead of aborting playback).
-//
-// Every method that touches the network takes a context. A Client is a
-// stream.Fetcher — the sequential wire backend of the playback engine —
-// and PlayCtx is that engine over it.
+// Every request runs through one retry loop (Client.do, see RetryPolicy).
+// A transport error retires the connection. RetryPolicy.Timeout is a
+// context deadline on every exchange, and when it expires the connection
+// is kept if any response arrived on it while the request waited — the
+// late reply is then discarded by ID — and retired as stalled otherwise.
+// The next request after a retirement redials through Redial; a client
+// without Redial fails fast instead, with an error naming the missing
+// Redial. A cancelled context abandons its request and keeps the
+// connection.
 type Client struct {
-	// retrier carries the recovery counters (Retries, Timeouts,
-	// Reconnects, Sheds, StallTime — see RecoveryStats) and drives every
-	// request through Retry.
-	retrier
+	// ClientStats holds the counters; Stats snapshots them. Read the
+	// fields directly only while no request is in flight.
+	ClientStats
 
-	conn io.ReadWriter
-	// broken marks the connection desynchronized after an I/O failure:
-	// a response may still be in flight, so the next exchange must
-	// reconnect before writing.
-	broken bool
-
-	// BytesDown counts payload plus framing bytes received.
-	BytesDown int
-	// BytesUp counts request bytes sent.
-	BytesUp int
-
-	// Retry configures per-request deadlines and retry/backoff; the
-	// zero value reproduces the original fail-fast behaviour.
+	// Retry configures per-request timeouts and retry/backoff; the zero
+	// value fails on the first error.
 	Retry RetryPolicy
-	// Redial, when set, re-establishes the connection after an I/O
-	// failure (the previous connection is closed when it implements
-	// io.Closer). Without it, transport-level failures are fatal.
+	// Redial, when set, dials a fresh connection after the last one was
+	// retired (the retired one is closed when it implements io.Closer).
+	// Without it, a lost or stalled connection is fatal.
 	Redial func() (io.ReadWriter, error)
-
-	// CacheBudget bounds Play's micro-model cache in bytes of serialized
-	// weights: past the budget the least-recently-used model is evicted
-	// and its next reference re-downloads it (PlayStats.Evictions). 0 or
-	// negative (the default) leaves the cache unbounded — the paper's
-	// Algorithm 1 behaviour.
-	CacheBudget int64
-	// NoInt8 keeps Play on the float32 enhancement path even for models
-	// whose manifest entry advertises int8 calibration (the precision
-	// ablation). The default serves every int8-gated model on the
-	// quantized kernels, armed with the origin's activation scales from
-	// the manifest (ModelInfo.ActScales) so client and origin produce
-	// bit-identical pixels.
-	NoInt8 bool
-
-	// Log receives request failures and per-segment debug lines; nil
-	// (the default) discards them — previously client errors were
-	// silent.
+	// Log receives request failures and reconnect lines; nil discards
+	// them.
 	Log *obs.Logger
 	// Obs records transport_client_requests_total,
-	// transport_client_bytes_up/down_total, the fault-tolerance
-	// counters transport_client_{retries,timeouts,reconnects}_total,
-	// the admission-shed counter transport_client_shed_total, the
-	// model-stream counters modelstream_backbone_fetch_total,
-	// modelstream_delta_bytes_total and modelstream_fallback_total
-	// (manifests advertising a backbone only), and per-exchange
+	// transport_client_bytes_up/down_total, the fault-tolerance counters
+	// transport_client_{retries,timeouts,reconnects}_total, the
+	// admission-shed counter transport_client_shed_total, and per-exchange
 	// round-trip latency as both the lifetime
-	// transport_client_rtt_seconds histogram and its rolling-window
-	// twin transport_client_rtt_window_seconds; nil disables metrics.
+	// transport_client_rtt_seconds histogram and its rolling-window twin
+	// transport_client_rtt_window_seconds; nil disables metrics.
 	Obs *obs.Obs
 
-	// Video routes requests at one of a multi-video server's hosted
-	// streams (0, the default, is the first video registered). Set it via
-	// SelectVideoCtx, or directly from a WireDirectory entry's ID.
-	Video uint32
+	statsMu sync.Mutex // guards ClientStats and rng
+	rng     *rand.Rand
+	sleep   func(time.Duration) // test hook; a real interruptible sleep when nil
 
-	nextID uint32 // request ID counter
+	// dialMu serializes redials, so a burst of requests that watched one
+	// connection die produces one fresh connection, not one per request.
+	dialMu sync.Mutex
+	mu     sync.Mutex // guards cur and closed
+	cur    *link
+	closed bool
+	nextID atomic.Uint32
+
+	wm *WireManifest // DialMux's probe; read-only after
+
+	// backbones holds each video's shared *stream.Backbone for ModelData,
+	// keyed by video ID: N concurrent sessions of one video pay for one
+	// OpBackbone download and one deserialization, and videos never wait
+	// on each other.
+	backbones sync.Map
 }
 
-// NewClient wraps an established connection (TCP, net.Pipe, throttled,
-// fault-injected…).
-func NewClient(conn io.ReadWriter) *Client { return &Client{conn: conn} }
+// ClientStats is a snapshot of a Client's counters. Retries, Timeouts,
+// Reconnects and Sheds mirror the obs counters
+// transport_client_{retries,timeouts,reconnects,shed}_total for callers
+// without a metrics registry.
+type ClientStats struct {
+	Retries    int
+	Timeouts   int
+	Reconnects int
+	// Sheds counts StatusRetryAfter rejections received from the server's
+	// admission layer. Each one backed off by at least the server's hint
+	// before retrying (see RetryPolicy.ShedRetries).
+	Sheds int
+	// StallTime accumulates backoff sleeps — delivery time lost to
+	// faults, the "stall" axis of the fault-injection experiment.
+	StallTime time.Duration
+	// BytesUp counts request bytes sent; BytesDown counts payload plus
+	// framing bytes received.
+	BytesUp, BytesDown int64
+}
 
-// Dial connects to a Server over TCP.
-func Dial(addr string) (*Client, net.Conn, error) {
-	conn, err := net.Dial("tcp", addr)
+// MuxClient is Client; the name is kept for bench/adapter.go only.
+type MuxClient = Client
+
+// NewClient starts a client on an established connection (TCP,
+// net.Pipe, throttled, fault-injected…) and its reader goroutine. Set
+// Redial to survive losing it.
+func NewClient(rw io.ReadWriter) *Client { return &Client{cur: newLink(rw)} }
+
+// DialMux is NewClient over dial() with Redial = dial, plus a fetch of
+// the default video's manifest, available via Manifest.
+func DialMux(dial func() (io.ReadWriter, error)) (*Client, error) {
+	rw, err := dial()
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("transport: dial: %w", err)
 	}
-	return NewClient(conn), conn, nil
+	c := NewClient(rw)
+	c.Redial = dial
+	if c.wm, err = c.ManifestCtx(context.Background()); err != nil {
+		//lint:allow errcheck the manifest fetch already failed; closing the unusable client is best-effort cleanup
+		c.Close()
+		return nil, fmt.Errorf("transport: manifest probe: %w", err)
+	}
+	return c, nil
+}
+
+// Manifest returns the default video's manifest fetched by DialMux (nil
+// for a client from NewClient).
+func (c *Client) Manifest() *WireManifest { return c.wm }
+
+// Stats snapshots the client's counters.
+func (c *Client) Stats() ClientStats {
+	c.statsMu.Lock()
+	defer c.statsMu.Unlock()
+	return c.ClientStats
+}
+
+// Close closes the current connection and, when it is an io.Closer,
+// returns once its reader goroutine has exited; in-flight requests fail,
+// and later ones fail without redialing.
+func (c *Client) Close() error {
+	c.mu.Lock()
+	l := c.cur
+	c.cur, c.closed = nil, true
+	c.mu.Unlock()
+	if l == nil {
+		return nil
+	}
+	cl, ok := l.rw.(io.Closer)
+	if !ok {
+		return nil
+	}
+	err := cl.Close()
+	<-l.done
+	return err
 }
 
 // closeConn closes rw when it can be closed (connections handed to the
-// clients are plain io.ReadWriters).
+// client are plain io.ReadWriters).
 func closeConn(rw io.ReadWriter) error {
 	if cl, ok := rw.(io.Closer); ok {
 		return cl.Close()
@@ -116,98 +162,237 @@ func closeConn(rw io.ReadWriter) error {
 	return nil
 }
 
-// reconnect replaces a broken connection through Redial, closing the old
-// one so the peer's stale handler can unwind.
-func (c *Client) reconnect() error {
-	if c.Redial == nil {
-		return errors.New("transport: connection broken and no Redial configured")
-	}
-	//lint:allow errcheck the conn is already known broken; closing is best-effort unwinding and the caller is about to redial
-	closeConn(c.conn)
-	conn, err := c.Redial()
-	if err != nil {
-		c.Log.Error("transport: redial failed", "err", err)
-		return fmt.Errorf("transport: redial: %w", err)
-	}
-	c.conn = conn
-	c.broken = false
-	c.Reconnects++
-	c.Obs.Counter("transport_client_reconnects_total").Inc()
-	c.Log.Info("transport: reconnected", "reconnects", c.Reconnects)
-	return nil
+// link is one live connection: the wire, a write lock serializing request
+// frames, and the pending table its reader goroutine resolves responses
+// against. A link is abandoned, never repaired, once it fails or stalls.
+type link struct {
+	rw  io.ReadWriter
+	wmu sync.Mutex
+
+	pmu     sync.Mutex
+	pending map[uint32]chan result
+	// delivered counts responses read, matched or not: the liveness the
+	// timeout rule reads.
+	delivered uint64
+	dead      bool
+	done      chan struct{} // closed when the reader exits
 }
 
-// exchange is the sequential client's exchanger: one request/response on
-// the current connection (redialed first if the last exchange broke it).
-// Transport-level failures mark the connection broken; protocol
-// rejections come back as *statusError with the connection still usable.
+type result struct {
+	status  byte
+	payload []byte
+	err     error
+}
+
+func newLink(rw io.ReadWriter) *link {
+	l := &link{rw: rw, pending: make(map[uint32]chan result), done: make(chan struct{})}
+	go l.read()
+	return l
+}
+
+// read is the reader goroutine: it hands each response to its waiter
+// until the connection fails, then fails every waiter.
+func (l *link) read() {
+	defer close(l.done)
+	for {
+		id, status, payload, err := readResponse(l.rw)
+		l.pmu.Lock()
+		if err != nil {
+			l.dead = true
+			for id, ch := range l.pending {
+				delete(l.pending, id)
+				ch <- result{err: err} // buffered, never blocks
+			}
+			l.pmu.Unlock()
+			return
+		}
+		l.delivered++
+		ch, ok := l.pending[id]
+		delete(l.pending, id)
+		l.pmu.Unlock()
+		if ok {
+			ch <- result{status: status, payload: payload} // buffered, never blocks
+		}
+	}
+}
+
+// register adds a pending entry and returns the delivery count so far; it
+// fails once the reader has exited, so no request waits on a connection
+// nobody reads.
+func (l *link) register(id uint32, ch chan result) (uint64, error) {
+	l.pmu.Lock()
+	defer l.pmu.Unlock()
+	if l.dead {
+		return 0, errors.New("transport: connection is down")
+	}
+	l.pending[id] = ch
+	return l.delivered, nil
+}
+
+// abandon drops a pending entry, so a late response for it is discarded,
+// and reports whether any response arrived since the delivery count seen.
+func (l *link) abandon(id uint32, seen uint64) (live bool) {
+	l.pmu.Lock()
+	defer l.pmu.Unlock()
+	delete(l.pending, id)
+	return l.delivered != seen
+}
+
+var (
+	errClosed   = errors.New("transport: client is closed")
+	errNoRedial = errors.New("transport: connection lost and no Redial configured")
+)
+
+// link returns the live connection, redialing when the last one was
+// retired. Concurrent callers pile onto the one redial behind dialMu.
+func (c *Client) link() (*link, error) {
+	if l, err := c.current(); l != nil || err != nil {
+		return l, err
+	}
+	c.dialMu.Lock()
+	defer c.dialMu.Unlock()
+	// Another request may have finished the redial while this one queued.
+	if l, err := c.current(); l != nil || err != nil {
+		return l, err
+	}
+	if c.Redial == nil {
+		return nil, errNoRedial
+	}
+	rw, err := c.Redial()
+	if err != nil {
+		c.Log.Error("transport: redial failed", "err", err)
+		return nil, fmt.Errorf("transport: redial: %w", err)
+	}
+	c.mu.Lock()
+	closed := c.closed
+	if !closed {
+		c.cur = newLink(rw)
+	}
+	l := c.cur
+	c.mu.Unlock()
+	if closed { // Close won the race with this redial
+		//lint:allow errcheck the fresh conn was never used; the caller gets the closed-client error
+		closeConn(rw)
+		return nil, errClosed
+	}
+	c.statsMu.Lock()
+	c.Reconnects++
+	c.statsMu.Unlock()
+	c.Obs.Counter("transport_client_reconnects_total").Inc()
+	c.Log.Info("transport: reconnected")
+	return l, nil
+}
+
+// current returns the live connection, nil once it was retired, or the
+// error of a closed client.
+func (c *Client) current() (*link, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, errClosed
+	}
+	return c.cur, nil
+}
+
+// retire abandons l after err so the next request redials; of the
+// requests that watched it fail, the first closes it. Without Redial
+// there is no way back, and the returned error says so.
+func (c *Client) retire(l *link, err error) error {
+	c.mu.Lock()
+	first := c.cur == l
+	if first {
+		c.cur = nil
+	}
+	c.mu.Unlock()
+	if first {
+		//lint:allow errcheck the conn already failed or stalled; closing is best-effort unwinding before the redial
+		closeConn(l.rw)
+	}
+	if c.Redial == nil {
+		return fmt.Errorf("%w: %w", errNoRedial, err)
+	}
+	return err
+}
+
+// exchange is one pipelined request/response on the live connection; ctx
+// carries the request's timeout. A transport error retires the
+// connection; a timeout retires it only when it stalled (see Client). An
+// intact non-OK response comes back as *statusError with the connection
+// still in use.
 func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs.Span) ([]byte, error) {
-	if c.broken {
-		if err := c.reconnect(); err != nil {
-			return nil, err
-		}
+	l, err := c.link()
+	if err != nil {
+		return nil, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if d, ok := c.conn.(readDeadliner); ok && d.SetReadDeadline(dl) == nil {
-			//lint:allow errcheck clearing a deadline can only fail on a conn that is already broken, which the exchange itself reports
-			defer d.SetReadDeadline(time.Time{})
-		}
+	id := c.nextID.Add(1)
+	ch := make(chan result, 1)
+	seen, err := l.register(id, ch)
+	if err == nil {
+		l.wmu.Lock()
+		err = writeRequest(l.rw, rq.frame(id, attempt, asp))
+		l.wmu.Unlock()
 	}
+	if err != nil {
+		l.abandon(id, seen)
+		c.Log.Error("transport: client write failed", "op", opName(rq.op), "arg", rq.arg, "err", err)
+		return nil, c.retire(l, err)
+	}
+	c.count(reqFrameBytes, 0)
+	c.Obs.Counter("transport_client_requests_total").Inc()
+	c.Obs.Counter("transport_client_bytes_up_total").Add(reqFrameBytes)
 	var t0 time.Time
 	if c.Obs != nil {
 		t0 = time.Now()
 	}
-	c.nextID++
-	req := rq.frame(c.nextID, attempt, asp)
-	if err := writeRequest(c.conn, req); err != nil {
-		c.broken = true
-		c.Log.Error("transport: client write failed", "op", opName(rq.op), "arg", rq.arg, "err", err)
-		return nil, err
+	select {
+	case res := <-ch:
+		if res.err != nil {
+			c.Log.Error("transport: client read failed", "op", opName(rq.op), "arg", rq.arg, "err", res.err)
+			return nil, c.retire(l, res.err)
+		}
+		return c.settle(rq, t0, res)
+	case <-ctx.Done():
+		if !l.abandon(id, seen) && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return nil, c.retire(l, ctx.Err())
+		}
+		return nil, ctx.Err()
 	}
-	c.BytesUp += reqFrameBytes
-	c.Obs.Counter("transport_client_requests_total").Inc()
-	c.Obs.Counter("transport_client_bytes_up_total").Add(reqFrameBytes)
-	gotID, status, payload, err := readResponse(c.conn)
-	if err == nil && gotID != req.ID {
-		// Exactly one request is outstanding, so a mismatched ID means the
-		// stream is desynchronized.
-		err = fmt.Errorf("transport: response for request %d, expected %d", gotID, req.ID)
-	}
-	if err != nil {
-		c.broken = true
-		c.Log.Error("transport: client read failed", "op", opName(rq.op), "arg", rq.arg, "err", err)
-		return nil, err
-	}
-	respBytes := respFrameBytes + len(payload)
-	c.BytesDown += respBytes
-	return settle(c.Obs, c.Log, rq, t0, respBytes, status, payload)
 }
 
-// settle is the tail both exchangers share once a response has arrived
-// intact: record its size and round-trip time, then turn its status into
-// the payload or the *statusError the retry loop classifies.
-func settle(o *obs.Obs, log *obs.Logger, rq request, t0 time.Time, respBytes int, status byte, payload []byte) ([]byte, error) {
-	o.Counter("transport_client_bytes_down_total").Add(int64(respBytes))
-	if o != nil {
+// count adds to the byte counters.
+func (c *Client) count(up, down int) {
+	c.statsMu.Lock()
+	c.BytesUp += int64(up)
+	c.BytesDown += int64(down)
+	c.statsMu.Unlock()
+}
+
+// settle is the tail of an exchange whose response arrived intact: record
+// its size and round-trip time, then turn its status into the payload or
+// the *statusError the retry loop classifies.
+func (c *Client) settle(rq request, t0 time.Time, res result) ([]byte, error) {
+	n := respFrameBytes + len(res.payload)
+	c.count(0, n)
+	c.Obs.Counter("transport_client_bytes_down_total").Add(int64(n))
+	if c.Obs != nil {
 		rtt := time.Since(t0).Seconds()
-		o.Histogram("transport_client_rtt_seconds").Observe(rtt)
-		o.WindowedHistogram("transport_client_rtt_window_seconds").Observe(rtt)
+		c.Obs.Histogram("transport_client_rtt_seconds").Observe(rtt)
+		c.Obs.WindowedHistogram("transport_client_rtt_window_seconds").Observe(rtt)
 	}
-	if status == StatusOK {
-		return payload, nil
+	if res.status == StatusOK {
+		return res.payload, nil
 	}
-	se := &statusError{op: rq.op, arg: rq.arg, status: status}
-	if status == StatusRetryAfter {
-		se.hint = parseRetryAfter(payload)
+	se := &statusError{op: rq.op, arg: rq.arg, status: res.status}
+	if res.status == StatusRetryAfter {
+		se.hint = parseRetryAfter(res.payload)
 	}
-	log.Warn("transport: request failed", "op", opName(rq.op), "arg", rq.arg, "status", status)
+	c.Log.Warn("transport: request failed", "op", opName(rq.op), "arg", rq.arg, "status", res.status)
 	return nil, se
 }
 
-// roundTrip drives one request through the shared retry state machine
-// (retrier.do).
-func (c *Client) roundTrip(ctx context.Context, op byte, arg uint32) ([]byte, error) {
-	return c.retrier.do(ctx, c, request{op, arg, c.Video}, c.Retry, c.Obs, c.Log)
+// Do performs one request against the given video through the retry loop.
+func (c *Client) Do(ctx context.Context, op byte, arg, video uint32) ([]byte, error) {
+	return c.do(ctx, request{op, arg, video})
 }
 
 // kindOp maps the engine's artifact kinds onto wire opcodes.
@@ -218,61 +403,76 @@ var kindOp = [...]byte{
 	stream.KindModelDelta: OpModelDelta,
 }
 
-// Fetch implements stream.Fetcher over the connection.
-func (c *Client) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, error) {
-	return c.roundTrip(ctx, kindOp[kind], uint32(arg))
+// Video is a Client bound to one hosted video: a stream.Fetcher that any
+// number of stream.Sessions may play through concurrently, pipelined on
+// the client's connection.
+type Video struct {
+	c  *Client
+	ID uint32
 }
 
-// ManifestCtx fetches and parses the manifest of the selected video.
-func (c *Client) ManifestCtx(ctx context.Context) (*WireManifest, error) {
-	data, err := c.roundTrip(ctx, OpManifest, 0)
+// Video binds the client to hosted video id; 0 is the server's default.
+func (c *Client) Video(id uint32) Video { return Video{c, id} }
+
+// Fetch implements stream.Fetcher.
+func (v Video) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, error) {
+	return v.c.Do(ctx, kindOp[kind], uint32(arg), v.ID)
+}
+
+// Manifest fetches and parses the video's manifest.
+func (v Video) Manifest(ctx context.Context) (*WireManifest, error) {
+	data, err := v.c.Do(ctx, OpManifest, 0, v.ID)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeWireManifest(data)
 }
 
+// VideoByDigest looks the hex content digest up in the server's OpVideos
+// directory and binds the client to that video. It works as a
+// connection's first request.
+func (c *Client) VideoByDigest(ctx context.Context, digest string) (Video, error) {
+	dir, err := c.VideosCtx(ctx)
+	if err != nil {
+		return Video{}, err
+	}
+	for _, v := range dir.Videos {
+		if v.Digest == digest {
+			return c.Video(v.ID), nil
+		}
+	}
+	return Video{}, fmt.Errorf("transport: video %s not hosted", digest)
+}
+
 // VideosCtx fetches the server's directory of hosted videos.
 func (c *Client) VideosCtx(ctx context.Context) (*WireDirectory, error) {
-	data, err := c.roundTrip(ctx, OpVideos, 0)
+	data, err := c.Do(ctx, OpVideos, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	return DecodeWireDirectory(data)
 }
 
-// SelectVideoCtx routes all subsequent requests at the hosted video with
-// the given hex content digest, as listed in the OpVideos directory. The
-// next ManifestCtx (and therefore PlayCtx) then fetches that video.
-func (c *Client) SelectVideoCtx(ctx context.Context, digest string) error {
-	dir, err := c.VideosCtx(ctx)
-	if err != nil {
-		return err
-	}
-	for _, v := range dir.Videos {
-		if v.Digest == digest {
-			c.Video = v.ID
-			c.Log.Debug("transport: video selected", "id", v.ID, "digest", digest)
-			return nil
-		}
-	}
-	return fmt.Errorf("transport: video %s not hosted", digest)
+// ManifestCtx fetches and parses the default video's manifest.
+func (c *Client) ManifestCtx(ctx context.Context) (*WireManifest, error) {
+	return c.Video(0).Manifest(ctx)
 }
 
-// SegmentCtx fetches segment i as a decodable sub-stream.
+// SegmentCtx fetches segment i of the default video as a decodable
+// sub-stream.
 func (c *Client) SegmentCtx(ctx context.Context, i int) (*codec.Stream, error) {
-	data, err := c.roundTrip(ctx, OpSegment, uint32(i))
+	data, err := c.Do(ctx, OpSegment, uint32(i), 0)
 	if err != nil {
 		return nil, err
 	}
 	return codec.Unmarshal(data)
 }
 
-// ModelCtx fetches micro model label complete (OpModel) and deserializes
-// it into a ready model of the given configuration, returning the model
-// and the bytes downloaded.
+// ModelCtx fetches micro model label of the default video complete
+// (OpModel) and deserializes it into a model of the given configuration,
+// returning the model and the bytes downloaded.
 func (c *Client) ModelCtx(ctx context.Context, label int, cfg edsr.Config) (*edsr.Model, int, error) {
-	data, err := c.roundTrip(ctx, OpModel, uint32(label))
+	data, err := c.Do(ctx, OpModel, uint32(label), 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -283,12 +483,31 @@ func (c *Client) ModelCtx(ctx context.Context, label int, cfg edsr.Config) (*eds
 	return m, len(data), nil
 }
 
-// PlayStats summarizes a streamed playback session: the finished
-// stream.Session's accounting (VideoBytes, ModelBytes and its
-// BackboneBytes/DeltaModelBytes/FullModelBytes breakdown, CacheHits,
-// CacheMisses, DegradedSegments, Evictions, CacheBytes — see
-// stream.Accounting) and the decoder's statistics (Enhanced, and
-// EnhancedInt8 for the subset served on the int8 kernels).
+// ModelData fetches micro model label of the given video through
+// stream.Assembler — the one model assembler, in the model-stream order
+// when wm (that video's manifest) advertises a backbone, complete via
+// OpModel otherwise or on any assembly failure. The video's backbone is
+// fetched, verified and deserialized at most once per client, shared by
+// every concurrent session. wm and cfg are validated before anything is
+// fetched or built. The returned int is the wire bytes this call
+// downloaded (a delta label's first fetch also pays the backbone).
+func (c *Client) ModelData(ctx context.Context, video uint32, wm *WireManifest, label int, cfg edsr.Config) (*edsr.Model, int, error) {
+	if wm == nil {
+		return nil, 0, errors.New("transport: ModelData needs the video's manifest")
+	}
+	man := wm.Manifest()
+	if err := man.ValidateFor(cfg); err != nil {
+		return nil, 0, err
+	}
+	bb, _ := c.backbones.LoadOrStore(video, new(stream.Backbone))
+	a := stream.Assembler{Fetcher: c.Video(video), Manifest: man, Config: cfg, Backbone: bb.(*stream.Backbone), Obs: c.Obs, Log: c.Log}
+	model, _, cost, err := a.Model(ctx, label)
+	return model, cost.Total(), err
+}
+
+// PlayStats summarizes a played session: the finished stream.Session's
+// accounting (see stream.Accounting) and the decoder's statistics
+// (Enhanced, and EnhancedInt8 for the subset served on the int8 kernels).
 type PlayStats struct {
 	stream.Accounting
 	codec.DecodeStats
@@ -296,40 +515,23 @@ type PlayStats struct {
 	ModelDownloads int
 }
 
-// PlayCtx streams the whole video through the playback engine
-// (stream.Session) with this client as its Fetcher: per segment, fetch
-// the sub-stream, fetch its micro model on cache miss (paper Algorithm
-// 1), decode with the model patched into the decoder's I-frame hook.
-// With enhance=false it plays the raw low-quality stream. ctx aborts
-// between requests and interrupts retry backoff immediately.
-//
-// Failure semantics: a segment (or manifest) fetch that fails after the
-// retry budget aborts the session — there is nothing to show without
-// video bytes. A micro-model fetch that fails after the retry budget
-// degrades instead of aborting: the segment plays unenhanced, the label
-// is marked degraded (stats.DegradedSegments, degraded_segments_total),
-// and the next segment referencing the label retries the download. A
-// manifest that fails validation — including a model configuration that
-// does not match the declared model sizes — is an error before anything
-// is fetched or built.
-//
-// The session runs under a client_play root span: the manifest's attempt
-// spans hang off the root, segment and model fetches off one
-// segment_fetch child per segment.
+// PlayCtx plays the default video through the playback engine
+// (stream.Session) with default options: enhancement as asked, int8
+// wherever the manifest arms it, an unbounded model cache. Callers that
+// need other options or another video open stream.Open over
+// c.Video(id) themselves. The session runs under a client_play root span;
+// see stream.Session for the failure semantics.
 func (c *Client) PlayCtx(ctx context.Context, enhance bool) ([]*video.YUV, *PlayStats, error) {
 	root := c.Obs.Start("client_play")
 	defer root.End()
 	ctx = obs.WithSpan(ctx, root)
-	wm, err := c.ManifestCtx(ctx)
+	v := c.Video(0)
+	wm, err := v.Manifest(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	budget := c.CacheBudget
-	if budget <= 0 {
-		budget = -1 // the zero value is unbounded here; 0 disables caching in the engine
-	}
-	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, c, stream.Options{
-		Enhance: enhance, Int8: !c.NoInt8, CacheBudget: budget,
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, stream.Options{
+		Enhance: enhance, Int8: true, CacheBudget: -1,
 		Propagation: codec.PropagateDelta, Obs: c.Obs, Log: c.Log,
 	})
 	if err != nil {

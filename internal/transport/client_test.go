@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dcsr/internal/core"
+	"dcsr/internal/faultnet"
 	"dcsr/internal/obs"
 )
 
@@ -85,7 +87,7 @@ func TestMuxPipeliningOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMuxConcurrentRequests hammers one MuxClient from many goroutines
+// TestMuxConcurrentRequests hammers one Client from many goroutines
 // over a single TCP connection (run under -race) and checks every
 // response lands on the request that asked for it.
 func TestMuxConcurrentRequests(t *testing.T) {
@@ -241,9 +243,10 @@ func TestMuxSharedBackbonePerVideo(t *testing.T) {
 	}
 }
 
-// TestMuxTimeoutKeepsConnection pins the cheap-deadline property: a
-// request that times out abandons its pending entry and retries on the
-// SAME connection; the late response is discarded by ID instead of
+// TestMuxTimeoutKeepsConnection pins the live half of the timeout rule: a
+// request that times out while other responses keep arriving on its
+// connection abandons its pending entry and retries on the SAME
+// connection; its late response is discarded by ID instead of
 // desynchronizing the stream.
 func TestMuxTimeoutKeepsConnection(t *testing.T) {
 	prep, _ := getFixture(t)
@@ -269,9 +272,30 @@ func TestMuxTimeoutKeepsConnection(t *testing.T) {
 		MaxDelay:   2 * time.Millisecond,
 		Seed:       1,
 	}
+	// A concurrent caller keeps responses arriving while the slow request
+	// waits, so the connection is visibly live.
+	stop, busy := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				busy <- nil
+				return
+			default:
+			}
+			if _, err := mux.Do(context.Background(), OpManifest, 0, 0); err != nil {
+				busy <- err
+				return
+			}
+		}
+	}()
 	p, err := mux.Do(context.Background(), OpSegment, 0, 0)
+	close(stop)
 	if err != nil {
 		t.Fatalf("retry after timeout failed: %v", err)
+	}
+	if err := <-busy; err != nil {
+		t.Fatalf("concurrent request failed: %v", err)
 	}
 	if !bytes.Equal(p, srv.videos[0].segments[0]) {
 		t.Error("retried response mismatched")
@@ -285,8 +309,134 @@ func TestMuxTimeoutKeepsConnection(t *testing.T) {
 	}
 }
 
+// stallConn is a server end whose responses are held back by delay once
+// stalled is set: a link that has gone quiet.
+type stallConn struct {
+	net.Conn
+	stalled *atomic.Bool
+	delay   time.Duration
+}
+
+func (s stallConn) Write(p []byte) (int, error) {
+	if s.stalled.Load() {
+		time.Sleep(s.delay)
+	}
+	return s.Conn.Write(p)
+}
+
+// TestStalledConnectionReconnects pins the stalled half of the timeout
+// rule: when nothing at all arrives on the connection while a request
+// waits out its timeout, the connection is retired and the retry redials,
+// instead of retrying into the same silence.
+func TestStalledConnectionReconnects(t *testing.T) {
+	prep, _ := getFixture(t)
+	srv, err := NewServer(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stalled atomic.Bool
+	var conns []net.Conn
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	dial := func() (io.ReadWriter, error) {
+		cconn, sconn := net.Pipe()
+		var serve io.ReadWriter = sconn
+		if len(conns) == 0 { // only the first connection stalls
+			serve = stallConn{sconn, &stalled, 2 * time.Second}
+		}
+		go func() { _ = srv.ServeConn(serve) }()
+		conns = append(conns, cconn, sconn)
+		return cconn, nil
+	}
+	mux, err := DialMux(dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux.Retry = RetryPolicy{MaxRetries: 2, Timeout: 30 * time.Millisecond, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Seed: 1}
+	stalled.Store(true)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	p, err := mux.Do(ctx, OpSegment, 0, 0)
+	if err != nil {
+		t.Fatalf("request on a stalled connection failed: %v (stats %+v)", err, mux.Stats())
+	}
+	if !bytes.Equal(p, srv.videos[0].segments[0]) {
+		t.Error("response after the reconnect mismatched")
+	}
+	if st := mux.Stats(); st.Timeouts != 1 || st.Reconnects != 1 {
+		t.Errorf("stats = %+v, want one timeout and one reconnect", st)
+	}
+}
+
+// TestReaderExits pins the reader goroutine's lifetime: it exits when the
+// client is closed and when the peer hangs up.
+func TestReaderExits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hang func(c *Client, peer net.Conn)
+	}{
+		{"close", func(c *Client, _ net.Conn) { c.Close() }},
+		{"peer", func(_ *Client, peer net.Conn) { peer.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cconn, sconn := net.Pipe()
+			defer cconn.Close()
+			defer sconn.Close()
+			c := NewClient(cconn)
+			l := c.cur
+			tc.hang(c, sconn)
+			select {
+			case <-l.done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("reader goroutine still running")
+			}
+		})
+	}
+}
+
+// TestRequestFaultsRedial pins request-side faults under the pipelined
+// reader: a request lost before the server, or cut mid-frame, fails its
+// attempt with faultnet.ErrInjected at once — not after a timeout — and
+// the retry redials.
+func TestRequestFaultsRedial(t *testing.T) {
+	prep, _ := getFixture(t)
+	srv, err := NewServer(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []faultnet.Kind{faultnet.KindDropRequest, faultnet.KindTruncateRequest} {
+		t.Run(kind.String(), func(t *testing.T) {
+			inj := faultnet.New(faultnet.Config{Decide: firstSegmentRequest(kind)})
+			d := &pipeDialer{t: t, srv: srv, inj: inj}
+			defer d.cleanup()
+			mux, err := DialMux(d.dial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mux.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond, Jitter: -1, Seed: 1}
+			root := obs.New().Start("fetch")
+			ctx, cancel := context.WithTimeout(obs.WithSpan(context.Background(), root), time.Second)
+			defer cancel()
+			if _, err := mux.Do(ctx, OpSegment, 0, 0); err != nil {
+				t.Fatalf("segment fetch did not survive the %s fault: %v (stats %+v)", kind, err, mux.Stats())
+			}
+			root.End()
+			attempts := root.Export().Children
+			if len(attempts) != 2 || !strings.Contains(fmt.Sprint(attempts[0].Attrs["error"]), faultnet.ErrInjected.Error()) {
+				t.Errorf("attempts %+v, want two, the first failed by the injected fault", attempts)
+			}
+			if st := mux.Stats(); st.Retries != 1 || st.Reconnects != 1 || st.Timeouts != 0 {
+				t.Errorf("stats = %+v, want one retry, one reconnect, no timeout", st)
+			}
+		})
+	}
+}
+
 // TestMuxReconnectAfterTransportError severs the connection under a
-// MuxClient and checks the next request redials once and succeeds.
+// Client and checks the next request redials once and succeeds.
 func TestMuxReconnectAfterTransportError(t *testing.T) {
 	prep, _ := getFixture(t)
 	srv, err := NewServer(prep)
@@ -334,7 +484,7 @@ func TestMuxClosedClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := mux.Do(context.Background(), OpSegment, 0, 0); err == nil {
-		t.Fatal("request on a closed mux client succeeded")
+		t.Fatal("request on a closed client succeeded")
 	}
 	if len(*conns) != 1 {
 		t.Errorf("closed client redialed (%d conns)", len(*conns))

@@ -60,9 +60,9 @@ func TestClientCtxCancelsBackoff(t *testing.T) {
 	}
 }
 
-// TestClientCtxDeadlineCutsRead: a context deadline tightens the read
-// deadline of the in-flight request, so a server that never answers
-// cannot stall the client past the context's lifetime.
+// TestClientCtxDeadlineCutsRead: a context deadline bounds the in-flight
+// request, so a server that never answers cannot stall the client past
+// the context's lifetime.
 func TestClientCtxDeadlineCutsRead(t *testing.T) {
 	cconn, sconn := net.Pipe()
 	defer cconn.Close()
@@ -123,14 +123,11 @@ func TestServerShutdownGraceful(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, served := serveTCP(t, srv)
-	client, conn, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := dialTCP(t, addr)
 	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatalf("Manifest: %v", err)
 	}
-	conn.Close() // handler sees EOF and exits on its own
+	client.Close() // handler sees EOF and exits on its own
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -153,11 +150,7 @@ func TestServerShutdownForceClosesStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, _ := serveTCP(t, srv)
-	client, conn, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	client := dialTCP(t, addr)
 	if _, err := client.ManifestCtx(context.Background()); err != nil {
 		t.Fatalf("Manifest: %v", err)
 	}
@@ -194,10 +187,10 @@ func TestPlayCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestPlayCacheBudgetEvictsAndRefetches pins the transport-level bounded
-// cache: a budget that fits one model forces evictions and re-downloads
-// without changing what gets enhanced, and an unbounded client (the
-// default CacheBudget of 0) reproduces the pre-budget hit counts.
+// TestPlayCacheBudgetEvictsAndRefetches pins the bounded cache over the
+// wire: a budget that fits one model forces evictions and re-downloads
+// without changing what gets enhanced, and an unbounded session (PlayCtx's
+// default) reproduces the pre-budget hit counts.
 func TestPlayCacheBudgetEvictsAndRefetches(t *testing.T) {
 	prep, _ := getFixture(t)
 	if len(prep.Models) < 2 {
@@ -215,23 +208,13 @@ func TestPlayCacheBudgetEvictsAndRefetches(t *testing.T) {
 
 	play := func(budget int64, o *obs.Obs) *PlayStats {
 		t.Helper()
-		d := &pipeDialer{t: t, srv: srv}
-		defer d.cleanup()
-		conn, err := d.dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		client := NewClient(conn)
-		client.CacheBudget = budget
-		client.Obs = o
-		_, stats, err := client.PlayCtx(context.Background(), true)
-		if err != nil {
-			t.Fatalf("Play(budget=%d): %v", budget, err)
-		}
+		opts := wireOpts
+		opts.CacheBudget, opts.Obs = budget, o
+		_, stats := playWire(t, srv, opts)
 		return stats
 	}
 
-	base := play(0, nil) // unbounded default
+	base := play(-1, nil) // unbounded default
 	if base.Evictions != 0 {
 		t.Errorf("unbounded client evicted %d models", base.Evictions)
 	}

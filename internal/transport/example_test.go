@@ -7,10 +7,12 @@ import (
 	"net"
 	"time"
 
+	"dcsr/internal/codec"
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
 	"dcsr/internal/faultnet"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/transport"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
@@ -108,7 +110,7 @@ func prepareClip(seed int64) (*core.Prepared, int) {
 }
 
 // Example_multiVideoServer hosts two prepared videos behind one server,
-// lists the directory, selects the second video by its content digest,
+// lists the directory, binds to the second video by its content digest,
 // and plays it — the fleet-serving flow documented in docs/SERVING.md.
 // Printed values are structural, so the example is stable across runs.
 func Example_multiVideoServer() {
@@ -139,16 +141,28 @@ func Example_multiVideoServer() {
 	fmt.Println("videos hosted:", len(dir.Videos))
 	fmt.Println("distinct digests:", digestA != digestB)
 
-	// Route every subsequent request at the second video by digest.
-	if err := client.SelectVideoCtx(context.Background(), digestB); err != nil {
+	// Bind to the second video by digest and play it through the engine.
+	ctx := context.Background()
+	v, err := client.VideoByDigest(ctx, digestB)
+	if err != nil {
 		panic(err)
 	}
-	out, stats, err := client.PlayCtx(context.Background(), true)
+	wm, err := v.Manifest(ctx)
+	if err != nil {
+		panic(err)
+	}
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, stream.Options{
+		Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta,
+	})
+	if err != nil {
+		panic(err)
+	}
+	out, _, err := sess.Play(ctx)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("selected video played:", len(out) == framesB)
-	fmt.Println("models fetched:", stats.ModelDownloads > 0)
+	fmt.Println("models fetched:", sess.Downloads > 0)
 	// Output:
 	// videos hosted: 2
 	// distinct digests: true

@@ -41,6 +41,19 @@ func (d *pipeDialer) cleanup() {
 	}
 }
 
+// blackHole dials connections on which every request is lost before the
+// server (faultnet.KindDropRequest), so every exchange fails at once
+// with faultnet.ErrInjected.
+func blackHole() func() (io.ReadWriter, error) {
+	inj := faultnet.New(faultnet.Config{
+		Decide: func(int, []byte) faultnet.Kind { return faultnet.KindDropRequest },
+	})
+	return func() (io.ReadWriter, error) {
+		conn, _ := net.Pipe() // nothing reads the far end: the fault closes both
+		return inj.Wrap(conn), nil
+	}
+}
+
 // repeatedLabel returns a model label referenced by at least two segments,
 // so degrade-then-lazy-retry is observable.
 func repeatedLabel(t *testing.T, srv *Server) int {
@@ -201,7 +214,7 @@ func TestFaultsDisabledByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	play := func(inj *faultnet.Injector, pol RetryPolicy) ([]int, *PlayStats, int, int) {
+	play := func(inj *faultnet.Injector, pol RetryPolicy) ([]int, *PlayStats, int64, int64) {
 		d := &pipeDialer{t: t, srv: srv, inj: inj}
 		defer d.cleanup()
 		conn, err := d.dial()
@@ -246,12 +259,7 @@ func TestFaultsDisabledByteIdentical(t *testing.T) {
 // TestRetryBackoffSchedule pins the exponential schedule: base 10ms,
 // doubling, capped at 50ms, jitter disabled.
 func TestRetryBackoffSchedule(t *testing.T) {
-	inj := faultnet.New(faultnet.Config{
-		Decide: func(int, []byte) faultnet.Kind { return faultnet.KindDrop },
-	})
-	dead := func() (io.ReadWriter, error) {
-		return inj.Wrap(readWriter{strings.NewReader("")}), nil
-	}
+	dead := blackHole()
 	conn, _ := dead()
 	client := NewClient(conn)
 	client.Redial = dead
@@ -345,10 +353,8 @@ func TestNotFoundNeverRetried(t *testing.T) {
 // TestBrokenConnWithoutRedialFails pins the zero-Redial contract:
 // transport failures stay fatal.
 func TestBrokenConnWithoutRedialFails(t *testing.T) {
-	inj := faultnet.New(faultnet.Config{
-		Decide: func(int, []byte) faultnet.Kind { return faultnet.KindDrop },
-	})
-	client := NewClient(inj.Wrap(readWriter{strings.NewReader("")}))
+	conn, _ := blackHole()()
+	client := NewClient(conn)
 	client.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond}
 	_, err := client.ManifestCtx(context.Background())
 	if err == nil {

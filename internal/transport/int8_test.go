@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"net"
 	"reflect"
 	"testing"
 
@@ -44,26 +45,32 @@ func getInt8Fixture(t testing.TB) *core.Prepared {
 	return int8Fixture
 }
 
-// playMux plays srv's default video through the playback engine over the
-// multiplexed backend (MuxClient.Video) and summarizes the session the
-// way PlayCtx does.
-func playMux(t *testing.T, srv *Server, noInt8 bool) ([]*video.YUV, *PlayStats) {
+// wireOpts are PlayCtx's session options; f32Opts keep every model on
+// float32 (the precision ablation).
+var (
+	wireOpts = stream.Options{Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta}
+	f32Opts  = stream.Options{Enhance: true, Int8: false, CacheBudget: -1, Propagation: codec.PropagateDelta}
+)
+
+// playWire plays srv's default video over a pipe (see playVideo).
+func playWire(t *testing.T, srv *Server, opts stream.Options) ([]*video.YUV, *PlayStats) {
 	t.Helper()
-	dial, conns := muxDialer(srv)
-	mc, err := DialMux(dial)
+	cconn, sconn := net.Pipe()
+	go func() { _ = srv.ServeConn(sconn) }()
+	defer cconn.Close()
+	defer sconn.Close()
+	return playVideo(t, NewClient(cconn).Video(0), opts)
+}
+
+// playVideo plays v through the playback engine with opts and summarizes
+// the session the way PlayCtx does.
+func playVideo(t *testing.T, v Video, opts stream.Options) ([]*video.YUV, *PlayStats) {
+	t.Helper()
+	wm, err := v.Manifest(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		mc.Close()
-		for _, c := range *conns {
-			c.Close()
-		}
-	}()
-	wm := mc.Manifest()
-	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, mc.Video(0), stream.Options{
-		Enhance: true, Int8: !noInt8, CacheBudget: -1, Propagation: codec.PropagateDelta,
-	})
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +83,7 @@ func playMux(t *testing.T, srv *Server, noInt8 bool) ([]*video.YUV, *PlayStats) 
 }
 
 // playLocal plays prep in process (core.Player), summarized as PlayStats
-// so the three backends compare field for field.
+// so the local and the wire backend compare field for field.
 func playLocal(t *testing.T, prep *core.Prepared, noInt8 bool) ([]*video.YUV, *PlayStats) {
 	t.Helper()
 	pl := core.NewPlayer(prep)
@@ -88,13 +95,6 @@ func playLocal(t *testing.T, prep *core.Prepared, noInt8 bool) ([]*video.YUV, *P
 	return res.Frames, &PlayStats{Accounting: res.Accounting, DecodeStats: res.Decode,
 		Segments: len(res.Events), ModelDownloads: res.Downloads}
 }
-
-// wireBackends are the two wire playback backends; with playLocal they
-// are the rows of the backend-equivalence tests.
-var wireBackends = []struct {
-	name string
-	play func(*testing.T, *Server, bool) ([]*video.YUV, *PlayStats)
-}{{"sequential", playServer}, {"mux", playMux}}
 
 func framesEqual(a, b []*video.YUV) bool {
 	if len(a) != len(b) {
@@ -112,9 +112,9 @@ func framesEqual(a, b []*video.YUV) bool {
 // manifest carries the gate verdict and activation scales over the wire,
 // the client calibrates each downloaded model from them, and the decoded
 // pixels — and the whole session summary: bytes by class, hits, misses,
-// downloads, degraded — are identical across the three backends (local,
-// sequential, mux). The NoInt8 ablation must reproduce the float32 pixels
-// instead, again on every backend.
+// downloads, degraded — are identical on the local and the wire backend.
+// The float32 ablation must reproduce the float32 pixels instead, again
+// on both.
 func TestPlayInt8OverWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the pipeline; skipped in short mode")
@@ -131,34 +131,32 @@ func TestPlayInt8OverWire(t *testing.T) {
 	}
 	ref, refStats := playLocal(t, prep, false)
 	refF, refStatsF := playLocal(t, prep, true)
-	for _, b := range wireBackends {
-		out, stats := b.play(t, srv, false)
-		if stats.Enhanced == 0 || stats.EnhancedInt8 != stats.Enhanced {
-			t.Fatalf("%s: int8 playback enhanced %d frames, %d on int8; want all on int8",
-				b.name, stats.Enhanced, stats.EnhancedInt8)
-		}
-		if !framesEqual(out, ref) {
-			t.Fatalf("%s: wire int8 playback differs from origin-local int8 playback", b.name)
-		}
-		if !reflect.DeepEqual(stats, refStats) {
-			t.Fatalf("%s: session summary %+v, origin-local %+v", b.name, stats, refStats)
-		}
+	out, stats := playWire(t, srv, wireOpts)
+	if stats.Enhanced == 0 || stats.EnhancedInt8 != stats.Enhanced {
+		t.Fatalf("int8 playback enhanced %d frames, %d on int8; want all on int8",
+			stats.Enhanced, stats.EnhancedInt8)
+	}
+	if !framesEqual(out, ref) {
+		t.Fatal("wire int8 playback differs from origin-local int8 playback")
+	}
+	if !reflect.DeepEqual(stats, refStats) {
+		t.Fatalf("session summary %+v, origin-local %+v", stats, refStats)
+	}
 
-		outF, statsF := b.play(t, srv, true)
-		if statsF.EnhancedInt8 != 0 {
-			t.Fatalf("%s: NoInt8 client served %d frames on int8", b.name, statsF.EnhancedInt8)
-		}
-		if statsF.Enhanced != stats.Enhanced {
-			t.Fatalf("%s: NoInt8 enhanced %d frames, int8 run %d", b.name, statsF.Enhanced, stats.Enhanced)
-		}
-		if !framesEqual(outF, refF) {
-			t.Fatalf("%s: wire float32 playback differs from origin-local float32 playback", b.name)
-		}
-		if !reflect.DeepEqual(statsF, refStatsF) {
-			t.Fatalf("%s: float32 session summary %+v, origin-local %+v", b.name, statsF, refStatsF)
-		}
-		if framesEqual(out, outF) {
-			t.Fatalf("%s: int8 and float32 playbacks produced identical pixels; quantization had no effect, test is vacuous", b.name)
-		}
+	outF, statsF := playWire(t, srv, f32Opts)
+	if statsF.EnhancedInt8 != 0 {
+		t.Fatalf("float32 client served %d frames on int8", statsF.EnhancedInt8)
+	}
+	if statsF.Enhanced != stats.Enhanced {
+		t.Fatalf("float32 run enhanced %d frames, int8 run %d", statsF.Enhanced, stats.Enhanced)
+	}
+	if !framesEqual(outF, refF) {
+		t.Fatal("wire float32 playback differs from origin-local float32 playback")
+	}
+	if !reflect.DeepEqual(statsF, refStatsF) {
+		t.Fatalf("float32 session summary %+v, origin-local %+v", statsF, refStatsF)
+	}
+	if framesEqual(out, outF) {
+		t.Fatal("int8 and float32 playbacks produced identical pixels; quantization had no effect, test is vacuous")
 	}
 }

@@ -54,30 +54,12 @@ func prepareDelta(t testing.TB, clipSeed, seed int64) *core.Prepared {
 	return prep
 }
 
-// playServer plays one full session against an already-built server over
-// a pipe and returns the frames and stats.
-func playServer(t *testing.T, srv *Server, noInt8 bool) ([]*video.YUV, *PlayStats) {
-	t.Helper()
-	cconn, sconn := net.Pipe()
-	go func() { _ = srv.ServeConn(sconn) }()
-	defer cconn.Close()
-	defer sconn.Close()
-	client := NewClient(cconn)
-	client.NoInt8 = noInt8
-	out, stats, err := client.PlayCtx(context.Background(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, stats
-}
-
 // TestPlayModelStreamOverWire pins the end-to-end model stream: the
 // manifest advertises backbone + deltas, the client fetches the backbone
 // once and assembles every delta-shipped model locally, playback is
 // pixel-identical to origin playback in both precisions — with the same
-// session summary on every backend (local, sequential, mux) — and the
-// session downloads fewer model bytes than the same video served
-// full-model.
+// session summary on the local and the wire backend — and the session
+// downloads fewer model bytes than the same video served full-model.
 func TestPlayModelStreamOverWire(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the pipeline; skipped in short mode")
@@ -107,68 +89,65 @@ func TestPlayModelStreamOverWire(t *testing.T) {
 	}
 	ref, refStats := playLocal(t, prep, false)
 	refF, refStatsF := playLocal(t, prep, true)
-	for _, b := range wireBackends {
-		out, stats := b.play(t, srv, false)
-		if !framesEqual(out, ref) {
-			t.Fatalf("%s: model-stream int8 playback differs from origin-local playback", b.name)
-		}
-		if !reflect.DeepEqual(stats, refStats) {
-			t.Fatalf("%s: session summary %+v, origin-local %+v", b.name, stats, refStats)
-		}
-		if stats.Enhanced == 0 || stats.EnhancedInt8 != stats.Enhanced {
-			t.Fatalf("%s: enhanced %d, int8 %d; model stream must not break the int8 path",
-				b.name, stats.Enhanced, stats.EnhancedInt8)
-		}
-		if stats.BackboneBytes != bb.Bytes {
-			t.Fatalf("%s: BackboneBytes = %d, manifest backbone is %d bytes (must be fetched exactly once)",
-				b.name, stats.BackboneBytes, bb.Bytes)
-		}
-		if stats.DeltaModelBytes == 0 {
-			t.Fatalf("%s: DeltaModelBytes = 0; no model arrived as a delta", b.name)
-		}
-		if got := stats.BackboneBytes + stats.DeltaModelBytes + stats.FullModelBytes; got != stats.ModelBytes {
-			t.Fatalf("%s: byte breakdown %d does not sum to ModelBytes %d", b.name, got, stats.ModelBytes)
-		}
-
-		// Float32 ablation: assembly must be precision-agnostic.
-		outF, statsF := b.play(t, srv, true)
-		if !framesEqual(outF, refF) {
-			t.Fatalf("%s: model-stream float32 playback differs from origin-local float32 playback", b.name)
-		}
-		if !reflect.DeepEqual(statsF, refStatsF) {
-			t.Fatalf("%s: float32 session summary %+v, origin-local %+v", b.name, statsF, refStatsF)
-		}
-		if statsF.DeltaModelBytes != stats.DeltaModelBytes {
-			t.Fatalf("%s: float32 run downloaded %d delta bytes, int8 run %d; precision must not change the wire",
-				b.name, statsF.DeltaModelBytes, stats.DeltaModelBytes)
-		}
-
-		// Control arm: the same canonical models served full. Pixels must be
-		// identical (the reconstruction IS the canonical model) and the model
-		// stream must be strictly cheaper.
-		ctrlOut, ctrlStats := b.play(t, ctrlSrv, false)
-		if !framesEqual(out, ctrlOut) {
-			t.Fatalf("%s: full-model control playback differs from model-stream playback", b.name)
-		}
-		if ctrlStats.BackboneBytes != 0 || ctrlStats.DeltaModelBytes != 0 {
-			t.Fatalf("%s: control session used the model stream: backbone %d, delta %d bytes",
-				b.name, ctrlStats.BackboneBytes, ctrlStats.DeltaModelBytes)
-		}
-		if ctrlStats.FullModelBytes != ctrlStats.ModelBytes {
-			t.Fatalf("%s: control FullModelBytes %d != ModelBytes %d", b.name, ctrlStats.FullModelBytes, ctrlStats.ModelBytes)
-		}
-		if stats.ModelBytes >= ctrlStats.ModelBytes {
-			t.Fatalf("%s: model stream downloaded %d model bytes, full-model control %d; stream must be smaller",
-				b.name, stats.ModelBytes, ctrlStats.ModelBytes)
-		}
-		t.Logf("%s model bytes: stream %d (backbone %d + delta %d + full %d) vs full-model %d", b.name,
-			stats.ModelBytes, stats.BackboneBytes, stats.DeltaModelBytes, stats.FullModelBytes,
-			ctrlStats.ModelBytes)
+	out, stats := playWire(t, srv, wireOpts)
+	if !framesEqual(out, ref) {
+		t.Fatal("model-stream int8 playback differs from origin-local playback")
 	}
+	if !reflect.DeepEqual(stats, refStats) {
+		t.Fatalf("session summary %+v, origin-local %+v", stats, refStats)
+	}
+	if stats.Enhanced == 0 || stats.EnhancedInt8 != stats.Enhanced {
+		t.Fatalf("enhanced %d, int8 %d; model stream must not break the int8 path",
+			stats.Enhanced, stats.EnhancedInt8)
+	}
+	if stats.BackboneBytes != bb.Bytes {
+		t.Fatalf("BackboneBytes = %d, manifest backbone is %d bytes (must be fetched exactly once)",
+			stats.BackboneBytes, bb.Bytes)
+	}
+	if stats.DeltaModelBytes == 0 {
+		t.Fatal("DeltaModelBytes = 0; no model arrived as a delta")
+	}
+	if got := stats.BackboneBytes + stats.DeltaModelBytes + stats.FullModelBytes; got != stats.ModelBytes {
+		t.Fatalf("byte breakdown %d does not sum to ModelBytes %d", got, stats.ModelBytes)
+	}
+
+	// Float32 ablation: assembly must be precision-agnostic.
+	outF, statsF := playWire(t, srv, f32Opts)
+	if !framesEqual(outF, refF) {
+		t.Fatal("model-stream float32 playback differs from origin-local float32 playback")
+	}
+	if !reflect.DeepEqual(statsF, refStatsF) {
+		t.Fatalf("float32 session summary %+v, origin-local %+v", statsF, refStatsF)
+	}
+	if statsF.DeltaModelBytes != stats.DeltaModelBytes {
+		t.Fatalf("float32 run downloaded %d delta bytes, int8 run %d; precision must not change the wire",
+			statsF.DeltaModelBytes, stats.DeltaModelBytes)
+	}
+
+	// Control arm: the same canonical models served full. Pixels must be
+	// identical (the reconstruction IS the canonical model) and the model
+	// stream must be strictly cheaper.
+	ctrlOut, ctrlStats := playWire(t, ctrlSrv, wireOpts)
+	if !framesEqual(out, ctrlOut) {
+		t.Fatal("full-model control playback differs from model-stream playback")
+	}
+	if ctrlStats.BackboneBytes != 0 || ctrlStats.DeltaModelBytes != 0 {
+		t.Fatalf("control session used the model stream: backbone %d, delta %d bytes",
+			ctrlStats.BackboneBytes, ctrlStats.DeltaModelBytes)
+	}
+	if ctrlStats.FullModelBytes != ctrlStats.ModelBytes {
+		t.Fatalf("control FullModelBytes %d != ModelBytes %d", ctrlStats.FullModelBytes, ctrlStats.ModelBytes)
+	}
+	if stats.ModelBytes >= ctrlStats.ModelBytes {
+		t.Fatalf("model stream downloaded %d model bytes, full-model control %d; stream must be smaller",
+			stats.ModelBytes, ctrlStats.ModelBytes)
+	}
+	t.Logf("model bytes: stream %d (backbone %d + delta %d + full %d) vs full-model %d",
+		stats.ModelBytes, stats.BackboneBytes, stats.DeltaModelBytes, stats.FullModelBytes,
+		ctrlStats.ModelBytes)
 }
 
-// opSniffer records the opcode of every request frame a sequential
-// client writes.
+// opSniffer records the opcode of every request frame a client writes.
 type opSniffer struct {
 	io.ReadWriter
 	ops []byte
@@ -249,9 +228,9 @@ func TestModelStreamInterop(t *testing.T) {
 }
 
 // TestModelStreamCorruptionFallsBack pins the assembler's verify-then-arm
-// rule on both wire backends: a corrupted delta (or backbone) payload
-// must never reach the decoder — the client falls back to the complete
-// OpModel fetch and playback stays pixel-identical to the origin.
+// rule on the wire: a corrupted delta (or backbone) payload must never
+// reach the decoder — the client falls back to the complete OpModel
+// fetch and playback stays pixel-identical to the origin.
 func TestModelStreamCorruptionFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the pipeline; skipped in short mode")
@@ -288,24 +267,22 @@ func TestModelStreamCorruptionFallsBack(t *testing.T) {
 	bad[len(bad)/2] ^= 0x5A
 	srv2.videos[0].backbone = bad
 
-	for _, b := range wireBackends {
-		out, stats := b.play(t, srv, false)
-		if !framesEqual(out, ref.Frames) {
-			t.Fatalf("%s: playback with a corrupted delta differs from origin playback", b.name)
-		}
-		if stats.FullModelBytes == 0 {
-			t.Fatalf("%s: corrupted delta did not trigger a full-model fallback", b.name)
-		}
-		out2, stats2 := b.play(t, srv2, false)
-		if !framesEqual(out2, ref.Frames) {
-			t.Fatalf("%s: playback with a corrupted backbone differs from origin playback", b.name)
-		}
-		if stats2.DeltaModelBytes != 0 {
-			t.Fatalf("%s: client assembled %d delta bytes from a corrupted backbone", b.name, stats2.DeltaModelBytes)
-		}
-		if stats2.FullModelBytes != stats2.ModelBytes {
-			t.Fatalf("%s: corrupted-backbone session should be all full fetches: full %d of %d",
-				b.name, stats2.FullModelBytes, stats2.ModelBytes)
-		}
+	out, stats := playWire(t, srv, wireOpts)
+	if !framesEqual(out, ref.Frames) {
+		t.Fatal("playback with a corrupted delta differs from origin playback")
+	}
+	if stats.FullModelBytes == 0 {
+		t.Fatal("corrupted delta did not trigger a full-model fallback")
+	}
+	out2, stats2 := playWire(t, srv2, wireOpts)
+	if !framesEqual(out2, ref.Frames) {
+		t.Fatal("playback with a corrupted backbone differs from origin playback")
+	}
+	if stats2.DeltaModelBytes != 0 {
+		t.Fatalf("client assembled %d delta bytes from a corrupted backbone", stats2.DeltaModelBytes)
+	}
+	if stats2.FullModelBytes != stats2.ModelBytes {
+		t.Fatalf("corrupted-backbone session should be all full fetches: full %d of %d",
+			stats2.FullModelBytes, stats2.ModelBytes)
 	}
 }

@@ -45,9 +45,9 @@ func getFixture2(t testing.TB) (*core.Prepared, []*video.YUV) {
 	return fixture2.prep, fixture2.frames
 }
 
-// TestMultiVideoRegisterAndRoute pins the tentpole: one server hosts two
-// content-distinct videos, clients list them, select one by digest, and
-// play it end to end — all over one connection.
+// TestMultiVideoRegisterAndRoute pins multi-video serving: one server
+// hosts two content-distinct videos, clients list them, select one by
+// digest, and play it end to end — all over one connection.
 func TestMultiVideoRegisterAndRoute(t *testing.T) {
 	prep1, frames1 := getFixture(t)
 	prep2, frames2 := getFixture2(t)
@@ -97,15 +97,13 @@ func TestMultiVideoRegisterAndRoute(t *testing.T) {
 		t.Fatalf("default video played %d frames, want %d", len(out), len(frames1))
 	}
 
-	// Select the second video by digest and replay: same connection, new
+	// Select the second video by digest and play it: same connection, new
 	// content.
-	if err := client.SelectVideoCtx(context.Background(), d2); err != nil {
-		t.Fatal(err)
-	}
-	out, stats, err := client.PlayCtx(context.Background(), true)
+	v2, err := client.VideoByDigest(context.Background(), d2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, stats := playVideo(t, v2, wireOpts)
 	if len(out) != len(frames2) {
 		t.Fatalf("selected video played %d frames, want %d", len(out), len(frames2))
 	}
@@ -118,23 +116,24 @@ func TestMultiVideoRegisterAndRoute(t *testing.T) {
 	go func() { _ = srv.ServeConn(sconn2) }()
 	defer cconn2.Close()
 	defer sconn2.Close()
-	fresh := NewClient(cconn2)
-	if err := fresh.SelectVideoCtx(context.Background(), d2); err != nil {
+	fresh, err := NewClient(cconn2).VideoByDigest(context.Background(), d2)
+	if err != nil {
 		t.Fatalf("selecting a non-default video first: %v", err)
 	}
-	if wm, err = fresh.ManifestCtx(context.Background()); err != nil {
+	if wm, err = fresh.Manifest(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Video != 1 || len(wm.Segments) != len(prep2.Manifest.Segments) {
+	if fresh.ID != 1 || len(wm.Segments) != len(prep2.Manifest.Segments) {
 		t.Errorf("fresh client routed at video %d with %d segments, want video 1 with %d",
-			fresh.Video, len(wm.Segments), len(prep2.Manifest.Segments))
+			fresh.ID, len(wm.Segments), len(prep2.Manifest.Segments))
 	}
 
-	// Selecting back to the default works too.
-	if err := client.SelectVideoCtx(context.Background(), d1); err != nil {
+	// Selecting the default by digest works too.
+	v1, err := client.VideoByDigest(context.Background(), d1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if wm, err = client.ManifestCtx(context.Background()); err != nil {
+	if wm, err = v1.Manifest(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if len(wm.Segments) != len(prep1.Manifest.Segments) {
@@ -155,16 +154,17 @@ func TestSelectVideoErrors(t *testing.T) {
 	defer cconn.Close()
 	defer sconn.Close()
 	client := NewClient(cconn)
-	if err := client.SelectVideoCtx(context.Background(), "no-such-digest"); err == nil {
+	if _, err := client.VideoByDigest(context.Background(), "no-such-digest"); err == nil {
 		t.Fatal("selecting an unhosted digest succeeded")
 	}
-	if client.Video != 0 {
-		t.Errorf("failed selection moved Video to %d", client.Video)
+	// The failed lookup leaves the client usable.
+	if _, err := client.ManifestCtx(context.Background()); err != nil {
+		t.Fatalf("client unusable after a failed selection: %v", err)
 	}
 }
 
-// TestMuxRoutesNonDefaultVideo drives the second video through the
-// pipelined client: the frame's video field routes each request.
+// TestMuxRoutesNonDefaultVideo drives both videos through one DialMux
+// client: the frame's video field routes each request.
 func TestMuxRoutesNonDefaultVideo(t *testing.T) {
 	prep1, _ := getFixture(t)
 	prep2, _ := getFixture2(t)

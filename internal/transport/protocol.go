@@ -1,8 +1,8 @@
 // Package transport serves and fetches dcSR artifacts over real network
 // connections: a length-prefixed binary request/response protocol, a
 // concurrent multi-video origin server with admission control, a
-// sequential and a multiplexed client, and a token-bucket bandwidth
-// throttler for emulating constrained links.
+// pipelined client, and a token-bucket bandwidth throttler for emulating
+// constrained links.
 //
 // The paper's prototype pairs a streaming platform with SR-FFMPEG; this
 // package is the equivalent delivery path. The paper's deployment sketch
@@ -16,17 +16,16 @@
 //
 // Playback itself is not here: stream.Session is the one playback engine
 // (manifest walk, model cache and assembly, int8 arming, degradation,
-// byte accounting, decode), and the clients are its wire backends —
+// byte accounting, decode), and Client is its wire backend —
 //
-//	*Client / MuxClient.Video(id)  ──▶ stream.Fetcher ──▶ stream.Session
-//	   exchange once (exchanger)   ◀── retrier.do: retry, backoff, reconnect
+//	Client.Video(id) ──▶ stream.Fetcher ──▶ stream.Session
+//	  Client.do: retry, backoff ──▶ exchange: one pipelined request
 //
-// Both implement stream.Fetcher by driving each request through the one
-// retry loop (retrier.do); all they implement themselves is a single
-// wire exchange. Client.PlayCtx is the engine over the sequential client;
-// stream.Open(…, mux.Video(id), …) is the same over a shared multiplexed
-// connection. Every client method that touches the network takes a
-// context.
+// Video(id) implements stream.Fetcher by driving each request through
+// the one retry loop (Client.do) over the one wire exchange. Playing a
+// video is stream.Open(…, c.Video(id), opts); Client.PlayCtx is that with
+// default options on the default video. Every client method that touches
+// the network takes a context.
 //
 // # Wire protocol
 //
@@ -57,28 +56,29 @@
 // the server's backoff hint in milliseconds (see AdmissionConfig and
 // IsRetryAfter). A connection cut mid-frame surfaces on the server as
 // io.ErrUnexpectedEOF from the frame read and the connection is dropped.
-// The sequential Client does not resynchronize after a short read or a
-// dropped response either: it marks its connection broken on any
-// transport-level error and redials (Client.Redial).
+// The Client does not resynchronize after a short read or a dropped
+// response either: any transport-level error retires the connection,
+// and the next request redials (Client.Redial).
 //
 // # Client concurrency contract
 //
-// A Client owns exactly one connection and issues requests strictly
-// sequentially; it is not safe for concurrent use. This mirrors a player's
-// fetch loop (the paper's Algorithm 1 walks segments in order): it is the
-// one frame with at most one request outstanding. Open multiple Clients
-// for parallel sessions, or share one MuxClient — the same frame
-// pipelined, safe for concurrent use — among many sessions; the Server
-// handles each connection in its own goroutine and each admitted request
-// in a worker bounded by admission.
+// A Client is safe for concurrent use. It owns one connection at a time
+// and pipelines on it: every request is written as it arrives under its
+// own ID, and one reader goroutine per connection hands each response to
+// the request that asked for it. One caller walking segments in order
+// (the paper's Algorithm 1) has one request outstanding; any number of
+// sessions may share the client. The Server handles each connection in
+// its own goroutine and each admitted request in a worker bounded by
+// admission.
 //
 // # Fault tolerance and admission control
 //
-// Client.Retry (and MuxClient.Retry) configures retries with exponential
-// backoff and jitter plus a per-request deadline; see RetryPolicy.
-// Application-level failures (StatusNotFound, StatusBadReq) are never
-// retried — only transport-level errors and timeouts are, after
-// reconnecting through Client.Redial.
+// Client.Retry configures retries with exponential backoff and jitter
+// plus a per-request timeout; see RetryPolicy. Application-level failures
+// (StatusNotFound, StatusBadReq) are never retried — only transport-level
+// errors and timeouts are, on a connection redialed through Client.Redial
+// whenever the old one failed or stalled (see Client for the timeout
+// rule).
 // StatusRetryAfter sits in between: it is a deterministic rejection (the
 // connection stays synchronized) but a retryable one — clients honor the
 // carried hint as a backoff floor and try again under a separate shed
@@ -94,6 +94,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"dcsr/internal/edsr"
@@ -133,6 +134,11 @@ const (
 // maxPayload bounds a single response (64 MiB) so a corrupt or malicious
 // length prefix cannot make the client allocate unbounded memory.
 const maxPayload = stream.MaxArtifactBytes
+
+// firstChunk is all readResponse allocates on the strength of a declared
+// length alone (1 MiB, above every segment and model payload); past it
+// the buffer grows with the bytes that actually arrive.
+const firstChunk = 1 << 20
 
 // Framing sizes, used by both sides for byte accounting.
 const (
@@ -204,11 +210,14 @@ func DecodeWireManifest(data []byte) (*WireManifest, error) {
 		seenSeg[s.Index] = true
 	}
 	seenModel := make(map[int]bool, len(wm.Models))
-	for _, mi := range wm.Models {
+	for i, mi := range wm.Models {
 		if seenModel[mi.Label] {
 			return nil, fmt.Errorf("transport: manifest repeats model label %d", mi.Label)
 		}
 		seenModel[mi.Label] = true
+		if len(mi.ActScales) == 0 {
+			wm.Models[i].ActScales = nil // "act_scales":[] is no scales, as its re-encoding says
+		}
 	}
 	return &wm, nil
 }
@@ -372,20 +381,29 @@ func writeResponse(w io.Writer, id uint32, status byte, payload []byte) error {
 	return nil
 }
 
-// readResponse parses a response frame, enforcing the payload bound.
+// readResponse parses a response frame, enforcing the payload bound. A
+// header declaring a large payload costs at most firstChunk until the
+// peer sends the bytes to fill it.
 func readResponse(r io.Reader) (id uint32, status byte, payload []byte, err error) {
 	var hdr [respFrameBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, fmt.Errorf("transport: reading response header: %w", err)
 	}
 	id = binary.BigEndian.Uint32(hdr[:4])
-	n := binary.BigEndian.Uint32(hdr[5:])
+	n := int(binary.BigEndian.Uint32(hdr[5:]))
 	if n > maxPayload {
 		return 0, 0, nil, fmt.Errorf("transport: response of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, 0, nil, fmt.Errorf("transport: reading response payload: %w", err)
+	payload = make([]byte, min(n, firstChunk))
+	for read := 0; ; {
+		m, err := io.ReadFull(r, payload[read:])
+		if read += m; err != nil {
+			return 0, 0, nil, fmt.Errorf("transport: reading response payload: %w", err)
+		}
+		if read == n {
+			return id, hdr[4], payload, nil
+		}
+		grow := min(n-read, read)
+		payload = slices.Grow(payload, grow)[:read+grow]
 	}
-	return id, hdr[4], payload, nil
 }

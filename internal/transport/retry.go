@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"sync"
 	"time"
 
 	"dcsr/internal/obs"
@@ -17,15 +16,13 @@ import (
 // RetryPolicy configures how a Client survives delivery failures: how
 // long one request may take, how often it is retried, and how the
 // retries back off. The zero value is the seed behaviour — no deadline,
-// no retry, fail on the first I/O error — so existing callers are
-// byte-for-byte unaffected.
+// no retry, fail on the first I/O error.
 //
 // Only transport-level failures (write errors, read errors, timeouts,
 // injected faults) are retried; protocol-level rejections (StatusNotFound,
 // StatusBadReq) are deterministic and returned immediately. A failed
-// request leaves the connection desynchronized, so a retry first
-// re-establishes the connection through Client.Redial; without a Redial
-// hook, transport-level failures are fatal exactly as in the zero policy.
+// connection is retired and the retry redials through Client.Redial;
+// without a Redial hook, a lost connection is fatal.
 //
 // StatusRetryAfter — the server's admission shed — is a third class: the
 // connection stays synchronized (no redial) and the rejection is
@@ -51,10 +48,10 @@ type RetryPolicy struct {
 	// negative disables jitter entirely). Jitter draws come from a PRNG
 	// seeded with Seed, so schedules are reproducible.
 	Jitter float64
-	// Timeout bounds one request/response exchange via a read deadline
-	// on the connection (0 = none). Connections that do not implement
-	// SetReadDeadline — strings readers in tests, say — silently run
-	// without a deadline.
+	// Timeout bounds one request/response exchange as a context deadline,
+	// on any connection (0 = none). An expired request keeps its
+	// connection if responses are still arriving on it and retires it as
+	// stalled if not (see Client).
 	Timeout time.Duration
 	// Seed seeds the jitter PRNG.
 	Seed int64
@@ -167,27 +164,6 @@ func isTimeoutErr(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// readDeadliner is the optional connection capability per-request
-// timeouts need; net.Conn, net.Pipe ends, faultnet.Conn and
-// ThrottledConn all provide it.
-type readDeadliner interface{ SetReadDeadline(time.Time) error }
-
-// RecoveryStats counts a client's recovery work, mirroring the obs
-// counters transport_client_{retries,timeouts,reconnects,shed}_total for
-// callers without a metrics registry.
-type RecoveryStats struct {
-	Retries    int
-	Timeouts   int
-	Reconnects int
-	// Sheds counts StatusRetryAfter rejections received from the server's
-	// admission layer. Each one backed off by at least the server's hint
-	// before retrying (see RetryPolicy.ShedRetries).
-	Sheds int
-	// StallTime accumulates backoff sleeps — delivery time lost to
-	// faults, the "stall" axis of the fault-injection experiment.
-	StallTime time.Duration
-}
-
 // request is one wire request: the opcode, its argument, and the hosted
 // video it is routed at.
 type request struct {
@@ -203,41 +179,19 @@ func (rq request) frame(id uint32, attempt int, asp *obs.Span) wireRequest {
 		TC: TraceContext{TraceID: asp.TraceID(), SpanID: asp.SpanID(), Attempt: uint8(attempt)}}
 }
 
-// exchanger performs exactly one wire exchange — the only part of a
-// request the sequential and the multiplexed client do differently. It
-// returns the payload, a *statusError for an intact non-OK response (the
-// connection stays usable), or a transport error, after which the
-// implementation must be ready to reconnect on the next call. ctx carries
-// the exchange's deadline, if it has one; attempt and asp identify the
-// exchange for wire tracing (asp may be nil).
-type exchanger interface {
-	exchange(ctx context.Context, rq request, attempt int, asp *obs.Span) ([]byte, error)
-}
-
-// retrier is the retry engine both clients hold: the recovery counters,
-// the jitter PRNG, and the one state machine that drives a request to
-// completion. Its mutex guards the PRNG and the counters and is taken on
-// failure paths only.
-type retrier struct {
-	RecoveryStats
-	mu    sync.Mutex
-	rng   *rand.Rand
-	sleep func(time.Duration) // test hook; a real interruptible sleep when nil
-}
-
 // do drives one request through the retry state machine: exchange,
-// classify the failure, back off, try again — up to pol.MaxRetries extra
-// attempts for transport failures (the exchanger reconnects) and
-// pol.ShedRetries for admission sheds (which keep the connection and back
-// off by at least the server's hint); any other rejection is
+// classify the failure, back off, try again — up to Retry.MaxRetries
+// extra attempts for transport failures (the next exchange redials) and
+// Retry.ShedRetries for admission sheds (which keep the connection and
+// back off by at least the server's hint); any other rejection is
 // deterministic and returned at once. Cancellation is attempt-granular:
 // ctx is checked before each attempt and interrupts backoff sleeps
-// immediately; each exchange runs under ctx narrowed by pol.Timeout, so
-// an expiring context or timeout cuts short even an in-flight read.
+// immediately; each exchange runs under ctx narrowed by Retry.Timeout, so
+// an expiring context or timeout cuts short even an in-flight request.
 // Each attempt gets its own numbered child span under the span ctx
 // carries (obs.WithSpan), so retries are distinguishable in a trace.
-func (r *retrier) do(ctx context.Context, x exchanger, rq request, pol RetryPolicy, o *obs.Obs, log *obs.Logger) ([]byte, error) {
-	pol = pol.withDefaults()
+func (c *Client) do(ctx context.Context, rq request) ([]byte, error) {
+	pol, o := c.Retry.withDefaults(), c.Obs
 	parent := obs.SpanFrom(ctx)
 	fails, sheds := 0, 0
 	for {
@@ -254,16 +208,16 @@ func (r *retrier) do(ctx context.Context, x exchanger, rq request, pol RetryPoli
 			asp.Set("op", opName(rq.op))
 			asp.Set("attempt", fails+sheds)
 		}
-		payload, err := x.exchange(xctx, rq, fails+sheds, asp)
+		payload, err := c.exchange(xctx, rq, fails+sheds, asp)
 		cancel()
 		if err == nil {
 			asp.Set("outcome", "ok")
 			asp.End()
 			return payload, nil
 		}
-		// Transport failures draw on MaxRetries (the exchanger reconnects);
-		// sheds keep the connection, draw on their own budget and back off
-		// by at least the server's hint; any other status is final.
+		// Transport failures draw on MaxRetries (the next exchange
+		// redials); sheds keep the connection, draw on their own budget and
+		// back off by at least the server's hint; any other status is final.
 		outcome, n, budget, floor := "error", &fails, pol.MaxRetries, time.Duration(0)
 		var se *statusError
 		shed := errors.As(err, &se) && se.status == StatusRetryAfter
@@ -276,29 +230,29 @@ func (r *retrier) do(ctx context.Context, x exchanger, rq request, pol RetryPoli
 		asp.Set("error", err.Error())
 		asp.End()
 		var d time.Duration
-		r.mu.Lock()
+		c.statsMu.Lock()
 		if shed {
-			r.Sheds++
+			c.Sheds++
 			o.Counter("transport_client_shed_total").Inc()
 		} else if isTimeoutErr(err) {
-			r.Timeouts++
+			c.Timeouts++
 			o.Counter("transport_client_timeouts_total").Inc()
 		}
 		retry := ctx.Err() == nil && *n < budget
 		if retry {
-			if r.rng == nil {
-				r.rng = rand.New(rand.NewSource(pol.Seed))
+			if c.rng == nil {
+				c.rng = rand.New(rand.NewSource(pol.Seed))
 			}
-			if d = pol.backoff(*n, r.rng); d < floor {
+			if d = pol.backoff(*n, c.rng); d < floor {
 				d = floor
 			}
 			if !shed {
-				r.Retries++
+				c.Retries++
 				o.Counter("transport_client_retries_total").Inc()
 			}
-			r.StallTime += d
+			c.StallTime += d
 		}
-		r.mu.Unlock()
+		c.statsMu.Unlock()
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
@@ -306,10 +260,10 @@ func (r *retrier) do(ctx context.Context, x exchanger, rq request, pol RetryPoli
 			return nil, err
 		}
 		*n++
-		log.Warn("transport: retrying request", "op", opName(rq.op), "arg", rq.arg,
+		c.Log.Warn("transport: retrying request", "op", opName(rq.op), "arg", rq.arg,
 			"attempt", fails+sheds, "backoff", d, "err", err)
-		if r.sleep != nil {
-			r.sleep(d) // test hook: instantaneous
+		if c.sleep != nil {
+			c.sleep(d) // test hook: instantaneous
 		} else if err := sleepCtx(ctx, d); err != nil {
 			return nil, err
 		}

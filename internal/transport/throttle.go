@@ -94,14 +94,3 @@ func (t *ThrottledConn) Close() error {
 	}
 	return nil
 }
-
-// SetReadDeadline forwards to the inner connection when supported, so
-// per-request timeouts keep working through the throttling layer. Note
-// that the token-bucket sleep happens after the read: a deadline bounds
-// the wait for bytes, not the simulated drain time.
-func (t *ThrottledConn) SetReadDeadline(dl time.Time) error {
-	if d, ok := t.inner.(interface{ SetReadDeadline(time.Time) error }); ok {
-		return d.SetReadDeadline(dl)
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 // Tests for wire-level trace propagation: fault behaviour of a request
 // cut inside the trace fields, retry attribution, and the end-to-end
-// client → server → /debug/trace?id= path over both wire backends.
+// client → server → /debug/trace?id= path through PlayCtx and through
+// stream.Open over a DialMux client.
 // Everything here is meaningful under -race.
 package transport
 
@@ -180,60 +181,37 @@ func TestRetryAttribution(t *testing.T) {
 }
 
 // TestServerSpanBytesOut pins the server span's bytes_out attribute to
-// the framing actually written: on either client it equals what the
-// client counted coming down for that request.
+// the framing actually written: it equals what the client counted coming
+// down for that request.
 func TestServerSpanBytesOut(t *testing.T) {
 	prep, _ := getFixture(t)
-	for _, row := range []struct {
-		name string
-		// fetch requests segment 0 under ctx and returns the bytes the
-		// client counted down for that one exchange.
-		fetch func(t *testing.T, ctx context.Context, conn io.ReadWriter) int64
-	}{
-		{"sequential", func(t *testing.T, ctx context.Context, conn io.ReadWriter) int64 {
-			client := NewClient(conn)
-			if _, err := client.SegmentCtx(ctx, 0); err != nil {
-				t.Fatal(err)
-			}
-			return int64(client.BytesDown)
-		}},
-		{"mux", func(t *testing.T, ctx context.Context, conn io.ReadWriter) int64 {
-			mux, err := DialMux(func() (io.ReadWriter, error) { return conn, nil })
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := mux.Stats().BytesDown
-			if _, err := mux.Video(0).Fetch(ctx, stream.KindSegment, 0); err != nil {
-				t.Fatal(err)
-			}
-			return mux.Stats().BytesDown - before
-		}},
-	} {
-		srv, err := NewServer(prep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		so := obs.New()
-		srv.Obs = so
-		cconn, sconn := net.Pipe()
-		go func() { _ = srv.ServeConn(sconn) }()
-		root := obs.New().Start("fetch")
-		down := row.fetch(t, obs.WithSpan(context.Background(), root), cconn)
-		waitTraceLen(t, so.TraceBuf, 1)
-		spans := so.TraceBuf.Trace(root.TraceID())
-		if len(spans) != 1 {
-			t.Fatalf("%s: server recorded %d spans, want 1", row.name, len(spans))
-		}
-		if got, want := fmt.Sprint(spans[0].Attrs["bytes_out"]), fmt.Sprint(down); got != want {
-			t.Errorf("%s: server span bytes_out = %s, client received %s bytes", row.name, got, want)
-		}
-		cconn.Close()
-		sconn.Close()
+	srv, err := NewServer(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := obs.New()
+	srv.Obs = so
+	cconn, sconn := net.Pipe()
+	go func() { _ = srv.ServeConn(sconn) }()
+	defer cconn.Close()
+	defer sconn.Close()
+	root := obs.New().Start("fetch")
+	client := NewClient(cconn)
+	if _, err := client.Video(0).Fetch(obs.WithSpan(context.Background(), root), stream.KindSegment, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitTraceLen(t, so.TraceBuf, 1)
+	spans := so.TraceBuf.Trace(root.TraceID())
+	if len(spans) != 1 {
+		t.Fatalf("server recorded %d spans, want 1", len(spans))
+	}
+	if got, want := fmt.Sprint(spans[0].Attrs["bytes_out"]), fmt.Sprint(client.Stats().BytesDown); got != want {
+		t.Errorf("server span bytes_out = %s, client received %s bytes", got, want)
 	}
 }
 
-// TestEndToEndTraceRetrievable is the acceptance-criteria test, over both
-// wire backends: a full playback through faultnet (one dropped response
+// TestEndToEndTraceRetrievable is the acceptance-criteria test, through
+// both ways of playing over the wire: a full playback through faultnet (one dropped response
 // forcing retry + redial), after which the trace ID recorded on the
 // client side is retrievable from the server's /debug/trace?id= endpoint
 // with every server span — the manifest's included — correctly parented
@@ -266,11 +244,7 @@ func TestEndToEndTraceRetrievable(t *testing.T) {
 			root := co.Start("client_play")
 			defer root.End()
 			ctx := obs.WithSpan(context.Background(), root)
-			data, err := mux.Do(ctx, OpManifest, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wm, err := DecodeWireManifest(data)
+			wm, err := mux.Video(0).Manifest(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -115,11 +115,7 @@ func TestServeOverTCP(t *testing.T) {
 		defer close(done)
 		_ = srv.Serve(ln)
 	}()
-	client, conn, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	client := dialTCP(t, ln.Addr().String())
 	out, _, err := client.PlayCtx(context.Background(), false)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +123,7 @@ func TestServeOverTCP(t *testing.T) {
 	if len(out) != len(frames) {
 		t.Fatalf("streamed %d frames, want %d", len(out), len(frames))
 	}
-	if client.BytesDown <= prep.Manifest.TotalVideoBytes() {
+	if client.BytesDown <= int64(prep.Manifest.TotalVideoBytes()) {
 		t.Errorf("accounted %d bytes down, expected more than raw video %d",
 			client.BytesDown, prep.Manifest.TotalVideoBytes())
 	}
@@ -158,13 +154,13 @@ func TestConcurrentClients(t *testing.T) {
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			client, conn, err := Dial(ln.Addr().String())
+			conn, err := net.Dial("tcp", ln.Addr().String())
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer conn.Close()
-			out, _, err := client.PlayCtx(context.Background(), true)
+			out, _, err := NewClient(conn).PlayCtx(context.Background(), true)
 			if err == nil && len(out) != len(frames) {
 				err = io.ErrUnexpectedEOF
 			}
@@ -243,6 +239,18 @@ func TestThrottledConnSetRate(t *testing.T) {
 	if slept > 50*time.Millisecond {
 		t.Fatalf("fast link slept %v", slept)
 	}
+}
+
+// dialTCP starts a client on a fresh TCP connection to addr, closed when
+// the test ends.
+func dialTCP(t *testing.T, addr string) *Client {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return NewClient(conn)
 }
 
 // readWriter adapts a Reader for the ReadWriter-based APIs.

@@ -142,6 +142,38 @@ func TestResponsePayloadBound(t *testing.T) {
 	}
 }
 
+// TestResponseAllocFollowsBytes: a header that declares a large payload
+// costs the client at most the first chunk until the bytes arrive — a
+// 60 MiB declaration followed by EOF allocates under 2 MiB — while a
+// payload past the first chunk still reads back whole.
+func TestResponseAllocFollowsBytes(t *testing.T) {
+	var hdr bytes.Buffer
+	if err := writeResponse(&hdr, 1, StatusOK, nil); err != nil {
+		t.Fatal(err)
+	}
+	declared := hdr.Bytes()
+	binary.BigEndian.PutUint32(declared[5:], 60<<20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, payload, err := readResponse(bytes.NewReader(declared))
+	runtime.ReadMemStats(&after)
+	if err == nil || payload != nil {
+		t.Fatal("a header with no payload behind it parsed")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+		t.Errorf("a 60 MiB declaration with nothing behind it allocated %d bytes", grew)
+	}
+
+	big := bytes.Repeat([]byte("0123456789abcdef"), (5*firstChunk/2)/16)
+	var buf bytes.Buffer
+	if err := writeResponse(&buf, 7, StatusOK, big); err != nil {
+		t.Fatal(err)
+	}
+	if id, _, got, err := readResponse(&buf); err != nil || id != 7 || !bytes.Equal(got, big) {
+		t.Fatalf("%d-byte payload read back as %d bytes, id %d, err %v", len(big), len(got), id, err)
+	}
+}
+
 // FuzzReadRequest: any byte stream either fails to parse or yields the
 // request its first 34 bytes encode — never a panic.
 func FuzzReadRequest(f *testing.F) {
