@@ -8,7 +8,11 @@ GO ?= go
 
 # Every line but the last fails fast on something the race sweep would
 # reach only after minutes, or never: the pinned goldens (Prepare, codec,
-# training, wire — never regenerate one to make a change pass); the
+# training, int8 state, wire — never regenerate one to make a change
+# pass); the int8-grid payload's contract (an artifact written before it
+# still plays, writers drop a pinned grid, hostile dcW6 payloads are
+# refused, a fused delta reconstruction falls back, and the FMA ratchet
+# over four cross-compiled architectures); the
 # nested bench/ module, which root ./... cannot see and where an API
 # break in bench/adapter.go shows first; the portable kernels, which on
 # an AVX2 host otherwise run only where a test switches the assembly
@@ -17,6 +21,7 @@ GO ?= go
 # trains real models and outlasts the default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet' . ./internal/core ./internal/nn
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...
@@ -40,7 +45,7 @@ test:
 
 # A few seconds of native fuzzing per wire parser (frames, manifest,
 # directory), per kernel differential (every lane vs the reference, bit
-# for bit), for the weight decoders (dcW1, dcW5 delta), for the codec's
+# for bit), for the weight decoders (dcW1 and dcW6, dcW5 delta), for the codec's
 # stream decoder and for an artifact's stages.json root under core.Load
 # (error or a valid result, never a panic, bounded allocation); go test
 # accepts one -fuzz target per run. A crasher is written under the

@@ -28,7 +28,8 @@ import (
 // artifact is the checkpoint whose last stage is complete:
 //
 //	<dir>/stages.json — the root: small results inline, payloads by digest
-//	<dir>/objects/    — modelstore.Disk: coded stream, weights, dcW5 deltas
+//	<dir>/objects/    — modelstore.Disk: coded stream, weights, dcW5 deltas,
+//	                    dcW6 int8 grids
 //
 // One write protocol: objects first (Disk.Put), then the root, each
 // through modelstore.WriteFileAtomic (temp → fsync → rename). A kill at
@@ -69,10 +70,10 @@ type clusterRecord struct {
 // modelRecord is one cluster's model: the trained weights, then each
 // later stage's verdict as it lands.
 type modelRecord struct {
-	Weights string            `json:"weights"` // digest of the trained dcW1 weights
+	Weights string            `json:"weights"` // digest of the trained dcW1 weights (Save: of the payload the model ships)
 	Train   *edsr.TrainResult `json:"train,omitempty"`
 	Delta   *deltaRecord      `json:"delta,omitempty"`
-	Quant   *QuantResult      `json:"quant,omitempty"`
+	Quant   *quantRecord      `json:"quant,omitempty"`
 }
 
 // deltaRecord is a DeltaResult with its payload in the store; an adopted
@@ -81,6 +82,16 @@ type deltaRecord struct {
 	DeltaResult
 	Payload   string `json:"payload,omitempty"`
 	Canonical string `json:"canonical,omitempty"`
+}
+
+// quantRecord is a QuantResult; a model the int8 stage snapped onto its
+// int8 grid also names the dcW6 payload that replaces the weights before
+// it. (Save writes a model's current payload as its weights, so a saved
+// root names no grid; roots written before the int8 grid name none
+// either, and their int8 models stay float32 payloads.)
+type quantRecord struct {
+	QuantResult
+	Grid string `json:"grid,omitempty"`
 }
 
 // artifact is an open artifact directory. A nil *artifact disables
@@ -233,8 +244,9 @@ func (a *artifact) weights(digest string, cfg edsr.Config) (*edsr.Model, []byte,
 
 // restoreModel is the one model restore. It rebuilds label's model as far
 // as its record goes: trained weights, then the delta verdict (an adopted
-// delta swaps in its canonical weights), then the int8 verdict (a passing
-// model re-arms from its stored scales, no calibration pass). Load treats
+// delta swaps in its canonical weights), then the int8 verdict (a snapped
+// model swaps in its int8 grid; a passing model re-arms from its stored
+// scales, no calibration pass). Load treats
 // any error as fatal; the resuming train stage keeps the model as restored
 // up to the error (nil: not even the trained weights) and the later stages
 // recompute the verdicts it lacks.
@@ -261,12 +273,18 @@ func (a *artifact) restoreModel(label int, cfg edsr.Config, rec *modelRecord) (*
 		sm.Delta = &res
 	}
 	if q := rec.Quant; q != nil {
+		if q.Grid != "" {
+			if m, data, err = a.weights(q.Grid, cfg); err != nil {
+				return sm, fmt.Errorf("core: model %d int8 grid: %w", label, err)
+			}
+			sm.Model, sm.Bytes = m, data
+		}
 		if q.Int8OK {
 			if err := sm.Model.CalibrateFromScales(q.ActScales); err != nil {
 				return sm, fmt.Errorf("core: re-arming int8 model %d: %w", label, err)
 			}
 		}
-		sm.Quant = q
+		sm.Quant = &q.QuantResult
 	}
 	return sm, nil
 }
@@ -291,7 +309,9 @@ func (p *Prepared) Save(dir string) error {
 			if sm.Delta != nil {
 				rec.Delta = a.putDelta(sm)
 			}
-			rec.Quant = sm.Quant
+			if sm.Quant != nil {
+				rec.Quant = &quantRecord{QuantResult: *sm.Quant}
+			}
 			r.Models[label] = rec
 		}
 	})
@@ -383,7 +403,10 @@ func checkSegments(segs []splitter.Segment, frames int) error {
 // prepareInputDigest fingerprints everything that determines the pipeline
 // output — raw frames, fps, and the config minus its runtime-only fields
 // (observability and the checkpoint location don't change what gets
-// computed) — so a checkpoint only resumes the run that produced it.
+// computed) — so a checkpoint only resumes the run that produced it. With
+// the int8 gate on it also names the int8-grid pipeline, so a checkpoint
+// that pipeline did not write — deltas coded against an unsnapped
+// backbone — starts fresh instead of being spliced in.
 func prepareInputDigest(frames []*video.YUV, fps int, cfg ServerConfig) string {
 	cfg.Obs, cfg.CheckpointDir = nil, ""
 	cj, err := json.Marshal(cfg)
@@ -397,6 +420,9 @@ func prepareInputDigest(frames []*video.YUV, fps int, cfg ServerConfig) string {
 		}
 	}
 	write(fmt.Appendf(cj, " %d fps, %d frames", fps, len(frames)))
+	if cfg.Quant.Enabled {
+		write([]byte(" int8 grid"))
+	}
 	for _, f := range frames {
 		write(fmt.Appendf(nil, " %dx%d ", f.W, f.H))
 		write(f.Y)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"dcsr/internal/edsr"
+	"dcsr/internal/nn"
 	"dcsr/internal/obs"
 	"dcsr/internal/splitter"
 )
@@ -449,7 +451,8 @@ func TestDamagedCheckpointCostsWorkNeverWedges(t *testing.T) {
 
 // TestQuantCheckpointResume: a second Prepare over a complete checkpoint
 // restores the int8 verdicts and re-arms from the stored scales instead of
-// re-running the gate, composing with the delta stage's canonical weights.
+// re-running the gate, composing with the delta stage's canonical weights
+// — and so does one over a checkpoint cut just after the backbone's snap.
 func TestQuantCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the pipeline; skipped in short mode")
@@ -505,6 +508,47 @@ func TestQuantCheckpointResume(t *testing.T) {
 	_, want := playBoth(t, first)
 	_, got := playBoth(t, second)
 	framesIdentical(t, got.Frames, want.Frames, "int8 playback, computed vs resumed")
+
+	// A kill right after the backbone's snap: the resume restores the
+	// snapped backbone from its grid object and codes the deltas against
+	// it, so every payload and verdict is the uninterrupted run's.
+	bb := first.Manifest.Backbone
+	if bb == nil || !nn.IsGridPayload(first.Models[bb.Label].Bytes) {
+		t.Fatal("the uninterrupted run published no int8-grid backbone")
+	}
+	var upToSnap []prepStage
+	for _, st := range prepareStages() {
+		upToSnap = append(upToSnap, st)
+		if st.name == "quantize_backbone" {
+			break
+		}
+	}
+	cfg.CheckpointDir, cfg.Obs = t.TempDir(), nil
+	if _, err := prepareWith(context.Background(), frames, clip.FPS, cfg, upToSnap); err != nil {
+		t.Fatal(err)
+	}
+	if rec := mustReadRoot(t, cfg.CheckpointDir).Models[bb.Label]; rec.Quant == nil || rec.Quant.Grid == "" {
+		t.Fatal("the cut root names no int8 grid for the backbone")
+	}
+	o = obs.New()
+	cfg.Obs = o
+	resumed, err := Prepare(frames, clip.FPS, cfg)
+	if err != nil {
+		t.Fatalf("resume after the snap: %v", err)
+	}
+	if !slices.Contains(checkpointedSpans(o), "quantize_backbone") {
+		t.Error("the resume recomputed the backbone's snap")
+	}
+	comparePrepared(t, resumed, first)
+	for label, sm := range first.Models {
+		rm := resumed.Models[label]
+		if !reflect.DeepEqual(rm.Quant, sm.Quant) {
+			t.Errorf("model %d int8 verdict %+v, uninterrupted %+v", label, rm.Quant, sm.Quant)
+		}
+		if (rm.Delta == nil) != (sm.Delta == nil) || rm.Delta != nil && (rm.Delta.DeltaOK != sm.Delta.DeltaOK || !bytes.Equal(rm.Delta.Bytes, sm.Delta.Bytes)) {
+			t.Errorf("model %d delta verdict or payload differs from the uninterrupted run's", label)
+		}
+	}
 }
 
 // TestCrashConsistencyAtEveryStage cuts the pipeline after every stage —

@@ -26,7 +26,8 @@ func Prepare(frames []*video.YUV, fps int, cfg ServerConfig) (*Prepared, error) 
 // PrepareCtx is Prepare with cancellation and checkpointing. The pipeline
 // runs as a sequence of named stages (split → encode → decode_low →
 // vae_features → min_model_search → kmeans_silhouette →
-// train_micro_models → delta_encode → quantize_int8 → manifest); ctx is
+// train_micro_models → quantize_backbone → delta_encode → quantize_int8 →
+// manifest); ctx is
 // checked at every stage boundary, between per-cluster training jobs, and
 // before every optimizer step inside a job, so cancellation stops the
 // pipeline within one training step per worker and returns ctx.Err().
@@ -88,6 +89,11 @@ func prepareStages() []prepStage {
 		},
 		{name: "kmeans_silhouette", run: stageCluster},
 		{name: "train_micro_models", run: stageTrain},
+		{
+			name: "quantize_backbone",
+			skip: func(s *prepState) bool { return !s.cfg.Quant.Enabled || !s.cfg.Delta.Enabled },
+			run:  stageQuantizeBackbone,
+		},
 		{
 			name: "delta_encode",
 			skip: func(s *prepState) bool { return !s.cfg.Delta.Enabled },

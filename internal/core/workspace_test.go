@@ -132,11 +132,14 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	play(0) // warm the pools
 	base, baseAlloc := play(0)
-	var modelSize int64
-	for _, sm := range p.Models {
-		modelSize = max(modelSize, int64(len(sm.Bytes)))
+	// The cache holds what crossed the wire: the largest such payload is
+	// the budget of one model. Its weights are a float32 model's size.
+	var budget int64
+	for _, mi := range p.Manifest.Models {
+		budget = max(budget, int64(mi.Bytes))
 	}
-	tight, tightAlloc := play(modelSize)
+	modelSize := p.MicroConfig.SizeBytes()
+	tight, tightAlloc := play(budget)
 	framesIdentical(t, base.Frames, tight.Frames, "bounded vs unbounded cache")
 	extra := int64(tight.Downloads - base.Downloads)
 	if tight.Evictions == 0 || extra <= 0 {

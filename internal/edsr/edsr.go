@@ -59,14 +59,28 @@ func (c Config) Validate() error {
 // arrived over the network can be bounded before it allocates anything.
 // Out-of-range dimensions report math.MaxInt64.
 func (c Config) SizeBytes() int64 {
+	// One 3×3 convolution serializes as two length-prefixed float32
+	// tensors: weights (out·in·9) and bias (out).
+	return c.payloadBytes(func(in, out int64) int64 { return 8 + 4*(out*in*9+out) })
+}
+
+// GridSizeBytes is SizeBytes for the int8-grid (dcW6) payload of a model
+// of this configuration: what an int8-admitted model ships as.
+func (c Config) GridSizeBytes() int64 {
+	// One 3×3 convolution serializes its weights as a count pair, one
+	// float32 scale per output channel and one int8 code per weight, and
+	// its bias as a count pair and float32 values.
+	return c.payloadBytes(func(in, out int64) int64 { return 8 + 4*out + out*in*9 + 8 + 4*out })
+}
+
+// payloadBytes sums conv's payload size over the model's convolutions,
+// after the 8-byte header; out-of-range dimensions report math.MaxInt64.
+func (c Config) payloadBytes(conv func(in, out int64) int64) int64 {
 	c = c.withDefaults()
 	nf, rb := int64(c.Filters), int64(c.ResBlocks)
 	if c.Validate() != nil || nf > 1<<15 || rb > 1<<15 {
 		return math.MaxInt64
 	}
-	// One 3×3 convolution serializes as two length-prefixed float32
-	// tensors: weights (out·in·9) and bias (out).
-	conv := func(in, out int64) int64 { return 8 + 4*(out*in*9+out) }
 	n := 8 + conv(3, nf) + (2*rb+1)*conv(nf, nf) + conv(nf, 3)
 	for s := c.Scale; s > 1; s /= 2 {
 		n += conv(nf, 4*nf)

@@ -110,6 +110,23 @@ func (m *Model) CalibrateFromScales(scales []float32) error {
 	return nil
 }
 
+// SnapInt8 makes the calibrated int8 state the model's weights: every
+// convolution's float32 weights become the dequantization of the int8
+// grid it runs (nn.Conv2D.SnapInt8), so the model's float32 path, its
+// int8-grid payload (nn.EncodeWeightsGrid) and a viewer that loads that
+// payload all hold exactly the weights the int8 state runs. The int8
+// state does not move, and a later CalibrateFromScales re-arms the same
+// grid.
+func (m *Model) SnapInt8() error {
+	if !m.Int8Ready() {
+		return fmt.Errorf("edsr: SnapInt8 on a model without int8 state")
+	}
+	for _, c := range m.convs() {
+		c.SnapInt8()
+	}
+	return nil
+}
+
 // Int8Ready reports whether every convolution has quantized state.
 func (m *Model) Int8Ready() bool {
 	for _, c := range m.convs() {

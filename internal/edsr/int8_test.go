@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dcsr/internal/nn"
 	"dcsr/internal/quality"
 	"dcsr/internal/tensor"
 	"dcsr/internal/video"
@@ -133,6 +134,62 @@ func TestActScalesRoundTrip(t *testing.T) {
 	for j := range a.Pix {
 		if a.Pix[j] != b.Pix[j] {
 			t.Fatalf("pixel %d differs after scale round trip", j)
+		}
+	}
+}
+
+// TestSnapInt8GridPayload: snapping moves no int8 output bit; the snapped
+// model's int8-grid payload is GridSizeBytes long; and a model loaded
+// from it and re-armed from the scales runs the same bits in both
+// precisions.
+func TestSnapInt8GridPayload(t *testing.T) {
+	m, f := trainedModel(t, 15)
+	if err := m.SnapInt8(); err == nil {
+		t.Fatal("SnapInt8 before calibration succeeded")
+	}
+	if err := m.Calibrate([]*video.RGB{f}); err != nil {
+		t.Fatal(err)
+	}
+	before := m.EnhanceInt8(f)
+	if err := m.SnapInt8(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.EnhanceInt8(f).Pix, before.Pix) {
+		t.Fatal("snapping moved an int8 output bit")
+	}
+	data, err := nn.EncodeWeightsGrid(m.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != m.Cfg.GridSizeBytes() {
+		t.Fatalf("grid payload is %d bytes, GridSizeBytes says %d", len(data), m.Cfg.GridSizeBytes())
+	}
+	viewer, err := New(m.Cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := nn.LoadWeights(bytes.NewReader(data), viewer.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if err := viewer.CalibrateFromScales(m.ActScales()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viewer.EnhanceInt8(f).Pix, before.Pix) || !bytes.Equal(viewer.Enhance(f).Pix, m.Enhance(f).Pix) {
+		t.Fatal("the model loaded from the grid payload runs other bits than the snapped one")
+	}
+	for _, cfg := range []Config{{Filters: 4, ResBlocks: 1}, {Filters: 6, ResBlocks: 3, Scale: 2}, {Filters: 5, ResBlocks: 1, Scale: 4}} {
+		m, err := New(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Calibrate([]*video.RGB{genFrame(t, 12, 8, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SnapInt8(); err != nil {
+			t.Fatal(err)
+		}
+		if data, err := nn.EncodeWeightsGrid(m.Params()); err != nil || int64(len(data)) != cfg.GridSizeBytes() {
+			t.Errorf("%v: grid payload %d bytes (err %v), GridSizeBytes %d", cfg, len(data), err, cfg.GridSizeBytes())
 		}
 	}
 }

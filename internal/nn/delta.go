@@ -58,16 +58,24 @@ func DeltaBackboneDigest(delta []byte) ([DeltaDigestSize]byte, error) {
 // code (or zero scale) copies the backbone value without arithmetic, so
 // untouched weights survive bit-exactly (including negative zero). Both the
 // encoder and ApplyWeightsDelta go through this function, which is what
-// makes the round trip exact by construction.
+// makes the round trip exact by construction. The residual is rounded on
+// its own before the add (the explicit conversion): a build that fused the
+// multiply-add would round once instead, reconstruct other bits than the
+// origin, fail every viewer's digest check and silently fall back to full
+// fetches.
 func reconstructDelta(out, backbone []float32, codes []int8, scale float32) {
 	for i := range out {
 		if codes[i] == 0 || scale == 0 {
 			out[i] = backbone[i]
 			continue
 		}
-		out[i] = backbone[i] + scale*float32(codes[i])
+		out[i] = backbone[i] + float32(scale*float32(codes[i]))
 	}
 }
+
+// reconstruct is reconstructDelta, a variable only so that a test can
+// stand in the rounding of a build that fuses the multiply-add.
+var reconstruct = reconstructDelta
 
 // scaleCount returns how many per-channel scales a parameter's residual
 // gets: one per dim-0 slice for ≥2-dimensional parameters (conv and dense
@@ -257,10 +265,11 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 		default:
 			return fmt.Errorf("nn: delta param %d has unknown mode %d", pi, mode)
 		}
+		d.grid = nil
 		rowLen := int(n) / int(sc)
 		for ch := 0; ch < int(sc); ch++ {
 			lo, hi := ch*rowLen, (ch+1)*rowLen
-			reconstructDelta(d.W.Data[lo:hi], b.W.Data[lo:hi], codes[lo:hi], scales[ch])
+			reconstruct(d.W.Data[lo:hi], b.W.Data[lo:hi], codes[lo:hi], scales[ch])
 		}
 	}
 	if r.Len() != 0 {

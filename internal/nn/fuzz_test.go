@@ -7,8 +7,9 @@ import (
 	"testing"
 )
 
-// Fuzz targets for the two weight decoders a viewer feeds with bytes off
-// the network: dcW1 (LoadWeights) and the dcW5 delta (ApplyWeightsDelta).
+// Fuzz targets for the weight decoders a viewer feeds with bytes off the
+// network: dcW1 and dcW6 (LoadWeights) and the dcW5 delta
+// (ApplyWeightsDelta).
 // The property is the one every decoder of untrusted bytes owes: an
 // error or valid weights, never a panic, and no allocation a payload can
 // inflate — what a call allocates is bounded by the input's length plus
@@ -63,6 +64,11 @@ func addTruncations(f *testing.F, payload []byte) {
 
 func FuzzLoadWeights(f *testing.F) {
 	addTruncations(f, EncodeWeights(fuzzModel(1)))
+	grid, err := EncodeWeightsGrid(gridModel(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	addTruncations(f, grid)
 	modelBytes := WeightsSize(fuzzModel(2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := fuzzModel(2)
@@ -73,9 +79,14 @@ func FuzzLoadWeights(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Valid weights: exactly what the payload's prefix encodes (the
-		// reader may hold more; LoadWeights reads one model's worth).
-		if got := EncodeWeights(dst); !bytes.Equal(got, data[:len(got)]) {
+		// Valid weights: exactly what the payload encodes, in its format.
+		got := EncodeWeights(dst)
+		if IsGridPayload(data) {
+			if got, err = EncodeWeightsGrid(dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got, data) {
 			t.Fatal("LoadWeights accepted a payload its weights do not re-encode to")
 		}
 	})

@@ -32,6 +32,12 @@ type Param struct {
 	Name string
 	W    *tensor.Tensor
 	Grad *tensor.Tensor
+
+	// grid, when set, is the int8 grid W is exactly the dequantization of
+	// (Conv2D.SnapInt8, or a dcW6 payload); QuantizeInt8 runs it as it
+	// stands. Every write of W — Adam.Step, CopyWeights, LoadWeights of a
+	// dcW1 payload, ApplyWeightsDelta's dst — drops it.
+	grid *int8Grid
 }
 
 func newParam(name string, shape ...int) *Param {

@@ -32,9 +32,44 @@ import (
 // conv2DInt8 is the quantized execution state of a Conv2D, built by
 // QuantizeInt8 and owned by the layer.
 type conv2DInt8 struct {
-	w      []int8    // (OutC, InC·K·K) per-channel quantized weights
+	grid   *int8Grid // the (OutC, InC·K·K) weights, one scale per output channel
 	scales []float32 // per-output-channel requantization multiplier
 	inInv  float32   // input quantization multiplier 127/actMax
+}
+
+// int8Grid is a weight's int8 form: one code per element and one scale
+// per dim-0 row (per output channel of a convolution). The float32
+// weights it stands for are its dequantization, code × row scale rounded
+// to float32. A grid is never edited once built: whatever rewrites the
+// weights drops it instead.
+type int8Grid struct {
+	codes  []int8    // in [−127, 127]
+	scales []float32 // finite and positive
+}
+
+// quantizeGrid quantizes w, rows rows of equal length, row by row with
+// quantizeRowInt8.
+func quantizeGrid(w []float32, rows int) *int8Grid {
+	g := &int8Grid{codes: make([]int8, len(w)), scales: make([]float32, rows)}
+	n := len(w) / rows
+	for r := range g.scales {
+		g.scales[r] = quantizeRowInt8(w[r*n:(r+1)*n], g.codes[r*n:(r+1)*n])
+	}
+	return g
+}
+
+// pin makes g the parameter's grid and W its dequantization. The product
+// is rounded on its own (the explicit conversion), so no build fuses it
+// into a neighbouring add.
+func (p *Param) pin(g *int8Grid) {
+	p.grid = g
+	n := len(g.codes) / len(g.scales)
+	for r, s := range g.scales {
+		row := p.W.Data[r*n : (r+1)*n]
+		for i, c := range g.codes[r*n : (r+1)*n] {
+			row[i] = float32(s * float32(c))
+		}
+	}
 }
 
 // BeginCalibration puts the convolution into calibration mode: until
@@ -65,25 +100,37 @@ func (c *Conv2D) Int8Ready() bool { return c.int8 != nil }
 // QuantizeInt8 builds the layer's int8 inference state from the current
 // weights and the calibrated activation range. Weights are quantized
 // per output channel (each flattened InC·K·K row gets its own symmetric
-// scale); the per-channel requantization multiplier folds the weight
-// and activation scales so the kernel epilogue is a single multiply.
-// Must be called again after any weight update.
+// scale) — or, when the weights carry a pinned grid (SnapInt8, a dcW6
+// payload), that grid is used as it stands: re-quantizing its
+// dequantization would not always give back its scales bit for bit. The
+// per-channel requantization multiplier folds the weight and activation
+// scales so the kernel epilogue is a single multiply. Must be called
+// again after any weight update.
 func (c *Conv2D) QuantizeInt8() {
-	colRows := c.Spec.InC * c.Spec.K * c.Spec.K
-	q := &conv2DInt8{
-		w:      make([]int8, c.Spec.OutC*colRows),
-		scales: make([]float32, c.Spec.OutC),
+	g := c.Wt.grid
+	if g == nil {
+		g = quantizeGrid(c.Wt.W.Data, c.Spec.OutC)
 	}
+	q := &conv2DInt8{grid: g, scales: make([]float32, c.Spec.OutC)}
 	actScale := c.actMax / 127
 	if c.actMax > 0 {
 		q.inInv = 127 / c.actMax
 	}
-	for oc := 0; oc < c.Spec.OutC; oc++ {
-		row := c.Wt.W.Data[oc*colRows : (oc+1)*colRows]
-		wScale := quantizeRowInt8(row, q.w[oc*colRows:(oc+1)*colRows])
+	for oc, wScale := range g.scales {
 		q.scales[oc] = wScale * actScale
 	}
 	c.int8 = q
+}
+
+// SnapInt8 pins the int8 weights QuantizeInt8 built as the layer's grid
+// and makes W their dequantization, so float32 inference, a dcW6 payload
+// (EncodeWeightsGrid) and int8 inference all hold the weights the int8
+// state runs. The int8 state itself does not change.
+func (c *Conv2D) SnapInt8() {
+	if c.int8 == nil {
+		panic("nn: Conv2D SnapInt8 before QuantizeInt8")
+	}
+	c.Wt.pin(c.int8.grid)
 }
 
 // ForwardInferenceInt8 runs the convolution on the int8 kernel path:
@@ -100,7 +147,7 @@ func (c *Conv2D) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Map)
 	in, plane := c.Spec.InC*h*w, c.Spec.OutC*oh*ow
 	for i := 0; i < n; i++ {
 		am.Quantize(x.Data[i*in:(i+1)*in], c.Spec.InC, h, w, c.Spec.Pad, q.inInv)
-		tensor.Conv2DInt8Map(am, q.w, q.scales, c.Bias.W.Data, c.Spec, false, out.Data[i*plane:(i+1)*plane])
+		tensor.Conv2DInt8Map(am, q.grid.codes, q.scales, c.Bias.W.Data, c.Spec, false, out.Data[i*plane:(i+1)*plane])
 	}
 	return out
 }
@@ -120,8 +167,8 @@ func (b *ResBlock) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Ma
 	size := c * h * w
 	for i := 0; i < n; i++ {
 		am.Quantize(x.Data[i*size:(i+1)*size], c, h, w, b.Conv1.Spec.Pad, q1.inInv)
-		tensor.Conv2DInt8MapReLU(am, q1.w, q1.scales, b.Conv1.Bias.W.Data, b.Conv1.Spec, q2.inInv)
-		tensor.Conv2DInt8Map(am, q2.w, q2.scales, b.Conv2.Bias.W.Data, b.Conv2.Spec, false, out.Data[i*size:(i+1)*size])
+		tensor.Conv2DInt8MapReLU(am, q1.grid.codes, q1.scales, b.Conv1.Bias.W.Data, b.Conv1.Spec, q2.inInv)
+		tensor.Conv2DInt8Map(am, q2.grid.codes, q2.scales, b.Conv2.Bias.W.Data, b.Conv2.Spec, false, out.Data[i*size:(i+1)*size])
 	}
 	addScaled(out.Data, x.Data, out.Data, b.ResScale)
 	return out

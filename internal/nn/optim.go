@@ -29,6 +29,7 @@ func (o *Adam) Step(params []*Param) {
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	for _, p := range params {
+		p.grid = nil
 		m, ok := o.m[p]
 		if !ok {
 			m = make([]float32, p.W.Len())

@@ -54,10 +54,16 @@ func (d declared) Fetch(_ context.Context, kind Kind, arg int) ([]byte, error) {
 }
 
 // LoadModel builds a model of configuration cfg from its complete
-// serialized weights. The payload must be exactly the size cfg serializes
-// to — checked before the model is allocated.
+// serialized weights: float32 (dcW1), or the int8 grid (dcW6) an
+// int8-admitted model ships as, which the model then runs as it stands.
+// The payload must be exactly the size cfg serializes to in the format
+// its magic names — checked before the model is allocated.
 func LoadModel(cfg edsr.Config, data []byte) (*edsr.Model, error) {
-	if want := cfg.SizeBytes(); int64(len(data)) != want {
+	want := cfg.SizeBytes()
+	if nn.IsGridPayload(data) {
+		want = cfg.GridSizeBytes()
+	}
+	if int64(len(data)) != want {
 		return nil, fmt.Errorf("stream: %d-byte payload for %v, which serializes to %d", len(data), cfg, want)
 	}
 	m, err := edsr.New(cfg, 0)

@@ -1,12 +1,14 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
 
 	"dcsr/internal/edsr"
 	"dcsr/internal/nn"
+	"dcsr/internal/video"
 )
 
 // modelStreamManifest builds a Fig-7-style manifest whose models ship as
@@ -129,6 +131,48 @@ func TestSessionModelStreamBackboneFirstDelta(t *testing.T) {
 	}
 	if s.BackboneBytes != 100 {
 		t.Fatalf("BackboneBytes grew to %d on reuse", s.BackboneBytes)
+	}
+}
+
+// TestCompletePayloadSizes: a complete model arrives float32 (dcW1) or as
+// its int8 grid (dcW6); LoadModel takes each at exactly its format's size,
+// and ValidateFor admits exactly those two sizes.
+func TestCompletePayloadSizes(t *testing.T) {
+	cfg := edsr.Config{Filters: 2, ResBlocks: 1}
+	m, err := edsr.New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Calibrate([]*video.RGB{video.NewRGB(8, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SnapInt8(); err != nil {
+		t.Fatal(err)
+	}
+	grid, err := nn.EncodeWeightsGrid(m.Params())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range [][]byte{nn.EncodeWeights(m.Params()), grid} {
+		got, err := LoadModel(cfg, payload)
+		if err != nil {
+			t.Fatalf("%.4s payload: %v", payload, err)
+		}
+		if !bytes.Equal(nn.EncodeWeights(got.Params()), nn.EncodeWeights(m.Params())) {
+			t.Fatalf("%.4s payload loaded other weights", payload)
+		}
+		if _, err := LoadModel(cfg, append(bytes.Clone(payload), 0)); err == nil {
+			t.Fatalf("%.4s payload one byte long accepted", payload)
+		}
+	}
+	for _, tc := range []struct {
+		bytes int64
+		ok    bool
+	}{{cfg.SizeBytes(), true}, {cfg.GridSizeBytes(), true}, {cfg.GridSizeBytes() + 1, false}} {
+		man := &Manifest{Models: map[int]ModelInfo{0: {Label: 0, Bytes: int(tc.bytes)}}}
+		if err := man.ValidateFor(cfg); (err == nil) != tc.ok {
+			t.Errorf("a %d-byte model entry: ValidateFor returned %v", tc.bytes, err)
+		}
 	}
 }
 

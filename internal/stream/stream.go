@@ -175,13 +175,15 @@ const MaxArtifactBytes = 64 << 20
 // ValidateFor is Validate plus the bound on the model configuration that
 // arrived with the manifest, checked arithmetically before anything is
 // built from it: the configuration must serialize to at most
-// MaxArtifactBytes and to exactly the size every model entry declares, so
-// a hostile configuration is an error here rather than an allocation.
+// MaxArtifactBytes, and every model entry must declare exactly one of
+// the two sizes a complete payload of it has — float32 (SizeBytes) or
+// int8 grid (GridSizeBytes) — so a hostile configuration is an error here
+// rather than an allocation.
 func (m *Manifest) ValidateFor(cfg edsr.Config) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	size := cfg.SizeBytes()
+	size, grid := cfg.SizeBytes(), cfg.GridSizeBytes()
 	if size > MaxArtifactBytes {
 		return fmt.Errorf("stream: model configuration %+v is invalid or serializes past the %d-byte artifact bound", cfg, MaxArtifactBytes)
 	}
@@ -190,8 +192,8 @@ func (m *Manifest) ValidateFor(cfg edsr.Config) error {
 		if mi.Delta {
 			full = mi.FullBytes
 		}
-		if int64(full) != size {
-			return fmt.Errorf("stream: model %d declares %d bytes but configuration %v serializes to %d", label, full, cfg, size)
+		if int64(full) != size && int64(full) != grid {
+			return fmt.Errorf("stream: model %d declares %d bytes but configuration %v serializes to %d (float32) or %d (int8 grid)", label, full, cfg, size, grid)
 		}
 	}
 	return nil

@@ -84,9 +84,8 @@ func TestOperationsDocMetrics(t *testing.T) {
 	// evictions and lazy re-downloads (modelstore_evictions_total).
 	bounded := core.NewPlayer(prep)
 	bounded.Obs = o
-	for _, sm := range prep.Models {
-		bounded.CacheBudget = int64(len(sm.Bytes))
-		break
+	for _, mi := range prep.Manifest.Models {
+		bounded.CacheBudget = max(bounded.CacheBudget, int64(mi.Bytes))
 	}
 	if res, err := bounded.Play(); err != nil {
 		t.Fatal(err)
