@@ -118,7 +118,7 @@ func main() {
 		}
 	}
 	if bb := prep.Manifest.Backbone; bb != nil {
-		fmt.Printf("model stream: backbone is cluster %d (%d bytes)\n", bb.Label, bb.Bytes)
+		fmt.Printf("model stream: backbone is cluster %d (%d bytes)\n", bb.Label, prep.Manifest.Models[bb.Label].Bytes)
 	}
 	fmt.Printf("artifact written to %s\n", *out)
 }

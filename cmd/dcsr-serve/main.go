@@ -1,17 +1,15 @@
 // Command dcsr-serve is the dcSR origin server: it loads one or more
-// artifacts produced by dcsr-prepare (or prepares them in-process from
-// synthetic clips) and serves manifests, per-segment sub-streams and
-// micro models to dcsr-play clients over TCP. With several videos
-// registered, clients route requests by content digest (see
-// docs/SERVING.md); the first video is the default for old clients.
+// artifacts produced by dcsr-prepare and serves manifests, per-segment
+// sub-streams and micro models to dcsr-play clients over TCP. With
+// several videos registered, clients route requests by content digest
+// (see docs/SERVING.md); the first video is the default for old clients.
 //
 // Usage:
 //
-//	dcsr-serve -in /tmp/video1 -listen 127.0.0.1:8090
-//	dcsr-serve -in /tmp/video1,/tmp/video2                # multi-video fleet
-//	dcsr-serve -genre sports,news -listen 127.0.0.1:8090  # prepare in-process
-//	dcsr-serve -genre news -obs-addr 127.0.0.1:9090       # + debug sidecar
-//	dcsr-serve -genre news -max-inflight 64 -max-clients 256
+//	dcsr-prepare -out /tmp/news -genre news && dcsr-serve -in /tmp/news
+//	dcsr-serve -in /tmp/video1,/tmp/video2 -listen 127.0.0.1:8090   # multi-video fleet
+//	dcsr-serve -in /tmp/news -obs-addr 127.0.0.1:9090              # + debug sidecar
+//	dcsr-serve -in /tmp/news -max-inflight 64 -max-clients 256
 //
 // -max-inflight caps concurrently served requests; -max-clients caps
 // accepted connections. Load past either bound is shed with a typed
@@ -20,11 +18,11 @@
 //
 // With -obs-addr set, a debug HTTP sidecar serves /metrics (text, or
 // ?format=json — including the rolling-window rate and p50/p95/p99
-// series), /debug/trace (last Prepare/Play span trees as JSON),
-// /debug/trace?id=<trace_id> (every retained server-side span of one
-// wire-propagated trace — the ID a `dcsr-play -trace` client prints)
-// and the standard /debug/pprof endpoints; structured logs go to
-// stderr. Without it (the default) behaviour and output are unchanged.
+// series), /debug/trace?id=<trace_id> (every retained server-side span of
+// one wire-propagated trace — the ID a `dcsr-play -trace` client prints)
+// and the standard /debug/pprof endpoints; structured logs go to stderr.
+// Without it (the default) behaviour and output are unchanged. SIGINT
+// drains the open connections and exits.
 package main
 
 import (
@@ -36,49 +34,26 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"time"
 
 	"dcsr/internal/core"
-	"dcsr/internal/edsr"
 	"dcsr/internal/obs"
-	"dcsr/internal/splitter"
 	"dcsr/internal/transport"
-	"dcsr/internal/vae"
-	"dcsr/internal/video"
 )
 
 func main() {
-	in := flag.String("in", "", "artifact directory (or comma-separated directories) from dcsr-prepare")
+	in := flag.String("in", "", "artifact directory (or comma-separated directories) from dcsr-prepare (required)")
 	listen := flag.String("listen", "127.0.0.1:8090", "TCP listen address")
-	genreName := flag.String("genre", "", "prepare synthetic clips of these comma-separated genres instead of loading -in")
-	w := flag.Int("w", 80, "frame width for -genre mode")
-	h := flag.Int("h", 48, "frame height for -genre mode")
-	seed := flag.Int64("seed", 7, "seed for -genre mode")
-	qp := flag.Int("qp", 51, "encoder QP for -genre mode")
-	steps := flag.Int("steps", 300, "training steps for -genre mode")
-	int8Flag := flag.Bool("int8", false, "for -genre mode: run the quantize_int8 calibration stage so gated clusters serve on the int8 kernels (artifacts from dcsr-prepare -int8 carry this through -in already)")
-	deltaFlag := flag.Bool("delta", false, "for -genre mode: run the delta_encode stage so gated clusters ship as backbone + dcW5 deltas (artifacts from dcsr-prepare -delta carry this through -in already)")
 	obsAddr := flag.String("obs-addr", "", "debug HTTP sidecar address for /metrics, /debug/trace and pprof (off when empty)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint directory for -genre mode: an interrupted Prepare resumes from its last completed stage on restart, and a finished one is an artifact -in serves")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: concurrently served requests across all connections; excess load is shed with a typed retry-after (0 = unlimited)")
 	maxClients := flag.Int("max-clients", 0, "admission control: accepted connections; over-capacity dials get one typed retry-after and are closed (0 = unlimited)")
 	flag.Parse()
-
-	// One SIGINT cancels whatever is running: an in-flight Prepare stops
-	// within a training step (resumable via -checkpoint), a serving
-	// origin drains gracefully. A second SIGINT kills the process the
-	// usual way (the handler is only registered once).
-	ctx, cancel := context.WithCancel(context.Background())
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	go func() {
-		<-sig
-		signal.Stop(sig)
-		fmt.Println("\ninterrupted")
-		cancel()
-	}()
+	if *in == "" {
+		fmt.Fprintln(os.Stderr, "dcsr-serve: -in is required (write an artifact with dcsr-prepare -out)")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Observability is always collected (it is nearly free) but only
 	// exposed — and logged — when the sidecar is enabled.
@@ -97,79 +72,18 @@ func main() {
 		o.Counter(name)
 	}
 
-	// Every -in directory and every -genre clip becomes one hosted
-	// video; the first is the default for clients that never select a
-	// digest. Sources are a pair of (label, prepared stream).
-	type source struct {
-		label string
-		prep  *core.Prepared
-	}
-	var sources []source
-	if *in == "" && *genreName == "" {
-		fmt.Fprintln(os.Stderr, "dcsr-serve: one of -in or -genre is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *in != "" {
-		for _, dir := range strings.Split(*in, ",") {
-			dir = strings.TrimSpace(dir)
-			prep, err := core.Load(dir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcsr-serve: %v\n", err)
-				os.Exit(1)
-			}
-			sources = append(sources, source{dir, prep})
+	// Every -in directory becomes one hosted video; the first is the
+	// default for clients that never select a digest.
+	var dirs []string
+	var preps []*core.Prepared
+	for _, dir := range strings.Split(*in, ",") {
+		dir = strings.TrimSpace(dir)
+		prep, err := core.Load(dir)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dcsr-serve: %v\n", err)
+			os.Exit(1)
 		}
-	}
-	if *genreName != "" {
-		names := strings.Split(*genreName, ",")
-		for i, name := range names {
-			name = strings.TrimSpace(name)
-			var genre video.Genre
-			found := false
-			for _, g := range video.AllGenres() {
-				if g.String() == name {
-					genre, found = g, true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "dcsr-serve: unknown genre %q\n", name)
-				os.Exit(2)
-			}
-			// Offset the seed per clip so repeated genres still produce
-			// content-distinct videos (registration rejects duplicates).
-			cseed := *seed + int64(i)
-			gc := video.GenreConfig(genre, *w, *h, cseed)
-			gc.MinFrames, gc.MaxFrames = 5, 9
-			clip := video.Generate(gc)
-			fmt.Printf("preparing in-process: %s\n", clip)
-			cp := *checkpoint
-			if cp != "" && len(names) > 1 {
-				cp = filepath.Join(cp, fmt.Sprintf("%s-%d", name, i))
-			}
-			prep, err := core.PrepareCtx(ctx, clip.YUVFrames(), clip.FPS, core.ServerConfig{
-				QP:            *qp,
-				Split:         splitter.Config{Threshold: 14, MinLen: 3},
-				VAE:           vae.Config{ImgSize: 16, LatentDim: 8, BaseCh: 4},
-				VAETrain:      vae.TrainOptions{Epochs: 25, BatchSize: 4, Seed: cseed},
-				MicroConfig:   edsr.Config{Filters: 8, ResBlocks: 2},
-				Train:         edsr.TrainOptions{Steps: *steps, BatchSize: 2, PatchSize: 16},
-				Quant:         core.QuantConfig{Enabled: *int8Flag},
-				Delta:         core.DeltaConfig{Enabled: *deltaFlag},
-				Seed:          cseed,
-				CheckpointDir: cp,
-				Obs:           o,
-			})
-			if err != nil {
-				if errors.Is(err, context.Canceled) && *checkpoint != "" {
-					fmt.Printf("prepare interrupted; completed stages are checkpointed in %s — rerun to resume\n", *checkpoint)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "dcsr-serve: %v\n", err)
-				os.Exit(1)
-			}
-			sources = append(sources, source{name, prep})
-		}
+		dirs, preps = append(dirs, dir), append(preps, prep)
 	}
 
 	srv := transport.NewFleetServer()
@@ -179,21 +93,21 @@ func main() {
 		MaxInflight: *maxInflight,
 		MaxConns:    *maxClients,
 	}
-	for _, src := range sources {
-		digest, err := srv.Register(src.prep)
+	for i, prep := range preps {
+		digest, err := srv.Register(prep)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dcsr-serve: registering %s: %v\n", src.label, err)
+			fmt.Fprintf(os.Stderr, "dcsr-serve: registering %s: %v\n", dirs[i], err)
 			os.Exit(1)
 		}
 		fmt.Printf("registered %s: %d segments + %d micro models, digest %s\n",
-			src.label, len(src.prep.Segments), len(src.prep.Models), digest)
+			dirs[i], len(prep.Segments), len(prep.Models), digest)
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dcsr-serve: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("serving %d video(s) on %s (ctrl-c to stop)\n", len(sources), ln.Addr())
+	fmt.Printf("serving %d video(s) on %s (ctrl-c to stop)\n", len(preps), ln.Addr())
 	if *obsAddr != "" {
 		obsLn, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
@@ -208,9 +122,14 @@ func main() {
 		}()
 	}
 
+	// One SIGINT drains the origin; a second kills the process the usual
+	// way (the handler is only registered once).
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
 	go func() {
-		<-ctx.Done()
-		fmt.Println("shutting down (draining connections, 5s grace)")
+		<-sig
+		signal.Stop(sig)
+		fmt.Println("\ninterrupted; shutting down (draining connections, 5s grace)")
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer scancel()
 		if err := srv.Shutdown(sctx); err != nil {

@@ -133,8 +133,6 @@ type (
 	Decoder = codec.Decoder
 	// FrameEnhancer is the decoder's I-frame enhancement hook.
 	FrameEnhancer = codec.FrameEnhancer
-	// EnhancerFunc adapts a function to FrameEnhancer.
-	EnhancerFunc = codec.EnhancerFunc
 )
 
 // EncodeVideo compresses frames with the built-in codec. forceI marks

@@ -23,22 +23,10 @@ var fmaAllowed = map[string]string{
 	// TestTrainGolden skips on fused builds.
 	"dcsr/internal/nn.(*Adam).Step":             "optimizer update",
 	"dcsr/internal/nn.MSELoss":                  "training loss",
-	"dcsr/internal/nn.(*ResBlock).Forward":      "training forward (inlines addScaled)",
 	"dcsr/internal/edsr.(*Model).Train":         "training loop (inlines MSELoss)",
 	"dcsr/internal/edsr.(*Model).EvalMSE":       "evaluation loss",
 	"dcsr/internal/tensor.(*Tensor).SumSquares": "reduction for norms",
 	"dcsr/internal/tensor.Dot":                  "reduction for norms",
-	// The inference residual add and the portable kernels: the pixel
-	// contract between an amd64 origin and another viewer.
-	"dcsr/internal/nn.addScaled":                        "residual add",
-	"dcsr/internal/nn.(*ResBlock).ForwardInference":     "inlines addScaled",
-	"dcsr/internal/nn.(*ResBlock).ForwardInferenceInt8": "inlines addScaled",
-	"dcsr/internal/tensor.gemmRowsGo":                   "portable float32 GEMM",
-	"dcsr/internal/tensor.gemmTARowsGo":                 "portable float32 GEMM",
-	"dcsr/internal/tensor.gemmBTRows":                   "portable float32 GEMM",
-	"dcsr/internal/tensor.(*mapConv).rowPortable":       "portable int8 lane's epilogue (inlines requantInt8)",
-	"dcsr/internal/tensor.requantInt8":                  "int8 epilogue",
-	"dcsr/internal/tensor.QuantizeInt8Into":             "activation quantization",
 	// The publisher's gates: a verdict, not a shipped byte.
 	"dcsr/internal/core.frameMSE":                   "gate MSE",
 	"dcsr/internal/core.deltaEncodeModel":           "inlines frameMSE",

@@ -126,9 +126,9 @@ func (p *Prepared) Play() (*PlayResult, error) {
 	res := &PlayResult{}
 	dec := codec.Decoder{Mode: codec.PropagateDelta}
 	if p.Method == NEMO {
-		dec.Enhancer = codec.EnhancerFunc(func(_ int, f *video.YUV) *video.YUV {
+		dec.Enhancer = codec.PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, codec.Precision) {
 			res.Inferences++
-			return p.Model.EnhanceYUV(f)
+			return p.Model.EnhanceYUV(f), codec.PrecisionFloat32
 		})
 	}
 	frames, err := dec.Decode(p.Stream)

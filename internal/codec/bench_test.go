@@ -48,9 +48,9 @@ func BenchmarkDecode(b *testing.B) {
 		dec  Decoder
 	}{
 		{"qp42/plain", EncoderConfig{QP: 42}, Decoder{}},
-		{"qp42/delta", EncoderConfig{QP: 42}, Decoder{Enhancer: EnhancerFunc(goldenEnhancer), Mode: PropagateDelta}},
+		{"qp42/delta", EncoderConfig{QP: 42}, Decoder{Enhancer: goldenHook, Mode: PropagateDelta}},
 		{"qp30_b2_hp_db/delta", EncoderConfig{QP: 30, BFrames: 2, HalfPel: true, Deblock: true},
-			Decoder{Enhancer: EnhancerFunc(goldenEnhancer), Mode: PropagateDelta}},
+			Decoder{Enhancer: goldenHook, Mode: PropagateDelta}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			frames := benchClip()

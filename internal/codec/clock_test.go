@@ -24,7 +24,7 @@ func TestDecoderInjectedClock(t *testing.T) {
 	ticks := 0
 	o := obs.New()
 	d := Decoder{
-		Enhancer: EnhancerFunc(func(_ int, f *video.YUV) *video.YUV { return f.Clone() }),
+		Enhancer: PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, Precision) { return f.Clone(), PrecisionFloat32 }),
 		Obs:      o,
 		Now: func() time.Time {
 			ticks++
@@ -60,7 +60,7 @@ func TestDecoderDefaultClock(t *testing.T) {
 	}
 	o := obs.New()
 	d := Decoder{
-		Enhancer: EnhancerFunc(func(_ int, f *video.YUV) *video.YUV { return f.Clone() }),
+		Enhancer: PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, Precision) { return f.Clone(), PrecisionFloat32 }),
 		Obs:      o,
 	}
 	if _, err := d.Decode(st); err != nil {

@@ -296,7 +296,7 @@ func TestEnhancerHookAppliedToIFramesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls []int
-	d := Decoder{Enhancer: EnhancerFunc(func(display int, f *video.YUV) *video.YUV {
+	d := Decoder{Enhancer: PrecisionEnhancerFunc(func(display int, f *video.YUV) (*video.YUV, Precision) {
 		calls = append(calls, display)
 		// Brighten the I frame so propagation is observable.
 		g := f.Clone()
@@ -305,7 +305,7 @@ func TestEnhancerHookAppliedToIFramesOnly(t *testing.T) {
 				g.Y[i] += 40
 			}
 		}
-		return g
+		return g, PrecisionFloat32
 	})}
 	out, err := d.Decode(st)
 	if err != nil {
@@ -344,8 +344,8 @@ func TestEnhancerDimensionChangeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Decoder{Enhancer: EnhancerFunc(func(_ int, f *video.YUV) *video.YUV {
-		return video.NewYUV(f.W*2, f.H*2)
+	d := Decoder{Enhancer: PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, Precision) {
+		return video.NewYUV(f.W*2, f.H*2), PrecisionFloat32
 	})}
 	if _, err := d.Decode(st); err == nil {
 		t.Fatal("decoder accepted an enhancer that changed dimensions")

@@ -14,16 +14,19 @@ import (
 // before any P or B frame references it (paper Fig 6, steps 2–5). The
 // returned frame must have the same dimensions as the input so the
 // remaining motion-compensated decoding stays valid; color conversion
-// (YUV→RGB→YUV) happens inside the enhancer.
+// (YUV→RGB→YUV) happens inside the enhancer. The enhancer also reports
+// the numeric path it ran (int8 for clusters that passed the server's
+// calibration quality gate, float32 for the rest), and the decoder
+// attributes each enhancement to it.
 type FrameEnhancer interface {
-	EnhanceIFrame(display int, f *video.YUV) *video.YUV
+	EnhanceIFrame(display int, f *video.YUV) (*video.YUV, Precision)
 }
 
-// EnhancerFunc adapts a function to the FrameEnhancer interface.
-type EnhancerFunc func(display int, f *video.YUV) *video.YUV
+// PrecisionEnhancerFunc adapts a function to the FrameEnhancer interface.
+type PrecisionEnhancerFunc func(display int, f *video.YUV) (*video.YUV, Precision)
 
 // EnhanceIFrame calls the function.
-func (fn EnhancerFunc) EnhanceIFrame(display int, f *video.YUV) *video.YUV {
+func (fn PrecisionEnhancerFunc) EnhanceIFrame(display int, f *video.YUV) (*video.YUV, Precision) {
 	return fn(display, f)
 }
 
@@ -32,8 +35,7 @@ type Precision int
 
 // Enhancer numeric paths.
 const (
-	// PrecisionFloat32 is the full-precision kernel path (the default
-	// assumed for plain FrameEnhancers).
+	// PrecisionFloat32 is the full-precision kernel path.
 	PrecisionFloat32 Precision = iota
 	// PrecisionInt8 is the quantized kernel path; frames enhanced on it
 	// are counted separately (DecodeStats.EnhancedInt8,
@@ -41,30 +43,6 @@ const (
 	// path is actually serving.
 	PrecisionInt8
 )
-
-// PrecisionEnhancer is an optional FrameEnhancer extension for hooks
-// that choose between numeric paths per frame (e.g. int8 for clusters
-// that passed the server's calibration quality gate, float32 for the
-// rest). A Decoder whose Enhancer implements it uses the extended
-// method and attributes each enhancement to the reported precision.
-type PrecisionEnhancer interface {
-	FrameEnhancer
-	EnhanceIFramePrecision(display int, f *video.YUV) (*video.YUV, Precision)
-}
-
-// PrecisionEnhancerFunc adapts a function to PrecisionEnhancer.
-type PrecisionEnhancerFunc func(display int, f *video.YUV) (*video.YUV, Precision)
-
-// EnhanceIFrame calls the function, dropping the precision.
-func (fn PrecisionEnhancerFunc) EnhanceIFrame(display int, f *video.YUV) *video.YUV {
-	out, _ := fn(display, f)
-	return out
-}
-
-// EnhanceIFramePrecision calls the function.
-func (fn PrecisionEnhancerFunc) EnhanceIFramePrecision(display int, f *video.YUV) (*video.YUV, Precision) {
-	return fn(display, f)
-}
 
 // Propagation selects how I-frame enhancement reaches dependent frames.
 type Propagation int
@@ -126,7 +104,7 @@ func diffPlane(a, b []uint8) []int16 {
 type DecodeStats struct {
 	IFrames, PFrames, BFrames int
 	Enhanced                  int // I frames actually enhanced (hook may decline by returning its input)
-	EnhancedInt8              int // subset of Enhanced served on the int8 path (PrecisionEnhancer hooks)
+	EnhancedInt8              int // subset of Enhanced served on the int8 path
 	Bits                      int
 }
 
@@ -146,8 +124,8 @@ type Decoder struct {
 	// Obs, when set, records codec_frames_decoded_total,
 	// codec_iframes_enhanced_total and the I-frame-enhance latency as
 	// both the lifetime histogram codec_enhance_seconds and its
-	// rolling-window twin codec_enhance_window_seconds; enhancements a
-	// PrecisionEnhancer attributes to the int8 path additionally feed
+	// rolling-window twin codec_enhance_window_seconds; enhancements the
+	// Enhancer attributes to the int8 path additionally feed
 	// codec_enhance_int8_window_seconds.
 	Obs *obs.Obs
 	// Now supplies the clock for the enhance-latency histogram; nil
@@ -181,8 +159,6 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 	enhI8WHist := d.Obs.WindowedHistogram("codec_enhance_int8_window_seconds")
 	enhCtr := d.Obs.Counter("codec_iframes_enhanced_total")
 	frameCtr := d.Obs.Counter("codec_frames_decoded_total")
-	// One type assertion per decode, not per frame.
-	pe, _ := d.Enhancer.(PrecisionEnhancer)
 	now := d.Now
 	if now == nil {
 		now = time.Now
@@ -211,12 +187,8 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 				if enhHist != nil {
 					t0 = now()
 				}
-				prec := PrecisionFloat32
-				if pe != nil {
-					enh, prec = pe.EnhanceIFramePrecision(ef.Display, f)
-				} else {
-					enh = d.Enhancer.EnhanceIFrame(ef.Display, f)
-				}
+				var prec Precision
+				enh, prec = d.Enhancer.EnhanceIFrame(ef.Display, f)
 				if enh.W != f.W || enh.H != f.H {
 					return nil, fmt.Errorf("codec: enhancer changed frame dimensions %dx%d -> %dx%d", f.W, f.H, enh.W, enh.H)
 				}

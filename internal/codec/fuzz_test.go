@@ -246,7 +246,7 @@ func TestHandBuiltEdgeStreamsDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []Propagation{PropagateReplace, PropagateDelta} {
-			dec := Decoder{Enhancer: EnhancerFunc(goldenEnhancer), Mode: mode}
+			dec := Decoder{Enhancer: goldenHook, Mode: mode}
 			if out, err := dec.Decode(s); err != nil || len(out) != 3 {
 				t.Fatalf("stream %d mode %d: %d frames, %v", i, mode, len(out), err)
 			}
@@ -302,7 +302,7 @@ func FuzzDecode(f *testing.F) {
 				if s, err = Unmarshal(data); err != nil {
 					return
 				}
-				dec := Decoder{Enhancer: EnhancerFunc(goldenEnhancer), Mode: mode}
+				dec := Decoder{Enhancer: goldenHook, Mode: mode}
 				out, err = dec.Decode(s)
 			})
 			if limit := uint64(fuzzAllocPerByte*len(data) + fuzzAllocSlack); got > limit {

@@ -94,6 +94,11 @@ func goldenEnhancer(display int, f *video.YUV) *video.YUV {
 	return out
 }
 
+// goldenHook is goldenEnhancer as the decoder's hook.
+var goldenHook = PrecisionEnhancerFunc(func(display int, f *video.YUV) (*video.YUV, Precision) {
+	return goldenEnhancer(display, f), PrecisionFloat32
+})
+
 func digestFrames(frames []*video.YUV) string {
 	h := sha256.New()
 	for _, f := range frames {
@@ -140,8 +145,8 @@ func goldenRows(t *testing.T) []string {
 			dec  Decoder
 		}{
 			{"plain", Decoder{}},
-			{"replace", Decoder{Enhancer: EnhancerFunc(goldenEnhancer), Mode: PropagateReplace}},
-			{"delta", Decoder{Enhancer: EnhancerFunc(goldenEnhancer), Mode: PropagateDelta}},
+			{"replace", Decoder{Enhancer: goldenHook, Mode: PropagateReplace}},
+			{"delta", Decoder{Enhancer: goldenHook, Mode: PropagateDelta}},
 		} {
 			s2, err := Unmarshal(wire)
 			if err != nil {

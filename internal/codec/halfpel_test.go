@@ -104,14 +104,14 @@ func TestHalfPelEnhancementPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	brighten := EnhancerFunc(func(_ int, f *video.YUV) *video.YUV {
+	brighten := PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, Precision) {
 		g := f.Clone()
 		for i := range g.Y {
 			if g.Y[i] < 215 {
 				g.Y[i] += 40
 			}
 		}
-		return g
+		return g, PrecisionFloat32
 	})
 	for _, mode := range []Propagation{PropagateReplace, PropagateDelta} {
 		d := Decoder{Enhancer: brighten, Mode: mode}

@@ -7,8 +7,8 @@ import (
 	"dcsr/internal/video"
 )
 
-// TestPrecisionEnhancerRouting pins the per-precision attribution: a
-// PrecisionEnhancer that alternates paths per I frame must have every
+// TestPrecisionEnhancerRouting pins the per-precision attribution: an
+// enhancer that alternates paths per I frame must have every
 // enhancement counted in Enhanced, only the int8 ones in EnhancedInt8
 // and codec_enhance_int8_window_seconds, and declined frames (input
 // returned unchanged) in neither — regardless of reported precision.
@@ -63,13 +63,13 @@ func TestPrecisionEnhancerRouting(t *testing.T) {
 		t.Errorf("codec_enhance_int8_window_seconds count = %d, want %d", got, wantInt8)
 	}
 
-	// A plain FrameEnhancer on the same stream attributes nothing to int8.
-	d2 := Decoder{Enhancer: EnhancerFunc(func(_ int, f *video.YUV) *video.YUV { return f.Clone() })}
+	// An enhancer that reports float32 throughout attributes nothing to int8.
+	d2 := Decoder{Enhancer: PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, Precision) { return f.Clone(), PrecisionFloat32 })}
 	if _, err := d2.Decode(st); err != nil {
 		t.Fatal(err)
 	}
 	if d2.Stats.Enhanced != numI || d2.Stats.EnhancedInt8 != 0 {
-		t.Errorf("plain enhancer: Enhanced=%d EnhancedInt8=%d, want %d and 0",
+		t.Errorf("float32 enhancer: Enhanced=%d EnhancedInt8=%d, want %d and 0",
 			d2.Stats.Enhanced, d2.Stats.EnhancedInt8, numI)
 	}
 }

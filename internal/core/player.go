@@ -86,8 +86,6 @@ func (p *Prepared) Fetch(_ context.Context, kind stream.Kind, arg int) ([]byte, 
 			return nil, err
 		}
 		return sub.Marshal(), nil
-	case kind == stream.KindBackbone && p.Manifest.Backbone != nil:
-		return p.Models[p.Manifest.Backbone.Label].Bytes, nil
 	case kind == stream.KindModel && sm != nil:
 		return sm.Bytes, nil
 	case kind == stream.KindModelDelta && sm != nil && sm.Delta != nil && sm.Delta.DeltaOK:

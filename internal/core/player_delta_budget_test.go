@@ -38,7 +38,7 @@ func wholePayloadBudget(m *stream.Manifest, budget int64) budgetWant {
 		mi := m.Models[l]
 		if bb := m.Backbone; bb != nil && (mi.Delta || l == bb.Label) {
 			if !backbonePaid { // held beside the cache, once per session
-				w.Backbone += bb.Bytes
+				w.Backbone += m.Models[bb.Label].Bytes
 				backbonePaid = true
 			}
 			if l != bb.Label {
@@ -84,7 +84,7 @@ func TestPlayerDeltaCacheBudget(t *testing.T) {
 	if man.Backbone == nil {
 		t.Fatal("manifest has no backbone")
 	}
-	backbone := int64(man.Backbone.Bytes)
+	backbone := int64(man.Models[man.Backbone.Label].Bytes)
 	smallest := int64(-1)
 	for _, mi := range man.Models {
 		if mi.Delta && (smallest < 0 || int64(mi.Bytes) < smallest) {

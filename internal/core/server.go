@@ -209,10 +209,7 @@ func buildManifest(p *Prepared) *stream.Manifest {
 		})
 	}
 	if bb := p.backboneLabel(); bb >= 0 {
-		bsm := p.Models[bb]
-		man.Backbone = &stream.BackboneInfo{
-			Label: bb, Digest: stream.PayloadDigest(bsm.Bytes), Bytes: len(bsm.Bytes),
-		}
+		man.Backbone = &stream.BackboneInfo{Label: bb}
 	}
 	for label, sm := range p.Models {
 		mi := stream.ModelInfo{Label: label, Bytes: len(sm.Bytes)}
@@ -225,12 +222,11 @@ func buildManifest(p *Prepared) *stream.Manifest {
 			// dcW5 payload); FullBytes and Digest describe the assembled
 			// weights the client verifies before arming.
 			mi.Delta = true
-			mi.BackboneDigest = man.Backbone.Digest
 			mi.Digest = stream.PayloadDigest(sm.Bytes)
 			mi.FullBytes = len(sm.Bytes)
 			mi.Bytes = len(sm.Delta.Bytes)
 		} else if man.Backbone != nil && label == man.Backbone.Label {
-			mi.Digest = man.Backbone.Digest
+			mi.Digest = stream.PayloadDigest(sm.Bytes) // what the backbone fetch verifies
 		}
 		man.Models[label] = mi
 	}

@@ -28,8 +28,9 @@ import (
 // altered an int8 output bit. Every kernel path must reproduce it, which
 // the lane tests check by re-running this test on each.
 //
-// Like the training table it rests on × and + being rounded separately,
-// so it is skipped where the build fuses multiply-add.
+// Every multiply-add on the path rounds its product (float32(x*y) + z),
+// so the table holds on every architecture, fused or not (TestFMARatchet
+// keeps it so).
 
 // int8GoldenRows computes the table: one "name enhance-digest
 // forward-digest" row per case and worker count.
@@ -90,9 +91,6 @@ func int8GoldenRows(t *testing.T) []string {
 }
 
 func TestEnhanceInt8Golden(t *testing.T) {
-	if fusesMulAdd() {
-		t.Skip("this build fuses multiply-add; the golden table holds for unfused builds only")
-	}
 	prev := runtime.GOMAXPROCS(0)
 	defer func() {
 		runtime.GOMAXPROCS(prev)

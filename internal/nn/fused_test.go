@@ -14,12 +14,12 @@ import (
 // payloads serves a model stream's artifacts from memory.
 type payloads struct{ backbone, delta, full []byte }
 
-func (p payloads) Fetch(_ context.Context, kind stream.Kind, _ int) ([]byte, error) {
-	switch kind {
-	case stream.KindBackbone:
-		return p.backbone, nil
-	case stream.KindModelDelta:
+func (p payloads) Fetch(_ context.Context, kind stream.Kind, label int) ([]byte, error) {
+	switch {
+	case kind == stream.KindModelDelta:
 		return p.delta, nil
+	case label == 0:
+		return p.backbone, nil
 	}
 	return p.full, nil
 }
@@ -51,12 +51,11 @@ func TestFusedReconstructionFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := payloads{backbone: nn.EncodeWeights(base.Params()), delta: delta, full: nn.EncodeWeights(origin.Params())}
-	bb := stream.PayloadDigest(p.backbone)
 	man := &stream.Manifest{
-		Backbone: &stream.BackboneInfo{Label: 0, Digest: bb, Bytes: len(p.backbone)},
+		Backbone: &stream.BackboneInfo{Label: 0},
 		Models: map[int]stream.ModelInfo{
-			0: {Label: 0, Bytes: len(p.backbone), Digest: bb},
-			1: {Label: 1, Bytes: len(delta), Delta: true, BackboneDigest: bb,
+			0: {Label: 0, Bytes: len(p.backbone), Digest: stream.PayloadDigest(p.backbone)},
+			1: {Label: 1, Bytes: len(delta), Delta: true,
 				Digest: stream.PayloadDigest(p.full), FullBytes: len(p.full)},
 		},
 	}

@@ -228,7 +228,7 @@ func (b *ResBlock) ForwardInference(x, mid, out *tensor.Tensor) *tensor.Tensor {
 func addScaled(out, x, h []float32, scale float32) {
 	out, x = out[:len(h)], x[:len(h)]
 	for i, v := range h {
-		out[i] = x[i] + scale*v
+		out[i] = x[i] + float32(scale*v)
 	}
 }
 

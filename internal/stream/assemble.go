@@ -19,8 +19,7 @@ type Kind uint8
 // The artifact classes a Fetcher serves.
 const (
 	KindSegment    Kind = iota // arg: segment index → marshaled codec.Stream
-	KindModel                  // arg: model label → complete serialized weights
-	KindBackbone               // arg ignored → the shared backbone's weights
+	KindModel                  // arg: model label → complete serialized weights (the backbone's too)
 	KindModelDelta             // arg: model label → dcW5 delta against the backbone
 )
 
@@ -43,8 +42,6 @@ func (d declared) Fetch(_ context.Context, kind Kind, arg int) ([]byte, error) {
 	switch {
 	case kind == KindSegment:
 		return nil, nil
-	case kind == KindBackbone && d.m.Backbone != nil:
-		return make([]byte, d.m.Backbone.Bytes), nil
 	case kind == KindModel && ok && mi.Delta:
 		return make([]byte, mi.FullBytes), nil
 	case ok && (kind == KindModel || mi.Delta):
@@ -74,7 +71,7 @@ func LoadModel(cfg edsr.Config, data []byte) (*edsr.Model, error) {
 }
 
 // PayloadDigest is the hex SHA-256 manifests use to identify model
-// payloads end-to-end (BackboneInfo.Digest, ModelInfo.Digest).
+// payloads end-to-end (ModelInfo.Digest).
 func PayloadDigest(data []byte) string {
 	d := sha256.Sum256(data)
 	return hex.EncodeToString(d[:])
@@ -103,11 +100,11 @@ type Backbone struct {
 // Assembler turns model labels into ready models over a Fetcher, in the
 // model-stream order: a label the manifest ships through the stream — a
 // Delta entry, or the backbone's own label — costs the shared backbone
-// (once per Backbone holder) plus its dcW5 delta, reconstructed and
-// verified against the manifest's full-payload digest; every other label,
-// and any label whose assembly fails (modelstream_fallback_total), is
-// fetched complete. An Assembler is a cheap value; Manifest and Config
-// must already be validated (Manifest.ValidateFor).
+// (the backbone label's complete model, once per Backbone holder) plus
+// its dcW5 delta; every other label, and any label whose assembly fails
+// (modelstream_fallback_total), is fetched complete. Whatever is built is
+// verified first (build). An Assembler is a cheap value; Manifest and
+// Config must already be validated (Manifest.ValidateFor).
 type Assembler struct {
 	Fetcher  Fetcher
 	Manifest *Manifest
@@ -122,15 +119,20 @@ type Assembler struct {
 	Log *obs.Logger
 }
 
-// build deserializes one model: payload is a dcW5 delta onto base when
-// base is non-nil — the result must then hash to digest, the manifest's
-// full-payload digest — and the complete weights otherwise. An
-// accounting-only Assembler builds nothing.
+// build deserializes one model — payload is a dcW5 delta onto base when
+// base is non-nil, the complete weights otherwise — and verifies it: with
+// a digest (the label's ModelInfo.Digest, which every delta entry
+// carries) the complete weights must hash to it, so a corrupted payload
+// or a mis-reconstruction is never armed. An accounting-only Assembler
+// builds nothing.
 func (a *Assembler) build(payload []byte, base *edsr.Model, digest string) (*edsr.Model, error) {
 	if a.Config == (edsr.Config{}) {
 		return nil, nil
 	}
 	if base == nil {
+		if digest != "" && PayloadDigest(payload) != digest {
+			return nil, fmt.Errorf("payload does not hash to the manifest's digest %.12s", digest)
+		}
 		return LoadModel(a.Config, payload)
 	}
 	m, err := edsr.New(a.Config, 0)
@@ -170,7 +172,7 @@ func (a *Assembler) Model(ctx context.Context, label int) (*edsr.Model, []byte, 
 	if err != nil {
 		return nil, nil, cost, err
 	}
-	m, err := a.build(data, nil, "")
+	m, err := a.build(data, nil, mi.Digest)
 	if err != nil {
 		return nil, nil, cost, fmt.Errorf("stream: model %d: %w", label, err)
 	}
@@ -178,25 +180,24 @@ func (a *Assembler) Model(ctx context.Context, label int) (*edsr.Model, []byte, 
 	return m, data, cost, nil
 }
 
-// backbone returns the shared backbone, fetching and verifying it if the
-// holder does not have it yet; paid is the bytes this call downloaded.
+// backbone returns the shared backbone — the backbone label's complete
+// model — fetching and verifying it if the holder does not have it yet;
+// paid is the bytes this call downloaded.
 func (a *Assembler) backbone(ctx context.Context) (data []byte, base *edsr.Model, paid int, err error) {
-	info, b := a.Manifest.Backbone, a.Backbone
+	label, b := a.Manifest.Backbone.Label, a.Backbone
+	digest := a.Manifest.Models[label].Digest
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.data != nil && b.digest == info.Digest {
+	if b.data != nil && b.digest == digest {
 		return b.data, b.base, 0, nil
 	}
-	if data, err = a.Fetcher.Fetch(ctx, KindBackbone, 0); err != nil {
+	if data, err = a.Fetcher.Fetch(ctx, KindModel, label); err != nil {
 		return nil, nil, 0, err
 	}
-	if got := PayloadDigest(data); a.Config != (edsr.Config{}) && got != info.Digest {
-		return nil, nil, 0, fmt.Errorf("stream: backbone digest %s, manifest says %s", got, info.Digest)
+	if base, err = a.build(data, nil, digest); err != nil {
+		return nil, nil, 0, fmt.Errorf("stream: backbone model %d: %w", label, err)
 	}
-	if base, err = a.build(data, nil, ""); err != nil {
-		return nil, nil, 0, fmt.Errorf("stream: backbone weights: %w", err)
-	}
-	b.digest, b.data, b.base = info.Digest, data, base
+	b.digest, b.data, b.base = digest, data, base
 	a.Obs.Counter("modelstream_backbone_fetch_total").Inc()
 	a.Log.Debug("stream: backbone fetched", "bytes", len(data))
 	return data, base, len(data), nil
@@ -213,13 +214,14 @@ func (a *Assembler) assemble(ctx context.Context, label int, mi ModelInfo) (*eds
 	if err != nil {
 		return nil, nil, cost, err
 	}
+	digest := mi.Digest
 	delta := label != a.Manifest.Backbone.Label
 	if !delta {
-		base = nil // the backbone payload is the complete model
+		base, digest = nil, "" // the holder's payload is the complete model, verified when fetched
 	} else if payload, err = a.Fetcher.Fetch(ctx, KindModelDelta, label); err != nil {
 		return nil, nil, cost, err
 	}
-	m, err := a.build(payload, base, mi.Digest)
+	m, err := a.build(payload, base, digest)
 	if err != nil {
 		return nil, nil, cost, fmt.Errorf("stream: model %d: %w", label, err)
 	}

@@ -14,13 +14,12 @@ import (
 // modelStreamManifest builds a Fig-7-style manifest whose models ship as
 // a backbone (label 0) plus deltas: segments touch clusters 0,1,1,2,2,2,3.
 func modelStreamManifest() *Manifest {
-	const bbDigest = "aa11"
 	m := &Manifest{
-		Backbone: &BackboneInfo{Label: 0, Digest: bbDigest, Bytes: 100},
+		Backbone: &BackboneInfo{Label: 0},
 		Models: map[int]ModelInfo{
-			0: {Label: 0, Bytes: 100, Digest: bbDigest},
-			1: {Label: 1, Bytes: 25, Delta: true, BackboneDigest: bbDigest, Digest: "bb22", FullBytes: 110},
-			2: {Label: 2, Bytes: 30, Delta: true, BackboneDigest: bbDigest, Digest: "cc33", FullBytes: 120},
+			0: {Label: 0, Bytes: 100, Digest: "aa11"},
+			1: {Label: 1, Bytes: 25, Delta: true, Digest: "bb22", FullBytes: 110},
+			2: {Label: 2, Bytes: 30, Delta: true, Digest: "cc33", FullBytes: 120},
 			3: {Label: 3, Bytes: 130}, // gated out of delta encoding: ships complete
 		},
 	}
@@ -44,11 +43,6 @@ func TestManifestValidateModelStream(t *testing.T) {
 		{"delta without any backbone", func(m *Manifest) {
 			m.Backbone = nil
 		}, "no backbone"},
-		{"delta against absent backbone digest", func(m *Manifest) {
-			mi := m.Models[1]
-			mi.BackboneDigest = "deadbeef"
-			m.Models[1] = mi
-		}, "absent from the manifest"},
 		{"delta missing full-payload digest", func(m *Manifest) {
 			mi := m.Models[2]
 			mi.Digest = ""
@@ -58,7 +52,9 @@ func TestManifestValidateModelStream(t *testing.T) {
 			m.Backbone.Label = 9
 		}, "no model entry"},
 		{"backbone without digest", func(m *Manifest) {
-			m.Backbone.Digest = ""
+			mi := m.Models[0]
+			mi.Digest = ""
+			m.Models[0] = mi
 		}, "missing digest"},
 	}
 	for _, tc := range cases {
@@ -176,19 +172,19 @@ func TestCompletePayloadSizes(t *testing.T) {
 	}
 }
 
-// mapFetcher serves artifacts from memory and counts backbone fetches.
+// mapFetcher serves artifacts from memory and counts fetches of model 0,
+// the backbone.
 type mapFetcher struct {
 	full, delta map[int][]byte
-	backbone    []byte
 	bbFetches   int
 }
 
 func (f *mapFetcher) Fetch(_ context.Context, kind Kind, arg int) ([]byte, error) {
 	switch kind {
-	case KindBackbone:
-		f.bbFetches++
-		return f.backbone, nil
 	case KindModel:
+		if arg == 0 {
+			f.bbFetches++
+		}
 		return f.full[arg], nil
 	case KindModelDelta:
 		return f.delta[arg], nil
@@ -207,9 +203,9 @@ func TestAssemblerSharesBackbone(t *testing.T) {
 		t.Fatal(err)
 	}
 	bbBytes := nn.EncodeWeights(base.Params())
-	f := &mapFetcher{backbone: bbBytes, full: map[int][]byte{0: bbBytes}, delta: map[int][]byte{}}
+	f := &mapFetcher{full: map[int][]byte{0: bbBytes}, delta: map[int][]byte{}}
 	m := &Manifest{
-		Backbone: &BackboneInfo{Label: 0, Digest: PayloadDigest(bbBytes), Bytes: len(bbBytes)},
+		Backbone: &BackboneInfo{Label: 0},
 		Models:   map[int]ModelInfo{0: {Label: 0, Bytes: len(bbBytes), Digest: PayloadDigest(bbBytes)}},
 	}
 	for label := 1; label <= 2; label++ {
@@ -224,7 +220,7 @@ func TestAssemblerSharesBackbone(t *testing.T) {
 		}
 		f.delta[label], f.full[label] = delta, nn.EncodeWeights(recon.Params())
 		m.Models[label] = ModelInfo{Label: label, Bytes: len(delta), Delta: true,
-			BackboneDigest: m.Backbone.Digest, Digest: PayloadDigest(f.full[label]), FullBytes: len(f.full[label])}
+			Digest: PayloadDigest(f.full[label]), FullBytes: len(f.full[label])}
 	}
 	if err := m.ValidateFor(cfg); err != nil {
 		t.Fatal(err)

@@ -77,25 +77,21 @@ type ModelInfo struct {
 	// manifests from servers predating the field) means Bytes is the
 	// complete serialized model.
 	Delta bool `json:"delta,omitempty"`
-	// BackboneDigest is the hex SHA-256 of the backbone payload the delta
-	// was encoded against; it must match Backbone.Digest. Only set when
-	// Delta is true.
-	BackboneDigest string `json:"backbone_digest,omitempty"`
-	// Digest is the hex SHA-256 of the full serialized weights, letting a
-	// client verify an assembled (or fetched) model before arming it.
+	// Digest is the hex SHA-256 of the complete serialized weights: a
+	// client verifies an assembled or fetched model against it before
+	// arming it. Set on every delta entry and on the backbone's.
 	Digest string `json:"digest,omitempty"`
 	// FullBytes is the size of the complete serialized model when Delta
 	// is true (what a fallback full fetch downloads); zero otherwise.
 	FullBytes int `json:"full_bytes,omitempty"`
 }
 
-// BackboneInfo describes the shared backbone model the manifest's delta
-// entries are encoded against. The backbone is itself one of the cluster
-// models (Label), fetched at most once per session via its own wire op.
+// BackboneInfo names the shared backbone model the manifest's delta
+// entries are encoded against. The backbone is one of the cluster models:
+// its Models entry gives its size and digest, and it is fetched as that
+// model (KindModel), at most once per Backbone holder.
 type BackboneInfo struct {
-	Label  int    `json:"label"`
-	Digest string `json:"digest"` // hex SHA-256 of the backbone payload
-	Bytes  int    `json:"bytes"`
+	Label int `json:"label"`
 }
 
 // Manifest is the per-video index a dcSR client downloads first: the
@@ -118,7 +114,8 @@ type Manifest struct {
 // be unique, and each Models entry's Label must match its map key. The
 // last two guard against silent shadowing: duplicate indices or
 // mislabeled models would make lookups quietly resolve to the wrong
-// payload instead of failing.
+// payload instead of failing. A backbone must name an entry carrying a
+// digest, and a delta entry needs a backbone and a digest and size.
 func (m *Manifest) Validate() error {
 	seen := make(map[int]bool, len(m.Segments))
 	for _, s := range m.Segments {
@@ -139,11 +136,12 @@ func (m *Manifest) Validate() error {
 		}
 	}
 	if b := m.Backbone; b != nil {
-		if b.Digest == "" || b.Bytes <= 0 {
-			return fmt.Errorf("stream: backbone missing digest or size")
-		}
-		if _, ok := m.Models[b.Label]; !ok {
+		bm, ok := m.Models[b.Label]
+		if !ok {
 			return fmt.Errorf("stream: backbone label %d has no model entry", b.Label)
+		}
+		if bm.Digest == "" {
+			return fmt.Errorf("stream: backbone model %d missing digest", b.Label)
 		}
 	}
 	for label, mi := range m.Models {
@@ -156,9 +154,6 @@ func (m *Manifest) Validate() error {
 		if mi.Delta {
 			if m.Backbone == nil {
 				return fmt.Errorf("stream: delta model %d but manifest carries no backbone", label)
-			}
-			if mi.BackboneDigest != m.Backbone.Digest {
-				return fmt.Errorf("stream: delta model %d references backbone digest %.12s absent from the manifest", label, mi.BackboneDigest)
 			}
 			if mi.Digest == "" || mi.FullBytes <= 0 {
 				return fmt.Errorf("stream: delta model %d missing full-payload digest or size", label)

@@ -59,10 +59,10 @@ func gemmRowsGo(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32
 			// compiler drop all four bounds checks in the hot loop.
 			x0, x1, x2, x3 := o0[:len(brow)], o1[:len(brow)], o2[:len(brow)], o3[:len(brow)]
 			for j, bv := range brow {
-				x0[j] += a0 * bv
-				x1[j] += a1 * bv
-				x2[j] += a2 * bv
-				x3[j] += a3 * bv
+				x0[j] += float32(a0 * bv)
+				x1[j] += float32(a1 * bv)
+				x2[j] += float32(a2 * bv)
+				x3[j] += float32(a3 * bv)
 			}
 		}
 	}
@@ -75,7 +75,7 @@ func gemmRowsGo(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32
 		for kk, av := range arow {
 			brow := b[kk*n : kk*n+n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -133,10 +133,10 @@ func gemmTARowsGo(a, b, out []float32, lo, hi, m, k, n int) {
 			brow := b[i*n : i*n+n]
 			x0, x1, x2, x3 := o0[:len(brow)], o1[:len(brow)], o2[:len(brow)], o3[:len(brow)]
 			for j, bv := range brow {
-				x0[j] += a0 * bv
-				x1[j] += a1 * bv
-				x2[j] += a2 * bv
-				x3[j] += a3 * bv
+				x0[j] += float32(a0 * bv)
+				x1[j] += float32(a1 * bv)
+				x2[j] += float32(a2 * bv)
+				x3[j] += float32(a3 * bv)
 			}
 		}
 	}
@@ -149,7 +149,7 @@ func gemmTARowsGo(a, b, out []float32, lo, hi, m, k, n int) {
 			av := a[i*k+r]
 			brow := b[i*n : i*n+n]
 			for j, bv := range brow {
-				orow[j] += av * bv
+				orow[j] += float32(av * bv)
 			}
 		}
 	}
@@ -170,10 +170,10 @@ func gemmBTRows(a, b, out []float32, lo, hi, n, k int) {
 			b3 := b[(r+3)*n : (r+3)*n+n][:len(arow)]
 			var s0, s1, s2, s3 float32
 			for j, av := range arow {
-				s0 += av * b0[j]
-				s1 += av * b1[j]
-				s2 += av * b2[j]
-				s3 += av * b3[j]
+				s0 += float32(av * b0[j])
+				s1 += float32(av * b1[j])
+				s2 += float32(av * b2[j])
+				s3 += float32(av * b3[j])
 			}
 			orow[r] = s0
 			orow[r+1] = s1
@@ -184,7 +184,7 @@ func gemmBTRows(a, b, out []float32, lo, hi, n, k int) {
 			brow := b[r*n : r*n+n]
 			var s float32
 			for j, av := range arow {
-				s += av * brow[j]
+				s += float32(av * brow[j])
 			}
 			orow[r] = s
 		}

@@ -170,7 +170,7 @@ func swarDotRow1(w, r []uint64) uint64 {
 // expressions, so parity between the two kernels is exact, not
 // approximate.
 func requantInt8(acc int32, scale, bias float32, relu bool) float32 {
-	v := float32(acc)*scale + bias
+	v := float32(float32(acc)*scale) + bias
 	if relu && v < 0 {
 		v = 0
 	}
@@ -193,7 +193,7 @@ func QuantizeInt8Into(dst []int8, src []float32, inv float32) {
 		dst, src = dst[n:], src[n:]
 	}
 	for i, v := range src {
-		f := v * inv
+		f := float32(v * inv)
 		// Branchless half-away-from-zero: add ±0.5 with f's own sign
 		// bit, then truncate. Activation signs are effectively random,
 		// so an if/else here costs a mispredict per element.

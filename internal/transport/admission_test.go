@@ -145,8 +145,8 @@ func TestAdmissionConcurrentLoad(t *testing.T) {
 	srv.Obs = obs.New()
 	srv.Admission = AdmissionConfig{MaxInflight: 3}
 	hold := make(chan struct{})
-	srv.admitHold = func(op byte) {
-		if op == OpSegment { // let the negotiation probe through
+	srv.admitHold = func(req wireRequest) {
+		if req.Op == OpSegment { // let the negotiation probe through
 			<-hold
 		}
 	}
@@ -217,8 +217,8 @@ func TestAdmissionFairnessGreedyClient(t *testing.T) {
 	}
 	srv.Admission = AdmissionConfig{MaxPerConn: 2}
 	hold := make(chan struct{})
-	srv.admitHold = func(op byte) {
-		if op == OpSegment {
+	srv.admitHold = func(req wireRequest) {
+		if req.Op == OpSegment {
 			<-hold
 		}
 	}

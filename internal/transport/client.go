@@ -72,7 +72,7 @@ type Client struct {
 
 	// backbones holds each video's shared *stream.Backbone for ModelData,
 	// keyed by video ID: N concurrent sessions of one video pay for one
-	// OpBackbone download and one deserialization, and videos never wait
+	// backbone download and one deserialization, and videos never wait
 	// on each other.
 	backbones sync.Map
 }
@@ -399,7 +399,6 @@ func (c *Client) Do(ctx context.Context, op byte, arg, video uint32) ([]byte, er
 var kindOp = [...]byte{
 	stream.KindSegment:    OpSegment,
 	stream.KindModel:      OpModel,
-	stream.KindBackbone:   OpBackbone,
 	stream.KindModelDelta: OpModelDelta,
 }
 

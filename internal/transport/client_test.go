@@ -48,8 +48,8 @@ func TestMuxPipeliningOutOfOrder(t *testing.T) {
 	entered := make(chan struct{})
 	hold := make(chan struct{})
 	var first sync.Once
-	srv.admitHold = func(op byte) {
-		if op != OpSegment {
+	srv.admitHold = func(req wireRequest) {
+		if req.Op != OpSegment {
 			return
 		}
 		blocked := false
@@ -155,12 +155,14 @@ func TestMuxSharedBackbonePerVideo(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Hold the first OpBackbone the server admits — video 0's — until
-	// released, and count them all.
+	// Hold the first backbone download the server admits — video 0's
+	// OpModel for its backbone label — until released, and count them all.
 	var backbones atomic.Int32
 	held, release := make(chan struct{}), make(chan struct{})
-	srv.admitHold = func(op byte) {
-		if op == OpBackbone && backbones.Add(1) == 1 {
+	srv.admitHold = func(req wireRequest) {
+		isBackbone := req.Op == OpModel && int(req.Video) < len(preps) &&
+			int(req.Arg) == preps[req.Video].Manifest.Backbone.Label
+		if isBackbone && backbones.Add(1) == 1 {
 			close(held)
 			<-release
 		}
@@ -209,8 +211,9 @@ func TestMuxSharedBackbonePerVideo(t *testing.T) {
 		}
 		// Only the session that paid for the backbone reports its bytes;
 		// video 1 has a single session, which must.
-		if err == nil && v == 1 && n <= wms[v].Backbone.Bytes {
-			err = fmt.Errorf("downloaded %d bytes, want backbone (%d) plus a delta", n, wms[v].Backbone.Bytes)
+		bbBytes := preps[v].Manifest.Models[preps[v].Manifest.Backbone.Label].Bytes
+		if err == nil && v == 1 && n <= bbBytes {
+			err = fmt.Errorf("downloaded %d bytes, want backbone (%d) plus a delta", n, bbBytes)
 		}
 		return err
 	}
@@ -232,7 +235,7 @@ func TestMuxSharedBackbonePerVideo(t *testing.T) {
 		}
 	}
 	if got := backbones.Load(); got != 2 {
-		t.Errorf("server answered %d OpBackbone requests, want 2 (one per video)", got)
+		t.Errorf("server answered %d backbone OpModel requests, want 2 (one per video)", got)
 	}
 	snap := co.Metrics.Snapshot()
 	if got := snap.Counters["modelstream_backbone_fetch_total"]; got != 2 {
@@ -255,8 +258,8 @@ func TestMuxTimeoutKeepsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls atomic.Int32
-	srv.admitHold = func(op byte) {
-		if op == OpSegment && calls.Add(1) == 1 {
+	srv.admitHold = func(req wireRequest) {
+		if req.Op == OpSegment && calls.Add(1) == 1 {
 			time.Sleep(150 * time.Millisecond) // first data request: slower than the deadline
 		}
 	}

@@ -76,6 +76,18 @@ var hostileManifests = []struct {
 	{"delta entry without backbone", func(wm *WireManifest) {
 		wm.Models[0].Delta = true
 	}, "no backbone"},
+	{"backbone label without model entry", func(wm *WireManifest) {
+		wm.Backbone = &stream.BackboneInfo{Label: 99}
+	}, "no model entry"},
+	{"backbone entry without digest", func(wm *WireManifest) {
+		wm.Backbone = &stream.BackboneInfo{Label: wm.Models[0].Label}
+		wm.Models[0].Digest = ""
+	}, "missing digest"},
+	{"complete delta entry, manifest without backbone", func(wm *WireManifest) {
+		wm.Backbone = nil
+		mi := &wm.Models[0]
+		mi.Delta, mi.Digest, mi.FullBytes = true, strings.Repeat("0", 64), mi.Bytes
+	}, "no backbone"},
 }
 
 // TestHostileManifestRejected pins the trust boundary at the engine's

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -9,7 +10,9 @@ import (
 
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
+	"dcsr/internal/obs"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
@@ -65,14 +68,11 @@ func TestPlayModelStreamOverWire(t *testing.T) {
 		t.Skip("trains the pipeline; skipped in short mode")
 	}
 	prep := getDeltaFixture(t)
-	bb := prep.Manifest.Backbone
+	bb := prep.Manifest.Models[prep.Manifest.Backbone.Label]
 	deltas := 0
-	for label, mi := range prep.Manifest.Models {
+	for _, mi := range prep.Manifest.Models {
 		if mi.Delta {
 			deltas++
-			if mi.BackboneDigest != bb.Digest {
-				t.Fatalf("model %d: backbone digest %s, manifest backbone %s", label, mi.BackboneDigest, bb.Digest)
-			}
 		}
 	}
 	if deltas == 0 {
@@ -89,9 +89,14 @@ func TestPlayModelStreamOverWire(t *testing.T) {
 	}
 	ref, refStats := playLocal(t, prep, false)
 	refF, refStatsF := playLocal(t, prep, true)
-	out, stats := playWire(t, srv, wireOpts)
+	opts := wireOpts
+	opts.Obs = obs.New()
+	out, stats := playWire(t, srv, opts)
 	if !framesEqual(out, ref) {
 		t.Fatal("model-stream int8 playback differs from origin-local playback")
+	}
+	if got := opts.Obs.Metrics.Snapshot().Counters["modelstream_backbone_fetch_total"]; got != 1 {
+		t.Fatalf("modelstream_backbone_fetch_total = %d, want 1 per session", got)
 	}
 	if !reflect.DeepEqual(stats, refStats) {
 		t.Fatalf("session summary %+v, origin-local %+v", stats, refStats)
@@ -188,7 +193,7 @@ func TestModelStreamInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, op := range sniff.ops {
-		if op == OpBackbone || op == OpModelDelta {
+		if op == OpModelDelta {
 			t.Fatalf("new client sent op %d to a backbone-less server", op)
 		}
 	}
@@ -227,6 +232,51 @@ func TestModelStreamInterop(t *testing.T) {
 	}
 }
 
+// corruptFirst is a Fetcher that flips one byte of the first answer to
+// one request: a corruption in transit, so a re-fetch arrives clean.
+type corruptFirst struct {
+	stream.Fetcher
+	kind stream.Kind
+	arg  int
+	hit  bool
+}
+
+func (f *corruptFirst) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, error) {
+	data, err := f.Fetcher.Fetch(ctx, kind, arg)
+	if err == nil && !f.hit && kind == f.kind && arg == f.arg {
+		f.hit = true
+		data = bytes.Clone(data)
+		data[len(data)/2] ^= 0x5A
+	}
+	return data, err
+}
+
+// playFetcher plays srv's default video with every download going
+// through wrap(the wire Fetcher); the session records into a fresh Obs.
+func playFetcher(t *testing.T, srv *Server, wrap func(stream.Fetcher) stream.Fetcher) ([]*video.YUV, *stream.Session, *obs.Obs) {
+	t.Helper()
+	cconn, sconn := net.Pipe()
+	go func() { _ = srv.ServeConn(sconn) }()
+	defer cconn.Close()
+	defer sconn.Close()
+	v := NewClient(cconn).Video(0)
+	wm, err := v.Manifest(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := wireOpts
+	opts.Obs = obs.New()
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, wrap(v), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := sess.Play(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, sess, opts.Obs
+}
+
 // TestModelStreamCorruptionFallsBack pins the assembler's verify-then-arm
 // rule on the wire: a corrupted delta (or backbone) payload must never
 // reach the decoder — the client falls back to the complete OpModel
@@ -257,16 +307,6 @@ func TestModelStreamCorruptionFallsBack(t *testing.T) {
 	if !corrupted {
 		t.Fatal("no delta payload to corrupt")
 	}
-	// Corrupt the backbone of a second server: every delta label must
-	// fall back, playback still pixel-identical.
-	srv2, err := NewServer(prep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), srv2.videos[0].backbone...)
-	bad[len(bad)/2] ^= 0x5A
-	srv2.videos[0].backbone = bad
-
 	out, stats := playWire(t, srv, wireOpts)
 	if !framesEqual(out, ref.Frames) {
 		t.Fatal("playback with a corrupted delta differs from origin playback")
@@ -274,15 +314,79 @@ func TestModelStreamCorruptionFallsBack(t *testing.T) {
 	if stats.FullModelBytes == 0 {
 		t.Fatal("corrupted delta did not trigger a full-model fallback")
 	}
-	out2, stats2 := playWire(t, srv2, wireOpts)
+
+	// Corrupt the first backbone download in transit: the assembly that
+	// asked for it falls back to a complete fetch, the next label
+	// re-fetches the backbone clean, and playback is still pixel-identical.
+	srv2, err := NewServer(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := &corruptFirst{kind: stream.KindModel, arg: prep.Manifest.Backbone.Label}
+	out2, sess2, o2 := playFetcher(t, srv2, func(f stream.Fetcher) stream.Fetcher { cf.Fetcher = f; return cf })
+	if !cf.hit {
+		t.Fatal("the session never fetched the backbone")
+	}
 	if !framesEqual(out2, ref.Frames) {
 		t.Fatal("playback with a corrupted backbone differs from origin playback")
 	}
-	if stats2.DeltaModelBytes != 0 {
-		t.Fatalf("client assembled %d delta bytes from a corrupted backbone", stats2.DeltaModelBytes)
+	counters := o2.Metrics.Snapshot().Counters
+	if sess2.FullModelBytes == 0 || counters["modelstream_fallback_total"] != 1 || sess2.DegradedSegments != 0 {
+		t.Fatalf("corrupted backbone: full %d bytes, %d fallbacks, %d degraded; want one clean fallback",
+			sess2.FullModelBytes, counters["modelstream_fallback_total"], sess2.DegradedSegments)
 	}
-	if stats2.FullModelBytes != stats2.ModelBytes {
-		t.Fatalf("corrupted-backbone session should be all full fetches: full %d of %d",
-			stats2.FullModelBytes, stats2.ModelBytes)
+	if got := sess2.BackboneBytes + sess2.DeltaModelBytes + sess2.FullModelBytes; got != sess2.ModelBytes {
+		t.Fatalf("byte breakdown %d does not sum to ModelBytes %d", got, sess2.ModelBytes)
+	}
+}
+
+// TestCorruptFullFallbackDegrades pins the one verify rule on the
+// fallback path: when a delta label's delta and its complete OpModel
+// payload are both corrupted, the complete payload fails the entry's
+// digest, so the label degrades (played without SR, counted) instead of
+// arming the bad weights; every other segment plays as the origin's.
+func TestCorruptFullFallbackDegrades(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the pipeline; skipped in short mode")
+	}
+	prep := getDeltaFixture(t)
+	ref, err := core.NewPlayer(prep).Play()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(prep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := -1
+	for l := range srv.videos[0].deltas {
+		label = int(l)
+		break
+	}
+	if label < 0 {
+		t.Fatal("no delta payload to corrupt")
+	}
+	for _, buf := range []map[uint32][]byte{srv.videos[0].deltas, srv.videos[0].models} {
+		bad := bytes.Clone(buf[uint32(label)])
+		bad[len(bad)/2] ^= 0x5A
+		buf[uint32(label)] = bad
+	}
+	out, sess, o := playFetcher(t, srv, func(f stream.Fetcher) stream.Fetcher { return f })
+	counters := o.Metrics.Snapshot().Counters
+	if sess.DegradedSegments == 0 || counters["modelstream_fallback_total"] == 0 || counters["model_fetch_failures_total"] == 0 {
+		t.Fatalf("corrupted delta and full payload of model %d: %d degraded, %d fallbacks, %d fetch failures; want the label degraded",
+			label, sess.DegradedSegments, counters["modelstream_fallback_total"], counters["model_fetch_failures_total"])
+	}
+	if len(out) != len(ref.Frames) {
+		t.Fatalf("played %d frames, origin %d", len(out), len(ref.Frames))
+	}
+	for i, seg := range prep.Manifest.Segments {
+		ev := sess.Events[i]
+		if ev.Degraded != (seg.ModelLabel == label) {
+			t.Errorf("segment %d (model %d): degraded = %v", seg.Index, seg.ModelLabel, ev.Degraded)
+		}
+		if !ev.Degraded && !framesEqual(out[seg.Start:seg.End], ref.Frames[seg.Start:seg.End]) {
+			t.Errorf("segment %d (model %d) differs from origin playback", seg.Index, seg.ModelLabel)
+		}
 	}
 }

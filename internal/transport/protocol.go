@@ -107,13 +107,9 @@ const (
 	OpSegment  = 2 // payload: segment index → marshaled codec.Stream
 	OpModel    = 3 // payload: model label   → serialized weights (always complete)
 	OpVideos   = 4 // payload: none          → JSON WireDirectory
-	// OpBackbone fetches the video's shared backbone weights (the model
-	// stream's base payload, downloaded once per session); OpModelDelta
-	// fetches model label's dcW5 delta against that backbone. Both answer
-	// StatusNotFound when the video was prepared without delta encoding;
-	// OpModel serves every model complete, which is what the assembly
-	// fallback fetches.
-	OpBackbone   = 5 // payload: none        → backbone serialized weights
+	// OpModelDelta fetches model label's dcW5 delta against the video's
+	// backbone, which is itself fetched as its label's OpModel. It answers
+	// StatusNotFound when the video was prepared without delta encoding.
 	OpModelDelta = 6 // payload: model label → dcW5 delta payload
 )
 
@@ -166,7 +162,7 @@ type WireManifest struct {
 	Segments    []stream.SegmentInfo `json:"segments"`
 	Models      []stream.ModelInfo   `json:"models"`
 	// Backbone advertises the model stream: the video's models ship as
-	// one shared backbone (served by OpBackbone) plus per-cluster deltas
+	// one shared backbone (its label's OpModel) plus per-cluster deltas
 	// (OpModelDelta) for every model entry flagged Delta. A video prepared
 	// without delta encoding has Backbone == nil and the client fetches
 	// every model complete via OpModel.

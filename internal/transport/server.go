@@ -25,13 +25,11 @@ type hostedVideo struct {
 	manifest []byte
 	segments [][]byte
 	models   map[uint32][]byte
-	// backbone and deltas serve the model stream: OpBackbone answers with
-	// the shared backbone weights, OpModelDelta with a label's dcW5 delta.
-	// Both are nil/empty for videos prepared without delta encoding — the
-	// ops answer StatusNotFound and clients fetch full models via OpModel.
-	backbone []byte
-	deltas   map[uint32][]byte
-	info     WireVideo
+	// deltas serve the model stream's OpModelDelta (the backbone is its
+	// label's models entry); empty for videos prepared without delta
+	// encoding, whose clients fetch every model via OpModel.
+	deltas map[uint32][]byte
+	info   WireVideo
 }
 
 // Server serves any number of prepared dcSR streams to any number of
@@ -49,7 +47,7 @@ type Server struct {
 	// Obs records transport_requests_total, transport_not_found_total,
 	// transport_shed_total, transport_bytes_in/out_total, the
 	// per-message-type latency histograms
-	// transport_{manifest,segment,model,directory,backbone,modeldelta}_seconds,
+	// transport_{manifest,segment,model,directory,modeldelta}_seconds,
 	// their rolling-window twins transport_requests_window_total,
 	// transport_shed_window_total and
 	// transport_{manifest,segment,model}_window_seconds, and the
@@ -70,8 +68,8 @@ type Server struct {
 	byDigest  map[string]uint32
 	directory []byte
 	// assembled dedupes serving buffers across videos by payload digest —
-	// the k-th video re-using a model (or delta, or backbone) serves the
-	// same canonical copy; see internPayload.
+	// the k-th video re-using a model (or delta) serves the same
+	// canonical copy; see internPayload.
 	assembled map[modelstore.Digest][]byte
 	adm       *admission
 	ln        net.Listener
@@ -82,7 +80,7 @@ type Server struct {
 	// admitHold, when set, is called for every admitted request while its
 	// admission slot is held, before the response is written. Tests use
 	// it to pin the server at a known inflight level; nil in production.
-	admitHold func(op byte)
+	admitHold func(req wireRequest)
 	// gateNow overrides the admission token bucket's clock in tests.
 	gateNow func() time.Time
 }
@@ -193,9 +191,6 @@ func (s *Server) Register(p *core.Prepared) (string, error) {
 			}
 			v.deltas[uint32(label)] = dd
 		}
-	}
-	if bb := p.Manifest.Backbone; bb != nil {
-		v.backbone = v.models[uint32(bb.Label)]
 	}
 	id := uint32(len(s.videos))
 	v.info = WireVideo{
@@ -368,7 +363,6 @@ func (s *Server) connMetrics() *connMetrics {
 			OpSegment:    s.Obs.Histogram("transport_segment_seconds"),
 			OpModel:      s.Obs.Histogram("transport_model_seconds"),
 			OpVideos:     s.Obs.Histogram("transport_directory_seconds"),
-			OpBackbone:   s.Obs.Histogram("transport_backbone_seconds"),
 			OpModelDelta: s.Obs.Histogram("transport_modeldelta_seconds"),
 		},
 		unknownHist: s.Obs.Histogram("transport_unknown_seconds"),
@@ -463,7 +457,7 @@ func (s *Server) serveRequest(cw *connWriter, m *connMetrics, adm *admission, re
 // the connWriter, which drops every later response on the connection.
 func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wireRequest) {
 	if s.admitHold != nil {
-		s.admitHold(req.Op)
+		s.admitHold(req)
 	}
 	inflight, peak := adm.snapshot()
 	m.inflight.Set(int64(inflight))
@@ -505,8 +499,6 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		}
 	case OpModel:
 		payload = v.models[req.Arg]
-	case OpBackbone:
-		payload = v.backbone
 	case OpModelDelta:
 		payload = v.deltas[req.Arg]
 	default:
@@ -565,8 +557,6 @@ func opName(op byte) string {
 		return "model"
 	case OpVideos:
 		return "videos"
-	case OpBackbone:
-		return "backbone"
 	case OpModelDelta:
 		return "modeldelta"
 	default:

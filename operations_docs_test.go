@@ -96,7 +96,8 @@ func TestOperationsDocMetrics(t *testing.T) {
 	// TCP serve (registers the open-conns gauge) with fault injection on
 	// the client: the second request's response is delayed past the
 	// deadline (timeout + reconnect + retry) and every full-model
-	// response is dropped (degraded segments, fetch failures). One
+	// response but the backbone's is dropped (degraded segments, fetch
+	// failures). One
 	// delta-shipped cluster has its OpModelDelta responses eaten too, so
 	// its assembly falls back to the (dropped) full-model path and
 	// degrades, while the backbone fetch and the remaining deltas succeed
@@ -128,7 +129,9 @@ func TestOperationsDocMetrics(t *testing.T) {
 		Decide: func(i int, frame []byte) faultnet.Kind {
 			switch op, arg, _ := transport.PeekRequest(frame); op {
 			case transport.OpModel:
-				return faultnet.KindDrop
+				if arg != uint32(prep.Manifest.Backbone.Label) {
+					return faultnet.KindDrop
+				}
 			case transport.OpModelDelta:
 				if arg == uint32(dropLabel) {
 					return faultnet.KindDrop

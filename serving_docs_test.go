@@ -2,6 +2,7 @@ package dcsr_test
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -69,4 +70,90 @@ func TestServingDocPins(t *testing.T) {
 			t.Errorf("docs/SERVING.md never documents the %s flag", want)
 		}
 	}
+}
+
+var (
+	docCmdFlagDef = regexp.MustCompile(`flag\.\w+\("([a-z0-9-]+)"`)
+	docInvocation = regexp.MustCompile(`\bdcsr-(serve|play|prepare|bench|lint)\b`)
+	docFlagTok    = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+)
+
+// TestDocCommandLines checks every command line the docs give a reader
+// against the command it runs: in each fenced code block line (with its
+// backslash continuations) and each inline code span, every flag after a
+// dcsr-serve, dcsr-play, dcsr-prepare, dcsr-bench or dcsr-lint — up to
+// the next shell separator, comment or command — must be one that
+// command's main.go defines. A recipe for a flag that moved to another
+// command, or was deleted, then fails here.
+func TestDocCommandLines(t *testing.T) {
+	defined := map[string]map[string]bool{}
+	for _, cmd := range []string{"serve", "play", "prepare", "bench", "lint"} {
+		src, err := os.ReadFile("cmd/dcsr-" + cmd + "/main.go")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defined[cmd] = map[string]bool{}
+		for _, m := range docCmdFlagDef.FindAllStringSubmatch(string(src), -1) {
+			defined[cmd][m[1]] = true
+		}
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, doc := range append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md") {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range docCodeLines(string(raw)) {
+			for _, inv := range docInvocation.FindAllStringSubmatchIndex(code, -1) {
+				cmd := code[inv[2]:inv[3]]
+				for _, tok := range strings.Fields(code[inv[1]:]) {
+					if strings.HasPrefix(tok, "#") || docInvocation.MatchString(tok) ||
+						strings.ContainsAny(tok[:1], "&|;") {
+						break
+					}
+					m := docFlagTok.FindStringSubmatch(tok)
+					if m == nil {
+						continue
+					}
+					checked++
+					if !defined[cmd][m[1]] {
+						t.Errorf("%s: %q passes -%s, which dcsr-%s does not define", doc, strings.TrimSpace(code), m[1], cmd)
+					}
+				}
+			}
+		}
+	}
+	if checked < 50 {
+		t.Errorf("checked only %d flags in the docs' command lines; is the scan reaching them?", checked)
+	}
+}
+
+// docCodeLines returns a Markdown document's code: each fenced block line,
+// joined with the lines its trailing backslashes continue onto, and each
+// inline code span outside the fences.
+func docCodeLines(doc string) []string {
+	var out []string
+	fenced, cont := false, ""
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			for _, m := range servingCodeSpan.FindAllStringSubmatch(line, -1) {
+				out = append(out, m[1])
+			}
+			continue
+		}
+		if strings.HasSuffix(line, `\`) {
+			cont += strings.TrimSuffix(line, `\`) + " "
+			continue
+		}
+		out, cont = append(out, cont+line), ""
+	}
+	return out
 }
