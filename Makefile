@@ -63,25 +63,20 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzCodecKernels$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadRoot$$' -fuzztime 5s
 
-# Perf-trajectory benchmarks: the tensor kernels (the int8 body
-# convolution once per lane the host has, BenchmarkConv2DInferInt8/
-# {vnni,avx2,portable}), the alloc-free Enhance path in both precisions
-# (BenchmarkEnhanceInt8270p is the whole int8 frame), and the paper's
-# Fig 8 FPS sweep, all with allocation stats (the gated per-layer numbers
-# are bench-e2e's). Also emits, via dcsr-bench, BENCH_cachebudget.json
-# (model-cache hit/eviction/bandwidth accounting across byte budgets),
-# BENCH_swarm.json (the fleet-load harness: 1000 concurrent clients vs
-# admission control — p50/p99 per op, shed rate, Jain fairness; the
-# capacity-planning numbers docs/SERVING.md works from) and
-# BENCH_modelstream.json (backbone + delta shipping: model bytes per
-# session as a function of clusters touched, vs the full-model wire).
+# Kernel microbenchmarks: the tensor kernels (the int8 body convolution
+# once per lane the host has, BenchmarkConv2DInferInt8/
+# {vnni,avx2,portable}) and the alloc-free Enhance path in both precisions
+# (BenchmarkEnhanceInt8270p is the whole int8 frame), with allocation
+# stats; the gated end-to-end and per-layer numbers are bench-e2e's. Also
+# writes, via dcsr-bench, BENCH_swarm.json (the fleet-load harness: 1000
+# concurrent clients vs admission control — p50/p99 per op, shed rate,
+# Jain fairness; the capacity-planning numbers docs/SERVING.md works
+# from). The paper's tables are `go run ./cmd/dcsr-bench` (-list names
+# them).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGEMM|BenchmarkConv2DInfer|BenchmarkIm2col' -benchmem ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkEnhance(Int8)?(270|540)p|BenchmarkForwardInference' -benchmem ./internal/edsr/
-	$(GO) test -run '^$$' -bench 'BenchmarkFig8' -benchmem .
-	$(GO) run ./cmd/dcsr-bench -fast -only cachebudget -json BENCH_cachebudget.json
 	$(GO) run ./cmd/dcsr-bench -fast -only swarm -json BENCH_swarm.json
-	$(GO) run ./cmd/dcsr-bench -fast -only modelstream -json BENCH_modelstream.json
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): all
 # four workloads over seeds 1..10, run outputs appended to BENCH_OUT (the

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,15 +39,12 @@ import (
 // runtime the numbers were measured on: perf rows are only comparable
 // between reports with matching headers.
 type jsonReport struct {
-	Header      benchHeader                    `json:"header"`
-	Fast        bool                           `json:"fast"`
-	Only        string                         `json:"only,omitempty"`
-	Experiments []jsonExperiment               `json:"experiments"`
-	CacheBudget *experiments.CacheBudgetResult `json:"cachebudget,omitempty"`
-	Swarm       *experiments.SwarmResult       `json:"swarm,omitempty"`
-	Quant       *experiments.QuantGateResult   `json:"quant,omitempty"`
-	Modelstream *experiments.ModelstreamResult `json:"modelstream,omitempty"`
-	Metrics     obs.Snapshot                   `json:"metrics"`
+	Header      benchHeader              `json:"header"`
+	Fast        bool                     `json:"fast"`
+	Only        string                   `json:"only,omitempty"`
+	Experiments []jsonExperiment         `json:"experiments"`
+	Swarm       *experiments.SwarmResult `json:"swarm,omitempty"`
+	Metrics     obs.Snapshot             `json:"metrics"`
 }
 
 type jsonExperiment struct {
@@ -76,10 +74,7 @@ func main() {
 		cfg.Genres = []video.Genre{video.GenreNews, video.GenreSports}
 	}
 
-	var cacheBudgetRes *experiments.CacheBudgetResult
 	var swarmRes *experiments.SwarmResult
-	var quantRes *experiments.QuantGateResult
-	var modelstreamRes *experiments.ModelstreamResult
 
 	var fig9 *experiments.Fig9Result
 	getFig9 := func() *experiments.Fig9Result {
@@ -169,15 +164,6 @@ func main() {
 			}
 			fmt.Println(t)
 		}},
-		{"cachebudget", "model-cache hit/eviction/bandwidth rates vs byte budget", func(c experiments.EvalConfig) {
-			t, r, err := experiments.ExperimentCacheBudget(c)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcsr-bench: %v\n", err)
-				os.Exit(1)
-			}
-			cacheBudgetRes = r
-			fmt.Println(t)
-		}},
 		{"swarm", "fleet load: 1000 concurrent clients vs admission control + faultnet loss", func(c experiments.EvalConfig) {
 			t, r, err := experiments.ExperimentSwarm(c, experiments.SwarmConfig{})
 			if err != nil {
@@ -189,28 +175,15 @@ func main() {
 			fmt.Printf("served %d requests in %.2fs (shed %d, %d client retries, %d reconnects, peak inflight %d)\n\n",
 				r.Requests, r.ElapsedSec, r.Sheds, r.Retries, r.Reconnects, r.InflightPeak)
 		}},
-		{"quant", "int8 calibration quality gate: per-cluster verdicts + playback", func(c experiments.EvalConfig) {
-			t, gate, err := experiments.ExperimentQuantGate(c)
+		{"quant", "int8 model shipping: float32 master vs gate-admitted int8 grids, bytes + playback PSNR", func(c experiments.EvalConfig) {
+			t, psnrs, sizes, _, err := experiments.AblationQuantization(c)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "dcsr-bench: %v\n", err)
 				os.Exit(1)
 			}
-			quantRes = gate
 			fmt.Println(t)
-			fmt.Printf("gate: %d/%d clusters on int8 (%.0f%% fallback), mean delta %.2f dB; playback served %d/%d I frames on int8\n\n",
-				gate.Models-gate.Fallbacks, gate.Models, gate.FallbackRate*100,
-				gate.PSNRDelta, gate.EnhancedInt8, gate.Enhanced)
-		}},
-		{"modelstream", "backbone + delta model shipping: bytes/session vs clusters touched", func(c experiments.EvalConfig) {
-			t, r, err := experiments.ExperimentModelstream(c)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "dcsr-bench: %v\n", err)
-				os.Exit(1)
-			}
-			modelstreamRes = r
-			fmt.Println(t)
-			fmt.Printf("model stream: %d/%d clusters shipped as deltas (backbone %d, %d fallbacks)\n\n",
-				r.DeltaModels, r.Models, r.BackboneLabel, r.Fallbacks)
+			fmt.Printf("int8 ships %.0f%% fewer model bytes for %.2f dB of playback PSNR\n\n",
+				100*(1-float64(sizes["int8"])/float64(sizes["fp32"])), psnrs["fp32"]-psnrs["int8"])
 		}},
 		{"ablations", "VAE features / global k-means / split / propagation ablations", func(c experiments.EvalConfig) {
 			t1, _ := experiments.AblationFeatures(c)
@@ -221,8 +194,6 @@ func main() {
 			fmt.Println(t3)
 			t4, _ := experiments.AblationPropagation(c)
 			fmt.Println(t4)
-			t5, _, _ := experiments.AblationQuantization(c)
-			fmt.Println(t5)
 		}},
 	}
 
@@ -233,10 +204,19 @@ func main() {
 		return
 	}
 
+	var known []string
+	for _, e := range exps {
+		known = append(known, e.name)
+	}
 	selected := map[string]bool{}
 	if *only != "" {
 		for _, n := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(n)] = true
+			n = strings.TrimSpace(n)
+			if !slices.Contains(known, n) {
+				fmt.Fprintf(os.Stderr, "dcsr-bench: unknown experiment %q in -only; known: %s\n", n, strings.Join(known, ", "))
+				os.Exit(2)
+			}
+			selected[n] = true
 		}
 	}
 	// With -json -, the report owns stdout; divert the human-readable
@@ -261,10 +241,7 @@ func main() {
 		})
 	}
 	if *jsonOut != "" {
-		report.CacheBudget = cacheBudgetRes
 		report.Swarm = swarmRes
-		report.Quant = quantRes
-		report.Modelstream = modelstreamRes
 		report.Metrics = cfg.Obs.Metrics.Snapshot()
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

@@ -34,10 +34,8 @@ func main() {
 	filters := flag.Int("filters", 8, "micro-model filters (n_f)")
 	resblocks := flag.Int("resblocks", 2, "micro-model ResBlocks (n_RB)")
 	search := flag.Bool("search", false, "run the Appendix A.1 minimum-working-model search instead of -filters/-resblocks")
-	int8Flag := flag.Bool("int8", false, "calibrate each cluster model for int8 inference (quantize_int8 stage); clusters failing the quality gate stay float32")
-	int8Bound := flag.Float64("int8-psnr-bound", 0, "max PSNR drop (dB) the int8 quality gate tolerates; 0 uses the default 0.5")
-	deltaFlag := flag.Bool("delta", false, "delta-encode cluster models against a shared backbone (delta_encode stage); clusters failing the size or quality gate ship complete")
-	deltaBound := flag.Float64("delta-psnr-bound", 0, "max PSNR drop (dB) the delta quality gate tolerates; 0 uses the default 0.5")
+	int8Flag := flag.Bool("int8", false, "calibrate each cluster model for int8 inference (quantize_int8 stage); clusters failing the 0.5 dB quality gate stay float32")
+	deltaFlag := flag.Bool("delta", false, "delta-encode cluster models against a shared backbone (delta_encode stage); clusters failing the size or 0.5 dB quality gate ship complete")
 	flag.Parse()
 
 	if *out == "" {
@@ -74,10 +72,10 @@ func main() {
 		cfg.MicroConfig = edsr.Config{Filters: *filters, ResBlocks: *resblocks}
 	}
 	if *int8Flag {
-		cfg.Quant = core.QuantConfig{Enabled: true, MaxPSNRDrop: *int8Bound}
+		cfg.Quant = core.QuantConfig{Enabled: true}
 	}
 	if *deltaFlag {
-		cfg.Delta = core.DeltaConfig{Enabled: true, MaxPSNRDrop: *deltaBound}
+		cfg.Delta = core.DeltaConfig{Enabled: true}
 	}
 
 	// -out is the checkpoint: an interrupted run leaves its completed stages

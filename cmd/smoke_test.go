@@ -3,6 +3,7 @@ package cmd_test
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -92,10 +93,12 @@ func TestPrepareResumePlaySmoke(t *testing.T) {
 	}
 }
 
-// TestLintBenchSmoke runs the two developer binaries once each: dcsr-lint
-// over one clean package from inside the module (exit 0, nothing
-// printed), and dcsr-bench -list, which names the experiments -only
-// accepts — the int8 gate sweep among them, the retired kernel timers not.
+// TestLintBenchSmoke runs the two developer binaries: dcsr-lint over one
+// clean package from inside the module (exit 0, nothing printed);
+// dcsr-bench -list, which names the experiments -only accepts — the int8
+// report among them, the retired kernel timers and perf reports not; and
+// dcsr-bench -only with a name -list does not print, which must exit 2
+// naming the known experiments rather than run nothing and succeed.
 func TestLintBenchSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binaries; skipped in short mode")
@@ -116,8 +119,15 @@ func TestLintBenchSmoke(t *testing.T) {
 			names = append(names, f[0])
 		}
 	}
-	if !slices.Contains(names, "quant") || slices.Contains(names, "kernels") {
-		t.Errorf("dcsr-bench -list names %v; want quant listed and kernels gone", names)
+	if !slices.Contains(names, "quant") || slices.Contains(names, "kernels") ||
+		slices.Contains(names, "cachebudget") || slices.Contains(names, "modelstream") {
+		t.Errorf("dcsr-bench -list names %v; want quant listed and kernels, cachebudget, modelstream gone", names)
+	}
+	out, err = exec.Command(filepath.Join(bin, "dcsr-bench"), "-only", "fig8,modelstream").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `unknown experiment "modelstream"`) ||
+		!strings.Contains(string(out), "quant") || strings.Contains(string(out), "--- fig8") {
+		t.Errorf("dcsr-bench -only fig8,modelstream: %v, want exit 2 naming the unknown one and the known ones before running any\n%s", err, out)
 	}
 }
 

@@ -31,7 +31,7 @@ func sqDist(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {
 		d := v - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

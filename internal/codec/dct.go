@@ -33,7 +33,7 @@ func fdct4(in *[16]float64, out *[16]float64) {
 		for k := 0; k < 4; k++ {
 			var s float64
 			for n := 0; n < 4; n++ {
-				s += dctBasis[k][n] * in[y*4+n]
+				s += float64(dctBasis[k][n] * in[y*4+n])
 			}
 			tmp[y*4+k] = s
 		}
@@ -43,7 +43,7 @@ func fdct4(in *[16]float64, out *[16]float64) {
 		for k := 0; k < 4; k++ {
 			var s float64
 			for n := 0; n < 4; n++ {
-				s += dctBasis[k][n] * tmp[n*4+x]
+				s += float64(dctBasis[k][n] * tmp[n*4+x])
 			}
 			out[k*4+x] = s
 		}
@@ -58,7 +58,7 @@ func idct4(in *[16]float64, out *[16]float64) {
 		for n := 0; n < 4; n++ {
 			var s float64
 			for k := 0; k < 4; k++ {
-				s += dctBasis[k][n] * in[k*4+x]
+				s += float64(dctBasis[k][n] * in[k*4+x])
 			}
 			tmp[n*4+x] = s
 		}
@@ -68,7 +68,7 @@ func idct4(in *[16]float64, out *[16]float64) {
 		for n := 0; n < 4; n++ {
 			var s float64
 			for k := 0; k < 4; k++ {
-				s += dctBasis[k][n] * tmp[y*4+k]
+				s += float64(dctBasis[k][n] * tmp[y*4+k])
 			}
 			out[y*4+n] = s
 		}

@@ -3,6 +3,7 @@ package codec
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -20,20 +21,11 @@ import (
 // The bits rest on float64 × and + being rounded separately in the 4×4
 // DCT (dct.go). The Go spec lets a compiler fuse x*y + z into one FMA
 // with a single rounding, which moves the last bit of a coefficient and,
-// rarely, a quantized level: the gc toolchain does so on arm64, ppc64le,
-// s390x and riscv64, and as of Go 1.24 does not on amd64 at any GOAMD64
-// level (v3 only makes math.FMA an intrinsic). The table holds for
-// builds that do not fuse — amd64, with or without -tags purego — and
-// rather than trust that list the test probes for fusion at run time and
-// skips where it finds it.
-
-// Package-level so the compiler cannot fold the probe at build time.
-var fmaX, fmaZ = 1 + 0x1p-30, -(1 + 0x1p-29)
-
-// fusesMulAdd reports whether this build computes x*y+z with one
-// rounding: x² = 1 + 2⁻²⁹ + 2⁻⁶⁰ rounds to 1 + 2⁻²⁹, so the unfused sum
-// is exactly 0 and the fused one 2⁻⁶⁰.
-func fusesMulAdd() bool { return fmaX*fmaX+fmaZ != 0 }
+// rarely, a level or a reconstructed sample (TestFusedIDCTFlips); gc
+// does so on arm64, ppc64le, s390x and riscv64. Both transforms round
+// every product (float64(x*y) + z), which no backend fuses, and
+// TestFMARatchet (repo root) keeps it so: the table does not depend on
+// whether a backend fuses.
 
 // goldenClip is a fixed clip that exercises what the fast paths touch:
 // generated scenes (cuts, static background, moving discs) followed by
@@ -109,9 +101,15 @@ func digestFrames(frames []*video.YUV) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// goldenRows computes the table: one "name digest" row for each stream
-// and for each decode of it.
-func goldenRows(t *testing.T) []string {
+// goldenStream is one encoder case of the table, marshalled.
+type goldenStream struct {
+	name string
+	wire []byte
+}
+
+// goldenStreams encodes the golden clip under every encoder case of the
+// table.
+func goldenStreams(t *testing.T) []goldenStream {
 	frames, forceI := goldenClip(t)
 	type encCase struct {
 		name string
@@ -132,14 +130,23 @@ func goldenRows(t *testing.T) []string {
 	}
 	cases = append(cases, encCase{"rate200k/b1/hptrue/dbtrue",
 		EncoderConfig{GOPSize: 12, BFrames: 1, HalfPel: true, Deblock: true, TargetBitrate: 200_000}})
-	var rows []string
+	var out []goldenStream
 	for _, c := range cases {
 		st, err := Encode(frames, forceI, 30, c.cfg)
 		if err != nil {
 			t.Fatalf("%s: Encode: %v", c.name, err)
 		}
-		wire := st.Marshal()
-		rows = append(rows, fmt.Sprintf("%s/stream %x", c.name, sha256.Sum256(wire)))
+		out = append(out, goldenStream{c.name, st.Marshal()})
+	}
+	return out
+}
+
+// goldenRows computes the table: one "name digest" row for each stream
+// and for each decode of it.
+func goldenRows(t *testing.T) []string {
+	var rows []string
+	for _, c := range goldenStreams(t) {
+		rows = append(rows, fmt.Sprintf("%s/stream %x", c.name, sha256.Sum256(c.wire)))
 		for _, mode := range []struct {
 			name string
 			dec  Decoder
@@ -148,7 +155,7 @@ func goldenRows(t *testing.T) []string {
 			{"replace", Decoder{Enhancer: goldenHook, Mode: PropagateReplace}},
 			{"delta", Decoder{Enhancer: goldenHook, Mode: PropagateDelta}},
 		} {
-			s2, err := Unmarshal(wire)
+			s2, err := Unmarshal(c.wire)
 			if err != nil {
 				t.Fatalf("%s: Unmarshal: %v", c.name, err)
 			}
@@ -164,9 +171,6 @@ func goldenRows(t *testing.T) []string {
 }
 
 func TestCodecGolden(t *testing.T) {
-	if fusesMulAdd() {
-		t.Skip("this build fuses float64 multiply-add; the golden table holds for unfused builds only")
-	}
 	want, err := os.ReadFile("testdata/golden.txt")
 	if err != nil {
 		t.Fatal(err)
@@ -184,4 +188,131 @@ func TestCodecGolden(t *testing.T) {
 		}
 	}
 	t.Logf("computed table:\n%s", got)
+}
+
+// idct4Fused is idct4 as a backend that fuses evaluates it: each
+// multiply-add one math.FMA, rounded once.
+func idct4Fused(in *[16]float64, out *[16]float64) {
+	var tmp [16]float64
+	for x := 0; x < 4; x++ {
+		for n := 0; n < 4; n++ {
+			var s float64
+			for k := 0; k < 4; k++ {
+				s = math.FMA(dctBasis[k][n], in[k*4+x], s)
+			}
+			tmp[n*4+x] = s
+		}
+	}
+	for y := 0; y < 4; y++ {
+		for n := 0; n < 4; n++ {
+			var s float64
+			for k := 0; k < 4; k++ {
+				s = math.FMA(dctBasis[k][n], tmp[y*4+k], s)
+			}
+			out[y*4+n] = s
+		}
+	}
+}
+
+// codedBlocks returns every coded 4×4 block of a marshalled stream with
+// its quantizer step, read with the syntax Decode parses: per frame 6 QP
+// bits; an I frame's deblock bit, then per 4×4 block of Y, U and V an
+// intra mode and its levels; a P or B frame's two flags, then per
+// macroblock a mode and, if coded, two (P) or four (B) vector deltas and
+// 24 blocks of levels.
+func codedBlocks(t *testing.T, wire []byte) (blocks [][16]int32, qsteps []float64) {
+	st, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ef := range st.Frames {
+		r := NewBitReader(ef.Data)
+		read := func(n int) {
+			var lv [16]int32
+			for i := 0; i < n; i++ {
+				if err := readLevels(r, &lv); err != nil {
+					t.Fatal(err)
+				}
+				if isCoded(&lv) {
+					blocks = append(blocks, lv)
+				}
+			}
+		}
+		must := func(_ any, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		qp, err := r.ReadBits(6)
+		must(qp, err)
+		start := len(blocks)
+		if ef.Type == FrameI {
+			must(r.ReadBit())
+			for _, n := range []int{st.W * st.H, st.W * st.H / 4, st.W * st.H / 4} {
+				for b := 0; b < n/(blockSize*blockSize); b++ {
+					must(r.ReadUE())
+					read(1)
+				}
+			}
+		} else {
+			vectors := 2
+			if ef.Type == FrameB {
+				vectors = 4
+			}
+			must(r.ReadBits(2))
+			for mb := 0; mb < (st.W/mbSize)*(st.H/mbSize); mb++ {
+				mode, err := r.ReadUE()
+				must(mode, err)
+				if mode == mbCoded {
+					for i := 0; i < vectors; i++ {
+						must(r.ReadSE())
+					}
+					read(24)
+				}
+			}
+		}
+		if left := len(ef.Data)*8 - r.BitsRead(); left < 0 || left >= 8 {
+			t.Fatalf("frame %d: walk ended %d bits before the payload's end", ef.Display, left)
+		}
+		for range blocks[start:] {
+			qsteps = append(qsteps, QStep(int(qp)))
+		}
+	}
+	return blocks, qsteps
+}
+
+// TestFusedIDCTFlips shows what rounding the transforms' products buys:
+// over every coded block of the golden streams it evaluates the inverse
+// transform as written and as a fusing backend would (idct4Fused), and
+// counts the blocks where a sample rounds to a different pixel — for any
+// prediction that keeps it in range, since clampPix(p + r) = p +
+// ⌊r + ½⌋ there. A decoder that fused would drift from the encoder's
+// reconstruction at each of them.
+func TestFusedIDCTFlips(t *testing.T) {
+	var total, differ, flipped int
+	for _, c := range goldenStreams(t) {
+		blocks, qsteps := codedBlocks(t, c.wire)
+		for i := range blocks {
+			var coef, plain, fused [16]float64
+			for j, l := range blocks[i] {
+				coef[j] = float64(l) * qsteps[i]
+			}
+			idct4(&coef, &plain)
+			idct4Fused(&coef, &fused)
+			total++
+			if plain != fused {
+				differ++
+			}
+			for j := range plain {
+				if math.Floor(plain[j]+0.5) != math.Floor(fused[j]+0.5) {
+					flipped++
+					break
+				}
+			}
+		}
+	}
+	t.Logf("%d coded blocks: %d transform differently fused, %d of them reconstruct a different pixel", total, differ, flipped)
+	if flipped == 0 {
+		t.Errorf("no coded block of the golden streams reconstructs differently when fused")
+	}
 }

@@ -176,6 +176,15 @@ func TestModelCachingSavesBytes(t *testing.T) {
 	if r2.CacheHits != 0 || r2.CacheMisses != modelSegs {
 		t.Errorf("uncached run: hits=%d misses=%d, want 0/%d", r2.CacheHits, r2.CacheMisses, modelSegs)
 	}
+	// A disabled cache holds nothing and changes only download accounting,
+	// never what plays.
+	if r2.CacheBytes != 0 {
+		t.Errorf("uncached run left %d B resident", r2.CacheBytes)
+	}
+	if r2.Decode.Enhanced != r1.Decode.Enhanced || r2.DegradedSegments != 0 {
+		t.Errorf("uncached run enhanced %d frames with %d degraded segments, want the cached run's %d and 0",
+			r2.Decode.Enhanced, r2.DegradedSegments, r1.Decode.Enhanced)
+	}
 }
 
 func TestPrepareRejectsTinyInput(t *testing.T) {

@@ -205,8 +205,7 @@ func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *
 
 // WithoutDelta returns a copy of p whose models all ship complete — the
 // same canonical weights with the delta verdicts stripped and the
-// manifest rebuilt. The modelstream bench uses it as the "today" control
-// arm: identical playback, full-model downloads.
+// manifest rebuilt: identical playback, full-model downloads.
 func (p *Prepared) WithoutDelta() *Prepared {
 	cp := *p
 	cp.Models = make(map[int]*SegmentModel, len(p.Models))

@@ -195,7 +195,7 @@ func frameMSE(a, b *video.RGB) float64 {
 	var sum float64
 	for i := range a.Pix {
 		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(a.Pix))
 }

@@ -371,10 +371,10 @@ func ConfigFLOPs(cfg Config, lowW, lowH int) float64 {
 	cfg = cfg.withDefaults()
 	nf := float64(cfg.Filters)
 	px := float64(lowW * lowH)
-	conv := func(inC, outC, pixels float64) float64 { return 2 * 9 * inC * outC * pixels }
-	fl := conv(3, nf, px)                               // head
-	fl += float64(cfg.ResBlocks) * 2 * conv(nf, nf, px) // body
-	fl += conv(nf, nf, px)                              // body conv
+	conv := func(inC, outC, pixels float64) float64 { return float64(2 * 9 * inC * outC * pixels) }
+	fl := conv(3, nf, px)                                        // head
+	fl += float64(float64(cfg.ResBlocks) * 2 * conv(nf, nf, px)) // body
+	fl += conv(nf, nf, px)                                       // body conv
 	p := px
 	for s := cfg.Scale; s > 1; s /= 2 {
 		fl += conv(nf, nf*4, p)

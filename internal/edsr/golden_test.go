@@ -23,25 +23,13 @@ import (
 // steps) and must never be regenerated to make a change pass — a
 // mismatch means the change altered a trained weight.
 //
-// As with the codec's table (internal/codec/golden_test.go) the bits
-// rest on × and + being rounded separately, which the gc toolchain
-// guarantees on amd64 (with or without -tags purego) and not on arm64,
-// ppc64le, s390x or riscv64; the test probes for fusion in both float
-// widths at run time and skips where it finds it.
-
-// Package-level so the compiler cannot fold the probes at build time.
-var (
-	fma64X, fma64Z         = 1 + 0x1p-30, -(1 + 0x1p-29)
-	fma32X, fma32Z float32 = 1 + 0x1p-12, -(1 + 0x1p-11)
-)
-
-// fusesMulAdd reports whether this build computes x*y+z with one
-// rounding: x² = 1 + 2⁻²⁹ + 2⁻⁶⁰ (float64) and 1 + 2⁻¹¹ + 2⁻²⁴
-// (float32) round to 1 + 2⁻²⁹ and 1 + 2⁻¹¹, so the unfused sums are
-// exactly 0 and the fused ones are not.
-func fusesMulAdd() bool {
-	return fma64X*fma64X+fma64Z != 0 || fma32X*fma32X+fma32Z != 0
-}
+// The bits rest on × and + being rounded separately. The Go spec lets a
+// compiler fuse x*y + z into one multiply-add, and gc does so on arm64,
+// ppc64le, s390x and riscv64; every product on the training path — and in
+// the generator the pairs come from — is written as float32(x*y) + z,
+// which no backend fuses, and TestFMARatchet (repo root) keeps it so. The
+// table no longer depends on whether a backend fuses; the math package's
+// per-architecture assembly (Exp, Cos) is what it still trusts.
 
 func weightsDigest(ps []*nn.Param) string {
 	return fmt.Sprintf("%x", sha256.Sum256(nn.EncodeWeights(ps)))
@@ -107,9 +95,6 @@ func trainGoldenRows(t *testing.T) []string {
 }
 
 func TestTrainGolden(t *testing.T) {
-	if fusesMulAdd() {
-		t.Skip("this build fuses multiply-add; the golden table holds for unfused builds only")
-	}
 	prev := runtime.GOMAXPROCS(0)
 	defer func() {
 		runtime.GOMAXPROCS(prev)

@@ -114,7 +114,7 @@ func (m *Model) Train(pairs []Pair, opts TrainOptions) (*TrainResult, error) {
 		m.backward(&arena, &grad)
 		opt.Step(params)
 		// Report loss on the 0–255 pixel scale like the paper's Fig 11.
-		pixLoss := loss * 255 * 255
+		pixLoss := float64(loss * 255 * 255)
 		if step == 0 {
 			res.FirstLoss = pixLoss
 		}
@@ -153,7 +153,7 @@ func (m *Model) EvalMSE(pairs []Pair) float64 {
 	var target tensor.Tensor
 	for _, p := range pairs {
 		pred := m.ForwardInference(toTensorInto(p.Low, &m.workspace().in))
-		sum += nn.MSELoss(pred, toTensorInto(p.High, &target), nil) * 255 * 255
+		sum += float64(nn.MSELoss(pred, toTensorInto(p.High, &target), nil) * 255 * 255)
 	}
 	return sum / float64(len(pairs))
 }

@@ -6,8 +6,6 @@ import (
 	"dcsr/internal/cluster"
 	"dcsr/internal/codec"
 	"dcsr/internal/core"
-	"dcsr/internal/edsr"
-	"dcsr/internal/nn"
 	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
 	"dcsr/internal/vae"
@@ -246,78 +244,69 @@ func AblationHalfPel(cfg EvalConfig) (Table, map[string]int, map[string]float64)
 	return t, bytesBy, psnrBy
 }
 
-// AblationQuantization measures what shipping micro models at reduced
-// precision costs: model download bytes versus playback quality for
-// float32 weights and for the int8 form the model stream carries
-// (dcW5's per-channel int8 residuals, nn.EncodeWeightsDelta).
-func AblationQuantization(cfg EvalConfig) (Table, map[string]float64, map[string]int) {
+// AblationQuantization measures what shipping micro models in int8 costs
+// and saves, on the models that ship. Prepare with Quant off publishes the
+// float32 master (dcW1 payloads, float32 playback); Prepare with Quant on
+// gates each cluster (its int8 output within 0.5 dB of its float32 output
+// on its own I frames) and publishes every admitted model as its int8 grid
+// (dcW6), played on the int8 kernels. The table has one row per precision
+// — total payload bytes and mean playback PSNR against the pristine source
+// — then one per cluster with its payload and gate verdict. psnrs and
+// sizes are keyed "fp32" and "int8"; shipped is the Quant-on stream.
+func AblationQuantization(cfg EvalConfig) (t Table, psnrs map[string]float64, sizes map[string]int, shipped *core.Prepared, err error) {
 	clip := cfg.clip(video.GenreNews)
 	frames := clip.YUVFrames()
-	prep, err := core.Prepare(frames, clip.FPS, cfg.serverConfig())
-	if err != nil {
-		panic(err)
+	t = Table{
+		Title:  "Ablation: int8 model shipping (dcW6 for gate-admitted clusters)",
+		Header: []string{"models", "payload B", "playback PSNR (dB)", "int8 I frames", "gate (f32 / int8 dB)"},
 	}
-	t := Table{
-		Title:  "Ablation: micro-model weight quantization",
-		Header: []string{"precision", "models bytes", "playback PSNR (dB)"},
-	}
-	psnrs := map[string]float64{}
-	sizes := map[string]int{}
-	play := func(name string, p *core.Prepared, total int) {
-		res, err := core.NewPlayer(p).Play()
+	psnrs, sizes = map[string]float64{}, map[string]int{}
+	for _, arm := range []struct {
+		name  string
+		quant bool
+	}{{"fp32", false}, {"int8", true}} {
+		sc := cfg.serverConfig()
+		sc.Quant = core.QuantConfig{Enabled: arm.quant}
+		prep, err := core.Prepare(frames, clip.FPS, sc)
 		if err != nil {
-			panic(err)
+			return Table{}, nil, nil, nil, err
+		}
+		res, err := core.NewPlayer(prep).Play()
+		if err != nil {
+			return Table{}, nil, nil, nil, err
 		}
 		var psnr float64
 		for i := range frames {
 			psnr += quality.PSNRYUV(frames[i], res.Frames[i])
 		}
-		psnr /= float64(len(frames))
-		psnrs[name] = psnr
-		sizes[name] = total
-		t.Add(name, fmt.Sprintf("%d", total), f2(psnr))
+		psnrs[arm.name] = psnr / float64(len(frames))
+		sizes[arm.name] = prep.Manifest.TotalModelBytes()
+		admitted := 0
+		for _, sm := range prep.Models {
+			if sm.Quant != nil && sm.Quant.Int8OK {
+				admitted++
+			}
+		}
+		t.Add(fmt.Sprintf("%s (%d models)", arm.name, len(prep.Models)), fmt.Sprintf("%d", sizes[arm.name]),
+			f2(psnrs[arm.name]), fmt.Sprintf("%d/%d", res.Decode.EnhancedInt8, res.Decode.Enhanced),
+			fmt.Sprintf("%d admitted", admitted))
+		if arm.quant {
+			shipped = prep
+		}
 	}
-
-	total := 0
-	for _, sm := range prep.Models {
-		total += nn.WeightsSize(sm.Model.Params())
+	for _, label := range shipped.Manifest.ModelLabels() {
+		sm := shipped.Models[label]
+		if sm == nil || sm.Quant == nil {
+			continue
+		}
+		verdict := "int8"
+		if !sm.Quant.Int8OK {
+			verdict = "float32 fallback"
+		}
+		t.Add(fmt.Sprintf("  cluster %d", label), fmt.Sprintf("%d", len(sm.Bytes)), "", "",
+			fmt.Sprintf("%s / %s -> %s", f2(sm.Quant.PSNRFloat32), f2(sm.Quant.PSNRInt8), verdict))
 	}
-	play("fp32", prep, total)
-
-	// Encode every micro model against an all-zero backbone, so the
-	// residual the codec quantizes is the weights themselves, and
-	// reassemble it the way a client would.
-	quantized := make(map[int]*core.SegmentModel, len(prep.Models))
-	total = 0
-	for label, sm := range prep.Models {
-		zero, err := edsr.New(sm.Config, 0)
-		if err != nil {
-			panic(err)
-		}
-		for _, p := range zero.Params() {
-			p.W.Fill(0)
-		}
-		delta, err := nn.EncodeWeightsDelta(zero.Params(), sm.Model.Params())
-		if err != nil {
-			panic(err)
-		}
-		total += len(delta)
-		m, err := edsr.New(sm.Config, 0)
-		if err != nil {
-			panic(err)
-		}
-		if err := nn.ApplyWeightsDelta(zero.Params(), delta, m.Params()); err != nil {
-			panic(err)
-		}
-		// The player downloads canonical float32 payloads, so it is
-		// handed the dequantized weights: what a client holds after
-		// assembling the int8 download.
-		quantized[label] = &core.SegmentModel{Label: label, Config: sm.Config, Model: m, Bytes: nn.EncodeWeights(m.Params())}
-	}
-	qPrep := *prep
-	qPrep.Models = quantized
-	play("int8", &qPrep, total)
-	return t, psnrs, sizes
+	return t, psnrs, sizes, shipped, nil
 }
 
 // AblationSplit compares variable-length shot-based splitting against

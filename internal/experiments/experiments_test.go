@@ -349,12 +349,21 @@ func TestAblationQuantization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trained experiment in short mode")
 	}
-	_, psnrs, sizes := AblationQuantization(fastEval())
+	_, psnrs, sizes, shipped, err := AblationQuantization(fastEval())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if sizes["int8"] >= sizes["fp32"] {
 		t.Errorf("size ordering violated: %v", sizes)
 	}
 	if psnrs["fp32"]-psnrs["int8"] > 0.5 {
 		t.Errorf("int8 lost %.3f dB", psnrs["fp32"]-psnrs["int8"])
+	}
+	// What ships for an admitted cluster is its int8 grid (dcW6).
+	for label, sm := range shipped.Models {
+		if sm.Quant != nil && sm.Quant.Int8OK && int64(len(sm.Bytes)) != sm.Config.GridSizeBytes() {
+			t.Errorf("cluster %d admitted to int8 ships %d B, want its %d B grid", label, len(sm.Bytes), sm.Config.GridSizeBytes())
+		}
 	}
 }
 
@@ -505,57 +514,5 @@ func TestExperimentSwarmShape(t *testing.T) {
 	}
 	if res.Videos != 2 || res.Sessions != sc.Sessions {
 		t.Errorf("result header wrong: %+v", res)
-	}
-}
-
-func TestExperimentCacheBudgetShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trained experiment in short mode")
-	}
-	cfg := fastEval()
-	cfg.MicroSteps = 60
-	_, res, err := ExperimentCacheBudget(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 5 {
-		t.Fatalf("sweep produced %d cells, want 5", len(res.Cells))
-	}
-	byLabel := map[string]CacheBudgetCell{}
-	for _, c := range res.Cells {
-		byLabel[c.Label] = c
-		// The budget changes download accounting only, never playback.
-		if c.Degraded != 0 {
-			t.Errorf("budget %q degraded %d segments; evictions must re-download, not degrade", c.Label, c.Degraded)
-		}
-		if c.Enhanced != res.Cells[0].Enhanced {
-			t.Errorf("budget %q enhanced %d frames, want %d (playback must not change)",
-				c.Label, c.Enhanced, res.Cells[0].Enhanced)
-		}
-		if c.ResidentBytes > c.Budget && c.Budget > 0 {
-			t.Errorf("budget %q resident %d B exceeds budget %d B", c.Label, c.ResidentBytes, c.Budget)
-		}
-	}
-	unbounded := byLabel["unbounded"]
-	if unbounded.Evictions != 0 {
-		t.Errorf("unbounded cache evicted %d models", unbounded.Evictions)
-	}
-	if off := byLabel["off"]; off.CacheHits != 0 || off.ResidentBytes != 0 {
-		t.Errorf("disabled cache recorded hits=%d resident=%d", off.CacheHits, off.ResidentBytes)
-	}
-	// An ample budget must reproduce the unbounded accounting exactly.
-	if all := byLabel["all models"]; all.CacheHits != unbounded.CacheHits || all.Downloads != unbounded.Downloads {
-		t.Errorf("ample budget hits=%d downloads=%d, want unbounded's %d/%d",
-			all.CacheHits, all.Downloads, unbounded.CacheHits, unbounded.Downloads)
-	}
-	// A single-model budget on a multi-model clip must trade evictions
-	// for extra downloads — never fewer bytes than unbounded needs.
-	if one := byLabel["1 model"]; res.ModelCount > 1 {
-		if one.Evictions == 0 {
-			t.Errorf("one-model budget over %d models produced no evictions", res.ModelCount)
-		}
-		if one.ModelBytes < unbounded.ModelBytes {
-			t.Errorf("one-model budget downloaded %d model B, less than unbounded's %d", one.ModelBytes, unbounded.ModelBytes)
-		}
 	}
 }

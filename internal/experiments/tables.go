@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the dcSR
 // paper's evaluation (§2, §4, Appendix). Each experiment returns both a
-// formatted text table (what cmd/dcsr-bench prints) and the raw series
-// (what the root bench_test.go benchmarks and the tests assert on).
+// formatted text table (what cmd/dcsr-bench, the one command that runs
+// them, prints) and the raw series (what the tests assert on).
 //
 // Two experiment families exist:
 //

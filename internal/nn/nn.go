@@ -433,7 +433,7 @@ func MSELoss(pred, target, grad *tensor.Tensor) float64 {
 	var sum float64
 	for i, v := range pred.Data {
 		d := float64(v) - float64(target.Data[i])
-		sum += d * d
+		sum += float64(d * d)
 		if grad != nil {
 			grad.Data[i] = float32(2 * d / n)
 		}

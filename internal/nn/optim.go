@@ -50,8 +50,8 @@ func (o *Adam) Step(params []*Param) {
 					g = -clip
 				}
 			}
-			m[i] = b1*m[i] + (1-b1)*g
-			v[i] = b2*v[i] + (1-b2)*g*g
+			m[i] = float32(b1*m[i]) + float32((1-b1)*g)
+			v[i] = float32(b2*v[i]) + float32((1-b2)*g*g)
 			mh := float64(m[i]) / bc1
 			vh := float64(v[i]) / bc2
 			p.W.Data[i] -= float32(o.LR * mh / (math.Sqrt(vh) + o.Eps))

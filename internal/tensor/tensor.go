@@ -166,7 +166,7 @@ func Dot(a, b *Tensor) float64 {
 	}
 	var s float64
 	for i, v := range a.Data {
-		s += float64(v) * float64(b.Data[i])
+		s += float64(float64(v) * float64(b.Data[i]))
 	}
 	return s
 }
@@ -175,7 +175,7 @@ func Dot(a, b *Tensor) float64 {
 func (t *Tensor) SumSquares() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return s
 }

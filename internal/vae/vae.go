@@ -145,7 +145,7 @@ func (m *Model) forward(a *tensor.Arena, x *tensor.Tensor, sample bool) *tensor.
 		var e float32 // ε = 0 without sampling: z = μ
 		if sample {
 			e = float32(m.rng.NormFloat64())
-			v += e * float32(math.Exp(0.5*float64(lv.Data[i])))
+			v += float32(e * float32(math.Exp(0.5*float64(lv.Data[i]))))
 		}
 		m.eps.Data[i], z.Data[i] = e, v
 	}
@@ -173,8 +173,8 @@ func (m *Model) backward(a *tensor.Arena, gRecon *tensor.Tensor, klW float64) {
 	w := float32(klW)
 	for i, g := range gz.Data {
 		gLv.Data[i] = g * m.eps.Data[i] * 0.5 * float32(math.Exp(0.5*float64(m.lv.Data[i])))
-		gMu.Data[i] += m.mu.Data[i] * w
-		gLv.Data[i] += -0.5 * (1 - float32(math.Exp(float64(m.lv.Data[i])))) * w
+		gMu.Data[i] += float32(m.mu.Data[i] * w)
+		gLv.Data[i] += float32(-0.5 * (1 - float32(math.Exp(float64(m.lv.Data[i])))) * w)
 	}
 	gm := m.muHead.Backward(a, gMu)
 	gl := m.lvHead.Backward(a, gLv)
@@ -192,7 +192,7 @@ func klLoss(mu, lv *tensor.Tensor) float64 {
 	for i := range mu.Data {
 		m := float64(mu.Data[i])
 		l := float64(lv.Data[i])
-		s += -0.5 * (1 + l - m*m - math.Exp(l))
+		s += float64(-0.5 * (1 + l - float64(m*m) - math.Exp(l)))
 	}
 	return s / float64(mu.Shape[0])
 }

@@ -13,7 +13,7 @@ func ResizeRGB(src *RGB, w, h int) *RGB {
 	xr := float64(src.W) / float64(w)
 	yr := float64(src.H) / float64(h)
 	for y := 0; y < h; y++ {
-		sy := (float64(y)+0.5)*yr - 0.5
+		sy := float64((float64(y)+0.5)*yr) - 0.5
 		y0 := int(math.Floor(sy))
 		fy := sy - float64(y0)
 		y1 := y0 + 1
@@ -27,7 +27,7 @@ func ResizeRGB(src *RGB, w, h int) *RGB {
 			}
 		}
 		for x := 0; x < w; x++ {
-			sx := (float64(x)+0.5)*xr - 0.5
+			sx := float64((float64(x)+0.5)*xr) - 0.5
 			x0 := int(math.Floor(sx))
 			fx := sx - float64(x0)
 			x1 := x0 + 1
@@ -45,9 +45,9 @@ func ResizeRGB(src *RGB, w, h int) *RGB {
 				p01 := float64(src.Pix[(y0*src.W+x1)*3+c])
 				p10 := float64(src.Pix[(y1*src.W+x0)*3+c])
 				p11 := float64(src.Pix[(y1*src.W+x1)*3+c])
-				top := p00 + (p01-p00)*fx
-				bot := p10 + (p11-p10)*fx
-				v := top + (bot-top)*fy
+				top := p00 + float64((p01-p00)*fx)
+				bot := p10 + float64((p11-p10)*fx)
+				v := top + float64((bot-top)*fy)
 				dst.Pix[(y*w+x)*3+c] = clamp8(int32(math.Round(v)))
 			}
 		}
@@ -71,9 +71,9 @@ func BicubicResizeRGB(src *RGB, w, h int) *RGB {
 		t = math.Abs(t)
 		switch {
 		case t <= 1:
-			return (a+2)*t*t*t - (a+3)*t*t + 1
+			return float64((a+2)*t*t*t) - float64((a+3)*t*t) + 1
 		case t < 2:
-			return a*t*t*t - 5*a*t*t + 8*a*t - 4*a
+			return float64(a*t*t*t) - float64(5*a*t*t) + float64(8*a*t) - float64(4*a)
 		default:
 			return 0
 		}
@@ -88,7 +88,7 @@ func BicubicResizeRGB(src *RGB, w, h int) *RGB {
 		return v
 	}
 	for y := 0; y < h; y++ {
-		sy := (float64(y)+0.5)*yr - 0.5
+		sy := float64((float64(y)+0.5)*yr) - 0.5
 		y0 := int(math.Floor(sy))
 		fy := sy - float64(y0)
 		var wy [4]float64
@@ -96,7 +96,7 @@ func BicubicResizeRGB(src *RGB, w, h int) *RGB {
 			wy[i] = cubic(float64(i-1) - fy)
 		}
 		for x := 0; x < w; x++ {
-			sx := (float64(x)+0.5)*xr - 0.5
+			sx := float64((float64(x)+0.5)*xr) - 0.5
 			x0 := int(math.Floor(sx))
 			fx := sx - float64(x0)
 			var wx [4]float64
@@ -109,8 +109,8 @@ func BicubicResizeRGB(src *RGB, w, h int) *RGB {
 					yy := clampi(y0+j-1, 0, src.H-1)
 					for i := 0; i < 4; i++ {
 						xx := clampi(x0+i-1, 0, src.W-1)
-						wgt := wy[j] * wx[i]
-						acc += wgt * float64(src.Pix[(yy*src.W+xx)*3+c])
+						wgt := float64(wy[j] * wx[i])
+						acc += float64(wgt * float64(src.Pix[(yy*src.W+xx)*3+c]))
 						wsum += wgt
 					}
 				}

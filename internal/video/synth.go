@@ -80,9 +80,9 @@ func Generate(cfg GenConfig) *Clip {
 		scenes[i] = SceneSpec{
 			Seed:      rng.Int63(),
 			Sprites:   2 + rng.Intn(4),
-			Motion:    cfg.Motion * (0.5 + rng.Float64()),
-			NoiseFreq: 6 + 10*rng.Float64(),
-			Contrast:  0.55 + 0.4*rng.Float64(),
+			Motion:    cfg.Motion * (0.5 + float64(rng.Float64())), // Float64 inlines to a multiply by 2⁻⁶³: rounded, as every product here
+			NoiseFreq: 6 + float64(10*rng.Float64()),
+			Contrast:  0.55 + float64(0.4*rng.Float64()),
 		}
 	}
 	cues := cfg.Cues
@@ -127,12 +127,12 @@ func (c *Clip) render(rng *rand.Rand) {
 		srng := rand.New(rand.NewSource(sc.Seed))
 		ss := make([]sprite, sc.Sprites)
 		for i := range ss {
-			ang := srng.Float64() * 2 * math.Pi
-			speed := sc.Motion * float64(c.W) / 1920.0 * (0.5 + srng.Float64())
+			ang := float64(srng.Float64()) * 2 * math.Pi
+			speed := sc.Motion * float64(c.W) / 1920.0 * (0.5 + float64(srng.Float64()))
 			ss[i] = sprite{
 				x: srng.Float64() * float64(c.W), y: srng.Float64() * float64(c.H),
 				vx: math.Cos(ang) * speed, vy: math.Sin(ang) * speed,
-				r:  float64(c.W) * (0.03 + 0.08*srng.Float64()),
+				r:  float64(c.W) * (0.03 + float64(0.08*srng.Float64())),
 				cr: uint8(40 + srng.Intn(215)), cg: uint8(40 + srng.Intn(215)), cb: uint8(40 + srng.Intn(215)),
 			}
 		}
@@ -157,11 +157,11 @@ func (c *Clip) render(rng *rand.Rand) {
 				sp.y += sp.vy
 				if sp.x < 0 || sp.x >= float64(c.W) {
 					sp.vx = -sp.vx
-					sp.x += 2 * sp.vx
+					sp.x += float64(2 * sp.vx)
 				}
 				if sp.y < 0 || sp.y >= float64(c.H) {
 					sp.vy = -sp.vy
-					sp.y += 2 * sp.vy
+					sp.y += float64(2 * sp.vy)
 				}
 			}
 			c.frames = append(c.frames, frame)
@@ -184,16 +184,16 @@ func renderBackground(w, h int, sc SceneSpec) *RGB {
 		g := float64(y) / float64(h)
 		for x := 0; x < w; x++ {
 			n := noise.at(float64(x)*fx, float64(y)*fy)
-			t := g*(1-sc.Contrast) + n*sc.Contrast
+			t := float64(g*(1-sc.Contrast)) + float64(n*sc.Contrast)
 			if t < 0 {
 				t = 0
 			} else if t > 1 {
 				t = 1
 			}
 			i := (y*w + x) * 3
-			frame.Pix[i] = clamp8(int32(c0[0] + (c1[0]-c0[0])*t))
-			frame.Pix[i+1] = clamp8(int32(c0[1] + (c1[1]-c0[1])*t))
-			frame.Pix[i+2] = clamp8(int32(c0[2] + (c1[2]-c0[2])*t))
+			frame.Pix[i] = clamp8(int32(c0[0] + float64((c1[0]-c0[0])*t)))
+			frame.Pix[i+1] = clamp8(int32(c0[1] + float64((c1[1]-c0[1])*t)))
+			frame.Pix[i+2] = clamp8(int32(c0[2] + float64((c1[2]-c0[2])*t)))
 		}
 	}
 	return frame
@@ -209,7 +209,7 @@ func drawDisc(f *RGB, cx, cy, r float64, cr, cg, cb uint8) {
 		dy := float64(y) - cy
 		for x := x0; x <= x1; x++ {
 			dx := float64(x) - cx
-			if dx*dx+dy*dy <= r2 {
+			if float64(dx*dx)+float64(dy*dy) <= r2 {
 				f.Set(x, y, cr, cg, cb)
 			}
 		}
@@ -226,27 +226,27 @@ func (v valueNoise) lattice(ix, iy int64) float64 {
 	h ^= h >> 31
 	h *= 0x94d049bb133111eb
 	h ^= h >> 29
-	return float64(h%4096) / 4096.0
+	return float64(float64(h%4096) / 4096.0) // the division compiles to a multiply: rounded so no caller fuses it
 }
 
 func (v valueNoise) octave(x, y float64) float64 {
 	ix, iy := int64(math.Floor(x)), int64(math.Floor(y))
 	fx, fy := x-float64(ix), y-float64(iy)
-	sx := fx * fx * (3 - 2*fx)
-	sy := fy * fy * (3 - 2*fy)
+	sx := fx * fx * (3 - float64(2*fx))
+	sy := fy * fy * (3 - float64(2*fy))
 	v00 := v.lattice(ix, iy)
 	v10 := v.lattice(ix+1, iy)
 	v01 := v.lattice(ix, iy+1)
 	v11 := v.lattice(ix+1, iy+1)
-	top := v00 + (v10-v00)*sx
-	bot := v01 + (v11-v01)*sx
-	return top + (bot-top)*sy
+	top := v00 + float64((v10-v00)*sx)
+	bot := v01 + float64((v11-v01)*sx)
+	return top + float64((bot-top)*sy)
 }
 
 func (v valueNoise) at(x, y float64) float64 {
 	// Three octaves: the finest one injects the high-frequency detail that
 	// aggressive quantization destroys — the content SR must recover.
-	return 0.5*v.octave(x, y) + 0.3*v.octave(x*2.7+13.1, y*2.7+7.9) + 0.2*v.octave(x*7.1+31.7, y*7.1+17.3)
+	return float64(0.5*v.octave(x, y)) + float64(0.3*v.octave(float64(x*2.7)+13.1, float64(y*2.7)+7.9)) + float64(0.2*v.octave(float64(x*7.1)+31.7, float64(y*7.1)+17.3))
 }
 
 // Frames returns the clip's RGB frames in display order.

@@ -2,8 +2,10 @@ package dcsr_test
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -83,9 +85,21 @@ var (
 // backslash continuations) and each inline code span, every flag after a
 // dcsr-serve, dcsr-play, dcsr-prepare, dcsr-bench or dcsr-lint — up to
 // the next shell separator, comment or command — must be one that
-// command's main.go defines. A recipe for a flag that moved to another
-// command, or was deleted, then fails here.
+// command's main.go defines, and every comma-separated name a dcsr-bench
+// -only passes must be an experiment dcsr-bench -list prints. A recipe
+// for a flag that moved to another command, or was deleted, or for a
+// retired experiment, then fails here.
 func TestDocCommandLines(t *testing.T) {
+	experiments := map[string]bool{}
+	list, err := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "run", "./cmd/dcsr-bench", "-list").Output()
+	if err != nil {
+		t.Fatalf("dcsr-bench -list: %v", err)
+	}
+	for _, l := range strings.Split(string(list), "\n") {
+		if f := strings.Fields(l); len(f) > 0 {
+			experiments[f[0]] = true
+		}
+	}
 	defined := map[string]map[string]bool{}
 	for _, cmd := range []string{"serve", "play", "prepare", "bench", "lint"} {
 		src, err := os.ReadFile("cmd/dcsr-" + cmd + "/main.go")
@@ -110,7 +124,8 @@ func TestDocCommandLines(t *testing.T) {
 		for _, code := range docCodeLines(string(raw)) {
 			for _, inv := range docInvocation.FindAllStringSubmatchIndex(code, -1) {
 				cmd := code[inv[2]:inv[3]]
-				for _, tok := range strings.Fields(code[inv[1]:]) {
+				toks := strings.Fields(code[inv[1]:])
+				for i, tok := range toks {
 					if strings.HasPrefix(tok, "#") || docInvocation.MatchString(tok) ||
 						strings.ContainsAny(tok[:1], "&|;") {
 						break
@@ -122,6 +137,18 @@ func TestDocCommandLines(t *testing.T) {
 					checked++
 					if !defined[cmd][m[1]] {
 						t.Errorf("%s: %q passes -%s, which dcsr-%s does not define", doc, strings.TrimSpace(code), m[1], cmd)
+					}
+					if cmd != "bench" || m[1] != "only" {
+						continue
+					}
+					val, ok := strings.CutPrefix(tok[len(m[0]):], "=")
+					if !ok && i+1 < len(toks) {
+						val = toks[i+1]
+					}
+					for _, name := range strings.Split(val, ",") {
+						if !experiments[name] {
+							t.Errorf("%s: %q runs experiment %q, which dcsr-bench -list does not print", doc, strings.TrimSpace(code), name)
+						}
 					}
 				}
 			}
