@@ -60,7 +60,7 @@ func main() {
 	seed := flag.Int64("seed", 7, "seed used at prepare time")
 	noCache := flag.Bool("no-cache", false, "disable micro-model caching (ablation)")
 	noInt8 := flag.Bool("no-int8", false, "force float32 enhancement even for models the manifest advertises as int8-calibrated (precision ablation)")
-	cacheBudget := flag.Int64("cache-budget", 0, "micro-model cache budget in bytes (0 = unbounded; past it the LRU model is evicted and lazily re-downloaded)")
+	cacheBudget := flag.Int64("cache-budget", 0, "micro-model cache budget in bytes (0 = unbounded; past it the LRU model is evicted and lazily re-downloaded); conflicts with -no-cache")
 	faultDrop := flag.Float64("fault-drop", 0, "with -addr: probability of dropping a response (fault injection)")
 	faultDelay := flag.Duration("fault-delay", 0, "with -addr: inject this extra latency into every response")
 	faultSeed := flag.Int64("fault-seed", 1, "with -addr: fault-injection PRNG seed")
@@ -75,8 +75,13 @@ func main() {
 	if *trace {
 		o = obs.New()
 	}
-	opts := stream.Options{Enhance: true, Int8: !*noInt8, CacheBudget: -1, Propagation: codec.PropagateDelta, Obs: o, Log: o.Logger()}
+	opts := stream.DefaultOptions()
+	opts.Int8, opts.Obs, opts.Log = !*noInt8, o, o.Logger()
 	switch {
+	case *cacheBudget < 0:
+		usagef("-cache-budget %d: the budget is a byte count (0 = unbounded)", *cacheBudget)
+	case *noCache && *cacheBudget > 0:
+		usagef("-no-cache and -cache-budget %d conflict: a disabled cache has no budget", *cacheBudget)
 	case *noCache:
 		opts.CacheBudget = 0
 	case *cacheBudget > 0:
@@ -94,9 +99,7 @@ func main() {
 	case *videoDigest != "" || *listVideos:
 		fatalf(2, "-video and -list-videos need -addr (digest routing is a serving feature)")
 	case *in == "":
-		fmt.Fprintln(os.Stderr, "dcsr-play: one of -in or -addr is required")
-		flag.Usage()
-		os.Exit(2)
+		usagef("one of -in or -addr is required")
 	default:
 		prep, err := core.Load(*in)
 		if err != nil {
@@ -107,9 +110,7 @@ func main() {
 		src = source{prep.Manifest, prep.MicroConfig, prep, nil}
 	}
 
-	root := o.Start("play")
-	frames, sess, dec, err := play(obs.WithSpan(ctx, root), src, opts, root)
-	root.End()
+	frames, sess, dec, err := play(ctx, src, opts)
 	if err != nil {
 		fatalf(1, "%v", err)
 	}
@@ -153,7 +154,7 @@ func main() {
 	}
 	low := opts
 	low.Enhance, low.Obs, low.Log = false, nil, nil
-	lowFrames, _, _, err := play(ctx, src, low, nil)
+	lowFrames, _, _, err := play(ctx, src, low)
 	if err != nil {
 		fatalf(1, "%v", err)
 	}
@@ -180,16 +181,22 @@ type source struct {
 	client   *transport.Client
 }
 
-// play runs one session over src with opts; trace, when set, receives the
-// session's per-segment spans.
-func play(ctx context.Context, src source, opts stream.Options, trace *obs.Span) ([]*video.YUV, *stream.Session, codec.DecodeStats, error) {
+// play runs one session over src with opts; with opts.Obs set it records
+// a play root span with one segment_fetch child per segment.
+func play(ctx context.Context, src source, opts stream.Options) ([]*video.YUV, *stream.Session, codec.DecodeStats, error) {
 	sess, err := stream.Open(src.manifest, src.config, src.fetcher, opts)
 	if err != nil {
 		return nil, nil, codec.DecodeStats{}, err
 	}
-	sess.Trace = trace
 	frames, dec, err := sess.Play(ctx)
 	return frames, sess, dec, err
+}
+
+// usagef prints a dcsr-play usage error and the flag summary, and exits 2.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dcsr-play: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // fatalf prints a dcsr-play error and exits with code.

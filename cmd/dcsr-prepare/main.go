@@ -29,11 +29,9 @@ func main() {
 	w := flag.Int("w", 80, "frame width (multiple of 16)")
 	h := flag.Int("h", 48, "frame height (multiple of 16)")
 	seed := flag.Int64("seed", 7, "generation seed")
-	qp := flag.Int("qp", 51, "encoder QP (CRF-style, 0 best – 51 worst)")
 	steps := flag.Int("steps", 400, "micro-model training steps")
 	filters := flag.Int("filters", 8, "micro-model filters (n_f)")
 	resblocks := flag.Int("resblocks", 2, "micro-model ResBlocks (n_RB)")
-	search := flag.Bool("search", false, "run the Appendix A.1 minimum-working-model search instead of -filters/-resblocks")
 	int8Flag := flag.Bool("int8", false, "calibrate each cluster model for int8 inference (quantize_int8 stage); clusters failing the 0.5 dB quality gate stay float32")
 	deltaFlag := flag.Bool("delta", false, "delta-encode cluster models against a shared backbone (delta_encode stage); clusters failing the size or 0.5 dB quality gate ship complete")
 	flag.Parse()
@@ -61,15 +59,13 @@ func main() {
 	fmt.Printf("generated %s\n", clip)
 
 	cfg := core.ServerConfig{
-		QP:       *qp,
-		Split:    splitter.Config{Threshold: 14, MinLen: 3},
-		VAE:      vae.Config{ImgSize: 16, LatentDim: 8, BaseCh: 4},
-		VAETrain: vae.TrainOptions{Epochs: 25, BatchSize: 4, Seed: *seed},
-		Train:    edsr.TrainOptions{Steps: *steps, BatchSize: 2, PatchSize: 16},
-		Seed:     *seed,
-	}
-	if !*search {
-		cfg.MicroConfig = edsr.Config{Filters: *filters, ResBlocks: *resblocks}
+		QP:          51, // the paper's CRF-51 regime
+		Split:       splitter.Config{Threshold: 14, MinLen: 3},
+		VAE:         vae.Config{ImgSize: 16, LatentDim: 8, BaseCh: 4},
+		VAETrain:    vae.TrainOptions{Epochs: 25, BatchSize: 4, Seed: *seed},
+		MicroConfig: edsr.Config{Filters: *filters, ResBlocks: *resblocks},
+		Train:       edsr.TrainOptions{Steps: *steps, BatchSize: 2, PatchSize: 16},
+		Seed:        *seed,
 	}
 	if *int8Flag {
 		cfg.Quant = core.QuantConfig{Enabled: true}

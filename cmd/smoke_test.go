@@ -131,6 +131,29 @@ func TestLintBenchSmoke(t *testing.T) {
 	}
 }
 
+// TestPlayCacheFlagsSmoke pins dcsr-play's one cache knob: a negative
+// -cache-budget, or -cache-budget beside -no-cache, must exit 2 with a
+// usage message before anything loads, rather than play with a cache the
+// user did not ask for.
+func TestPlayCacheFlagsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries; skipped in short mode")
+	}
+	bin := buildCmds(t, "dcsr-play")
+	missing := filepath.Join(t.TempDir(), "no-artifact")
+	for _, args := range [][]string{
+		{"-in", missing, "-cache-budget", "-5"},
+		{"-in", missing, "-no-cache", "-cache-budget", "4096"},
+	} {
+		out, err := exec.Command(filepath.Join(bin, "dcsr-play"), args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-cache-budget") ||
+			!strings.Contains(string(out), "Usage of") {
+			t.Errorf("dcsr-play %s: %v, want exit 2 with a usage message naming -cache-budget\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+}
+
 // TestServeFleetSmoke drives the origin binary over loopback: two
 // dcsr-prepare -delta artifacts behind one dcsr-serve (both listeners on
 // port 0, addresses read off its stdout), dcsr-play listing the two

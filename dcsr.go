@@ -20,13 +20,13 @@
 //
 // # Client side
 //
-//	player := dcsr.NewPlayer(prep)
-//	result, err := player.Play()
+//	sess, err := dcsr.Open(prep, dcsr.DefaultSessionOptions())
+//	frames, stats, err := sess.Play(ctx)
 //
-// Play simulates the streaming session (downloading segments, fetching
-// micro models on cache miss per the paper's Algorithm 1) and decodes the
-// stream with each segment's micro model patched into the decoder's
-// I-frame enhancement hook.
+// Play walks the session over the prepared stream (downloading segments,
+// fetching micro models on cache miss per the paper's Algorithm 1) and
+// decodes it with each segment's micro model patched into the decoder's
+// I-frame enhancement hook — the engine a wire client runs too.
 //
 // Everything is pure Go with no dependencies outside the standard library.
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -57,10 +57,6 @@ type (
 	ServerConfig = core.ServerConfig
 	// Prepared is the server pipeline output: stream + manifest + models.
 	Prepared = core.Prepared
-	// Player is the client-side dcSR playback engine.
-	Player = core.Player
-	// PlayResult reports a playback pass (frames, bytes, cache behaviour).
-	PlayResult = core.PlayResult
 	// SegmentModel is one trained micro model with its serialized weights.
 	SegmentModel = core.SegmentModel
 )
@@ -79,9 +75,6 @@ func Prepare(frames []*YUV, fps int, cfg ServerConfig) (*Prepared, error) {
 func PrepareCtx(ctx context.Context, frames []*YUV, fps int, cfg ServerConfig) (*Prepared, error) {
 	return core.PrepareCtx(ctx, frames, fps, cfg)
 }
-
-// NewPlayer builds a client-side player over a prepared stream.
-func NewPlayer(p *Prepared) *Player { return core.NewPlayer(p) }
 
 // FindMinimumWorkingModel exposes the Appendix A.1 configuration search.
 func FindMinimumWorkingModel(low, high []*RGB, cfg ServerConfig) (EDSRConfig, error) {
@@ -235,8 +228,10 @@ type (
 	Segment = splitter.Segment
 	// Manifest maps segments to models with byte-accurate sizes.
 	Manifest = stream.Manifest
-	// Session simulates a client download session with model caching.
+	// Session is the client playback engine and its accounting record.
 	Session = stream.Session
+	// SessionOptions configures a Session (SR, int8, cache budget, Obs).
+	SessionOptions = stream.Options
 	// ClusterResult is a k-means clustering outcome.
 	ClusterResult = cluster.Result
 )
@@ -244,19 +239,23 @@ type (
 // SplitVideo partitions frames into variable-length shot segments.
 func SplitVideo(frames []*YUV, cfg SplitConfig) []Segment { return splitter.Split(frames, cfg) }
 
-// NewSession starts a download session over a manifest; useCache enables
-// the paper's Algorithm 1 micro-model caching.
-func NewSession(m *Manifest, useCache bool) (*Session, error) { return stream.NewSession(m, useCache) }
+// DefaultSessionOptions returns the default session: enhancement on, int8
+// wherever the manifest arms it, an unbounded model cache.
+func DefaultSessionOptions() SessionOptions { return stream.DefaultOptions() }
 
-// NewSessionWithBudget starts a download session whose model cache holds
-// at most budget bytes of serialized weights (budget < 0 → unbounded,
-// 0 → caching disabled, > 0 → LRU eviction past the budget).
-func NewSessionWithBudget(m *Manifest, budget int64) (*Session, error) {
-	return stream.NewSessionWithBudget(m, budget)
+// Open starts a playback session over a prepared stream, its own origin.
+func Open(p *Prepared, o SessionOptions) (*Session, error) {
+	return stream.Open(p.Manifest, p.MicroConfig, p, o)
 }
 
+// NewSession starts a manifest-only download session whose model cache
+// holds at most budget bytes of payload (budget < 0 → unbounded, the
+// paper's Algorithm 1; 0 → caching disabled; > 0 → LRU eviction past the
+// budget).
+func NewSession(m *Manifest, budget int64) (*Session, error) { return stream.NewSession(m, budget) }
+
 // Observability. An Obs bundle threads metrics, stage tracing and
-// logging through ServerConfig.Obs, Player.Obs and the transport; all
+// logging through ServerConfig.Obs, SessionOptions.Obs and the transport; all
 // handles are nil-safe, so the zero value (nil) disables everything at
 // no cost. The metric names are a stable surface — see the obs package
 // doc and the Observability sections of README.md / DESIGN.md.

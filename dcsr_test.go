@@ -1,6 +1,7 @@
 package dcsr_test
 
 import (
+	"context"
 	"testing"
 
 	"dcsr"
@@ -27,19 +28,23 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("no clusters")
 	}
 
-	res, err := dcsr.NewPlayer(prep).Play()
+	sess, err := dcsr.Open(prep, dcsr.DefaultSessionOptions())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	played, _, err := sess.Play(context.Background())
 	if err != nil {
 		t.Fatalf("Play: %v", err)
 	}
-	if len(res.Frames) != len(frames) {
-		t.Fatalf("played %d frames, want %d", len(res.Frames), len(frames))
+	if len(played) != len(frames) {
+		t.Fatalf("played %d frames, want %d", len(played), len(frames))
 	}
-	if res.TotalBytes() <= 0 {
+	if sess.TotalBytes() <= 0 {
 		t.Fatal("no bytes accounted")
 	}
 	// Quality metrics are usable on the public types.
-	p := dcsr.PSNRYUV(frames[0], res.Frames[0])
-	s := dcsr.SSIMYUV(frames[0], res.Frames[0])
+	p := dcsr.PSNRYUV(frames[0], played[0])
+	s := dcsr.SSIMYUV(frames[0], played[0])
 	if p <= 0 || s <= 0 || s > 1 {
 		t.Fatalf("metrics out of range: PSNR %.2f SSIM %.4f", p, s)
 	}

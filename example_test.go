@@ -1,6 +1,7 @@
 package dcsr_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,15 +28,19 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := dcsr.NewPlayer(prep).Play()
+	sess, err := dcsr.Open(prep, dcsr.DefaultSessionOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	played, stats, err := sess.Play(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("segments: %d\n", len(prep.Segments))
-	fmt.Printf("frames played: %d\n", len(res.Frames))
-	fmt.Printf("I frames enhanced: %d\n", res.Decode.Enhanced)
+	fmt.Printf("frames played: %d\n", len(played))
+	fmt.Printf("I frames enhanced: %d\n", stats.Enhanced)
 	fmt.Printf("models downloaded: %d, cache hits: %d\n",
-		res.Session.Downloads, res.Session.CacheHits)
+		sess.Downloads, sess.CacheHits)
 	// Output:
 	// segments: 4
 	// frames played: 22

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -38,26 +39,31 @@ func main() {
 	fmt.Printf("server: %d segments clustered into K=%d micro models (%s each %d bytes)\n",
 		len(prep.Segments), prep.K, prep.MicroConfig, prep.Manifest.TotalModelBytes()/max(prep.K, 1))
 
-	// Client side: stream + enhance.
-	enhanced, err := dcsr.NewPlayer(prep).Play()
-	if err != nil {
-		log.Fatal(err)
+	// Client side: stream + enhance, then the same session without SR.
+	play := func(opts dcsr.SessionOptions) (*dcsr.Session, []*dcsr.YUV) {
+		sess, err := dcsr.Open(prep, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		played, _, err := sess.Play(context.Background())
+		if err != nil {
+			log.Fatal(err)
+		}
+		return sess, played
 	}
-	plain := dcsr.NewPlayer(prep)
+	sess, enhanced := play(dcsr.DefaultSessionOptions())
+	plain := dcsr.DefaultSessionOptions()
 	plain.Enhance = false
-	low, err := plain.Play()
-	if err != nil {
-		log.Fatal(err)
-	}
+	_, low := play(plain)
 
 	var psnrLow, psnrEnh float64
 	for i := range frames {
-		psnrLow += dcsr.PSNRYUV(frames[i], low.Frames[i])
-		psnrEnh += dcsr.PSNRYUV(frames[i], enhanced.Frames[i])
+		psnrLow += dcsr.PSNRYUV(frames[i], low[i])
+		psnrEnh += dcsr.PSNRYUV(frames[i], enhanced[i])
 	}
 	n := float64(len(frames))
 	fmt.Printf("client: downloaded %d bytes (%d model downloads, %d cache hits)\n",
-		enhanced.TotalBytes(), enhanced.Session.Downloads, enhanced.Session.CacheHits)
+		sess.TotalBytes(), sess.Downloads, sess.CacheHits)
 	fmt.Printf("quality: LOW %.2f dB -> dcSR %.2f dB (%+.2f dB)\n",
 		psnrLow/n, psnrEnh/n, (psnrEnh-psnrLow)/n)
 }

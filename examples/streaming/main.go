@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("prepared: %d segments, K=%d micro models\n\n", len(prep.Segments), prep.K)
 
 	// Walk the session segment by segment (paper Fig 7).
-	sess, err := dcsr.NewSession(prep.Manifest, true)
+	sess, err := dcsr.NewSession(prep.Manifest, -1) // unbounded model cache
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func main() {
 		sess.VideoBytes, sess.ModelBytes, sess.TotalBytes(), sess.Downloads, sess.CacheHits)
 
 	// Without caching (ablation of paper §3.2.2).
-	noCache, err := dcsr.NewSession(prep.Manifest, false)
+	noCache, err := dcsr.NewSession(prep.Manifest, 0) // a zero budget caches nothing
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 
 	"dcsr/internal/codec"
 	"dcsr/internal/edsr"
-	"dcsr/internal/nn"
 	"dcsr/internal/video"
 )
 
@@ -146,12 +145,4 @@ func (p *Prepared) Play() (*PlayResult, error) {
 	res.Decode = dec.Stats
 	res.TotalBytes = p.Stream.Bytes() + p.ModelBytes
 	return res, nil
-}
-
-// EncodeModel serializes the big model (download size accounting).
-func (p *Prepared) EncodeModel() []byte {
-	if p.Model == nil {
-		return nil
-	}
-	return nn.EncodeWeights(p.Model.Params())
 }

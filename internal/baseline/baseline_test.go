@@ -145,7 +145,4 @@ func TestPrepareTrainingAccounting(t *testing.T) {
 	if p.ModelBytes != p.Model.SizeBytes() {
 		t.Fatal("ModelBytes inconsistent")
 	}
-	if len(p.EncodeModel()) != p.ModelBytes {
-		t.Fatal("EncodeModel length inconsistent")
-	}
 }

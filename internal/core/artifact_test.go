@@ -18,6 +18,7 @@ import (
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 )
 
 // gatedConfig is tinyServerConfig with both gates on and permissive, so a
@@ -85,12 +86,12 @@ func mustReadRoot(t testing.TB, dir string) rootFile {
 }
 
 // playBoth plays p in both precisions.
-func playBoth(t *testing.T, p *Prepared) (f32, int8 *PlayResult) {
+func playBoth(t *testing.T, p *Prepared) (f32, int8 *playback) {
 	t.Helper()
-	play := func(int8 bool) *PlayResult {
-		pl := NewPlayer(p)
-		pl.Int8 = int8
-		res, err := pl.Play()
+	play := func(int8 bool) *playback {
+		opts := stream.DefaultOptions()
+		opts.Int8 = int8
+		res, err := playOver(p, p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,11 +147,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Playback from the loaded artifact must be bit-identical to playback
 	// from the in-memory pipeline output.
-	a, err := NewPlayer(prep).Play()
+	a, err := playDefault(prep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewPlayer(loaded).Play()
+	b, err := playDefault(loaded)
 	if err != nil {
 		t.Fatal(err)
 	}

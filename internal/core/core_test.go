@@ -6,6 +6,7 @@ import (
 	"dcsr/internal/edsr"
 	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
@@ -90,14 +91,14 @@ func TestPlayerImprovesQuality(t *testing.T) {
 		t.Fatalf("Prepare: %v", err)
 	}
 	// Enhanced playback.
-	enhanced, err := NewPlayer(p).Play()
+	enhanced, err := playDefault(p)
 	if err != nil {
 		t.Fatalf("Play: %v", err)
 	}
 	// Plain low-quality playback.
-	plain := NewPlayer(p)
+	plain := stream.DefaultOptions()
 	plain.Enhance = false
-	low, err := plain.Play()
+	low, err := playOver(p, p, plain)
 	if err != nil {
 		t.Fatalf("plain Play: %v", err)
 	}
@@ -128,14 +129,13 @@ func TestModelCachingSavesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	withCache := NewPlayer(p)
-	r1, err := withCache.Play()
+	r1, err := playDefault(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	noCache := NewPlayer(p)
-	noCache.UseCache = false
-	r2, err := noCache.Play()
+	noCache := stream.DefaultOptions()
+	noCache.CacheBudget = 0
+	r2, err := playOver(p, p, noCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,16 +147,16 @@ func TestModelCachingSavesBytes(t *testing.T) {
 	if r1.Session.CacheHits == 0 && len(p.Segments) > p.K {
 		t.Error("expected cache hits with recurring scenes")
 	}
-	// The public PlayResult cache accounting must mirror the session's.
-	for _, r := range []*PlayResult{r1, r2} {
+	// The cache accounting that reads through must mirror the session's.
+	for _, r := range []*playback{r1, r2} {
 		if r.CacheHits != r.Session.CacheHits {
-			t.Errorf("PlayResult.CacheHits = %d, session has %d", r.CacheHits, r.Session.CacheHits)
+			t.Errorf("CacheHits = %d, session has %d", r.CacheHits, r.Session.CacheHits)
 		}
 		if r.CacheMisses != r.Session.CacheMisses {
-			t.Errorf("PlayResult.CacheMisses = %d, session has %d", r.CacheMisses, r.Session.CacheMisses)
+			t.Errorf("CacheMisses = %d, session has %d", r.CacheMisses, r.Session.CacheMisses)
 		}
 		if r.ModelBytes != r.Session.ModelBytes {
-			t.Errorf("PlayResult.ModelBytes = %d, session has %d", r.ModelBytes, r.Session.ModelBytes)
+			t.Errorf("ModelBytes = %d, session has %d", r.ModelBytes, r.Session.ModelBytes)
 		}
 		if r.CacheMisses != r.Session.Downloads {
 			t.Errorf("CacheMisses = %d but Downloads = %d", r.CacheMisses, r.Session.Downloads)

@@ -29,7 +29,7 @@ func (o outage) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, e
 // through a transient model-fetch outage: the first fetch of every label
 // fails, later ones succeed. Playback must complete with the full frame
 // count, the degraded segments must decode without SR, and the degraded
-// accounting must surface on PlayResult and the obs counters.
+// accounting must surface on the session and the obs counters.
 func TestPlayerDegradesOnModelFetchFailure(t *testing.T) {
 	clip := testClip(t, 3, 3, 8)
 	frames := clip.YUVFrames()
@@ -38,17 +38,16 @@ func TestPlayerDegradesOnModelFetchFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := obs.New()
-	pl := NewPlayer(p)
-	pl.Obs = o
+	opts := stream.DefaultOptions()
+	opts.Obs = o
 	failed := map[int]bool{}
-	pl.Fetcher = outage{p, func(label int) error {
+	res, err := playOver(p, outage{p, func(label int) error {
 		if !failed[label] {
 			failed[label] = true
 			return fmt.Errorf("injected outage for label %d", label)
 		}
 		return nil
-	}}
-	res, err := pl.Play()
+	}}, opts)
 	if err != nil {
 		t.Fatalf("Play aborted despite degradation: %v", err)
 	}
@@ -59,7 +58,7 @@ func TestPlayerDegradesOnModelFetchFailure(t *testing.T) {
 		t.Fatal("no segments degraded despite failing fetches")
 	}
 	if res.DegradedSegments != res.Session.DegradedSegments {
-		t.Errorf("PlayResult.DegradedSegments=%d != Session=%d",
+		t.Errorf("DegradedSegments=%d != Session=%d",
 			res.DegradedSegments, res.Session.DegradedSegments)
 	}
 	snap := o.Metrics.Snapshot()
@@ -97,15 +96,13 @@ func TestPlayerTotalOutageMatchesUnenhanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degradedPl := NewPlayer(p)
-	degradedPl.Fetcher = outage{p, func(int) error { return fmt.Errorf("total outage") }}
-	degraded, err := degradedPl.Play()
+	degraded, err := playOver(p, outage{p, func(int) error { return fmt.Errorf("total outage") }}, stream.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawPl := NewPlayer(p)
-	rawPl.Enhance = false
-	raw, err := rawPl.Play()
+	rawOpts := stream.DefaultOptions()
+	rawOpts.Enhance = false
+	raw, err := playOver(p, p, rawOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

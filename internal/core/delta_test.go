@@ -107,11 +107,11 @@ func TestDeltaStageModelStream(t *testing.T) {
 	if ctrl.Manifest.Backbone != nil {
 		t.Fatal("WithoutDelta manifest still advertises a backbone")
 	}
-	res, err := NewPlayer(p).Play()
+	res, err := playDefault(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := NewPlayer(ctrl).Play()
+	cres, err := playDefault(ctrl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +243,11 @@ func TestDeltaPersistRoundTrip(t *testing.T) {
 			t.Fatalf("model %d manifest entry drifted: %+v vs %+v", label, got, want)
 		}
 	}
-	pres, err := NewPlayer(p).Play()
+	pres, err := playDefault(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qres, err := NewPlayer(q).Play()
+	qres, err := playDefault(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcsr/internal/obs"
+	"dcsr/internal/stream"
 	"dcsr/internal/video"
 )
 
@@ -20,9 +21,9 @@ func TestPrepareAndPlayObservability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	pl := NewPlayer(p)
-	pl.Obs = o
-	r, err := pl.Play()
+	opts := stream.DefaultOptions()
+	opts.Obs = o
+	r, err := playOver(p, p, opts)
 	if err != nil {
 		t.Fatalf("Play: %v", err)
 	}
@@ -45,13 +46,13 @@ func TestPrepareAndPlayObservability(t *testing.T) {
 		t.Error("train_steps_total not recorded")
 	}
 	if got := snap.Counters["cache_hits_total"]; got != int64(r.CacheHits) {
-		t.Errorf("cache_hits_total = %d, PlayResult has %d", got, r.CacheHits)
+		t.Errorf("cache_hits_total = %d, session has %d", got, r.CacheHits)
 	}
 	if got := snap.Counters["cache_misses_total"]; got != int64(r.CacheMisses) {
-		t.Errorf("cache_misses_total = %d, PlayResult has %d", got, r.CacheMisses)
+		t.Errorf("cache_misses_total = %d, session has %d", got, r.CacheMisses)
 	}
 	if got := snap.Counters["model_bytes_total"]; got != int64(r.ModelBytes) {
-		t.Errorf("model_bytes_total = %d, PlayResult has %d", got, r.ModelBytes)
+		t.Errorf("model_bytes_total = %d, session has %d", got, r.ModelBytes)
 	}
 	if snap.Counters["codec_frames_decoded_total"] <= 0 {
 		t.Error("codec_frames_decoded_total not recorded")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcsr/internal/obs"
+	"dcsr/internal/stream"
 )
 
 // TestPlayerCacheBudget pins the byte-budgeted client cache end to end:
@@ -25,14 +26,14 @@ func TestPlayerCacheBudget(t *testing.T) {
 		break
 	}
 
-	base, err := NewPlayer(p).Play()
+	base, err := playDefault(p)
 	if err != nil {
 		t.Fatalf("baseline Play: %v", err)
 	}
 
-	ample := NewPlayer(p)
+	ample := stream.DefaultOptions()
 	ample.CacheBudget = int64(modelSize * (len(p.Models) + 1))
-	ampleRes, err := ample.Play()
+	ampleRes, err := playOver(p, p, ample)
 	if err != nil {
 		t.Fatalf("ample-budget Play: %v", err)
 	}
@@ -45,10 +46,10 @@ func TestPlayerCacheBudget(t *testing.T) {
 	}
 
 	o := obs.New()
-	tight := NewPlayer(p)
+	tight := stream.DefaultOptions()
 	tight.Obs = o
 	tight.CacheBudget = int64(modelSize) // one resident model at a time
-	tightRes, err := tight.Play()
+	tightRes, err := playOver(p, p, tight)
 	if err != nil {
 		t.Fatalf("tight-budget Play: %v", err)
 	}

@@ -95,7 +95,7 @@ func TestPlayerDeltaCacheBudget(t *testing.T) {
 		t.Fatal("no model ships as a delta")
 	}
 
-	base, err := NewPlayer(p).Play()
+	base, err := playDefault(p)
 	if err != nil {
 		t.Fatalf("unbounded Play: %v", err)
 	}
@@ -110,9 +110,9 @@ func TestPlayerDeltaCacheBudget(t *testing.T) {
 		{"none", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pl := NewPlayer(p)
-			pl.CacheBudget, pl.UseCache = tc.budget, tc.budget != 0
-			res, err := pl.Play()
+			opts := stream.DefaultOptions()
+			opts.CacheBudget = tc.budget
+			res, err := playOver(p, p, opts)
 			if err != nil {
 				t.Fatalf("Play: %v", err)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcsr/internal/obs"
+	"dcsr/internal/stream"
 )
 
 // TestQuantQualityGateForcesFallback drives the gate to both verdicts:
@@ -51,7 +52,7 @@ func TestQuantQualityGateForcesFallback(t *testing.T) {
 	if got := snap.Counters["quant_int8_models_total"]; got != 0 {
 		t.Errorf("quant_int8_models_total = %d, want 0", got)
 	}
-	res, err := NewPlayer(p).Play()
+	res, err := playDefault(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestQuantQualityGateForcesFallback(t *testing.T) {
 	if got := snap2.Counters["quant_fallback_total"]; got != 0 {
 		t.Errorf("quant_fallback_total = %d, want 0", got)
 	}
-	res2, err := NewPlayer(p2).Play()
+	res2, err := playDefault(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +92,9 @@ func TestQuantQualityGateForcesFallback(t *testing.T) {
 
 	// The player-side kill switch forces float32 even with an int8
 	// manifest (the precision ablation).
-	off := NewPlayer(p2)
+	off := stream.DefaultOptions()
 	off.Int8 = false
-	res3, err := off.Play()
+	res3, err := playOver(p2, p2, off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestQuantPersistRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	res, err := NewPlayer(q).Play()
+	res, err := playDefault(q)
 	if err != nil {
 		t.Fatal(err)
 	}

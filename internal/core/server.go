@@ -4,7 +4,9 @@
 // with constrained K selection → per-cluster micro EDSR training →
 // manifest/model packaging, paper Fig 2), its one on-disk form — the
 // checkpoint that, finished, is the published artifact (artifact.go) — and
-// the client-side player (decoder-integrated I-frame enhancement with
+// Prepared.Fetch, the in-memory download backend a local playback runs
+// the one engine over: stream.Open(p.Manifest, p.MicroConfig, p, opts),
+// then Session.Play (decoder-integrated I-frame enhancement with
 // micro-model caching, paper Figs 6–7).
 package core
 
@@ -170,6 +172,26 @@ func (p *Prepared) SegmentStream(i int) (*codec.Stream, error) {
 		return nil, fmt.Errorf("core: segment %d does not start with an I frame", i)
 	}
 	return sub, nil
+}
+
+// Fetch implements stream.Fetcher from memory: the prepared stream is its
+// own origin. Segments are served as independently decodable sub-streams
+// (SegmentStream), models as the same payloads the wire ops serve.
+func (p *Prepared) Fetch(_ context.Context, kind stream.Kind, arg int) ([]byte, error) {
+	sm := p.Models[arg]
+	switch {
+	case kind == stream.KindSegment:
+		sub, err := p.SegmentStream(arg)
+		if err != nil {
+			return nil, err
+		}
+		return sub.Marshal(), nil
+	case kind == stream.KindModel && sm != nil:
+		return sm.Bytes, nil
+	case kind == stream.KindModelDelta && sm != nil && sm.Delta != nil && sm.Delta.DeltaOK:
+		return sm.Delta.Bytes, nil
+	}
+	return nil, fmt.Errorf("core: prepared stream has no artifact %d/%d", kind, arg)
 }
 
 // buildManifest splits the coded stream's bytes across segments by display

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dcsr/internal/edsr"
+	"dcsr/internal/stream"
 	"dcsr/internal/tensor"
 	"dcsr/internal/video"
 )
@@ -115,12 +116,12 @@ func gatedPrepared(t *testing.T) *Prepared {
 // instance owned its layer buffers, a fresh set of feature maps.
 func TestWorkspaceBudgetEviction(t *testing.T) {
 	p := gatedPrepared(t)
-	play := func(budget int64) (*PlayResult, int64) {
-		pl := NewPlayer(p)
-		pl.CacheBudget = budget
+	play := func(budget int64) (*playback, int64) {
+		opts := stream.DefaultOptions()
+		opts.CacheBudget = budget
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		res, err := pl.Play()
+		res, err := playOver(p, p, opts)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -130,8 +131,8 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 	// No collection while measuring: a GC empties the kernels' scratch
 	// pools, and whichever play refills them would be charged for it.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	play(0) // warm the pools
-	base, baseAlloc := play(0)
+	play(-1) // warm the pools
+	base, baseAlloc := play(-1)
 	// The cache holds what crossed the wire: the largest such payload is
 	// the budget of one model. Its weights are a float32 model's size.
 	var budget int64
@@ -199,20 +200,20 @@ func TestWorkspaceGatesRepeatable(t *testing.T) {
 // session that had the process to itself.
 func TestWorkspaceConcurrentSessions(t *testing.T) {
 	p := gatedPrepared(t)
-	alone, err := NewPlayer(p).Play()
+	alone, err := playDefault(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	results := make([]*PlayResult, 2)
+	results := make([]*playback, 2)
 	errs := make([]error, 2)
 	for i := range results {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pl := NewPlayer(p)
-			pl.Int8 = i == 0 // one session per precision
-			results[i], errs[i] = pl.Play()
+			opts := stream.DefaultOptions()
+			opts.Int8 = i == 0 // one session per precision
+			results[i], errs[i] = playOver(p, p, opts)
 		}()
 	}
 	wg.Wait()
@@ -222,9 +223,9 @@ func TestWorkspaceConcurrentSessions(t *testing.T) {
 		}
 	}
 	framesIdentical(t, alone.Frames, results[0].Frames, "concurrent int8 session vs alone")
-	f32 := NewPlayer(p)
+	f32 := stream.DefaultOptions()
 	f32.Int8 = false
-	aloneF32, err := f32.Play()
+	aloneF32, err := playOver(p, p, f32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"dcsr/internal/core"
 	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
@@ -176,20 +177,20 @@ func AblationPropagation(cfg EvalConfig) (Table, map[string]float64) {
 		Title:  "Ablation: enhancement propagation mode",
 		Header: []string{"mode", "PSNR (dB)", "vs LOW"},
 	}
-	psnrOf := func(pl *core.Player) float64 {
-		res, err := pl.Play()
+	psnrOf := func(opts stream.Options) float64 {
+		played, _, _, err := playLocal(prep, opts)
 		if err != nil {
 			panic(err)
 		}
 		var sum float64
 		for i := range frames {
-			sum += quality.PSNRYUV(frames[i], res.Frames[i])
+			sum += quality.PSNRYUV(frames[i], played[i])
 		}
 		return sum / float64(len(frames))
 	}
-	lowPl := core.NewPlayer(prep)
-	lowPl.Enhance = false
-	low := psnrOf(lowPl)
+	lowOpts := stream.DefaultOptions()
+	lowOpts.Enhance = false
+	low := psnrOf(lowOpts)
 	out := map[string]float64{"LOW": low}
 	for _, m := range []struct {
 		name string
@@ -198,9 +199,9 @@ func AblationPropagation(cfg EvalConfig) (Table, map[string]float64) {
 		{"replace (paper Fig 6)", codec.PropagateReplace},
 		{"gated delta (default)", codec.PropagateDelta},
 	} {
-		pl := core.NewPlayer(prep)
-		pl.Propagation = m.mode
-		p := psnrOf(pl)
+		opts := stream.DefaultOptions()
+		opts.Propagation = m.mode
+		p := psnrOf(opts)
 		out[m.name] = p
 		t.Add(m.name, f2(p), fmt.Sprintf("%+.2f dB", p-low))
 	}
@@ -271,13 +272,13 @@ func AblationQuantization(cfg EvalConfig) (t Table, psnrs map[string]float64, si
 		if err != nil {
 			return Table{}, nil, nil, nil, err
 		}
-		res, err := core.NewPlayer(prep).Play()
+		played, _, dec, err := playLocal(prep, stream.DefaultOptions())
 		if err != nil {
 			return Table{}, nil, nil, nil, err
 		}
 		var psnr float64
 		for i := range frames {
-			psnr += quality.PSNRYUV(frames[i], res.Frames[i])
+			psnr += quality.PSNRYUV(frames[i], played[i])
 		}
 		psnrs[arm.name] = psnr / float64(len(frames))
 		sizes[arm.name] = prep.Manifest.TotalModelBytes()
@@ -288,7 +289,7 @@ func AblationQuantization(cfg EvalConfig) (t Table, psnrs map[string]float64, si
 			}
 		}
 		t.Add(fmt.Sprintf("%s (%d models)", arm.name, len(prep.Models)), fmt.Sprintf("%d", sizes[arm.name]),
-			f2(psnrs[arm.name]), fmt.Sprintf("%d/%d", res.Decode.EnhancedInt8, res.Decode.Enhanced),
+			f2(psnrs[arm.name]), fmt.Sprintf("%d/%d", dec.EnhancedInt8, dec.Enhanced),
 			fmt.Sprintf("%d admitted", admitted))
 		if arm.quant {
 			shipped = prep

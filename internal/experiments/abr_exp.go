@@ -7,6 +7,7 @@ import (
 	"dcsr/internal/core"
 	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/video"
 )
 
@@ -54,19 +55,19 @@ func ExperimentABR(cfg EvalConfig) (Table, *ABRResult) {
 	if err != nil {
 		panic(err)
 	}
-	enh, err := core.NewPlayer(prep).Play()
+	enh, _, _, err := playLocal(prep, stream.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}
-	lowPl := core.NewPlayer(prep)
-	lowPl.Enhance = false
-	low, err := lowPl.Play()
+	lowOpts := stream.DefaultOptions()
+	lowOpts.Enhance = false
+	low, _, _, err := playLocal(prep, lowOpts)
 	if err != nil {
 		panic(err)
 	}
 	var gain0 float64
 	for i := range frames {
-		gain0 += quality.PSNRYUV(frames[i], enh.Frames[i]) - quality.PSNRYUV(frames[i], low.Frames[i])
+		gain0 += quality.PSNRYUV(frames[i], enh[i]) - quality.PSNRYUV(frames[i], low[i])
 	}
 	gain0 /= float64(len(frames))
 	if gain0 < 0 {

@@ -1,16 +1,19 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"dcsr/internal/baseline"
+	"dcsr/internal/codec"
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
 	"dcsr/internal/obs"
 	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
@@ -115,13 +118,13 @@ func RunFig9(cfg EvalConfig) (*Fig9Result, error) {
 		vr.Segments = len(prep.Segments)
 		vr.K = prep.K
 		vr.DcSRTrainFLOPs = prep.TrainFLOPs
-		pl := core.NewPlayer(prep)
-		pl.Obs = cfg.Obs
-		dcsrPlay, err := pl.Play()
+		opts := stream.DefaultOptions()
+		opts.Obs, opts.Log = cfg.Obs, cfg.Obs.Logger()
+		dcsrFrames, sess, _, err := playLocal(prep, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s dcSR play: %v", g, err)
 		}
-		vr.Methods["dcSR"] = measure(frames, dcsrPlay.Frames, dcsrPlay.TotalBytes())
+		vr.Methods["dcSR"] = measure(frames, dcsrFrames, sess.TotalBytes())
 
 		// One big model shared by NAS and NEMO (both train one large model
 		// on all frames; they differ only in the inference schedule).
@@ -161,6 +164,17 @@ func RunFig9(cfg EvalConfig) (*Fig9Result, error) {
 		out.Videos = append(out.Videos, vr)
 	}
 	return out, nil
+}
+
+// playLocal plays prep through the engine over the prepared stream itself
+// with opts: stream.Open, then Session.Play.
+func playLocal(prep *core.Prepared, opts stream.Options) ([]*video.YUV, *stream.Session, codec.DecodeStats, error) {
+	sess, err := stream.Open(prep.Manifest, prep.MicroConfig, prep, opts)
+	if err != nil {
+		return nil, nil, codec.DecodeStats{}, err
+	}
+	frames, dec, err := sess.Play(context.Background())
+	return frames, sess, dec, err
 }
 
 func measure(orig, played []*video.YUV, bytes int) MethodQuality {

@@ -27,7 +27,7 @@ func pingPongManifest() *Manifest {
 
 func TestSessionBudgetEvictsAndRefetches(t *testing.T) {
 	o := obs.New()
-	s, err := NewSessionWithBudget(pingPongManifest(), 150)
+	s, err := NewSession(pingPongManifest(), 150)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,12 @@ func TestSessionBudgetEvictsAndRefetches(t *testing.T) {
 }
 
 func TestSessionAmpleBudgetMatchesUnbounded(t *testing.T) {
-	unbounded, err := NewSession(pingPongManifest(), true)
+	unbounded, err := NewSession(pingPongManifest(), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	unbounded.Run()
-	ample, err := NewSessionWithBudget(pingPongManifest(), 1<<20)
+	ample, err := NewSession(pingPongManifest(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSessionAmpleBudgetMatchesUnbounded(t *testing.T) {
 
 func TestSessionFetcherPayloadAndFailure(t *testing.T) {
 	m := pingPongManifest()
-	s, err := NewSessionWithBudget(m, -1)
+	s, err := NewSession(m, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

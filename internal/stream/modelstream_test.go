@@ -78,7 +78,7 @@ func TestManifestValidateModelStream(t *testing.T) {
 // costs its full payload, and the breakdown sums to ModelBytes.
 func TestSessionModelStreamAccounting(t *testing.T) {
 	m := modelStreamManifest()
-	s, err := NewSession(m, true)
+	s, err := NewSession(m, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestSessionModelStreamAccounting(t *testing.T) {
 func TestSessionModelStreamBackboneFirstDelta(t *testing.T) {
 	m := modelStreamManifest()
 	m.Segments = m.Segments[1:6] // labels 1,1,2,2,2 — no backbone segment
-	s, err := NewSession(m, true)
+	s, err := NewSession(m, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,14 @@
 //	 live inside)
 //
 // A Fetcher downloads one artifact; the two backends differ only there.
-// Assembler owns the model-stream order, Session owns the session policy
-// and is the single accounting record, and Session.Play drives the
-// decoder. NewSession opens a manifest-only session over the manifest's
-// declared sizes — the bandwidth experiments' simulation — through the
-// same code.
+// Every playback, in process or over the wire, is the same two calls:
+// Open over the backend with Options (DefaultOptions unless the caller
+// chooses otherwise), then Session.Play, whose span parent rides the ctx
+// (obs.WithSpan). Assembler owns the model-stream order, Session owns the
+// session policy and is the single accounting record, and Session.Play
+// drives the decoder. NewSession opens a manifest-only session over the
+// manifest's declared sizes — the bandwidth experiments' simulation —
+// through the same code.
 //
 // # Fault model
 //
@@ -263,8 +266,9 @@ type Accounting struct {
 	CacheBytes int64
 }
 
-// Options configures a Session: the union of what core.Player exposes
-// and what a caller of stream.Open over transport.Client.Video chooses.
+// Options configures a Session, whichever Fetcher backs it: the
+// in-memory *core.Prepared or a transport.Client.Video. DefaultOptions is
+// the session every client plays unless told otherwise.
 type Options struct {
 	// Enhance toggles SR entirely: false fetches no models and plays the
 	// raw low-quality video (the "LOW" series of paper Fig 9).
@@ -295,6 +299,13 @@ type Options struct {
 	Log *obs.Logger
 }
 
+// DefaultOptions returns the default session: enhancement on, int8 wherever
+// the manifest arms it, an unbounded model cache (Algorithm 1) and
+// drift-free delta propagation, with no Obs or Log.
+func DefaultOptions() Options {
+	return Options{Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta}
+}
+
 // Session is one client streaming session and its accounting record:
 // segments are downloaded in order and each segment's micro model is
 // fetched only on cache miss (Algorithm 1). The cache holds the
@@ -302,17 +313,13 @@ type Options struct {
 // the budget is exceeded the least-recently-used model is evicted, and an
 // evicted label's next reference re-fetches it lazily — same retry path
 // as a degraded fetch, driven by capacity instead of failure. The zero
-// value is not usable; call Open, NewSession or NewSessionWithBudget.
+// value is not usable; call Open or NewSession.
 type Session struct {
 	Options
 	// Fetcher performs every download. Wrap it (before the first step) to
 	// inject faults or time fetches. A Fetcher error on a model artifact
 	// degrades the segment; on a segment it aborts the step.
 	Fetcher Fetcher
-	// Trace, when set, receives one "segment_fetch" child span per step
-	// (the rows of paper Fig 7 as a trace); requests issued during the
-	// step hang their attempt spans off it.
-	Trace *obs.Span
 
 	Events []Event
 	Accounting
@@ -349,20 +356,11 @@ func Open(m *Manifest, cfg edsr.Config, f Fetcher, o Options) (*Session, error) 
 }
 
 // NewSession starts a manifest-only session: every download succeeds
-// instantly at its manifest-declared size. When useCache is false every
-// segment re-downloads its model (the ablation of paper §3.2.2). Caching
-// is unbounded, the paper's Algorithm 1 behaviour; use
-// NewSessionWithBudget to bound it.
-func NewSession(m *Manifest, useCache bool) (*Session, error) {
-	budget := int64(-1)
-	if !useCache {
-		budget = 0
-	}
-	return NewSessionWithBudget(m, budget)
-}
-
-// NewSessionWithBudget is NewSession with Options.CacheBudget semantics.
-func NewSessionWithBudget(m *Manifest, budget int64) (*Session, error) {
+// instantly at its manifest-declared size, and budget bounds the model
+// cache as Options.CacheBudget does (< 0 unbounded, the paper's
+// Algorithm 1; 0 every segment re-downloads its model, the ablation of
+// paper §3.2.2).
+func NewSession(m *Manifest, budget int64) (*Session, error) {
 	return Open(m, edsr.Config{}, declared{m}, Options{Enhance: true, CacheBudget: budget})
 }
 
@@ -388,8 +386,11 @@ func (s *Session) Step(seg SegmentInfo) Event {
 // the segment payload, then — on cache miss — its micro model, armed for
 // int8 when the manifest says so. A failed model fetch degrades the step
 // (nil model) unless ctx is done; a failed segment fetch is the error.
+// The step's "segment_fetch" span (the rows of paper Fig 7 as a trace) is
+// a child of the span ctx carries, and the step's requests hang their
+// attempt spans off it; a ctx without a span records none.
 func (s *Session) Fetch(ctx context.Context, seg SegmentInfo) ([]byte, *edsr.Model, error) {
-	sp := s.Trace.Child("segment_fetch")
+	sp := obs.SpanFrom(ctx).Child("segment_fetch")
 	defer sp.End()
 	sp.Set("segment", seg.Index)
 	ctx = obs.WithSpan(ctx, sp)
@@ -480,8 +481,15 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 
 // Play runs the whole session: per segment, Fetch, then decode with the
 // segment's model patched into the decoder's I-frame hook. It returns the
-// frames in display order and the decoder's statistics.
+// frames in display order and the decoder's statistics. The segment spans
+// hang off the span ctx carries, or, when it carries none, off a "play"
+// root Play starts under Options.Obs.
 func (s *Session) Play(ctx context.Context) ([]*video.YUV, codec.DecodeStats, error) {
+	if obs.SpanFrom(ctx) == nil {
+		root := s.Obs.Start("play")
+		defer root.End()
+		ctx = obs.WithSpan(ctx, root)
+	}
 	dec := codec.Decoder{Mode: s.Propagation, Obs: s.Obs}
 	var out []*video.YUV
 	for _, seg := range s.manifest.Segments {

@@ -27,7 +27,7 @@ func paperFig7Manifest() *Manifest {
 
 func TestPaperFig7WalkThrough(t *testing.T) {
 	m := paperFig7Manifest()
-	s, err := NewSession(m, true)
+	s, err := NewSession(m, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPaperFig7WalkThrough(t *testing.T) {
 
 func TestNoCacheDownloadsEverySegment(t *testing.T) {
 	m := paperFig7Manifest()
-	s, err := NewSession(m, false)
+	s, err := NewSession(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestNoCacheDownloadsEverySegment(t *testing.T) {
 		t.Errorf("no-cache hits = %d", s.CacheHits)
 	}
 	// Caching saves exactly the re-downloads: 1×110 + 2×120.
-	withCache, _ := NewSession(m, true)
+	withCache, _ := NewSession(m, -1)
 	withCache.Run()
 	if saved := s.ModelBytes - withCache.ModelBytes; saved != 110+120+120 {
 		t.Errorf("cache saved %d bytes, want %d", saved, 110+120+120)
@@ -88,7 +88,7 @@ func TestSegmentsWithoutModels(t *testing.T) {
 		},
 		Models: map[int]ModelInfo{},
 	}
-	s, err := NewSession(m, true)
+	s, err := NewSession(m, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestManifestValidate(t *testing.T) {
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("Validate() = %v, wantErr=%v", err, tc.wantErr)
 			}
-			if _, serr := NewSession(m, true); (serr != nil) != tc.wantErr {
+			if _, serr := NewSession(m, -1); (serr != nil) != tc.wantErr {
 				t.Fatalf("NewSession error = %v, wantErr=%v", serr, tc.wantErr)
 			}
 		})
@@ -192,7 +192,7 @@ func (f faultyFetcher) Fetch(ctx context.Context, kind Kind, arg int) ([]byte, e
 
 func TestSessionDegradesOnFetchFailure(t *testing.T) {
 	m := paperFig7Manifest()
-	s, err := NewSession(m, true)
+	s, err := NewSession(m, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +236,9 @@ func TestSessionDegradesOnFetchFailure(t *testing.T) {
 
 func TestSessionFetcherAllSucceedMatchesSeed(t *testing.T) {
 	m := paperFig7Manifest()
-	plain, _ := NewSession(m, true)
+	plain, _ := NewSession(m, -1)
 	plain.Run()
-	hooked, _ := NewSession(m, true)
+	hooked, _ := NewSession(m, -1)
 	hooked.Fetcher = faultyFetcher{hooked.Fetcher, func(int) error { return nil }}
 	hooked.Run()
 	if !reflect.DeepEqual(plain.Events, hooked.Events) {

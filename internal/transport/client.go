@@ -515,11 +515,10 @@ type PlayStats struct {
 }
 
 // PlayCtx plays the default video through the playback engine
-// (stream.Session) with default options: enhancement as asked, int8
-// wherever the manifest arms it, an unbounded model cache. Callers that
-// need other options or another video open stream.Open over
-// c.Video(id) themselves. The session runs under a client_play root span;
-// see stream.Session for the failure semantics.
+// (stream.Session) with stream.DefaultOptions and enhancement as asked.
+// Callers that need other options or another video open stream.Open over
+// c.Video(id) themselves. The session, manifest fetch included, runs under
+// a client_play root span; see stream.Session for the failure semantics.
 func (c *Client) PlayCtx(ctx context.Context, enhance bool) ([]*video.YUV, *PlayStats, error) {
 	root := c.Obs.Start("client_play")
 	defer root.End()
@@ -529,14 +528,12 @@ func (c *Client) PlayCtx(ctx context.Context, enhance bool) ([]*video.YUV, *Play
 	if err != nil {
 		return nil, nil, err
 	}
-	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, stream.Options{
-		Enhance: enhance, Int8: true, CacheBudget: -1,
-		Propagation: codec.PropagateDelta, Obs: c.Obs, Log: c.Log,
-	})
+	opts := stream.DefaultOptions()
+	opts.Enhance, opts.Obs, opts.Log = enhance, c.Obs, c.Log
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	sess.Trace = root
 	frames, dec, err := sess.Play(ctx)
 	if err != nil {
 		return nil, nil, err

@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"dcsr/internal/codec"
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
 	"dcsr/internal/faultnet"
@@ -151,9 +150,7 @@ func Example_multiVideoServer() {
 	if err != nil {
 		panic(err)
 	}
-	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, stream.Options{
-		Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta,
-	})
+	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, stream.DefaultOptions())
 	if err != nil {
 		panic(err)
 	}

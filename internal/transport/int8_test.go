@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dcsr/internal/codec"
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
 	"dcsr/internal/splitter"
@@ -48,8 +47,8 @@ func getInt8Fixture(t testing.TB) *core.Prepared {
 // wireOpts are PlayCtx's session options; f32Opts keep every model on
 // float32 (the precision ablation).
 var (
-	wireOpts = stream.Options{Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta}
-	f32Opts  = stream.Options{Enhance: true, Int8: false, CacheBudget: -1, Propagation: codec.PropagateDelta}
+	wireOpts = stream.DefaultOptions()
+	f32Opts  = func() stream.Options { o := stream.DefaultOptions(); o.Int8 = false; return o }()
 )
 
 // playWire plays srv's default video over a pipe (see playVideo).
@@ -70,7 +69,22 @@ func playVideo(t *testing.T, v Video, opts stream.Options) ([]*video.YUV, *PlayS
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, opts)
+	return playOver(t, wm.Manifest(), wm.MicroConfig, v, opts)
+}
+
+// playLocal plays prep in process — the same engine over the prepared
+// stream itself — so the local and the wire backend compare field for
+// field.
+func playLocal(t *testing.T, prep *core.Prepared, opts stream.Options) ([]*video.YUV, *PlayStats) {
+	t.Helper()
+	return playOver(t, prep.Manifest, prep.MicroConfig, prep, opts)
+}
+
+// playOver plays manifest m through the engine over f with opts and
+// summarizes the session the way PlayCtx does.
+func playOver(t *testing.T, m *stream.Manifest, cfg edsr.Config, f stream.Fetcher, opts stream.Options) ([]*video.YUV, *PlayStats) {
+	t.Helper()
+	sess, err := stream.Open(m, cfg, f, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,20 +94,6 @@ func playVideo(t *testing.T, v Video, opts stream.Options) ([]*video.YUV, *PlayS
 	}
 	return out, &PlayStats{Accounting: sess.Accounting, DecodeStats: dec,
 		Segments: len(sess.Events), ModelDownloads: sess.Downloads}
-}
-
-// playLocal plays prep in process (core.Player), summarized as PlayStats
-// so the local and the wire backend compare field for field.
-func playLocal(t *testing.T, prep *core.Prepared, noInt8 bool) ([]*video.YUV, *PlayStats) {
-	t.Helper()
-	pl := core.NewPlayer(prep)
-	pl.Int8 = !noInt8
-	res, err := pl.Play()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Frames, &PlayStats{Accounting: res.Accounting, DecodeStats: res.Decode,
-		Segments: len(res.Events), ModelDownloads: res.Downloads}
 }
 
 func framesEqual(a, b []*video.YUV) bool {
@@ -129,8 +129,8 @@ func TestPlayInt8OverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refStats := playLocal(t, prep, false)
-	refF, refStatsF := playLocal(t, prep, true)
+	ref, refStats := playLocal(t, prep, wireOpts)
+	refF, refStatsF := playLocal(t, prep, f32Opts)
 	out, stats := playWire(t, srv, wireOpts)
 	if stats.Enhanced == 0 || stats.EnhancedInt8 != stats.Enhanced {
 		t.Fatalf("int8 playback enhanced %d frames, %d on int8; want all on int8",

@@ -87,8 +87,8 @@ func TestPlayModelStreamOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, refStats := playLocal(t, prep, false)
-	refF, refStatsF := playLocal(t, prep, true)
+	ref, refStats := playLocal(t, prep, wireOpts)
+	refF, refStatsF := playLocal(t, prep, f32Opts)
 	opts := wireOpts
 	opts.Obs = obs.New()
 	out, stats := playWire(t, srv, opts)
@@ -201,11 +201,8 @@ func TestModelStreamInterop(t *testing.T) {
 		t.Fatalf("fallback session breakdown wrong: full %d of %d, backbone %d",
 			stats.FullModelBytes, stats.ModelBytes, stats.BackboneBytes)
 	}
-	ref, err := core.NewPlayer(prep).Play()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !framesEqual(out, ref.Frames) {
+	ref, _ := playLocal(t, prep, wireOpts)
+	if !framesEqual(out, ref) {
 		t.Fatal("new-client/old-server playback differs from origin playback")
 	}
 
@@ -286,10 +283,7 @@ func TestModelStreamCorruptionFallsBack(t *testing.T) {
 		t.Skip("trains the pipeline; skipped in short mode")
 	}
 	prep := getDeltaFixture(t)
-	ref, err := core.NewPlayer(prep).Play()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := playLocal(t, prep, wireOpts)
 
 	// Corrupt one delta payload in the serving buffers.
 	srv, err := NewServer(prep)
@@ -308,7 +302,7 @@ func TestModelStreamCorruptionFallsBack(t *testing.T) {
 		t.Fatal("no delta payload to corrupt")
 	}
 	out, stats := playWire(t, srv, wireOpts)
-	if !framesEqual(out, ref.Frames) {
+	if !framesEqual(out, ref) {
 		t.Fatal("playback with a corrupted delta differs from origin playback")
 	}
 	if stats.FullModelBytes == 0 {
@@ -327,7 +321,7 @@ func TestModelStreamCorruptionFallsBack(t *testing.T) {
 	if !cf.hit {
 		t.Fatal("the session never fetched the backbone")
 	}
-	if !framesEqual(out2, ref.Frames) {
+	if !framesEqual(out2, ref) {
 		t.Fatal("playback with a corrupted backbone differs from origin playback")
 	}
 	counters := o2.Metrics.Snapshot().Counters
@@ -350,10 +344,7 @@ func TestCorruptFullFallbackDegrades(t *testing.T) {
 		t.Skip("trains the pipeline; skipped in short mode")
 	}
 	prep := getDeltaFixture(t)
-	ref, err := core.NewPlayer(prep).Play()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref, _ := playLocal(t, prep, wireOpts)
 	srv, err := NewServer(prep)
 	if err != nil {
 		t.Fatal(err)
@@ -377,15 +368,15 @@ func TestCorruptFullFallbackDegrades(t *testing.T) {
 		t.Fatalf("corrupted delta and full payload of model %d: %d degraded, %d fallbacks, %d fetch failures; want the label degraded",
 			label, sess.DegradedSegments, counters["modelstream_fallback_total"], counters["model_fetch_failures_total"])
 	}
-	if len(out) != len(ref.Frames) {
-		t.Fatalf("played %d frames, origin %d", len(out), len(ref.Frames))
+	if len(out) != len(ref) {
+		t.Fatalf("played %d frames, origin %d", len(out), len(ref))
 	}
 	for i, seg := range prep.Manifest.Segments {
 		ev := sess.Events[i]
 		if ev.Degraded != (seg.ModelLabel == label) {
 			t.Errorf("segment %d (model %d): degraded = %v", seg.Index, seg.ModelLabel, ev.Degraded)
 		}
-		if !ev.Degraded && !framesEqual(out[seg.Start:seg.End], ref.Frames[seg.Start:seg.End]) {
+		if !ev.Degraded && !framesEqual(out[seg.Start:seg.End], ref[seg.Start:seg.End]) {
 			t.Errorf("segment %d (model %d) differs from origin playback", seg.Index, seg.ModelLabel)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"dcsr/internal/codec"
 	"dcsr/internal/faultnet"
 	"dcsr/internal/obs"
 	"dcsr/internal/stream"
@@ -248,13 +247,12 @@ func TestEndToEndTraceRetrievable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, mux.Video(0), stream.Options{
-				Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta, Obs: co,
-			})
+			opts := stream.DefaultOptions()
+			opts.Obs = co
+			sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, mux.Video(0), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sess.Trace = root
 			if _, _, err := sess.Play(ctx); err != nil {
 				t.Fatal(err)
 			}

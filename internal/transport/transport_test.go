@@ -86,14 +86,11 @@ func TestServeOverPipe(t *testing.T) {
 		t.Error("no I frames enhanced during streamed playback")
 	}
 	// Streamed+enhanced playback must match in-process playback quality.
-	local, err := core.NewPlayer(prep).Play()
-	if err != nil {
-		t.Fatal(err)
-	}
+	local, _ := playLocal(t, prep, wireOpts)
 	for i := range out {
-		if quality.PSNRYUV(local.Frames[i], out[i]) < 99 { // identical decode paths
+		if quality.PSNRYUV(local[i], out[i]) < 99 { // identical decode paths
 			// Allow exact comparison failure to be diagnosed.
-			if psnr := quality.PSNRYUV(local.Frames[i], out[i]); psnr < 45 {
+			if psnr := quality.PSNRYUV(local[i], out[i]); psnr < 45 {
 				t.Fatalf("frame %d: streamed decode differs from local (%.1f dB)", i, psnr)
 			}
 		}

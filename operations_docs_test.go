@@ -14,6 +14,7 @@ import (
 	"dcsr/internal/lint"
 	"dcsr/internal/obs"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/transport"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
@@ -74,22 +75,28 @@ func TestOperationsDocMetrics(t *testing.T) {
 	// Local playback: session accounting plus codec decode/enhance. The
 	// unbounded cache registers the modelstore put/hit counters and the
 	// resident-bytes gauge.
-	player := core.NewPlayer(prep)
-	player.Obs = o
-	if _, err := player.Play(); err != nil {
-		t.Fatal(err)
+	playLocal := func(opts stream.Options) *stream.Session {
+		t.Helper()
+		sess, err := stream.Open(prep.Manifest, prep.MicroConfig, prep, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sess.Play(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return sess
 	}
+	opts := stream.DefaultOptions()
+	opts.Obs = o
+	playLocal(opts)
 
 	// Bounded playback: a budget that fits a single model forces LRU
 	// evictions and lazy re-downloads (modelstore_evictions_total).
-	bounded := core.NewPlayer(prep)
-	bounded.Obs = o
+	bounded := opts
 	for _, mi := range prep.Manifest.Models {
 		bounded.CacheBudget = max(bounded.CacheBudget, int64(mi.Bytes))
 	}
-	if res, err := bounded.Play(); err != nil {
-		t.Fatal(err)
-	} else if res.Evictions == 0 {
+	if playLocal(bounded).Evictions == 0 {
 		t.Fatal("bounded playback produced no evictions; doc-coverage run is incomplete")
 	}
 
