@@ -33,10 +33,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Repo-specific static analysis (docs/LINTING.md), nine analyzers:
+# Repo-specific static analysis (docs/LINTING.md), seven analyzers:
 # metric-name discipline, determinism, error handling, goroutine joins,
-# context threading, lock ordering, typed atomics, error matching and
-# timer hygiene.
+# context threading, typed atomics and error matching.
 lint:
 	$(GO) run ./cmd/dcsr-lint ./...
 

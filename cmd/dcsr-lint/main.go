@@ -2,16 +2,15 @@
 // (internal/lint) over module packages and reports every invariant
 // violation: undocumented or malformed metric names, nondeterminism in
 // the deterministic packages, silently discarded errors, unjoined
-// goroutines, misplaced or stored contexts, lock-order cycles and leaked
-// locks, function-form atomics on struct fields, identity-compared
-// sentinel errors, and leaked timers.
+// goroutines, misplaced or stored contexts, function-form atomics on
+// struct fields, and identity-compared sentinel errors.
 // The analyzers and the //lint:allow suppression policy are catalogued
 // in docs/LINTING.md.
 //
 // Usage:
 //
 //	dcsr-lint ./...
-//	dcsr-lint -json ./internal/transport
+//	dcsr-lint ./internal/transport
 //	dcsr-lint -v ./...
 //
 // Every run parses, type-checks and analyzes the matched packages one
@@ -21,11 +20,10 @@
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load error.
 // The same pass gates `go test` through TestLintRepo, so CI needs no
-// separate toolchain; -json exists for future machine consumption.
+// separate toolchain.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,10 +33,9 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	verbose := flag.Bool("v", false, "report degraded-analysis warnings and total wall time")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcsr-lint [-json] [-v] [packages]\n\npackages default to ./...; patterns support dir and dir/... forms\n")
+		fmt.Fprintf(os.Stderr, "usage: dcsr-lint [-v] [packages]\n\npackages default to ./...; patterns support dir and dir/... forms\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -66,24 +63,11 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "dcsr-lint: total %s\n", time.Since(start).Round(time.Millisecond))
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "dcsr-lint: %d diagnostic(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "dcsr-lint: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -80,19 +80,3 @@ func ExampleEncodeVideo() {
 	// Output:
 	// QP 48 smaller than QP 12: true
 }
-
-// ExampleLint runs the repository's own static-analysis pass over the
-// module. A clean tree reports no diagnostics; any output lines would be
-// file:line:col findings from the nine checks docs/LINTING.md
-// catalogues, such as metricnames, nodeterm, errcheck or goleak.
-func ExampleLint() {
-	diags, err := dcsr.Lint(".")
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("diagnostics:", len(diags))
-	for _, d := range diags {
-		fmt.Println(d)
-	}
-	// Output: diagnostics: 0
-}

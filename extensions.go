@@ -6,7 +6,6 @@ import (
 	"dcsr/internal/abr"
 	"dcsr/internal/core"
 	"dcsr/internal/faultnet"
-	"dcsr/internal/lint"
 	"dcsr/internal/transport"
 )
 
@@ -127,19 +126,3 @@ func SaveArtifact(p *Prepared, dir string) error { return p.Save(dir) }
 // LoadArtifact opens a complete artifact: one SaveArtifact wrote, or the
 // CheckpointDir of a finished Prepare. Every payload is hash-checked.
 func LoadArtifact(dir string) (*Prepared, error) { return core.Load(dir) }
-
-// Static analysis (docs/LINTING.md). The same pass gates `go test`
-// through TestLintRepo and `make lint` through cmd/dcsr-lint.
-
-// Diagnostic is one static-analysis finding: file/line/column position,
-// the reporting check's name, and the message.
-type Diagnostic = lint.Diagnostic
-
-// Lint runs the repository's static-analysis pass — the nine analyzers
-// docs/LINTING.md catalogues (metricnames, nodeterm, errcheck, goleak,
-// ctxcheck, lockorder, atomicfield, errcmp, timerleak) with
-// //lint:allow suppression applied — over the Go module
-// containing dir and returns the surviving diagnostics sorted by
-// position. An empty result means the tree upholds every machine-checked
-// invariant.
-func Lint(dir string) ([]Diagnostic, error) { return lint.Lint(dir) }

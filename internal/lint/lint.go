@@ -16,25 +16,22 @@
 //     completion signal (WaitGroup, channel, close)
 //   - ctxcheck — context.Context is always the first parameter and is
 //     never stored in a struct field
-//   - lockorder — mutexes are acquired in one consistent order
-//     module-wide per package (a cycle in the acquisition graph is a
-//     latent deadlock) and every Lock is released on every return path
 //   - atomicfield — a struct field shared through sync/atomic is a
 //     typed atomic, never handed to the function-form API
 //   - errcmp — sentinel and typed errors are matched with
 //     errors.Is/errors.As, never == / != or type assertions
-//   - timerleak — no time.After in loops; NewTimer/NewTicker results
-//     are stopped or handed off
 //
-// The nil-receiver contract of the obs handles is not an analyzer: a
-// test in internal/obs calls every exported handle method on nil.
+// Contracts that are not analyzers: a test in internal/obs calls every
+// exported obs handle method on nil, and TestFaultSoak in
+// internal/transport soaks the delivery path under -race for leaked
+// goroutines and heap. The lock order is written at the mutex
+// declarations.
 //
-// Analyzers that look one call deep (goleak, lockorder, timerleak) read
-// the same-package callee's declaration where they need it, through
-// Pass.callee; there is no precomputed summary layer.
+// goleak, which looks one call deep, reads the same-package callee's
+// declaration through Pass.callee; there is no precomputed summary layer.
 //
 // The Runner analyzes packages one after another: parsing and
-// type-checking are all but the whole run (the nine analyzers are about
+// type-checking are all but the whole run (the seven analyzers are about
 // 2 % of a cold ./...), so there is no worker pool and no diagnostic
 // cache. Output is sorted by file, line, column, check, message.
 //
@@ -59,11 +56,11 @@ import (
 
 // Diagnostic is one analyzer finding at a source position.
 type Diagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
+	File    string
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -255,10 +252,8 @@ func DefaultAnalyzers(m *Module) ([]Analyzer, error) {
 			PkgPaths: map[string]bool{m.Path + "/internal/transport": true}},
 		&GoLeak{},
 		&CtxCheck{},
-		&LockOrder{},
 		&AtomicField{},
 		&ErrCmp{},
-		&TimerLeak{},
 	}, nil
 }
 

@@ -67,17 +67,11 @@ func TestFixtures(t *testing.T) {
 		{"ctxcheck", func(path string) []Analyzer {
 			return []Analyzer{&CtxCheck{}}
 		}},
-		{"lockorder", func(path string) []Analyzer {
-			return []Analyzer{&LockOrder{}}
-		}},
 		{"atomicfield", func(path string) []Analyzer {
 			return []Analyzer{&AtomicField{}}
 		}},
 		{"errcmp", func(path string) []Analyzer {
 			return []Analyzer{&ErrCmp{}}
-		}},
-		{"timerleak", func(path string) []Analyzer {
-			return []Analyzer{&TimerLeak{}}
 		}},
 	}
 	for _, tc := range cases {
@@ -202,7 +196,8 @@ func TestParseDirective(t *testing.T) {
 // "directive" diagnostic, the underlying findings those comments failed
 // to suppress survive, and the one valid directive in the file still
 // works — while an attempt to allow the "directive" pseudo-check itself,
-// or a retired analyzer, is rejected as unknown.
+// or a retired analyzer (nilsafe, lockorder, timerleak), is rejected as
+// unknown.
 func TestDirectiveDiagnostics(t *testing.T) {
 	m := newTestModule(t)
 	rel := fixtureBase + "/directive"
@@ -233,7 +228,9 @@ func TestDirectiveDiagnostics(t *testing.T) {
 		`unknown check "bogus"`,
 		`//lint:allow nodeterm is missing the required reason`,
 		`unknown check "directive"`,
-		`unknown check "nilsafe" \(known checks: atomicfield, ctxcheck, errcheck, errcmp, goleak, lockorder, metricnames, nodeterm, timerleak\)`,
+		`unknown check "nilsafe" \(known checks: atomicfield, ctxcheck, errcheck, errcmp, goleak, metricnames, nodeterm\)`,
+		`unknown check "lockorder"`,
+		`unknown check "timerleak"`,
 	}
 	if len(directive) != len(wantDirective) {
 		t.Errorf("got %d directive diagnostics, want %d: %v", len(directive), len(wantDirective), directive)
@@ -250,7 +247,7 @@ func TestDirectiveDiagnostics(t *testing.T) {
 			t.Errorf("no directive diagnostic matches %q", re)
 		}
 	}
-	// The four malformed directives and the retired check suppress
+	// The four malformed directives and the retired checks suppress
 	// nothing, so their functions' wall-clock reads must all survive; the
 	// valid directive inside Unsuppressable removes the sixth.
 	if len(nodeterm) != 5 {

@@ -70,7 +70,7 @@ func (c AdmissionConfig) limited() bool {
 type admission struct {
 	cfg AdmissionConfig
 
-	mu       sync.Mutex
+	mu       sync.Mutex // taken after a connGate.mu, never the reverse
 	inflight int
 	peak     int
 	perOp    map[byte]int
@@ -97,7 +97,7 @@ type connGate struct {
 	adm *admission
 	now func() time.Time
 
-	mu       sync.Mutex
+	mu       sync.Mutex // taken before adm.mu, never the reverse
 	inflight int
 	peak     int
 	tokens   float64

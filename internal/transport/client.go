@@ -62,6 +62,7 @@ type Client struct {
 
 	// dialMu serializes redials, so a burst of requests that watched one
 	// connection die produces one fresh connection, not one per request.
+	// Lock order: dialMu before mu and before statsMu, never the reverse.
 	dialMu sync.Mutex
 	mu     sync.Mutex // guards cur and closed
 	cur    *link
