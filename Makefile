@@ -64,9 +64,10 @@ fuzz-smoke:
 
 # Kernel microbenchmarks: the tensor kernels (the int8 body convolution
 # once per lane the host has, BenchmarkConv2DInferInt8/
-# {vnni,avx2,portable}) and the alloc-free Enhance path in both precisions
-# (BenchmarkEnhanceInt8270p is the whole int8 frame), with allocation
-# stats; the gated end-to-end and per-layer numbers are bench-e2e's. Also
+# {vnni,avx2,portable}), the alloc-free Enhance path in both precisions
+# (BenchmarkEnhanceInt8270p is the whole int8 frame) and the reused
+# decoder (BenchmarkDecode, MB/op = the frames it returns), with
+# allocation stats; the gated end-to-end and per-layer numbers are bench-e2e's. Also
 # writes, via dcsr-bench, BENCH_swarm.json (the fleet-load harness: 1000
 # concurrent clients vs admission control — p50/p99 per op, shed rate,
 # Jain fairness; the capacity-planning numbers docs/SERVING.md works
@@ -75,6 +76,7 @@ fuzz-smoke:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkGEMM|BenchmarkConv2DInfer|BenchmarkIm2col' -benchmem ./internal/tensor/
 	$(GO) test -run '^$$' -bench 'BenchmarkEnhance(Int8)?(270|540)p|BenchmarkForwardInference' -benchmem ./internal/edsr/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchmem ./internal/codec/
 	$(GO) run ./cmd/dcsr-bench -fast -only swarm -json BENCH_swarm.json
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): all

@@ -58,10 +58,12 @@ func BenchmarkDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			// One decoder across iterations, as a playback session reuses
+			// one across segments.
+			dec := c.dec
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dec := c.dec
 				out, err := dec.Decode(st)
 				if err != nil {
 					b.Fatal(err)

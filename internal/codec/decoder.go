@@ -18,6 +18,11 @@ import (
 // the numeric path it ran (int8 for clusters that passed the server's
 // calibration quality gate, float32 for the rest), and the decoder
 // attributes each enhancement to it.
+//
+// The input belongs to the decoder: once it leaves the DPB the decoder
+// reuses its planes for a later picture, so a hook must not retain it.
+// A hook returns either the input itself, to decline, or a frame that
+// shares no plane with it.
 type FrameEnhancer interface {
 	EnhanceIFrame(display int, f *video.YUV) (*video.YUV, Precision)
 }
@@ -117,6 +122,12 @@ func (s DecodeStats) Frames() int { return s.IFrames + s.PFrames + s.BFrames }
 // mechanism. Mode selects between the paper-literal DPB replacement and
 // drift-free delta propagation. The zero value is a ready-to-use decoder
 // without enhancement.
+//
+// Under PropagateDelta the plain reconstruction chain is never
+// displayed; a Decoder keeps those pictures once they leave the DPB and
+// decodes later plain pictures into them, across Decode calls, so a
+// reused Decoder allocates only the frames it returns. A copy of a
+// Decoder starts with none of them.
 type Decoder struct {
 	Enhancer FrameEnhancer
 	Mode     Propagation
@@ -132,6 +143,46 @@ type Decoder struct {
 	// means time.Now. Tests inject a fake clock to make the recorded
 	// latencies deterministic.
 	Now func() time.Time
+
+	// free holds plain pictures that left the DPB undisplayed, at most
+	// maxFree; self detects a copied Decoder, which must not share them
+	// (the check strings.Builder makes).
+	free []*video.YUV
+	self *Decoder
+}
+
+// maxFree is the DPB depth: two anchors and a B frame's plain picture.
+const maxFree = 3
+
+// picture returns a w×h picture for a decode that writes every sample:
+// a recycled one when the free list holds it, else a new one. A
+// recycled picture of another size is dropped.
+func (d *Decoder) picture(w, h int) *video.YUV {
+	for n := len(d.free); n > 0; n = len(d.free) {
+		f := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		if f.W == w && f.H == h {
+			return f
+		}
+	}
+	return video.NewYUV(w, h)
+}
+
+// recycle puts a plain picture that was never displayed on the free
+// list.
+func (d *Decoder) recycle(f *video.YUV) {
+	if len(d.free) < maxFree {
+		d.free = append(d.free, f)
+	}
+}
+
+// retire recycles the plain picture of an anchor leaving the DPB; one
+// that is also displayed (no enhancement delta) stays with the caller.
+func (d *Decoder) retire(rp *refPair) {
+	if rp != nil && rp.hasDelta() {
+		d.recycle(rp.plain)
+	}
 }
 
 // Decode reconstructs all frames of s in display order.
@@ -163,6 +214,9 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 	if now == nil {
 		now = time.Now
 	}
+	if d.self != d {
+		d.self, d.free = d, nil
+	}
 	out := make([]*video.YUV, frameSpan(s))
 	var prevAnchor, lastAnchor *refPair
 	for i := range s.Frames {
@@ -176,8 +230,8 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 		var display *video.YUV
 		switch ef.Type {
 		case FrameI:
-			f, err := decodeIFrame(r, s.W, s.H, qstep)
-			if err != nil {
+			f := d.picture(s.W, s.H)
+			if err := decodeIFrame(r, f, qstep); err != nil {
 				return nil, fmt.Errorf("codec: I frame %d: %w", ef.Display, err)
 			}
 			d.Stats.IFrames++
@@ -218,25 +272,31 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 				pair.plain = enh
 			}
 			display = enh
+			d.retire(prevAnchor)
 			prevAnchor, lastAnchor = lastAnchor, pair
 		case FrameP:
 			if lastAnchor == nil {
 				return nil, fmt.Errorf("codec: P frame %d before any anchor", ef.Display)
 			}
-			pair, err := decodePFrame(r, s.W, s.H, lastAnchor, qstep)
+			pair, err := decodePFrame(r, d.picture(s.W, s.H), lastAnchor, qstep)
 			if err != nil {
 				return nil, fmt.Errorf("codec: P frame %d: %w", ef.Display, err)
 			}
 			d.Stats.PFrames++
 			display = pair.enh
+			d.retire(prevAnchor)
 			prevAnchor, lastAnchor = lastAnchor, pair
 		case FrameB:
 			if prevAnchor == nil || lastAnchor == nil {
 				return nil, fmt.Errorf("codec: B frame %d lacks two anchors", ef.Display)
 			}
-			f, err := decodeBFrame(r, s.W, s.H, prevAnchor, lastAnchor, qstep)
+			plain := d.picture(s.W, s.H)
+			f, err := decodeBFrame(r, plain, prevAnchor, lastAnchor, qstep)
 			if err != nil {
 				return nil, fmt.Errorf("codec: B frame %d: %w", ef.Display, err)
+			}
+			if f != plain {
+				d.recycle(plain)
 			}
 			d.Stats.BFrames++
 			display = f
@@ -251,6 +311,8 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 			return nil, fmt.Errorf("codec: display slot %d never decoded", i)
 		}
 	}
+	d.retire(prevAnchor)
+	d.retire(lastAnchor)
 	frameCtr.Add(int64(len(s.Frames)))
 	return out, nil
 }
@@ -278,25 +340,25 @@ func minFrameBits(t FrameType, w, h int) int {
 	return 8 + mbs
 }
 
-func decodeIFrame(r *BitReader, w, h int, qstep float64) (*video.YUV, error) {
+// decodeIFrame reconstructs an I frame into f, writing every sample.
+func decodeIFrame(r *BitReader, f *video.YUV, qstep float64) error {
 	dbBit, err := r.ReadBit()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	f := video.NewYUV(w, h)
-	if err := decodePlaneIntra(r, f.Y, w, h, qstep); err != nil {
-		return nil, err
+	if err := decodePlaneIntra(r, f.Y, f.W, f.H, qstep); err != nil {
+		return err
 	}
 	if err := decodePlaneIntra(r, f.U, f.ChromaW(), f.ChromaH(), qstep); err != nil {
-		return nil, err
+		return err
 	}
 	if err := decodePlaneIntra(r, f.V, f.ChromaW(), f.ChromaH(), qstep); err != nil {
-		return nil, err
+		return err
 	}
 	if dbBit == 1 {
 		deblockFrame(f, qstep)
 	}
-	return f, nil
+	return nil
 }
 
 func decodePlaneIntra(r *BitReader, rec []uint8, pw, ph int, qstep float64) error {
@@ -432,12 +494,15 @@ func readInterFlags(r *BitReader) (hp, deblock bool, err error) {
 	return v&2 != 0, v&1 != 0, err
 }
 
-func decodePFrame(r *BitReader, w, h int, ref *refPair, qstep float64) (*refPair, error) {
+// decodePFrame reconstructs a P frame's plain picture into f, writing
+// every sample, and, when ref carries an enhancement delta, a new
+// enhanced picture beside it.
+func decodePFrame(r *BitReader, f *video.YUV, ref *refPair, qstep float64) (*refPair, error) {
 	hp, deblock, err := readInterFlags(r)
 	if err != nil {
 		return nil, err
 	}
-	f := video.NewYUV(w, h)
+	w, h := f.W, f.H
 	pair := &refPair{plain: f, enh: f}
 	refp, recp := framePlanes(ref.plain), framePlanes(f)
 	carry := ref.hasDelta()
@@ -498,12 +563,15 @@ func decodePFrame(r *BitReader, w, h int, ref *refPair, qstep float64) (*refPair
 	return pair, nil
 }
 
-func decodeBFrame(r *BitReader, w, h int, fwd, bwd *refPair, qstep float64) (*video.YUV, error) {
+// decodeBFrame reconstructs a B frame's plain picture into f, writing
+// every sample, and returns the picture to show: f itself, or, when an
+// anchor carries an enhancement delta, a new enhanced picture.
+func decodeBFrame(r *BitReader, f *video.YUV, fwd, bwd *refPair, qstep float64) (*video.YUV, error) {
 	hp, deblock, err := readInterFlags(r)
 	if err != nil {
 		return nil, err
 	}
-	f := video.NewYUV(w, h)
+	w, h := f.W, f.H
 	fp, bp, recp := framePlanes(fwd.plain), framePlanes(bwd.plain), framePlanes(f)
 	shown := f
 	carry := fwd.hasDelta() || bwd.hasDelta()

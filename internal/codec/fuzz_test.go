@@ -258,6 +258,9 @@ func TestHandBuiltEdgeStreamsDecode(t *testing.T) {
 // installed, in both propagation modes, returns an error or exactly
 // frameSpan frames of the declared size — never a panic — and allocates
 // no more than fuzzAllocPerByte × the input length plus a fixed slack.
+// When the input left pictures on the decoder's free list, failed decode
+// or not, the same Decoder then decodes a short fixed stream, which must
+// come out as a fresh decoder's.
 // (A P frame costs at most one bit per macroblock and then up to four
 // frames' worth of planes — plain, enhanced, and the int16 deltas of a
 // half-pel reference: 4·384 bytes per macroblock-bit, 12 288 per byte.)
@@ -290,6 +293,19 @@ func FuzzDecode(f *testing.F) {
 	for _, data := range handBuiltEdgeStreams(f) {
 		f.Add(data)
 	}
+	after, err := Encode(frames[:4], nil, 30, EncoderConfig{QP: 24, BFrames: 2, HalfPel: true, Deblock: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	want := map[Propagation]string{}
+	for _, mode := range []Propagation{PropagateReplace, PropagateDelta} {
+		dec := Decoder{Enhancer: goldenHook, Mode: mode}
+		out, err := dec.Decode(after)
+		if err != nil {
+			f.Fatal(err)
+		}
+		want[mode] = digestFrames(out)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<13 {
 			t.Skip() // keeps the allocation bound itself small
@@ -298,15 +314,23 @@ func FuzzDecode(f *testing.F) {
 			var s *Stream
 			var out []*video.YUV
 			var err error
+			dec := Decoder{Enhancer: goldenHook, Mode: mode}
 			got := allocatedBy(func() {
 				if s, err = Unmarshal(data); err != nil {
 					return
 				}
-				dec := Decoder{Enhancer: goldenHook, Mode: mode}
 				out, err = dec.Decode(s)
 			})
 			if limit := uint64(fuzzAllocPerByte*len(data) + fuzzAllocSlack); got > limit {
 				t.Fatalf("mode %d: %d input bytes allocated %d, limit %d", mode, len(data), got, limit)
+			}
+			if len(dec.free) > maxFree {
+				t.Fatalf("mode %d: free list holds %d pictures", mode, len(dec.free))
+			}
+			if len(dec.free) > 0 {
+				if next, nerr := dec.Decode(after); nerr != nil || digestFrames(next) != want[mode] {
+					t.Fatalf("mode %d: a stream decoded after this input differs from a fresh decode (%v)", mode, nerr)
+				}
 			}
 			if err != nil {
 				continue

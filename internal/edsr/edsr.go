@@ -326,8 +326,18 @@ func toTensorInto(f *video.RGB, t *tensor.Tensor) *tensor.Tensor {
 
 // FromTensor converts a (1, 3, H, W) tensor in [−0.5, 0.5] back to RGB.
 func FromTensor(t *tensor.Tensor) *video.RGB {
+	return fromTensorInto(t, video.NewRGB(t.Shape[3], t.Shape[2]))
+}
+
+// fromTensorInto is FromTensor writing into f, whose pixel buffer is
+// reused when large enough and grown otherwise.
+func fromTensorInto(t *tensor.Tensor, f *video.RGB) *video.RGB {
 	h, w := t.Shape[2], t.Shape[3]
-	f := video.NewRGB(w, h)
+	n := w * h * 3
+	if cap(f.Pix) < n {
+		f.Pix = make([]uint8, n)
+	}
+	f.W, f.H, f.Pix = w, h, f.Pix[:n]
 	for c := 0; c < 3; c++ {
 		plane := t.Data[c*h*w : (c+1)*h*w]
 		for i := 0; i < w*h; i++ {
@@ -353,9 +363,13 @@ func (m *Model) Enhance(low *video.RGB) *video.RGB {
 }
 
 // EnhanceYUV performs the client-side dcSR conversion chain of paper Fig 6:
-// YUV→RGB, SR inference, RGB→YUV. Scale must be 1 for in-loop use.
+// YUV→RGB, SR inference, RGB→YUV. Scale must be 1 for in-loop use. Both
+// RGB images live in the workspace, so in steady state the returned
+// frame is its only allocation.
 func (m *Model) EnhanceYUV(f *video.YUV) *video.YUV {
-	return m.Enhance(f.ToRGB()).ToYUV()
+	ws := m.workspace()
+	x := toTensorInto(f.ToRGBInto(&ws.rgbIn), &ws.in)
+	return fromTensorInto(m.ForwardInference(x), &ws.rgbOut).ToYUV()
 }
 
 // InferenceFLOPs returns the multiply-add count (×2) of one forward pass

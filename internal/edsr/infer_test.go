@@ -147,7 +147,7 @@ func TestEnhanceSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Enhance allocates %.1f objects per frame, want <= 4", avg)
 	}
 	next.SetWorkspace(m.workspace())
-	if n := mallocs(func() { next.ForwardInference(x) }); n != 0 {
+	if n, _ := mallocs(func() { next.ForwardInference(x) }); n != 0 {
 		t.Errorf("a second model's first ForwardInference in the warmed workspace allocated %d objects, want 0", n)
 	}
 }

@@ -175,5 +175,7 @@ func (m *Model) EnhanceInt8(low *video.RGB) *video.RGB {
 
 // EnhanceYUVInt8 is EnhanceYUV on the quantized path.
 func (m *Model) EnhanceYUVInt8(f *video.YUV) *video.YUV {
-	return m.EnhanceInt8(f.ToRGB()).ToYUV()
+	ws := m.workspace()
+	x := toTensorInto(f.ToRGBInto(&ws.rgbIn), &ws.in)
+	return fromTensorInto(m.ForwardInferenceInt8(x), &ws.rgbOut).ToYUV()
 }

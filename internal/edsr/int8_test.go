@@ -110,7 +110,7 @@ func TestEnhanceInt8SteadyStateAllocs(t *testing.T) {
 		t.Errorf("EnhanceInt8 allocates %.1f objects per frame, want <= 4", avg)
 	}
 	next.SetWorkspace(m.workspace())
-	if n := mallocs(func() { next.ForwardInferenceInt8(x) }); n != 0 {
+	if n, _ := mallocs(func() { next.ForwardInferenceInt8(x) }); n != 0 {
 		t.Errorf("a second model's first ForwardInferenceInt8 in the warmed workspace allocated %d objects, want 0", n)
 	}
 }

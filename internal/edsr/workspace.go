@@ -1,6 +1,9 @@
 package edsr
 
-import "dcsr/internal/tensor"
+import (
+	"dcsr/internal/tensor"
+	"dcsr/internal/video"
+)
 
 // Workspace is the working set of one inference pass: the head's output
 // (kept for the global skip), three feature maps the body rotates
@@ -8,10 +11,11 @@ import "dcsr/internal/tensor"
 // convolution into the second and its second convolution plus the
 // in-place residual add into the third; an int8 block needs only two,
 // its first convolution's output staying in the int8 map — the input,
-// output and nearest-neighbour tensors, and the int8 activation map
-// every quantized convolution reads (tensor.Int8Map): one byte per
-// channel and pixel of the widest convolution input plus its padding
-// ring, where the int8 input buffer it replaced held the bytes alone.
+// output and nearest-neighbour tensors, the int8 activation map every
+// quantized convolution reads (tensor.Int8Map): one byte per channel and
+// pixel of the widest convolution input plus its padding ring, where the
+// int8 input buffer it replaced held the bytes alone — and the RGB
+// images EnhanceYUV and EnhanceYUVInt8 convert through.
 // Activations belong to the pass, not to the layers or the model, so
 // models that run one after another share a Workspace and a new model
 // costs its weights only: a playback session owns one for all its
@@ -30,6 +34,8 @@ type Workspace struct {
 	out  tensor.Tensor
 	near tensor.Tensor // Scale > 1 only
 	am   tensor.Int8Map
+
+	rgbIn, rgbOut video.RGB // EnhanceYUV* only
 }
 
 // SetWorkspace makes the model run its inference passes in ws, which the

@@ -16,7 +16,7 @@ func (ws *Workspace) bytes() int64 {
 	for i := range ws.maps {
 		n += cap(ws.maps[i].Data)
 	}
-	return 4*int64(n) + int64(ws.am.Bytes())
+	return 4*int64(n) + int64(ws.am.Bytes()) + int64(cap(ws.rgbIn.Pix)+cap(ws.rgbOut.Pix))
 }
 
 // calibratedModel returns a briefly trained model of cfg with its int8
@@ -31,6 +31,24 @@ func calibratedModel(t *testing.T, cfg Config, seed int64, low, high *video.RGB)
 		t.Fatal(err)
 	}
 	if err := m.Calibrate([]*video.RGB{low}); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// unitScaleModel returns the paper's micro model with its int8 path
+// armed at unit activation scales.
+func unitScaleModel(t *testing.T) *Model {
+	t.Helper()
+	m, err := New(ConfigDCSR1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scales := make([]float32, len(m.convs()))
+	for i := range scales {
+		scales[i] = 1
+	}
+	if err := m.CalibrateFromScales(scales); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -113,21 +131,12 @@ func TestWorkspaceSharedMatchesPrivate(t *testing.T) {
 // an in-place convolution shifts into and 8·n_f bytes of slack (1.5 %
 // over a bare int8 copy of a feature map). An int8-only session holds one
 // feature map less: its residual blocks keep their inner activation in
-// the int8 map. ConfigActivationBytes' device-model figure is two of
-// those maps; see its comment.
+// the int8 map. The YUV entry points add the two RGB images they convert
+// through, 3 bytes a pixel each. ConfigActivationBytes' device-model
+// figure is two of those maps; see its comment.
 func TestWorkspaceFootprint(t *testing.T) {
 	const w, h = 480, 272
-	m, err := New(ConfigDCSR1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scales := make([]float32, len(m.convs()))
-	for i := range scales {
-		scales[i] = 1
-	}
-	if err := m.CalibrateFromScales(scales); err != nil {
-		t.Fatal(err)
-	}
+	m := unitScaleModel(t)
 	f := genFrame(t, w, h, 3)
 	featureMap := int64(4 * ConfigDCSR1.Filters * w * h)
 	if featureMap != ConfigActivationBytes(ConfigDCSR1, w, h)/2 {
@@ -154,16 +163,56 @@ func TestWorkspaceFootprint(t *testing.T) {
 	if cap(ws.near.Data) != 0 {
 		t.Errorf("scale-1 pass grew the nearest-neighbour buffer to %d floats", cap(ws.near.Data))
 	}
+
+	yuv := f.ToYUV()
+	rgb := 2 * int64(3*w*h)
+	m.EnhanceYUVInt8(yuv)
+	m.EnhanceYUV(yuv)
+	if got, want := ws.bytes(), 4*featureMap+inOut+int8Map+rgb; got != want {
+		t.Errorf("workspace holds %d B after EnhanceYUVInt8 + EnhanceYUV at %dx%d, want %d (4 feature maps + in/out + int8 map + 2 RGB images)", got, w, h, want)
+	}
 }
 
-// mallocs counts the heap objects fn allocates (meaningful at one worker
-// with nothing else running, which is how its callers run).
-func mallocs(fn func()) uint64 {
+// TestEnhanceYUVAllocs pins the in-loop enhance path: on a warm
+// workspace EnhanceYUV and EnhanceYUVInt8 allocate the returned frame
+// and nothing of frame size besides — the RGB images they convert
+// through live in the workspace. Measured at one worker with the
+// collector off, like TestTrainStepAllocs.
+func TestEnhanceYUVAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	prev := runtime.GOMAXPROCS(1)
+	tensor.ShutdownPool()
+	gc := debug.SetGCPercent(-1)
+	defer func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(prev)
+		tensor.ShutdownPool()
+	}()
+	const w, h = 480, 272
+	m := unitScaleModel(t)
+	f := genFrame(t, w, h, 3).ToYUV()
+	frame := uint64(len(f.Y) + len(f.U) + len(f.V))
+	for _, c := range []struct {
+		name    string
+		enhance func(*video.YUV) *video.YUV
+	}{{"EnhanceYUV", m.EnhanceYUV}, {"EnhanceYUVInt8", m.EnhanceYUVInt8}} {
+		c.enhance(f)
+		if _, b := mallocs(func() { c.enhance(f) }); b > frame+64<<10 {
+			t.Errorf("%s at %dx%d allocates %d B on a warm workspace, want one %d B frame + <= 64 KiB", c.name, w, h, b, frame)
+		}
+	}
+}
+
+// mallocs counts the heap objects and bytes fn allocates (meaningful at
+// one worker with nothing else running, which is how its callers run).
+func mallocs(fn func()) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	fn()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // trainAllocs reports the heap objects and bytes one Train call of the

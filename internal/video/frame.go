@@ -84,17 +84,28 @@ func clamp8(v int32) uint8 {
 }
 
 // ToRGB converts a YUV 4:2:0 frame to RGB using BT.601 full-range
-// coefficients (the conversion the dcSR client performs before SR). It
-// walks row slices, one chroma sample per pair of pixels, with one
+// coefficients (the conversion the dcSR client performs before SR).
+func (f *YUV) ToRGB() *RGB { return f.ToRGBInto(nil) }
+
+// ToRGBInto is ToRGB writing into dst, whose pixel buffer is reused when
+// large enough and grown otherwise; a nil dst allocates. It returns dst.
+// It walks row slices, one chroma sample per pair of pixels, with one
 // bounds check per pair and no per-pixel index arithmetic.
-func (f *YUV) ToRGB() *RGB {
-	out := NewRGB(f.W, f.H)
+func (f *YUV) ToRGBInto(dst *RGB) *RGB {
+	if dst == nil {
+		dst = new(RGB)
+	}
+	n := f.W * f.H * 3
+	if cap(dst.Pix) < n {
+		dst.Pix = make([]uint8, n)
+	}
+	dst.W, dst.H, dst.Pix = f.W, f.H, dst.Pix[:n]
 	w, cw := f.W, f.ChromaW()
 	for y := 0; y < f.H; y++ {
 		yrow := f.Y[y*w : (y+1)*w]
 		urow := f.U[(y/2)*cw : (y/2+1)*cw]
 		vrow := f.V[(y/2)*cw : (y/2+1)*cw][:len(urow)]
-		dst := out.Pix[y*w*3 : (y+1)*w*3]
+		row := dst.Pix[y*w*3 : (y+1)*w*3]
 		for cx, u := range urow {
 			U := int32(u) - 128
 			V := int32(vrow[cx]) - 128
@@ -102,13 +113,13 @@ func (f *YUV) ToRGB() *RGB {
 			rv := (1436 * V) >> 10
 			gu, gv := (352*U)>>10, (731*V)>>10
 			bu := (1815 * U) >> 10
-			yy, d := (*[2]uint8)(yrow[2*cx:]), (*[6]uint8)(dst[6*cx:])
+			yy, d := (*[2]uint8)(yrow[2*cx:]), (*[6]uint8)(row[6*cx:])
 			Y0, Y1 := int32(yy[0]), int32(yy[1])
 			d[0], d[1], d[2] = clamp8(Y0+rv), clamp8(Y0-gu-gv), clamp8(Y0+bu)
 			d[3], d[4], d[5] = clamp8(Y1+rv), clamp8(Y1-gu-gv), clamp8(Y1+bu)
 		}
 	}
-	return out
+	return dst
 }
 
 // ToYUV converts an RGB frame to planar YUV 4:2:0 (BT.601 full range),
