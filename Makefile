@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint test fuzz-smoke bench bench-all bench-e2e
+.PHONY: verify build vet lint test loc fuzz-smoke bench bench-all bench-e2e
 
 # Every line but the last fails fast on something the race sweep would
 # reach only after minutes, or never: the pinned goldens (Prepare, codec,
@@ -41,6 +41,15 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per package outside bench/ (a testdata tree counts
+# toward the package that owns it), then the total: the size figure
+# CHANGES.md and ROADMAP.md quote.
+loc:
+	@find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | sort | \
+	awk '{ p = $$0; if (!sub(/\/testdata\/.*/, "", p)) sub(/\/[^\/]*$$/, "", p); sub(/^\.\//, "", p); \
+	  if (!(p in n)) order[++k] = p; while ((getline l < $$0) > 0) { n[p]++; total++ } close($$0) } \
+	  END { for (i = 1; i <= k; i++) printf "%7d  %s\n", n[order[i]], order[i]; printf "%7d  total\n", total }'
 
 # A few seconds of native fuzzing per wire parser (frames, manifest,
 # directory), per kernel differential (every lane vs the reference, bit

@@ -152,10 +152,6 @@ func main() {
 			t, _ := experiments.ExperimentUpscale(c)
 			fmt.Println(t)
 		}},
-		{"abr", "SR-aware adaptive bitrate integration", func(c experiments.EvalConfig) {
-			t, _ := experiments.ExperimentABR(c)
-			fmt.Println(t)
-		}},
 		{"faults", "fault-injected streaming: drop rate × retry budget", func(c experiments.EvalConfig) {
 			t, _, err := experiments.ExperimentFaults(c)
 			if err != nil {

@@ -120,14 +120,16 @@ func TestLintBenchSmoke(t *testing.T) {
 		}
 	}
 	if !slices.Contains(names, "quant") || slices.Contains(names, "kernels") ||
-		slices.Contains(names, "cachebudget") || slices.Contains(names, "modelstream") {
-		t.Errorf("dcsr-bench -list names %v; want quant listed and kernels, cachebudget, modelstream gone", names)
+		slices.Contains(names, "cachebudget") || slices.Contains(names, "modelstream") || slices.Contains(names, "abr") {
+		t.Errorf("dcsr-bench -list names %v; want quant listed and kernels, cachebudget, modelstream, abr gone", names)
 	}
-	out, err = exec.Command(filepath.Join(bin, "dcsr-bench"), "-only", "fig8,modelstream").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `unknown experiment "modelstream"`) ||
-		!strings.Contains(string(out), "quant") || strings.Contains(string(out), "--- fig8") {
-		t.Errorf("dcsr-bench -only fig8,modelstream: %v, want exit 2 naming the unknown one and the known ones before running any\n%s", err, out)
+	for _, unknown := range []string{"modelstream", "abr"} {
+		out, err = exec.Command(filepath.Join(bin, "dcsr-bench"), "-only", "fig8,"+unknown).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), `unknown experiment "`+unknown+`"`) ||
+			!strings.Contains(string(out), "quant") || strings.Contains(string(out), "--- fig8") {
+			t.Errorf("dcsr-bench -only fig8,%s: %v, want exit 2 naming the unknown one and the known ones before running any\n%s", unknown, err, out)
+		}
 	}
 }
 

@@ -53,26 +53,6 @@ func TestPublicTransportAPI(t *testing.T) {
 	}
 }
 
-func TestPublicABRAPI(t *testing.T) {
-	clip := dcsr.GenerateVideo(dcsr.GenConfig{
-		W: 64, H: 48, Seed: 93, NumScenes: 2, TotalCues: 5, MinFrames: 5, MaxFrames: 7,
-	})
-	frames := clip.YUVFrames()
-	segs := dcsr.SplitVideo(frames, dcsr.SplitConfig{Threshold: 14, MinLen: 3})
-	ladder, err := dcsr.BuildLadder(frames, clip.FPS, segs, []int{51, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := dcsr.MarkovTrace(1e5, 2e4, 0.1, 300, 5)
-	res, err := dcsr.SimulateABR(ladder, trace, dcsr.PolicyRateBased{}, dcsr.SimOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Log) != ladder.Segments {
-		t.Fatalf("simulated %d segments of %d", len(res.Log), ladder.Segments)
-	}
-}
-
 func TestPublicArtifactAPI(t *testing.T) {
 	prep, _ := smallPrepared(t)
 	dir := t.TempDir()

@@ -9,6 +9,7 @@ import (
 	"dcsr/internal/edsr"
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
+	"dcsr/internal/quality"
 	"dcsr/internal/video"
 )
 
@@ -183,8 +184,8 @@ func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *
 	defer recon.SetWorkspace(nil)
 	var mseFull, mseDelta float64
 	for i := range low {
-		mseFull += frameMSE(trained.Enhance(low[i]), orig[i])
-		mseDelta += frameMSE(recon.Enhance(low[i]), orig[i])
+		mseFull += quality.MSE(trained.Enhance(low[i]), orig[i])
+		mseDelta += quality.MSE(recon.Enhance(low[i]), orig[i])
 	}
 	if len(low) > 0 {
 		res.PSNRFull = mseToPSNR(mseFull / float64(len(low)))

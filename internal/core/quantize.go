@@ -8,6 +8,7 @@ import (
 
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
+	"dcsr/internal/quality"
 	"dcsr/internal/video"
 )
 
@@ -157,8 +158,8 @@ func (s *prepState) quantizeModel(label int) (bool, error) {
 	// results.
 	var mseF, mseI float64
 	for i := range low {
-		mseF += frameMSE(f32[i], orig[i])
-		mseI += frameMSE(sm.Model.EnhanceInt8(low[i]), orig[i])
+		mseF += quality.MSE(f32[i], orig[i])
+		mseI += quality.MSE(sm.Model.EnhanceInt8(low[i]), orig[i])
 	}
 	psnrF := mseToPSNR(mseF / float64(len(low)))
 	psnrI := mseToPSNR(mseI / float64(len(low)))
@@ -184,18 +185,4 @@ func (s *prepState) quantizeModel(label int) (bool, error) {
 		}
 		r.Models[label].Quant = rec
 	})
-}
-
-// frameMSE is the mean squared error between two frames in 8-bit pixel
-// units (the scale quality.MSEToPSNR expects).
-func frameMSE(a, b *video.RGB) float64 {
-	if a.W != b.W || a.H != b.H {
-		panic("core: frameMSE dimension mismatch")
-	}
-	var sum float64
-	for i := range a.Pix {
-		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		sum += float64(d * d)
-	}
-	return sum / float64(len(a.Pix))
 }

@@ -292,26 +292,6 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-func TestExperimentABRShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trained experiment in short mode")
-	}
-	_, res := ExperimentABR(fastEval())
-	sr := "sr-aware (dcSR)"
-	// The SR-aware policy must deliver at least the displayed quality of
-	// the throughput rule (it sees everything the rate rule sees, plus the
-	// enhancement dimension) without pathological stalling.
-	if res.SeenPSNR[sr] < res.SeenPSNR["rate-based"]-0.1 {
-		t.Errorf("SR-aware seen PSNR %.2f below rate-based %.2f", res.SeenPSNR[sr], res.SeenPSNR["rate-based"])
-	}
-	if res.QoE[sr] < res.QoE["rate-based"]-0.5 {
-		t.Errorf("SR-aware QoE %.2f materially below rate-based %.2f", res.QoE[sr], res.QoE["rate-based"])
-	}
-	if res.Rebuffer[sr] > res.Rebuffer["rate-based"]+5 {
-		t.Errorf("SR-aware rebuffered %.1fs vs rate-based %.1fs", res.Rebuffer[sr], res.Rebuffer["rate-based"])
-	}
-}
-
 func TestExperimentUpscaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trained experiment in short mode")

@@ -146,18 +146,30 @@ func (h *Histogram) Quantile(p float64) float64 {
 	if total == 0 {
 		return 0
 	}
+	counts := make([]int64, len(h.buckets))
+	for i := range h.buckets {
+		counts[i] = h.buckets[i].Load()
+	}
+	return bucketQuantile(h.bounds, counts, total, p, math.Float64frombits(h.max.Load()))
+}
+
+// bucketQuantile interpolates the p-quantile of total observations
+// inside bucket counts (one per bound plus the overflow bucket). top is
+// the overflow bucket's upper edge, and the estimate when the rank lies
+// past every counted observation.
+func bucketQuantile(bounds []float64, counts []int64, total int64, p, top float64) float64 {
 	rank := p * float64(total)
 	cum := 0.0
-	for i := range h.buckets {
-		n := float64(h.buckets[i].Load())
+	for i, c := range counts {
+		n := float64(c)
 		if cum+n >= rank && n > 0 {
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = bounds[i-1]
 			}
-			hi := math.Float64frombits(h.max.Load())
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
+			hi := top
+			if i < len(bounds) {
+				hi = bounds[i]
 			}
 			if hi < lo {
 				hi = lo
@@ -166,7 +178,7 @@ func (h *Histogram) Quantile(p float64) float64 {
 		}
 		cum += n
 	}
-	return math.Float64frombits(h.max.Load())
+	return top
 }
 
 // Stats summarizes the histogram for snapshots.

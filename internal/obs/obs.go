@@ -13,36 +13,9 @@
 // TestNilHandlesAreNoOps holds every exported handle method to this by
 // calling it on nil.
 //
-// Stable metric surface (asserted by tests, tabulated with meanings in
-// docs/OPERATIONS.md):
-//
-//	prepare_runs_total, prepare_segments_total, prepare_clusters_total,
-//	train_samples_total, train_steps_total, train_flops_total,
-//	segments_fetched_total, cache_hits_total, cache_misses_total,
-//	video_bytes_total, model_bytes_total,
-//	degraded_segments_total, model_fetch_failures_total,
-//	codec_frames_decoded_total, codec_iframes_enhanced_total,
-//	codec_enhance_seconds (histogram),
-//	transport_requests_total, transport_not_found_total,
-//	transport_shed_total,
-//	transport_bytes_in_total, transport_bytes_out_total,
-//	transport_open_conns, transport_videos, transport_inflight,
-//	transport_inflight_peak (gauges),
-//	transport_manifest_seconds, transport_segment_seconds,
-//	transport_model_seconds, transport_directory_seconds,
-//	transport_unknown_seconds (histograms),
-//	transport_client_requests_total, transport_client_bytes_up_total,
-//	transport_client_bytes_down_total, transport_client_retries_total,
-//	transport_client_timeouts_total, transport_client_reconnects_total,
-//	transport_client_shed_total,
-//	transport_client_rtt_seconds (histogram),
-//	and the time-resolved rolling-window series
-//	transport_requests_window_total, transport_shed_window_total,
-//	segments_fetched_window_total
-//	(windowed counters), transport_manifest_window_seconds,
-//	transport_segment_window_seconds, transport_model_window_seconds,
-//	transport_client_rtt_window_seconds, codec_enhance_window_seconds
-//	(windowed histograms).
+// The metric names components register, with their meanings, are
+// tabulated in docs/OPERATIONS.md, which TestOperationsDocMetrics (the
+// module root's operations_docs_test.go) checks against a live snapshot.
 package obs
 
 // Obs bundles the observability facilities a component may use.

@@ -217,37 +217,15 @@ func (h *WindowedHistogram) Stats() WindowedHistogramStats {
 	if st.WindowSeconds > 0 {
 		st.RatePerSec = float64(st.Count) / st.WindowSeconds
 	}
-	st.P50 = windowQuantile(h.bounds, merged, st.Count, 0.50)
-	st.P95 = windowQuantile(h.bounds, merged, st.Count, 0.95)
-	st.P99 = windowQuantile(h.bounds, merged, st.Count, 0.99)
+	// A window keeps no max: the overflow bucket ends at the last bound.
+	top := 0.0
+	if len(h.bounds) > 0 {
+		top = h.bounds[len(h.bounds)-1]
+	}
+	st.P50 = bucketQuantile(h.bounds, merged, st.Count, 0.50, top)
+	st.P95 = bucketQuantile(h.bounds, merged, st.Count, 0.95, top)
+	st.P99 = bucketQuantile(h.bounds, merged, st.Count, 0.99, top)
 	return st
-}
-
-// windowQuantile interpolates the p-quantile inside merged bucket
-// counts, mirroring Histogram.Quantile. The overflow bucket has no
-// upper bound; its estimate is the last finite bound.
-func windowQuantile(bounds []float64, buckets []int64, total int64, p float64) float64 {
-	rank := p * float64(total)
-	cum := 0.0
-	for i, bn := range buckets {
-		n := float64(bn)
-		if cum+n >= rank && n > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			hi := lo
-			if i < len(bounds) {
-				hi = bounds[i]
-			}
-			return lo + (hi-lo)*((rank-cum)/n)
-		}
-		cum += n
-	}
-	if len(bounds) > 0 {
-		return bounds[len(bounds)-1]
-	}
-	return 0
 }
 
 // WindowedHistogramStats is the exported summary of one windowed

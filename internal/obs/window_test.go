@@ -263,3 +263,44 @@ func TestWindowedConcurrent(t *testing.T) {
 		t.Errorf("concurrent windowed histogram count = %d, want 16000", got)
 	}
 }
+
+// TestQuantilePins pins the P50/P95/P99 both histogram kinds report
+// for observations below, inside and past the last bucket bound. The
+// two differ only in the overflow bucket: a Histogram interpolates up
+// to its running max, a WindowedHistogram (which keeps no max) reports
+// the last finite bound.
+func TestQuantilePins(t *testing.T) {
+	bounds := []float64{1, 10, 100}
+	cases := []struct {
+		name             string
+		values           []float64
+		lifetime, window [3]float64 // P50, P95, P99
+	}{
+		{"below first bound", []float64{0.2, 0.4, 0.8},
+			[3]float64{0.5, 0.9499999999999998, 0.9899999999999999},
+			[3]float64{0.5, 0.9499999999999998, 0.9899999999999999}},
+		{"mixed", []float64{0.5, 0.5, 3, 7, 20, 60, 80, 150, 400, 1200},
+			[3]float64{40, 1016.6666666666667, 1163.3333333333335},
+			[3]float64{40, 100, 100}},
+		{"past last bound", []float64{150, 300},
+			[3]float64{200, 290, 298},
+			[3]float64{100, 100, 100}},
+	}
+	for _, c := range cases {
+		h := newHistogram(bounds)
+		clk := newFakeClock()
+		w := newWindowedHistogram(bounds, 10*time.Second)
+		w.clock = clk.now
+		for _, v := range c.values {
+			h.Observe(v)
+			w.Observe(v)
+		}
+		hs, ws := h.Stats(), w.Stats()
+		if got := [3]float64{hs.P50, hs.P95, hs.P99}; got != c.lifetime {
+			t.Errorf("%s: Histogram P50/P95/P99 = %v, want %v", c.name, got, c.lifetime)
+		}
+		if got := [3]float64{ws.P50, ws.P95, ws.P99}; got != c.window {
+			t.Errorf("%s: WindowedHistogram P50/P95/P99 = %v, want %v", c.name, got, c.window)
+		}
+	}
+}

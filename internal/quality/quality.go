@@ -24,16 +24,24 @@ func MSEToPSNR(mse float64) float64 {
 // of identical dimensions, computed over all three channels. Identical
 // frames yield +Inf.
 func PSNR(a, b *video.RGB) float64 {
+	return MSEToPSNR(MSE(a, b))
+}
+
+// MSE returns the mean squared error between two RGB frames of identical
+// dimensions in 8-bit pixel units, the scale MSEToPSNR expects. Each
+// product is rounded before it is summed, so the publisher's quality
+// gates, which average it over frames, do not depend on whether a
+// backend fuses multiply-adds.
+func MSE(a, b *video.RGB) float64 {
 	if a.W != b.W || a.H != b.H {
-		panic("quality: PSNR dimension mismatch")
+		panic("quality: MSE dimension mismatch")
 	}
-	var mse float64
+	var sum float64
 	for i := range a.Pix {
 		d := float64(a.Pix[i]) - float64(b.Pix[i])
-		mse += d * d
+		sum += float64(d * d)
 	}
-	mse /= float64(len(a.Pix))
-	return MSEToPSNR(mse)
+	return sum / float64(len(a.Pix))
 }
 
 // PSNRYUV returns luma-plane PSNR between two YUV frames.
