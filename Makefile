@@ -71,20 +71,24 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzCodecKernels$$' -fuzztime 5s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzLoadRoot$$' -fuzztime 5s
 
-# Kernel microbenchmarks: the tensor kernels (the int8 body convolution
-# once per lane the host has, BenchmarkConv2DInferInt8/
-# {vnni,avx2,portable}), the alloc-free Enhance path in both precisions
-# (BenchmarkEnhanceInt8270p is the whole int8 frame) and the reused
-# decoder (BenchmarkDecode, MB/op = the frames it returns), with
-# allocation stats; the gated end-to-end and per-layer numbers are bench-e2e's. Also
+# Kernel microbenchmarks: the tensor kernels (the float32 and the int8
+# body convolution once per lane the host has,
+# BenchmarkConv2DInfer270p/{avx512,avx2,portable} and
+# BenchmarkConv2DInferInt8/{avx512,avx2,portable}), the alloc-free
+# Enhance path in both precisions (BenchmarkEnhanceInt8270p is the whole
+# int8 frame) and the reused decoder (BenchmarkDecode, MB/op = the
+# frames it returns), with allocation stats. The tensor and edsr ones
+# run on one core (-cpu 1), like the gated benchmark: on a time-shared
+# vCPU the parallel split's timing says nothing about the kernels. The
+# gated end-to-end and per-layer numbers are bench-e2e's. Also
 # writes, via dcsr-bench, BENCH_swarm.json (the fleet-load harness: 1000
 # concurrent clients vs admission control — p50/p99 per op, shed rate,
 # Jain fairness; the capacity-planning numbers docs/SERVING.md works
 # from). The paper's tables are `go run ./cmd/dcsr-bench` (-list names
 # them).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkGEMM|BenchmarkConv2DInfer|BenchmarkIm2col' -benchmem ./internal/tensor/
-	$(GO) test -run '^$$' -bench 'BenchmarkEnhance(Int8)?(270|540)p|BenchmarkForwardInference' -benchmem ./internal/edsr/
+	$(GO) test -run '^$$' -bench 'BenchmarkGEMM|BenchmarkConv2DInfer|BenchmarkIm2col' -benchmem -cpu 1 ./internal/tensor/
+	$(GO) test -run '^$$' -bench 'BenchmarkEnhance(Int8)?(270|540)p|BenchmarkForwardInference' -benchmem -cpu 1 ./internal/edsr/
 	$(GO) test -run '^$$' -bench 'BenchmarkDecode' -benchmem ./internal/codec/
 	$(GO) run ./cmd/dcsr-bench -fast -only swarm -json BENCH_swarm.json
 

@@ -147,9 +147,10 @@ func New(cfg Config, seed int64) (*Model, error) {
 	m.tail = nn.NewConv2D(rng, nf, 3, 3, 1, 1)
 	// Every model predicts a *residual* on top of a cheap baseline — the
 	// input itself at scale 1, its nearest-neighbor upsampling at scale
-	// 2/4 — with a zero-initialized tail so the untrained model equals
-	// that baseline. This keeps an under-trained micro model from ever
-	// falling below the trivial reconstruction.
+	// 2/4 — with a zero-initialized tail, so the model is the identity on
+	// that baseline at initialisation (TestUntrainedScale1IsIdentity).
+	// That is all it guarantees: one optimizer step moves the tail, and a
+	// briefly trained model can read below the baseline.
 	m.tail.Wt.W.Zero()
 	return m, nil
 }
@@ -248,36 +249,34 @@ func (m *Model) forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ForwardInference runs the network on the no-grad fast path: fused
-// conv+bias+ReLU kernels, banded im2col through pooled scratch, and every
-// activation written into the model's Workspace, so no activations or
-// column matrices are retained and steady-state calls allocate nothing.
-// The output is bitwise identical to Forward. The returned tensor belongs
-// to the workspace and is valid until the next inference pass of any
-// model sharing it.
+// ForwardInference runs the network on the no-grad fast path: implicit-
+// GEMM convolutions (no column matrix) with bias, ReLU and every
+// residual add — the blocks', the global skip's and the image
+// residual's — fused into their epilogues, and every activation written
+// into the model's Workspace, so no activations or column matrices are
+// retained and steady-state calls allocate nothing. The body rotates
+// through the skip and two maps: a residual block writes its first
+// convolution into maps[0] and its output over maps[1], its own input
+// after the first block. The output is bitwise identical to Forward.
+// The returned tensor belongs to the workspace and is valid until the
+// next inference pass of any model sharing it.
 func (m *Model) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	ws := m.workspace()
 	h := m.head.ForwardInference(x, &ws.skip)
-	b, k := h, 0
+	b := h
 	for _, blk := range m.body {
-		b = blk.ForwardInference(b, &ws.maps[(k+1)%3], &ws.maps[(k+2)%3])
-		k = (k + 2) % 3
+		b = blk.ForwardInference(b, &ws.maps[0], &ws.maps[1])
 	}
-	b = m.bodyConv.ForwardInference(b, &ws.maps[(k+1)%3])
-	k = (k + 1) % 3
-	b.AddInPlace(h) // global skip (h is ws.skip, untouched since the head)
+	b = m.bodyConv.ForwardInferenceResidual(b, h, 1, &ws.maps[0]) // global skip
 	for _, u := range m.ups {
-		b = u.conv.ForwardInference(b, &ws.maps[(k+1)%3])
-		b = u.shuffle.ForwardInference(b, &ws.maps[(k+2)%3])
-		k = (k + 2) % 3
+		b = u.conv.ForwardInference(b, &ws.maps[1])
+		b = u.shuffle.ForwardInference(b, &ws.maps[0])
 	}
-	out := m.tail.ForwardInference(b, &ws.out)
-	if m.Cfg.Scale == 1 {
-		out.AddInPlace(x) // global image residual (identity at init)
-	} else {
-		out.AddInPlace(upsampleNearestInto(x, m.Cfg.Scale, &ws.near))
+	base := x // global image residual (identity at init)
+	if m.Cfg.Scale > 1 {
+		base = upsampleNearestInto(x, m.Cfg.Scale, &ws.near)
 	}
-	return out
+	return m.tail.ForwardInferenceResidual(b, base, 1, &ws.out)
 }
 
 // Backward propagates the loss gradient, accumulating parameter gradients.
@@ -406,15 +405,15 @@ func ConfigFLOPs(cfg Config, lowW, lowH int) float64 {
 // model uses this for the OOM behaviour seen in paper Fig 8 (NAS/NEMO
 // cannot run 4K on the Jetson), and EXPERIMENTS.md's verdicts hang on it.
 //
-// This package's own working set is a Workspace: four such maps (the
-// head's output kept for the global skip, and three the body rotates
-// through, since its convolutions are separate kernels that cannot write
-// over their input), plus the 3-channel in/out tensors and the int8
-// activation map, one byte per channel and pixel plus its padding ring —
-// 2.3× this figure for a 16-filter model at Scale 1, whatever ResBlocks
-// is; a session that runs int8 only holds one map less, 1.8×
-// (TestWorkspaceFootprint). Both scale the same way with n_f and
-// resolution, which is what the OOM comparison rests on.
+// This package's own working set is a Workspace: three such maps (the
+// head's output kept for the global skip, and two the body rotates
+// through, since a block's first convolution cannot write over its
+// input), plus the 3-channel in/out tensors and the int8 activation map,
+// one byte per channel and pixel plus its padding ring — 1.8× this
+// figure for a 16-filter model at Scale 1, whatever ResBlocks is, on the
+// float32 and the int8 path alike (TestWorkspaceFootprint). Both scale
+// the same way with n_f and resolution, which is what the OOM
+// comparison rests on.
 func ConfigActivationBytes(cfg Config, lowW, lowH int) int64 {
 	cfg = cfg.withDefaults()
 	px := int64(lowW) * int64(lowH)

@@ -139,8 +139,9 @@ func (m *Model) Int8Ready() bool {
 
 // ForwardInferenceInt8 is ForwardInference with every convolution on the
 // int8 kernel path, in the same workspace plus its int8 activation map.
-// A residual block's first convolution leaves its output in the map, so
-// the body alternates between two float32 maps instead of three. It
+// A residual block's first convolution leaves its output in the map and
+// its second writes a fresh float32 map, so the body alternates between
+// the workspace's two. It
 // allocates nothing in steady state; output is bit-deterministic across
 // worker counts and kernel lanes.
 func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {

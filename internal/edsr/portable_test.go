@@ -10,7 +10,7 @@ import (
 	"dcsr/internal/video"
 )
 
-// tensorUseAVX2 and tensorUseVNNI are internal/tensor's unexported
+// tensorUseAVX2 and tensorUseAVX512 are internal/tensor's unexported
 // kernel switches, reached by name because the package exports no way
 // to choose a kernel — and must not: production code runs whatever
 // CPUID selected.
@@ -18,30 +18,41 @@ import (
 //go:linkname tensorUseAVX2 dcsr/internal/tensor.useAVX2
 var tensorUseAVX2 bool
 
-//go:linkname tensorUseVNNI dcsr/internal/tensor.useVNNI
-var tensorUseVNNI bool
+//go:linkname tensorUseAVX512 dcsr/internal/tensor.useAVX512
+var tensorUseAVX512 bool
 
 // kernelLane is one set of kernels tensor's entry points can run on;
 // kernelLanes lists them fastest first, the order CPUID picks in.
 type kernelLane struct {
-	name       string
-	avx2, vnni bool
+	name         string
+	avx2, avx512 bool
 }
 
-var kernelLanes = []kernelLane{{"vnni", true, true}, {"avx2", true, false}, {"portable", false, false}}
+var kernelLanes = []kernelLane{{"avx512", true, true}, {"avx2", true, false}, {"portable", false, false}}
 
-// hostAVX2 and hostVNNI are the CPUID decision, before any test
+// hostAVX2 and hostAVX512 are the CPUID decision, before any test
 // switches lanes.
-var hostAVX2, hostVNNI = tensorUseAVX2, tensorUseVNNI
+var hostAVX2, hostAVX512 = tensorUseAVX2, tensorUseAVX512
 
-func (l kernelLane) available() bool { return (hostAVX2 || !l.avx2) && (hostVNNI || !l.vnni) }
+func (l kernelLane) available() bool { return (hostAVX2 || !l.avx2) && (hostAVX512 || !l.avx512) }
 
 // withLane runs fn on lane l, restoring the CPUID decision afterwards.
 func withLane(l kernelLane, fn func()) {
-	prevAVX2, prevVNNI := tensorUseAVX2, tensorUseVNNI
-	tensorUseAVX2, tensorUseVNNI = l.avx2, l.vnni
-	defer func() { tensorUseAVX2, tensorUseVNNI = prevAVX2, prevVNNI }()
+	prevAVX2, prevAVX512 := tensorUseAVX2, tensorUseAVX512
+	tensorUseAVX2, tensorUseAVX512 = l.avx2, l.avx512
+	defer func() { tensorUseAVX2, tensorUseAVX512 = prevAVX2, prevAVX512 }()
 	fn()
+}
+
+// float32Tests are the float32 inference path's golden, parity and
+// allocation tests that the lane tests re-run.
+var float32Tests = []struct {
+	name string
+	fn   func(*testing.T)
+}{
+	{"ForwardInferenceGolden", TestForwardInferenceGolden},
+	{"ForwardInferenceMatchesForward", TestForwardInferenceMatchesForward},
+	{"EnhanceSteadyStateAllocs", TestEnhanceSteadyStateAllocs},
 }
 
 // int8Tests are the quantized path's parity, determinism and allocation
@@ -64,21 +75,26 @@ func TestPortablePath(t *testing.T) {
 		t.Skip("the portable kernels are already the only path here")
 	}
 	withLane(kernelLanes[2], func() {
-		t.Run("ForwardInferenceMatchesForward", TestForwardInferenceMatchesForward)
-		t.Run("EnhanceSteadyStateAllocs", TestEnhanceSteadyStateAllocs)
+		for _, tc := range float32Tests {
+			t.Run(tc.name, tc.fn)
+		}
 		for _, tc := range int8Tests {
 			t.Run(tc.name, tc.fn)
 		}
 	})
 }
 
-// TestAVX2Path is TestPortablePath's twin for the AVX2 int8 lane, which
-// a VNNI host otherwise takes only for strided convolutions.
+// TestAVX2Path is TestPortablePath's twin for the AVX2 lane, which an
+// AVX-512 host otherwise takes only for strided int8 convolutions and
+// the training GEMMs.
 func TestAVX2Path(t *testing.T) {
-	if !hostVNNI {
-		t.Skip("no VNNI lane here: the AVX2 lane, if any, is already the default")
+	if !hostAVX512 {
+		t.Skip("no AVX-512 lane here: the AVX2 lane, if any, is already the default")
 	}
 	withLane(kernelLanes[1], func() {
+		for _, tc := range float32Tests {
+			t.Run(tc.name, tc.fn)
+		}
 		for _, tc := range int8Tests {
 			t.Run(tc.name, tc.fn)
 		}
@@ -94,8 +110,8 @@ func TestKernelPathsIdentical(t *testing.T) {
 	if !hostAVX2 {
 		t.Skip("only one kernel path in this build")
 	}
-	if !hostVNNI {
-		t.Log("vnni lane skipped: this host has no AVX-512 VNNI")
+	if !hostAVX512 {
+		t.Log("avx512 lane skipped: this host has no AVX-512 VNNI")
 	}
 	f := genFrame(t, 64, 48, 21)
 	run := func() (digest [32]byte, f32, int8 []byte) {

@@ -6,11 +6,11 @@ import (
 )
 
 // Workspace is the working set of one inference pass: the head's output
-// (kept for the global skip), three feature maps the body rotates
-// through — a float32 residual block reads one, writes its first
-// convolution into the second and its second convolution plus the
-// in-place residual add into the third; an int8 block needs only two,
-// its first convolution's output staying in the int8 map — the input,
+// (kept for the global skip), two feature maps the body rotates
+// through — a float32 residual block writes its first convolution into
+// one and its second, with the residual add fused, over the other (its
+// own input, after the first block); an int8 block keeps its first
+// convolution's output in the int8 map instead — the input,
 // output and nearest-neighbour tensors, the int8 activation map every
 // quantized convolution reads (tensor.Int8Map): one byte per channel and
 // pixel of the widest convolution input plus its padding ring, where the
@@ -29,7 +29,7 @@ import (
 // use.
 type Workspace struct {
 	skip tensor.Tensor
-	maps [3]tensor.Tensor
+	maps [2]tensor.Tensor
 	in   tensor.Tensor
 	out  tensor.Tensor
 	near tensor.Tensor // Scale > 1 only

@@ -124,14 +124,15 @@ func TestWorkspaceSharedMatchesPrivate(t *testing.T) {
 
 // TestWorkspaceFootprint pins what one session pays for activations: after
 // a float32 and an int8 pass of the paper's micro model over a 480×272
-// frame the workspace holds exactly four n_f-channel feature maps (the
-// head's, kept for the global skip, and the three the body rotates
+// frame the workspace holds exactly three n_f-channel feature maps (the
+// head's, kept for the global skip, and the two the body rotates
 // through), the 3-channel input and output, and the int8 activation map
 // — one byte per channel and pixel plus its one-pixel ring, the spare row
 // an in-place convolution shifts into and 8·n_f bytes of slack (1.5 %
-// over a bare int8 copy of a feature map). An int8-only session holds one
-// feature map less: its residual blocks keep their inner activation in
-// the int8 map. The YUV entry points add the two RGB images they convert
+// over a bare int8 copy of a feature map). An int8-only session holds
+// the same three maps: its residual blocks keep their inner activation
+// in the int8 map, where a float32 block writes its output over its
+// input. The YUV entry points add the two RGB images they convert
 // through, 3 bytes a pixel each. ConfigActivationBytes' device-model
 // figure is two of those maps; see its comment.
 func TestWorkspaceFootprint(t *testing.T) {
@@ -157,8 +158,8 @@ func TestWorkspaceFootprint(t *testing.T) {
 	m.SetWorkspace(&ws)
 	m.Enhance(f)
 	m.EnhanceInt8(f)
-	if got, want := ws.bytes(), 4*featureMap+inOut+int8Map; got != want {
-		t.Errorf("workspace holds %d B after Enhance + EnhanceInt8 at %dx%d, want %d (4 feature maps + in/out + int8 map)", got, w, h, want)
+	if got, want := ws.bytes(), 3*featureMap+inOut+int8Map; got != want {
+		t.Errorf("workspace holds %d B after Enhance + EnhanceInt8 at %dx%d, want %d (3 feature maps + in/out + int8 map)", got, w, h, want)
 	}
 	if cap(ws.near.Data) != 0 {
 		t.Errorf("scale-1 pass grew the nearest-neighbour buffer to %d floats", cap(ws.near.Data))
@@ -168,8 +169,8 @@ func TestWorkspaceFootprint(t *testing.T) {
 	rgb := 2 * int64(3*w*h)
 	m.EnhanceYUVInt8(yuv)
 	m.EnhanceYUV(yuv)
-	if got, want := ws.bytes(), 4*featureMap+inOut+int8Map+rgb; got != want {
-		t.Errorf("workspace holds %d B after EnhanceYUVInt8 + EnhanceYUV at %dx%d, want %d (4 feature maps + in/out + int8 map + 2 RGB images)", got, w, h, want)
+	if got, want := ws.bytes(), 3*featureMap+inOut+int8Map+rgb; got != want {
+		t.Errorf("workspace holds %d B after EnhanceYUVInt8 + EnhanceYUV at %dx%d, want %d (3 feature maps + in/out + int8 map + 2 RGB images)", got, w, h, want)
 	}
 }
 

@@ -9,8 +9,9 @@
 // blocks of ≤16 filters); the heavy lifting (im2col convolutions, blocked
 // GEMM kernels) lives in internal/tensor. Alongside the training pair
 // the layers expose ForwardInference, a no-grad path that fuses
-// conv+bias+ReLU, writes into destinations its caller supplies, and
-// retains no column buffers — the decoder hot loop runs entirely on it.
+// conv+bias+ReLU and the residual adds into the convolution, writes into
+// destinations its caller supplies, and builds no column matrix — the
+// decoder hot loop runs entirely on it.
 //
 // Layers own parameters, not activations. A training pass takes its
 // tensors from the tensor.Arena handed to Forward and Backward (whoever
@@ -131,6 +132,15 @@ func (c *Conv2D) ForwardInferenceReLU(x, out *tensor.Tensor) *tensor.Tensor {
 	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, true, out)
 }
 
+// ForwardInferenceResidual is ForwardInference with a residual add
+// fused into the convolution epilogue: res + scale·conv(x), bitwise
+// identical to a separate scaled-add pass over ForwardInference's
+// output. out may be res (not x).
+func (c *Conv2D) ForwardInferenceResidual(x, res *tensor.Tensor, scale float32, out *tensor.Tensor) *tensor.Tensor {
+	c.observe(x)
+	return tensor.Conv2DInferResidual(x, c.Wt.W, c.Bias.W, res, scale, c.Spec, out)
+}
+
 // Backward propagates gy through the convolution and lets go of what
 // Forward remembered, so a trained layer pins none of its last step.
 func (c *Conv2D) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
@@ -210,21 +220,19 @@ func (b *ResBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardInference runs the block with the first conv's ReLU fused into
-// its epilogue: conv1 writes mid, conv2 writes out, and the residual is
-// added into out in place — the add is elementwise, so reading h[i] and
-// writing out[i] at the same address changes no bit. x, mid and out
-// must be three different tensors; the result is out.
+// its epilogue and the scaled residual add into the second's: conv1
+// writes mid, conv2 writes x + ResScale·h into out. out may be x — the
+// residual is read and written elementwise — but mid must be a third
+// tensor. The result is out, bitwise identical to Forward's.
 func (b *ResBlock) ForwardInference(x, mid, out *tensor.Tensor) *tensor.Tensor {
 	h := b.Conv1.ForwardInferenceReLU(x, mid)
-	h = b.Conv2.ForwardInference(h, out)
-	addScaled(h.Data, x.Data, h.Data, b.ResScale)
-	return h
+	return b.Conv2.ForwardInferenceResidual(h, x, b.ResScale, out)
 }
 
 // addScaled writes out[i] = x[i] + scale*h[i]; out may be h. The
 // operands are locals resliced to one length so the loop reloads nothing
-// and checks no bounds: after the SIMD kernels it is a visible share of
-// a frame.
+// and checks no bounds. Training's Forward runs it; inference fuses the
+// same expression into the convolution epilogue.
 func addScaled(out, x, h []float32, scale float32) {
 	out, x = out[:len(h)], x[:len(h)]
 	for i, v := range h {

@@ -5,15 +5,15 @@ import (
 	_ "unsafe" // for go:linkname
 )
 
-// tensorUseAVX2 and tensorUseVNNI are internal/tensor's unexported
+// tensorUseAVX2 and tensorUseAVX512 are internal/tensor's unexported
 // kernel switches, reached by name because the package exports no way
 // to choose a kernel.
 //
 //go:linkname tensorUseAVX2 dcsr/internal/tensor.useAVX2
 var tensorUseAVX2 bool
 
-//go:linkname tensorUseVNNI dcsr/internal/tensor.useVNNI
-var tensorUseVNNI bool
+//go:linkname tensorUseAVX512 dcsr/internal/tensor.useAVX512
+var tensorUseAVX512 bool
 
 // TestPortablePath re-runs the gradient, parity and determinism tests
 // on tensor's portable Go kernels, which an AVX2 host otherwise never
@@ -22,9 +22,9 @@ func TestPortablePath(t *testing.T) {
 	if !tensorUseAVX2 {
 		t.Skip("the portable kernels are already the only path here")
 	}
-	prevVNNI := tensorUseVNNI
-	tensorUseAVX2, tensorUseVNNI = false, false
-	defer func() { tensorUseAVX2, tensorUseVNNI = true, prevVNNI }()
+	prevAVX512 := tensorUseAVX512
+	tensorUseAVX2, tensorUseAVX512 = false, false
+	defer func() { tensorUseAVX2, tensorUseAVX512 = true, prevAVX512 }()
 	t.Run("Conv2DGradients", TestConv2DGradients)
 	t.Run("Conv2DStrideGradients", TestConv2DStrideGradients)
 	t.Run("ResBlockGradients", TestResBlockGradients)

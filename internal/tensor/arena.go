@@ -20,6 +20,7 @@ var (
 	scratchI8  scratch[int8]
 	scratchU8  scratch[byte]
 	scratchU64 scratch[uint64]
+	scratchInt scratch[int]
 )
 
 // get returns a scratch buffer of length n from the arena. The contents

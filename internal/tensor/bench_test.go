@@ -24,7 +24,7 @@ func BenchmarkGEMM(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmRows(am, bm, out, 0, benchM, benchK, benchN, benchN, nil, false)
+		gemmRows(am, bm, out, 0, benchM, benchK, benchN, benchN, epilogue{})
 	}
 }
 
@@ -35,7 +35,7 @@ func BenchmarkGEMMFused(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gemmRows(am, bm, out, 0, benchM, benchK, benchN, benchN, bias, true)
+		gemmRows(am, bm, out, 0, benchM, benchK, benchN, benchN, epilogue{bias: bias, relu: true})
 	}
 }
 
@@ -48,6 +48,11 @@ func BenchmarkGEMMRef(b *testing.B) {
 	}
 }
 
+// BenchmarkConv2DInfer270p is the float32 body convolution (16→16, 3×3,
+// ReLU) over a 480×270 frame once per lane the host has
+// (BenchmarkConv2DInfer270p/{avx512,avx2,portable}), so an AVX2-only
+// host's speed is measurable on an AVX-512 one; run it at -cpu 1, like
+// the gated tensor.conv_f32_body_ms.
 func BenchmarkConv2DInfer270p(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	spec := ConvSpec{InC: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
@@ -56,11 +61,20 @@ func BenchmarkConv2DInfer270p(b *testing.B) {
 	w := New(16, 16, 3, 3)
 	copy(w.Data, randSlice(rng, w.Len()))
 	bias := New(16)
-	out := Conv2DInfer(x, w, bias, spec, true, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = Conv2DInfer(x, w, bias, spec, true, out)
+	for _, l := range kernelLanes {
+		b.Run(l.name, func(b *testing.B) {
+			if !l.available() {
+				b.Skipf("%s lane: not supported by this host or build", l.name)
+			}
+			withLane(l, func() {
+				out := Conv2DInfer(x, w, bias, spec, true, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					out = Conv2DInfer(x, w, bias, spec, true, out)
+				}
+			})
+		})
 	}
 }
 

@@ -21,20 +21,8 @@ func (c ConvSpec) OutSize(h, w int) (oh, ow int) {
 // im2col expands input x (C,H,W) into a column matrix of shape
 // (C*K*K, OH*OW) stored in col.
 func im2col(x []float32, c, h, w int, spec ConvSpec, col []float32) {
-	oh, _ := spec.OutSize(h, w)
-	im2colRange(x, c, h, w, spec, 0, oh, col)
-}
-
-// im2colRange expands only output rows [oy0, oy1) of the convolution
-// into a compact column matrix of shape (C*K*K, (oy1-oy0)*OW) stored in
-// col. Banding the expansion this way keeps the scratch footprint of a
-// full-frame convolution bounded by the band size instead of the frame
-// size, which is what makes the alloc-free inference path viable at
-// 1080p (a full-frame column matrix there is over a gigabyte).
-func im2colRange(x []float32, c, h, w int, spec ConvSpec, oy0, oy1 int, col []float32) {
-	_, ow := spec.OutSize(h, w)
+	oh, ow := spec.OutSize(h, w)
 	k, s, p := spec.K, spec.Stride, spec.Pad
-	bandCols := (oy1 - oy0) * ow
 	idx := 0
 	for ch := 0; ch < c; ch++ {
 		plane := x[ch*h*w : (ch+1)*h*w]
@@ -44,9 +32,9 @@ func im2colRange(x []float32, c, h, w int, spec ConvSpec, oy0, oy1 int, col []fl
 				// kx−p: output columns [x0, x1) copy straight across
 				// and the rest is padding.
 				x0, x1 := max(0, p-kx), min(ow, w+p-kx)
-				for oy := oy0; oy < oy1; oy++ {
+				for oy := 0; oy < oh; oy++ {
 					iy := oy*s + ky - p
-					rowBase := idx + (oy-oy0)*ow
+					rowBase := idx + oy*ow
 					if s == 1 && iy >= 0 && iy < h && x0 < x1 {
 						dst := col[rowBase : rowBase+ow]
 						for j := 0; j < x0; j++ {
@@ -74,7 +62,7 @@ func im2colRange(x []float32, c, h, w int, spec ConvSpec, oy0, oy1 int, col []fl
 						}
 					}
 				}
-				idx += bandCols
+				idx += oh * ow
 			}
 		}
 	}
@@ -90,7 +78,7 @@ func col2im(col []float32, c, h, w int, spec ConvSpec, x []float32) {
 		plane := x[ch*h*w : (ch+1)*h*w]
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				// The stride-1 shortcut of im2colRange, transposed: the
+				// The stride-1 shortcut of im2col, transposed: the
 				// same elements in the same order, without per-element
 				// index arithmetic.
 				x0, x1 := max(0, p-kx), min(ow, w+p-kx)
@@ -125,7 +113,7 @@ func col2im(col []float32, c, h, w int, spec ConvSpec, x []float32) {
 // matmul computes out = a(m×k) * b(k×n), parallelized over rows of a.
 func matmul(a, b, out []float32, m, k, n int) {
 	parallelFor(m, func(lo, hi int) {
-		gemmRows(a, b, out, lo, hi, k, n, n, nil, false)
+		gemmRows(a, b, out, lo, hi, k, n, n, epilogue{})
 	})
 }
 
@@ -137,99 +125,266 @@ func matmulTA(a, b, out []float32, m, k, n int) {
 	})
 }
 
-// bandFloatBudget caps the im2col scratch for one inference band, in
-// float32 elements (2^18 floats = 1 MiB). The resulting band height
-// depends only on the convolution geometry — never on GOMAXPROCS or the
-// worker schedule — so banded outputs are bit-identical across runs and
-// across machines with different core counts.
-const bandFloatBudget = 1 << 18
+// bandFloats caps the padded input band one Conv2DInfer worker copies
+// its input rows into, in float32 elements (2^18 floats = 1 MiB). The
+// band height depends only on the convolution geometry, and each output
+// element is one whole sum whichever band computes it, so outputs are
+// bit-identical across runs, worker counts and machines.
+const bandFloats = 1 << 18
 
 // Conv2DInfer computes a batched 2-D convolution for inference with the
-// bias addition and (optionally) ReLU fused into the GEMM epilogue. The
-// result is written into out, which is grown/reshaped as needed via
-// Ensure and returned (pass nil to allocate on first use). Unlike
-// Conv2DForward it materializes no full-frame column matrix: the input
-// is expanded band-by-band into pooled scratch, so steady-state calls
-// allocate nothing. Outputs are bitwise identical to Conv2DForward
-// followed by separate bias and ReLU passes.
+// bias addition and (optionally) ReLU fused into the kernel epilogue.
+// The result is written into out, which is grown/reshaped as needed via
+// Ensure and returned (pass nil to allocate on first use); out must not
+// be x. A stride-1 convolution is an implicit GEMM (implicitConv): its
+// column matrix is read in place from a padded copy of the input rows,
+// never built; a strided one expands each input into an im2col matrix
+// in pooled scratch first. Either way steady-state calls allocate
+// nothing, and outputs are bitwise identical to Conv2DForward followed
+// by separate bias and ReLU passes.
 func Conv2DInfer(x, w, b *Tensor, spec ConvSpec, relu bool, out *Tensor) *Tensor {
+	return convInfer(x, w, b, spec, epilogue{relu: relu}, out)
+}
+
+// Conv2DInferResidual is Conv2DInfer without ReLU and with a residual
+// add as its epilogue: out = res + float32(scale·conv(x)), rounded step
+// by step exactly as a separate scaled-add pass over Conv2DInfer's
+// output. res has out's shape; out may be res (the add is elementwise),
+// but not x.
+func Conv2DInferResidual(x, w, b, res *Tensor, scale float32, spec ConvSpec, out *Tensor) *Tensor {
+	return convInfer(x, w, b, spec, epilogue{res: res.Data, scale: scale}, out)
+}
+
+func convInfer(x, w, b *Tensor, spec ConvSpec, ep epilogue, out *Tensor) *Tensor {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if c != spec.InC {
 		panic("tensor: Conv2DInfer channel mismatch")
 	}
+	if len(w.Data) != spec.OutC*spec.InC*spec.K*spec.K {
+		panic("tensor: Conv2DInfer weight length mismatch")
+	}
 	oh, ow := spec.OutSize(h, wd)
 	out = Ensure(out, n, spec.OutC, oh, ow)
-	colRows := spec.InC * spec.K * spec.K
-	band := bandFloatBudget / (colRows * ow)
-	if band < 1 {
-		band = 1
-	}
-	if band > oh {
-		band = oh
-	}
-	numBands := (oh + band - 1) / band
-	a := convInferArgs{
-		x: x.Data, w: w.Data, out: out.Data,
-		c: c, h: h, wd: wd, spec: spec, relu: relu,
-		oh: oh, ow: ow, band: band, colRows: colRows, numBands: numBands,
+	if ep.res != nil && len(ep.res) != len(out.Data) {
+		panic("tensor: Conv2DInferResidual residual shape mismatch")
 	}
 	if b != nil {
-		a.bias = b.Data
+		ep.bias = b.Data[:spec.OutC]
 	}
+	if len(out.Data) == 0 {
+		return out
+	}
+	if spec.Stride != 1 {
+		convInferIm2col(x.Data, w.Data, n, c, h, wd, spec, ep, out.Data)
+		return out
+	}
+	a := newImplicitConv(x.Data, w.Data, out.Data, c, h, wd, spec, ep)
 	if runtime.GOMAXPROCS(0) <= 1 {
 		// Closure-free serial path: with one worker the call performs
 		// zero heap allocations (the steady-state inference contract).
 		for i := 0; i < n; i++ {
-			convInferBands(a, i, 0, numBands)
+			a.bands(i, 0, a.numBands)
 		}
-		return out
-	}
-	// The closures capture a branch-local copy so `a` itself never
-	// escapes and the serial path above stays allocation-free.
-	ap := a
-	if n == 1 {
-		parallelFor(numBands, func(lo, hi int) { convInferBands(ap, 0, lo, hi) })
 	} else {
-		parallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				convInferBands(ap, i, 0, ap.numBands)
-			}
-		})
+		// The closures capture a branch-local copy so `a` itself never
+		// escapes and the serial path above stays allocation-free.
+		ap := a
+		if n == 1 {
+			parallelFor(a.numBands, func(lo, hi int) { ap.bands(0, lo, hi) })
+		} else {
+			parallelFor(n, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					ap.bands(i, 0, ap.numBands)
+				}
+			})
+		}
 	}
+	a.release()
 	return out
 }
 
-// convInferArgs carries the precomputed geometry of one Conv2DInfer call
-// so band execution needs no closures (a by-value struct keeps the
-// serial path allocation-free).
-type convInferArgs struct {
-	x, w, bias, out []float32
+// implicitConv is one stride-1 Conv2DInfer call as an implicit GEMM.
+// Output rows are computed in bands: a band's input rows, every
+// channel, are copied once into pooled scratch with a materialised +0
+// ring of pad pixels (pw = wd + 2·pad floats a row, bandPlane floats a
+// channel), and column-matrix row r = (ci, ky, kx) of output row ly of
+// the band is that scratch from off[r] + ly·pw on, off[r] = ci·bandPlane
+// + ky·pw + kx. Every output element therefore sums from +0 over
+// ascending (ci, ky, kx), each product rounded before the add, reading
+// the values im2col would have written — the bits of im2col + GEMM,
+// NaN, ±Inf, ±0 and denormals included.
+//
+// The rows run on one of three kernels behind the same table: the
+// AVX-512 tile (convRowF32AVX512, eight channels by 32 pixels, its
+// weights packed per call into [kk][8] panels — never cached, since
+// training and weight deltas rewrite weights in place), the AVX2 GEMM
+// tile (gemmTiles) and the portable loop (gemmRowsGo), the oracle of
+// both. The struct holds no closures, so the serial path allocates
+// nothing.
+type implicitConv struct {
+	x, w, out       []float32
+	ep              epilogue
 	c, h, wd        int
-	spec            ConvSpec
-	relu            bool
-	oh, ow          int
-	band, colRows   int
+	k, pad          int
+	outC, kk        int // output channels, reduction length c·k·k
+	oh, ow, pw      int
+	band, bandPlane int // output rows per band, floats per band channel
 	numBands        int
+	off             []int
+	maxOff          int
+
+	avx512 bool
+	blocks int       // AVX-512: blocks of eight output channels
+	wp, bp []float32 // AVX-512: weight panels [blocks][kk][8], biases [blocks][8]
+
+	offBuf *[]int
+	wpBuf  *[]float32
 }
 
-// convInferBands runs output-row bands [lo, hi) of batch element i
-// through im2colRange and the fused GEMM, using pooled scratch.
-func convInferBands(a convInferArgs, i, lo, hi int) {
-	planeIn := a.c * a.h * a.wd
-	planeOut := a.spec.OutC * a.oh * a.ow
+func newImplicitConv(x, w, out []float32, c, h, wd int, spec ConvSpec, ep epilogue) implicitConv {
+	k := spec.K
+	a := implicitConv{
+		x: x, w: w, out: out, ep: ep,
+		c: c, h: h, wd: wd, k: k, pad: spec.Pad,
+		outC: spec.OutC, kk: c * k * k,
+		pw: wd + 2*spec.Pad,
+	}
+	a.oh, a.ow = spec.OutSize(h, wd)
+	a.band = a.oh
+	if per := c * a.pw; per > 0 {
+		a.band = max(1, min(a.oh, bandFloats/per-(k-1)))
+	}
+	a.bandPlane = (a.band + k - 1) * a.pw
+	a.numBands = (a.oh + a.band - 1) / a.band
+	a.offBuf = scratchInt.get(a.kk)
+	a.off = *a.offBuf
+	r := 0
+	for ci := 0; ci < c; ci++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				a.off[r] = ci*a.bandPlane + ky*a.pw + kx
+				r++
+			}
+		}
+	}
+	if a.kk > 0 {
+		a.maxOff = a.off[a.kk-1]
+	}
+	a.avx512 = useAVX512 && a.kk > 0
+	if a.avx512 {
+		a.blocks = (a.outC + 7) / 8
+		a.wpBuf = scratchF32.get(a.blocks * (a.kk + 1) * 8)
+		wp := *a.wpBuf
+		clear(wp)
+		a.wp, a.bp = wp[:a.blocks*a.kk*8], wp[a.blocks*a.kk*8:]
+		for oc := 0; oc < a.outC; oc++ {
+			panel := a.wp[oc/8*a.kk*8+oc%8:]
+			for r, v := range w[oc*a.kk : (oc+1)*a.kk] {
+				panel[r*8] = v
+			}
+		}
+		if ep.bias != nil {
+			copy(a.bp, ep.bias)
+		}
+	}
+	return a
+}
+
+func (a *implicitConv) release() {
+	scratchInt.put(a.offBuf)
+	if a.wpBuf != nil {
+		scratchF32.put(a.wpBuf)
+	}
+}
+
+// bands computes bands [lo, hi) of batch element i.
+func (a *implicitConv) bands(i, lo, hi int) {
+	planeIn, planeOut := a.c*a.h*a.wd, a.outC*a.oh*a.ow
 	xi := a.x[i*planeIn : (i+1)*planeIn]
 	oi := a.out[i*planeOut : (i+1)*planeOut]
-	colBuf := scratchF32.get(a.colRows * a.band * a.ow)
-	col := *colBuf
+	ep := a.ep
+	if ep.res != nil {
+		ep.res = ep.res[i*planeOut : (i+1)*planeOut]
+	}
+	bandBuf := scratchF32.get(a.c * a.bandPlane)
+	band := *bandBuf
 	for bi := lo; bi < hi; bi++ {
 		oy0 := bi * a.band
-		oy1 := oy0 + a.band
-		if oy1 > a.oh {
-			oy1 = a.oh
+		rows := min(a.band, a.oh-oy0)
+		a.fill(xi, band, oy0, rows)
+		for ly := 0; ly < rows; ly++ {
+			a.row(band[ly*a.pw:], oi, ep, oy0+ly)
 		}
-		bandCols := (oy1 - oy0) * a.ow
-		im2colRange(xi, a.c, a.h, a.wd, a.spec, oy0, oy1, col[:a.colRows*bandCols])
-		gemmRows(a.w, col, oi[oy0*a.ow:], 0, a.spec.OutC, a.colRows, bandCols, a.oh*a.ow, a.bias, a.relu)
+	}
+	scratchF32.put(bandBuf)
+}
+
+// fill copies the input rows output rows [oy0, oy0+rows) read, every
+// channel, into band, ringed by pad columns and rows of +0 (clear
+// writes +0, never −0: a product with the ring must be w·(+0), as with
+// im2col's padding).
+func (a *implicitConv) fill(xi, band []float32, oy0, rows int) {
+	for ci := 0; ci < a.c; ci++ {
+		plane := xi[ci*a.h*a.wd : (ci+1)*a.h*a.wd]
+		dst := band[ci*a.bandPlane:]
+		for r := 0; r < rows+a.k-1; r++ {
+			row := dst[r*a.pw : (r+1)*a.pw]
+			iy := oy0 + r - a.pad
+			if iy < 0 || iy >= a.h {
+				clear(row)
+				continue
+			}
+			clear(row[:a.pad])
+			copy(row[a.pad:], plane[iy*a.wd:(iy+1)*a.wd])
+			clear(row[a.pad+a.wd:])
+		}
+	}
+}
+
+// row computes output row oy of every channel, b being the band from
+// the row's first window row on.
+func (a *implicitConv) row(b, out []float32, ep epilogue, oy int) {
+	plane := a.oh * a.ow
+	out = out[oy*a.ow:]
+	if ep.res != nil {
+		ep.res = ep.res[oy*a.ow:]
+	}
+	if !a.avx512 {
+		gemmOffRows(a.w, b, a.off, out, 0, a.outC, a.kk, a.ow, plane, ep)
+		return
+	}
+	// The assembly trusts these extents.
+	last := (a.outC-1)*plane + a.ow - 1
+	_ = b[a.maxOff+a.ow-1]
+	_ = out[last]
+	res := &out[0]
+	if ep.res != nil {
+		_ = ep.res[last]
+		res = &ep.res[0]
+	}
+	convRowF32AVX512(&b[0], &a.off[0], a.kk, &a.wp[0], &a.bp[0], a.blocks, a.outC-8*(a.blocks-1),
+		&out[0], plane, a.ow, res, ep.scale, ep.bits())
+}
+
+// convInferIm2col is Conv2DInfer for strided convolutions — only the
+// VAE encoder's, on 32×32 inputs: each input's whole column matrix in
+// pooled scratch, then the GEMM with the epilogue fused, split over
+// output channels.
+func convInferIm2col(x, w []float32, n, c, h, wd int, spec ConvSpec, ep epilogue, out []float32) {
+	oh, ow := spec.OutSize(h, wd)
+	colRows, cols := spec.InC*spec.K*spec.K, oh*ow
+	planeIn, planeOut := c*h*wd, spec.OutC*cols
+	colBuf := scratchF32.get(colRows * cols)
+	col := *colBuf
+	for i := 0; i < n; i++ {
+		im2col(x[i*planeIn:(i+1)*planeIn], c, h, wd, spec, col)
+		oi, epi := out[i*planeOut:(i+1)*planeOut], ep
+		if ep.res != nil {
+			epi.res = ep.res[i*planeOut : (i+1)*planeOut]
+		}
+		parallelFor(spec.OutC, func(lo, hi int) {
+			gemmRows(w, col, oi, lo, hi, colRows, cols, cols, epi)
+		})
 	}
 	scratchF32.put(colBuf)
 }
@@ -276,14 +431,14 @@ func Conv2DForwardInto(out, col *Tensor, cols [][]float32, x, w, b *Tensor, spec
 	if n == 1 {
 		im2col(x.Data, c, h, wd, spec, cols[0])
 		parallelFor(spec.OutC, func(lo, hi int) {
-			gemmRows(w.Data, cols[0], out.Data, lo, hi, colRows, colCols, colCols, bias, false)
+			gemmRows(w.Data, cols[0], out.Data, lo, hi, colRows, colCols, colCols, epilogue{bias: bias})
 		})
 		return cols
 	}
 	parallelFor(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			im2col(x.Data[i*c*h*wd:(i+1)*c*h*wd], c, h, wd, spec, cols[i])
-			gemmRows(w.Data, cols[i], out.Data[i*spec.OutC*colCols:], 0, spec.OutC, colRows, colCols, colCols, bias, false)
+			gemmRows(w.Data, cols[i], out.Data[i*spec.OutC*colCols:], 0, spec.OutC, colRows, colCols, colCols, epilogue{bias: bias})
 		}
 	})
 	return cols
@@ -369,7 +524,7 @@ func matmulBTTiles(a, b, out []float32, m, n, k int) {
 	at, ot := *atBuf, *otBuf
 	transpose(a, at, m, n)
 	parallelFor(k, func(lo, hi int) {
-		gemmRows(b, at, ot, lo, hi, n, m, m, nil, false)
+		gemmRows(b, at, ot, lo, hi, n, m, m, epilogue{})
 	})
 	transpose(ot, out, k, m)
 	scratchF32.put(otBuf)

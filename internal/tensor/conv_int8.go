@@ -81,7 +81,7 @@ func (m *Int8Map) Quantize(src []float32, c, h, w, pad int, inv float32) {
 	if w == 0 {
 		return
 	}
-	if useVNNI {
+	if useAVX512 {
 		for y := 0; y < h; y++ {
 			quantizeMapRowAVX512(&m.pixels(y)[0], &src[y*w], h*w, c, m.c4, w, inv)
 		}
@@ -133,7 +133,7 @@ func layRowInt8(dst []byte, src []int8, chStride, c, c4, w int) {
 }
 
 // The int8 convolution runs on one of three lanes, chosen per call from
-// CPUID (useVNNI, useAVX2): the VNNI lane (convRowInt8VNNI, stride one
+// CPUID (useAVX512, useAVX2): the VNNI lane (convRowInt8VNNI, stride one
 // only), the AVX2 lane (convRowInt8AVX2) and the portable SWAR lane
 // (rowPortable). All three read the same map and compute the exact
 // int32 sum Σx·w before one shared requantize expression, so their
@@ -151,7 +151,7 @@ const (
 // int32 exactly as the offset correction does.
 func int8Lane(spec ConvSpec) int {
 	switch {
-	case useVNNI && spec.Stride == 1:
+	case useAVX512 && spec.Stride == 1:
 		return laneVNNI
 	case useAVX2:
 		return laneAVX2

@@ -10,33 +10,144 @@ package tensor
 // change only which elements are computed together, never the order of
 // any single element's sum.
 //
-// On AVX2 hosts gemmRows and gemmTARows hand their rows to gemmTiles
+// The kernels read row kk of b at b[off[kk]:], through an offset table:
+// a plain GEMM's table is kk·n, and the implicit-GEMM convolution
+// (conv.go) passes the offsets of its column-matrix rows inside a padded
+// input band, so the column matrix is addressed in place, never built.
+//
+// On AVX2 hosts gemmOffRows and gemmTARows hand their rows to gemmTiles
 // (the assembly tile in simd_amd64.s) and matmulBT reaches it through a
 // transposed operand; the same ordering rule holds there, so both paths
 // produce the same bits and the *Go bodies below remain the portable
 // kernels and the assembly's oracle.
 
-// gemmRows computes out rows [lo, hi) of out(m×n) = a(m×k) * b(k×n),
-// where consecutive out rows are outStride apart (outStride >= n, which
-// lets a conv band write into a larger output plane). When bias is
-// non-nil, bias[i] is added to every element of out row i after the full
-// k-sum, and when relu is set the activation is fused into the same
-// pass; both match a separate post-pass bitwise because they apply to
-// the completed sum.
-func gemmRows(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32, relu bool) {
-	if useAVX2 && lo < hi && k > 0 && n > 0 {
-		if bias != nil {
-			bias = bias[lo:hi]
-		}
-		gemmTiles(a[lo*k:], k, 1, b, out[lo*outStride:], hi-lo, k, n, outStride, bias, relu)
-		return
-	}
-	gemmRowsGo(a, b, out, lo, hi, k, n, outStride, bias, relu)
+// epilogue is what the kernels apply to each finished sum v of output
+// row i, column j, in this order: v += bias[i] (a zero bias when relu is
+// set without one), v < 0 → 0 under relu, then, when res is set,
+// v = res[i·outStride + j] + float32(scale·v) — a residual add rounded
+// step by step, exactly as a separate scaled-add pass. res may be out
+// itself. Every step applies to the completed sum, so the fused epilogue
+// matches separate passes bitwise.
+type epilogue struct {
+	bias  []float32
+	relu  bool
+	res   []float32
+	scale float32
 }
 
-// gemmRowsGo is the portable gemmRows: the only kernel on hosts without
-// the assembly, and the oracle the assembly is tested against.
-func gemmRowsGo(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32, relu bool) {
+// rows returns the epilogue of output rows [lo, …): bias and res
+// re-indexed from lo.
+func (ep epilogue) rows(lo, outStride int) epilogue {
+	if ep.bias != nil {
+		ep.bias = ep.bias[lo:]
+	}
+	if ep.res != nil {
+		ep.res = ep.res[lo*outStride:]
+	}
+	return ep
+}
+
+// bits encodes the epilogue for the assembly tiles: bit 0 adds the
+// bias (a zero one under ReLU alone, as the portable epilogue does), bit
+// 1 applies ReLU, bit 2 the residual.
+func (ep epilogue) bits() int {
+	epi := 0
+	if ep.bias != nil || ep.relu {
+		epi = 1
+	}
+	if ep.relu {
+		epi |= 2
+	}
+	if ep.res != nil {
+		epi |= 4
+	}
+	return epi
+}
+
+// gemmRows computes out rows [lo, hi) of out(m×n) = a(m×k) * b(k×n),
+// where consecutive out rows are outStride apart (outStride >= n), with
+// the epilogue ep applied to every completed sum.
+func gemmRows(a, b, out []float32, lo, hi, k, n, outStride int, ep epilogue) {
+	offBuf := denseOffsets(k, n)
+	gemmOffRows(a, b, *offBuf, out, lo, hi, k, n, outStride, ep)
+	scratchInt.put(offBuf)
+}
+
+// denseOffsets returns, from the scratch arena, the offset table of a
+// dense row-major (k×n) matrix: row kk at kk·n.
+func denseOffsets(k, n int) *[]int {
+	offBuf := scratchInt.get(k)
+	for kk := range *offBuf {
+		(*offBuf)[kk] = kk * n
+	}
+	return offBuf
+}
+
+// gemmOffRows computes out rows [lo, hi) of out = a(m×k) · B, where row
+// kk of B is b[off[kk] : off[kk]+n], with the epilogue ep.
+func gemmOffRows(a, b []float32, off []int, out []float32, lo, hi, k, n, outStride int, ep epilogue) {
+	if useAVX2 && lo < hi && k > 0 && n > 0 {
+		gemmTiles(a[lo*k:], k, 1, b, off, out[lo*outStride:], hi-lo, k, n, outStride, ep.rows(lo, outStride))
+		return
+	}
+	gemmRowsGo(a, b, off, out, lo, hi, k, n, outStride, ep)
+}
+
+// gemmRowsGo is the portable gemmOffRows: the only kernel on hosts
+// without the assembly, and the oracle the assembly is tested against.
+// Without a residual it sums in place in out; with one it sums into
+// scratch first, since out may be res, which the epilogue reads.
+func gemmRowsGo(a, b []float32, off []int, out []float32, lo, hi, k, n, outStride int, ep epilogue) {
+	if ep.res == nil {
+		gemmSumsGo(a, b, off, out, lo, hi, k, n, outStride)
+		if ep.bias != nil || ep.relu {
+			for i := lo; i < hi; i++ {
+				row := out[i*outStride : i*outStride+n]
+				ep.finish(row, row, nil, i)
+			}
+		}
+		return
+	}
+	sumBuf := scratchF32.get((hi - lo) * n)
+	sums := *sumBuf
+	gemmSumsGo(a[lo*k:], b, off, sums, 0, hi-lo, k, n, n)
+	for i := lo; i < hi; i++ {
+		ep.finish(sums[(i-lo)*n:(i-lo+1)*n], out[i*outStride:], ep.res[i*outStride:], i)
+	}
+	scratchF32.put(sumBuf)
+}
+
+// finish applies the epilogue of output row i to the row's finished
+// sums, writing it to dst: sums itself, or, with res the row's residual,
+// a row that may be res.
+func (ep epilogue) finish(sums, dst, res []float32, i int) {
+	dst = dst[:len(sums)]
+	if res != nil {
+		res = res[:len(sums)]
+	}
+	var bv float32
+	if ep.bias != nil {
+		bv = ep.bias[i]
+	}
+	addBias := ep.bias != nil || ep.relu
+	for j, v := range sums {
+		if addBias {
+			v += bv
+		}
+		if ep.relu && v < 0 {
+			v = 0
+		}
+		if res != nil {
+			v = res[j] + float32(ep.scale*v)
+		}
+		dst[j] = v
+	}
+}
+
+// gemmSumsGo writes the bare sums Σ_kk a[i·k + kk] · b[off[kk] + j] of
+// out rows [lo, hi), each from +0 in ascending kk.
+func gemmSumsGo(a, b []float32, off []int, out []float32, lo, hi, k, n, outStride int) {
+	off = off[:k]
 	i := lo
 	for ; i+4 <= hi; i += 4 {
 		o0 := out[i*outStride : i*outStride+n]
@@ -49,12 +160,12 @@ func gemmRowsGo(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32
 			o2[j] = 0
 			o3[j] = 0
 		}
-		for kk := 0; kk < k; kk++ {
+		for kk, bo := range off {
 			a0 := a[i*k+kk]
 			a1 := a[(i+1)*k+kk]
 			a2 := a[(i+2)*k+kk]
 			a3 := a[(i+3)*k+kk]
-			brow := b[kk*n : kk*n+n]
+			brow := b[bo : bo+n]
 			// Reslicing the accumulator rows to brow's length lets the
 			// compiler drop all four bounds checks in the hot loop.
 			x0, x1, x2, x3 := o0[:len(brow)], o1[:len(brow)], o2[:len(brow)], o3[:len(brow)]
@@ -71,27 +182,11 @@ func gemmRowsGo(a, b, out []float32, lo, hi, k, n, outStride int, bias []float32
 		for j := range orow {
 			orow[j] = 0
 		}
-		arow := a[i*k : (i+1)*k]
-		for kk, av := range arow {
-			brow := b[kk*n : kk*n+n]
+		for kk, bo := range off {
+			av := a[i*k+kk]
+			brow := b[bo : bo+n]
 			for j, bv := range brow {
 				orow[j] += float32(av * bv)
-			}
-		}
-	}
-	if bias != nil || relu {
-		for i := lo; i < hi; i++ {
-			var bv float32
-			if bias != nil {
-				bv = bias[i]
-			}
-			orow := out[i*outStride : i*outStride+n]
-			for j, v := range orow {
-				v += bv
-				if relu && v < 0 {
-					v = 0
-				}
-				orow[j] = v
 			}
 		}
 	}
@@ -105,7 +200,9 @@ func gemmTARows(a, b, out []float32, lo, hi, m, k, n int) {
 	if useAVX2 && lo < hi && m > 0 && n > 0 {
 		// The same tile as gemmRows, walking a down a column: output row
 		// r reads a[i·k + r] at reduction step i.
-		gemmTiles(a[lo:], 1, k, b, out[lo*n:], hi-lo, m, n, n, nil, false)
+		offBuf := denseOffsets(m, n)
+		gemmTiles(a[lo:], 1, k, b, *offBuf, out[lo*n:], hi-lo, m, n, n, epilogue{})
+		scratchInt.put(offBuf)
 		return
 	}
 	gemmTARowsGo(a, b, out, lo, hi, m, k, n)
@@ -194,35 +291,43 @@ func gemmBTRows(a, b, out []float32, lo, hi, n, k int) {
 // gemmTiles runs the AVX2 register tile (gemmTileAVX2, four output rows
 // by sixteen columns) over rows output rows:
 //
-//	out[r·outStride + j] = Σ_kk a[r·aRow + kk·aK] · b[kk·n + j]
+//	out[r·outStride + j] = ep( Σ_kk a[r·aRow + kk·aK] · b[off[kk] + j] )
 //
-// for r < rows, j < n, with the optional bias (indexed by r) and ReLU
-// applied to each finished sum. gemmRows and gemmTARows are this one
-// routine with two ways of walking a.
-func gemmTiles(a []float32, aRow, aK int, b, out []float32, rows, k, n, outStride int, bias []float32, relu bool) {
+// for r < rows, j < n, with ep's bias indexed by r and its res laid out
+// like out. gemmOffRows and gemmTARows are this one routine with two
+// ways of walking a.
+func gemmTiles(a []float32, aRow, aK int, b []float32, off []int, out []float32, rows, k, n, outStride int, ep epilogue) {
 	// The assembly trusts these extents.
 	_ = a[(rows-1)*aRow+(k-1)*aK]
-	_ = b[k*n-1]
+	maxOff := 0
+	for _, o := range off[:k] {
+		if o < 0 {
+			panic("tensor: negative GEMM operand offset")
+		}
+		maxOff = max(maxOff, o)
+	}
+	_ = b[maxOff+n-1]
 	_ = out[(rows-1)*outStride+n-1]
-	epi := 0
-	if bias != nil || relu {
-		epi = 1 // the portable epilogue adds a zero bias under ReLU alone
+	if ep.res != nil {
+		_ = ep.res[(rows-1)*outStride+n-1]
 	}
-	if relu {
-		epi |= 2
-	}
+	epi := ep.bits()
 	// Column panels outermost: a panel of b (k rows of gemmPanel
 	// floats) stays in L1 while every row block sweeps it, so b streams
 	// from the next cache level once instead of once per row block.
 	var bv [4]float32
+	var res *float32
 	for j := 0; j < n; j += gemmPanel {
 		nc := min(gemmPanel, n-j)
 		for r := 0; r < rows; r += 4 {
 			nr := min(4, rows-r)
-			if bias != nil {
-				copy(bv[:], bias[r:r+nr])
+			if ep.bias != nil {
+				copy(bv[:], ep.bias[r:r+nr])
 			}
-			gemmTileAVX2(&a[r*aRow], aRow, aK, &b[j], n, &out[r*outStride+j], outStride, nr, k, nc, &bv[0], epi)
+			if ep.res != nil {
+				res = &ep.res[r*outStride+j]
+			}
+			gemmTileAVX2(&a[r*aRow], aRow, aK, &b[j], &off[0], &out[r*outStride+j], outStride, nr, k, nc, &bv[0], res, ep.scale, epi)
 		}
 	}
 }
@@ -236,10 +341,11 @@ const gemmPanel = 32
 // leaf 1's ECX, ebx7 and ecx7 leaf 7's EBX and ECX, and xcr0 the OS's
 // enabled register state (0 when OSXSAVE is clear and it cannot be
 // read). A lane needs the instructions and the OS saving the registers
-// it uses: AVX2 needs the YMM state, VNNI the opmask and full ZMM state
-// as well, plus AVX-512 F, BW and VL for the masked byte and 256-bit
-// forms its tile uses. Executing either without them is SIGILL.
-func cpuLanes(maxLeaf, ecx1, ebx7, ecx7, xcr0 uint32) (avx2, vnni bool) {
+// it uses: AVX2 needs the YMM state; the AVX-512 lane the opmask and
+// full ZMM state as well, plus AVX-512 F, BW and VL for the masked
+// float32, byte and 256-bit forms its tiles use, and VNNI for the int8
+// dot products. Executing either without them is SIGILL.
+func cpuLanes(maxLeaf, ecx1, ebx7, ecx7, xcr0 uint32) (avx2, avx512 bool) {
 	const (
 		osxsave, avx = 1 << 27, 1 << 28 // leaf 1 ECX
 		avx2Bit      = 1 << 5           // leaf 7 EBX
@@ -252,6 +358,6 @@ func cpuLanes(maxLeaf, ecx1, ebx7, ecx7, xcr0 uint32) (avx2, vnni bool) {
 		return false, false
 	}
 	avx2 = ebx7&avx2Bit != 0
-	vnni = avx2 && xcr0&zmmState == zmmState && ebx7&avx512FBWVL == avx512FBWVL && ecx7&avx512VNNI != 0
-	return avx2, vnni
+	avx512 = avx2 && xcr0&zmmState == zmmState && ebx7&avx512FBWVL == avx512FBWVL && ecx7&avx512VNNI != 0
+	return avx2, avx512
 }

@@ -44,7 +44,7 @@ func TestGEMMParity(t *testing.T) {
 		b := randSlice(rng, sh.k*sh.n)
 		got := make([]float32, sh.m*sh.n)
 		want := make([]float32, sh.m*sh.n)
-		gemmRows(a, b, got, 0, sh.m, sh.k, sh.n, sh.n, nil, false)
+		gemmRows(a, b, got, 0, sh.m, sh.k, sh.n, sh.n, epilogue{})
 		matmulRef(a, b, want, sh.m, sh.k, sh.n)
 		if d := maxRelDiff(got, want); d > 1e-5 {
 			t.Errorf("gemmRows(%dx%dx%d) differs from reference by %g", sh.m, sh.k, sh.n, d)
@@ -60,7 +60,7 @@ func TestGEMMFusedBiasReLUParity(t *testing.T) {
 		bias := randSlice(rng, sh.m)
 		got := make([]float32, sh.m*sh.n)
 		want := make([]float32, sh.m*sh.n)
-		gemmRows(a, b, got, 0, sh.m, sh.k, sh.n, sh.n, bias, true)
+		gemmRows(a, b, got, 0, sh.m, sh.k, sh.n, sh.n, epilogue{bias: bias, relu: true})
 		matmulRef(a, b, want, sh.m, sh.k, sh.n)
 		for i := 0; i < sh.m; i++ {
 			for j := 0; j < sh.n; j++ {
@@ -88,7 +88,7 @@ func TestGEMMStridedOutput(t *testing.T) {
 	for i := range got {
 		got[i] = 99 // sentinel outside the written columns
 	}
-	gemmRows(a, b, got, 1, m, k, n, stride, nil, false)
+	gemmRows(a, b, got, 1, m, k, n, stride, epilogue{})
 	want := make([]float32, m*n)
 	matmulRef(a, b, want, m, k, n)
 	for i := 1; i < m; i++ {
@@ -179,15 +179,16 @@ func TestConv2DInferMatchesForward(t *testing.T) {
 	}
 }
 
-// TestConv2DInferMultiBand forces the banded im2col path (several bands
-// per frame) and checks it against the single-col training kernel.
+// TestConv2DInferMultiBand forces several padded input bands per frame
+// — a last band shorter than the rest, one to three workers — and
+// checks the implicit GEMM bit for bit against the single column matrix
+// of the training kernel, with ReLU and with the residual epilogue.
 func TestConv2DInferMultiBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	spec := ConvSpec{InC: 16, OutC: 8, K: 3, Stride: 1, Pad: 1}
-	h, w := 64, 64 // colRows=144, band=2^18/(144*64)=28 < oh → 3 bands
-	colRows := spec.InC * spec.K * spec.K
-	if band := bandFloatBudget / (colRows * w); band >= h {
-		t.Fatalf("test no longer exercises multiple bands (band=%d >= oh=%d)", band, h)
+	spec := ConvSpec{InC: 64, OutC: 11, K: 3, Stride: 1, Pad: 1}
+	h, w := 70, 126 // pw=128: band = 2^18/(64·128) − 2 = 30 < oh → 3 bands, the last 10 rows
+	if band := bandFloats/(spec.InC*(w+2*spec.Pad)) - (spec.K - 1); band >= h || h%band == 0 {
+		t.Fatalf("test no longer exercises several bands and a short last one (band=%d, oh=%d)", band, h)
 	}
 	x := New(1, spec.InC, h, w)
 	copy(x.Data, randSlice(rng, x.Len()))
@@ -195,10 +196,25 @@ func TestConv2DInferMultiBand(t *testing.T) {
 	copy(wt.Data, randSlice(rng, wt.Len()))
 	bias := New(spec.OutC)
 	copy(bias.Data, randSlice(rng, bias.Len()))
+	res := New(1, spec.OutC, h, w)
+	copy(res.Data, randSlice(rng, res.Len()))
 	want, _ := Conv2DForward(x, wt, bias, spec)
-	got := Conv2DInfer(x, wt, bias, spec, false, nil)
-	if d := maxRelDiff(got.Data, want.Data); d > 1e-5 {
-		t.Fatalf("multi-band Conv2DInfer differs from Conv2DForward by %g", d)
+	wantReLU := append([]float32(nil), want.Data...)
+	for i, v := range wantReLU {
+		if v < 0 {
+			wantReLU[i] = 0
+		}
+	}
+	wantRes := make([]float32, len(want.Data))
+	for i, v := range want.Data {
+		wantRes[i] = res.Data[i] + float32(float32(0.1)*v)
+	}
+	for procs := 1; procs <= 3; procs++ {
+		withProcs(t, procs, func() {
+			diffBits(t, "multi-band Conv2DInfer", Conv2DInfer(x, wt, bias, spec, false, nil).Data, want.Data)
+			diffBits(t, "multi-band Conv2DInfer with ReLU", Conv2DInfer(x, wt, bias, spec, true, nil).Data, wantReLU)
+			diffBits(t, "multi-band Conv2DInferResidual", Conv2DInferResidual(x, wt, bias, res, 0.1, spec, nil).Data, wantRes)
+		})
 	}
 }
 

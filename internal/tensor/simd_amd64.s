@@ -159,6 +159,26 @@ GLOBL colmask<>(SB), RODATA|NOPTR, $128
 	VANDPS       Y10, Y11, Y11 \
 	VANDNPS      acc1, Y11, acc1
 
+// The residual epilogue on one row: v = res + float32(scale·v), the
+// product rounded before the add, with Y15 the broadcast scale and r0,
+// r1 the row's two res vectors. RESROWMASK loads them under the tail's
+// column masks (Y12, Y13).
+#define RESROW(r0, r1, acc0, acc1) \
+	VMULPS  Y15, acc0, acc0 \
+	VMOVUPS r0, Y10 \
+	VADDPS  acc0, Y10, acc0 \
+	VMULPS  Y15, acc1, acc1 \
+	VMOVUPS r1, Y11 \
+	VADDPS  acc1, Y11, acc1
+
+#define RESROWMASK(r0, r1, acc0, acc1) \
+	VMULPS     Y15, acc0, acc0 \
+	VMASKMOVPS r0, Y12, Y10 \
+	VADDPS     acc0, Y10, acc0 \
+	VMULPS     Y15, acc1, acc1 \
+	VMASKMOVPS r1, Y13, Y11 \
+	VADDPS     acc1, Y11, acc1
+
 #define ZEROACC \
 	VXORPS Y0, Y0, Y0 \
 	VXORPS Y1, Y1, Y1 \
@@ -169,29 +189,28 @@ GLOBL colmask<>(SB), RODATA|NOPTR, $128
 	VXORPS Y6, Y6, Y6 \
 	VXORPS Y7, Y7, Y7
 
-// func gemmTileAVX2(a *float32, aRow, aK int, b *float32, bStride int,
-//	out *float32, outStride, rows, k, n int, bias *float32, epi int)
+// func gemmTileAVX2(a *float32, aRow, aK int, b *float32, off *int,
+//	out *float32, outStride, rows, k, n int, bias, res *float32, scale float32, epi int)
 //
 // Computes, for r < rows (1..4) and j < n,
 //
-//	out[r·outStride + j] = epi( Σ_kk a[r·aRow + kk·aK] · b[kk·bStride + j] )
+//	out[r·outStride + j] = epi( Σ_kk a[r·aRow + kk·aK] · b[off[kk] + j] )
 //
 // with every element accumulated from +0 in ascending kk order. Lanes
 // run across output columns, so no sum is ever reordered. epi bit 0
-// adds bias[r] (bias always holds four values), bit 1 applies ReLU.
-TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-96
+// adds bias[r] (bias always holds four values), bit 1 applies ReLU and
+// bit 2 the residual res[r·outStride + j] + float32(scale·v); res may
+// be out.
+TEXT ·gemmTileAVX2(SB), NOSPLIT, $0-112
 	MOVQ   aRow+8(FP), R8
 	SHLQ   $2, R8
 	LEAQ   (R8)(R8*2), R9        // 3 a-rows, in bytes
 	MOVQ   aK+16(FP), R14
 	SHLQ   $2, R14
 	MOVQ   b+24(FP), SI
-	MOVQ   bStride+32(FP), R10
-	SHLQ   $2, R10
 	MOVQ   out+40(FP), DI
 	MOVQ   outStride+48(FP), R11
 	SHLQ   $2, R11
-	LEAQ   (R11)(R11*2), R12     // 3 out-rows, in bytes
 	MOVQ   rows+56(FP), R13
 	MOVQ   n+72(FP), DX
 	VXORPS Y14, Y14, Y14
@@ -200,13 +219,14 @@ colblock:
 	CMPQ DX, $16
 	JLT  tail
 	MOVQ a+0(FP), AX
-	MOVQ SI, BX
+	MOVQ off+32(FP), R10
 	MOVQ k+64(FP), CX
 	ZEROACC
 
 kfull:
-	VMOVUPS (BX), Y8
-	VMOVUPS 32(BX), Y9
+	MOVQ    (R10), R12
+	VMOVUPS (SI)(R12*4), Y8
+	VMOVUPS 32(SI)(R12*4), Y9
 	TILEROW((AX), Y0, Y1)
 	CMPQ    R13, $2
 	JLT     kfullnext
@@ -220,13 +240,13 @@ kfull:
 
 kfullnext:
 	ADDQ R14, AX
-	ADDQ R10, BX
+	ADDQ $8, R10
 	DECQ CX
 	JNZ  kfull
 
-	MOVQ  epi+88(FP), CX
-	TESTQ CX, CX
-	JZ    storefull
+	MOVQ  epi+104(FP), CX
+	TESTQ $3, CX
+	JZ    resfull
 	MOVQ  bias+80(FP), BX
 	VXORPS Y10, Y10, Y10
 	TESTQ $2, CX
@@ -238,6 +258,25 @@ epifull:
 	EPILOGUE(4, Y2, Y3)
 	EPILOGUE(8, Y4, Y5)
 	EPILOGUE(12, Y6, Y7)
+
+resfull:
+	LEAQ  (R11)(R11*2), R12      // 3 out-rows, in bytes
+	TESTQ $4, CX
+	JZ    storefull
+	VBROADCASTSS scale+96(FP), Y15
+	MOVQ  res+88(FP), BX
+	ADDQ  DI, BX
+	SUBQ  out+40(FP), BX         // BX: this block's res, laid out like out
+	RESROW((BX), 32(BX), Y0, Y1)
+	CMPQ  R13, $2
+	JLT   storefull
+	RESROW((BX)(R11*1), 32(BX)(R11*1), Y2, Y3)
+	CMPQ  R13, $3
+	JLT   storefull
+	RESROW((BX)(R11*2), 32(BX)(R11*2), Y4, Y5)
+	CMPQ  R13, $4
+	JLT   storefull
+	RESROW((BX)(R12*1), 32(BX)(R12*1), Y6, Y7)
 
 storefull:
 	VMOVUPS Y0, (DI)
@@ -272,13 +311,14 @@ tail:
 	VMOVDQU (BX), Y12
 	VMOVDQU 32(BX), Y13
 	MOVQ    a+0(FP), AX
-	MOVQ    SI, BX
+	MOVQ    off+32(FP), R10
 	MOVQ    k+64(FP), CX
 	ZEROACC
 
 ktail:
-	VMASKMOVPS (BX), Y12, Y8
-	VMASKMOVPS 32(BX), Y13, Y9
+	MOVQ       (R10), R12
+	VMASKMOVPS (SI)(R12*4), Y12, Y8
+	VMASKMOVPS 32(SI)(R12*4), Y13, Y9
 	TILEROW((AX), Y0, Y1)
 	CMPQ    R13, $2
 	JLT     ktailnext
@@ -292,13 +332,13 @@ ktail:
 
 ktailnext:
 	ADDQ R14, AX
-	ADDQ R10, BX
+	ADDQ $8, R10
 	DECQ CX
 	JNZ  ktail
 
-	MOVQ  epi+88(FP), CX
-	TESTQ CX, CX
-	JZ    storetail
+	MOVQ  epi+104(FP), CX
+	TESTQ $3, CX
+	JZ    restail
 	MOVQ  bias+80(FP), BX
 	VXORPS Y10, Y10, Y10
 	TESTQ $2, CX
@@ -310,6 +350,25 @@ epitail:
 	EPILOGUE(4, Y2, Y3)
 	EPILOGUE(8, Y4, Y5)
 	EPILOGUE(12, Y6, Y7)
+
+restail:
+	LEAQ  (R11)(R11*2), R12
+	TESTQ $4, CX
+	JZ    storetail
+	VBROADCASTSS scale+96(FP), Y15
+	MOVQ  res+88(FP), BX
+	ADDQ  DI, BX
+	SUBQ  out+40(FP), BX
+	RESROWMASK((BX), 32(BX), Y0, Y1)
+	CMPQ  R13, $2
+	JLT   storetail
+	RESROWMASK((BX)(R11*1), 32(BX)(R11*1), Y2, Y3)
+	CMPQ  R13, $3
+	JLT   storetail
+	RESROWMASK((BX)(R11*2), 32(BX)(R11*2), Y4, Y5)
+	CMPQ  R13, $4
+	JLT   storetail
+	RESROWMASK((BX)(R12*1), 32(BX)(R12*1), Y6, Y7)
 
 storetail:
 	VMASKMOVPS Y0, Y12, (DI)
@@ -328,6 +387,213 @@ storetail:
 	VMASKMOVPS Y7, Y13, 32(DI)(R12*1)
 
 done:
+	VZEROUPPER
+	RET
+
+// One output channel of the AVX-512 float32 tile at one reduction step:
+// multiply the two b vectors (Z16, Z17) by the weight broadcast from
+// woff(AX) and add the products into the channel's accumulators — the
+// same separate, individually rounded multiply and add as TILEROW, in
+// the same source order.
+#define ZTILEROW(woff, acc0, acc1) \
+	VMULPS.BCST woff(AX), Z16, Z18 \
+	VADDPS      acc0, Z18, acc0 \
+	VMULPS.BCST woff(AX), Z17, Z19 \
+	VADDPS      acc1, Z19, acc1
+
+// v += bias (broadcast from boff(BX)) on one channel.
+#define ZBIAS(boff, acc0, acc1) \
+	VADDPS.BCST boff(BX), acc0, acc0 \
+	VADDPS.BCST boff(BX), acc1, acc1
+
+// v < 0 → 0 on one vector, as a compare and a masked move of zero (Z20):
+// −0 and NaN stay, as in the Go expression.
+#define ZRELU(acc) \
+	VCMPPS  $1, Z20, acc, K3 \
+	VMOVAPS Z20, K3, acc
+
+// Store one channel's 32 columns at R10 under the column masks and step
+// to the next channel's row, or leave when CX channels are done.
+#define ZSTORE(acc0, acc1) \
+	VMOVUPS acc0, K1, (R10) \
+	VMOVUPS acc1, K2, 64(R10) \
+	DECQ    CX \
+	JZ      zblockdone \
+	ADDQ    R11, R10
+
+// ZSTORE after the residual epilogue v = res + float32(scale·v), with
+// the channel's res row at R9 and the broadcast scale in Z21.
+#define ZRESSTORE(acc0, acc1) \
+	VMOVUPS.Z (R9), K1, Z22 \
+	VMOVUPS.Z 64(R9), K2, Z23 \
+	VMULPS    Z21, acc0, acc0 \
+	VADDPS    acc0, Z22, acc0 \
+	VMULPS    Z21, acc1, acc1 \
+	VADDPS    acc1, Z23, acc1 \
+	ADDQ      R11, R9 \
+	ZSTORE(acc0, acc1)
+
+// func convRowF32AVX512(b *float32, off *int, kk int, w, bias *float32,
+//	blocks, lastRows int, out *float32, planeStride, cols int, res *float32, scale float32, epi int)
+//
+// One output row of the implicit-GEMM float32 convolution: for every
+// block of eight output channels and every pixel j < cols,
+//
+//	out[(8·blk + o)·planeStride + j] = epi( Σ_r w[blk][r][o] · b[off[r] + j] )
+//
+// accumulated from +0 in ascending r (kk steps) — gemmTileAVX2's sums,
+// eight channels by 32 pixels at a time in sixteen ZMM accumulators.
+// w holds per block kk rows of eight weights (zero past the last
+// channel), bias eight values per block. The last block stores only
+// lastRows channels; K1 and K2 mask the columns of a short last block.
+// Masked loads read nothing in the lanes they leave zero. epi's bits are
+// gemmTileAVX2's, res laid out like out (and may be out).
+TEXT ·convRowF32AVX512(SB), NOSPLIT, $0-104
+	MOVQ         b+0(FP), SI
+	MOVQ         out+56(FP), DI
+	MOVQ         res+80(FP), R8
+	MOVQ         planeStride+64(FP), R11
+	SHLQ         $2, R11
+	MOVQ         cols+72(FP), DX
+	VBROADCASTSS scale+88(FP), Z21
+	VXORPS       Z20, Z20, Z20
+
+zcol:
+	CMPQ DX, $0
+	JLE  zdone
+	MOVQ $-1, AX
+	CMPQ DX, $32
+	JGE  zmask
+	MOVQ DX, CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+
+zmask:
+	KMOVW AX, K1
+	SHRQ  $16, AX
+	KMOVW AX, K2
+	MOVQ  w+24(FP), AX
+	MOVQ  bias+32(FP), BX
+	MOVQ  blocks+40(FP), R12
+	MOVQ  DI, R13
+	MOVQ  R8, R14
+
+zblock:
+	VXORPS Z0, Z0, Z0
+	VXORPS Z1, Z1, Z1
+	VXORPS Z2, Z2, Z2
+	VXORPS Z3, Z3, Z3
+	VXORPS Z4, Z4, Z4
+	VXORPS Z5, Z5, Z5
+	VXORPS Z6, Z6, Z6
+	VXORPS Z7, Z7, Z7
+	VXORPS Z8, Z8, Z8
+	VXORPS Z9, Z9, Z9
+	VXORPS Z10, Z10, Z10
+	VXORPS Z11, Z11, Z11
+	VXORPS Z12, Z12, Z12
+	VXORPS Z13, Z13, Z13
+	VXORPS Z14, Z14, Z14
+	VXORPS Z15, Z15, Z15
+	MOVQ   off+8(FP), R10
+	MOVQ   kk+16(FP), CX
+
+zk:
+	MOVQ      (R10), R9
+	VMOVUPS.Z (SI)(R9*4), K1, Z16
+	VMOVUPS.Z 64(SI)(R9*4), K2, Z17
+	ZTILEROW(0, Z0, Z1)
+	ZTILEROW(4, Z2, Z3)
+	ZTILEROW(8, Z4, Z5)
+	ZTILEROW(12, Z6, Z7)
+	ZTILEROW(16, Z8, Z9)
+	ZTILEROW(20, Z10, Z11)
+	ZTILEROW(24, Z12, Z13)
+	ZTILEROW(28, Z14, Z15)
+	ADDQ      $8, R10
+	ADDQ      $32, AX
+	DECQ      CX
+	JNZ       zk
+
+	MOVQ  epi+96(FP), CX
+	TESTQ $1, CX
+	JZ    zrelu
+	ZBIAS(0, Z0, Z1)
+	ZBIAS(4, Z2, Z3)
+	ZBIAS(8, Z4, Z5)
+	ZBIAS(12, Z6, Z7)
+	ZBIAS(16, Z8, Z9)
+	ZBIAS(20, Z10, Z11)
+	ZBIAS(24, Z12, Z13)
+	ZBIAS(28, Z14, Z15)
+
+zrelu:
+	TESTQ $2, CX
+	JZ    zstore
+	ZRELU(Z0)
+	ZRELU(Z1)
+	ZRELU(Z2)
+	ZRELU(Z3)
+	ZRELU(Z4)
+	ZRELU(Z5)
+	ZRELU(Z6)
+	ZRELU(Z7)
+	ZRELU(Z8)
+	ZRELU(Z9)
+	ZRELU(Z10)
+	ZRELU(Z11)
+	ZRELU(Z12)
+	ZRELU(Z13)
+	ZRELU(Z14)
+	ZRELU(Z15)
+
+zstore:
+	MOVQ  R13, R10
+	MOVQ  R14, R9
+	MOVQ  $8, CX
+	CMPQ  R12, $1
+	JNE   zrows
+	MOVQ  lastRows+48(FP), CX
+
+zrows:
+	TESTQ $4, epi+96(FP)
+	JNZ   zres
+	ZSTORE(Z0, Z1)
+	ZSTORE(Z2, Z3)
+	ZSTORE(Z4, Z5)
+	ZSTORE(Z6, Z7)
+	ZSTORE(Z8, Z9)
+	ZSTORE(Z10, Z11)
+	ZSTORE(Z12, Z13)
+	ZSTORE(Z14, Z15)
+	JMP zblockdone
+
+zres:
+	ZRESSTORE(Z0, Z1)
+	ZRESSTORE(Z2, Z3)
+	ZRESSTORE(Z4, Z5)
+	ZRESSTORE(Z6, Z7)
+	ZRESSTORE(Z8, Z9)
+	ZRESSTORE(Z10, Z11)
+	ZRESSTORE(Z12, Z13)
+	ZRESSTORE(Z14, Z15)
+
+zblockdone:
+	ADDQ $32, BX
+	MOVQ R11, R9
+	SHLQ $3, R9                 // eight channel planes, in bytes
+	ADDQ R9, R13
+	ADDQ R9, R14
+	DECQ R12
+	JNZ  zblock
+	ADDQ $128, SI
+	ADDQ $128, DI
+	ADDQ $128, R8
+	SUBQ $32, DX
+	JMP  zcol
+
+zdone:
 	VZEROUPPER
 	RET
 

@@ -2,12 +2,16 @@
 
 package tensor
 
-// useAVX2 and useVNNI are never set in builds without the amd64
+// useAVX2 and useAVX512 are never set in builds without the amd64
 // assembly: every kernel entry point runs its portable Go body.
-var useAVX2, useVNNI = false, false
+var useAVX2, useAVX512 = false, false
 
-func gemmTileAVX2(a *float32, aRow, aK int, b *float32, bStride int, out *float32, outStride, rows, k, n int, bias *float32, epi int) {
+func gemmTileAVX2(a *float32, aRow, aK int, b *float32, off *int, out *float32, outStride, rows, k, n int, bias, res *float32, scale float32, epi int) {
 	panic("tensor: AVX2 kernels are not part of this build")
+}
+
+func convRowF32AVX512(b *float32, off *int, kk int, w, bias *float32, blocks, lastRows int, out *float32, planeStride, cols int, res *float32, scale float32, epi int) {
+	panic("tensor: AVX-512 kernels are not part of this build")
 }
 
 func convRowInt8AVX2(rec *byte, rowBytes, pixBytes, kRows, chunks int, w *int8, sb *float32, nb4 int, out *float32, planeStride, cols, outC, relu int) {

@@ -15,25 +15,25 @@ import (
 
 // kernelLane is one set of kernels the entry points can run on.
 type kernelLane struct {
-	name       string
-	avx2, vnni bool
+	name         string
+	avx2, avx512 bool
 }
 
 // kernelLanes are the lanes, fastest first: CPUID selects the first one
 // the host has.
-var kernelLanes = []kernelLane{{"vnni", true, true}, {"avx2", true, false}, {"portable", false, false}}
+var kernelLanes = []kernelLane{{"avx512", true, true}, {"avx2", true, false}, {"portable", false, false}}
 
-// hostAVX2 and hostVNNI are the CPUID decision, taken before any test
+// hostAVX2 and hostAVX512 are the CPUID decision, taken before any test
 // switches lanes.
-var hostAVX2, hostVNNI = useAVX2, useVNNI
+var hostAVX2, hostAVX512 = useAVX2, useAVX512
 
-func (l kernelLane) available() bool { return (hostAVX2 || !l.avx2) && (hostVNNI || !l.vnni) }
+func (l kernelLane) available() bool { return (hostAVX2 || !l.avx2) && (hostAVX512 || !l.avx512) }
 
 // withLane runs fn on lane l, restoring the CPUID decision afterwards.
 func withLane(l kernelLane, fn func()) {
-	prevAVX2, prevVNNI := useAVX2, useVNNI
-	useAVX2, useVNNI = l.avx2, l.vnni
-	defer func() { useAVX2, useVNNI = prevAVX2, prevVNNI }()
+	prevAVX2, prevAVX512 := useAVX2, useAVX512
+	useAVX2, useAVX512 = l.avx2, l.avx512
+	defer func() { useAVX2, useAVX512 = prevAVX2, prevAVX512 }()
 	fn()
 }
 
@@ -41,6 +41,19 @@ func withLane(l kernelLane, fn func()) {
 func withPortableKernels(t testing.TB, fn func()) {
 	t.Helper()
 	withLane(kernelLanes[2], fn)
+}
+
+// float32ConvTests are the float32 convolution tests the lane tests
+// re-run: on a host with the AVX-512 lane they are the only tests of
+// the AVX2 and portable implicit-GEMM drivers.
+var float32ConvTests = []struct {
+	name string
+	fn   func(*testing.T)
+}{
+	{"ConvMatchesReference", TestConvMatchesReference},
+	{"Conv2DInferMatchesForward", TestConv2DInferMatchesForward},
+	{"Conv2DInferMultiBand", TestConv2DInferMultiBand},
+	{"Conv2DInferReusesBuffer", TestConv2DInferReusesBuffer},
 }
 
 // int8Tests are the int8 parity, determinism and allocation tests the
@@ -76,11 +89,11 @@ func TestPortablePath(t *testing.T) {
 			{"GEMMBTParity", TestGEMMBTParity},
 			{"MatMulATandBT", TestMatMulATandBT},
 			{"MatMulDeterministicAcrossWorkerCounts", TestMatMulDeterministicAcrossWorkerCounts},
-			{"ConvMatchesReference", TestConvMatchesReference},
 			{"Im2colCol2imAdjoint", TestIm2colCol2imAdjoint},
-			{"Conv2DInferMatchesForward", TestConv2DInferMatchesForward},
-			{"Conv2DInferMultiBand", TestConv2DInferMultiBand},
 		} {
+			t.Run(tc.name, tc.fn)
+		}
+		for _, tc := range float32ConvTests {
 			t.Run(tc.name, tc.fn)
 		}
 		for _, tc := range int8Tests {
@@ -89,13 +102,17 @@ func TestPortablePath(t *testing.T) {
 	})
 }
 
-// TestAVX2Path is TestPortablePath's twin for the AVX2 int8 lane, which
-// a VNNI host otherwise takes only for strided convolutions.
+// TestAVX2Path is TestPortablePath's twin for the AVX2 lane, which an
+// AVX-512 host otherwise takes only for strided int8 convolutions and
+// the GEMMs.
 func TestAVX2Path(t *testing.T) {
-	if !hostVNNI {
-		t.Skip("no VNNI lane here: the AVX2 lane, if any, is already the default")
+	if !hostAVX512 {
+		t.Skip("no AVX-512 lane here: the AVX2 lane, if any, is already the default")
 	}
 	withLane(kernelLanes[1], func() {
+		for _, tc := range float32ConvTests {
+			t.Run(tc.name, tc.fn)
+		}
 		for _, tc := range int8Tests {
 			t.Run(tc.name, tc.fn)
 		}
@@ -117,7 +134,7 @@ func TestCPULanes(t *testing.T) {
 	for _, tc := range []struct {
 		name                            string
 		maxLeaf, ecx1, ebx7, ecx7, xcr0 uint32
-		avx2, vnni                      bool
+		avx2, avx512                    bool
 	}{
 		{"avx512 vnni, full state", 7, osxsaveAVX, all, vnni, 0xE7, true, true},
 		{"vnni without opmask/ZMM state", 7, osxsaveAVX, all, vnni, 0x07, true, false},
@@ -132,8 +149,8 @@ func TestCPULanes(t *testing.T) {
 		{"no leaf 7", 6, osxsaveAVX, all, vnni, 0xE7, false, false},
 		{"no AVX2", 7, osxsaveAVX, f | bw | vl, vnni, 0xE7, false, false},
 	} {
-		if a, v := cpuLanes(tc.maxLeaf, tc.ecx1, tc.ebx7, tc.ecx7, tc.xcr0); a != tc.avx2 || v != tc.vnni {
-			t.Errorf("%s: cpuLanes = avx2 %v, vnni %v; want %v, %v", tc.name, a, v, tc.avx2, tc.vnni)
+		if a, v := cpuLanes(tc.maxLeaf, tc.ecx1, tc.ebx7, tc.ecx7, tc.xcr0); a != tc.avx2 || v != tc.avx512 {
+			t.Errorf("%s: cpuLanes = avx2 %v, avx512 %v; want %v, %v", tc.name, a, v, tc.avx2, tc.avx512)
 		}
 	}
 }
@@ -247,7 +264,7 @@ func checkGemmCase(t *testing.T, c gemmCase) {
 			for i := range out {
 				out[i] = 99
 			}
-			gemmRows(a, b, out, lo, m, k, n, stride, bias, c.relu)
+			gemmRows(a, b, out, lo, m, k, n, stride, epilogue{bias: bias, relu: c.relu})
 			for i := 0; i < m; i++ {
 				for j := 0; j < stride; j++ {
 					if (i < lo || j >= n) && out[i*stride+j] != 99 {
@@ -335,9 +352,18 @@ type convCase struct {
 	special     bool
 	procs       int
 	dataSeed    int64
+
+	residual bool    // also check Conv2DInferResidual
+	scale    float32 // its scale: 1 or 0.1
+	inPlace  bool    // with out == res
 }
 
-func drawConvCase(seed int64, shape, chans, flags uint8) convCase {
+// convWidths are the input widths the extra byte can force: a single
+// column, either side of the AVX-512 tile's 32 pixels, and a 480-pixel
+// row of full tiles.
+var convWidths = []int{1, 31, 33, 480}
+
+func drawConvCase(seed int64, shape, chans, flags, extra uint8) convCase {
 	inCs := []int{1, 2, 3, 5, 16, 17}
 	outCs := []int{1, 3, 4, 7, 16, 17, 64}
 	c := convCase{
@@ -349,12 +375,19 @@ func drawConvCase(seed int64, shape, chans, flags uint8) convCase {
 		relu: flags&1 != 0, special: flags&2 != 0,
 		procs:    1 + int(flags>>4)%3,
 		dataSeed: seed,
+		residual: extra&1 != 0, scale: 1, inPlace: extra&4 != 0,
+	}
+	if extra&2 != 0 {
+		c.scale = 0.1
 	}
 	if flags&0x20 != 0 && c.spec.Pad == 0 {
 		c.spec.K = 1
 	}
 	c.h = c.spec.K + int(shape&15)
 	c.w = c.spec.K + int(shape>>4)*3
+	if i := int(extra>>3) & 7; i >= 1 && i <= len(convWidths) {
+		c.w = max(convWidths[i-1], c.spec.K-2*c.spec.Pad)
+	}
 	return c
 }
 
@@ -372,13 +405,13 @@ func checkConvCase(t *testing.T, c convCase) {
 	}
 	oh, ow := spec.OutSize(c.h, c.w)
 
-	// Float32: Conv2DInfer against Conv2DForward plus separate bias and
-	// ReLU passes, then the backward pass, each on both paths.
-	type f32Result struct{ infer, fwd, gx, gw, gb []float32 }
+	// Float32: Conv2DForward and the backward pass on the assembly and
+	// the portable kernels, then Conv2DInfer on every lane against
+	// Conv2DForward plus separate bias and ReLU passes.
+	type f32Result struct{ fwd, gx, gw, gb []float32 }
 	run := func() f32Result {
 		var r f32Result
 		withProcs(t, c.procs, func() {
-			r.infer = Conv2DInfer(x, wt, bias, spec, c.relu, nil).Data
 			out, cols := Conv2DForward(x, wt, bias, spec)
 			gy := New(c.batch, spec.OutC, oh, ow)
 			copy(gy.Data, operand(rand.New(rand.NewSource(c.dataSeed+1)), gy.Len(), c.special))
@@ -416,8 +449,19 @@ func checkConvCase(t *testing.T, c convCase) {
 			fused[i] = v
 		}
 	}
-	diffBits(t, "Conv2DInfer portable vs Conv2DForward+ReLU", portable.infer, fused)
-	diffBits(t, "Conv2DInfer asm vs Conv2DForward+ReLU", got.infer, fused)
+	for _, l := range kernelLanes {
+		if !l.available() {
+			continue
+		}
+		var infer []float32
+		withLane(l, func() {
+			withProcs(t, c.procs, func() { infer = Conv2DInfer(x, wt, bias, spec, c.relu, nil).Data })
+		})
+		diffBits(t, "Conv2DInfer "+l.name+" lane vs Conv2DForward+ReLU", infer, fused)
+	}
+	if c.residual {
+		checkResidualCase(t, c, x, wt, bias, portable.fwd)
+	}
 
 	// The activation quantizer in front of the int8 path, at scales that
 	// round, saturate and overflow.
@@ -458,6 +502,36 @@ func checkConvCase(t *testing.T, c convCase) {
 		diffBits(t, "Conv2DInferInt8 "+l.name+" lane vs direct int8 convolution", got, want8)
 	}
 	checkMapCase(t, c, rng, x.Data[:spec.InC*c.h*c.w])
+}
+
+// checkResidualCase pins Conv2DInferResidual on every lane against
+// Conv2DForward's output fwd followed by a separate scaled-add pass,
+// into a fresh output and, when the case asks, in place over res.
+func checkResidualCase(t *testing.T, c convCase, x, wt, bias *Tensor, fwd []float32) {
+	oh, ow := c.spec.OutSize(c.h, c.w)
+	res := New(c.batch, c.spec.OutC, oh, ow)
+	copy(res.Data, operand(rand.New(rand.NewSource(c.dataSeed+2)), res.Len(), c.special))
+	want := make([]float32, len(fwd))
+	for i, v := range fwd {
+		want[i] = res.Data[i] + float32(c.scale*v)
+	}
+	for _, l := range kernelLanes {
+		if !l.available() {
+			continue
+		}
+		withLane(l, func() {
+			withProcs(t, c.procs, func() {
+				var got *Tensor
+				if c.inPlace {
+					got = res.Clone()
+					got = Conv2DInferResidual(x, wt, bias, got, c.scale, c.spec, got)
+				} else {
+					got = Conv2DInferResidual(x, wt, bias, res, c.scale, c.spec, nil)
+				}
+				diffBits(t, "Conv2DInferResidual "+l.name+" lane vs Conv2DForward + scaled add", got.Data, want)
+			})
+		})
+	}
 }
 
 // extremeInt8Case drives a case's operands to the int8 rails and its
@@ -538,24 +612,31 @@ func checkMap(t *testing.T, what string, m *Int8Map, want []int8) {
 // upsampling shape, channel counts off the 4-byte group and the 16-byte
 // chunk — on one to three workers.
 func TestKernelsDifferentialConv(t *testing.T) {
-	if !hostVNNI {
-		t.Log("vnni lane skipped: this host or build has no AVX-512 VNNI")
+	if !hostAVX512 {
+		t.Log("avx512 lane skipped: this host or build has no AVX-512 VNNI")
 	}
 	rng := rand.New(rand.NewSource(72))
 	for i := 0; i < 200; i++ {
-		checkConvCase(t, drawConvCase(rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))))
+		checkConvCase(t, drawConvCase(rng.Int63(), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))))
 	}
 }
 
 func FuzzConvKernels(f *testing.F) {
-	f.Add(int64(1), uint8(0x35), uint8(0x42), uint8(0x09)) // 16→16, pad 1, ReLU
-	f.Add(int64(2), uint8(0x7a), uint8(0x14), uint8(0x0b)) // 16→3 tail, specials
-	f.Add(int64(3), uint8(0x11), uint8(0x32), uint8(0x1c)) // 3→7 head, stride 2
-	f.Add(int64(4), uint8(0x00), uint8(0x05), uint8(0x62)) // 17 channels, K=1
-	f.Add(int64(5), uint8(0x63), uint8(0x65), uint8(0x2b)) // 17→64, odd width, specials, 3 workers
-	f.Add(int64(6), uint8(0x26), uint8(0x52), uint8(0x0b)) // 3→17, specials
-	f.Add(int64(7), uint8(0x94), uint8(0x33), uint8(0x2d)) // 5→7, stride 2 (the VNNI lane's fallback), 3 workers
-	f.Fuzz(func(t *testing.T, seed int64, shape, chans, flags uint8) {
-		checkConvCase(t, drawConvCase(seed, shape, chans, flags))
+	f.Add(int64(1), uint8(0x35), uint8(0x42), uint8(0x09), uint8(0))     // 16→16, pad 1, ReLU
+	f.Add(int64(2), uint8(0x7a), uint8(0x14), uint8(0x0b), uint8(0))     // 16→3 tail, specials
+	f.Add(int64(3), uint8(0x11), uint8(0x32), uint8(0x1c), uint8(0))     // 3→7 head, stride 2
+	f.Add(int64(4), uint8(0x00), uint8(0x05), uint8(0x62), uint8(0))     // 17 channels, K=1
+	f.Add(int64(5), uint8(0x63), uint8(0x65), uint8(0x2b), uint8(0))     // 17→64, odd width, specials, 3 workers
+	f.Add(int64(6), uint8(0x26), uint8(0x52), uint8(0x0b), uint8(0))     // 3→17, specials
+	f.Add(int64(7), uint8(0x94), uint8(0x33), uint8(0x2d), uint8(0))     // 5→7, stride 2 (the int8 VNNI lane's fallback), 3 workers
+	f.Add(int64(8), uint8(0x05), uint8(0x44), uint8(0x08), uint8(0x25))  // 16→16 residual ×1 in place, width 480
+	f.Add(int64(9), uint8(0x03), uint8(0x44), uint8(0x1a), uint8(0x1b))  // 16→16 residual ×0.1, width 33, specials, 2 workers
+	f.Add(int64(10), uint8(0x06), uint8(0x14), uint8(0x08), uint8(0x11)) // 16→3 tail residual ×1, width 31
+	f.Add(int64(11), uint8(0x0a), uint8(0x34), uint8(0x09), uint8(0x0f)) // 16→7, ReLU, residual ×0.1 in place, width 1
+	f.Add(int64(12), uint8(0x02), uint8(0x33), uint8(0xe2), uint8(0x19)) // 5→7, K=1 pad 0, n=2, 3 workers, residual, width 33, specials
+	f.Add(int64(13), uint8(0x01), uint8(0x12), uint8(0x0b), uint8(0x20)) // 3→3, ReLU, specials, width 480
+	f.Add(int64(14), uint8(0x44), uint8(0x33), uint8(0x0c), uint8(0x03)) // 5→7 stride 2 (the float32 im2col fallback), residual ×0.1
+	f.Fuzz(func(t *testing.T, seed int64, shape, chans, flags, extra uint8) {
+		checkConvCase(t, drawConvCase(seed, shape, chans, flags, extra))
 	})
 }
