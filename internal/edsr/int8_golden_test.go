@@ -22,8 +22,9 @@ import (
 // model whose channel count is off every SIMD width, and an odd frame
 // size off every pixel tile — with random non-zero tail weights and
 // biases so no output is the identity, and one run calibrated on a
-// low-contrast copy of the frame so activations hit the ±127 rails. It
-// was generated at the commit before the int8 kernels changed and must
+// low-contrast copy of the frame so activations hit the ±127 rails —
+// and, on three workers, a 480×272 frame and a one-row one. It was
+// generated at the commit before the int8 kernels changed and must
 // never be regenerated to make a change pass: a mismatch means a change
 // altered an int8 output bit. Every kernel path must reproduce it, which
 // the lane tests check by re-running this test on each.
@@ -47,12 +48,18 @@ func int8GoldenRows(t *testing.T) []string {
 		{"dcsr1/x2/67x45", Config{Filters: 16, ResBlocks: 4, Scale: 2}, 67, 45, false},
 		{"f16rb2/x1/res0.1/67x45", Config{Filters: 16, ResBlocks: 2, ResScale: 0.1}, 67, 45, false},
 		{"f6rb1/x4/37x21", Config{Filters: 6, ResBlocks: 1, Scale: 4}, 37, 21, false},
+		{"dcsr1/x1/480x272", ConfigDCSR1, 480, 272, false},
+		{"dcsr1/x1/33x1", ConfigDCSR1, 33, 1, false},
 	}
+	// Each run covers cases [from, to) on procs workers: the first six on
+	// one and two, then a wide frame the in-place convolutions split into
+	// several bands, and a one-row one, on three.
 	var rows []string
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
+	for _, run := range []struct{ procs, from, to int }{{1, 0, 6}, {2, 0, 6}, {3, 6, 8}} {
+		runtime.GOMAXPROCS(run.procs)
 		tensor.ShutdownPool()
-		for i, tc := range cases {
+		for i := run.from; i < run.to; i++ {
+			tc := cases[i]
 			m, err := New(tc.cfg, int64(90+i))
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +91,7 @@ func int8GoldenRows(t *testing.T) []string {
 				binary.LittleEndian.PutUint32(bits[4*j:], math.Float32bits(v))
 			}
 			rows = append(rows, fmt.Sprintf("%s/procs%d enhance=%x forward=%x",
-				tc.name, procs, enhanced, sha256.Sum256(bits)))
+				tc.name, run.procs, enhanced, sha256.Sum256(bits)))
 		}
 	}
 	return rows
