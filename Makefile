@@ -44,12 +44,14 @@ test:
 
 # Non-test Go lines per package outside bench/ (a testdata tree counts
 # toward the package that owns it), then the total: the size figure
-# CHANGES.md and ROADMAP.md quote.
+# CHANGES.md and ROADMAP.md quote. The second column is the package's
+# assembly (.s) lines, with a total of its own.
 loc:
-	@find . \( -path ./bench -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print | sort | \
+	@find . \( -path ./bench -o -path './.*' \) -prune -o \( -name '*.go' ! -name '*_test.go' -o -name '*.s' \) -print | sort | \
 	awk '{ p = $$0; if (!sub(/\/testdata\/.*/, "", p)) sub(/\/[^\/]*$$/, "", p); sub(/^\.\//, "", p); \
-	  if (!(p in n)) order[++k] = p; while ((getline l < $$0) > 0) { n[p]++; total++ } close($$0) } \
-	  END { for (i = 1; i <= k; i++) printf "%7d  %s\n", n[order[i]], order[i]; printf "%7d  total\n", total }'
+	  asm = $$0 ~ /\.s$$/; if (!(p in n)) { order[++k] = p; n[p] = 0; a[p] = 0 } \
+	  while ((getline l < $$0) > 0) { if (asm) { a[p]++; atotal++ } else { n[p]++; total++ } } close($$0) } \
+	  END { for (i = 1; i <= k; i++) printf "%7d %6d  %s\n", n[order[i]], a[order[i]], order[i]; printf "%7d %6d  total\n", total, atotal }'
 
 # A few seconds of native fuzzing per wire parser (frames, manifest,
 # directory), per kernel differential (every lane vs the reference, bit

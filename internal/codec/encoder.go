@@ -2,7 +2,6 @@ package codec
 
 import (
 	"fmt"
-	"math"
 
 	"dcsr/internal/video"
 )
@@ -27,11 +26,6 @@ type EncoderConfig struct {
 	HalfPel bool
 	// Deblock enables the in-loop deblocking filter. Off by default.
 	Deblock bool
-	// TargetBitrate, when positive, enables one-pass rate control: QP is
-	// adapted per frame by a virtual-buffer controller so the stream
-	// lands near this many bits per second at the given fps. QP then
-	// serves as the controller's starting point (default 35).
-	TargetBitrate int
 }
 
 func (c EncoderConfig) withDefaults() EncoderConfig {
@@ -100,15 +94,13 @@ func Encode(frames []*video.YUV, forceI []bool, fps int, cfg EncoderConfig) (*St
 	// Per-frame-type QP offsets, as production encoders use: I frames are
 	// coded finer because every frame in the GOP inherits their quality
 	// (exactly the structure dcSR's I-frame enhancement relies on); B
-	// frames, referenced by nothing, are coded coarser. With a target
-	// bitrate set, the controller steers the base QP per frame.
-	rc := newRateControl(cfg, fps)
+	// frames, referenced by nothing, are coded coarser.
+	qpI, qpP, qpB := clampQP(cfg.QP-6), cfg.QP, clampQP(cfg.QP+2)
 	lastI := 0
 
 	var prevRecon *video.YUV
 	for k, a := range anchors {
 		isI := k == 0 || (forceI != nil && forceI[a]) || a-lastI >= cfg.GOPSize
-		qpI, qpP, qpB := rc.frameQPs()
 		var data []byte
 		var recon *video.YUV
 		if isI {
@@ -119,109 +111,16 @@ func Encode(frames []*video.YUV, forceI []bool, fps int, cfg EncoderConfig) (*St
 			data, recon = encodePFrame(frames[a], prevRecon, qpP, QStep(qpP), cfg.SearchRange, cfg.HalfPel, cfg.Deblock)
 			st.Frames = append(st.Frames, EncodedFrame{Type: FrameP, Display: a, Data: data})
 		}
-		rc.consume(len(data) * 8)
 		// B frames between the previous anchor and this one, coded after it.
 		if k > 0 {
 			for b := anchors[k-1] + 1; b < a; b++ {
 				bd := encodeBFrame(frames[b], prevRecon, recon, qpB, QStep(qpB), cfg.SearchRange, cfg.HalfPel, cfg.Deblock)
 				st.Frames = append(st.Frames, EncodedFrame{Type: FrameB, Display: b, Data: bd})
-				rc.consume(len(bd) * 8)
 			}
 		}
 		prevRecon = recon
 	}
 	return st, nil
-}
-
-// rateControl is a one-pass virtual-buffer controller: it tracks how far
-// the produced bits run ahead of (or behind) the per-frame budget and
-// nudges QP to steer the stream toward the target bitrate. Without a
-// target it degenerates to the configured constant QP.
-type rateControl struct {
-	enabled   bool
-	baseQP    int
-	budget    float64 // bits per frame
-	reservoir float64 // bits produced beyond budget so far
-
-	// Adaptation happens over windows of several frames so the natural
-	// I/P bit-cost bimodality does not whipsaw the controller. The first
-	// few windows are short so the controller locks on quickly.
-	winBits   float64
-	winFrames int
-	windows   int
-}
-
-// rcWindow is the adaptation window in frames.
-const rcWindow = 8
-
-func newRateControl(cfg EncoderConfig, fps int) *rateControl {
-	rc := &rateControl{baseQP: cfg.QP}
-	if cfg.TargetBitrate > 0 {
-		rc.enabled = true
-		if fps <= 0 {
-			fps = 30
-		}
-		rc.budget = float64(cfg.TargetBitrate) / float64(fps)
-		if cfg.QP == 0 {
-			rc.baseQP = 35
-		}
-	}
-	return rc
-}
-
-// frameQPs returns the (I, P, B) QPs for the next frame, applying the
-// standard frame-type offsets around the controller's current level.
-func (rc *rateControl) frameQPs() (qpI, qpP, qpB int) {
-	qp := rc.baseQP
-	if rc.enabled {
-		// Reservoir trim on top of the windowed adaptation, bounded so it
-		// cannot fight the window steps.
-		adj := int(rc.reservoir / (8 * rc.budget))
-		if adj > 6 {
-			adj = 6
-		}
-		if adj < -6 {
-			adj = -6
-		}
-		qp = clampQP(rc.baseQP + adj)
-	}
-	return clampQP(qp - 6), qp, clampQP(qp + 2)
-}
-
-// consume feeds the bits of one coded frame back into the controller.
-// The base QP reacts multiplicatively (≈3 QP per doubling of the
-// overshoot, since one QP step scales the quantizer by 2^(1/6)) so the
-// controller locks on within a few frames; the reservoir term in
-// frameQPs trims the residual steady-state error.
-func (rc *rateControl) consume(bits int) {
-	if !rc.enabled {
-		return
-	}
-	rc.winBits += float64(bits)
-	rc.winFrames++
-	rc.reservoir += float64(bits) - rc.budget
-	rc.reservoir *= 0.99 // slow leak
-	window := rcWindow
-	if rc.windows < 3 {
-		window = 3 // warm-up: adapt quickly off the initial guess
-	}
-	if rc.winFrames < window {
-		return
-	}
-	ratio := rc.winBits / (float64(rc.winFrames) * rc.budget)
-	if ratio < 1.0/64 {
-		ratio = 1.0 / 64
-	}
-	step := int(math.Round(3 * math.Log2(ratio)))
-	if step > 5 {
-		step = 5
-	}
-	if step < -5 {
-		step = -5
-	}
-	rc.baseQP = clampQP(rc.baseQP + step)
-	rc.winBits, rc.winFrames = 0, 0
-	rc.windows++
 }
 
 func clampQP(qp int) int {

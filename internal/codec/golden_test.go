@@ -128,8 +128,6 @@ func goldenStreams(t *testing.T) []goldenStream {
 			}
 		}
 	}
-	cases = append(cases, encCase{"rate200k/b1/hptrue/dbtrue",
-		EncoderConfig{GOPSize: 12, BFrames: 1, HalfPel: true, Deblock: true, TargetBitrate: 200_000}})
 	var out []goldenStream
 	for _, c := range cases {
 		st, err := Encode(frames, forceI, 30, c.cfg)

@@ -254,29 +254,52 @@ func (m *Model) forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 // residual add — the blocks', the global skip's and the image
 // residual's — fused into their epilogues, and every activation written
 // into the model's Workspace, so no activations or column matrices are
-// retained and steady-state calls allocate nothing. The body rotates
-// through the skip and two maps: a residual block writes its first
-// convolution into maps[0] and its output over maps[1], its own input
-// after the first block. The output is bitwise identical to Forward.
-// The returned tensor belongs to the workspace and is valid until the
-// next inference pass of any model sharing it.
+// retained and steady-state calls allocate nothing. The output is
+// bitwise identical to Forward. The returned tensor belongs to the
+// workspace and is valid until the next inference pass of any model
+// sharing it.
 func (m *Model) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
+	return m.forwardInference(x, false)
+}
+
+// ForwardInferenceInt8 is ForwardInference with every convolution on the
+// int8 kernels. The model must be calibrated (Calibrate or
+// CalibrateFromScales) first. Output is bit-deterministic across worker
+// counts and kernel lanes.
+func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
+	return m.forwardInference(x, true)
+}
+
+// forwardInference is the one inference graph of both precisions: every
+// convolution runs on the int8 kernels through the workspace's
+// activation map when int8Path holds, on the float32 ones otherwise, and
+// the structural glue — residual adds, pixel shuffle — is float32
+// either way. The head writes the skip; a residual block writes maps[1],
+// its own input after the first block, a float32 one through maps[0]
+// (an int8 one keeps its inner activation in the map, so it never
+// touches maps[0]); the body convolution adds its output into the skip
+// in place.
+func (m *Model) forwardInference(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 	ws := m.workspace()
-	h := m.head.ForwardInference(x, &ws.skip)
-	b := h
-	for _, blk := range m.body {
-		b = blk.ForwardInference(b, &ws.maps[0], &ws.maps[1])
+	var am *tensor.Int8Map
+	if int8Path {
+		am = &ws.am
 	}
-	b = m.bodyConv.ForwardInferenceResidual(b, h, 1, &ws.maps[0]) // global skip
+	skip := m.head.ForwardInference(x, &ws.skip, am)
+	b := skip
+	for _, blk := range m.body {
+		b = blk.ForwardInference(b, &ws.maps[0], &ws.maps[1], am)
+	}
+	b = m.bodyConv.ForwardInferenceResidual(b, skip, 1, skip, am) // global skip
 	for _, u := range m.ups {
-		b = u.conv.ForwardInference(b, &ws.maps[1])
-		b = u.shuffle.ForwardInference(b, &ws.maps[0])
+		b = u.conv.ForwardInference(b, &ws.maps[0], am)
+		b = u.shuffle.ForwardInference(b, &ws.maps[1])
 	}
 	base := x // global image residual (identity at init)
 	if m.Cfg.Scale > 1 {
 		base = upsampleNearestInto(x, m.Cfg.Scale, &ws.near)
 	}
-	return m.tail.ForwardInferenceResidual(b, base, 1, &ws.out)
+	return m.tail.ForwardInferenceResidual(b, base, 1, &ws.out, am)
 }
 
 // Backward propagates the loss gradient, accumulating parameter gradients.
@@ -357,18 +380,29 @@ func fromTensorInto(t *tensor.Tensor, f *video.RGB) *video.RGB {
 // path: once the model's workspace has seen a frame this size (from this
 // model or any other sharing it), the per-frame steady-state cost is the
 // kernels plus one output RGB allocation.
-func (m *Model) Enhance(low *video.RGB) *video.RGB {
-	return FromTensor(m.ForwardInference(toTensorInto(low, &m.workspace().in)))
+func (m *Model) Enhance(low *video.RGB) *video.RGB { return m.enhance(low, false) }
+
+// EnhanceInt8 is Enhance on the quantized path. The model must be
+// calibrated (Calibrate or CalibrateFromScales) first.
+func (m *Model) EnhanceInt8(low *video.RGB) *video.RGB { return m.enhance(low, true) }
+
+func (m *Model) enhance(low *video.RGB, int8Path bool) *video.RGB {
+	return FromTensor(m.forwardInference(toTensorInto(low, &m.workspace().in), int8Path))
 }
 
 // EnhanceYUV performs the client-side dcSR conversion chain of paper Fig 6:
 // YUV→RGB, SR inference, RGB→YUV. Scale must be 1 for in-loop use. Both
 // RGB images live in the workspace, so in steady state the returned
 // frame is its only allocation.
-func (m *Model) EnhanceYUV(f *video.YUV) *video.YUV {
+func (m *Model) EnhanceYUV(f *video.YUV) *video.YUV { return m.enhanceYUV(f, false) }
+
+// EnhanceYUVInt8 is EnhanceYUV on the quantized path.
+func (m *Model) EnhanceYUVInt8(f *video.YUV) *video.YUV { return m.enhanceYUV(f, true) }
+
+func (m *Model) enhanceYUV(f *video.YUV, int8Path bool) *video.YUV {
 	ws := m.workspace()
 	x := toTensorInto(f.ToRGBInto(&ws.rgbIn), &ws.in)
-	return fromTensorInto(m.ForwardInference(x), &ws.rgbOut).ToYUV()
+	return fromTensorInto(m.forwardInference(x, int8Path), &ws.rgbOut).ToYUV()
 }
 
 // InferenceFLOPs returns the multiply-add count (×2) of one forward pass
@@ -405,15 +439,17 @@ func ConfigFLOPs(cfg Config, lowW, lowH int) float64 {
 // model uses this for the OOM behaviour seen in paper Fig 8 (NAS/NEMO
 // cannot run 4K on the Jetson), and EXPERIMENTS.md's verdicts hang on it.
 //
-// This package's own working set is a Workspace: three such maps (the
-// head's output kept for the global skip, and two the body rotates
-// through, since a block's first convolution cannot write over its
-// input), plus the 3-channel in/out tensors and the int8 activation map,
-// one byte per channel and pixel plus its padding ring — 1.8× this
-// figure for a 16-filter model at Scale 1, whatever ResBlocks is, on the
-// float32 and the int8 path alike (TestWorkspaceFootprint). Both scale
-// the same way with n_f and resolution, which is what the OOM
-// comparison rests on.
+// This package's own working set is a Workspace: on the float32 path
+// three such maps (the head's output kept for the global skip, the
+// body's output, and a block's inner activation, since its first
+// convolution cannot write over its input), on the int8 path two (the
+// inner activation stays in the int8 map), plus the 3-channel in/out
+// tensors and the int8 activation map, one byte per channel and pixel
+// plus its padding ring — for a 16-filter model at Scale 1, whatever
+// ResBlocks is, 1.8× this figure once the float32 path has run and 1.3×
+// on the int8 path alone (TestWorkspaceFootprint). Both scale the same
+// way with n_f and resolution, which is what the OOM comparison rests
+// on.
 func ConfigActivationBytes(cfg Config, lowW, lowH int) int64 {
 	cfg = cfg.withDefaults()
 	px := int64(lowW) * int64(lowH)

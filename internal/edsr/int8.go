@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"dcsr/internal/nn"
-	"dcsr/internal/tensor"
 	"dcsr/internal/video"
 )
 
@@ -15,10 +14,10 @@ import (
 // per-layer activation scales on a handful of those frames is
 // representative by construction (the same data-centric argument that
 // lets a 4-block EDSR match a general model on its own cluster). The
-// quantized path swaps every convolution onto the int8 SWAR kernels and
-// keeps the structural glue — residual adds, pixel shuffle, the global
-// image residual — in float32, mirroring ForwardInference layer for
-// layer and map for map in the same Workspace.
+// quantized path is ForwardInference's own graph walk with every
+// convolution on the int8 kernels (tensor.Conv2DInt8Map) and the
+// structural glue — residual adds, pixel shuffle, the global image
+// residual — in float32, in the same Workspace.
 
 // convs enumerates the model's convolutions in forward order. This is
 // the calibration/quantization unit: every conv owns one activation
@@ -135,48 +134,4 @@ func (m *Model) Int8Ready() bool {
 		}
 	}
 	return true
-}
-
-// ForwardInferenceInt8 is ForwardInference with every convolution on the
-// int8 kernel path, in the same workspace plus its int8 activation map.
-// A residual block's first convolution leaves its output in the map and
-// its second writes a fresh float32 map, so the body alternates between
-// the workspace's two. It
-// allocates nothing in steady state; output is bit-deterministic across
-// worker counts and kernel lanes.
-func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
-	ws := m.workspace()
-	am := &ws.am
-	h := m.head.ForwardInferenceInt8(x, &ws.skip, am)
-	b, k := h, 0
-	for _, blk := range m.body {
-		b = blk.ForwardInferenceInt8(b, &ws.maps[k], am)
-		k ^= 1
-	}
-	b = m.bodyConv.ForwardInferenceInt8(b, &ws.maps[k], am)
-	b.AddInPlace(h) // global skip (h is ws.skip, untouched since the head)
-	for _, u := range m.ups {
-		b = u.conv.ForwardInferenceInt8(b, &ws.maps[k^1], am)
-		b = u.shuffle.ForwardInference(b, &ws.maps[k])
-	}
-	out := m.tail.ForwardInferenceInt8(b, &ws.out, am)
-	if m.Cfg.Scale == 1 {
-		out.AddInPlace(x) // global image residual
-	} else {
-		out.AddInPlace(upsampleNearestInto(x, m.Cfg.Scale, &ws.near))
-	}
-	return out
-}
-
-// EnhanceInt8 is Enhance on the quantized path. The model must be
-// calibrated (Calibrate or CalibrateFromScales) first.
-func (m *Model) EnhanceInt8(low *video.RGB) *video.RGB {
-	return FromTensor(m.ForwardInferenceInt8(toTensorInto(low, &m.workspace().in)))
-}
-
-// EnhanceYUVInt8 is EnhanceYUV on the quantized path.
-func (m *Model) EnhanceYUVInt8(f *video.YUV) *video.YUV {
-	ws := m.workspace()
-	x := toTensorInto(f.ToRGBInto(&ws.rgbIn), &ws.in)
-	return fromTensorInto(m.ForwardInferenceInt8(x), &ws.rgbOut).ToYUV()
 }

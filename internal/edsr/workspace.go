@@ -6,16 +6,16 @@ import (
 )
 
 // Workspace is the working set of one inference pass: the head's output
-// (kept for the global skip), two feature maps the body rotates
-// through — a float32 residual block writes its first convolution into
-// one and its second, with the residual add fused, over the other (its
-// own input, after the first block); an int8 block keeps its first
-// convolution's output in the int8 map instead — the input,
-// output and nearest-neighbour tensors, the int8 activation map every
-// quantized convolution reads (tensor.Int8Map): one byte per channel and
-// pixel of the widest convolution input plus its padding ring, where the
-// int8 input buffer it replaced held the bytes alone — and the RGB
-// images EnhanceYUV and EnhanceYUVInt8 convert through.
+// (kept for the global skip, which the body convolution adds into in
+// place), two feature maps — a residual block writes its output into
+// maps[1], over its own input after the first block, and a float32
+// block its first convolution into maps[0], where an int8 block keeps
+// that activation in the int8 map, so an int8-only pass never grows
+// maps[0] at Scale 1 — the input, output and nearest-neighbour tensors,
+// the int8 activation map every quantized convolution reads
+// (tensor.Int8Map): one byte per channel and pixel of the widest
+// convolution input plus its padding ring — and the RGB images
+// EnhanceYUV and EnhanceYUVInt8 convert through.
 // Activations belong to the pass, not to the layers or the model, so
 // models that run one after another share a Workspace and a new model
 // costs its weights only: a playback session owns one for all its

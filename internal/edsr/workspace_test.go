@@ -125,16 +125,16 @@ func TestWorkspaceSharedMatchesPrivate(t *testing.T) {
 // TestWorkspaceFootprint pins what one session pays for activations: after
 // a float32 and an int8 pass of the paper's micro model over a 480×272
 // frame the workspace holds exactly three n_f-channel feature maps (the
-// head's, kept for the global skip, and the two the body rotates
-// through), the 3-channel input and output, and the int8 activation map
-// — one byte per channel and pixel plus its one-pixel ring, the spare row
-// an in-place convolution shifts into and 8·n_f bytes of slack (1.5 %
-// over a bare int8 copy of a feature map). An int8-only session holds
-// the same three maps: its residual blocks keep their inner activation
-// in the int8 map, where a float32 block writes its output over its
-// input. The YUV entry points add the two RGB images they convert
-// through, 3 bytes a pixel each. ConfigActivationBytes' device-model
-// figure is two of those maps; see its comment.
+// head's, kept for the global skip, the body's output and a float32
+// residual block's inner activation), the 3-channel input and output,
+// and the int8 activation map — one byte per channel and pixel plus its
+// one-pixel ring, the spare row an in-place convolution shifts into and
+// 8·n_f bytes of slack (1.5 % over a bare int8 copy of a feature map).
+// An int8-only session holds two of those maps: its residual blocks keep
+// their inner activation in the int8 map. The YUV entry points add the
+// two RGB images they convert through, 3 bytes a pixel each.
+// ConfigActivationBytes' device-model figure is two of those maps; see
+// its comment.
 func TestWorkspaceFootprint(t *testing.T) {
 	const w, h = 480, 272
 	m := unitScaleModel(t)
@@ -150,8 +150,8 @@ func TestWorkspaceFootprint(t *testing.T) {
 	var int8Only Workspace
 	m.SetWorkspace(&int8Only)
 	m.EnhanceInt8(f)
-	if got, want := int8Only.bytes(), 3*featureMap+inOut+int8Map; got != want {
-		t.Errorf("workspace holds %d B after EnhanceInt8 at %dx%d, want %d (3 feature maps + in/out + int8 map)", got, w, h, want)
+	if got, want := int8Only.bytes(), 2*featureMap+inOut+int8Map; got != want {
+		t.Errorf("workspace holds %d B after EnhanceInt8 at %dx%d, want %d (2 feature maps + in/out + int8 map)", got, w, h, want)
 	}
 
 	var ws Workspace

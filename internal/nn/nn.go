@@ -11,7 +11,9 @@
 // the layers expose ForwardInference, a no-grad path that fuses
 // conv+bias+ReLU and the residual adds into the convolution, writes into
 // destinations its caller supplies, and builds no column matrix — the
-// decoder hot loop runs entirely on it.
+// decoder hot loop runs entirely on it, in either precision: a
+// convolution's inference methods take the pass's int8 activation map,
+// nil for the float32 kernels.
 //
 // Layers own parameters, not activations. A training pass takes its
 // tensors from the tensor.Arena handed to Forward and Backward (whoever
@@ -108,10 +110,11 @@ func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardInference applies the convolution without retaining column
-// buffers, writing into out.
-func (c *Conv2D) ForwardInference(x, out *tensor.Tensor) *tensor.Tensor {
-	c.observe(x)
-	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, false, out)
+// buffers, writing into out. am picks the kernel: nil runs the float32
+// one, a map the int8 one (after QuantizeInt8; see nn_int8.go),
+// quantizing x into am with the calibrated scale.
+func (c *Conv2D) ForwardInference(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+	return c.ForwardInferenceResidual(x, nil, 0, out, am)
 }
 
 // observe widens the calibrated activation range while the layer is in
@@ -124,9 +127,9 @@ func (c *Conv2D) observe(x *tensor.Tensor) {
 	}
 }
 
-// ForwardInferenceReLU is ForwardInference with the ReLU activation
-// fused into the convolution epilogue, bitwise identical to a separate
-// ReLU pass over the same output.
+// ForwardInferenceReLU is the float32 ForwardInference with the ReLU
+// activation fused into the convolution epilogue, bitwise identical to
+// a separate ReLU pass over the same output.
 func (c *Conv2D) ForwardInferenceReLU(x, out *tensor.Tensor) *tensor.Tensor {
 	c.observe(x)
 	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, true, out)
@@ -135,9 +138,16 @@ func (c *Conv2D) ForwardInferenceReLU(x, out *tensor.Tensor) *tensor.Tensor {
 // ForwardInferenceResidual is ForwardInference with a residual add
 // fused into the convolution epilogue: res + scale·conv(x), bitwise
 // identical to a separate scaled-add pass over ForwardInference's
-// output. out may be res (not x).
-func (c *Conv2D) ForwardInferenceResidual(x, res *tensor.Tensor, scale float32, out *tensor.Tensor) *tensor.Tensor {
+// output (nil res adds none). out may be res; on the float32 kernel it
+// may not be x.
+func (c *Conv2D) ForwardInferenceResidual(x, res *tensor.Tensor, scale float32, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+	if am != nil {
+		return c.forwardInt8(x, res, scale, out, am)
+	}
 	c.observe(x)
+	if res == nil {
+		return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, false, out)
+	}
 	return tensor.Conv2DInferResidual(x, c.Wt.W, c.Bias.W, res, scale, c.Spec, out)
 }
 
@@ -220,13 +230,18 @@ func (b *ResBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardInference runs the block with the first conv's ReLU fused into
-// its epilogue and the scaled residual add into the second's: conv1
-// writes mid, conv2 writes x + ResScale·h into out. out may be x — the
-// residual is read and written elementwise — but mid must be a third
-// tensor. The result is out, bitwise identical to Forward's.
-func (b *ResBlock) ForwardInference(x, mid, out *tensor.Tensor) *tensor.Tensor {
+// its epilogue and the scaled residual add into the second's, writing
+// x + ResScale·h into out; out may be x — the residual is read and
+// written elementwise. On the float32 kernel (am nil) conv1 writes mid,
+// which must be a third tensor; on the int8 one (see nn_int8.go) it
+// stays in am and mid is unused. The float32 result is bitwise
+// identical to Forward's.
+func (b *ResBlock) ForwardInference(x, mid, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+	if am != nil {
+		return b.forwardInt8(x, out, am)
+	}
 	h := b.Conv1.ForwardInferenceReLU(x, mid)
-	return b.Conv2.ForwardInferenceResidual(h, x, b.ResScale, out)
+	return b.Conv2.ForwardInferenceResidual(h, x, b.ResScale, out, nil)
 }
 
 // addScaled writes out[i] = x[i] + scale*h[i]; out may be h. The

@@ -6,16 +6,16 @@ import (
 	"dcsr/internal/tensor"
 )
 
-// Int8 inference path. Quantized inference mirrors the float32
-// ForwardInference contract layer for layer: no grad state, output into
-// caller-supplied tensors, zero steady-state allocations. Every
-// convolution reads its input from one caller-supplied activation map
-// (tensor.Int8Map): a convolution quantizes its float32 input into it,
-// and a residual block's first convolution leaves its output there,
-// quantized for the second — the map is dead once a layer returns, so
-// one per pass serves every layer. The scheme is symmetric linear
-// quantization with per-output-channel weight scales and one calibrated
-// per-layer activation scale:
+// Int8 inference path. Quantized inference is ForwardInference with an
+// activation map (tensor.Int8Map) passed in — the same methods, the same
+// contract: no grad state, output into caller-supplied tensors, zero
+// steady-state allocations, residual adds in the epilogue. Every
+// convolution reads its input from the map: a convolution quantizes its
+// float32 input into it, and a residual block's first convolution leaves
+// its output there, quantized for the second — the map is dead once a
+// layer returns, so one per pass serves every layer. The scheme is
+// symmetric linear quantization with per-output-channel weight scales
+// and one calibrated per-layer activation scale:
 //
 //	x_q = round(x · 127/actMax)          (per layer, calibrated)
 //	w_q[oc] = round(w / wScale[oc])      (per output channel)
@@ -133,10 +133,12 @@ func (c *Conv2D) SnapInt8() {
 	c.Wt.pin(c.int8.grid)
 }
 
-// ForwardInferenceInt8 runs the convolution on the int8 kernel path:
+// forwardInt8 is ForwardInferenceResidual on the int8 kernel path:
 // quantize the input into am with the calibrated scale, int8×int8 →
-// int32 accumulate, requantize + bias in the epilogue.
-func (c *Conv2D) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+// int32 accumulate, requantize + bias and then the float32 residual add
+// in the epilogue. x may be out: each image is in am before its output
+// is written.
+func (c *Conv2D) forwardInt8(x, res *tensor.Tensor, scale float32, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
 	q := c.int8
 	if q == nil {
 		panic("nn: Conv2D int8 inference before QuantizeInt8")
@@ -146,18 +148,23 @@ func (c *Conv2D) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Map)
 	out = tensor.Ensure(out, n, c.Spec.OutC, oh, ow)
 	in, plane := c.Spec.InC*h*w, c.Spec.OutC*oh*ow
 	for i := 0; i < n; i++ {
+		var r []float32
+		if res != nil {
+			r = res.Data[i*plane : (i+1)*plane]
+		}
 		am.Quantize(x.Data[i*in:(i+1)*in], c.Spec.InC, h, w, c.Spec.Pad, q.inInv)
-		tensor.Conv2DInt8Map(am, q.grid.codes, q.scales, c.Bias.W.Data, c.Spec, false, out.Data[i*plane:(i+1)*plane])
+		tensor.Conv2DInt8Map(am, q.grid.codes, q.scales, c.Bias.W.Data, c.Spec, false, r, scale, out.Data[i*plane:(i+1)*plane])
 	}
 	return out
 }
 
-// ForwardInferenceInt8 runs the residual block on the int8 path,
-// mirroring ForwardInference: the first convolution (with ReLU) runs in
-// place in am and leaves there the second's quantized input — the
-// float32 value it requantizes, quantized in register, so no float32
-// map is written between the two — and the residual add is float32.
-func (b *ResBlock) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+// forwardInt8 is ForwardInference on the int8 path: the first
+// convolution (with ReLU) runs in place in am and leaves there the
+// second's quantized input — the float32 value it requantizes,
+// quantized in register, so no float32 map is written between the two —
+// and the second adds the float32 residual in its epilogue, so out may
+// be x.
+func (b *ResBlock) forwardInt8(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
 	q1, q2 := b.Conv1.int8, b.Conv2.int8
 	if q1 == nil || q2 == nil {
 		panic("nn: ResBlock int8 inference before QuantizeInt8")
@@ -166,11 +173,11 @@ func (b *ResBlock) ForwardInferenceInt8(x, out *tensor.Tensor, am *tensor.Int8Ma
 	out = tensor.Ensure(out, x.Shape...)
 	size := c * h * w
 	for i := 0; i < n; i++ {
-		am.Quantize(x.Data[i*size:(i+1)*size], c, h, w, b.Conv1.Spec.Pad, q1.inInv)
+		xi := x.Data[i*size : (i+1)*size]
+		am.Quantize(xi, c, h, w, b.Conv1.Spec.Pad, q1.inInv)
 		tensor.Conv2DInt8MapReLU(am, q1.grid.codes, q1.scales, b.Conv1.Bias.W.Data, b.Conv1.Spec, q2.inInv)
-		tensor.Conv2DInt8Map(am, q2.grid.codes, q2.scales, b.Conv2.Bias.W.Data, b.Conv2.Spec, false, out.Data[i*size:(i+1)*size])
+		tensor.Conv2DInt8Map(am, q2.grid.codes, q2.scales, b.Conv2.Bias.W.Data, b.Conv2.Spec, false, xi, b.ResScale, out.Data[i*size:(i+1)*size])
 	}
-	addScaled(out.Data, x.Data, out.Data, b.ResScale)
 	return out
 }
 

@@ -12,7 +12,7 @@ import (
 // conv records its activation range, then quantizes.
 func calibrateOn(c *Conv2D, x *tensor.Tensor) {
 	c.BeginCalibration()
-	c.ForwardInference(x.Clone(), nil)
+	c.ForwardInference(x.Clone(), nil, nil)
 	c.EndCalibration()
 	c.QuantizeInt8()
 }
@@ -25,7 +25,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	x2 := tensor.New(1, 2, 4, 4)
 	x2.Randn(rng, 3)
 	c.BeginCalibration()
-	c.ForwardInference(x1, nil)
+	c.ForwardInference(x1, nil, nil)
 	c.ForwardInferenceReLU(x2, nil)
 	c.EndCalibration()
 	want := x1.MaxAbs()
@@ -38,7 +38,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	// Out of calibration mode the range must not move.
 	x3 := tensor.New(1, 2, 4, 4)
 	x3.Fill(1e6)
-	c.ForwardInference(x3, nil)
+	c.ForwardInference(x3, nil, nil)
 	if got := c.ActMax(); got != want {
 		t.Fatalf("ActMax moved outside calibration: %v, want %v", got, want)
 	}
@@ -54,8 +54,8 @@ func TestConv2DInt8TracksFloat32(t *testing.T) {
 	x := tensor.New(2, 3, 8, 7)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
-	want := c.ForwardInference(x.Clone(), nil)
-	got := c.ForwardInferenceInt8(x.Clone(), nil, new(tensor.Int8Map))
+	want := c.ForwardInference(x.Clone(), nil, nil)
+	got := c.ForwardInference(x.Clone(), nil, new(tensor.Int8Map))
 	colRows := c.Spec.InC * c.Spec.K * c.Spec.K
 	tol := float64(colRows) * float64(c.Wt.W.MaxAbs()) * float64(c.ActMax()) / 100
 	for i := range got.Data {
@@ -72,9 +72,9 @@ func TestConv2DInt8Deterministic(t *testing.T) {
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
 	var am tensor.Int8Map
-	first := c.ForwardInferenceInt8(x.Clone(), nil, &am)
+	first := c.ForwardInference(x.Clone(), nil, &am)
 	for pass := 0; pass < 2; pass++ {
-		got := c.ForwardInferenceInt8(x.Clone(), nil, &am)
+		got := c.ForwardInference(x.Clone(), nil, &am)
 		for i := range got.Data {
 			if got.Data[i] != first.Data[i] {
 				t.Fatalf("pass %d: element %d not bit-identical", pass, i)
@@ -92,7 +92,7 @@ func TestConv2DInt8PanicsBeforeQuantize(t *testing.T) {
 		}
 	}()
 	x := tensor.New(1, 1, 3, 3)
-	c.ForwardInferenceInt8(x, nil, new(tensor.Int8Map))
+	c.ForwardInference(x, nil, new(tensor.Int8Map))
 }
 
 // TestSequentialInt8FallsBackPerLayer checks that a stack with one
@@ -154,6 +154,48 @@ func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 	if maxDiff > 0.5 {
 		t.Fatalf("quantized stack drifted %v from float32", maxDiff)
 	}
+}
+
+// TestInt8ResidualEpilogue pins the int8 residual adds fused into the
+// convolution epilogue against the separate scaled-add pass they
+// replaced: a Conv2D's, into a fresh tensor and in place over res,
+// against ForwardInference plus addScaled, and a ResBlock written over
+// its own input against the same block into a fresh tensor.
+func TestInt8ResidualEpilogue(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	x := tensor.New(2, 4, 7, 9)
+	x.Randn(rng, 1)
+	res := tensor.New(x.Shape...)
+	res.Randn(rng, 1)
+	var am tensor.Int8Map
+	same := func(what string, got, want *tensor.Tensor) {
+		t.Helper()
+		for i := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%s: element %d = %v, want %v", what, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+
+	c := NewConv2D(rng, 4, 4, 3, 1, 1)
+	calibrateOn(c, x)
+	want := tensor.New(x.Shape...)
+	addScaled(want.Data, res.Data, c.ForwardInference(x, nil, &am).Data, 0.1)
+	same("Conv2D residual", c.ForwardInferenceResidual(x, res, 0.1, nil, &am), want)
+	inPlace := res.Clone()
+	same("Conv2D residual in place", c.ForwardInferenceResidual(x, inPlace, 0.1, inPlace, &am), want)
+
+	b := NewResBlock(rng, 4, 0.1)
+	b.Conv1.BeginCalibration()
+	b.Conv2.BeginCalibration()
+	b.ForwardInference(x, nil, nil, nil)
+	for _, c := range []*Conv2D{b.Conv1, b.Conv2} {
+		c.EndCalibration()
+		c.QuantizeInt8()
+	}
+	want = b.ForwardInference(x, nil, nil, &am).Clone()
+	inPlace = x.Clone()
+	same("ResBlock over its input", b.ForwardInference(inPlace, nil, inPlace, &am), want)
 }
 
 func TestQuantizeRowInt8(t *testing.T) {

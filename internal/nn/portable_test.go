@@ -34,4 +34,5 @@ func TestPortablePath(t *testing.T) {
 	t.Run("Conv2DInt8TracksFloat32", TestConv2DInt8TracksFloat32)
 	t.Run("Conv2DInt8Deterministic", TestConv2DInt8Deterministic)
 	t.Run("SequentialInt8FallsBackPerLayer", TestSequentialInt8FallsBackPerLayer)
+	t.Run("Int8ResidualEpilogue", TestInt8ResidualEpilogue)
 }

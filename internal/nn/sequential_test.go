@@ -55,17 +55,9 @@ func (s *Sequential) infer(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 		mid, out := &s.bufs[2*i], &s.bufs[2*i+1]
 		switch l := l.(type) {
 		case *Conv2D:
-			if int8Path && l.Int8Ready() {
-				x = l.ForwardInferenceInt8(x, out, &s.am)
-			} else {
-				x = l.ForwardInference(x, out)
-			}
+			x = l.ForwardInference(x, out, s.mapIf(int8Path && l.Int8Ready()))
 		case *ResBlock:
-			if int8Path && l.Conv1.Int8Ready() && l.Conv2.Int8Ready() {
-				x = l.ForwardInferenceInt8(x, out, &s.am)
-			} else {
-				x = l.ForwardInference(x, mid, out)
-			}
+			x = l.ForwardInference(x, mid, out, s.mapIf(int8Path && l.Conv1.Int8Ready() && l.Conv2.Int8Ready()))
 		case *ReLU: // in place; the models fuse theirs into the convolution
 			for i, v := range x.Data {
 				if v < 0 {
@@ -81,6 +73,15 @@ func (s *Sequential) infer(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 		}
 	}
 	return x
+}
+
+// mapIf is the activation map that runs a layer on its int8 kernels
+// when on holds, nil (the float32 kernels) otherwise.
+func (s *Sequential) mapIf(on bool) *tensor.Int8Map {
+	if on {
+		return &s.am
+	}
+	return nil
 }
 
 // Int8Ready reports whether every convolution is quantized.

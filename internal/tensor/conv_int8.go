@@ -172,6 +172,8 @@ type mapConv struct {
 	spec         ConvSpec
 	oh, ow       int
 	relu         bool
+	res          []float32 // the residual the epilogue adds, or nil
+	resScale     float32
 	lane         int
 	blocks       int       // VNNI, AVX2: output-channel blocks of 16, 4
 	pairs        int       // VNNI: pairs of 4-byte groups per kernel row
@@ -431,7 +433,10 @@ func packSectionInt8(sec []byte, d []uint64) uint64 {
 	return sum
 }
 
-// rows computes output rows [lo, hi) into the planar out.
+// rows computes output rows [lo, hi) into the planar out. With a
+// residual the lane writes each row to scratch and the epilogue then
+// writes res + float32(resScale·v) into out: out may be res, so nothing
+// may write an element of it before its residual is read.
 func (a *mapConv) rows(lo, hi int, out []float32) {
 	var secs []uint64
 	var secBuf *[]uint64
@@ -439,11 +444,35 @@ func (a *mapConv) rows(lo, hi int, out []float32) {
 		secBuf = scratchU64.get(a.secWords())
 		secs = *secBuf
 	}
-	for oy := lo; oy < hi; oy++ {
-		a.row(oy, out[oy*a.ow:], a.oh*a.ow, secs)
+	plane := a.oh * a.ow
+	if a.res == nil {
+		for oy := lo; oy < hi; oy++ {
+			a.row(oy, out[oy*a.ow:], plane, secs)
+		}
+	} else {
+		tmpBuf := scratchF32.get(a.spec.OutC * a.ow)
+		tmp := *tmpBuf
+		for oy := lo; oy < hi; oy++ {
+			a.row(oy, tmp, a.ow, secs)
+			for oc := 0; oc < a.spec.OutC; oc++ {
+				o := oc*plane + oy*a.ow
+				addScaledRow(out[o:], a.res[o:], tmp[oc*a.ow:(oc+1)*a.ow], a.resScale)
+			}
+		}
+		scratchF32.put(tmpBuf)
 	}
 	if secBuf != nil {
 		scratchU64.put(secBuf)
+	}
+}
+
+// addScaledRow writes dst[i] = res[i] + float32(s·v[i]), the residual
+// epilogue's expression, for every i of v; dst may be res. The operands
+// are resliced to one length so the loop checks no bounds.
+func addScaledRow(dst, res, v []float32, s float32) {
+	dst, res = dst[:len(v)], res[:len(v)]
+	for i, x := range v {
+		dst[i] = res[i] + float32(s*x)
 	}
 }
 
@@ -451,16 +480,23 @@ func (a *mapConv) rows(lo, hi int, out []float32) {
 // wq (OutC, InC·K·K), int8×int8 → exact int32 accumulation, and writes
 // the planar float32 result (OutC, oh, ow) into out through the fused
 // epilogue requantInt8 — ·scales[oc] (weight scale × activation scale),
-// + bias[oc] (nil for none), optional ReLU. Output rows are split over
-// the shared worker pool (serially and allocation-free at GOMAXPROCS 1);
-// every output element is computed whole by one lane, so results are
-// bit-identical across worker counts, lanes and the naive reference.
-func Conv2DInt8Map(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, relu bool, out []float32) {
+// + bias[oc] (nil for none), optional ReLU — and then, with res non-nil
+// (out's shape), the residual add res + float32(resScale·v), rounded
+// step by step exactly as a separate scaled-add pass; out may be res.
+// Output rows are split over the shared worker pool (serially and
+// allocation-free at GOMAXPROCS 1); every output element is computed
+// whole by one lane, so results are bit-identical across worker counts,
+// lanes and the naive reference.
+func Conv2DInt8Map(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, relu bool, res []float32, resScale float32, out []float32) {
 	a := newMapConv(m, wq, scales, bias, spec, relu)
 	defer a.release()
 	if len(out) != spec.OutC*a.oh*a.ow {
 		panic("tensor: Conv2DInt8Map output length mismatch")
 	}
+	if res != nil && len(res) != len(out) {
+		panic("tensor: Conv2DInt8Map residual length mismatch")
+	}
+	a.res, a.resScale = res, resScale
 	if len(out) == 0 {
 		return
 	}
@@ -614,7 +650,7 @@ func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float
 	plane := spec.OutC * oh * ow
 	for i := 0; i < n; i++ {
 		m.layInt8(xq[i*c*h*wd:(i+1)*c*h*wd], c, h, wd, spec.Pad)
-		Conv2DInt8Map(m, wq, scales, bias, spec, relu, out.Data[i*plane:(i+1)*plane])
+		Conv2DInt8Map(m, wq, scales, bias, spec, relu, nil, 0, out.Data[i*plane:(i+1)*plane])
 	}
 	mapPool.Put(m)
 	return out

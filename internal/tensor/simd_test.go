@@ -353,7 +353,7 @@ type convCase struct {
 	procs       int
 	dataSeed    int64
 
-	residual bool    // also check Conv2DInferResidual
+	residual bool    // also check Conv2DInferResidual and Conv2DInt8Map's residual
 	scale    float32 // its scale: 1 or 0.1
 	inPlace  bool    // with out == res
 }
@@ -501,7 +501,41 @@ func checkConvCase(t *testing.T, c convCase) {
 		})
 		diffBits(t, "Conv2DInferInt8 "+l.name+" lane vs direct int8 convolution", got, want8)
 	}
+	if c.residual {
+		checkInt8ResidualCase(t, c, cc, kernelBias, want8)
+	}
 	checkMapCase(t, c, rng, x.Data[:spec.InC*c.h*c.w])
+}
+
+// checkInt8ResidualCase pins Conv2DInt8Map's residual epilogue on every
+// lane against the direct int8 convolution of the case's first image,
+// want8's leading plane, followed by a separate scaled-add pass — into a
+// fresh output and, when the case asks, in place over res.
+func checkInt8ResidualCase(t *testing.T, c convCase, cc int8ConvCase, bias, want8 []float32) {
+	spec := c.spec
+	oh, ow := spec.OutSize(c.h, c.w)
+	res := operand(rand.New(rand.NewSource(c.dataSeed+3)), spec.OutC*oh*ow, c.special)
+	want := make([]float32, len(res))
+	for i, v := range want8[:len(res)] {
+		want[i] = res[i] + float32(c.scale*v)
+	}
+	for _, l := range kernelLanes {
+		if !l.available() {
+			continue
+		}
+		withLane(l, func() {
+			var m Int8Map
+			m.layInt8(cc.xq[:spec.InC*c.h*c.w], spec.InC, c.h, c.w, spec.Pad)
+			got := make([]float32, len(res))
+			r := res
+			if c.inPlace {
+				copy(got, res)
+				r = got
+			}
+			withProcs(t, c.procs, func() { Conv2DInt8Map(&m, cc.wq, cc.scales, bias, spec, c.relu, r, c.scale, got) })
+			diffBits(t, "Conv2DInt8Map residual "+l.name+" lane vs direct int8 convolution + scaled add", got, want)
+		})
+	}
 }
 
 // checkResidualCase pins Conv2DInferResidual on every lane against
@@ -581,7 +615,7 @@ func checkMapCase(t *testing.T, c convCase, rng *rand.Rand, img []float32) {
 			withProcs(t, c.procs, func() { Conv2DInt8MapReLU(&m, cc.wq, cc.scales, cc.bias, sq, inv2) })
 			checkMap(t, l.name+" lane Conv2DInt8MapReLU", &m, mid)
 			got := make([]float32, len(wantNext))
-			withProcs(t, c.procs, func() { Conv2DInt8Map(&m, cc.wq, cc.scales, cc.bias, sq, false, got) })
+			withProcs(t, c.procs, func() { Conv2DInt8Map(&m, cc.wq, cc.scales, cc.bias, sq, false, nil, 0, got) })
 			diffBits(t, l.name+" lane Conv2DInt8Map over a shifted map", got, wantNext)
 		})
 	}
