@@ -225,7 +225,7 @@ func (b *ResBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	h = b.Act.Forward(a, h)
 	h = b.Conv2.Forward(a, h)
 	out := tensor.Ensure(a.Next(), x.Shape...)
-	addScaled(out.Data, x.Data, h.Data, b.ResScale)
+	tensor.AddScaled(out.Data, x.Data, h.Data, b.ResScale)
 	return out
 }
 
@@ -242,17 +242,6 @@ func (b *ResBlock) ForwardInference(x, mid, out *tensor.Tensor, am *tensor.Int8M
 	}
 	h := b.Conv1.ForwardInferenceReLU(x, mid)
 	return b.Conv2.ForwardInferenceResidual(h, x, b.ResScale, out, nil)
-}
-
-// addScaled writes out[i] = x[i] + scale*h[i]; out may be h. The
-// operands are locals resliced to one length so the loop reloads nothing
-// and checks no bounds. Training's Forward runs it; inference fuses the
-// same expression into the convolution epilogue.
-func addScaled(out, x, h []float32, scale float32) {
-	out, x = out[:len(h)], x[:len(h)]
-	for i, v := range h {
-		out[i] = x[i] + float32(scale*v)
-	}
 }
 
 // Backward splits the gradient across the residual and identity paths.

@@ -159,7 +159,7 @@ func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 // TestInt8ResidualEpilogue pins the int8 residual adds fused into the
 // convolution epilogue against the separate scaled-add pass they
 // replaced: a Conv2D's, into a fresh tensor and in place over res,
-// against ForwardInference plus addScaled, and a ResBlock written over
+// against ForwardInference plus tensor.AddScaled, and a ResBlock written over
 // its own input against the same block into a fresh tensor.
 func TestInt8ResidualEpilogue(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -180,7 +180,7 @@ func TestInt8ResidualEpilogue(t *testing.T) {
 	c := NewConv2D(rng, 4, 4, 3, 1, 1)
 	calibrateOn(c, x)
 	want := tensor.New(x.Shape...)
-	addScaled(want.Data, res.Data, c.ForwardInference(x, nil, &am).Data, 0.1)
+	tensor.AddScaled(want.Data, res.Data, c.ForwardInference(x, nil, &am).Data, 0.1)
 	same("Conv2D residual", c.ForwardInferenceResidual(x, res, 0.1, nil, &am), want)
 	inPlace := res.Clone()
 	same("Conv2D residual in place", c.ForwardInferenceResidual(x, inPlace, 0.1, inPlace, &am), want)

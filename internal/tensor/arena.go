@@ -17,10 +17,15 @@ type scratch[T any] struct{ pool sync.Pool }
 
 var (
 	scratchF32 scratch[float32]
-	scratchI8  scratch[int8]
-	scratchU8  scratch[byte]
-	scratchU64 scratch[uint64]
-	scratchInt scratch[int]
+	// scratchPanel holds the AVX-512 float32 tile's weight panels apart
+	// from the bands: sharing one pool, a convolution's panel and band
+	// swap buffers every call, and a 3-channel head's band — wider than
+	// a 16-channel one — could get the smaller buffer and reallocate it.
+	scratchPanel scratch[float32]
+	scratchI8    scratch[int8]
+	scratchU8    scratch[byte]
+	scratchU64   scratch[uint64]
+	scratchInt   scratch[int]
 )
 
 // get returns a scratch buffer of length n from the arena. The contents

@@ -273,7 +273,7 @@ func newImplicitConv(x, w, out []float32, c, h, wd int, spec ConvSpec, ep epilog
 	a.avx512 = useAVX512 && a.kk > 0
 	if a.avx512 {
 		a.blocks = (a.outC + 7) / 8
-		a.wpBuf = scratchF32.get(a.blocks * (a.kk + 1) * 8)
+		a.wpBuf = scratchPanel.get(a.blocks * (a.kk + 1) * 8)
 		wp := *a.wpBuf
 		clear(wp)
 		a.wp, a.bp = wp[:a.blocks*a.kk*8], wp[a.blocks*a.kk*8:]
@@ -293,7 +293,7 @@ func newImplicitConv(x, w, out []float32, c, h, wd int, spec ConvSpec, ep epilog
 func (a *implicitConv) release() {
 	scratchInt.put(a.offBuf)
 	if a.wpBuf != nil {
-		scratchF32.put(a.wpBuf)
+		scratchPanel.put(a.wpBuf)
 	}
 }
 

@@ -456,23 +456,13 @@ func (a *mapConv) rows(lo, hi int, out []float32) {
 			a.row(oy, tmp, a.ow, secs)
 			for oc := 0; oc < a.spec.OutC; oc++ {
 				o := oc*plane + oy*a.ow
-				addScaledRow(out[o:], a.res[o:], tmp[oc*a.ow:(oc+1)*a.ow], a.resScale)
+				AddScaled(out[o:], a.res[o:], tmp[oc*a.ow:(oc+1)*a.ow], a.resScale)
 			}
 		}
 		scratchF32.put(tmpBuf)
 	}
 	if secBuf != nil {
 		scratchU64.put(secBuf)
-	}
-}
-
-// addScaledRow writes dst[i] = res[i] + float32(s·v[i]), the residual
-// epilogue's expression, for every i of v; dst may be res. The operands
-// are resliced to one length so the loop checks no bounds.
-func addScaledRow(dst, res, v []float32, s float32) {
-	dst, res = dst[:len(v)], res[:len(v)]
-	for i, x := range v {
-		dst[i] = res[i] + float32(s*x)
 	}
 }
 

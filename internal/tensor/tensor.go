@@ -125,6 +125,17 @@ func (t *Tensor) Randn(rng *rand.Rand, std float64) {
 	}
 }
 
+// AddScaled writes dst[i] = res[i] + float32(s·v[i]) for every i of v —
+// the residual epilogue's expression, the product rounded before the
+// add; dst may be res or v. The operands are resliced to one length so
+// the loop checks no bounds.
+func AddScaled(dst, res, v []float32, s float32) {
+	dst, res = dst[:len(v)], res[:len(v)]
+	for i, x := range v {
+		dst[i] = res[i] + float32(s*x)
+	}
+}
+
 // AddInPlace adds o elementwise into t. Shapes must have equal length.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	if len(t.Data) != len(o.Data) {
