@@ -13,11 +13,11 @@
 // With -json, a report is written containing every experiment's name
 // and wall time plus a snapshot of the pipeline metrics the run
 // recorded (prepare/train counters, cache hit/miss, codec enhance
-// latency — see the obs package doc for the stable names). The snapshot
-// includes the rolling-window series (`windowed_counters`,
-// `windowed_histograms`), whose rate and p50/p95/p99 cover only the
-// last window of the run — the live-traffic view of the same latencies
-// the lifetime histograms average over the whole run.
+// latency — see the obs package doc for the stable names). Each
+// histogram entry also carries its rolling window (`window_count`,
+// `rate`, `window_p50/p95/p99`) and `counter_rates` each counter's rate,
+// covering only the last 30 s of the run — the live-traffic view of
+// the same signals the lifetime values average over the whole run.
 package main
 
 import (

@@ -219,7 +219,8 @@ type netOptions struct {
 	listVideos bool
 }
 
-// printTraces renders every retained root span as indented JSON, with a
+// printTraces renders every retained span (a player retains only the
+// roots it starts) as indented JSON, with a
 // pointer from each trace ID to the origin-side lookup. A nil Obs (the
 // -trace flag unset) prints nothing.
 func printTraces(o *obs.Obs) {

@@ -17,9 +17,10 @@
 // hint (docs/SERVING.md covers tuning both).
 //
 // With -obs-addr set, a debug HTTP sidecar serves /metrics (text, or
-// ?format=json — including the rolling-window rate and p50/p95/p99
-// series), /debug/trace?id=<trace_id> (every retained server-side span of
-// one wire-propagated trace — the ID a `dcsr-play -trace` client prints)
+// ?format=json — each counter's and histogram's lifetime values and
+// its rolling-window rate and p50/p95/p99), /debug/trace (the last
+// retained server-side spans; ?id=<trace_id> for every span of one
+// wire-propagated trace — the ID a `dcsr-play -trace` client prints)
 // and the standard /debug/pprof endpoints; structured logs go to stderr.
 // Without it (the default) behaviour and output are unchanged. SIGINT
 // drains the open connections and exits.

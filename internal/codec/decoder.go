@@ -44,7 +44,7 @@ const (
 	PrecisionFloat32 Precision = iota
 	// PrecisionInt8 is the quantized kernel path; frames enhanced on it
 	// are counted separately (DecodeStats.EnhancedInt8,
-	// codec_enhance_int8_window_seconds) so an operator can see which
+	// codec_enhance_int8_seconds) so an operator can see which
 	// path is actually serving.
 	PrecisionInt8
 )
@@ -133,11 +133,9 @@ type Decoder struct {
 	Mode     Propagation
 	Stats    DecodeStats
 	// Obs, when set, records codec_frames_decoded_total,
-	// codec_iframes_enhanced_total and the I-frame-enhance latency as
-	// both the lifetime histogram codec_enhance_seconds and its
-	// rolling-window twin codec_enhance_window_seconds; enhancements the
-	// Enhancer attributes to the int8 path additionally feed
-	// codec_enhance_int8_window_seconds.
+	// codec_iframes_enhanced_total and the I-frame-enhance latency in
+	// codec_enhance_seconds; enhancements the Enhancer attributes to the
+	// int8 path additionally feed codec_enhance_int8_seconds.
 	Obs *obs.Obs
 	// Now supplies the clock for the enhance-latency histogram; nil
 	// means time.Now. Tests inject a fake clock to make the recorded
@@ -206,8 +204,7 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 	// Resolve metric handles once per decode; all are nil (no-op) when
 	// Obs is unset, so the per-frame path stays branch-cheap.
 	enhHist := d.Obs.Histogram("codec_enhance_seconds")
-	enhWHist := d.Obs.WindowedHistogram("codec_enhance_window_seconds")
-	enhI8WHist := d.Obs.WindowedHistogram("codec_enhance_int8_window_seconds")
+	enhI8Hist := d.Obs.Histogram("codec_enhance_int8_seconds")
 	enhCtr := d.Obs.Counter("codec_iframes_enhanced_total")
 	frameCtr := d.Obs.Counter("codec_frames_decoded_total")
 	now := d.Now
@@ -253,9 +250,8 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 					if enhHist != nil {
 						elapsed := now().Sub(t0).Seconds()
 						enhHist.Observe(elapsed)
-						enhWHist.Observe(elapsed)
 						if prec == PrecisionInt8 {
-							enhI8WHist.Observe(elapsed)
+							enhI8Hist.Observe(elapsed)
 						}
 					}
 					enhCtr.Inc()

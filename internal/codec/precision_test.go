@@ -10,7 +10,7 @@ import (
 // TestPrecisionEnhancerRouting pins the per-precision attribution: an
 // enhancer that alternates paths per I frame must have every
 // enhancement counted in Enhanced, only the int8 ones in EnhancedInt8
-// and codec_enhance_int8_window_seconds, and declined frames (input
+// and codec_enhance_int8_seconds, and declined frames (input
 // returned unchanged) in neither — regardless of reported precision.
 func TestPrecisionEnhancerRouting(t *testing.T) {
 	frames := testClipYUV(t, 64, 48, 3, 31)
@@ -59,8 +59,8 @@ func TestPrecisionEnhancerRouting(t *testing.T) {
 	if got := snap.Histograms["codec_enhance_seconds"].Count; got != int64(d.Stats.Enhanced) {
 		t.Errorf("codec_enhance_seconds count = %d, want %d", got, d.Stats.Enhanced)
 	}
-	if got := snap.WindowedHistograms["codec_enhance_int8_window_seconds"].Count; got != int64(wantInt8) {
-		t.Errorf("codec_enhance_int8_window_seconds count = %d, want %d", got, wantInt8)
+	if got := snap.Histograms["codec_enhance_int8_seconds"]; got.Count != int64(wantInt8) || got.WindowCount != int64(wantInt8) {
+		t.Errorf("codec_enhance_int8_seconds count = %d (window %d), want %d", got.Count, got.WindowCount, wantInt8)
 	}
 
 	// An enhancer that reports float32 throughout attributes nothing to int8.

@@ -160,19 +160,4 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("nop", func(b *testing.B) { run(b, nil) })
 	b.Run("instrumented", func(b *testing.B) { run(b, obs.New()) })
 
-	// The rolling-window handles sit on the transport and codec hot
-	// paths, so their record path must match the lifetime handles'
-	// zero-allocation bar (TestWindowedRecordZeroAllocs pins the same
-	// invariant as a hard assertion; -benchmem makes it visible here).
-	b.Run("windowed_record", func(b *testing.B) {
-		o := obs.New()
-		wc := o.WindowedCounter("bench_requests_window_total")
-		wh := o.WindowedHistogram("bench_rtt_window_seconds")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			wc.Inc()
-			wh.Observe(0.003)
-		}
-	})
 }

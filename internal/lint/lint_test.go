@@ -40,13 +40,14 @@ func TestFixtures(t *testing.T) {
 			return []Analyzer{&MetricNames{Docs: map[string]bool{
 				"frames_total": true, "enhance_seconds": true, "queue_depth": true,
 				"fetches_window_total": true, "rtt_window_seconds": true,
+				"rtt_seconds":             true,
 				"quant_int8_models_total": true, "quant_fallback_total": true,
-				"codec_enhance_int8_window_seconds": true,
-				"modelstream_backbone_fetch_total":  true,
-				"modelstream_delta_bytes_total":     true,
-				"modelstream_fallback_total":        true,
-				"delta_models_total":                true,
-				"delta_fallback_total":              true,
+				"codec_enhance_int8_seconds":       true,
+				"modelstream_backbone_fetch_total": true,
+				"modelstream_delta_bytes_total":    true,
+				"modelstream_fallback_total":       true,
+				"delta_models_total":               true,
+				"delta_fallback_total":             true,
 			}}}
 		}},
 		{"nodeterm", func(path string) []Analyzer {

@@ -14,12 +14,9 @@ import (
 // metricConstructors maps obs constructor method names to the metric
 // kind they create.
 var metricConstructors = map[string]string{
-	"Counter":           "counter",
-	"Gauge":             "gauge",
-	"Histogram":         "histogram",
-	"HistogramWith":     "histogram",
-	"WindowedCounter":   "windowed counter",
-	"WindowedHistogram": "windowed histogram",
+	"Counter":   "counter",
+	"Gauge":     "gauge",
+	"Histogram": "histogram",
 }
 
 // snakeCase is the naming convention for every metric.
@@ -29,9 +26,11 @@ var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // handed to an obs constructor (Obs.Counter, Registry.Histogram, …)
 // must be a compile-time string constant, follow the snake_case naming
 // convention with the kind's unit suffix (counters `_total`, histograms
-// `_seconds`/`_bytes`), and appear in docs/OPERATIONS.md — statically,
-// so a metric no test happens to increment is still pinned to its
-// documentation.
+// `_seconds`/`_bytes`), carry no `_window` component (every counter and
+// histogram exports its own rolling window, so a windowed twin would be
+// a second series for one signal), and appear in docs/OPERATIONS.md —
+// statically, so a metric no test happens to increment is still pinned
+// to its documentation.
 type MetricNames struct {
 	// Docs is the documented metric-name set (see DocMetricNames).
 	Docs map[string]bool
@@ -78,6 +77,10 @@ func (a *MetricNames) Run(p *Pass) {
 				p.Reportf(arg.Pos(), "metric name %q is not snake_case", name)
 				return true
 			}
+			if strings.Contains(name, "_window") {
+				p.Reportf(arg.Pos(), "metric name %q carries _window: every counter and histogram already exports its rolling window (_rate, _window_p99), so register the signal once", name)
+				return true
+			}
 			switch kind {
 			case "counter":
 				if !strings.HasSuffix(name, "_total") {
@@ -92,16 +95,6 @@ func (a *MetricNames) Run(p *Pass) {
 			case "gauge":
 				if strings.HasSuffix(name, "_total") || strings.HasSuffix(name, "_seconds") {
 					p.Reportf(arg.Pos(), "gauge %q must not use a counter/histogram suffix", name)
-					return true
-				}
-			case "windowed counter":
-				if !strings.HasSuffix(name, "_window_total") {
-					p.Reportf(arg.Pos(), "windowed counter %q must end in _window_total so the rolling-window series is distinguishable from its lifetime twin", name)
-					return true
-				}
-			case "windowed histogram":
-				if !strings.HasSuffix(name, "_window_seconds") && !strings.HasSuffix(name, "_window_bytes") {
-					p.Reportf(arg.Pos(), "windowed histogram %q must end in _window_seconds or _window_bytes so the rolling-window series is distinguishable from its lifetime twin", name)
 					return true
 				}
 			}

@@ -15,13 +15,12 @@ func Good(o *obs.Obs, reg *obs.Registry) {
 	o.Counter("frames_total").Inc()
 	reg.Gauge("queue_depth").Add(1)
 	o.Histogram("enhance" + suffix).Observe(0.5)
-	o.WindowedCounter("fetches_window_total").Inc()
-	reg.WindowedHistogram("rtt_window_seconds").Observe(0.01)
-	// The int8 quantization surface: gate counters plus the windowed
-	// latency twin of the float32 enhance histogram.
+	reg.Histogram("rtt_seconds").Observe(0.01)
+	// The int8 quantization surface: gate counters plus the int8 path's
+	// enhance latency beside the float32 histogram.
 	o.Counter("quant_int8_models_total").Inc()
 	o.Counter("quant_fallback_total").Inc()
-	o.WindowedHistogram("codec_enhance_int8_window_seconds").Observe(0.002)
+	o.Histogram("codec_enhance_int8_seconds").Observe(0.002)
 	// The model-stream surface: backbone/delta session counters and the
 	// delta_encode gate verdicts.
 	o.Counter("modelstream_backbone_fetch_total").Inc()
@@ -32,15 +31,15 @@ func Good(o *obs.Obs, reg *obs.Registry) {
 }
 
 // Bad covers one violation per rule.
-func Bad(o *obs.Obs, name string) {
+func Bad(o *obs.Obs, reg *obs.Registry, name string) {
 	o.Counter(name).Inc()                            // want "compile-time string constant"
 	o.Counter("BadName_total").Inc()                 // want "not snake_case"
 	o.Counter("frames").Inc()                        // want "must end in _total"
 	o.Histogram("enhance_latency").Observe(1)        // want "unit suffix"
 	o.Gauge("queue_total").Add(2)                    // want "counter/histogram suffix"
 	o.Counter("undocumented_total").Inc()            // want "not documented in docs/OPERATIONS.md"
-	o.WindowedCounter("fetches_total").Inc()         // want "must end in _window_total"
-	o.WindowedHistogram("rtt_seconds").Observe(0.01) // want "must end in _window_seconds or _window_bytes"
+	o.Counter("fetches_window_total").Inc()          // want "carries _window"
+	reg.Histogram("rtt_window_seconds").Observe(0.1) // want "carries _window"
 }
 
 // Suppressed shows both directive placements.

@@ -8,12 +8,15 @@ import (
 
 // pinnedRegistry is the fixed registry the exposition pins read: one
 // counter, one gauge and one default-bound histogram with known
-// observations.
-func pinnedRegistry() *Registry {
+// observations, their windows reading clk.
+func pinnedRegistry(clk *fakeClock) *Registry {
 	r := NewRegistry()
-	r.Counter("requests_total").Add(3)
+	c := r.Counter("requests_total")
+	c.w.clock = clk.now
+	c.Add(3)
 	r.Gauge("sessions").Set(2)
 	h := r.Histogram("fetch_seconds")
+	h.w.clock = clk.now
 	for _, v := range []float64{0.001, 0.002, 0.004, 0.25, 3} {
 		h.Observe(v)
 	}
@@ -34,19 +37,40 @@ var lifetimeLines = []string{
 	"fetch_seconds_p99 4.0894464",
 }
 
+// windowLines is the same registry's window exposition, read inside
+// the window that holds every observation. The window keeps no max, so
+// its quantiles equal the lifetime ones whenever no observation lies
+// past the last bound.
+var windowLines = []string{
+	"requests_total_rate 0.1",
+	"fetch_seconds_window_count 5",
+	"fetch_seconds_rate 0.16666666666666666",
+	"fetch_seconds_window_p50 0.003072",
+	"fetch_seconds_window_p95 3.670016",
+	"fetch_seconds_window_p99 4.0894464",
+}
+
 // TestExpositionPins asserts the lifetime lines of Snapshot.Text, in
-// order, and the lifetime fields of Snapshot.JSON, verbatim.
+// order, and the lifetime fields of Snapshot.JSON, verbatim; then the
+// window lines and fields under a fake clock.
 func TestExpositionPins(t *testing.T) {
-	snap := pinnedRegistry().Snapshot()
+	snap := pinnedRegistry(newFakeClock()).Snapshot()
 	lines := strings.Split(strings.TrimSuffix(snap.Text(), "\n"), "\n")
 	if err := inOrder(lines, lifetimeLines); err != "" {
 		t.Errorf("Text(): %s\n%s", err, snap.Text())
 	}
+	if err := inOrder(lines, windowLines); err != "" {
+		t.Errorf("Text(): %s\n%s", err, snap.Text())
+	}
+	if len(lines) != len(lifetimeLines)+len(windowLines) {
+		t.Errorf("Text() has %d lines, want %d:\n%s", len(lines), len(lifetimeLines)+len(windowLines), snap.Text())
+	}
 
 	var doc struct {
-		Counters   map[string]json.RawMessage            `json:"counters"`
-		Gauges     map[string]json.RawMessage            `json:"gauges"`
-		Histograms map[string]map[string]json.RawMessage `json:"histograms"`
+		Counters     map[string]json.RawMessage            `json:"counters"`
+		CounterRates map[string]json.RawMessage            `json:"counter_rates"`
+		Gauges       map[string]json.RawMessage            `json:"gauges"`
+		Histograms   map[string]map[string]json.RawMessage `json:"histograms"`
 	}
 	if err := json.Unmarshal(snap.JSON(), &doc); err != nil {
 		t.Fatalf("JSON: %v", err)
@@ -62,6 +86,18 @@ func TestExpositionPins(t *testing.T) {
 		"count": "5", "sum": "3.257", "mean": "0.6514",
 		"min": "0.001", "max": "3",
 		"p50": "0.003072", "p95": "3.670016", "p99": "4.0894464",
+	} {
+		if got := string(h[key]); got != want {
+			t.Errorf("JSON histograms.fetch_seconds.%s = %s, want %s", key, got, want)
+		}
+	}
+
+	if got := string(doc.CounterRates["requests_total"]); got != "0.1" {
+		t.Errorf("JSON counter_rates.requests_total = %s, want 0.1", got)
+	}
+	for key, want := range map[string]string{
+		"window_count": "5", "rate": "0.16666666666666666",
+		"window_p50": "0.003072", "window_p95": "3.670016", "window_p99": "4.0894464",
 	} {
 		if got := string(h[key]); got != want {
 			t.Errorf("JSON histograms.fetch_seconds.%s = %s, want %s", key, got, want)

@@ -11,11 +11,12 @@ import (
 //
 //	/metrics        — plain-text metric lines; ?format=json for a
 //	                  structured Snapshot
-//	/debug/trace    — JSON array of the most recent root span trees
-//	                  (?n=K limits to the last K traces);
+//	/debug/trace    — JSON array of the most recent retained span
+//	                  trees, locally started roots and joined request
+//	                  spans alike (?n=K limits to the last K; a
+//	                  malformed or negative K is a 400);
 //	                  ?id=<16-hex-digit trace ID> instead returns every
-//	                  retained request span of that trace from the
-//	                  cross-process trace buffer (404 if aged out)
+//	                  retained span of that trace (404 if aged out)
 //	/debug/pprof/…  — the standard net/http/pprof endpoints
 //
 // The handler is safe to serve while the pipeline is running; snapshots
@@ -42,7 +43,7 @@ func (o *Obs) Handler() http.Handler {
 				http.Error(w, "bad trace id: want 16 hex digits", http.StatusBadRequest)
 				return
 			}
-			spans := o.TraceBuf.Trace(id)
+			spans := o.Trace.Trace(id)
 			if spans == nil {
 				http.Error(w, "trace not found (aged out or never seen)", http.StatusNotFound)
 				return
@@ -57,7 +58,12 @@ func (o *Obs) Handler() http.Handler {
 		}
 		traces := o.Trace.Traces()
 		if s := r.URL.Query().Get("n"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n >= 0 && n < len(traces) {
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 0 {
+				http.Error(w, "bad n: want a non-negative integer", http.StatusBadRequest)
+				return
+			}
+			if n < len(traces) {
 				traces = traces[len(traces)-n:]
 			}
 		}

@@ -10,9 +10,14 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter. A nil *Counter
-// is a valid no-op receiver for every method.
-type Counter struct{ v atomic.Int64 }
+// Counter is a monotonically increasing atomic counter that also counts
+// over the rolling window, from which Rate derives events per second.
+// Inc/Add are lock-free and allocation-free; a nil *Counter is a valid
+// no-op receiver for every method.
+type Counter struct {
+	v atomic.Int64
+	w window
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -23,6 +28,7 @@ func (c *Counter) Add(n int64) {
 		return
 	}
 	c.v.Add(n)
+	c.w.slot().count.Add(n)
 }
 
 // Value returns the current count.
@@ -31,6 +37,14 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
+}
+
+// Rate returns the events per second over the last Window.
+func (c *Counter) Rate() float64 {
+	if c == nil {
+		return 0
+	}
+	return rate(c.w.merge(nil))
 }
 
 // Gauge is an atomic instantaneous value. A nil *Gauge is a no-op.
@@ -74,8 +88,9 @@ var defaultBounds = func() []float64 {
 
 // Histogram is a fixed-bound streaming histogram: observations update
 // atomic bucket counts plus sum/min/max, from which Quantile estimates
-// p50/p95/p99 without storing samples. Observe is lock-free and
-// allocation-free; a nil *Histogram is a no-op.
+// p50/p95/p99 without storing samples, and the same buckets over the
+// rolling window. Observe is lock-free and allocation-free; a nil
+// *Histogram is a no-op.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; +Inf bucket implied
 	buckets []atomic.Int64
@@ -83,10 +98,14 @@ type Histogram struct {
 	sum     atomic.Uint64 // float64 bits
 	min     atomic.Uint64 // float64 bits, seeded +Inf
 	max     atomic.Uint64 // float64 bits, seeded -Inf
+	w       window
 }
 
 func newHistogram(bounds []float64) *Histogram {
 	h := &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
+	for i := range h.w.slots {
+		h.w.slots[i].buckets = make([]atomic.Int64, len(bounds)+1)
+	}
 	h.min.Store(math.Float64bits(math.Inf(1)))
 	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
@@ -100,6 +119,9 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
+	s := h.w.slot()
+	s.buckets[i].Add(1)
+	s.count.Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -156,7 +178,8 @@ func (h *Histogram) Quantile(p float64) float64 {
 // bucketQuantile interpolates the p-quantile of total observations
 // inside bucket counts (one per bound plus the overflow bucket). top is
 // the overflow bucket's upper edge, and the estimate when the rank lies
-// past every counted observation.
+// past every counted observation: the running max for the lifetime
+// values, the last bound for the window, which keeps no max.
 func bucketQuantile(bounds []float64, counts []int64, total int64, p, top float64) float64 {
 	rank := p * float64(total)
 	cum := 0.0
@@ -198,19 +221,33 @@ func (h *Histogram) Stats() HistogramStats {
 	st.P50 = h.Quantile(0.50)
 	st.P95 = h.Quantile(0.95)
 	st.P99 = h.Quantile(0.99)
+	merged := make([]int64, len(h.buckets))
+	if st.WindowCount = h.w.merge(merged); st.WindowCount > 0 {
+		st.Rate = rate(st.WindowCount)
+		top := h.bounds[len(h.bounds)-1]
+		st.WindowP50 = bucketQuantile(h.bounds, merged, st.WindowCount, 0.50, top)
+		st.WindowP95 = bucketQuantile(h.bounds, merged, st.WindowCount, 0.95, top)
+		st.WindowP99 = bucketQuantile(h.bounds, merged, st.WindowCount, 0.99, top)
+	}
 	return st
 }
 
-// HistogramStats is the exported summary of one histogram.
+// HistogramStats is the exported summary of one histogram: the lifetime
+// values, then the last Window of observations only.
 type HistogramStats struct {
-	Count int64   `json:"count"`
-	Sum   float64 `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Min   float64 `json:"min"`
-	Max   float64 `json:"max"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
+	Count       int64   `json:"count"`
+	Sum         float64 `json:"sum"`
+	Mean        float64 `json:"mean"`
+	Min         float64 `json:"min"`
+	Max         float64 `json:"max"`
+	P50         float64 `json:"p50"`
+	P95         float64 `json:"p95"`
+	P99         float64 `json:"p99"`
+	WindowCount int64   `json:"window_count"`
+	Rate        float64 `json:"rate"` // window observations per second
+	WindowP50   float64 `json:"window_p50"`
+	WindowP95   float64 `json:"window_p95"`
+	WindowP99   float64 `json:"window_p99"`
 }
 
 // Registry holds named metrics. Metric handles are get-or-create and
@@ -218,22 +255,18 @@ type HistogramStats struct {
 // methods are safe for concurrent use; a nil *Registry returns nil
 // (no-op) handles.
 type Registry struct {
-	mu        sync.RWMutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	wcounters map[string]*WindowedCounter
-	whists    map[string]*WindowedHistogram
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
-		hists:     make(map[string]*Histogram),
-		wcounters: make(map[string]*WindowedCounter),
-		whists:    make(map[string]*WindowedHistogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -280,13 +313,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram with the default (latency)
 // bounds, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramWith(name, defaultBounds)
-}
-
-// HistogramWith returns the named histogram, creating it with the given
-// ascending upper bounds on first use (later calls keep the original
-// bounds).
-func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -299,67 +325,20 @@ func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram(bounds)
+		h = newHistogram(defaultBounds)
 		r.hists[name] = h
-	}
-	return h
-}
-
-// WindowedCounter returns the named rolling-window counter with the
-// default window (DefaultWindow), creating it on first use. Windowed
-// metric names carry a `window` component by convention (enforced by
-// the metricnames lint) so the time-resolved series are visibly
-// distinct from their lifetime twins on /metrics.
-func (r *Registry) WindowedCounter(name string) *WindowedCounter {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	c := r.wcounters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.wcounters[name]; c == nil {
-		c = newWindowedCounter(DefaultWindow)
-		r.wcounters[name] = c
-	}
-	return c
-}
-
-// WindowedHistogram returns the named rolling-window histogram with the
-// default (latency) bounds and window, creating it on first use.
-func (r *Registry) WindowedHistogram(name string) *WindowedHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	h := r.whists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.whists[name]; h == nil {
-		h = newWindowedHistogram(defaultBounds, DefaultWindow)
-		r.whists[name] = h
 	}
 	return h
 }
 
 // Snapshot is a point-in-time copy of every metric, JSON-marshalable.
 type Snapshot struct {
-	Counters   map[string]int64          `json:"counters"`
-	Gauges     map[string]int64          `json:"gauges"`
-	Histograms map[string]HistogramStats `json:"histograms"`
-	// WindowedCounters and WindowedHistograms are the time-resolved
-	// series: rates and quantiles over the last rolling window only,
-	// alongside the lifetime values above.
-	WindowedCounters   map[string]WindowedCounterStats   `json:"windowed_counters,omitempty"`
-	WindowedHistograms map[string]WindowedHistogramStats `json:"windowed_histograms,omitempty"`
+	Counters map[string]int64 `json:"counters"`
+	// CounterRates holds each counter's events per second over the last
+	// Window, under the counter's name.
+	CounterRates map[string]float64        `json:"counter_rates"`
+	Gauges       map[string]int64          `json:"gauges"`
+	Histograms   map[string]HistogramStats `json:"histograms"`
 }
 
 // Snapshot copies the current value of every registered metric.
@@ -372,18 +351,13 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
+		s.CounterRates[name] = c.Rate()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Stats()
-	}
-	for name, c := range r.wcounters {
-		s.WindowedCounters[name] = c.Stats()
-	}
-	for name, h := range r.whists {
-		s.WindowedHistograms[name] = h.Stats()
 	}
 	return s
 }
@@ -392,18 +366,18 @@ func (r *Registry) Snapshot() Snapshot {
 // registry still yields a marshal-safe value.
 func emptySnapshot() Snapshot {
 	return Snapshot{
-		Counters:           map[string]int64{},
-		Gauges:             map[string]int64{},
-		Histograms:         map[string]HistogramStats{},
-		WindowedCounters:   map[string]WindowedCounterStats{},
-		WindowedHistograms: map[string]WindowedHistogramStats{},
+		Counters:     map[string]int64{},
+		CounterRates: map[string]float64{},
+		Gauges:       map[string]int64{},
+		Histograms:   map[string]HistogramStats{},
 	}
 }
 
 // Text renders the snapshot as sorted plain-text lines in a
 // Prometheus-like exposition format: `name value` for counters and
-// gauges, and `name_count`, `name_sum`, `name_p50/p95/p99`,
-// `name_min/max` lines for histograms.
+// gauges, plus `name_rate` for counters; `name_count`, `name_sum`,
+// `name_min/max`, `name_p50/p95/p99` for histograms, then their window's
+// `name_window_count`, `name_rate` and `name_window_p50/p95/p99`.
 func (s Snapshot) Text() string {
 	var b strings.Builder
 	names := make([]string, 0, len(s.Counters))
@@ -413,6 +387,7 @@ func (s Snapshot) Text() string {
 	sort.Strings(names)
 	for _, n := range names {
 		fmt.Fprintf(&b, "%s %d\n", n, s.Counters[n])
+		fmt.Fprintf(&b, "%s_rate %g\n", n, s.CounterRates[n])
 	}
 	names = names[:0]
 	for n := range s.Gauges {
@@ -438,30 +413,12 @@ func (s Snapshot) Text() string {
 			fmt.Fprintf(&b, "%s_p95 %g\n", n, h.P95)
 			fmt.Fprintf(&b, "%s_p99 %g\n", n, h.P99)
 		}
-	}
-	names = names[:0]
-	for n := range s.WindowedCounters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		c := s.WindowedCounters[n]
-		fmt.Fprintf(&b, "%s %d\n", n, c.Count)
-		fmt.Fprintf(&b, "%s_rate %g\n", n, c.RatePerSec)
-	}
-	names = names[:0]
-	for n := range s.WindowedHistograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := s.WindowedHistograms[n]
-		fmt.Fprintf(&b, "%s_count %d\n", n, h.Count)
-		fmt.Fprintf(&b, "%s_rate %g\n", n, h.RatePerSec)
-		if h.Count > 0 {
-			fmt.Fprintf(&b, "%s_p50 %g\n", n, h.P50)
-			fmt.Fprintf(&b, "%s_p95 %g\n", n, h.P95)
-			fmt.Fprintf(&b, "%s_p99 %g\n", n, h.P99)
+		fmt.Fprintf(&b, "%s_window_count %d\n", n, h.WindowCount)
+		fmt.Fprintf(&b, "%s_rate %g\n", n, h.Rate)
+		if h.WindowCount > 0 {
+			fmt.Fprintf(&b, "%s_window_p50 %g\n", n, h.WindowP50)
+			fmt.Fprintf(&b, "%s_window_p95 %g\n", n, h.WindowP95)
+			fmt.Fprintf(&b, "%s_window_p99 %g\n", n, h.WindowP99)
 		}
 	}
 	return b.String()

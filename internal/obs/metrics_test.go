@@ -64,20 +64,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramCustomBounds(t *testing.T) {
-	r := NewRegistry()
-	h := r.HistogramWith("bytes", []float64{10, 100, 1000})
-	for _, v := range []float64{5, 50, 500, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if q := h.Quantile(1.0); q != 5000 {
-		t.Errorf("p100 = %g, want 5000 (overflow bucket → max)", q)
-	}
-}
-
 // TestRegistryConcurrent hammers one registry from many goroutines —
 // handle creation, counter increments, gauge sets and histogram
 // observations all racing — and asserts the exact totals. Run with
@@ -180,4 +166,23 @@ func TestLiveObserveZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("live observe allocates %v bytes/event, want 0", n)
 	}
+}
+
+// BenchmarkRecord times the per-event record path of a live counter and
+// histogram, rolling window included (the window's clock read is most
+// of it); -benchmem shows it allocation-free.
+func BenchmarkRecord(b *testing.B) {
+	r := NewRegistry()
+	c := r.Counter("c_total")
+	h := r.Histogram("h_seconds")
+	b.Run("Counter.Inc", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Inc()
+		}
+	})
+	b.Run("Histogram.Observe", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			h.Observe(0.003)
+		}
+	})
 }

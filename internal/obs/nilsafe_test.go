@@ -15,7 +15,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	handles := []any{
 		(*Obs)(nil), (*Registry)(nil), (*Counter)(nil), (*Gauge)(nil),
 		(*Histogram)(nil), (*Tracer)(nil), (*Span)(nil), (*Logger)(nil),
-		(*WindowedCounter)(nil), (*WindowedHistogram)(nil), (*TraceBuffer)(nil),
 	}
 	for _, h := range handles {
 		v := reflect.ValueOf(h)
@@ -39,7 +38,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 				if !ok {
 					continue
 				}
-				for _, target := range []string{"/metrics", "/metrics?format=json", "/debug/trace", "/debug/trace?id=" + IDString(1)} {
+				for _, target := range []string{"/metrics", "/metrics?format=json", "/debug/trace", "/debug/trace?n=1", "/debug/trace?id=" + IDString(1)} {
 					noPanic(t, name+"'s handler serving "+target, func() {
 						hh.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", target, nil))
 					})

@@ -1,8 +1,10 @@
 // Package obs is the observability substrate of the dcSR system: a
-// concurrency-safe metrics registry (atomic counters, gauges, streaming
-// histograms with quantile estimates), a lightweight span tracer for
-// nested pipeline stages exportable as a JSON trace tree, and a leveled
-// structured logger — all standard-library only.
+// concurrency-safe metrics registry (atomic counters and streaming
+// histograms with quantile estimates, each over its lifetime and over a
+// rolling window, and gauges), a lightweight span tracer for nested
+// pipeline stages and joined cross-process request spans, exportable as
+// JSON trace trees, and a leveled structured logger — all
+// standard-library only.
 //
 // Every handle is nil-safe: a nil *Obs, *Registry, *Tracer, *Logger,
 // *Counter, *Gauge, *Histogram or *Span turns every operation into a
@@ -24,17 +26,12 @@ type Obs struct {
 	Metrics *Registry
 	Trace   *Tracer
 	Log     *Logger
-	// TraceBuf retains recently completed cross-process request spans
-	// (the transport server's half of wire trace propagation), looked
-	// up by trace ID on /debug/trace?id=.
-	TraceBuf *TraceBuffer
 }
 
-// New returns an Obs with a fresh registry, a tracer keeping the last
-// 32 root spans, and a trace buffer keeping the last 256 request
-// spans. Log is left nil (no-op); set it to enable logging.
+// New returns an Obs with a fresh registry and a tracer keeping the
+// last 256 spans. Log is left nil (no-op); set it to enable logging.
 func New() *Obs {
-	return &Obs{Metrics: NewRegistry(), Trace: NewTracer(32), TraceBuf: NewTraceBuffer(256)}
+	return &Obs{Metrics: NewRegistry(), Trace: NewTracer(256)}
 }
 
 // Counter returns the named counter, or nil (a no-op) when o is nil.
@@ -61,24 +58,6 @@ func (o *Obs) Histogram(name string) *Histogram {
 	return o.Metrics.Histogram(name)
 }
 
-// WindowedCounter returns the named rolling-window counter, or nil (a
-// no-op) when o is nil.
-func (o *Obs) WindowedCounter(name string) *WindowedCounter {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.WindowedCounter(name)
-}
-
-// WindowedHistogram returns the named rolling-window histogram with
-// default bounds and window, or nil (a no-op) when o is nil.
-func (o *Obs) WindowedHistogram(name string) *WindowedHistogram {
-	if o == nil {
-		return nil
-	}
-	return o.Metrics.WindowedHistogram(name)
-}
-
 // Start opens a new root span on the tracer, or returns nil when o is
 // nil (all Span operations on nil are no-ops).
 func (o *Obs) Start(name string) *Span {
@@ -88,13 +67,13 @@ func (o *Obs) Start(name string) *Span {
 	return o.Trace.Start(name)
 }
 
-// RecordTrace retains a completed span in the trace buffer for
-// /debug/trace?id= lookup; a no-op when o (or its buffer) is nil.
+// RecordTrace retains a completed joined span (see JoinSpan) on the
+// tracer for /debug/trace; a no-op when o (or its tracer) is nil.
 func (o *Obs) RecordTrace(s *Span) {
 	if o == nil {
 		return
 	}
-	o.TraceBuf.Record(s)
+	o.Trace.Record(s)
 }
 
 // Logger returns the bundle's logger (possibly nil, which is a no-op).

@@ -74,7 +74,7 @@ func newSpan(name string) *Span {
 // JoinSpan opens a detached root span that joins an existing trace —
 // the server side of wire trace propagation, where the parent span
 // lives in another process. The span is not retained anywhere; record
-// it into a TraceBuffer (Obs.RecordTrace) once ended.
+// it on a Tracer (Obs.RecordTrace) once ended.
 func JoinSpan(name string, traceID, parentID uint64) *Span {
 	s := newSpan(name)
 	s.traceID = traceID
@@ -217,20 +217,23 @@ func (s *Span) Export() SpanJSON {
 	return out
 }
 
-// Tracer retains the most recent root spans (a bounded ring) so an
-// operator can inspect the last few Prepare/Play runs via /debug/trace.
-// A nil *Tracer returns nil spans from Start.
+// Tracer is the one span store: a bounded ring of the most recent spans
+// — the roots it starts (the last few Prepare/Play runs) and the joined
+// request spans recorded into it (the transport server's half of wire
+// trace propagation) — so an operator can inspect them, or reassemble
+// one request's cross-process story by trace ID, via /debug/trace. A
+// nil *Tracer returns nil spans from Start and retains nothing.
 type Tracer struct {
 	mu    sync.Mutex
 	keep  int
-	roots []*Span
+	spans []*Span // retention order, oldest first
 }
 
-// NewTracer returns a tracer retaining the last keep root spans
-// (keep <= 0 means 16).
+// NewTracer returns a tracer retaining the last keep spans (keep <= 0
+// means 256).
 func NewTracer(keep int) *Tracer {
 	if keep <= 0 {
-		keep = 16
+		keep = 256
 	}
 	return &Tracer{keep: keep}
 }
@@ -241,26 +244,55 @@ func (t *Tracer) Start(name string) *Span {
 		return nil
 	}
 	s := newSpan(name)
-	t.mu.Lock()
-	t.roots = append(t.roots, s)
-	if len(t.roots) > t.keep {
-		t.roots = append(t.roots[:0], t.roots[len(t.roots)-t.keep:]...)
-	}
-	t.mu.Unlock()
+	t.Record(s)
 	return s
 }
 
-// Traces exports the retained root spans, oldest first.
+// Record retains s, evicting the oldest span past capacity. A nil s is
+// ignored.
+func (t *Tracer) Record(s *Span) {
+	if t == nil || s == nil {
+		return
+	}
+	t.mu.Lock()
+	t.spans = append(t.spans, s)
+	if len(t.spans) > t.keep {
+		t.spans = append(t.spans[:0], t.spans[len(t.spans)-t.keep:]...)
+	}
+	t.mu.Unlock()
+}
+
+// Traces exports the retained spans, oldest first.
 func (t *Tracer) Traces() []SpanJSON {
+	return t.export(func(*Span) bool { return true })
+}
+
+// Trace exports every retained span belonging to traceID, oldest first.
+// The result is nil when the trace has aged out (or never reached this
+// process).
+func (t *Tracer) Trace(traceID uint64) []SpanJSON {
+	out := t.export(func(s *Span) bool { return s.traceID == traceID })
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// export snapshots the retained spans sel selects.
+func (t *Tracer) export(sel func(*Span) bool) []SpanJSON {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	roots := make([]*Span, len(t.roots))
-	copy(roots, t.roots)
+	var match []*Span
+	for _, s := range t.spans {
+		if sel(s) {
+			match = append(match, s)
+		}
+	}
 	t.mu.Unlock()
-	out := make([]SpanJSON, 0, len(roots))
-	for _, s := range roots {
+	out := make([]SpanJSON, 0, len(match))
+	for _, s := range match {
 		out = append(out, s.Export())
 	}
 	return out
@@ -273,76 +305,4 @@ func (t *Tracer) TracesJSON() []byte {
 		return []byte("[]")
 	}
 	return data
-}
-
-// TraceBuffer retains the most recent completed spans in a bounded
-// ring, indexed by trace ID, so an operator can reassemble one
-// request's cross-process story after the fact: the transport server
-// records one span per traced request here, and /debug/trace?id=
-// returns every retained span of that trace. A nil *TraceBuffer is a
-// no-op recorder and an empty lookup.
-type TraceBuffer struct {
-	mu    sync.Mutex
-	cap   int
-	spans []*Span // recording order, oldest first
-}
-
-// NewTraceBuffer returns a buffer retaining the last capacity spans
-// (capacity <= 0 means 256).
-func NewTraceBuffer(capacity int) *TraceBuffer {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &TraceBuffer{cap: capacity}
-}
-
-// Record retains a completed span, evicting the oldest past capacity.
-func (b *TraceBuffer) Record(s *Span) {
-	if b == nil {
-		return
-	}
-	if s == nil {
-		return
-	}
-	b.mu.Lock()
-	b.spans = append(b.spans, s)
-	if len(b.spans) > b.cap {
-		b.spans = append(b.spans[:0], b.spans[len(b.spans)-b.cap:]...)
-	}
-	b.mu.Unlock()
-}
-
-// Len returns how many spans are currently retained.
-func (b *TraceBuffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.spans)
-}
-
-// Trace exports every retained span belonging to traceID, in recording
-// order. The result is nil when the trace has aged out (or never hit
-// this process).
-func (b *TraceBuffer) Trace(traceID uint64) []SpanJSON {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	var match []*Span
-	for _, s := range b.spans {
-		if s.traceID == traceID {
-			match = append(match, s)
-		}
-	}
-	b.mu.Unlock()
-	out := make([]SpanJSON, 0, len(match))
-	for _, s := range match {
-		out = append(out, s.Export())
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

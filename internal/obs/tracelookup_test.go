@@ -1,5 +1,5 @@
-// Tests for span identity, cross-process trace joining and the bounded
-// trace buffer behind /debug/trace?id=.
+// Tests for span identity, cross-process trace joining and the
+// Tracer's lookup by trace ID behind /debug/trace?id=.
 package obs
 
 import (
@@ -75,58 +75,49 @@ func TestJoinSpan(t *testing.T) {
 	}
 }
 
-func TestTraceBufferLookupAndEviction(t *testing.T) {
-	b := NewTraceBuffer(4)
-	for i := 0; i < 6; i++ {
+func TestTracerLookupAndEviction(t *testing.T) {
+	tr := NewTracer(4)
+	root := tr.Start("play") // a locally started root shares the ring
+	for i := 0; i < 5; i++ {
 		s := JoinSpan(fmt.Sprintf("req%d", i), uint64(100+i), 1)
 		s.End()
-		b.Record(s)
+		tr.Record(s)
 	}
-	if b.Len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", b.Len())
+	if n := len(tr.Traces()); n != 4 {
+		t.Fatalf("retained %d spans, want capacity 4", n)
 	}
-	// The two oldest traces were evicted.
-	if got := b.Trace(100); got != nil {
+	// The root and the oldest joined span were evicted.
+	if got := tr.Trace(root.TraceID()); got != nil {
+		t.Errorf("evicted root still retrievable: %+v", got)
+	}
+	if got := tr.Trace(100); got != nil {
 		t.Errorf("evicted trace still retrievable: %+v", got)
 	}
-	if got := b.Trace(105); len(got) != 1 || got[0].Name != "req5" {
-		t.Errorf("trace 105 = %+v", got)
+	if got := tr.Trace(104); len(got) != 1 || got[0].Name != "req4" {
+		t.Errorf("trace 104 = %+v", got)
 	}
-	if got := b.Trace(0xffff); got != nil {
+	if got := tr.Trace(0xffff); got != nil {
 		t.Errorf("unknown trace = %+v, want nil", got)
 	}
 
-	// Multiple spans of one trace come back in recording order.
-	b2 := NewTraceBuffer(8)
+	// Every retained span of one trace comes back in recording order,
+	// a locally started root among them.
+	tr2 := NewTracer(8)
+	local := tr2.Start("play")
 	for attempt := 1; attempt <= 3; attempt++ {
-		s := JoinSpan("server.model", 0x77, uint64(attempt))
+		s := JoinSpan("server.model", local.TraceID(), uint64(attempt))
 		s.End()
-		b2.Record(s)
+		tr2.Record(s)
 	}
-	got := b2.Trace(0x77)
-	if len(got) != 3 {
-		t.Fatalf("trace spans = %d, want 3", len(got))
+	got := tr2.Trace(local.TraceID())
+	if len(got) != 4 || got[0].Name != "play" {
+		t.Fatalf("trace spans = %+v, want the root and 3 joined spans", got)
 	}
-	for i, sp := range got {
+	for i, sp := range got[1:] {
 		if sp.ParentID != IDString(uint64(i+1)) {
 			t.Errorf("span %d parent = %q", i, sp.ParentID)
 		}
 	}
-}
-
-func TestTraceBufferNilSafety(t *testing.T) {
-	var b *TraceBuffer
-	b.Record(JoinSpan("x", 1, 0))
-	if b.Len() != 0 || b.Trace(1) != nil {
-		t.Error("nil buffer must be an empty no-op")
-	}
-	live := NewTraceBuffer(0) // defaulted capacity
-	live.Record(nil)          // nil span ignored
-	if live.Len() != 0 {
-		t.Error("recording a nil span must be a no-op")
-	}
-	var o *Obs
-	o.RecordTrace(JoinSpan("x", 1, 0)) // must not panic
 }
 
 func TestDebugTraceByID(t *testing.T) {
@@ -163,10 +154,41 @@ func TestDebugTraceByID(t *testing.T) {
 		t.Errorf("malformed id status = %d, want 400", rec.Code)
 	}
 
-	// Without ?id= the endpoint still serves the local root-span list.
+	// ?id= finds a locally started root too, children included.
+	root := o.Start("play")
+	root.Child("segment").End()
+	root.End()
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?id="+IDString(root.TraceID()), nil))
+	spans = nil
+	if err := json.Unmarshal(rec.Body.Bytes(), &spans); rec.Code != 200 || err != nil {
+		t.Fatalf("root lookup status = %d, decode %v", rec.Code, err)
+	}
+	if len(spans) != 1 || spans[0].Name != "play" || len(spans[0].Children) != 1 {
+		t.Errorf("root lookup = %+v", spans)
+	}
+
+	// Without ?id= the endpoint lists the last n retained spans, joined
+	// and local alike.
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace", nil))
 	if rec.Code != 200 || !strings.HasPrefix(strings.TrimSpace(rec.Body.String()), "[") {
 		t.Errorf("trace list status = %d, body %q", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?n=1", nil))
+	spans = nil
+	if err := json.Unmarshal(rec.Body.Bytes(), &spans); rec.Code != 200 || err != nil || len(spans) != 1 || spans[0].Name != "play" {
+		t.Errorf("?n=1 status = %d, spans %+v, decode %v", rec.Code, spans, err)
+	}
+
+	// A malformed or negative n is refused, as a malformed id is, rather
+	// than silently dumping every span.
+	for _, n := range []string{"abc", "-1"} {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?n="+n, nil))
+		if rec.Code != 400 {
+			t.Errorf("?n=%s status = %d, want 400", n, rec.Code)
+		}
 	}
 }

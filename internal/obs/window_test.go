@@ -1,8 +1,7 @@
-// Tests for the rolling-window metrics. Rotation is driven by an
-// injected fake clock so expiry behaviour is fully deterministic (no
-// wall-clock sleeps), which also keeps the nodeterm lint contract easy
-// to reason about: the production path reads time.Now only through the
-// unexported clock hook.
+// Tests for the rolling window every Counter and Histogram keeps.
+// Rotation is driven by an injected fake clock so expiry behaviour is
+// fully deterministic (no wall-clock sleeps): the production path reads
+// time.Now only through the unexported clock hook.
 package obs
 
 import (
@@ -18,230 +17,238 @@ type fakeClock struct{ t time.Time }
 
 func (f *fakeClock) now() time.Time          { return f.t }
 func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+
+// newFakeClock starts on a sub-window boundary (1 700 000 001 s is a
+// multiple of 3 s).
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_001, 0)} }
+
+// fakeCounter and fakeHistogram return handles whose window reads clk.
+func fakeCounter(clk *fakeClock) *Counter {
+	c := &Counter{}
+	c.w.clock = clk.now
+	return c
+}
+
+func fakeHistogram(clk *fakeClock, bounds []float64) *Histogram {
+	h := newHistogram(bounds)
+	h.w.clock = clk.now
+	return h
+}
 
 func TestWindowedCounterRotationDeterminism(t *testing.T) {
 	clk := newFakeClock()
-	c := newWindowedCounter(10 * time.Second) // 1s sub-windows
-	c.clock = clk.now
+	c := fakeCounter(clk) // 30 s window, 3 s sub-windows
 
 	c.Add(5)
-	if st := c.Stats(); st.Count != 5 {
-		t.Fatalf("fresh count = %d, want 5", st.Count)
+	if got := c.Rate() * Window.Seconds(); got != 5 {
+		t.Fatalf("fresh window count = %g, want 5", got)
 	}
 
 	// Half-way through the window the events are still visible.
-	clk.advance(5 * time.Second)
+	clk.advance(15 * time.Second)
 	c.Inc()
-	if st := c.Stats(); st.Count != 6 {
-		t.Fatalf("mid-window count = %d, want 6", st.Count)
+	if got := c.Rate() * Window.Seconds(); got != 6 {
+		t.Fatalf("mid-window count = %g, want 6", got)
 	}
 
 	// Advance so only the second burst survives: the first burst is
-	// now 10.5s old (outside), the second 5.5s old (inside).
-	clk.advance(5500 * time.Millisecond)
-	if st := c.Stats(); st.Count != 1 {
-		t.Fatalf("post-expiry count = %d, want 1", st.Count)
+	// now 31.5 s old (outside), the second 16.5 s old (inside).
+	clk.advance(16500 * time.Millisecond)
+	if got := c.Rate() * Window.Seconds(); got != 1 {
+		t.Fatalf("post-expiry count = %g, want 1", got)
 	}
 
-	// A full window later everything has aged out.
-	clk.advance(10 * time.Second)
-	st := c.Stats()
-	if st.Count != 0 || st.RatePerSec != 0 {
-		t.Fatalf("drained window = %+v, want zero", st)
+	// A full window later everything has aged out; the lifetime value
+	// has not.
+	clk.advance(30 * time.Second)
+	if got := c.Rate(); got != 0 {
+		t.Fatalf("drained window rate = %g, want 0", got)
 	}
-	if st.WindowSeconds != 10 {
-		t.Fatalf("window seconds = %g, want 10", st.WindowSeconds)
+	if got := c.Value(); got != 6 {
+		t.Fatalf("lifetime value = %d, want 6", got)
 	}
 }
 
 func TestWindowedCounterSlotReuse(t *testing.T) {
 	clk := newFakeClock()
-	c := newWindowedCounter(10 * time.Second)
-	c.clock = clk.now
+	c := fakeCounter(clk)
 
 	// Write into the same physical slot across two rotations: the
 	// second write must see a cleared slot, not accumulate onto the
 	// first (windowSlots sub-windows later the ring index repeats).
 	c.Add(7)
-	clk.advance(10 * time.Second) // exactly windowSlots sub-windows
+	clk.advance(Window) // exactly windowSlots sub-windows
 	c.Add(2)
-	if st := c.Stats(); st.Count != 2 {
-		t.Fatalf("count after slot reuse = %d, want 2", st.Count)
+	if got := c.Rate() * Window.Seconds(); got != 2 {
+		t.Fatalf("window count after slot reuse = %g, want 2", got)
 	}
 }
 
 func TestWindowedCounterRate(t *testing.T) {
 	clk := newFakeClock()
-	c := newWindowedCounter(10 * time.Second)
-	c.clock = clk.now
+	c := fakeCounter(clk)
 	for i := 0; i < 40; i++ {
 		c.Inc()
-		clk.advance(250 * time.Millisecond)
+		clk.advance(750 * time.Millisecond)
 	}
-	// Reading at t=10s, the first 1s sub-window (4 events) has rolled
-	// off; the remaining 36 events over 10s give 3.6/s.
-	st := c.Stats()
-	if st.Count != 36 {
-		t.Fatalf("count = %d, want 36", st.Count)
-	}
-	if math.Abs(st.RatePerSec-3.6) > 1e-9 {
-		t.Fatalf("rate = %g, want 3.6", st.RatePerSec)
+	// Reading at t=30s, the first 3 s sub-window (4 events) has rolled
+	// off; the remaining 36 events over 30 s give 1.2/s.
+	if got := c.Rate(); math.Abs(got-1.2) > 1e-9 {
+		t.Fatalf("rate = %g, want 1.2", got)
 	}
 }
 
 func TestWindowedHistogramStats(t *testing.T) {
 	clk := newFakeClock()
-	h := newWindowedHistogram(defaultBounds, 10*time.Second)
-	h.clock = clk.now
+	h := fakeHistogram(clk, defaultBounds)
 
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i) / 1000.0)
 	}
 	st := h.Stats()
-	if st.Count != 1000 {
-		t.Fatalf("count = %d, want 1000", st.Count)
+	if st.WindowCount != 1000 {
+		t.Fatalf("window count = %d, want 1000", st.WindowCount)
 	}
-	if math.Abs(st.Sum-500.5) > 1e-6 {
-		t.Fatalf("sum = %g, want 500.5", st.Sum)
-	}
-	if math.Abs(st.Mean-0.5005) > 1e-6 {
-		t.Fatalf("mean = %g", st.Mean)
+	if math.Abs(st.Rate-1000/Window.Seconds()) > 1e-9 {
+		t.Fatalf("rate = %g", st.Rate)
 	}
 	// Same coarse power-of-two bucket tolerance as the lifetime
 	// histogram tests.
 	checks := []struct {
 		name       string
 		got, exact float64
-	}{{"p50", st.P50, 0.5}, {"p95", st.P95, 0.95}, {"p99", st.P99, 0.99}}
+	}{{"p50", st.WindowP50, 0.5}, {"p95", st.WindowP95, 0.95}, {"p99", st.WindowP99, 0.99}}
 	for _, c := range checks {
 		if c.got < c.exact/2 || c.got > c.exact*2 {
-			t.Errorf("%s = %g, want within [%g, %g]", c.name, c.got, c.exact/2, c.exact*2)
+			t.Errorf("window %s = %g, want within [%g, %g]", c.name, c.got, c.exact/2, c.exact*2)
 		}
 	}
 
-	// Unlike the lifetime histogram, the windowed view forgets: after a
-	// full window of silence the quantiles reset.
-	clk.advance(11 * time.Second)
-	if st := h.Stats(); st.Count != 0 || st.P99 != 0 {
-		t.Fatalf("expired stats = %+v, want empty", st)
+	// Unlike the lifetime values, the window forgets: after a full
+	// window of silence its quantiles reset.
+	clk.advance(33 * time.Second)
+	st = h.Stats()
+	if st.WindowCount != 0 || st.Rate != 0 || st.WindowP99 != 0 {
+		t.Fatalf("expired window = %+v, want empty", st)
+	}
+	if st.Count != 1000 || st.P99 == 0 {
+		t.Fatalf("lifetime values after expiry = %+v", st)
 	}
 }
 
 func TestWindowedHistogramPartialExpiry(t *testing.T) {
 	clk := newFakeClock()
-	h := newWindowedHistogram(defaultBounds, 10*time.Second)
-	h.clock = clk.now
+	h := fakeHistogram(clk, defaultBounds)
 
 	h.Observe(0.001) // fast era
-	clk.advance(8 * time.Second)
+	clk.advance(24 * time.Second)
 	h.Observe(4.0) // slow era
-	clk.advance(3 * time.Second)
+	clk.advance(9 * time.Second)
 
-	// The fast observation (11s old) is out; the slow one (3s) remains,
-	// so the windowed p99 reflects only the recent regime.
+	// The fast observation (33 s old) is out; the slow one (9 s)
+	// remains, so the window p99 reflects only the recent regime.
 	st := h.Stats()
-	if st.Count != 1 {
-		t.Fatalf("count = %d, want 1", st.Count)
+	if st.WindowCount != 1 {
+		t.Fatalf("window count = %d, want 1", st.WindowCount)
 	}
-	if st.P99 < 1.0 {
-		t.Fatalf("p99 = %g, want dominated by the slow observation", st.P99)
+	if st.WindowP99 < 1.0 {
+		t.Fatalf("window p99 = %g, want dominated by the slow observation", st.WindowP99)
+	}
+	if st.Count != 2 {
+		t.Fatalf("lifetime count = %d, want 2", st.Count)
 	}
 }
 
-// TestWindowedRecordZeroAllocs pins the hot record path — the property
-// BenchmarkObsOverhead measures — as a hard test: recording into live
-// windowed handles must not allocate.
+// TestWindowedRecordZeroAllocs pins the hot record path as a hard test:
+// recording must not allocate, on a sub-window rotation (which resets a
+// slot) as between them.
 func TestWindowedRecordZeroAllocs(t *testing.T) {
-	r := NewRegistry()
-	c := r.WindowedCounter("x_window_total")
-	h := r.WindowedHistogram("x_window_seconds")
+	clk := newFakeClock()
+	c := fakeCounter(clk)
+	h := fakeHistogram(clk, defaultBounds)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
 		h.Observe(0.25)
+		clk.advance(time.Second)
 	}); n != 0 {
-		t.Errorf("windowed record path allocates %v bytes/event, want 0", n)
+		t.Errorf("record path allocates %v bytes/event, want 0", n)
 	}
 }
 
+// TestWindowedNilSafety checks a nil handle's window values read zero
+// without allocating.
 func TestWindowedNilSafety(t *testing.T) {
-	var c *WindowedCounter
-	var h *WindowedHistogram
-	var o *Obs
+	var c *Counter
+	var h *Histogram
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
-		c.Add(5)
 		h.Observe(1.0)
-		o.WindowedCounter("x_window_total").Inc()
-		o.WindowedHistogram("x_window_seconds").Observe(1.0)
+		_ = c.Rate()
+		_ = h.Stats()
 	}); n != 0 {
-		t.Errorf("nil windowed path allocates %v bytes/event, want 0", n)
+		t.Errorf("nil window path allocates %v bytes/event, want 0", n)
 	}
-	if st := c.Stats(); st != (WindowedCounterStats{}) {
-		t.Errorf("nil counter stats = %+v", st)
-	}
-	if st := h.Stats(); st != (WindowedHistogramStats{}) {
-		t.Errorf("nil histogram stats = %+v", st)
-	}
-	if c.Window() != 0 || h.Window() != 0 {
-		t.Error("nil Window() should be 0")
+	if c.Rate() != 0 || h.Stats() != (HistogramStats{}) {
+		t.Error("nil handles must report an empty window")
 	}
 }
 
+// TestWindowedHandleStability checks one handle carries both views: the
+// registry hands out the same Counter and Histogram on every lookup, so
+// a recording through one lookup shows in the other's window.
 func TestWindowedHandleStability(t *testing.T) {
 	r := NewRegistry()
-	if r.WindowedCounter("a_window_total") != r.WindowedCounter("a_window_total") {
-		t.Error("windowed counter handle not stable across lookups")
+	r.Counter("a_total").Add(3)
+	r.Histogram("a_seconds").Observe(0.5)
+	if got := r.Counter("a_total").Rate(); got != rate(3) {
+		t.Errorf("counter rate through a second lookup = %g, want %g", got, rate(3))
 	}
-	if r.WindowedHistogram("a_window_seconds") != r.WindowedHistogram("a_window_seconds") {
-		t.Error("windowed histogram handle not stable across lookups")
-	}
-	var nilReg *Registry
-	if nilReg.WindowedCounter("x") != nil || nilReg.WindowedHistogram("x") != nil {
-		t.Error("nil registry should hand out nil windowed handles")
+	if got := r.Histogram("a_seconds").Stats().WindowCount; got != 1 {
+		t.Errorf("histogram window count through a second lookup = %d, want 1", got)
 	}
 }
 
+// TestWindowedSnapshotTextAndJSON checks the exposition's window lines
+// and fields empty once the window has passed, while the lifetime lines
+// stay as TestExpositionPins pins them.
 func TestWindowedSnapshotTextAndJSON(t *testing.T) {
-	r := NewRegistry()
-	r.WindowedCounter("req_window_total").Add(3)
-	r.WindowedHistogram("lat_window_seconds").Observe(0.5)
+	clk := newFakeClock()
+	r := pinnedRegistry(clk)
+	clk.advance(Window)
 
 	snap := r.Snapshot()
-	if snap.WindowedCounters["req_window_total"].Count != 3 {
-		t.Errorf("snapshot windowed counters = %+v", snap.WindowedCounters)
+	lines := strings.Split(strings.TrimSuffix(snap.Text(), "\n"), "\n")
+	if err := inOrder(lines, lifetimeLines); err != "" {
+		t.Errorf("Text(): %s", err)
 	}
-	if snap.WindowedHistograms["lat_window_seconds"].Count != 1 {
-		t.Errorf("snapshot windowed histograms = %+v", snap.WindowedHistograms)
-	}
-
-	text := snap.Text()
-	for _, want := range []string{"req_window_total 3", "req_window_total_rate", "lat_window_seconds_count 1", "lat_window_seconds_p99"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Text() missing %q:\n%s", want, text)
+	for _, want := range []string{"requests_total_rate 0", "fetch_seconds_window_count 0", "fetch_seconds_rate 0"} {
+		if err := inOrder(lines, []string{want}); err != "" {
+			t.Errorf("Text(): %s", err)
 		}
+	}
+	if strings.Contains(snap.Text(), "_window_p") {
+		t.Errorf("Text() prints quantiles of an empty window:\n%s", snap.Text())
 	}
 
 	var back Snapshot
 	if err := json.Unmarshal(snap.JSON(), &back); err != nil {
 		t.Fatalf("snapshot JSON round-trip: %v", err)
 	}
-	if back.WindowedCounters["req_window_total"].Count != 3 {
-		t.Errorf("JSON windowed counters = %+v", back.WindowedCounters)
+	if got := back.Histograms["fetch_seconds"]; got.WindowCount != 0 || got.Count != 5 {
+		t.Errorf("JSON histogram after the window = %+v", got)
 	}
-	if back.WindowedHistograms["lat_window_seconds"].P99 <= 0 {
-		t.Errorf("JSON windowed histogram p99 = %+v", back.WindowedHistograms)
+	if got, ok := back.CounterRates["requests_total"]; !ok || got != 0 {
+		t.Errorf("JSON counter rate after the window = %g (present %v)", got, ok)
 	}
 }
 
 func TestWindowedConcurrent(t *testing.T) {
-	// Meaningful under -race: concurrent recorders across a rotation
-	// boundary must not trip the detector or corrupt totals beyond the
-	// documented adjacent-sub-window tolerance.
+	// Meaningful under -race: concurrent recorders into one window must
+	// not trip the detector or lose counts.
 	r := NewRegistry()
-	c := r.WindowedCounter("c_window_total")
-	h := r.WindowedHistogram("h_window_seconds")
+	c := r.Counter("c_total")
+	h := r.Histogram("h_seconds")
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func() {
@@ -256,19 +263,19 @@ func TestWindowedConcurrent(t *testing.T) {
 		<-done
 	}
 	// All recording happened well inside one window span.
-	if got := c.Stats().Count; got != 16000 {
-		t.Errorf("concurrent windowed count = %d, want 16000", got)
+	if got := c.Rate(); got != rate(16000) {
+		t.Errorf("concurrent counter rate = %g, want %g", got, rate(16000))
 	}
-	if got := h.Stats().Count; got != 16000 {
-		t.Errorf("concurrent windowed histogram count = %d, want 16000", got)
+	if got := h.Stats().WindowCount; got != 16000 {
+		t.Errorf("concurrent histogram window count = %d, want 16000", got)
 	}
 }
 
-// TestQuantilePins pins the P50/P95/P99 both histogram kinds report
-// for observations below, inside and past the last bucket bound. The
-// two differ only in the overflow bucket: a Histogram interpolates up
-// to its running max, a WindowedHistogram (which keeps no max) reports
-// the last finite bound.
+// TestQuantilePins pins the P50/P95/P99 a histogram reports over its
+// lifetime and over its window, for observations below, inside and past
+// the last bucket bound. The two differ only in the overflow bucket:
+// the lifetime estimate interpolates up to the running max, the window
+// (which keeps no max) reports the last finite bound.
 func TestQuantilePins(t *testing.T) {
 	bounds := []float64{1, 10, 100}
 	cases := []struct {
@@ -287,20 +294,16 @@ func TestQuantilePins(t *testing.T) {
 			[3]float64{100, 100, 100}},
 	}
 	for _, c := range cases {
-		h := newHistogram(bounds)
-		clk := newFakeClock()
-		w := newWindowedHistogram(bounds, 10*time.Second)
-		w.clock = clk.now
+		h := fakeHistogram(newFakeClock(), bounds)
 		for _, v := range c.values {
 			h.Observe(v)
-			w.Observe(v)
 		}
-		hs, ws := h.Stats(), w.Stats()
-		if got := [3]float64{hs.P50, hs.P95, hs.P99}; got != c.lifetime {
-			t.Errorf("%s: Histogram P50/P95/P99 = %v, want %v", c.name, got, c.lifetime)
+		st := h.Stats()
+		if got := [3]float64{st.P50, st.P95, st.P99}; got != c.lifetime {
+			t.Errorf("%s: lifetime P50/P95/P99 = %v, want %v", c.name, got, c.lifetime)
 		}
-		if got := [3]float64{ws.P50, ws.P95, ws.P99}; got != c.window {
-			t.Errorf("%s: WindowedHistogram P50/P95/P99 = %v, want %v", c.name, got, c.window)
+		if got := [3]float64{st.WindowP50, st.WindowP95, st.WindowP99}; got != c.window {
+			t.Errorf("%s: window P50/P95/P99 = %v, want %v", c.name, got, c.window)
 		}
 	}
 }

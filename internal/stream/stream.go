@@ -290,10 +290,10 @@ type Options struct {
 	CacheBudget int64
 	// Propagation selects how enhancement reaches P/B frames.
 	Propagation codec.Propagation
-	// Obs receives segments_fetched_total and its rolling-window twin
-	// segments_fetched_window_total, cache_hits_total, cache_misses_total,
-	// video_bytes_total, model_bytes_total, the degrade and model-stream
-	// counters and the decoder's metrics; nil disables them.
+	// Obs receives segments_fetched_total (whose _rate line is the fetch
+	// rate), cache_hits_total, cache_misses_total, video_bytes_total,
+	// model_bytes_total, the degrade and model-stream counters and the
+	// decoder's metrics; nil disables them.
 	Obs *obs.Obs
 	// Log receives degrade, fallback and per-segment debug lines.
 	Log *obs.Logger
@@ -402,7 +402,6 @@ func (s *Session) Fetch(ctx context.Context, seg SegmentInfo) ([]byte, *edsr.Mod
 	ev := Event{Segment: seg.Index, ModelLabel: seg.ModelLabel, SegmentBytes: seg.Bytes}
 	s.VideoBytes += seg.Bytes
 	s.Obs.Counter("segments_fetched_total").Inc()
-	s.Obs.WindowedCounter("segments_fetched_window_total").Inc()
 	s.Obs.Counter("video_bytes_total").Add(int64(seg.Bytes))
 	var model *edsr.Model
 	if s.Enhance && seg.ModelLabel >= 0 {

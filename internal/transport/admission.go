@@ -27,10 +27,6 @@ type AdmissionConfig struct {
 	// typed rejection, not a silent RST. The knob behind dcsr-serve
 	// -max-clients.
 	MaxConns int
-	// OpLimits caps concurrency per opcode (e.g. bound expensive OpModel
-	// fetches tighter than manifest chatter); absent or zero entries mean
-	// unlimited.
-	OpLimits map[byte]int
 	// PerConnRate refills each connection's token bucket at this many
 	// requests per second; 0 disables rate limiting. Each request costs
 	// one token; an empty bucket sheds with a hint telling the client
@@ -62,22 +58,21 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 // limited reports whether any request-level limit is configured (MaxConns
 // is enforced at accept time, not per request).
 func (c AdmissionConfig) limited() bool {
-	return c.MaxInflight > 0 || c.MaxPerConn > 0 || c.PerConnRate > 0 || len(c.OpLimits) > 0
+	return c.MaxInflight > 0 || c.MaxPerConn > 0 || c.PerConnRate > 0
 }
 
-// admission is the server-wide admission state: global and per-op
-// inflight counts shared by every connection's gate.
+// admission is the server-wide admission state: the global inflight
+// count shared by every connection's gate, and its peak.
 type admission struct {
 	cfg AdmissionConfig
 
 	mu       sync.Mutex // taken after a connGate.mu, never the reverse
 	inflight int
 	peak     int
-	perOp    map[byte]int
 }
 
 func newAdmission(cfg AdmissionConfig) *admission {
-	return &admission{cfg: cfg.withDefaults(), perOp: make(map[byte]int)}
+	return &admission{cfg: cfg.withDefaults()}
 }
 
 // gate returns the per-connection admission gate. now is the token
@@ -99,7 +94,6 @@ type connGate struct {
 
 	mu       sync.Mutex // taken before adm.mu, never the reverse
 	inflight int
-	peak     int
 	tokens   float64
 	last     time.Time
 }
@@ -109,7 +103,7 @@ type connGate struct {
 // it returns the backoff hint to send with StatusRetryAfter. The lock
 // order is gate before shared state, consistently, and release re-takes
 // them in the same order.
-func (g *connGate) admit(op byte) (release func(), hint time.Duration, ok bool) {
+func (g *connGate) admit() (release func(), hint time.Duration, ok bool) {
 	a := g.adm
 	if !a.cfg.limited() {
 		return func() {}, 0, true
@@ -141,30 +135,21 @@ func (g *connGate) admit(op byte) (release func(), hint time.Duration, ok bool) 
 		a.mu.Unlock()
 		return nil, a.cfg.RetryAfter, false
 	}
-	if lim := a.cfg.OpLimits[op]; lim > 0 && a.perOp[op] >= lim {
-		a.mu.Unlock()
-		return nil, a.cfg.RetryAfter, false
-	}
 	a.inflight++
 	if a.inflight > a.peak {
 		a.peak = a.inflight
 	}
-	a.perOp[op]++
 	a.mu.Unlock()
 	if a.cfg.PerConnRate > 0 {
 		g.tokens--
 	}
 	g.inflight++
-	if g.inflight > g.peak {
-		g.peak = g.inflight
-	}
 	return func() {
 		g.mu.Lock()
 		g.inflight--
 		g.mu.Unlock()
 		a.mu.Lock()
 		a.inflight--
-		a.perOp[op]--
 		a.mu.Unlock()
 	}, 0, true
 }

@@ -32,7 +32,7 @@ func TestAdmissionConfigDefaults(t *testing.T) {
 		t.Error("zero config reports limited")
 	}
 	for _, cfg := range []AdmissionConfig{
-		{MaxInflight: 1}, {MaxPerConn: 1}, {PerConnRate: 1}, {OpLimits: map[byte]int{OpModel: 1}},
+		{MaxInflight: 1}, {MaxPerConn: 1}, {PerConnRate: 1},
 	} {
 		if !cfg.limited() {
 			t.Errorf("config %+v reports unlimited", cfg)
@@ -49,14 +49,14 @@ func TestTokenBucketHint(t *testing.T) {
 	g := adm.gate(func() time.Time { return now })
 
 	for i := 0; i < 2; i++ {
-		release, _, ok := g.admit(OpSegment)
+		release, _, ok := g.admit()
 		if !ok {
 			t.Fatalf("request %d within burst was shed", i)
 		}
 		release()
 	}
 	// Bucket empty: the next token arrives in 1/rate = 100ms.
-	_, hint, ok := g.admit(OpSegment)
+	_, hint, ok := g.admit()
 	if ok {
 		t.Fatal("request beyond burst admitted")
 	}
@@ -65,70 +65,66 @@ func TestTokenBucketHint(t *testing.T) {
 	}
 	// Advance half a token: 50ms of refill still sheds, with a 50ms hint.
 	now = now.Add(50 * time.Millisecond)
-	if _, hint, ok = g.admit(OpSegment); ok || hint != 50*time.Millisecond {
+	if _, hint, ok = g.admit(); ok || hint != 50*time.Millisecond {
 		t.Fatalf("half-refilled bucket: ok=%v hint=%v, want shed with 50ms", ok, hint)
 	}
 	// A full refill interval admits again.
 	now = now.Add(50 * time.Millisecond)
-	if _, _, ok := g.admit(OpSegment); !ok {
+	if _, _, ok := g.admit(); !ok {
 		t.Fatal("refilled bucket shed the request")
 	}
 }
 
-// TestAdmissionLimits pins the concurrency limits: global MaxInflight,
-// per-connection MaxPerConn, and per-opcode OpLimits, including release
-// returning capacity.
+// TestAdmissionLimits pins the concurrency limits: global MaxInflight
+// and per-connection MaxPerConn, including release returning capacity.
 func TestAdmissionLimits(t *testing.T) {
 	adm := newAdmission(AdmissionConfig{
 		MaxInflight: 3,
 		MaxPerConn:  2,
-		OpLimits:    map[byte]int{OpModel: 1},
 		RetryAfter:  7 * time.Millisecond,
 	})
 	g1, g2 := adm.gate(nil), adm.gate(nil)
 
-	rel1, _, ok := g1.admit(OpSegment)
+	rel1, _, ok := g1.admit()
 	if !ok {
 		t.Fatal("first request shed")
 	}
-	if _, _, ok := g1.admit(OpSegment); !ok {
+	if _, _, ok := g1.admit(); !ok {
 		t.Fatal("second request on conn 1 shed")
 	}
 	// Conn 1 is at MaxPerConn; its third request sheds with the
 	// configured hint while conn 2 is still admitted.
-	if _, hint, ok := g1.admit(OpSegment); ok || hint != 7*time.Millisecond {
+	if _, hint, ok := g1.admit(); ok || hint != 7*time.Millisecond {
 		t.Fatalf("per-conn limit: ok=%v hint=%v, want shed with 7ms", ok, hint)
 	}
-	relM, _, ok := g2.admit(OpModel)
+	rel2, _, ok := g2.admit()
 	if !ok {
 		t.Fatal("conn 2 first request shed")
 	}
 	// Global inflight is now 3 = MaxInflight: conn 2's next request sheds.
-	if _, _, ok := g2.admit(OpSegment); ok {
+	if _, _, ok := g2.admit(); ok {
 		t.Fatal("request beyond MaxInflight admitted")
 	}
 	if got, peak := adm.snapshot(); got != 3 || peak != 3 {
 		t.Fatalf("snapshot = (%d, %d), want (3, 3)", got, peak)
 	}
-	// Releasing a global slot is not enough for a second OpModel — the
-	// per-op limit still holds — but a plain segment gets in.
+	// Releasing a slot on conn 1 lets conn 1 in again, and releasing
+	// conn 2's lets conn 2 in.
 	rel1()
-	if _, _, ok := g1.admit(OpModel); ok {
-		t.Fatal("second OpModel admitted past OpLimits")
+	if _, _, ok := g1.admit(); !ok {
+		t.Fatal("conn 1 shed after release freed a slot")
 	}
-	relS, _, ok := g1.admit(OpSegment)
-	if !ok {
-		t.Fatal("segment shed after release freed a slot")
+	rel2()
+	if _, _, ok := g2.admit(); !ok {
+		t.Fatal("conn 2 shed after its slot was released")
 	}
-	relS()
-	relM()
-	if _, _, ok := g2.admit(OpModel); !ok {
-		t.Fatal("OpModel shed after its slot was released")
+	// Live slots: conn 1's two requests and conn 2's re-admitted one.
+	// Peak stays at the high-water mark.
+	if got, peak := adm.snapshot(); got != 3 || peak != 3 {
+		t.Fatalf("post-release snapshot = (%d, %d), want (3, 3)", got, peak)
 	}
-	// Live slots: conn 1's unreleased segment and conn 2's re-admitted
-	// model. Peak stays at the high-water mark.
-	if got, peak := adm.snapshot(); got != 2 || peak != 3 {
-		t.Fatalf("post-release snapshot = (%d, %d), want (2, 3)", got, peak)
+	if _, _, ok := g2.admit(); ok {
+		t.Fatal("request beyond MaxInflight admitted after the releases")
 	}
 }
 

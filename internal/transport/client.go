@@ -51,9 +51,8 @@ type Client struct {
 	// transport_client_bytes_up/down_total, the fault-tolerance counters
 	// transport_client_{retries,timeouts,reconnects}_total, the
 	// admission-shed counter transport_client_shed_total, and per-exchange
-	// round-trip latency as both the lifetime
-	// transport_client_rtt_seconds histogram and its rolling-window twin
-	// transport_client_rtt_window_seconds; nil disables metrics.
+	// round-trip latency in transport_client_rtt_seconds; nil disables
+	// metrics.
 	Obs *obs.Obs
 
 	statsMu sync.Mutex // guards ClientStats and rng
@@ -376,9 +375,7 @@ func (c *Client) settle(rq request, t0 time.Time, res result) ([]byte, error) {
 	c.count(0, n)
 	c.Obs.Counter("transport_client_bytes_down_total").Add(int64(n))
 	if c.Obs != nil {
-		rtt := time.Since(t0).Seconds()
-		c.Obs.Histogram("transport_client_rtt_seconds").Observe(rtt)
-		c.Obs.WindowedHistogram("transport_client_rtt_window_seconds").Observe(rtt)
+		c.Obs.Histogram("transport_client_rtt_seconds").Observe(time.Since(t0).Seconds())
 	}
 	if res.status == StatusOK {
 		return res.payload, nil

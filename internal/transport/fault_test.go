@@ -266,7 +266,6 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	client.Retry = RetryPolicy{
 		MaxRetries: 4,
 		BaseDelay:  10 * time.Millisecond,
-		Multiplier: 2,
 		MaxDelay:   50 * time.Millisecond,
 		Jitter:     -1,
 	}

@@ -98,21 +98,19 @@ func TestServerClientObservability(t *testing.T) {
 		t.Errorf("model_bytes_total = %d, want %d", got, stats.ModelBytes)
 	}
 
-	// The windowed twins see the same traffic as the lifetime series.
-	if got := ss.WindowedCounters["transport_requests_window_total"].Count; got != wantReqs {
-		t.Errorf("transport_requests_window_total = %d, want %d", got, wantReqs)
+	// The rolling windows see the same traffic as the lifetime values.
+	perWindow := func(n int64) float64 { return float64(n) / obs.Window.Seconds() }
+	if got := ss.CounterRates["transport_requests_total"]; got != perWindow(wantReqs) {
+		t.Errorf("transport_requests_total_rate = %g, want %g", got, perWindow(wantReqs))
 	}
-	if got := ss.WindowedHistograms["transport_segment_window_seconds"].Count; got != int64(len(prep.Segments)) {
-		t.Errorf("transport_segment_window_seconds count = %d, want %d", got, len(prep.Segments))
+	if got := ss.Histograms["transport_segment_seconds"].WindowCount; got != int64(len(prep.Segments)) {
+		t.Errorf("transport_segment_seconds_window_count = %d, want %d", got, len(prep.Segments))
 	}
-	if got := cs.WindowedHistograms["transport_client_rtt_window_seconds"].Count; got != wantReqs {
-		t.Errorf("transport_client_rtt_window_seconds count = %d, want %d", got, wantReqs)
+	if got := cs.Histograms["transport_client_rtt_seconds"]; got.Count != wantReqs || got.WindowCount != wantReqs {
+		t.Errorf("transport_client_rtt_seconds count = %d (window %d), want %d", got.Count, got.WindowCount, wantReqs)
 	}
-	if got := cs.Histograms["transport_client_rtt_seconds"].Count; got != wantReqs {
-		t.Errorf("transport_client_rtt_seconds count = %d, want %d", got, wantReqs)
-	}
-	if got := cs.WindowedCounters["segments_fetched_window_total"].Count; got != int64(len(prep.Segments)) {
-		t.Errorf("segments_fetched_window_total = %d, want %d", got, len(prep.Segments))
+	if got := cs.CounterRates["segments_fetched_total"]; got != perWindow(int64(len(prep.Segments))) {
+		t.Errorf("segments_fetched_total_rate = %g, want %g", got, perWindow(int64(len(prep.Segments))))
 	}
 
 	// The client_play trace carries one segment_fetch child per segment

@@ -42,8 +42,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the grown backoff (default 2s).
 	MaxDelay time.Duration
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
 	// Jitter randomizes that fraction of each backoff (default 0.2;
 	// negative disables jitter entirely). Jitter draws come from a PRNG
 	// seeded with Seed, so schedules are reproducible.
@@ -74,9 +72,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 2 * time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
 	switch {
 	case p.Jitter < 0:
 		p.Jitter = 0
@@ -89,10 +84,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 }
 
 // backoff returns the sleep before retry number attempt (0-based):
-// BaseDelay·Multiplier^attempt capped at MaxDelay, with the Jitter
+// BaseDelay·2^attempt capped at MaxDelay, with the Jitter
 // fraction redrawn uniformly so synchronized clients spread out.
 func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
-	d := float64(p.BaseDelay) * math.Pow(p.Multiplier, float64(attempt))
+	d := float64(p.BaseDelay) * math.Pow(2, float64(attempt))
 	if d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
 	}

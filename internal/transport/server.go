@@ -47,15 +47,12 @@ type Server struct {
 	// Obs records transport_requests_total, transport_not_found_total,
 	// transport_shed_total, transport_bytes_in/out_total, the
 	// per-message-type latency histograms
-	// transport_{manifest,segment,model,directory,modeldelta}_seconds,
-	// their rolling-window twins transport_requests_window_total,
-	// transport_shed_window_total and
-	// transport_{manifest,segment,model}_window_seconds, and the
-	// transport_open_conns, transport_videos, transport_inflight and
+	// transport_{manifest,segment,model,directory,modeldelta}_seconds
+	// (each counter and histogram also exporting its rolling window), and
+	// the transport_open_conns, transport_videos, transport_inflight and
 	// transport_inflight_peak gauges. Traced requests additionally record
-	// one server span each into Obs.TraceBuf, retrievable by trace ID via
-	// the debug sidecar's /debug/trace?id= endpoint. nil disables all of
-	// it.
+	// one server span each on Obs.Trace, retrievable by trace ID via the
+	// debug sidecar's /debug/trace?id= endpoint. nil disables all of it.
 	Obs *obs.Obs
 	// Admission bounds concurrent work before the server sheds load with
 	// StatusRetryAfter; the zero value admits everything. It is read when
@@ -325,7 +322,6 @@ func (s *Server) rejectConn(conn io.ReadWriter) error {
 		return err
 	}
 	s.Obs.Counter("transport_shed_total").Inc()
-	s.Obs.WindowedCounter("transport_shed_window_total").Inc()
 	s.Log.Warn("transport: conn over capacity, shedding", "op", opName(req.Op))
 	return writeResponse(conn, req.ID, StatusRetryAfter, retryAfterPayload(adm.cfg.RetryAfter))
 }
@@ -344,9 +340,6 @@ type connMetrics struct {
 	inflightPk  *obs.Gauge
 	opHists     map[byte]*obs.Histogram
 	unknownHist *obs.Histogram
-	wReqCtr     *obs.WindowedCounter
-	wShedCtr    *obs.WindowedCounter
-	opWHists    map[byte]*obs.WindowedHistogram
 }
 
 func (s *Server) connMetrics() *connMetrics {
@@ -366,13 +359,6 @@ func (s *Server) connMetrics() *connMetrics {
 			OpModelDelta: s.Obs.Histogram("transport_modeldelta_seconds"),
 		},
 		unknownHist: s.Obs.Histogram("transport_unknown_seconds"),
-		wReqCtr:     s.Obs.WindowedCounter("transport_requests_window_total"),
-		wShedCtr:    s.Obs.WindowedCounter("transport_shed_window_total"),
-		opWHists: map[byte]*obs.WindowedHistogram{
-			OpManifest: s.Obs.WindowedHistogram("transport_manifest_window_seconds"),
-			OpSegment:  s.Obs.WindowedHistogram("transport_segment_window_seconds"),
-			OpModel:    s.Obs.WindowedHistogram("transport_model_window_seconds"),
-		},
 	}
 }
 
@@ -423,12 +409,10 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 			return err
 		}
 		m.reqCtr.Inc()
-		m.wReqCtr.Inc()
 		m.inCtr.Add(reqFrameBytes)
-		release, hint, ok := gate.admit(req.Op)
+		release, hint, ok := gate.admit()
 		if !ok {
 			m.shedCtr.Inc()
-			m.wShedCtr.Inc()
 			s.Log.Warn("transport: request shed", "op", opName(req.Op), "hint", hint)
 			if _, err := s.respond(cw, m, req, StatusRetryAfter, retryAfterPayload(hint)); err != nil {
 				return err
@@ -467,7 +451,7 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		t0 = time.Now()
 	}
 	// A traced request gets a server-side span joined to the client's
-	// trace, retained in the trace buffer for /debug/trace?id= — this is
+	// trace, retained on the tracer for /debug/trace?id= — this is
 	// what lets an operator attribute a slow fetch to the serving side
 	// after the fact.
 	var span *obs.Span
@@ -524,14 +508,11 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		s.Obs.RecordTrace(span)
 	}
 	if err == nil && s.Obs != nil {
-		elapsed := time.Since(t0).Seconds()
 		h, ok := m.opHists[req.Op]
 		if !ok {
 			h = m.unknownHist
 		}
-		h.Observe(elapsed)
-		// Missing map entry (unknown op) yields a nil no-op handle.
-		m.opWHists[req.Op].Observe(elapsed)
+		h.Observe(time.Since(t0).Seconds())
 	}
 }
 

@@ -21,20 +21,20 @@ import (
 	"dcsr/internal/stream"
 )
 
-// waitTraceLen waits for the server's trace buffer to hold at least
-// want spans: the server records a request's span just after writing
-// its response, so the client can observe the reply a moment before the
+// waitTraceLen waits for the server's tracer to hold at least want
+// spans: the server records a request's span just after writing its
+// response, so the client can observe the reply a moment before the
 // span lands.
-func waitTraceLen(t *testing.T, b *obs.TraceBuffer, want int) {
+func waitTraceLen(t *testing.T, tr *obs.Tracer, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if b.Len() >= want {
+		if len(tr.Traces()) >= want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("trace buffer has %d spans, want at least %d", b.Len(), want)
+	t.Fatalf("tracer holds %d spans, want at least %d", len(tr.Traces()), want)
 }
 
 // firstSegmentRequest returns a faultnet Decide hook that applies kind to the
@@ -109,9 +109,9 @@ func TestTruncatedRequestIsBrokenConn(t *testing.T) {
 		t.Fatal("server handler never returned after truncated frame")
 	}
 	// The server never parsed the cut request, so no span exists for it:
-	// only the successful retry is in the buffer.
-	waitTraceLen(t, so.TraceBuf, 1)
-	if n := so.TraceBuf.Len(); n != 1 {
+	// only the successful retry is retained.
+	waitTraceLen(t, so.Trace, 1)
+	if n := len(so.Trace.Traces()); n != 1 {
 		t.Errorf("server recorded %d spans, want 1 (the successful retry)", n)
 	}
 }
@@ -162,8 +162,8 @@ func TestRetryAttribution(t *testing.T) {
 
 	// Exactly one server span — the dropped request never reached the
 	// server — and it hangs off the second attempt.
-	waitTraceLen(t, so.TraceBuf, 1)
-	spans := so.TraceBuf.Trace(root.TraceID())
+	waitTraceLen(t, so.Trace, 1)
+	spans := so.Trace.Trace(root.TraceID())
 	if len(spans) != 1 {
 		t.Fatalf("server recorded %d spans for the trace, want exactly 1: %+v", len(spans), spans)
 	}
@@ -199,8 +199,8 @@ func TestServerSpanBytesOut(t *testing.T) {
 	if _, err := client.Video(0).Fetch(obs.WithSpan(context.Background(), root), stream.KindSegment, 0); err != nil {
 		t.Fatal(err)
 	}
-	waitTraceLen(t, so.TraceBuf, 1)
-	spans := so.TraceBuf.Trace(root.TraceID())
+	waitTraceLen(t, so.Trace, 1)
+	spans := so.Trace.Trace(root.TraceID())
 	if len(spans) != 1 {
 		t.Fatalf("server recorded %d spans, want 1", len(spans))
 	}
@@ -295,7 +295,7 @@ func TestEndToEndTraceRetrievable(t *testing.T) {
 			// performs. Every request of the session lands one server span:
 			// the manifest, each segment, each model download, plus the extra
 			// serve of the dropped response.
-			waitTraceLen(t, so.TraceBuf, 1+len(prep.Segments))
+			waitTraceLen(t, so.Trace, 1+len(prep.Segments))
 			rec := httptest.NewRecorder()
 			so.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/trace?id="+session.TraceID, nil))
 			if rec.Code != 200 {

@@ -55,7 +55,7 @@ func TestOperationsDocMetrics(t *testing.T) {
 		MicroConfig: edsr.Config{Filters: 4, ResBlocks: 1},
 		Train:       edsr.TrainOptions{Steps: 60, BatchSize: 2, PatchSize: 16},
 		// Quant registers the int8 gate counters; the player below then
-		// registers the int8 enhance-latency window histogram. Delta
+		// registers the int8 enhance-latency histogram. Delta
 		// registers the delta gate counters and makes the manifest carry a
 		// backbone, so wire playback below exercises the model-stream path
 		// (the loose PSNR bound guarantees the gate accepts, so at least
@@ -195,8 +195,8 @@ func TestOperationsDocMetrics(t *testing.T) {
 
 	// Admission shed: a server whose per-connection token bucket holds a
 	// single token sheds the second request with a typed retry-after,
-	// registering the shed counters on both sides (transport_shed_total,
-	// its window twin, and transport_client_shed_total).
+	// registering the shed counters on both sides (transport_shed_total
+	// and transport_client_shed_total).
 	shedSrv, err := transport.NewServer(prep)
 	if err != nil {
 		t.Fatal(err)
@@ -235,12 +235,6 @@ func TestOperationsDocMetrics(t *testing.T) {
 		registered[name] = true
 	}
 	for name := range snap.Histograms {
-		registered[name] = true
-	}
-	for name := range snap.WindowedCounters {
-		registered[name] = true
-	}
-	for name := range snap.WindowedHistograms {
 		registered[name] = true
 	}
 
