@@ -116,16 +116,7 @@ func TestNilSpanAndTracer(t *testing.T) {
 	if d := sp.Duration(); d != 0 {
 		t.Errorf("nil span duration = %v", d)
 	}
-	if tr.Traces() != nil || tr.Trace(1) != nil {
+	if tr.Traces() != nil {
 		t.Error("nil tracer returned traces")
-	}
-	tr.Record(JoinSpan("x", 1, 0)) // retains nothing, no panic
-	var o *Obs
-	o.RecordTrace(JoinSpan("x", 1, 0))
-
-	live := NewTracer(0) // defaulted capacity
-	live.Record(nil)     // nil span ignored
-	if n := len(live.Traces()); n != 0 {
-		t.Errorf("recording a nil span retained %d spans", n)
 	}
 }

@@ -120,6 +120,24 @@ func TestTracerLookupAndEviction(t *testing.T) {
 	}
 }
 
+// TestTraceBufferNilSafety checks the record path of the span store
+// (joined request spans): a nil Tracer, a nil span and a nil Obs are
+// all no-ops.
+func TestTraceBufferNilSafety(t *testing.T) {
+	var tr *Tracer
+	tr.Record(JoinSpan("x", 1, 0))
+	if tr.Traces() != nil || tr.Trace(1) != nil {
+		t.Error("nil tracer must be an empty no-op")
+	}
+	live := NewTracer(0) // defaulted capacity
+	live.Record(nil)     // nil span ignored
+	if n := len(live.Traces()); n != 0 {
+		t.Errorf("recording a nil span retained %d spans", n)
+	}
+	var o *Obs
+	o.RecordTrace(JoinSpan("x", 1, 0)) // must not panic
+}
+
 func TestDebugTraceByID(t *testing.T) {
 	o := New()
 	s := JoinSpan("server.segment", 0xbeef, 0x1)
