@@ -1,232 +1,92 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"math"
+	"os"
 	"reflect"
-	"runtime"
-	"sync"
+	"sort"
+	"strings"
 	"testing"
 
-	"dcsr/internal/cluster"
-	"dcsr/internal/codec"
 	"dcsr/internal/edsr"
-	"dcsr/internal/nn"
-	"dcsr/internal/splitter"
-	"dcsr/internal/vae"
-	"dcsr/internal/video"
 )
 
-// legacyPrepare is a verbatim copy of the pre-refactor monolithic
-// Prepare. It exists only as the golden reference: the staged pipeline
-// must reproduce its output bit for bit.
-func legacyPrepare(frames []*video.YUV, fps int, cfg ServerConfig) (*Prepared, error) {
-	cfg = cfg.withDefaults()
-	if len(frames) < 2 {
-		return nil, fmt.Errorf("core: need at least 2 frames, got %d", len(frames))
+// The Prepare tables pin, for two fixed-seed runs, everything
+// comparePrepared checks: the FPS, the coded stream, the segments, the
+// VAE features, the cluster assignment and K, the micro config, the
+// training compute, each model's payload and train result, and the
+// manifest; large values as SHA-256 digests. They were generated by the
+// commit before the staged pipeline's last verbatim twin, the monolithic
+// Prepare it replaced, was deleted, and equal that monolith's output.
+// Never regenerate them to make a change pass.
+
+// preparedRows renders p as the table's rows.
+func preparedRows(t *testing.T, p *Prepared) []string {
+	t.Helper()
+	features := make([]byte, 0, 8*len(p.Features)*len(p.Features[0]))
+	for _, f := range p.Features {
+		for _, v := range f {
+			features = binary.LittleEndian.AppendUint64(features, math.Float64bits(v))
+		}
 	}
-	o := cfg.Obs
-	o.Counter("prepare_runs_total").Inc()
-	root := o.Start("prepare")
-	root.Set("frames", len(frames))
-	defer root.End()
-	log := o.Logger()
-
-	// 1. Variable-length shot-based split; every segment starts with an I
-	// frame (paper §3.1.1).
-	sp := root.Child("split")
-	segs := splitter.Split(frames, cfg.Split)
-	sp.Set("segments", len(segs))
-	sp.End()
-	o.Counter("prepare_segments_total").Add(int64(len(segs)))
-	log.Debug("prepare: split", "segments", len(segs))
-
-	sp = root.Child("encode")
-	forceI := splitter.ForceIFlags(len(frames), segs)
-	st, err := codec.Encode(frames, forceI, fps, codec.EncoderConfig{
-		QP: cfg.QP, GOPSize: cfg.GOPSize, BFrames: cfg.BFrames,
-		HalfPel: cfg.HalfPel, Deblock: cfg.Deblock,
-	})
-	sp.End()
+	manifest, err := json.Marshal(p.Manifest)
 	if err != nil {
-		return nil, fmt.Errorf("core: encoding low-quality stream: %w", err)
+		t.Fatal(err)
 	}
-	sp.Set("stream_bytes", st.Bytes())
-
-	// 2. Decode our own stream to obtain the client-visible low-quality
-	// I frames (training inputs must match what the client will enhance).
-	sp = root.Child("decode_low")
-	dec := codec.Decoder{Obs: o}
-	lowFrames, err := dec.Decode(st)
-	sp.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding own stream: %w", err)
+	rows := []string{
+		fmt.Sprintf("fps=%d k=%d micro=%#v train_flops=%v", p.FPS, p.K, p.MicroConfig, p.TrainFLOPs),
+		fmt.Sprintf("segments=%v", p.Segments),
+		fmt.Sprintf("assign=%v", p.Assign),
+		fmt.Sprintf("stream=%x", sha256.Sum256(p.Stream.Marshal())),
+		fmt.Sprintf("features=%x", sha256.Sum256(features)),
 	}
-	p := &Prepared{FPS: fps, Stream: st, Segments: segs, BigModel: cfg.BigModel}
-	for _, s := range segs {
-		p.LowIFrames = append(p.LowIFrames, lowFrames[s.Start].ToRGB())
-		p.OrigIFrames = append(p.OrigIFrames, frames[s.Start].ToRGB())
+	labels := make([]int, 0, len(p.Models))
+	for label := range p.Models {
+		labels = append(labels, label)
 	}
-
-	// 3. VAE feature extraction from the I frames (paper §3.1.1, Fig 3).
-	sp = root.Child("vae_features")
-	vm, err := vae.New(cfg.VAE, cfg.Seed+1)
-	if err != nil {
-		sp.End()
-		return nil, err
+	sort.Ints(labels)
+	for _, label := range labels {
+		sm := p.Models[label]
+		rows = append(rows, fmt.Sprintf("model%d bytes=%x train=%+v", label, sha256.Sum256(sm.Bytes), *sm.Train))
 	}
-	if _, err := vm.Train(p.OrigIFrames, cfg.VAETrain); err != nil {
-		sp.End()
-		return nil, fmt.Errorf("core: VAE training: %w", err)
-	}
-	for _, f := range p.OrigIFrames {
-		p.Features = append(p.Features, vm.Features(f))
-	}
-	sp.End()
-	log.Debug("prepare: VAE features extracted", "iframes", len(p.OrigIFrames))
-
-	// 4. Minimum working model (paper Appendix A.1), then K selection under
-	// the |M_big| / |M_min| constraint (paper Eq. 2–3).
-	micro := cfg.MicroConfig
-	if micro.Filters == 0 {
-		sp = root.Child("min_model_search")
-		micro, err = FindMinimumWorkingModel(p.LowIFrames, p.OrigIFrames, cfg)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-	}
-	p.MicroConfig = micro
-	bigBytes := int(cfg.BigModel.SizeBytes())
-	minBytes := int(micro.SizeBytes())
-
-	sp = root.Child("kmeans_silhouette")
-	if len(segs) < 3 {
-		// Too few segments to cluster meaningfully: single cluster.
-		p.K = 1
-		p.Assign = make([]int, len(segs))
-	} else {
-		res, sweeps, err := cluster.SelectK(p.Features, bigBytes, minBytes)
-		if err != nil {
-			sp.End()
-			return nil, fmt.Errorf("core: K selection: %w", err)
-		}
-		p.K = res.K
-		p.Assign = res.Assign
-		p.Sweeps = sweeps
-	}
-	sp.Set("k", p.K)
-	sp.End()
-	o.Counter("prepare_clusters_total").Add(int64(p.K))
-	log.Debug("prepare: clusters selected", "k", p.K)
-
-	// 5. Train one micro model per cluster on its I-frame pairs
-	// (paper §3.1.3). Models are independent, so they train concurrently;
-	// per-label seeds keep the result identical to sequential training.
-	trainSpan := root.Child("train_micro_models")
-	sampleCtr := o.Counter("train_samples_total")
-	stepCtr := o.Counter("train_steps_total")
-	flopCtr := o.Counter("train_flops_total")
-	p.Models = make(map[int]*SegmentModel)
-	type trained struct {
-		label int
-		sm    *SegmentModel
-		err   error
-	}
-	results := make(chan trained, p.K)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > p.K {
-		workers = p.K
-	}
-	labels := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for label := range labels {
-				var pairs []edsr.Pair
-				for si, a := range p.Assign {
-					if a == label {
-						pairs = append(pairs, edsr.Pair{Low: p.LowIFrames[si], High: p.OrigIFrames[si]})
-					}
-				}
-				if len(pairs) == 0 {
-					results <- trained{label: label}
-					continue
-				}
-				cs := trainSpan.Child("train_cluster")
-				cs.Set("label", label)
-				cs.Set("samples", len(pairs))
-				sampleCtr.Add(int64(len(pairs)))
-				m, err := edsr.New(micro, cfg.Seed+100+int64(label))
-				if err != nil {
-					cs.End()
-					results <- trained{label: label, err: err}
-					continue
-				}
-				opts := cfg.Train
-				opts.Seed = cfg.Seed + 200 + int64(label)
-				tr, err := m.Train(pairs, opts)
-				if err != nil {
-					cs.End()
-					results <- trained{label: label, err: fmt.Errorf("core: training micro model %d: %w", label, err)}
-					continue
-				}
-				cs.Set("steps", tr.Steps)
-				cs.End()
-				stepCtr.Add(int64(tr.Steps))
-				flopCtr.Add(int64(tr.TrainFLOPs))
-				results <- trained{label: label, sm: &SegmentModel{
-					Label: label, Config: micro, Model: m,
-					Bytes: nn.EncodeWeights(m.Params()), Train: tr,
-				}}
-			}
-		}()
-	}
-	for label := 0; label < p.K; label++ {
-		labels <- label
-	}
-	close(labels)
-	wg.Wait()
-	close(results)
-	trainSpan.End()
-	for r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		if r.sm != nil {
-			p.TrainFLOPs += r.sm.Train.TrainFLOPs
-			p.Models[r.label] = r.sm
-		}
-	}
-
-	// 6. Manifest with byte-accurate segment and model sizes.
-	sp = root.Child("manifest")
-	p.Manifest = buildManifest(p)
-	sp.End()
-	log.Info("prepare: pipeline complete",
-		"segments", len(segs), "k", p.K, "models", len(p.Models),
-		"stream_bytes", st.Bytes(), "train_flops", p.TrainFLOPs)
-	return p, nil
+	return append(rows, fmt.Sprintf("manifest=%x", sha256.Sum256(manifest)))
 }
 
-// TestPrepareGoldenEquivalence pins the staged pipeline to the legacy
-// monolith: same fixed-seed input, bit-identical output across every
-// field a client or evaluation can observe.
+// checkPreparedGolden compares p's rows with the table in file.
+func checkPreparedGolden(t *testing.T, p *Prepared, file string) {
+	t.Helper()
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(preparedRows(t, p), "\n") + "\n"
+	if got == string(want) {
+		return
+	}
+	wantRows := strings.Split(string(want), "\n")
+	for i, row := range strings.Split(got, "\n") {
+		if i >= len(wantRows) {
+			t.Errorf("row %d: got %q, want no such row", i, row)
+		} else if row != wantRows[i] {
+			t.Errorf("row %d: got %q, want %q", i, row, wantRows[i])
+		}
+	}
+	t.Logf("computed table:\n%s", got)
+}
+
+// TestPrepareGoldenEquivalence pins the staged pipeline's output, bit
+// for bit, to the table recorded from the monolithic one.
 func TestPrepareGoldenEquivalence(t *testing.T) {
 	clip := testClip(t, 3, 3, 8)
-	frames := clip.YUVFrames()
-	cfg := tinyServerConfig()
-
-	want, err := legacyPrepare(frames, clip.FPS, cfg)
-	if err != nil {
-		t.Fatalf("legacyPrepare: %v", err)
-	}
-	got, err := Prepare(frames, clip.FPS, cfg)
+	p, err := Prepare(clip.YUVFrames(), clip.FPS, tinyServerConfig())
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	comparePrepared(t, got, want)
+	checkPreparedGolden(t, p, "testdata/prepare_golden.txt")
 }
 
 // TestPrepareGoldenEquivalenceWithSearch covers the min_model_search
@@ -236,21 +96,15 @@ func TestPrepareGoldenEquivalenceWithSearch(t *testing.T) {
 		t.Skip("model search trains the big reference model")
 	}
 	clip := testClip(t, 5, 2, 4)
-	frames := clip.YUVFrames()
 	cfg := tinyServerConfig()
 	cfg.MicroConfig = edsr.Config{}
 	cfg.MicroGrid = []edsr.Config{{Filters: 4, ResBlocks: 1}, {Filters: 8, ResBlocks: 2}}
 	cfg.SearchTrain = edsr.TrainOptions{Steps: 20, BatchSize: 2, PatchSize: 16}
-
-	want, err := legacyPrepare(frames, clip.FPS, cfg)
-	if err != nil {
-		t.Fatalf("legacyPrepare: %v", err)
-	}
-	got, err := Prepare(frames, clip.FPS, cfg)
+	p, err := Prepare(clip.YUVFrames(), clip.FPS, cfg)
 	if err != nil {
 		t.Fatalf("Prepare: %v", err)
 	}
-	comparePrepared(t, got, want)
+	checkPreparedGolden(t, p, "testdata/prepare_search_golden.txt")
 }
 
 // comparePrepared asserts got reproduces want bit for bit.
