@@ -181,7 +181,7 @@ func main() {
 			fmt.Printf("int8 ships %.0f%% fewer model bytes for %.2f dB of playback PSNR\n\n",
 				100*(1-float64(sizes["int8"])/float64(sizes["fp32"])), psnrs["fp32"]-psnrs["int8"])
 		}},
-		{"ablations", "VAE features / global k-means / split / propagation ablations", func(c experiments.EvalConfig) {
+		{"ablations", "VAE features / global k-means / split / propagation / half-pel ablations", func(c experiments.EvalConfig) {
 			t1, _ := experiments.AblationFeatures(c)
 			fmt.Println(t1)
 			t2, _, _ := experiments.AblationGlobalKMeans(c)
@@ -190,6 +190,8 @@ func main() {
 			fmt.Println(t3)
 			t4, _ := experiments.AblationPropagation(c)
 			fmt.Println(t4)
+			t5, _, _ := experiments.AblationHalfPel(c)
+			fmt.Println(t5)
 		}},
 	}
 

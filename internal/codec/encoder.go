@@ -9,6 +9,9 @@ import (
 // mbSize is the macroblock size in luma samples.
 const mbSize = 16
 
+// searchRange is the full-pel motion search range.
+const searchRange = 8
+
 // EncoderConfig controls rate/quality and GOP structure.
 type EncoderConfig struct {
 	// QP is the quantization parameter in [0, 51]; it plays the role of
@@ -19,8 +22,6 @@ type EncoderConfig struct {
 	GOPSize int
 	// BFrames is the number of B frames between consecutive anchors (0–3).
 	BFrames int
-	// SearchRange is the full-pel motion search range. Default 8.
-	SearchRange int
 	// HalfPel enables half-sample motion compensation for P/B luma
 	// (bilinearly interpolated). Off by default.
 	HalfPel bool
@@ -31,9 +32,6 @@ type EncoderConfig struct {
 func (c EncoderConfig) withDefaults() EncoderConfig {
 	if c.GOPSize == 0 {
 		c.GOPSize = 30
-	}
-	if c.SearchRange == 0 {
-		c.SearchRange = 8
 	}
 	if c.QP < 0 {
 		c.QP = 0
@@ -108,13 +106,13 @@ func Encode(frames []*video.YUV, forceI []bool, fps int, cfg EncoderConfig) (*St
 			st.Frames = append(st.Frames, EncodedFrame{Type: FrameI, Display: a, Data: data})
 			lastI = a
 		} else {
-			data, recon = encodePFrame(frames[a], prevRecon, qpP, QStep(qpP), cfg.SearchRange, cfg.HalfPel, cfg.Deblock)
+			data, recon = encodePFrame(frames[a], prevRecon, qpP, QStep(qpP), cfg.HalfPel, cfg.Deblock)
 			st.Frames = append(st.Frames, EncodedFrame{Type: FrameP, Display: a, Data: data})
 		}
 		// B frames between the previous anchor and this one, coded after it.
 		if k > 0 {
 			for b := anchors[k-1] + 1; b < a; b++ {
-				bd := encodeBFrame(frames[b], prevRecon, recon, qpB, QStep(qpB), cfg.SearchRange, cfg.HalfPel, cfg.Deblock)
+				bd := encodeBFrame(frames[b], prevRecon, recon, qpB, QStep(qpB), cfg.HalfPel, cfg.Deblock)
 				st.Frames = append(st.Frames, EncodedFrame{Type: FrameB, Display: b, Data: bd})
 			}
 		}
@@ -391,7 +389,7 @@ const (
 )
 
 // encodePFrame codes an inter frame against one reference.
-func encodePFrame(f, ref *video.YUV, qp int, qstep float64, searchRange int, hp, deblock bool) ([]byte, *video.YUV) {
+func encodePFrame(f, ref *video.YUV, qp int, qstep float64, hp, deblock bool) ([]byte, *video.YUV) {
 	w := NewBitWriter()
 	w.WriteBits(uint64(qp), 6)
 	w.WriteBit(flagBit(hp))
@@ -436,7 +434,7 @@ func encodePFrame(f, ref *video.YUV, qp int, qstep float64, searchRange int, hp,
 
 // encodeBFrame codes a bi-predicted frame against forward and backward
 // anchor references.
-func encodeBFrame(f, fwd, bwd *video.YUV, qp int, qstep float64, searchRange int, hp, deblock bool) []byte {
+func encodeBFrame(f, fwd, bwd *video.YUV, qp int, qstep float64, hp, deblock bool) []byte {
 	w := NewBitWriter()
 	w.WriteBits(uint64(qp), 6)
 	w.WriteBit(flagBit(hp))

@@ -10,7 +10,6 @@ import (
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
 	"dcsr/internal/quality"
-	"dcsr/internal/video"
 )
 
 // DeltaConfig parameterizes the optional delta_encode stage (the model
@@ -170,26 +169,20 @@ func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *
 	if err := nn.ApplyWeightsDelta(bsm.Model.Params(), delta, recon.Params()); err != nil {
 		return fmt.Errorf("core: reconstructing cluster %d: %w", label, err)
 	}
-	var low, orig []*video.RGB
-	for si, a := range p.Assign {
-		if a == label && len(low) < dc.MaxFrames {
-			low = append(low, p.LowIFrames[si])
-			orig = append(orig, p.OrigIFrames[si])
-		}
-	}
+	pairs := p.clusterPairs(label, dc.MaxFrames)
 	trained := sm.Model
 	trained.SetWorkspace(ws)
 	recon.SetWorkspace(ws)
 	defer trained.SetWorkspace(nil)
 	defer recon.SetWorkspace(nil)
 	var mseFull, mseDelta float64
-	for i := range low {
-		mseFull += quality.MSE(trained.Enhance(low[i]), orig[i])
-		mseDelta += quality.MSE(recon.Enhance(low[i]), orig[i])
+	for _, pr := range pairs {
+		mseFull += quality.MSE(trained.Enhance(pr.Low), pr.High)
+		mseDelta += quality.MSE(recon.Enhance(pr.Low), pr.High)
 	}
-	if len(low) > 0 {
-		res.PSNRFull = mseToPSNR(mseFull / float64(len(low)))
-		res.PSNRDelta = mseToPSNR(mseDelta / float64(len(low)))
+	if len(pairs) > 0 {
+		res.PSNRFull = mseToPSNR(mseFull / float64(len(pairs)))
+		res.PSNRDelta = mseToPSNR(mseDelta / float64(len(pairs)))
 		if res.PSNRFull-res.PSNRDelta > dc.MaxPSNRDrop {
 			return nil // quality gate: reconstruction lost too much
 		}

@@ -132,12 +132,8 @@ func stageEncode(_ context.Context, sp *obs.Span, s *prepState) error {
 		}
 		s.log.Warn("prepare: checkpointed stream unusable, re-encoding", "err", err)
 	}
-	cfg := s.cfg
 	forceI := splitter.ForceIFlags(len(s.frames), s.p.Segments)
-	st, err := codec.Encode(s.frames, forceI, s.fps, codec.EncoderConfig{
-		QP: cfg.QP, GOPSize: cfg.GOPSize, BFrames: cfg.BFrames,
-		HalfPel: cfg.HalfPel, Deblock: cfg.Deblock,
-	})
+	st, err := codec.Encode(s.frames, forceI, s.fps, codec.EncoderConfig{QP: s.cfg.QP})
 	if err != nil {
 		return fmt.Errorf("core: encoding low-quality stream: %w", err)
 	}
@@ -253,12 +249,7 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 	prev := s.ck.state().Models
 	trained := make([]*SegmentModel, p.K)
 	err := forEach(ctx, p.K, runtime.GOMAXPROCS(0), func(label int) error {
-		var pairs []edsr.Pair
-		for si, a := range p.Assign {
-			if a == label {
-				pairs = append(pairs, edsr.Pair{Low: p.LowIFrames[si], High: p.OrigIFrames[si]})
-			}
-		}
+		pairs := p.clusterPairs(label, 0)
 		if len(pairs) == 0 {
 			return nil
 		}
@@ -317,6 +308,19 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 		}
 	}
 	return nil
+}
+
+// clusterPairs returns the (decoded low-quality, pristine) I-frame pairs
+// of label's segments in segment order: the first limit of them, or all
+// when limit is 0.
+func (p *Prepared) clusterPairs(label, limit int) []edsr.Pair {
+	var pairs []edsr.Pair
+	for si, a := range p.Assign {
+		if a == label && (limit == 0 || len(pairs) < limit) {
+			pairs = append(pairs, edsr.Pair{Low: p.LowIFrames[si], High: p.OrigIFrames[si]})
+		}
+	}
+	return pairs
 }
 
 // stageManifest assembles the manifest with byte-accurate segment and

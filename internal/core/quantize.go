@@ -134,15 +134,13 @@ func (s *prepState) quantizeModel(label int) (bool, error) {
 	if sm == nil || sm.Quant != nil {
 		return false, nil
 	}
-	var low, orig []*video.RGB
-	for si, a := range p.Assign {
-		if a == label && len(low) < qc.MaxFrames {
-			low = append(low, p.LowIFrames[si])
-			orig = append(orig, p.OrigIFrames[si])
-		}
-	}
-	if len(low) == 0 {
+	pairs := p.clusterPairs(label, qc.MaxFrames)
+	if len(pairs) == 0 {
 		return true, nil
+	}
+	low := make([]*video.RGB, len(pairs))
+	for i, pr := range pairs {
+		low[i] = pr.Low
 	}
 	ws := s.checkoutWorkspace()
 	defer s.returnWorkspace(ws)
@@ -157,9 +155,9 @@ func (s *prepState) quantizeModel(label int) (bool, error) {
 	// PSNR so the gate is in the same unit as the paper's quality
 	// results.
 	var mseF, mseI float64
-	for i := range low {
-		mseF += quality.MSE(f32[i], orig[i])
-		mseI += quality.MSE(sm.Model.EnhanceInt8(low[i]), orig[i])
+	for i, pr := range pairs {
+		mseF += quality.MSE(f32[i], pr.High)
+		mseI += quality.MSE(sm.Model.EnhanceInt8(pr.Low), pr.High)
 	}
 	psnrF := mseToPSNR(mseF / float64(len(low)))
 	psnrI := mseToPSNR(mseI / float64(len(low)))

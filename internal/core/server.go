@@ -28,15 +28,12 @@ import (
 
 // ServerConfig parameterizes the server-side dcSR pipeline.
 type ServerConfig struct {
-	// Encoding of the low-quality stream the client downloads. QP plays
-	// the role of the paper's CRF setting (51 = worst). Default 42.
-	QP      int
-	BFrames int
-	GOPSize int
-	// HalfPel and Deblock enable the optional codec features for the
-	// low-quality stream (see codec.EncoderConfig).
-	HalfPel bool
-	Deblock bool
+	// QP is the one encoding setting of the low-quality stream the client
+	// downloads; it plays the role of the paper's CRF setting (51 =
+	// worst). Default 42. The stream has no B frames, so each segment
+	// decodes on its own (SegmentStream), and neither half-pel motion nor
+	// deblocking: those stay codec options the ablations measure.
+	QP int
 
 	// Shot-based splitting (paper §3.1.1).
 	Split splitter.Config
@@ -55,9 +52,6 @@ type ServerConfig struct {
 	// the search is skipped.
 	MicroGrid   []edsr.Config
 	MicroConfig edsr.Config // explicit micro config; Filters==0 → search
-	// MinPSNRGap is the maximum PSNR shortfall (dB) versus the big model
-	// at which a candidate still counts as "comparable" (default 1.0).
-	MinPSNRGap float64
 	// SearchTrain configures candidate training during the search (kept
 	// lighter than final training). Zero value → derived from Train.
 	SearchTrain edsr.TrainOptions
@@ -96,9 +90,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.BigModel.Filters == 0 {
 		c.BigModel = edsr.Config{Filters: 16, ResBlocks: 6}
-	}
-	if c.MinPSNRGap == 0 {
-		c.MinPSNRGap = 1.0
 	}
 	c.Quant = c.Quant.withDefaults()
 	c.Delta = c.Delta.withDefaults()
@@ -149,9 +140,9 @@ type Prepared struct {
 
 // SegmentStream extracts segment i as an independently decodable
 // sub-stream: display indices are rebased to the segment start. It
-// requires the stream to have been encoded without B frames (the default
-// in this pipeline), because boundary B frames reference the next
-// segment's I frame.
+// refuses a stream with B frames, because boundary B frames reference the
+// next segment's I frame. Prepare never codes one; a loaded or hand-built
+// Prepared may hold one.
 func (p *Prepared) SegmentStream(i int) (*codec.Stream, error) {
 	if i < 0 || i >= len(p.Segments) {
 		return nil, fmt.Errorf("core: segment %d out of range", i)
@@ -255,10 +246,15 @@ func buildManifest(p *Prepared) *stream.Manifest {
 	return man
 }
 
+// minPSNRGap is the largest PSNR shortfall (dB) versus the big model at
+// which a candidate of the minimum-working-model search still counts as
+// "comparable".
+const minPSNRGap = 1.0
+
 // FindMinimumWorkingModel implements the Appendix A.1 search: train the
 // big model on the video's I frames to establish the reference quality,
 // then walk the candidate grid in ascending size and return the first
-// configuration whose trained quality is within cfg.MinPSNRGap dB of it.
+// configuration whose trained quality is within minPSNRGap (1 dB) of it.
 func FindMinimumWorkingModel(low, high []*video.RGB, cfg ServerConfig) (edsr.Config, error) {
 	return FindMinimumWorkingModelCtx(context.Background(), low, high, cfg)
 }
@@ -300,7 +296,7 @@ func FindMinimumWorkingModelCtx(ctx context.Context, low, high []*video.RGB, cfg
 		if err != nil {
 			return edsr.Config{}, err
 		}
-		if refPSNR-mseToPSNR(mse) <= cfg.MinPSNRGap {
+		if refPSNR-mseToPSNR(mse) <= minPSNRGap {
 			return cand, nil
 		}
 	}

@@ -23,11 +23,10 @@ var ErrStopped = errors.New("edsr: training stopped")
 
 // TrainOptions controls micro-model training.
 type TrainOptions struct {
-	Steps     int     // optimizer steps; default 200
-	BatchSize int     // patches per step; default 4
-	PatchSize int     // low-res patch edge; default 24
-	LR        float64 // Adam learning rate; default 1e-3
-	Seed      int64   // patch sampling seed
+	Steps     int   // optimizer steps; default 200
+	BatchSize int   // patches per step; default 4
+	PatchSize int   // low-res patch edge; default 24
+	Seed      int64 // patch sampling seed
 
 	// Stop, when non-nil, is polled before every optimizer step; returning
 	// true aborts training with ErrStopped. It bounds cancellation latency
@@ -45,9 +44,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	}
 	if o.PatchSize == 0 {
 		o.PatchSize = 24
-	}
-	if o.LR == 0 {
-		o.LR = 1e-3
 	}
 	return o
 }
@@ -80,7 +76,7 @@ func (m *Model) Train(pairs []Pair, opts TrainOptions) (*TrainResult, error) {
 		}
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	opt := nn.NewAdam(opts.LR)
+	opt := nn.NewAdam(1e-3)
 	opt.GradClip = 1
 	params := m.Params()
 	res := &TrainResult{Steps: opts.Steps}

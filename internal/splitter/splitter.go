@@ -19,11 +19,6 @@ type Config struct {
 	// MinLen is the minimum segment length in frames; cuts closer than this
 	// to the previous cut are suppressed. Default 4.
 	MinLen int
-	// MaxLen forces a segment boundary after this many frames even without
-	// a detected cut (keeps worst-case segment durations bounded for ABR,
-	// per the paper's note on adapting fixed-length ABR to variable
-	// segments). 0 disables the cap.
-	MaxLen int
 }
 
 func (c Config) withDefaults() Config {
@@ -72,14 +67,7 @@ func CutPoints(frames []*video.YUV, cfg Config) []int {
 	var cuts []int
 	last := 0
 	for i := 1; i < len(frames); i++ {
-		cut := false
 		if video.MeanAbsDiff(frames[i-1], frames[i]) > cfg.Threshold && i-last >= cfg.MinLen {
-			cut = true
-		}
-		if cfg.MaxLen > 0 && i-last >= cfg.MaxLen {
-			cut = true
-		}
-		if cut {
 			cuts = append(cuts, i)
 			last = i
 		}

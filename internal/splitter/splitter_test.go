@@ -81,19 +81,6 @@ func TestMinLenSuppressesRapidCuts(t *testing.T) {
 	}
 }
 
-func TestMaxLenForcesBoundaries(t *testing.T) {
-	frames, _ := clipWithCuts(t, []int{40})
-	segs := Split(frames, Config{Threshold: 250, MinLen: 2, MaxLen: 10})
-	if len(segs) != 4 {
-		t.Fatalf("MaxLen 10 over 40 static frames gave %d segments", len(segs))
-	}
-	for _, s := range segs {
-		if s.Len() > 10 {
-			t.Fatalf("segment %v exceeds MaxLen", s)
-		}
-	}
-}
-
 func TestHighThresholdYieldsSingleSegment(t *testing.T) {
 	frames, _ := clipWithCuts(t, []int{6, 6})
 	segs := Split(frames, Config{Threshold: 255, MinLen: 2})

@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"dcsr/internal/codec"
 	"dcsr/internal/core"
 	"dcsr/internal/edsr"
 	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
@@ -94,6 +96,37 @@ func TestServeOverPipe(t *testing.T) {
 				t.Fatalf("frame %d: streamed decode differs from local (%.1f dB)", i, psnr)
 			}
 		}
+	}
+}
+
+// TestBFrameStreamRefused: Prepare codes no B frames, but a loaded or
+// hand-built Prepared may hold a stream with them, and a B frame at a
+// segment's end references the next segment's I frame. Every path that
+// serves or plays such a stream refuses it with an error.
+func TestBFrameStreamRefused(t *testing.T) {
+	prep, frames := getFixture(t)
+	st, err := codec.Encode(frames, splitter.ForceIFlags(len(frames), prep.Segments), prep.FPS,
+		codec.EncoderConfig{QP: 51, BFrames: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CountType(codec.FrameB) == 0 {
+		t.Fatal("the stream has no B frames")
+	}
+	bp := *prep
+	bp.Stream = st
+	if _, err := bp.SegmentStream(0); err == nil {
+		t.Error("SegmentStream cut a segment out of a stream with B frames")
+	}
+	if _, err := NewFleetServer().Register(&bp); err == nil {
+		t.Error("Register accepted a stream with B frames")
+	}
+	sess, err := stream.Open(bp.Manifest, bp.MicroConfig, &bp, stream.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Play(context.Background()); err == nil {
+		t.Error("local playback played a stream with B frames")
 	}
 }
 

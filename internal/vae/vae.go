@@ -199,11 +199,9 @@ func klLoss(mu, lv *tensor.Tensor) float64 {
 
 // TrainOptions controls VAE training.
 type TrainOptions struct {
-	Epochs      int     // passes over the dataset; default 60
-	BatchSize   int     // default 8
-	LR          float64 // default 1e-3
-	ReconWeight float64 // c in the paper's Eq. 1; default 500
-	Seed        int64
+	Epochs    int // passes over the dataset; default 60
+	BatchSize int // default 8
+	Seed      int64
 }
 
 func (o TrainOptions) withDefaults() TrainOptions {
@@ -212,12 +210,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 8
-	}
-	if o.LR == 0 {
-		o.LR = 1e-3
-	}
-	if o.ReconWeight == 0 {
-		o.ReconWeight = 500
 	}
 	return o
 }
@@ -239,7 +231,7 @@ func (m *Model) Train(frames []*video.RGB, opts TrainOptions) (*TrainResult, err
 		xs[i] = m.toInput(f)
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
-	opt := nn.NewAdam(opts.LR)
+	opt := nn.NewAdam(1e-3)
 	opt.GradClip = 1
 	params := m.Params()
 	res := &TrainResult{}
@@ -262,8 +254,9 @@ func (m *Model) Train(frames []*video.RGB, opts TrainOptions) (*TrainResult, err
 			nn.ZeroGrads(params)
 			xh := m.forward(&arena, batch, true)
 			recon := nn.MSELoss(xh, batch, &grad)
-			// Total loss = c·recon + KL; scale recon gradient by c.
-			grad.ScaleInPlace(float32(opts.ReconWeight))
+			// Total loss = c·recon + KL with c = 500 (paper Eq. 1); scale
+			// the recon gradient by c.
+			grad.ScaleInPlace(500)
 			kl := klLoss(m.mu, m.lv)
 			m.backward(&arena, &grad, 1.0/float64(batch.Shape[0]))
 			opt.Step(params)
