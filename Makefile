@@ -16,8 +16,9 @@ GO ?= go
 # nested bench/ module, which root ./... cannot see and where an API
 # break in bench/adapter.go shows first; the portable kernels, which on
 # an AVX2 host otherwise run only where a test switches the assembly
-# off; and the arm64 cross-build (offline — pure Go), where the .s files
-# do not apply. The sweep's -timeout covers internal/experiments, which
+# off; the arm64 cross-build (offline — pure Go), where the .s files
+# do not apply; and the darwin/amd64 cross-build, which keeps the .s
+# files but not Linux's AMX permission request. The sweep's -timeout covers internal/experiments, which
 # trains real models and outlasts the default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
@@ -25,6 +26,7 @@ verify: build vet lint fuzz-smoke
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...
+	GOOS=darwin GOARCH=amd64 $(GO) build ./...
 	$(GO) test -race -timeout 30m ./...
 
 build:
@@ -76,7 +78,7 @@ fuzz-smoke:
 # Kernel microbenchmarks: the tensor kernels (the float32 and the int8
 # body convolution once per lane the host has,
 # BenchmarkConv2DInfer270p/{avx512,avx2,portable} and
-# BenchmarkConv2DInferInt8/{avx512,avx2,portable}), the alloc-free
+# BenchmarkConv2DInferInt8/{amx,avx512,avx2,portable}), the alloc-free
 # Enhance path in both precisions (BenchmarkEnhanceInt8270p is the whole
 # int8 frame) and the reused decoder (BenchmarkDecode, MB/op = the
 # frames it returns), with allocation stats. The tensor and edsr ones

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -206,6 +207,47 @@ func TestForceIFramePlacement(t *testing.T) {
 	}
 	if got := st.CountType(FrameI); got != 2 {
 		t.Errorf("expected exactly 2 I frames (start + cut), got %d", got)
+	}
+}
+
+// TestBFrameCutFromAnchorFails cuts a BFrames: 1 stream into two
+// segments at a forced I frame, the way a segment server would: the last
+// B frame before the cut predicts from the I frame after it, so the first
+// segment lost that B frame's backward anchor and must fail to decode,
+// not decode from the two anchors it has left. The uncut stream and the
+// second segment, which holds all its anchors, decode.
+func TestBFrameCutFromAnchorFails(t *testing.T) {
+	frames := testClipYUV(t, 64, 48, 3, 13)[:12]
+	const cut = 6 // anchors 0, 2, 4, 6: B frame 5 predicts from P4 and I6
+	forceI := make([]bool, len(frames))
+	forceI[cut] = true
+	st, err := Encode(frames, forceI, 30, EncoderConfig{QP: 35, GOPSize: 1000, BFrames: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := new(Decoder).Decode(st); err != nil {
+		t.Fatalf("uncut stream: %v", err)
+	}
+	segment := func(lo, hi int) *Stream {
+		sub := &Stream{W: st.W, H: st.H, FPS: st.FPS}
+		for _, f := range st.Frames {
+			if f.Display >= lo && f.Display < hi {
+				sub.Frames = append(sub.Frames, EncodedFrame{Type: f.Type, Display: f.Display - lo, Data: f.Data})
+			}
+		}
+		return sub
+	}
+	first := segment(0, cut)
+	if first.CountType(FrameB) == 0 || first.Frames[len(first.Frames)-1].Type != FrameB {
+		t.Fatal("the first segment does not end on the B frame that straddles the cut")
+	}
+	if got, err := new(Decoder).Decode(first); err == nil {
+		t.Errorf("the segment cut before B frame %d's backward anchor decoded %d frames", cut-1, len(got))
+	} else if !errors.Is(err, ErrBitstream) {
+		t.Errorf("the segment cut before its backward anchor failed with %v, want ErrBitstream", err)
+	}
+	if _, err := new(Decoder).Decode(segment(cut, len(frames))); err != nil {
+		t.Errorf("the segment after the cut: %v", err)
 	}
 }
 

@@ -73,8 +73,9 @@ const (
 // the bitstream-consistent plain decode and the enhancement-carrying
 // version shown to the user.
 type refPair struct {
-	plain *video.YUV
-	enh   *video.YUV
+	plain   *video.YUV
+	enh     *video.YUV
+	display int // the frame's display index
 
 	// cached (enh − plain) planes for delta motion compensation
 	delta [3][]int16
@@ -261,7 +262,7 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 					}
 				}
 			}
-			pair := &refPair{plain: f, enh: enh}
+			pair := &refPair{plain: f, enh: enh, display: ef.Display}
 			if d.Mode == PropagateReplace {
 				// Paper Fig 6: the enhanced frame replaces the decoded one
 				// in the DPB; dependent frames reference it directly.
@@ -278,6 +279,7 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 			if err != nil {
 				return nil, fmt.Errorf("codec: P frame %d: %w", ef.Display, err)
 			}
+			pair.display = ef.Display
 			d.Stats.PFrames++
 			display = pair.enh
 			d.retire(prevAnchor)
@@ -285,6 +287,14 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 		case FrameB:
 			if prevAnchor == nil || lastAnchor == nil {
 				return nil, fmt.Errorf("codec: B frame %d lacks two anchors", ef.Display)
+			}
+			// A B frame lies between its two anchors in display order; one
+			// outside them lost an anchor (a stream cut between a B frame
+			// and its backward reference) and would predict from the wrong
+			// pictures.
+			if ef.Display <= prevAnchor.display || ef.Display >= lastAnchor.display {
+				return nil, fmt.Errorf("%w: B frame %d does not lie between its anchors %d and %d",
+					ErrBitstream, ef.Display, prevAnchor.display, lastAnchor.display)
 			}
 			plain := d.picture(s.W, s.H)
 			f, err := decodeBFrame(r, plain, prevAnchor, lastAnchor, qstep)

@@ -10,8 +10,8 @@ import (
 	"dcsr/internal/video"
 )
 
-// tensorUseAVX2 and tensorUseAVX512 are internal/tensor's unexported
-// kernel switches, reached by name because the package exports no way
+// tensorUseAVX2, tensorUseAVX512 and tensorUseAMX are internal/tensor's
+// unexported kernel switches, reached by name because the package exports no way
 // to choose a kernel — and must not: production code runs whatever
 // CPUID selected.
 //
@@ -21,26 +21,33 @@ var tensorUseAVX2 bool
 //go:linkname tensorUseAVX512 dcsr/internal/tensor.useAVX512
 var tensorUseAVX512 bool
 
+//go:linkname tensorUseAMX dcsr/internal/tensor.useAMX
+var tensorUseAMX bool
+
 // kernelLane is one set of kernels tensor's entry points can run on;
 // kernelLanes lists them fastest first, the order CPUID picks in.
 type kernelLane struct {
-	name         string
-	avx2, avx512 bool
+	name              string
+	avx2, avx512, amx bool
 }
 
-var kernelLanes = []kernelLane{{"avx512", true, true}, {"avx2", true, false}, {"portable", false, false}}
+var kernelLanes = []kernelLane{
+	{"amx", true, true, true}, {"avx512", true, true, false}, {"avx2", true, false, false}, {"portable", false, false, false},
+}
 
-// hostAVX2 and hostAVX512 are the CPUID decision, before any test
-// switches lanes.
-var hostAVX2, hostAVX512 = tensorUseAVX2, tensorUseAVX512
+// hostAVX2, hostAVX512 and hostAMX are the CPUID decision, before any
+// test switches lanes.
+var hostAVX2, hostAVX512, hostAMX = tensorUseAVX2, tensorUseAVX512, tensorUseAMX
 
-func (l kernelLane) available() bool { return (hostAVX2 || !l.avx2) && (hostAVX512 || !l.avx512) }
+func (l kernelLane) available() bool {
+	return (hostAVX2 || !l.avx2) && (hostAVX512 || !l.avx512) && (hostAMX || !l.amx)
+}
 
 // withLane runs fn on lane l, restoring the CPUID decision afterwards.
 func withLane(l kernelLane, fn func()) {
-	prevAVX2, prevAVX512 := tensorUseAVX2, tensorUseAVX512
-	tensorUseAVX2, tensorUseAVX512 = l.avx2, l.avx512
-	defer func() { tensorUseAVX2, tensorUseAVX512 = prevAVX2, prevAVX512 }()
+	prevAVX2, prevAVX512, prevAMX := tensorUseAVX2, tensorUseAVX512, tensorUseAMX
+	tensorUseAVX2, tensorUseAVX512, tensorUseAMX = l.avx2, l.avx512, l.amx
+	defer func() { tensorUseAVX2, tensorUseAVX512, tensorUseAMX = prevAVX2, prevAVX512, prevAMX }()
 	fn()
 }
 
@@ -74,7 +81,7 @@ func TestPortablePath(t *testing.T) {
 	if !hostAVX2 {
 		t.Skip("the portable kernels are already the only path here")
 	}
-	withLane(kernelLanes[2], func() {
+	withLane(kernelLanes[3], func() {
 		for _, tc := range float32Tests {
 			t.Run(tc.name, tc.fn)
 		}
@@ -91,10 +98,24 @@ func TestAVX2Path(t *testing.T) {
 	if !hostAVX512 {
 		t.Skip("no AVX-512 lane here: the AVX2 lane, if any, is already the default")
 	}
-	withLane(kernelLanes[1], func() {
+	withLane(kernelLanes[2], func() {
 		for _, tc := range float32Tests {
 			t.Run(tc.name, tc.fn)
 		}
+		for _, tc := range int8Tests {
+			t.Run(tc.name, tc.fn)
+		}
+	})
+}
+
+// TestVNNIPath is TestPortablePath's twin for the VNNI lane, which an
+// AMX host otherwise never takes for this model's convolutions: without
+// it the pinned int8 golden would stop running on the VNNI lane there.
+func TestVNNIPath(t *testing.T) {
+	if !hostAMX {
+		t.Skip("no AMX lane here: the VNNI lane, if any, is already the default")
+	}
+	withLane(kernelLanes[1], func() {
 		for _, tc := range int8Tests {
 			t.Run(tc.name, tc.fn)
 		}
@@ -112,6 +133,9 @@ func TestKernelPathsIdentical(t *testing.T) {
 	}
 	if !hostAVX512 {
 		t.Log("avx512 lane skipped: this host has no AVX-512 VNNI")
+	}
+	if !hostAMX {
+		t.Log("amx lane skipped: this host or kernel has no AMX-INT8")
 	}
 	f := genFrame(t, 64, 48, 21)
 	run := func() (digest [32]byte, f32, int8 []byte) {

@@ -144,7 +144,7 @@ func TestWorkspaceFootprint(t *testing.T) {
 		t.Fatalf("feature map %d B is not half of ConfigActivationBytes %d B", featureMap, ConfigActivationBytes(ConfigDCSR1, w, h))
 	}
 	nf := int64(ConfigDCSR1.Filters)
-	int8Map := nf*(w+2)*(h+3) + 8*nf
+	int8Map := nf*(w+2)*(h+3) + 16*nf
 	inOut := 2 * int64(4*3*w*h)
 
 	var int8Only Workspace

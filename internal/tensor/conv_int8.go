@@ -41,11 +41,12 @@ func (m *Int8Map) pixels(y int) []byte {
 // int8 zero to the ring. The buffer holds one spare row above the ring
 // (top = 1), for Conv2DInt8MapReLU to shift the image into, and slack
 // below it for the kernels' reads past the last pixel: a short last
-// tile of eight pixels, or the overhang of a 16-byte chunk.
+// AMX tile of sixteen pixels (with its last slice's few bytes past the
+// window), a VNNI tile of eight, or the overhang of a 16-byte chunk.
 func (m *Int8Map) reset(c, h, w, pad int) {
 	m.c, m.c4, m.h, m.w, m.pad, m.top = c, (c+3)&^3, h, w, pad, 1
 	rb := m.rowBytes()
-	n := (h+2*pad+1)*rb + 8*m.c4
+	n := (h+2*pad+1)*rb + 16*m.c4
 	if cap(m.buf) < n {
 		m.buf = make([]byte, n)
 	}
@@ -132,25 +133,31 @@ func layRowInt8(dst []byte, src []int8, chStride, c, c4, w int) {
 	}
 }
 
-// The int8 convolution runs on one of three lanes, chosen per call from
-// CPUID (useAVX512, useAVX2): the VNNI lane (convRowInt8VNNI, stride one
-// only), the AVX2 lane (convRowInt8AVX2) and the portable SWAR lane
-// (rowPortable). All three read the same map and compute the exact
-// int32 sum Σx·w before one shared requantize expression, so their
-// outputs are bit-identical; the slower two are the fallback and the
-// oracle of the faster.
+// The int8 convolution runs on one of four lanes, chosen per call from
+// CPUID (useAMX, useAVX512, useAVX2): the AMX lane (convRowInt8AMX) and
+// the VNNI lane (convRowInt8VNNI), stride one only, the AVX2 lane
+// (convRowInt8AVX2) and the portable SWAR lane (rowPortable). All four
+// read the same map and compute the exact int32 sum Σx·w before one
+// shared requantize expression and residual add, so their outputs are
+// bit-identical; the slower ones are the fallback and the oracle of the
+// faster.
 const (
 	lanePortable = iota
 	laneAVX2
 	laneVNNI
+	laneAMX
 )
 
 // int8Lane is the lane a convolution of spec runs on. Only the stride
-// can send a VNNI host to the AVX2 lane: the VNNI tile holds any
-// reduction the int32 contract allows (swarMaxK), since its sums wrap in
-// int32 exactly as the offset correction does.
+// (and, for AMX, a kernel wider than the map's slack covers) can send a
+// faster host to a slower lane: the tiles hold any reduction the int32
+// contract allows (swarMaxK), since their sums wrap in int32 exactly as
+// the offset correction does. The AMX lane runs the AVX-512 epilogues,
+// so it needs that lane too.
 func int8Lane(spec ConvSpec) int {
 	switch {
+	case useAMX && useAVX512 && spec.Stride == 1 && spec.K <= 16:
+		return laneAMX
 	case useAVX512 && spec.Stride == 1:
 		return laneVNNI
 	case useAVX2:
@@ -175,11 +182,14 @@ type mapConv struct {
 	res          []float32 // the residual the epilogue adds, or nil
 	resScale     float32
 	lane         int
-	blocks       int       // VNNI, AVX2: output-channel blocks of 16, 4
+	blocks       int       // AMX, VNNI, AVX2: output-channel blocks of 16, 16, 4
 	pairs        int       // VNNI: pairs of 4-byte groups per kernel row
+	slices       int       // AMX: slices per kernel row
+	sliceBytes   int       // AMX: window bytes per slice (≤ 64)
+	cfg          [64]byte  // AMX: the tile configuration
 	chunks       int       // AVX2: 16-byte chunks per kernel row
-	w            []int8    // VNNI, AVX2: packed weights and corrections
-	sb           []float32 // VNNI, AVX2: per-block scales, then biases
+	w            []int8    // AMX, VNNI, AVX2: packed weights and corrections
+	sb           []float32 // AMX, VNNI, AVX2: per-block scales, then biases
 	wp, wsum     []uint64  // portable: SWAR-packed weights, operand sums
 	g, gs        int       // portable: words per record, per section
 	scales, bias []float32
@@ -213,6 +223,19 @@ func newMapConv(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, re
 		scales: scales, bias: bias,
 	}
 	switch a.lane {
+	case laneAMX:
+		// Equal slices of at most 64 bytes, so one tile shape serves every
+		// slice; their total passes the window by under one group per
+		// slice (zero weights), which the map's slack covers for K ≤ 16.
+		a.slices = (secLen + 63) / 64
+		a.sliceBytes = (secLen/4 + a.slices - 1) / a.slices * 4
+		groups := a.slices * a.sliceBytes / 4
+		a.blocks = (spec.OutC + 15) / 16
+		a.wBuf = scratchI8.get(a.blocks * (64 + k*groups*64))
+		a.sbBuf = scratchF32.get(a.blocks * 32)
+		a.w, a.sb = *a.wBuf, *a.sbBuf
+		packWeightsInt8VNNI(wq, scales, bias, m.c, m.c4, spec, groups, a.w, a.sb)
+		a.cfg = amxConfig(a.sliceBytes)
 	case laneVNNI:
 		a.pairs = (secLen/4 + 1) / 2
 		a.blocks = (spec.OutC + 15) / 16
@@ -263,15 +286,17 @@ func (a *mapConv) release() {
 	}
 }
 
-// packWeightsInt8VNNI lays the weights out for convRowInt8VNNI: output
-// channels in blocks of sixteen (the last padded with zero rows); per
-// block sixteen int32 128·Σw, then per kernel row and 4-byte group
-// sixteen lanes of four weights — group t of kernel row ky covers window
-// bytes [4t, 4t+4), i.e. kernel column 4t / c4 and channels 4t mod c4
-// on, zero for padding channels. groups, the groups per kernel row, is
-// even (the kernel takes them in pairs): a last group past the window
-// has zero weights. sb receives each block's sixteen scales and then
-// its sixteen biases.
+// packWeightsInt8VNNI lays the weights out for convRowInt8VNNI and
+// convRowInt8AMX: output channels in blocks of sixteen (the last padded
+// with zero rows); per block sixteen int32 128·Σw, then per kernel row
+// and 4-byte group sixteen lanes of four weights — group t of kernel row
+// ky covers window bytes [4t, 4t+4), i.e. kernel column 4t / c4 and
+// channels 4t mod c4 on, zero for padding channels. groups, the groups
+// per kernel row, may pass the window — the VNNI kernel takes them in
+// pairs, the AMX kernel in equal slices — and a group past it has zero
+// weights: a B tile is then one slice's rows of one kernel row, 64
+// bytes each. sb receives each block's sixteen scales and then its
+// sixteen biases.
 func packWeightsInt8VNNI(wq []int8, scales, bias []float32, c, c4 int, spec ConvSpec, groups int, w []int8, sb []float32) {
 	k := spec.K
 	blockBytes := 64 + k*groups*64
@@ -334,28 +359,51 @@ func packWeightsInt8AVX2(wq []int8, scales, bias []float32, c, c4 int, spec Conv
 	}
 }
 
+// amxConfig is the tile configuration convRowInt8AMX loads (palette 1):
+// C tiles 0–3 of sixteen pixels × sixteen int32 channels, A tiles 4, 5
+// and 7 of sixteen pixels × sliceBytes window bytes, and B tile 6 of
+// sliceBytes/4 groups × sixteen channels' four weights.
+func amxConfig(sliceBytes int) (cfg [64]byte) {
+	cfg[0] = 1
+	for t, shape := range [8][2]int{{16, 64}, {16, 64}, {16, 64}, {16, 64},
+		{16, sliceBytes}, {16, sliceBytes}, {sliceBytes / 4, 64}, {16, sliceBytes}} {
+		binary.LittleEndian.PutUint16(cfg[16+2*t:], uint16(shape[1]))
+		cfg[48+t] = byte(shape[0])
+	}
+	return cfg
+}
+
 // putInt32 stores v little-endian in the first four bytes of b.
 func putInt32(b []int8, v int32) {
 	b[0], b[1], b[2], b[3] = int8(v), int8(v>>8), int8(v>>16), int8(v>>24)
 }
 
-// row computes output row oy: channel oc's pixels at out[oc·planeStride:].
-// secs is the portable lane's scratch (secWords long), nil otherwise.
-func (a *mapConv) row(oy int, out []float32, planeStride int, secs []uint64) {
+// row computes output row oy: channel oc's pixels at out[oc·planeStride:],
+// each with res non-nil (laid out like out) res + float32(resScale·v),
+// read before the element is written — out may be res. secs is the
+// portable lane's scratch (secWords long), nil otherwise.
+func (a *mapConv) row(oy int, out, res []float32, planeStride int, secs []uint64) {
 	src := a.src[oy*a.spec.Stride*a.rowBytes:]
 	relu := 0
 	if a.relu {
 		relu = 1
 	}
+	var r *float32
+	if res != nil {
+		r = &res[0]
+	}
 	switch a.lane {
+	case laneAMX:
+		convRowInt8AMX(&src[0], a.rowBytes, a.c4, a.spec.K, a.slices, &a.w[0], &a.sb[0], a.blocks,
+			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, a.resScale, &a.cfg[0], a.sliceBytes)
 	case laneVNNI:
 		convRowInt8VNNI(&src[0], a.rowBytes, a.c4, a.spec.K, a.pairs, &a.w[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu)
+			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, a.resScale)
 	case laneAVX2:
 		convRowInt8AVX2(&src[0], a.rowBytes, a.spec.Stride*a.c4, a.spec.K, a.chunks, &a.w[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu)
+			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, a.resScale)
 	default:
-		a.rowPortable(src, out, planeStride, secs)
+		a.rowPortable(src, out, res, planeStride, secs)
 	}
 }
 
@@ -367,7 +415,7 @@ func (a *mapConv) secWords() int { return a.ow * (a.g + a.spec.K) }
 // bytes already are the SWAR operands (value+128, padding 128), so each
 // pixel's record is its K window rows packed three bytes to a word, and
 // the bias identity unbiases the dot exactly.
-func (a *mapConv) rowPortable(src []byte, out []float32, planeStride int, secs []uint64) {
+func (a *mapConv) rowPortable(src []byte, out, res []float32, planeStride int, secs []uint64) {
 	k, s, c4, g, gs, ow := a.spec.K, a.spec.Stride, a.c4, a.g, a.gs, a.ow
 	recs, sums := secs[:ow*g], secs[ow*g:ow*(g+k)]
 	for ky := 0; ky < k; ky++ {
@@ -394,10 +442,10 @@ func (a *mapConv) rowPortable(src []byte, out []float32, planeStride int, secs [
 			if a.bias != nil {
 				b0, b1, b2, b3 = a.bias[i0], a.bias[i0+1], a.bias[i0+2], a.bias[i0+3]
 			}
-			out[i0*planeStride+ox] = requantInt8(int32(d0)+corr-swarBias*int32(a.wsum[i0])-rterm, a.scales[i0], b0, a.relu)
-			out[(i0+1)*planeStride+ox] = requantInt8(int32(d1)+corr-swarBias*int32(a.wsum[i0+1])-rterm, a.scales[i0+1], b1, a.relu)
-			out[(i0+2)*planeStride+ox] = requantInt8(int32(d2)+corr-swarBias*int32(a.wsum[i0+2])-rterm, a.scales[i0+2], b2, a.relu)
-			out[(i0+3)*planeStride+ox] = requantInt8(int32(d3)+corr-swarBias*int32(a.wsum[i0+3])-rterm, a.scales[i0+3], b3, a.relu)
+			a.put(out, res, i0*planeStride+ox, requantInt8(int32(d0)+corr-swarBias*int32(a.wsum[i0])-rterm, a.scales[i0], b0, a.relu))
+			a.put(out, res, (i0+1)*planeStride+ox, requantInt8(int32(d1)+corr-swarBias*int32(a.wsum[i0+1])-rterm, a.scales[i0+1], b1, a.relu))
+			a.put(out, res, (i0+2)*planeStride+ox, requantInt8(int32(d2)+corr-swarBias*int32(a.wsum[i0+2])-rterm, a.scales[i0+2], b2, a.relu))
+			a.put(out, res, (i0+3)*planeStride+ox, requantInt8(int32(d3)+corr-swarBias*int32(a.wsum[i0+3])-rterm, a.scales[i0+3], b3, a.relu))
 		}
 		for oc := nb4 * 4; oc < outC; oc++ {
 			off := nb4*4*g + (oc-nb4*4)*g
@@ -406,9 +454,18 @@ func (a *mapConv) rowPortable(src []byte, out []float32, planeStride int, secs [
 			if a.bias != nil {
 				bo = a.bias[oc]
 			}
-			out[oc*planeStride+ox] = requantInt8(int32(d)+corr-swarBias*int32(a.wsum[oc])-rterm, a.scales[oc], bo, a.relu)
+			a.put(out, res, oc*planeStride+ox, requantInt8(int32(d)+corr-swarBias*int32(a.wsum[oc])-rterm, a.scales[oc], bo, a.relu))
 		}
 	}
+}
+
+// put stores one finished value at out[i], with res non-nil as the
+// residual res[i] + float32(resScale·v), the product rounded first.
+func (a *mapConv) put(out, res []float32, i int, v float32) {
+	if res != nil {
+		v = res[i] + float32(a.resScale*v)
+	}
+	out[i] = v
 }
 
 // packSectionInt8 packs one window row into high-lane words of three
@@ -433,10 +490,8 @@ func packSectionInt8(sec []byte, d []uint64) uint64 {
 	return sum
 }
 
-// rows computes output rows [lo, hi) into the planar out. With a
-// residual the lane writes each row to scratch and the epilogue then
-// writes res + float32(resScale·v) into out: out may be res, so nothing
-// may write an element of it before its residual is read.
+// rows computes output rows [lo, hi) into the planar out, each lane
+// adding the residual, if any, in its own store.
 func (a *mapConv) rows(lo, hi int, out []float32) {
 	var secs []uint64
 	var secBuf *[]uint64
@@ -445,21 +500,12 @@ func (a *mapConv) rows(lo, hi int, out []float32) {
 		secs = *secBuf
 	}
 	plane := a.oh * a.ow
-	if a.res == nil {
-		for oy := lo; oy < hi; oy++ {
-			a.row(oy, out[oy*a.ow:], plane, secs)
+	for oy := lo; oy < hi; oy++ {
+		var res []float32
+		if a.res != nil {
+			res = a.res[oy*a.ow:]
 		}
-	} else {
-		tmpBuf := scratchF32.get(a.spec.OutC * a.ow)
-		tmp := *tmpBuf
-		for oy := lo; oy < hi; oy++ {
-			a.row(oy, tmp, a.ow, secs)
-			for oc := 0; oc < a.spec.OutC; oc++ {
-				o := oc*plane + oy*a.ow
-				AddScaled(out[o:], a.res[o:], tmp[oc*a.ow:(oc+1)*a.ow], a.resScale)
-			}
-		}
-		scratchF32.put(tmpBuf)
+		a.row(oy, out[oy*a.ow:], res, plane, secs)
 	}
 	if secBuf != nil {
 		scratchU64.put(secBuf)
@@ -575,7 +621,7 @@ func (a *mapConv) bandToMap(m *Int8Map, lo, hi int, inv float32, hold []byte) {
 	var fBuf *[]float32
 	var qBuf *[]int8
 	var secBuf *[]uint64
-	if a.lane != laneVNNI {
+	if a.lane < laneVNNI {
 		fBuf, qBuf = scratchF32.get(a.spec.OutC*a.ow), scratchI8.get(a.spec.OutC*a.ow)
 		f, q = *fBuf, *qBuf
 		if a.lane == lanePortable {
@@ -588,11 +634,15 @@ func (a *mapConv) bandToMap(m *Int8Map, lo, hi int, inv float32, hold []byte) {
 		if j := y - lo; j*rowLen < len(hold) {
 			dst, direct = hold[j*rowLen:(j+1)*rowLen], false
 		}
-		if a.lane == laneVNNI {
+		switch a.lane {
+		case laneAMX:
+			convRowInt8AMXMap(&a.src[y*a.rowBytes], a.rowBytes, a.c4, a.spec.K, a.slices, &a.w[0], &a.sb[0], a.blocks,
+				&dst[0], a.ow, a.spec.OutC, inv, &a.cfg[0], a.sliceBytes)
+		case laneVNNI:
 			convRowInt8VNNIMap(&a.src[y*a.rowBytes], a.rowBytes, a.c4, a.spec.K, a.pairs, &a.w[0], &a.sb[0], a.blocks,
 				&dst[0], a.ow, a.spec.OutC, inv)
-		} else {
-			a.row(y, f, a.ow, secs)
+		default:
+			a.row(y, f, nil, a.ow, secs)
 			QuantizeInt8Into(q, f, inv)
 			layRowInt8(dst, q, a.ow, a.spec.OutC, a.c4, a.ow)
 		}

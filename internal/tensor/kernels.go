@@ -361,3 +361,17 @@ func cpuLanes(maxLeaf, ecx1, ebx7, ecx7, xcr0 uint32) (avx2, avx512 bool) {
 	avx512 = avx2 && xcr0&zmmState == zmmState && ebx7&avx512FBWVL == avx512FBWVL && ecx7&avx512VNNI != 0
 	return avx2, avx512
 }
+
+// amxLane decides the AMX-INT8 lane from leaf 7's EDX, XCR0 and the
+// kernel's answer to the tile-data permission request (nil: granted).
+// The lane needs AMX-TILE and AMX-INT8 (EDX bits 24, 25), the OS
+// managing the tile configuration and data state (XCR0 bits 17, 18),
+// the permission, and the AVX-512 lane, whose epilogues it shares. Any
+// of them missing leaves the VNNI lane.
+func amxLane(avx512 bool, edx7, xcr0 uint32, permErr error) bool {
+	const (
+		amxTileInt8 = 1<<24 | 1<<25 // leaf 7 EDX
+		tileState   = 1<<17 | 1<<18 // XCR0: XTILECFG, XTILEDATA
+	)
+	return avx512 && edx7&amxTileInt8 == amxTileInt8 && xcr0&tileState == tileState && permErr == nil
+}

@@ -89,6 +89,411 @@ vgroup: \
 	VPADDD       Z23, Z6, Z6 \
 	VPADDD       Z24, Z7, Z7
 
+// requantInt8 on one pixel's sixteen channels: acc − 128·Σw (Z28),
+// then float32(·)·scale (Z29) + bias (Z30), the Go expression's order.
+#define VNNIREQ(z) \
+	VPSUBD    Z28, z, z \
+	VCVTDQ2PS z, z \
+	VMULPS    Z29, z, z \
+	VADDPS    Z30, z, z
+
+// v < 0 → +0 as a compare and a masked move from Z31 = 0, which leaves
+// −0 and NaN alone like the Go expression.
+#define VNNIRELU(z) \
+	VCMPPS  $1, Z31, z, K1 \
+	VMOVAPS Z31, K1, z
+
+// Store one channel's eight pixels (the low or high half of a
+// transposed register) under the pixel mask K2 at AX, then stop after
+// the block's BX-th channel or step AX to the next plane (R10 bytes).
+#define STORELO(y, n) \
+	VMOVUPS y, K2, (AX) \
+	CMPQ    BX, $n \
+	JLE     vstored \
+	ADDQ    R10, AX
+
+#define STOREHI(z, n) \
+	VEXTRACTF64X4 $1, z, Y16 \
+	STORELO(Y16, n)
+
+// The residual epilogue on eight pixels of one channel: Y16 = res +
+// float32(scale·v) for v in src, the product rounded before the add in
+// the float32 tile's source order (ZRESSTORE), with res at AX + R12
+// read under the pixel mask and Y27 the broadcast scale.
+#define RESADD(src) \
+	VMOVUPS.Z (AX)(R12*1), K2, Y26 \
+	VMULPS    Y27, src, Y16 \
+	VADDPS    Y16, Y26, Y16
+
+// STORELO and STOREHI after RESADD. The low half's result goes to Y16,
+// not back to y: a 256-bit write to Y8 would zero the upper half of Z8,
+// which STOREHI reads later.
+#define RESLO(y, n) \
+	RESADD(y) \
+	STORELO(Y16, n)
+
+#define RESHI(z, n) \
+	VEXTRACTF64X4 $1, z, Y16 \
+	RESADD(Y16) \
+	STORELO(Y16, n)
+
+// The VNNI lane's planar epilogue (convRowInt8VNNI, convRowInt8AMX) on
+// eight finished pixels, Z0..Z7 each one pixel's sixteen int32 sums:
+// requantize, ReLU when relu is set, transpose from pixel-major to
+// channel-major with unpack/shuffle steps (per 128-bit lane L, channels
+// 4L..4L+3: pairs of pixels, then quads — Z0..Z3 hold pixels 0-3 and
+// Z4..Z7 pixels 4-7 of channel 4L+j in lane L — then the lanes: channel
+// j | 4+j and 8+j | 12+j), and store each channel's
+// eight pixels at DX, one plane (planeStride) apart, under the mask of
+// the min(8, left-16(SP)) pixels left, stopping after chans-8(SP)
+// channels — so a short last tile and a short last block write nothing
+// outside the output. With res, each stored row is res + float32(scale·v),
+// every element's res read before its out is written, so out may be
+// res. Ends at vstored. Clobbers AX, BX, CX, R10, R12, Z0..Z16, Z26,
+// Z27, K1 and K2. (Defined here, ahead of every TEXT block, for the
+// reason VNNIACC is.)
+#define VNNIOUT \
+	VNNIREQ(Z0) \
+	VNNIREQ(Z1) \
+	VNNIREQ(Z2) \
+	VNNIREQ(Z3) \
+	VNNIREQ(Z4) \
+	VNNIREQ(Z5) \
+	VNNIREQ(Z6) \
+	VNNIREQ(Z7) \
+	CMPQ relu+96(FP), $0 \
+	JEQ  vtranspose \
+	VNNIRELU(Z0) \
+	VNNIRELU(Z1) \
+	VNNIRELU(Z2) \
+	VNNIRELU(Z3) \
+	VNNIRELU(Z4) \
+	VNNIRELU(Z5) \
+	VNNIRELU(Z6) \
+	VNNIRELU(Z7) \
+vtranspose: \
+	VUNPCKLPS  Z1, Z0, Z8 \
+	VUNPCKHPS  Z1, Z0, Z9 \
+	VUNPCKLPS  Z3, Z2, Z10 \
+	VUNPCKHPS  Z3, Z2, Z11 \
+	VUNPCKLPS  Z5, Z4, Z12 \
+	VUNPCKHPS  Z5, Z4, Z13 \
+	VUNPCKLPS  Z7, Z6, Z14 \
+	VUNPCKHPS  Z7, Z6, Z15 \
+	VSHUFPS    $0x44, Z10, Z8, Z0 \
+	VSHUFPS    $0xEE, Z10, Z8, Z1 \
+	VSHUFPS    $0x44, Z11, Z9, Z2 \
+	VSHUFPS    $0xEE, Z11, Z9, Z3 \
+	VSHUFPS    $0x44, Z14, Z12, Z4 \
+	VSHUFPS    $0xEE, Z14, Z12, Z5 \
+	VSHUFPS    $0x44, Z15, Z13, Z6 \
+	VSHUFPS    $0xEE, Z15, Z13, Z7 \
+	VSHUFF32X4 $0x44, Z4, Z0, Z8 \
+	VSHUFF32X4 $0xD8, Z8, Z8, Z8 \
+	VSHUFF32X4 $0xEE, Z4, Z0, Z9 \
+	VSHUFF32X4 $0xD8, Z9, Z9, Z9 \
+	VSHUFF32X4 $0x44, Z5, Z1, Z10 \
+	VSHUFF32X4 $0xD8, Z10, Z10, Z10 \
+	VSHUFF32X4 $0xEE, Z5, Z1, Z11 \
+	VSHUFF32X4 $0xD8, Z11, Z11, Z11 \
+	VSHUFF32X4 $0x44, Z6, Z2, Z12 \
+	VSHUFF32X4 $0xD8, Z12, Z12, Z12 \
+	VSHUFF32X4 $0xEE, Z6, Z2, Z13 \
+	VSHUFF32X4 $0xD8, Z13, Z13, Z13 \
+	VSHUFF32X4 $0x44, Z7, Z3, Z14 \
+	VSHUFF32X4 $0xD8, Z14, Z14, Z14 \
+	VSHUFF32X4 $0xEE, Z7, Z3, Z15 \
+	VSHUFF32X4 $0xD8, Z15, Z15, Z15 \
+	MOVQ left-16(SP), CX \
+	MOVL $0xff, AX \
+	CMPQ CX, $8 \
+	JGE  vmask \
+	MOVL $1, AX \
+	SHLL CX, AX \
+	DECL AX \
+vmask: \
+	KMOVW AX, K2 \
+	MOVQ  planeStride+72(FP), R10 \
+	SHLQ  $2, R10 \
+	MOVQ  chans-8(SP), BX \
+	MOVQ  DX, AX \
+	MOVQ  res+104(FP), R12 \
+	TESTQ R12, R12 \
+	JNZ   vres \
+	STORELO(Y8, 1) \
+	STORELO(Y10, 2) \
+	STORELO(Y12, 3) \
+	STORELO(Y14, 4) \
+	STOREHI(Z8, 5) \
+	STOREHI(Z10, 6) \
+	STOREHI(Z12, 7) \
+	STOREHI(Z14, 8) \
+	STORELO(Y9, 9) \
+	STORELO(Y11, 10) \
+	STORELO(Y13, 11) \
+	STORELO(Y15, 12) \
+	STOREHI(Z9, 13) \
+	STOREHI(Z11, 14) \
+	STOREHI(Z13, 15) \
+	VEXTRACTF64X4 $1, Z15, Y16 \
+	VMOVUPS       Y16, K2, (AX) \
+	JMP           vstored \
+vres: \
+	SUBQ         out+64(FP), R12 \
+	VBROADCASTSS scale+112(FP), Y27 \
+	RESLO(Y8, 1) \
+	RESLO(Y10, 2) \
+	RESLO(Y12, 3) \
+	RESLO(Y14, 4) \
+	RESHI(Z8, 5) \
+	RESHI(Z10, 6) \
+	RESHI(Z12, 7) \
+	RESHI(Z14, 8) \
+	RESLO(Y9, 9) \
+	RESLO(Y11, 10) \
+	RESLO(Y13, 11) \
+	RESLO(Y15, 12) \
+	RESHI(Z9, 13) \
+	RESHI(Z11, 14) \
+	RESHI(Z13, 15) \
+	VEXTRACTF64X4 $1, Z15, Y16 \
+	RESADD(Y16) \
+	VMOVUPS       Y16, K2, (AX) \
+vstored:
+
+// QuantizeInt8Into's expression on sixteen floats, then the map's
+// offset: f = z·inv (Z20), add 0.5 (Z22) carrying f's sign (Z21),
+// truncate, clamp to [−127, 127] (Z23, Z24) — NaN and out-of-range
+// values truncate to 0x80000000 and clamp to −127 exactly as the Go
+// conversion and clamp do — and add 128 (Z25). Clobbers Z16.
+#define MAPQ(z) \
+	VMULPS     Z20, z, z \
+	VPANDD     Z21, z, Z16 \
+	VPORD      Z22, Z16, Z16 \
+	VADDPS     Z16, z, z \
+	VCVTTPS2DQ z, z \
+	VPMAXSD    Z23, z, z \
+	VPMINSD    Z24, z, z \
+	VPADDD     Z25, z, z
+
+// The constants MAPQ reads, with the multiplier at inv.
+#define MAPQCONST(inv) \
+	VBROADCASTSS inv, Z20 \
+	MOVL         $0x80000000, AX \
+	VPBROADCASTD AX, Z21 \
+	MOVL         $0x3F000000, AX \
+	VPBROADCASTD AX, Z22 \
+	MOVL         $-127, AX \
+	VPBROADCASTD AX, Z23 \
+	MOVL         $127, AX \
+	VPBROADCASTD AX, Z24 \
+	MOVL         $128, AX \
+	VPBROADCASTD AX, Z25
+
+// Store pixel n−1's channel bytes under the channel mask K3 at AX,
+// then stop after the tile's CX-th pixel or step AX to the next pixel.
+#define STOREPIX(z, n) \
+	VPMOVDB z, K3, (AX) \
+	CMPQ    CX, $n \
+	JLE     mstored \
+	ADDQ    R8, AX
+
+// The VNNI lane's map epilogue (convRowInt8VNNIMap, convRowInt8AMXMap)
+// on eight finished pixels Z0..Z7: requantize, ReLU, quantize with
+// MAPQ (its constants loaded) and store each pixel's channel bytes
+// pixBytes (R8) apart at DX, min(8, left-16(SP)) pixels, under the
+// block's channel mask K3. Ends at mstored. Clobbers AX, CX, Z0..Z7,
+// Z16 and K1.
+#define MAPOUT \
+	VNNIREQ(Z0) \
+	VNNIREQ(Z1) \
+	VNNIREQ(Z2) \
+	VNNIREQ(Z3) \
+	VNNIREQ(Z4) \
+	VNNIREQ(Z5) \
+	VNNIREQ(Z6) \
+	VNNIREQ(Z7) \
+	VNNIRELU(Z0) \
+	VNNIRELU(Z1) \
+	VNNIRELU(Z2) \
+	VNNIRELU(Z3) \
+	VNNIRELU(Z4) \
+	VNNIRELU(Z5) \
+	VNNIRELU(Z6) \
+	VNNIRELU(Z7) \
+	MAPQ(Z0) \
+	MAPQ(Z1) \
+	MAPQ(Z2) \
+	MAPQ(Z3) \
+	MAPQ(Z4) \
+	MAPQ(Z5) \
+	MAPQ(Z6) \
+	MAPQ(Z7) \
+	MOVQ left-16(SP), CX \
+	MOVQ DX, AX \
+	STOREPIX(Z0, 1) \
+	STOREPIX(Z1, 2) \
+	STOREPIX(Z2, 3) \
+	STOREPIX(Z3, 4) \
+	STOREPIX(Z4, 5) \
+	STOREPIX(Z5, 6) \
+	STOREPIX(Z6, 7) \
+	VPMOVDB Z7, K3, (AX) \
+mstored:
+
+// The AMX instructions the AMX lane uses, which Go's assembler does not
+// know, as their encodings. Tiles 0–3 are the accumulators C, tiles 4, 5
+// and 7 the activations A (base DX, row stride R8) and tile 6 the
+// weights B (base CX, row stride R9).
+// LDTILECFG (AX)
+#define LDTILECFG_AX BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0x00
+// TILERELEASE
+#define TILERELEASE BYTE $0xC4; BYTE $0xE2; BYTE $0x78; BYTE $0x49; BYTE $0xC0
+// TILEZERO TMM0, TMM1, TMM2, TMM3
+#define TILEZERO_0 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC0
+#define TILEZERO_1 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xC8
+#define TILEZERO_2 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xD0
+#define TILEZERO_3 BYTE $0xC4; BYTE $0xE2; BYTE $0x7B; BYTE $0x49; BYTE $0xD8
+// TILELOADD (DX)(R8*1), TMM4 / TMM5 / TMM7
+#define TILELOADD_A4 BYTE $0xC4; BYTE $0xA2; BYTE $0x7B; BYTE $0x4B; BYTE $0x24; BYTE $0x02
+#define TILELOADD_A5 BYTE $0xC4; BYTE $0xA2; BYTE $0x7B; BYTE $0x4B; BYTE $0x2C; BYTE $0x02
+#define TILELOADD_A7 BYTE $0xC4; BYTE $0xA2; BYTE $0x7B; BYTE $0x4B; BYTE $0x3C; BYTE $0x02
+// TILELOADD (CX)(R9*1), TMM6
+#define TILELOADD_B BYTE $0xC4; BYTE $0xA2; BYTE $0x7B; BYTE $0x4B; BYTE $0x34; BYTE $0x09
+// TDPBUSD TMM0, TMM4, TMM6 / TMM1, TMM5, TMM6 / TMM2, TMM7, TMM6 / TMM3, TMM4, TMM6
+#define TDPBUSD_0_4 BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xC4
+#define TDPBUSD_1_5 BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xCD
+#define TDPBUSD_2_7 BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xD7
+#define TDPBUSD_3_4 BYTE $0xC4; BYTE $0xE2; BYTE $0x49; BYTE $0x5E; BYTE $0xDC
+// TILESTORED TMM0 / TMM1 / TMM2 / TMM3, (AX)(R9*1)
+#define TILESTORED_0 BYTE $0xC4; BYTE $0xA2; BYTE $0x7A; BYTE $0x4B; BYTE $0x04; BYTE $0x08
+#define TILESTORED_1 BYTE $0xC4; BYTE $0xA2; BYTE $0x7A; BYTE $0x4B; BYTE $0x0C; BYTE $0x08
+#define TILESTORED_2 BYTE $0xC4; BYTE $0xA2; BYTE $0x7A; BYTE $0x4B; BYTE $0x14; BYTE $0x08
+#define TILESTORED_3 BYTE $0xC4; BYTE $0xA2; BYTE $0x7A; BYTE $0x4B; BYTE $0x1C; BYTE $0x08
+
+// Accumulate the AMX lane's next pixels (see convRowInt8AMX) and stage
+// their sums: with at least 64 pixels left (left-16(SP)) four C tiles of
+// sixteen pixels each, else one, zeroed and then, for every kernel row
+// (kRows, rowBytes apart) and each of its slices, one B tile (sbytes/4
+// rows of the block's weights from R11+64, bstep bytes per slice) and
+// per C tile an A tile — sixteen windows c4 (R8) apart from SI, R13 =
+// 16·c4 between tiles — and TDPBUSD. The C tiles are stored, 64 bytes
+// a pixel, at stagep, SI steps past the pixels and halves-56(SP) is set
+// to the number of eight-pixel halves staged. Clobbers AX, BX, CX, DX,
+// R10 and R12.
+#define AMXACC \
+	CMPQ left-16(SP), $64 \
+	JLT  aone \
+	TILEZERO_0 \
+	TILEZERO_1 \
+	TILEZERO_2 \
+	TILEZERO_3 \
+	MOVQ SI, R10 \
+	LEAQ 64(R11), CX \
+	MOVQ kRows+24(FP), BX \
+akrow4: \
+	MOVQ R10, AX \
+	MOVQ slices+32(FP), R12 \
+aslice4: \
+	TILELOADD_B \
+	MOVQ AX, DX \
+	TILELOADD_A4 \
+	TDPBUSD_0_4 \
+	ADDQ R13, DX \
+	TILELOADD_A5 \
+	TDPBUSD_1_5 \
+	ADDQ R13, DX \
+	TILELOADD_A7 \
+	TDPBUSD_2_7 \
+	ADDQ R13, DX \
+	TILELOADD_A4 \
+	TDPBUSD_3_4 \
+	ADDQ sbytes-24(SP), AX \
+	ADDQ bstep-32(SP), CX \
+	DECQ R12 \
+	JNZ  aslice4 \
+	ADDQ rowBytes+8(FP), R10 \
+	DECQ BX \
+	JNZ  akrow4 \
+	MOVQ stagep-72(SP), AX \
+	TILESTORED_0 \
+	ADDQ $1024, AX \
+	TILESTORED_1 \
+	ADDQ $1024, AX \
+	TILESTORED_2 \
+	ADDQ $1024, AX \
+	TILESTORED_3 \
+	LEAQ (SI)(R13*4), SI \
+	MOVQ $8, halves-56(SP) \
+	JMP  astaged \
+aone: \
+	TILEZERO_0 \
+	MOVQ SI, R10 \
+	LEAQ 64(R11), CX \
+	MOVQ kRows+24(FP), BX \
+akrow1: \
+	MOVQ R10, DX \
+	MOVQ slices+32(FP), R12 \
+aslice1: \
+	TILELOADD_B \
+	TILELOADD_A4 \
+	TDPBUSD_0_4 \
+	ADDQ sbytes-24(SP), DX \
+	ADDQ bstep-32(SP), CX \
+	DECQ R12 \
+	JNZ  aslice1 \
+	ADDQ rowBytes+8(FP), R10 \
+	DECQ BX \
+	JNZ  akrow1 \
+	MOVQ stagep-72(SP), AX \
+	TILESTORED_0 \
+	ADDQ R13, SI \
+	MOVQ $2, halves-56(SP) \
+astaged:
+
+// Load the staged half at half-64(SP) — eight pixels' sixteen int32
+// sums, in the registers VNNIACC leaves them in — and step to the next.
+#define AMXHALF \
+	MOVQ      half-64(SP), AX \
+	VMOVDQU32 (AX), Z0 \
+	VMOVDQU32 64(AX), Z1 \
+	VMOVDQU32 128(AX), Z2 \
+	VMOVDQU32 192(AX), Z3 \
+	VMOVDQU32 256(AX), Z4 \
+	VMOVDQU32 320(AX), Z5 \
+	VMOVDQU32 384(AX), Z6 \
+	VMOVDQU32 448(AX), Z7 \
+	ADDQ      $512, half-64(SP)
+
+// The AMX lane's per-call setup: load the tile configuration at cfg,
+// R8 = c4, R9 = 64 (a B row), R13 = 16·c4 (an A tile), the slice
+// constants — sbytes, bstep (a B tile's bytes: 16·sbytes) and bbytes (a
+// block's weights: 64 + kRows·slices·bstep) — from sliceBytes, and
+// stagep, the frame's 4 KiB staging buffer aligned to a cache line (an
+// unaligned TILESTORED splits every row).
+#define AMXSETUP(cfg, sliceBytes) \
+	MOVQ  cfg, AX \
+	LDTILECFG_AX \
+	MOVQ  pixBytes+16(FP), R8 \
+	MOVQ  $64, R9 \
+	MOVQ  R8, R13 \
+	SHLQ  $4, R13 \
+	MOVQ  sliceBytes, AX \
+	MOVQ  AX, sbytes-24(SP) \
+	SHLQ  $4, AX \
+	MOVQ  AX, bstep-32(SP) \
+	MOVQ  kRows+24(FP), BX \
+	IMULQ slices+32(FP), BX \
+	IMULQ AX, BX \
+	ADDQ  $64, BX \
+	MOVQ  BX, bbytes-40(SP) \
+	MOVQ  w+40(FP), R11 \
+	MOVQ  sb+48(FP), R14 \
+	LEAQ  stage-4232(SP), AX \
+	ADDQ  $63, AX \
+	ANDQ  $~63, AX \
+	MOVQ  AX, stagep-72(SP)
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -598,7 +1003,8 @@ zdone:
 	RET
 
 // func convRowInt8AVX2(rec *byte, rowBytes, pixBytes, kRows, chunks int,
-//	w *int8, sb *float32, nb4 int, out *float32, planeStride, cols, outC, relu int)
+//	w *int8, sb *float32, nb4 int, out *float32, planeStride, cols, outC, relu int,
+//	res *float32, scale float32)
 //
 // One output row of the int8 convolution over an activation map: for
 // each of cols pixels and each block of four output channels, the dot
@@ -611,14 +1017,18 @@ zdone:
 // block's 128·Σw leaves Σx·w exactly — integer addition is associative
 // and wraps identically either way. w holds, per block, for every chunk
 // four rows of sixteen int16 and then the four int32 128·Σw; sb holds,
-// per block, four scales then four biases.
-TEXT ·convRowInt8AVX2(SB), NOSPLIT, $0-104
-	MOVQ   rec+0(FP), SI
-	MOVQ   rowBytes+8(FP), R8
-	MOVQ   out+64(FP), DI
-	MOVQ   planeStride+72(FP), R10
-	SHLQ   $2, R10
-	VXORPS X14, X14, X14
+// per block, four scales then four biases. With res non-nil each value
+// becomes res + float32(scale·v) — the float32 tile's VMULPS, then
+// VADDPS — its res gathered from the four planes before any of them is
+// written, so out may be res.
+TEXT ·convRowInt8AVX2(SB), NOSPLIT, $0-116
+	MOVQ         rec+0(FP), SI
+	MOVQ         rowBytes+8(FP), R8
+	MOVQ         out+64(FP), DI
+	MOVQ         planeStride+72(FP), R10
+	SHLQ         $2, R10
+	VBROADCASTSS scale+112(FP), X15
+	VXORPS       X14, X14, X14
 	VXORPS X13, X13, X13         // ReLU mask: all-ones when on
 	CMPQ   relu+96(FP), $0
 	JEQ    pixel
@@ -679,6 +1089,28 @@ chunk:
 	VANDPS    X13, X1, X1
 	VANDNPS   X0, X1, X0
 
+	MOVQ      res+104(FP), AX
+	TESTQ     AX, AX
+	JZ        store
+	SUBQ      out+64(FP), AX
+	ADDQ      DX, AX
+	VMOVSS    (AX), X1
+	CMPQ      R13, $2
+	JLT       resadd
+	VINSERTPS $0x10, (AX)(R10*1), X1, X1
+	CMPQ      R13, $3
+	JLT       resadd
+	VINSERTPS $0x20, (AX)(R10*2), X1, X1
+	CMPQ      R13, $4
+	JLT       resadd
+	LEAQ      (AX)(R10*2), AX
+	VINSERTPS $0x30, (AX)(R10*1), X1, X1
+
+resadd:
+	VMULPS X15, X0, X0
+	VADDPS X0, X1, X0
+
+store:
 	VMOVSS     X0, (DX)
 	CMPQ       R13, $2
 	JLT        blockdone
@@ -777,48 +1209,17 @@ quant32:
 // accumulators hold Σ(x+128)·w, and subtracting the per-channel 128·Σw
 // leaves Σx·w exactly, whatever the order of the additions.
 
-// requantInt8 on one pixel's sixteen channels: acc − 128·Σw (Z28),
-// then float32(·)·scale (Z29) + bias (Z30), the Go expression's order.
-#define VNNIREQ(z) \
-	VPSUBD    Z28, z, z \
-	VCVTDQ2PS z, z \
-	VMULPS    Z29, z, z \
-	VADDPS    Z30, z, z
-
-// v < 0 → +0 as a compare and a masked move from Z31 = 0, which leaves
-// −0 and NaN alone like the Go expression.
-#define VNNIRELU(z) \
-	VCMPPS  $1, Z31, z, K1 \
-	VMOVAPS Z31, K1, z
-
-// Store one channel's eight pixels (the low or high half of a
-// transposed register) under the pixel mask K2 at AX, then stop after
-// the block's BX-th channel or step AX to the next plane (R10 bytes).
-#define STORELO(y, n) \
-	VMOVUPS y, K2, (AX) \
-	CMPQ    BX, $n \
-	JLE     vstored \
-	ADDQ    R10, AX
-
-#define STOREHI(z, n) \
-	VEXTRACTF64X4 $1, z, Y16 \
-	VMOVUPS       Y16, K2, (AX) \
-	CMPQ          BX, $n \
-	JLE           vstored \
-	ADDQ          R10, AX
-
 // func convRowInt8VNNI(src *byte, rowBytes, pixBytes, kRows, pairs int,
-//	w *int8, sb *float32, nblk int, out *float32, planeStride, cols, outC, relu int)
+//	w *int8, sb *float32, nblk int, out *float32, planeStride, cols, outC, relu int,
+//	res *float32, scale float32)
 //
 // convRowInt8AVX2 on the VNNI lane: one output row of cols pixels at
-// stride one, every output channel, written planar. w holds, per block
-// of sixteen output channels (the last padded with zero rows), sixteen
-// int32 128·Σw and then the weights; sb per block sixteen scales and
-// sixteen biases. The finished tile is transposed from pixel-major to
-// channel-major with unpack/shuffle steps and stored eight pixels per
-// channel under a mask, so a short last tile and a short last block
-// write nothing outside the output.
-TEXT ·convRowInt8VNNI(SB), NOSPLIT, $16-104
+// stride one, every output channel, written planar (VNNIOUT), and with
+// res non-nil the residual res + float32(scale·v) added in the store. w
+// holds, per block of sixteen output channels (the last padded with
+// zero rows), sixteen int32 128·Σw and then the weights; sb per block
+// sixteen scales and sixteen biases.
+TEXT ·convRowInt8VNNI(SB), NOSPLIT, $16-116
 	MOVQ   pixBytes+16(FP), R8
 	LEAQ   (R8)(R8*2), R9
 	MOVQ   w+40(FP), R11
@@ -840,96 +1241,7 @@ vblock:
 
 vtile:
 	VNNIACC
-	VNNIREQ(Z0)
-	VNNIREQ(Z1)
-	VNNIREQ(Z2)
-	VNNIREQ(Z3)
-	VNNIREQ(Z4)
-	VNNIREQ(Z5)
-	VNNIREQ(Z6)
-	VNNIREQ(Z7)
-	CMPQ relu+96(FP), $0
-	JEQ  vtranspose
-	VNNIRELU(Z0)
-	VNNIRELU(Z1)
-	VNNIRELU(Z2)
-	VNNIRELU(Z3)
-	VNNIRELU(Z4)
-	VNNIRELU(Z5)
-	VNNIRELU(Z6)
-	VNNIRELU(Z7)
-
-vtranspose:
-	// Per 128-bit lane L (channels 4L..4L+3): pairs of pixels, then
-	// quads — Z0..Z3 hold pixels 0-3 and Z4..Z7 pixels 4-7 of channel
-	// 4L+j in lane L — then the lanes: channel j | 4+j and 8+j | 12+j.
-	VUNPCKLPS  Z1, Z0, Z8
-	VUNPCKHPS  Z1, Z0, Z9
-	VUNPCKLPS  Z3, Z2, Z10
-	VUNPCKHPS  Z3, Z2, Z11
-	VUNPCKLPS  Z5, Z4, Z12
-	VUNPCKHPS  Z5, Z4, Z13
-	VUNPCKLPS  Z7, Z6, Z14
-	VUNPCKHPS  Z7, Z6, Z15
-	VSHUFPS    $0x44, Z10, Z8, Z0
-	VSHUFPS    $0xEE, Z10, Z8, Z1
-	VSHUFPS    $0x44, Z11, Z9, Z2
-	VSHUFPS    $0xEE, Z11, Z9, Z3
-	VSHUFPS    $0x44, Z14, Z12, Z4
-	VSHUFPS    $0xEE, Z14, Z12, Z5
-	VSHUFPS    $0x44, Z15, Z13, Z6
-	VSHUFPS    $0xEE, Z15, Z13, Z7
-	VSHUFF32X4 $0x44, Z4, Z0, Z8
-	VSHUFF32X4 $0xD8, Z8, Z8, Z8
-	VSHUFF32X4 $0xEE, Z4, Z0, Z9
-	VSHUFF32X4 $0xD8, Z9, Z9, Z9
-	VSHUFF32X4 $0x44, Z5, Z1, Z10
-	VSHUFF32X4 $0xD8, Z10, Z10, Z10
-	VSHUFF32X4 $0xEE, Z5, Z1, Z11
-	VSHUFF32X4 $0xD8, Z11, Z11, Z11
-	VSHUFF32X4 $0x44, Z6, Z2, Z12
-	VSHUFF32X4 $0xD8, Z12, Z12, Z12
-	VSHUFF32X4 $0xEE, Z6, Z2, Z13
-	VSHUFF32X4 $0xD8, Z13, Z13, Z13
-	VSHUFF32X4 $0x44, Z7, Z3, Z14
-	VSHUFF32X4 $0xD8, Z14, Z14, Z14
-	VSHUFF32X4 $0xEE, Z7, Z3, Z15
-	VSHUFF32X4 $0xD8, Z15, Z15, Z15
-
-	// K2 = the tile's pixels: all eight, or the row's last few.
-	MOVQ left-16(SP), CX
-	MOVL $0xff, AX
-	CMPQ CX, $8
-	JGE  vmask
-	MOVL $1, AX
-	SHLL CX, AX
-	DECL AX
-
-vmask:
-	KMOVW    AX, K2
-	MOVQ     planeStride+72(FP), R10
-	SHLQ     $2, R10
-	MOVQ     chans-8(SP), BX
-	MOVQ     DX, AX
-	STORELO(Y8, 1)
-	STORELO(Y10, 2)
-	STORELO(Y12, 3)
-	STORELO(Y14, 4)
-	STOREHI(Z8, 5)
-	STOREHI(Z10, 6)
-	STOREHI(Z12, 7)
-	STOREHI(Z14, 8)
-	STORELO(Y9, 9)
-	STORELO(Y11, 10)
-	STORELO(Y13, 11)
-	STORELO(Y15, 12)
-	STOREHI(Z9, 13)
-	STOREHI(Z11, 14)
-	STOREHI(Z13, 15)
-	VEXTRACTF64X4 $1, Z15, Y16
-	VMOVUPS       Y16, K2, (AX)
-
-vstored:
+	VNNIOUT
 	LEAQ (SI)(R8*8), SI
 	ADDQ $32, DX
 	SUBQ $8, left-16(SP)
@@ -947,43 +1259,6 @@ vstored:
 	JGT   vblock
 	VZEROUPPER
 	RET
-
-// QuantizeInt8Into's expression on sixteen floats, then the map's
-// offset: f = z·inv (Z20), add 0.5 (Z22) carrying f's sign (Z21),
-// truncate, clamp to [−127, 127] (Z23, Z24) — NaN and out-of-range
-// values truncate to 0x80000000 and clamp to −127 exactly as the Go
-// conversion and clamp do — and add 128 (Z25). Clobbers Z16.
-#define MAPQ(z) \
-	VMULPS     Z20, z, z \
-	VPANDD     Z21, z, Z16 \
-	VPORD      Z22, Z16, Z16 \
-	VADDPS     Z16, z, z \
-	VCVTTPS2DQ z, z \
-	VPMAXSD    Z23, z, z \
-	VPMINSD    Z24, z, z \
-	VPADDD     Z25, z, z
-
-// The constants MAPQ reads, with the multiplier at inv.
-#define MAPQCONST(inv) \
-	VBROADCASTSS inv, Z20 \
-	MOVL         $0x80000000, AX \
-	VPBROADCASTD AX, Z21 \
-	MOVL         $0x3F000000, AX \
-	VPBROADCASTD AX, Z22 \
-	MOVL         $-127, AX \
-	VPBROADCASTD AX, Z23 \
-	MOVL         $127, AX \
-	VPBROADCASTD AX, Z24 \
-	MOVL         $128, AX \
-	VPBROADCASTD AX, Z25
-
-// Store pixel n−1's channel bytes under the channel mask K3 at AX,
-// then stop after the tile's CX-th pixel or step AX to the next pixel.
-#define STOREPIX(z, n) \
-	VPMOVDB z, K3, (AX) \
-	CMPQ    CX, $n \
-	JLE     mstored \
-	ADDQ    R8, AX
 
 // func convRowInt8VNNIMap(src *byte, rowBytes, pixBytes, kRows, pairs int,
 //	w *int8, sb *float32, nblk int, dst *byte, cols, outC int, inv float32)
@@ -1028,42 +1303,7 @@ mchans:
 mtile:
 	VNNIACC
 	MAPQCONST(inv+88(FP))
-	VNNIREQ(Z0)
-	VNNIREQ(Z1)
-	VNNIREQ(Z2)
-	VNNIREQ(Z3)
-	VNNIREQ(Z4)
-	VNNIREQ(Z5)
-	VNNIREQ(Z6)
-	VNNIREQ(Z7)
-	VNNIRELU(Z0)
-	VNNIRELU(Z1)
-	VNNIRELU(Z2)
-	VNNIRELU(Z3)
-	VNNIRELU(Z4)
-	VNNIRELU(Z5)
-	VNNIRELU(Z6)
-	VNNIRELU(Z7)
-	MAPQ(Z0)
-	MAPQ(Z1)
-	MAPQ(Z2)
-	MAPQ(Z3)
-	MAPQ(Z4)
-	MAPQ(Z5)
-	MAPQ(Z6)
-	MAPQ(Z7)
-	MOVQ left-16(SP), CX
-	MOVQ DX, AX
-	STOREPIX(Z0, 1)
-	STOREPIX(Z1, 2)
-	STOREPIX(Z2, 3)
-	STOREPIX(Z3, 4)
-	STOREPIX(Z4, 5)
-	STOREPIX(Z5, 6)
-	STOREPIX(Z6, 7)
-	VPMOVDB Z7, K3, (AX)
-
-mstored:
+	MAPOUT
 	LEAQ (SI)(R8*8), SI
 	LEAQ (DX)(R8*8), DX
 	SUBQ $8, left-16(SP)
@@ -1077,6 +1317,128 @@ mstored:
 	ADDQ  $16, DI
 	SUBQ  $16, chans-8(SP)
 	JGT   mblock
+	VZEROUPPER
+	RET
+
+// The AMX lane: the VNNI lane's sums on AMX tiles. A C tile holds
+// sixteen consecutive pixels × sixteen int32 channels, laid out like
+// eight-pixel halves of VNNIACC's accumulators, so both VNNI epilogues
+// run on it unchanged from a staging buffer in the frame. An A tile is
+// sixteen pixels' windows read straight from the map — rows c4 apart,
+// overlapping — one slice (sliceBytes ≤ 64, a multiple of four) of one
+// kernel row at a time; the B tile is the same slice of the VNNI weight
+// pack. TDPBUSD computes VPDPBUSD's u8×s8 → int32 sums, so the 128·Σw
+// correction applies unchanged. The tile configuration (cfg, built by
+// amxConfig) is loaded per call and released before the return; a short
+// last tile computes pixels past the row, from the map's slack, that
+// the epilogue's pixel mask never stores.
+
+// func convRowInt8AMX(src *byte, rowBytes, pixBytes, kRows, slices int,
+//	w *int8, sb *float32, nblk int, out *float32, planeStride, cols, outC, relu int,
+//	res *float32, scale float32, cfg *byte, sliceBytes int)
+//
+// convRowInt8VNNI on the AMX lane: w holds per block the VNNI pack with
+// slices·sliceBytes/4 groups per kernel row.
+TEXT ·convRowInt8AMX(SB), 0, $4232-136
+	AMXSETUP(cfg+120(FP), sliceBytes+128(FP))
+	MOVQ   out+64(FP), DI
+	MOVQ   outC+88(FP), AX
+	MOVQ   AX, chans-8(SP)
+	VPXORD Z31, Z31, Z31
+
+ablock:
+	VMOVDQU32 (R11), Z28
+	VMOVUPS   (R14), Z29
+	VMOVUPS   64(R14), Z30
+	MOVQ      src+0(FP), SI
+	MOVQ      DI, outp-48(SP)
+	MOVQ      cols+80(FP), AX
+	MOVQ      AX, left-16(SP)
+
+achunk:
+	AMXACC
+	MOVQ stagep-72(SP), AX
+	MOVQ AX, half-64(SP)
+
+ahalf:
+	AMXHALF
+	MOVQ outp-48(SP), DX
+	VNNIOUT
+	ADDQ $32, outp-48(SP)
+	SUBQ $8, left-16(SP)
+	JLE  ablockdone
+	DECQ halves-56(SP)
+	JNZ  ahalf
+	JMP  achunk
+
+ablockdone:
+	ADDQ bbytes-40(SP), R11
+	ADDQ $128, R14
+	MOVQ planeStride+72(FP), AX
+	SHLQ $6, AX
+	ADDQ AX, DI
+	SUBQ $16, chans-8(SP)
+	JGT  ablock
+	TILERELEASE
+	VZEROUPPER
+	RET
+
+// func convRowInt8AMXMap(src *byte, rowBytes, pixBytes, kRows, slices int,
+//	w *int8, sb *float32, nblk int, dst *byte, cols, outC int, inv float32,
+//	cfg *byte, sliceBytes int)
+//
+// convRowInt8VNNIMap on the AMX lane.
+TEXT ·convRowInt8AMXMap(SB), 0, $4232-112
+	AMXSETUP(cfg+96(FP), sliceBytes+104(FP))
+	MOVQ   dst+64(FP), DI
+	MOVQ   outC+80(FP), AX
+	MOVQ   AX, chans-8(SP)
+	VPXORD Z31, Z31, Z31
+	MAPQCONST(inv+88(FP))
+
+bblock:
+	VMOVDQU32 (R11), Z28
+	VMOVUPS   (R14), Z29
+	VMOVUPS   64(R14), Z30
+	MOVQ      chans-8(SP), CX
+	MOVL      $0xffff, AX
+	CMPQ      CX, $16
+	JGE       bchans
+	MOVL      $1, AX
+	SHLL      CX, AX
+	DECL      AX
+
+bchans:
+	KMOVW AX, K3
+	MOVQ  src+0(FP), SI
+	MOVQ  DI, outp-48(SP)
+	MOVQ  cols+72(FP), AX
+	MOVQ  AX, left-16(SP)
+
+bchunk:
+	AMXACC
+	MOVQ stagep-72(SP), AX
+	MOVQ AX, half-64(SP)
+
+bhalf:
+	AMXHALF
+	MOVQ outp-48(SP), DX
+	MAPOUT
+	LEAQ (DX)(R8*8), DX
+	MOVQ DX, outp-48(SP)
+	SUBQ $8, left-16(SP)
+	JLE  bblockdone
+	DECQ halves-56(SP)
+	JNZ  bhalf
+	JMP  bchunk
+
+bblockdone:
+	ADDQ bbytes-40(SP), R11
+	ADDQ $128, R14
+	ADDQ $16, DI
+	SUBQ $16, chans-8(SP)
+	JGT  bblock
+	TILERELEASE
 	VZEROUPPER
 	RET
 

@@ -1,46 +1,51 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // Differential tests of the kernel lanes: the assembly (AVX2, and for
-// int8 the AVX-512 VNNI lane ahead of it), the portable Go kernels they
-// sit beside, and the naive *Ref kernels. All must agree bit for bit on
+// int8 the AVX-512 VNNI and AMX lanes ahead of it), the portable Go
+// kernels they sit beside, and the naive *Ref kernels. All must agree bit for bit on
 // every shape — in particular the ones that are not multiples of a tile
 // — and on every value, finite or not. A lane this host (or build)
 // lacks is skipped; the portable lane runs everywhere.
 
 // kernelLane is one set of kernels the entry points can run on.
 type kernelLane struct {
-	name         string
-	avx2, avx512 bool
+	name              string
+	avx2, avx512, amx bool
 }
 
 // kernelLanes are the lanes, fastest first: CPUID selects the first one
 // the host has.
-var kernelLanes = []kernelLane{{"avx512", true, true}, {"avx2", true, false}, {"portable", false, false}}
+var kernelLanes = []kernelLane{
+	{"amx", true, true, true}, {"avx512", true, true, false}, {"avx2", true, false, false}, {"portable", false, false, false},
+}
 
-// hostAVX2 and hostAVX512 are the CPUID decision, taken before any test
-// switches lanes.
-var hostAVX2, hostAVX512 = useAVX2, useAVX512
+// hostAVX2, hostAVX512 and hostAMX are the CPUID decision, taken before
+// any test switches lanes.
+var hostAVX2, hostAVX512, hostAMX = useAVX2, useAVX512, useAMX
 
-func (l kernelLane) available() bool { return (hostAVX2 || !l.avx2) && (hostAVX512 || !l.avx512) }
+func (l kernelLane) available() bool {
+	return (hostAVX2 || !l.avx2) && (hostAVX512 || !l.avx512) && (hostAMX || !l.amx)
+}
 
 // withLane runs fn on lane l, restoring the CPUID decision afterwards.
 func withLane(l kernelLane, fn func()) {
-	prevAVX2, prevAVX512 := useAVX2, useAVX512
-	useAVX2, useAVX512 = l.avx2, l.avx512
-	defer func() { useAVX2, useAVX512 = prevAVX2, prevAVX512 }()
+	prevAVX2, prevAVX512, prevAMX := useAVX2, useAVX512, useAMX
+	useAVX2, useAVX512, useAMX = l.avx2, l.avx512, l.amx
+	defer func() { useAVX2, useAVX512, useAMX = prevAVX2, prevAVX512, prevAMX }()
 	fn()
 }
 
 // withPortableKernels runs fn with the assembly switched off.
 func withPortableKernels(t testing.TB, fn func()) {
 	t.Helper()
-	withLane(kernelLanes[2], fn)
+	withLane(kernelLanes[3], fn)
 }
 
 // float32ConvTests are the float32 convolution tests the lane tests
@@ -109,10 +114,23 @@ func TestAVX2Path(t *testing.T) {
 	if !hostAVX512 {
 		t.Skip("no AVX-512 lane here: the AVX2 lane, if any, is already the default")
 	}
-	withLane(kernelLanes[1], func() {
+	withLane(kernelLanes[2], func() {
 		for _, tc := range float32ConvTests {
 			t.Run(tc.name, tc.fn)
 		}
+		for _, tc := range int8Tests {
+			t.Run(tc.name, tc.fn)
+		}
+	})
+}
+
+// TestVNNIPath re-runs the int8 tests on the VNNI lane, which an AMX
+// host otherwise takes only for a kernel wider than sixteen.
+func TestVNNIPath(t *testing.T) {
+	if !hostAMX {
+		t.Skip("no AMX lane here: the VNNI lane, if any, is already the default")
+	}
+	withLane(kernelLanes[1], func() {
 		for _, tc := range int8Tests {
 			t.Run(tc.name, tc.fn)
 		}
@@ -153,6 +171,56 @@ func TestCPULanes(t *testing.T) {
 			t.Errorf("%s: cpuLanes = avx2 %v, avx512 %v; want %v, %v", tc.name, a, v, tc.avx2, tc.avx512)
 		}
 	}
+}
+
+// TestAMXLane pins the AMX decision on CPUID.(7,0):EDX, XCR0 and the
+// permission request's answer: any missing bit, a refused request or no
+// AVX-512 lane means no AMX. Then, on a host with the AVX-512 lane, it
+// forces a refused request and runs the convolution it leaves to the
+// VNNI lane against the portable lane.
+func TestAMXLane(t *testing.T) {
+	const (
+		tile, int8Bit = 1 << 24, 1 << 25
+		cfgState, dat = 1 << 17, 1 << 18
+		edx, xcr0     = tile | int8Bit | 1<<22, 0x600E7 // with AMX-BF16; x87/SSE/AVX/ZMM state too
+	)
+	for _, tc := range []struct {
+		name      string
+		avx512    bool
+		edx7, xcr uint32
+		perm      error
+		amx       bool
+	}{
+		{"granted", true, edx, xcr0, nil, true},
+		{"no AMX-TILE", true, edx &^ tile, xcr0, nil, false},
+		{"no AMX-INT8", true, edx &^ int8Bit, xcr0, nil, false},
+		{"no XTILECFG state", true, edx, xcr0 &^ cfgState, nil, false},
+		{"no XTILEDATA state", true, edx, xcr0 &^ dat, nil, false},
+		{"request refused (EPERM)", true, edx, xcr0, errors.New("operation not permitted"), false},
+		{"request unknown (EINVAL)", true, edx, xcr0, errors.New("invalid argument"), false},
+		{"no AVX-512 lane", false, edx, xcr0, nil, false},
+	} {
+		if amx := amxLane(tc.avx512, tc.edx7, tc.xcr, tc.perm); amx != tc.amx {
+			t.Errorf("%s: amxLane = %v, want %v", tc.name, amx, tc.amx)
+		}
+	}
+	if !hostAVX512 {
+		return
+	}
+	refused := amxLane(true, edx, xcr0, errors.New("operation not permitted"))
+	withLane(kernelLane{"refused amx", true, true, refused}, func() {
+		spec := ConvSpec{InC: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
+		if l := int8Lane(spec); l != laneVNNI {
+			t.Fatalf("with the AMX request refused, int8Lane = %d, want the VNNI lane", l)
+		}
+		cc := makeInt8ConvCase(rand.New(rand.NewSource(5)), 1, 5, 37, spec)
+		got := Conv2DInferInt8(cc.xq, 1, 16, 5, 37, cc.wq, cc.scales, cc.bias, spec, true, nil).Data
+		var want []float32
+		withPortableKernels(t, func() {
+			want = Conv2DInferInt8(cc.xq, 1, 16, 5, 37, cc.wq, cc.scales, cc.bias, spec, true, nil).Data
+		})
+		diffBits(t, "VNNI fallback vs portable", got, want)
+	})
 }
 
 // sameBits reports bit equality, except that any NaN equals any NaN:
@@ -359,12 +427,12 @@ type convCase struct {
 }
 
 // convWidths are the input widths the extra byte can force: a single
-// column, either side of the AVX-512 tile's 32 pixels, and a 480-pixel
-// row of full tiles.
-var convWidths = []int{1, 31, 33, 480}
+// column, either side of the AVX-512 tile's 32 pixels, a 480-pixel row
+// of full tiles, and either side of the AMX lane's 16-pixel tile.
+var convWidths = []int{1, 31, 33, 480, 15, 17}
 
 func drawConvCase(seed int64, shape, chans, flags, extra uint8) convCase {
-	inCs := []int{1, 2, 3, 5, 16, 17}
+	inCs := []int{1, 2, 3, 5, 16, 17, 64}
 	outCs := []int{1, 3, 4, 7, 16, 17, 64}
 	c := convCase{
 		batch: 1 + int(flags>>6)%2,
@@ -670,6 +738,12 @@ func FuzzConvKernels(f *testing.F) {
 	f.Add(int64(12), uint8(0x02), uint8(0x33), uint8(0xe2), uint8(0x19)) // 5→7, K=1 pad 0, n=2, 3 workers, residual, width 33, specials
 	f.Add(int64(13), uint8(0x01), uint8(0x12), uint8(0x0b), uint8(0x20)) // 3→3, ReLU, specials, width 480
 	f.Add(int64(14), uint8(0x44), uint8(0x33), uint8(0x0c), uint8(0x03)) // 5→7 stride 2 (the float32 im2col fallback), residual ×0.1
+	f.Add(int64(15), uint8(0x05), uint8(0x42), uint8(0x09), uint8(0x2d)) // 3→16 head, ReLU, residual ×1 in place, width 15 (one short AMX tile)
+	f.Add(int64(16), uint8(0x13), uint8(0x44), uint8(0x0a), uint8(0x37)) // 16→16 residual ×0.1 in place, width 17, specials
+	f.Add(int64(17), uint8(0x02), uint8(0x14), uint8(0x08), uint8(0x15)) // 16→3 tail residual ×1 in place, width 31
+	f.Add(int64(18), uint8(0x01), uint8(0x64), uint8(0x18), uint8(0x0d)) // 16→64 residual in place, width 1, 2 workers
+	f.Add(int64(19), uint8(0x24), uint8(0x46), uint8(0x09), uint8(0x28)) // 64-channel map (three 64-byte slices), ReLU, width 15
+	f.Add(int64(20), uint8(0x03), uint8(0x66), uint8(0x0b), uint8(0x31)) // 64→64, ReLU, specials, residual, width 17
 	f.Fuzz(func(t *testing.T, seed int64, shape, chans, flags, extra uint8) {
 		checkConvCase(t, drawConvCase(seed, shape, chans, flags, extra))
 	})
