@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint test loc fuzz-smoke bench bench-all bench-e2e
+.PHONY: verify build vet lint test loc exports fuzz-smoke bench bench-all bench-e2e
 
 # Every line but the last fails fast on something the race sweep would
 # reach only after minutes, or never: the pinned goldens (Prepare, codec,
@@ -54,6 +54,14 @@ loc:
 	  asm = $$0 ~ /\.s$$/; if (!(p in n)) { order[++k] = p; n[p] = 0; a[p] = 0 } \
 	  while ((getline l < $$0) > 0) { if (asm) { a[p]++; atotal++ } else { n[p]++; total++ } } close($$0) } \
 	  END { for (i = 1; i <= k; i++) printf "%7d %6d  %s\n", n[order[i]], a[order[i]], order[i]; printf "%7d %6d  total\n", total, atotal }'
+
+# Exported names of internal/ and of the root facade that no non-test
+# file outside their own package names (bench/ included), one
+# file:line: Name per line, package by package. A report, not a gate:
+# a method reached only through an interface or a field only through
+# reflection is listed too and needs judgement.
+exports:
+	@$(GO) run ./cmd/dcsr-exports
 
 # A few seconds of native fuzzing per wire parser (frames, manifest,
 # directory), per kernel differential (every lane vs the reference, bit

@@ -38,7 +38,6 @@ import (
 	"io"
 
 	"dcsr/internal/baseline"
-	"dcsr/internal/cluster"
 	"dcsr/internal/codec"
 	"dcsr/internal/core"
 	"dcsr/internal/device"
@@ -112,9 +111,6 @@ func GenerateVideo(cfg GenConfig) *Clip { return video.Generate(cfg) }
 
 // GenreConfig returns the generation preset for one evaluation genre.
 func GenreConfig(g Genre, w, h int, seed int64) GenConfig { return video.GenreConfig(g, w, h, seed) }
-
-// AllGenres lists the six evaluation genres.
-func AllGenres() []Genre { return video.AllGenres() }
 
 // Codec substrate.
 type (
@@ -232,8 +228,6 @@ type (
 	Session = stream.Session
 	// SessionOptions configures a Session (SR, int8, cache budget, Obs).
 	SessionOptions = stream.Options
-	// ClusterResult is a k-means clustering outcome.
-	ClusterResult = cluster.Result
 )
 
 // SplitVideo partitions frames into variable-length shot segments.
@@ -262,10 +256,6 @@ func NewSession(m *Manifest, budget int64) (*Session, error) { return stream.New
 type (
 	// Obs bundles a metrics registry, a span tracer and a logger.
 	Obs = obs.Obs
-	// MetricsRegistry holds named counters, gauges and histograms.
-	MetricsRegistry = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of every metric.
-	MetricsSnapshot = obs.Snapshot
 	// Tracer records bounded trees of pipeline stage spans.
 	Tracer = obs.Tracer
 	// Span is one timed stage; children nest concurrently-safe.

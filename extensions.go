@@ -4,13 +4,12 @@ import (
 	"io"
 
 	"dcsr/internal/core"
-	"dcsr/internal/faultnet"
 	"dcsr/internal/transport"
 )
 
 // This file exposes the delivery-path extensions: streaming dcSR
 // artifacts over real connections (the paper's SR-FFMPEG + streaming
-// platform analog), fault injection, quantized model downloads, and
+// platform analog), fault tolerance, quantized model downloads, and
 // artifact persistence.
 
 // Network transport.
@@ -35,33 +34,11 @@ func NewThrottledConn(conn io.ReadWriter, bytesPerSecond float64) *ThrottledConn
 	return transport.NewThrottledConn(conn, bytesPerSecond)
 }
 
-// Fault tolerance (docs/OPERATIONS.md). Configure StreamClient.Retry
-// with a RetryPolicy (and StreamClient.Redial to enable reconnects);
+// RetryPolicy is the client's retry/timeout/backoff configuration, set
+// as StreamClient.Retry (with StreamClient.Redial to enable reconnects);
 // failed model fetches degrade playback gracefully instead of killing
-// the session.
-type (
-	// RetryPolicy is the client's retry/timeout/backoff configuration.
-	RetryPolicy = transport.RetryPolicy
-	// FaultInjector injects deterministic network faults for testing.
-	FaultInjector = faultnet.Injector
-	// FaultConfig parameterizes a FaultInjector (rates, script, hook).
-	FaultConfig = faultnet.Config
-	// FaultKind enumerates the injectable fault classes.
-	FaultKind = faultnet.Kind
-)
-
-// Injectable fault classes.
-const (
-	FaultNone     = faultnet.KindNone
-	FaultDrop     = faultnet.KindDrop
-	FaultDelay    = faultnet.KindDelay
-	FaultTruncate = faultnet.KindTruncate
-	FaultError    = faultnet.KindError
-)
-
-// NewFaultInjector returns an injector whose Wrap method applies the
-// configured fault schedule to any connection.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faultnet.New(cfg) }
+// the session (docs/OPERATIONS.md).
+type RetryPolicy = transport.RetryPolicy
 
 // IsNotFound reports whether a StreamClient error is an origin-side
 // "not found" (never retried; see docs/OPERATIONS.md).

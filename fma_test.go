@@ -18,8 +18,9 @@ var fusedOp = regexp.MustCompile(`^FN?M(ADD|SUB)[SD]?$`)
 // an explicit conversion rounds the product, float32(x*y) + z; amd64's
 // backend never fuses, the four below do. Every product in the numeric
 // packages is rounded — inference, training, deltas, the publisher's
-// gates, the codec, and the clip generator and resamplers the goldens'
-// inputs come from — so no pinned bit depends on whether a backend fuses.
+// gates, the codec, the PSNR and SSIM metrics, and the clip generator and
+// resamplers the goldens' inputs come from — so no pinned bit and no
+// reported quality figure depends on whether a backend fuses.
 // TestFMARatchet keeps it so: it cross-compiles those packages with
 // -gcflags=-S for each architecture whose backend fuses and fails on every
 // function that compiles to a fused multiply-add. It builds only, so it
@@ -33,7 +34,7 @@ func TestFMARatchet(t *testing.T) {
 		t.Skipf("no go command beside this toolchain: %v", err)
 	}
 	pkgs := []string{"./internal/tensor", "./internal/nn", "./internal/edsr", "./internal/stream", "./internal/core",
-		"./internal/codec", "./internal/vae", "./internal/video", "./internal/cluster"}
+		"./internal/codec", "./internal/vae", "./internal/video", "./internal/cluster", "./internal/quality"}
 	for _, arch := range []string{"arm64", "ppc64le", "s390x", "riscv64"} {
 		cmd := exec.Command(goBin, append([]string{"build", "-gcflags=-S"}, pkgs...)...)
 		cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH="+arch, "CGO_ENABLED=0")

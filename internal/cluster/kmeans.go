@@ -18,15 +18,6 @@ type Result struct {
 	Inertia   float64 // sum of squared distances to assigned centroids
 }
 
-// Sizes returns the number of points in each cluster.
-func (r *Result) Sizes() []int {
-	sizes := make([]int, r.K)
-	for _, a := range r.Assign {
-		sizes[a]++
-	}
-	return sizes
-}
-
 func sqDist(a, b []float64) float64 {
 	var s float64
 	for i, v := range a {

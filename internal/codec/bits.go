@@ -78,9 +78,6 @@ func (w *BitWriter) Bytes() []byte {
 	return out
 }
 
-// BitLen returns the number of bits written so far.
-func (w *BitWriter) BitLen() int { return len(w.buf)*8 + int(w.nbit) }
-
 // ErrBitstream is returned when a bitstream is truncated or malformed.
 var ErrBitstream = errors.New("codec: malformed bitstream")
 
@@ -187,6 +184,3 @@ func (r *BitReader) ReadSE() (int32, error) {
 	}
 	return -int32(u / 2), nil
 }
-
-// BitsRead returns the number of bits consumed so far.
-func (r *BitReader) BitsRead() int { return r.pos }

@@ -269,7 +269,7 @@ func codedBlocks(t *testing.T, wire []byte) (blocks [][16]int32, qsteps []float6
 				}
 			}
 		}
-		if left := len(ef.Data)*8 - r.BitsRead(); left < 0 || left >= 8 {
+		if left := len(ef.Data)*8 - r.pos; left < 0 || left >= 8 {
 			t.Fatalf("frame %d: walk ended %d bits before the payload's end", ef.Display, left)
 		}
 		for range blocks[start:] {

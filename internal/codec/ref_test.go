@@ -332,8 +332,6 @@ func (w *refBitWriter) Bytes() []byte {
 	return out
 }
 
-func (w *refBitWriter) BitLen() int { return len(w.buf)*8 + int(w.nbit) }
-
 type refBitReader struct {
 	buf []byte
 	pos int
@@ -717,8 +715,8 @@ func checkBitWriter(t testing.TB, ops []bitOp) []byte {
 			w.WriteSE(int32(op.v))
 			rw.WriteSE(int32(op.v))
 		}
-		if w.BitLen() != rw.BitLen() {
-			t.Fatalf("op %d %+v: BitLen %d, reference %d", i, op, w.BitLen(), rw.BitLen())
+		if len(w.buf) != len(rw.buf) || w.nbit != rw.nbit {
+			t.Fatalf("op %d %+v: %d bytes + %d bits written, reference %d + %d", i, op, len(w.buf), w.nbit, len(rw.buf), rw.nbit)
 		}
 	}
 	if !bytes.Equal(w.Bytes(), rw.Bytes()) {
@@ -756,8 +754,8 @@ func checkBitReader(t testing.TB, data []byte, ops []bitOp) {
 			w, werr = rr.ReadSE()
 			got, want = uint64(g), uint64(w)
 		}
-		if got != want || (gerr == nil) != (werr == nil) || r.BitsRead() != rr.pos {
-			t.Fatalf("read %d %+v of %d bytes: got %d, %v at bit %d; reference %d, %v at bit %d", i, op, len(data), got, gerr, r.BitsRead(), want, werr, rr.pos)
+		if got != want || (gerr == nil) != (werr == nil) || r.pos != rr.pos {
+			t.Fatalf("read %d %+v of %d bytes: got %d, %v at bit %d; reference %d, %v at bit %d", i, op, len(data), got, gerr, r.pos, want, werr, rr.pos)
 		}
 		if gerr != nil && (gerr.Error() != werr.Error() || !errors.Is(gerr, ErrBitstream)) {
 			t.Fatalf("read %d %+v: error %q, reference %q", i, op, gerr, werr)

@@ -403,10 +403,7 @@ func checkSegments(segs []splitter.Segment, frames int) error {
 // prepareInputDigest fingerprints everything that determines the pipeline
 // output — raw frames, fps, and the config minus its runtime-only fields
 // (observability and the checkpoint location don't change what gets
-// computed) — so a checkpoint only resumes the run that produced it. With
-// the int8 gate on it also names the int8-grid pipeline, so a checkpoint
-// that pipeline did not write — deltas coded against an unsnapped
-// backbone — starts fresh instead of being spliced in.
+// computed) — so a checkpoint only resumes the run that produced it.
 func prepareInputDigest(frames []*video.YUV, fps int, cfg ServerConfig) string {
 	cfg.Obs, cfg.CheckpointDir = nil, ""
 	cj, err := json.Marshal(cfg)
@@ -420,9 +417,6 @@ func prepareInputDigest(frames []*video.YUV, fps int, cfg ServerConfig) string {
 		}
 	}
 	write(fmt.Appendf(cj, " %d fps, %d frames", fps, len(frames)))
-	if cfg.Quant.Enabled {
-		write([]byte(" int8 grid"))
-	}
 	for _, f := range frames {
 		write(fmt.Appendf(nil, " %dx%d ", f.W, f.H))
 		write(f.Y)

@@ -713,6 +713,16 @@ func TestArtifactGarbageAndOverwrite(t *testing.T) {
 		t.Fatalf("sweeping temp files broke Load: %v", err)
 	}
 	comparePrepared(t, loaded, a)
+	// A Save over a directory holding a flipped copy of one of its objects
+	// rewrites the object instead of trusting its file name.
+	flipByte(t, objectPath(dir, mustReadRoot(t, dir).Stream))
+	if err := a.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = Load(dir); err != nil {
+		t.Fatalf("Save over a flipped object: %v", err)
+	}
+	comparePrepared(t, loaded, a)
 	if err := b.Save(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -87,9 +87,6 @@ var (
 	}
 )
 
-// Profiles lists all calibrated devices.
-func Profiles() []Profile { return []Profile{JetsonNX, Laptop, Desktop} }
-
 // ErrOutOfMemory indicates an SR model's activations exceed the device
 // memory budget (paper: "NAS and NEMO cannot even run for 4K because of
 // running out of memory").

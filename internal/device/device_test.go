@@ -13,7 +13,7 @@ import (
 const segFrames = 60
 
 func TestInferenceTimePositiveAndOrdered(t *testing.T) {
-	for _, p := range Profiles() {
+	for _, p := range []Profile{JetsonNX, Laptop, Desktop} {
 		t1, err := p.InferenceTime(edsr.ConfigDCSR1, 1280, 720)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -260,7 +260,7 @@ func TestDecodeTime(t *testing.T) {
 	}
 	// All profiles must decode 4K at 30 FPS in real time (hardware
 	// decoders do; the bottleneck the paper addresses is SR, not decode).
-	for _, p := range Profiles() {
+	for _, p := range []Profile{JetsonNX, Laptop, Desktop} {
 		if p.DecodeTime(Res4K, 30) > 1.0 {
 			t.Errorf("%s cannot decode 4K30 in real time", p.Name)
 		}

@@ -376,8 +376,11 @@ func TestExperimentFaultsShape(t *testing.T) {
 	if len(res.Cells) != 18 {
 		t.Fatalf("sweep produced %d cells, want 18", len(res.Cells))
 	}
-	clean := res.Cell("all", 0, 0)
-	if clean == nil || !clean.Completed || clean.Degraded != 0 || clean.RetryCount != 0 {
+	// Cells run scope-major ("all" over drops 0, 0.1, 0.25, 0.4, then
+	// "model" over 0.5, 1), each drop over retry budgets 0, 1, 3.
+	clean, survivor, outage := res.Cells[0], res.Cells[8], res.Cells[15]
+	if clean.Scope != "all" || clean.DropRate != 0 || clean.Retries != 0 ||
+		!clean.Completed || clean.Degraded != 0 || clean.RetryCount != 0 {
 		t.Fatalf("fault-free baseline cell wrong: %+v", clean)
 	}
 	for _, c := range res.Cells {
@@ -402,7 +405,7 @@ func TestExperimentFaultsShape(t *testing.T) {
 		}
 	}
 	// With a healthy retry budget the high-drop cell should complete.
-	if c := res.Cell("all", 0.25, 3); c == nil || !c.Completed {
+	if c := survivor; c.Scope != "all" || c.DropRate != 0.25 || c.Retries != 3 || !c.Completed {
 		t.Errorf("drop=0.25 retries=3 should survive, got %+v", c)
 	}
 	// Model-only drops never abort — every cell completes, and a total
@@ -419,7 +422,7 @@ func TestExperimentFaultsShape(t *testing.T) {
 				c.Retries, c.Faults, c.Degraded)
 		}
 	}
-	if c := res.Cell("model", 1, 0); c == nil || !c.Completed || c.Degraded == 0 {
+	if c := outage; c.Scope != "model" || c.DropRate != 1 || c.Retries != 0 || !c.Completed || c.Degraded == 0 {
 		t.Errorf("total model outage should complete degraded, got %+v", c)
 	} else if c.PSNR >= clean.PSNR {
 		t.Errorf("degraded playback PSNR %.2f not below clean %.2f", c.PSNR, clean.PSNR)

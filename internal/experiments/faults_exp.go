@@ -48,17 +48,6 @@ type FaultsResult struct {
 	Cells []FaultCell
 }
 
-// Cell returns the sweep entry for (scope, drop, retries), or nil.
-func (r *FaultsResult) Cell(scope string, drop float64, retries int) *FaultCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Scope == scope && c.DropRate == drop && c.Retries == retries {
-			return c
-		}
-	}
-	return nil
-}
-
 // ExperimentFaults measures fault-tolerant streaming end to end: one
 // prepared video is streamed through a fault-injecting connection while
 // sweeping the response drop rate against the client's retry budget. It

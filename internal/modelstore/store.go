@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"dcsr/internal/obs"
@@ -84,12 +83,15 @@ func (s *Disk) path(d Digest) string {
 }
 
 // Put stores data and returns its digest. Storing a payload that is
-// already present is a cheap no-op (dedupe) returning the same digest.
+// already present is a no-op (dedupe) returning the same digest; the
+// object file is re-hashed first, and one that no longer holds the
+// payload (truncated, flipped) is rewritten, so a Put never vouches for
+// bytes a later Get would drop.
 func (s *Disk) Put(data []byte) (Digest, error) {
 	d := DigestOf(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, err := os.Stat(s.path(d)); err == nil {
+	if old, err := os.ReadFile(s.path(d)); err == nil && DigestOf(old) == d {
 		s.Obs.Counter("modelstore_hits_total").Inc()
 		return d, nil // dedupe: the object is already on disk
 	}
@@ -149,34 +151,6 @@ func (s *Disk) Get(d Digest) ([]byte, error) {
 	}
 	s.Obs.Counter("modelstore_hits_total").Inc()
 	return data, nil
-}
-
-// Has reports whether d is present without reading the payload.
-func (s *Disk) Has(d Digest) bool {
-	_, err := os.Stat(s.path(d))
-	return err == nil
-}
-
-// Digests returns every stored digest in sorted (hex) order.
-func (s *Disk) Digests() []Digest {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var out []Digest
-	for _, e := range entries {
-		name := e.Name()
-		if filepath.Ext(name) != ".bin" {
-			continue
-		}
-		d, err := ParseDigest(name[:len(name)-len(".bin")])
-		if err != nil {
-			continue
-		}
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
 }
 
 // SizeBytes returns the total payload bytes currently stored.

@@ -32,9 +32,6 @@ func TestStoreRoundTrip(t *testing.T) {
 			if want := DigestOf(payload); d != want {
 				t.Fatalf("Put digest %s, want %s", d, want)
 			}
-			if !s.Has(d) {
-				t.Fatal("Has = false after Put")
-			}
 			got, err := s.Get(d)
 			if err != nil {
 				t.Fatal(err)
@@ -65,9 +62,6 @@ func TestStoreDedupe(t *testing.T) {
 			}
 			if d1 != d2 {
 				t.Fatalf("identical payloads got digests %s and %s", d1, d2)
-			}
-			if got := len(s.Digests()); got != 1 {
-				t.Fatalf("store holds %d objects, want 1 (dedupe)", got)
 			}
 			if n := s.SizeBytes(); n != int64(len(payload)) {
 				t.Fatalf("SizeBytes = %d after dedupe, want %d", n, len(payload))
@@ -101,18 +95,12 @@ func TestDiskStoreReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Has(d) {
-		t.Fatal("reopened store lost the object")
-	}
 	got, err := s2.Get(d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != "persisted weights" {
 		t.Fatalf("reopened Get = %q", got)
-	}
-	if ds := s2.Digests(); len(ds) != 1 || ds[0] != d {
-		t.Fatalf("reopened Digests = %v", ds)
 	}
 }
 
@@ -189,9 +177,6 @@ func TestDiskCorruptObjectRecovered(t *testing.T) {
 	if _, statErr := os.Stat(path); !errors.Is(statErr, os.ErrNotExist) {
 		t.Fatal("corrupt object file was not deleted")
 	}
-	if disk.Has(d) {
-		t.Fatal("Has still true after corrupt object dropped")
-	}
 	if _, err := disk.Put(payload); err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +186,36 @@ func TestDiskCorruptObjectRecovered(t *testing.T) {
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("re-put payload does not round-trip")
+	}
+}
+
+// TestDiskPutRewritesCorruptObject: a dedupe hit re-hashes the object
+// file, so a Put over a flipped copy of its payload repairs it instead of
+// vouching for bytes Get would drop.
+func TestDiskPutRewritesCorruptObject(t *testing.T) {
+	disk, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := randPayload(6, 4096)
+	d, err := disk.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(payload)
+	flipped[100] ^= 1
+	if err := os.WriteFile(filepath.Join(disk.Dir(), d.String()+".bin"), flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := disk.Put(payload); err != nil || got != d {
+		t.Fatalf("Put over a corrupt object = %s, %v; want %s", got, err, d)
+	}
+	got, err := disk.Get(d)
+	if err != nil {
+		t.Fatalf("Get after the repairing Put: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("Get after the repairing Put returned other bytes")
 	}
 }
 
@@ -218,9 +233,6 @@ func TestDiskIgnoresTempFiles(t *testing.T) {
 	}
 	if err := os.WriteFile(filepath.Join(dir, d.String()+".bin.tmp-123"), []byte("half an obj"), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if ds := s.Digests(); len(ds) != 1 || ds[0] != d {
-		t.Fatalf("Digests = %v, want only %s", ds, d)
 	}
 	if n := s.SizeBytes(); n != int64(len("weights")) {
 		t.Fatalf("SizeBytes = %d, want %d", n, len("weights"))

@@ -37,7 +37,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	}
 	// Out of calibration mode the range must not move.
 	x3 := tensor.New(1, 2, 4, 4)
-	x3.Fill(1e6)
+	x3.Randn(rng, 1e6)
 	c.ForwardInference(x3, nil, nil)
 	if got := c.ActMax(); got != want {
 		t.Fatalf("ActMax moved outside calibration: %v, want %v", got, want)

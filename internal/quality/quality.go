@@ -29,9 +29,9 @@ func PSNR(a, b *video.RGB) float64 {
 
 // MSE returns the mean squared error between two RGB frames of identical
 // dimensions in 8-bit pixel units, the scale MSEToPSNR expects. Each
-// product is rounded before it is summed, so the publisher's quality
-// gates, which average it over frames, do not depend on whether a
-// backend fuses multiply-adds.
+// product is rounded before it is summed, here and in every metric
+// below, so the publisher's quality gates and the reported PSNR and SSIM
+// do not depend on whether a backend fuses multiply-adds.
 func MSE(a, b *video.RGB) float64 {
 	if a.W != b.W || a.H != b.H {
 		panic("quality: MSE dimension mismatch")
@@ -52,7 +52,7 @@ func PSNRYUV(a, b *video.YUV) float64 {
 	var mse float64
 	for i := range a.Y {
 		d := float64(a.Y[i]) - float64(b.Y[i])
-		mse += d * d
+		mse += float64(d * d)
 	}
 	mse /= float64(len(a.Y))
 	return MSEToPSNR(mse)
@@ -97,7 +97,7 @@ func lumaPlane(f *video.RGB) []float64 {
 		r := float64(f.Pix[i*3])
 		g := float64(f.Pix[i*3+1])
 		b := float64(f.Pix[i*3+2])
-		out[i] = 0.299*r + 0.587*g + 0.114*b
+		out[i] = float64(0.299*r) + float64(0.587*g) + float64(0.114*b)
 	}
 	return out
 }
@@ -136,16 +136,16 @@ func ssimWindow(a, b []float64, w, x0, y0, ww, wh int) float64 {
 		for x := x0; x < x0+ww; x++ {
 			da := a[y*w+x] - ma
 			db := b[y*w+x] - mb
-			va += da * da
-			vb += db * db
-			cov += da * db
+			va += float64(da * da)
+			vb += float64(db * db)
+			cov += float64(da * db)
 		}
 	}
 	va /= n - 1
 	vb /= n - 1
 	cov /= n - 1
-	return ((2*ma*mb + ssimC1) * (2*cov + ssimC2)) /
-		((ma*ma + mb*mb + ssimC1) * (va + vb + ssimC2))
+	return ((float64(2*ma*mb) + ssimC1) * (float64(2*cov) + ssimC2)) /
+		((float64(ma*ma) + float64(mb*mb) + ssimC1) * (va + vb + ssimC2))
 }
 
 // Stats summarizes a series of per-frame metric values.
@@ -166,7 +166,7 @@ func Summarize(vals []float64) Stats {
 			continue
 		}
 		sum += v
-		sumsq += v * v
+		sumsq += float64(v * v)
 		if v < s.Min {
 			s.Min = v
 		}
@@ -179,7 +179,7 @@ func Summarize(vals []float64) Stats {
 		return Stats{}
 	}
 	s.Mean = sum / float64(s.N)
-	variance := sumsq/float64(s.N) - s.Mean*s.Mean
+	variance := sumsq/float64(s.N) - float64(s.Mean*s.Mean)
 	if variance > 0 {
 		s.StdDev = math.Sqrt(variance)
 	}

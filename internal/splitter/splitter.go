@@ -49,7 +49,7 @@ func Split(frames []*video.YUV, cfg Config) []Segment {
 	if len(frames) == 0 {
 		return nil
 	}
-	cuts := CutPoints(frames, cfg)
+	cuts := cutPoints(frames, cfg)
 	var segs []Segment
 	start := 0
 	for _, c := range cuts {
@@ -60,9 +60,9 @@ func Split(frames []*video.YUV, cfg Config) []Segment {
 	return segs
 }
 
-// CutPoints returns the ascending frame indices where new segments begin
+// cutPoints returns the ascending frame indices where new segments begin
 // (excluding index 0).
-func CutPoints(frames []*video.YUV, cfg Config) []int {
+func cutPoints(frames []*video.YUV, cfg Config) []int {
 	cfg = cfg.withDefaults()
 	var cuts []int
 	last := 0

@@ -36,24 +36,8 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float32, n)}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The slice is used
-// directly (not copied); its length must equal the shape's element count.
-func FromSlice(data []float32, shape ...int) *Tensor {
-	n := 1
-	for _, s := range shape {
-		n *= s
-	}
-	if n != len(data) {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elems)", len(data), shape, n))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
-}
-
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
-
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
@@ -110,13 +94,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Randn fills t with Gaussian noise of the given standard deviation using
 // the supplied PRNG, so all model initialization is reproducible.
 func (t *Tensor) Randn(rng *rand.Rand, std float64) {
@@ -146,49 +123,11 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 }
 
-// SubInPlace subtracts o elementwise from t.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	if len(t.Data) != len(o.Data) {
-		panic("tensor: SubInPlace size mismatch")
-	}
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-}
-
 // ScaleInPlace multiplies every element by s.
 func (t *Tensor) ScaleInPlace(s float32) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
-}
-
-// Add returns t + o as a new tensor.
-func Add(t, o *Tensor) *Tensor {
-	r := t.Clone()
-	r.AddInPlace(o)
-	return r
-}
-
-// Dot returns the inner product of two equally sized tensors.
-func Dot(a, b *Tensor) float64 {
-	if len(a.Data) != len(b.Data) {
-		panic("tensor: Dot size mismatch")
-	}
-	var s float64
-	for i, v := range a.Data {
-		s += float64(float64(v) * float64(b.Data[i]))
-	}
-	return s
-}
-
-// SumSquares returns the sum of squared elements.
-func (t *Tensor) SumSquares() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(float64(v) * float64(v))
-	}
-	return s
 }
 
 // MaxAbs returns the largest absolute element value, or 0 for empty tensors.

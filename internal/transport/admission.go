@@ -15,12 +15,6 @@ type AdmissionConfig struct {
 	// connections; 0 means unlimited. This is the server's global
 	// concurrency budget — the knob behind dcsr-serve -max-inflight.
 	MaxInflight int
-	// MaxPerConn caps requests in flight on one connection (only a
-	// pipelining client can exceed 1); 0 means unlimited. This is
-	// the fairness knob: a greedy client that pipelines hundreds of
-	// requests is clipped to MaxPerConn slots while modest clients keep
-	// being admitted.
-	MaxPerConn int
 	// MaxConns caps concurrent connections; 0 means unlimited. A
 	// connection over the cap is still accepted, but its first request is
 	// answered with StatusRetryAfter and the connection is closed — a
@@ -58,7 +52,7 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 // limited reports whether any request-level limit is configured (MaxConns
 // is enforced at accept time, not per request).
 func (c AdmissionConfig) limited() bool {
-	return c.MaxInflight > 0 || c.MaxPerConn > 0 || c.PerConnRate > 0
+	return c.MaxInflight > 0 || c.PerConnRate > 0
 }
 
 // admission is the server-wide admission state: the global inflight
@@ -86,23 +80,21 @@ func (a *admission) gate(now func() time.Time) *connGate {
 	return g
 }
 
-// connGate is one connection's view of admission: its token bucket and
-// inflight count, backed by the shared admission state.
+// connGate is one connection's view of admission: its token bucket,
+// backed by the shared admission state.
 type connGate struct {
 	adm *admission
 	now func() time.Time
 
-	mu       sync.Mutex // taken before adm.mu, never the reverse
-	inflight int
-	tokens   float64
-	last     time.Time
+	mu     sync.Mutex // taken before adm.mu, never the reverse
+	tokens float64
+	last   time.Time
 }
 
 // admit decides one request. When admitted it returns a release function
 // that must be called exactly once when the request finishes; when shed
 // it returns the backoff hint to send with StatusRetryAfter. The lock
-// order is gate before shared state, consistently, and release re-takes
-// them in the same order.
+// order is gate before shared state; release takes only the shared one.
 func (g *connGate) admit() (release func(), hint time.Duration, ok bool) {
 	a := g.adm
 	if !a.cfg.limited() {
@@ -110,9 +102,6 @@ func (g *connGate) admit() (release func(), hint time.Duration, ok bool) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if a.cfg.MaxPerConn > 0 && g.inflight >= a.cfg.MaxPerConn {
-		return nil, a.cfg.RetryAfter, false
-	}
 	if a.cfg.PerConnRate > 0 {
 		now := g.now()
 		g.tokens += now.Sub(g.last).Seconds() * a.cfg.PerConnRate
@@ -143,11 +132,7 @@ func (g *connGate) admit() (release func(), hint time.Duration, ok bool) {
 	if a.cfg.PerConnRate > 0 {
 		g.tokens--
 	}
-	g.inflight++
 	return func() {
-		g.mu.Lock()
-		g.inflight--
-		g.mu.Unlock()
 		a.mu.Lock()
 		a.inflight--
 		a.mu.Unlock()

@@ -32,7 +32,7 @@ func TestAdmissionConfigDefaults(t *testing.T) {
 		t.Error("zero config reports limited")
 	}
 	for _, cfg := range []AdmissionConfig{
-		{MaxInflight: 1}, {MaxPerConn: 1}, {PerConnRate: 1},
+		{MaxInflight: 1}, {PerConnRate: 1},
 	} {
 		if !cfg.limited() {
 			t.Errorf("config %+v reports unlimited", cfg)
@@ -75,14 +75,10 @@ func TestTokenBucketHint(t *testing.T) {
 	}
 }
 
-// TestAdmissionLimits pins the concurrency limits: global MaxInflight
-// and per-connection MaxPerConn, including release returning capacity.
+// TestAdmissionLimits pins the global MaxInflight limit across
+// connections, including release returning capacity.
 func TestAdmissionLimits(t *testing.T) {
-	adm := newAdmission(AdmissionConfig{
-		MaxInflight: 3,
-		MaxPerConn:  2,
-		RetryAfter:  7 * time.Millisecond,
-	})
+	adm := newAdmission(AdmissionConfig{MaxInflight: 3, RetryAfter: 7 * time.Millisecond})
 	g1, g2 := adm.gate(nil), adm.gate(nil)
 
 	rel1, _, ok := g1.admit()
@@ -92,31 +88,28 @@ func TestAdmissionLimits(t *testing.T) {
 	if _, _, ok := g1.admit(); !ok {
 		t.Fatal("second request on conn 1 shed")
 	}
-	// Conn 1 is at MaxPerConn; its third request sheds with the
-	// configured hint while conn 2 is still admitted.
-	if _, hint, ok := g1.admit(); ok || hint != 7*time.Millisecond {
-		t.Fatalf("per-conn limit: ok=%v hint=%v, want shed with 7ms", ok, hint)
-	}
 	rel2, _, ok := g2.admit()
 	if !ok {
 		t.Fatal("conn 2 first request shed")
 	}
-	// Global inflight is now 3 = MaxInflight: conn 2's next request sheds.
-	if _, _, ok := g2.admit(); ok {
-		t.Fatal("request beyond MaxInflight admitted")
+	// Global inflight is now 3 = MaxInflight: the next request on either
+	// connection sheds with the configured hint.
+	for i, g := range []*connGate{g1, g2} {
+		if _, hint, ok := g.admit(); ok || hint != 7*time.Millisecond {
+			t.Fatalf("conn %d beyond MaxInflight: ok=%v hint=%v, want shed with 7ms", i+1, ok, hint)
+		}
 	}
 	if got, peak := adm.snapshot(); got != 3 || peak != 3 {
 		t.Fatalf("snapshot = (%d, %d), want (3, 3)", got, peak)
 	}
-	// Releasing a slot on conn 1 lets conn 1 in again, and releasing
-	// conn 2's lets conn 2 in.
+	// A slot released on one connection admits a request on the other.
 	rel1()
-	if _, _, ok := g1.admit(); !ok {
-		t.Fatal("conn 1 shed after release freed a slot")
+	if _, _, ok := g2.admit(); !ok {
+		t.Fatal("conn 2 shed after conn 1 released a slot")
 	}
 	rel2()
-	if _, _, ok := g2.admit(); !ok {
-		t.Fatal("conn 2 shed after its slot was released")
+	if _, _, ok := g1.admit(); !ok {
+		t.Fatal("conn 1 shed after conn 2 released a slot")
 	}
 	// Live slots: conn 1's two requests and conn 2's re-admitted one.
 	// Peak stays at the high-water mark.
@@ -202,16 +195,18 @@ func TestAdmissionConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestAdmissionFairnessGreedyClient pins the MaxPerConn fairness knob: a
-// greedy client pipelining four requests is clipped to its two slots
-// while a modest client on another connection keeps being served.
+// TestAdmissionFairnessGreedyClient pins the per-client budget: a greedy
+// client pipelining four requests is clipped to what its own token bucket
+// holds while a modest client on another connection keeps being served.
 func TestAdmissionFairnessGreedyClient(t *testing.T) {
 	prep, _ := getFixture(t)
 	srv, err := NewServer(prep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Admission = AdmissionConfig{MaxPerConn: 2}
+	// Three tokens and no refill to speak of: each DialMux manifest probe
+	// takes one, which leaves the greedy client two of its four requests.
+	srv.Admission = AdmissionConfig{PerConnRate: 1e-6, PerConnBurst: 3}
 	hold := make(chan struct{})
 	srv.admitHold = func(req wireRequest) {
 		if req.Op == OpSegment {

@@ -40,22 +40,6 @@ func NewThrottledConn(inner io.ReadWriter, bytesPerSecond float64) *ThrottledCon
 	}
 }
 
-// SetRate changes the simulated link rate (e.g. to replay a bandwidth
-// trace mid-session).
-func (t *ThrottledConn) SetRate(bytesPerSecond float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.refill()
-	t.bytesPerS = bytesPerSecond
-	t.burst = bytesPerSecond / 4
-	if t.burst < 1024 {
-		t.burst = 1024
-	}
-	if t.bucket > t.burst {
-		t.bucket = t.burst
-	}
-}
-
 // refill adds tokens for the elapsed time. Caller holds the lock.
 func (t *ThrottledConn) refill() {
 	now := t.clock()

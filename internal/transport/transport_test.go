@@ -252,25 +252,6 @@ func TestThrottledConnRate(t *testing.T) {
 	}
 }
 
-func TestThrottledConnSetRate(t *testing.T) {
-	tc := NewThrottledConn(readWriter{strings.NewReader(strings.Repeat("x", 8192))}, 1024)
-	var slept time.Duration
-	tc.sleeper = func(d time.Duration) { slept += d }
-	base := time.Now()
-	tc.clock = func() time.Time { return base }
-	tc.last = base
-	tc.SetRate(1 << 20) // fast link: nearly no sleeping
-	buf := make([]byte, 8192)
-	for {
-		if _, err := tc.Read(buf); err != nil {
-			break
-		}
-	}
-	if slept > 50*time.Millisecond {
-		t.Fatalf("fast link slept %v", slept)
-	}
-}
-
 // dialTCP starts a client on a fresh TCP connection to addr, closed when
 // the test ends.
 func dialTCP(t *testing.T, addr string) *Client {
