@@ -66,8 +66,12 @@ func TestElementwiseOps(t *testing.T) {
 	if x.Data[0] != 22 {
 		t.Fatalf("ScaleInPlace got %v", x.Data)
 	}
-	if got := y.MaxAbs(); got != 30 {
-		t.Fatalf("MaxAbs = %v, want 30", got)
+}
+
+func TestMaxAbs(t *testing.T) {
+	y := &Tensor{Shape: []int{3}, Data: []float32{4, -7, 6}}
+	if got := y.MaxAbs(); got != 7 {
+		t.Fatalf("MaxAbs = %v, want 7", got)
 	}
 }
 
