@@ -12,7 +12,8 @@ GO ?= go
 # pass); the int8-grid payload's contract (an artifact written before it
 # still plays, writers drop a pinned grid, hostile dcW6 payloads are
 # refused, a fused delta reconstruction falls back, and the FMA ratchet
-# over four cross-compiled architectures); the
+# over four cross-compiled architectures) and the model cache's
+# accounting contract (paper Fig 7's walk, Fig 10's budgeted bytes); the
 # nested bench/ module, which root ./... cannot see and where an API
 # break in bench/adapter.go shows first; the portable kernels, which on
 # an AVX2 host otherwise run only where a test switches the assembly
@@ -22,7 +23,7 @@ GO ?= go
 # trains real models and outlasts the default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
-	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet' . ./internal/core ./internal/nn
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough' . ./internal/core ./internal/nn ./internal/stream
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...

@@ -4,22 +4,17 @@
 // first-class artifacts with a lifecycle — produced by core.Prepare,
 // published by an origin, downloaded and evicted by clients.
 //
-// A payload is the unit throughout: one address, one cache entry. The
-// package provides two pieces:
+// This package is the publisher's side of that lifecycle: Disk, a
+// content-addressed directory of payloads keyed by their SHA-256 digest
+// (the object store under core's artifact root). Identical payloads
+// dedupe automatically: two clusters that train to identical weights
+// occupy one object. The viewer's byte-budgeted model cache lives in
+// the streaming session (stream.Session).
 //
-//   - Disk, a content-addressed directory of payloads keyed by their
-//     SHA-256 digest (the object store under core's artifact root).
-//     Identical payloads dedupe automatically: two clusters that train
-//     to identical weights occupy one object.
-//   - BoundedCache, the client-side byte-budgeted LRU that replaces the
-//     boolean "have I downloaded label L" set of Algorithm 1 with real
-//     bytes under a budget; evictions force the label's next reference
-//     to re-fetch lazily.
-//
-// Both carry the stable obs metric surface (modelstore_puts_total,
-// modelstore_hits_total, modelstore_evictions_total and the
-// modelstore_bytes gauge — see docs/OPERATIONS.md); a nil Obs disables
-// instrumentation at no cost.
+// Disk carries part of the stable obs metric surface
+// (modelstore_puts_total, modelstore_hits_total and the modelstore_bytes
+// gauge — see docs/OPERATIONS.md); a nil Obs disables instrumentation at
+// no cost.
 package modelstore
 
 import (
@@ -61,6 +56,9 @@ func ParseDigest(s string) (Digest, error) {
 type Disk struct {
 	dir string
 	mu  sync.Mutex
+	// sizes is the object size this Disk wrote per digest and has not
+	// seen dropped since: what it has added to the modelstore_bytes gauge.
+	sizes map[Digest]int64
 
 	// Obs receives modelstore_puts_total / modelstore_hits_total and the
 	// modelstore_bytes gauge; nil disables instrumentation.
@@ -72,7 +70,7 @@ func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("modelstore: %w", err)
 	}
-	return &Disk{dir: dir}, nil
+	return &Disk{dir: dir, sizes: make(map[Digest]int64)}, nil
 }
 
 // Dir returns the backing directory.
@@ -99,7 +97,9 @@ func (s *Disk) Put(data []byte) (Digest, error) {
 		return d, err
 	}
 	s.Obs.Counter("modelstore_puts_total").Inc()
-	s.Obs.Gauge("modelstore_bytes").Add(int64(len(data)))
+	// A rewrite in place (a corrupt object repaired) adds nothing.
+	s.Obs.Gauge("modelstore_bytes").Add(int64(len(data)) - s.sizes[d])
+	s.sizes[d] = int64(len(data))
 	return d, nil
 }
 
@@ -146,6 +146,8 @@ func (s *Disk) Get(d Digest) ([]byte, error) {
 	if DigestOf(data) != d {
 		s.mu.Lock()
 		os.Remove(s.path(d))
+		s.Obs.Gauge("modelstore_bytes").Add(-s.sizes[d])
+		delete(s.sizes, d)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("modelstore: object %s corrupt on disk, dropped: %w", d, os.ErrNotExist)
 	}

@@ -162,6 +162,7 @@ func TestDiskCorruptObjectRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	disk.Obs = obs.New()
 	payload := randPayload(5, 4096)
 	d, err := disk.Put(payload)
 	if err != nil {
@@ -187,6 +188,15 @@ func TestDiskCorruptObjectRecovered(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("re-put payload does not round-trip")
 	}
+	checkGauge(t, disk)
+}
+
+// checkGauge holds the modelstore_bytes gauge to the bytes on disk.
+func checkGauge(t *testing.T, disk *Disk) {
+	t.Helper()
+	if got, want := disk.Obs.Metrics.Snapshot().Gauges["modelstore_bytes"], disk.SizeBytes(); got != want {
+		t.Errorf("modelstore_bytes = %d, SizeBytes = %d", got, want)
+	}
 }
 
 // TestDiskPutRewritesCorruptObject: a dedupe hit re-hashes the object
@@ -197,6 +207,7 @@ func TestDiskPutRewritesCorruptObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	disk.Obs = obs.New()
 	payload := randPayload(6, 4096)
 	d, err := disk.Put(payload)
 	if err != nil {
@@ -217,6 +228,7 @@ func TestDiskPutRewritesCorruptObject(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("Get after the repairing Put returned other bytes")
 	}
+	checkGauge(t, disk)
 }
 
 // TestDiskIgnoresTempFiles: what a killed WriteFileAtomic leaves in a

@@ -149,20 +149,20 @@ func (a *Assembler) build(payload []byte, base *edsr.Model, digest string) (*eds
 }
 
 // Model downloads (or assembles) model label. It returns the model (nil
-// from an accounting-only Assembler), the payload a byte-budgeted cache
-// should hold for it — the wire download unit: the delta, the backbone
-// payload for the backbone's own label, the complete weights otherwise —
-// and what the call downloaded.
-func (a *Assembler) Model(ctx context.Context, label int) (*edsr.Model, []byte, Cost, error) {
+// from an accounting-only Assembler), the bytes a byte-budgeted cache
+// charges for it — the size of its wire download unit: the delta, the
+// backbone payload for the backbone's own label, the complete weights
+// otherwise — and what the call downloaded.
+func (a *Assembler) Model(ctx context.Context, label int) (*edsr.Model, int, Cost, error) {
 	mi, ok := a.Manifest.Models[label]
 	if !ok {
-		return nil, nil, Cost{}, fmt.Errorf("stream: model %d is not in the manifest", label)
+		return nil, 0, Cost{}, fmt.Errorf("stream: model %d is not in the manifest", label)
 	}
 	var cost Cost
 	if bb := a.Manifest.Backbone; bb != nil && (mi.Delta || label == bb.Label) {
-		m, payload, c, err := a.assemble(ctx, label, mi)
+		m, charge, c, err := a.assemble(ctx, label, mi)
 		if err == nil || ctx.Err() != nil {
-			return m, payload, c, err
+			return m, charge, c, err
 		}
 		cost = c // a backbone this call paid for stays paid
 		a.Obs.Counter("modelstream_fallback_total").Inc()
@@ -170,14 +170,14 @@ func (a *Assembler) Model(ctx context.Context, label int) (*edsr.Model, []byte, 
 	}
 	data, err := a.Fetcher.Fetch(ctx, KindModel, label)
 	if err != nil {
-		return nil, nil, cost, err
+		return nil, 0, cost, err
 	}
 	m, err := a.build(data, nil, mi.Digest)
 	if err != nil {
-		return nil, nil, cost, fmt.Errorf("stream: model %d: %w", label, err)
+		return nil, 0, cost, fmt.Errorf("stream: model %d: %w", label, err)
 	}
 	cost.Full = len(data)
-	return m, data, cost, nil
+	return m, len(data), cost, nil
 }
 
 // backbone returns the shared backbone — the backbone label's complete
@@ -208,26 +208,26 @@ func (a *Assembler) backbone(ctx context.Context) (data []byte, base *edsr.Model
 // downloads its dcW5 payload and reconstructs, verified end to end before
 // the model is handed out. On failure the returned Cost still carries a
 // backbone this call paid for.
-func (a *Assembler) assemble(ctx context.Context, label int, mi ModelInfo) (*edsr.Model, []byte, Cost, error) {
+func (a *Assembler) assemble(ctx context.Context, label int, mi ModelInfo) (*edsr.Model, int, Cost, error) {
 	payload, base, paid, err := a.backbone(ctx)
 	cost := Cost{Backbone: paid}
 	if err != nil {
-		return nil, nil, cost, err
+		return nil, 0, cost, err
 	}
 	digest := mi.Digest
 	delta := label != a.Manifest.Backbone.Label
 	if !delta {
 		base, digest = nil, "" // the holder's payload is the complete model, verified when fetched
 	} else if payload, err = a.Fetcher.Fetch(ctx, KindModelDelta, label); err != nil {
-		return nil, nil, cost, err
+		return nil, 0, cost, err
 	}
 	m, err := a.build(payload, base, digest)
 	if err != nil {
-		return nil, nil, cost, fmt.Errorf("stream: model %d: %w", label, err)
+		return nil, 0, cost, fmt.Errorf("stream: model %d: %w", label, err)
 	}
 	if delta {
 		cost.Delta = len(payload)
 		a.Obs.Counter("modelstream_delta_bytes_total").Add(int64(cost.Delta))
 	}
-	return m, payload, cost, nil
+	return m, len(payload), cost, nil
 }

@@ -110,10 +110,10 @@ func TestSessionFetcherPayloadAndFailure(t *testing.T) {
 	}
 }
 
-// TestSessionRefusedPayloadRetainsNoModel: a payload the cache refuses —
-// any payload under a zero budget, or one larger than the whole budget —
-// still enhances its own segment, but the session must not keep its
-// deserialized model: what the session holds is what the cache holds.
+// TestSessionRefusedPayloadRetainsNoModel: a model the cache refuses —
+// any model under a zero budget, or one charged more than the whole
+// budget — still enhances its own segment, but the session must not keep
+// it: every model the session holds is a cache entry.
 func TestSessionRefusedPayloadRetainsNoModel(t *testing.T) {
 	cfg := edsr.Config{Filters: 4, ResBlocks: 1}
 	m := pingPongManifest()
@@ -140,9 +140,9 @@ func TestSessionRefusedPayloadRetainsNoModel(t *testing.T) {
 				t.Fatalf("budget %d: segment %d got model %v, err %v", tc.budget, seg.Index, model, err)
 			}
 		}
-		if len(s.models) != tc.resident || len(s.CacheContents()) != tc.resident || s.CacheBytes != int64(tc.resident)*size {
-			t.Errorf("budget %d: session retains %d models over %d cached labels (%d bytes), want %d of each",
-				tc.budget, len(s.models), len(s.CacheContents()), s.CacheBytes, tc.resident)
+		if held := len(s.cache.byLabel); held != tc.resident || s.CacheBytes != int64(tc.resident)*size {
+			t.Errorf("budget %d: session holds %d models (%d bytes), want %d",
+				tc.budget, held, s.CacheBytes, tc.resident)
 		}
 	}
 }

@@ -228,7 +228,7 @@ func TestAssemblerSharesBackbone(t *testing.T) {
 	a := Assembler{Fetcher: f, Manifest: m, Config: cfg, Backbone: new(Backbone)}
 	var bases []*edsr.Model
 	for label := 1; label <= 2; label++ {
-		model, payload, cost, err := a.Model(context.Background(), label)
+		model, charge, cost, err := a.Model(context.Background(), label)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,8 +239,8 @@ func TestAssemblerSharesBackbone(t *testing.T) {
 		if label == 1 {
 			wantBackbone = len(bbBytes)
 		}
-		if cost != (Cost{Backbone: wantBackbone, Delta: len(f.delta[label])}) || len(payload) != cost.Delta {
-			t.Errorf("model %d cost %+v, cached %d bytes", label, cost, len(payload))
+		if cost != (Cost{Backbone: wantBackbone, Delta: len(f.delta[label])}) || charge != cost.Delta {
+			t.Errorf("model %d cost %+v, charged %d bytes", label, cost, charge)
 		}
 		bases = append(bases, a.Backbone.base)
 	}

@@ -46,7 +46,6 @@ import (
 
 	"dcsr/internal/codec"
 	"dcsr/internal/edsr"
-	"dcsr/internal/modelstore"
 	"dcsr/internal/obs"
 	"dcsr/internal/video"
 )
@@ -261,7 +260,9 @@ type Accounting struct {
 	// DegradedSegments counts segments whose model fetch failed.
 	DegradedSegments int
 	// Evictions counts cached models evicted to stay within the byte
-	// budget; CacheBytes is the payload bytes resident in the cache now.
+	// budget; CacheBytes is what the resident models are charged now: a
+	// cached model costs its weights, charged at the size of the payload
+	// it came from (Assembler.Model).
 	Evictions  int
 	CacheBytes int64
 }
@@ -278,15 +279,14 @@ type Options struct {
 	// quantized kernels bit-identically to the origin; false keeps every
 	// model on float32 (the precision ablation).
 	Int8 bool
-	// CacheBudget bounds the model cache in bytes of downloaded payload,
-	// one whole payload per label (Assembler.Model names which):
-	// < 0 unbounded (Algorithm 1), 0 caching disabled (the §3.2.2
-	// ablation), > 0 least-recently-used eviction past the budget. A
-	// payload the budget cannot hold enhances its own segment and is
-	// dropped with its model. The payloads (and their deserialized
-	// weights, about as large) are all a cached model costs: activations
-	// live in the session's one workspace, a constant whatever the budget
-	// or the number of models.
+	// CacheBudget bounds the model cache in bytes: a cached model costs
+	// its weights, charged at the size of the one payload it came from
+	// (Assembler.Model names which). < 0 unbounded (Algorithm 1), 0
+	// caching disabled (the §3.2.2 ablation), > 0 least-recently-used
+	// eviction past the budget. A model the budget cannot hold enhances
+	// its own segment and is dropped. The weights are all a cached model
+	// costs: activations live in the session's one workspace, a constant
+	// whatever the budget or the number of models.
 	CacheBudget int64
 	// Propagation selects how enhancement reaches P/B frames.
 	Propagation codec.Propagation
@@ -308,12 +308,12 @@ func DefaultOptions() Options {
 
 // Session is one client streaming session and its accounting record:
 // segments are downloaded in order and each segment's micro model is
-// fetched only on cache miss (Algorithm 1). The cache holds the
-// downloaded payloads under a byte budget (modelstore.BoundedCache): when
-// the budget is exceeded the least-recently-used model is evicted, and an
-// evicted label's next reference re-fetches it lazily — same retry path
-// as a degraded fetch, driven by capacity instead of failure. The zero
-// value is not usable; call Open or NewSession.
+// fetched only on cache miss (Algorithm 1). The cache holds the models
+// under a byte budget (Options.CacheBudget): when the budget is exceeded
+// the least-recently-used model is evicted, and an evicted label's next
+// reference re-fetches it lazily — same retry path as a degraded fetch,
+// driven by capacity instead of failure. The zero value is not usable;
+// call Open or NewSession.
 type Session struct {
 	Options
 	// Fetcher performs every download. Wrap it (before the first step) to
@@ -326,8 +326,7 @@ type Session struct {
 
 	manifest *Manifest
 	config   edsr.Config
-	cache    *modelstore.BoundedCache
-	models   map[int]*edsr.Model // deserialized twins of the cached payloads
+	cache    *modelCache
 	backbone Backbone
 	// ws is where every model of the session runs: they enhance one at a
 	// time on the session's goroutine, so they share one working set and
@@ -338,8 +337,8 @@ type Session struct {
 // Open starts a session over manifest m whose models are built as cfg and
 // downloaded through f. The manifest and configuration are validated
 // here, once, before anything is fetched or built. The zero cfg opens an
-// accounting-only session: payloads are fetched, costed and cached but
-// never deserialized.
+// accounting-only session: payloads are fetched and costed, and their
+// labels cached at that charge, but never deserialized.
 func Open(m *Manifest, cfg edsr.Config, f Fetcher, o Options) (*Session, error) {
 	builds := cfg != (edsr.Config{})
 	err := m.Validate()
@@ -349,10 +348,8 @@ func Open(m *Manifest, cfg edsr.Config, f Fetcher, o Options) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{Options: o, Fetcher: f, manifest: m, config: cfg,
-		cache: modelstore.NewBoundedCache(o.CacheBudget), models: make(map[int]*edsr.Model)}
-	s.cache.OnEvict = func(label int) { delete(s.models, label) }
-	return s, nil
+	return &Session{Options: o, Fetcher: f, manifest: m, config: cfg,
+		cache: newModelCache(o.CacheBudget)}, nil
 }
 
 // NewSession starts a manifest-only session: every download succeeds
@@ -394,7 +391,6 @@ func (s *Session) Fetch(ctx context.Context, seg SegmentInfo) ([]byte, *edsr.Mod
 	defer sp.End()
 	sp.Set("segment", seg.Index)
 	ctx = obs.WithSpan(ctx, sp)
-	s.cache.Obs = s.Obs // single-goroutine session; keep the cache's registry in sync
 	data, err := s.Fetcher.Fetch(ctx, KindSegment, seg.Index)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: segment %d: %w", seg.Index, err)
@@ -415,17 +411,17 @@ func (s *Session) Fetch(ctx context.Context, seg SegmentInfo) ([]byte, *edsr.Mod
 // model serves ev's label from the cache or downloads it.
 func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Model, error) {
 	label := ev.ModelLabel
-	if _, hit := s.cache.Get(label); hit {
+	if m, hit := s.cache.get(label, s.Obs); hit {
 		s.CacheHits++
 		s.Obs.Counter("cache_hits_total").Inc()
 		sp.Set("cache", "hit")
-		return s.models[label], nil
+		return m, nil
 	}
 	s.CacheMisses++
 	s.Obs.Counter("cache_misses_total").Inc()
 	a := Assembler{Fetcher: s.Fetcher, Manifest: s.manifest, Config: s.config,
 		Backbone: &s.backbone, Obs: s.Obs, Log: s.Log}
-	m, payload, cost, err := a.Model(ctx, label)
+	m, charge, cost, err := a.Model(ctx, label)
 	// Whatever was downloaded and verified is accounted, even when the
 	// model as a whole then failed (a backbone whose delta did not arrive
 	// still serves the labels after it).
@@ -465,16 +461,11 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 	s.Downloads++
 	sp.Set("cache", "miss")
 	sp.Set("model_bytes", ev.ModelBytes)
-	if evicted := s.cache.Put(label, payload); len(evicted) > 0 {
-		sp.Set("evicted", len(evicted))
+	if evicted := s.cache.put(label, m, charge, s.Obs); evicted > 0 {
+		s.Evictions += evicted
+		sp.Set("evicted", evicted)
 	}
-	if s.cache.Contains(label) {
-		// A refused payload (zero budget, or larger than the whole
-		// budget) serves this segment only: what the session retains is
-		// what the cache accounts for.
-		s.models[label] = m
-	}
-	s.Evictions, s.CacheBytes = s.cache.Evictions, s.cache.Bytes()
+	s.CacheBytes = s.cache.bytes
 	return m, nil
 }
 
@@ -522,10 +513,4 @@ func (s *Session) Play(ctx context.Context) ([]*video.YUV, codec.DecodeStats, er
 func (s *Session) TotalBytes() int { return s.VideoBytes + s.ModelBytes }
 
 // CacheContents returns the sorted labels currently cached.
-func (s *Session) CacheContents() []int {
-	labels := s.cache.Labels()
-	if len(labels) == 0 {
-		return nil
-	}
-	return labels
-}
+func (s *Session) CacheContents() []int { return s.cache.labels() }
