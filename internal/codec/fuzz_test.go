@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -112,6 +114,41 @@ func TestUnmarshalRejectsAbsurdHeaders(t *testing.T) {
 	bad2[21], bad2[22], bad2[23], bad2[24] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := Unmarshal(bad2); err == nil {
 		t.Error("absurd display index accepted")
+	}
+}
+
+// TestUnmarshalCopiesOnce: a parsed stream owns its frame bytes (a later
+// write to the input moves none), each frame's Data ends its capacity
+// with the frame (an append cannot reach the next), and a header that
+// declares maxFrameCount frames over two frames' worth of bytes does not
+// size the frame table by the count.
+func TestUnmarshalCopiesOnce(t *testing.T) {
+	st, err := Encode(testClipYUV(t, 32, 32, 3, 19), nil, 24, EncoderConfig{QP: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := st.Marshal()
+	parsed, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	if !bytes.Equal(parsed.Marshal(), st.Marshal()) {
+		t.Fatal("clearing Unmarshal's input changed the parsed stream")
+	}
+	for i, f := range parsed.Frames {
+		if cap(f.Data) != len(f.Data) {
+			t.Fatalf("frame %d: %d bytes with capacity %d", i, len(f.Data), cap(f.Data))
+		}
+	}
+
+	hostile := append((&Stream{W: 16, H: 16, FPS: 30}).Marshal(), make([]byte, 2*9)...)
+	binary.LittleEndian.PutUint32(hostile[16:], maxFrameCount)
+	// A table sized by the count would be ≈ 400 MB; the bound leaves room
+	// for what the runtime allocates on other goroutines meanwhile.
+	var uerr error
+	if got := allocatedBy(func() { _, uerr = Unmarshal(hostile) }); uerr == nil || got > 1<<20 {
+		t.Fatalf("%d frames declared over 18 bytes: allocated %d B, err %v", maxFrameCount, got, uerr)
 	}
 }
 

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -97,7 +98,11 @@ func (s *Stream) Marshal() []byte {
 	return out
 }
 
-// Unmarshal parses a stream serialized by Marshal.
+// Unmarshal parses a stream serialized by Marshal. The frame bytes are
+// copied once, and every frame's Data is a slice of that copy whose
+// capacity ends with the frame, so an append to one never reaches the
+// next. The frame table is sized by how many 9-byte frame headers the
+// data can hold, never by the declared count alone.
 func Unmarshal(data []byte) (*Stream, error) {
 	if len(data) < len(streamMagic)+16 {
 		return nil, fmt.Errorf("%w: short header", ErrBitstream)
@@ -117,22 +122,24 @@ func Unmarshal(data []byte) (*Stream, error) {
 	if n > maxFrameCount {
 		return nil, fmt.Errorf("%w: implausible frame count %d", ErrBitstream, n)
 	}
-	off := 20
+	body := bytes.Clone(data[20:])
+	s.Frames = make([]EncodedFrame, 0, min(n, len(body)/9))
+	off := 0
 	for i := 0; i < n; i++ {
-		if off+9 > len(data) {
+		if off+9 > len(body) {
 			return nil, fmt.Errorf("%w: truncated frame header", ErrBitstream)
 		}
-		f := EncodedFrame{Type: FrameType(data[off])}
-		f.Display = int(binary.LittleEndian.Uint32(data[off+1:]))
+		f := EncodedFrame{Type: FrameType(body[off])}
+		f.Display = int(binary.LittleEndian.Uint32(body[off+1:]))
 		if f.Display < 0 || f.Display > maxFrameCount {
 			return nil, fmt.Errorf("%w: implausible display index %d", ErrBitstream, f.Display)
 		}
-		sz := int(binary.LittleEndian.Uint32(data[off+5:]))
+		sz := int(binary.LittleEndian.Uint32(body[off+5:]))
 		off += 9
-		if off+sz > len(data) {
+		if off+sz > len(body) {
 			return nil, fmt.Errorf("%w: truncated frame payload", ErrBitstream)
 		}
-		f.Data = append([]byte(nil), data[off:off+sz]...)
+		f.Data = body[off : off+sz : off+sz]
 		off += sz
 		s.Frames = append(s.Frames, f)
 	}

@@ -162,7 +162,7 @@ func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *
 	if len(delta) >= len(sm.Bytes) {
 		return nil // size gate: the delta isn't smaller, ship complete
 	}
-	recon, err := edsr.New(sm.Config, 0)
+	recon, err := edsr.Build(sm.Config)
 	if err != nil {
 		return err
 	}

@@ -151,7 +151,9 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 		// kernels' scratch is re-allocated and charged to either play.
 		return
 	}
-	// Payload, W, Grad, the int8 weights and the cache's own copy.
+	// A re-download assembles from the delta: its decoded codes and
+	// scales, the model's W (no gradient, no random draws), the dcW1
+	// encoding the digest is checked on, and the int8 weights.
 	perDownload := (tightAlloc - baseAlloc) / extra
 	oneMap := int64(4 * p.MicroConfig.Filters * p.Stream.W * p.Stream.H)
 	if perDownload > 8*modelSize || perDownload > oneMap {

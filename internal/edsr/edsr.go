@@ -124,27 +124,55 @@ type Model struct {
 	ws *Workspace // where inference passes run; see SetWorkspace
 }
 
-// New builds an EDSR model with weights initialized from seed.
+// New builds an EDSR model with weights initialized from seed: Build,
+// then the seeded initialisation.
 func New(cfg Config, seed int64) (*Model, error) {
+	m, err := Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.initWeights(rand.New(rand.NewSource(seed)))
+	return m, nil
+}
+
+// Build allocates an EDSR model of configuration cfg with every weight
+// zero and draws no random numbers: the layout a downloaded payload
+// (stream.LoadModel) or a delta reconstruction is decoded into.
+func Build(cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
 	nf := cfg.Filters
 	m := &Model{Cfg: cfg}
-	m.head = nn.NewConv2D(rng, 3, nf, 3, 1, 1)
+	m.head = nn.NewConv2D(3, nf, 3, 1, 1)
 	for i := 0; i < cfg.ResBlocks; i++ {
-		m.body = append(m.body, nn.NewResBlock(rng, nf, cfg.ResScale))
+		m.body = append(m.body, nn.NewResBlock(nf, cfg.ResScale))
 	}
-	m.bodyConv = nn.NewConv2D(rng, nf, nf, 3, 1, 1)
+	m.bodyConv = nn.NewConv2D(nf, nf, 3, 1, 1)
 	for s := cfg.Scale; s > 1; s /= 2 {
 		m.ups = append(m.ups, upStage{
-			conv:    nn.NewConv2D(rng, nf, nf*4, 3, 1, 1),
+			conv:    nn.NewConv2D(nf, nf*4, 3, 1, 1),
 			shuffle: &nn.PixelShuffle{R: 2},
 		})
 	}
-	m.tail = nn.NewConv2D(rng, nf, 3, 3, 1, 1)
+	m.tail = nn.NewConv2D(nf, 3, 3, 1, 1)
+	return m, nil
+}
+
+// initWeights draws every convolution's He weights from rng in layer
+// order — head, blocks, body convolution, upsampling stages, tail —
+// then zeroes the tail again.
+func (m *Model) initWeights(rng *rand.Rand) {
+	m.head.InitHe(rng)
+	for _, b := range m.body {
+		b.InitHe(rng)
+	}
+	m.bodyConv.InitHe(rng)
+	for _, u := range m.ups {
+		u.conv.InitHe(rng)
+	}
+	m.tail.InitHe(rng)
 	// Every model predicts a *residual* on top of a cheap baseline — the
 	// input itself at scale 1, its nearest-neighbor upsampling at scale
 	// 2/4 — with a zero-initialized tail, so the model is the identity on
@@ -152,7 +180,6 @@ func New(cfg Config, seed int64) (*Model, error) {
 	// That is all it guarantees: one optimizer step moves the tail, and a
 	// briefly trained model can read below the baseline.
 	m.tail.Wt.W.Zero()
-	return m, nil
 }
 
 // upsampleNearestInto repeats each input sample s× in both dimensions,

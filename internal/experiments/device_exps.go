@@ -59,7 +59,7 @@ func Fig1b() (Table, []int) {
 	var sizes []int
 	for _, r := range []device.Resolution{device.Res720p, device.Res1080p, device.Res4K} {
 		cfg := bigModelFor(r)
-		m, err := edsr.New(cfg, 0)
+		m, err := edsr.Build(cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -87,7 +87,7 @@ func Table1() (Table, map[[2]int]int) {
 	for _, nf := range filters {
 		row := []string{fmt.Sprintf("%d", nf)}
 		for _, rb := range resblocks {
-			m, err := edsr.New(edsr.Config{Filters: nf, ResBlocks: rb, Scale: 4}, 0)
+			m, err := edsr.Build(edsr.Config{Filters: nf, ResBlocks: rb, Scale: 4})
 			if err != nil {
 				panic(err)
 			}

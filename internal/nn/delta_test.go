@@ -17,7 +17,7 @@ func quantModel(t *testing.T, seed int64) *Sequential {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	return &Sequential{Layers: []Layer{
-		NewConv2D(rng, 3, 4, 3, 1, 1), &ReLU{}, NewConv2D(rng, 4, 3, 3, 1, 1),
+		NewConv2D(3, 4, 3, 1, 1).InitHe(rng), &ReLU{}, NewConv2D(4, 3, 3, 1, 1).InitHe(rng),
 	}}
 }
 

@@ -21,7 +21,7 @@ import (
 func fuzzModel(seed int64) []*Param {
 	rng := rand.New(rand.NewSource(seed))
 	var ps []*Param
-	for _, l := range []Layer{NewConv2D(rng, 3, 4, 3, 1, 1), NewResBlock(rng, 4, 1), NewConv2D(rng, 4, 3, 3, 1, 1)} {
+	for _, l := range []Layer{NewConv2D(3, 4, 3, 1, 1).InitHe(rng), NewResBlock(4, 1).InitHe(rng), NewConv2D(4, 3, 3, 1, 1).InitHe(rng)} {
 		ps = append(ps, l.Params()...)
 	}
 	for _, p := range ps {

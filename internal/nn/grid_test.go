@@ -17,7 +17,7 @@ import (
 // snappedConv is a calibrated 3→4 convolution snapped onto its int8 grid.
 func snappedConv(seed int64) *Conv2D {
 	rng := rand.New(rand.NewSource(seed))
-	c := NewConv2D(rng, 3, 4, 3, 1, 1)
+	c := NewConv2D(3, 4, 3, 1, 1).InitHe(rng)
 	x := tensor.New(1, 3, 6, 5)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
@@ -51,7 +51,7 @@ func int8sAsBytes(v []int8) []byte {
 // from the pinned grid rebuilds the same state.
 func TestSnapInt8KeepsInt8State(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := NewConv2D(rng, 3, 4, 3, 1, 1)
+	c := NewConv2D(3, 4, 3, 1, 1).InitHe(rng)
 	x := tensor.New(1, 3, 6, 5)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
@@ -120,7 +120,7 @@ func TestRequantizingTheGridIsNotExact(t *testing.T) {
 // that no longer describes it.
 func TestWritersDropGrid(t *testing.T) {
 	other := func(seed int64) *Conv2D {
-		return NewConv2D(rand.New(rand.NewSource(seed)), 3, 4, 3, 1, 1)
+		return NewConv2D(3, 4, 3, 1, 1).InitHe(rand.New(rand.NewSource(seed)))
 	}
 	writers := []struct {
 		name  string
@@ -128,7 +128,7 @@ func TestWritersDropGrid(t *testing.T) {
 	}{
 		{"Adam.Step", func(c *Conv2D) error {
 			for _, p := range c.Params() {
-				p.Grad.Randn(rand.New(rand.NewSource(3)), 1)
+				p.grad().Randn(rand.New(rand.NewSource(3)), 1)
 			}
 			NewAdam(1e-2).Step(c.Params())
 			return nil

@@ -13,10 +13,10 @@ import (
 func TestSequentialForwardInferenceMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	seq := &Sequential{Layers: []Layer{
-		NewConv2D(rng, 2, 8, 3, 1, 1),
+		NewConv2D(2, 8, 3, 1, 1).InitHe(rng),
 		&ReLU{},
-		NewResBlock(rng, 8, 0.5),
-		NewConv2D(rng, 8, 4, 3, 1, 1),
+		NewResBlock(8, 0.5).InitHe(rng),
+		NewConv2D(8, 4, 3, 1, 1).InitHe(rng),
 		&PixelShuffle{R: 2},
 	}}
 	x := tensor.New(2, 2, 6, 5)
@@ -39,7 +39,7 @@ func TestSequentialForwardInferenceMatchesForward(t *testing.T) {
 // (the VAE feature heads).
 func TestDenseForwardInferenceMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	d := NewDense(rng, 12, 7)
+	d := NewDense(12, 7).InitXavier(rng)
 	x := tensor.New(3, 12)
 	x.Randn(rng, 1)
 	want := d.Forward(nil, x)

@@ -34,6 +34,9 @@ import (
 type Param struct {
 	Name string
 	W    *tensor.Tensor
+	// Grad is the accumulated gradient: nil until something trains the
+	// model (ZeroGrad, Adam.Step or a layer's Backward allocates it,
+	// zeroed), so a model that only runs inference carries none.
 	Grad *tensor.Tensor
 
 	// grid, when set, is the int8 grid W is exactly the dequantization of
@@ -44,11 +47,20 @@ type Param struct {
 }
 
 func newParam(name string, shape ...int) *Param {
-	return &Param{Name: name, W: tensor.New(shape...), Grad: tensor.New(shape...)}
+	return &Param{Name: name, W: tensor.New(shape...)}
+}
+
+// grad returns the accumulated gradient, allocating it zeroed on first
+// use: the one place Grad comes into being.
+func (p *Param) grad() *tensor.Tensor {
+	if p.Grad == nil {
+		p.Grad = tensor.New(p.W.Shape...)
+	}
+	return p.Grad
 }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() { p.Grad.Zero() }
+func (p *Param) ZeroGrad() { p.grad().Zero() }
 
 // Layer is a differentiable module. Forward consumes an activation and
 // returns the next one; Backward consumes the gradient of the loss with
@@ -89,14 +101,20 @@ type Conv2D struct {
 }
 
 // NewConv2D creates a KxK convolution from inC to outC channels with the
-// given stride and padding, He-initialized from rng.
-func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
-	c := &Conv2D{
+// given stride and padding, every weight zero: the layout a payload
+// decodes into. InitHe draws trainable starting weights.
+func NewConv2D(inC, outC, k, stride, pad int) *Conv2D {
+	return &Conv2D{
 		Spec: tensor.ConvSpec{InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad},
 		Wt:   newParam("conv.w", outC, inC, k, k),
 		Bias: newParam("conv.b", outC),
 	}
-	fanIn := float64(inC * k * k)
+}
+
+// InitHe draws the weights from rng, He-initialized (the bias stays
+// zero), and returns c.
+func (c *Conv2D) InitHe(rng *rand.Rand) *Conv2D {
+	fanIn := float64(c.Spec.InC * c.Spec.K * c.Spec.K)
 	c.Wt.W.Randn(rng, math.Sqrt(2.0/fanIn))
 	return c
 }
@@ -155,7 +173,7 @@ func (c *Conv2D) ForwardInferenceResidual(x, res *tensor.Tensor, scale float32, 
 // Forward remembered, so a trained layer pins none of its last step.
 func (c *Conv2D) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
 	gx := a.Next()
-	tensor.Conv2DBackwardInto(gx, gy, c.cols, c.x.Shape, c.Wt.W, c.Wt.Grad, c.Bias.Grad, c.Spec)
+	tensor.Conv2DBackwardInto(gx, gy, c.cols, c.x.Shape, c.Wt.W, c.Wt.grad(), c.Bias.grad(), c.Spec)
 	clear(c.cols)
 	c.x, c.cols = nil, c.cols[:0]
 	return gx
@@ -209,14 +227,23 @@ type ResBlock struct {
 	ResScale     float32
 }
 
-// NewResBlock builds a residual block over nf feature maps with 3×3 convs.
-func NewResBlock(rng *rand.Rand, nf int, resScale float32) *ResBlock {
+// NewResBlock builds a residual block over nf feature maps with 3×3
+// convs, every weight zero (see NewConv2D).
+func NewResBlock(nf int, resScale float32) *ResBlock {
 	return &ResBlock{
-		Conv1:    NewConv2D(rng, nf, nf, 3, 1, 1),
-		Conv2:    NewConv2D(rng, nf, nf, 3, 1, 1),
+		Conv1:    NewConv2D(nf, nf, 3, 1, 1),
+		Conv2:    NewConv2D(nf, nf, 3, 1, 1),
 		Act:      &ReLU{},
 		ResScale: resScale,
 	}
+}
+
+// InitHe draws both convolutions' weights from rng, Conv1's first, and
+// returns b.
+func (b *ResBlock) InitHe(rng *rand.Rand) *ResBlock {
+	b.Conv1.InitHe(rng)
+	b.Conv2.InitHe(rng)
+	return b
 }
 
 // Forward computes x + ResScale · conv2(relu(conv1(x))).
@@ -359,10 +386,16 @@ type Dense struct {
 	gw      []float32 // reusable weight-gradient staging buffer
 }
 
-// NewDense creates a fully connected layer, Xavier-initialized from rng.
-func NewDense(rng *rand.Rand, in, out int) *Dense {
-	d := &Dense{In: in, Out: out, Wt: newParam("dense.w", out, in), Bias: newParam("dense.b", out)}
-	d.Wt.W.Randn(rng, math.Sqrt(1.0/float64(in)))
+// NewDense creates a fully connected layer, every weight zero (see
+// NewConv2D).
+func NewDense(in, out int) *Dense {
+	return &Dense{In: in, Out: out, Wt: newParam("dense.w", out, in), Bias: newParam("dense.b", out)}
+}
+
+// InitXavier draws the weights from rng, Xavier-initialized (the bias
+// stays zero), and returns d.
+func (d *Dense) InitXavier(rng *rand.Rand) *Dense {
+	d.Wt.W.Randn(rng, math.Sqrt(1.0/float64(d.In)))
 	return d
 }
 
@@ -397,13 +430,14 @@ func (d *Dense) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
 	}
 	gw := d.gw[:d.Out*d.In]
 	tensor.MatMulAT(gy.Data, d.x.Data, gw, n, d.Out, d.In)
+	gradW, gradB := d.Wt.grad().Data, d.Bias.grad().Data
 	for i, v := range gw {
-		d.Wt.Grad.Data[i] += v
+		gradW[i] += v
 	}
 	for i := 0; i < n; i++ {
 		row := gy.Data[i*d.Out : (i+1)*d.Out]
 		for j, v := range row {
-			d.Bias.Grad.Data[j] += v
+			gradB[j] += v
 		}
 	}
 	gx := tensor.Ensure(a.Next(), n, d.In)

@@ -19,7 +19,7 @@ func calibrateOn(c *Conv2D, x *tensor.Tensor) {
 
 func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := NewConv2D(rng, 2, 3, 3, 1, 1)
+	c := NewConv2D(2, 3, 3, 1, 1).InitHe(rng)
 	x1 := tensor.New(1, 2, 4, 4)
 	x1.Randn(rng, 1)
 	x2 := tensor.New(1, 2, 4, 4)
@@ -50,7 +50,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 // accumulated terms errs by at most half a step on each operand.
 func TestConv2DInt8TracksFloat32(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := NewConv2D(rng, 3, 5, 3, 1, 1)
+	c := NewConv2D(3, 5, 3, 1, 1).InitHe(rng)
 	x := tensor.New(2, 3, 8, 7)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
@@ -67,7 +67,7 @@ func TestConv2DInt8TracksFloat32(t *testing.T) {
 
 func TestConv2DInt8Deterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := NewConv2D(rng, 4, 4, 3, 1, 1)
+	c := NewConv2D(4, 4, 3, 1, 1).InitHe(rng)
 	x := tensor.New(1, 4, 9, 11)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
@@ -85,7 +85,7 @@ func TestConv2DInt8Deterministic(t *testing.T) {
 
 func TestConv2DInt8PanicsBeforeQuantize(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := NewConv2D(rng, 1, 1, 3, 1, 1)
+	c := NewConv2D(1, 1, 3, 1, 1).InitHe(rng)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("int8 inference before QuantizeInt8 did not panic")
@@ -101,10 +101,10 @@ func TestConv2DInt8PanicsBeforeQuantize(t *testing.T) {
 func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	seq := &Sequential{Layers: []Layer{
-		NewConv2D(rng, 2, 6, 3, 1, 1),
+		NewConv2D(2, 6, 3, 1, 1).InitHe(rng),
 		&ReLU{},
-		NewResBlock(rng, 6, 0.5),
-		NewConv2D(rng, 6, 4, 3, 1, 1),
+		NewResBlock(6, 0.5).InitHe(rng),
+		NewConv2D(6, 4, 3, 1, 1).InitHe(rng),
 		&PixelShuffle{R: 2},
 	}}
 	x := tensor.New(1, 2, 6, 5)
@@ -177,7 +177,7 @@ func TestInt8ResidualEpilogue(t *testing.T) {
 		}
 	}
 
-	c := NewConv2D(rng, 4, 4, 3, 1, 1)
+	c := NewConv2D(4, 4, 3, 1, 1).InitHe(rng)
 	calibrateOn(c, x)
 	want := tensor.New(x.Shape...)
 	tensor.AddScaled(want.Data, res.Data, c.ForwardInference(x, nil, &am).Data, 0.1)
@@ -185,7 +185,7 @@ func TestInt8ResidualEpilogue(t *testing.T) {
 	inPlace := res.Clone()
 	same("Conv2D residual in place", c.ForwardInferenceResidual(x, inPlace, 0.1, inPlace, &am), want)
 
-	b := NewResBlock(rng, 4, 0.1)
+	b := NewResBlock(4, 0.1).InitHe(rng)
 	b.Conv1.BeginCalibration()
 	b.Conv2.BeginCalibration()
 	b.ForwardInference(x, nil, nil, nil)

@@ -67,13 +67,13 @@ func randTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
 
 func TestConv2DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	conv := NewConv2D(rng, 2, 3, 3, 1, 1)
+	conv := NewConv2D(2, 3, 3, 1, 1).InitHe(rng)
 	numericalGradCheck(t, conv, randTensor(rng, 2, 2, 5, 5), 1e-2)
 }
 
 func TestConv2DStrideGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	conv := NewConv2D(rng, 1, 2, 3, 2, 1)
+	conv := NewConv2D(1, 2, 3, 2, 1).InitHe(rng)
 	numericalGradCheck(t, conv, randTensor(rng, 1, 1, 6, 6), 1e-2)
 }
 
@@ -84,13 +84,13 @@ func TestReLUGradients(t *testing.T) {
 
 func TestResBlockGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	blk := NewResBlock(rng, 3, 1.0)
+	blk := NewResBlock(3, 1.0).InitHe(rng)
 	numericalGradCheck(t, blk, randTensor(rng, 1, 3, 4, 4), 1e-2)
 }
 
 func TestDenseGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := NewDense(rng, 6, 4)
+	d := NewDense(6, 4).InitXavier(rng)
 	numericalGradCheck(t, d, randTensor(rng, 3, 6), 1e-2)
 }
 
@@ -168,7 +168,7 @@ func TestMSELoss(t *testing.T) {
 // gradient is four orders of magnitude smaller.
 func TestAdamConvergesOnIllConditioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	d := NewDense(rng, 2, 1)
+	d := NewDense(2, 1).InitXavier(rng)
 	opt := NewAdam(0.05)
 	var loss float64
 	for step := 0; step < 4000; step++ {
@@ -206,8 +206,8 @@ func TestAdamGradClip(t *testing.T) {
 
 func TestWeightsSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	src := &Sequential{Layers: []Layer{NewConv2D(rng, 3, 4, 3, 1, 1), &ReLU{}, NewConv2D(rng, 4, 3, 3, 1, 1)}}
-	dst := &Sequential{Layers: []Layer{NewConv2D(rng, 3, 4, 3, 1, 1), &ReLU{}, NewConv2D(rng, 4, 3, 3, 1, 1)}}
+	src := &Sequential{Layers: []Layer{NewConv2D(3, 4, 3, 1, 1).InitHe(rng), &ReLU{}, NewConv2D(4, 3, 3, 1, 1).InitHe(rng)}}
+	dst := &Sequential{Layers: []Layer{NewConv2D(3, 4, 3, 1, 1).InitHe(rng), &ReLU{}, NewConv2D(4, 3, 3, 1, 1).InitHe(rng)}}
 	var buf bytes.Buffer
 	if err := SaveWeights(&buf, src.Params()); err != nil {
 		t.Fatal(err)
@@ -230,8 +230,8 @@ func TestWeightsSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadWeightsRejectsMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	src := NewConv2D(rng, 3, 4, 3, 1, 1)
-	other := NewConv2D(rng, 3, 5, 3, 1, 1)
+	src := NewConv2D(3, 4, 3, 1, 1).InitHe(rng)
+	other := NewConv2D(3, 5, 3, 1, 1).InitHe(rng)
 	var buf bytes.Buffer
 	if err := SaveWeights(&buf, src.Params()); err != nil {
 		t.Fatal(err)
@@ -247,9 +247,9 @@ func TestLoadWeightsRejectsMismatch(t *testing.T) {
 func TestSequentialComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seq := &Sequential{Layers: []Layer{
-		NewConv2D(rng, 1, 2, 3, 1, 1),
+		NewConv2D(1, 2, 3, 1, 1).InitHe(rng),
 		&ReLU{},
-		NewConv2D(rng, 2, 1, 3, 1, 1),
+		NewConv2D(2, 1, 3, 1, 1).InitHe(rng),
 	}}
 	numericalGradCheck(t, seq, randTensor(rng, 1, 1, 4, 4), 1e-2)
 	if got := len(seq.Params()); got != 4 {
@@ -259,7 +259,7 @@ func TestSequentialComposition(t *testing.T) {
 
 func TestNumParamsConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	c := NewConv2D(rng, 3, 16, 3, 1, 1)
+	c := NewConv2D(3, 16, 3, 1, 1).InitHe(rng)
 	want := 16*3*3*3 + 16
 	if got := NumParams(c.Params()); got != want {
 		t.Fatalf("NumParams = %d, want %d", got, want)

@@ -42,7 +42,7 @@ func (o *Adam) Step(params []*Param) {
 		}
 		b1, b2 := float32(o.Beta1), float32(o.Beta2)
 		clip := float32(o.GradClip)
-		for i, g := range p.Grad.Data {
+		for i, g := range p.grad().Data {
 			if clip > 0 {
 				if g > clip {
 					g = clip

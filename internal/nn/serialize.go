@@ -111,7 +111,9 @@ func EncodeWeightsGrid(ps []*Param) ([]byte, error) {
 // must match ps exactly, and the reader must end with the payload. A dcW1
 // payload drops each parameter's grid; a dcW6 one pins it. Every size is
 // checked against ps before anything is allocated, so what a payload
-// declares never sizes an allocation.
+// declares never sizes an allocation: the values decode straight into
+// each W through one scratch buffer, sized from the largest parameter of
+// ps, and a dcW6 grid costs its codes and scales.
 func LoadWeights(r io.Reader, ps []*Param) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -124,6 +126,11 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 	if count := binary.LittleEndian.Uint32(hdr[4:]); int64(count) != int64(len(ps)) {
 		return fmt.Errorf("nn: weights hold %d params, model has %d", count, len(ps))
 	}
+	largest := 0
+	for _, p := range ps {
+		largest = max(largest, p.W.Len())
+	}
+	scratch := make([]byte, 4*largest)
 	for _, p := range ps {
 		if err := readCount(r, p, "size", p.W.Len()); err != nil {
 			return err
@@ -138,9 +145,9 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 		var err error
 		if rows == 0 {
 			p.grid = nil
-			err = readFloats(r, p.W.Data)
+			err = readFloats(r, p.W.Data, scratch)
 		} else {
-			err = readGrid(r, p, rows)
+			err = readGrid(r, p, rows, scratch)
 		}
 		if err != nil {
 			return err
@@ -168,9 +175,10 @@ func readCount(r io.Reader, p *Param, field string, want int) error {
 	return nil
 }
 
-// readFloats fills dst from r.
-func readFloats(r io.Reader, dst []float32) error {
-	buf := make([]byte, 4*len(dst))
+// readFloats fills dst from r through scratch, which holds at least
+// 4·len(dst) bytes.
+func readFloats(r io.Reader, dst []float32, scratch []byte) error {
+	buf := scratch[:4*len(dst)]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return err
 	}
@@ -181,10 +189,11 @@ func readFloats(r io.Reader, dst []float32) error {
 }
 
 // readGrid reads the scales and codes of one dcW6 parameter of rows rows
-// and pins them to p, checking the whole grid before p changes.
-func readGrid(r io.Reader, p *Param, rows int) error {
+// through scratch and pins them to p, checking the whole grid before p
+// changes.
+func readGrid(r io.Reader, p *Param, rows int, scratch []byte) error {
 	g := &int8Grid{codes: make([]int8, p.W.Len()), scales: make([]float32, rows)}
-	if err := readFloats(r, g.scales); err != nil {
+	if err := readFloats(r, g.scales, scratch); err != nil {
 		return err
 	}
 	for i, s := range g.scales {
@@ -192,7 +201,7 @@ func readGrid(r io.Reader, p *Param, rows int) error {
 			return fmt.Errorf("nn: param %q row %d scale is %v, want a finite positive scale whose ×127 stays finite", p.Name, i, s)
 		}
 	}
-	codes := make([]byte, len(g.codes))
+	codes := scratch[:len(g.codes)]
 	if _, err := io.ReadFull(r, codes); err != nil {
 		return err
 	}

@@ -54,7 +54,10 @@ func (d declared) Fetch(_ context.Context, kind Kind, arg int) ([]byte, error) {
 // serialized weights: float32 (dcW1), or the int8 grid (dcW6) an
 // int8-admitted model ships as, which the model then runs as it stands.
 // The payload must be exactly the size cfg serializes to in the format
-// its magic names — checked before the model is allocated.
+// its magic names — checked before the model is allocated. The model is
+// allocated zeroed (edsr.Build) and the payload decoded straight into
+// it, so a load costs the weights (and a dcW6 grid) plus one scratch
+// buffer of the largest parameter: no random draws and no gradients.
 func LoadModel(cfg edsr.Config, data []byte) (*edsr.Model, error) {
 	want := cfg.SizeBytes()
 	if nn.IsGridPayload(data) {
@@ -63,7 +66,7 @@ func LoadModel(cfg edsr.Config, data []byte) (*edsr.Model, error) {
 	if int64(len(data)) != want {
 		return nil, fmt.Errorf("stream: %d-byte payload for %v, which serializes to %d", len(data), cfg, want)
 	}
-	m, err := edsr.New(cfg, 0)
+	m, err := edsr.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +138,7 @@ func (a *Assembler) build(payload []byte, base *edsr.Model, digest string) (*eds
 		}
 		return LoadModel(a.Config, payload)
 	}
-	m, err := edsr.New(a.Config, 0)
+	m, err := edsr.Build(a.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -94,6 +94,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"slices"
 	"time"
 
@@ -360,21 +361,22 @@ func readRequest(r io.Reader) (wireRequest, error) {
 }
 
 // writeResponse frames a response: the echoed request ID, status byte,
-// uint32 length, then the payload. The header goes out in one Write.
+// uint32 length, then the payload. Header and payload go out as one
+// net.Buffers, so a net.Conn that supports vectored writes (*net.TCPConn)
+// sends the frame in one writev; any other writer (a faultnet wrapper, a
+// pipe, a buffer) gets the header in one Write and the payload in a
+// second, none for an empty payload. The bytes are the same either way.
 func writeResponse(w io.Writer, id uint32, status byte, payload []byte) error {
 	var hdr [respFrameBytes]byte
 	binary.BigEndian.PutUint32(hdr[:4], id)
 	hdr[4] = status
 	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	frame := net.Buffers{hdr[:], payload}
+	if len(payload) == 0 {
+		frame = frame[:1]
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := frame.WriteTo(w)
+	return err
 }
 
 // readResponse parses a response frame, enforcing the payload bound. A

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -73,6 +74,65 @@ func TestWireGolden(t *testing.T) {
 	id, status, payload, err := readResponse(bytes.NewReader(goldenResponseBytes))
 	if err != nil || id != 0x01020304 || status != StatusNotFound || string(payload) != "hi" {
 		t.Fatalf("readResponse(golden) = %#x, %d, %q, %v", id, status, payload, err)
+	}
+}
+
+// writeLog is a writer that is not a net.Conn: it records the length of
+// every Write it receives.
+type writeLog struct {
+	bytes.Buffer
+	lens []int
+}
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.lens = append(w.lens, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestWriteResponseWrites: a writer that is not a TCP connection gets a
+// response as two Writes, the header's and the payload's (none for an
+// empty payload), and a TCP connection, handed the frame as one vectored
+// write, carries the same bytes.
+func TestWriteResponseWrites(t *testing.T) {
+	for _, payload := range [][]byte{[]byte("hi"), nil} {
+		var w writeLog
+		if err := writeResponse(&w, 0x01020304, StatusNotFound, payload); err != nil {
+			t.Fatal(err)
+		}
+		want := []int{respFrameBytes}
+		if len(payload) > 0 {
+			want = append(want, len(payload))
+		}
+		if !slices.Equal(w.lens, want) || !bytes.Equal(w.Bytes()[respFrameBytes:], payload) {
+			t.Errorf("a %d-byte payload went out as Writes of %v bytes, want %v", len(payload), w.lens, want)
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	sent := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			err = writeResponse(conn, 0x01020304, StatusNotFound, []byte("hi"))
+			conn.Close()
+		}
+		sent <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	got, err := io.ReadAll(conn)
+	if serr := <-sent; serr != nil || err != nil {
+		t.Fatalf("writing over TCP: %v; reading: %v", serr, err)
+	}
+	if !bytes.Equal(got, goldenResponseBytes) {
+		t.Fatalf("over TCP the response reads %x\nwant               %x", got, goldenResponseBytes)
 	}
 }
 

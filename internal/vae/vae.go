@@ -80,18 +80,18 @@ func New(cfg Config, seed int64) (*Model, error) {
 	s4 := cfg.ImgSize / 4
 	flat := 2 * bc * s4 * s4
 	m := &Model{Cfg: cfg, rng: rng}
-	m.enc1 = nn.NewConv2D(rng, 3, bc, 3, 2, 1)
+	m.enc1 = nn.NewConv2D(3, bc, 3, 2, 1).InitHe(rng)
 	m.act1 = &nn.ReLU{}
-	m.enc2 = nn.NewConv2D(rng, bc, 2*bc, 3, 2, 1)
+	m.enc2 = nn.NewConv2D(bc, 2*bc, 3, 2, 1).InitHe(rng)
 	m.act2 = &nn.ReLU{}
-	m.muHead = nn.NewDense(rng, flat, cfg.LatentDim)
-	m.lvHead = nn.NewDense(rng, flat, cfg.LatentDim)
-	m.dec = nn.NewDense(rng, cfg.LatentDim, flat)
+	m.muHead = nn.NewDense(flat, cfg.LatentDim).InitXavier(rng)
+	m.lvHead = nn.NewDense(flat, cfg.LatentDim).InitXavier(rng)
+	m.dec = nn.NewDense(cfg.LatentDim, flat).InitXavier(rng)
 	m.dact = &nn.ReLU{}
-	m.dconv1 = nn.NewConv2D(rng, 2*bc, bc*4, 3, 1, 1)
+	m.dconv1 = nn.NewConv2D(2*bc, bc*4, 3, 1, 1).InitHe(rng)
 	m.dps1 = &nn.PixelShuffle{R: 2}
 	m.dact1 = &nn.ReLU{}
-	m.dconv2 = nn.NewConv2D(rng, bc, 3*4, 3, 1, 1)
+	m.dconv2 = nn.NewConv2D(bc, 3*4, 3, 1, 1).InitHe(rng)
 	m.dps2 = &nn.PixelShuffle{R: 2}
 	return m, nil
 }
