@@ -73,6 +73,7 @@ var int8Tests = []struct {
 	{"EnhanceInt8DeterministicAcrossWorkers", TestEnhanceInt8DeterministicAcrossWorkers},
 	{"EnhanceInt8SteadyStateAllocs", TestEnhanceInt8SteadyStateAllocs},
 	{"ActScalesRoundTrip", TestActScalesRoundTrip},
+	{"EnhanceYUVGolden", TestEnhanceYUVGolden}, // both precisions
 }
 
 // TestPortablePath re-runs the parity, determinism and allocation tests
