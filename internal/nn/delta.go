@@ -101,7 +101,7 @@ func EncodeWeightsDelta(backbone, target []*Param) ([]byte, error) {
 	var buf bytes.Buffer
 	//lint:allow errcheck bytes.Buffer.Write is documented to always return a nil error
 	buf.Write(magicDelta[:])
-	digest := sha256.Sum256(EncodeWeights(backbone))
+	digest := WeightsDigest(backbone)
 	//lint:allow errcheck bytes.Buffer.Write is documented to always return a nil error
 	buf.Write(digest[:])
 	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(target))); err != nil {
@@ -193,7 +193,7 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 	if err != nil {
 		return err
 	}
-	if got := sha256.Sum256(EncodeWeights(backbone)); got != want {
+	if got := WeightsDigest(backbone); got != want {
 		return fmt.Errorf("nn: delta backbone digest mismatch: payload %x, backbone %x", want[:8], got[:8])
 	}
 	if len(dst) != len(backbone) {
@@ -207,6 +207,11 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 	if int(count) != len(backbone) {
 		return fmt.Errorf("nn: delta holds %d params, model has %d", count, len(backbone))
 	}
+	largest := 0
+	for _, p := range backbone {
+		largest = max(largest, p.W.Len())
+	}
+	codeBuf, dense := make([]int8, largest), make([]byte, largest)
 	for pi, b := range backbone {
 		d := dst[pi]
 		if d.W.Len() != b.W.Len() {
@@ -233,14 +238,14 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 		if err != nil {
 			return err
 		}
-		codes := make([]int8, n)
+		codes := codeBuf[:n]
+		clear(codes)
 		switch mode {
 		case 0:
-			dense := make([]byte, n)
-			if _, err := io.ReadFull(r, dense); err != nil {
+			if _, err := io.ReadFull(r, dense[:n]); err != nil {
 				return err
 			}
-			for i, c := range dense {
+			for i, c := range dense[:n] {
 				codes[i] = int8(c)
 			}
 		case 1:

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -217,5 +219,45 @@ func TestDeltaCorruptPayload(t *testing.T) {
 	}
 	if err := LoadWeights(bytes.NewReader(delta), dst.Params()); err == nil {
 		t.Fatal("LoadWeights accepted a dcW5 payload without a backbone")
+	}
+}
+
+// TestApplyWeightsDeltaAllocs pins that applying a delta costs less than
+// the model it builds: both digest checks stream the weights through the
+// hash, so no dcW1 encoding is built, and the codes are decoded through
+// one buffer. Measured on the paper's micro model (16 filters, 4
+// residual blocks: 11 convolutions).
+func TestApplyWeightsDeltaAllocs(t *testing.T) {
+	build := func(seed int64) []*Param {
+		rng := rand.New(rand.NewSource(seed))
+		var ps []*Param
+		for i := 0; i < 11; i++ {
+			in, out := 16, 16
+			if i == 0 {
+				in = 3
+			}
+			if i == 10 {
+				out = 3
+			}
+			ps = append(ps, NewConv2D(in, out, 3, 1, 1).InitHe(rng).Params()...)
+		}
+		return ps
+	}
+	backbone, target, dst := build(1), build(2), build(3)
+	delta, err := EncodeWeightsDelta(backbone, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := ApplyWeightsDelta(backbone, delta, dst); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(WeightsSize(dst)); got >= limit {
+		t.Errorf("ApplyWeightsDelta allocated %d B, want < %d B (the model's dcW1 size)", got, limit)
+	}
+	if d := WeightsDigest(backbone); d != sha256.Sum256(EncodeWeights(backbone)) {
+		t.Errorf("WeightsDigest %x is not the SHA-256 of EncodeWeights", d[:8])
 	}
 }

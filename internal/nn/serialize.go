@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,23 +40,38 @@ var (
 	gridMagic    = [4]byte{'d', 'c', 'W', '6'}
 )
 
-// SaveWeights writes every parameter in ps to w as a dcW1 payload.
+// SaveWeights writes every parameter in ps to w as a dcW1 payload: one
+// write for the header, then one per parameter (its element count and
+// values) through a single scratch buffer sized from the largest.
 func SaveWeights(w io.Writer, ps []*Param) error {
-	if _, err := w.Write(weightsMagic[:]); err != nil {
-		return err
+	largest := 0
+	for _, p := range ps {
+		largest = max(largest, p.W.Len())
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ps))); err != nil {
+	buf := make([]byte, 0, 4+4*largest)
+	buf = binary.LittleEndian.AppendUint32(append(buf, weightsMagic[:]...), uint32(len(ps)))
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	for _, p := range ps {
-		if err := binary.Write(w, binary.LittleEndian, uint32(p.W.Len())); err != nil {
-			return err
-		}
-		if _, err := w.Write(appendFloats(make([]byte, 0, 4*p.W.Len()), p.W.Data)); err != nil {
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(p.W.Len()))
+		if _, err := w.Write(appendFloats(buf, p.W.Data)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WeightsDigest is the SHA-256 of ps's dcW1 payload (EncodeWeights),
+// streamed through the hash without building the payload.
+func WeightsDigest(ps []*Param) [sha256.Size]byte {
+	h := sha256.New()
+	if err := SaveWeights(h, ps); err != nil {
+		panic(err) // hash writes cannot fail
+	}
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
 }
 
 // appendFloats appends v to b as little-endian float32 bits.

@@ -145,7 +145,8 @@ func (a *Assembler) build(payload []byte, base *edsr.Model, digest string) (*eds
 	if err := nn.ApplyWeightsDelta(base.Params(), payload, m.Params()); err != nil {
 		return nil, err
 	}
-	if got := PayloadDigest(nn.EncodeWeights(m.Params())); got != digest {
+	d := nn.WeightsDigest(m.Params())
+	if got := hex.EncodeToString(d[:]); got != digest {
 		return nil, fmt.Errorf("assembled digest %s, manifest says %s", got, digest)
 	}
 	return m, nil
