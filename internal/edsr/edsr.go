@@ -121,7 +121,8 @@ type Model struct {
 	ups      []upStage
 	tail     *nn.Conv2D
 
-	ws *Workspace // where inference passes run; see SetWorkspace
+	ws          *Workspace // where inference passes run; see SetWorkspace
+	calibrating bool       // inference passes fold activation ranges (CalibrateEnhance)
 }
 
 // New builds an EDSR model with weights initialized from seed: Build,
@@ -276,15 +277,15 @@ func (m *Model) forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ForwardInference runs the network on the no-grad fast path: implicit-
-// GEMM convolutions (no column matrix) with bias, ReLU and every
-// residual add — the blocks', the global skip's and the image
-// residual's — fused into their epilogues, and every activation written
-// into the model's Workspace, so no activations or column matrices are
-// retained and steady-state calls allocate nothing. The output is
-// bitwise identical to Forward. The returned tensor belongs to the
-// workspace and is valid until the next inference pass of any model
-// sharing it.
+// ForwardInference runs the network on the no-grad fast path: a row
+// pipeline (pipeline.go) of implicit-GEMM convolutions (no column
+// matrix) with bias, ReLU and every residual add — the blocks', the
+// global skip's and the image residual's — fused into their epilogues,
+// its activations a few rows deep in the model's Workspace, so no
+// activations or column matrices are retained and steady-state calls
+// allocate nothing. The output is bitwise identical to Forward. The
+// returned tensor belongs to the workspace and is valid until the next
+// inference pass of any model sharing it.
 func (m *Model) ForwardInference(x *tensor.Tensor) *tensor.Tensor {
 	return m.forwardInference(x, false)
 }
@@ -297,36 +298,9 @@ func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
 	return m.forwardInference(x, true)
 }
 
-// forwardInference is the one inference graph of both precisions: every
-// convolution runs on the int8 kernels through the workspace's
-// activation map when int8Path holds, on the float32 ones otherwise, and
-// the structural glue — residual adds, pixel shuffle — is float32
-// either way. The head writes the skip; a residual block writes maps[1],
-// its own input after the first block, a float32 one through maps[0]
-// (an int8 one keeps its inner activation in the map, so it never
-// touches maps[0]); the body convolution adds its output into the skip
-// in place.
 func (m *Model) forwardInference(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
-	ws := m.workspace()
-	var am *tensor.Int8Map
-	if int8Path {
-		am = &ws.am
-	}
-	skip := m.head.ForwardInference(x, &ws.skip, am)
-	b := skip
-	for _, blk := range m.body {
-		b = blk.ForwardInference(b, &ws.maps[0], &ws.maps[1], am)
-	}
-	b = m.bodyConv.ForwardInferenceResidual(b, skip, 1, skip, am) // global skip
-	for _, u := range m.ups {
-		b = u.conv.ForwardInference(b, &ws.maps[0], am)
-		b = u.shuffle.ForwardInference(b, &ws.maps[1])
-	}
-	base := x // global image residual (identity at init)
-	if m.Cfg.Scale > 1 {
-		base = upsampleNearestInto(x, m.Cfg.Scale, &ws.near)
-	}
-	return m.tail.ForwardInferenceResidual(b, base, 1, &ws.out, am)
+	m.run(&pass{x: x, int8Path: int8Path, observe: m.calibrating && !int8Path})
+	return &m.workspace().out
 }
 
 // Backward propagates the loss gradient, accumulating parameter gradients.
@@ -364,49 +338,27 @@ func ToTensor(f *video.RGB) *tensor.Tensor {
 // Ensure; pass nil to allocate).
 func toTensorInto(f *video.RGB, t *tensor.Tensor) *tensor.Tensor {
 	t = tensor.Ensure(t, 1, 3, f.H, f.W)
-	for c := 0; c < 3; c++ {
-		plane := t.Data[c*f.H*f.W : (c+1)*f.H*f.W]
-		for i := 0; i < f.W*f.H; i++ {
-			plane[i] = float32(f.Pix[i*3+c])/255 - 0.5
-		}
+	for y := 0; y < f.H; y++ {
+		normRow(f.Pix[y*f.W*3:], t.Data[y*f.W:], f.H*f.W, f.W)
 	}
 	return t
 }
 
 // FromTensor converts a (1, 3, H, W) tensor in [−0.5, 0.5] back to RGB.
 func FromTensor(t *tensor.Tensor) *video.RGB {
-	return fromTensorInto(t, video.NewRGB(t.Shape[3], t.Shape[2]))
-}
-
-// fromTensorInto is FromTensor writing into f, whose pixel buffer is
-// reused when large enough and grown otherwise.
-func fromTensorInto(t *tensor.Tensor, f *video.RGB) *video.RGB {
 	h, w := t.Shape[2], t.Shape[3]
-	n := w * h * 3
-	if cap(f.Pix) < n {
-		f.Pix = make([]uint8, n)
-	}
-	f.W, f.H, f.Pix = w, h, f.Pix[:n]
-	for c := 0; c < 3; c++ {
-		plane := t.Data[c*h*w : (c+1)*h*w]
-		for i := 0; i < w*h; i++ {
-			v := (plane[i] + 0.5) * 255
-			if v < 0 {
-				v = 0
-			}
-			if v > 255 {
-				v = 255
-			}
-			f.Pix[i*3+c] = uint8(v + 0.5)
-		}
+	f := video.NewRGB(w, h)
+	for y := 0; y < h; y++ {
+		denormRow(t.Data[y*w:], h*w, f.Pix[y*w*3:(y+1)*w*3])
 	}
 	return f
 }
 
 // Enhance super-resolves one RGB frame. It runs on the inference fast
-// path: once the model's workspace has seen a frame this size (from this
-// model or any other sharing it), the per-frame steady-state cost is the
-// kernels plus one output RGB allocation.
+// path, its rows converted on demand: once the model's workspace has
+// seen a frame this wide (from this model or any other sharing it), the
+// per-frame steady-state cost is the kernels plus the output RGB
+// allocation.
 func (m *Model) Enhance(low *video.RGB) *video.RGB { return m.enhance(low, false) }
 
 // EnhanceInt8 is Enhance on the quantized path. The model must be
@@ -414,22 +366,31 @@ func (m *Model) Enhance(low *video.RGB) *video.RGB { return m.enhance(low, false
 func (m *Model) EnhanceInt8(low *video.RGB) *video.RGB { return m.enhance(low, true) }
 
 func (m *Model) enhance(low *video.RGB, int8Path bool) *video.RGB {
-	return FromTensor(m.forwardInference(toTensorInto(low, &m.workspace().in), int8Path))
+	s := m.Cfg.Scale
+	out := video.NewRGB(low.W*s, low.H*s)
+	m.run(&pass{rgb: low, toRGB: out, int8Path: int8Path, observe: m.calibrating && !int8Path})
+	return out
 }
 
 // EnhanceYUV performs the client-side dcSR conversion chain of paper Fig 6:
-// YUV→RGB, SR inference, RGB→YUV. Scale must be 1 for in-loop use. Both
-// RGB images live in the workspace, so in steady state the returned
-// frame is its only allocation.
+// YUV→RGB, SR inference, RGB→YUV. Scale must be 1 for in-loop use. The
+// conversion runs row by row in the workspace — input rows converted as
+// the pipeline reads them, output rows written into the 4:2:0 frame as
+// they are finished — so in steady state the returned frame is its only
+// allocation. The frame's dimensions must be even.
 func (m *Model) EnhanceYUV(f *video.YUV) *video.YUV { return m.enhanceYUV(f, false) }
 
 // EnhanceYUVInt8 is EnhanceYUV on the quantized path.
 func (m *Model) EnhanceYUVInt8(f *video.YUV) *video.YUV { return m.enhanceYUV(f, true) }
 
 func (m *Model) enhanceYUV(f *video.YUV, int8Path bool) *video.YUV {
-	ws := m.workspace()
-	x := toTensorInto(f.ToRGBInto(&ws.rgbIn), &ws.in)
-	return fromTensorInto(m.forwardInference(x, int8Path), &ws.rgbOut).ToYUV()
+	if f.W%2 != 0 || f.H%2 != 0 {
+		panic(fmt.Sprintf("edsr: EnhanceYUV needs even frame dimensions, got %dx%d", f.W, f.H))
+	}
+	s := m.Cfg.Scale
+	out := video.NewYUV(f.W*s, f.H*s)
+	m.run(&pass{yuv: f, toYUV: out, int8Path: int8Path, observe: m.calibrating && !int8Path})
+	return out
 }
 
 // InferenceFLOPs returns the multiply-add count (×2) of one forward pass

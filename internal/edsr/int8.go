@@ -57,8 +57,10 @@ func (m *Model) CalibrateEnhance(frames []*video.RGB) ([]*video.RGB, error) {
 	for _, c := range cs {
 		c.BeginCalibration()
 	}
+	m.calibrating = true
 	// Deferred so a pass that panics leaves no convolution observing.
 	defer func() {
+		m.calibrating = false
 		for _, c := range cs {
 			c.EndCalibration()
 		}

@@ -142,13 +142,14 @@ func copyPatch(t *tensor.Tensor, b int, f *video.RGB, px, py, ps int) {
 
 // EvalMSE returns the mean per-pixel MSE (0–255² scale) of the model's
 // output against ground truth over the given pairs, without training. It
-// runs in the model's workspace and converts every target into one
-// tensor.
+// runs in the model's workspace, its inputs converted row by row, and
+// converts every target into one tensor.
 func (m *Model) EvalMSE(pairs []Pair) float64 {
 	var sum float64
 	var target tensor.Tensor
 	for _, p := range pairs {
-		pred := m.ForwardInference(toTensorInto(p.Low, &m.workspace().in))
+		m.run(&pass{rgb: p.Low})
+		pred := &m.workspace().out
 		sum += float64(nn.MSELoss(pred, toTensorInto(p.High, &target), nil) * 255 * 255)
 	}
 	return sum / float64(len(pairs))

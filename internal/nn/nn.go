@@ -135,14 +135,33 @@ func (c *Conv2D) ForwardInference(x, out *tensor.Tensor, am *tensor.Int8Map) *te
 	return c.ForwardInferenceResidual(x, nil, 0, out, am)
 }
 
-// observe widens the calibrated activation range while the layer is in
-// calibration mode (see nn_int8.go); otherwise it is a no-op.
+// observe widens the calibrated activation range by x's max-abs (see
+// Observe).
 func (c *Conv2D) observe(x *tensor.Tensor) {
 	if c.calibrating {
-		if m := x.MaxAbs(); m > c.actMax {
-			c.actMax = m
-		}
+		c.Observe(x.MaxAbs())
 	}
+}
+
+// Observe widens the calibrated activation range to m, the max-abs of
+// some of the layer's input (tensor.MaxAbs of a row, say), while the
+// layer is in calibration mode (see nn_int8.go); otherwise it is a
+// no-op. The fold is a max that skips NaN, so any split of the input
+// into parts, observed in any order, calibrates what the whole does.
+func (c *Conv2D) Observe(m float32) {
+	if c.calibrating && m > c.actMax {
+		c.actMax = m
+	}
+}
+
+// ConvRows prepares the convolution for one pass of row-at-a-time
+// inference over rows width pixels wide on the float32 kernels
+// (tensor.ConvRows), with relu a fused ReLU; the caller releases it.
+// Its rows are ForwardInference's (ForwardInferenceReLU's) bits. A
+// row pass observes nothing: while calibrating, the caller hands
+// Observe its input rows' max-abs.
+func (c *Conv2D) ConvRows(width int, relu bool) tensor.ConvRows {
+	return tensor.NewConvRows(c.Wt.W, c.Bias.W, c.Spec, width, relu)
 }
 
 // ForwardInferenceReLU is the float32 ForwardInference with the ReLU
@@ -256,21 +275,6 @@ func (b *ResBlock) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ForwardInference runs the block with the first conv's ReLU fused into
-// its epilogue and the scaled residual add into the second's, writing
-// x + ResScale·h into out; out may be x — the residual is read and
-// written elementwise. On the float32 kernel (am nil) conv1 writes mid,
-// which must be a third tensor; on the int8 one (see nn_int8.go) it
-// stays in am and mid is unused. The float32 result is bitwise
-// identical to Forward's.
-func (b *ResBlock) ForwardInference(x, mid, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
-	if am != nil {
-		return b.forwardInt8(x, out, am)
-	}
-	h := b.Conv1.ForwardInferenceReLU(x, mid)
-	return b.Conv2.ForwardInferenceResidual(h, x, b.ResScale, out, nil)
-}
-
 // Backward splits the gradient across the residual and identity paths.
 func (b *ResBlock) Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor {
 	gBranch := tensor.Ensure(a.Next(), gy.Shape...)
@@ -327,20 +331,28 @@ func (p *PixelShuffle) shuffleInto(x, out *tensor.Tensor) {
 	r := p.R
 	oc := c / (r * r)
 	for ni := 0; ni < n; ni++ {
-		for co := 0; co < oc; co++ {
+		src, dst := x.Data[ni*c*h*w:], out.Data[ni*c*h*w:]
+		for y := 0; y < h; y++ {
 			for dy := 0; dy < r; dy++ {
-				for dx := 0; dx < r; dx++ {
-					ci := co*r*r + dy*r + dx
-					src := x.Data[((ni*c+ci)*h)*w : ((ni*c+ci)*h+h)*w]
-					for y := 0; y < h; y++ {
-						oy := y*r + dy
-						dstRow := out.Data[((ni*oc+co)*h*r+oy)*w*r : ((ni*oc+co)*h*r+oy+1)*w*r]
-						srcRow := src[y*w : (y+1)*w]
-						for xx := 0; xx < w; xx++ {
-							dstRow[xx*r+dx] = srcRow[xx]
-						}
-					}
-				}
+				p.ShuffleRow(dst[(y*r+dy)*w*r:], h*r*w*r, src[y*w:], h*w, oc, w, dy)
+			}
+		}
+	}
+}
+
+// ShuffleRow writes output row dy of the R that one input row becomes:
+// src holds the row's oc·R² channels of w pixels, srcStride floats
+// apart, and dst receives the oc channels of w·R pixels, dstStride
+// apart — input channel co·R² + dy·R + dx's pixel x lands at output
+// pixel x·R + dx of channel co.
+func (p *PixelShuffle) ShuffleRow(dst []float32, dstStride int, src []float32, srcStride, oc, w, dy int) {
+	r := p.R
+	for co := 0; co < oc; co++ {
+		d := dst[co*dstStride : co*dstStride+w*r]
+		for dx := 0; dx < r; dx++ {
+			s := src[(co*r*r+dy*r+dx)*srcStride:][:w]
+			for x, v := range s {
+				d[x*r+dx] = v
 			}
 		}
 	}

@@ -158,27 +158,25 @@ func (c *Conv2D) forwardInt8(x, res *tensor.Tensor, scale float32, out *tensor.T
 	return out
 }
 
-// forwardInt8 is ForwardInference on the int8 path: the first
-// convolution (with ReLU) runs in place in am and leaves there the
-// second's quantized input — the float32 value it requantizes,
-// quantized in register, so no float32 map is written between the two —
-// and the second adds the float32 residual in its epilogue, so out may
-// be x.
-func (b *ResBlock) forwardInt8(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
-	q1, q2 := b.Conv1.int8, b.Conv2.int8
-	if q1 == nil || q2 == nil {
-		panic("nn: ResBlock int8 inference before QuantizeInt8")
+// Int8ConvRows is ConvRows on the int8 kernels (tensor.Int8ConvRows),
+// after QuantizeInt8: its rows read input rows quantized with
+// InputMultiplier, and are forwardInt8's bits.
+func (c *Conv2D) Int8ConvRows(width int, relu bool) tensor.Int8ConvRows {
+	q := c.int8
+	if q == nil {
+		panic("nn: Conv2D int8 inference before QuantizeInt8")
 	}
-	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	out = tensor.Ensure(out, x.Shape...)
-	size := c * h * w
-	for i := 0; i < n; i++ {
-		xi := x.Data[i*size : (i+1)*size]
-		am.Quantize(xi, c, h, w, b.Conv1.Spec.Pad, q1.inInv)
-		tensor.Conv2DInt8MapReLU(am, q1.grid.codes, q1.scales, b.Conv1.Bias.W.Data, b.Conv1.Spec, q2.inInv)
-		tensor.Conv2DInt8Map(am, q2.grid.codes, q2.scales, b.Conv2.Bias.W.Data, b.Conv2.Spec, false, xi, b.ResScale, out.Data[i*size:(i+1)*size])
+	return tensor.NewInt8ConvRows(q.grid.codes, q.scales, c.Bias.W.Data, c.Spec, width, relu)
+}
+
+// InputMultiplier is the multiplier, 127/ActMax (0 for a zero range),
+// the layer's int8 kernels quantize their input with (after
+// QuantizeInt8).
+func (c *Conv2D) InputMultiplier() float32 {
+	if c.int8 == nil {
+		panic("nn: Conv2D int8 inference before QuantizeInt8")
 	}
-	return out
+	return c.int8.inInv
 }
 
 // quantizeRowInt8 symmetrically quantizes row into dst and returns the

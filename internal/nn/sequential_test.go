@@ -57,7 +57,21 @@ func (s *Sequential) infer(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 		case *Conv2D:
 			x = l.ForwardInference(x, out, s.mapIf(int8Path && l.Int8Ready()))
 		case *ResBlock:
-			x = l.ForwardInference(x, mid, out, s.mapIf(int8Path && l.Conv1.Int8Ready() && l.Conv2.Int8Ready()))
+			// conv → ReLU → conv with the scaled residual add fused, as
+			// edsr's row pipeline runs a block.
+			am := s.mapIf(int8Path && l.Conv1.Int8Ready() && l.Conv2.Int8Ready())
+			var h *tensor.Tensor
+			if am == nil {
+				h = l.Conv1.ForwardInferenceReLU(x, mid)
+			} else {
+				h = l.Conv1.ForwardInference(x, mid, am)
+				for i, v := range h.Data {
+					if v < 0 {
+						h.Data[i] = 0
+					}
+				}
+			}
+			x = l.Conv2.ForwardInferenceResidual(h, x, l.ResScale, out, am)
 		case *ReLU: // in place; the models fuse theirs into the convolution
 			for i, v := range x.Data {
 				if v < 0 {

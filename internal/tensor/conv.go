@@ -136,7 +136,7 @@ const bandFloats = 1 << 18
 // bias addition and (optionally) ReLU fused into the kernel epilogue.
 // The result is written into out, which is grown/reshaped as needed via
 // Ensure and returned (pass nil to allocate on first use); out must not
-// be x. A stride-1 convolution is an implicit GEMM (implicitConv): its
+// be x. A stride-1 convolution is an implicit GEMM (rowConv): its
 // column matrix is read in place from a padded copy of the input rows,
 // never built; a strided one expands each input into an im2col matrix
 // in pooled scratch first. Either way steady-state calls allocate
@@ -203,35 +203,31 @@ func convInfer(x, w, b *Tensor, spec ConvSpec, ep epilogue, out *Tensor) *Tensor
 	return out
 }
 
-// implicitConv is one stride-1 Conv2DInfer call as an implicit GEMM.
-// Output rows are computed in bands: a band's input rows, every
-// channel, are copied once into pooled scratch with a materialised +0
-// ring of pad pixels (pw = wd + 2·pad floats a row, bandPlane floats a
-// channel), and column-matrix row r = (ci, ky, kx) of output row ly of
-// the band is that scratch from off[r] + ly·pw on, off[r] = ci·bandPlane
-// + ky·pw + kx. Every output element therefore sums from +0 over
-// ascending (ci, ky, kx), each product rounded before the add, reading
-// the values im2col would have written — the bits of im2col + GEMM,
-// NaN, ±Inf, ±0 and denormals included.
+// rowConv is a stride-1 convolution prepared for the float32 row
+// kernels, as an implicit GEMM: one output row of every channel is
+// computed from a window of K input rows laid out slot-major — each
+// window row one slot of c channels pw = width + 2·pad floats apart,
+// ringed by pad columns of +0, the K slots consecutive — and
+// column-matrix row r = (ci, ky, kx) of the output row is that window
+// from off[r] = ky·c·pw + ci·pw + kx on. Every output element therefore
+// sums from +0 over ascending (ci, ky, kx), each product rounded before
+// the add, reading the values im2col would have written — the bits of
+// im2col + GEMM, NaN, ±Inf, ±0 and denormals included — whichever
+// window (a Ring's, or a Conv2DInfer band's) holds the rows.
 //
 // The rows run on one of three kernels behind the same table: the
 // AVX-512 tile (convRowF32AVX512, eight channels by 32 pixels, its
-// weights packed per call into [kk][8] panels — never cached, since
+// weights packed per pass into [kk][8] panels — never cached, since
 // training and weight deltas rewrite weights in place), the AVX2 GEMM
 // tile (gemmTiles) and the portable loop (gemmRowsGo), the oracle of
 // both. The struct holds no closures, so the serial path allocates
 // nothing.
-type implicitConv struct {
-	x, w, out       []float32
-	ep              epilogue
-	c, h, wd        int
-	k, pad          int
-	outC, kk        int // output channels, reduction length c·k·k
-	oh, ow, pw      int
-	band, bandPlane int // output rows per band, floats per band channel
-	numBands        int
-	off             []int
-	maxOff          int
+type rowConv struct {
+	w        []float32
+	ep       epilogue // bias and ReLU; a row call adds its residual
+	outC, kk int      // output channels, reduction length c·k·k
+	off      []int
+	maxOff   int
 
 	avx512 bool
 	blocks int       // AVX-512: blocks of eight output channels
@@ -241,28 +237,16 @@ type implicitConv struct {
 	wpBuf  *[]float32
 }
 
-func newImplicitConv(x, w, out []float32, c, h, wd int, spec ConvSpec, ep epilogue) implicitConv {
-	k := spec.K
-	a := implicitConv{
-		x: x, w: w, out: out, ep: ep,
-		c: c, h: h, wd: wd, k: k, pad: spec.Pad,
-		outC: spec.OutC, kk: c * k * k,
-		pw: wd + 2*spec.Pad,
-	}
-	a.oh, a.ow = spec.OutSize(h, wd)
-	a.band = a.oh
-	if per := c * a.pw; per > 0 {
-		a.band = max(1, min(a.oh, bandFloats/per-(k-1)))
-	}
-	a.bandPlane = (a.band + k - 1) * a.pw
-	a.numBands = (a.oh + a.band - 1) / a.band
+func newRowConv(w, bias []float32, spec ConvSpec, pw int, relu bool) rowConv {
+	c, k := spec.InC, spec.K
+	a := rowConv{w: w, ep: epilogue{bias: bias, relu: relu}, outC: spec.OutC, kk: c * k * k}
 	a.offBuf = scratchInt.get(a.kk)
 	a.off = *a.offBuf
 	r := 0
 	for ci := 0; ci < c; ci++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				a.off[r] = ci*a.bandPlane + ky*a.pw + kx
+				a.off[r] = ky*c*pw + ci*pw + kx
 				r++
 			}
 		}
@@ -283,18 +267,74 @@ func newImplicitConv(x, w, out []float32, c, h, wd int, spec ConvSpec, ep epilog
 				panel[r*8] = v
 			}
 		}
-		if ep.bias != nil {
-			copy(a.bp, ep.bias)
+		if bias != nil {
+			copy(a.bp, bias)
 		}
 	}
 	return a
 }
 
-func (a *implicitConv) release() {
+func (a *rowConv) release() {
 	scratchInt.put(a.offBuf)
 	if a.wpBuf != nil {
 		scratchPanel.put(a.wpBuf)
 	}
+	*a = rowConv{}
+}
+
+// row computes one output row of every channel from the window b:
+// channel oc's cols pixels at out[oc·planeStride:], each, with res
+// non-nil (laid out like out), res + float32(scale·v) — read before the
+// element is written, so out may be res.
+func (a *rowConv) row(b, out []float32, planeStride, cols int, res []float32, scale float32) {
+	ep := a.ep
+	ep.res, ep.scale = res, scale
+	if !a.avx512 {
+		gemmOffRows(a.w, b, a.off, out, 0, a.outC, a.kk, cols, planeStride, ep)
+		return
+	}
+	// The assembly trusts these extents.
+	last := (a.outC-1)*planeStride + cols - 1
+	_ = b[a.maxOff+cols-1]
+	_ = out[last]
+	r := &out[0]
+	if res != nil {
+		_ = res[last]
+		r = &res[0]
+	}
+	convRowF32AVX512(&b[0], &a.off[0], a.kk, &a.wp[0], &a.bp[0], a.blocks, a.outC-8*(a.blocks-1),
+		&out[0], planeStride, cols, r, scale, ep.bits())
+}
+
+// implicitConv is one stride-1 Conv2DInfer call: output rows are
+// computed in bands, a band's input rows copied once into pooled
+// scratch as rowConv's slot-major window (fill). It holds no closures,
+// so the serial path allocates nothing.
+type implicitConv struct {
+	rowConv
+	x, out, res []float32
+	scale       float32
+	c, h, wd    int
+	k, pad      int
+	oh, ow, pw  int
+	band        int // output rows per band
+	numBands    int
+}
+
+func newImplicitConv(x, w, out []float32, c, h, wd int, spec ConvSpec, ep epilogue) implicitConv {
+	a := implicitConv{
+		x: x, out: out, res: ep.res, scale: ep.scale,
+		c: c, h: h, wd: wd, k: spec.K, pad: spec.Pad,
+		pw: wd + 2*spec.Pad,
+	}
+	a.rowConv = newRowConv(w, ep.bias, spec, a.pw, ep.relu)
+	a.oh, a.ow = spec.OutSize(h, wd)
+	a.band = a.oh
+	if per := c * a.pw; per > 0 {
+		a.band = max(1, min(a.oh, bandFloats/per-(a.k-1)))
+	}
+	a.numBands = (a.oh + a.band - 1) / a.band
+	return a
 }
 
 // bands computes bands [lo, hi) of batch element i.
@@ -302,68 +342,49 @@ func (a *implicitConv) bands(i, lo, hi int) {
 	planeIn, planeOut := a.c*a.h*a.wd, a.outC*a.oh*a.ow
 	xi := a.x[i*planeIn : (i+1)*planeIn]
 	oi := a.out[i*planeOut : (i+1)*planeOut]
-	ep := a.ep
-	if ep.res != nil {
-		ep.res = ep.res[i*planeOut : (i+1)*planeOut]
+	var ri []float32
+	if a.res != nil {
+		ri = a.res[i*planeOut : (i+1)*planeOut]
 	}
-	bandBuf := scratchF32.get(a.c * a.bandPlane)
+	slot := a.c * a.pw
+	bandBuf := scratchF32.get((a.band + a.k - 1) * slot)
 	band := *bandBuf
 	for bi := lo; bi < hi; bi++ {
 		oy0 := bi * a.band
 		rows := min(a.band, a.oh-oy0)
 		a.fill(xi, band, oy0, rows)
 		for ly := 0; ly < rows; ly++ {
-			a.row(band[ly*a.pw:], oi, ep, oy0+ly)
+			oy := oy0 + ly
+			var res []float32
+			if ri != nil {
+				res = ri[oy*a.ow:]
+			}
+			a.row(band[ly*slot:], oi[oy*a.ow:], a.oh*a.ow, a.ow, res, a.scale)
 		}
 	}
 	scratchF32.put(bandBuf)
 }
 
 // fill copies the input rows output rows [oy0, oy0+rows) read, every
-// channel, into band, ringed by pad columns and rows of +0 (clear
-// writes +0, never −0: a product with the ring must be w·(+0), as with
-// im2col's padding).
+// channel, into band as consecutive slots, ringed by pad columns and
+// rows of +0 (clear writes +0, never −0: a product with the ring must
+// be w·(+0), as with im2col's padding).
 func (a *implicitConv) fill(xi, band []float32, oy0, rows int) {
-	for ci := 0; ci < a.c; ci++ {
-		plane := xi[ci*a.h*a.wd : (ci+1)*a.h*a.wd]
-		dst := band[ci*a.bandPlane:]
-		for r := 0; r < rows+a.k-1; r++ {
-			row := dst[r*a.pw : (r+1)*a.pw]
-			iy := oy0 + r - a.pad
-			if iy < 0 || iy >= a.h {
-				clear(row)
-				continue
-			}
+	slot := a.c * a.pw
+	for r := 0; r < rows+a.k-1; r++ {
+		dst := band[r*slot : (r+1)*slot]
+		iy := oy0 + r - a.pad
+		if iy < 0 || iy >= a.h {
+			clear(dst)
+			continue
+		}
+		for ci := 0; ci < a.c; ci++ {
+			row := dst[ci*a.pw : (ci+1)*a.pw]
 			clear(row[:a.pad])
-			copy(row[a.pad:], plane[iy*a.wd:(iy+1)*a.wd])
+			copy(row[a.pad:], xi[(ci*a.h+iy)*a.wd:(ci*a.h+iy+1)*a.wd])
 			clear(row[a.pad+a.wd:])
 		}
 	}
-}
-
-// row computes output row oy of every channel, b being the band from
-// the row's first window row on.
-func (a *implicitConv) row(b, out []float32, ep epilogue, oy int) {
-	plane := a.oh * a.ow
-	out = out[oy*a.ow:]
-	if ep.res != nil {
-		ep.res = ep.res[oy*a.ow:]
-	}
-	if !a.avx512 {
-		gemmOffRows(a.w, b, a.off, out, 0, a.outC, a.kk, a.ow, plane, ep)
-		return
-	}
-	// The assembly trusts these extents.
-	last := (a.outC-1)*plane + a.ow - 1
-	_ = b[a.maxOff+a.ow-1]
-	_ = out[last]
-	res := &out[0]
-	if ep.res != nil {
-		_ = ep.res[last]
-		res = &ep.res[0]
-	}
-	convRowF32AVX512(&b[0], &a.off[0], a.kk, &a.wp[0], &a.bp[0], a.blocks, a.outC-8*(a.blocks-1),
-		&out[0], plane, a.ow, res, ep.scale, ep.bits())
 }
 
 // convInferIm2col is Conv2DInfer for strided convolutions — only the

@@ -6,24 +6,28 @@ import (
 	"sync"
 )
 
-// Int8Map is the int8 inference path's activation map: one image's
-// quantized activations, padded, pixel-major and offset to unsigned.
-// Channel ch of pixel (y, x) is the byte x_q+128 (x_q the int8 value) at
-// row top+pad+y, column pad+x; channels are padded to a multiple of four
-// (c4) and the image is ringed by pad pixels, every padding byte 128 —
-// int8 zero. A pixel's kernel-row window is then one contiguous run of
-// K·c4 bytes in every lane's layout, so no convolution packs, pads or
-// re-lays its input, and one buffer serves a whole pass: Quantize fills
-// it from a float32 map, Conv2DInt8Map reads it, and Conv2DInt8MapReLU
-// replaces it in place with its own output quantized for the next
-// convolution. The zero value is ready to use; the buffer grows to the
-// largest image seen and is reused.
+// Int8Map is the int8 inference path's activation rows: quantized,
+// padded, pixel-major and offset to unsigned. Channel ch of pixel x of a
+// row is the byte x_q+128 (x_q the int8 value) at column pad+x; channels
+// are padded to a multiple of four (c4) and each row is ringed by pad
+// pixels, every padding byte 128 — int8 zero. A pixel's kernel-row
+// window is then one contiguous run of K·c4 bytes in every lane's
+// layout, so no convolution packs, pads or re-lays its input.
+//
+// The map is a ring of rows (see rows.go): row y in slot (y+pad) mod
+// slots, slots [0, 2·pad) mirrored after the last, so a convolution's K
+// window rows are always consecutive, one row stride apart; a map of
+// h+2·pad slots (Quantize) holds a whole image. The buffer ends in slack
+// for the kernels' reads past a window's last pixel: a short last AMX
+// tile of sixteen pixels (with its last slice's few bytes past the
+// window), a VNNI tile of eight, or the overhang of a 16-byte chunk. The
+// zero value is empty; Reset shapes it.
 type Int8Map struct {
 	buf   []byte
 	c, c4 int // channels, and the channel stride (c rounded up to 4)
-	h, w  int
+	w     int
 	pad   int // ring width in pixels
-	top   int // buffer row of the first ring row: 1, or 0 once shifted
+	slots int
 }
 
 // Bytes reports the memory the map holds.
@@ -31,34 +35,45 @@ func (m *Int8Map) Bytes() int { return cap(m.buf) }
 
 func (m *Int8Map) rowBytes() int { return (m.w + 2*m.pad) * m.c4 }
 
-// pixels returns the w·c4 bytes of image row y.
-func (m *Int8Map) pixels(y int) []byte {
-	off := (m.top+m.pad+y)*m.rowBytes() + m.pad*m.c4
-	return m.buf[off : off+m.w*m.c4]
-}
-
-// reset shapes the map for a c×h×w image with a pad ring and writes
-// int8 zero to the ring. The buffer holds one spare row above the ring
-// (top = 1), for Conv2DInt8MapReLU to shift the image into, and slack
-// below it for the kernels' reads past the last pixel: a short last
-// AMX tile of sixteen pixels (with its last slice's few bytes past the
-// window), a VNNI tile of eight, or the overhang of a 16-byte chunk.
-func (m *Int8Map) reset(c, h, w, pad int) {
-	m.c, m.c4, m.h, m.w, m.pad, m.top = c, (c+3)&^3, h, w, pad, 1
-	rb := m.rowBytes()
-	n := (h+2*pad+1)*rb + 16*m.c4
+// Reset shapes m to hold the last slots rows of a c-channel, w-pixel
+// activation ringed by pad pixels. A reshape fills the buffer (grown if
+// too small) with int8 zero; a Reset to the shape m already has keeps
+// it, rows included.
+func (m *Int8Map) Reset(c, w, pad, slots int) {
+	if slots < 2*pad+1 {
+		panic("tensor: Int8Map too shallow for a window")
+	}
+	c4 := (c + 3) &^ 3
+	if m.c == c && m.w == w && m.pad == pad && m.slots == slots && m.buf != nil {
+		return
+	}
+	m.c, m.c4, m.w, m.pad, m.slots = c, c4, w, pad, slots
+	n := (slots+2*pad)*m.rowBytes() + 16*c4
 	if cap(m.buf) < n {
 		m.buf = make([]byte, n)
 	}
 	m.buf = m.buf[:n]
-	fillInt8Zero(m.buf[:(1+pad)*rb])
-	fillInt8Zero(m.buf[(1+pad+h)*rb:])
-	for y := 0; y < h; y++ {
-		row := m.buf[(1+pad+y)*rb : (2+pad+y)*rb]
-		fillInt8Zero(row[:pad*m.c4])
-		fillInt8Zero(row[(pad+w)*m.c4:])
+	fillInt8Zero(m.buf)
+}
+
+func (m *Int8Map) slot(y int) int { return (y + m.pad) % m.slots }
+
+// pixels returns the w·c4 bytes of row y.
+func (m *Int8Map) pixels(y int) []byte {
+	off := m.slot(y)*m.rowBytes() + m.pad*m.c4
+	return m.buf[off : off+m.w*m.c4]
+}
+
+// publish copies row y's slot into its mirror, if the slot has one.
+func (m *Int8Map) publish(y int) {
+	if s := m.slot(y); s < 2*m.pad {
+		rb := m.rowBytes()
+		copy(m.buf[(m.slots+s)*rb:(m.slots+s+1)*rb], m.buf[s*rb:(s+1)*rb])
 	}
 }
+
+// window returns the map from the slot of row iy, a window's first, on.
+func (m *Int8Map) window(iy int) []byte { return m.buf[m.slot(iy)*m.rowBytes():] }
 
 // fillInt8Zero sets every byte of b to 128, the map's int8 zero.
 func fillInt8Zero(b []byte) {
@@ -71,39 +86,70 @@ func fillInt8Zero(b []byte) {
 	}
 }
 
-// Quantize lays the planar float32 image src (c, h, w) out in the map,
-// ringed by pad pixels, each element quantized with multiplier inv by
-// QuantizeInt8Into's expression — one sweep, no planar int8 copy.
+// QuantizeRow writes row y from the planar float32 row src — channel
+// ch's w values at src[ch·stride:] — each element quantized with
+// multiplier inv by QuantizeInt8Into's expression, in one sweep, and
+// publishes it.
+func (m *Int8Map) QuantizeRow(y int, src []float32, stride int, inv float32) {
+	if m.w == 0 {
+		return
+	}
+	if len(src) < (m.c-1)*stride+m.w {
+		panic("tensor: Int8Map.QuantizeRow source too short")
+	}
+	dst := m.pixels(y)
+	if useAVX512 {
+		quantizeMapRowAVX512(&dst[0], &src[0], stride, m.c, m.c4, m.w, inv)
+	} else {
+		qBuf := scratchI8.get(m.c * m.w)
+		q := *qBuf
+		for ch := 0; ch < m.c; ch++ {
+			QuantizeInt8Into(q[ch*m.w:(ch+1)*m.w], src[ch*stride:ch*stride+m.w], inv)
+		}
+		layRowInt8(dst, q, m.w, m.c, m.c4, m.w)
+		scratchI8.put(qBuf)
+	}
+	m.publish(y)
+}
+
+// ZeroRow writes row y as int8 zero (a row outside the image) and
+// publishes it.
+func (m *Int8Map) ZeroRow(y int) {
+	rb := m.rowBytes()
+	fillInt8Zero(m.buf[m.slot(y)*rb : (m.slot(y)+1)*rb])
+	m.publish(y)
+}
+
+// image shapes m to hold a whole c×h×w image ringed by pad rows and
+// columns, and writes the ring rows.
+func (m *Int8Map) image(c, h, w, pad int) {
+	m.Reset(c, w, pad, h+2*pad)
+	for y := -pad; y < 0; y++ {
+		m.ZeroRow(y)
+		m.ZeroRow(h - 1 - y)
+	}
+}
+
+// Quantize lays the planar float32 image src (c, h, w) out in m as a
+// whole image ringed by pad pixels, each element quantized with
+// multiplier inv by QuantizeInt8Into's expression.
 func (m *Int8Map) Quantize(src []float32, c, h, w, pad int, inv float32) {
 	if len(src) != c*h*w {
 		panic("tensor: Int8Map.Quantize length mismatch")
 	}
-	m.reset(c, h, w, pad)
-	if w == 0 {
-		return
-	}
-	if useAVX512 {
-		for y := 0; y < h; y++ {
-			quantizeMapRowAVX512(&m.pixels(y)[0], &src[y*w], h*w, c, m.c4, w, inv)
-		}
-		return
-	}
-	qBuf := scratchI8.get(c * w)
-	q := *qBuf
+	m.image(c, h, w, pad)
 	for y := 0; y < h; y++ {
-		for ch := 0; ch < c; ch++ {
-			QuantizeInt8Into(q[ch*w:(ch+1)*w], src[(ch*h+y)*w:(ch*h+y+1)*w], inv)
-		}
-		layRowInt8(m.pixels(y), q, w, c, m.c4, w)
+		m.QuantizeRow(y, src[y*w:], h*w, inv)
 	}
-	scratchI8.put(qBuf)
 }
 
-// layInt8 lays the planar int8 image src (c, h, w) out in the map.
+// layInt8 lays the planar int8 image src (c, h, w) out in m as a whole
+// image.
 func (m *Int8Map) layInt8(src []int8, c, h, w, pad int) {
-	m.reset(c, h, w, pad)
+	m.image(c, h, w, pad)
 	for y := 0; y < h; y++ {
 		layRowInt8(m.pixels(y), src[y*w:], h*w, c, m.c4, w)
+		m.publish(y)
 	}
 }
 
@@ -170,17 +216,14 @@ func int8Lane(spec ConvSpec) int {
 // convRowInt8AVX2 consumes.
 const int8Chunk = 16
 
-// mapConv is one convolution over an Int8Map with its weights packed for
-// the lane that runs it. It holds no closures, so the serial path
-// allocates nothing.
+// mapConv is one convolution over Int8Maps of one width with its
+// weights packed for the lane that runs it. It holds no closures, so the
+// serial path allocates nothing.
 type mapConv struct {
-	src          []byte // the map from its first ring row on
-	rowBytes, c4 int
+	c4, w        int // the input map's channel stride and width
 	spec         ConvSpec
-	oh, ow       int
+	ow           int
 	relu         bool
-	res          []float32 // the residual the epilogue adds, or nil
-	resScale     float32
 	lane         int
 	blocks       int       // AMX, VNNI, AVX2: output-channel blocks of 16, 16, 4
 	pairs        int       // VNNI: pairs of 4-byte groups per kernel row
@@ -188,7 +231,7 @@ type mapConv struct {
 	sliceBytes   int       // AMX: window bytes per slice (≤ 64)
 	cfg          [64]byte  // AMX: the tile configuration
 	chunks       int       // AVX2: 16-byte chunks per kernel row
-	w            []int8    // AMX, VNNI, AVX2: packed weights and corrections
+	wq           []int8    // AMX, VNNI, AVX2: packed weights and corrections
 	sb           []float32 // AMX, VNNI, AVX2: per-block scales, then biases
 	wp, wsum     []uint64  // portable: SWAR-packed weights, operand sums
 	g, gs        int       // portable: words per record, per section
@@ -199,12 +242,9 @@ type mapConv struct {
 	wpBuf *[]uint64
 }
 
-// newMapConv checks a convolution against its map and packs its weights
-// (OutC, InC·K·K) into pooled scratch; release returns it.
-func newMapConv(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, relu bool) mapConv {
-	if spec.InC != m.c || spec.Pad != m.pad {
-		panic("tensor: int8 convolution does not match its activation map")
-	}
+// newMapConv packs a convolution's weights (OutC, InC·K·K) into pooled
+// scratch for maps w pixels wide; release returns it.
+func newMapConv(wq []int8, scales, bias []float32, spec ConvSpec, w int, relu bool) mapConv {
 	k := spec.K
 	if len(wq) != spec.OutC*spec.InC*k*k {
 		panic("tensor: int8 convolution weight length mismatch")
@@ -212,14 +252,14 @@ func newMapConv(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, re
 	if len(scales) != spec.OutC {
 		panic("tensor: int8 convolution scale length mismatch")
 	}
-	secLen := k * m.c4
+	c, c4 := spec.InC, (spec.InC+3)&^3
+	secLen := k * c4
 	if swarGroup*k*packedGroups(secLen) > swarMaxK {
 		panic("tensor: int8 GEMM reduction too large")
 	}
-	oh, ow := spec.OutSize(m.h, m.w)
+	_, ow := spec.OutSize(0, w)
 	a := mapConv{
-		src: m.buf[m.top*m.rowBytes():], rowBytes: m.rowBytes(), c4: m.c4,
-		spec: spec, oh: oh, ow: ow, relu: relu, lane: int8Lane(spec),
+		c4: c4, w: w, spec: spec, ow: ow, relu: relu, lane: int8Lane(spec),
 		scales: scales, bias: bias,
 	}
 	switch a.lane {
@@ -233,23 +273,23 @@ func newMapConv(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, re
 		a.blocks = (spec.OutC + 15) / 16
 		a.wBuf = scratchI8.get(a.blocks * (64 + k*groups*64))
 		a.sbBuf = scratchF32.get(a.blocks * 32)
-		a.w, a.sb = *a.wBuf, *a.sbBuf
-		packWeightsInt8VNNI(wq, scales, bias, m.c, m.c4, spec, groups, a.w, a.sb)
+		a.wq, a.sb = *a.wBuf, *a.sbBuf
+		packWeightsInt8VNNI(wq, scales, bias, c, c4, spec, groups, a.wq, a.sb)
 		a.cfg = amxConfig(a.sliceBytes)
 	case laneVNNI:
 		a.pairs = (secLen/4 + 1) / 2
 		a.blocks = (spec.OutC + 15) / 16
 		a.wBuf = scratchI8.get(a.blocks * (64 + k*a.pairs*128))
 		a.sbBuf = scratchF32.get(a.blocks * 32)
-		a.w, a.sb = *a.wBuf, *a.sbBuf
-		packWeightsInt8VNNI(wq, scales, bias, m.c, m.c4, spec, 2*a.pairs, a.w, a.sb)
+		a.wq, a.sb = *a.wBuf, *a.sbBuf
+		packWeightsInt8VNNI(wq, scales, bias, c, c4, spec, 2*a.pairs, a.wq, a.sb)
 	case laneAVX2:
 		a.chunks = (secLen + int8Chunk - 1) / int8Chunk
 		a.blocks = (spec.OutC + 3) / 4
 		a.wBuf = scratchI8.get(a.blocks * (k*a.chunks*4*int8Chunk*2 + 16))
 		a.sbBuf = scratchF32.get(a.blocks * 8)
-		a.w, a.sb = *a.wBuf, *a.sbBuf
-		packWeightsInt8AVX2(wq, scales, bias, m.c, m.c4, spec, a.chunks, a.w, a.sb)
+		a.wq, a.sb = *a.wBuf, *a.sbBuf
+		packWeightsInt8AVX2(wq, scales, bias, c, c4, spec, a.chunks, a.wq, a.sb)
 	default:
 		// Rows in the window's order ky → kx → channel (zero for padding
 		// channels), one section per kernel row, packed once per call into
@@ -260,10 +300,10 @@ func newMapConv(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, re
 		perm := *permBuf
 		clear(perm)
 		for oc := 0; oc < spec.OutC; oc++ {
-			for ch := 0; ch < m.c; ch++ {
+			for ch := 0; ch < c; ch++ {
 				for ky := 0; ky < k; ky++ {
 					for kx := 0; kx < k; kx++ {
-						perm[((oc*k+ky)*k+kx)*m.c4+ch] = wq[((oc*m.c+ch)*k+ky)*k+kx]
+						perm[((oc*k+ky)*k+kx)*c4+ch] = wq[((oc*c+ch)*k+ky)*k+kx]
 					}
 				}
 			}
@@ -378,12 +418,16 @@ func putInt32(b []int8, v int32) {
 	b[0], b[1], b[2], b[3] = int8(v), int8(v>>8), int8(v>>16), int8(v>>24)
 }
 
-// row computes output row oy: channel oc's pixels at out[oc·planeStride:],
-// each with res non-nil (laid out like out) res + float32(resScale·v),
-// read before the element is written — out may be res. secs is the
-// portable lane's scratch (secWords long), nil otherwise.
-func (a *mapConv) row(oy int, out, res []float32, planeStride int, secs []uint64) {
-	src := a.src[oy*a.spec.Stride*a.rowBytes:]
+// row computes output row oy from the map m: channel oc's pixels at
+// out[oc·planeStride:], each with res non-nil (laid out like out) res +
+// float32(resScale·v), read before the element is written — out may be
+// res. secs is the portable lane's scratch (secWords long), nil
+// otherwise.
+func (a *mapConv) row(m *Int8Map, oy int, out, res []float32, planeStride int, resScale float32, secs []uint64) {
+	if m.c4 != a.c4 || m.w != a.w || m.pad != a.spec.Pad || m.c != a.spec.InC {
+		panic("tensor: int8 convolution does not match its activation map")
+	}
+	src, rowBytes := m.window(oy*a.spec.Stride-a.spec.Pad), m.rowBytes()
 	relu := 0
 	if a.relu {
 		relu = 1
@@ -394,16 +438,16 @@ func (a *mapConv) row(oy int, out, res []float32, planeStride int, secs []uint64
 	}
 	switch a.lane {
 	case laneAMX:
-		convRowInt8AMX(&src[0], a.rowBytes, a.c4, a.spec.K, a.slices, &a.w[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, a.resScale, &a.cfg[0], a.sliceBytes)
+		convRowInt8AMX(&src[0], rowBytes, a.c4, a.spec.K, a.slices, &a.wq[0], &a.sb[0], a.blocks,
+			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, resScale, &a.cfg[0], a.sliceBytes)
 	case laneVNNI:
-		convRowInt8VNNI(&src[0], a.rowBytes, a.c4, a.spec.K, a.pairs, &a.w[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, a.resScale)
+		convRowInt8VNNI(&src[0], rowBytes, a.c4, a.spec.K, a.pairs, &a.wq[0], &a.sb[0], a.blocks,
+			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, resScale)
 	case laneAVX2:
-		convRowInt8AVX2(&src[0], a.rowBytes, a.spec.Stride*a.c4, a.spec.K, a.chunks, &a.w[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, a.resScale)
+		convRowInt8AVX2(&src[0], rowBytes, a.spec.Stride*a.c4, a.spec.K, a.chunks, &a.wq[0], &a.sb[0], a.blocks,
+			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, resScale)
 	default:
-		a.rowPortable(src, out, res, planeStride, secs)
+		a.rowPortable(src, rowBytes, out, res, planeStride, resScale, secs)
 	}
 }
 
@@ -415,11 +459,11 @@ func (a *mapConv) secWords() int { return a.ow * (a.g + a.spec.K) }
 // bytes already are the SWAR operands (value+128, padding 128), so each
 // pixel's record is its K window rows packed three bytes to a word, and
 // the bias identity unbiases the dot exactly.
-func (a *mapConv) rowPortable(src []byte, out, res []float32, planeStride int, secs []uint64) {
+func (a *mapConv) rowPortable(src []byte, rowBytes int, out, res []float32, planeStride int, resScale float32, secs []uint64) {
 	k, s, c4, g, gs, ow := a.spec.K, a.spec.Stride, a.c4, a.g, a.gs, a.ow
 	recs, sums := secs[:ow*g], secs[ow*g:ow*(g+k)]
 	for ky := 0; ky < k; ky++ {
-		row := src[ky*a.rowBytes:]
+		row := src[ky*rowBytes:]
 		for ox := 0; ox < ow; ox++ {
 			si := ox*k + ky
 			sums[si] = packSectionInt8(row[ox*s*c4:ox*s*c4+k*c4], recs[si*gs:(si+1)*gs])
@@ -442,10 +486,10 @@ func (a *mapConv) rowPortable(src []byte, out, res []float32, planeStride int, s
 			if a.bias != nil {
 				b0, b1, b2, b3 = a.bias[i0], a.bias[i0+1], a.bias[i0+2], a.bias[i0+3]
 			}
-			a.put(out, res, i0*planeStride+ox, requantInt8(int32(d0)+corr-swarBias*int32(a.wsum[i0])-rterm, a.scales[i0], b0, a.relu))
-			a.put(out, res, (i0+1)*planeStride+ox, requantInt8(int32(d1)+corr-swarBias*int32(a.wsum[i0+1])-rterm, a.scales[i0+1], b1, a.relu))
-			a.put(out, res, (i0+2)*planeStride+ox, requantInt8(int32(d2)+corr-swarBias*int32(a.wsum[i0+2])-rterm, a.scales[i0+2], b2, a.relu))
-			a.put(out, res, (i0+3)*planeStride+ox, requantInt8(int32(d3)+corr-swarBias*int32(a.wsum[i0+3])-rterm, a.scales[i0+3], b3, a.relu))
+			put(out, res, resScale, i0*planeStride+ox, requantInt8(int32(d0)+corr-swarBias*int32(a.wsum[i0])-rterm, a.scales[i0], b0, a.relu))
+			put(out, res, resScale, (i0+1)*planeStride+ox, requantInt8(int32(d1)+corr-swarBias*int32(a.wsum[i0+1])-rterm, a.scales[i0+1], b1, a.relu))
+			put(out, res, resScale, (i0+2)*planeStride+ox, requantInt8(int32(d2)+corr-swarBias*int32(a.wsum[i0+2])-rterm, a.scales[i0+2], b2, a.relu))
+			put(out, res, resScale, (i0+3)*planeStride+ox, requantInt8(int32(d3)+corr-swarBias*int32(a.wsum[i0+3])-rterm, a.scales[i0+3], b3, a.relu))
 		}
 		for oc := nb4 * 4; oc < outC; oc++ {
 			off := nb4*4*g + (oc-nb4*4)*g
@@ -454,16 +498,16 @@ func (a *mapConv) rowPortable(src []byte, out, res []float32, planeStride int, s
 			if a.bias != nil {
 				bo = a.bias[oc]
 			}
-			a.put(out, res, oc*planeStride+ox, requantInt8(int32(d)+corr-swarBias*int32(a.wsum[oc])-rterm, a.scales[oc], bo, a.relu))
+			put(out, res, resScale, oc*planeStride+ox, requantInt8(int32(d)+corr-swarBias*int32(a.wsum[oc])-rterm, a.scales[oc], bo, a.relu))
 		}
 	}
 }
 
 // put stores one finished value at out[i], with res non-nil as the
 // residual res[i] + float32(resScale·v), the product rounded first.
-func (a *mapConv) put(out, res []float32, i int, v float32) {
+func put(out, res []float32, resScale float32, i int, v float32) {
 	if res != nil {
-		v = res[i] + float32(a.resScale*v)
+		v = res[i] + float32(resScale*v)
 	}
 	out[i] = v
 }
@@ -490,174 +534,160 @@ func packSectionInt8(sec []byte, d []uint64) uint64 {
 	return sum
 }
 
-// rows computes output rows [lo, hi) into the planar out, each lane
-// adding the residual, if any, in its own store.
-func (a *mapConv) rows(lo, hi int, out []float32) {
+// rows computes output rows [lo, hi) of the whole image in m into the
+// planar out, each lane adding the residual res, if any, in its own
+// store.
+func (a *mapConv) rows(m *Int8Map, lo, hi int, out, res []float32, resScale float32) {
 	var secs []uint64
 	var secBuf *[]uint64
 	if a.lane == lanePortable {
 		secBuf = scratchU64.get(a.secWords())
 		secs = *secBuf
 	}
-	plane := a.oh * a.ow
+	plane := len(out) / a.spec.OutC
 	for oy := lo; oy < hi; oy++ {
-		var res []float32
-		if a.res != nil {
-			res = a.res[oy*a.ow:]
+		var r []float32
+		if res != nil {
+			r = res[oy*a.ow:]
 		}
-		a.row(oy, out[oy*a.ow:], res, plane, secs)
+		a.row(m, oy, out[oy*a.ow:], r, plane, resScale, secs)
 	}
 	if secBuf != nil {
 		scratchU64.put(secBuf)
 	}
 }
 
-// Conv2DInt8Map convolves the activation map m with quantized weights
-// wq (OutC, InC·K·K), int8×int8 → exact int32 accumulation, and writes
-// the planar float32 result (OutC, oh, ow) into out through the fused
-// epilogue requantInt8 — ·scales[oc] (weight scale × activation scale),
-// + bias[oc] (nil for none), optional ReLU — and then, with res non-nil
-// (out's shape), the residual add res + float32(resScale·v), rounded
-// step by step exactly as a separate scaled-add pass; out may be res.
-// Output rows are split over the shared worker pool (serially and
-// allocation-free at GOMAXPROCS 1); every output element is computed
-// whole by one lane, so results are bit-identical across worker counts,
-// lanes and the naive reference.
+// Conv2DInt8Map convolves the whole image in the activation map m
+// (Quantize) with quantized weights wq (OutC, InC·K·K), int8×int8 →
+// exact int32 accumulation, and writes the planar float32 result (OutC,
+// oh, ow) into out through the fused epilogue requantInt8 — ·scales[oc]
+// (weight scale × activation scale), + bias[oc] (nil for none),
+// optional ReLU — and then, with res non-nil (out's shape), the residual
+// add res + float32(resScale·v), rounded step by step exactly as a
+// separate scaled-add pass; out may be res. Output rows are split over
+// the shared worker pool (serially and allocation-free at GOMAXPROCS 1);
+// every output element is computed whole by one lane, so results are
+// bit-identical across worker counts, lanes and the naive reference.
 func Conv2DInt8Map(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, relu bool, res []float32, resScale float32, out []float32) {
-	a := newMapConv(m, wq, scales, bias, spec, relu)
+	if spec.InC != m.c || spec.Pad != m.pad {
+		panic("tensor: int8 convolution does not match its activation map")
+	}
+	a := newMapConv(wq, scales, bias, spec, m.w, relu)
 	defer a.release()
-	if len(out) != spec.OutC*a.oh*a.ow {
+	oh, _ := spec.OutSize(m.slots-2*m.pad, m.w)
+	if len(out) != spec.OutC*oh*a.ow {
 		panic("tensor: Conv2DInt8Map output length mismatch")
 	}
 	if res != nil && len(res) != len(out) {
 		panic("tensor: Conv2DInt8Map residual length mismatch")
 	}
-	a.res, a.resScale = res, resScale
 	if len(out) == 0 {
 		return
 	}
 	if runtime.GOMAXPROCS(0) <= 1 {
-		a.rows(0, a.oh, out)
+		a.rows(m, 0, oh, out, res, resScale)
 	} else {
 		// The closure captures a branch-local copy so `a` never escapes
 		// and the serial path above stays allocation-free.
 		ap := a
-		parallelFor(a.oh, func(lo, hi int) { ap.rows(lo, hi, out) })
+		parallelFor(oh, func(lo, hi int) { ap.rows(m, lo, hi, out, res, resScale) })
 	}
 }
 
-// Conv2DInt8MapReLU runs a ReLU convolution over m and leaves in m, in
-// place, its output as the next convolution's input: relu(conv(m))
-// quantized with multiplier inv by QuantizeInt8Into's expression, the
-// float32 value never stored. The convolution must keep the image's
-// geometry — InC == OutC, K 3, stride 1, pad 1 — and m must have been
-// filled since it was last shifted.
-//
-// In place works row by row: output row y reads input rows y−1..y+1 and
-// is written over the buffer row input row y−1 occupied — dead by then
-// for every later output row — so the image moves up one buffer row
-// (into the spare row reset reserved) and nothing else is needed. With
-// the rows split into bands on the worker pool, a band's first two
-// output rows would land on rows the band above still reads; they are
-// held back and copied in once every band is done.
-func Conv2DInt8MapReLU(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, inv float32) {
-	if spec.InC != spec.OutC || spec.K != 3 || spec.Stride != 1 || spec.Pad != 1 {
-		panic("tensor: Conv2DInt8MapReLU needs a geometry-preserving 3×3 convolution")
+// rowToMap computes output row oy of a convolution that keeps its
+// input's geometry (InC == OutC, stride 1) from the map in, and writes
+// it into dst as the next convolution's input row oy: the value row
+// writes, quantized with multiplier inv by QuantizeInt8Into's
+// expression. The AMX and VNNI lanes quantize in register and never
+// store the float32 row; the others go through a float32 row in
+// scratch.
+func (a *mapConv) rowToMap(in *Int8Map, oy int, dst *Int8Map, inv float32) {
+	if dst.c != a.spec.OutC || dst.w != a.ow {
+		panic("tensor: int8 convolution does not match its output map")
 	}
-	if m.top != 1 {
-		panic("tensor: Conv2DInt8MapReLU on a map it already shifted")
+	if a.ow == 0 {
+		return
 	}
-	a := newMapConv(m, wq, scales, bias, spec, true)
-	defer a.release()
-	m.top = 0      // a.src still reads the unshifted rows
-	const held = 2 // output rows per band written last
-	rowLen := m.w * m.c4
-	bands := 1
-	if procs := runtime.GOMAXPROCS(0); procs > 1 && a.oh > 1 {
-		bands = min(procs, a.oh)
-	}
-	switch {
-	case rowLen == 0:
-	case bands == 1:
-		a.bandToMap(m, 0, a.oh, inv, nil)
-	default:
-		heldBuf := scratchU8.get((bands - 1) * held * rowLen)
-		hold := *heldBuf
-		fillInt8Zero(hold)
-		ap := a
-		parallelFor(bands, func(lo, hi int) {
-			for b := lo; b < hi; b++ {
-				var h []byte
-				if b > 0 {
-					h = hold[(b-1)*held*rowLen : b*held*rowLen]
-				}
-				ap.bandToMap(m, b*ap.oh/bands, (b+1)*ap.oh/bands, inv, h)
-			}
-		})
-		for b := 1; b < bands; b++ {
-			y0 := b * a.oh / bands
-			for j := 0; j < held && y0+j < (b+1)*a.oh/bands; j++ {
-				copy(m.pixels(y0+j), hold[((b-1)*held+j)*rowLen:])
-			}
+	switch a.lane {
+	case laneAMX, laneVNNI:
+		if in.c4 != a.c4 || in.w != a.w || in.pad != a.spec.Pad || in.c != a.spec.InC {
+			panic("tensor: int8 convolution does not match its activation map")
 		}
-		scratchU8.put(heldBuf)
-	}
-	rb := m.rowBytes()
-	fillInt8Zero(m.buf[(m.pad+m.h)*rb : (m.pad+m.h+1)*rb]) // the new bottom ring
-}
-
-// bandToMap computes output rows [lo, hi) of an in-place convolution:
-// each into a row buffer (or, for the band's first rows, into hold),
-// then over its destination row. Padding-channel bytes of the buffers
-// start and stay int8 zero: no lane writes them.
-func (a *mapConv) bandToMap(m *Int8Map, lo, hi int, inv float32, hold []byte) {
-	rowLen := a.ow * a.c4
-	tmpBuf := scratchU8.get(rowLen)
-	tmp := *tmpBuf
-	fillInt8Zero(tmp)
-	var f []float32
-	var q []int8
-	var secs []uint64
-	var fBuf *[]float32
-	var qBuf *[]int8
-	var secBuf *[]uint64
-	if a.lane < laneVNNI {
-		fBuf, qBuf = scratchF32.get(a.spec.OutC*a.ow), scratchI8.get(a.spec.OutC*a.ow)
-		f, q = *fBuf, *qBuf
+		src, rowBytes, out := in.window(oy-a.spec.Pad), in.rowBytes(), dst.pixels(oy)
+		if a.lane == laneAMX {
+			convRowInt8AMXMap(&src[0], rowBytes, a.c4, a.spec.K, a.slices, &a.wq[0], &a.sb[0], a.blocks,
+				&out[0], a.ow, a.spec.OutC, inv, &a.cfg[0], a.sliceBytes)
+		} else {
+			convRowInt8VNNIMap(&src[0], rowBytes, a.c4, a.spec.K, a.pairs, &a.wq[0], &a.sb[0], a.blocks,
+				&out[0], a.ow, a.spec.OutC, inv)
+		}
+		dst.publish(oy)
+	default:
+		fBuf := scratchF32.get(a.spec.OutC * a.ow)
+		var secs []uint64
+		var secBuf *[]uint64
 		if a.lane == lanePortable {
 			secBuf = scratchU64.get(a.secWords())
 			secs = *secBuf
 		}
-	}
-	for y := lo; y < hi; y++ {
-		dst, direct := tmp, true
-		if j := y - lo; j*rowLen < len(hold) {
-			dst, direct = hold[j*rowLen:(j+1)*rowLen], false
-		}
-		switch a.lane {
-		case laneAMX:
-			convRowInt8AMXMap(&a.src[y*a.rowBytes], a.rowBytes, a.c4, a.spec.K, a.slices, &a.w[0], &a.sb[0], a.blocks,
-				&dst[0], a.ow, a.spec.OutC, inv, &a.cfg[0], a.sliceBytes)
-		case laneVNNI:
-			convRowInt8VNNIMap(&a.src[y*a.rowBytes], a.rowBytes, a.c4, a.spec.K, a.pairs, &a.w[0], &a.sb[0], a.blocks,
-				&dst[0], a.ow, a.spec.OutC, inv)
-		default:
-			a.row(y, f, nil, a.ow, secs)
-			QuantizeInt8Into(q, f, inv)
-			layRowInt8(dst, q, a.ow, a.spec.OutC, a.c4, a.ow)
-		}
-		if direct {
-			copy(m.pixels(y), tmp)
-		}
-	}
-	scratchU8.put(tmpBuf)
-	if fBuf != nil {
+		a.row(in, oy, *fBuf, nil, a.ow, 0, secs)
+		dst.QuantizeRow(oy, *fBuf, a.ow, inv)
 		scratchF32.put(fBuf)
-		scratchI8.put(qBuf)
+		if secBuf != nil {
+			scratchU64.put(secBuf)
+		}
 	}
+}
+
+// Int8ConvRows is a stride-1 int8 convolution prepared for one pass of
+// row-at-a-time inference over Int8Maps of one width: its weights packed
+// once for the pass for the lane that runs it (NewInt8ConvRows), its
+// rows computed one call at a time, its pooled buffers returned by
+// Release. A prepared Int8ConvRows only reads its state, so one may
+// serve several goroutines' maps at once.
+type Int8ConvRows struct{ a mapConv }
+
+// NewInt8ConvRows prepares the quantized convolution wq (OutC, InC·K·K)
+// with requantization multipliers scales, bias (nil for none) and, with
+// relu, a fused ReLU, over maps width pixels wide: Conv2DInt8Map's
+// arguments. It must be stride 1 with a pad of (K−1)/2.
+func NewInt8ConvRows(wq []int8, scales, bias []float32, spec ConvSpec, width int, relu bool) Int8ConvRows {
+	if spec.Stride != 1 || spec.K != 2*spec.Pad+1 {
+		panic("tensor: row convolutions are stride 1 with a (K−1)/2 pad")
+	}
+	return Int8ConvRows{a: newMapConv(wq, scales, bias, spec, width, relu)}
+}
+
+// Release returns the pooled buffers; c is unusable afterwards.
+func (c *Int8ConvRows) Release() {
+	c.a.release()
+	c.a = mapConv{}
+}
+
+// Row computes output row oy of every channel from in's rows
+// oy−pad..oy+pad, which must be published: channel oc's pixels at
+// out[oc·stride:], each, with res non-nil (laid out like out), res +
+// float32(scale·v) — read before the element is written, so out may be
+// res. The bits are Conv2DInt8Map's.
+func (c *Int8ConvRows) Row(in *Int8Map, oy int, out []float32, stride int, res []float32, scale float32) {
+	var secs []uint64
+	var secBuf *[]uint64
+	if c.a.lane == lanePortable {
+		secBuf = scratchU64.get(c.a.secWords())
+		secs = *secBuf
+	}
+	c.a.row(in, oy, out, res, stride, scale, secs)
 	if secBuf != nil {
 		scratchU64.put(secBuf)
 	}
+}
+
+// RowToMap computes output row oy as Row does, for a convolution that
+// keeps its input's geometry, and writes it into dst's row oy quantized
+// with multiplier inv — the next convolution's input, by
+// QuantizeInt8Into's expression — and publishes it.
+func (c *Int8ConvRows) RowToMap(in *Int8Map, oy int, dst *Int8Map, inv float32) {
+	c.a.rowToMap(in, oy, dst, inv)
 }
 
 var mapPool = sync.Pool{New: func() any { return new(Int8Map) }}

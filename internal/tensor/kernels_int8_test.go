@@ -359,10 +359,12 @@ func TestConv2DInferInt8TracksFloat32(t *testing.T) {
 	}
 }
 
-// TestInt8MapInPlaceBands checks the in-place ReLU convolution's band
-// hand-off: on one to five workers — bands of one row and of many — the
-// map it leaves is the direct convolution, ReLU and QuantizeInt8Into.
-func TestInt8MapInPlaceBands(t *testing.T) {
+// TestInt8MapRowToMap checks the ReLU convolution that writes its
+// output rows quantized into the next convolution's ring, on images of
+// one to 23 rows: every ring row it writes is the direct convolution,
+// ReLU and QuantizeInt8Into, and the convolution reading that ring
+// computes the direct convolution of those codes.
+func TestInt8MapRowToMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	spec := ConvSpec{InC: 16, OutC: 16, K: 3, Stride: 1, Pad: 1}
 	const w, inv, inv2 = 37, 40, 2
@@ -370,13 +372,12 @@ func TestInt8MapInPlaceBands(t *testing.T) {
 		img := randSlice(rng, spec.InC*h*w)
 		cc := makeInt8ConvCase(rng, 1, h, w, spec)
 		QuantizeInt8Into(cc.xq, img, inv)
-		want := make([]int8, len(img))
-		QuantizeInt8Into(want, conv2DInt8Ref(cc, true), inv2)
-		for procs := 1; procs <= 5; procs++ {
-			var m Int8Map
-			m.Quantize(img, spec.InC, h, w, 1, inv)
-			withProcs(t, procs, func() { Conv2DInt8MapReLU(&m, cc.wq, cc.scales, cc.bias, spec, inv2) })
-			checkMap(t, fmt.Sprintf("%d rows on %d workers", h, procs), &m, want)
-		}
+		q := append([]int8(nil), cc.xq...)
+		mid := make([]int8, len(img))
+		QuantizeInt8Into(mid, conv2DInt8Ref(cc, true), inv2)
+		next := cc
+		next.xq = mid
+		got := int8RowPipeline(t, fmt.Sprintf("%d rows", h), img, h, w, cc, inv, inv2, q, mid)
+		diffBits(t, fmt.Sprintf("%d rows: Int8ConvRows.Row", h), got, conv2DInt8Ref(next, false))
 	}
 }

@@ -72,7 +72,7 @@ var int8Tests = []struct {
 	{"Conv2DInferInt8Deterministic", TestConv2DInferInt8Deterministic},
 	{"Conv2DInferInt8SerialAllocFree", TestConv2DInferInt8SerialAllocFree},
 	{"Conv2DInferInt8TracksFloat32", TestConv2DInferInt8TracksFloat32},
-	{"Int8MapInPlaceBands", TestInt8MapInPlaceBands},
+	{"Int8MapRowToMap", TestInt8MapRowToMap},
 }
 
 // TestPortablePath re-runs the package's parity, determinism and
@@ -572,6 +572,7 @@ func checkConvCase(t *testing.T, c convCase) {
 	if c.residual {
 		checkInt8ResidualCase(t, c, cc, kernelBias, want8)
 	}
+	checkRingCase(t, c, x, wt, bias, fused, cc, kernelBias, want8)
 	checkMapCase(t, c, rng, x.Data[:spec.InC*c.h*c.w])
 }
 
@@ -650,11 +651,13 @@ func extremeInt8Case(rng *rand.Rand, cc *int8ConvCase) {
 	copy(cc.bias, operand(rng, len(cc.bias), true))
 }
 
-// checkMapCase pins the activation map's two producers on every lane:
-// Quantize against QuantizeInt8Into laid out by hand, and the in-place
-// ReLU convolution of a residual block (InC → InC, 3×3, pad 1) against
-// the direct convolution, ReLU and QuantizeInt8Into — and then reads the
-// shifted map back through one more convolution.
+// checkMapCase pins the activation map's producers on every lane:
+// Quantize against QuantizeInt8Into laid out by hand, then the ReLU
+// convolution of a residual block (InC → InC, 3×3, pad 1) run as a row
+// pipeline over 3-slot rings — every window but the first sits on
+// wrapped slots — its rows quantized into the next ring (RowToMap)
+// against the direct convolution, ReLU and QuantizeInt8Into, and read
+// back through one more convolution (Row).
 func checkMapCase(t *testing.T, c convCase, rng *rand.Rand, img []float32) {
 	ch, h, w := c.spec.InC, c.h, c.w
 	invs := []float32{40, 1e-3, 1e30, 0}
@@ -679,33 +682,165 @@ func checkMapCase(t *testing.T, c convCase, rng *rand.Rand, img []float32) {
 		withLane(l, func() {
 			var m Int8Map
 			m.Quantize(img, ch, h, w, 1, inv)
-			checkMap(t, l.name+" lane Int8Map.Quantize", &m, q)
-			withProcs(t, c.procs, func() { Conv2DInt8MapReLU(&m, cc.wq, cc.scales, cc.bias, sq, inv2) })
-			checkMap(t, l.name+" lane Conv2DInt8MapReLU", &m, mid)
-			got := make([]float32, len(wantNext))
-			withProcs(t, c.procs, func() { Conv2DInt8Map(&m, cc.wq, cc.scales, cc.bias, sq, false, nil, 0, got) })
-			diffBits(t, l.name+" lane Conv2DInt8Map over a shifted map", got, wantNext)
+			checkMap(t, l.name+" lane Int8Map.Quantize", &m, h, q)
+			got := int8RowPipeline(t, l.name, img, h, w, cc, inv, inv2, q, mid)
+			diffBits(t, l.name+" lane Int8ConvRows.Row over a ring", got, wantNext)
 		})
 	}
 }
 
-// checkMap compares every byte of m a kernel may read — the ring, the
-// padding channels and the pixels — with the planar int8 image want.
-func checkMap(t *testing.T, what string, m *Int8Map, want []int8) {
+// int8RowPipeline runs conv(relu(conv(x))) of cc's geometry (InC →
+// InC, 3×3, pad 1) over the image img row by row through two 3-slot
+// rings: input row t quantized with inv at step t, the ReLU
+// convolution's row t−1 quantized with inv2 into the second ring, the
+// plain convolution's row t−2 into the returned planar output. Each
+// ring row is checked against q or mid as it is written.
+func int8RowPipeline(t *testing.T, lane string, img []float32, h, w int, cc int8ConvCase, inv, inv2 float32, q, mid []int8) []float32 {
 	t.Helper()
-	rb := m.rowBytes()
-	for r := 0; r < m.h+2*m.pad; r++ {
-		y := r - m.pad
-		for i, b := range m.buf[(m.top+r)*rb : (m.top+r+1)*rb] {
+	spec := cc.spec
+	k1 := NewInt8ConvRows(cc.wq, cc.scales, cc.bias, spec, w, true)
+	k2 := NewInt8ConvRows(cc.wq, cc.scales, cc.bias, spec, w, false)
+	defer k1.Release()
+	defer k2.Release()
+	var in, mm Int8Map
+	in.Reset(spec.InC, w, 1, 3)
+	mm.Reset(spec.InC, w, 1, 3)
+	in.ZeroRow(-1)
+	mm.ZeroRow(-1)
+	out := make([]float32, spec.OutC*h*w)
+	for step := 0; step <= h+1; step++ {
+		if step < h {
+			in.QuantizeRow(step, img[step*w:], h*w, inv)
+			checkMapRow(t, lane+" lane Int8Map.QuantizeRow", &in, step, h, q)
+		} else if step == h {
+			in.ZeroRow(h)
+		}
+		if y := step - 1; y >= 0 && y < h {
+			k1.RowToMap(&in, y, &mm, inv2)
+			checkMapRow(t, lane+" lane Int8ConvRows.RowToMap", &mm, y, h, mid)
+		} else if y == h {
+			mm.ZeroRow(h)
+		}
+		if y := step - 2; y >= 0 && y < h {
+			k2.Row(&mm, y, out[y*w:], h*w, nil, 0)
+		}
+	}
+	return out
+}
+
+// checkMap compares every byte of the whole-image map m a kernel may
+// read — the ring, the padding channels and the pixels — with the
+// planar int8 image want of h rows.
+func checkMap(t *testing.T, what string, m *Int8Map, h int, want []int8) {
+	t.Helper()
+	for y := -m.pad; y < h+m.pad; y++ {
+		checkMapRow(t, what, m, y, h, want)
+	}
+}
+
+// checkMapRow compares row y's slot of m, and its mirror if it has one,
+// with row y of the planar int8 image want of h rows (int8 zero outside
+// it).
+func checkMapRow(t *testing.T, what string, m *Int8Map, y, h int, want []int8) {
+	t.Helper()
+	rb, s := m.rowBytes(), m.slot(y)
+	slots := [][]byte{m.buf[s*rb : (s+1)*rb]}
+	if s < 2*m.pad {
+		slots = append(slots, m.buf[(m.slots+s)*rb:(m.slots+s+1)*rb])
+	}
+	for _, row := range slots {
+		for i, b := range row {
 			x, ch := i/m.c4-m.pad, i%m.c4
 			exp := byte(0x80)
-			if y >= 0 && y < m.h && x >= 0 && x < m.w && ch < m.c {
-				exp = byte(want[(ch*m.h+y)*m.w+x]) ^ 0x80
+			if y >= 0 && y < h && x >= 0 && x < m.w && ch < m.c {
+				exp = byte(want[(ch*h+y)*m.w+x]) ^ 0x80
 			}
 			if b != exp {
-				t.Fatalf("%s: %dx%dx%d map byte (y %d, x %d, ch %d) = %#02x, want %#02x", what, m.c, m.h, m.w, y, x, ch, b, exp)
+				t.Fatalf("%s: %dx%dx%d map byte (y %d, x %d, ch %d) = %#02x, want %#02x", what, m.c, h, m.w, y, x, ch, b, exp)
 			}
 		}
+	}
+}
+
+// checkRingCase pins the row entry points on every lane for a case
+// whose convolution keeps its geometry (stride 1, pad (K−1)/2): the
+// case's first image pushed row by row through a ring of K slots — so
+// every window past the first K rows sits on wrapped slots — and each
+// output row computed once its window is published, by ConvRows against
+// Conv2DInfer's fused output (f32) and by Int8ConvRows against the
+// direct int8 convolution (want8), with the case's residual, in place
+// when it asks.
+func checkRingCase(t *testing.T, c convCase, x, wt, bias *Tensor, f32 []float32, cc int8ConvCase, bias8, want8 []float32) {
+	spec := c.spec
+	if spec.Stride != 1 || spec.K != 2*spec.Pad+1 {
+		return
+	}
+	h, w, p := c.h, c.w, spec.Pad
+	plane := spec.OutC * h * w
+	var res []float32
+	scale := float32(0)
+	if c.residual {
+		res, scale = operand(rand.New(rand.NewSource(c.dataSeed+4)), plane, c.special), c.scale
+	}
+	want := func(v []float32) []float32 {
+		v = append([]float32(nil), v[:plane]...)
+		if res != nil {
+			for i := range v {
+				v[i] = res[i] + float32(scale*v[i])
+			}
+		}
+		return v
+	}
+	wantF32, wantInt8 := want(f32), want(want8)
+	for _, l := range kernelLanes {
+		if !l.available() {
+			continue
+		}
+		withLane(l, func() {
+			gotF32, gotInt8 := make([]float32, plane), make([]float32, plane)
+			r32, r8 := res, res
+			if c.inPlace && res != nil {
+				copy(gotF32, res)
+				copy(gotInt8, res)
+				r32, r8 = gotF32, gotInt8
+			}
+			k32 := NewConvRows(wt, bias, spec, w, c.relu)
+			k8 := NewInt8ConvRows(cc.wq, cc.scales, bias8, spec, w, c.relu)
+			var ring Ring
+			var m Int8Map
+			ring.Reset(spec.InC, w, p, spec.K, true)
+			m.Reset(spec.InC, w, p, spec.K)
+			for y := -p; y < 0; y++ {
+				ring.Zero(y)
+				m.ZeroRow(y)
+			}
+			for iy := 0; iy < h+p; iy++ {
+				if iy < h {
+					row := ring.Row(iy)
+					for ch := 0; ch < spec.InC; ch++ {
+						copy(row[ch*ring.Stride():][:w], x.Data[(ch*h+iy)*w:])
+					}
+					ring.Publish(iy)
+					layRowInt8(m.pixels(iy), cc.xq[iy*w:], h*w, spec.InC, m.c4, w)
+					m.publish(iy)
+				} else {
+					ring.Zero(iy)
+					m.ZeroRow(iy)
+				}
+				if oy := iy - p; oy >= 0 {
+					var a, b []float32
+					if res != nil {
+						a, b = r32[oy*w:], r8[oy*w:]
+					}
+					k32.Row(&ring, oy, gotF32[oy*w:], h*w, a, scale)
+					k8.Row(&m, oy, gotInt8[oy*w:], h*w, b, scale)
+				}
+			}
+			k32.Release()
+			k8.Release()
+			diffBits(t, "ConvRows "+l.name+" lane over a ring vs Conv2DInfer", gotF32, wantF32)
+			diffBits(t, "Int8ConvRows "+l.name+" lane over a ring vs direct int8 convolution", gotInt8, wantInt8)
+		})
 	}
 }
 
@@ -744,6 +879,11 @@ func FuzzConvKernels(f *testing.F) {
 	f.Add(int64(18), uint8(0x01), uint8(0x64), uint8(0x18), uint8(0x0d)) // 16→64 residual in place, width 1, 2 workers
 	f.Add(int64(19), uint8(0x24), uint8(0x46), uint8(0x09), uint8(0x28)) // 64-channel map (three 64-byte slices), ReLU, width 15
 	f.Add(int64(20), uint8(0x03), uint8(0x66), uint8(0x0b), uint8(0x31)) // 64→64, ReLU, specials, residual, width 17
+	// Row entry points whose windows sit on wrapped ring slots
+	// (checkRingCase, checkMapCase): many rows through 3-slot rings.
+	f.Add(int64(21), uint8(0x0c), uint8(0x44), uint8(0x09), uint8(0x20)) // 16→16, ReLU, 15 rows, width 480
+	f.Add(int64(22), uint8(0x07), uint8(0x66), uint8(0x09), uint8(0x2d)) // 64→64, ReLU, residual ×1 in place, 10 rows, width 15
+	f.Add(int64(23), uint8(0x05), uint8(0x33), uint8(0x20), uint8(0x0b)) // 5→7, K=1 pad 0 (a 1-slot ring), 6 rows, residual ×0.1, width 31
 	f.Fuzz(func(t *testing.T, seed int64, shape, chans, flags, extra uint8) {
 		checkConvCase(t, drawConvCase(seed, shape, chans, flags, extra))
 	})

@@ -131,9 +131,14 @@ func (t *Tensor) ScaleInPlace(s float32) {
 }
 
 // MaxAbs returns the largest absolute element value, or 0 for empty tensors.
-func (t *Tensor) MaxAbs() float32 {
+func (t *Tensor) MaxAbs() float32 { return MaxAbs(t.Data) }
+
+// MaxAbs returns the largest absolute value in xs (0 when empty). NaNs
+// are skipped, so the max-abs of a slice split into parts is the max of
+// the parts', in any order.
+func MaxAbs(xs []float32) float32 {
 	var m float32
-	for _, v := range t.Data {
+	for _, v := range xs {
 		a := float32(math.Abs(float64(v)))
 		if a > m {
 			m = a
