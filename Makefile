@@ -8,8 +8,9 @@ GO ?= go
 
 # Every line but the last fails fast on something the race sweep would
 # reach only after minutes, or never: the pinned goldens (Prepare, codec,
-# training, int8 state, wire — never regenerate one to make a change
-# pass); the int8-grid payload's contract (an artifact written before it
+# training, int8 state, wire, the in-loop YUV entry points — never
+# regenerate one to make a change pass); inference's O(width) working
+# set (TestWorkspaceFootprint); the int8-grid payload's contract (an artifact written before it
 # still plays, writers drop a pinned grid, hostile dcW6 payloads are
 # refused, a fused delta reconstruction falls back, and the FMA ratchet
 # over four cross-compiled architectures) and the model cache's
@@ -23,7 +24,7 @@ GO ?= go
 # trains real models and outlasts the default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
-	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew' . ./internal/core ./internal/nn ./internal/stream
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...

@@ -423,21 +423,17 @@ func ConfigFLOPs(cfg Config, lowW, lowH int) float64 {
 // inference at the given input size as the device model sees it: the
 // dominant term is two float32 feature maps of n_f channels at input
 // resolution (plus upsampled maps when Scale > 1) — what a runtime that
-// fuses each block's convolutions and add needs resident. The device
-// model uses this for the OOM behaviour seen in paper Fig 8 (NAS/NEMO
-// cannot run 4K on the Jetson), and EXPERIMENTS.md's verdicts hang on it.
+// fuses each block's convolutions and add, but keeps whole maps between
+// layers, needs resident. The device model uses this for the OOM
+// behaviour seen in paper Fig 8 (NAS/NEMO cannot run 4K on the Jetson),
+// and EXPERIMENTS.md's verdicts hang on it, so it stays that figure.
 //
-// This package's own working set is a Workspace: on the float32 path
-// three such maps (the head's output kept for the global skip, the
-// body's output, and a block's inner activation, since its first
-// convolution cannot write over its input), on the int8 path two (the
-// inner activation stays in the int8 map), plus the 3-channel in/out
-// tensors and the int8 activation map, one byte per channel and pixel
-// plus its padding ring — for a 16-filter model at Scale 1, whatever
-// ResBlocks is, 1.8× this figure once the float32 path has run and 1.3×
-// on the int8 path alone (TestWorkspaceFootprint). Both scale the same
-// way with n_f and resolution, which is what the OOM comparison rests
-// on.
+// This package's own working set is no longer frame-sized: inference is
+// a row pipeline (pipeline.go) whose Workspace holds each layer's last
+// few input rows, O(width) and independent of height — 2.2 MB for the
+// paper's micro model at width 480 after both precisions have run,
+// against this figure's 16.7 MB at 480×272 and 265 MB at 1080p
+// (TestWorkspaceFootprint).
 func ConfigActivationBytes(cfg Config, lowW, lowH int) int64 {
 	cfg = cfg.withDefaults()
 	px := int64(lowW) * int64(lowH)

@@ -14,10 +14,13 @@ import (
 // per-layer activation scales on a handful of those frames is
 // representative by construction (the same data-centric argument that
 // lets a 4-block EDSR match a general model on its own cluster). The
-// quantized path is ForwardInference's own graph walk with every
-// convolution on the int8 kernels (tensor.Conv2DInt8Map) and the
-// structural glue — residual adds, pixel shuffle, the global image
-// residual — in float32, in the same Workspace.
+// quantized path is ForwardInference's own row pipeline with every
+// convolution on the int8 kernels (tensor.Int8ConvRows, reading
+// tensor.Int8Map rings) and the structural glue — residual adds, pixel
+// shuffle, the global image residual — in float32, in the same
+// Workspace. Calibration folds each convolution's input max-abs row by
+// row (nn.Conv2D.Observe): a max that skips NaN, so the split into rows
+// and stripes leaves ActScales' bits as a whole-frame pass's.
 
 // convs enumerates the model's convolutions in forward order. This is
 // the calibration/quantization unit: every conv owns one activation

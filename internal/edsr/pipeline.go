@@ -226,12 +226,10 @@ func (ws *Workspace) addFeed(c, h, w, delay int) int {
 	return len(ws.feeds) - 1
 }
 
-func (ws *Workspace) addStage(st stage) int {
+func (ws *Workspace) addStage(st stage) {
 	st.h, st.w = ws.feeds[st.in].h, ws.feeds[st.in].w
+	ws.feeds[st.in].consumer = len(ws.stages)
 	ws.stages = append(ws.stages, st)
-	i := len(ws.stages) - 1
-	ws.feeds[st.in].consumer = i
-	return i
 }
 
 // lanesFor sizes the workspace's per-pass state and its first n lanes

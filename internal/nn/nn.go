@@ -8,19 +8,21 @@
 // Backward. Networks here are small (dcSR micro models are 4–16 residual
 // blocks of ≤16 filters); the heavy lifting (im2col convolutions, blocked
 // GEMM kernels) lives in internal/tensor. Alongside the training pair
-// the layers expose ForwardInference, a no-grad path that fuses
-// conv+bias+ReLU and the residual adds into the convolution, writes into
-// destinations its caller supplies, and builds no column matrix — the
-// decoder hot loop runs entirely on it, in either precision: a
-// convolution's inference methods take the pass's int8 activation map,
-// nil for the float32 kernels.
+// the layers have a no-grad inference path that fuses conv+bias+ReLU and
+// the residual adds into the convolution, writes into destinations its
+// caller supplies, and builds no column matrix. The decoder hot loop
+// runs on its row entry points, in either precision: Conv2D.ConvRows
+// and Conv2D.Int8ConvRows prepare a convolution for one pass of
+// row-at-a-time inference (tensor.ConvRows, tensor.Int8ConvRows), which
+// edsr's row pipeline drives; whole-tensor ones (ForwardInferenceReLU,
+// Dense.ForwardInference) serve the VAE.
 //
 // Layers own parameters, not activations. A training pass takes its
 // tensors from the tensor.Arena handed to Forward and Backward (whoever
 // runs the step owns it and resets it between steps); an inference pass
-// writes where it is told (edsr.Workspace is the set of destinations one
-// EDSR pass needs). So a layer costs its weights and nothing else, and
-// models that take turns share one working set.
+// writes where it is told (edsr.Workspace holds the row rings one EDSR
+// pass needs). So a layer costs its weights and nothing else, and models
+// that take turns share one working set.
 package nn
 
 import (
@@ -75,11 +77,11 @@ func (p *Param) ZeroGrad() { p.grad().Zero() }
 // Reset. A nil arena allocates each one fresh. Backward may add into the
 // gradient a layer below it returned, never into gy.
 //
-// The concrete layers also have ForwardInference methods, the no-grad
-// fast path: the same bits as Forward, nothing kept for Backward, output
-// written into tensors the caller supplies (shaped via tensor.Ensure), so
-// steady-state inference allocates nothing and the caller decides how
-// many maps a pass keeps alive.
+// The concrete layers also have inference methods, the no-grad fast
+// path: the same bits as Forward, nothing kept for Backward, output
+// written where the caller says (a tensor shaped via tensor.Ensure, or a
+// row), so steady-state inference allocates nothing and the caller
+// decides how much of a pass it keeps alive.
 type Layer interface {
 	Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
 	Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor
@@ -127,12 +129,12 @@ func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// ForwardInference applies the convolution without retaining column
+// forwardInference applies the convolution without retaining column
 // buffers, writing into out. am picks the kernel: nil runs the float32
 // one, a map the int8 one (after QuantizeInt8; see nn_int8.go),
 // quantizing x into am with the calibrated scale.
-func (c *Conv2D) ForwardInference(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
-	return c.ForwardInferenceResidual(x, nil, 0, out, am)
+func (c *Conv2D) forwardInference(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+	return c.forwardInferenceResidual(x, nil, 0, out, am)
 }
 
 // observe widens the calibrated activation range by x's max-abs (see
@@ -172,12 +174,12 @@ func (c *Conv2D) ForwardInferenceReLU(x, out *tensor.Tensor) *tensor.Tensor {
 	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, true, out)
 }
 
-// ForwardInferenceResidual is ForwardInference with a residual add
+// forwardInferenceResidual is forwardInference with a residual add
 // fused into the convolution epilogue: res + scale·conv(x), bitwise
-// identical to a separate scaled-add pass over ForwardInference's
+// identical to a separate scaled-add pass over forwardInference's
 // output (nil res adds none). out may be res; on the float32 kernel it
 // may not be x.
-func (c *Conv2D) ForwardInferenceResidual(x, res *tensor.Tensor, scale float32, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
+func (c *Conv2D) forwardInferenceResidual(x, res *tensor.Tensor, scale float32, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
 	if am != nil {
 		return c.forwardInt8(x, res, scale, out, am)
 	}
@@ -303,12 +305,12 @@ type PixelShuffle struct {
 // Forward performs the depth-to-space rearrangement.
 func (p *PixelShuffle) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	p.shape = append(p.shape[:0], x.Shape...)
-	return p.ForwardInference(x, a.Next())
+	return p.forwardInference(x, a.Next())
 }
 
-// ForwardInference performs the same rearrangement into out and keeps
+// forwardInference performs the same rearrangement into out and keeps
 // no state for Backward.
-func (p *PixelShuffle) ForwardInference(x, out *tensor.Tensor) *tensor.Tensor {
+func (p *PixelShuffle) forwardInference(x, out *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := p.outShape(x)
 	out = tensor.Ensure(out, n, c, h, w)
 	p.shuffleInto(x, out)

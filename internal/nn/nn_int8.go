@@ -6,14 +6,16 @@ import (
 	"dcsr/internal/tensor"
 )
 
-// Int8 inference path. Quantized inference is ForwardInference with an
-// activation map (tensor.Int8Map) passed in — the same methods, the same
-// contract: no grad state, output into caller-supplied tensors, zero
+// Int8 inference path. Quantized inference is the float32 path with an
+// activation map (tensor.Int8Map) in front of every convolution — the
+// same contract: no grad state, output where the caller says, zero
 // steady-state allocations, residual adds in the epilogue. Every
-// convolution reads its input from the map: a convolution quantizes its
-// float32 input into it, and a residual block's first convolution leaves
-// its output there, quantized for the second — the map is dead once a
-// layer returns, so one per pass serves every layer. The scheme is
+// convolution reads its input from a map: its float32 input rows are
+// quantized into it with the layer's InputMultiplier, or, after a ReLU
+// convolution (a residual block's first), that convolution writes its
+// output there already quantized (tensor.Int8ConvRows.RowToMap). The
+// whole-tensor path (forwardInference with a map) quantizes a whole
+// input into one. The scheme is
 // symmetric linear quantization with per-output-channel weight scales
 // and one calibrated per-layer activation scale:
 //
@@ -73,8 +75,9 @@ func (p *Param) pin(g *int8Grid) {
 }
 
 // BeginCalibration puts the convolution into calibration mode: until
-// EndCalibration, every ForwardInference observes its input's max
-// absolute value into the layer's activation range.
+// EndCalibration, every whole-tensor float32 inference call, and every
+// Observe, folds its input's max absolute value into the layer's
+// activation range.
 func (c *Conv2D) BeginCalibration() {
 	c.calibrating = true
 	c.actMax = 0
@@ -133,7 +136,7 @@ func (c *Conv2D) SnapInt8() {
 	c.Wt.pin(c.int8.grid)
 }
 
-// forwardInt8 is ForwardInferenceResidual on the int8 kernel path:
+// forwardInt8 is forwardInferenceResidual on the int8 kernel path:
 // quantize the input into am with the calibrated scale, int8×int8 →
 // int32 accumulate, requantize + bias and then the float32 residual add
 // in the epilogue. x may be out: each image is in am before its output

@@ -12,7 +12,7 @@ import (
 // conv records its activation range, then quantizes.
 func calibrateOn(c *Conv2D, x *tensor.Tensor) {
 	c.BeginCalibration()
-	c.ForwardInference(x.Clone(), nil, nil)
+	c.forwardInference(x.Clone(), nil, nil)
 	c.EndCalibration()
 	c.QuantizeInt8()
 }
@@ -25,7 +25,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	x2 := tensor.New(1, 2, 4, 4)
 	x2.Randn(rng, 3)
 	c.BeginCalibration()
-	c.ForwardInference(x1, nil, nil)
+	c.forwardInference(x1, nil, nil)
 	c.ForwardInferenceReLU(x2, nil)
 	c.EndCalibration()
 	want := x1.MaxAbs()
@@ -38,7 +38,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	// Out of calibration mode the range must not move.
 	x3 := tensor.New(1, 2, 4, 4)
 	x3.Randn(rng, 1e6)
-	c.ForwardInference(x3, nil, nil)
+	c.forwardInference(x3, nil, nil)
 	if got := c.ActMax(); got != want {
 		t.Fatalf("ActMax moved outside calibration: %v, want %v", got, want)
 	}
@@ -54,8 +54,8 @@ func TestConv2DInt8TracksFloat32(t *testing.T) {
 	x := tensor.New(2, 3, 8, 7)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
-	want := c.ForwardInference(x.Clone(), nil, nil)
-	got := c.ForwardInference(x.Clone(), nil, new(tensor.Int8Map))
+	want := c.forwardInference(x.Clone(), nil, nil)
+	got := c.forwardInference(x.Clone(), nil, new(tensor.Int8Map))
 	colRows := c.Spec.InC * c.Spec.K * c.Spec.K
 	tol := float64(colRows) * float64(c.Wt.W.MaxAbs()) * float64(c.ActMax()) / 100
 	for i := range got.Data {
@@ -72,9 +72,9 @@ func TestConv2DInt8Deterministic(t *testing.T) {
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
 	var am tensor.Int8Map
-	first := c.ForwardInference(x.Clone(), nil, &am)
+	first := c.forwardInference(x.Clone(), nil, &am)
 	for pass := 0; pass < 2; pass++ {
-		got := c.ForwardInference(x.Clone(), nil, &am)
+		got := c.forwardInference(x.Clone(), nil, &am)
 		for i := range got.Data {
 			if got.Data[i] != first.Data[i] {
 				t.Fatalf("pass %d: element %d not bit-identical", pass, i)
@@ -92,7 +92,7 @@ func TestConv2DInt8PanicsBeforeQuantize(t *testing.T) {
 		}
 	}()
 	x := tensor.New(1, 1, 3, 3)
-	c.ForwardInference(x, nil, new(tensor.Int8Map))
+	c.forwardInference(x, nil, new(tensor.Int8Map))
 }
 
 // TestSequentialInt8FallsBackPerLayer checks that a stack with one
@@ -159,7 +159,7 @@ func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 // TestInt8ResidualEpilogue pins the int8 residual adds fused into the
 // convolution epilogue against the separate scaled-add pass they
 // replaced: a Conv2D's, into a fresh tensor and in place over res,
-// against ForwardInference plus tensor.AddScaled.
+// against forwardInference plus tensor.AddScaled.
 func TestInt8ResidualEpilogue(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.New(2, 4, 7, 9)
@@ -179,10 +179,10 @@ func TestInt8ResidualEpilogue(t *testing.T) {
 	c := NewConv2D(4, 4, 3, 1, 1).InitHe(rng)
 	calibrateOn(c, x)
 	want := tensor.New(x.Shape...)
-	tensor.AddScaled(want.Data, res.Data, c.ForwardInference(x, nil, &am).Data, 0.1)
-	same("Conv2D residual", c.ForwardInferenceResidual(x, res, 0.1, nil, &am), want)
+	tensor.AddScaled(want.Data, res.Data, c.forwardInference(x, nil, &am).Data, 0.1)
+	same("Conv2D residual", c.forwardInferenceResidual(x, res, 0.1, nil, &am), want)
 	inPlace := res.Clone()
-	same("Conv2D residual in place", c.ForwardInferenceResidual(x, inPlace, 0.1, inPlace, &am), want)
+	same("Conv2D residual in place", c.forwardInferenceResidual(x, inPlace, 0.1, inPlace, &am), want)
 }
 
 func TestQuantizeRowInt8(t *testing.T) {

@@ -55,7 +55,7 @@ func (s *Sequential) infer(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 		mid, out := &s.bufs[2*i], &s.bufs[2*i+1]
 		switch l := l.(type) {
 		case *Conv2D:
-			x = l.ForwardInference(x, out, s.mapIf(int8Path && l.Int8Ready()))
+			x = l.forwardInference(x, out, s.mapIf(int8Path && l.Int8Ready()))
 		case *ResBlock:
 			// conv → ReLU → conv with the scaled residual add fused, as
 			// edsr's row pipeline runs a block.
@@ -64,14 +64,14 @@ func (s *Sequential) infer(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 			if am == nil {
 				h = l.Conv1.ForwardInferenceReLU(x, mid)
 			} else {
-				h = l.Conv1.ForwardInference(x, mid, am)
+				h = l.Conv1.forwardInference(x, mid, am)
 				for i, v := range h.Data {
 					if v < 0 {
 						h.Data[i] = 0
 					}
 				}
 			}
-			x = l.Conv2.ForwardInferenceResidual(h, x, l.ResScale, out, am)
+			x = l.Conv2.forwardInferenceResidual(h, x, l.ResScale, out, am)
 		case *ReLU: // in place; the models fuse theirs into the convolution
 			for i, v := range x.Data {
 				if v < 0 {
@@ -79,7 +79,7 @@ func (s *Sequential) infer(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 				}
 			}
 		case *PixelShuffle:
-			x = l.ForwardInference(x, out)
+			x = l.forwardInference(x, out)
 		case *Dense:
 			x = l.ForwardInference(x, out)
 		default:

@@ -123,7 +123,7 @@ func (m *Int8Map) ZeroRow(y int) {
 // image shapes m to hold a whole c×h×w image ringed by pad rows and
 // columns, and writes the ring rows.
 func (m *Int8Map) image(c, h, w, pad int) {
-	m.Reset(c, w, pad, h+2*pad)
+	m.Reset(c, w, pad, max(h, 1)+2*pad)
 	for y := -pad; y < 0; y++ {
 		m.ZeroRow(y)
 		m.ZeroRow(h - 1 - y)
@@ -428,6 +428,15 @@ func (a *mapConv) row(m *Int8Map, oy int, out, res []float32, planeStride int, r
 		panic("tensor: int8 convolution does not match its activation map")
 	}
 	src, rowBytes := m.window(oy*a.spec.Stride-a.spec.Pad), m.rowBytes()
+	if a.ow == 0 {
+		return
+	}
+	// The assembly trusts these extents.
+	last := (a.spec.OutC-1)*planeStride + a.ow - 1
+	_ = out[last]
+	if res != nil {
+		_ = res[last]
+	}
 	relu := 0
 	if a.relu {
 		relu = 1

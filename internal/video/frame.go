@@ -85,19 +85,8 @@ func clamp8(v int32) uint8 {
 
 // ToRGB converts a YUV 4:2:0 frame to RGB using BT.601 full-range
 // coefficients (the conversion the dcSR client performs before SR).
-func (f *YUV) ToRGB() *RGB { return f.ToRGBInto(nil) }
-
-// ToRGBInto is ToRGB writing into dst, whose pixel buffer is reused when
-// large enough and grown otherwise; a nil dst allocates. It returns dst.
-func (f *YUV) ToRGBInto(dst *RGB) *RGB {
-	if dst == nil {
-		dst = new(RGB)
-	}
-	n := f.W * f.H * 3
-	if cap(dst.Pix) < n {
-		dst.Pix = make([]uint8, n)
-	}
-	dst.W, dst.H, dst.Pix = f.W, f.H, dst.Pix[:n]
+func (f *YUV) ToRGB() *RGB {
+	dst := NewRGB(f.W, f.H)
 	for y := 0; y < f.H; y++ {
 		f.RGBRow(y, dst.Pix[y*f.W*3:(y+1)*f.W*3])
 	}
