@@ -299,7 +299,7 @@ func (m *Model) ForwardInferenceInt8(x *tensor.Tensor) *tensor.Tensor {
 }
 
 func (m *Model) forwardInference(x *tensor.Tensor, int8Path bool) *tensor.Tensor {
-	m.run(&pass{x: x, int8Path: int8Path, observe: m.calibrating && !int8Path})
+	m.run(&pass{x: x, int8Path: int8Path})
 	return &m.workspace().out
 }
 
@@ -368,7 +368,7 @@ func (m *Model) EnhanceInt8(low *video.RGB) *video.RGB { return m.enhance(low, t
 func (m *Model) enhance(low *video.RGB, int8Path bool) *video.RGB {
 	s := m.Cfg.Scale
 	out := video.NewRGB(low.W*s, low.H*s)
-	m.run(&pass{rgb: low, toRGB: out, int8Path: int8Path, observe: m.calibrating && !int8Path})
+	m.run(&pass{rgb: low, toRGB: out, int8Path: int8Path})
 	return out
 }
 
@@ -389,7 +389,7 @@ func (m *Model) enhanceYUV(f *video.YUV, int8Path bool) *video.YUV {
 	}
 	s := m.Cfg.Scale
 	out := video.NewYUV(f.W*s, f.H*s)
-	m.run(&pass{yuv: f, toYUV: out, int8Path: int8Path, observe: m.calibrating && !int8Path})
+	m.run(&pass{yuv: f, toYUV: out, int8Path: int8Path})
 	return out
 }
 

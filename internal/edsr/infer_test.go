@@ -1,6 +1,7 @@
 package edsr
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -149,5 +150,52 @@ func TestEnhanceSteadyStateAllocs(t *testing.T) {
 	next.SetWorkspace(m.workspace())
 	if n, _ := mallocs(func() { next.ForwardInference(x) }); n != 0 {
 		t.Errorf("a second model's first ForwardInference in the warmed workspace allocated %d objects, want 0", n)
+	}
+}
+
+// TestStripesMatchOneWorker pins the row pipeline's split: on a frame
+// tall enough for several stripes, at Scale 1, 2 and 4, in both
+// precisions and through the RGB and YUV entry points, three and five
+// workers — stripes whose halos reach across the upsampling stages —
+// produce one worker's bits. (The goldens split only 480×272 frames,
+// which the race detector's runs leave out.)
+func TestStripesMatchOneWorker(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer func() {
+		runtime.GOMAXPROCS(prev)
+		tensor.ShutdownPool()
+	}()
+	f := genFrame(t, 40, 176, 9)
+	yuv := f.ToYUV()
+	for _, scale := range []int{1, 2, 4} {
+		m, err := New(Config{Filters: 8, ResBlocks: 1, Scale: scale}, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range m.tail.Wt.W.Data {
+			m.tail.Wt.W.Data[j] = float32(j%7-3) * 0.01
+		}
+		if err := m.Calibrate([]*video.RGB{f}); err != nil {
+			t.Fatal(err)
+		}
+		var want [][]byte
+		for _, procs := range []int{1, 3, 5} {
+			runtime.GOMAXPROCS(procs)
+			tensor.ShutdownPool()
+			y8 := m.EnhanceYUVInt8(yuv)
+			got := [][]byte{m.Enhance(f).Pix, m.EnhanceInt8(f).Pix, m.EnhanceYUV(yuv).Y, y8.Y, y8.U, y8.V}
+			if procs > 1 && len(m.workspace().lanes) < 2 {
+				t.Fatalf("x%d at %d workers ran %d stripe(s)", scale, procs, len(m.workspace().lanes))
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("x%d output %d at %d workers differs from one worker's", scale, i, procs)
+				}
+			}
+		}
 	}
 }

@@ -52,8 +52,8 @@ func int8GoldenRows(t *testing.T) []string {
 		{"dcsr1/x1/33x1", ConfigDCSR1, 33, 1, false},
 	}
 	// Each run covers cases [from, to) on procs workers: the first six on
-	// one and two, then a wide frame the in-place convolutions split into
-	// several bands, and a one-row one, on three.
+	// one and two, then a wide frame the row pipeline splits into stripes,
+	// and a one-row one, on three.
 	var rows []string
 	for _, run := range []struct{ procs, from, to int }{{1, 0, 6}, {2, 0, 6}, {3, 6, 8}} {
 		runtime.GOMAXPROCS(run.procs)

@@ -94,7 +94,7 @@ type pass struct {
 	toRGB        *video.RGB
 	toYUV        *video.YUV
 	int8Path     bool
-	observe      bool // fold every convolution's input max-abs (calibration)
+	observe      bool // fold every convolution's input max-abs (a calibration pass)
 	n, h, w, img int
 }
 
@@ -104,6 +104,7 @@ type pass struct {
 // shuffle — is float32 either way.
 func (m *Model) run(p *pass) {
 	ws := m.workspace()
+	p.observe = m.calibrating && !p.int8Path
 	switch {
 	case p.x != nil:
 		if p.x.Shape[1] != 3 {

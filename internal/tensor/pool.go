@@ -9,15 +9,15 @@ import (
 // The worker pool replaces the per-call goroutine spawning the kernel
 // layer used to do: a fixed set of workers is started lazily on the
 // first parallel kernel call and then reused for every subsequent
-// parallelFor, so a steady-state inference loop never creates a
+// ParallelFor, so a steady-state inference loop never creates a
 // goroutine.
 //
-// Scheduling is claim-based: a parallelFor call publishes one job whose
+// Scheduling is claim-based: a ParallelFor call publishes one job whose
 // chunks are claimed with an atomic counter by the pool workers *and* by
 // the submitting goroutine itself. Because the submitter always claims
 // until the job is exhausted, a job completes even if no worker ever
 // picks it up (queue full, pool shut down, or all workers busy), which
-// makes nested parallelFor calls deadlock-free by construction: a
+// makes nested ParallelFor calls deadlock-free by construction: a
 // goroutine only ever waits on chunks that some goroutine has already
 // claimed and is actively executing.
 //
@@ -26,7 +26,7 @@ import (
 // boundary inside the pool, so kernel outputs are bit-identical across
 // runs regardless of how chunks are interleaved onto workers.
 
-// job is one parallelFor invocation.
+// job is one ParallelFor invocation.
 type job struct {
 	fn     func(lo, hi int)
 	n      int

@@ -266,7 +266,7 @@ func TestMatMulATandBT(t *testing.T) {
 func TestParallelForCoversRange(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 64, 1000} {
 		hits := make([]int32, n)
-		parallelFor(n, func(lo, hi int) {
+		ParallelFor(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hits[i]++
 			}
