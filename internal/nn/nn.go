@@ -159,7 +159,7 @@ func (c *Conv2D) Observe(m float32) {
 // ConvRows prepares the convolution for one pass of row-at-a-time
 // inference over rows width pixels wide on the float32 kernels
 // (tensor.ConvRows), with relu a fused ReLU; the caller releases it.
-// Its rows are ForwardInference's (ForwardInferenceReLU's) bits. A
+// Its rows are forwardInference's (ForwardInferenceReLU's) bits. A
 // row pass observes nothing: while calibrating, the caller hands
 // Observe its input rows' max-abs.
 func (c *Conv2D) ConvRows(width int, relu bool) tensor.ConvRows {
