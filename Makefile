@@ -10,7 +10,9 @@ GO ?= go
 # reach only after minutes, or never: the pinned goldens (Prepare, codec,
 # training, int8 state, wire, the in-loop YUV entry points — never
 # regenerate one to make a change pass); inference's O(width) working
-# set (TestWorkspaceFootprint); the int8-grid payload's contract (an artifact written before it
+# set (TestWorkspaceFootprint) and the whole-image ring walks of the
+# row kernels in both precisions, their bits and their zero steady-state
+# allocations; the int8-grid payload's contract (an artifact written before it
 # still plays, writers drop a pinned grid, hostile dcW6 payloads are
 # refused, a fused delta reconstruction falls back, and the FMA ratchet
 # over four cross-compiled architectures) and the model cache's
@@ -24,7 +26,7 @@ GO ?= go
 # trains real models and outlasts the default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
-	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...

@@ -55,7 +55,7 @@ func TestSnapInt8KeepsInt8State(t *testing.T) {
 	x := tensor.New(1, 3, 6, 5)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
-	before := c.forwardInference(x, nil, new(tensor.Int8Map)).Clone()
+	before := convRows(c, x, nil, 0, nil, false, true)
 	q := c.int8
 	c.SnapInt8()
 	if c.int8 != q || c.Wt.grid != q.grid {
@@ -71,7 +71,7 @@ func TestSnapInt8KeepsInt8State(t *testing.T) {
 	if !gridEqual(c.int8.grid, q.grid) {
 		t.Fatal("re-arming a snapped layer changed its grid")
 	}
-	after := c.forwardInference(x, nil, new(tensor.Int8Map))
+	after := convRows(c, x, nil, 0, nil, false, true)
 	for i := range after.Data {
 		if math.Float32bits(after.Data[i]) != math.Float32bits(before.Data[i]) {
 			t.Fatalf("int8 output %d moved across the snap: %v vs %v", i, after.Data[i], before.Data[i])

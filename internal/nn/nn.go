@@ -9,12 +9,12 @@
 // blocks of ≤16 filters); the heavy lifting (im2col convolutions, blocked
 // GEMM kernels) lives in internal/tensor. Alongside the training pair
 // the layers have a no-grad inference path that fuses conv+bias+ReLU and
-// the residual adds into the convolution, writes into destinations its
-// caller supplies, and builds no column matrix. The decoder hot loop
-// runs on its row entry points, in either precision: Conv2D.ConvRows
-// and Conv2D.Int8ConvRows prepare a convolution for one pass of
-// row-at-a-time inference (tensor.ConvRows, tensor.Int8ConvRows), which
-// edsr's row pipeline drives; whole-tensor ones (ForwardInferenceReLU,
+// the residual adds into the convolution and writes into destinations
+// its caller supplies. The decoder hot loop runs on its row entry
+// points, in either precision: Conv2D.ConvRows and Conv2D.Int8ConvRows
+// prepare a convolution for one pass of row-at-a-time inference
+// (tensor.ConvRows, tensor.Int8ConvRows), which edsr's row pipeline
+// drives; whole-tensor ones (ForwardInferenceReLU,
 // Dense.ForwardInference) serve the VAE.
 //
 // Layers own parameters, not activations. A training pass takes its
@@ -129,22 +129,6 @@ func (c *Conv2D) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// forwardInference applies the convolution without retaining column
-// buffers, writing into out. am picks the kernel: nil runs the float32
-// one, a map the int8 one (after QuantizeInt8; see nn_int8.go),
-// quantizing x into am with the calibrated scale.
-func (c *Conv2D) forwardInference(x, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
-	return c.forwardInferenceResidual(x, nil, 0, out, am)
-}
-
-// observe widens the calibrated activation range by x's max-abs (see
-// Observe).
-func (c *Conv2D) observe(x *tensor.Tensor) {
-	if c.calibrating {
-		c.Observe(x.MaxAbs())
-	}
-}
-
 // Observe widens the calibrated activation range to m, the max-abs of
 // some of the layer's input (tensor.MaxAbs of a row, say), while the
 // layer is in calibration mode (see nn_int8.go); otherwise it is a
@@ -159,35 +143,18 @@ func (c *Conv2D) Observe(m float32) {
 // ConvRows prepares the convolution for one pass of row-at-a-time
 // inference over rows width pixels wide on the float32 kernels
 // (tensor.ConvRows), with relu a fused ReLU; the caller releases it.
-// Its rows are forwardInference's (ForwardInferenceReLU's) bits. A
-// row pass observes nothing: while calibrating, the caller hands
-// Observe its input rows' max-abs.
+// Its rows are tensor.Conv2DInfer's bits. A row pass observes nothing:
+// while calibrating, the caller hands Observe its input rows' max-abs.
 func (c *Conv2D) ConvRows(width int, relu bool) tensor.ConvRows {
 	return tensor.NewConvRows(c.Wt.W, c.Bias.W, c.Spec, width, relu)
 }
 
-// ForwardInferenceReLU is the float32 ForwardInference with the ReLU
-// activation fused into the convolution epilogue, bitwise identical to
-// a separate ReLU pass over the same output.
+// ForwardInferenceReLU applies the convolution and a fused ReLU to x
+// on the float32 inference kernel (tensor.Conv2DInfer), writing into
+// out, bitwise identical to Forward followed by a separate ReLU pass.
+// It keeps nothing for Backward and observes nothing.
 func (c *Conv2D) ForwardInferenceReLU(x, out *tensor.Tensor) *tensor.Tensor {
-	c.observe(x)
 	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, true, out)
-}
-
-// forwardInferenceResidual is forwardInference with a residual add
-// fused into the convolution epilogue: res + scale·conv(x), bitwise
-// identical to a separate scaled-add pass over forwardInference's
-// output (nil res adds none). out may be res; on the float32 kernel it
-// may not be x.
-func (c *Conv2D) forwardInferenceResidual(x, res *tensor.Tensor, scale float32, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
-	if am != nil {
-		return c.forwardInt8(x, res, scale, out, am)
-	}
-	c.observe(x)
-	if res == nil {
-		return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, false, out)
-	}
-	return tensor.Conv2DInferResidual(x, c.Wt.W, c.Bias.W, res, scale, c.Spec, out)
 }
 
 // Backward propagates gy through the convolution and lets go of what

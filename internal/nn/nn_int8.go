@@ -14,22 +14,20 @@ import (
 // quantized into it with the layer's InputMultiplier, or, after a ReLU
 // convolution (a residual block's first), that convolution writes its
 // output there already quantized (tensor.Int8ConvRows.RowToMap). The
-// whole-tensor path (forwardInference with a map) quantizes a whole
-// input into one. The scheme is
-// symmetric linear quantization with per-output-channel weight scales
-// and one calibrated per-layer activation scale:
+// scheme is symmetric linear quantization with per-output-channel
+// weight scales and one calibrated per-layer activation scale:
 //
 //	x_q = round(x · 127/actMax)          (per layer, calibrated)
 //	w_q[oc] = round(w / wScale[oc])      (per output channel)
 //	out = (Σ x_q·w_q) · wScale[oc]·actMax/127 + bias
 //
-// Calibration records each conv input's max absolute value while the
-// float32 path runs over representative frames — for dcSR that is a
-// handful of the cluster's own training frames, which is exactly the
-// distribution the model will see (the data-centric premise). Layers
-// without arithmetic of their own (ReLU, PixelShuffle) run their float32
-// code on the requantized activations, so the int8 graph is the float32
-// graph with only the convolutions swapped.
+// Calibration records each conv input's max absolute value (Observe)
+// while the float32 path runs over representative frames — for dcSR
+// that is a handful of the cluster's own training frames, which is
+// exactly the distribution the model will see (the data-centric
+// premise). Layers without arithmetic of their own (ReLU, PixelShuffle)
+// run their float32 code on the requantized activations, so the int8
+// graph is the float32 graph with only the convolutions swapped.
 
 // conv2DInt8 is the quantized execution state of a Conv2D, built by
 // QuantizeInt8 and owned by the layer.
@@ -75,9 +73,8 @@ func (p *Param) pin(g *int8Grid) {
 }
 
 // BeginCalibration puts the convolution into calibration mode: until
-// EndCalibration, every whole-tensor float32 inference call, and every
-// Observe, folds its input's max absolute value into the layer's
-// activation range.
+// EndCalibration, every Observe folds the max absolute value it is
+// handed into the layer's activation range. Nothing else observes.
 func (c *Conv2D) BeginCalibration() {
 	c.calibrating = true
 	c.actMax = 0
@@ -136,34 +133,9 @@ func (c *Conv2D) SnapInt8() {
 	c.Wt.pin(c.int8.grid)
 }
 
-// forwardInt8 is forwardInferenceResidual on the int8 kernel path:
-// quantize the input into am with the calibrated scale, int8×int8 →
-// int32 accumulate, requantize + bias and then the float32 residual add
-// in the epilogue. x may be out: each image is in am before its output
-// is written.
-func (c *Conv2D) forwardInt8(x, res *tensor.Tensor, scale float32, out *tensor.Tensor, am *tensor.Int8Map) *tensor.Tensor {
-	q := c.int8
-	if q == nil {
-		panic("nn: Conv2D int8 inference before QuantizeInt8")
-	}
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh, ow := c.Spec.OutSize(h, w)
-	out = tensor.Ensure(out, n, c.Spec.OutC, oh, ow)
-	in, plane := c.Spec.InC*h*w, c.Spec.OutC*oh*ow
-	for i := 0; i < n; i++ {
-		var r []float32
-		if res != nil {
-			r = res.Data[i*plane : (i+1)*plane]
-		}
-		am.Quantize(x.Data[i*in:(i+1)*in], c.Spec.InC, h, w, c.Spec.Pad, q.inInv)
-		tensor.Conv2DInt8Map(am, q.grid.codes, q.scales, c.Bias.W.Data, c.Spec, false, r, scale, out.Data[i*plane:(i+1)*plane])
-	}
-	return out
-}
-
 // Int8ConvRows is ConvRows on the int8 kernels (tensor.Int8ConvRows),
 // after QuantizeInt8: its rows read input rows quantized with
-// InputMultiplier, and are forwardInt8's bits.
+// InputMultiplier.
 func (c *Conv2D) Int8ConvRows(width int, relu bool) tensor.Int8ConvRows {
 	q := c.int8
 	if q == nil {

@@ -12,7 +12,7 @@ import (
 // conv records its activation range, then quantizes.
 func calibrateOn(c *Conv2D, x *tensor.Tensor) {
 	c.BeginCalibration()
-	c.forwardInference(x.Clone(), nil, nil)
+	convRows(c, x, nil, 0, nil, false, false)
 	c.EndCalibration()
 	c.QuantizeInt8()
 }
@@ -25,8 +25,8 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	x2 := tensor.New(1, 2, 4, 4)
 	x2.Randn(rng, 3)
 	c.BeginCalibration()
-	c.forwardInference(x1, nil, nil)
-	c.ForwardInferenceReLU(x2, nil)
+	c.Observe(tensor.MaxAbs(x1.Data))
+	c.Observe(tensor.MaxAbs(x2.Data))
 	c.EndCalibration()
 	want := x1.MaxAbs()
 	if m := x2.MaxAbs(); m > want {
@@ -38,7 +38,7 @@ func TestConv2DCalibrationRecordsMaxAbs(t *testing.T) {
 	// Out of calibration mode the range must not move.
 	x3 := tensor.New(1, 2, 4, 4)
 	x3.Randn(rng, 1e6)
-	c.forwardInference(x3, nil, nil)
+	c.Observe(tensor.MaxAbs(x3.Data))
 	if got := c.ActMax(); got != want {
 		t.Fatalf("ActMax moved outside calibration: %v, want %v", got, want)
 	}
@@ -54,8 +54,8 @@ func TestConv2DInt8TracksFloat32(t *testing.T) {
 	x := tensor.New(2, 3, 8, 7)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
-	want := c.forwardInference(x.Clone(), nil, nil)
-	got := c.forwardInference(x.Clone(), nil, new(tensor.Int8Map))
+	want := convRows(c, x, nil, 0, nil, false, false)
+	got := convRows(c, x, nil, 0, nil, false, true)
 	colRows := c.Spec.InC * c.Spec.K * c.Spec.K
 	tol := float64(colRows) * float64(c.Wt.W.MaxAbs()) * float64(c.ActMax()) / 100
 	for i := range got.Data {
@@ -71,10 +71,9 @@ func TestConv2DInt8Deterministic(t *testing.T) {
 	x := tensor.New(1, 4, 9, 11)
 	x.Randn(rng, 1)
 	calibrateOn(c, x)
-	var am tensor.Int8Map
-	first := c.forwardInference(x.Clone(), nil, &am)
+	first := convRows(c, x, nil, 0, nil, false, true)
 	for pass := 0; pass < 2; pass++ {
-		got := c.forwardInference(x.Clone(), nil, &am)
+		got := convRows(c, x, nil, 0, nil, false, true)
 		for i := range got.Data {
 			if got.Data[i] != first.Data[i] {
 				t.Fatalf("pass %d: element %d not bit-identical", pass, i)
@@ -92,7 +91,7 @@ func TestConv2DInt8PanicsBeforeQuantize(t *testing.T) {
 		}
 	}()
 	x := tensor.New(1, 1, 3, 3)
-	c.forwardInference(x, nil, new(tensor.Int8Map))
+	convRows(c, x, nil, 0, nil, false, true)
 }
 
 // TestSequentialInt8FallsBackPerLayer checks that a stack with one
@@ -107,22 +106,6 @@ func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 		NewConv2D(6, 4, 3, 1, 1).InitHe(rng),
 		&PixelShuffle{R: 2},
 	}}
-	x := tensor.New(1, 2, 6, 5)
-	x.Randn(rng, 1)
-	if seq.Int8Ready() {
-		t.Fatal("Int8Ready before any quantization")
-	}
-	// Nothing quantized: the int8 entry point must reproduce the float32
-	// path exactly.
-	want := seq.ForwardInference(x.Clone()).Clone()
-	got := seq.ForwardInferenceInt8(x.Clone())
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("unquantized fallback not bit-exact at %d", i)
-		}
-	}
-	// Quantize everything: calibrate every conv in one stack-wide pass
-	// (each records its own layer input), then build the int8 states.
 	var convs []*Conv2D
 	for _, l := range seq.Layers {
 		switch v := l.(type) {
@@ -132,19 +115,39 @@ func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 			convs = append(convs, v.Conv1, v.Conv2)
 		}
 	}
+	x := tensor.New(1, 2, 6, 5)
+	x.Randn(rng, 1)
+	for _, c := range convs {
+		if c.Int8Ready() {
+			t.Fatal("Int8Ready before any quantization")
+		}
+	}
+	// Nothing quantized: the int8 entry point must reproduce the float32
+	// path exactly.
+	want := inferSeq(seq, x.Clone(), false)
+	got := inferSeq(seq, x.Clone(), true)
+	for i := range got.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("unquantized fallback not bit-exact at %d", i)
+		}
+	}
+	// Quantize everything: calibrate every conv in one stack-wide pass
+	// (each records its own layer input), then build the int8 states.
 	for _, c := range convs {
 		c.BeginCalibration()
 	}
-	seq.ForwardInference(x.Clone())
+	inferSeq(seq, x.Clone(), false)
 	for _, c := range convs {
 		c.EndCalibration()
 		c.QuantizeInt8()
 	}
-	if !seq.Int8Ready() {
-		t.Fatal("Int8Ready false after quantizing every conv")
+	for _, c := range convs {
+		if !c.Int8Ready() {
+			t.Fatal("Int8Ready false after quantizing every conv")
+		}
 	}
-	want = seq.ForwardInference(x.Clone()).Clone()
-	got = seq.ForwardInferenceInt8(x.Clone())
+	want = inferSeq(seq, x.Clone(), false)
+	got = inferSeq(seq, x.Clone(), true)
 	var maxDiff float64
 	for i := range got.Data {
 		if d := math.Abs(float64(got.Data[i] - want.Data[i])); d > maxDiff {
@@ -158,15 +161,15 @@ func TestSequentialInt8FallsBackPerLayer(t *testing.T) {
 
 // TestInt8ResidualEpilogue pins the int8 residual adds fused into the
 // convolution epilogue against the separate scaled-add pass they
-// replaced: a Conv2D's, into a fresh tensor and in place over res,
-// against forwardInference plus tensor.AddScaled.
+// replaced: a Conv2D's row kernel, into a fresh tensor and in place
+// over res, against the same rows without a residual plus
+// tensor.AddScaled.
 func TestInt8ResidualEpilogue(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.New(2, 4, 7, 9)
 	x.Randn(rng, 1)
 	res := tensor.New(x.Shape...)
 	res.Randn(rng, 1)
-	var am tensor.Int8Map
 	same := func(what string, got, want *tensor.Tensor) {
 		t.Helper()
 		for i := range want.Data {
@@ -179,10 +182,10 @@ func TestInt8ResidualEpilogue(t *testing.T) {
 	c := NewConv2D(4, 4, 3, 1, 1).InitHe(rng)
 	calibrateOn(c, x)
 	want := tensor.New(x.Shape...)
-	tensor.AddScaled(want.Data, res.Data, c.forwardInference(x, nil, &am).Data, 0.1)
-	same("Conv2D residual", c.forwardInferenceResidual(x, res, 0.1, nil, &am), want)
+	tensor.AddScaled(want.Data, res.Data, convRows(c, x, nil, 0, nil, false, true).Data, 0.1)
+	same("Conv2D residual", convRows(c, x, res, 0.1, nil, false, true), want)
 	inPlace := res.Clone()
-	same("Conv2D residual in place", c.forwardInferenceResidual(x, inPlace, 0.1, inPlace, &am), want)
+	same("Conv2D residual in place", convRows(c, x, inPlace, 0.1, inPlace, false, true), want)
 }
 
 func TestQuantizeRowInt8(t *testing.T) {

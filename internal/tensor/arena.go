@@ -3,8 +3,8 @@ package tensor
 import "sync"
 
 // The scratch arena recycles the large transient buffers the conv
-// kernels need (im2col bands, col gradients, per-batch weight-gradient
-// accumulators) through a sync.Pool, so a steady-state inference or
+// kernels need (column matrices, col gradients, per-batch weight-gradient
+// accumulators, packed weights) through a sync.Pool, so a steady-state inference or
 // training loop stops hitting the allocator for multi-megabyte slices
 // every layer call. Buffers are handed out uninitialized: every kernel
 // that takes one either fully overwrites it or zero-initializes its own
@@ -18,9 +18,10 @@ type scratch[T any] struct{ pool sync.Pool }
 var (
 	scratchF32 scratch[float32]
 	// scratchPanel holds the AVX-512 float32 tile's weight panels apart
-	// from the bands: sharing one pool, a convolution's panel and band
-	// swap buffers every call, and a 3-channel head's band — wider than
-	// a 16-channel one — could get the smaller buffer and reallocate it.
+	// from the other float32 scratch: sharing one pool, a pass's panels
+	// and the row buffers or column matrices taken between them would
+	// swap buffers, and one could get a smaller buffer than it needs and
+	// reallocate it.
 	scratchPanel scratch[float32]
 	scratchI8    scratch[int8]
 	scratchU8    scratch[byte]

@@ -1,6 +1,6 @@
 package tensor
 
-import "runtime"
+import "sync"
 
 // ConvSpec describes a 2-D convolution: square kernel of size K with stride
 // S and zero padding P, mapping InC input channels to OutC output channels.
@@ -11,8 +11,8 @@ type ConvSpec struct {
 	Pad       int
 }
 
-// OutSize returns the spatial output size for an input of size (h, w).
-func (c ConvSpec) OutSize(h, w int) (oh, ow int) {
+// outSize returns the spatial output size for an input of size (h, w).
+func (c ConvSpec) outSize(h, w int) (oh, ow int) {
 	oh = (h+2*c.Pad-c.K)/c.Stride + 1
 	ow = (w+2*c.Pad-c.K)/c.Stride + 1
 	return oh, ow
@@ -21,7 +21,7 @@ func (c ConvSpec) OutSize(h, w int) (oh, ow int) {
 // im2col expands input x (C,H,W) into a column matrix of shape
 // (C*K*K, OH*OW) stored in col.
 func im2col(x []float32, c, h, w int, spec ConvSpec, col []float32) {
-	oh, ow := spec.OutSize(h, w)
+	oh, ow := spec.outSize(h, w)
 	k, s, p := spec.K, spec.Stride, spec.Pad
 	idx := 0
 	for ch := 0; ch < c; ch++ {
@@ -71,7 +71,7 @@ func im2col(x []float32, c, h, w int, spec ConvSpec, col []float32) {
 // col2im is the adjoint of im2col: it accumulates the column matrix back
 // into an image gradient of shape (C,H,W).
 func col2im(col []float32, c, h, w int, spec ConvSpec, x []float32) {
-	oh, ow := spec.OutSize(h, w)
+	oh, ow := spec.outSize(h, w)
 	k, s, p := spec.K, spec.Stride, spec.Pad
 	idx := 0
 	for ch := 0; ch < c; ch++ {
@@ -125,37 +125,20 @@ func matmulTA(a, b, out []float32, m, k, n int) {
 	})
 }
 
-// bandFloats caps the padded input band one Conv2DInfer worker copies
-// its input rows into, in float32 elements (2^18 floats = 1 MiB). The
-// band height depends only on the convolution geometry, and each output
-// element is one whole sum whichever band computes it, so outputs are
-// bit-identical across runs, worker counts and machines.
-const bandFloats = 1 << 18
+var ringPool = sync.Pool{New: func() any { return new(Ring) }}
 
 // Conv2DInfer computes a batched 2-D convolution for inference with the
 // bias addition and (optionally) ReLU fused into the kernel epilogue.
 // The result is written into out, which is grown/reshaped as needed via
 // Ensure and returned (pass nil to allocate on first use); out must not
-// be x. A stride-1 convolution is an implicit GEMM (rowConv): its
-// column matrix is read in place from a padded copy of the input rows,
-// never built; a strided one expands each input into an im2col matrix
-// in pooled scratch first. Either way steady-state calls allocate
-// nothing, and outputs are bitwise identical to Conv2DForward followed
-// by separate bias and ReLU passes.
+// be x. A stride-1 convolution with a (K−1)/2 pad runs the row kernel
+// (ConvRows) serially: each image's rows pushed through a pooled K-slot
+// Ring, each output row computed once its window is published. Any
+// other geometry (the VAE encoder's stride 2) expands each input into
+// an im2col matrix in pooled scratch first. Either way steady-state
+// calls allocate nothing, and outputs are bitwise identical to
+// Conv2DForward followed by separate bias and ReLU passes.
 func Conv2DInfer(x, w, b *Tensor, spec ConvSpec, relu bool, out *Tensor) *Tensor {
-	return convInfer(x, w, b, spec, epilogue{relu: relu}, out)
-}
-
-// Conv2DInferResidual is Conv2DInfer without ReLU and with a residual
-// add as its epilogue: out = res + float32(scale·conv(x)), rounded step
-// by step exactly as a separate scaled-add pass over Conv2DInfer's
-// output. res has out's shape; out may be res (the add is elementwise),
-// but not x.
-func Conv2DInferResidual(x, w, b, res *Tensor, scale float32, spec ConvSpec, out *Tensor) *Tensor {
-	return convInfer(x, w, b, spec, epilogue{res: res.Data, scale: scale}, out)
-}
-
-func convInfer(x, w, b *Tensor, spec ConvSpec, ep epilogue, out *Tensor) *Tensor {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if c != spec.InC {
 		panic("tensor: Conv2DInfer channel mismatch")
@@ -163,43 +146,42 @@ func convInfer(x, w, b *Tensor, spec ConvSpec, ep epilogue, out *Tensor) *Tensor
 	if len(w.Data) != spec.OutC*spec.InC*spec.K*spec.K {
 		panic("tensor: Conv2DInfer weight length mismatch")
 	}
-	oh, ow := spec.OutSize(h, wd)
+	oh, ow := spec.outSize(h, wd)
 	out = Ensure(out, n, spec.OutC, oh, ow)
-	if ep.res != nil && len(ep.res) != len(out.Data) {
-		panic("tensor: Conv2DInferResidual residual shape mismatch")
-	}
-	if b != nil {
-		ep.bias = b.Data[:spec.OutC]
-	}
 	if len(out.Data) == 0 {
 		return out
 	}
-	if spec.Stride != 1 {
+	if spec.Stride != 1 || spec.K != 2*spec.Pad+1 {
+		ep := epilogue{relu: relu}
+		if b != nil {
+			ep.bias = b.Data[:spec.OutC]
+		}
 		convInferIm2col(x.Data, w.Data, n, c, h, wd, spec, ep, out.Data)
 		return out
 	}
-	a := newImplicitConv(x.Data, w.Data, out.Data, c, h, wd, spec, ep)
-	if runtime.GOMAXPROCS(0) <= 1 {
-		// Closure-free serial path: with one worker the call performs
-		// zero heap allocations (the steady-state inference contract).
-		for i := 0; i < n; i++ {
-			a.bands(i, 0, a.numBands)
-		}
-	} else {
-		// The closures capture a branch-local copy so `a` itself never
-		// escapes and the serial path above stays allocation-free.
-		ap := a
-		if n == 1 {
-			parallelFor(a.numBands, func(lo, hi int) { ap.bands(0, lo, hi) })
-		} else {
-			parallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					ap.bands(i, 0, ap.numBands)
+	k := NewConvRows(w, b, spec, wd, relu)
+	r := ringPool.Get().(*Ring)
+	r.Reset(c, wd, spec.Pad, spec.K, true)
+	plane := h * wd
+	for i := 0; i < n; i++ {
+		xi, oi := x.Data[i*c*plane:], out.Data[i*spec.OutC*plane:]
+		for iy := -spec.Pad; iy < h+spec.Pad; iy++ {
+			if iy < 0 || iy >= h {
+				r.Zero(iy)
+			} else {
+				row := r.Row(iy)
+				for ch := 0; ch < c; ch++ {
+					copy(row[ch*r.Stride():][:wd], xi[ch*plane+iy*wd:])
 				}
-			})
+				r.Publish(iy)
+			}
+			if oy := iy - spec.Pad; oy >= 0 {
+				k.Row(r, oy, oi[oy*wd:], plane, nil, 0)
+			}
 		}
 	}
-	a.release()
+	ringPool.Put(r)
+	k.Release()
 	return out
 }
 
@@ -213,7 +195,7 @@ func convInfer(x, w, b *Tensor, spec ConvSpec, ep epilogue, out *Tensor) *Tensor
 // sums from +0 over ascending (ci, ky, kx), each product rounded before
 // the add, reading the values im2col would have written — the bits of
 // im2col + GEMM, NaN, ±Inf, ±0 and denormals included — whichever
-// window (a Ring's, or a Conv2DInfer band's) holds the rows.
+// ring slots hold the rows.
 //
 // The rows run on one of three kernels behind the same table: the
 // AVX-512 tile (convRowF32AVX512, eight channels by 32 pixels, its
@@ -306,105 +288,21 @@ func (a *rowConv) row(b, out []float32, planeStride, cols int, res []float32, sc
 		&out[0], planeStride, cols, r, scale, ep.bits())
 }
 
-// implicitConv is one stride-1 Conv2DInfer call: output rows are
-// computed in bands, a band's input rows copied once into pooled
-// scratch as rowConv's slot-major window (fill). It holds no closures,
-// so the serial path allocates nothing.
-type implicitConv struct {
-	rowConv
-	x, out, res []float32
-	scale       float32
-	c, h, wd    int
-	k, pad      int
-	oh, ow, pw  int
-	band        int // output rows per band
-	numBands    int
-}
-
-func newImplicitConv(x, w, out []float32, c, h, wd int, spec ConvSpec, ep epilogue) implicitConv {
-	a := implicitConv{
-		x: x, out: out, res: ep.res, scale: ep.scale,
-		c: c, h: h, wd: wd, k: spec.K, pad: spec.Pad,
-		pw: wd + 2*spec.Pad,
-	}
-	a.rowConv = newRowConv(w, ep.bias, spec, a.pw, ep.relu)
-	a.oh, a.ow = spec.OutSize(h, wd)
-	a.band = a.oh
-	if per := c * a.pw; per > 0 {
-		a.band = max(1, min(a.oh, bandFloats/per-(a.k-1)))
-	}
-	a.numBands = (a.oh + a.band - 1) / a.band
-	return a
-}
-
-// bands computes bands [lo, hi) of batch element i.
-func (a *implicitConv) bands(i, lo, hi int) {
-	planeIn, planeOut := a.c*a.h*a.wd, a.outC*a.oh*a.ow
-	xi := a.x[i*planeIn : (i+1)*planeIn]
-	oi := a.out[i*planeOut : (i+1)*planeOut]
-	var ri []float32
-	if a.res != nil {
-		ri = a.res[i*planeOut : (i+1)*planeOut]
-	}
-	slot := a.c * a.pw
-	bandBuf := scratchF32.get((a.band + a.k - 1) * slot)
-	band := *bandBuf
-	for bi := lo; bi < hi; bi++ {
-		oy0 := bi * a.band
-		rows := min(a.band, a.oh-oy0)
-		a.fill(xi, band, oy0, rows)
-		for ly := 0; ly < rows; ly++ {
-			oy := oy0 + ly
-			var res []float32
-			if ri != nil {
-				res = ri[oy*a.ow:]
-			}
-			a.row(band[ly*slot:], oi[oy*a.ow:], a.oh*a.ow, a.ow, res, a.scale)
-		}
-	}
-	scratchF32.put(bandBuf)
-}
-
-// fill copies the input rows output rows [oy0, oy0+rows) read, every
-// channel, into band as consecutive slots, ringed by pad columns and
-// rows of +0 (clear writes +0, never −0: a product with the ring must
-// be w·(+0), as with im2col's padding).
-func (a *implicitConv) fill(xi, band []float32, oy0, rows int) {
-	slot := a.c * a.pw
-	for r := 0; r < rows+a.k-1; r++ {
-		dst := band[r*slot : (r+1)*slot]
-		iy := oy0 + r - a.pad
-		if iy < 0 || iy >= a.h {
-			clear(dst)
-			continue
-		}
-		for ci := 0; ci < a.c; ci++ {
-			row := dst[ci*a.pw : (ci+1)*a.pw]
-			clear(row[:a.pad])
-			copy(row[a.pad:], xi[(ci*a.h+iy)*a.wd:(ci*a.h+iy+1)*a.wd])
-			clear(row[a.pad+a.wd:])
-		}
-	}
-}
-
-// convInferIm2col is Conv2DInfer for strided convolutions — only the
-// VAE encoder's, on 32×32 inputs: each input's whole column matrix in
-// pooled scratch, then the GEMM with the epilogue fused, split over
-// output channels.
+// convInferIm2col is Conv2DInfer for the geometries the row kernel
+// does not take — in use only the VAE encoder's stride 2, on 32×32
+// inputs: each input's whole column matrix in pooled scratch, then the
+// GEMM with the epilogue fused, split over output channels.
 func convInferIm2col(x, w []float32, n, c, h, wd int, spec ConvSpec, ep epilogue, out []float32) {
-	oh, ow := spec.OutSize(h, wd)
+	oh, ow := spec.outSize(h, wd)
 	colRows, cols := spec.InC*spec.K*spec.K, oh*ow
 	planeIn, planeOut := c*h*wd, spec.OutC*cols
 	colBuf := scratchF32.get(colRows * cols)
 	col := *colBuf
 	for i := 0; i < n; i++ {
 		im2col(x[i*planeIn:(i+1)*planeIn], c, h, wd, spec, col)
-		oi, epi := out[i*planeOut:(i+1)*planeOut], ep
-		if ep.res != nil {
-			epi.res = ep.res[i*planeOut : (i+1)*planeOut]
-		}
+		oi := out[i*planeOut : (i+1)*planeOut]
 		parallelFor(spec.OutC, func(lo, hi int) {
-			gemmRows(w, col, oi, lo, hi, colRows, cols, cols, epi)
+			gemmRows(w, col, oi, lo, hi, colRows, cols, cols, ep)
 		})
 	}
 	scratchF32.put(colBuf)
@@ -436,7 +334,7 @@ func Conv2DForwardInto(out, col *Tensor, cols [][]float32, x, w, b *Tensor, spec
 	if c != spec.InC {
 		panic("tensor: Conv2DForward channel mismatch")
 	}
-	oh, ow := spec.OutSize(h, wd)
+	oh, ow := spec.outSize(h, wd)
 	Ensure(out, n, spec.OutC, oh, ow)
 	colRows := spec.InC * spec.K * spec.K
 	colCols := oh * ow
@@ -483,7 +381,7 @@ func Conv2DBackward(gy *Tensor, cols [][]float32, xShape []int, w, gw, gb *Tenso
 // gradient.
 func Conv2DBackwardInto(gx, gy *Tensor, cols [][]float32, xShape []int, w, gw, gb *Tensor, spec ConvSpec) {
 	n, c, h, wd := xShape[0], xShape[1], xShape[2], xShape[3]
-	oh, ow := spec.OutSize(h, wd)
+	oh, ow := spec.outSize(h, wd)
 	colRows := spec.InC * spec.K * spec.K
 	colCols := oh * ow
 	Ensure(gx, xShape...)

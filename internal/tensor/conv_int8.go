@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"encoding/binary"
-	"runtime"
 	"sync"
 )
 
@@ -16,12 +15,11 @@ import (
 //
 // The map is a ring of rows (see rows.go): row y in slot (y+pad) mod
 // slots, slots [0, 2·pad) mirrored after the last, so a convolution's K
-// window rows are always consecutive, one row stride apart; a map of
-// h+2·pad slots (Quantize) holds a whole image. The buffer ends in slack
-// for the kernels' reads past a window's last pixel: a short last AMX
-// tile of sixteen pixels (with its last slice's few bytes past the
-// window), a VNNI tile of eight, or the overhang of a 16-byte chunk. The
-// zero value is empty; Reset shapes it.
+// window rows are always consecutive, one row stride apart. The buffer
+// ends in slack for the kernels' reads past a window's last pixel: a
+// short last AMX tile of sixteen pixels (with its last slice's few
+// bytes past the window), a VNNI tile of eight, or the overhang of a
+// 16-byte chunk. The zero value is empty; Reset shapes it.
 type Int8Map struct {
 	buf   []byte
 	c, c4 int // channels, and the channel stride (c rounded up to 4)
@@ -120,39 +118,6 @@ func (m *Int8Map) ZeroRow(y int) {
 	m.publish(y)
 }
 
-// image shapes m to hold a whole c×h×w image ringed by pad rows and
-// columns, and writes the ring rows.
-func (m *Int8Map) image(c, h, w, pad int) {
-	m.Reset(c, w, pad, max(h, 1)+2*pad)
-	for y := -pad; y < 0; y++ {
-		m.ZeroRow(y)
-		m.ZeroRow(h - 1 - y)
-	}
-}
-
-// Quantize lays the planar float32 image src (c, h, w) out in m as a
-// whole image ringed by pad pixels, each element quantized with
-// multiplier inv by QuantizeInt8Into's expression.
-func (m *Int8Map) Quantize(src []float32, c, h, w, pad int, inv float32) {
-	if len(src) != c*h*w {
-		panic("tensor: Int8Map.Quantize length mismatch")
-	}
-	m.image(c, h, w, pad)
-	for y := 0; y < h; y++ {
-		m.QuantizeRow(y, src[y*w:], h*w, inv)
-	}
-}
-
-// layInt8 lays the planar int8 image src (c, h, w) out in m as a whole
-// image.
-func (m *Int8Map) layInt8(src []int8, c, h, w, pad int) {
-	m.image(c, h, w, pad)
-	for y := 0; y < h; y++ {
-		layRowInt8(m.pixels(y), src[y*w:], h*w, c, m.c4, w)
-		m.publish(y)
-	}
-}
-
 // layRowInt8 writes one row of w pixels into dst pixel-major with
 // channel stride c4, offset by 128: channel ch of pixel x comes from
 // src[ch·chStride + x], and channels c..c4 are int8 zero.
@@ -179,9 +144,10 @@ func layRowInt8(dst []byte, src []int8, chStride, c, c4, w int) {
 	}
 }
 
-// The int8 convolution runs on one of four lanes, chosen per call from
-// CPUID (useAMX, useAVX512, useAVX2): the AMX lane (convRowInt8AMX) and
-// the VNNI lane (convRowInt8VNNI), stride one only, the AVX2 lane
+// The int8 convolution — stride 1 with a (K−1)/2 pad, the only geometry
+// NewInt8ConvRows accepts — runs on one of four lanes, chosen per call
+// from CPUID (useAMX, useAVX512, useAVX2): the AMX lane
+// (convRowInt8AMX), the VNNI lane (convRowInt8VNNI), the AVX2 lane
 // (convRowInt8AVX2) and the portable SWAR lane (rowPortable). All four
 // read the same map and compute the exact int32 sum Σx·w before one
 // shared requantize expression and residual add, so their outputs are
@@ -194,17 +160,17 @@ const (
 	laneAMX
 )
 
-// int8Lane is the lane a convolution of spec runs on. Only the stride
-// (and, for AMX, a kernel wider than the map's slack covers) can send a
-// faster host to a slower lane: the tiles hold any reduction the int32
-// contract allows (swarMaxK), since their sums wrap in int32 exactly as
-// the offset correction does. The AMX lane runs the AVX-512 epilogues,
-// so it needs that lane too.
+// int8Lane is the lane a convolution of spec runs on. Only a kernel
+// wider than the map's slack covers can send a faster host to a slower
+// lane (AMX to VNNI): the tiles hold any reduction the int32 contract
+// allows (swarMaxK), since their sums wrap in int32 exactly as the
+// offset correction does. The AMX lane runs the AVX-512 epilogues, so
+// it needs that lane too.
 func int8Lane(spec ConvSpec) int {
 	switch {
-	case useAMX && useAVX512 && spec.Stride == 1 && spec.K <= 16:
+	case useAMX && useAVX512 && spec.K <= 16:
 		return laneAMX
-	case useAVX512 && spec.Stride == 1:
+	case useAVX512:
 		return laneVNNI
 	case useAVX2:
 		return laneAVX2
@@ -220,9 +186,8 @@ const int8Chunk = 16
 // weights packed for the lane that runs it. It holds no closures, so the
 // serial path allocates nothing.
 type mapConv struct {
-	c4, w        int // the input map's channel stride and width
+	c4, w        int // the input map's channel stride and width (= the output's)
 	spec         ConvSpec
-	ow           int
 	relu         bool
 	lane         int
 	blocks       int       // AMX, VNNI, AVX2: output-channel blocks of 16, 16, 4
@@ -257,9 +222,8 @@ func newMapConv(wq []int8, scales, bias []float32, spec ConvSpec, w int, relu bo
 	if swarGroup*k*packedGroups(secLen) > swarMaxK {
 		panic("tensor: int8 GEMM reduction too large")
 	}
-	_, ow := spec.OutSize(0, w)
 	a := mapConv{
-		c4: c4, w: w, spec: spec, ow: ow, relu: relu, lane: int8Lane(spec),
+		c4: c4, w: w, spec: spec, relu: relu, lane: int8Lane(spec),
 		scales: scales, bias: bias,
 	}
 	switch a.lane {
@@ -427,12 +391,12 @@ func (a *mapConv) row(m *Int8Map, oy int, out, res []float32, planeStride int, r
 	if m.c4 != a.c4 || m.w != a.w || m.pad != a.spec.Pad || m.c != a.spec.InC {
 		panic("tensor: int8 convolution does not match its activation map")
 	}
-	src, rowBytes := m.window(oy*a.spec.Stride-a.spec.Pad), m.rowBytes()
-	if a.ow == 0 {
+	src, rowBytes := m.window(oy-a.spec.Pad), m.rowBytes()
+	if a.w == 0 {
 		return
 	}
 	// The assembly trusts these extents.
-	last := (a.spec.OutC-1)*planeStride + a.ow - 1
+	last := (a.spec.OutC-1)*planeStride + a.w - 1
 	_ = out[last]
 	if res != nil {
 		_ = res[last]
@@ -448,13 +412,13 @@ func (a *mapConv) row(m *Int8Map, oy int, out, res []float32, planeStride int, r
 	switch a.lane {
 	case laneAMX:
 		convRowInt8AMX(&src[0], rowBytes, a.c4, a.spec.K, a.slices, &a.wq[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, resScale, &a.cfg[0], a.sliceBytes)
+			&out[0], planeStride, a.w, a.spec.OutC, relu, r, resScale, &a.cfg[0], a.sliceBytes)
 	case laneVNNI:
 		convRowInt8VNNI(&src[0], rowBytes, a.c4, a.spec.K, a.pairs, &a.wq[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, resScale)
+			&out[0], planeStride, a.w, a.spec.OutC, relu, r, resScale)
 	case laneAVX2:
-		convRowInt8AVX2(&src[0], rowBytes, a.spec.Stride*a.c4, a.spec.K, a.chunks, &a.wq[0], &a.sb[0], a.blocks,
-			&out[0], planeStride, a.ow, a.spec.OutC, relu, r, resScale)
+		convRowInt8AVX2(&src[0], rowBytes, a.c4, a.spec.K, a.chunks, &a.wq[0], &a.sb[0], a.blocks,
+			&out[0], planeStride, a.w, a.spec.OutC, relu, r, resScale)
 	default:
 		a.rowPortable(src, rowBytes, out, res, planeStride, resScale, secs)
 	}
@@ -462,20 +426,20 @@ func (a *mapConv) row(m *Int8Map, oy int, out, res []float32, planeStride int, r
 
 // secWords is the portable lane's per-row scratch: every output pixel's
 // record (K sections of gs words) and one operand sum per section.
-func (a *mapConv) secWords() int { return a.ow * (a.g + a.spec.K) }
+func (a *mapConv) secWords() int { return a.w * (a.g + a.spec.K) }
 
 // rowPortable is row on the SWAR GEMM of kernels_int8.go. The map's
 // bytes already are the SWAR operands (value+128, padding 128), so each
 // pixel's record is its K window rows packed three bytes to a word, and
 // the bias identity unbiases the dot exactly.
 func (a *mapConv) rowPortable(src []byte, rowBytes int, out, res []float32, planeStride int, resScale float32, secs []uint64) {
-	k, s, c4, g, gs, ow := a.spec.K, a.spec.Stride, a.c4, a.g, a.gs, a.ow
+	k, c4, g, gs, ow := a.spec.K, a.c4, a.g, a.gs, a.w
 	recs, sums := secs[:ow*g], secs[ow*g:ow*(g+k)]
 	for ky := 0; ky < k; ky++ {
 		row := src[ky*rowBytes:]
 		for ox := 0; ox < ow; ox++ {
 			si := ox*k + ky
-			sums[si] = packSectionInt8(row[ox*s*c4:ox*s*c4+k*c4], recs[si*gs:(si+1)*gs])
+			sums[si] = packSectionInt8(row[ox*c4:(ox+k)*c4], recs[si*gs:(si+1)*gs])
 		}
 	}
 	outC := a.spec.OutC
@@ -543,66 +507,6 @@ func packSectionInt8(sec []byte, d []uint64) uint64 {
 	return sum
 }
 
-// rows computes output rows [lo, hi) of the whole image in m into the
-// planar out, each lane adding the residual res, if any, in its own
-// store.
-func (a *mapConv) rows(m *Int8Map, lo, hi int, out, res []float32, resScale float32) {
-	var secs []uint64
-	var secBuf *[]uint64
-	if a.lane == lanePortable {
-		secBuf = scratchU64.get(a.secWords())
-		secs = *secBuf
-	}
-	plane := len(out) / a.spec.OutC
-	for oy := lo; oy < hi; oy++ {
-		var r []float32
-		if res != nil {
-			r = res[oy*a.ow:]
-		}
-		a.row(m, oy, out[oy*a.ow:], r, plane, resScale, secs)
-	}
-	if secBuf != nil {
-		scratchU64.put(secBuf)
-	}
-}
-
-// Conv2DInt8Map convolves the whole image in the activation map m
-// (Quantize) with quantized weights wq (OutC, InC·K·K), int8×int8 →
-// exact int32 accumulation, and writes the planar float32 result (OutC,
-// oh, ow) into out through the fused epilogue requantInt8 — ·scales[oc]
-// (weight scale × activation scale), + bias[oc] (nil for none),
-// optional ReLU — and then, with res non-nil (out's shape), the residual
-// add res + float32(resScale·v), rounded step by step exactly as a
-// separate scaled-add pass; out may be res. Output rows are split over
-// the shared worker pool (serially and allocation-free at GOMAXPROCS 1);
-// every output element is computed whole by one lane, so results are
-// bit-identical across worker counts, lanes and the naive reference.
-func Conv2DInt8Map(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec, relu bool, res []float32, resScale float32, out []float32) {
-	if spec.InC != m.c || spec.Pad != m.pad {
-		panic("tensor: int8 convolution does not match its activation map")
-	}
-	a := newMapConv(wq, scales, bias, spec, m.w, relu)
-	defer a.release()
-	oh, _ := spec.OutSize(m.slots-2*m.pad, m.w)
-	if len(out) != spec.OutC*oh*a.ow {
-		panic("tensor: Conv2DInt8Map output length mismatch")
-	}
-	if res != nil && len(res) != len(out) {
-		panic("tensor: Conv2DInt8Map residual length mismatch")
-	}
-	if len(out) == 0 {
-		return
-	}
-	if runtime.GOMAXPROCS(0) <= 1 {
-		a.rows(m, 0, oh, out, res, resScale)
-	} else {
-		// The closure captures a branch-local copy so `a` never escapes
-		// and the serial path above stays allocation-free.
-		ap := a
-		parallelFor(oh, func(lo, hi int) { ap.rows(m, lo, hi, out, res, resScale) })
-	}
-}
-
 // rowToMap computes output row oy of a convolution that keeps its
 // input's geometry (InC == OutC, stride 1) from the map in, and writes
 // it into dst as the next convolution's input row oy: the value row
@@ -611,10 +515,10 @@ func Conv2DInt8Map(m *Int8Map, wq []int8, scales, bias []float32, spec ConvSpec,
 // store the float32 row; the others go through a float32 row in
 // scratch.
 func (a *mapConv) rowToMap(in *Int8Map, oy int, dst *Int8Map, inv float32) {
-	if dst.c != a.spec.OutC || dst.w != a.ow {
+	if dst.c != a.spec.OutC || dst.w != a.w {
 		panic("tensor: int8 convolution does not match its output map")
 	}
-	if a.ow == 0 {
+	if a.w == 0 {
 		return
 	}
 	switch a.lane {
@@ -625,22 +529,22 @@ func (a *mapConv) rowToMap(in *Int8Map, oy int, dst *Int8Map, inv float32) {
 		src, rowBytes, out := in.window(oy-a.spec.Pad), in.rowBytes(), dst.pixels(oy)
 		if a.lane == laneAMX {
 			convRowInt8AMXMap(&src[0], rowBytes, a.c4, a.spec.K, a.slices, &a.wq[0], &a.sb[0], a.blocks,
-				&out[0], a.ow, a.spec.OutC, inv, &a.cfg[0], a.sliceBytes)
+				&out[0], a.w, a.spec.OutC, inv, &a.cfg[0], a.sliceBytes)
 		} else {
 			convRowInt8VNNIMap(&src[0], rowBytes, a.c4, a.spec.K, a.pairs, &a.wq[0], &a.sb[0], a.blocks,
-				&out[0], a.ow, a.spec.OutC, inv)
+				&out[0], a.w, a.spec.OutC, inv)
 		}
 		dst.publish(oy)
 	default:
-		fBuf := scratchF32.get(a.spec.OutC * a.ow)
+		fBuf := scratchF32.get(a.spec.OutC * a.w)
 		var secs []uint64
 		var secBuf *[]uint64
 		if a.lane == lanePortable {
 			secBuf = scratchU64.get(a.secWords())
 			secs = *secBuf
 		}
-		a.row(in, oy, *fBuf, nil, a.ow, 0, secs)
-		dst.QuantizeRow(oy, *fBuf, a.ow, inv)
+		a.row(in, oy, *fBuf, nil, a.w, 0, secs)
+		dst.QuantizeRow(oy, *fBuf, a.w, inv)
 		scratchF32.put(fBuf)
 		if secBuf != nil {
 			scratchU64.put(secBuf)
@@ -658,8 +562,10 @@ type Int8ConvRows struct{ a mapConv }
 
 // NewInt8ConvRows prepares the quantized convolution wq (OutC, InC·K·K)
 // with requantization multipliers scales, bias (nil for none) and, with
-// relu, a fused ReLU, over maps width pixels wide: Conv2DInt8Map's
-// arguments. It must be stride 1 with a pad of (K−1)/2.
+// relu, a fused ReLU, over maps width pixels wide. Each output element
+// is the exact int32 sum Σx·w through the epilogue requantInt8 —
+// ·scales[oc] (weight scale × activation scale), + bias[oc], optional
+// ReLU. It must be stride 1 with a pad of (K−1)/2.
 func NewInt8ConvRows(wq []int8, scales, bias []float32, spec ConvSpec, width int, relu bool) Int8ConvRows {
 	if spec.Stride != 1 || spec.K != 2*spec.Pad+1 {
 		panic("tensor: row convolutions are stride 1 with a (K−1)/2 pad")
@@ -677,7 +583,9 @@ func (c *Int8ConvRows) Release() {
 // oy−pad..oy+pad, which must be published: channel oc's pixels at
 // out[oc·stride:], each, with res non-nil (laid out like out), res +
 // float32(scale·v) — read before the element is written, so out may be
-// res. The bits are Conv2DInt8Map's.
+// res, with the sum rounded step by step exactly as a separate
+// scaled-add pass. The bits are Conv2DInferInt8's (with res, followed
+// by that pass).
 func (c *Int8ConvRows) Row(in *Int8Map, oy int, out []float32, stride int, res []float32, scale float32) {
 	var secs []uint64
 	var secBuf *[]uint64
@@ -712,10 +620,12 @@ var mapPool = sync.Pool{New: func() any { return new(Int8Map) }}
 //	        activation scale), applied to each finished int32 sum
 //	bias:   per-output-channel float32 bias, or nil
 //
-// Each batch element is laid out in a pooled Int8Map and convolved by
-// Conv2DInt8Map, so outputs are bit-identical across worker counts,
-// lanes and the naive reference, and the serial path allocates nothing
-// in steady state.
+// It runs the row kernel (Int8ConvRows) serially, and so takes what
+// NewInt8ConvRows takes — stride 1 with a (K−1)/2 pad — and panics
+// otherwise: each image's rows laid out in a pooled K-slot Int8Map,
+// each output row computed once its window is published. Outputs are
+// bit-identical across lanes and to the naive reference, and
+// steady-state calls allocate nothing.
 func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float32, spec ConvSpec, relu bool, out *Tensor) *Tensor {
 	if c != spec.InC {
 		panic("tensor: Conv2DInferInt8 channel mismatch")
@@ -723,14 +633,26 @@ func Conv2DInferInt8(xq []int8, n, c, h, wd int, wq []int8, scales, bias []float
 	if len(xq) != n*c*h*wd {
 		panic("tensor: Conv2DInferInt8 input length mismatch")
 	}
-	oh, ow := spec.OutSize(h, wd)
-	out = Ensure(out, n, spec.OutC, oh, ow)
+	k := NewInt8ConvRows(wq, scales, bias, spec, wd, relu)
+	out = Ensure(out, n, spec.OutC, h, wd)
 	m := mapPool.Get().(*Int8Map)
-	plane := spec.OutC * oh * ow
+	m.Reset(c, wd, spec.Pad, spec.K)
+	plane := h * wd
 	for i := 0; i < n; i++ {
-		m.layInt8(xq[i*c*h*wd:(i+1)*c*h*wd], c, h, wd, spec.Pad)
-		Conv2DInt8Map(m, wq, scales, bias, spec, relu, nil, 0, out.Data[i*plane:(i+1)*plane])
+		xi, oi := xq[i*c*plane:], out.Data[i*spec.OutC*plane:]
+		for iy := -spec.Pad; iy < h+spec.Pad; iy++ {
+			if iy < 0 || iy >= h {
+				m.ZeroRow(iy)
+			} else {
+				layRowInt8(m.pixels(iy), xi[iy*wd:], plane, c, m.c4, wd)
+				m.publish(iy)
+			}
+			if oy := iy - spec.Pad; oy >= 0 {
+				k.Row(m, oy, oi[oy*wd:], plane, nil, 0)
+			}
+		}
 	}
 	mapPool.Put(m)
+	k.Release()
 	return out
 }

@@ -171,7 +171,7 @@ func makeInt8ConvCase(rng *rand.Rand, n, h, w int, spec ConvSpec) int8ConvCase {
 // quantized operands, with the same requantInt8 epilogue.
 func conv2DInt8Ref(cc int8ConvCase, relu bool) []float32 {
 	spec := cc.spec
-	oh, ow := spec.OutSize(cc.h, cc.w)
+	oh, ow := spec.outSize(cc.h, cc.w)
 	out := make([]float32, cc.n*spec.OutC*oh*ow)
 	for i := 0; i < cc.n; i++ {
 		xi := cc.xq[i*spec.InC*cc.h*cc.w:]
@@ -203,9 +203,9 @@ func conv2DInt8Ref(cc int8ConvCase, relu bool) []float32 {
 	return out
 }
 
-// TestConv2DInferInt8MatchesRef pins the banded/pooled conv path
-// bitwise against the naive direct convolution, across geometries that
-// exercise padding, stride, multi-band splits, and batches.
+// TestConv2DInferInt8MatchesRef pins the ring walk bitwise against the
+// naive direct convolution, across kernel sizes, a wide frame and
+// batches.
 func TestConv2DInferInt8MatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	cases := []struct {
@@ -213,11 +213,9 @@ func TestConv2DInferInt8MatchesRef(t *testing.T) {
 		spec    ConvSpec
 	}{
 		{1, 5, 7, ConvSpec{InC: 3, OutC: 4, K: 3, Stride: 1, Pad: 1}},
-		{1, 9, 9, ConvSpec{InC: 2, OutC: 5, K: 3, Stride: 2, Pad: 1}},
 		{2, 6, 6, ConvSpec{InC: 4, OutC: 3, K: 3, Stride: 1, Pad: 1}},
 		{1, 8, 8, ConvSpec{InC: 1, OutC: 7, K: 5, Stride: 1, Pad: 2}},
 		{1, 4, 4, ConvSpec{InC: 3, OutC: 4, K: 1, Stride: 1, Pad: 0}},
-		// Wide enough that bandInt8Budget forces multiple bands.
 		{1, 40, 1024, ConvSpec{InC: 8, OutC: 6, K: 3, Stride: 1, Pad: 1}},
 	}
 	for _, tc := range cases {
@@ -233,11 +231,22 @@ func TestConv2DInferInt8MatchesRef(t *testing.T) {
 			}
 		}
 	}
+	// Any other geometry is refused, as NewInt8ConvRows refuses it.
+	for _, spec := range []ConvSpec{{InC: 2, OutC: 5, K: 3, Stride: 2, Pad: 1}, {InC: 2, OutC: 5, K: 3, Stride: 1, Pad: 0}} {
+		cc := makeInt8ConvCase(rng, 1, 9, 9, spec)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Conv2DInferInt8 accepted %+v", spec)
+				}
+			}()
+			Conv2DInferInt8(cc.xq, 1, spec.InC, 9, 9, cc.wq, cc.scales, cc.bias, spec, false, nil)
+		}()
+	}
 }
 
 // TestConv2DInferInt8Deterministic pins bit-identical outputs across
-// worker counts: the serial path, the banded parallel path, and a
-// batch-parallel path must all agree exactly.
+// worker counts.
 func TestConv2DInferInt8Deterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	spec := ConvSpec{InC: 8, OutC: 16, K: 3, Stride: 1, Pad: 1}
@@ -257,22 +266,6 @@ func TestConv2DInferInt8Deterministic(t *testing.T) {
 		if par2.Data[i] != want[i] || par4.Data[i] != want[i] {
 			t.Fatalf("element %d differs across worker counts: serial %v, 2 workers %v, 4 workers %v",
 				i, want[i], par2.Data[i], par4.Data[i])
-		}
-	}
-	// Single-batch inputs parallelize over bands rather than batch
-	// elements; check that split too.
-	one := makeInt8ConvCase(rng, 1, 40, 700, spec)
-	var s1, p1 *Tensor
-	withProcs(t, 1, func() {
-		s1 = Conv2DInferInt8(one.xq, 1, spec.InC, one.h, one.w, one.wq, one.scales, one.bias, spec, false, nil)
-	})
-	w1 := append([]float32(nil), s1.Data...)
-	withProcs(t, 4, func() {
-		p1 = Conv2DInferInt8(one.xq, 1, spec.InC, one.h, one.w, one.wq, one.scales, one.bias, spec, false, nil)
-	})
-	for i := range w1 {
-		if p1.Data[i] != w1[i] {
-			t.Fatalf("band-parallel element %d differs: %v vs %v", i, w1[i], p1.Data[i])
 		}
 	}
 }

@@ -179,45 +179,6 @@ func TestConv2DInferMatchesForward(t *testing.T) {
 	}
 }
 
-// TestConv2DInferMultiBand forces several padded input bands per frame
-// — a last band shorter than the rest, one to three workers — and
-// checks the implicit GEMM bit for bit against the single column matrix
-// of the training kernel, with ReLU and with the residual epilogue.
-func TestConv2DInferMultiBand(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	spec := ConvSpec{InC: 64, OutC: 11, K: 3, Stride: 1, Pad: 1}
-	h, w := 70, 126 // pw=128: band = 2^18/(64·128) − 2 = 30 < oh → 3 bands, the last 10 rows
-	if band := bandFloats/(spec.InC*(w+2*spec.Pad)) - (spec.K - 1); band >= h || h%band == 0 {
-		t.Fatalf("test no longer exercises several bands and a short last one (band=%d, oh=%d)", band, h)
-	}
-	x := New(1, spec.InC, h, w)
-	copy(x.Data, randSlice(rng, x.Len()))
-	wt := New(spec.OutC, spec.InC, spec.K, spec.K)
-	copy(wt.Data, randSlice(rng, wt.Len()))
-	bias := New(spec.OutC)
-	copy(bias.Data, randSlice(rng, bias.Len()))
-	res := New(1, spec.OutC, h, w)
-	copy(res.Data, randSlice(rng, res.Len()))
-	want, _ := Conv2DForward(x, wt, bias, spec)
-	wantReLU := append([]float32(nil), want.Data...)
-	for i, v := range wantReLU {
-		if v < 0 {
-			wantReLU[i] = 0
-		}
-	}
-	wantRes := make([]float32, len(want.Data))
-	for i, v := range want.Data {
-		wantRes[i] = res.Data[i] + float32(float32(0.1)*v)
-	}
-	for procs := 1; procs <= 3; procs++ {
-		withProcs(t, procs, func() {
-			diffBits(t, "multi-band Conv2DInfer", Conv2DInfer(x, wt, bias, spec, false, nil).Data, want.Data)
-			diffBits(t, "multi-band Conv2DInfer with ReLU", Conv2DInfer(x, wt, bias, spec, true, nil).Data, wantReLU)
-			diffBits(t, "multi-band Conv2DInferResidual", Conv2DInferResidual(x, wt, bias, res, 0.1, spec, nil).Data, wantRes)
-		})
-	}
-}
-
 // TestConv2DInferReusesBuffer checks the Ensure-based output recycling.
 func TestConv2DInferReusesBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))

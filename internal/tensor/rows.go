@@ -3,11 +3,13 @@ package tensor
 // Row-at-a-time inference. A network whose layers are stride-1
 // convolutions can run as a row pipeline: each layer keeps only the last
 // few rows of its input, in a Ring (float32) or an Int8Map (int8), and
-// computes output row y once input rows y−pad..y+pad are there. The row
-// kernels are the whole-image kernels' own (rowConv, mapConv), so every
-// element is the same sum of the same operands in the same order: a
-// pipeline's output bits are Conv2DInfer's and Conv2DInt8Map's, and its
-// working set is O(width), not O(width × height).
+// computes output row y once input rows y−pad..y+pad are there. These
+// row kernels (rowConv, mapConv) are the only inference convolutions of
+// stride 1: the whole-image entry points, Conv2DInfer and
+// Conv2DInferInt8, walk a K-slot ring through them too. So a pipeline's
+// output bits are theirs, every element the same sum of the same
+// operands in the same order, and its working set is O(width), not
+// O(width × height).
 //
 // A ring holds slots of one row each, from the first pad column on, row
 // y in slot (y + pad) mod slots. A convolution reads its K = 2·pad + 1
@@ -134,7 +136,9 @@ func (c *ConvRows) Release() { c.a.release() }
 // oy−pad..oy+pad, which must be published: channel oc's pixels at
 // out[oc·stride:], each, with res non-nil (laid out like out), res +
 // float32(scale·v) — read before the element is written, so out may be
-// res. The bits are Conv2DInfer's (Conv2DInferResidual's with res).
+// res, with the sum rounded step by step exactly as a separate
+// scaled-add pass. The bits are Conv2DInfer's (with res, followed by
+// that pass).
 func (c *ConvRows) Row(in *Ring, oy int, out []float32, stride int, res []float32, scale float32) {
 	if in.c != c.spec.InC || in.w != c.width || in.pad != c.spec.Pad {
 		panic("tensor: ConvRows does not match its input ring")

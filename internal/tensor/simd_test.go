@@ -57,7 +57,6 @@ var float32ConvTests = []struct {
 }{
 	{"ConvMatchesReference", TestConvMatchesReference},
 	{"Conv2DInferMatchesForward", TestConv2DInferMatchesForward},
-	{"Conv2DInferMultiBand", TestConv2DInferMultiBand},
 	{"Conv2DInferReusesBuffer", TestConv2DInferReusesBuffer},
 }
 
@@ -108,8 +107,7 @@ func TestPortablePath(t *testing.T) {
 }
 
 // TestAVX2Path is TestPortablePath's twin for the AVX2 lane, which an
-// AVX-512 host otherwise takes only for strided int8 convolutions and
-// the GEMMs.
+// AVX-512 host otherwise takes only for the GEMMs.
 func TestAVX2Path(t *testing.T) {
 	if !hostAVX512 {
 		t.Skip("no AVX-512 lane here: the AVX2 lane, if any, is already the default")
@@ -421,7 +419,7 @@ type convCase struct {
 	procs       int
 	dataSeed    int64
 
-	residual bool    // also check Conv2DInferResidual and Conv2DInt8Map's residual
+	residual bool    // also check the row kernels' residual epilogue (checkResidualRows)
 	scale    float32 // its scale: 1 or 0.1
 	inPlace  bool    // with out == res
 }
@@ -471,7 +469,7 @@ func checkConvCase(t *testing.T, c convCase) {
 		bias = New(spec.OutC)
 		copy(bias.Data, operand(rng, spec.OutC, c.special))
 	}
-	oh, ow := spec.OutSize(c.h, c.w)
+	oh, ow := spec.outSize(c.h, c.w)
 
 	// Float32: Conv2DForward and the backward pass on the assembly and
 	// the portable kernels, then Conv2DInfer on every lane against
@@ -527,9 +525,6 @@ func checkConvCase(t *testing.T, c convCase) {
 		})
 		diffBits(t, "Conv2DInfer "+l.name+" lane vs Conv2DForward+ReLU", infer, fused)
 	}
-	if c.residual {
-		checkResidualCase(t, c, x, wt, bias, portable.fwd)
-	}
 
 	// The activation quantizer in front of the int8 path, at scales that
 	// round, saturate and overflow.
@@ -545,8 +540,9 @@ func checkConvCase(t *testing.T, c convCase) {
 	}
 
 	// Int8: Conv2DInferInt8 on every lane against the direct int8
-	// convolution. Rows of ±127 (and −128) make every int16 pair sum a
-	// bare VPMADDUBSW would saturate.
+	// convolution, for the geometry it takes (stride 1, pad (K−1)/2).
+	// Rows of ±127 (and −128) make every int16 pair sum a bare
+	// VPMADDUBSW would saturate.
 	cc := makeInt8ConvCase(rng, c.batch, c.h, c.w, spec)
 	if c.special {
 		extremeInt8Case(rng, &cc)
@@ -556,85 +552,25 @@ func checkConvCase(t *testing.T, c convCase) {
 		kernelBias = nil
 		clear(cc.bias) // what the reference adds for a nil bias
 	}
-	want8 := conv2DInt8Ref(cc, c.relu)
-	for _, l := range kernelLanes {
-		if !l.available() {
-			continue
-		}
-		var got []float32
-		withLane(l, func() {
-			withProcs(t, c.procs, func() {
-				got = Conv2DInferInt8(cc.xq, c.batch, spec.InC, c.h, c.w, cc.wq, cc.scales, kernelBias, spec, c.relu, nil).Data
-			})
-		})
-		diffBits(t, "Conv2DInferInt8 "+l.name+" lane vs direct int8 convolution", got, want8)
-	}
-	if c.residual {
-		checkInt8ResidualCase(t, c, cc, kernelBias, want8)
-	}
-	checkRingCase(t, c, x, wt, bias, fused, cc, kernelBias, want8)
-	checkMapCase(t, c, rng, x.Data[:spec.InC*c.h*c.w])
-}
-
-// checkInt8ResidualCase pins Conv2DInt8Map's residual epilogue on every
-// lane against the direct int8 convolution of the case's first image,
-// want8's leading plane, followed by a separate scaled-add pass — into a
-// fresh output and, when the case asks, in place over res.
-func checkInt8ResidualCase(t *testing.T, c convCase, cc int8ConvCase, bias, want8 []float32) {
-	spec := c.spec
-	oh, ow := spec.OutSize(c.h, c.w)
-	res := operand(rand.New(rand.NewSource(c.dataSeed+3)), spec.OutC*oh*ow, c.special)
-	want := make([]float32, len(res))
-	for i, v := range want8[:len(res)] {
-		want[i] = res[i] + float32(c.scale*v)
-	}
-	for _, l := range kernelLanes {
-		if !l.available() {
-			continue
-		}
-		withLane(l, func() {
-			var m Int8Map
-			m.layInt8(cc.xq[:spec.InC*c.h*c.w], spec.InC, c.h, c.w, spec.Pad)
-			got := make([]float32, len(res))
-			r := res
-			if c.inPlace {
-				copy(got, res)
-				r = got
+	if spec.Stride == 1 && spec.K == 2*spec.Pad+1 {
+		want8 := conv2DInt8Ref(cc, c.relu)
+		for _, l := range kernelLanes {
+			if !l.available() {
+				continue
 			}
-			withProcs(t, c.procs, func() { Conv2DInt8Map(&m, cc.wq, cc.scales, bias, spec, c.relu, r, c.scale, got) })
-			diffBits(t, "Conv2DInt8Map residual "+l.name+" lane vs direct int8 convolution + scaled add", got, want)
-		})
-	}
-}
-
-// checkResidualCase pins Conv2DInferResidual on every lane against
-// Conv2DForward's output fwd followed by a separate scaled-add pass,
-// into a fresh output and, when the case asks, in place over res.
-func checkResidualCase(t *testing.T, c convCase, x, wt, bias *Tensor, fwd []float32) {
-	oh, ow := c.spec.OutSize(c.h, c.w)
-	res := New(c.batch, c.spec.OutC, oh, ow)
-	copy(res.Data, operand(rand.New(rand.NewSource(c.dataSeed+2)), res.Len(), c.special))
-	want := make([]float32, len(fwd))
-	for i, v := range fwd {
-		want[i] = res.Data[i] + float32(c.scale*v)
-	}
-	for _, l := range kernelLanes {
-		if !l.available() {
-			continue
-		}
-		withLane(l, func() {
-			withProcs(t, c.procs, func() {
-				var got *Tensor
-				if c.inPlace {
-					got = res.Clone()
-					got = Conv2DInferResidual(x, wt, bias, got, c.scale, c.spec, got)
-				} else {
-					got = Conv2DInferResidual(x, wt, bias, res, c.scale, c.spec, nil)
-				}
-				diffBits(t, "Conv2DInferResidual "+l.name+" lane vs Conv2DForward + scaled add", got.Data, want)
+			var got []float32
+			withLane(l, func() {
+				withProcs(t, c.procs, func() {
+					got = Conv2DInferInt8(cc.xq, c.batch, spec.InC, c.h, c.w, cc.wq, cc.scales, kernelBias, spec, c.relu, nil).Data
+				})
 			})
-		})
+			diffBits(t, "Conv2DInferInt8 "+l.name+" lane vs direct int8 convolution", got, want8)
+		}
+		if c.residual {
+			checkResidualRows(t, c, x, wt, bias, fused, cc, kernelBias, want8)
+		}
 	}
+	checkMapCase(t, c, rng, x.Data[:spec.InC*c.h*c.w])
 }
 
 // extremeInt8Case drives a case's operands to the int8 rails and its
@@ -651,13 +587,14 @@ func extremeInt8Case(rng *rand.Rand, cc *int8ConvCase) {
 	copy(cc.bias, operand(rng, len(cc.bias), true))
 }
 
-// checkMapCase pins the activation map's producers on every lane:
-// Quantize against QuantizeInt8Into laid out by hand, then the ReLU
-// convolution of a residual block (InC → InC, 3×3, pad 1) run as a row
-// pipeline over 3-slot rings — every window but the first sits on
-// wrapped slots — its rows quantized into the next ring (RowToMap)
-// against the direct convolution, ReLU and QuantizeInt8Into, and read
-// back through one more convolution (Row).
+// checkMapCase pins the activation map's producers on every lane: the
+// ReLU convolution of a residual block (InC → InC, 3×3, pad 1) run as a
+// row pipeline over 3-slot rings — every window but the first sits on
+// wrapped slots — its input rows quantized into the first ring
+// (QuantizeRow) against QuantizeInt8Into laid out by hand, its rows
+// quantized into the next ring (RowToMap) against the direct
+// convolution, ReLU and QuantizeInt8Into, and read back through one more
+// convolution (Row).
 func checkMapCase(t *testing.T, c convCase, rng *rand.Rand, img []float32) {
 	ch, h, w := c.spec.InC, c.h, c.w
 	invs := []float32{40, 1e-3, 1e30, 0}
@@ -680,9 +617,6 @@ func checkMapCase(t *testing.T, c convCase, rng *rand.Rand, img []float32) {
 			continue
 		}
 		withLane(l, func() {
-			var m Int8Map
-			m.Quantize(img, ch, h, w, 1, inv)
-			checkMap(t, l.name+" lane Int8Map.Quantize", &m, h, q)
 			got := int8RowPipeline(t, l.name, img, h, w, cc, inv, inv2, q, mid)
 			diffBits(t, l.name+" lane Int8ConvRows.Row over a ring", got, wantNext)
 		})
@@ -728,16 +662,6 @@ func int8RowPipeline(t *testing.T, lane string, img []float32, h, w int, cc int8
 	return out
 }
 
-// checkMap compares every byte of the whole-image map m a kernel may
-// read — the ring, the padding channels and the pixels — with the
-// planar int8 image want of h rows.
-func checkMap(t *testing.T, what string, m *Int8Map, h int, want []int8) {
-	t.Helper()
-	for y := -m.pad; y < h+m.pad; y++ {
-		checkMapRow(t, what, m, y, h, want)
-	}
-}
-
 // checkMapRow compares row y's slot of m, and its mirror if it has one,
 // with row y of the planar int8 image want of h rows (int8 zero outside
 // it).
@@ -762,32 +686,25 @@ func checkMapRow(t *testing.T, what string, m *Int8Map, y, h int, want []int8) {
 	}
 }
 
-// checkRingCase pins the row entry points on every lane for a case
-// whose convolution keeps its geometry (stride 1, pad (K−1)/2): the
-// case's first image pushed row by row through a ring of K slots — so
-// every window past the first K rows sits on wrapped slots — and each
+// checkResidualRows pins the row kernels' residual epilogue on every
+// lane for a case whose convolution they take (stride 1, pad (K−1)/2):
+// the case's first image pushed row by row through a ring of K slots —
+// so every window past the first K rows sits on wrapped slots — and each
 // output row computed once its window is published, by ConvRows against
 // Conv2DInfer's fused output (f32) and by Int8ConvRows against the
-// direct int8 convolution (want8), with the case's residual, in place
-// when it asks.
-func checkRingCase(t *testing.T, c convCase, x, wt, bias *Tensor, f32 []float32, cc int8ConvCase, bias8, want8 []float32) {
+// direct int8 convolution (want8), each followed by a separate
+// scaled-add pass; into a fresh output and, when the case asks, in
+// place over the residual. The same walk without a residual is
+// Conv2DInfer's and Conv2DInferInt8's own.
+func checkResidualRows(t *testing.T, c convCase, x, wt, bias *Tensor, f32 []float32, cc int8ConvCase, bias8, want8 []float32) {
 	spec := c.spec
-	if spec.Stride != 1 || spec.K != 2*spec.Pad+1 {
-		return
-	}
 	h, w, p := c.h, c.w, spec.Pad
 	plane := spec.OutC * h * w
-	var res []float32
-	scale := float32(0)
-	if c.residual {
-		res, scale = operand(rand.New(rand.NewSource(c.dataSeed+4)), plane, c.special), c.scale
-	}
+	res := operand(rand.New(rand.NewSource(c.dataSeed+4)), plane, c.special)
 	want := func(v []float32) []float32 {
 		v = append([]float32(nil), v[:plane]...)
-		if res != nil {
-			for i := range v {
-				v[i] = res[i] + float32(scale*v[i])
-			}
+		for i := range v {
+			v[i] = res[i] + float32(c.scale*v[i])
 		}
 		return v
 	}
@@ -799,7 +716,7 @@ func checkRingCase(t *testing.T, c convCase, x, wt, bias *Tensor, f32 []float32,
 		withLane(l, func() {
 			gotF32, gotInt8 := make([]float32, plane), make([]float32, plane)
 			r32, r8 := res, res
-			if c.inPlace && res != nil {
+			if c.inPlace {
 				copy(gotF32, res)
 				copy(gotInt8, res)
 				r32, r8 = gotF32, gotInt8
@@ -828,18 +745,14 @@ func checkRingCase(t *testing.T, c convCase, x, wt, bias *Tensor, f32 []float32,
 					m.ZeroRow(iy)
 				}
 				if oy := iy - p; oy >= 0 {
-					var a, b []float32
-					if res != nil {
-						a, b = r32[oy*w:], r8[oy*w:]
-					}
-					k32.Row(&ring, oy, gotF32[oy*w:], h*w, a, scale)
-					k8.Row(&m, oy, gotInt8[oy*w:], h*w, b, scale)
+					k32.Row(&ring, oy, gotF32[oy*w:], h*w, r32[oy*w:], c.scale)
+					k8.Row(&m, oy, gotInt8[oy*w:], h*w, r8[oy*w:], c.scale)
 				}
 			}
 			k32.Release()
 			k8.Release()
-			diffBits(t, "ConvRows "+l.name+" lane over a ring vs Conv2DInfer", gotF32, wantF32)
-			diffBits(t, "Int8ConvRows "+l.name+" lane over a ring vs direct int8 convolution", gotInt8, wantInt8)
+			diffBits(t, "ConvRows residual "+l.name+" lane over a ring vs Conv2DInfer + scaled add", gotF32, wantF32)
+			diffBits(t, "Int8ConvRows residual "+l.name+" lane over a ring vs direct int8 convolution + scaled add", gotInt8, wantInt8)
 		})
 	}
 }
@@ -861,18 +774,18 @@ func TestKernelsDifferentialConv(t *testing.T) {
 func FuzzConvKernels(f *testing.F) {
 	f.Add(int64(1), uint8(0x35), uint8(0x42), uint8(0x09), uint8(0))     // 16→16, pad 1, ReLU
 	f.Add(int64(2), uint8(0x7a), uint8(0x14), uint8(0x0b), uint8(0))     // 16→3 tail, specials
-	f.Add(int64(3), uint8(0x11), uint8(0x32), uint8(0x1c), uint8(0))     // 3→7 head, stride 2
+	f.Add(int64(3), uint8(0x11), uint8(0x32), uint8(0x1c), uint8(0))     // 3→7 head, stride 2 (float32 im2col; no int8 leg)
 	f.Add(int64(4), uint8(0x00), uint8(0x05), uint8(0x62), uint8(0))     // 17 channels, K=1
 	f.Add(int64(5), uint8(0x63), uint8(0x65), uint8(0x2b), uint8(0))     // 17→64, odd width, specials, 3 workers
 	f.Add(int64(6), uint8(0x26), uint8(0x52), uint8(0x0b), uint8(0))     // 3→17, specials
-	f.Add(int64(7), uint8(0x94), uint8(0x33), uint8(0x2d), uint8(0))     // 5→7, stride 2 (the int8 VNNI lane's fallback), 3 workers
+	f.Add(int64(7), uint8(0x94), uint8(0x33), uint8(0x2d), uint8(0))     // 5→7, stride 2 (float32 im2col; no int8 leg), 3 workers
 	f.Add(int64(8), uint8(0x05), uint8(0x44), uint8(0x08), uint8(0x25))  // 16→16 residual ×1 in place, width 480
 	f.Add(int64(9), uint8(0x03), uint8(0x44), uint8(0x1a), uint8(0x1b))  // 16→16 residual ×0.1, width 33, specials, 2 workers
 	f.Add(int64(10), uint8(0x06), uint8(0x14), uint8(0x08), uint8(0x11)) // 16→3 tail residual ×1, width 31
 	f.Add(int64(11), uint8(0x0a), uint8(0x34), uint8(0x09), uint8(0x0f)) // 16→7, ReLU, residual ×0.1 in place, width 1
 	f.Add(int64(12), uint8(0x02), uint8(0x33), uint8(0xe2), uint8(0x19)) // 5→7, K=1 pad 0, n=2, 3 workers, residual, width 33, specials
 	f.Add(int64(13), uint8(0x01), uint8(0x12), uint8(0x0b), uint8(0x20)) // 3→3, ReLU, specials, width 480
-	f.Add(int64(14), uint8(0x44), uint8(0x33), uint8(0x0c), uint8(0x03)) // 5→7 stride 2 (the float32 im2col fallback), residual ×0.1
+	f.Add(int64(14), uint8(0x44), uint8(0x33), uint8(0x0c), uint8(0x03)) // 5→7 stride 2 (float32 im2col; no int8 or residual leg)
 	f.Add(int64(15), uint8(0x05), uint8(0x42), uint8(0x09), uint8(0x2d)) // 3→16 head, ReLU, residual ×1 in place, width 15 (one short AMX tile)
 	f.Add(int64(16), uint8(0x13), uint8(0x44), uint8(0x0a), uint8(0x37)) // 16→16 residual ×0.1 in place, width 17, specials
 	f.Add(int64(17), uint8(0x02), uint8(0x14), uint8(0x08), uint8(0x15)) // 16→3 tail residual ×1 in place, width 31
@@ -880,7 +793,8 @@ func FuzzConvKernels(f *testing.F) {
 	f.Add(int64(19), uint8(0x24), uint8(0x46), uint8(0x09), uint8(0x28)) // 64-channel map (three 64-byte slices), ReLU, width 15
 	f.Add(int64(20), uint8(0x03), uint8(0x66), uint8(0x0b), uint8(0x31)) // 64→64, ReLU, specials, residual, width 17
 	// Row entry points whose windows sit on wrapped ring slots
-	// (checkRingCase, checkMapCase): many rows through 3-slot rings.
+	// (Conv2DInfer, Conv2DInferInt8, checkResidualRows, checkMapCase):
+	// many rows through 3-slot rings.
 	f.Add(int64(21), uint8(0x0c), uint8(0x44), uint8(0x09), uint8(0x20)) // 16→16, ReLU, 15 rows, width 480
 	f.Add(int64(22), uint8(0x07), uint8(0x66), uint8(0x09), uint8(0x2d)) // 64→64, ReLU, residual ×1 in place, 10 rows, width 15
 	f.Add(int64(23), uint8(0x05), uint8(0x33), uint8(0x20), uint8(0x0b)) // 5→7, K=1 pad 0 (a 1-slot ring), 6 rows, residual ×0.1, width 31

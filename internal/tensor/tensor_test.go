@@ -90,7 +90,7 @@ func TestRandnDeterministic(t *testing.T) {
 // referenceConv is a naive direct convolution used as ground truth.
 func referenceConv(x, w, b *Tensor, spec ConvSpec) *Tensor {
 	n, c, h, wd := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	oh, ow := spec.OutSize(h, wd)
+	oh, ow := spec.outSize(h, wd)
 	out := New(n, spec.OutC, oh, ow)
 	for ni := 0; ni < n; ni++ {
 		for oc := 0; oc < spec.OutC; oc++ {
@@ -154,7 +154,7 @@ func TestIm2colCol2imAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	spec := ConvSpec{InC: 2, OutC: 1, K: 3, Stride: 2, Pad: 1}
 	c, h, w := 2, 6, 5
-	oh, ow := spec.OutSize(h, w)
+	oh, ow := spec.outSize(h, w)
 	rows := c * spec.K * spec.K
 	for trial := 0; trial < 20; trial++ {
 		x := make([]float32, c*h*w)

@@ -168,7 +168,7 @@ func TestAdmissionConcurrentLoad(t *testing.T) {
 	var sheds int
 	for sheds < 3 {
 		r := <-results
-		if _, ok := IsRetryAfter(r.err); !ok {
+		if _, ok := retryAfter(r.err); !ok {
 			t.Fatalf("expected typed retry-after, got payload=%d err=%v", len(r.payload), r.err)
 		}
 		sheds++
@@ -232,7 +232,7 @@ func TestAdmissionFairnessGreedyClient(t *testing.T) {
 	}
 	var sheds int
 	for sheds < reqs-2 {
-		if _, ok := IsRetryAfter(<-errs); !ok {
+		if _, ok := retryAfter(<-errs); !ok {
 			t.Fatal("greedy client got a non-shed failure while over its per-conn budget")
 		}
 		sheds++
@@ -285,7 +285,7 @@ func TestRetryPolicyHonorsShedHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = client.SegmentCtx(context.Background(), 0)
-	hint, ok := IsRetryAfter(err)
+	hint, ok := retryAfter(err)
 	if !ok {
 		t.Fatalf("want retry-after after shed budget exhausted, got %v", err)
 	}
@@ -330,7 +330,7 @@ func TestMaxConnsRejectsTyped(t *testing.T) {
 	}
 	second := dialTCP(t, ln.Addr().String())
 	_, err = second.ManifestCtx(context.Background())
-	hint, ok := IsRetryAfter(err)
+	hint, ok := retryAfter(err)
 	if !ok {
 		t.Fatalf("over-capacity conn: want typed retry-after, got %v", err)
 	}
@@ -349,12 +349,22 @@ func TestMaxConnsRejectsTyped(t *testing.T) {
 
 var errSentinel = errors.New("sentinel")
 
-func TestIsRetryAfterOnOtherErrors(t *testing.T) {
-	if _, ok := IsRetryAfter(errSentinel); ok {
-		t.Error("IsRetryAfter matched a plain error")
+// retryAfter reports whether err is the server's StatusRetryAfter
+// admission shed, with the backoff hint it carries.
+func retryAfter(err error) (time.Duration, bool) {
+	var se *statusError
+	if errors.As(err, &se) && se.status == StatusRetryAfter {
+		return se.hint, true
 	}
-	if _, ok := IsRetryAfter(&statusError{status: StatusNotFound}); ok {
-		t.Error("IsRetryAfter matched NotFound")
+	return 0, false
+}
+
+func TestIsRetryAfterOnOtherErrors(t *testing.T) {
+	if _, ok := retryAfter(errSentinel); ok {
+		t.Error("retryAfter matched a plain error")
+	}
+	if _, ok := retryAfter(&statusError{status: StatusNotFound}); ok {
+		t.Error("retryAfter matched NotFound")
 	}
 	if IsNotFound(&statusError{status: StatusRetryAfter}) {
 		t.Error("IsNotFound matched RetryAfter")

@@ -53,8 +53,9 @@
 //
 // Payloads are capped at maxPayload. A non-OK status usually carries no
 // payload; the one exception is StatusRetryAfter, whose 4-byte payload is
-// the server's backoff hint in milliseconds (see AdmissionConfig and
-// IsRetryAfter). A connection cut mid-frame surfaces on the server as
+// the server's backoff hint in milliseconds (see AdmissionConfig; the
+// Client backs off by at least it, RetryPolicy.ShedRetries times, and
+// counts each in Client.Sheds). A connection cut mid-frame surfaces on the server as
 // io.ErrUnexpectedEOF from the frame read and the connection is dropped.
 // The Client does not resynchronize after a short read or a dropped
 // response either: any transport-level error retires the connection,

@@ -138,18 +138,6 @@ func IsNotFound(err error) bool {
 	return errors.As(err, &se) && se.status == StatusNotFound
 }
 
-// IsRetryAfter reports whether err is the server's StatusRetryAfter
-// admission shed, returning the carried backoff hint. A client that
-// exhausts its shed budget surfaces this error; callers can keep backing
-// off by at least the hint and try again later.
-func IsRetryAfter(err error) (time.Duration, bool) {
-	var se *statusError
-	if errors.As(err, &se) && se.status == StatusRetryAfter {
-		return se.hint, true
-	}
-	return 0, false
-}
-
 // isTimeoutErr classifies deadline expiries for the timeout metric.
 func isTimeoutErr(err error) bool {
 	if errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded) {

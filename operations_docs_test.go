@@ -213,7 +213,7 @@ func TestOperationsDocMetrics(t *testing.T) {
 	}
 	if _, err := shedClient.SegmentCtx(context.Background(), 0); err == nil {
 		t.Fatal("second request on a drained bucket succeeded")
-	} else if _, ok := transport.IsRetryAfter(err); !ok {
+	} else if shedClient.Sheds == 0 {
 		t.Fatalf("second request on a drained bucket: want retry-after, got %v", err)
 	}
 	scc.Close()
