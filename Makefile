@@ -26,7 +26,7 @@ GO ?= go
 # trains real models and outlasts the default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
-	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap|TestDeltaCorruptPayload|TestApplyWeightsDeltaAllocs' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...

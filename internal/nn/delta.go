@@ -38,18 +38,18 @@ import (
 
 var magicDelta = [4]byte{'d', 'c', 'W', '5'}
 
-// DeltaDigestSize is the length of the backbone digest embedded in a dcW5
+// deltaDigestSize is the length of the backbone digest embedded in a dcW5
 // payload (SHA-256).
-const DeltaDigestSize = sha256.Size
+const deltaDigestSize = sha256.Size
 
-// DeltaBackboneDigest extracts the backbone digest a dcW5 payload was
+// deltaBackboneDigest extracts the backbone digest a dcW5 payload was
 // encoded against without decoding the residuals.
-func DeltaBackboneDigest(delta []byte) ([DeltaDigestSize]byte, error) {
-	var d [DeltaDigestSize]byte
-	if len(delta) < 4+DeltaDigestSize || [4]byte(delta[:4]) != magicDelta {
+func deltaBackboneDigest(delta []byte) ([deltaDigestSize]byte, error) {
+	var d [deltaDigestSize]byte
+	if len(delta) < 4+deltaDigestSize || [4]byte(delta[:4]) != magicDelta {
 		return d, fmt.Errorf("nn: not a dcW5 delta payload")
 	}
-	copy(d[:], delta[4:4+DeltaDigestSize])
+	copy(d[:], delta[4:4+deltaDigestSize])
 	return d, nil
 }
 
@@ -98,15 +98,11 @@ func EncodeWeightsDelta(backbone, target []*Param) ([]byte, error) {
 	if len(backbone) != len(target) {
 		return nil, fmt.Errorf("nn: delta param count mismatch %d vs %d", len(backbone), len(target))
 	}
-	var buf bytes.Buffer
-	//lint:allow errcheck bytes.Buffer.Write is documented to always return a nil error
-	buf.Write(magicDelta[:])
 	digest := WeightsDigest(backbone)
-	//lint:allow errcheck bytes.Buffer.Write is documented to always return a nil error
-	buf.Write(digest[:])
-	if err := binary.Write(&buf, binary.LittleEndian, uint32(len(target))); err != nil {
-		return nil, err
-	}
+	buf := append(append([]byte(nil), magicDelta[:]...), digest[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(target)))
+	largest := largestParam(target)
+	scaleBuf, codeBuf := make([]float32, largest), make([]int8, largest)
 	for pi, t := range target {
 		b := backbone[pi]
 		if b.W.Len() != t.W.Len() {
@@ -114,21 +110,17 @@ func EncodeWeightsDelta(backbone, target []*Param) ([]byte, error) {
 		}
 		n := t.W.Len()
 		sc := scaleCount(t)
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(n)); err != nil {
-			return nil, err
-		}
-		if err := binary.Write(&buf, binary.LittleEndian, uint32(sc)); err != nil {
-			return nil, err
-		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(sc))
 		rowLen := n / sc
-		scales := make([]float32, sc)
-		codes := make([]int8, n)
+		scales, codes := scaleBuf[:sc], codeBuf[:n]
+		clear(codes)
 		nz := 0
 		for ch := 0; ch < sc; ch++ {
 			maxAbs := 0.0
 			for i := ch * rowLen; i < (ch+1)*rowLen; i++ {
 				r := math.Abs(float64(t.W.Data[i]) - float64(b.W.Data[i]))
-				if r > maxAbs {
+				if r > maxAbs { // not math.Max: a NaN residual must not become the scale
 					maxAbs = r
 				}
 			}
@@ -152,34 +144,22 @@ func EncodeWeightsDelta(backbone, target []*Param) ([]byte, error) {
 				}
 			}
 		}
-		if err := binary.Write(&buf, binary.LittleEndian, scales); err != nil {
-			return nil, err
-		}
+		buf = appendFloats(buf, scales)
 		if sparse := 4 + 5*nz; sparse < n {
-			buf.WriteByte(1)
-			if err := binary.Write(&buf, binary.LittleEndian, uint32(nz)); err != nil {
-				return nil, err
-			}
+			buf = binary.LittleEndian.AppendUint32(append(buf, 1), uint32(nz))
 			for i, c := range codes {
-				if c == 0 {
-					continue
+				if c != 0 {
+					buf = append(binary.LittleEndian.AppendUint32(buf, uint32(i)), byte(c))
 				}
-				if err := binary.Write(&buf, binary.LittleEndian, uint32(i)); err != nil {
-					return nil, err
-				}
-				buf.WriteByte(byte(c))
 			}
 		} else {
-			buf.WriteByte(0)
-			dense := make([]byte, n)
-			for i, c := range codes {
-				dense[i] = byte(c)
+			buf = append(buf, 0)
+			for _, c := range codes {
+				buf = append(buf, byte(c))
 			}
-			//lint:allow errcheck bytes.Buffer.Write is documented to always return a nil error
-			buf.Write(dense)
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // ApplyWeightsDelta reconstructs full weights from a backbone and a dcW5
@@ -187,9 +167,11 @@ func EncodeWeightsDelta(backbone, target []*Param) ([]byte, error) {
 // backbone's). It verifies the payload's embedded digest against the
 // backbone before touching dst, so applying a delta to the wrong backbone
 // fails instead of producing garbage weights. The reconstruction is
-// deterministic: every decoder produces bit-identical weights.
+// deterministic: every decoder produces bit-identical weights. The scales
+// and codes decode into buffers sized once from the largest parameter of
+// backbone, so what a payload declares never sizes an allocation.
 func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
-	want, err := DeltaBackboneDigest(delta)
+	want, err := deltaBackboneDigest(delta)
 	if err != nil {
 		return err
 	}
@@ -199,70 +181,67 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 	if len(dst) != len(backbone) {
 		return fmt.Errorf("nn: delta dst param count mismatch %d vs %d", len(dst), len(backbone))
 	}
-	r := bytes.NewReader(delta[4+DeltaDigestSize:])
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+	largest := largestParam(backbone)
+	scratch := make([]byte, 4*max(largest, 1))
+	r := bytes.NewReader(delta[4+deltaDigestSize:])
+	count, err := readU32(r, scratch)
+	if err != nil {
 		return err
 	}
-	if int(count) != len(backbone) {
+	if int64(count) != int64(len(backbone)) {
 		return fmt.Errorf("nn: delta holds %d params, model has %d", count, len(backbone))
 	}
-	largest := 0
-	for _, p := range backbone {
-		largest = max(largest, p.W.Len())
-	}
-	codeBuf, dense := make([]int8, largest), make([]byte, largest)
+	scaleBuf, codeBuf := make([]float32, largest), make([]int8, largest)
 	for pi, b := range backbone {
 		d := dst[pi]
 		if d.W.Len() != b.W.Len() {
 			return fmt.Errorf("nn: delta dst param %d size mismatch: backbone %d, dst %d", pi, b.W.Len(), d.W.Len())
 		}
-		var n, sc uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		n := b.W.Len()
+		if err := readCount(r, scratch, b, "size", n); err != nil {
 			return err
 		}
-		if int(n) != b.W.Len() {
-			return fmt.Errorf("nn: delta param %d size mismatch: payload %d, model %d", pi, n, b.W.Len())
-		}
-		if err := binary.Read(r, binary.LittleEndian, &sc); err != nil {
+		sc, err := readU32(r, scratch)
+		if err != nil {
 			return err
 		}
-		if sc == 0 || n%sc != 0 {
+		// A parameter holds at least one value, so the check bounds sc
+		// by n and the scales fit their buffer.
+		if sc == 0 || uint32(n)%sc != 0 {
 			return fmt.Errorf("nn: delta param %d has %d scales for %d values", pi, sc, n)
 		}
-		scales := make([]float32, sc)
-		if err := binary.Read(r, binary.LittleEndian, scales); err != nil {
+		scales, codes := scaleBuf[:sc], codeBuf[:n]
+		if err := readFloats(r, scales, scratch); err != nil {
 			return err
 		}
 		mode, err := r.ReadByte()
 		if err != nil {
 			return err
 		}
-		codes := codeBuf[:n]
-		clear(codes)
 		switch mode {
 		case 0:
-			if _, err := io.ReadFull(r, dense[:n]); err != nil {
+			if _, err := io.ReadFull(r, scratch[:n]); err != nil {
 				return err
 			}
-			for i, c := range dense[:n] {
+			for i, c := range scratch[:n] {
 				codes[i] = int8(c)
 			}
 		case 1:
-			var nz uint32
-			if err := binary.Read(r, binary.LittleEndian, &nz); err != nil {
+			clear(codes)
+			nz, err := readU32(r, scratch)
+			if err != nil {
 				return err
 			}
 			for j := uint32(0); j < nz; j++ {
-				var idx uint32
-				if err := binary.Read(r, binary.LittleEndian, &idx); err != nil {
+				idx, err := readU32(r, scratch)
+				if err != nil {
 					return err
 				}
 				c, err := r.ReadByte()
 				if err != nil {
 					return err
 				}
-				if idx >= n {
+				if idx >= uint32(n) {
 					return fmt.Errorf("nn: delta param %d sparse index %d out of range %d", pi, idx, n)
 				}
 				codes[idx] = int8(c)
@@ -271,8 +250,8 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 			return fmt.Errorf("nn: delta param %d has unknown mode %d", pi, mode)
 		}
 		d.grid = nil
-		rowLen := int(n) / int(sc)
-		for ch := 0; ch < int(sc); ch++ {
+		rowLen := n / int(sc)
+		for ch := range scales {
 			lo, hi := ch*rowLen, (ch+1)*rowLen
 			reconstruct(d.W.Data[lo:hi], b.W.Data[lo:hi], codes[lo:hi], scales[ch])
 		}

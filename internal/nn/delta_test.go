@@ -188,11 +188,11 @@ func TestDeltaWrongBackbone(t *testing.T) {
 	if err := ApplyWeightsDelta(wrong.Params(), delta, dst.Params()); err == nil {
 		t.Fatal("applying against the wrong backbone succeeded")
 	}
-	d, err := DeltaBackboneDigest(delta)
+	d, err := deltaBackboneDigest(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var zero [DeltaDigestSize]byte
+	var zero [deltaDigestSize]byte
 	if d == zero {
 		t.Fatal("backbone digest is zero")
 	}
@@ -208,7 +208,7 @@ func TestDeltaCorruptPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := quantModel(t, 52)
-	for _, n := range []int{0, 3, 4 + DeltaDigestSize, len(delta) / 2, len(delta) - 1} {
+	for _, n := range []int{0, 3, 4 + deltaDigestSize, len(delta) / 2, len(delta) - 1} {
 		if err := ApplyWeightsDelta(backbone.Params(), delta[:n], dst.Params()); err == nil {
 			t.Fatalf("truncation to %d bytes applied cleanly", n)
 		}

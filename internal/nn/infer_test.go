@@ -79,7 +79,7 @@ func inferSeq(seq *Sequential, x *tensor.Tensor, int8Path bool) *tensor.Tensor {
 				}
 			}
 		case *PixelShuffle:
-			x = l.forwardInference(x, nil)
+			x = l.Forward(nil, x)
 		default:
 			panic("nn: inferSeq has no row path for this layer")
 		}
@@ -108,24 +108,6 @@ func TestSequentialForwardInferenceMatchesForward(t *testing.T) {
 	for i := range got.Data {
 		if got.Data[i] != want.Data[i] {
 			t.Fatalf("element %d differs: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-// TestDenseForwardInferenceMatchesForward covers the Dense fast path
-// (the VAE feature heads).
-func TestDenseForwardInferenceMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	d := NewDense(12, 7).InitXavier(rng)
-	x := tensor.New(3, 12)
-	x.Randn(rng, 1)
-	want := d.Forward(nil, x)
-	for pass := 0; pass < 2; pass++ {
-		got := d.ForwardInference(x, nil)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("pass %d: element %d differs: %v vs %v", pass, i, got.Data[i], want.Data[i])
-			}
 		}
 	}
 }

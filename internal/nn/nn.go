@@ -7,15 +7,15 @@
 // parameters and caches whatever it needs during Forward to compute
 // Backward. Networks here are small (dcSR micro models are 4–16 residual
 // blocks of ≤16 filters); the heavy lifting (im2col convolutions, blocked
-// GEMM kernels) lives in internal/tensor. Alongside the training pair
-// the layers have a no-grad inference path that fuses conv+bias+ReLU and
-// the residual adds into the convolution and writes into destinations
-// its caller supplies. The decoder hot loop runs on its row entry
-// points, in either precision: Conv2D.ConvRows and Conv2D.Int8ConvRows
-// prepare a convolution for one pass of row-at-a-time inference
-// (tensor.ConvRows, tensor.Int8ConvRows), which edsr's row pipeline
-// drives; whole-tensor ones (ForwardInferenceReLU,
-// Dense.ForwardInference) serve the VAE.
+// GEMM kernels) lives in internal/tensor. Each layer has one pass per
+// job: Forward and Backward train, and whatever else runs a network
+// whole-tensor (the VAE's feature extraction) runs Forward through its
+// own arena. The decoder hot loop alone has a no-grad path, the row
+// entry points, in either precision: Conv2D.ConvRows and
+// Conv2D.Int8ConvRows prepare a convolution for one pass of
+// row-at-a-time inference (tensor.ConvRows, tensor.Int8ConvRows) with
+// bias, ReLU and the residual add fused into its epilogue, which edsr's
+// row pipeline drives.
 //
 // Layers own parameters, not activations. A training pass takes its
 // tensors from the tensor.Arena handed to Forward and Backward (whoever
@@ -77,11 +77,11 @@ func (p *Param) ZeroGrad() { p.grad().Zero() }
 // Reset. A nil arena allocates each one fresh. Backward may add into the
 // gradient a layer below it returned, never into gy.
 //
-// The concrete layers also have inference methods, the no-grad fast
-// path: the same bits as Forward, nothing kept for Backward, output
-// written where the caller says (a tensor shaped via tensor.Ensure, or a
-// row), so steady-state inference allocates nothing and the caller
-// decides how much of a pass it keeps alive.
+// Conv2D also has the row entry points (ConvRows, Int8ConvRows), the
+// no-grad path: the same bits as Forward, nothing kept for Backward,
+// each output row written where the caller says, so steady-state
+// inference allocates nothing and the caller decides how much of a pass
+// it keeps alive.
 type Layer interface {
 	Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor
 	Backward(a *tensor.Arena, gy *tensor.Tensor) *tensor.Tensor
@@ -147,14 +147,6 @@ func (c *Conv2D) Observe(m float32) {
 // while calibrating, the caller hands Observe its input rows' max-abs.
 func (c *Conv2D) ConvRows(width int, relu bool) tensor.ConvRows {
 	return tensor.NewConvRows(c.Wt.W, c.Bias.W, c.Spec, width, relu)
-}
-
-// ForwardInferenceReLU applies the convolution and a fused ReLU to x
-// on the float32 inference kernel (tensor.Conv2DInfer), writing into
-// out, bitwise identical to Forward followed by a separate ReLU pass.
-// It keeps nothing for Backward and observes nothing.
-func (c *Conv2D) ForwardInferenceReLU(x, out *tensor.Tensor) *tensor.Tensor {
-	return tensor.Conv2DInfer(x, c.Wt.W, c.Bias.W, c.Spec, true, out)
 }
 
 // Backward propagates gy through the convolution and lets go of what
@@ -269,36 +261,17 @@ type PixelShuffle struct {
 	shape []int
 }
 
-// Forward performs the depth-to-space rearrangement.
+// Forward performs the depth-to-space rearrangement, one output row at
+// a time (ShuffleRow, the row pipeline's upsampler).
 func (p *PixelShuffle) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	p.shape = append(p.shape[:0], x.Shape...)
-	return p.forwardInference(x, a.Next())
-}
-
-// forwardInference performs the same rearrangement into out and keeps
-// no state for Backward.
-func (p *PixelShuffle) forwardInference(x, out *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := p.outShape(x)
-	out = tensor.Ensure(out, n, c, h, w)
-	p.shuffleInto(x, out)
-	return out
-}
-
-// outShape validates the channel count and returns the (N, C/r², H·r,
-// W·r) output shape.
-func (p *PixelShuffle) outShape(x *tensor.Tensor) (n, c, h, w int) {
-	r := p.R
-	if x.Shape[1]%(r*r) != 0 {
-		panic("nn: PixelShuffle channel count not divisible by r²")
-	}
-	return x.Shape[0], x.Shape[1] / (r * r), x.Shape[2] * r, x.Shape[3] * r
-}
-
-// shuffleInto writes the depth-to-space rearrangement of x into out.
-func (p *PixelShuffle) shuffleInto(x, out *tensor.Tensor) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	r := p.R
+	if c%(r*r) != 0 {
+		panic("nn: PixelShuffle channel count not divisible by r²")
+	}
 	oc := c / (r * r)
+	out := tensor.Ensure(a.Next(), n, oc, h*r, w*r)
 	for ni := 0; ni < n; ni++ {
 		src, dst := x.Data[ni*c*h*w:], out.Data[ni*c*h*w:]
 		for y := 0; y < h; y++ {
@@ -307,6 +280,7 @@ func (p *PixelShuffle) shuffleInto(x, out *tensor.Tensor) {
 			}
 		}
 	}
+	return out
 }
 
 // ShuffleRow writes output row dy of the R that one input row becomes:
@@ -383,14 +357,8 @@ func (d *Dense) InitXavier(rng *rand.Rand) *Dense {
 // Forward computes x·Wᵀ + b for a batch of row vectors.
 func (d *Dense) Forward(a *tensor.Arena, x *tensor.Tensor) *tensor.Tensor {
 	d.x = x
-	return d.ForwardInference(x, a.Next())
-}
-
-// ForwardInference computes x·Wᵀ + b into out, keeping no state for
-// Backward.
-func (d *Dense) ForwardInference(x, out *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
-	out = tensor.Ensure(out, n, d.Out)
+	out := tensor.Ensure(a.Next(), n, d.Out)
 	tensor.MatMulBT(x.Data, d.Wt.W.Data, out.Data, n, d.In, d.Out)
 	for i := 0; i < n; i++ {
 		row := out.Data[i*d.Out : (i+1)*d.Out]

@@ -209,7 +209,7 @@ func TestWeightsSaveLoadRoundTrip(t *testing.T) {
 	src := &Sequential{Layers: []Layer{NewConv2D(3, 4, 3, 1, 1).InitHe(rng), &ReLU{}, NewConv2D(4, 3, 3, 1, 1).InitHe(rng)}}
 	dst := &Sequential{Layers: []Layer{NewConv2D(3, 4, 3, 1, 1).InitHe(rng), &ReLU{}, NewConv2D(4, 3, 3, 1, 1).InitHe(rng)}}
 	var buf bytes.Buffer
-	if err := SaveWeights(&buf, src.Params()); err != nil {
+	if err := saveWeights(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != WeightsSize(src.Params()) {
@@ -233,7 +233,7 @@ func TestLoadWeightsRejectsMismatch(t *testing.T) {
 	src := NewConv2D(3, 4, 3, 1, 1).InitHe(rng)
 	other := NewConv2D(3, 5, 3, 1, 1).InitHe(rng)
 	var buf bytes.Buffer
-	if err := SaveWeights(&buf, src.Params()); err != nil {
+	if err := saveWeights(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
 	if err := LoadWeights(&buf, other.Params()); err == nil {

@@ -40,15 +40,11 @@ var (
 	gridMagic    = [4]byte{'d', 'c', 'W', '6'}
 )
 
-// SaveWeights writes every parameter in ps to w as a dcW1 payload: one
+// saveWeights writes every parameter in ps to w as a dcW1 payload: one
 // write for the header, then one per parameter (its element count and
 // values) through a single scratch buffer sized from the largest.
-func SaveWeights(w io.Writer, ps []*Param) error {
-	largest := 0
-	for _, p := range ps {
-		largest = max(largest, p.W.Len())
-	}
-	buf := make([]byte, 0, 4+4*largest)
+func saveWeights(w io.Writer, ps []*Param) error {
+	buf := make([]byte, 0, 4+4*largestParam(ps))
 	buf = binary.LittleEndian.AppendUint32(append(buf, weightsMagic[:]...), uint32(len(ps)))
 	if _, err := w.Write(buf); err != nil {
 		return err
@@ -66,12 +62,22 @@ func SaveWeights(w io.Writer, ps []*Param) error {
 // streamed through the hash without building the payload.
 func WeightsDigest(ps []*Param) [sha256.Size]byte {
 	h := sha256.New()
-	if err := SaveWeights(h, ps); err != nil {
+	if err := saveWeights(h, ps); err != nil {
 		panic(err) // hash writes cannot fail
 	}
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
 	return d
+}
+
+// largestParam returns the element count of the largest parameter in
+// ps, which sizes a codec's scratch buffers.
+func largestParam(ps []*Param) int {
+	n := 0
+	for _, p := range ps {
+		n = max(n, p.W.Len())
+	}
+	return n
 }
 
 // appendFloats appends v to b as little-endian float32 bits.
@@ -142,19 +148,15 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 	if count := binary.LittleEndian.Uint32(hdr[4:]); int64(count) != int64(len(ps)) {
 		return fmt.Errorf("nn: weights hold %d params, model has %d", count, len(ps))
 	}
-	largest := 0
+	scratch := make([]byte, 4*largestParam(ps))
 	for _, p := range ps {
-		largest = max(largest, p.W.Len())
-	}
-	scratch := make([]byte, 4*largest)
-	for _, p := range ps {
-		if err := readCount(r, p, "size", p.W.Len()); err != nil {
+		if err := readCount(r, scratch, p, "size", p.W.Len()); err != nil {
 			return err
 		}
 		rows := 0
 		if magic == gridMagic {
 			rows = gridRows(p)
-			if err := readCount(r, p, "row count", rows); err != nil {
+			if err := readCount(r, scratch, p, "row count", rows); err != nil {
 				return err
 			}
 		}
@@ -179,13 +181,23 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 	return nil
 }
 
-// readCount reads one uint32 field and checks it against want.
-func readCount(r io.Reader, p *Param, field string, want int) error {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
+// readU32 reads one little-endian uint32 field through scratch, which
+// holds at least 4 bytes.
+func readU32(r io.Reader, scratch []byte) (uint32, error) {
+	if _, err := io.ReadFull(r, scratch[:4]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(scratch), nil
+}
+
+// readCount reads one uint32 field through scratch and checks it
+// against want.
+func readCount(r io.Reader, scratch []byte, p *Param, field string, want int) error {
+	got, err := readU32(r, scratch)
+	if err != nil {
 		return err
 	}
-	if got := binary.LittleEndian.Uint32(b[:]); int64(got) != int64(want) {
+	if int64(got) != int64(want) {
 		return fmt.Errorf("nn: param %q %s mismatch: file %d, model %d", p.Name, field, got, want)
 	}
 	return nil
@@ -231,7 +243,7 @@ func readGrid(r io.Reader, p *Param, rows int, scratch []byte) error {
 	return nil
 }
 
-// WeightsSize returns the exact number of bytes SaveWeights would emit for
+// WeightsSize returns the exact number of bytes saveWeights would emit for
 // ps. This is the "model download size" used throughout the bandwidth
 // experiments (paper Table 1 and Fig 10).
 func WeightsSize(ps []*Param) int {
@@ -246,7 +258,7 @@ func WeightsSize(ps []*Param) int {
 func EncodeWeights(ps []*Param) []byte {
 	var buf bytes.Buffer
 	buf.Grow(WeightsSize(ps))
-	if err := SaveWeights(&buf, ps); err != nil {
+	if err := saveWeights(&buf, ps); err != nil {
 		panic(err) // bytes.Buffer writes cannot fail
 	}
 	return buf.Bytes()

@@ -131,11 +131,10 @@ var ringPool = sync.Pool{New: func() any { return new(Ring) }}
 // bias addition and (optionally) ReLU fused into the kernel epilogue.
 // The result is written into out, which is grown/reshaped as needed via
 // Ensure and returned (pass nil to allocate on first use); out must not
-// be x. A stride-1 convolution with a (K−1)/2 pad runs the row kernel
-// (ConvRows) serially: each image's rows pushed through a pooled K-slot
-// Ring, each output row computed once its window is published. Any
-// other geometry (the VAE encoder's stride 2) expands each input into
-// an im2col matrix in pooled scratch first. Either way steady-state
+// be x. It runs the row kernel (ConvRows) serially, and so takes what
+// NewConvRows takes — stride 1 with a (K−1)/2 pad — and panics
+// otherwise: each image's rows pushed through a pooled K-slot Ring,
+// each output row computed once its window is published. Steady-state
 // calls allocate nothing, and outputs are bitwise identical to
 // Conv2DForward followed by separate bias and ReLU passes.
 func Conv2DInfer(x, w, b *Tensor, spec ConvSpec, relu bool, out *Tensor) *Tensor {
@@ -143,23 +142,8 @@ func Conv2DInfer(x, w, b *Tensor, spec ConvSpec, relu bool, out *Tensor) *Tensor
 	if c != spec.InC {
 		panic("tensor: Conv2DInfer channel mismatch")
 	}
-	if len(w.Data) != spec.OutC*spec.InC*spec.K*spec.K {
-		panic("tensor: Conv2DInfer weight length mismatch")
-	}
-	oh, ow := spec.outSize(h, wd)
-	out = Ensure(out, n, spec.OutC, oh, ow)
-	if len(out.Data) == 0 {
-		return out
-	}
-	if spec.Stride != 1 || spec.K != 2*spec.Pad+1 {
-		ep := epilogue{relu: relu}
-		if b != nil {
-			ep.bias = b.Data[:spec.OutC]
-		}
-		convInferIm2col(x.Data, w.Data, n, c, h, wd, spec, ep, out.Data)
-		return out
-	}
 	k := NewConvRows(w, b, spec, wd, relu)
+	out = Ensure(out, n, spec.OutC, h, wd)
 	r := ringPool.Get().(*Ring)
 	r.Reset(c, wd, spec.Pad, spec.K, true)
 	plane := h * wd
@@ -288,26 +272,6 @@ func (a *rowConv) row(b, out []float32, planeStride, cols int, res []float32, sc
 		&out[0], planeStride, cols, r, scale, ep.bits())
 }
 
-// convInferIm2col is Conv2DInfer for the geometries the row kernel
-// does not take — in use only the VAE encoder's stride 2, on 32×32
-// inputs: each input's whole column matrix in pooled scratch, then the
-// GEMM with the epilogue fused, split over output channels.
-func convInferIm2col(x, w []float32, n, c, h, wd int, spec ConvSpec, ep epilogue, out []float32) {
-	oh, ow := spec.outSize(h, wd)
-	colRows, cols := spec.InC*spec.K*spec.K, oh*ow
-	planeIn, planeOut := c*h*wd, spec.OutC*cols
-	colBuf := scratchF32.get(colRows * cols)
-	col := *colBuf
-	for i := 0; i < n; i++ {
-		im2col(x[i*planeIn:(i+1)*planeIn], c, h, wd, spec, col)
-		oi := out[i*planeOut : (i+1)*planeOut]
-		parallelFor(spec.OutC, func(lo, hi int) {
-			gemmRows(w, col, oi, lo, hi, colRows, cols, cols, ep)
-		})
-	}
-	scratchF32.put(colBuf)
-}
-
 // Conv2DForward computes a batched 2-D convolution for training.
 //
 //	x: (N, InC, H, W),  w: (OutC, InC, K, K),  b: (OutC) or nil
@@ -316,8 +280,9 @@ func convInferIm2col(x, w []float32, n, c, h, wd int, spec ConvSpec, ep epilogue
 // batch element, which the backward pass reuses to avoid recomputation.
 // The bias is fused into the GEMM epilogue; batch elements run in
 // parallel (single-element batches parallelize over output channels
-// instead). Use Conv2DInfer on the inference path — it skips the column
-// buffers entirely.
+// instead). A stride-1 inference pass runs the row kernels instead
+// (ConvRows, Conv2DInfer), which skip the column buffers entirely; any
+// other geometry (the VAE encoder's stride 2) has this path alone.
 func Conv2DForward(x, w, b *Tensor, spec ConvSpec) (out *Tensor, cols [][]float32) {
 	out = new(Tensor)
 	return out, Conv2DForwardInto(out, new(Tensor), nil, x, w, b, spec)

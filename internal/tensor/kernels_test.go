@@ -138,18 +138,33 @@ func TestGEMMBTParity(t *testing.T) {
 	}
 }
 
-// convSpecs covers the K=1 pointwise case, strides, and padding edges.
+// convSpecs covers the K=1 pointwise case and the 3×3 and 5×5 kernels
+// at the one geometry Conv2DInfer takes, stride 1 with a (K−1)/2 pad.
 var convSpecs = []ConvSpec{
 	{InC: 3, OutC: 4, K: 1, Stride: 1, Pad: 0},
-	{InC: 2, OutC: 3, K: 1, Stride: 2, Pad: 0},
 	{InC: 3, OutC: 5, K: 3, Stride: 1, Pad: 1},
-	{InC: 4, OutC: 2, K: 3, Stride: 2, Pad: 1},
 	{InC: 2, OutC: 6, K: 5, Stride: 1, Pad: 2},
-	{InC: 1, OutC: 1, K: 3, Stride: 1, Pad: 0},
 }
 
 func TestConv2DInferMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
+	// Strides and other pads are Conv2DForward's alone: Conv2DInfer
+	// refuses them.
+	for _, spec := range []ConvSpec{
+		{InC: 2, OutC: 3, K: 1, Stride: 2, Pad: 0},
+		{InC: 4, OutC: 2, K: 3, Stride: 2, Pad: 1},
+		{InC: 1, OutC: 1, K: 3, Stride: 1, Pad: 0},
+	} {
+		x, wt := New(1, spec.InC, 9, 7), New(spec.OutC, spec.InC, spec.K, spec.K)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Conv2DInfer accepted %+v", spec)
+				}
+			}()
+			Conv2DInfer(x, wt, nil, spec, false, nil)
+		}()
+	}
 	for _, spec := range convSpecs {
 		for _, batch := range []int{1, 3} {
 			h, w := 9, 7

@@ -472,8 +472,9 @@ func checkConvCase(t *testing.T, c convCase) {
 	oh, ow := spec.outSize(c.h, c.w)
 
 	// Float32: Conv2DForward and the backward pass on the assembly and
-	// the portable kernels, then Conv2DInfer on every lane against
-	// Conv2DForward plus separate bias and ReLU passes.
+	// the portable kernels, then, for the geometry it takes (stride 1,
+	// pad (K−1)/2), Conv2DInfer on every lane against Conv2DForward plus
+	// separate bias and ReLU passes.
 	type f32Result struct{ fwd, gx, gw, gb []float32 }
 	run := func() f32Result {
 		var r f32Result
@@ -515,8 +516,9 @@ func checkConvCase(t *testing.T, c convCase) {
 			fused[i] = v
 		}
 	}
+	rows := spec.Stride == 1 && spec.K == 2*spec.Pad+1
 	for _, l := range kernelLanes {
-		if !l.available() {
+		if !rows || !l.available() {
 			continue
 		}
 		var infer []float32
@@ -552,7 +554,7 @@ func checkConvCase(t *testing.T, c convCase) {
 		kernelBias = nil
 		clear(cc.bias) // what the reference adds for a nil bias
 	}
-	if spec.Stride == 1 && spec.K == 2*spec.Pad+1 {
+	if rows {
 		want8 := conv2DInt8Ref(cc, c.relu)
 		for _, l := range kernelLanes {
 			if !l.available() {
@@ -774,18 +776,18 @@ func TestKernelsDifferentialConv(t *testing.T) {
 func FuzzConvKernels(f *testing.F) {
 	f.Add(int64(1), uint8(0x35), uint8(0x42), uint8(0x09), uint8(0))     // 16→16, pad 1, ReLU
 	f.Add(int64(2), uint8(0x7a), uint8(0x14), uint8(0x0b), uint8(0))     // 16→3 tail, specials
-	f.Add(int64(3), uint8(0x11), uint8(0x32), uint8(0x1c), uint8(0))     // 3→7 head, stride 2 (float32 im2col; no int8 leg)
+	f.Add(int64(3), uint8(0x11), uint8(0x32), uint8(0x1c), uint8(0))     // 3→7 head, stride 2 (Conv2DForward/Backward only; no inference leg)
 	f.Add(int64(4), uint8(0x00), uint8(0x05), uint8(0x62), uint8(0))     // 17 channels, K=1
 	f.Add(int64(5), uint8(0x63), uint8(0x65), uint8(0x2b), uint8(0))     // 17→64, odd width, specials, 3 workers
 	f.Add(int64(6), uint8(0x26), uint8(0x52), uint8(0x0b), uint8(0))     // 3→17, specials
-	f.Add(int64(7), uint8(0x94), uint8(0x33), uint8(0x2d), uint8(0))     // 5→7, stride 2 (float32 im2col; no int8 leg), 3 workers
+	f.Add(int64(7), uint8(0x94), uint8(0x33), uint8(0x2d), uint8(0))     // 5→7, stride 2 (Conv2DForward/Backward only; no inference leg), 3 workers
 	f.Add(int64(8), uint8(0x05), uint8(0x44), uint8(0x08), uint8(0x25))  // 16→16 residual ×1 in place, width 480
 	f.Add(int64(9), uint8(0x03), uint8(0x44), uint8(0x1a), uint8(0x1b))  // 16→16 residual ×0.1, width 33, specials, 2 workers
 	f.Add(int64(10), uint8(0x06), uint8(0x14), uint8(0x08), uint8(0x11)) // 16→3 tail residual ×1, width 31
 	f.Add(int64(11), uint8(0x0a), uint8(0x34), uint8(0x09), uint8(0x0f)) // 16→7, ReLU, residual ×0.1 in place, width 1
 	f.Add(int64(12), uint8(0x02), uint8(0x33), uint8(0xe2), uint8(0x19)) // 5→7, K=1 pad 0, n=2, 3 workers, residual, width 33, specials
 	f.Add(int64(13), uint8(0x01), uint8(0x12), uint8(0x0b), uint8(0x20)) // 3→3, ReLU, specials, width 480
-	f.Add(int64(14), uint8(0x44), uint8(0x33), uint8(0x0c), uint8(0x03)) // 5→7 stride 2 (float32 im2col; no int8 or residual leg)
+	f.Add(int64(14), uint8(0x44), uint8(0x33), uint8(0x0c), uint8(0x03)) // 5→7 stride 2 (Conv2DForward/Backward only; no inference leg)
 	f.Add(int64(15), uint8(0x05), uint8(0x42), uint8(0x09), uint8(0x2d)) // 3→16 head, ReLU, residual ×1 in place, width 15 (one short AMX tile)
 	f.Add(int64(16), uint8(0x13), uint8(0x44), uint8(0x0a), uint8(0x37)) // 16→16 residual ×0.1 in place, width 17, specials
 	f.Add(int64(17), uint8(0x02), uint8(0x14), uint8(0x08), uint8(0x15)) // 16→3 tail residual ×1 in place, width 31

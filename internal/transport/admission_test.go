@@ -148,6 +148,18 @@ func TestAdmissionConcurrentLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The server releases the manifest probe's slot after writing its
+	// response, so DialMux can return while the probe still holds it and
+	// the burst's third request would be shed: wait for the slot first.
+	_, _, adm := srv.serveState()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if inflight, _ := adm.snapshot(); inflight == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the manifest probe's admission slot was not released")
+		}
+	}
 	// Zero retry policy: a shed surfaces immediately as a typed error.
 	const reqs = 6
 	type result struct {

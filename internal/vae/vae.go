@@ -66,7 +66,7 @@ type Model struct {
 	eps     *tensor.Tensor
 	mu, lv  *tensor.Tensor
 
-	feat [3]tensor.Tensor // Features' activations (tiny: ImgSize² inputs)
+	feat tensor.Arena // Features' tensors, reset per call (tiny: ImgSize² inputs)
 }
 
 // New constructs a VAE with weights initialized from seed.
@@ -296,14 +296,18 @@ func (m *Model) toInput(f *video.RGB) *tensor.Tensor {
 }
 
 // Features returns the encoder's latent mean μ for a frame — the feature
-// vector fed to the clustering stage. It runs the encoder on the no-grad
-// inference path (fused conv+ReLU, reused buffers) and skips the log σ²
-// head entirely, so feature extraction over a whole corpus stays cheap.
+// vector fed to the clustering stage. It runs the encoder layers'
+// Forward through an arena the model keeps, reset per call, and skips
+// the log σ² head and the decoder, so feature extraction over a whole
+// corpus stays cheap.
 func (m *Model) Features(f *video.RGB) []float64 {
-	h := m.enc1.ForwardInferenceReLU(m.toInput(f), &m.feat[0])
-	h = m.enc2.ForwardInferenceReLU(h, &m.feat[1])
+	m.feat.Reset()
+	h := m.enc1.Forward(&m.feat, m.toInput(f))
+	h = m.act1.Forward(&m.feat, h)
+	h = m.enc2.Forward(&m.feat, h)
+	h = m.act2.Forward(&m.feat, h)
 	n := h.Shape[0]
-	mu := m.muHead.ForwardInference(h.Reshape(n, h.Len()/n), &m.feat[2])
+	mu := m.muHead.Forward(&m.feat, h.Reshape(n, h.Len()/n))
 	out := make([]float64, mu.Len())
 	for i, v := range mu.Data {
 		out[i] = float64(v)
