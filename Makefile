@@ -17,7 +17,9 @@ GO ?= go
 # refused, a fused delta reconstruction falls back, and the FMA ratchet
 # over four cross-compiled architectures) and the model cache's
 # accounting contract (paper Fig 7's walk, Fig 10's budgeted bytes); the
-# nested bench/ module, which root ./... cannot see and where an API
+# artifact object store's heal-on-corruption contract (a Get drops a
+# truncated or flipped object, a Put rewrites one); the nested bench/
+# module, which root ./... cannot see and where an API
 # break in bench/adapter.go shows first; the portable kernels, which on
 # an AVX2 host otherwise run only where a test switches the assembly
 # off; the arm64 cross-build (offline — pure Go), where the .s files
@@ -26,7 +28,7 @@ GO ?= go
 # trains real models and outlasts the default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
-	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap|TestDeltaCorruptPayload|TestApplyWeightsDeltaAllocs' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap|TestDeltaCorruptPayload|TestApplyWeightsDeltaAllocs|TestDiskCorruptObjectRecovered|TestDiskPutRewritesCorruptObject' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor ./internal/modelstore
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...

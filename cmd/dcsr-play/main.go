@@ -76,7 +76,7 @@ func main() {
 		o = obs.New()
 	}
 	opts := stream.DefaultOptions()
-	opts.Int8, opts.Obs, opts.Log = !*noInt8, o, o.Logger()
+	opts.Int8, opts.Obs = !*noInt8, o
 	switch {
 	case *cacheBudget < 0:
 		usagef("-cache-budget %d: the budget is a byte count (0 = unbounded)", *cacheBudget)
@@ -153,7 +153,7 @@ func main() {
 		fatalf(1, "regenerated clip has %d frames, the stream %d — parameters do not match prepare", len(orig), len(frames))
 	}
 	low := opts
-	low.Enhance, low.Obs, low.Log = false, nil, nil
+	low.Enhance, low.Obs = false, nil
 	lowFrames, _, _, err := play(ctx, src, low)
 	if err != nil {
 		fatalf(1, "%v", err)
@@ -279,7 +279,7 @@ func dialOrigin(ctx context.Context, opt netOptions, o *obs.Obs) source {
 		Timeout:    opt.timeout,
 		Seed:       opt.faultSeed,
 	}
-	client.Obs, client.Log = o, o.Logger()
+	client.Obs = o
 	if opt.listVideos {
 		dir, err := client.VideosCtx(ctx)
 		if err != nil {

@@ -89,7 +89,6 @@ func main() {
 
 	srv := transport.NewFleetServer()
 	srv.Obs = o
-	srv.Log = o.Log
 	srv.Admission = transport.AdmissionConfig{
 		MaxInflight: *maxInflight,
 		MaxConns:    *maxClients,

@@ -92,7 +92,7 @@ func main() {
 		fmt.Printf("  streamed %d frames in %v (video %.1f s)\n",
 			len(out), elapsed.Round(time.Millisecond), clip.Duration())
 		fmt.Printf("  downloaded %d B (video %d + models %d), %d model downloads, %d cache hits\n",
-			client.BytesDown, stats.VideoBytes, stats.ModelBytes, stats.ModelDownloads, stats.CacheHits)
+			client.BytesDown, stats.VideoBytes, stats.ModelBytes, stats.Downloads, stats.CacheHits)
 		fmt.Printf("  %d I frames enhanced in-loop, playback PSNR %.2f dB\n\n",
 			stats.Enhanced, psnr/float64(len(frames)))
 	}

@@ -119,7 +119,7 @@ func RunFig9(cfg EvalConfig) (*Fig9Result, error) {
 		vr.K = prep.K
 		vr.DcSRTrainFLOPs = prep.TrainFLOPs
 		opts := stream.DefaultOptions()
-		opts.Obs, opts.Log = cfg.Obs, cfg.Obs.Logger()
+		opts.Obs = cfg.Obs
 		dcsrFrames, sess, _, err := playLocal(prep, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s dcSR play: %v", g, err)

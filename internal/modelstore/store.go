@@ -10,11 +10,6 @@
 // dedupe automatically: two clusters that train to identical weights
 // occupy one object. The viewer's byte-budgeted model cache lives in
 // the streaming session (stream.Session).
-//
-// Disk carries part of the stable obs metric surface
-// (modelstore_puts_total, modelstore_hits_total and the modelstore_bytes
-// gauge — see docs/OPERATIONS.md); a nil Obs disables instrumentation at
-// no cost.
 package modelstore
 
 import (
@@ -24,8 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"dcsr/internal/obs"
 )
 
 // Digest is the content address of a stored payload: its SHA-256.
@@ -56,13 +49,6 @@ func ParseDigest(s string) (Digest, error) {
 type Disk struct {
 	dir string
 	mu  sync.Mutex
-	// sizes is the object size this Disk wrote per digest and has not
-	// seen dropped since: what it has added to the modelstore_bytes gauge.
-	sizes map[Digest]int64
-
-	// Obs receives modelstore_puts_total / modelstore_hits_total and the
-	// modelstore_bytes gauge; nil disables instrumentation.
-	Obs *obs.Obs
 }
 
 // NewDisk opens (creating if needed) a disk store rooted at dir.
@@ -70,7 +56,7 @@ func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("modelstore: %w", err)
 	}
-	return &Disk{dir: dir, sizes: make(map[Digest]int64)}, nil
+	return &Disk{dir: dir}, nil
 }
 
 // Dir returns the backing directory.
@@ -90,17 +76,9 @@ func (s *Disk) Put(data []byte) (Digest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old, err := os.ReadFile(s.path(d)); err == nil && DigestOf(old) == d {
-		s.Obs.Counter("modelstore_hits_total").Inc()
 		return d, nil // dedupe: the object is already on disk
 	}
-	if err := WriteFileAtomic(s.path(d), data); err != nil {
-		return d, err
-	}
-	s.Obs.Counter("modelstore_puts_total").Inc()
-	// A rewrite in place (a corrupt object repaired) adds nothing.
-	s.Obs.Gauge("modelstore_bytes").Add(int64(len(data)) - s.sizes[d])
-	s.sizes[d] = int64(len(data))
-	return d, nil
+	return d, WriteFileAtomic(s.path(d), data)
 }
 
 // WriteFileAtomic replaces path with data via temp file → fsync → close →
@@ -146,29 +124,8 @@ func (s *Disk) Get(d Digest) ([]byte, error) {
 	if DigestOf(data) != d {
 		s.mu.Lock()
 		os.Remove(s.path(d))
-		s.Obs.Gauge("modelstore_bytes").Add(-s.sizes[d])
-		delete(s.sizes, d)
 		s.mu.Unlock()
 		return nil, fmt.Errorf("modelstore: object %s corrupt on disk, dropped: %w", d, os.ErrNotExist)
 	}
-	s.Obs.Counter("modelstore_hits_total").Inc()
 	return data, nil
-}
-
-// SizeBytes returns the total payload bytes currently stored.
-func (s *Disk) SizeBytes() int64 {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	var n int64
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != ".bin" {
-			continue
-		}
-		if info, err := e.Info(); err == nil {
-			n += info.Size()
-		}
-	}
-	return n
 }

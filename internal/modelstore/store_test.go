@@ -7,8 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dcsr/internal/obs"
 )
 
 // storeBackends builds the store the shared contract tests run over.
@@ -19,6 +17,25 @@ func storeBackends(t *testing.T) map[string]*Disk {
 		t.Fatal(err)
 	}
 	return map[string]*Disk{"disk": disk}
+}
+
+// objectBytes sums the sizes of the .bin objects in disk's directory:
+// the payload bytes the store holds.
+func objectBytes(t *testing.T, disk *Disk) int64 {
+	t.Helper()
+	objs, err := filepath.Glob(filepath.Join(disk.Dir(), "*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, p := range objs {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -39,8 +56,8 @@ func TestStoreRoundTrip(t *testing.T) {
 			if !bytes.Equal(got, payload) {
 				t.Fatalf("Get = %q, want %q", got, payload)
 			}
-			if n := s.SizeBytes(); n != int64(len(payload)) {
-				t.Fatalf("SizeBytes = %d, want %d", n, len(payload))
+			if n := objectBytes(t, s); n != int64(len(payload)) {
+				t.Fatalf("objects hold %d B, want %d", n, len(payload))
 			}
 		})
 	}
@@ -63,8 +80,8 @@ func TestStoreDedupe(t *testing.T) {
 			if d1 != d2 {
 				t.Fatalf("identical payloads got digests %s and %s", d1, d2)
 			}
-			if n := s.SizeBytes(); n != int64(len(payload)) {
-				t.Fatalf("SizeBytes = %d after dedupe, want %d", n, len(payload))
+			if n := objectBytes(t, s); n != int64(len(payload)) {
+				t.Fatalf("objects hold %d B after dedupe, want %d", n, len(payload))
 			}
 		})
 	}
@@ -115,36 +132,6 @@ func TestParseDigest(t *testing.T) {
 	}
 }
 
-func TestStoreMetrics(t *testing.T) {
-	o := obs.New()
-	m, err := NewDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Obs = o
-	payload := []byte("weights")
-	if _, err := m.Put(payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Put(payload); err != nil { // dedupe hit
-		t.Fatal(err)
-	}
-	d := DigestOf(payload)
-	if _, err := m.Get(d); err != nil {
-		t.Fatal(err)
-	}
-	snap := o.Metrics.Snapshot()
-	if got := snap.Counters["modelstore_puts_total"]; got != 1 {
-		t.Errorf("modelstore_puts_total = %d, want 1", got)
-	}
-	if got := snap.Counters["modelstore_hits_total"]; got != 2 {
-		t.Errorf("modelstore_hits_total = %d, want 2 (dedupe + get)", got)
-	}
-	if got := snap.Gauges["modelstore_bytes"]; got != int64(len(payload)) {
-		t.Errorf("modelstore_bytes = %d, want %d", got, len(payload))
-	}
-}
-
 func randPayload(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]byte, n)
@@ -162,7 +149,6 @@ func TestDiskCorruptObjectRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk.Obs = obs.New()
 	payload := randPayload(5, 4096)
 	d, err := disk.Put(payload)
 	if err != nil {
@@ -188,15 +174,6 @@ func TestDiskCorruptObjectRecovered(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("re-put payload does not round-trip")
 	}
-	checkGauge(t, disk)
-}
-
-// checkGauge holds the modelstore_bytes gauge to the bytes on disk.
-func checkGauge(t *testing.T, disk *Disk) {
-	t.Helper()
-	if got, want := disk.Obs.Metrics.Snapshot().Gauges["modelstore_bytes"], disk.SizeBytes(); got != want {
-		t.Errorf("modelstore_bytes = %d, SizeBytes = %d", got, want)
-	}
 }
 
 // TestDiskPutRewritesCorruptObject: a dedupe hit re-hashes the object
@@ -207,7 +184,6 @@ func TestDiskPutRewritesCorruptObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk.Obs = obs.New()
 	payload := randPayload(6, 4096)
 	d, err := disk.Put(payload)
 	if err != nil {
@@ -228,7 +204,6 @@ func TestDiskPutRewritesCorruptObject(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("Get after the repairing Put returned other bytes")
 	}
-	checkGauge(t, disk)
 }
 
 // TestDiskIgnoresTempFiles: what a killed WriteFileAtomic leaves in a
@@ -246,8 +221,8 @@ func TestDiskIgnoresTempFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, d.String()+".bin.tmp-123"), []byte("half an obj"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if n := s.SizeBytes(); n != int64(len("weights")) {
-		t.Fatalf("SizeBytes = %d, want %d", n, len("weights"))
+	if n := objectBytes(t, s); n != int64(len("weights")) {
+		t.Fatalf("objects hold %d B, want %d", n, len("weights"))
 	}
 }
 

@@ -40,37 +40,20 @@ func (l Level) String() string {
 //	2026-08-05T12:00:00.000Z INFO prepare: stage done stage=encode bytes=1234
 //
 // Key/value context is passed as alternating kv pairs. A nil *Logger is
-// the no-op default: every method returns immediately, so components
-// can hold a plain *Logger field whose zero value disables logging.
+// the no-op default: every method returns immediately, so a component
+// logs through its Obs (Obs.Logger) and an Obs without a Log, or no Obs,
+// disables logging.
 type Logger struct {
-	mu    *sync.Mutex
-	w     io.Writer
-	min   Level
-	attrs string // pre-rendered " k=v" context from With
-	now   func() time.Time
+	mu  sync.Mutex
+	w   io.Writer
+	min Level
+	now func() time.Time
 }
 
 // NewLogger returns a logger writing lines at or above min to w.
 func NewLogger(w io.Writer, min Level) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, min: min, now: time.Now}
+	return &Logger{w: w, min: min, now: time.Now}
 }
-
-// With returns a derived logger whose lines carry the extra kv context.
-// The derived logger shares the parent's writer and mutex.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	d := *l
-	var b strings.Builder
-	b.WriteString(l.attrs)
-	appendKV(&b, kv)
-	d.attrs = b.String()
-	return &d
-}
-
-// Enabled reports whether a line at lv would be emitted.
-func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
 
 // Debug logs at LevelDebug.
 func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
@@ -94,7 +77,6 @@ func (l *Logger) log(lv Level, msg string, kv []any) {
 	b.WriteString(lv.String())
 	b.WriteByte(' ')
 	b.WriteString(msg)
-	b.WriteString(l.attrs)
 	appendKV(&b, kv)
 	b.WriteByte('\n')
 	l.mu.Lock()

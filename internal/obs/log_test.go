@@ -49,15 +49,6 @@ func TestLoggerFormatAndLevels(t *testing.T) {
 	}
 }
 
-func TestLoggerWithContext(t *testing.T) {
-	var buf syncBuf
-	l := fixedLogger(&buf, LevelDebug).With("conn", "127.0.0.1:9")
-	l.Debug("req", "op", 1)
-	if got := buf.String(); !strings.Contains(got, "req conn=127.0.0.1:9 op=1") {
-		t.Errorf("line = %q", got)
-	}
-}
-
 func TestLoggerOddKV(t *testing.T) {
 	var buf syncBuf
 	fixedLogger(&buf, LevelInfo).Info("x", "key")
@@ -66,26 +57,34 @@ func TestLoggerOddKV(t *testing.T) {
 	}
 }
 
-func TestLoggerEnabled(t *testing.T) {
-	var nilL *Logger
-	if nilL.Enabled(LevelError) {
-		t.Error("nil logger reported enabled")
-	}
-	nilL.Info("no-op")
-	nilL.With("k", "v").Error("still no-op")
-	var buf syncBuf
-	l := fixedLogger(&buf, LevelWarn)
-	if l.Enabled(LevelInfo) || !l.Enabled(LevelWarn) {
-		t.Error("Enabled thresholds wrong")
+// TestLoggerLevelThreshold: a logger emits the lines at or above its
+// minimum level and no others, whatever that minimum.
+func TestLoggerLevelThreshold(t *testing.T) {
+	levels := []Level{LevelDebug, LevelInfo, LevelWarn, LevelError}
+	for _, floor := range levels {
+		var buf syncBuf
+		l := fixedLogger(&buf, floor)
+		l.Debug("d")
+		l.Info("i")
+		l.Warn("w")
+		l.Error("e")
+		var want []string
+		for _, lv := range levels {
+			if lv >= floor {
+				want = append(want, "2026-08-05T12:00:00.000Z "+lv.String()+" "+strings.ToLower(lv.String()[:1]))
+			}
+		}
+		if got := strings.Split(strings.TrimSpace(buf.String()), "\n"); strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Errorf("minimum %v: lines %q, want %q", floor, got, want)
+		}
 	}
 }
 
 // TestLoggerConcurrent verifies whole lines are emitted atomically when
-// many goroutines share one logger (and a With-derived sibling).
+// many goroutines share one logger.
 func TestLoggerConcurrent(t *testing.T) {
 	var buf syncBuf
 	l := fixedLogger(&buf, LevelInfo)
-	d := l.With("worker", "d")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -93,7 +92,7 @@ func TestLoggerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				l.Info("tick", "g", g, "i", i)
-				d.Info("tock", "g", g, "i", i)
+				l.Info("tock", "g", g, "i", i)
 			}
 		}(g)
 	}

@@ -117,9 +117,9 @@ type Assembler struct {
 	Config   edsr.Config
 	Backbone *Backbone
 	// Obs records modelstream_backbone_fetch_total,
-	// modelstream_delta_bytes_total and modelstream_fallback_total.
+	// modelstream_delta_bytes_total and modelstream_fallback_total, and its
+	// Log the fallback warning and the backbone debug line.
 	Obs *obs.Obs
-	Log *obs.Logger
 }
 
 // build deserializes one model — payload is a dcW5 delta onto base when
@@ -170,7 +170,7 @@ func (a *Assembler) Model(ctx context.Context, label int) (*edsr.Model, int, Cos
 		}
 		cost = c // a backbone this call paid for stays paid
 		a.Obs.Counter("modelstream_fallback_total").Inc()
-		a.Log.Warn("stream: model assembly failed; falling back to full fetch", "model", label, "err", err)
+		a.Obs.Logger().Warn("stream: model assembly failed; falling back to full fetch", "model", label, "err", err)
 	}
 	data, err := a.Fetcher.Fetch(ctx, KindModel, label)
 	if err != nil {
@@ -203,7 +203,7 @@ func (a *Assembler) backbone(ctx context.Context) (data []byte, base *edsr.Model
 	}
 	b.digest, b.data, b.base = digest, data, base
 	a.Obs.Counter("modelstream_backbone_fetch_total").Inc()
-	a.Log.Debug("stream: backbone fetched", "bytes", len(data))
+	a.Obs.Logger().Debug("stream: backbone fetched", "bytes", len(data))
 	return data, base, len(data), nil
 }
 

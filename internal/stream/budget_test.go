@@ -77,19 +77,14 @@ func TestSessionAmpleBudgetMatchesUnbounded(t *testing.T) {
 }
 
 func TestSessionFetcherPayloadAndFailure(t *testing.T) {
-	m := pingPongManifest()
-	s, err := NewSession(m, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fail := true
-	s.Fetcher = faultyFetcher{s.Fetcher, func(label int) error {
+	s := faultySession(t, pingPongManifest(), func(label int) error {
 		if label == 1 && fail {
 			fail = false
 			return errors.New("transient")
 		}
 		return nil
-	}}
+	})
 	s.Run()
 	// Label 1's first fetch failed: segment 1 degraded, label 1 retried
 	// (and cached) at segment 3.

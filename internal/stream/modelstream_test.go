@@ -8,6 +8,7 @@ import (
 
 	"dcsr/internal/edsr"
 	"dcsr/internal/nn"
+	"dcsr/internal/obs"
 	"dcsr/internal/video"
 )
 
@@ -94,6 +95,45 @@ func TestSessionModelStreamAccounting(t *testing.T) {
 	}
 	if want := 7*1000 + 285; total != want {
 		t.Fatalf("TotalBytes = %d, want %d", total, want)
+	}
+}
+
+// TestSessionLogsDegradeAndFallback: a session logs through its
+// Options.Obs.Log. Over the model-stream manifest, the backbone's first
+// fetch fails, so segment 0's assembly falls back to a full fetch that
+// succeeds; every fetch of model 3 fails, so segment 6 plays without SR.
+// Each leaves its WARN line.
+func TestSessionLogsDegradeAndFallback(t *testing.T) {
+	var buf strings.Builder
+	o := &obs.Obs{Log: obs.NewLogger(&buf, obs.LevelWarn)}
+	fetches := map[int]int{}
+	f := faultyFetcher{declared{modelStreamManifest()}, func(label int) error {
+		fetches[label]++
+		if label == 3 || label == 0 && fetches[0] == 1 {
+			return errInjected
+		}
+		return nil
+	}}
+	s, err := Open(modelStreamManifest(), edsr.Config{}, f, Options{Enhance: true, CacheBudget: -1, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if s.Events[0].Degraded || !s.Events[6].Degraded || s.DegradedSegments != 1 {
+		t.Fatalf("degraded: segment 0 %v, segment 6 %v, %d in all; want false, true, 1",
+			s.Events[0].Degraded, s.Events[6].Degraded, s.DegradedSegments)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		" WARN stream: model assembly failed; falling back to full fetch model=0 err=",
+		" WARN stream: model fetch failed; playing segment without SR segment=6 model=3 err=",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("log lacks %q:\n%s", want, out)
+		}
+	}
+	if n := strings.Count(out, "\n"); n != 2 {
+		t.Errorf("%d log lines, want 2:\n%s", n, out)
 	}
 }
 

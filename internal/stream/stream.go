@@ -293,15 +293,14 @@ type Options struct {
 	// Obs receives segments_fetched_total (whose _rate line is the fetch
 	// rate), cache_hits_total, cache_misses_total, video_bytes_total,
 	// model_bytes_total, the degrade and model-stream counters and the
-	// decoder's metrics; nil disables them.
+	// decoder's metrics, and its Log the degrade, fallback and
+	// per-segment debug lines; nil disables them.
 	Obs *obs.Obs
-	// Log receives degrade, fallback and per-segment debug lines.
-	Log *obs.Logger
 }
 
 // DefaultOptions returns the default session: enhancement on, int8 wherever
 // the manifest arms it, an unbounded model cache (Algorithm 1) and
-// drift-free delta propagation, with no Obs or Log.
+// drift-free delta propagation, with no Obs.
 func DefaultOptions() Options {
 	return Options{Enhance: true, Int8: true, CacheBudget: -1, Propagation: codec.PropagateDelta}
 }
@@ -316,10 +315,10 @@ func DefaultOptions() Options {
 // call Open or NewSession.
 type Session struct {
 	Options
-	// Fetcher performs every download. Wrap it (before the first step) to
-	// inject faults or time fetches. A Fetcher error on a model artifact
-	// degrades the segment; on a segment it aborts the step.
-	Fetcher Fetcher
+	// fetcher performs every download (Open's f; wrap f to inject faults
+	// or time fetches). A fetcher error on a model artifact degrades the
+	// segment; on a segment it aborts the step.
+	fetcher Fetcher
 
 	Events []Event
 	Accounting
@@ -348,7 +347,7 @@ func Open(m *Manifest, cfg edsr.Config, f Fetcher, o Options) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &Session{Options: o, Fetcher: f, manifest: m, config: cfg,
+	return &Session{Options: o, fetcher: f, manifest: m, config: cfg,
 		cache: newModelCache(o.CacheBudget)}, nil
 }
 
@@ -391,7 +390,7 @@ func (s *Session) Fetch(ctx context.Context, seg SegmentInfo) ([]byte, *edsr.Mod
 	defer sp.End()
 	sp.Set("segment", seg.Index)
 	ctx = obs.WithSpan(ctx, sp)
-	data, err := s.Fetcher.Fetch(ctx, KindSegment, seg.Index)
+	data, err := s.fetcher.Fetch(ctx, KindSegment, seg.Index)
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: segment %d: %w", seg.Index, err)
 	}
@@ -404,7 +403,7 @@ func (s *Session) Fetch(ctx context.Context, seg SegmentInfo) ([]byte, *edsr.Mod
 		model, err = s.model(ctx, sp, &ev)
 	}
 	s.Events = append(s.Events, ev)
-	s.Log.Debug("stream: segment fetched", "segment", seg.Index, "bytes", seg.Bytes, "model", seg.ModelLabel)
+	s.Obs.Logger().Debug("stream: segment fetched", "segment", seg.Index, "bytes", seg.Bytes, "model", seg.ModelLabel)
 	return data, model, err
 }
 
@@ -419,8 +418,8 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 	}
 	s.CacheMisses++
 	s.Obs.Counter("cache_misses_total").Inc()
-	a := Assembler{Fetcher: s.Fetcher, Manifest: s.manifest, Config: s.config,
-		Backbone: &s.backbone, Obs: s.Obs, Log: s.Log}
+	a := Assembler{Fetcher: s.fetcher, Manifest: s.manifest, Config: s.config,
+		Backbone: &s.backbone, Obs: s.Obs}
 	m, charge, cost, err := a.Model(ctx, label)
 	// Whatever was downloaded and verified is accounted, even when the
 	// model as a whole then failed (a backbone whose delta did not arrive
@@ -443,7 +442,7 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 		s.Obs.Counter("model_fetch_failures_total").Inc()
 		s.Obs.Counter("degraded_segments_total").Inc()
 		sp.Set("cache", "degraded")
-		s.Log.Warn("stream: model fetch failed; playing segment without SR",
+		s.Obs.Logger().Warn("stream: model fetch failed; playing segment without SR",
 			"segment", ev.Segment, "model", label, "err", err)
 		return nil, nil
 	}
@@ -454,7 +453,7 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 		// A bad scale vector (origin/config mismatch) is not worth
 		// degrading over: the float32 path is always available.
 		if cerr := m.CalibrateFromScales(mi.ActScales); cerr != nil {
-			s.Log.Warn("stream: int8 calibration rejected; model stays float32", "model", label, "err", cerr)
+			s.Obs.Logger().Warn("stream: int8 calibration rejected; model stays float32", "model", label, "err", cerr)
 		}
 	}
 	ev.ModelDownloaded = true

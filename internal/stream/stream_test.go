@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"dcsr/internal/edsr"
 )
 
 // paperFig7Manifest reproduces the walk-through example of paper Fig 7:
@@ -190,14 +192,19 @@ func (f faultyFetcher) Fetch(ctx context.Context, kind Kind, arg int) ([]byte, e
 	return f.Fetcher.Fetch(ctx, kind, arg)
 }
 
-func TestSessionDegradesOnFetchFailure(t *testing.T) {
-	m := paperFig7Manifest()
-	s, err := NewSession(m, -1)
+// faultySession is NewSession(m, -1) with every download going through a
+// faultyFetcher over the manifest-declared backend.
+func faultySession(t *testing.T, m *Manifest, fail func(label int) error) *Session {
+	t.Helper()
+	s, err := Open(m, edsr.Config{}, faultyFetcher{declared{m}, fail}, Options{Enhance: true, CacheBudget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	failed := map[int]int{}
-	s.Fetcher = faultyFetcher{s.Fetcher, failTwiceFetcher(failed)}
+	return s
+}
+
+func TestSessionDegradesOnFetchFailure(t *testing.T) {
+	s := faultySession(t, paperFig7Manifest(), failTwiceFetcher(map[int]int{}))
 	s.Run()
 	// Label 2 covers segments 3,4,5: fetches at 3 and 4 fail, 5 succeeds.
 	// Labels 0,1,3 cover too few segments to recover.
@@ -238,8 +245,7 @@ func TestSessionFetcherAllSucceedMatchesSeed(t *testing.T) {
 	m := paperFig7Manifest()
 	plain, _ := NewSession(m, -1)
 	plain.Run()
-	hooked, _ := NewSession(m, -1)
-	hooked.Fetcher = faultyFetcher{hooked.Fetcher, func(int) error { return nil }}
+	hooked := faultySession(t, m, func(int) error { return nil })
 	hooked.Run()
 	if !reflect.DeepEqual(plain.Events, hooked.Events) {
 		t.Error("always-succeeding Fetcher changed the event log")

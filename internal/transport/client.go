@@ -44,15 +44,12 @@ type Client struct {
 	// retired (the retired one is closed when it implements io.Closer).
 	// Without it, a lost or stalled connection is fatal.
 	Redial func() (io.ReadWriter, error)
-	// Log receives request failures and reconnect lines; nil discards
-	// them.
-	Log *obs.Logger
 	// Obs records transport_client_requests_total,
 	// transport_client_bytes_up/down_total, the fault-tolerance counters
 	// transport_client_{retries,timeouts,reconnects}_total, the
 	// admission-shed counter transport_client_shed_total, and per-exchange
-	// round-trip latency in transport_client_rtt_seconds; nil disables
-	// metrics.
+	// round-trip latency in transport_client_rtt_seconds; its Log receives
+	// request failures and reconnect lines. nil disables all of it.
 	Obs *obs.Obs
 
 	statsMu sync.Mutex // guards ClientStats and rng
@@ -260,7 +257,7 @@ func (c *Client) link() (*link, error) {
 	}
 	rw, err := c.Redial()
 	if err != nil {
-		c.Log.Error("transport: redial failed", "err", err)
+		c.Obs.Logger().Error("transport: redial failed", "err", err)
 		return nil, fmt.Errorf("transport: redial: %w", err)
 	}
 	c.mu.Lock()
@@ -279,7 +276,7 @@ func (c *Client) link() (*link, error) {
 	c.Reconnects++
 	c.statsMu.Unlock()
 	c.Obs.Counter("transport_client_reconnects_total").Inc()
-	c.Log.Info("transport: reconnected")
+	c.Obs.Logger().Info("transport: reconnected")
 	return l, nil
 }
 
@@ -334,7 +331,7 @@ func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs
 	}
 	if err != nil {
 		l.abandon(id, seen)
-		c.Log.Error("transport: client write failed", "op", opName(rq.op), "arg", rq.arg, "err", err)
+		c.Obs.Logger().Error("transport: client write failed", "op", opName(rq.op), "arg", rq.arg, "err", err)
 		return nil, c.retire(l, err)
 	}
 	c.count(reqFrameBytes, 0)
@@ -347,7 +344,7 @@ func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs
 	select {
 	case res := <-ch:
 		if res.err != nil {
-			c.Log.Error("transport: client read failed", "op", opName(rq.op), "arg", rq.arg, "err", res.err)
+			c.Obs.Logger().Error("transport: client read failed", "op", opName(rq.op), "arg", rq.arg, "err", res.err)
 			return nil, c.retire(l, res.err)
 		}
 		return c.settle(rq, t0, res)
@@ -384,7 +381,7 @@ func (c *Client) settle(rq request, t0 time.Time, res result) ([]byte, error) {
 	if res.status == StatusRetryAfter {
 		se.hint = parseRetryAfter(res.payload)
 	}
-	c.Log.Warn("transport: request failed", "op", opName(rq.op), "arg", rq.arg, "status", res.status)
+	c.Obs.Logger().Warn("transport: request failed", "op", opName(rq.op), "arg", rq.arg, "status", res.status)
 	return nil, se
 }
 
@@ -497,7 +494,7 @@ func (c *Client) ModelData(ctx context.Context, video uint32, wm *WireManifest, 
 		return nil, 0, err
 	}
 	bb, _ := c.backbones.LoadOrStore(video, new(stream.Backbone))
-	a := stream.Assembler{Fetcher: c.Video(video), Manifest: man, Config: cfg, Backbone: bb.(*stream.Backbone), Obs: c.Obs, Log: c.Log}
+	a := stream.Assembler{Fetcher: c.Video(video), Manifest: man, Config: cfg, Backbone: bb.(*stream.Backbone), Obs: c.Obs}
 	model, _, cost, err := a.Model(ctx, label)
 	return model, cost.Total(), err
 }
@@ -527,7 +524,7 @@ func (c *Client) PlayCtx(ctx context.Context, enhance bool) ([]*video.YUV, *Play
 		return nil, nil, err
 	}
 	opts := stream.DefaultOptions()
-	opts.Enhance, opts.Obs, opts.Log = enhance, c.Obs, c.Log
+	opts.Enhance, opts.Obs = enhance, c.Obs
 	sess, err := stream.Open(wm.Manifest(), wm.MicroConfig, v, opts)
 	if err != nil {
 		return nil, nil, err

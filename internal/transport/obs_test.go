@@ -136,7 +136,7 @@ func TestServerClientObservability(t *testing.T) {
 
 // TestClientLogsErrors verifies client failures are no longer silent:
 // a request for a missing model must emit a WARN line through the
-// plumbed obs.Logger.
+// client's Obs.Log.
 func TestClientLogsErrors(t *testing.T) {
 	prep, _ := getFixture(t)
 	srv, err := NewServer(prep)
@@ -150,7 +150,7 @@ func TestClientLogsErrors(t *testing.T) {
 
 	var buf lockedBuf
 	client := NewClient(cconn)
-	client.Log = obs.NewLogger(&buf, obs.LevelDebug)
+	client.Obs = &obs.Obs{Log: obs.NewLogger(&buf, obs.LevelDebug)}
 	if _, _, err := client.ModelCtx(context.Background(), 9999, prep.MicroConfig); err == nil {
 		t.Fatal("fetching a missing model succeeded")
 	}
@@ -159,8 +159,8 @@ func TestClientLogsErrors(t *testing.T) {
 	}
 }
 
-// TestServerLogsRejections verifies the server's obs.Logger (which
-// replaced the bespoke logf) records rejected requests.
+// TestServerLogsRejections verifies the server's Obs.Log records
+// rejected requests.
 func TestServerLogsRejections(t *testing.T) {
 	prep, _ := getFixture(t)
 	srv, err := NewServer(prep)
@@ -168,8 +168,8 @@ func TestServerLogsRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf lockedBuf
-	srv.Log = obs.NewLogger(&buf, obs.LevelDebug)
 	srv.Obs = obs.New()
+	srv.Obs.Log = obs.NewLogger(&buf, obs.LevelDebug)
 	cconn, sconn := net.Pipe()
 	go func() { _ = srv.ServeConn(sconn) }()
 	defer cconn.Close()

@@ -243,7 +243,7 @@ func (c *Client) do(ctx context.Context, rq request) ([]byte, error) {
 			return nil, err
 		}
 		*n++
-		c.Log.Warn("transport: retrying request", "op", opName(rq.op), "arg", rq.arg,
+		c.Obs.Logger().Warn("transport: retrying request", "op", opName(rq.op), "arg", rq.arg,
 			"attempt", fails+sheds, "backoff", d, "err", err)
 		if c.sleep != nil {
 			c.sleep(d) // test hook: instantaneous

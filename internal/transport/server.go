@@ -41,9 +41,6 @@ type hostedVideo struct {
 // client that never selects gets, is the first one registered — and may
 // be pipelined; see the package documentation for the wire contract.
 type Server struct {
-	// Log receives per-connection errors and debug lines; nil discards
-	// them (the no-op default).
-	Log *obs.Logger
 	// Obs records transport_requests_total, transport_not_found_total,
 	// transport_shed_total, transport_bytes_in/out_total, the
 	// per-message-type latency histograms
@@ -52,7 +49,9 @@ type Server struct {
 	// the transport_open_conns, transport_videos, transport_inflight and
 	// transport_inflight_peak gauges. Traced requests additionally record
 	// one server span each on Obs.Trace, retrievable by trace ID via the
-	// debug sidecar's /debug/trace?id= endpoint. nil disables all of it.
+	// debug sidecar's /debug/trace?id= endpoint. Its Log receives
+	// per-connection errors, rejections and debug lines. nil disables all
+	// of it.
 	Obs *obs.Obs
 	// Admission bounds concurrent work before the server sheds load with
 	// StatusRetryAfter; the zero value admits everything. It is read when
@@ -214,7 +213,7 @@ func (s *Server) Register(p *core.Prepared) (string, error) {
 	}
 	s.directory = enc
 	s.Obs.Gauge("transport_videos").Set(int64(len(s.videos)))
-	s.Log.Debug("transport: video registered", "id", id, "digest", digest,
+	s.Obs.Logger().Debug("transport: video registered", "id", id, "digest", digest,
 		"segments", v.info.Segments, "models", v.info.Models)
 	return digest, nil
 }
@@ -289,7 +288,7 @@ func (s *Server) Serve(l net.Listener) error {
 		s.wg.Add(1)
 		s.mu.Unlock()
 		s.Obs.Gauge("transport_open_conns").Add(1)
-		s.Log.Debug("transport: conn accepted", "remote", conn.RemoteAddr(), "over_capacity", over)
+		s.Obs.Logger().Debug("transport: conn accepted", "remote", conn.RemoteAddr(), "over_capacity", over)
 		go func() {
 			defer s.wg.Done()
 			defer func() {
@@ -307,7 +306,7 @@ func (s *Server) Serve(l net.Listener) error {
 				err = s.ServeConn(conn)
 			}
 			if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.Log.Error("transport: conn failed", "remote", conn.RemoteAddr(), "err", err)
+				s.Obs.Logger().Error("transport: conn failed", "remote", conn.RemoteAddr(), "err", err)
 			}
 		}()
 	}
@@ -322,7 +321,7 @@ func (s *Server) rejectConn(conn io.ReadWriter) error {
 		return err
 	}
 	s.Obs.Counter("transport_shed_total").Inc()
-	s.Log.Warn("transport: conn over capacity, shedding", "op", opName(req.Op))
+	s.Obs.Logger().Warn("transport: conn over capacity, shedding", "op", opName(req.Op))
 	return writeResponse(conn, req.ID, StatusRetryAfter, retryAfterPayload(adm.cfg.RetryAfter))
 }
 
@@ -413,7 +412,7 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 		release, hint, ok := gate.admit()
 		if !ok {
 			m.shedCtr.Inc()
-			s.Log.Warn("transport: request shed", "op", opName(req.Op), "hint", hint)
+			s.Obs.Logger().Warn("transport: request shed", "op", opName(req.Op), "hint", hint)
 			if _, err := s.respond(cw, m, req, StatusRetryAfter, retryAfterPayload(hint)); err != nil {
 				return err
 			}
@@ -493,7 +492,7 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 		m.nfCtr.Inc()
 	}
 	if status != StatusOK {
-		s.Log.Warn("transport: request rejected", "op", opName(req.Op), "arg", req.Arg,
+		s.Obs.Logger().Warn("transport: request rejected", "op", opName(req.Op), "arg", req.Arg,
 			"video", req.Video, "status", status)
 	}
 	n, err := s.respond(cw, m, req, status, payload)
