@@ -18,21 +18,28 @@ GO ?= go
 # over four cross-compiled architectures) and the model cache's
 # accounting contract (paper Fig 7's walk, Fig 10's budgeted bytes); the
 # artifact object store's heal-on-corruption contract (a Get drops a
-# truncated or flipped object, a Put rewrites one); the nested bench/
-# module, which root ./... cannot see and where an API
+# truncated or flipped object, a Put rewrites one); the receive path's
+# contract (weights read directly decode to the portable loop's bits,
+# typed fetches recycle their buffers, raw ones hand them over); the
+# nested bench/ module, which root ./... cannot see and where an API
 # break in bench/adapter.go shows first; the portable kernels, which on
 # an AVX2 host otherwise run only where a test switches the assembly
 # off; the arm64 cross-build (offline — pure Go), where the .s files
-# do not apply; and the darwin/amd64 cross-build, which keeps the .s
-# files but not Linux's AMX permission request. The sweep's -timeout covers internal/experiments, which
-# trains real models and outlasts the default 10m under -race.
+# do not apply; the s390x vet of internal/nn, a big-endian compile of
+# the portable weight read; the darwin/amd64 cross-build, which keeps
+# the .s files but not Linux's AMX permission request; and the payload
+# ownership test twenty times under -race. The sweep's -timeout covers
+# internal/experiments, which trains real models and outlasts the
+# default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
-	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap|TestDeltaCorruptPayload|TestApplyWeightsDeltaAllocs|TestDiskCorruptObjectRecovered|TestDiskPutRewritesCorruptObject' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor ./internal/modelstore
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap|TestDeltaCorruptPayload|TestApplyWeightsDeltaAllocs|TestDiskCorruptObjectRecovered|TestDiskPutRewritesCorruptObject|TestReadFloatsLanesAgree|TestClientCallsRecycleReceiveBuffers|TestClientPayloadOwnership' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor ./internal/modelstore ./internal/transport
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/nn
 	GOOS=darwin GOARCH=amd64 $(GO) build ./...
+	$(GO) test -race -count=20 -run TestClientPayloadOwnership ./internal/transport
 	$(GO) test -race -timeout 30m ./...
 
 build:

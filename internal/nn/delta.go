@@ -168,8 +168,9 @@ func EncodeWeightsDelta(backbone, target []*Param) ([]byte, error) {
 // backbone before touching dst, so applying a delta to the wrong backbone
 // fails instead of producing garbage weights. The reconstruction is
 // deterministic: every decoder produces bit-identical weights. The scales
-// and codes decode into buffers sized once from the largest parameter of
-// backbone, so what a payload declares never sizes an allocation.
+// (through readFloats, as LoadWeights reads its fields) and codes decode
+// into buffers sized once from the largest parameter of backbone, so what
+// a payload declares never sizes an allocation.
 func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 	want, err := deltaBackboneDigest(delta)
 	if err != nil {
@@ -182,7 +183,7 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 		return fmt.Errorf("nn: delta dst param count mismatch %d vs %d", len(dst), len(backbone))
 	}
 	largest := largestParam(backbone)
-	scratch := make([]byte, 4*max(largest, 1))
+	scratch := make([]byte, max(largest, 4))
 	r := bytes.NewReader(delta[4+deltaDigestSize:])
 	count, err := readU32(r, scratch)
 	if err != nil {
@@ -211,7 +212,7 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 			return fmt.Errorf("nn: delta param %d has %d scales for %d values", pi, sc, n)
 		}
 		scales, codes := scaleBuf[:sc], codeBuf[:n]
-		if err := readFloats(r, scales, scratch); err != nil {
+		if err := readFloats(r, scales); err != nil {
 			return err
 		}
 		mode, err := r.ReadByte()

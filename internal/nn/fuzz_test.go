@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -69,6 +70,20 @@ func FuzzLoadWeights(f *testing.F) {
 		f.Fatal(err)
 	}
 	addTruncations(f, grid)
+	// NaNs with payload bits, signed zeros, subnormals and infinities in
+	// dcW1 weights and dcW6 biases must re-encode bit for bit.
+	rng := rand.New(rand.NewSource(6))
+	nan, nanGrid := fuzzModel(2), gridModel(2)
+	for _, p := range append(nan, nanGrid...) {
+		if p.grid == nil {
+			fillSpecial(p.W.Data, rng)
+		}
+	}
+	f.Add(EncodeWeights(nan))
+	if grid, err = EncodeWeightsGrid(nanGrid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(grid)
 	modelBytes := WeightsSize(fuzzModel(2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := fuzzModel(2)
@@ -104,6 +119,13 @@ func FuzzApplyWeightsDelta(f *testing.F) {
 		f.Fatal(err)
 	}
 	addTruncations(f, delta)
+	// Special scales: a NaN with payload bits, −Inf, a subnormal and −0
+	// over the head's four rows.
+	nan := bytes.Clone(delta)
+	for i, b := range []uint32{0x7fa5a5a5, 0xff800000, 0x00000001, 0x80000000} {
+		binary.LittleEndian.PutUint32(nan[48+4*i:], b)
+	}
+	f.Add(nan)
 	modelBytes := WeightsSize(backbone)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dst := fuzzModel(3)

@@ -133,9 +133,10 @@ func EncodeWeightsGrid(ps []*Param) ([]byte, error) {
 // must match ps exactly, and the reader must end with the payload. A dcW1
 // payload drops each parameter's grid; a dcW6 one pins it. Every size is
 // checked against ps before anything is allocated, so what a payload
-// declares never sizes an allocation: the values decode straight into
-// each W through one scratch buffer, sized from the largest parameter of
-// ps, and a dcW6 grid costs its codes and scales.
+// declares never sizes an allocation: float32 values are read straight
+// into each W (readFloats), the uint32 fields through one 4-byte scratch,
+// and a dcW6 grid costs its codes and scales plus one code buffer sized
+// from the largest parameter of ps. No W ever aliases r's bytes.
 func LoadWeights(r io.Reader, ps []*Param) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -148,7 +149,11 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 	if count := binary.LittleEndian.Uint32(hdr[4:]); int64(count) != int64(len(ps)) {
 		return fmt.Errorf("nn: weights hold %d params, model has %d", count, len(ps))
 	}
-	scratch := make([]byte, 4*largestParam(ps))
+	scratchLen := 4 // one uint32 field
+	if magic == gridMagic {
+		scratchLen = max(scratchLen, largestParam(ps)) // and one parameter's codes
+	}
+	scratch := make([]byte, scratchLen)
 	for _, p := range ps {
 		if err := readCount(r, scratch, p, "size", p.W.Len()); err != nil {
 			return err
@@ -163,7 +168,7 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 		var err error
 		if rows == 0 {
 			p.grid = nil
-			err = readFloats(r, p.W.Data, scratch)
+			err = readFloats(r, p.W.Data)
 		} else {
 			err = readGrid(r, p, rows, scratch)
 		}
@@ -203,25 +208,36 @@ func readCount(r io.Reader, scratch []byte, p *Param, field string, want int) er
 	return nil
 }
 
-// readFloats fills dst from r through scratch, which holds at least
-// 4·len(dst) bytes.
-func readFloats(r io.Reader, dst []float32, scratch []byte) error {
-	buf := scratch[:4*len(dst)]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+// readFloatsGo is the portable lane of readFloats (floats_generic.go),
+// and the oracle the direct lane is tested against: it decodes each
+// little-endian field through a fixed chunk buffer, on a host of either
+// byte order. A read cut after the first chunk is io.ErrUnexpectedEOF,
+// as io.ReadFull reports it for the whole field.
+func readFloatsGo(r io.Reader, dst []float32) error {
+	var buf [256]byte
+	for read := 0; len(dst) > 0; {
+		n := min(len(dst), len(buf)/4)
+		m, err := io.ReadFull(r, buf[:4*n])
+		if read += m; err != nil {
+			if read > 0 && errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		for i := range dst[:n] {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		dst = dst[n:]
 	}
 	return nil
 }
 
 // readGrid reads the scales and codes of one dcW6 parameter of rows rows
-// through scratch and pins them to p, checking the whole grid before p
-// changes.
+// (the codes through scratch, which holds at least p.W.Len() bytes) and
+// pins them to p, checking the whole grid before p changes.
 func readGrid(r io.Reader, p *Param, rows int, scratch []byte) error {
 	g := &int8Grid{codes: make([]int8, p.W.Len()), scales: make([]float32, rows)}
-	if err := readFloats(r, g.scales, scratch); err != nil {
+	if err := readFloats(r, g.scales); err != nil {
 		return err
 	}
 	for i, s := range g.scales {

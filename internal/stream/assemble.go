@@ -56,8 +56,10 @@ func (d declared) Fetch(_ context.Context, kind Kind, arg int) ([]byte, error) {
 // The payload must be exactly the size cfg serializes to in the format
 // its magic names — checked before the model is allocated. The model is
 // allocated zeroed (edsr.Build) and the payload decoded straight into
-// it, so a load costs the weights (and a dcW6 grid) plus one scratch
-// buffer of the largest parameter: no random draws and no gradients.
+// it (float32 fields by one copy each, nn.LoadWeights), so a load costs
+// the weights (and a dcW6 grid and its code buffer): no random draws, no
+// gradients, and nothing that refers to data once it returns, so the
+// caller may reuse the payload's buffer.
 func LoadModel(cfg edsr.Config, data []byte) (*edsr.Model, error) {
 	want := cfg.SizeBytes()
 	if nn.IsGridPayload(data) {

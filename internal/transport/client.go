@@ -385,7 +385,11 @@ func (c *Client) settle(rq request, t0 time.Time, res result) ([]byte, error) {
 	return nil, se
 }
 
-// Do performs one request against the given video through the retry loop.
+// Do performs one request against the given video through the retry
+// loop. The payload is handed over: the caller owns it and the client
+// never reuses its bytes. The typed calls (ModelCtx, SegmentCtx,
+// Video.Manifest…) instead recycle theirs once their decoder, which
+// copies what it keeps, returns.
 func (c *Client) Do(ctx context.Context, op byte, arg, video uint32) ([]byte, error) {
 	return c.do(ctx, request{op, arg, video})
 }
@@ -408,17 +412,22 @@ type Video struct {
 // Video binds the client to hosted video id; 0 is the server's default.
 func (c *Client) Video(id uint32) Video { return Video{c, id} }
 
-// Fetch implements stream.Fetcher.
+// Fetch implements stream.Fetcher. Like Do, it hands the payload over:
+// the stream.Assembler keeps a backbone payload and a stream.Session
+// what it fetched.
 func (v Video) Fetch(ctx context.Context, kind stream.Kind, arg int) ([]byte, error) {
 	return v.c.Do(ctx, kindOp[kind], uint32(arg), v.ID)
 }
 
-// Manifest fetches and parses the video's manifest.
+// Manifest fetches and parses the video's manifest. The payload's buffer
+// is recycled once DecodeWireManifest, which copies what it keeps,
+// returns.
 func (v Video) Manifest(ctx context.Context) (*WireManifest, error) {
 	data, err := v.c.Do(ctx, OpManifest, 0, v.ID)
 	if err != nil {
 		return nil, err
 	}
+	defer recyclePayload(data)
 	return DecodeWireManifest(data)
 }
 
@@ -438,38 +447,46 @@ func (c *Client) VideoByDigest(ctx context.Context, digest string) (Video, error
 	return Video{}, fmt.Errorf("transport: video %s not hosted", digest)
 }
 
-// VideosCtx fetches the server's directory of hosted videos.
+// VideosCtx fetches the server's directory of hosted videos, recycling
+// the payload's buffer once it is parsed.
 func (c *Client) VideosCtx(ctx context.Context) (*WireDirectory, error) {
 	data, err := c.Do(ctx, OpVideos, 0, 0)
 	if err != nil {
 		return nil, err
 	}
+	defer recyclePayload(data)
 	return DecodeWireDirectory(data)
 }
 
-// ManifestCtx fetches and parses the default video's manifest.
+// ManifestCtx fetches and parses the default video's manifest
+// (Video.Manifest, which recycles the payload's buffer).
 func (c *Client) ManifestCtx(ctx context.Context) (*WireManifest, error) {
 	return c.Video(0).Manifest(ctx)
 }
 
 // SegmentCtx fetches segment i of the default video as a decodable
-// sub-stream.
+// sub-stream. The payload's buffer is recycled once codec.Unmarshal,
+// which copies the frames out of it, returns.
 func (c *Client) SegmentCtx(ctx context.Context, i int) (*codec.Stream, error) {
 	data, err := c.Do(ctx, OpSegment, uint32(i), 0)
 	if err != nil {
 		return nil, err
 	}
+	defer recyclePayload(data)
 	return codec.Unmarshal(data)
 }
 
 // ModelCtx fetches micro model label of the default video complete
 // (OpModel) and deserializes it into a model of the given configuration,
-// returning the model and the bytes downloaded.
+// returning the model and the bytes downloaded. The payload's buffer is
+// recycled once stream.LoadModel, which decodes the weights into the
+// model's own storage, returns.
 func (c *Client) ModelCtx(ctx context.Context, label int, cfg edsr.Config) (*edsr.Model, int, error) {
 	data, err := c.Do(ctx, OpModel, uint32(label), 0)
 	if err != nil {
 		return nil, 0, err
 	}
+	defer recyclePayload(data)
 	m, err := stream.LoadModel(cfg, data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("transport: model %d: %w", label, err)

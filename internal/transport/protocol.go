@@ -95,8 +95,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"slices"
+	"sync"
 	"time"
 
 	"dcsr/internal/edsr"
@@ -136,7 +138,36 @@ const maxPayload = stream.MaxArtifactBytes
 // firstChunk is all readResponse allocates on the strength of a declared
 // length alone (1 MiB, above every segment and model payload); past it
 // the buffer grows with the bytes that actually arrive.
-const firstChunk = 1 << 20
+const firstChunk = 1 << firstChunkBits
+
+const firstChunkBits = 20
+
+// payloadPools recycles response buffers: pool k holds buffers of
+// capacity 1<<k, for every power of two up to firstChunk.
+var payloadPools [firstChunkBits + 1]sync.Pool
+
+// payloadBuf returns a buffer of length n, 0 < n ≤ firstChunk, from the
+// pool of the least power of two that holds n, or a new buffer of that
+// capacity when the pool is empty. Its bytes are not cleared.
+func payloadBuf(n int) []byte {
+	k := bits.Len(uint(n - 1))
+	if b, ok := payloadPools[k].Get().(*[]byte); ok {
+		return (*b)[:n]
+	}
+	return make([]byte, n, 1<<k)
+}
+
+// recyclePayload hands b back to its pool once nothing will read it
+// again. A buffer payloadBuf did not size — one that grew past
+// firstChunk, or an empty one — is left to the collector.
+func recyclePayload(b []byte) {
+	c := cap(b)
+	if c == 0 || c > firstChunk || c&(c-1) != 0 {
+		return
+	}
+	b = b[:0]
+	payloadPools[bits.Len(uint(c))-1].Put(&b)
+}
 
 // Framing sizes, used by both sides for byte accounting.
 const (
@@ -382,7 +413,11 @@ func writeResponse(w io.Writer, id uint32, status byte, payload []byte) error {
 
 // readResponse parses a response frame, enforcing the payload bound. A
 // header declaring a large payload costs at most firstChunk until the
-// peer sends the bytes to fill it.
+// peer sends the bytes to fill it. The payload up to firstChunk is a
+// pooled buffer (payloadBuf), filled once by the read: whoever consumes
+// it last hands it back with recyclePayload, or keeps it for good. A
+// longer payload grows past its class with the bytes that arrive and is
+// never pooled.
 func readResponse(r io.Reader) (id uint32, status byte, payload []byte, err error) {
 	var hdr [respFrameBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -393,10 +428,14 @@ func readResponse(r io.Reader) (id uint32, status byte, payload []byte, err erro
 	if n > maxPayload {
 		return 0, 0, nil, fmt.Errorf("transport: response of %d bytes exceeds limit", n)
 	}
-	payload = make([]byte, min(n, firstChunk))
+	if n == 0 {
+		return id, hdr[4], []byte{}, nil
+	}
+	payload = payloadBuf(min(n, firstChunk))
 	for read := 0; ; {
 		m, err := io.ReadFull(r, payload[read:])
 		if read += m; err != nil {
+			recyclePayload(payload)
 			return 0, 0, nil, fmt.Errorf("transport: reading response payload: %w", err)
 		}
 		if read == n {
