@@ -21,8 +21,10 @@ GO ?= go
 # truncated or flipped object, a Put rewrites one); the receive path's
 # contract (weights read directly decode to the portable loop's bits,
 # typed fetches recycle their buffers, raw ones hand them over); the
-# nested bench/ module, which root ./... cannot see and where an API
-# break in bench/adapter.go shows first; the portable kernels, which on
+# metrics exposition scrapers parse (every text line and JSON field,
+# the cumulative buckets, the quantile estimates); the nested bench/
+# module, which root ./... cannot see and where an API break in
+# bench/adapter.go shows first; the portable kernels, which on
 # an AVX2 host otherwise run only where a test switches the assembly
 # off; the arm64 cross-build (offline — pure Go), where the .s files
 # do not apply; the s390x vet of internal/nn, a big-endian compile of
@@ -33,7 +35,7 @@ GO ?= go
 # default 10m under -race.
 verify: build vet lint fuzz-smoke
 	$(GO) test -run 'Golden' ./internal/...
-	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap|TestDeltaCorruptPayload|TestApplyWeightsDeltaAllocs|TestDiskCorruptObjectRecovered|TestDiskPutRewritesCorruptObject|TestReadFloatsLanesAgree|TestClientCallsRecycleReceiveBuffers|TestClientPayloadOwnership' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor ./internal/modelstore ./internal/transport
+	$(GO) test -run 'TestParentArtifactPlays|TestWritersDropGrid|TestLoadWeightsRejectsHostileGrid|TestFusedReconstructionFallsBack|TestFMARatchet|TestPlayerCacheBudget|TestPlayerDeltaCacheBudget|TestSessionBudgetEvictsAndRefetches|TestSessionAmpleBudgetMatchesUnbounded|TestPaperFig7WalkThrough|TestLoadModelAllocatesItsWeights|TestLoadedModelTrainsLikeNew|TestWorkspaceFootprint|TestConv2DInferMatchesForward|TestConv2DInferInt8MatchesRef|TestConv2DInferInt8SerialAllocFree|TestInt8MapRowToMap|TestDeltaCorruptPayload|TestApplyWeightsDeltaAllocs|TestDiskCorruptObjectRecovered|TestDiskPutRewritesCorruptObject|TestReadFloatsLanesAgree|TestClientCallsRecycleReceiveBuffers|TestClientPayloadOwnership|TestExpositionPins|TestQuantilePins' . ./internal/core ./internal/nn ./internal/stream ./internal/edsr ./internal/tensor ./internal/modelstore ./internal/transport ./internal/obs
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 	$(GO) vet -tags purego ./... && $(GO) test -tags purego ./internal/tensor ./internal/nn ./internal/edsr ./internal/codec
 	GOARCH=arm64 $(GO) build ./...

@@ -14,10 +14,8 @@
 // and wall time plus a snapshot of the pipeline metrics the run
 // recorded (prepare/train counters, cache hit/miss, codec enhance
 // latency — see the obs package doc for the stable names). Each
-// histogram entry also carries its rolling window (`window_count`,
-// `rate`, `window_p50/p95/p99`) and `counter_rates` each counter's rate,
-// covering only the last 30 s of the run — the live-traffic view of
-// the same signals the lifetime values average over the whole run.
+// histogram entry also carries its cumulative `buckets`, one count per
+// bound of the 1 µs × 2^i ladder, then +Inf.
 package main
 
 import (

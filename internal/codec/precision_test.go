@@ -59,8 +59,8 @@ func TestPrecisionEnhancerRouting(t *testing.T) {
 	if got := snap.Histograms["codec_enhance_seconds"].Count; got != int64(d.Stats.Enhanced) {
 		t.Errorf("codec_enhance_seconds count = %d, want %d", got, d.Stats.Enhanced)
 	}
-	if got := snap.Histograms["codec_enhance_int8_seconds"]; got.Count != int64(wantInt8) || got.WindowCount != int64(wantInt8) {
-		t.Errorf("codec_enhance_int8_seconds count = %d (window %d), want %d", got.Count, got.WindowCount, wantInt8)
+	if got := snap.Histograms["codec_enhance_int8_seconds"]; got.Count != int64(wantInt8) || got.Buckets[len(got.Buckets)-1] != int64(wantInt8) {
+		t.Errorf(`codec_enhance_int8_seconds count = %d (le="+Inf" %d), want %d`, got.Count, got.Buckets[len(got.Buckets)-1], wantInt8)
 	}
 
 	// An enhancer that reports float32 throughout attributes nothing to int8.

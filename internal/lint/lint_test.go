@@ -39,7 +39,6 @@ func TestFixtures(t *testing.T) {
 		{"metricnames", func(path string) []Analyzer {
 			return []Analyzer{&MetricNames{Docs: map[string]bool{
 				"frames_total": true, "enhance_seconds": true, "queue_depth": true,
-				"fetches_window_total": true, "rtt_window_seconds": true,
 				"rtt_seconds":             true,
 				"quant_int8_models_total": true, "quant_fallback_total": true,
 				"codec_enhance_int8_seconds":       true,

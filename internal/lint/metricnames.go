@@ -26,9 +26,7 @@ var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 // handed to an obs constructor (Obs.Counter, Registry.Histogram, …)
 // must be a compile-time string constant, follow the snake_case naming
 // convention with the kind's unit suffix (counters `_total`, histograms
-// `_seconds`/`_bytes`), carry no `_window` component (every counter and
-// histogram exports its own rolling window, so a windowed twin would be
-// a second series for one signal), and appear in docs/OPERATIONS.md —
+// `_seconds`/`_bytes`), and appear in docs/OPERATIONS.md —
 // statically, so a metric no test happens to increment is still pinned
 // to its documentation.
 type MetricNames struct {
@@ -75,10 +73,6 @@ func (a *MetricNames) Run(p *Pass) {
 			name := constant.StringVal(tv.Value)
 			if !snakeCase.MatchString(name) {
 				p.Reportf(arg.Pos(), "metric name %q is not snake_case", name)
-				return true
-			}
-			if strings.Contains(name, "_window") {
-				p.Reportf(arg.Pos(), "metric name %q carries _window: every counter and histogram already exports its rolling window (_rate, _window_p99), so register the signal once", name)
 				return true
 			}
 			switch kind {

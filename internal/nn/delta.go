@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -183,7 +182,7 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 		return fmt.Errorf("nn: delta dst param count mismatch %d vs %d", len(dst), len(backbone))
 	}
 	largest := largestParam(backbone)
-	scratch := make([]byte, max(largest, 4))
+	scratch := make([]byte, 4) // one uint32 field
 	r := bytes.NewReader(delta[4+deltaDigestSize:])
 	count, err := readU32(r, scratch)
 	if err != nil {
@@ -221,11 +220,8 @@ func ApplyWeightsDelta(backbone []*Param, delta []byte, dst []*Param) error {
 		}
 		switch mode {
 		case 0:
-			if _, err := io.ReadFull(r, scratch[:n]); err != nil {
+			if _, err := readCodes(r, codes); err != nil {
 				return err
-			}
-			for i, c := range scratch[:n] {
-				codes[i] = int8(c)
 			}
 		case 1:
 			clear(codes)

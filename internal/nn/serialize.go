@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 )
 
 // Weight serialization formats. Both are position-based — loading
@@ -135,8 +136,8 @@ func EncodeWeightsGrid(ps []*Param) ([]byte, error) {
 // checked against ps before anything is allocated, so what a payload
 // declares never sizes an allocation: float32 values are read straight
 // into each W (readFloats), the uint32 fields through one 4-byte scratch,
-// and a dcW6 grid costs its codes and scales plus one code buffer sized
-// from the largest parameter of ps. No W ever aliases r's bytes.
+// and a dcW6 grid costs its codes and scales, each read straight into
+// its own storage. No W ever aliases r's bytes.
 func LoadWeights(r io.Reader, ps []*Param) error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -149,11 +150,7 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 	if count := binary.LittleEndian.Uint32(hdr[4:]); int64(count) != int64(len(ps)) {
 		return fmt.Errorf("nn: weights hold %d params, model has %d", count, len(ps))
 	}
-	scratchLen := 4 // one uint32 field
-	if magic == gridMagic {
-		scratchLen = max(scratchLen, largestParam(ps)) // and one parameter's codes
-	}
-	scratch := make([]byte, scratchLen)
+	scratch := make([]byte, 4) // one uint32 field
 	for _, p := range ps {
 		if err := readCount(r, scratch, p, "size", p.W.Len()); err != nil {
 			return err
@@ -170,7 +167,7 @@ func LoadWeights(r io.Reader, ps []*Param) error {
 			p.grid = nil
 			err = readFloats(r, p.W.Data)
 		} else {
-			err = readGrid(r, p, rows, scratch)
+			err = readGrid(r, p, rows)
 		}
 		if err != nil {
 			return err
@@ -233,9 +230,8 @@ func readFloatsGo(r io.Reader, dst []float32) error {
 }
 
 // readGrid reads the scales and codes of one dcW6 parameter of rows rows
-// (the codes through scratch, which holds at least p.W.Len() bytes) and
-// pins them to p, checking the whole grid before p changes.
-func readGrid(r io.Reader, p *Param, rows int, scratch []byte) error {
+// and pins them to p, checking the whole grid before p changes.
+func readGrid(r io.Reader, p *Param, rows int) error {
 	g := &int8Grid{codes: make([]int8, p.W.Len()), scales: make([]float32, rows)}
 	if err := readFloats(r, g.scales); err != nil {
 		return err
@@ -245,18 +241,25 @@ func readGrid(r io.Reader, p *Param, rows int, scratch []byte) error {
 			return fmt.Errorf("nn: param %q row %d scale is %v, want a finite positive scale whose ×127 stays finite", p.Name, i, s)
 		}
 	}
-	codes := scratch[:len(g.codes)]
-	if _, err := io.ReadFull(r, codes); err != nil {
+	view, err := readCodes(r, g.codes)
+	if err != nil {
 		return err
 	}
-	for i, c := range codes {
-		if c == 0x80 {
-			return fmt.Errorf("nn: param %q code %d is −128, outside the symmetric grid", p.Name, i)
-		}
-		g.codes[i] = int8(c)
+	if i := bytes.IndexByte(view, 0x80); i >= 0 {
+		return fmt.Errorf("nn: param %q code %d is −128, outside the symmetric grid", p.Name, i)
 	}
 	p.pin(g)
 	return nil
+}
+
+// readCodes fills codes from r, one byte per int8 code, straight into
+// their storage, and returns that storage as the bytes it read. int8
+// and byte share size and representation on every Go target, so the
+// view needs no build tag.
+func readCodes(r io.Reader, codes []int8) ([]byte, error) {
+	view := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(codes))), len(codes))
+	_, err := io.ReadFull(r, view)
+	return view, err
 }
 
 // WeightsSize returns the exact number of bytes saveWeights would emit for

@@ -2,21 +2,19 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // pinnedRegistry is the fixed registry the exposition pins read: one
 // counter, one gauge and one default-bound histogram with known
-// observations, their windows reading clk.
-func pinnedRegistry(clk *fakeClock) *Registry {
+// observations.
+func pinnedRegistry() *Registry {
 	r := NewRegistry()
-	c := r.Counter("requests_total")
-	c.w.clock = clk.now
-	c.Add(3)
+	r.Counter("requests_total").Add(3)
 	r.Gauge("sessions").Set(2)
 	h := r.Histogram("fetch_seconds")
-	h.w.clock = clk.now
 	for _, v := range []float64{0.001, 0.002, 0.004, 0.25, 3} {
 		h.Observe(v)
 	}
@@ -37,40 +35,52 @@ var lifetimeLines = []string{
 	"fetch_seconds_p99 4.0894464",
 }
 
-// windowLines is the same registry's window exposition, read inside
-// the window that holds every observation. The window keeps no max, so
-// its quantiles equal the lifetime ones whenever no observation lies
-// past the last bound.
-var windowLines = []string{
-	"requests_total_rate 0.1",
-	"fetch_seconds_window_count 5",
-	"fetch_seconds_rate 0.16666666666666666",
-	"fetch_seconds_window_p50 0.003072",
-	"fetch_seconds_window_p95 3.670016",
-	"fetch_seconds_window_p99 4.0894464",
+// bucketLines is the same histogram's cumulative buckets, one line per
+// bound of the default ladder, then +Inf, which equals
+// fetch_seconds_count. A scraper takes a recent rate or quantile from
+// the difference of two scrapes of these.
+var bucketLines = []string{
+	`fetch_seconds_bucket{le="1e-06"} 0`,
+	`fetch_seconds_bucket{le="2e-06"} 0`,
+	`fetch_seconds_bucket{le="4e-06"} 0`,
+	`fetch_seconds_bucket{le="8e-06"} 0`,
+	`fetch_seconds_bucket{le="1.6e-05"} 0`,
+	`fetch_seconds_bucket{le="3.2e-05"} 0`,
+	`fetch_seconds_bucket{le="6.4e-05"} 0`,
+	`fetch_seconds_bucket{le="0.000128"} 0`,
+	`fetch_seconds_bucket{le="0.000256"} 0`,
+	`fetch_seconds_bucket{le="0.000512"} 0`,
+	`fetch_seconds_bucket{le="0.001024"} 1`,
+	`fetch_seconds_bucket{le="0.002048"} 2`,
+	`fetch_seconds_bucket{le="0.004096"} 3`,
+	`fetch_seconds_bucket{le="0.008192"} 3`,
+	`fetch_seconds_bucket{le="0.016384"} 3`,
+	`fetch_seconds_bucket{le="0.032768"} 3`,
+	`fetch_seconds_bucket{le="0.065536"} 3`,
+	`fetch_seconds_bucket{le="0.131072"} 3`,
+	`fetch_seconds_bucket{le="0.262144"} 4`,
+	`fetch_seconds_bucket{le="0.524288"} 4`,
+	`fetch_seconds_bucket{le="1.048576"} 4`,
+	`fetch_seconds_bucket{le="2.097152"} 4`,
+	`fetch_seconds_bucket{le="4.194304"} 5`,
+	`fetch_seconds_bucket{le="8.388608"} 5`,
+	`fetch_seconds_bucket{le="16.777216"} 5`,
+	`fetch_seconds_bucket{le="+Inf"} 5`,
 }
 
-// TestExpositionPins asserts the lifetime lines of Snapshot.Text, in
-// order, and the lifetime fields of Snapshot.JSON, verbatim; then the
-// window lines and fields under a fake clock.
+// TestExpositionPins asserts the lines of Snapshot.Text, in order, and
+// the fields of Snapshot.JSON, verbatim.
 func TestExpositionPins(t *testing.T) {
-	snap := pinnedRegistry(newFakeClock()).Snapshot()
-	lines := strings.Split(strings.TrimSuffix(snap.Text(), "\n"), "\n")
-	if err := inOrder(lines, lifetimeLines); err != "" {
-		t.Errorf("Text(): %s\n%s", err, snap.Text())
-	}
-	if err := inOrder(lines, windowLines); err != "" {
-		t.Errorf("Text(): %s\n%s", err, snap.Text())
-	}
-	if len(lines) != len(lifetimeLines)+len(windowLines) {
-		t.Errorf("Text() has %d lines, want %d:\n%s", len(lines), len(lifetimeLines)+len(windowLines), snap.Text())
+	snap := pinnedRegistry().Snapshot()
+	want := strings.Join(append(append([]string(nil), lifetimeLines...), bucketLines...), "\n") + "\n"
+	if got := snap.Text(); got != want {
+		t.Errorf("Text() =\n%swant\n%s", got, want)
 	}
 
 	var doc struct {
-		Counters     map[string]json.RawMessage            `json:"counters"`
-		CounterRates map[string]json.RawMessage            `json:"counter_rates"`
-		Gauges       map[string]json.RawMessage            `json:"gauges"`
-		Histograms   map[string]map[string]json.RawMessage `json:"histograms"`
+		Counters   map[string]json.RawMessage            `json:"counters"`
+		Gauges     map[string]json.RawMessage            `json:"gauges"`
+		Histograms map[string]map[string]json.RawMessage `json:"histograms"`
 	}
 	if err := json.Unmarshal(snap.JSON(), &doc); err != nil {
 		t.Fatalf("JSON: %v", err)
@@ -91,32 +101,19 @@ func TestExpositionPins(t *testing.T) {
 			t.Errorf("JSON histograms.fetch_seconds.%s = %s, want %s", key, got, want)
 		}
 	}
-
-	if got := string(doc.CounterRates["requests_total"]); got != "0.1" {
-		t.Errorf("JSON counter_rates.requests_total = %s, want 0.1", got)
+	var buckets []int64
+	if err := json.Unmarshal(h["buckets"], &buckets); err != nil {
+		t.Fatalf("JSON histograms.fetch_seconds.buckets: %v", err)
 	}
-	for key, want := range map[string]string{
-		"window_count": "5", "rate": "0.16666666666666666",
-		"window_p50": "0.003072", "window_p95": "3.670016", "window_p99": "4.0894464",
-	} {
-		if got := string(h[key]); got != want {
-			t.Errorf("JSON histograms.fetch_seconds.%s = %s, want %s", key, got, want)
-		}
+	wantBuckets := []int64{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5}
+	if fmt.Sprint(buckets) != fmt.Sprint(wantBuckets) {
+		t.Errorf("JSON histograms.fetch_seconds.buckets = %v, want %v", buckets, wantBuckets)
 	}
-}
-
-// inOrder reports, as a non-empty message, the first line of want that
-// does not appear in lines after the one before it.
-func inOrder(lines, want []string) string {
-	i := 0
-	for _, w := range want {
-		for i < len(lines) && lines[i] != w {
-			i++
-		}
-		if i == len(lines) {
-			return "missing or out of order: " + w
-		}
-		i++
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(snap.JSON(), &top); err != nil {
+		t.Fatalf("JSON: %v", err)
 	}
-	return ""
+	if len(top) != 3 || len(doc.Counters)+len(doc.Gauges)+len(doc.Histograms) != 3 || len(h) != 9 {
+		t.Errorf("JSON carries fields beyond the pinned ones:\n%s", snap.JSON())
+	}
 }

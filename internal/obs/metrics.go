@@ -10,14 +10,10 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing atomic counter that also counts
-// over the rolling window, from which Rate derives events per second.
-// Inc/Add are lock-free and allocation-free; a nil *Counter is a valid
-// no-op receiver for every method.
-type Counter struct {
-	v atomic.Int64
-	w window
-}
+// Counter is a monotonically increasing atomic counter. Inc/Add are
+// lock-free and allocation-free; a nil *Counter is a valid no-op
+// receiver for every method.
+type Counter struct{ v atomic.Int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -28,7 +24,6 @@ func (c *Counter) Add(n int64) {
 		return
 	}
 	c.v.Add(n)
-	c.w.slot().count.Add(n)
 }
 
 // Value returns the current count.
@@ -37,14 +32,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Rate returns the events per second over the last Window.
-func (c *Counter) Rate() float64 {
-	if c == nil {
-		return 0
-	}
-	return rate(c.w.merge(nil))
 }
 
 // Gauge is an atomic instantaneous value. A nil *Gauge is a no-op.
@@ -88,9 +75,8 @@ var defaultBounds = func() []float64 {
 
 // Histogram is a fixed-bound streaming histogram: observations update
 // atomic bucket counts plus sum/min/max, from which Quantile estimates
-// p50/p95/p99 without storing samples, and the same buckets over the
-// rolling window. Observe is lock-free and allocation-free; a nil
-// *Histogram is a no-op.
+// p50/p95/p99 without storing samples. Observe is lock-free,
+// allocation-free and reads no clock; a nil *Histogram is a no-op.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; +Inf bucket implied
 	buckets []atomic.Int64
@@ -98,14 +84,10 @@ type Histogram struct {
 	sum     atomic.Uint64 // float64 bits
 	min     atomic.Uint64 // float64 bits, seeded +Inf
 	max     atomic.Uint64 // float64 bits, seeded -Inf
-	w       window
 }
 
 func newHistogram(bounds []float64) *Histogram {
 	h := &Histogram{bounds: bounds, buckets: make([]atomic.Int64, len(bounds)+1)}
-	for i := range h.w.slots {
-		h.w.slots[i].buckets = make([]atomic.Int64, len(bounds)+1)
-	}
 	h.min.Store(math.Float64bits(math.Inf(1)))
 	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
@@ -119,9 +101,6 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	s := h.w.slot()
-	s.buckets[i].Add(1)
-	s.count.Add(1)
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -159,7 +138,8 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile estimates the p-quantile (0 ≤ p ≤ 1) by linear interpolation
-// inside the bucket containing it. Returns 0 with no observations.
+// inside the bucket containing it; the overflow bucket reaches up to the
+// running max. Returns 0 with no observations.
 func (h *Histogram) Quantile(p float64) float64 {
 	if h == nil {
 		return 0
@@ -168,31 +148,19 @@ func (h *Histogram) Quantile(p float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	counts := make([]int64, len(h.buckets))
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-	}
-	return bucketQuantile(h.bounds, counts, total, p, math.Float64frombits(h.max.Load()))
-}
-
-// bucketQuantile interpolates the p-quantile of total observations
-// inside bucket counts (one per bound plus the overflow bucket). top is
-// the overflow bucket's upper edge, and the estimate when the rank lies
-// past every counted observation: the running max for the lifetime
-// values, the last bound for the window, which keeps no max.
-func bucketQuantile(bounds []float64, counts []int64, total int64, p, top float64) float64 {
+	top := math.Float64frombits(h.max.Load())
 	rank := p * float64(total)
 	cum := 0.0
-	for i, c := range counts {
-		n := float64(c)
+	for i := range h.buckets {
+		n := float64(h.buckets[i].Load())
 		if cum+n >= rank && n > 0 {
 			lo := 0.0
 			if i > 0 {
-				lo = bounds[i-1]
+				lo = h.bounds[i-1]
 			}
 			hi := top
-			if i < len(bounds) {
-				hi = bounds[i]
+			if i < len(h.bounds) {
+				hi = h.bounds[i]
 			}
 			if hi < lo {
 				hi = lo
@@ -204,13 +172,17 @@ func bucketQuantile(bounds []float64, counts []int64, total int64, p, top float6
 	return top
 }
 
-// Stats summarizes the histogram for snapshots.
+// Stats summarizes the histogram for snapshots. Count is the +Inf
+// bucket's cumulative count, so the two always agree in one summary.
 func (h *Histogram) Stats() HistogramStats {
 	if h == nil {
 		return HistogramStats{}
 	}
-	st := HistogramStats{}
-	st.Count = h.count.Load()
+	st := HistogramStats{Buckets: make([]int64, len(h.buckets))}
+	for i := range h.buckets {
+		st.Count += h.buckets[i].Load()
+		st.Buckets[i] = st.Count
+	}
 	if st.Count == 0 {
 		return st
 	}
@@ -221,33 +193,23 @@ func (h *Histogram) Stats() HistogramStats {
 	st.P50 = h.Quantile(0.50)
 	st.P95 = h.Quantile(0.95)
 	st.P99 = h.Quantile(0.99)
-	merged := make([]int64, len(h.buckets))
-	if st.WindowCount = h.w.merge(merged); st.WindowCount > 0 {
-		st.Rate = rate(st.WindowCount)
-		top := h.bounds[len(h.bounds)-1]
-		st.WindowP50 = bucketQuantile(h.bounds, merged, st.WindowCount, 0.50, top)
-		st.WindowP95 = bucketQuantile(h.bounds, merged, st.WindowCount, 0.95, top)
-		st.WindowP99 = bucketQuantile(h.bounds, merged, st.WindowCount, 0.99, top)
-	}
 	return st
 }
 
-// HistogramStats is the exported summary of one histogram: the lifetime
-// values, then the last Window of observations only.
+// HistogramStats is the exported summary of one histogram's lifetime.
+// Buckets holds the cumulative count at each bound of the default
+// ladder (1 µs × 2^i), then at +Inf; a scraper takes a recent rate or
+// quantile from the difference of two scrapes.
 type HistogramStats struct {
-	Count       int64   `json:"count"`
-	Sum         float64 `json:"sum"`
-	Mean        float64 `json:"mean"`
-	Min         float64 `json:"min"`
-	Max         float64 `json:"max"`
-	P50         float64 `json:"p50"`
-	P95         float64 `json:"p95"`
-	P99         float64 `json:"p99"`
-	WindowCount int64   `json:"window_count"`
-	Rate        float64 `json:"rate"` // window observations per second
-	WindowP50   float64 `json:"window_p50"`
-	WindowP95   float64 `json:"window_p95"`
-	WindowP99   float64 `json:"window_p99"`
+	Count   int64   `json:"count"`
+	Sum     float64 `json:"sum"`
+	Mean    float64 `json:"mean"`
+	Min     float64 `json:"min"`
+	Max     float64 `json:"max"`
+	P50     float64 `json:"p50"`
+	P95     float64 `json:"p95"`
+	P99     float64 `json:"p99"`
+	Buckets []int64 `json:"buckets"`
 }
 
 // Registry holds named metrics. Metric handles are get-or-create and
@@ -333,12 +295,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Snapshot is a point-in-time copy of every metric, JSON-marshalable.
 type Snapshot struct {
-	Counters map[string]int64 `json:"counters"`
-	// CounterRates holds each counter's events per second over the last
-	// Window, under the counter's name.
-	CounterRates map[string]float64        `json:"counter_rates"`
-	Gauges       map[string]int64          `json:"gauges"`
-	Histograms   map[string]HistogramStats `json:"histograms"`
+	Counters   map[string]int64          `json:"counters"`
+	Gauges     map[string]int64          `json:"gauges"`
+	Histograms map[string]HistogramStats `json:"histograms"`
 }
 
 // Snapshot copies the current value of every registered metric.
@@ -351,7 +310,6 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.RUnlock()
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
-		s.CounterRates[name] = c.Rate()
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
@@ -366,18 +324,17 @@ func (r *Registry) Snapshot() Snapshot {
 // registry still yields a marshal-safe value.
 func emptySnapshot() Snapshot {
 	return Snapshot{
-		Counters:     map[string]int64{},
-		CounterRates: map[string]float64{},
-		Gauges:       map[string]int64{},
-		Histograms:   map[string]HistogramStats{},
+		Counters:   map[string]int64{},
+		Gauges:     map[string]int64{},
+		Histograms: map[string]HistogramStats{},
 	}
 }
 
 // Text renders the snapshot as sorted plain-text lines in a
 // Prometheus-like exposition format: `name value` for counters and
-// gauges, plus `name_rate` for counters; `name_count`, `name_sum`,
-// `name_min/max`, `name_p50/p95/p99` for histograms, then their window's
-// `name_window_count`, `name_rate` and `name_window_p50/p95/p99`.
+// gauges; `name_count`, `name_sum`, `name_min/max`, `name_p50/p95/p99`
+// for histograms, then their cumulative `name_bucket{le="<bound>"}`
+// lines, the last `le="+Inf"` and equal to `name_count`.
 func (s Snapshot) Text() string {
 	var b strings.Builder
 	names := make([]string, 0, len(s.Counters))
@@ -387,7 +344,6 @@ func (s Snapshot) Text() string {
 	sort.Strings(names)
 	for _, n := range names {
 		fmt.Fprintf(&b, "%s %d\n", n, s.Counters[n])
-		fmt.Fprintf(&b, "%s_rate %g\n", n, s.CounterRates[n])
 	}
 	names = names[:0]
 	for n := range s.Gauges {
@@ -413,12 +369,12 @@ func (s Snapshot) Text() string {
 			fmt.Fprintf(&b, "%s_p95 %g\n", n, h.P95)
 			fmt.Fprintf(&b, "%s_p99 %g\n", n, h.P99)
 		}
-		fmt.Fprintf(&b, "%s_window_count %d\n", n, h.WindowCount)
-		fmt.Fprintf(&b, "%s_rate %g\n", n, h.Rate)
-		if h.WindowCount > 0 {
-			fmt.Fprintf(&b, "%s_window_p50 %g\n", n, h.WindowP50)
-			fmt.Fprintf(&b, "%s_window_p95 %g\n", n, h.WindowP95)
-			fmt.Fprintf(&b, "%s_window_p99 %g\n", n, h.WindowP99)
+		for i, c := range h.Buckets {
+			if i == len(h.Buckets)-1 {
+				fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", n, c)
+			} else {
+				fmt.Fprintf(&b, "%s_bucket{le=\"%g\"} %d\n", n, defaultBounds[i], c)
+			}
 		}
 	}
 	return b.String()

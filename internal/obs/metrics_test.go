@@ -62,6 +62,86 @@ func TestHistogramQuantiles(t *testing.T) {
 	if st.P50 > st.P95 || st.P95 > st.P99 {
 		t.Errorf("quantiles not monotone: %g %g %g", st.P50, st.P95, st.P99)
 	}
+	if len(st.Buckets) != len(defaultBounds)+1 || st.Buckets[len(st.Buckets)-1] != st.Count {
+		t.Fatalf("buckets = %v, want %d cumulative counts ending at %d", st.Buckets, len(defaultBounds)+1, st.Count)
+	}
+	for i := 1; i < len(st.Buckets); i++ {
+		if st.Buckets[i] < st.Buckets[i-1] {
+			t.Errorf("buckets not cumulative at %d: %v", i, st.Buckets)
+		}
+	}
+}
+
+// TestQuantilePins pins the P50/P95/P99 a histogram reports for
+// observations below, inside and past the last bucket bound; the
+// overflow bucket interpolates up to the running max.
+func TestQuantilePins(t *testing.T) {
+	bounds := []float64{1, 10, 100}
+	cases := []struct {
+		name   string
+		values []float64
+		want   [3]float64 // P50, P95, P99
+	}{
+		{"below first bound", []float64{0.2, 0.4, 0.8},
+			[3]float64{0.5, 0.9499999999999998, 0.9899999999999999}},
+		{"mixed", []float64{0.5, 0.5, 3, 7, 20, 60, 80, 150, 400, 1200},
+			[3]float64{40, 1016.6666666666667, 1163.3333333333335}},
+		{"past last bound", []float64{150, 300},
+			[3]float64{200, 290, 298}},
+	}
+	for _, c := range cases {
+		h := newHistogram(bounds)
+		for _, v := range c.values {
+			h.Observe(v)
+		}
+		st := h.Stats()
+		if got := [3]float64{st.P50, st.P95, st.P99}; got != c.want {
+			t.Errorf("%s: P50/P95/P99 = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestBucketDeltaQuantile checks what the exposition leaves to a
+// scraper: the bucket differences between two snapshots hold only the
+// observations between them, so their p99 follows a recent slow regime
+// that the lifetime p99 hides under history.
+func TestBucketDeltaQuantile(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("fetch_seconds")
+	for i := 0; i < 1000; i++ {
+		h.Observe(0.001)
+	}
+	before := r.Snapshot().Histograms["fetch_seconds"]
+	for i := 0; i < 5; i++ {
+		h.Observe(3)
+	}
+	after := r.Snapshot().Histograms["fetch_seconds"]
+
+	if after.P99 > defaultBounds[10] {
+		t.Errorf("lifetime p99 = %g, want inside the fast era's bucket (≤ %g)", after.P99, defaultBounds[10])
+	}
+	if got := deltaQuantile(before.Buckets, after.Buckets, 0.99); got <= defaultBounds[21] || got > defaultBounds[22] {
+		t.Errorf("p99 between the scrapes = %g, want inside the slow era's bucket (%g, %g]", got, defaultBounds[21], defaultBounds[22])
+	}
+}
+
+// deltaQuantile interpolates the p-quantile of the observations between
+// two snapshots' cumulative default-ladder buckets, as a scraper does.
+func deltaQuantile(before, after []int64, p float64) float64 {
+	rank := p * float64(after[len(after)-1]-before[len(before)-1])
+	prev := 0.0
+	for i := range defaultBounds {
+		cum := float64(after[i] - before[i])
+		if cum >= rank && cum > prev {
+			lo := 0.0
+			if i > 0 {
+				lo = defaultBounds[i-1]
+			}
+			return lo + (defaultBounds[i]-lo)*(rank-prev)/(cum-prev)
+		}
+		prev = cum
+	}
+	return defaultBounds[len(defaultBounds)-1]
 }
 
 // TestRegistryConcurrent hammers one registry from many goroutines —
@@ -96,6 +176,9 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("h_seconds").Count(); got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
+	}
+	if b := r.Histogram("h_seconds").Stats().Buckets; b[len(b)-1] != goroutines*perG {
+		t.Errorf("histogram +Inf bucket = %d, want %d", b[len(b)-1], goroutines*perG)
 	}
 }
 
@@ -169,8 +252,7 @@ func TestLiveObserveZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkRecord times the per-event record path of a live counter and
-// histogram, rolling window included (the window's clock read is most
-// of it); -benchmem shows it allocation-free.
+// histogram; -benchmem shows it allocation-free.
 func BenchmarkRecord(b *testing.B) {
 	r := NewRegistry()
 	c := r.Counter("c_total")

@@ -1,7 +1,8 @@
 // Package obs is the observability substrate of the dcSR system: a
-// concurrency-safe metrics registry (atomic counters and streaming
-// histograms with quantile estimates, each over its lifetime and over a
-// rolling window, and gauges), a lightweight span tracer for nested
+// concurrency-safe metrics registry (monotonic atomic counters, gauges,
+// and streaming histograms with lifetime quantile estimates and
+// cumulative buckets, from which a scraper takes rates and recent
+// quantiles between two scrapes), a lightweight span tracer for nested
 // pipeline stages and joined cross-process request spans, exportable as
 // JSON trace trees, and a leveled structured logger — all
 // standard-library only.

@@ -290,8 +290,8 @@ type Options struct {
 	CacheBudget int64
 	// Propagation selects how enhancement reaches P/B frames.
 	Propagation codec.Propagation
-	// Obs receives segments_fetched_total (whose _rate line is the fetch
-	// rate), cache_hits_total, cache_misses_total, video_bytes_total,
+	// Obs receives segments_fetched_total (its change between two
+	// scrapes is the fetch rate), cache_hits_total, cache_misses_total, video_bytes_total,
 	// model_bytes_total, the degrade and model-stream counters and the
 	// decoder's metrics, and its Log the degrade, fallback and
 	// per-segment debug lines; nil disables them.

@@ -163,8 +163,10 @@ func closeConn(rw io.ReadWriter) error {
 // frames, and the pending table its reader goroutine resolves responses
 // against. A link is abandoned, never repaired, once it fails or stalls.
 type link struct {
-	rw  io.ReadWriter
-	wmu sync.Mutex
+	rw   io.ReadWriter
+	wmu  sync.Mutex
+	wbuf reqFrame   // guarded by wmu
+	rhdr respHeader // the reader goroutine's
 
 	pmu     sync.Mutex
 	pending map[uint32]chan result
@@ -192,7 +194,7 @@ func newLink(rw io.ReadWriter) *link {
 func (l *link) read() {
 	defer close(l.done)
 	for {
-		id, status, payload, err := readResponse(l.rw)
+		id, status, payload, err := l.rhdr.read(l.rw)
 		l.pmu.Lock()
 		if err != nil {
 			l.dead = true
@@ -326,7 +328,7 @@ func (c *Client) exchange(ctx context.Context, rq request, attempt int, asp *obs
 	seen, err := l.register(id, ch)
 	if err == nil {
 		l.wmu.Lock()
-		err = writeRequest(l.rw, rq.frame(id, attempt, asp))
+		err = l.wbuf.write(l.rw, rq.frame(id, attempt, asp))
 		l.wmu.Unlock()
 	}
 	if err != nil {

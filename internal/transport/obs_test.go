@@ -98,19 +98,17 @@ func TestServerClientObservability(t *testing.T) {
 		t.Errorf("model_bytes_total = %d, want %d", got, stats.ModelBytes)
 	}
 
-	// The rolling windows see the same traffic as the lifetime values.
-	perWindow := func(n int64) float64 { return float64(n) / obs.Window.Seconds() }
-	if got := ss.CounterRates["transport_requests_total"]; got != perWindow(wantReqs) {
-		t.Errorf("transport_requests_total_rate = %g, want %g", got, perWindow(wantReqs))
+	// The cumulative buckets end at the lifetime count: a scraper's
+	// recent rate and quantiles see the same traffic.
+	inf := func(h obs.HistogramStats) int64 { return h.Buckets[len(h.Buckets)-1] }
+	if got := inf(ss.Histograms["transport_segment_seconds"]); got != int64(len(prep.Segments)) {
+		t.Errorf(`transport_segment_seconds_bucket{le="+Inf"} = %d, want %d`, got, len(prep.Segments))
 	}
-	if got := ss.Histograms["transport_segment_seconds"].WindowCount; got != int64(len(prep.Segments)) {
-		t.Errorf("transport_segment_seconds_window_count = %d, want %d", got, len(prep.Segments))
+	if got := cs.Histograms["transport_client_rtt_seconds"]; got.Count != wantReqs || inf(got) != wantReqs {
+		t.Errorf(`transport_client_rtt_seconds count = %d (le="+Inf" %d), want %d`, got.Count, inf(got), wantReqs)
 	}
-	if got := cs.Histograms["transport_client_rtt_seconds"]; got.Count != wantReqs || got.WindowCount != wantReqs {
-		t.Errorf("transport_client_rtt_seconds count = %d (window %d), want %d", got.Count, got.WindowCount, wantReqs)
-	}
-	if got := cs.CounterRates["segments_fetched_total"]; got != perWindow(int64(len(prep.Segments))) {
-		t.Errorf("segments_fetched_total_rate = %g, want %g", got, perWindow(int64(len(prep.Segments))))
+	if got := cs.Counters["segments_fetched_total"]; got != int64(len(prep.Segments)) {
+		t.Errorf("segments_fetched_total = %d, want %d", got, len(prep.Segments))
 	}
 
 	// The client_play trace carries one segment_fetch child per segment

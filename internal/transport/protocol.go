@@ -135,9 +135,9 @@ const (
 // length prefix cannot make the client allocate unbounded memory.
 const maxPayload = stream.MaxArtifactBytes
 
-// firstChunk is all readResponse allocates on the strength of a declared
-// length alone (1 MiB, above every segment and model payload); past it
-// the buffer grows with the bytes that actually arrive.
+// firstChunk is all respHeader.read allocates on the strength of a
+// declared length alone (1 MiB, above every segment and model payload);
+// past it the buffer grows with the bytes that actually arrive.
 const firstChunk = 1 << firstChunkBits
 
 const firstChunkBits = 20
@@ -324,10 +324,13 @@ type wireRequest struct {
 	TC    TraceContext
 }
 
-// writeRequest frames req. The whole frame goes out in one Write so the
-// fault layer treats it as one request.
-func writeRequest(w io.Writer, req wireRequest) error {
-	var buf [reqFrameBytes]byte
+// reqFrame holds one request frame's bytes. A connection owns the one
+// it frames requests in, so framing a request allocates nothing.
+type reqFrame [reqFrameBytes]byte
+
+// write frames req into buf. The whole frame goes out in one Write so
+// the fault layer treats it as one request.
+func (buf *reqFrame) write(w io.Writer, req wireRequest) error {
 	copy(buf[:4], reqMagic[:])
 	buf[4] = req.Op
 	binary.BigEndian.PutUint32(buf[5:], req.Arg)
@@ -365,14 +368,13 @@ func PeekRequest(frame []byte) (op byte, arg uint32, ok bool) {
 	return req.Op, req.Arg, ok
 }
 
-// readRequest reads one request frame. io.EOF is returned as-is so servers
-// can treat a clean close between requests as normal termination; a
-// connection cut mid-frame surfaces as a wrapped io.ErrUnexpectedEOF, the
-// ordinary broken-connection path. The magic is checked as soon as it has
-// arrived, so a peer speaking anything else is rejected without waiting
-// for it to send a full frame's worth of bytes.
-func readRequest(r io.Reader) (wireRequest, error) {
-	var buf [reqFrameBytes]byte
+// read reads one request frame into buf. io.EOF is returned as-is so
+// servers can treat a clean close between requests as normal
+// termination; a connection cut mid-frame surfaces as a wrapped
+// io.ErrUnexpectedEOF, the ordinary broken-connection path. The magic is
+// checked as soon as it has arrived, so a peer speaking anything else is
+// rejected without waiting for it to send a full frame's worth of bytes.
+func (buf *reqFrame) read(r io.Reader) (wireRequest, error) {
 	n, err := io.ReadAtLeast(r, buf[:], len(reqMagic))
 	if errors.Is(err, io.EOF) {
 		return wireRequest{}, io.EOF
@@ -411,15 +413,18 @@ func writeResponse(w io.Writer, id uint32, status byte, payload []byte) error {
 	return err
 }
 
-// readResponse parses a response frame, enforcing the payload bound. A
-// header declaring a large payload costs at most firstChunk until the
-// peer sends the bytes to fill it. The payload up to firstChunk is a
-// pooled buffer (payloadBuf), filled once by the read: whoever consumes
-// it last hands it back with recyclePayload, or keeps it for good. A
-// longer payload grows past its class with the bytes that arrive and is
-// never pooled.
-func readResponse(r io.Reader) (id uint32, status byte, payload []byte, err error) {
-	var hdr [respFrameBytes]byte
+// respHeader holds one response header's bytes, owned by the
+// connection's reader.
+type respHeader [respFrameBytes]byte
+
+// read parses a response frame, its header into hdr, enforcing the
+// payload bound. A header declaring a large payload costs at most
+// firstChunk until the peer sends the bytes to fill it. The payload up
+// to firstChunk is a pooled buffer (payloadBuf), filled once by the
+// read: whoever consumes it last hands it back with recyclePayload, or
+// keeps it for good. A longer payload grows past its class with the
+// bytes that arrive and is never pooled.
+func (hdr *respHeader) read(r io.Reader) (id uint32, status byte, payload []byte, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, fmt.Errorf("transport: reading response header: %w", err)
 	}

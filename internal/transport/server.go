@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"dcsr/internal/core"
-	"dcsr/internal/modelstore"
 	"dcsr/internal/obs"
 )
 
@@ -45,8 +43,8 @@ type Server struct {
 	// transport_shed_total, transport_bytes_in/out_total, the
 	// per-message-type latency histograms
 	// transport_{manifest,segment,model,directory,modeldelta}_seconds
-	// (each counter and histogram also exporting its rolling window), and
-	// the transport_open_conns, transport_videos, transport_inflight and
+	// (each exporting its cumulative buckets), and the
+	// transport_open_conns, transport_videos, transport_inflight and
 	// transport_inflight_peak gauges. Traced requests additionally record
 	// one server span each on Obs.Trace, retrievable by trace ID via the
 	// debug sidecar's /debug/trace?id= endpoint. Its Log receives
@@ -63,10 +61,6 @@ type Server struct {
 	videos    []*hostedVideo
 	byDigest  map[string]uint32
 	directory []byte
-	// assembled dedupes serving buffers across videos by payload digest —
-	// the k-th video re-using a model (or delta) serves the same
-	// canonical copy; see internPayload.
-	assembled map[modelstore.Digest][]byte
 	adm       *admission
 	ln        net.Listener
 	conns     map[net.Conn]struct{}
@@ -86,9 +80,8 @@ type Server struct {
 // answers every data op with StatusNotFound.
 func NewFleetServer() *Server {
 	s := &Server{
-		byDigest:  make(map[string]uint32),
-		assembled: make(map[modelstore.Digest][]byte),
-		conns:     make(map[net.Conn]struct{}),
+		byDigest: make(map[string]uint32),
+		conns:    make(map[net.Conn]struct{}),
 	}
 	empty, err := EncodeWireDirectory(&WireDirectory{})
 	if err != nil {
@@ -120,10 +113,7 @@ func NewServer(p *core.Prepared) (*Server, error) {
 //
 // Registration validates the manifest (rejecting duplicate segment
 // indices and mismatched model labels — the silent-shadowing bug class),
-// refuses a digest that is already hosted, and refuses model payloads
-// whose content digest collides with a different payload already hosted
-// by another video. Identical model payloads across videos are stored
-// once (content-addressed dedupe).
+// and refuses a digest that is already hosted.
 func (s *Server) Register(p *core.Prepared) (string, error) {
 	if err := p.Manifest.Validate(); err != nil {
 		return "", fmt.Errorf("transport: refusing to register: %w", err)
@@ -158,6 +148,10 @@ func (s *Server) Register(p *core.Prepared) (string, error) {
 		hash.Write(lbl[:])
 		//lint:allow errcheck hash.Hash.Write is documented to never return an error
 		hash.Write(sm.Bytes)
+		v.models[uint32(label)] = sm.Bytes
+		if sm.Delta != nil && sm.Delta.DeltaOK {
+			v.deltas[uint32(label)] = sm.Delta.Bytes
+		}
 	}
 	digest := hex.EncodeToString(hash.Sum(nil))
 
@@ -165,28 +159,6 @@ func (s *Server) Register(p *core.Prepared) (string, error) {
 	defer s.mu.Unlock()
 	if _, dup := s.byDigest[digest]; dup {
 		return "", fmt.Errorf("transport: video %s already registered", digest)
-	}
-	// Model payloads are content-addressed so the k-th video re-using a
-	// model costs no extra memory, and a digest collision (same digest,
-	// different bytes) is caught instead of silently serving the wrong
-	// weights. Delta payloads go through the same path.
-	for _, label := range p.Manifest.ModelLabels() {
-		if label < 0 {
-			continue
-		}
-		sm := p.Models[label]
-		data, err := s.internPayload(fmt.Sprintf("model %d", label), sm.Bytes)
-		if err != nil {
-			return "", err
-		}
-		v.models[uint32(label)] = data
-		if sm.Delta != nil && sm.Delta.DeltaOK {
-			dd, err := s.internPayload(fmt.Sprintf("model %d delta", label), sm.Delta.Bytes)
-			if err != nil {
-				return "", err
-			}
-			v.deltas[uint32(label)] = dd
-		}
 	}
 	id := uint32(len(s.videos))
 	v.info = WireVideo{
@@ -216,21 +188,6 @@ func (s *Server) Register(p *core.Prepared) (string, error) {
 	s.Obs.Logger().Debug("transport: video registered", "id", id, "digest", digest,
 		"segments", v.info.Segments, "models", v.info.Models)
 	return digest, nil
-}
-
-// internPayload dedupes one serving buffer by payload digest: callers
-// holding s.mu get back the canonical copy of byte-identical payloads. A
-// digest collision (same digest, different bytes) is refused.
-func (s *Server) internPayload(what string, data []byte) ([]byte, error) {
-	d := modelstore.DigestOf(data)
-	if existing, ok := s.assembled[d]; ok {
-		if !bytes.Equal(existing, data) {
-			return nil, fmt.Errorf("transport: %s digest %s collides with a different hosted payload", what, d)
-		}
-		return existing, nil
-	}
-	s.assembled[d] = data
-	return data, nil
 }
 
 // Videos returns the current directory of hosted videos in registration
@@ -316,7 +273,8 @@ func (s *Server) Serve(l net.Listener) error {
 // closing the over-capacity connection after a single typed rejection.
 func (s *Server) rejectConn(conn io.ReadWriter) error {
 	_, _, adm := s.serveState()
-	req, err := readRequest(conn)
+	var frame reqFrame
+	req, err := frame.read(conn)
 	if err != nil {
 		return err
 	}
@@ -402,8 +360,9 @@ func (s *Server) ServeConn(conn io.ReadWriter) error {
 	cw := &connWriter{conn: conn}
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	var frame reqFrame // read into once per request, for the connection's life
 	for {
-		req, err := readRequest(conn)
+		req, err := frame.read(conn)
 		if err != nil {
 			return err
 		}
