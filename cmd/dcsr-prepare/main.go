@@ -97,12 +97,12 @@ func main() {
 			if !sm.Quant.Int8OK {
 				verdict = "float32 fallback"
 			}
-			fmt.Printf("    int8 gate: f32 %.2f dB vs int8 %.2f dB -> %s\n",
+			fmt.Printf("    int8 gate: f32 %.2f vs int8 %.2f played luma dB -> %s\n",
 				sm.Quant.PSNRFloat32, sm.Quant.PSNRInt8, verdict)
 		}
 		if sm.Delta != nil {
 			if sm.Delta.DeltaOK {
-				fmt.Printf("    delta gate: %d B delta vs %d B full (backbone %d, %.2f dB vs %.2f dB) -> delta\n",
+				fmt.Printf("    delta gate: %d B delta vs %d B full (backbone %d, %.2f vs %.2f played luma dB) -> delta\n",
 					sm.Delta.DeltaBytes, sm.Delta.FullBytes, sm.Delta.BackboneLabel,
 					sm.Delta.PSNRFull, sm.Delta.PSNRDelta)
 			} else {

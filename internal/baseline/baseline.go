@@ -16,6 +16,7 @@ import (
 
 	"dcsr/internal/codec"
 	"dcsr/internal/edsr"
+	"dcsr/internal/stream"
 	"dcsr/internal/video"
 )
 
@@ -120,29 +121,27 @@ type PlayResult struct {
 	TotalBytes int
 }
 
-// Play decodes and enhances per the method's schedule.
+// Play decodes and enhances per the method's schedule: NEMO plays the
+// stream as a dcSR viewer plays a segment (stream.PlaySegment), NAS
+// enhances every frame of the plain decode.
 func (p *Prepared) Play() (*PlayResult, error) {
-	res := &PlayResult{}
-	dec := codec.Decoder{Mode: codec.PropagateDelta}
+	var inLoop *edsr.Model
 	if p.Method == NEMO {
-		dec.Enhancer = codec.PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, codec.Precision) {
-			res.Inferences++
-			return p.Model.EnhanceYUV(f), codec.PrecisionFloat32
-		})
+		inLoop = p.Model
 	}
-	frames, err := dec.Decode(p.Stream)
+	dec := codec.Decoder{Mode: codec.PropagateDelta}
+	frames, err := stream.PlaySegment(&dec, p.Stream, inLoop, false)
 	if err != nil {
 		return nil, err
 	}
+	res := &PlayResult{Frames: frames, Decode: dec.Stats, Inferences: dec.Stats.Enhanced,
+		TotalBytes: p.Stream.Bytes() + p.ModelBytes}
 	if p.Method == NAS {
 		// NAS enhances every frame after decoding.
 		for i, f := range frames {
 			frames[i] = p.Model.EnhanceYUV(f)
-			res.Inferences++
 		}
+		res.Inferences = len(frames)
 	}
-	res.Frames = frames
-	res.Decode = dec.Stats
-	res.TotalBytes = p.Stream.Bytes() + p.ModelBytes
 	return res, nil
 }

@@ -126,9 +126,10 @@ func (s DecodeStats) Frames() int { return s.IFrames + s.PFrames + s.BFrames }
 //
 // Under PropagateDelta the plain reconstruction chain is never
 // displayed; a Decoder keeps those pictures once they leave the DPB and
-// decodes later plain pictures into them, across Decode calls, so a
-// reused Decoder allocates only the frames it returns. A copy of a
-// Decoder starts with none of them.
+// decodes later pictures into them, across Decode calls, so a reused
+// Decoder allocates only the frames it returns — and, when its caller
+// hands those back with Recycle, not even them. A copy of a Decoder
+// starts with none of them.
 type Decoder struct {
 	Enhancer FrameEnhancer
 	Mode     Propagation
@@ -143,14 +144,17 @@ type Decoder struct {
 	// latencies deterministic.
 	Now func() time.Time
 
-	// free holds plain pictures that left the DPB undisplayed, at most
-	// maxFree; self detects a copied Decoder, which must not share them
+	// free holds the pictures later decodes fill: plain ones that left
+	// the DPB undisplayed, and the frames the caller handed back
+	// (Recycle); self detects a copied Decoder, which must not share them
 	// (the check strings.Builder makes).
 	free []*video.YUV
 	self *Decoder
 }
 
 // maxFree is the DPB depth: two anchors and a B frame's plain picture.
+// A Decoder allocates a picture only when its free list is empty, so
+// unless its caller hands frames back it never holds more than this.
 const maxFree = 3
 
 // picture returns a w×h picture for a decode that writes every sample:
@@ -168,12 +172,20 @@ func (d *Decoder) picture(w, h int) *video.YUV {
 	return video.NewYUV(w, h)
 }
 
+// Recycle hands back frames a Decode returned that the caller no longer
+// holds: later Decodes decode into them. A frame must be handed back at
+// most once, and not while anything still reads it.
+func (d *Decoder) Recycle(frames []*video.YUV) {
+	if d.self != d {
+		d.self, d.free = d, nil
+	}
+	d.free = append(d.free, frames...)
+}
+
 // recycle puts a plain picture that was never displayed on the free
 // list.
 func (d *Decoder) recycle(f *video.YUV) {
-	if len(d.free) < maxFree {
-		d.free = append(d.free, f)
-	}
+	d.free = append(d.free, f)
 }
 
 // retire recycles the plain picture of an anchor leaving the DPB; one
@@ -275,7 +287,11 @@ func (d *Decoder) Decode(s *Stream) ([]*video.YUV, error) {
 			if lastAnchor == nil {
 				return nil, fmt.Errorf("codec: P frame %d before any anchor", ef.Display)
 			}
-			pair, err := decodePFrame(r, d.picture(s.W, s.H), lastAnchor, qstep)
+			var enh *video.YUV
+			if lastAnchor.hasDelta() {
+				enh = d.picture(s.W, s.H)
+			}
+			pair, err := decodePFrame(r, d.picture(s.W, s.H), enh, lastAnchor, qstep)
 			if err != nil {
 				return nil, fmt.Errorf("codec: P frame %d: %w", ef.Display, err)
 			}
@@ -500,10 +516,10 @@ func readInterFlags(r *BitReader) (hp, deblock bool, err error) {
 	return v&2 != 0, v&1 != 0, err
 }
 
-// decodePFrame reconstructs a P frame's plain picture into f, writing
-// every sample, and, when ref carries an enhancement delta, a new
-// enhanced picture beside it.
-func decodePFrame(r *BitReader, f *video.YUV, ref *refPair, qstep float64) (*refPair, error) {
+// decodePFrame reconstructs a P frame's plain picture into f and, when
+// ref carries an enhancement delta, its enhanced picture into enh (nil
+// otherwise), writing every sample of each.
+func decodePFrame(r *BitReader, f, enh *video.YUV, ref *refPair, qstep float64) (*refPair, error) {
 	hp, deblock, err := readInterFlags(r)
 	if err != nil {
 		return nil, err
@@ -511,11 +527,11 @@ func decodePFrame(r *BitReader, f *video.YUV, ref *refPair, qstep float64) (*ref
 	w, h := f.W, f.H
 	pair := &refPair{plain: f, enh: f}
 	refp, recp := framePlanes(ref.plain), framePlanes(f)
-	carry := ref.hasDelta()
+	carry := enh != nil
 	var refEnhp, enhp planes
 	if carry {
-		pair.enh = video.NewYUV(w, h)
-		refEnhp, enhp = framePlanes(ref.enh), framePlanes(pair.enh)
+		pair.enh = enh
+		refEnhp, enhp = framePlanes(ref.enh), framePlanes(enh)
 	}
 	mbW, mbH := w/mbSize, h/mbSize
 	var s mbScratch

@@ -174,3 +174,44 @@ func TestReusedDecoderAllocs(t *testing.T) {
 		t.Errorf("reused delta decode allocates %d B, want <= 1.1 × the plain decode's %d B", delta, plain)
 	}
 }
+
+// TestDecoderRecycleReturnedFrames: frames handed back with Recycle are
+// decoded into — poisoned first, every decode still equals a fresh
+// decoder's — and a reused decoder under delta propagation whose caller
+// hands every frame back allocates, per decode of the benchmark clip,
+// the hook's frames and less than one more.
+func TestDecoderRecycleReturnedFrames(t *testing.T) {
+	st, err := Encode(benchClip(), nil, 30, EncoderConfig{QP: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, Precision) { return f.Clone(), PrecisionFloat32 })
+	fresh := Decoder{Enhancer: clone, Mode: PropagateDelta}
+	want, err := fresh.Decode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Decoder{Enhancer: clone, Mode: PropagateDelta}
+	var got []*video.YUV
+	decode := func() {
+		d.Recycle(got)
+		for _, f := range d.free {
+			poison(f)
+		}
+		if got, err = d.Decode(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	decode()
+	grew := allocatedBy(decode)
+	if digestFrames(got) != digestFrames(want) {
+		t.Fatal("a decoder decoding into recycled frames shows other frames than a fresh one")
+	}
+	frame := uint64(len(want[0].Y) + len(want[0].U) + len(want[0].V))
+	hook := uint64(st.CountType(FrameI)) * frame
+	t.Logf("%d B per decode; the hook's frames are %d B, one frame %d B", grew, hook, frame)
+	if grew >= hook+frame {
+		t.Errorf("a decode into recycled frames allocated %d B, want < %d B (the hook's frames plus one)", grew, hook+frame)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"dcsr/internal/edsr"
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
-	"dcsr/internal/quality"
 )
 
 // DeltaConfig parameterizes the optional delta_encode stage (the model
@@ -19,7 +18,7 @@ import (
 // re-expresses every other cluster model as a dcW5 delta against it.
 // Each delta passes a size gate (it must actually be smaller than the
 // full encoding) and a quality gate (the reconstruction, which becomes
-// the model's canonical weights, must enhance the cluster's own frames
+// the model's canonical weights, must play the cluster's first segments
 // within MaxPSNRDrop of the originally trained weights); clusters
 // failing either gate keep their full encoding, exactly like the int8
 // stage's float32 fallback.
@@ -29,12 +28,12 @@ type DeltaConfig struct {
 	// behaviour.
 	Enabled bool
 	// MaxPSNRDrop is the quality gate in dB: a cluster whose
-	// delta-reconstructed model scores more than this below its
-	// originally trained model (on the cluster's own frames, against the
-	// pristine originals) ships complete instead. Default 0.5.
+	// delta-reconstructed model plays its gate segments more than this
+	// below its originally trained model (luma PSNR against the pristine
+	// frames, both in float32) ships complete instead. Default 0.5.
 	MaxPSNRDrop float64
-	// MaxFrames caps the gate frames per cluster (the first N of the
-	// cluster's I-frame pairs). Default 4.
+	// MaxFrames caps the gate segments per cluster (the cluster's
+	// first N). Default 4.
 	MaxFrames int
 }
 
@@ -59,9 +58,9 @@ type DeltaResult struct {
 	// Bytes is the dcW5 delta payload (on disk an object, not JSON); nil
 	// when DeltaOK is false.
 	Bytes []byte `json:"-"`
-	// PSNRFull and PSNRDelta are the gate measurements in dB: the
-	// trained weights versus the delta reconstruction on the cluster's
-	// frames.
+	// PSNRFull and PSNRDelta are the gate measurements in dB: the played
+	// luma PSNR of the cluster's gate segments with the trained weights
+	// and with the delta reconstruction, both in float32.
 	PSNRFull  float64 `json:"psnr_full,omitempty"`
 	PSNRDelta float64 `json:"psnr_delta,omitempty"`
 	// FullBytes and DeltaBytes are the two candidate payload sizes the
@@ -102,7 +101,6 @@ func stageDeltaEncode(ctx context.Context, sp *obs.Span, s *prepState) error {
 	o := s.cfg.Obs
 	okCtr := o.Counter("delta_models_total")
 	fbCtr := o.Counter("delta_fallback_total")
-	dc := s.cfg.Delta
 	p := s.p
 	if len(p.Models) < 2 {
 		sp.Set("skipped", "single model")
@@ -117,9 +115,9 @@ func stageDeltaEncode(ctx context.Context, sp *obs.Span, s *prepState) error {
 			return nil // no model, the backbone, or a verdict the train stage restored
 		}
 		computed[label] = true
-		ws := s.checkoutWorkspace()
-		defer s.returnWorkspace(ws)
-		if err := deltaEncodeModel(p, dc, ws, p.Models[bb], sm); err != nil {
+		g := s.checkoutGate()
+		defer s.returnGate(g)
+		if err := s.deltaEncodeModel(g, p.Models[bb], sm); err != nil {
 			return err
 		}
 		return s.ck.update(func(r *rootFile) { r.Models[label].Delta = s.ck.putDelta(sm) })
@@ -149,10 +147,10 @@ func stageDeltaEncode(ctx context.Context, sp *obs.Span, s *prepState) error {
 
 // deltaEncodeModel runs sm through the delta gates against the backbone
 // bsm, setting sm.Delta and, on adoption, sm's canonical weights. The
-// quality gate's inference passes run in ws, detached again before
+// quality gate's plays run in g, its workspace detached again before
 // returning.
-func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *SegmentModel) error {
-	label := sm.Label
+func (s *prepState) deltaEncodeModel(g *gate, bsm, sm *SegmentModel) error {
+	label, dc := sm.Label, s.cfg.Delta
 	delta, err := nn.EncodeWeightsDelta(bsm.Model.Params(), sm.Model.Params())
 	if err != nil {
 		return fmt.Errorf("core: delta-encoding cluster %d: %w", label, err)
@@ -169,23 +167,20 @@ func deltaEncodeModel(p *Prepared, dc DeltaConfig, ws *edsr.Workspace, bsm, sm *
 	if err := nn.ApplyWeightsDelta(bsm.Model.Params(), delta, recon.Params()); err != nil {
 		return fmt.Errorf("core: reconstructing cluster %d: %w", label, err)
 	}
-	pairs := p.clusterPairs(label, dc.MaxFrames)
+	segs := s.p.clusterSegments(label, dc.MaxFrames)
 	trained := sm.Model
-	trained.SetWorkspace(ws)
-	recon.SetWorkspace(ws)
+	trained.SetWorkspace(&g.ws)
+	recon.SetWorkspace(&g.ws)
 	defer trained.SetWorkspace(nil)
 	defer recon.SetWorkspace(nil)
-	var mseFull, mseDelta float64
-	for _, pr := range pairs {
-		mseFull += quality.MSE(trained.Enhance(pr.Low), pr.High)
-		mseDelta += quality.MSE(recon.Enhance(pr.Low), pr.High)
+	if res.PSNRFull, err = s.judge(g, segs, trained, false, nil); err != nil {
+		return err
 	}
-	if len(pairs) > 0 {
-		res.PSNRFull = mseToPSNR(mseFull / float64(len(pairs)))
-		res.PSNRDelta = mseToPSNR(mseDelta / float64(len(pairs)))
-		if res.PSNRFull-res.PSNRDelta > dc.MaxPSNRDrop {
-			return nil // quality gate: reconstruction lost too much
-		}
+	if res.PSNRDelta, err = s.judge(g, segs, recon, false, nil); err != nil {
+		return err
+	}
+	if res.PSNRFull-res.PSNRDelta > dc.MaxPSNRDrop {
+		return nil // quality gate: reconstruction lost too much
 	}
 	// Adopt: the reconstruction becomes the canonical model, so origin
 	// playback and client assembly are bit-identical by construction.

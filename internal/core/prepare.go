@@ -11,7 +11,9 @@ import (
 	"dcsr/internal/edsr"
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
+	"dcsr/internal/quality"
 	"dcsr/internal/splitter"
+	"dcsr/internal/stream"
 	"dcsr/internal/vae"
 	"dcsr/internal/video"
 )
@@ -142,18 +144,26 @@ func stageEncode(_ context.Context, sp *obs.Span, s *prepState) error {
 	return s.ck.update(func(r *rootFile) { r.Stream = s.ck.put(st.Marshal()) })
 }
 
-// stageDecodeLow decodes our own stream to obtain the client-visible
-// low-quality I frames (training inputs must match what the client will
-// enhance) and pairs them with the pristine originals.
+// stageDecodeLow decodes our own stream's opening I frame of every
+// segment to obtain the client-visible low-quality I frames (training
+// inputs must match what the client will enhance) and pairs them with the
+// pristine originals. An I frame decodes on its own, so nothing else of
+// the stream is decoded, and each decodes into the picture of the last.
 func stageDecodeLow(_ context.Context, _ *obs.Span, s *prepState) error {
 	dec := codec.Decoder{Obs: s.cfg.Obs}
-	lowFrames, err := dec.Decode(s.p.Stream)
-	if err != nil {
-		return fmt.Errorf("core: decoding own stream: %w", err)
-	}
-	for _, seg := range s.p.Segments {
-		s.p.LowIFrames = append(s.p.LowIFrames, lowFrames[seg.Start].ToRGB())
+	for si, seg := range s.p.Segments {
+		sub, err := s.p.SegmentStream(si)
+		if err != nil {
+			return fmt.Errorf("core: decoding own stream: %w", err)
+		}
+		sub.Frames = sub.Frames[:1]
+		low, err := dec.Decode(sub)
+		if err != nil {
+			return fmt.Errorf("core: decoding own stream: %w", err)
+		}
+		s.p.LowIFrames = append(s.p.LowIFrames, low[0].ToRGB())
 		s.p.OrigIFrames = append(s.p.OrigIFrames, s.frames[seg.Start].ToRGB())
+		dec.Recycle(low)
 	}
 	return nil
 }
@@ -249,7 +259,10 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 	prev := s.ck.state().Models
 	trained := make([]*SegmentModel, p.K)
 	err := forEach(ctx, p.K, runtime.GOMAXPROCS(0), func(label int) error {
-		pairs := p.clusterPairs(label, 0)
+		var pairs []edsr.Pair // (decoded low-quality, pristine) I frames
+		for _, si := range p.clusterSegments(label, 0) {
+			pairs = append(pairs, edsr.Pair{Low: p.LowIFrames[si], High: p.OrigIFrames[si]})
+		}
 		if len(pairs) == 0 {
 			return nil
 		}
@@ -310,17 +323,62 @@ func stageTrain(ctx context.Context, trainSpan *obs.Span, s *prepState) error {
 	return nil
 }
 
-// clusterPairs returns the (decoded low-quality, pristine) I-frame pairs
-// of label's segments in segment order: the first limit of them, or all
-// when limit is 0.
-func (p *Prepared) clusterPairs(label, limit int) []edsr.Pair {
-	var pairs []edsr.Pair
+// clusterSegments returns the indices of label's segments in order: the
+// first limit of them, or all when limit is 0.
+func (p *Prepared) clusterSegments(label, limit int) []int {
+	var segs []int
 	for si, a := range p.Assign {
-		if a == label && (limit == 0 || len(pairs) < limit) {
-			pairs = append(pairs, edsr.Pair{Low: p.LowIFrames[si], High: p.OrigIFrames[si]})
+		if a == label && (limit == 0 || len(segs) < limit) {
+			segs = append(segs, si)
 		}
 	}
-	return pairs
+	return segs
+}
+
+// judge is the publisher gates' one quality measure: it plays segments
+// segs as a viewer does — stream.PlaySegment at the viewer's default
+// propagation, m enhancing every I frame in the loop, on the int8 kernels
+// when int8 is set — and returns the luma PSNR of every played frame, the
+// squared errors pooled against the pristine frames. opening, when set,
+// holds Enhance of each segment's opening I frame, already computed (the
+// calibration outputs): EnhanceYUV(f) is Enhance(f.ToRGB()).ToYUV() bit
+// for bit, so the float32 play takes it instead of running m on that
+// frame again, and any later I frame goes through m. The plays decode in
+// g's decoder, each into the frames of the one before.
+func (s *prepState) judge(g *gate, segs []int, m *edsr.Model, int8 bool, opening []*video.RGB) (float64, error) {
+	p, dec := s.p, &g.dec
+	dec.Mode = stream.DefaultOptions().Propagation
+	var mse float64
+	var n int
+	for i, si := range segs {
+		sub, err := p.SegmentStream(si)
+		if err != nil {
+			return 0, err
+		}
+		var played []*video.YUV
+		if opening != nil {
+			first := opening[i].ToYUV()
+			dec.Enhancer = codec.PrecisionEnhancerFunc(func(display int, f *video.YUV) (*video.YUV, codec.Precision) {
+				if display == 0 {
+					return first, codec.PrecisionFloat32
+				}
+				return m.EnhanceYUV(f), codec.PrecisionFloat32
+			})
+			played, err = dec.Decode(sub)
+		} else {
+			played, err = stream.PlaySegment(dec, sub, m, int8)
+		}
+		if err != nil {
+			return 0, fmt.Errorf("core: playing segment %d: %w", si, err)
+		}
+		start := p.Segments[si].Start
+		for j, f := range played {
+			mse += quality.LumaMSE(f, s.frames[start+j])
+		}
+		n += len(played)
+		dec.Recycle(played)
+	}
+	return mseToPSNR(mse / float64(n)), nil
 }
 
 // stageManifest assembles the manifest with byte-accurate segment and

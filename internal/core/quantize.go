@@ -8,32 +8,34 @@ import (
 
 	"dcsr/internal/nn"
 	"dcsr/internal/obs"
-	"dcsr/internal/quality"
 	"dcsr/internal/video"
 )
 
 // QuantConfig parameterizes the optional post-training int8 calibration
 // stage (quantize_int8; with the delta stage on, quantize_backbone gates
 // the backbone before the deltas are coded). Each cluster model is
-// calibrated on its own training I frames — the same frames it will
-// enhance, dcSR's data-centric serving situation — and kept on the int8
-// path only if the quantized output stays within MaxPSNRDrop of the
-// float32 output on those frames. An admitted model that ships complete
-// is published as the int8 grid it runs (dcW6); clusters that fail the
-// gate are marked float32-only in the manifest and the player falls back
+// calibrated on the opening I frames of its first segments — the frames
+// it will enhance, dcSR's data-centric serving situation — and kept on
+// the int8 path only if those segments, played as a viewer plays them
+// (stream.PlaySegment), lose at most MaxPSNRDrop of luma PSNR on the int8
+// kernels against float32. An admitted model that ships complete is
+// published as the int8 grid it runs (dcW6); clusters that fail the gate
+// are marked float32-only in the manifest and the player falls back
 // automatically.
 type QuantConfig struct {
 	// Enabled turns the stage on; false (the default) skips it entirely
 	// and the pipeline output is bit-identical to the pre-quantization
 	// behaviour.
 	Enabled bool
-	// MaxPSNRDrop is the quality gate in dB: a cluster whose int8 PSNR
-	// against the pristine originals falls more than this below the
-	// float32 PSNR stays float32-only. Default 0.5.
+	// MaxPSNRDrop is the quality gate in dB: a cluster whose played int8
+	// luma PSNR against the pristine frames falls more than this below
+	// the float32 one stays float32-only. Default 0.5.
 	MaxPSNRDrop float64
-	// MaxFrames caps the calibration frames per cluster (the first N of
-	// the cluster's I-frame pairs); calibration and the gate together
-	// cost one float32 plus one int8 forward pass per frame. Default 4.
+	// MaxFrames caps the gate segments per cluster (the cluster's first
+	// N); their opening I frames are the calibration frames. The gate
+	// costs one calibration pass and one int8 pass per I frame of those
+	// segments, the float32 play reusing the calibration outputs, plus
+	// the decodes. Default 4.
 	MaxFrames int
 }
 
@@ -52,8 +54,9 @@ type QuantResult struct {
 	// Int8OK reports the gate decision: true means the manifest
 	// advertises the model for the int8 path.
 	Int8OK bool `json:"int8_ok"`
-	// PSNRFloat32 and PSNRInt8 are the mean-MSE PSNRs (dB) of the two
-	// paths against the pristine originals on the calibration frames.
+	// PSNRFloat32 and PSNRInt8 are the played luma PSNRs (dB) of the
+	// cluster's gate segments in the two precisions: the squared error
+	// of every played frame pooled against the pristine frames.
 	PSNRFloat32 float64 `json:"psnr_float32"`
 	PSNRInt8    float64 `json:"psnr_int8"`
 	// ActScales are the calibrated per-layer activation scales; they
@@ -120,8 +123,9 @@ func stageQuantizeBackbone(_ context.Context, sp *obs.Span, s *prepState) error 
 }
 
 // quantizeModel runs the int8 gate (QuantConfig) on label's model: one
-// calibration pass over the cluster's first frames, which is the float32
-// side of the gate too, and one int8 pass. An admitted model that ships
+// calibration pass over the opening I frames of the cluster's gate
+// segments, whose outputs are the float32 play's enhancement of those
+// frames, and one int8 play of the segments. An admitted model that ships
 // complete — no adopted delta — is then snapped (edsr.Model.SnapInt8):
 // its weights become the dequantization of the int8 grid the gate
 // measured, and its payload that grid (dcW6), so origin and viewer hold
@@ -134,33 +138,32 @@ func (s *prepState) quantizeModel(label int) (bool, error) {
 	if sm == nil || sm.Quant != nil {
 		return false, nil
 	}
-	pairs := p.clusterPairs(label, qc.MaxFrames)
-	if len(pairs) == 0 {
+	segs := p.clusterSegments(label, qc.MaxFrames)
+	if len(segs) == 0 {
 		return true, nil
 	}
-	low := make([]*video.RGB, len(pairs))
-	for i, pr := range pairs {
-		low[i] = pr.Low
+	low := make([]*video.RGB, len(segs))
+	for i, si := range segs {
+		low[i] = p.LowIFrames[si]
 	}
-	ws := s.checkoutWorkspace()
-	defer s.returnWorkspace(ws)
-	sm.Model.SetWorkspace(ws)
+	g := s.checkoutGate()
+	defer s.returnGate(g)
+	sm.Model.SetWorkspace(&g.ws)
 	defer sm.Model.SetWorkspace(nil)
-	// The calibration passes are the float32 side of the gate.
+	// The calibration passes enhance the segments' opening I frames: the
+	// float32 play takes them instead of a pass of its own.
 	f32, err := sm.Model.CalibrateEnhance(low)
 	if err != nil {
 		return true, fmt.Errorf("core: calibrating cluster %d: %w", label, err)
 	}
-	// Mean MSE over the calibration frames on each path, compared as
-	// PSNR so the gate is in the same unit as the paper's quality
-	// results.
-	var mseF, mseI float64
-	for i, pr := range pairs {
-		mseF += quality.MSE(f32[i], pr.High)
-		mseI += quality.MSE(sm.Model.EnhanceInt8(pr.Low), pr.High)
+	psnrF, err := s.judge(g, segs, sm.Model, false, f32)
+	if err != nil {
+		return true, err
 	}
-	psnrF := mseToPSNR(mseF / float64(len(low)))
-	psnrI := mseToPSNR(mseI / float64(len(low)))
+	psnrI, err := s.judge(g, segs, sm.Model, true, nil)
+	if err != nil {
+		return true, err
+	}
 	sm.Quant = &QuantResult{
 		Int8OK:      psnrF-psnrI <= qc.MaxPSNRDrop,
 		PSNRFloat32: psnrF,

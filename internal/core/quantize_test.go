@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"dcsr/internal/obs"
+	"dcsr/internal/quality"
 	"dcsr/internal/stream"
+	"dcsr/internal/video"
 )
 
 // TestQuantQualityGateForcesFallback drives the gate to both verdicts:
@@ -159,5 +161,81 @@ func TestQuantPersistRoundTrip(t *testing.T) {
 	}
 	if res.Decode.EnhancedInt8 == 0 {
 		t.Error("loaded artifact served no int8 frames")
+	}
+}
+
+// TestJudgePlaysWhatViewerPlays: the gates' judge plays a cluster's gate
+// segments exactly as a viewer does. On a gated Prepare, for every
+// cluster and both precisions, the judge's number equals the pooled luma
+// PSNR of the same segments in the frames stream.Open + Play returns; the
+// recorded int8 number equals the viewer's int8 play; a model the int8
+// gate left unsnapped (one that ships as a delta) plays at its recorded
+// float32 number, which the calibration outputs scored; and the judge
+// given Enhance of the opening I frames scores what it scores running the
+// model itself. Every judge call shares one gate, so each play decodes
+// into the frames of the one before.
+func TestJudgePlaysWhatViewerPlays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the pipeline; skipped in short mode")
+	}
+	clip := testClip(t, 3, 3, 8)
+	frames := clip.YUVFrames()
+	cfg := gatedConfig().withDefaults()
+	p, err := Prepare(frames, clip.FPS, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, g := &prepState{cfg: cfg, frames: frames, p: p}, new(gate)
+	var deltas int
+	for _, int8 := range []bool{false, true} {
+		opts := stream.DefaultOptions()
+		opts.Int8 = int8
+		res, err := playOver(p, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, sm := range p.Models {
+			segs := p.clusterSegments(label, cfg.Quant.MaxFrames)
+			var mse float64
+			var n int
+			for _, si := range segs {
+				seg := p.Segments[si]
+				for d := seg.Start; d < seg.End; d++ {
+					mse += quality.LumaMSE(res.Frames[d], frames[d])
+				}
+				n += seg.End - seg.Start
+			}
+			viewer := mseToPSNR(mse / float64(n))
+			judged, err := s.judge(g, segs, sm.Model, int8, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if judged != viewer {
+				t.Errorf("model %d int8=%v: judge %v dB, viewer %v dB", label, int8, judged, viewer)
+			}
+			shipsDelta := sm.Delta != nil && sm.Delta.DeltaOK
+			switch {
+			case int8 && sm.Quant.PSNRInt8 != viewer:
+				t.Errorf("model %d: recorded int8 %v dB, viewer %v dB", label, sm.Quant.PSNRInt8, viewer)
+			case !int8 && shipsDelta && sm.Quant.PSNRFloat32 != viewer:
+				t.Errorf("model %d: recorded float32 %v dB, viewer %v dB", label, sm.Quant.PSNRFloat32, viewer)
+			}
+			if int8 {
+				continue
+			}
+			if shipsDelta {
+				deltas++
+			}
+			opening := make([]*video.RGB, len(segs))
+			for i, si := range segs {
+				opening[i] = sm.Model.Enhance(p.LowIFrames[si])
+			}
+			if reused, err := s.judge(g, segs, sm.Model, false, opening); err != nil || reused != judged {
+				t.Errorf("model %d: judge with the opening frames given %v dB (%v), running the model %v dB", label, reused, err, judged)
+			}
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("no model ships as a delta: the recorded float32 number went unchecked")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 
+	"dcsr/internal/codec"
 	"dcsr/internal/edsr"
 	"dcsr/internal/obs"
 	"dcsr/internal/video"
@@ -20,32 +21,40 @@ type prepState struct {
 	log    *obs.Logger
 	ck     *artifact // nil unless cfg.CheckpointDir is set
 
-	wsMu   sync.Mutex
-	wsFree []*edsr.Workspace // idle gate workspaces; see checkoutWorkspace
+	gateMu   sync.Mutex
+	gateFree []*gate // idle gates; see checkoutGate
 }
 
-// checkoutWorkspace hands a quality-gate job an inference workspace no
-// other goroutine holds — forEach runs several jobs at once, and two
-// passes in one workspace would overwrite each other's activations — for
-// it to attach to the models it evaluates. The job detaches it from every
-// model and hands it back with returnWorkspace on every exit path, so the
-// next job (this stage's or the next's) reuses the grown buffers and no
-// model stored in Prepared keeps a reference to them.
-func (s *prepState) checkoutWorkspace() *edsr.Workspace {
-	s.wsMu.Lock()
-	defer s.wsMu.Unlock()
-	if n := len(s.wsFree); n > 0 {
-		ws := s.wsFree[n-1]
-		s.wsFree = s.wsFree[:n-1]
-		return ws
+// gate is what one quality-gate job runs in: the inference workspace it
+// attaches to the models it evaluates, and the decoder the judge plays
+// through, which decodes each play into the frames of the play before.
+type gate struct {
+	ws  edsr.Workspace
+	dec codec.Decoder
+}
+
+// checkoutGate hands a quality-gate job a gate no other goroutine holds —
+// forEach runs several jobs at once, and two passes in one workspace
+// would overwrite each other's activations, two plays in one decoder
+// each other's pictures. The job detaches the workspace from every model
+// and hands the gate back with returnGate on every exit path, so the next
+// job (this stage's or the next's) reuses the grown buffers and the
+// pictures, and no model stored in Prepared keeps a reference to them.
+func (s *prepState) checkoutGate() *gate {
+	s.gateMu.Lock()
+	defer s.gateMu.Unlock()
+	if n := len(s.gateFree); n > 0 {
+		g := s.gateFree[n-1]
+		s.gateFree = s.gateFree[:n-1]
+		return g
 	}
-	return new(edsr.Workspace)
+	return new(gate)
 }
 
-func (s *prepState) returnWorkspace(ws *edsr.Workspace) {
-	s.wsMu.Lock()
-	s.wsFree = append(s.wsFree, ws)
-	s.wsMu.Unlock()
+func (s *prepState) returnGate(g *gate) {
+	s.gateMu.Lock()
+	s.gateFree = append(s.gateFree, g)
+	s.gateMu.Unlock()
 }
 
 // prepStage is one named step of the server pipeline. The driver opens an

@@ -118,3 +118,50 @@ func TestEnhanceYUVGolden(t *testing.T) {
 		t.Logf("computed table:\n%s", strings.Join(rows, "\n"))
 	}
 }
+
+// TestEnhanceYUVMatchesRGBPath pins the identity the publisher's int8
+// gate rests on when it reuses its calibration outputs as the float32
+// play's I-frame enhancement: EnhanceYUV(f) is Enhance(f.ToRGB()).ToYUV()
+// byte for byte, and EnhanceYUVInt8(f) is EnhanceInt8(f.ToRGB()).ToYUV(),
+// on every kernel lane the host has, on one and three workers, for a
+// frame size that is a multiple of 16 and one that is not.
+func TestEnhanceYUVMatchesRGBPath(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer func() {
+		runtime.GOMAXPROCS(prev)
+		tensor.ShutdownPool()
+	}()
+	m, err := New(ConfigDCSR1, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for _, cv := range m.convs() {
+		for j := range cv.Bias.W.Data {
+			cv.Bias.W.Data[j] = float32(rng.NormFloat64() * 0.02)
+		}
+	}
+	frames := []*video.YUV{genFrame(t, 64, 48, 43).ToYUV(), genFrame(t, 38, 22, 44).ToYUV()}
+	if err := m.Calibrate([]*video.RGB{frames[0].ToRGB()}); err != nil {
+		t.Fatal(err)
+	}
+	for _, lane := range kernelLanes {
+		if !lane.available() {
+			continue
+		}
+		withLane(lane, func() {
+			for _, procs := range []int{1, 3} {
+				runtime.GOMAXPROCS(procs)
+				tensor.ShutdownPool()
+				for _, f := range frames {
+					if got, want := yuvDigest(m.EnhanceYUV(f)), yuvDigest(m.Enhance(f.ToRGB()).ToYUV()); got != want {
+						t.Errorf("%s/procs%d/%dx%d: EnhanceYUV differs from Enhance through RGB", lane.name, procs, f.W, f.H)
+					}
+					if got, want := yuvDigest(m.EnhanceYUVInt8(f)), yuvDigest(m.EnhanceInt8(f.ToRGB()).ToYUV()); got != want {
+						t.Errorf("%s/procs%d/%dx%d: EnhanceYUVInt8 differs from EnhanceInt8 through RGB", lane.name, procs, f.W, f.H)
+					}
+				}
+			}
+		})
+	}
+}

@@ -259,7 +259,7 @@ func AblationQuantization(cfg EvalConfig) (t Table, psnrs map[string]float64, si
 	frames := clip.YUVFrames()
 	t = Table{
 		Title:  "Ablation: int8 model shipping (dcW6 for gate-admitted clusters)",
-		Header: []string{"models", "payload B", "playback PSNR (dB)", "int8 I frames", "gate (f32 / int8 dB)"},
+		Header: []string{"models", "payload B", "playback PSNR (dB)", "int8 I frames", "gate (f32 / int8 played luma dB)"},
 	}
 	psnrs, sizes = map[string]float64{}, map[string]int{}
 	for _, arm := range []struct {

@@ -22,40 +22,39 @@ func MSEToPSNR(mse float64) float64 {
 
 // PSNR returns the peak signal-to-noise ratio in dB between two RGB frames
 // of identical dimensions, computed over all three channels. Identical
-// frames yield +Inf.
+// frames yield +Inf. Each product is rounded before it is summed, here
+// and in every metric below, so the reported PSNR and SSIM do not depend
+// on whether a backend fuses multiply-adds.
 func PSNR(a, b *video.RGB) float64 {
-	return MSEToPSNR(MSE(a, b))
-}
-
-// MSE returns the mean squared error between two RGB frames of identical
-// dimensions in 8-bit pixel units, the scale MSEToPSNR expects. Each
-// product is rounded before it is summed, here and in every metric
-// below, so the publisher's quality gates and the reported PSNR and SSIM
-// do not depend on whether a backend fuses multiply-adds.
-func MSE(a, b *video.RGB) float64 {
 	if a.W != b.W || a.H != b.H {
-		panic("quality: MSE dimension mismatch")
+		panic("quality: PSNR dimension mismatch")
 	}
 	var sum float64
 	for i := range a.Pix {
 		d := float64(a.Pix[i]) - float64(b.Pix[i])
 		sum += float64(d * d)
 	}
-	return sum / float64(len(a.Pix))
+	return MSEToPSNR(sum / float64(len(a.Pix)))
 }
 
 // PSNRYUV returns luma-plane PSNR between two YUV frames.
 func PSNRYUV(a, b *video.YUV) float64 {
+	return MSEToPSNR(LumaMSE(a, b))
+}
+
+// LumaMSE returns the mean squared error between the luma planes of two
+// YUV frames of identical dimensions, in 8-bit pixel units. The squared
+// differences are summed exactly, in 64-bit integers.
+func LumaMSE(a, b *video.YUV) float64 {
 	if a.W != b.W || a.H != b.H {
-		panic("quality: PSNRYUV dimension mismatch")
+		panic("quality: LumaMSE dimension mismatch")
 	}
-	var mse float64
-	for i := range a.Y {
-		d := float64(a.Y[i]) - float64(b.Y[i])
-		mse += float64(d * d)
+	var sum int64
+	for i, y := range a.Y {
+		d := int64(y) - int64(b.Y[i])
+		sum += d * d
 	}
-	mse /= float64(len(a.Y))
-	return MSEToPSNR(mse)
+	return float64(sum) / float64(len(a.Y))
 }
 
 // SSIM constants per Wang et al. 2004 with L = 255.

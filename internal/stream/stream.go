@@ -16,7 +16,10 @@
 // chooses otherwise), then Session.Play, whose span parent rides the ctx
 // (obs.WithSpan). Assembler owns the model-stream order, Session owns the
 // session policy and is the single accounting record, and Session.Play
-// drives the decoder. NewSession opens a manifest-only session over the
+// drives the decoder through PlaySegment, the one function that plays a
+// segment with a model: the publisher's quality gates and the NEMO
+// baseline play through it too, so what the gates judge is what a viewer
+// plays. NewSession opens a manifest-only session over the
 // manifest's declared sizes — the bandwidth experiments' simulation —
 // through the same code.
 //
@@ -468,11 +471,11 @@ func (s *Session) model(ctx context.Context, sp *obs.Span, ev *Event) (*edsr.Mod
 	return m, nil
 }
 
-// Play runs the whole session: per segment, Fetch, then decode with the
-// segment's model patched into the decoder's I-frame hook. It returns the
-// frames in display order and the decoder's statistics. The segment spans
-// hang off the span ctx carries, or, when it carries none, off a "play"
-// root Play starts under Options.Obs.
+// Play runs the whole session: per segment, Fetch, then PlaySegment with
+// the segment's model, on the int8 kernels when the model is armed for
+// them. It returns the frames in display order and the decoder's
+// statistics. The segment spans hang off the span ctx carries, or, when
+// it carries none, off a "play" root Play starts under Options.Obs.
 func (s *Session) Play(ctx context.Context) ([]*video.YUV, codec.DecodeStats, error) {
 	if obs.SpanFrom(ctx) == nil {
 		root := s.Obs.Start("play")
@@ -490,22 +493,33 @@ func (s *Session) Play(ctx context.Context) ([]*video.YUV, codec.DecodeStats, er
 		if err != nil {
 			return nil, dec.Stats, fmt.Errorf("stream: segment %d: %w", seg.Index, err)
 		}
-		dec.Enhancer = nil
-		if model != nil {
-			dec.Enhancer = codec.PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, codec.Precision) {
-				if model.Int8Ready() {
-					return model.EnhanceYUVInt8(f), codec.PrecisionInt8
-				}
-				return model.EnhanceYUV(f), codec.PrecisionFloat32
-			})
-		}
-		frames, err := dec.Decode(sub)
+		frames, err := PlaySegment(&dec, sub, model, model != nil && model.Int8Ready())
 		if err != nil {
 			return nil, dec.Stats, fmt.Errorf("stream: decoding segment %d: %w", seg.Index, err)
 		}
 		out = append(out, frames...)
 	}
 	return out, dec.Stats, nil
+}
+
+// PlaySegment decodes one segment as a viewer plays it: m, when non-nil,
+// enhances every I frame in the decoder's loop — on the int8 kernels when
+// int8 is set, which needs m armed for them, else on float32 — so the
+// enhancement reaches the P frames the way dec.Mode propagates it. A nil
+// m gives the plain decode. PlaySegment owns dec.Enhancer; dec keeps its
+// statistics and recycled pictures across calls, so one decoder plays a
+// whole session.
+func PlaySegment(dec *codec.Decoder, sub *codec.Stream, m *edsr.Model, int8 bool) ([]*video.YUV, error) {
+	dec.Enhancer = nil
+	if m != nil {
+		dec.Enhancer = codec.PrecisionEnhancerFunc(func(_ int, f *video.YUV) (*video.YUV, codec.Precision) {
+			if int8 {
+				return m.EnhanceYUVInt8(f), codec.PrecisionInt8
+			}
+			return m.EnhanceYUV(f), codec.PrecisionFloat32
+		})
+	}
+	return dec.Decode(sub)
 }
 
 // TotalBytes returns video + model bytes transferred so far.

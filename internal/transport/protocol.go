@@ -96,7 +96,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"net"
 	"slices"
 	"sync"
 	"time"
@@ -392,25 +391,6 @@ func (buf *reqFrame) read(r io.Reader) (wireRequest, error) {
 	}
 	req, _ := parseRequest(buf[:])
 	return req, nil
-}
-
-// writeResponse frames a response: the echoed request ID, status byte,
-// uint32 length, then the payload. Header and payload go out as one
-// net.Buffers, so a net.Conn that supports vectored writes (*net.TCPConn)
-// sends the frame in one writev; any other writer (a faultnet wrapper, a
-// pipe, a buffer) gets the header in one Write and the payload in a
-// second, none for an empty payload. The bytes are the same either way.
-func writeResponse(w io.Writer, id uint32, status byte, payload []byte) error {
-	var hdr [respFrameBytes]byte
-	binary.BigEndian.PutUint32(hdr[:4], id)
-	hdr[4] = status
-	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	frame := net.Buffers{hdr[:], payload}
-	if len(payload) == 0 {
-		frame = frame[:1]
-	}
-	_, err := frame.WriteTo(w)
-	return err
 }
 
 // respHeader holds one response header's bytes, owned by the

@@ -280,7 +280,7 @@ func (s *Server) rejectConn(conn io.ReadWriter) error {
 	}
 	s.Obs.Counter("transport_shed_total").Inc()
 	s.Obs.Logger().Warn("transport: conn over capacity, shedding", "op", opName(req.Op))
-	return writeResponse(conn, req.ID, StatusRetryAfter, retryAfterPayload(adm.cfg.RetryAfter))
+	return (&connWriter{conn: conn}).writeResponse(req.ID, StatusRetryAfter, retryAfterPayload(adm.cfg.RetryAfter))
 }
 
 // connMetrics is the per-connection bundle of metric handles, resolved
@@ -321,22 +321,43 @@ func (s *Server) connMetrics() *connMetrics {
 
 // connWriter serializes response writes on one connection: sheds from
 // the read loop and responses from the request workers interleave on the
-// same conn, so every write goes through one mutex. The first write
-// error is kept and poisons the connection — later writes are dropped so
-// handlers drain quickly once the conn is gone.
+// same conn, so every write goes through one mutex, which also guards
+// the header and the net.Buffers each response is framed in. The first
+// write error is kept and poisons the connection — later writes are
+// dropped so handlers drain quickly once the conn is gone.
 type connWriter struct {
-	mu   sync.Mutex
-	conn io.ReadWriter
-	err  error
+	mu    sync.Mutex
+	conn  io.Writer
+	err   error
+	hdr   [respFrameBytes]byte
+	bufs  [2][]byte
+	frame net.Buffers
 }
 
-func (w *connWriter) write(fn func(io.Writer) error) error {
+// writeResponse frames a response: the echoed request ID, status byte,
+// uint32 length, then the payload. Header and payload go out as one
+// net.Buffers, so a net.Conn that supports vectored writes (*net.TCPConn)
+// sends the frame in one writev; any other writer (a faultnet wrapper, a
+// pipe, a buffer) gets the header in one Write and the payload in a
+// second, none for an empty payload. The bytes are the same either way.
+// The header and the buffers are the connection's, so a response
+// allocates nothing.
+func (w *connWriter) writeResponse(id uint32, status byte, payload []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	if err := fn(w.conn); err != nil {
+	binary.BigEndian.PutUint32(w.hdr[:4], id)
+	w.hdr[4] = status
+	binary.BigEndian.PutUint32(w.hdr[5:], uint32(len(payload)))
+	w.bufs = [2][]byte{w.hdr[:], payload}
+	w.frame = w.bufs[:1]
+	if len(payload) > 0 {
+		w.frame = w.bufs[:2]
+	}
+	// WriteTo consumes w.frame, so each response re-slices w.bufs.
+	if _, err := w.frame.WriteTo(w.conn); err != nil {
 		w.err = err
 		return err
 	}
@@ -478,7 +499,7 @@ func (s *Server) handle(cw *connWriter, m *connMetrics, adm *admission, req wire
 // (header plus payload).
 func (s *Server) respond(cw *connWriter, m *connMetrics, req wireRequest, status byte, payload []byte) (int, error) {
 	n := respFrameBytes + len(payload)
-	err := cw.write(func(w io.Writer) error { return writeResponse(w, req.ID, status, payload) })
+	err := cw.writeResponse(req.ID, status, payload)
 	if err == nil {
 		m.outCtr.Add(int64(n))
 	}
